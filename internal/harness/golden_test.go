@@ -44,6 +44,12 @@ var goldenTraces = map[string]map[int64]string{
 	},
 }
 
+// goldenZipf1M pins zipf1m seed 1, the 4096-node fleet whose every node folds
+// every redraw through one shared fold cache. It sits apart from goldenTraces
+// because the tests ranging over that table would each run the campaign
+// again; TestZipf1MCampaign checks it on the one run it already makes.
+const goldenZipf1M = "0340d3c5c8882b4f2c463db84b3ff39b33df1566575fe9c875e3865537da1f7d"
+
 // TestEngineMatchesGoldenTraces replays the pinned (scenario, seed) pairs
 // through the staged engine at parallelism 0 and demands the pre-refactor
 // bytes, hash for hash.

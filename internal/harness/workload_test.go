@@ -120,10 +120,11 @@ func TestZipfFluxWaveInversion(t *testing.T) {
 
 // TestZipf1MCampaign is the zipf1m acceptance gate: the fleet's wave-0
 // subscription load exceeds one million, the campaign completes under the
-// sharded engine at ≥0.999 reliability, and the PR-10 report fields —
-// class_reliability, summary_false_positive_rate, fold_recompiles — are
-// populated. The full campaign is ~80s of wall clock, so -short only
-// checks the subscription count.
+// sharded engine at ≥0.999 reliability, replays its pinned trace
+// (goldenZipf1M), and the PR-10 report fields — class_reliability,
+// summary_false_positive_rate, fold_recompiles — are populated. The full
+// campaign is ~23s of wall clock on two cores, so -short only checks the
+// subscription count.
 func TestZipf1MCampaign(t *testing.T) {
 	w := NewZipfWorkload(zipf1MWorkload())
 	space, err := addr.NewSpace(4, 4, 4, 4, 4, 4)
@@ -138,13 +139,16 @@ func TestZipf1MCampaign(t *testing.T) {
 		t.Fatalf("zipf1m fleet carries %d subscriptions, want ≥ 1,000,000", total)
 	}
 	if testing.Short() {
-		t.Skip("full 4096-node zipf1m campaign is ~80s of wall clock")
+		t.Skip("full 4096-node zipf1m campaign is ~23s of wall clock")
 	}
 	res, err := sc.Run(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := res.Report
+	if rep.TraceSHA256 != goldenZipf1M {
+		t.Errorf("trace sha %s, golden %s", rep.TraceSHA256, goldenZipf1M)
+	}
 	if rep.MeanReliability < 0.999 {
 		t.Errorf("mean reliability %.4f < 0.999", rep.MeanReliability)
 	}

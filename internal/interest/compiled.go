@@ -191,8 +191,9 @@ func (m *CompiledMatcher) NumDisjuncts() int {
 // Fingerprint returns the canonical identity of the subscription's matched
 // language: the wire encoding, which is already canonical (criteria sorted
 // by attribute, interval sets normalized, string sets sorted and deduped).
+// It is the string Identity stands for, encoded once per value.
 func (s Subscription) Fingerprint() string {
-	return string(AppendSubscription(nil, s))
+	return s.Identity().h.Value()
 }
 
 // OrderedFingerprint identifies the summary as a regrouping input: the

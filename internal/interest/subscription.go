@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"unique"
 
 	"pmcast/internal/event"
 )
@@ -47,11 +49,55 @@ type attrCriterion struct {
 // linear merge-walks with no iterator or hashing overhead.
 type Subscription struct {
 	// criteria is sorted by attribute and never contains wildcard entries
-	// (absence means wildcard).
+	// (absence means wildcard). It is never modified once the value exists.
 	criteria []attrCriterion
+	// ident memoizes Identity. Copies of one value share the cell, so a
+	// subscription handed to a whole co-hosted fleet is encoded once; every
+	// construction that yields different criteria starts a fresh cell. Nil on
+	// the zero Subscription.
+	ident *identCell
 }
 
 var _ Matcher = Subscription{}
+
+// Identity names a subscription's canonical encoding: two subscriptions
+// have equal identities exactly when their encodings are byte-equal, however
+// and wherever in the process they were built. It is fixed-width and
+// comparable, which is all it offers — the value behind it differs from run
+// to run, so it must never be encoded, reported or ordered by.
+type Identity struct{ h unique.Handle[string] }
+
+// identCell is the memo behind Subscription.Identity.
+type identCell struct {
+	once sync.Once
+	id   Identity
+}
+
+// matchAllIdentity is the identity of the zero Subscription, which has no
+// cell to memoize into.
+var matchAllIdentity = Subscription{}.encodeIdentity()
+
+// withCriteria wraps freshly built criteria (owned by the result).
+func withCriteria(criteria []attrCriterion) Subscription {
+	if len(criteria) == 0 {
+		return Subscription{}
+	}
+	return Subscription{criteria: criteria, ident: new(identCell)}
+}
+
+func (s Subscription) encodeIdentity() Identity {
+	return Identity{unique.Make(string(AppendSubscription(nil, s)))}
+}
+
+// Identity returns the subscription's identity, encoding it at most once per
+// constructed value (see Identity for what it may be used for).
+func (s Subscription) Identity() Identity {
+	if s.ident == nil {
+		return matchAllIdentity
+	}
+	s.ident.once.Do(func() { s.ident.id = s.encodeIdentity() })
+	return s.ident.id
+}
 
 // NewSubscription returns an empty (match-all) subscription.
 func NewSubscription() Subscription { return Subscription{} }
@@ -59,10 +105,7 @@ func NewSubscription() Subscription { return Subscription{} }
 // clone returns an independent copy. Criterion values are immutable once
 // built, so copying the pair slice suffices.
 func (s Subscription) clone() Subscription {
-	if len(s.criteria) == 0 {
-		return Subscription{}
-	}
-	return Subscription{criteria: append([]attrCriterion(nil), s.criteria...)}
+	return Subscription{criteria: append([]attrCriterion(nil), s.criteria...), ident: s.ident}
 }
 
 // find returns the index of attr in the sorted criteria, or the insertion
@@ -100,16 +143,16 @@ func (s Subscription) Constrain(attr string, c Criterion) (Subscription, error) 
 	case c.IsAny():
 		out := make([]attrCriterion, 0, len(s.criteria)-1)
 		out = append(out, s.criteria[:i]...)
-		return Subscription{criteria: append(out, s.criteria[i+1:]...)}, nil
+		return withCriteria(append(out, s.criteria[i+1:]...)), nil
 	case ok:
 		out := append([]attrCriterion(nil), s.criteria...)
 		out[i].crit = c
-		return Subscription{criteria: out}, nil
+		return withCriteria(out), nil
 	default:
 		out := make([]attrCriterion, 0, len(s.criteria)+1)
 		out = append(out, s.criteria[:i]...)
 		out = append(out, attrCriterion{attr: attr, crit: c})
-		return Subscription{criteria: append(out, s.criteria[i:]...)}, nil
+		return withCriteria(append(out, s.criteria[i:]...)), nil
 	}
 }
 
@@ -224,7 +267,7 @@ func (s Subscription) HullWith(t Subscription) Subscription {
 		}
 		out = append(out, attrCriterion{attr: attr, crit: u})
 	}
-	return Subscription{criteria: out}
+	return withCriteria(out)
 }
 
 // hullCostWith predicts HullWith's cost without materializing the hull:

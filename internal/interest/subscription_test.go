@@ -189,3 +189,86 @@ func TestSubscriptionAttrsSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestSubscriptionIdentity pins what an Identity promises: it is equal
+// exactly when the canonical encodings are — whatever route built the value
+// (construction order, a wire round trip, a copy) — and a value derived from
+// a copy starts its own memo instead of inheriting the original's.
+func TestSubscriptionIdentity(t *testing.T) {
+	a := paperSub()
+	reordered := NewSubscription().
+		Where("z", EqInt(20000)).
+		Where("c", Gt(40.0)).
+		Where("b", EqInt(2))
+	var decoded Subscription
+	if err := decoded.UnmarshalBinary([]byte(a.Fingerprint())); err != nil {
+		t.Fatal(err)
+	}
+	for name, same := range map[string]Subscription{
+		"copy": a, "clone": a.clone(), "reordered": reordered, "decoded": decoded,
+	} {
+		if same.Identity() != a.Identity() {
+			t.Errorf("%s: equal encodings, different identities", name)
+		}
+	}
+	if NewSubscription().Identity() != a.Where("b", Any()).Where("c", Any()).Where("z", Any()).Identity() {
+		t.Error("match-all reached by removing every constraint differs from the zero subscription's identity")
+	}
+
+	// Where on a copy, after the original's identity was memoized.
+	cp := a
+	b := cp.Where("b", EqInt(3))
+	if b.Identity() == a.Identity() || b.Fingerprint() == a.Fingerprint() {
+		t.Error("a re-constrained copy kept the original's identity")
+	}
+	if a.Identity() != paperSub().Identity() || a.String() != paperSub().String() {
+		t.Error("deriving from a copy disturbed the original")
+	}
+	if hull := a.HullWith(b); hull.Identity() == a.Identity() || hull.Identity() == b.Identity() {
+		t.Error("a hull shares an operand's identity")
+	}
+
+	// Distinct languages never share an identity, equal ones always do.
+	r := rand.New(rand.NewSource(7))
+	byFP := make(map[string]Identity)
+	byID := make(map[Identity]string)
+	for i := 0; i < 500; i++ {
+		s := NewSubscription()
+		for _, attr := range []string{"a", "b", "c"}[:1+r.Intn(3)] {
+			s = s.Where(attr, EqInt(int64(r.Intn(3))))
+		}
+		fp, id := string(AppendSubscription(nil, s)), s.Identity()
+		if prev, ok := byFP[fp]; ok && prev != id {
+			t.Fatalf("encoding %q named twice", fp)
+		}
+		if prev, ok := byID[id]; ok && prev != fp {
+			t.Fatalf("one identity names encodings %q and %q", prev, fp)
+		}
+		byFP[fp], byID[id] = id, fp
+	}
+}
+
+// TestSummaryIdentityDroppedOnChange: a name stands for content, so
+// changing the content must drop it.
+func TestSummaryIdentityDroppedOnChange(t *testing.T) {
+	s := Summarize(paperSub())
+	s.SetIdentity(7)
+	if s.Identity() != 7 {
+		t.Fatalf("identity %d, want 7", s.Identity())
+	}
+	if c := s.Clone(); c.Identity() != 0 {
+		t.Error("a clone — a fresh accumulator — inherited the identity")
+	}
+	s.Add(NewSubscription().Where("q", EqInt(1)))
+	if s.Identity() != 0 {
+		t.Error("Add kept the identity of the previous content")
+	}
+	s.SetIdentity(8)
+	s.Merge(Summarize(NewSubscription()))
+	if s.Identity() != 0 {
+		t.Error("Merge kept the identity of the previous content")
+	}
+	if (*Summary)(nil).Identity() != 0 {
+		t.Error("nil summary has an identity")
+	}
+}

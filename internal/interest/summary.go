@@ -25,6 +25,8 @@ type Summary struct {
 	subs     []Subscription
 	maxSubs  int
 	matchAll bool
+	// id is the name SetIdentity gave this content; Add and Merge drop it.
+	id uint64
 }
 
 var _ Matcher = (*Summary)(nil)
@@ -44,6 +46,7 @@ func NewSummaryWithBound(maxDisjuncts int) *Summary {
 // Add incorporates one subscription, maintaining the size bound through
 // subsumption elimination and closest-pair merging.
 func (s *Summary) Add(sub Subscription) {
+	s.id = 0
 	if s.matchAll || sub.IsEmpty() {
 		return
 	}
@@ -80,6 +83,7 @@ func (s *Summary) Merge(t *Summary) {
 		return
 	}
 	if t.matchAll {
+		s.id = 0
 		s.matchAll = true
 		s.subs = nil
 		return
@@ -176,6 +180,24 @@ func (s *Summary) Covers(sub Subscription) bool {
 		}
 	}
 	return false
+}
+
+// SetIdentity names the summary's present content as a regrouping input.
+// The namer — the tree's fold cache, which hash-conses the summaries it
+// creates — promises that one nonzero name never stands for two different
+// OrderedFingerprints in one process; equal names then prove two summaries
+// interchangeable as inputs to a further Merge without comparing them. Like
+// a Subscription's Identity the number differs from run to run: it must
+// never be encoded, reported or ordered by.
+func (s *Summary) SetIdentity(id uint64) { s.id = id }
+
+// Identity returns the name SetIdentity gave the summary's present content;
+// 0 for the nil summary and for one never named or changed since.
+func (s *Summary) Identity() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.id
 }
 
 // IsEmpty reports whether the summary matches nothing.

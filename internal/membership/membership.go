@@ -150,7 +150,9 @@ type Service struct {
 	cfg Config
 	now func() time.Time
 
-	mu        sync.RWMutex
+	mu sync.RWMutex
+	// records is the classic record table. In roster mode (base non-nil) it
+	// is unused: see over.
 	records   map[string]*Record
 	lastHeard map[string]time.Time
 	suspicion map[string]int
@@ -159,13 +161,16 @@ type Service struct {
 	hash      uint64 // order-independent roster hash, maintained likewise
 
 	// base, when non-nil, is the immutable shared roster this service was
-	// bootstrapped from (see NewWithRoster); records then holds only the
-	// overlay of lines that diverged. poolGone lists the base positions
+	// bootstrapped from (see NewWithRoster); over then holds the lines that
+	// diverged from it, keyed by base position (an overlay only ever shadows
+	// base lines), so a lookup hashes its key once — into base.index — and
+	// reaches the overlay by integer. poolGone lists the base positions
 	// excluded from the alive-peer pool — self plus every currently dead
 	// line — sorted ascending. Invariant: poolGone = {i : base line i is
 	// effectively not alive} ∪ {self}, so the pool seen through
 	// poolAtLocked is exactly what peerCache would hold classically.
 	base     *Roster
+	over     map[int32]*Record
 	poolGone []int32
 
 	// peerCache and neighborCache are the sorted alive-peer and
@@ -517,14 +522,17 @@ func (s *Service) HandleDigest(d Digest) (upd *Update, gossiperFresher bool) {
 	}
 	var fresh []Record
 	shared := 0
+	var r *Record
+	var ok bool
+	next := int32(0)
 	for _, e := range d.Entries {
-		r, ok := s.peekLocked(e.Key)
+		r, next, ok = s.peekNextLocked(e.Key, next)
 		switch {
 		case !ok:
 			gossiperFresher = true // a line we lack entirely
 		case e.Stamp < r.Stamp:
 			shared++
-			fresh = append(fresh, r)
+			fresh = append(fresh, *r)
 		case e.Stamp > r.Stamp:
 			shared++
 			gossiperFresher = true
@@ -532,7 +540,7 @@ func (s *Service) HandleDigest(d Digest) (upd *Update, gossiperFresher bool) {
 			shared++
 			// Equal stamps: tombstone precedence decides who is fresher.
 			if e.Alive && !r.Alive {
-				fresh = append(fresh, r)
+				fresh = append(fresh, *r)
 			} else if !e.Alive && r.Alive {
 				gossiperFresher = true
 			}
@@ -624,8 +632,8 @@ func (s *Service) pickDistinctLocked(rng *rand.Rand, k int, used map[string]bool
 func (s *Service) BuildJoinRequest() JoinRequest {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	self := *s.records[s.cfg.Self.Key()]
-	return JoinRequest{Joiner: self, Hops: s.cfg.Space.Depth()}
+	self, _ := s.peekLocked(s.cfg.Self.Key())
+	return JoinRequest{Joiner: *self, Hops: s.cfg.Space.Depth()}
 }
 
 // HandleJoinRequest admits a joiner: the receiver merges the joiner's
@@ -674,7 +682,7 @@ func (s *Service) HandleJoinRequest(jr JoinRequest) (reply Update, forward addr.
 func (s *Service) Subscribe(sub interest.Subscription) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	self := s.records[s.cfg.Self.Key()]
+	self := s.mutableLocked(s.cfg.Self.Key())
 	self.Sub = sub
 	s.touchHashLocked(s.cfg.Self.Key(), self.Stamp, self.Alive, self.Stamp+1, self.Alive)
 	self.Stamp++
@@ -687,7 +695,7 @@ func (s *Service) Subscribe(sub interest.Subscription) {
 func (s *Service) BuildLeave() Leave {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	self := s.records[s.cfg.Self.Key()]
+	self := s.mutableLocked(s.cfg.Self.Key())
 	s.touchHashLocked(s.cfg.Self.Key(), self.Stamp, self.Alive, self.Stamp+1, false)
 	self.Stamp++
 	if self.Alive {
@@ -811,5 +819,8 @@ func (s *Service) Lookup(a addr.Address) (Record, bool) {
 func (s *Service) LookupKey(key string) (Record, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.peekLocked(key)
+	if r, ok := s.peekLocked(key); ok {
+		return *r, true
+	}
+	return Record{}, false
 }

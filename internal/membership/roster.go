@@ -125,7 +125,7 @@ func NewWithRoster(cfg Config, base *Roster) (*Service, error) {
 	s := &Service{
 		cfg:        cfg,
 		now:        now,
-		records:    make(map[string]*Record, 4),
+		over:       make(map[int32]*Record, 4),
 		lastHeard:  make(map[string]time.Time),
 		suspicion:  make(map[string]int),
 		selfPrefix: cfg.Self.Prefix(cfg.Space.Depth()),
@@ -135,7 +135,7 @@ func NewWithRoster(cfg Config, base *Roster) (*Service, error) {
 	// stamp, and overlay-shadowing with an identical value keeps the
 	// incremental hash exact.
 	selfCopy := *selfRec
-	s.records[selfKey] = &selfCopy
+	s.over[selfIdx] = &selfCopy
 	s.alive = base.alive
 	s.hash = base.hash
 	s.version = 1
@@ -189,46 +189,74 @@ func (s *Service) recordCountLocked() int {
 	return len(s.base.Records)
 }
 
-// peekLocked resolves a record value through the overlay then the base.
-func (s *Service) peekLocked(key string) (Record, bool) {
-	if r, ok := s.records[key]; ok {
-		return *r, true
-	}
-	if r, _, ok := s.base.lookup(key); ok {
-		return *r, true
-	}
-	return Record{}, false
+// peekLocked resolves a record for reading: the key is hashed once, to the
+// classic table's record or to the base position the overlay is keyed by.
+// The result may be a shared base line — mutate through mutableLocked only.
+func (s *Service) peekLocked(key string) (*Record, bool) {
+	r, _, ok := s.peekNextLocked(key, -1)
+	return r, ok
 }
 
-// mutableLocked returns the overlay record for the key, copying the base
-// line into the overlay on first mutation. Nil when the key is unknown.
+// peekNextLocked is peekLocked for a caller walking keys in the order digests
+// list them — base lines by rising position. hint is the position after the
+// previous line found (-1: none): when the key is the base line there, which
+// for a key cut from the shared roster is a pointer compare, it is not hashed
+// at all. The second result is the next call's hint.
+func (s *Service) peekNextLocked(key string, hint int32) (*Record, int32, bool) {
+	if s.base == nil {
+		r, ok := s.records[key]
+		return r, -1, ok
+	}
+	i := hint
+	if i < 0 || int(i) >= len(s.base.Records) || s.base.Records[i].Addr.Key() != key {
+		var ok bool
+		if i, ok = s.base.index[key]; !ok {
+			return nil, hint, false
+		}
+	}
+	if r, ok := s.over[i]; ok {
+		return r, i + 1, true
+	}
+	return &s.base.Records[i], i + 1, true
+}
+
+// mutableLocked returns the service's own record for the key, copying the
+// base line into the overlay on first mutation. Nil when the key is unknown.
 func (s *Service) mutableLocked(key string) *Record {
-	if r, ok := s.records[key]; ok {
-		return r
+	if s.base == nil {
+		return s.records[key]
 	}
-	if r, _, ok := s.base.lookup(key); ok {
-		cp := *r
-		s.records[key] = &cp
-		return &cp
+	i, ok := s.base.index[key]
+	if !ok {
+		return nil
 	}
-	return nil
+	r, ok := s.over[i]
+	if !ok {
+		cp := s.base.Records[i]
+		r = &cp
+		s.over[i] = r
+	}
+	return r
 }
 
 // visitLocked calls fn for every logical record (overlay shadows base) in
 // unspecified order, mirroring classic map iteration.
 func (s *Service) visitLocked(fn func(key string, r *Record)) {
-	for k, r := range s.records {
-		fn(k, r)
-	}
-	if s.base != nil {
-		for i := range s.base.Records {
-			rec := &s.base.Records[i]
-			key := rec.Addr.Key()
-			if _, shadowed := s.records[key]; shadowed {
-				continue
-			}
-			fn(key, rec)
+	if s.base == nil {
+		for k, r := range s.records {
+			fn(k, r)
 		}
+		return
+	}
+	for _, r := range s.over {
+		fn(r.Addr.Key(), r)
+	}
+	for i := range s.base.Records {
+		if _, shadowed := s.over[int32(i)]; shadowed {
+			continue
+		}
+		rec := &s.base.Records[i]
+		fn(rec.Addr.Key(), rec)
 	}
 }
 
@@ -286,16 +314,17 @@ func (s *Service) materializeLocked() {
 	if s.base == nil {
 		return
 	}
+	s.records = make(map[string]*Record, len(s.base.Records))
 	for i := range s.base.Records {
-		rec := &s.base.Records[i]
-		key := rec.Addr.Key()
-		if _, shadowed := s.records[key]; shadowed {
-			continue
+		r, shadowed := s.over[int32(i)]
+		if !shadowed {
+			cp := s.base.Records[i]
+			r = &cp
 		}
-		cp := *rec
-		s.records[key] = &cp
+		s.records[r.Addr.Key()] = r
 	}
 	s.base = nil
+	s.over = nil
 	s.poolGone = nil
 	s.peerCache = s.peerCache[:0]
 	selfKey := s.cfg.Self.Key()

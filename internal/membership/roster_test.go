@@ -285,3 +285,60 @@ func TestNewWithRosterRejectsStrangers(t *testing.T) {
 		t.Error("duplicate roster address accepted")
 	}
 }
+
+// TestHandleDigestAnyOrder pins the positional walk in HandleDigest: a
+// roster-backed service resolves a digest listed in base order without
+// hashing, and must answer exactly like the classic table however the
+// gossiper ordered its lines, wherever the key strings live, and whether or
+// not the digest names lines the receiver lacks.
+func TestHandleDigestAnyOrder(t *testing.T) {
+	self := addr.New(1, 2)
+	classic, shared := servicePair(t, self)
+	for _, l := range []Leave{{Addr: addr.New(0, 1), Stamp: 2}, {Addr: addr.New(3, 3), Stamp: 4}} {
+		classic.HandleLeave(l)
+		shared.HandleLeave(l)
+	}
+
+	// The gossiper: fresher on some lines, staler on others, one line the
+	// receivers have never heard of, listed in base order.
+	_, recs := rosterFixture(t)
+	var entries []DigestEntry
+	for i, r := range recs {
+		e := DigestEntry{Key: string(append([]byte(nil), r.Addr.Key()...)), Stamp: 1, Alive: true}
+		switch i % 5 {
+		case 1:
+			e.Stamp = 7 // the gossiper is fresher
+		case 3:
+			e.Stamp = 0 // the receivers are fresher
+		}
+		entries = append(entries, e)
+		if i == 6 {
+			entries = append(entries, DigestEntry{Key: "9.9", Stamp: 1, Alive: true})
+		}
+	}
+	orders := map[string]func([]DigestEntry){
+		"base":     func([]DigestEntry) {},
+		"reversed": func(es []DigestEntry) { sort.SliceStable(es, func(i, j int) bool { return i > j }) },
+		"shuffled": func(es []DigestEntry) {
+			rand.New(rand.NewSource(5)).Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+		},
+		"truncated": func(es []DigestEntry) {
+			for i := range es[:len(es)/2] {
+				es[i] = es[len(es)-1-i] // duplicates stand in for missing lines
+			}
+		},
+	}
+	for name, reorder := range orders {
+		es := append([]DigestEntry(nil), entries...)
+		reorder(es)
+		d := Digest{From: addr.New(2, 0), Hash: 1, Count: len(es), Entries: es}
+		wantUpd, wantFresher := classic.HandleDigest(d)
+		gotUpd, gotFresher := shared.HandleDigest(d)
+		if gotFresher != wantFresher || !reflect.DeepEqual(gotUpd, wantUpd) {
+			t.Errorf("%s: shared answered (%v, %v), classic (%v, %v)", name, gotUpd, gotFresher, wantUpd, wantFresher)
+		}
+		if wantUpd == nil || !wantFresher {
+			t.Fatalf("%s: fixture no longer diverges both ways (upd=%v fresher=%v)", name, wantUpd, wantFresher)
+		}
+	}
+}

@@ -1112,7 +1112,7 @@ func (n *Node) coreConfig() core.Config {
 type appliedRecord struct {
 	stamp uint64
 	alive bool
-	sub   interest.Subscription
+	sub   interest.Identity
 }
 
 // appliedLookupLocked reads the fold bookkeeping through the own-then-base
@@ -1155,11 +1155,13 @@ func (n *Node) rebuildLocked() error {
 		if ok && prev.stamp == r.Stamp && prev.alive == r.Alive {
 			return
 		}
+		sub := r.Sub.Identity()
 		switch {
 		case r.Alive && (!ok || !prev.alive):
 			delta.Add = append(delta.Add, tree.Member{Addr: r.Addr, Sub: r.Sub})
-		case r.Alive && !prev.sub.Equal(r.Sub):
-			// Same liveness, new stamp, different interests: re-fold them.
+		case r.Alive && prev.sub != sub:
+			// Same liveness, new stamp, differently encoded interests:
+			// re-fold them.
 			delta.Update = append(delta.Update, tree.Member{Addr: r.Addr, Sub: r.Sub})
 		case r.Alive:
 			// A stamp-only bump (e.g. a propagating self-defense
@@ -1169,7 +1171,7 @@ func (n *Node) rebuildLocked() error {
 		default:
 			// A tombstone for a process never folded in: nothing to undo.
 		}
-		n.applied[key] = appliedRecord{stamp: r.Stamp, alive: r.Alive, sub: r.Sub}
+		n.applied[key] = appliedRecord{stamp: r.Stamp, alive: r.Alive, sub: sub}
 	}
 	// The membership changelog names exactly the lines that moved since the
 	// last fold. A fresh fold (first build, or recovery after a failed

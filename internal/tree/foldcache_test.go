@@ -2,6 +2,9 @@ package tree
 
 import (
 	"fmt"
+	"maps"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"pmcast/internal/addr"
@@ -111,5 +114,258 @@ func TestFoldCacheSharing(t *testing.T) {
 	}
 	if second.Hits == 0 {
 		t.Error("fold-cache hit meter never moved across the clone's recomputes")
+	}
+}
+
+// TestFoldIdentitiesExactUnderSweeps is the exactness property of the
+// identity scheme at its worst: three cloned trees share one fold cache
+// bounded to 4 entries, so identities are swept and minted again on almost
+// every step, while random Add/Update/Remove sequences (single calls and
+// batches) drive them apart. After every step the mutated tree must be
+// indistinguishable — same summary in the same disjunct order, same compiled
+// language, same delegates and counts at every prefix — from a tree built
+// from scratch over the same members with a private, unbounded cache.
+func TestFoldIdentitiesExactUnderSweeps(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	// More distinct interests than the summary bound, so folds regroup
+	// (order-sensitively) and not merely concatenate.
+	var pool []interest.Subscription
+	for b := int64(0); b < 6; b++ {
+		for c := int64(0); c < 3; c++ {
+			pool = append(pool, interest.NewSubscription().
+				Where("b", interest.EqInt(b)).Where("c", interest.EqInt(c)))
+		}
+	}
+	for trial := 0; trial < 8; trial++ {
+		space := addr.MustRegular(2+r.Intn(3), 2+r.Intn(2))
+		first, err := New(Config{Space: space, R: 1 + r.Intn(2), FoldCacheBound: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees := []*Tree{first, first.Clone(), first.Clone()}
+		models := make([]map[int]interest.Subscription, len(trees))
+		for i := range models {
+			models[i] = make(map[int]interest.Subscription)
+		}
+		for step := 0; step < 150; step++ {
+			k := r.Intn(len(trees))
+			tr, model := trees[k], models[k]
+			var d Delta
+			for _, idx := range r.Perm(space.Capacity())[:1+r.Intn(3)] {
+				a, sub := space.AddressAt(idx), pool[r.Intn(len(pool))]
+				_, present := model[idx]
+				switch {
+				case !present:
+					d.Add = append(d.Add, Member{Addr: a, Sub: sub})
+					model[idx] = sub
+				case r.Intn(3) == 0:
+					d.Remove = append(d.Remove, a)
+					delete(model, idx)
+				default:
+					d.Update = append(d.Update, Member{Addr: a, Sub: sub})
+					model[idx] = sub
+				}
+			}
+			if err := applyEither(tr, d); err != nil {
+				t.Fatalf("trial %d step %d: %v", trial, step, err)
+			}
+			if step%5 == 0 {
+				// Clones made mid-sequence share whatever identities are live.
+				trees[(k+1)%len(trees)], models[(k+1)%len(models)] = tr.Clone(), maps.Clone(model)
+			}
+			members := make([]Member, 0, len(model))
+			for idx, sub := range model {
+				members = append(members, Member{Addr: space.AddressAt(idx), Sub: sub})
+			}
+			ref, err := Build(Config{Space: space, R: tr.R()}, members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareTries(t, tr, ref, addr.Root(), space)
+			if t.Failed() {
+				t.Fatalf("trial %d diverged at step %d (%d members)", trial, step, len(members))
+			}
+		}
+		if first.FoldStats().CacheEvictions == 0 {
+			t.Fatalf("trial %d: bound 4 swept nothing — the property was not exercised", trial)
+		}
+	}
+}
+
+// applyEither applies a one-change delta through the single-member call and
+// anything else through ApplyDelta.
+func applyEither(tr *Tree, d Delta) error {
+	switch {
+	case len(d.Add) == 1 && len(d.Update)+len(d.Remove) == 0:
+		return tr.Add(d.Add[0])
+	case len(d.Update) == 1 && len(d.Add)+len(d.Remove) == 0:
+		return tr.UpdateSubscription(d.Update[0].Addr, d.Update[0].Sub)
+	case len(d.Remove) == 1 && len(d.Add)+len(d.Update) == 0:
+		return tr.Remove(d.Remove[0])
+	}
+	return tr.ApplyDelta(d)
+}
+
+// compareTries checks got against want at p and every populated prefix
+// below it.
+func compareTries(t *testing.T, got, want *Tree, p addr.Prefix, space addr.Space) {
+	t.Helper()
+	if g, w := got.Count(p), want.Count(p); g != w {
+		t.Errorf("%s: count %d, from scratch %d", p, g, w)
+		return
+	}
+	if want.Count(p) == 0 {
+		return
+	}
+	if g, w := got.Summary(p).OrderedFingerprint(), want.Summary(p).OrderedFingerprint(); g != w {
+		t.Errorf("%s: summary %s, from scratch %s", p, got.Summary(p), want.Summary(p))
+	}
+	if g, w := got.CompiledSummary(p).Fingerprint(), want.CompiledSummary(p).Fingerprint(); g != w {
+		t.Errorf("%s: compiled language differs from scratch", p)
+	}
+	if g, w := fmt.Sprint(got.Delegates(p)), fmt.Sprint(want.Delegates(p)); g != w {
+		t.Errorf("%s: delegates %s, from scratch %s", p, g, w)
+	}
+	if p.Len() == space.Depth() {
+		return
+	}
+	for digit := 0; digit < space.Arity(p.Len()+1); digit++ {
+		compareTries(t, got, want, p.Child(digit), space)
+	}
+}
+
+// TestFoldHitCostIndependentOfSummarySize pins what the identities buy: an
+// ApplyDelta whose every fold is already cached — a member toggling between
+// two known subscriptions, the shape of a co-hosted fleet digesting one
+// redraw — allocates a small constant, the same for 8-topic members as for
+// 2048-topic ones. Keys built from the summaries' encodings grew with them.
+func TestFoldHitCostIndependentOfSummarySize(t *testing.T) {
+	space := addr.MustRegular(4, 3)
+	toggleAllocs := func(topics int) float64 {
+		sub := func(salt int) interest.Subscription {
+			names := make([]string, topics)
+			for i := range names {
+				names[i] = fmt.Sprintf("t%d-%d", salt, i)
+			}
+			return interest.NewSubscription().Where("topic", interest.OneOf(names...))
+		}
+		members := make([]Member, space.Capacity())
+		for i := range members {
+			members[i] = Member{Addr: space.AddressAt(i), Sub: sub(i)}
+		}
+		tr, err := Build(Config{Space: space, R: 2}, members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim := members[5].Addr
+		deltas := [2]Delta{
+			{Update: []Member{{Addr: victim, Sub: sub(-1)}}},
+			{Update: []Member{{Addr: victim, Sub: members[5].Sub}}},
+		}
+		turn := 0
+		toggle := func() {
+			if err := tr.ApplyDelta(deltas[turn%2]); err != nil {
+				t.Fatal(err)
+			}
+			turn++
+		}
+		toggle()
+		toggle() // both states folded once: from here on every fold is a hit
+		before := tr.FoldStats()
+		allocs := testing.AllocsPerRun(50, toggle)
+		after := tr.FoldStats()
+		if after.Recomputes != before.Recomputes || after.Hits == before.Hits {
+			t.Fatalf("toggle was not all hits: recomputes %d→%d, hits %d→%d",
+				before.Recomputes, after.Recomputes, before.Hits, after.Hits)
+		}
+		return allocs
+	}
+	small, large := toggleAllocs(8), toggleAllocs(2048)
+	if small != large {
+		t.Errorf("all-hits ApplyDelta allocates %.0f with 8-topic members, %.0f with 2048-topic ones; want equal", small, large)
+	}
+	// Measured 34: the dirty-prefix map, the per-level lists, the replaced
+	// member and, per recomputed node, its digit, candidate, kid and
+	// delegate slices — none of them the fold's.
+	if small > 40 {
+		t.Errorf("all-hits ApplyDelta allocates %.0f times; want ≤ 40", small)
+	}
+}
+
+// TestFoldCacheRaceCountsOnce: two trees that need the same fold at the same
+// instant both compute it, but only one result is kept — the loser adopts
+// the resident summary and its identity and counts a hit — so Recomputes is
+// the number of distinct folds inserted and repeats exactly run to run.
+func TestFoldCacheRaceCountsOnce(t *testing.T) {
+	space := addr.MustRegular(4, 3)
+	first, err := New(Config{Space: space, R: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The race itself, forced: both trees are inside the merge — past their
+	// cache miss — before either may finish it.
+	sub := interest.NewSubscription().Where("topic", interest.OneOf("x"))
+	pair := [2]*Tree{first.Clone(), first.Clone()}
+	var inside, done sync.WaitGroup
+	var got [2]foldEntry
+	inside.Add(len(pair))
+	for i, tr := range pair {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			got[i] = tr.fold(sub.Identity(), nil, func(s *interest.Summary) {
+				inside.Done()
+				inside.Wait()
+				s.Add(sub)
+			})
+		}()
+	}
+	done.Wait()
+	a, b := pair[0].FoldStats(), pair[1].FoldStats()
+	if a.Recomputes+b.Recomputes != 1 || a.Hits+b.Hits != 1 {
+		t.Errorf("one fold raced by two trees counted %d recomputes and %d hits; want 1 and 1",
+			a.Recomputes+b.Recomputes, a.Hits+b.Hits)
+	}
+	if got[0].summary != got[1].summary || got[0].summary.Identity() == 0 {
+		t.Error("the racing trees did not end up sharing one identified summary")
+	}
+
+	// And at large: eight clones fold the same population concurrently; the
+	// fleet's recomputes must equal what one tree alone pays.
+	members := make([]Member, space.Capacity())
+	for i := range members {
+		members[i] = Member{
+			Addr: space.AddressAt(i),
+			Sub:  interest.NewSubscription().Where("topic", interest.OneOf(fmt.Sprintf("t-%d", i%7))),
+		}
+	}
+	alone, err := Build(Config{Space: space, R: 2}, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clones := make([]*Tree, 8)
+	for i := range clones {
+		clones[i] = first.Clone()
+	}
+	for _, tr := range clones {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			if err := tr.ApplyDelta(Delta{Add: members}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	done.Wait()
+	var recomputes, folds uint64
+	for _, tr := range clones {
+		fs := tr.FoldStats()
+		recomputes += fs.Recomputes
+		folds += fs.Recomputes + fs.Hits
+	}
+	want := alone.FoldStats()
+	if recomputes != want.Recomputes || folds != uint64(len(clones))*(want.Recomputes+want.Hits) {
+		t.Errorf("8 racing clones: %d recomputes of %d folds; want %d (one tree's) of %d",
+			recomputes, folds, want.Recomputes, uint64(len(clones))*(want.Recomputes+want.Hits))
 	}
 }

@@ -6,11 +6,10 @@
 package tree
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -150,12 +149,6 @@ type node struct {
 	// decide whether viewGen must advance. Replaced wholesale, so clones
 	// may share it.
 	kids []kidSig
-	// orderedFP is the order-sensitive fingerprint of the node's summary
-	// (disjunct fingerprints in slice order): the exact identity of the
-	// summary as a fold input, used to key parent folds in the shared
-	// fold cache. Order matters — regrouping's merge heuristic depends on
-	// accumulation order, so only order-identical inputs may share a fold.
-	orderedFP string
 }
 
 // kidSig is one child's contribution to the parent's view: everything a
@@ -267,13 +260,23 @@ func (t *Tree) FoldStats() FoldStats {
 }
 
 // foldEntry is one memoized regrouping result: the merged summary (treated
-// immutable, exactly like summaries shared through Clone), its compiled
-// form, and its order-sensitive fingerprint (the key material for folds
-// that consume this summary one level up).
+// immutable, exactly like summaries shared through Clone) and its compiled
+// form. The summary carries the identity the cache minted for its content
+// (interest.Summary.Identity) — the key material for folds that consume it
+// one level up.
 type foldEntry struct {
 	summary  *interest.Summary
 	compiled *interest.CompiledMatcher
-	fp       string
+}
+
+// foldKey names a fold by its inputs, fixed-width per input: a leaf fold by
+// its member's subscription identity, an interior fold by its children's
+// summary identities, 8 bytes each in digit order. Order matters —
+// regrouping's merge heuristic depends on accumulation order, so only
+// order-identical inputs may share a fold.
+type foldKey struct {
+	leaf interest.Identity
+	kids string
 }
 
 // DefaultFoldCacheBound caps live entries in the shared fold cache (across
@@ -287,6 +290,25 @@ const DefaultFoldCacheBound = 1 << 16
 // tree clones).
 var foldCacheIDs atomic.Uint64
 
+// summaryIDs mints summary identities, process-wide and never reused: an
+// identity names one content for the life of the process, whichever cache
+// minted it.
+var summaryIDs atomic.Uint64
+
+// foldGen is one generation of the cache: the memoized folds plus the
+// hash-consing table that gives every summary created in the generation its
+// identity, keyed by the summary's OrderedFingerprint so equal content —
+// reached through whatever fold — is named alike and keys the same folds one
+// level up.
+type foldGen struct {
+	folds map[foldKey]foldEntry
+	ids   map[string]uint64
+}
+
+func newFoldGen(size int) foldGen {
+	return foldGen{folds: make(map[foldKey]foldEntry, size), ids: make(map[string]uint64)}
+}
+
 // foldCache is the shared regrouping memo. Safe for concurrent use: trees
 // cloned across live nodes rebuild on their own goroutines.
 //
@@ -294,12 +316,15 @@ var foldCacheIDs atomic.Uint64
 // generation; when hot reaches half the bound, the cold generation — every
 // fold input not touched since the last sweep — is dropped wholesale. A
 // dropped entry only costs a recompute if the fold recurs; correctness
-// never depends on a hit.
+// never depends on a hit. Identities are swept with their generation: content
+// created again after that is named afresh, so folds keyed by the old name
+// miss — they can never hit a fold of different inputs, because a name is
+// never given to a second content.
 type foldCache struct {
 	mu        sync.Mutex
 	id        uint64
 	bound     int
-	hot, cold map[string]foldEntry
+	hot, cold foldGen
 	evictions uint64
 }
 
@@ -307,49 +332,71 @@ func newFoldCache(bound int) *foldCache {
 	if bound <= 0 {
 		bound = DefaultFoldCacheBound
 	}
-	return &foldCache{
-		id:    foldCacheIDs.Add(1),
-		bound: bound,
-		hot:   make(map[string]foldEntry),
-		cold:  make(map[string]foldEntry),
-	}
+	return &foldCache{id: foldCacheIDs.Add(1), bound: bound, hot: newFoldGen(0), cold: newFoldGen(0)}
 }
 
-func (fc *foldCache) get(key string) (foldEntry, bool) {
+// get looks the fold up without building its key: the conversions below sit
+// inside the map index expressions, where they do not allocate.
+func (fc *foldCache) get(leaf interest.Identity, kids []byte) (foldEntry, bool) {
 	fc.mu.Lock()
-	e, ok := fc.hot[key]
+	defer fc.mu.Unlock()
+	return fc.getLocked(leaf, kids)
+}
+
+func (fc *foldCache) getLocked(leaf interest.Identity, kids []byte) (foldEntry, bool) {
+	e, ok := fc.hot.folds[foldKey{leaf, string(kids)}]
 	if !ok {
-		if e, ok = fc.cold[key]; ok {
+		if e, ok = fc.cold.folds[foldKey{leaf, string(kids)}]; ok {
 			// Promote: a touched fold survives the next sweep.
-			delete(fc.cold, key)
-			fc.putLocked(key, e)
+			key := foldKey{leaf, string(kids)}
+			delete(fc.cold.folds, key)
+			fc.rotateIfFullLocked()
+			fc.hot.folds[key] = e
 		}
 	}
-	fc.mu.Unlock()
 	return e, ok
 }
 
-func (fc *foldCache) put(key string, e foldEntry) {
+// put records a fold just computed, unless a racing tree recorded the same
+// fold first: then the resident entry is returned (and resident is true), so
+// every tree holds one summary per fold and the fold is counted once. A
+// summary that is inserted gets its identity here.
+func (fc *foldCache) put(leaf interest.Identity, kids []byte, e foldEntry) (_ foldEntry, resident bool) {
+	fp := e.summary.OrderedFingerprint()
 	fc.mu.Lock()
-	fc.putLocked(key, e)
-	fc.mu.Unlock()
+	defer fc.mu.Unlock()
+	if prev, ok := fc.getLocked(leaf, kids); ok {
+		return prev, true
+	}
+	fc.rotateIfFullLocked()
+	id, ok := fc.hot.ids[fp]
+	if !ok {
+		if id, ok = fc.cold.ids[fp]; ok {
+			delete(fc.cold.ids, fp)
+		} else {
+			id = summaryIDs.Add(1)
+		}
+		fc.hot.ids[fp] = id
+	}
+	e.summary.SetIdentity(id)
+	fc.hot.folds[foldKey{leaf, string(kids)}] = e
+	return e, false
 }
 
-// putLocked inserts into the hot generation, rotating generations first if
-// hot is full (hot and cold stay disjoint; live entries never exceed bound).
-func (fc *foldCache) putLocked(key string, e foldEntry) {
-	if _, ok := fc.hot[key]; !ok && len(fc.hot) >= max(1, fc.bound/2) {
-		fc.evictions += uint64(len(fc.cold))
+// rotateIfFullLocked makes room for one insert into the hot generation (hot
+// and cold stay disjoint; live folds never exceed bound).
+func (fc *foldCache) rotateIfFullLocked() {
+	if len(fc.hot.folds) >= max(1, fc.bound/2) {
+		fc.evictions += uint64(len(fc.cold.folds))
 		fc.cold = fc.hot
-		fc.hot = make(map[string]foldEntry, len(fc.cold))
+		fc.hot = newFoldGen(len(fc.cold.folds))
 	}
-	fc.hot[key] = e
 }
 
 func (fc *foldCache) stats() (id uint64, entries int, evictions uint64) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	return fc.id, len(fc.hot) + len(fc.cold), fc.evictions
+	return fc.id, len(fc.hot.folds) + len(fc.cold.folds), fc.evictions
 }
 
 // New builds an empty tree.
@@ -425,7 +472,6 @@ func copyNode(n *node, tok *ownerTok) *node {
 		gen:       n.gen,
 		viewGen:   n.viewGen,
 		kids:      n.kids,
-		orderedFP: n.orderedFP,
 		owner:     tok,
 	}
 	for d, ch := range n.children {
@@ -816,29 +862,36 @@ func (t *Tree) recomputePath(path []*node) {
 	}
 }
 
-// recompute refreshes one node's aggregates. Summary regrouping and
-// compilation go through the shared fold cache: the result is a pure
-// function of the ordered child summaries (leaf: of the member's
-// subscription), so identical folds — across prefixes, across clones,
-// across a whole co-hosted fleet digesting the same churn — are computed
-// once and shared. Cached summaries are treated immutable, exactly like
-// summaries shared through Clone.
+// fold returns the regrouping of one node's inputs through the shared fold
+// cache: the result is a pure function of the ordered child summaries (leaf:
+// of the member's subscription), so identical folds — across prefixes,
+// across clones, across a whole co-hosted fleet digesting the same churn —
+// are computed once and shared. merge accumulates the inputs into a fresh
+// summary; it runs only when the fold is not cached.
+func (t *Tree) fold(leaf interest.Identity, kids []byte, merge func(*interest.Summary)) foldEntry {
+	e, hit := t.folds.get(leaf, kids)
+	if !hit {
+		s := interest.NewSummaryWithBound(t.cfg.SummaryBound)
+		merge(s)
+		e, hit = t.folds.put(leaf, kids, foldEntry{summary: s, compiled: t.compiler.CompileSummary(s)})
+	}
+	if hit {
+		t.foldHits++
+	} else {
+		t.foldRecomputes++
+	}
+	return e
+}
+
+// recompute refreshes one node's aggregates. Every summary in the trie comes
+// out of fold, so every one carries the identity its parent's fold is keyed
+// by, and a cached fold costs its inputs' identities, never their size.
 func (t *Tree) recompute(n *node) {
 	n.gen++
 	if n.member != nil {
 		n.count = 1
-		key := "L\x00" + n.member.Sub.Fingerprint()
-		e, ok := t.folds.get(key)
-		if !ok {
-			s := interest.NewSummaryWithBound(t.cfg.SummaryBound)
-			s.Add(n.member.Sub)
-			e = foldEntry{summary: s, compiled: t.compiler.CompileSummary(s), fp: s.OrderedFingerprint()}
-			t.folds.put(key, e)
-			t.foldRecomputes++
-		} else {
-			t.foldHits++
-		}
-		n.summary, n.compiled, n.orderedFP = e.summary, e.compiled, e.fp
+		e := t.fold(n.member.Sub.Identity(), nil, func(s *interest.Summary) { s.Add(n.member.Sub) })
+		n.summary, n.compiled = e.summary, e.compiled
 		n.delegates = []addr.Address{n.member.Addr}
 		// Leaves base no view (views are built over strict prefixes); their
 		// visible state is captured by the parent's kids signature.
@@ -847,19 +900,13 @@ func (t *Tree) recompute(n *node) {
 	}
 	n.count = 0
 	digits := sortedDigits(n.children)
-	var kb strings.Builder
-	kb.WriteString("I\x00")
+	kids := make([]byte, 0, 8*16) // on the stack up to arity 16
 	candidates := make([]addr.Address, 0, t.cfg.R*len(n.children))
 	newKids := make([]kidSig, 0, len(digits))
 	for _, digit := range digits {
 		child := n.children[digit]
 		n.count += child.count
-		// Length-prefix each child fingerprint: fingerprints may embed any
-		// byte (including the sentinel and separator values), so bare
-		// concatenation would let different child lists collide on one key.
-		kb.WriteString(strconv.Itoa(len(child.orderedFP)))
-		kb.WriteByte(':')
-		kb.WriteString(child.orderedFP)
+		kids = binary.LittleEndian.AppendUint64(kids, child.summary.Identity())
 		candidates = append(candidates, child.delegates...)
 		newKids = append(newKids, kidSig{
 			digit:     digit,
@@ -868,20 +915,12 @@ func (t *Tree) recompute(n *node) {
 			delegates: child.delegates,
 		})
 	}
-	key := kb.String()
-	e, ok := t.folds.get(key)
-	if !ok {
-		s := interest.NewSummaryWithBound(t.cfg.SummaryBound)
+	e := t.fold(interest.Identity{}, kids, func(s *interest.Summary) {
 		for _, digit := range digits {
 			s.Merge(n.children[digit].summary)
 		}
-		e = foldEntry{summary: s, compiled: t.compiler.CompileSummary(s), fp: s.OrderedFingerprint()}
-		t.folds.put(key, e)
-		t.foldRecomputes++
-	} else {
-		t.foldHits++
-	}
-	n.summary, n.compiled, n.orderedFP = e.summary, e.compiled, e.fp
+	})
+	n.summary, n.compiled = e.summary, e.compiled
 	sort.Slice(candidates, func(i, j int) bool { return candidates[i].Less(candidates[j]) })
 	n.delegates = t.election.Elect(candidates, t.cfg.R)
 	if !kidsEqual(n.kids, newKids) {
