@@ -6,12 +6,12 @@
 // The peer table maps tree addresses to sockets, inline or from a file of
 // addr=host:port lines. Subscriptions use a small criterion language:
 //
-//	*                 match everything
-//	b=2               integer equality
-//	c>40  c<10        open numeric bounds
-//	c>=40 c<=10       closed numeric bounds
-//	e~Bob|Tom         string membership
-//	u=true            boolean equality
+//   - match everything
+//     b=2               integer equality
+//     c>40  c<10        open numeric bounds
+//     c>=40 c<=10       closed numeric bounds
+//     e~Bob|Tom         string membership
+//     u=true            boolean equality
 //
 // clauses joined by ';' are conjoined, as in the paper's Figure 2.
 //

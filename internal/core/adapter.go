@@ -27,9 +27,9 @@ type TreeView struct {
 	// evaluated once per event: dupOf maps every line to its canonical
 	// line, distinct lists the canonical lines, scratch holds their match
 	// results for the duration of one query.
-	dupOf    []int
-	distinct []int
-	scratch  []bool
+	dupOf     []int
+	distinct  []int
+	scratch   []bool
 	selfIndex int
 	selfLine  int
 	gen       uint64

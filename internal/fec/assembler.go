@@ -29,12 +29,12 @@ import "pmcast/internal/event"
 // were already processed as ordinary gossips, so expiry is the "fall back
 // to what arrived" path, not a loss.
 type Assembler struct {
-	round   int
-	senders map[string]*senderState
-	order   []string // sender insertion order: deterministic sweep + eviction
-	src     map[event.ID][]byte
+	round    int
+	senders  map[string]*senderState
+	order    []string // sender insertion order: deterministic sweep + eviction
+	src      map[event.ID][]byte
 	srcOrder []event.ID
-	stats   Stats
+	stats    Stats
 }
 
 // Stats counts the assembler's work. Decodes is matrix solves attempted,

@@ -313,13 +313,13 @@ func (s Scenario) Run(seed int64) (*Result, error) {
 	defer fabric.Close()
 
 	r := &run{
-		sc:        sc,
-		seed:      seed,
-		vc:        vc,
-		start:     vc.Now(),
-		fabric:    fabric,
-		rng:       rand.New(rand.NewSource(seed)),
-		space:     space,
+		sc:           sc,
+		seed:         seed,
+		vc:           vc,
+		start:        vc.Now(),
+		fabric:       fabric,
+		rng:          rand.New(rand.NewSource(seed)),
+		space:        space,
 		nextFresh:    sc.Nodes,
 		delivered:    make(map[string][]event.ID),
 		pubAt:        make(map[event.ID]int64),

@@ -177,7 +177,7 @@ func (w *ZipfWorkload) EventFor(class int64, rng *rand.Rand) map[string]event.Va
 // head-to-tail axis of the report's class_reliability breakdown.
 func (w *ZipfWorkload) ClassBucketOf(class int64) int {
 	u := (float64(class) + 0.5) / float64(w.Topics)
-	return bits.Len(uint(w.rankFor(u) + 1)) - 1
+	return bits.Len(uint(w.rankFor(u)+1)) - 1
 }
 
 // NumClassBuckets is the bucket count ClassBucketOf can return.

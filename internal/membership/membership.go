@@ -60,9 +60,9 @@ type DigestEntry struct {
 // escalates to full (line, timestamp) digests via the push-pull reply, so
 // the O(n) roster walk is paid exactly when states actually diverge.
 type Digest struct {
-	From    addr.Address
-	Hash    uint64
-	Count   int
+	From  addr.Address
+	Hash  uint64
+	Count int
 	// Sent is the loss-estimator beacon: the cumulative number of protocol
 	// sub-messages the sender has addressed to this digest's destination.
 	// The receiver compares it against what actually arrived to estimate
