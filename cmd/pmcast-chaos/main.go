@@ -12,8 +12,8 @@
 //	pmcast-chaos -scenario frontier64 -fec-k 8 -fec-r 2   # run with the coding layer on
 //	pmcast-chaos -scenario noisy64 -adaptive   # force the loss-aware tuning loop on
 //	pmcast-chaos -scenario soak256 -cpuprofile soak.pprof   # profile a soak run
-//	pmcast-chaos -scenario soak64k -shards 8   # 64k nodes on the sharded core
-//	pmcast-chaos -scenario churn16k -shards 1   # same trace, serial loop (slow)
+//	pmcast-chaos -scenario soak64k -shards 8   # 64k nodes across eight workers
+//	pmcast-chaos -scenario churn16k -shards 1   # same trace, one inline worker
 package main
 
 import (
@@ -38,7 +38,7 @@ func main() {
 		fecK       = flag.Int("fec-k", 0, "coding-layer generation size k (0 keeps the scenario's own setting)")
 		fecR       = flag.Int("fec-r", -1, "repair symbols per generation r (-1 keeps the scenario's own setting; 0 disables coding)")
 		adaptive   = flag.Bool("adaptive", false, "force the loss-aware adaptive fan-out loop on (noisy256/bursty1024 enable it scenario-side)")
-		shards     = flag.Int("shards", 0, "override the scenario's shard count (0 keeps its own setting; the trace is byte-identical at any value, 1 forces the serial loop)")
+		shards     = flag.Int("shards", 0, "override the scenario's worker count (0 keeps its own setting; the trace is byte-identical at any value; 1 runs the loop inline, and a scenario whose fabric has no delay always does)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run here (soak profiling)")
 	)
 	flag.Parse()

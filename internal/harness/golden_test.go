@@ -42,6 +42,46 @@ var goldenTraces = map[string]map[int64]string{
 		1:  "a790dc1b6f8053df527eb2538ff242d66685236bae35383d0820383252f3abf7",
 		42: "bd49d34a246476e4e3354e754a4f8aa01a6fc006e6947347686899a8e76d0569",
 	},
+	// Pinned at PR 14 from the serial fleet-scan loop, the commit before it
+	// was deleted: the zero-lookahead campaigns (soak64 … churn1024) hold the
+	// one-instant window and its pass-major pump to crash, rejoin, join, flux
+	// and bursty-link waves; parity64, noisy256 and soak4k are delayed
+	// campaigns that had no pin. Each hash was identical at -shards 1 and 8.
+	"soak64": {
+		1:  "004dd18080d359bbba5ea24b6370e5dee400b497cd55592b9425f379298744c0",
+		42: "35eb8b0b8a60bc6e9872c2d08a025497e71403a586181863e5053065f74e2c0b",
+	},
+	"frontier64": {
+		1:  "191feb19210bafb2b6ab5da371cc86441c82f06a97c058c0e18b8e7b56cdd2e5",
+		42: "624f45aa0b38431e5afb93914b52ed0dd6c8b54b0aa9c00bd1c71c46feb7fd53",
+	},
+	"noisy64": {
+		1:  "579221b2baa7d1aee9a88bf4fa056521839250821bcba6d4eccd5455c81b7fd0",
+		42: "a9b7b2d5e0e246bb758f4d9886f4bfbae9e14b63d43930526433523eefc07aaf",
+	},
+	"manyattr512": {
+		1:  "f1dc444b6740db426592ecd02b8adf7a9d78c9950da7c89022b0d2144760ddd4",
+		42: "e6a46c81009abb8b3e39b5ece73ccd7e43e6b236f3bc4c7efb81335c4130a06b",
+	},
+	"bursty1024": {
+		1:  "16c7ab692ab45d160875e7e4ff7723709aeb1417031954d6ce23954955c438eb",
+		42: "da4635c4ca4e70a022a58fb760e86eca67ee5f168ccf85a2e3966f902f12ae30",
+	},
+	"churn1024": {
+		1:  "30bb07dcee59c4f29eb10304e27b0e6819d725ed0cc9fbfb0343444fb4c8b307",
+		42: "0228821affc62b265d3bee86e23cd24383d866660ed1dc2fe3d5f9f43c14c484",
+	},
+	"parity64": {
+		1:  "34cd49867265c78ef550b425e98302b6df0193f31df04dfda2311ae28ada8b85",
+		42: "083f92de1097067673831bf385644a5d804f8adc66ae294eb6b8238e84663de8",
+	},
+	"noisy256": {
+		1:  "52bca7a882700a71630f37038bf7520c685649a555057df1b66a5d3134a6d169",
+		42: "4f534ddcd328b53ed7e5566b1c9a036dc9617ad3b35e18fae6733ae548bf402c",
+	},
+	"soak4k": { // skipped under -short
+		1: "9c7c543da1b3eb34323713198ecfa6cc1e6e49924bc5519991b9bdc6a41118d4",
+	},
 }
 
 // goldenZipf1M pins zipf1m seed 1, the 4096-node fleet whose every node folds
@@ -51,8 +91,8 @@ var goldenTraces = map[string]map[int64]string{
 const goldenZipf1M = "0340d3c5c8882b4f2c463db84b3ff39b33df1566575fe9c875e3865537da1f7d"
 
 // TestEngineMatchesGoldenTraces replays the pinned (scenario, seed) pairs
-// through the staged engine at parallelism 0 and demands the pre-refactor
-// bytes, hash for hash.
+// through the staged engine at parallelism 0, at each scenario's own worker
+// count, and demands the pinned bytes, hash for hash.
 func TestEngineMatchesGoldenTraces(t *testing.T) {
 	for name, seeds := range goldenTraces {
 		sc, err := Lookup(name)
@@ -60,15 +100,15 @@ func TestEngineMatchesGoldenTraces(t *testing.T) {
 			t.Fatal(err)
 		}
 		for seed, want := range seeds {
-			if testing.Short() && sc.Nodes > 64 && seed != 1 {
-				continue // one large replay is plenty under -short
+			if testing.Short() && (sc.Nodes > 64 && seed != 1 || sc.Nodes > 1024) {
+				continue // one large replay is plenty under -short, and no 4k one
 			}
 			res, err := sc.Run(seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := res.Report.TraceSHA256; got != want {
-				t.Errorf("%s seed %d: trace sha %s, golden %s — the engine no longer replays the serial runtime",
+				t.Errorf("%s seed %d: trace sha %s, golden %s — the engine no longer replays the pinned runtime",
 					name, seed, got, want)
 			}
 		}

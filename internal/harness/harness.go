@@ -34,8 +34,9 @@ type Report struct {
 	WallMillis    int64 `json:"wall_ms"`
 	ClockEvents   int   `json:"clock_events"`
 
-	// Shards is the worker-goroutine count the engine actually ran with
-	// (a zero-lookahead scenario degrades to 1 whatever was asked for);
+	// Shards is the worker count the event loop actually ran with: what the
+	// scenario asked for, or 1 when its fabric has no lookahead (synchronous
+	// hand-offs cannot be split across workers). One worker runs inline.
 	// MBPerNode is live heap per node after the run, the memory-compaction
 	// metric of fleet-scale campaigns. Like WallMillis, MBPerNode is not
 	// part of the deterministic replay contract.
@@ -209,6 +210,10 @@ type handle struct {
 	sub   interest.Subscription
 	alive bool
 	gen   int
+	// clk is the node's clock and endpoint clock; queued is set while the
+	// node sits in its worker's dirty set (see shard.go).
+	clk    *nodeClock
+	queued bool
 }
 
 // run is the mutable state of one scenario execution.
@@ -225,9 +230,10 @@ type run struct {
 	// of applying (and storing) n full membership updates — the difference
 	// between O(n²) and O(n) bootstrap memory at 64k nodes.
 	roster *membership.Roster
-	// eng is the sharded conservative engine (shard.go); nil runs the
-	// classic serial loop.
-	eng *shardEngine
+	// eng is the event loop (shard.go). afterInstant, when set, is called by
+	// a worker each time it closes an instant — a test hook.
+	eng          *shardEngine
+	afterInstant func(r *run, worker int, at time.Time)
 
 	handles   []*handle // fixed index order — the engine's iteration order
 	nextFresh int       // next unused address index for OpJoin
@@ -264,7 +270,10 @@ type run struct {
 
 // Run executes the scenario under the given seed and returns its result.
 // Identical (scenario, seed) pairs produce byte-identical traces.
-func (s Scenario) Run(seed int64) (*Result, error) {
+func (s Scenario) Run(seed int64) (*Result, error) { return s.run(seed, nil) }
+
+// run is Run with the afterInstant test hook.
+func (s Scenario) run(seed int64, afterInstant func(*run, int, time.Time)) (*Result, error) {
 	sc, err := s.withDefaults()
 	if err != nil {
 		return nil, err
@@ -320,6 +329,7 @@ func (s Scenario) Run(seed int64) (*Result, error) {
 		fabric:       fabric,
 		rng:          rand.New(rand.NewSource(seed)),
 		space:        space,
+		afterInstant: afterInstant,
 		nextFresh:    sc.Nodes,
 		delivered:    make(map[string][]event.ID),
 		pubAt:        make(map[event.ID]int64),
@@ -335,18 +345,16 @@ func (s Scenario) Run(seed int64) (*Result, error) {
 	r.report.Nodes = sc.Nodes
 	r.report.Batching = !sc.Fleet.NoBatch
 
-	// The sharded engine needs a positive lookahead window; without one the
-	// conservative window is empty and only the serial loop is correct.
-	shards := sc.Shards
+	// A fabric with no lookahead hands messages over synchronously, which
+	// cannot be split across workers: its one-instant window runs on one.
+	workers := sc.Shards
 	lookahead := sc.lookahead()
 	if lookahead <= 0 {
-		shards = 1
+		workers = 1
 	}
-	r.report.Shards = shards
-	if shards > 1 {
-		r.eng = newShardEngine(r, shards, lookahead)
-		defer r.eng.stop()
-	}
+	r.report.Shards = workers
+	r.eng = newShardEngine(r, workers, lookahead)
+	defer r.eng.stop()
 
 	// An oracle fleet starts from "anti-entropy already ran": build that
 	// state once as a shared immutable roster instead of handing every node
@@ -385,7 +393,11 @@ func (s Scenario) Run(seed int64) (*Result, error) {
 	if err := r.bootstrap(); err != nil {
 		return nil, err
 	}
-	r.pump()
+	// Close the bootstrap instant — an event-free segment pumps whatever the
+	// joins handed over synchronously — before the ops take their places in
+	// the clock's queue. Nothing is published yet, so this pump records no
+	// delivery whose key an op at offset 0 could share.
+	r.eng.runSegment(nil, time.Time{}, r.start)
 
 	// Schedule the operation timeline (tag −1: ops run on the coordinator).
 	for _, op := range sc.Ops {
@@ -394,36 +406,10 @@ func (s Scenario) Run(seed int64) (*Result, error) {
 			return nil, fmt.Errorf("harness: scenario %q: op %s at %v outside horizon %v",
 				sc.Name, op.Kind, op.At, sc.Horizon)
 		}
-		if r.eng != nil {
-			vc.ScheduleTagged(r.start.Add(op.At), -1, func() { r.exec(op) })
-		} else {
-			vc.AfterFunc(op.At, func() { r.exec(op) })
-		}
+		vc.ScheduleTagged(r.start.Add(op.At), -1, func() { r.exec(op) })
 	}
 
-	end := r.start.Add(sc.Horizon)
-	if r.eng != nil {
-		// The sharded conservative loop (shard.go): windowed batches across
-		// worker goroutines, merged back in serial order.
-		r.runSharded(end)
-		r.eng.stop()
-	} else {
-		// The serial event loop: one virtual instant at a time, then drain
-		// every inbox and delivery channel to quiescence. Single-threaded,
-		// hence replayable.
-		for {
-			next, ok := vc.NextAt()
-			if !ok || next.After(end) {
-				break
-			}
-			_, ran := vc.RunNext()
-			r.report.ClockEvents += ran
-			r.pump()
-		}
-		vc.AdvanceTo(end)
-		r.pump()
-	}
-
+	r.loop(r.start.Add(sc.Horizon))
 	r.finish(wallStart)
 	res := &Result{
 		Report:    r.report,
@@ -444,7 +430,8 @@ func (r *run) spawn(i int, sub interest.Subscription) (*handle, error) {
 	if i < len(r.handles) && r.handles[i] != nil {
 		h = r.handles[i]
 	} else {
-		h = &handle{index: i, a: a, key: a.Key()}
+		h = &handle{index: i, a: a, key: a.Key(),
+			clk: &nodeClock{w: r.eng.workerOf(int32(i)), tag: int32(i)}}
 		for len(r.handles) <= i {
 			r.handles = append(r.handles, nil)
 		}
@@ -486,12 +473,9 @@ func (r *run) spawn(i int, sub interest.Subscription) (*handle, error) {
 		AdaptiveBoost:         r.sc.Fleet.AdaptiveBoost,
 		AdaptiveLossThreshold: r.sc.Fleet.AdaptiveLossThreshold,
 		Seed:                  mixSeed(r.seed, i, h.gen),
-		Clock:                 r.vc,
-	}
-	if r.eng != nil {
 		// The node's notion of now and every schedule it causes go through
-		// its owner shard's clock.
-		cfg.Clock = r.eng.clockFor(i)
+		// its worker's clock.
+		Clock: h.clk,
 	}
 	if r.roster != nil && h.gen == 1 && i < r.sc.Nodes {
 		// Initial-generation oracle nodes share the bootstrap roster
@@ -508,10 +492,7 @@ func (r *run) spawn(i int, sub interest.Subscription) (*handle, error) {
 	h.n = n
 	h.sub = sub
 	h.alive = true
-	if r.eng != nil {
-		r.eng.register(h.key, i)
-		r.fabric.SetEndpointClock(a, r.eng.clockFor(i))
-	}
+	r.fabric.SetEndpointClock(a, h.clk)
 	r.startTickers(h)
 	return h, nil
 }
@@ -528,24 +509,13 @@ func (r *run) startTickers(h *handle) {
 				return
 			}
 			task(h.n)
-			r.schedule(h, d, fire)
+			h.clk.AfterFunc(d, fire)
 		}
-		r.schedule(h, d, fire)
+		h.clk.AfterFunc(d, fire)
 	}
 	chain(r.sc.Fleet.GossipInterval, func(n *node.Node) { n.TickGossip() })
 	chain(r.sc.Fleet.MembershipInterval, func(n *node.Node) { n.TickMembership() })
 	chain(r.sc.Fleet.SuspectAfter/2, func(n *node.Node) { n.SweepFailures() })
-}
-
-// schedule books a node-owned callback d from now: directly on the virtual
-// clock in a serial run, through the node's shard clock in a sharded one
-// (buffered during shard execution, tagged-direct at barriers).
-func (r *run) schedule(h *handle, d time.Duration, f func()) {
-	if r.eng != nil {
-		r.eng.clockFor(h.index).AfterFunc(d, f)
-		return
-	}
-	r.vc.AfterFunc(d, f)
 }
 
 // bootstrap converges the initial fleet per the scenario's bootstrap mode.
@@ -593,58 +563,6 @@ func (r *run) bootstrap() error {
 		return nil
 	default:
 		return fmt.Errorf("harness: unknown bootstrap mode %q", r.sc.Bootstrap)
-	}
-}
-
-// pump drains every alive node's inbox and delivery channel until the whole
-// fleet is quiescent at the current virtual instant. Iteration is in fixed
-// fleet-index order, so the trace order is deterministic.
-func (r *run) pump() {
-	for {
-		moved := false
-		for _, h := range r.handles {
-			if h == nil || !h.alive {
-				continue
-			}
-			if h.n.PumpInbox() > 0 {
-				moved = true
-			}
-			r.drainDeliveries(h)
-		}
-		if !moved {
-			return
-		}
-	}
-}
-
-// drainDeliveries appends the node's pending deliveries to the trace. In a
-// sharded run (only ops and the pre-loop pump call this) the deliveries are
-// recorded instead, for the end-of-run serial-order merge.
-func (r *run) drainDeliveries(h *handle) {
-	if r.eng != nil {
-		r.eng.coordDrain(h)
-		return
-	}
-	for {
-		select {
-		case ev, ok := <-h.n.Deliveries():
-			if !ok {
-				return
-			}
-			id := ev.ID()
-			now := r.vc.Now().Sub(r.start).Nanoseconds()
-			fmt.Fprintf(&r.trace, "%d %s %s#%d\n", now, h.key, id.Origin, id.Seq)
-			r.delivered[h.key] = append(r.delivered[h.key], id)
-			r.report.Delivered++
-			if set, ok := r.gotEvent[id]; ok {
-				set[h.key] = true
-			}
-			if at, ok := r.pubAt[id]; ok {
-				r.latNanos = append(r.latNanos, now-at)
-			}
-		default:
-			return
-		}
 	}
 }
 
@@ -697,18 +615,16 @@ func (r *run) exec(op Op) {
 			if r.shadow != nil {
 				r.evReached[id] = r.shadow.MatchReach(ev)
 			}
-			if r.eng != nil {
-				// The publisher's self-delivery sits in its channel until the
-				// owner shard pumps it at this instant.
-				r.eng.markOpDirty(h)
-			}
+			// The publisher's self-delivery sits in its channel until its
+			// worker pumps it when this instant closes.
+			r.eng.touch(int32(h.index))
 			logf("publish %s#%d class=%d from %s (%d eligible)",
 				id.Origin, id.Seq, class, h.key, len(elig))
 		}
 	case OpCrash:
 		victims := r.pickAlive(op.Count)
 		for _, h := range victims {
-			r.drainDeliveries(h)
+			r.eng.coordDrain(h)
 			h.alive = false
 			h.n.Stop()
 			// A crashed process delivers nothing further: it leaves every
@@ -882,9 +798,7 @@ func (r *run) contact(h *handle) *handle {
 
 // finish computes the end-of-run report fields and stops the fleet.
 func (r *run) finish(wallStart time.Time) {
-	if r.eng != nil {
-		r.eng.mergeDeliveries()
-	}
+	r.eng.mergeDeliveries()
 	r.report.VirtualMillis = r.vc.Now().Sub(r.start).Milliseconds()
 
 	memMin, memMax := -1, 0

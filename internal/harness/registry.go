@@ -333,14 +333,12 @@ func Bursty1024() Scenario {
 	return s
 }
 
-// Soak4k is the entry-level sharded-core campaign: a 4096-node fleet (the
+// Soak4k is the entry-level fleet-scale campaign: a 4096-node fleet (the
 // regular 4^6 tree) under ambient loss and jittered per-link delays, with a
 // publish wave on each side of a 64-node crash. The jitter matters: every
 // delivery lands at its own virtual instant, which is exactly the regime
-// where the serial loop's fleet-wide pump per instant goes quadratic — the
-// sharded engine pumps only the nodes an instant touched, so this campaign
-// is the smallest member of the bench sweep's shards=1 vs shards=8
-// comparison.
+// where pumping the whole fleet per instant goes quadratic and pumping only
+// the nodes an instant touched (the loop's dirty set) does not.
 func Soak4k() Scenario {
 	s := Scenario{
 		Name: "soak4k",
@@ -371,14 +369,15 @@ func Soak4k() Scenario {
 	return s
 }
 
-// Churn16k is the bench sweep's headline campaign: a 16384-node fleet (the
+// Churn16k is the headline campaign of the PR 8 sweep: a 16384-node fleet (the
 // regular 4^7 tree) with jittered delays, a 256-node crash wave detected and
 // expelled mid-run, a partial rejoin, and publish waves probing the healthy,
 // wounded and healed fleet. Between the membership beacons and the gossip
 // fan-out, hundreds of thousands of deliveries each occupy their own jittered
-// instant — the serial loop pays a fleet-wide pump for every one of them,
-// the sharded engine pays for the touched node only, and the gap between
-// those two is BENCH_pr8.json's speedup headline.
+// instant — a fleet-wide pump per instant (the loop PR 14 deleted) paid for
+// the whole fleet on every one of them, the dirty-set loop pays for the
+// touched node only, and the gap between those two is BENCH_pr8.json's
+// speedup headline.
 func Churn16k() Scenario {
 	s := Scenario{
 		Name: "churn16k",
@@ -425,10 +424,9 @@ func Churn16k() Scenario {
 // nodes — the regular 4^8 tree, two orders of magnitude past the paper's own
 // evaluation — publishing four event waves through interest-clustered
 // subtrees. The fixed 2ms link delay is deliberate: delays keep the
-// lookahead window real (the sharded path genuinely runs), while their
-// uniformity keeps deliveries clustered onto a few instants per gossip round
-// so the serial shards=1 arm of the byte-identity contract stays affordable
-// even at this size. Membership is frozen (digest interval past the horizon,
+// lookahead window real (the workers genuinely run in parallel), while their
+// uniformity keeps deliveries clustered onto a few instants per gossip
+// round. Membership is frozen (digest interval past the horizon,
 // detection off) — at 64k the roster beacons alone would dominate the wire,
 // and what this campaign measures is dissemination at scale, with per-node
 // memory compaction (shared roster, small queues) reported as MB/node.

@@ -8,7 +8,8 @@
 //
 // Everything in a run — gossip ticks, membership digests, failure sweeps,
 // delayed message deliveries, fault injections — is a callback on a single
-// virtual-time event queue executed from one goroutine, so a scenario run
+// virtual-time event queue, executed by one event loop (shard.go) in an order
+// that does not depend on how many workers it runs, so a scenario run
 // with the same seed replays byte-identically: the delivery trace (who
 // delivered which event at which virtual instant, in which order) is the
 // reproducibility contract, and 1000-node campaigns that would take minutes
@@ -119,12 +120,12 @@ type Scenario struct {
 	QueueLen int
 	// Horizon is the virtual duration of the campaign.
 	Horizon time.Duration
-	// Shards partitions the fleet across worker goroutines in the
-	// conservative parallel engine (shard.go); 1 — the default — runs the
-	// classic serial loop. The merged delivery trace is byte-identical at
-	// any shard count. A scenario with zero link lookahead (MinDelay and
-	// JitterMin both zero) has no conservative window and silently degrades
-	// to the serial loop; Report.Shards records what actually ran.
+	// Shards is how many workers the event loop (shard.go) partitions the
+	// fleet across; 1 — the default — is one worker running inline on the
+	// caller's goroutine. The merged delivery trace is byte-identical at
+	// any count. A scenario with zero link lookahead (MinDelay and JitterMin
+	// both zero) hands messages over synchronously and always runs on one
+	// worker; Report.Shards records what actually ran.
 	Shards int
 	// Ops is the schedule, executed at their virtual offsets.
 	Ops []Op
@@ -333,8 +334,8 @@ func (s Scenario) withDefaults() (Scenario, error) {
 // Every fabric delivery waits at least MinDelay plus JitterMin, and every
 // periodic-task chain reschedules at least its own interval ahead, so during
 // a window of this length the due-event set is fixed at the window's start.
-// Zero (a fabric that can deliver synchronously) means no window exists and
-// the engine must run serially.
+// Zero (a fabric that can deliver synchronously) shrinks the window to one
+// instant and the loop to one worker.
 func (s *Scenario) lookahead() time.Duration {
 	var link time.Duration
 	if s.MaxDelay > 0 {

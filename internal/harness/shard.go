@@ -1,41 +1,55 @@
-// The sharded conservative engine: the scenario event loop parallelized
-// across worker goroutines with a merged trace that is byte-identical to the
-// serial loop's for any (scenario, seed, shard count).
+// The event loop: every campaign runs the same windowed, dirty-set loop — a
+// conservative parallel discrete-event simulation specialized to this
+// harness, of which the one-worker run is simply the inline case.
 //
-// The design is classic conservative parallel discrete-event simulation
-// specialized to this harness. Every message crossing the fabric waits at
-// least the link lookahead (MinDelay plus JitterMin) and every periodic-task
-// chain reschedules at least one interval ahead, so during a virtual window
-// of length L = min(link lookahead, tick intervals) no executed event can
-// schedule another event inside the same window: the window's due-event set
-// is fixed at its start. The coordinator therefore pops a whole window from
-// the virtual clock at once, routes each event to the shard owning its node
-// (fleet index mod shard count), and lets the shards execute concurrently —
-// including pumping their own nodes' inboxes per completed instant, which is
-// where the serial loop burns O(fleet) per instant and the sharded loop only
-// touches nodes that actually received something.
+// The coordinator pops a whole window of due events from the virtual clock,
+// routes each to the worker owning its node (fleet index mod worker count),
+// and the workers execute them; when an instant closes, a worker pumps the
+// inboxes of exactly the nodes that instant touched (the dirty set) instead
+// of scanning the fleet. The window is as long as the scenario's lookahead:
+// every message crossing the fabric waits at least MinDelay plus JitterMin
+// and every periodic-task chain reschedules at least one interval ahead, so
+// during a window of length L = min(link lookahead, tick intervals) no
+// executed event can schedule another inside the same window — the window's
+// due-event set is fixed at its start and the workers need no contact until
+// its end. A fabric that can hand a message over synchronously has no
+// lookahead: its window degenerates to one instant and, since a hand-off
+// would otherwise cross workers mid-instant, it runs on one worker. One
+// worker — asked for, or forced by a zero lookahead — executes inline on the
+// coordinator goroutine; only two or more get goroutines.
 //
 // Determinism rests on three invariants:
 //
-//  1. All of one node's work happens on one shard. A delivery event is owned
-//     by its destination, so a node's inbox is filled and drained in the
-//     same order the serial loop would use, and each directed link's fault
-//     stream advances only on its source node's sends, in source order.
+//  1. All of one node's work happens on one worker. A delivery event is
+//     owned by its destination, so a node's inbox is filled and drained in
+//     one order at any worker count, and each directed link's fault stream
+//     advances only on its source node's sends, in source order.
 //  2. Schedules made during a window are buffered with a replay key — the
-//     (instant, phase, origin, issue order) position the serial loop would
-//     have made them at — and inserted into the virtual clock at the window
+//     (instant, phase, origin, issue order) position one worker would have
+//     made them at — and inserted into the virtual clock at the window
 //     barrier in exactly that order. Since the clock breaks due-time ties by
-//     insertion order, the sharded heap pops in the serial sequence.
+//     insertion order, the heap pops in the same sequence at any worker
+//     count.
 //  3. Deliveries are recorded, not traced inline, and merged under the same
-//     keys at the end of the run, which reproduces the serial trace bytes.
+//     keys at the end of the run: mergeDeliveries is the only trace writer.
+//
+// An instant is pumped pass-major: pass 0 pumps the nodes its events (and
+// ops) dirtied in rising fleet index; a node dirtied during a pass — a
+// handler sent something over a synchronous fabric — is pumped later in the
+// same pass if its index lies above the node being pumped, in the next pass
+// otherwise; the instant closes when a pass dirties nothing. This is the
+// order a scan of the whole fleet, repeated to quiescence, visits the nodes
+// that have anything queued — the order the pinned traces were recorded in.
+// With a positive lookahead nothing handled can land in the same instant, so
+// pass 0 is the only pass.
 //
 // Scheduled operations (tag −1) are barriers: the coordinator cuts the
-// window's batch at the op, waits for the shards, replays their buffered
+// window's batch at the op, waits for the workers, replays their buffered
 // schedules, and runs the op inline on a quiescent fleet — crash/rejoin/
 // publish surgery needs no locks because nothing else is running. A pump
 // deferred by an op cut (the op's instant is not over) is flushed by the
 // next dispatch, so a node crashed at t never handles the envelopes that
-// reached it at t — exactly the serial order of operations.
+// reached it at t.
 package harness
 
 import (
@@ -44,24 +58,26 @@ import (
 	"sync"
 	"time"
 
+	"pmcast/internal/addr"
 	"pmcast/internal/clock"
 	"pmcast/internal/event"
 	"pmcast/internal/node"
 )
 
-// shardEvent is one popped virtual-clock entry routed to a shard.
+// shardEvent is one popped virtual-clock entry routed to a worker.
 type shardEvent struct {
 	when time.Time
 	tag  int32 // owning fleet index; −1 for coordinator (op) events
-	pop  int64 // global heap pop order — the serial execution position
+	pop  int64 // global heap pop order — the one-worker execution position
 	fn   func()
 }
 
-// schedKey is the serial-order position of a buffered schedule or a recorded
-// delivery: the instant it originated at, the phase within that instant
-// (events run before op drains before pumps), the origin inside the phase
-// (pop index for events, issue counter for ops, fleet index for pumps) and
-// the issue order within the origin.
+// schedKey is the one-worker-order position of a buffered schedule or a
+// recorded delivery: the instant it originated at, the phase within that
+// instant (events run before op drains before pumps), the origin inside the
+// phase (pop index for events, issue counter for ops, pump key — pass and
+// fleet index, see dirtySet — for pumps) and the issue order within the
+// origin.
 type schedKey struct {
 	whenNs int64
 	phase  int8
@@ -82,7 +98,7 @@ func (k schedKey) less(o schedKey) bool {
 	return k.ord < o.ord
 }
 
-// bufferedSched is a schedule made during shard execution, replayed into the
+// bufferedSched is a schedule made during worker execution, replayed into the
 // virtual clock at the next barrier in schedKey order.
 type bufferedSched struct {
 	key schedKey
@@ -92,8 +108,8 @@ type bufferedSched struct {
 	tm  *proxyTimer
 }
 
-// deliveryRecord is one node's deliveries at one instant, merged into the
-// trace at the end of the run.
+// deliveryRecord is one node's deliveries at one pump (or op drain), merged
+// into the trace at the end of the run.
 type deliveryRecord struct {
 	key  schedKey
 	node int32
@@ -132,13 +148,14 @@ func (t *proxyTimer) bind(real clock.Timer) {
 	t.real = real
 }
 
-// nodeClock is one node's view of time: the owner shard's cursor while that
-// shard is executing (so Now() reads the current event's instant, as the
-// serial loop's virtual clock would), the real virtual clock otherwise.
-// Schedules made during shard execution are buffered for barrier replay;
-// schedules made at barriers (ops, bootstrap) go straight to the clock,
-// tagged with their owner. It implements transport.OwnedScheduler so the
-// fabric can tag delayed deliveries with their destination.
+// nodeClock is one node's view of time: its worker's cursor while that worker
+// is executing (so Now() reads the current event's instant), the virtual
+// clock otherwise. Schedules made during worker execution are buffered for
+// barrier replay; schedules made at barriers (ops, bootstrap) go straight to
+// the clock, tagged with their owner. It is also the node's endpoint clock,
+// and as a transport.OwnedScheduler it hears where every message the node
+// sends lands: a delayed delivery becomes an event of its destination, a
+// synchronous one dirties it.
 type nodeClock struct {
 	w   *shardWorker
 	tag int32
@@ -155,8 +172,17 @@ func (c *nodeClock) AfterFunc(d time.Duration, f func()) clock.Timer {
 	return c.scheduleTagged(d, c.tag, f)
 }
 
-func (c *nodeClock) AfterFuncOwned(ownerKey string, d time.Duration, f func()) clock.Timer {
-	return c.scheduleTagged(d, c.w.eng.tagOf(ownerKey), f)
+func (c *nodeClock) AfterFuncOwned(owner addr.Address, d time.Duration, f func()) clock.Timer {
+	return c.scheduleTagged(d, int32(c.w.eng.r.space.Index(owner)), f)
+}
+
+func (c *nodeClock) HandedOff(owner addr.Address) {
+	eng := c.w.eng
+	i := int32(eng.r.space.Index(owner))
+	if c.w.live && eng.workerOf(i) != c.w {
+		panic("harness: synchronous hand-off between workers — a zero-lookahead fabric must run on one")
+	}
+	eng.touch(i)
 }
 
 func (c *nodeClock) scheduleTagged(d time.Duration, tag int32, f func()) clock.Timer {
@@ -166,59 +192,90 @@ func (c *nodeClock) scheduleTagged(d time.Duration, tag int32, f func()) clock.T
 		return vc.ScheduleTagged(vc.Now().Add(d), tag, f)
 	}
 	tm := &proxyTimer{}
-	w.scheds = append(w.scheds, bufferedSched{
-		key: schedKey{whenNs: w.curWhenNs, phase: w.curPhase, a: w.curA, ord: w.ord},
-		at:  w.cursor.Add(d),
-		tag: tag,
-		fn:  f,
-		tm:  tm,
-	})
-	w.ord++
+	w.scheds = append(w.scheds, bufferedSched{key: w.origin, at: w.cursor.Add(d), tag: tag, fn: f, tm: tm})
+	w.origin.ord++
 	return tm
 }
 
 func (c *nodeClock) NewTicker(time.Duration) clock.Ticker {
-	panic("harness: NewTicker is not available on a sharded run (step mode drives by callback)")
+	panic("harness: NewTicker is not available to a harness node (step mode drives by callback)")
 }
 
 func (c *nodeClock) Sleep(time.Duration) {
-	panic("harness: Sleep is not available on a sharded run")
+	panic("harness: Sleep is not available to a harness node")
 }
 
-// shardCmd is one dispatch from the coordinator: the shard's slice of a
-// window segment, plus pump bookkeeping. cutAt, when set, is an instant an
-// op will interrupt — the shard defers that instant's pump until a later
-// dispatch closes it. extraDirty marks nodes an op touched (a publisher's
-// self-delivery) as pumpable at opAt.
+// dirtySet is a worker's ordered set of nodes to pump when the open instant
+// closes: a min-heap of pump keys, pass<<32 | fleet index, so popping in key
+// order is pass-major and rising index within a pass. floor is the key being
+// pumped, −1 outside a pump. handle.queued keeps a node from entering twice.
+type dirtySet struct {
+	keys  []int64
+	floor int64
+}
+
+func (d *dirtySet) push(k int64) {
+	d.keys = append(d.keys, k)
+	ks := d.keys
+	for i := len(ks) - 1; i > 0; {
+		p := (i - 1) / 2
+		if ks[p] <= ks[i] {
+			break
+		}
+		ks[p], ks[i] = ks[i], ks[p]
+		i = p
+	}
+}
+
+func (d *dirtySet) pop() int64 {
+	ks := d.keys
+	top, n := ks[0], len(ks)-1
+	ks[0] = ks[n]
+	d.keys = ks[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && ks[c+1] < ks[c] {
+			c++
+		}
+		if ks[i] <= ks[c] {
+			break
+		}
+		ks[i], ks[c] = ks[c], ks[i]
+		i = c
+	}
+	return top
+}
+
+// shardCmd is one dispatch from the coordinator: the worker's slice of a
+// window segment. cutAt, when set, is an instant an op will interrupt — the
+// worker defers that instant's pump until a later dispatch closes it.
 type shardCmd struct {
-	events     []shardEvent
-	cutAt      time.Time
-	opAt       time.Time
-	extraDirty []int32
+	events []shardEvent
+	cutAt  time.Time
 }
 
-// shardWorker owns every fleet index congruent to its position mod the shard
+// shardWorker owns every fleet index congruent to its position mod the worker
 // count: it executes their events, pumps their inboxes, and buffers their
-// schedules and delivery records. All fields are touched either by the
-// worker goroutine during a dispatch or by the coordinator between
-// dispatches; the cmd/done channel pair provides the happens-before edges.
+// schedules and delivery records. All fields are touched either by the worker
+// during a dispatch or by the coordinator between dispatches; with two or
+// more workers the cmds/done channel pair provides the happens-before edges,
+// a lone worker runs inline and has neither.
 type shardWorker struct {
 	eng  *shardEngine
+	id   int
 	cmds chan shardCmd
-	done chan []bufferedSched
+	done chan struct{}
 
 	live   bool
 	cursor time.Time
-
-	// Current schedule-origin key components (see schedKey).
-	curWhenNs int64
-	curPhase  int8
-	curA      int64
-	ord       int32
+	origin schedKey // the key the next schedule made now is buffered under
 
 	inbox        []shardEvent // coordinator-side staging for the next cmd
-	dirty        map[int32]struct{}
-	deferInstant time.Time
+	dirty        dirtySet
+	deferInstant time.Time // an open instant whose pump a later dispatch owes
 	scheds       []bufferedSched
 	recs         []deliveryRecord
 }
@@ -226,36 +283,23 @@ type shardWorker struct {
 func (w *shardWorker) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for cmd := range w.cmds {
-		w.live = true
 		w.runCmd(cmd)
-		w.live = false
-		scheds := w.scheds
-		w.scheds = nil
-		w.done <- scheds
+		w.done <- struct{}{}
 	}
 }
 
 func (w *shardWorker) runCmd(cmd shardCmd) {
-	for _, i := range cmd.extraDirty {
-		w.dirty[i] = struct{}{}
-	}
+	w.live = true
 	cur := w.deferInstant
-	if cur.IsZero() && len(cmd.extraDirty) > 0 {
-		cur = cmd.opAt
-	}
 	w.deferInstant = time.Time{}
 	for _, ev := range cmd.events {
 		if !cur.IsZero() && ev.when.After(cur) {
 			w.pump(cur)
-			cur = time.Time{}
 		}
 		cur = ev.when
 		w.cursor = ev.when
-		w.curWhenNs = ev.when.Sub(w.eng.r.start).Nanoseconds()
-		w.curPhase = 0
-		w.curA = ev.pop
-		w.ord = 0
-		w.dirty[ev.tag] = struct{}{}
+		w.origin = schedKey{whenNs: ev.when.Sub(w.eng.r.start).Nanoseconds(), a: ev.pop}
+		w.mark(ev.tag)
 		ev.fn()
 	}
 	if !cur.IsZero() {
@@ -265,43 +309,55 @@ func (w *shardWorker) runCmd(cmd shardCmd) {
 			w.pump(cur)
 		}
 	}
+	w.live = false
 }
 
-// pump drains the dirty nodes' inboxes and delivery channels for one
-// completed instant, in fleet-index order — the serial loop pumps every node
-// after every instant, but only dirty nodes can have anything queued, so the
-// sequence of observable effects is identical. With a positive link
-// lookahead no handling can enqueue more same-instant envelopes, so one pass
-// suffices (the serial loop's second pass finds quiescence).
-func (w *shardWorker) pump(at time.Time) {
-	if len(w.dirty) == 0 {
+// mark queues fleet index i for the open instant's pump: in pass 0 outside a
+// pump; during one, in the pass being pumped if i is still ahead of the node
+// being pumped, in the next pass otherwise.
+func (w *shardWorker) mark(i int32) {
+	h := w.eng.r.handles[i]
+	if h.queued {
 		return
 	}
-	idxs := make([]int32, 0, len(w.dirty))
-	for i := range w.dirty {
-		idxs = append(idxs, i)
+	h.queued = true
+	k := int64(i)
+	if f := w.dirty.floor; f >= 0 {
+		k |= f >> 32 << 32 // the pass being pumped
+		if k <= f {
+			k += 1 << 32
+		}
 	}
-	clear(w.dirty)
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	whenNs := at.Sub(w.eng.r.start).Nanoseconds()
+	w.dirty.push(k)
+}
+
+// pump closes an instant: it drains the dirty nodes' inboxes and delivery
+// channels in pump-key order until nothing is dirty. Only a dirty node can
+// have anything queued — every way into an inbox or a delivery channel marks
+// its node (an event of its own, a synchronous hand-off, a publish) — so
+// this has the observable effects of pumping the whole fleet to quiescence.
+func (w *shardWorker) pump(at time.Time) {
+	r := w.eng.r
+	whenNs := at.Sub(r.start).Nanoseconds()
 	w.cursor = at
-	for _, i := range idxs {
-		h := w.eng.r.handles[i]
-		if h == nil || !h.alive {
+	for len(w.dirty.keys) > 0 {
+		k := w.dirty.pop()
+		w.dirty.floor = k
+		h := r.handles[int32(k)]
+		h.queued = false
+		if !h.alive {
 			continue
 		}
-		w.curWhenNs = whenNs
-		w.curPhase = 2
-		w.curA = int64(i)
-		w.ord = 0
+		key := schedKey{whenNs: whenNs, phase: 2, a: k}
+		w.origin = key
 		h.n.PumpInbox()
 		if ids := drainIDs(h.n); len(ids) > 0 {
-			w.recs = append(w.recs, deliveryRecord{
-				key:  schedKey{whenNs: whenNs, phase: 2, a: int64(i)},
-				node: i,
-				ids:  ids,
-			})
+			w.recs = append(w.recs, deliveryRecord{key: key, node: int32(h.index), ids: ids})
 		}
+	}
+	w.dirty.floor = -1
+	if r.afterInstant != nil {
+		r.afterInstant(r, w.id, at)
 	}
 }
 
@@ -321,83 +377,57 @@ func drainIDs(n *node.Node) []event.ID {
 	}
 }
 
-// shardEngine is the coordinator's state: the workers, the per-node clocks,
-// the address→index map the fabric tags deliveries with, and the delivery
-// records the coordinator itself produces while running ops.
+// shardEngine is the coordinator's state: the workers, the window length,
+// and the delivery records the coordinator itself produces while running ops.
 type shardEngine struct {
-	r         *run
-	workers   []*shardWorker
-	wg        sync.WaitGroup
-	stopOnce  sync.Once
-	clocks    []*nodeClock
-	keyIdx    map[string]int32
-	lookahead time.Duration
+	r       *run
+	workers []*shardWorker
+	wg      sync.WaitGroup
+	// window is the conservative window length: the scenario's lookahead, or
+	// one instant (a nanosecond, the clock's resolution) when it has none.
+	window time.Duration
 
-	popIdx     int64
-	opOrd      int64
-	opRecs     []deliveryRecord
-	extraDirty []int32
-	gather     []bufferedSched
+	popIdx int64
+	opOrd  int64
+	opRecs []deliveryRecord
+	gather []bufferedSched
 }
 
-func newShardEngine(r *run, shards int, lookahead time.Duration) *shardEngine {
-	eng := &shardEngine{
-		r:         r,
-		lookahead: lookahead,
-		keyIdx:    make(map[string]int32),
-	}
-	for s := 0; s < shards; s++ {
-		w := &shardWorker{
-			eng:   eng,
-			cmds:  make(chan shardCmd, 1),
-			done:  make(chan []bufferedSched, 1),
-			dirty: make(map[int32]struct{}),
-		}
+// newShardEngine builds the loop's workers. A lone worker runs inline on the
+// coordinator goroutine; only two or more are started as goroutines.
+func newShardEngine(r *run, workers int, lookahead time.Duration) *shardEngine {
+	eng := &shardEngine{r: r, window: max(lookahead, time.Nanosecond)}
+	for s := 0; s < workers; s++ {
+		w := &shardWorker{eng: eng, id: s, dirty: dirtySet{floor: -1}}
 		eng.workers = append(eng.workers, w)
-		eng.wg.Add(1)
-		go w.loop(&eng.wg)
+		if workers > 1 {
+			w.cmds = make(chan shardCmd, 1)
+			w.done = make(chan struct{}, 1)
+			eng.wg.Add(1)
+			go w.loop(&eng.wg)
+		}
 	}
 	return eng
 }
 
-// clockFor returns (creating on first use) the node clock of a fleet index.
-func (eng *shardEngine) clockFor(i int) *nodeClock {
-	for len(eng.clocks) <= i {
-		eng.clocks = append(eng.clocks, nil)
-	}
-	if eng.clocks[i] == nil {
-		eng.clocks[i] = &nodeClock{w: eng.workers[i%len(eng.workers)], tag: int32(i)}
-	}
-	return eng.clocks[i]
+func (eng *shardEngine) workerOf(i int32) *shardWorker {
+	return eng.workers[int(i)%len(eng.workers)]
 }
 
-// register maps an address key to its fleet index (called at spawn, before
-// any send can target the address).
-func (eng *shardEngine) register(key string, i int) { eng.keyIdx[key] = int32(i) }
-
-func (eng *shardEngine) tagOf(key string) int32 {
-	i, ok := eng.keyIdx[key]
-	if !ok {
-		panic(fmt.Sprintf("harness: delivery to unregistered address %q", key))
+// touch records that node i has something to pump at the current instant: a
+// synchronous hand-off reached its inbox or a publish its delivery channel.
+// Called from the node's own worker, or from the coordinator during an op or
+// bootstrap — then the instant stays open until the next dispatch closes it.
+func (eng *shardEngine) touch(i int32) {
+	w := eng.workerOf(i)
+	w.mark(i)
+	if !w.live {
+		w.deferInstant = eng.r.vc.Now()
 	}
-	return i
-}
-
-// markOpDirty records that an op touched a node's delivery channel (publish
-// self-delivery): its owner shard must pump it when the op's instant closes.
-func (eng *shardEngine) markOpDirty(h *handle) {
-	eng.extraDirty = append(eng.extraDirty, int32(h.index))
-}
-
-func (eng *shardEngine) takeExtraDirty() []int32 {
-	d := eng.extraDirty
-	eng.extraDirty = nil
-	return d
 }
 
 // coordDrain records a node's pending deliveries during an op (phase 1: after
-// the instant's events, before its pumps — the serial position of an op's
-// inline drain).
+// the instant's events, before its pumps).
 func (eng *shardEngine) coordDrain(h *handle) {
 	ids := drainIDs(h.n)
 	if len(ids) == 0 {
@@ -411,37 +441,33 @@ func (eng *shardEngine) coordDrain(h *handle) {
 	eng.opOrd++
 }
 
-// runSegment dispatches one op-free slice of a window to the shards, waits
+// runSegment dispatches one op-free slice of a window to the workers, waits
 // for the barrier, and replays the buffered schedules into the virtual clock
-// in serial order. cut names an instant a following op leaves open;
-// extraDirty/opAt carry the preceding op's pump debts. until is the window
-// end, for the lookahead assertion.
-func (eng *shardEngine) runSegment(evs []shardEvent, cut time.Time, extraDirty []int32, opAt time.Time, until time.Time) {
-	S := len(eng.workers)
-	for _, w := range eng.workers {
-		w.inbox = w.inbox[:0]
-	}
-	for _, ev := range evs {
-		w := eng.workers[int(ev.tag)%S]
-		w.inbox = append(w.inbox, ev)
-	}
-	var extras [][]int32
-	if len(extraDirty) > 0 {
-		extras = make([][]int32, S)
-		for _, i := range extraDirty {
-			extras[int(i)%S] = append(extras[int(i)%S], i)
+// in key order. cut names an instant a following op leaves open; until is the
+// window end, for the lookahead assertion.
+func (eng *shardEngine) runSegment(evs []shardEvent, cut, until time.Time) {
+	if S := len(eng.workers); S == 1 {
+		eng.workers[0].runCmd(shardCmd{events: evs, cutAt: cut})
+	} else {
+		for _, w := range eng.workers {
+			w.inbox = w.inbox[:0]
 		}
-	}
-	for s, w := range eng.workers {
-		cmd := shardCmd{events: w.inbox, cutAt: cut, opAt: opAt}
-		if extras != nil {
-			cmd.extraDirty = extras[s]
+		for _, ev := range evs {
+			w := eng.workers[int(ev.tag)%S]
+			w.inbox = append(w.inbox, ev)
 		}
-		w.cmds <- cmd
+		for _, w := range eng.workers {
+			w.cmds <- shardCmd{events: w.inbox, cutAt: cut}
+		}
+		for _, w := range eng.workers {
+			<-w.done
+		}
 	}
 	eng.gather = eng.gather[:0]
 	for _, w := range eng.workers {
-		eng.gather = append(eng.gather, <-w.done...)
+		eng.gather = append(eng.gather, w.scheds...)
+		clear(w.scheds)
+		w.scheds = w.scheds[:0]
 	}
 	sort.Slice(eng.gather, func(i, j int) bool { return eng.gather[i].key.less(eng.gather[j].key) })
 	for _, bs := range eng.gather {
@@ -453,22 +479,23 @@ func (eng *shardEngine) runSegment(evs []shardEvent, cut time.Time, extraDirty [
 	}
 }
 
-// stop shuts the workers down (idempotent); their accumulated delivery
-// records stay readable afterwards (mergeDeliveries).
+// stop shuts the worker goroutines down; their accumulated delivery records
+// stay readable afterwards.
 func (eng *shardEngine) stop() {
-	eng.stopOnce.Do(func() {
-		for _, w := range eng.workers {
+	for _, w := range eng.workers {
+		if w.cmds != nil {
 			close(w.cmds)
 		}
-		eng.wg.Wait()
-	})
+	}
+	eng.wg.Wait()
 }
 
-// mergeDeliveries replays every recorded delivery in serial order into the
-// run's trace and accounting — the step that makes the sharded trace
-// byte-identical to the serial one.
+// mergeDeliveries replays every recorded delivery in key order into the
+// run's trace and accounting — the one trace writer. Keys are unique (a node
+// is pumped once per instant and pass, op drains carry an issue counter), so
+// the order does not depend on the sort being stable.
 func (eng *shardEngine) mergeDeliveries() {
-	recs := eng.opRecs
+	recs := append([]deliveryRecord(nil), eng.opRecs...)
 	for _, w := range eng.workers {
 		recs = append(recs, w.recs...)
 	}
@@ -490,9 +517,9 @@ func (eng *shardEngine) mergeDeliveries() {
 	}
 }
 
-// runSharded is the coordinator loop: windows of fixed due-event sets,
-// partitioned to the shards, with ops as barriers inside the window.
-func (r *run) runSharded(end time.Time) {
+// loop is the coordinator: windows of fixed due-event sets, partitioned to
+// the workers, with ops as barriers inside the window.
+func (r *run) loop(end time.Time) {
 	eng := r.eng
 	vc := r.vc
 	var evs []shardEvent
@@ -501,7 +528,7 @@ func (r *run) runSharded(end time.Time) {
 		if !ok || T.After(end) {
 			break
 		}
-		until := T.Add(eng.lookahead - time.Nanosecond)
+		until := T.Add(eng.window - time.Nanosecond)
 		if until.After(end) {
 			until = end
 		}
@@ -515,10 +542,7 @@ func (r *run) runSharded(end time.Time) {
 			eng.popIdx++
 		}
 		r.report.ClockEvents += len(evs)
-		segStart := 0
-		var pendDirty []int32
-		var pendOpAt time.Time
-		for {
+		for segStart := 0; ; {
 			j := segStart
 			for j < len(evs) && evs[j].tag >= 0 {
 				j++
@@ -527,16 +551,12 @@ func (r *run) runSharded(end time.Time) {
 			if j < len(evs) {
 				cut = evs[j].when
 			}
-			eng.runSegment(evs[segStart:j], cut, pendDirty, pendOpAt, until)
-			pendDirty, pendOpAt = nil, time.Time{}
+			eng.runSegment(evs[segStart:j], cut, until)
 			if j >= len(evs) {
 				break
 			}
-			op := evs[j]
-			vc.SetNow(op.when)
-			op.fn()
-			pendDirty = eng.takeExtraDirty()
-			pendOpAt = op.when
+			vc.SetNow(evs[j].when)
+			evs[j].fn()
 			segStart = j + 1
 		}
 		vc.SetNow(until)

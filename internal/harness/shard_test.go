@@ -1,16 +1,21 @@
 package harness
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestChurn16kShardedRace drives the full churn16k campaign across eight
 // worker goroutines under the race detector: every coordinator/worker
-// barrier handoff, fabric route, cross-shard delivery and clock replay runs
+// barrier handoff, fabric route, cross-worker delivery and clock replay runs
 // instrumented. It only buys anything when the detector is on — the
 // uninstrumented build skips it and leaves behavioral coverage to the
 // equivalence tests — and it pins the campaign's trace hash, so the race run
-// is simultaneously a determinism check at 16k scale.
+// is simultaneously a determinism check at 16k scale. (A one-worker cell at
+// this scale does not fit the race job's budget; TestShardedTraceEquivalence
+// and TestDirtySetCoversEveryInbox run the inline worker instrumented.)
 func TestChurn16kShardedRace(t *testing.T) {
 	if !raceEnabled {
 		t.Skip("race detector off: TestShardedTraceEquivalence covers behavior")
@@ -33,73 +38,136 @@ func TestChurn16kShardedRace(t *testing.T) {
 	}
 }
 
-// TestShardedTraceEquivalence is the sharded engine's contract test: for a
-// given (scenario, seed), the merged delivery trace is byte-identical at any
-// shard count. smoke16 and lossy256 carry link delays, so they genuinely
-// exercise the windowed parallel path (and their hashes are additionally
-// pinned in goldenTraces — the sharded run must reproduce the serial golden,
-// not merely agree with itself). soak256 and noisy64 are delay-free: their
-// lookahead is zero, the engine must degrade to the serial loop, and the
-// report must say so (Shards == 1).
+// TestShardedTraceEquivalence is the event loop's contract test: for a given
+// (scenario, seed), the merged delivery trace is the pinned golden at any
+// worker count. smoke16 and lossy256 carry link delays, so two and eight
+// workers genuinely run the windowed loop in parallel. soak256 and noisy64
+// are delay-free: their lookahead is zero, so whatever is asked for they run
+// the one-instant window on one inline worker, and the report must say so
+// (Shards == 1).
 func TestShardedTraceEquivalence(t *testing.T) {
-	cases := []struct {
-		name    string
-		sharded bool // true when the scenario has positive lookahead
-	}{
-		{"smoke16", true},
-		{"lossy256", true},
-		{"soak256", false},
-		{"noisy64", false},
+	cases := []string{
+		"smoke16",
+		"lossy256",
+		"soak256",
+		"noisy64",
 		// zipf64 has jittered link delays (positive lookahead) AND the
 		// Zipf flux waves, so it is the equivalence check for the skewed
-		// workload layer: flux replay must merge identically across shard
-		// counts, and match the goldenTraces pin.
-		{"zipf64", true},
+		// workload layer: flux replay must merge identically across worker
+		// counts.
+		"zipf64",
 	}
-	for _, tc := range cases {
-		base, err := Lookup(tc.name)
+	for _, name := range cases {
+		base, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if got := base.lookahead(); (got > 0) != tc.sharded {
-			t.Fatalf("%s: lookahead %v, expected sharded=%v — scenario drifted under this test",
-				tc.name, got, tc.sharded)
 		}
 		for _, seed := range []int64{1, 42} {
 			if testing.Short() && (seed != 1 || base.Nodes > 64) {
 				continue
 			}
-			want := ""
-			if seeds, ok := goldenTraces[tc.name]; ok {
-				want = seeds[seed]
+			want, ok := goldenTraces[name][seed]
+			if !ok {
+				t.Fatalf("%s seed %d has no golden trace", name, seed)
 			}
-			for _, shards := range []int{1, 2, 8} {
-				sc, err := Lookup(tc.name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sc.Shards = shards
+			for _, workers := range []int{1, 2, 8} {
+				sc := base
+				sc.Shards = workers
 				res, err := sc.Run(seed)
 				if err != nil {
-					t.Fatalf("%s seed %d shards %d: %v", tc.name, seed, shards, err)
+					t.Fatalf("%s seed %d workers %d: %v", name, seed, workers, err)
 				}
-				wantShards := shards
-				if !tc.sharded {
-					wantShards = 1
+				wantWorkers := workers
+				if base.lookahead() <= 0 {
+					wantWorkers = 1
 				}
-				if res.Report.Shards != wantShards {
-					t.Errorf("%s seed %d: asked for %d shards, report says %d",
-						tc.name, seed, shards, res.Report.Shards)
-				}
-				if want == "" {
-					want = res.Report.TraceSHA256 // no golden: shards=1 run is the reference
-					continue
+				if res.Report.Shards != wantWorkers {
+					t.Errorf("%s seed %d: asked for %d workers, report says %d, want %d",
+						name, seed, workers, res.Report.Shards, wantWorkers)
 				}
 				if got := res.Report.TraceSHA256; got != want {
-					t.Errorf("%s seed %d shards %d: trace sha %s, want %s — sharding changed the delivery trace",
-						tc.name, seed, shards, got, want)
+					t.Errorf("%s seed %d workers %d: trace sha %s, want %s — the worker count changed the delivery trace",
+						name, seed, workers, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestOneWorkerRunsInline holds the loop to its goroutine budget: one worker
+// — asked for, or forced by a zero lookahead — executes on the coordinator
+// goroutine, and only two or more are started as goroutines. The count is
+// sampled from inside the run, each time a worker closes an instant.
+func TestOneWorkerRunsInline(t *testing.T) {
+	cases := []struct {
+		name    string
+		workers int
+		extra   int32 // goroutines the run may add
+	}{
+		{"smoke16", 1, 0},
+		{"smoke16", 2, 2},
+		{"noisy64", 8, 0}, // zero lookahead: one inline worker whatever is asked
+	}
+	for _, tc := range cases {
+		sc, err := Lookup(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Shards = tc.workers
+		before := int32(runtime.NumGoroutine())
+		var peak atomic.Int32
+		_, err = sc.run(1, func(*run, int, time.Time) {
+			g := int32(runtime.NumGoroutine()) - before
+			for old := peak.Load(); g > old && !peak.CompareAndSwap(old, g); old = peak.Load() {
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := peak.Load(); got != tc.extra {
+			t.Errorf("%s at %d workers: the loop ran %d extra goroutines, want %d",
+				tc.name, tc.workers, got, tc.extra)
+		}
+	}
+}
+
+// TestDirtySetCoversEveryInbox checks the invariant the loop pumps by: every
+// way into an inbox or a delivery channel marks its node dirty, so once a
+// worker has closed an instant none of its alive nodes — pumped or not —
+// holds a queued envelope or delivery. churn1024 and noisy64 hand messages
+// over synchronously, through crash, rejoin and join waves, so a missed mark
+// would strand an envelope here (a whole-fleet scan used to hide one).
+func TestDirtySetCoversEveryInbox(t *testing.T) {
+	for _, name := range []string{"churn1024", "noisy64"} {
+		sc, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		instants := 0
+		_, err = sc.run(1, func(r *run, worker int, at time.Time) {
+			instants++
+			for i := worker; i < len(r.handles); i += len(r.eng.workers) {
+				h := r.handles[i]
+				if h == nil || !h.alive {
+					continue
+				}
+				// A stranded envelope would be handled by this probe; the
+				// run is already wrong by then, and the test says so.
+				if n := h.n.PumpInbox(); n > 0 {
+					t.Errorf("%s at %v: node %s outside the dirty set held %d envelopes",
+						name, at.Sub(r.start), h.key, n)
+				}
+				if n := len(h.n.Deliveries()); n > 0 {
+					t.Errorf("%s at %v: node %s outside the dirty set held %d deliveries",
+						name, at.Sub(r.start), h.key, n)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if instants == 0 {
+			t.Errorf("%s: the hook never ran", name)
 		}
 	}
 }

@@ -120,7 +120,7 @@ func TestZipfFluxWaveInversion(t *testing.T) {
 
 // TestZipf1MCampaign is the zipf1m acceptance gate: the fleet's wave-0
 // subscription load exceeds one million, the campaign completes under the
-// sharded engine at ≥0.999 reliability, replays its pinned trace
+// event loop at eight workers at ≥0.999 reliability, replays its pinned trace
 // (goldenZipf1M), and the PR-10 report fields — class_reliability,
 // summary_false_positive_rate, fold_recompiles — are populated. The full
 // campaign is ~23s of wall clock on two cores, so -short only checks the

@@ -139,8 +139,8 @@ type Network struct {
 	clk clock.Clock
 
 	// mu is a reader/writer lock: every route — fault-free or faulty — runs
-	// under the shared read lock, so concurrent senders (the sharded harness
-	// runs one goroutine per shard) never serialize on one global mutex.
+	// under the shared read lock, so concurrent senders (the harness runs one
+	// goroutine per worker) never serialize on one global mutex.
 	// Only knob mutations (Attach/Detach, SetLoss, Block, Heal, Close) take
 	// the write lock; they happen while the fleet is quiescent.
 	mu        sync.RWMutex
@@ -153,10 +153,10 @@ type Network struct {
 	// itself is guarded by linksMu (links are created lazily from concurrent
 	// routes), but a linkState's FIELDS are not: a directed link's draws
 	// happen only on sends from its source address, and one process's sends
-	// are totally ordered — by the single run loop in a serial campaign, by
-	// the owner shard plus barrier handoffs in a sharded one. Streams and
-	// floors survive endpoint detach/reattach, so a rejoined process
-	// continues its links' draw sequences exactly where the crashed
+	// are totally ordered — by the process's own run loop when live, by the
+	// harness worker that owns it plus barrier handoffs in a campaign.
+	// Streams and floors survive endpoint detach/reattach, so a rejoined
+	// process continues its links' draw sequences exactly where the crashed
 	// generation left them.
 	linksMu sync.Mutex
 	links   map[string]*linkState
@@ -171,13 +171,19 @@ type Network struct {
 	closed  bool
 }
 
-// OwnedScheduler is an optional Clock capability: schedule a callback that
-// logically belongs to the process with the given address key. The sharded
-// harness clock implements it so a delayed delivery becomes an event tagged
-// with (and executed by) the destination's shard; plain clocks fall back to
-// AfterFunc.
+// OwnedScheduler is an optional capability of an endpoint clock (see
+// SetEndpointClock): it learns which process every message sent through the
+// endpoint lands on. The harness clock implements it so a delayed delivery
+// becomes an event owned (and executed) by the destination, and a synchronous
+// one marks the destination as having something to pump. Plain clocks fall
+// back to AfterFunc and hear nothing of synchronous hand-offs; a fabric
+// without endpoint clocks — every live one — pays a nil check.
 type OwnedScheduler interface {
-	AfterFuncOwned(ownerKey string, d time.Duration, f func()) clock.Timer
+	// AfterFuncOwned schedules f, d from now, as work of the process at owner.
+	AfterFuncOwned(owner addr.Address, d time.Duration, f func()) clock.Timer
+	// HandedOff reports that a zero-delay send just queued envelopes on
+	// owner's inbox.
+	HandedOff(owner addr.Address)
 }
 
 // defaultSeedStream is the stream-selection constant for Config.Seed == 0.
@@ -418,6 +424,7 @@ func (n *Network) route(e *memEndpoint, to addr.Address, payload any) error {
 		n.cfg.MaxDelay == 0 && n.cfg.MinDelay == 0 &&
 		!n.cfg.Link.Enabled() && len(n.blocked) == 0 {
 		dst, ok := n.endpoints[to.Key()]
+		owned := e.owned
 		n.mu.RUnlock()
 		if !ok {
 			n.dropped.Add(int64(payloadParts(payload)))
@@ -428,9 +435,12 @@ func (n *Network) route(e *memEndpoint, to addr.Address, payload any) error {
 			b.Each(func(sub any) {
 				n.deliver(dst, Envelope{From: from, To: to, Payload: sub})
 			})
-			return nil
+		} else {
+			n.deliver(dst, Envelope{From: from, To: to, Payload: payload})
 		}
-		n.deliver(dst, Envelope{From: from, To: to, Payload: payload})
+		if owned != nil {
+			owned.HandedOff(to)
+		}
 		return nil
 	}
 	n.mu.RUnlock()
@@ -501,9 +511,9 @@ func (n *Network) delayLocked(rng *linkStream) time.Duration {
 // registered. On a virtual clock the callback only runs when the harness
 // advances time — in strict (time, scheduling-order) order, which together
 // with the clamp is what makes the FIFO guarantee deterministic. The sender
-// endpoint's clock, when set, both reads now and schedules — the sharded
-// harness points it at the sender's shard clock, whose OwnedScheduler
-// implementation turns the delivery into an event owned by the destination.
+// endpoint's clock, when set, both reads now and schedules — the harness
+// points it at the sender's node clock, whose OwnedScheduler implementation
+// turns the delivery into an event owned by the destination.
 func (n *Network) schedule(e *memEndpoint, st *linkState, dst *memEndpoint, delay time.Duration, envs []Envelope) {
 	clk := e.clk
 	if clk == nil {
@@ -529,8 +539,8 @@ func (n *Network) schedule(e *memEndpoint, st *linkState, dst *memEndpoint, dela
 		}
 	}
 	n.timersMu.Lock()
-	if os, ok := clk.(OwnedScheduler); ok {
-		timer = os.AfterFuncOwned(dst.addr.Key(), delay, fire)
+	if e.owned != nil {
+		timer = e.owned.AfterFuncOwned(dst.addr, delay, fire)
 	} else {
 		timer = clk.AfterFunc(delay, fire)
 	}
@@ -619,9 +629,13 @@ func (n *Network) routeFaulty(e *memEndpoint, from, to addr.Address, payload any
 		}
 		delay := n.delayLocked(delayStream)
 		if delay == 0 {
+			owned := e.owned
 			n.mu.RUnlock()
 			for _, env := range survivors {
 				n.deliver(dst, env)
+			}
+			if owned != nil {
+				owned.HandedOff(to)
 			}
 			return nil
 		}
@@ -642,8 +656,12 @@ func (n *Network) routeFaulty(e *memEndpoint, from, to addr.Address, payload any
 	env := Envelope{From: from, To: to, Payload: payload}
 	delay := n.delayLocked(s)
 	if delay == 0 {
+		owned := e.owned
 		n.mu.RUnlock()
 		n.deliver(dst, env)
+		if owned != nil {
+			owned.HandedOff(to)
+		}
 		return nil
 	}
 	n.schedule(e, st, dst, delay, []Envelope{env})
@@ -670,9 +688,11 @@ type memEndpoint struct {
 	addr addr.Address
 	net  *Network
 	// clk, when set via SetEndpointClock, schedules this endpoint's OUTGOING
-	// delayed deliveries in place of the fabric clock. Written under the
-	// network write lock, read under the read lock.
-	clk clock.Clock
+	// delayed deliveries in place of the fabric clock; owned is the same clock
+	// when it implements OwnedScheduler. Written under the network write lock,
+	// read under the read lock.
+	clk   clock.Clock
+	owned OwnedScheduler
 
 	mu     sync.Mutex
 	closed bool
@@ -681,13 +701,14 @@ type memEndpoint struct {
 
 // SetEndpointClock overrides the clock used to read now and schedule delayed
 // deliveries for messages SENT by the given address (default: the fabric
-// clock). The sharded harness points each endpoint at its owner shard's
-// clock. Unknown addresses are ignored.
+// clock). The harness points each endpoint at its node's clock. Unknown
+// addresses are ignored.
 func (n *Network) SetEndpointClock(a addr.Address, clk clock.Clock) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if ep, ok := n.endpoints[a.Key()]; ok {
 		ep.clk = clk
+		ep.owned, _ = clk.(OwnedScheduler)
 	}
 }
 
