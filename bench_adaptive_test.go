@@ -1,9 +1,8 @@
 // Benchmarks for the loss-aware adaptive fan-out loop: the ablation cells
-// that BENCH_pr7.json records — the base fixed arm, the raised fixed arm,
-// and the adaptive arm on the bursty-link noisy64 campaign, each reporting
-// reliability and bytes/event as custom metrics — plus the PR 6 frontier
-// acceptance cells re-run under Gilbert–Elliott bursts. One iteration is
-// one full seeded campaign.
+// — the base fixed arm, the raised fixed arm, and the adaptive arm on the
+// bursty-link noisy64 campaign, each reporting reliability and bytes/event
+// as custom metrics — plus the PR 6 frontier acceptance cells re-run under
+// Gilbert–Elliott bursts. One iteration is one full seeded campaign.
 package pmcast_test
 
 import (

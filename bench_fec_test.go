@@ -1,8 +1,8 @@
 // Benchmarks for the coding layer: the hot symbol-arithmetic paths
 // (encode is on every coded round's critical path, decode only on loss)
-// and the frontier summary cells that BENCH_pr6.json records — one coded
-// and one uncoded campaign at the acceptance point, reporting reliability
-// and bytes/event as custom metrics.
+// and the frontier summary cells — one coded and one uncoded campaign at
+// the acceptance point, reporting reliability and bytes/event as custom
+// metrics.
 package pmcast_test
 
 import (
@@ -118,8 +118,7 @@ func BenchmarkFECDecode(b *testing.B) {
 // BenchmarkFrontierPoint runs the acceptance cells of the reliability/
 // bytes frontier — coded low-fan-out against uncoded high-fan-out on
 // frontier64 at 40% loss — and reports each cell's axes as custom
-// metrics, so BENCH_pr6.json carries the frontier summary next to the
-// micro-benchmarks. One iteration is one full seeded campaign.
+// metrics. One iteration is one full seeded campaign.
 func BenchmarkFrontierPoint(b *testing.B) {
 	base, err := harness.Lookup("frontier64")
 	if err != nil {

@@ -338,29 +338,20 @@ func BenchmarkWireDecodeBatch(b *testing.B) {
 // loss and a crash wave — reporting delivered events per virtual second and
 // envelopes per published event.
 func BenchmarkNodePublishStream(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		noBatch bool
-	}{{"batched", false}, {"unbatched", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var eventsPerSec, envPerEvent, wall float64
-			for i := 0; i < b.N; i++ {
-				sc := harness.Soak64()
-				sc.Fleet.NoBatch = mode.noBatch
-				res, err := sc.Run(3)
-				if err != nil {
-					b.Fatal(err)
-				}
-				eventsPerSec += res.Report.EventsPerSec
-				envPerEvent += res.Report.EnvelopesPerEvent
-				wall += float64(res.Report.WallMillis)
-			}
-			n := float64(b.N)
-			b.ReportMetric(eventsPerSec/n, "events/vsec")
-			b.ReportMetric(envPerEvent/n, "envelopes/event")
-			b.ReportMetric(wall/n, "wall-ms/run")
-		})
+	var eventsPerSec, envPerEvent, wall float64
+	for i := 0; i < b.N; i++ {
+		res, err := harness.Soak64().Run(3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eventsPerSec += res.Report.EventsPerSec
+		envPerEvent += res.Report.EnvelopesPerEvent
+		wall += float64(res.Report.WallMillis)
 	}
+	n := float64(b.N)
+	b.ReportMetric(eventsPerSec/n, "events/vsec")
+	b.ReportMetric(envPerEvent/n, "envelopes/event")
+	b.ReportMetric(wall/n, "wall-ms/run")
 }
 
 // BenchmarkEnginePublishStream is the multicore soak benchmark of the

@@ -4,8 +4,8 @@
 // re-executes the test binary once per fleet member (TestMain dispatches
 // the children), streams a publish burst through the fleet, holds both
 // modes to a lossless datapath and matched ≥98% delivery, and reports
-// events/sec, syscalls/event and datagrams/syscall — the tentpole's
-// acceptance numbers, recorded in BENCH_pr9.json by the CI bench job.
+// events/sec, syscalls/event and datagrams/syscall (recorded in DESIGN.md
+// "The kernel fast path": ~8.4 syscalls/event portable vs ~0.82 batched).
 package pmcast_test
 
 import (
@@ -101,8 +101,7 @@ func soakChild() int {
 		WriteBufferBytes: 8 << 20,
 	}
 	if mode == "fallback" {
-		cfg.NoBatchSend = true
-		cfg.NoBatchRecv = true
+		cfg.Portable = true
 	}
 	tr, err := pmcast.NewUDPTransport(cfg)
 	if err != nil {
@@ -288,8 +287,8 @@ func runSoakFleet(b *testing.B, mode string) (totals soakStats, wall time.Durati
 		// itself is the paper's probabilistic guarantee — gossip rounds
 		// are Pittel-bounded, so a small ε-tail of misses is by design
 		// and identical in both modes. Hold each child to ε ≤ 5% and the
-		// fleet to ε ≤ 2%, and record the achieved rate as a metric so
-		// the equal-delivery claim is auditable in BENCH_pr9.json.
+		// fleet to ε ≤ 2%, and report the achieved rate as a metric so
+		// the equal-delivery claim is auditable.
 		if st.Malformed != 0 || st.DroppedInbox != 0 || st.EgressDropped != 0 {
 			b.Fatalf("child %s (%s) lost frames in the datapath: malformed %d, dropped %d, egress-dropped %d",
 				addrs[i], mode, st.Malformed, st.DroppedInbox, st.EgressDropped)
@@ -326,7 +325,7 @@ func runSoakFleet(b *testing.B, mode string) (totals soakStats, wall time.Durati
 // events/sec for batched vs fallback at matched delivery — both modes must
 // be datapath-lossless and reach the same ≥98% fleet delivery rate (gossip
 // is ε-reliable by design, so "all 9600" is not the bar the paper sets);
-// the achieved rate is reported alongside the ratios in BENCH_pr9.json.
+// the achieved rate is reported alongside the ratios.
 func BenchmarkUDPLoopbackSoak(b *testing.B) {
 	for _, mode := range []string{"fallback", "batched"} {
 		b.Run(mode, func(b *testing.B) {

@@ -1,30 +1,23 @@
 // Benchmarks of the shared-summary matching engine under Zipf-skewed
-// subscription workloads (PR 10) — the BENCH_pr10.json axes:
+// subscription workloads:
 //
 //   - BenchmarkZipfMatchStream: steady-state matching throughput of one
 //     process profiling a stream of fresh Zipf-distributed events against
 //     a skew-subscribed fleet, with the per-event comparison cost as a
 //     custom metric;
-//   - BenchmarkZipfSkewSweep: the legacy-vs-shared matcher sweep; its
-//     fold-reduction and comparison-reduction metrics are the PR's ≥2×
-//     acceptance criterion, and the benchmark fails outright if either
-//     drops below 2×;
 //   - BenchmarkZipfCampaign: the full zipf64 campaign, recording wall
 //     time, fold recompiles and the measured summary false-positive rate.
 //
-// One sweep/campaign iteration is one full deterministic run; use
-// -benchtime 1x.
+// One campaign iteration is one full deterministic run; use -benchtime 1x.
 package pmcast_test
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"pmcast/internal/addr"
 	"pmcast/internal/core"
 	"pmcast/internal/event"
-	"pmcast/internal/experiments"
 	"pmcast/internal/harness"
 	"pmcast/internal/tree"
 )
@@ -83,32 +76,6 @@ func BenchmarkZipfMatchStream(b *testing.B) {
 	ms := proc.MatchStats()
 	if ms.Misses > 0 {
 		b.ReportMetric(float64(ms.Comparisons)/float64(b.N), "comparisons/event")
-	}
-}
-
-// BenchmarkZipfSkewSweep runs the legacy-vs-shared matcher sweep per Zipf
-// exponent and reports the per-flux-wave cost reductions. The 2× floors
-// are asserted, not just recorded: a regression fails the benchmark.
-func BenchmarkZipfSkewSweep(b *testing.B) {
-	for _, alpha := range []float64{0.5, 1.0, 1.5} {
-		b.Run(fmt.Sprintf("alpha%.1f", alpha), func(b *testing.B) {
-			var fold, comp float64
-			for i := 0; i < b.N; i++ {
-				cell, err := experiments.SkewSweepCellAt(experiments.SkewSweepOptions{}, alpha)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if cell.FoldReduction < 2 || cell.ComparisonReduction < 2 {
-					b.Fatalf("alpha=%g: fold %.2f×, comparisons %.2f× — below the 2× acceptance floor",
-						alpha, cell.FoldReduction, cell.ComparisonReduction)
-				}
-				fold += cell.FoldReduction
-				comp += cell.ComparisonReduction
-			}
-			n := float64(b.N)
-			b.ReportMetric(fold/n, "fold-reduction")
-			b.ReportMetric(comp/n, "comparison-reduction")
-		})
 	}
 }
 

@@ -8,7 +8,6 @@
 //	pmcast-chaos -list
 //	pmcast-chaos -scenario churn1024 -seed 7
 //	pmcast-chaos -scenario lossy256 -seed 1 -o report.json -trace run.trace
-//	pmcast-chaos -scenario soak256 -seed 3 -nobatch   # A/B the batched pipeline
 //	pmcast-chaos -scenario frontier64 -fec-k 8 -fec-r 2   # run with the coding layer on
 //	pmcast-chaos -scenario noisy64 -adaptive   # force the loss-aware tuning loop on
 //	pmcast-chaos -scenario soak256 -cpuprofile soak.pprof   # profile a soak run
@@ -33,7 +32,6 @@ func main() {
 		out        = flag.String("o", "", "write the JSON report here (default stdout)")
 		traceOut   = flag.String("trace", "", "also write the raw delivery trace to this file")
 		list       = flag.Bool("list", false, "list the scenario catalog and exit")
-		noBatch    = flag.Bool("nobatch", false, "disable the batched gossip pipeline (A/B envelope accounting)")
 		fanout     = flag.Int("fanout", 0, "override the fleet's gossip fan-out F (0 keeps the scenario's own setting)")
 		fecK       = flag.Int("fec-k", 0, "coding-layer generation size k (0 keeps the scenario's own setting)")
 		fecR       = flag.Int("fec-r", -1, "repair symbols per generation r (-1 keeps the scenario's own setting; 0 disables coding)")
@@ -55,9 +53,6 @@ func main() {
 	sc, err := harness.Lookup(*name)
 	if err != nil {
 		fatal(err)
-	}
-	if *noBatch {
-		sc.Fleet.NoBatch = true
 	}
 	if *fanout > 0 {
 		sc.Fleet.F = *fanout

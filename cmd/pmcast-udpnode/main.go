@@ -61,14 +61,12 @@ func run(w io.Writer, args []string) error {
 		"ingress decode workers of the staged engine (0: serial single-goroutine loop)")
 	encodeWorkers := fs.Int("encode-workers", runtime.NumCPU(),
 		"egress encode/send workers of the staged engine (0: serial)")
-	batchSend := fs.Bool("batch-send", true,
-		"kernel-batched egress: flush egress queues with sendmmsg vectors (Linux; elsewhere the portable path runs regardless)")
-	batchRecv := fs.Bool("batch-recv", true,
-		"kernel-batched ingress: drain the socket with recvmmsg vectors (Linux)")
+	portable := fs.Bool("portable", false,
+		"opt out of the kernel-batched datapath (sendmmsg/recvmmsg vectors, on by default on Linux) and run the one-syscall-per-datagram path other platforms always use")
 	gso := fs.Bool("gso", false,
-		"UDP generic segmentation offload: coalesce equal-size same-peer frames into kernel-split super-datagrams (needs -batch-send)")
+		"UDP generic segmentation offload: coalesce equal-size same-peer frames into kernel-split super-datagrams (not with -portable)")
 	gro := fs.Bool("gro", false,
-		"UDP generic receive offload: let the kernel coalesce inbound bursts (needs -batch-recv)")
+		"UDP generic receive offload: let the kernel coalesce inbound bursts (not with -portable)")
 	rcvbuf := fs.Int("rcvbuf", 0, "requested SO_RCVBUF in bytes (0: kernel default)")
 	sndbuf := fs.Int("sndbuf", 0, "requested SO_SNDBUF in bytes (0: kernel default)")
 	statsEvery := fs.Duration("stats", 0,
@@ -106,8 +104,7 @@ func run(w io.Writer, args []string) error {
 	tr, err := pmcast.NewUDPTransport(pmcast.UDPConfig{
 		Resolver:         res,
 		DeferDecode:      *decodeWorkers > 0,
-		NoBatchSend:      !*batchSend,
-		NoBatchRecv:      !*batchRecv,
+		Portable:         *portable,
 		GSO:              *gso,
 		GRO:              *gro,
 		ReadBufferBytes:  *rcvbuf,

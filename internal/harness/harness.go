@@ -62,8 +62,7 @@ type Report struct {
 	// one); WireBytes is their total encoded size, measured only when the
 	// fleet sets MeasureWire. EventsPerSec is deliveries per virtual second;
 	// EnvelopesPerEvent and BytesPerEvent normalize fabric cost by events
-	// published — the batching headroom metrics.
-	Batching          bool    `json:"batching"`
+	// published.
 	Envelopes         int64   `json:"envelopes"`
 	WireBytes         int64   `json:"wire_bytes"`
 	EventsPerSec      float64 `json:"events_per_sec"`
@@ -343,7 +342,6 @@ func (s Scenario) run(seed int64, afterInstant func(*run, int, time.Time)) (*Res
 	r.report.Scenario = sc.Name
 	r.report.Seed = seed
 	r.report.Nodes = sc.Nodes
-	r.report.Batching = !sc.Fleet.NoBatch
 
 	// A fabric with no lookahead hands messages over synchronously, which
 	// cannot be split across workers: its one-instant window runs on one.
@@ -465,7 +463,6 @@ func (r *run) spawn(i int, sub interest.Subscription) (*handle, error) {
 		SuspectAfter:          r.sc.Fleet.SuspectAfter,
 		SuspicionSweeps:       r.sc.Fleet.SuspicionSweeps,
 		DeliveryBuffer:        r.sc.Fleet.DeliveryBuffer,
-		NoBatch:               r.sc.Fleet.NoBatch,
 		MeasureWire:           r.sc.Fleet.MeasureWire,
 		FECRepairs:            r.sc.Fleet.FECRepairs,
 		FECSources:            r.sc.Fleet.FECSources,

@@ -66,12 +66,6 @@ type Fleet struct {
 	// it after every virtual instant, so bursts rarely need more than the
 	// default.
 	DeliveryBuffer int
-	// NoBatch disables the batched gossip pipeline fleet-wide: every gossip,
-	// digest and heartbeat goes as its own envelope. Batching is
-	// behavior-preserving (per-link sub-messages and fault draws are
-	// identical either way), so this is the A/B knob for envelope and byte
-	// accounting, not a protocol variant.
-	NoBatch bool
 	// MeasureWire enables sender-side encoded-byte accounting on every
 	// node, feeding the report's bytes/event. Costs one pooled encode per
 	// envelope; soak scenarios turn it on, reliability campaigns leave it

@@ -101,14 +101,6 @@ type Config struct {
 	// DeliveryBuffer sizes the Deliveries channel (default 256). When the
 	// consumer lags, further deliveries are dropped and counted.
 	DeliveryBuffer int
-	// NoBatch disables the batched gossip pipeline: every gossip, digest and
-	// heartbeat goes out as its own envelope, as the pre-batching runtime
-	// sent them. Batching is a pure envelope-level aggregation — the
-	// sub-messages each peer receives, and their per-link order, are
-	// identical either way — so this knob exists for A/B measurement
-	// (envelopes/event, bytes/event) and the equivalence property test, not
-	// for correctness.
-	NoBatch bool
 	// FECRepairs enables the coding layer: every distinct event the node
 	// forwards accumulates — per destination subtree, so a generation's
 	// sources are events that subtree's members hold — into a generation of
@@ -119,7 +111,6 @@ type Config struct {
 	// receiver that missed an event on every inbound link rebuilds it from
 	// a repair plus the events it already holds.
 	// 0 disables coding entirely — the pre-FEC wire path, byte for byte.
-	// Coding rides batch envelopes, so NoBatch makes it inert.
 	FECRepairs int
 	// FECSources is the generation size k (default 8 when FECRepairs > 0).
 	// FECSources+FECRepairs must not exceed fec.MaxSymbols.
@@ -236,7 +227,6 @@ type Node struct {
 	appliedBase      map[string]appliedRecord
 	treeSize         int
 	treeVersion      uint64
-	seen             map[event.ID]struct{}
 	deliveriesClosed bool
 
 	seq        atomic.Uint64
@@ -246,11 +236,11 @@ type Node struct {
 	envelopes atomic.Int64 // outgoing envelopes (batched counts as one)
 	wireBytes atomic.Int64 // encoded bytes of outgoing envelopes (MeasureWire)
 
-	// The coding layer (nil when FECRepairs is 0 or NoBatch is set). Both
-	// sides live on the protocol stage — the encoder codes round envelopes in
-	// tickGossip, the assembler reassembles in handle — but stats snapshots
-	// come from other goroutines, so a dedicated mutex arbitrates. It is
-	// uncontended on the hot path.
+	// The coding layer (nil when FECRepairs is 0). Both sides live on the
+	// protocol stage — the encoder codes round envelopes in tickGossip, the
+	// assembler reassembles in handle — but stats snapshots come from other
+	// goroutines, so a dedicated mutex arbitrates. It is uncontended on the
+	// hot path.
 	fecMu         sync.Mutex
 	fenc          *fec.Encoder
 	fasm          *fec.Assembler
@@ -326,7 +316,6 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 		mem:        mem,
 		dec:        wire.NewDecoder(),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		seen:       make(map[event.ID]struct{}),
 		deliveries: make(chan event.Event, cfg.DeliveryBuffer),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
@@ -334,7 +323,7 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 	if cfg.AdaptiveFanout {
 		n.est = newLossEstimator()
 	}
-	if cfg.FECRepairs > 0 && !cfg.NoBatch {
+	if cfg.FECRepairs > 0 {
 		if cfg.FECSources+cfg.FECRepairs > fec.MaxSymbols {
 			ep.Close()
 			return nil, fmt.Errorf("node: FEC k+r = %d exceeds %d symbols",
@@ -628,7 +617,6 @@ func (n *Node) applyPublish(ev event.Event) error {
 	if err := n.rebuildIfStaleLocked(); err != nil {
 		return err
 	}
-	n.seen[ev.ID()] = struct{}{}
 	if err := n.proc.Multicast(ev); err != nil {
 		return err
 	}
@@ -724,15 +712,15 @@ func (n *Node) handle(env transport.Envelope) {
 	}
 }
 
-// handleDigest answers one anti-entropy probe. With batching on, a reply
-// that needs both the pulled update and our own counter-digest piggybacks
-// them onto a single envelope.
+// handleDigest answers one anti-entropy probe. A reply that needs both the
+// pulled update and our own counter-digest piggybacks them onto a single
+// envelope.
 func (n *Node) handleDigest(from addr.Address, d membership.Digest) {
 	upd, gossiperFresher := n.mem.HandleDigest(d)
 	// Push-pull: when the gossiper knows things we don't, answer with our
 	// own digest so it pushes them (see membership.HandleDigest; this is
 	// also how a falsely-expelled process re-enters views).
-	if !n.cfg.NoBatch && upd != nil && gossiperFresher {
+	if upd != nil && gossiperFresher {
 		mine := n.mem.MakeDigest()
 		n.emit(from, wire.Batch{Update: upd, Digest: &mine})
 		return
@@ -748,13 +736,12 @@ func (n *Node) handleDigest(from addr.Address, d membership.Digest) {
 func (n *Node) handleGossip(g core.Gossip) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, dup := n.seen[g.Event.ID()]; dup {
+	if n.proc.HasSeen(g.Event.ID()) {
 		return
 	}
 	if err := n.rebuildIfStaleLocked(); err != nil {
 		return
 	}
-	n.seen[g.Event.ID()] = struct{}{}
 	n.proc.Receive(g)
 	n.drainDeliveriesLocked()
 }
@@ -770,7 +757,7 @@ func (n *Node) handleGossipBatch(gs []core.Gossip) {
 	defer n.mu.Unlock()
 	rebuilt := false
 	for _, g := range gs {
-		if _, dup := n.seen[g.Event.ID()]; dup {
+		if n.proc.HasSeen(g.Event.ID()) {
 			continue
 		}
 		if !rebuilt {
@@ -779,7 +766,6 @@ func (n *Node) handleGossipBatch(gs []core.Gossip) {
 			}
 			rebuilt = true
 		}
-		n.seen[g.Event.ID()] = struct{}{}
 		n.proc.Receive(g)
 	}
 	n.drainDeliveriesLocked()
@@ -958,21 +944,10 @@ func (n *Node) tickGossip() {
 		n.mu.Unlock()
 		return
 	}
-	if n.cfg.NoBatch {
-		sends := n.proc.Tick(n.rng)
-		n.drainDeliveriesLocked()
-		n.mu.Unlock()
-		for _, s := range sends {
-			n.emit(s.To, s.Gossip)
-		}
-		return
-	}
-	// Batched pipeline: every gossip this round owes one peer rides a single
-	// round envelope. TickRound consumes the RNG exactly like Tick, so the
-	// two modes stay behaviorally equivalent (see the harness equivalence
-	// test) — only envelope counts differ. The round envelopes are the
-	// engine's send jobs, emitted after the lock drops: emit either hands
-	// them to the egress workers or — serially — sends on this goroutine.
+	// Every gossip this round owes one peer rides a single round envelope.
+	// The round envelopes are the engine's send jobs, emitted after the lock
+	// drops: emit either hands them to the egress workers or — serially —
+	// sends on this goroutine.
 	jobs := n.proc.TickRound(n.rng)
 	n.drainDeliveriesLocked()
 	n.mu.Unlock()
@@ -1037,15 +1012,6 @@ func (n *Node) tickMembership() {
 	// interval granularity regardless of where the digests went.
 	hb := membership.Heartbeat{From: n.cfg.Addr}
 	neighbors := n.mem.ImmediateNeighbors()
-	if n.cfg.NoBatch {
-		for _, to := range targets {
-			n.emit(to, d)
-		}
-		for _, nb := range neighbors {
-			n.emit(nb, hb)
-		}
-		return
-	}
 	// Piggyback: a digest target that is also an immediate neighbor gets one
 	// envelope carrying both the probe and the beacon.
 	beaconed := make(map[string]bool, len(targets))
@@ -1083,9 +1049,9 @@ func (n *Node) rebuildIfStaleLocked() error {
 	return nil
 }
 
-// coreConfig assembles the gossip-core configuration both rebuild paths
-// (rebuildLocked, AdoptViewsFrom) share, wiring the loss estimator into the
-// core's Section 5.3 tuning loop when adaptive fan-out is on.
+// coreConfig assembles the gossip-core configuration, wiring the loss
+// estimator into the core's Section 5.3 tuning loop when adaptive fan-out is
+// on.
 func (n *Node) coreConfig() core.Config {
 	cfg := core.Config{
 		D:             n.cfg.Space.Depth(),
@@ -1201,17 +1167,25 @@ func (n *Node) rebuildLocked() error {
 		}
 	}
 	if changed || n.proc == nil {
-		proc, err := core.BuildProcess(n.tree, n.cfg.Addr, n.coreConfig())
-		if err != nil {
-			return fmt.Errorf("node: rebuilding process: %w", err)
+		if err := n.swapProcessLocked(); err != nil {
+			return err
 		}
-		// In-flight disseminations survive the rebuild: the new process
-		// adopts the old buffers, seen-set and counters.
-		proc.AdoptState(n.proc)
-		n.proc = proc
-		n.treeSize = n.tree.Len()
 	}
 	n.treeVersion = version
+	return nil
+}
+
+// swapProcessLocked replaces the protocol process with one built over the
+// current tree. In-flight disseminations survive the swap: the new process
+// adopts the old buffers, seen-set and counters.
+func (n *Node) swapProcessLocked() error {
+	proc, err := core.BuildProcess(n.tree, n.cfg.Addr, n.coreConfig())
+	if err != nil {
+		return fmt.Errorf("node: rebuilding process: %w", err)
+	}
+	proc.AdoptState(n.proc)
+	n.proc = proc
+	n.treeSize = n.tree.Len()
 	return nil
 }
 

@@ -5,9 +5,11 @@ import (
 	"time"
 
 	"pmcast/internal/addr"
+	"pmcast/internal/core"
 	"pmcast/internal/event"
 	"pmcast/internal/interest"
 	"pmcast/internal/transport"
+	"pmcast/internal/wire"
 )
 
 // cluster spins up one node per address with the given subscription chooser
@@ -345,5 +347,48 @@ func TestLossyNetworkStillDelivers(t *testing.T) {
 			}
 			return got == events
 		}, "lossy delivery at "+n.Addr().String())
+	}
+}
+
+// TestBadDepthGossipDoesNotPoisonEvent: the wire codec cannot know the tree
+// depth, so a garbled or forged gossip can carry Depth 0 or > D. The protocol
+// rejects that copy; it must not also make the node drop every later valid
+// copy of the same event — bare or inside a round envelope.
+func TestBadDepthGossipDoesNotPoisonEvent(t *testing.T) {
+	space := addr.MustRegular(3, 2)
+	n, err := New(transport.MustNetwork(transport.Config{}), Config{
+		Addr: space.AddressAt(0), Space: space,
+		R: 2, F: 3, C: 2,
+		Subscription: subEq(1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	envelope := func(payload any) transport.Envelope {
+		return transport.Envelope{From: space.AddressAt(1), To: n.Addr(), Payload: payload}
+	}
+	for seq, wrap := range []func(core.Gossip) any{
+		func(g core.Gossip) any { return g },
+		func(g core.Gossip) any { return wire.Batch{Gossips: []core.Gossip{g}} },
+	} {
+		ev := event.NewBuilder().Int("b", 1).Build(event.ID{Origin: "x", Seq: uint64(seq + 1)})
+		for _, depth := range []int{0, space.Depth() + 1} {
+			n.HandleEnvelope(envelope(wrap(core.Gossip{Event: ev, Depth: depth, Rate: 1})))
+			select {
+			case got := <-n.Deliveries():
+				t.Fatalf("depth-%d gossip delivered %v", depth, got.ID())
+			default:
+			}
+		}
+		n.HandleEnvelope(envelope(wrap(core.Gossip{Event: ev, Depth: 1, Rate: 1})))
+		select {
+		case got := <-n.Deliveries():
+			if got.ID() != ev.ID() {
+				t.Errorf("delivered %v, want %v", got.ID(), ev.ID())
+			}
+		default:
+			t.Errorf("valid copy of %v dropped after a bad-depth copy", ev.ID())
+		}
 	}
 }

@@ -19,10 +19,8 @@ package node
 
 import (
 	"errors"
-	"fmt"
 
 	"pmcast/internal/addr"
-	"pmcast/internal/core"
 	"pmcast/internal/transport"
 )
 
@@ -110,14 +108,7 @@ func (n *Node) AdoptViewsFrom(donor *Node) error {
 	n.applied = make(map[string]appliedRecord)
 	n.appliedBase = appliedBase
 	n.treeVersion = n.mem.Version()
-	proc, err := core.BuildProcess(n.tree, n.cfg.Addr, n.coreConfig())
-	if err != nil {
-		return fmt.Errorf("node: rebuilding process: %w", err)
-	}
-	proc.AdoptState(n.proc)
-	n.proc = proc
-	n.treeSize = n.tree.Len()
-	return nil
+	return n.swapProcessLocked()
 }
 
 // TickGossip runs one gossip period (the protocol stage's gossip arm).

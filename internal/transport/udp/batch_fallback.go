@@ -19,9 +19,6 @@ var errUnsupported = errors.New("udp: kernel-batched I/O unavailable on this pla
 
 func newBatchIO(conn *net.UDPConn, cfg Config, maxDatagram int) *batchIO { return nil }
 
-func (b *batchIO) sendEnabled() bool { return false }
-func (b *batchIO) recvEnabled() bool { return false }
-
 func (b *batchIO) flush(frames []outFrame) (int64, int64, int64, error) {
 	return 0, 0, 0, errUnsupported
 }

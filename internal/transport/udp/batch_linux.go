@@ -131,12 +131,10 @@ type sendState struct {
 
 // batchIO is the kernel-batched datapath of one endpoint socket.
 type batchIO struct {
-	rc     syscall.RawConn
-	sendOn bool
-	recvOn bool
-	gso    bool
-	gro    bool
-	sock6  bool // socket family is AF_INET6: names must be v6(-mapped)
+	rc    syscall.RawConn
+	gso   bool
+	gro   bool
+	sock6 bool // socket family is AF_INET6: names must be v6(-mapped)
 
 	sendPool sync.Pool // *sendState
 
@@ -151,59 +149,50 @@ type batchIO struct {
 }
 
 // newBatchIO probes the socket and returns the batched datapath, or nil
-// when the configuration opts out entirely or the socket exposes no raw
-// access (the caller then keeps the portable path).
+// when the configuration opts out or the socket exposes no raw access (the
+// caller then keeps the portable path).
 func newBatchIO(conn *net.UDPConn, cfg Config, maxDatagram int) *batchIO {
-	if cfg.NoBatchSend && cfg.NoBatchRecv {
+	if cfg.Portable {
 		return nil
 	}
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return nil
 	}
-	b := &batchIO{
-		rc:     rc,
-		sendOn: !cfg.NoBatchSend,
-		recvOn: !cfg.NoBatchRecv,
-	}
+	b := &batchIO{rc: rc}
 	if la, ok := conn.LocalAddr().(*net.UDPAddr); ok {
 		b.sock6 = la.IP.To4() == nil
 	}
 	b.sendPool.New = func() any { return new(sendState) }
-	if b.sendOn && cfg.GSO {
+	if cfg.GSO {
 		b.gso = probeGSO(rc)
 	}
-	if b.recvOn {
-		if cfg.GRO {
-			b.gro = enableGRO(rc)
-		}
-		n := cfg.RecvBatch
-		b.rbufs = make([][]byte, n)
-		b.riovs = make([]iovec, n)
-		b.rhdrs = make([]mmsghdr, n)
-		b.rlens = make([]int, n)
-		b.rsegs = make([]int, n)
+	if cfg.GRO {
+		b.gro = enableGRO(rc)
+	}
+	n := cfg.RecvBatch
+	b.rbufs = make([][]byte, n)
+	b.riovs = make([]iovec, n)
+	b.rhdrs = make([]mmsghdr, n)
+	b.rlens = make([]int, n)
+	b.rsegs = make([]int, n)
+	if b.gro {
+		b.rctrls = make([][]byte, n)
+	}
+	for i := 0; i < n; i++ {
+		b.rbufs[i] = make([]byte, maxDatagram)
+		b.riovs[i] = iovec{base: &b.rbufs[i][0], len: uint64(maxDatagram)}
+		h := &b.rhdrs[i].hdr
+		h.iov = &b.riovs[i]
+		h.iovlen = 1
 		if b.gro {
-			b.rctrls = make([][]byte, n)
-		}
-		for i := 0; i < n; i++ {
-			b.rbufs[i] = make([]byte, maxDatagram)
-			b.riovs[i] = iovec{base: &b.rbufs[i][0], len: uint64(maxDatagram)}
-			h := &b.rhdrs[i].hdr
-			h.iov = &b.riovs[i]
-			h.iovlen = 1
-			if b.gro {
-				b.rctrls[i] = make([]byte, groCtrlSpace)
-				h.control = &b.rctrls[i][0]
-				h.controllen = groCtrlSpace
-			}
+			b.rctrls[i] = make([]byte, groCtrlSpace)
+			h.control = &b.rctrls[i][0]
+			h.controllen = groCtrlSpace
 		}
 	}
 	return b
 }
-
-func (b *batchIO) sendEnabled() bool { return b != nil && b.sendOn }
-func (b *batchIO) recvEnabled() bool { return b != nil && b.recvOn }
 
 // probeGSO checks that the kernel understands UDP_SEGMENT (4.18+) by
 // setting the socket-wide segment size to 0 (off) — harmless when it

@@ -150,7 +150,7 @@ func TestBatchedFallbackParity(t *testing.T) {
 		}
 		return collectFrames(t, b, want)
 	}
-	fallback := run(func(c *Config) { c.NoBatchSend = true; c.NoBatchRecv = true })
+	fallback := run(func(c *Config) { c.Portable = true })
 	batched := run(func(c *Config) { c.GSO = true; c.GRO = true })
 
 	if len(fallback) != len(batched) {

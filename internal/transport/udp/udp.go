@@ -133,17 +133,14 @@ type Config struct {
 	// malformed prefixes counted) here; payload decode failures are counted
 	// by whoever decodes.
 	DeferDecode bool
-	// NoBatchSend opts out of kernel-batched egress. By default, where the
-	// platform supports it (Linux amd64/arm64), SendMany flushes its whole
-	// queue with sendmmsg — one syscall per 64 datagrams — instead of one
-	// write syscall each. Single-message Send always uses the portable
+	// Portable opts out of the kernel-batched datapath and keeps the
+	// endpoint on the one-syscall-per-datagram path every platform has. By
+	// default, where the platform supports it (Linux amd64/arm64), SendMany
+	// flushes its whole queue with sendmmsg — one syscall per 64 datagrams —
+	// and the read loop fills a vector of RecvBatch pooled buffers with one
+	// recvmmsg per wakeup. Single-message Send always uses the portable
 	// path; frames and their per-link order are identical either way.
-	NoBatchSend bool
-	// NoBatchRecv opts out of kernel-batched ingress. By default, where
-	// supported, the read loop fills a vector of RecvBatch pooled buffers
-	// with one recvmmsg per wakeup instead of one read syscall per
-	// datagram.
-	NoBatchRecv bool
+	Portable bool
 	// RecvBatch is the recvmmsg vector width (default 32): how many
 	// datagrams one ingress syscall can drain. Each slot holds a
 	// MaxDatagram-sized buffer reused across syscalls.
@@ -223,8 +220,7 @@ type Transport struct {
 	recvDatagrams atomic.Int64
 	groSegments   atomic.Int64
 
-	batchSendOn atomic.Bool
-	batchRecvOn atomic.Bool
+	batchOn     atomic.Bool
 	readBufSize atomic.Int64
 	sendBufSize atomic.Int64
 }
@@ -295,12 +291,7 @@ func (t *Transport) Attach(a addr.Address) (transport.Endpoint, error) {
 	}
 	ep.bio = newBatchIO(conn, t.cfg, t.cfg.MaxDatagram)
 	if ep.bio != nil {
-		if ep.bio.sendEnabled() {
-			t.batchSendOn.Store(true)
-		}
-		if ep.bio.recvEnabled() {
-			t.batchRecvOn.Store(true)
-		}
+		t.batchOn.Store(true)
 	}
 
 	t.mu.Lock()
@@ -363,8 +354,8 @@ func (t *Transport) Stats() Stats {
 		RecvSyscalls:     t.recvSyscalls.Load(),
 		RecvDatagrams:    t.recvDatagrams.Load(),
 		GROSegments:      t.groSegments.Load(),
-		BatchSend:        t.batchSendOn.Load(),
-		BatchRecv:        t.batchRecvOn.Load(),
+		BatchSend:        t.batchOn.Load(),
+		BatchRecv:        t.batchOn.Load(),
 		ReadBufferBytes:  t.readBufSize.Load(),
 		WriteBufferBytes: t.sendBufSize.Load(),
 	}
@@ -569,7 +560,7 @@ func (e *endpoint) SendMany(msgs []transport.Outgoing) error {
 		return transport.ErrClosed
 	default:
 	}
-	if e.bio == nil || !e.bio.sendEnabled() {
+	if e.bio == nil {
 		var firstErr error
 		for _, m := range msgs {
 			if err := e.Send(m.To, m.Payload); err != nil && firstErr == nil {
@@ -683,7 +674,7 @@ func (e *endpoint) readLoop(maxDatagram int) {
 	if !e.tr.cfg.DeferDecode {
 		dec = wire.NewDecoder() // unused (and unallocated) when deferring
 	}
-	if e.bio != nil && e.bio.recvEnabled() {
+	if e.bio != nil {
 		for {
 			n, err := e.bio.recv()
 			if err != nil {

@@ -122,15 +122,6 @@ func WithAdaptiveFanout(boost int, lossThreshold float64) NodeOption {
 	}
 }
 
-// WithoutBatching disables the batched gossip pipeline: every gossip,
-// digest and heartbeat goes out as its own envelope. Batching is a pure
-// envelope-level aggregation (the per-peer sub-messages and their order are
-// identical either way), so this knob exists for A/B cost measurement, not
-// as a protocol variant.
-func WithoutBatching() NodeOption {
-	return func(c *NodeConfig) { c.NoBatch = true }
-}
-
 // WithWireMeasurement enables sender-side wire accounting: each outgoing
 // envelope's encoded size is summed into Node.WireStats. Costs one pooled
 // encode per envelope.
