@@ -105,13 +105,6 @@ func (a Address) Depth() int { return len(a.digits) }
 // slice.
 func (a Address) Digit(i int) int { return a.digits[i-1] }
 
-// Digits returns a copy of all components.
-func (a Address) Digits() []int {
-	d := make([]int, len(a.digits))
-	copy(d, a.digits)
-	return d
-}
-
 // IsZero reports whether the address is the empty (invalid) address.
 func (a Address) IsZero() bool { return len(a.digits) == 0 }
 
@@ -245,18 +238,6 @@ func NewPrefix(digits ...int) Prefix {
 	d := make([]int, len(digits))
 	copy(d, digits)
 	return Prefix{digits: d}
-}
-
-// ParsePrefix parses a dotted prefix; the empty string is the root prefix.
-func ParsePrefix(s string) (Prefix, error) {
-	if s == "" {
-		return Prefix{}, nil
-	}
-	a, err := Parse(s)
-	if err != nil {
-		return Prefix{}, err
-	}
-	return Prefix{digits: a.digits}, nil
 }
 
 // Depth returns the subgroup depth the prefix denotes: len+1, so the root

@@ -13,7 +13,7 @@ import (
 	"pmcast/internal/harness"
 )
 
-// FrontierPoint is one (loss, fan-out, redundancy) cell of the sweep.
+// FrontierPoint is one (loss, fan-out, redundancy) cell of the frontier.
 type FrontierPoint struct {
 	// Scenario and Seed identify the campaign; every field below is
 	// deterministic for the pair.
@@ -38,71 +38,6 @@ type FrontierPoint struct {
 	// FECRecoveries is how many gossips the decoder reconstructed instead
 	// of waiting out a retransmission.
 	FECRecoveries int64 `json:"fec_recoveries"`
-}
-
-// FrontierOptions tunes the sweep.
-type FrontierOptions struct {
-	// Scenario names the base campaign (default frontier64 — the churn-free
-	// soak64 variant, so the loss axis is the only fault source and cells
-	// compare cleanly; soak256 is the acceptance size).
-	Scenario string
-	// Seed seeds every run (default 1).
-	Seed int64
-	// Losses is the ambient loss axis (default 0.20, 0.30, 0.40 — the
-	// regime where coding pays; below that the uncoded protocol is already
-	// near-perfect and repairs are dead weight).
-	Losses []float64
-	// FanOuts is the gossip fan-out axis (default 4, 6, 7).
-	FanOuts []int
-	// Repairs is the redundancy axis (default 0, 2).
-	Repairs []int
-	// K is the generation size (default 8).
-	K int
-}
-
-func (o FrontierOptions) withDefaults() FrontierOptions {
-	if o.Scenario == "" {
-		o.Scenario = "frontier64"
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if len(o.Losses) == 0 {
-		o.Losses = []float64{0.20, 0.30, 0.40}
-	}
-	if len(o.FanOuts) == 0 {
-		o.FanOuts = []int{4, 6, 7}
-	}
-	if len(o.Repairs) == 0 {
-		o.Repairs = []int{0, 2}
-	}
-	if o.K <= 0 {
-		o.K = 8
-	}
-	return o
-}
-
-// FrontierSweep runs the loss × fan-out × redundancy grid and returns one
-// point per cell, in sweep order (loss-major, then fan-out, then r).
-func FrontierSweep(o FrontierOptions) ([]FrontierPoint, error) {
-	o = o.withDefaults()
-	base, err := harness.Lookup(o.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	points := make([]FrontierPoint, 0, len(o.Losses)*len(o.FanOuts)*len(o.Repairs))
-	for _, loss := range o.Losses {
-		for _, f := range o.FanOuts {
-			for _, r := range o.Repairs {
-				p, err := FrontierPointAt(base, o.Seed, loss, f, o.K, r)
-				if err != nil {
-					return nil, err
-				}
-				points = append(points, p)
-			}
-		}
-	}
-	return points, nil
 }
 
 // FrontierPointAt measures one cell: the base scenario re-parameterized to

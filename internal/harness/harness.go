@@ -248,23 +248,30 @@ type run struct {
 
 	// shadow is the MeasureSummaryFPR oracle: a membership tree mirroring
 	// the fleet's churn and flux, queried (never gossiped through) at each
-	// publish. evClass, evInterested and evReached record the publish-time
-	// class, interested count and summary-path reach per event.
-	shadow       *tree.Tree
-	evClass      map[event.ID]int64
-	evInterested map[event.ID]int
-	evReached    map[event.ID]int
-	evObj        map[event.ID]event.Event
+	// publish.
+	shadow *tree.Tree
 
 	trace     bytes.Buffer
 	delivered map[string][]event.ID
-	pubOrder  []event.ID
-	pubAt     map[event.ID]int64
-	latNanos  []int64 // delivery latencies of traced (event, node) pairs
-	eligible  map[event.ID]map[string]bool
-	gotEvent  map[event.ID]map[string]bool
+	pubOrder  []*published            // in publish order
+	events    map[event.ID]*published // the same records, by ID
+	latNanos  []int64                 // delivery latencies of traced (event, node) pairs
 
 	report Report
+}
+
+// published is what the run knows about one event: the publish-time facts,
+// fixed by exec, and the two sets that move afterwards.
+type published struct {
+	ev         event.Event
+	at         int64 // virtual nanoseconds since the run's start
+	class      int64
+	interested int // processes eligible at publish time
+	reached    int // summary-path reach at publish time (shadow runs only)
+	// eligible holds the interested processes still expected to deliver: a
+	// crash, or a flux away from the event, removes a process from it.
+	eligible map[string]bool
+	got      map[string]bool // processes that delivered
 }
 
 // Run executes the scenario under the given seed and returns its result.
@@ -331,13 +338,7 @@ func (s Scenario) run(seed int64, afterInstant func(*run, int, time.Time)) (*Res
 		afterInstant: afterInstant,
 		nextFresh:    sc.Nodes,
 		delivered:    make(map[string][]event.ID),
-		pubAt:        make(map[event.ID]int64),
-		eligible:     make(map[event.ID]map[string]bool),
-		gotEvent:     make(map[event.ID]map[string]bool),
-		evClass:      make(map[event.ID]int64),
-		evInterested: make(map[event.ID]int),
-		evReached:    make(map[event.ID]int),
-		evObj:        make(map[event.ID]event.Event),
+		events:       make(map[event.ID]*published),
 	}
 	r.report.Scenario = sc.Name
 	r.report.Seed = seed
@@ -596,22 +597,25 @@ func (r *run) exec(op Op) {
 			}
 			r.report.Published++
 			ev := event.New(id, attrs)
-			r.pubOrder = append(r.pubOrder, id)
-			r.pubAt[id] = at.Nanoseconds()
 			elig := make(map[string]bool)
 			for _, o := range r.handles {
 				if o != nil && o.alive && o.sub.Matches(ev) {
 					elig[o.key] = true
 				}
 			}
-			r.eligible[id] = elig
-			r.gotEvent[id] = make(map[string]bool)
-			r.evClass[id] = class
-			r.evInterested[id] = len(elig)
-			r.evObj[id] = ev
-			if r.shadow != nil {
-				r.evReached[id] = r.shadow.MatchReach(ev)
+			pub := &published{
+				ev:         ev,
+				at:         at.Nanoseconds(),
+				class:      class,
+				interested: len(elig),
+				eligible:   elig,
+				got:        make(map[string]bool),
 			}
+			if r.shadow != nil {
+				pub.reached = r.shadow.MatchReach(ev)
+			}
+			r.pubOrder = append(r.pubOrder, pub)
+			r.events[id] = pub
 			// The publisher's self-delivery sits in its channel until its
 			// worker pumps it when this instant closes.
 			r.eng.touch(int32(h.index))
@@ -627,8 +631,8 @@ func (r *run) exec(op Op) {
 			// A crashed process delivers nothing further: it leaves every
 			// event's eligible set (a rejoin is a new process and old
 			// events' gossip has expired by then).
-			for _, set := range r.eligible {
-				delete(set, h.key)
+			for _, pub := range r.pubOrder {
+				delete(pub.eligible, h.key)
 			}
 			if r.shadow != nil {
 				_ = r.shadow.Remove(h.a)
@@ -682,9 +686,6 @@ func (r *run) exec(op Op) {
 			r.report.Joins++
 		}
 		logf("join %d fresh nodes: %s", len(joined), keysOf(joined))
-	case OpSetLoss:
-		r.fabric.SetLoss(op.Loss)
-		logf("set-loss %.3f", op.Loss)
 	case OpIsolate:
 		victims := r.pickAlive(op.Count)
 		for _, v := range victims {
@@ -718,9 +719,9 @@ func (r *run) exec(op Op) {
 			// every event its new subscription no longer matches (it will
 			// never deliver them). Events the new interest does match keep
 			// their eligibility rules from publish time.
-			for id, set := range r.eligible {
-				if set[h.key] && !sub.Matches(r.evObj[id]) {
-					delete(set, h.key)
+			for _, pub := range r.pubOrder {
+				if pub.eligible[h.key] && !sub.Matches(pub.ev) {
+					delete(pub.eligible, h.key)
 				}
 			}
 			if r.shadow != nil {
@@ -931,17 +932,17 @@ func (r *run) finish(wallStart time.Time) {
 	evs := 0
 	totReached, totFalseP := 0, 0
 	r.report.MinReliability = 1
-	for _, id := range r.pubOrder {
-		elig := r.eligible[id]
+	for _, pub := range r.pubOrder {
+		id, elig := pub.ev.ID(), pub.eligible
 		er := EventReport{
 			ID:          fmt.Sprintf("%s#%d", id.Origin, id.Seq),
-			PublishedAt: r.pubAt[id],
-			Class:       r.evClass[id],
+			PublishedAt: pub.at,
+			Class:       pub.class,
 			Eligible:    len(elig),
-			Reached:     r.evReached[id],
+			Reached:     pub.reached,
 		}
 		for key := range elig {
-			if r.gotEvent[id][key] {
+			if pub.got[key] {
 				er.Delivered++
 			}
 		}
@@ -956,7 +957,7 @@ func (r *run) finish(wallStart time.Time) {
 		// False positives compare reach and interest both at publish time —
 		// the eligible map shrinks when interested members crash later, so
 		// len(elig) here would overstate the surplus.
-		fp := er.Reached - r.evInterested[id]
+		fp := er.Reached - pub.interested
 		if fp < 0 {
 			fp = 0
 		}

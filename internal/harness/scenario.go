@@ -173,8 +173,6 @@ const (
 	// OpJoin brings Count brand-new nodes (fresh addresses) into the fleet
 	// through the join protocol.
 	OpJoin OpKind = "join"
-	// OpSetLoss sets the fabric loss probability to Loss.
-	OpSetLoss OpKind = "set-loss"
 	// OpIsolate partitions Count random alive nodes from everyone.
 	OpIsolate OpKind = "isolate"
 	// OpHeal removes every partition rule.
@@ -195,8 +193,6 @@ type Op struct {
 	Count int
 	// Class is the published/re-subscribed class; −1 picks at random.
 	Class int64
-	// Loss is the new loss probability for OpSetLoss.
-	Loss float64
 }
 
 // The fluent schedule builders below make scenario definitions read like a
@@ -235,12 +231,6 @@ func (s *Scenario) RejoinAt(at time.Duration, count int) *Scenario {
 // JoinAt schedules count fresh joiners.
 func (s *Scenario) JoinAt(at time.Duration, count int) *Scenario {
 	s.Ops = append(s.Ops, Op{At: at, Kind: OpJoin, Count: count})
-	return s
-}
-
-// SetLossAt schedules a change of the ambient loss probability.
-func (s *Scenario) SetLossAt(at time.Duration, p float64) *Scenario {
-	s.Ops = append(s.Ops, Op{At: at, Kind: OpSetLoss, Loss: p})
 	return s
 }
 

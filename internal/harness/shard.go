@@ -507,11 +507,9 @@ func (eng *shardEngine) mergeDeliveries() {
 			fmt.Fprintf(&r.trace, "%d %s %s#%d\n", rec.key.whenNs, h.key, id.Origin, id.Seq)
 			r.delivered[h.key] = append(r.delivered[h.key], id)
 			r.report.Delivered++
-			if set, ok := r.gotEvent[id]; ok {
-				set[h.key] = true
-			}
-			if at, ok := r.pubAt[id]; ok {
-				r.latNanos = append(r.latNanos, rec.key.whenNs-at)
+			if pub, ok := r.events[id]; ok {
+				pub.got[h.key] = true
+				r.latNanos = append(r.latNanos, rec.key.whenNs-pub.at)
 			}
 		}
 	}

@@ -179,15 +179,6 @@ func (m *CompiledMatcher) Fingerprint() string {
 // IsMatchAll reports whether the matcher accepts every event.
 func (m *CompiledMatcher) IsMatchAll() bool { return m != nil && m.matchAll }
 
-// NumDisjuncts returns the number of compiled conjunctions (0 for match-all
-// and match-nothing).
-func (m *CompiledMatcher) NumDisjuncts() int {
-	if m == nil {
-		return 0
-	}
-	return len(m.disjuncts)
-}
-
 // Fingerprint returns the canonical identity of the subscription's matched
 // language: the wire encoding, which is already canonical (criteria sorted
 // by attribute, interval sets normalized, string sets sorted and deduped).

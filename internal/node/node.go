@@ -217,15 +217,12 @@ type Node struct {
 	mu   sync.Mutex
 	rng  *rand.Rand
 	proc *core.Process
-	tree *tree.Tree
-	// applied is the node's own fold bookkeeping; appliedBase, when non-nil,
-	// is a frozen table shared with sibling nodes adopted from one donor
-	// (AdoptViewsFrom) — read-only by contract, shadowed by applied. The
-	// split is what keeps co-hosted fleets affordable: n nodes sharing one
-	// bootstrap fold hold one table plus n overlays instead of n copies.
-	applied          map[string]appliedRecord
-	appliedBase      map[string]appliedRecord
-	treeSize         int
+	// tree is the node's fold ledger as well as its view source: what has
+	// been folded in is exactly what the tree holds, so rebuildLocked asks
+	// the tree instead of keeping a table beside it. Copy-on-write clones
+	// (AdoptViewsFrom) keep co-hosted fleets affordable: n nodes sharing one
+	// bootstrap fold hold one trie plus the paths each has since touched.
+	tree             *tree.Tree
 	treeVersion      uint64
 	deliveriesClosed bool
 
@@ -1073,27 +1070,6 @@ func (n *Node) coreConfig() core.Config {
 	return cfg
 }
 
-// appliedRecord remembers the membership line last folded into the tree, so
-// rebuilds only touch what actually moved.
-type appliedRecord struct {
-	stamp uint64
-	alive bool
-	sub   interest.Identity
-}
-
-// appliedLookupLocked reads the fold bookkeeping through the own-then-base
-// overlay (see the applied/appliedBase fields).
-func (n *Node) appliedLookupLocked(key string) (appliedRecord, bool) {
-	if v, ok := n.applied[key]; ok {
-		return v, true
-	}
-	if n.appliedBase != nil {
-		v, ok := n.appliedBase[key]
-		return v, ok
-	}
-	return appliedRecord{}, false
-}
-
 // rebuildLocked folds membership changes into the node's persistent tree
 // incrementally — tree.ApplyDelta recomputes only the affected prefixes —
 // and rebuilds the protocol process over the updated views. A full
@@ -1111,40 +1087,36 @@ func (n *Node) rebuildLocked() error {
 			return fmt.Errorf("node: building tree: %w", err)
 		}
 		n.tree = t
-		n.applied = make(map[string]appliedRecord)
-		n.appliedBase = nil // a fresh fold must revisit every record
 	}
+	// The tree is the ledger of what was folded: a record moves it only
+	// where the two disagree. A stamp-only bump (e.g. a propagating
+	// self-defense resurrection) and a tombstone for a process never folded
+	// in therefore fall through.
 	var delta tree.Delta
 	fold := func(r membership.Record) {
-		key := r.Addr.Key()
-		prev, ok := n.appliedLookupLocked(key)
-		if ok && prev.stamp == r.Stamp && prev.alive == r.Alive {
-			return
-		}
-		sub := r.Sub.Identity()
+		m, present := n.tree.Member(r.Addr)
 		switch {
-		case r.Alive && (!ok || !prev.alive):
+		case r.Alive && !present:
 			delta.Add = append(delta.Add, tree.Member{Addr: r.Addr, Sub: r.Sub})
-		case r.Alive && prev.sub != sub:
-			// Same liveness, new stamp, differently encoded interests:
-			// re-fold them.
+		case r.Alive && m.Sub.Identity() != r.Sub.Identity():
 			delta.Update = append(delta.Update, tree.Member{Addr: r.Addr, Sub: r.Sub})
-		case r.Alive:
-			// A stamp-only bump (e.g. a propagating self-defense
-			// resurrection): the folded state is already right.
-		case ok && prev.alive:
+		case !r.Alive && present:
 			delta.Remove = append(delta.Remove, r.Addr)
-		default:
-			// A tombstone for a process never folded in: nothing to undo.
 		}
-		n.applied[key] = appliedRecord{stamp: r.Stamp, alive: r.Alive, sub: sub}
 	}
 	// The membership changelog names exactly the lines that moved since the
 	// last fold. A fresh fold (first build, or recovery after a failed
-	// ApplyDelta dropped the bookkeeping) and a changelog that no longer
-	// reaches back (overflow) both rescan the whole table instead.
+	// ApplyDelta dropped the tree) and a changelog that no longer reaches
+	// back (overflow) both rescan the whole table instead.
 	if keys, ok := n.mem.ChangesSince(n.treeVersion); ok && !freshFold {
+		// The changelog repeats a key that moved twice, and the tree does
+		// not move until ApplyDelta: fold each key at its first mention.
+		folded := make(map[string]struct{}, len(keys))
 		for _, key := range keys {
+			if _, dup := folded[key]; dup {
+				continue
+			}
+			folded[key] = struct{}{}
 			if r, found := n.mem.LookupKey(key); found {
 				fold(r)
 			}
@@ -1155,14 +1127,10 @@ func (n *Node) rebuildLocked() error {
 	changed := len(delta.Add)+len(delta.Update)+len(delta.Remove) > 0
 	if changed {
 		if err := n.tree.ApplyDelta(delta); err != nil {
-			// The fold bookkeeping (n.applied) already advanced past records
-			// a partially-applied delta may not hold; drop the whole fold so
-			// the next rebuild starts from scratch instead of silently
-			// gossiping on a desynced tree (ApplyDelta documents partial
-			// application as fatal).
+			// ApplyDelta documents partial application as fatal: drop the
+			// tree so the next rebuild folds from scratch instead of
+			// silently gossiping on a desynced one.
 			n.tree = nil
-			n.applied = nil
-			n.appliedBase = nil
 			return fmt.Errorf("node: updating tree: %w", err)
 		}
 	}
@@ -1185,7 +1153,6 @@ func (n *Node) swapProcessLocked() error {
 	}
 	proc.AdoptState(n.proc)
 	n.proc = proc
-	n.treeSize = n.tree.Len()
 	return nil
 }
 

@@ -8,7 +8,9 @@ import (
 	"pmcast/internal/core"
 	"pmcast/internal/event"
 	"pmcast/internal/interest"
+	"pmcast/internal/membership"
 	"pmcast/internal/transport"
+	"pmcast/internal/tree"
 	"pmcast/internal/wire"
 )
 
@@ -390,5 +392,71 @@ func TestBadDepthGossipDoesNotPoisonEvent(t *testing.T) {
 		default:
 			t.Errorf("valid copy of %v dropped after a bad-depth copy", ev.ID())
 		}
+	}
+}
+
+// TestRebuildFoldsRepeatedChangelogKeyOnce: the changelog names a key once
+// per change, and the tree — the only record of what was folded — does not
+// move until ApplyDelta. A key that changed twice between rebuilds must be
+// folded once, from its current record: a join followed by a stamp bump is
+// one Add (two would be a duplicate member), two fluxes are one Update, and
+// a join followed by a leave is nothing at all.
+func TestRebuildFoldsRepeatedChangelogKeyOnce(t *testing.T) {
+	space := addr.MustRegular(3, 2)
+	n, err := New(transport.MustNetwork(transport.Config{}), Config{
+		Addr: space.AddressAt(0), Space: space,
+		R: 2, F: 3, C: 2,
+		Subscription: subEq(1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	self, peer, ghost := n.Addr(), space.AddressAt(4), space.AddressAt(7)
+	apply := func(r membership.Record) {
+		t.Helper()
+		if n.Membership().Apply(membership.Update{From: r.Addr, Records: []membership.Record{r}}) != 1 {
+			t.Fatalf("record %s@%d did not apply", r.Addr, r.Stamp)
+		}
+	}
+	// rebuild checks that a actually repeats in the pending changelog, folds
+	// it, and returns the tree's answer for a.
+	rebuild := func(a addr.Address) (tree.Member, bool) {
+		t.Helper()
+		keys, ok := n.Membership().ChangesSince(n.treeVersion)
+		if !ok {
+			t.Fatal("changelog does not reach back to the last fold")
+		}
+		mentions := 0
+		for _, k := range keys {
+			if k == a.Key() {
+				mentions++
+			}
+		}
+		if mentions < 2 {
+			t.Fatalf("%s is mentioned %d times in %v; the test needs a repeat", a, mentions, keys)
+		}
+		if err := n.WarmViews(); err != nil {
+			t.Fatalf("rebuild with %s repeated: %v", a, err)
+		}
+		return n.tree.Member(a)
+	}
+
+	apply(membership.Record{Addr: peer, Sub: subEq(2), Stamp: 1, Alive: true})
+	apply(membership.Record{Addr: peer, Sub: subEq(2), Stamp: 2, Alive: true})
+	if m, ok := rebuild(peer); !ok || m.Sub.Identity() != subEq(2).Identity() || n.tree.Len() != 2 {
+		t.Errorf("join + stamp bump: member %v (present %v), tree holds %d; want the peer once", m, ok, n.tree.Len())
+	}
+
+	n.Subscribe(subEq(3))
+	n.Subscribe(subEq(4))
+	if m, ok := rebuild(self); !ok || m.Sub.Identity() != subEq(4).Identity() {
+		t.Errorf("two fluxes: tree holds %v (present %v); want the last subscription", m, ok)
+	}
+
+	apply(membership.Record{Addr: ghost, Sub: subEq(5), Stamp: 1, Alive: true})
+	apply(membership.Record{Addr: ghost, Stamp: 2, Alive: false})
+	if _, ok := rebuild(ghost); ok || n.tree.Len() != 2 {
+		t.Errorf("join + leave: ghost present %v, tree holds %d; want it never folded", ok, n.tree.Len())
 	}
 }

@@ -77,26 +77,6 @@ func (n *Node) AdoptViewsFrom(donor *Node) error {
 	}
 	donorHash := donor.mem.RosterHash()
 	clone := donor.tree.Clone()
-	// Freeze the donor's fold bookkeeping into a shared read-only base so
-	// every recipient holds a pointer instead of an O(roster) copy. The
-	// donor itself keeps writing to a fresh (empty) own map from here on;
-	// nobody mutates the frozen table again.
-	if len(donor.applied) > 0 {
-		if donor.appliedBase == nil {
-			donor.appliedBase = donor.applied
-		} else {
-			merged := make(map[string]appliedRecord, len(donor.appliedBase)+len(donor.applied))
-			for k, v := range donor.appliedBase {
-				merged[k] = v
-			}
-			for k, v := range donor.applied {
-				merged[k] = v
-			}
-			donor.appliedBase = merged
-		}
-		donor.applied = make(map[string]appliedRecord)
-	}
-	appliedBase := donor.appliedBase
 	donor.mu.Unlock()
 
 	n.mu.Lock()
@@ -105,8 +85,6 @@ func (n *Node) AdoptViewsFrom(donor *Node) error {
 		return errors.New("node: donor roster differs")
 	}
 	n.tree = clone
-	n.applied = make(map[string]appliedRecord)
-	n.appliedBase = appliedBase
 	n.treeVersion = n.mem.Version()
 	return n.swapProcessLocked()
 }

@@ -124,7 +124,9 @@ func TestFoldCacheSharing(t *testing.T) {
 // batches) drive them apart. After every step the mutated tree must be
 // indistinguishable — same summary in the same disjunct order, same compiled
 // language, same delegates and counts at every prefix — from a tree built
-// from scratch over the same members with a private, unbounded cache.
+// from scratch over the same members with a private, unbounded cache. It is
+// also the clone-isolation property: a change to one tree never shows in the
+// member answers of the trees it shares nodes with.
 func TestFoldIdentitiesExactUnderSweeps(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	// More distinct interests than the summary bound, so folds regroup
@@ -182,6 +184,11 @@ func TestFoldIdentitiesExactUnderSweeps(t *testing.T) {
 				t.Fatal(err)
 			}
 			compareTries(t, tr, ref, addr.Root(), space)
+			// The step changed one tree: every tree — the two it shares trie
+			// nodes with included — must still answer from its own model.
+			for i := range trees {
+				checkMembers(t, trees[i], models[i], space)
+			}
 			if t.Failed() {
 				t.Fatalf("trial %d diverged at step %d (%d members)", trial, step, len(members))
 			}
@@ -204,6 +211,40 @@ func applyEither(tr *Tree, d Delta) error {
 		return tr.Remove(d.Remove[0])
 	}
 	return tr.ApplyDelta(d)
+}
+
+// checkMembers holds the tree's member answers — Len, Member, Members and
+// leaf-depth IsDelegate — against the model of what was put into it.
+func checkMembers(t *testing.T, tr *Tree, model map[int]interest.Subscription, space addr.Space) {
+	t.Helper()
+	if tr.Len() != len(model) {
+		t.Errorf("Len %d, model holds %d", tr.Len(), len(model))
+	}
+	var want []addr.Address
+	for idx := 0; idx < space.Capacity(); idx++ { // index order is address order
+		a := space.AddressAt(idx)
+		sub, present := model[idx]
+		m, ok := tr.Member(a)
+		if ok != present || tr.IsDelegate(a, tr.Depth()) != present {
+			t.Errorf("%s: Member %v, leaf IsDelegate %v, model %v", a, ok, tr.IsDelegate(a, tr.Depth()), present)
+		}
+		if present {
+			want = append(want, a)
+			if ok && m.Sub.Identity() != sub.Identity() {
+				t.Errorf("%s: Member holds %s, model %s", a, m.Sub, sub)
+			}
+		}
+	}
+	got := tr.Members()
+	if len(got) != len(want) {
+		t.Errorf("Members lists %d, model holds %d", len(got), len(want))
+		return
+	}
+	for i, m := range got {
+		if !m.Addr.Equal(want[i]) {
+			t.Errorf("Members[%d] = %s, want %s (address order)", i, m.Addr, want[i])
+		}
+	}
 }
 
 // compareTries checks got against want at p and every populated prefix

@@ -192,19 +192,13 @@ func kidsEqual(a, b []kidSig) bool {
 type Tree struct {
 	cfg      Config
 	election ElectionStrategy
-	root     *node
+	// root is the trie, and the trie is the only member index: a member is
+	// the leaf its address descends to, copy-on-write like every other node,
+	// so a harness co-hosting 64k processes over one bootstrap roster holds
+	// the members once, not 64k times.
+	root *node
 	// tok is the tree's current ownership token (see ownerTok).
 	tok *ownerTok
-	// The member table is copy-on-write across clones: membersBase is the
-	// frozen table shared with (and by) clones — its *Member values are
-	// immutable — while members holds this tree's own entries (shadowing
-	// base keys) and membersDead the base keys removed here. A harness
-	// co-hosting 64k processes over one bootstrap roster holds the table
-	// once, not 64k times.
-	membersBase map[string]*Member
-	members     map[string]*Member
-	membersDead map[string]struct{}
-	nMembers    int
 	// compiler interns compiled summaries by fingerprint. Clones share it,
 	// so a harness fleet folding the same roster compiles each distinct
 	// interest language once per process population, not once per node.
@@ -413,47 +407,38 @@ func New(cfg Config) (*Tree, error) {
 	}
 	tok := new(ownerTok)
 	return &Tree{
-		cfg:         cfg,
-		election:    el,
-		tok:         tok,
-		root:        &node{prefix: addr.Root(), children: make(map[int]*node), owner: tok},
-		members:     make(map[string]*Member),
-		membersDead: make(map[string]struct{}),
-		compiler:    interest.NewCompilerBounded(cfg.CompilerBound),
-		folds:       newFoldCache(cfg.FoldCacheBound),
+		cfg:      cfg,
+		election: el,
+		tok:      tok,
+		root:     &node{prefix: addr.Root(), children: make(map[int]*node), owner: tok},
+		compiler: interest.NewCompilerBounded(cfg.CompilerBound),
+		folds:    newFoldCache(cfg.FoldCacheBound),
 	}, nil
 }
 
-// lookupMember resolves a member through the copy-on-write table: own
-// entries shadow the shared base, removals mask it. Returned pointers into
-// the base are immutable; mutate through updateMemberRaw only.
-func (t *Tree) lookupMember(key string) *Member {
-	if m, ok := t.members[key]; ok {
-		return m
+// lookupMember descends to the address's leaf; nil when the address is not
+// a member (or is not a full-depth address of this tree). The returned
+// value may be shared with clones: replace it through updateMemberRaw, never
+// write through it.
+func (t *Tree) lookupMember(a addr.Address) *Member {
+	if a.Depth() != t.Depth() {
+		return nil
 	}
-	if t.membersBase != nil {
-		if _, dead := t.membersDead[key]; !dead {
-			if m, ok := t.membersBase[key]; ok {
-				return m
-			}
-		}
+	n := t.lookup(a.Prefix(t.Depth() + 1))
+	if n == nil {
+		return nil
 	}
-	return nil
+	return n.member
 }
 
-// visitMembers calls fn for every current member in unspecified order.
-func (t *Tree) visitMembers(fn func(*Member)) {
-	for _, m := range t.members {
-		fn(m)
+// visitMembers calls fn for every member under n in address order.
+func visitMembers(n *node, fn func(*Member)) {
+	if n.member != nil {
+		fn(n.member)
+		return
 	}
-	for k, m := range t.membersBase {
-		if _, dead := t.membersDead[k]; dead {
-			continue
-		}
-		if _, shadowed := t.members[k]; shadowed {
-			continue
-		}
-		fn(m)
+	for _, digit := range sortedDigits(n.children) {
+		visitMembers(n.children[digit], fn)
 	}
 }
 
@@ -538,14 +523,9 @@ func (t *Tree) insertRaw(m Member) error {
 	if err := t.cfg.Space.Validate(m.Addr); err != nil {
 		return fmt.Errorf("%w: %v", ErrSpaceMismatch, err)
 	}
-	key := m.Addr.Key()
-	if t.lookupMember(key) != nil {
+	if t.lookupMember(m.Addr) != nil {
 		return fmt.Errorf("%w: %s", ErrDuplicateMember, m.Addr)
 	}
-	stored := m
-	t.members[key] = &stored
-	delete(t.membersDead, key)
-	t.nMembers++
 	n := t.ownRoot()
 	for i := 1; i <= t.Depth(); i++ {
 		digit := m.Addr.Digit(i)
@@ -556,7 +536,7 @@ func (t *Tree) insertRaw(m Member) error {
 		}
 		n = child
 	}
-	n.member = &stored
+	n.member = &m
 	return nil
 }
 
@@ -579,11 +559,11 @@ func (t *Tree) R() int { return t.cfg.R }
 func (t *Tree) Space() addr.Space { return t.cfg.Space }
 
 // Len returns the current number of members.
-func (t *Tree) Len() int { return t.nMembers }
+func (t *Tree) Len() int { return t.root.count }
 
 // Member returns the member with the given address.
 func (t *Tree) Member(a addr.Address) (Member, bool) {
-	m := t.lookupMember(a.Key())
+	m := t.lookupMember(a)
 	if m == nil {
 		return Member{}, false
 	}
@@ -592,111 +572,50 @@ func (t *Tree) Member(a addr.Address) (Member, bool) {
 
 // Members returns all members sorted by address.
 func (t *Tree) Members() []Member {
-	out := make([]Member, 0, t.nMembers)
-	t.visitMembers(func(m *Member) { out = append(out, *m) })
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr.Less(out[j].Addr) })
+	out := make([]Member, 0, t.Len())
+	visitMembers(t.root, func(m *Member) { out = append(out, *m) })
 	return out
 }
 
-// Clone returns an independent copy of the tree in O(1): trie nodes and the
-// member table are shared copy-on-write. The donor's ownership token is
-// swapped so every node it held becomes read-only to both trees; whichever
-// tree mutates a shared node next copies just the touched root path
-// (shallow, children maps excluded from aggregates). Summaries, delegate
-// slices and *Member values are immutable-by-convention exactly as before —
-// recomputation replaces them wholesale. The point at fleet scale: 64k
+// Clone returns an independent copy of the tree in O(1): the whole trie —
+// members included, they are its leaves — is shared copy-on-write. The
+// donor's ownership token is swapped so every node it held becomes read-only
+// to both trees; whichever tree mutates a shared node next copies just the
+// touched root path (shallow, children maps excluded from aggregates).
+// Summaries, delegate slices and *Member values are immutable-by-convention
+// — recomputation replaces them wholesale. The point at fleet scale: 64k
 // co-hosted processes adopting one bootstrap fold hold ONE trie, and each
 // diverges only by the paths its own membership changes touch.
 func (t *Tree) Clone() *Tree {
-	// Freeze the member table into a fresh shared base if this tree mutated
-	// it since the last freeze.
-	if len(t.members) > 0 || len(t.membersDead) > 0 {
-		base := make(map[string]*Member, t.nMembers)
-		for k, m := range t.membersBase {
-			if _, dead := t.membersDead[k]; dead {
-				continue
-			}
-			if _, shadowed := t.members[k]; shadowed {
-				continue
-			}
-			base[k] = m
-		}
-		for k, m := range t.members {
-			base[k] = m
-		}
-		t.membersBase = base
-		t.members = make(map[string]*Member)
-		t.membersDead = make(map[string]struct{})
-	}
 	// Disown every node the donor held: both trees now copy-on-write.
 	t.tok = new(ownerTok)
 	return &Tree{
-		cfg:         t.cfg,
-		election:    t.election,
-		tok:         new(ownerTok),
-		root:        t.root,
-		membersBase: t.membersBase,
-		members:     make(map[string]*Member),
-		membersDead: make(map[string]struct{}),
-		nMembers:    t.nMembers,
-		compiler:    t.compiler,
-		folds:       t.folds,
+		cfg:      t.cfg,
+		election: t.election,
+		tok:      new(ownerTok),
+		root:     t.root,
+		compiler: t.compiler,
+		folds:    t.folds,
 	}
 }
 
 // Add inserts a member and recomputes delegates, counts and summaries along
 // its root path.
-func (t *Tree) Add(m Member) error {
-	if err := t.insertRaw(m); err != nil {
-		return err
-	}
-	// insertRaw owned/created the whole path; re-walk it for the recompute.
-	n := t.root
-	path := []*node{n}
-	for i := 1; i <= t.Depth(); i++ {
-		n = n.children[m.Addr.Digit(i)]
-		path = append(path, n)
-	}
-	t.recomputePath(path)
-	return nil
-}
+func (t *Tree) Add(m Member) error { return t.ApplyDelta(Delta{Add: []Member{m}}) }
 
 // Remove deletes a member (leave or exclusion after failure detection) and
 // recomputes its surviving root path.
-func (t *Tree) Remove(a addr.Address) error {
-	if err := t.removeRaw(a); err != nil {
-		return err
-	}
-	// Recompute what remains of the root path after pruning.
-	n := t.root
-	path := []*node{n}
-	for i := 1; i <= t.Depth(); i++ {
-		child, ok := n.children[a.Digit(i)]
-		if !ok {
-			break
-		}
-		n = child
-		path = append(path, n)
-	}
-	t.recomputePath(path)
-	return nil
-}
+func (t *Tree) Remove(a addr.Address) error { return t.ApplyDelta(Delta{Remove: []addr.Address{a}}) }
 
 // UpdateSubscription replaces a member's interests and refreshes summaries
 // on its root path.
 func (t *Tree) UpdateSubscription(a addr.Address, sub interest.Subscription) error {
-	path, err := t.updateMemberRaw(a, sub)
-	if err != nil {
-		return err
-	}
-	t.recomputePath(path)
-	return nil
+	return t.ApplyDelta(Delta{Update: []Member{{Addr: a, Sub: sub}}})
 }
 
 // Delta is a batch of membership changes applied with a single bottom-up
-// recompute of the touched prefixes. Applying a wave of k changes through
-// Add/Remove/UpdateSubscription recomputes every ancestor once per change;
-// ApplyDelta recomputes each dirty prefix exactly once, which is what keeps
+// recompute of the touched prefixes: each dirty prefix is recomputed exactly
+// once however many of the batch's changes lie under it, which is what keeps
 // fleet-scale churn (and the initial population of a large tree) cheap.
 type Delta struct {
 	Add    []Member
@@ -744,7 +663,7 @@ func (t *Tree) ApplyDelta(d Delta) error {
 		markPath(m.Addr)
 	}
 	for _, m := range d.Update {
-		if _, err := t.updateMemberRaw(m.Addr, m.Sub); err != nil {
+		if err := t.updateMemberRaw(m.Addr, m.Sub); err != nil {
 			recomputeDirty()
 			return err
 		}
@@ -773,7 +692,7 @@ func (t *Tree) applyDeltaBulk(d Delta) error {
 	}
 	if firstErr == nil {
 		for _, m := range d.Update {
-			if _, err := t.updateMemberRaw(m.Addr, m.Sub); err != nil {
+			if err := t.updateMemberRaw(m.Addr, m.Sub); err != nil {
 				firstErr = err
 				break
 			}
@@ -794,72 +713,31 @@ func (t *Tree) applyDeltaBulk(d Delta) error {
 // removeRaw detaches a member and prunes emptied trie nodes without
 // recomputing aggregates.
 func (t *Tree) removeRaw(a addr.Address) error {
-	key := a.Key()
-	if t.lookupMember(key) == nil {
+	if t.lookupMember(a) == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownMember, a)
 	}
-	if _, own := t.members[key]; own {
-		delete(t.members, key)
-	}
-	if t.membersBase != nil {
-		if _, inBase := t.membersBase[key]; inBase {
-			t.membersDead[key] = struct{}{}
-		}
-	}
-	t.nMembers--
 	n := t.ownRoot()
 	path := []*node{n}
 	for i := 1; i <= t.Depth(); i++ {
-		child := t.ownChild(n, a.Digit(i))
-		if child == nil {
-			return fmt.Errorf("%w: trie desync at %s", ErrUnknownMember, a)
-		}
-		n = child
+		n = t.ownChild(n, a.Digit(i))
 		path = append(path, n)
 	}
 	n.member = nil
-	for i := len(path) - 1; i >= 1; i-- {
-		cur := path[i]
-		if cur.member == nil && len(cur.children) == 0 {
-			delete(path[i-1].children, cur.prefix.Digit(cur.prefix.Len()))
-		} else {
-			break
-		}
+	for i := len(path) - 1; i >= 1 && len(path[i].children) == 0; i-- {
+		delete(path[i-1].children, a.Digit(i))
 	}
 	return nil
 }
 
 // updateMemberRaw replaces a member's subscription without recomputing
-// aggregates, copy-on-writing the member value and its leaf path, and
-// returns the owned root path to the leaf.
-func (t *Tree) updateMemberRaw(a addr.Address, sub interest.Subscription) ([]*node, error) {
-	key := a.Key()
-	cur := t.lookupMember(key)
-	if cur == nil {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownMember, a)
+// aggregates, copy-on-writing the member value and its leaf path.
+func (t *Tree) updateMemberRaw(a addr.Address, sub interest.Subscription) error {
+	if t.lookupMember(a) == nil {
+		return fmt.Errorf("%w: %s", ErrUnknownMember, a)
 	}
-	cp := *cur
-	cp.Sub = sub
-	t.members[key] = &cp
-	n := t.ownRoot()
-	path := []*node{n}
-	for i := 1; i <= t.Depth(); i++ {
-		n = t.ownChild(n, a.Digit(i))
-		if n == nil {
-			return nil, fmt.Errorf("%w: trie desync at %s", ErrUnknownMember, a)
-		}
-		path = append(path, n)
-	}
-	n.member = &cp
-	return path, nil
-}
-
-// recomputePath refreshes count, summary and delegates from the deepest node
-// of the path up to the root.
-func (t *Tree) recomputePath(path []*node) {
-	for i := len(path) - 1; i >= 0; i-- {
-		t.recompute(path[i])
-	}
+	leaf := t.ownLookup(a.Prefix(t.Depth() + 1))
+	leaf.member = &Member{Addr: leaf.member.Addr, Sub: sub}
+	return nil
 }
 
 // fold returns the regrouping of one node's inputs through the shared fold
@@ -1046,7 +924,7 @@ func matchReach(n *node, ev event.Event) int {
 // at depth d (it appears in its leaf group).
 func (t *Tree) IsDelegate(a addr.Address, depth int) bool {
 	if depth == t.Depth() {
-		return t.lookupMember(a.Key()) != nil
+		return t.lookupMember(a) != nil
 	}
 	// a represents its subtree rooted at prefix of length depth.
 	n := t.lookup(a.Prefix(depth + 1))

@@ -400,3 +400,55 @@ func TestPartialPopulationViews(t *testing.T) {
 		t.Errorf("count = %d", tr.Count(addr.Root()))
 	}
 }
+
+// TestCloneCostIndependentOfSize: the trie is the only member index and it
+// is shared copy-on-write, so Clone has nothing to freeze — four updates and
+// a Clone allocate the same in a 46-member tree as in a 4096-member one.
+// Both populations live in one 16×16×16 space and keep every group on the
+// victim's root path full, so the updates themselves cost the same; only a
+// Clone that copies per-member state can tell the trees apart.
+func TestCloneCostIndependentOfSize(t *testing.T) {
+	space := addr.MustRegular(16, 3)
+	subs := [2]interest.Subscription{
+		interest.NewSubscription().Where("b", interest.EqInt(0)),
+		interest.NewSubscription().Where("b", interest.EqInt(1)),
+	}
+	mutateAndClone := func(keep func(addr.Address) bool) (int, float64) {
+		var members []Member
+		for i := 0; i < space.Capacity(); i++ {
+			if a := space.AddressAt(i); keep(a) {
+				members = append(members, Member{Addr: a, Sub: subs[0]})
+			}
+		}
+		tr, err := Build(Config{Space: space, R: 2}, members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim := space.AddressAt(0)
+		return len(members), testing.AllocsPerRun(20, func() {
+			for k := 0; k < 4; k++ {
+				if err := tr.UpdateSubscription(victim, subs[(k+1)%2]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tr.Clone()
+		})
+	}
+	nSmall, small := mutateAndClone(func(a addr.Address) bool {
+		zeros := 0
+		for i := 1; i <= a.Depth(); i++ {
+			if a.Digit(i) == 0 {
+				zeros++
+			}
+		}
+		return zeros >= a.Depth()-1 // 0.0.x, 0.x.0 and x.0.0
+	})
+	nLarge, large := mutateAndClone(func(addr.Address) bool { return true })
+	if nSmall != 46 || nLarge != 4096 {
+		t.Fatalf("populations %d and %d; want 46 and 4096", nSmall, nLarge)
+	}
+	if small != large {
+		t.Errorf("4 updates + Clone allocate %.0f over %d members, %.0f over %d; want equal",
+			small, nSmall, large, nLarge)
+	}
+}
