@@ -197,6 +197,15 @@ func (tv *TreeView) Profile(ev event.Event, p *MatchProfile) {
 // BuildProcess assembles a Process for a tree member: per-depth TreeViews
 // plus the member's own compiled subscription as delivery predicate.
 func BuildProcess(t *tree.Tree, self addr.Address, cfg Config) (*Process, error) {
+	return RebuildProcess(t, self, cfg, nil)
+}
+
+// RebuildProcess is BuildProcess for a member whose views moved: the new
+// process adopts old's state (AdoptState) and, when the member's
+// subscription is still the one old compiled, old's delivery predicate —
+// the exact subscription's matcher, never a regrouped summary's. A nil old
+// builds from scratch.
+func RebuildProcess(t *tree.Tree, self addr.Address, cfg Config, old *Process) (*Process, error) {
 	m, ok := t.Member(self)
 	if !ok {
 		return nil, ErrUnknownSelf(self)
@@ -211,8 +220,20 @@ func BuildProcess(t *tree.Tree, self addr.Address, cfg Config) (*Process, error)
 		}
 		views[depth-1] = tv
 	}
-	selfMatch := interest.Compile(m.Sub)
-	return NewProcess(self, cfg, views, selfMatch.Matches)
+	sub := m.Sub.Identity()
+	var selfMatch func(event.Event) bool
+	if old != nil && old.selfSub == sub {
+		selfMatch = old.selfMatch
+	} else {
+		selfMatch = interest.Compile(m.Sub).Matches
+	}
+	p, err := NewProcess(self, cfg, views, selfMatch)
+	if err != nil {
+		return nil, err
+	}
+	p.selfSub = sub
+	p.AdoptState(old)
+	return p, nil
 }
 
 // ErrUnknownSelf wraps the unknown-member condition with the address.

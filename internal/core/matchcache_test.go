@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -276,5 +277,72 @@ func TestTickDeterministicWithCache(t *testing.T) {
 				t.Fatalf("round %d send %d: %+v vs %+v", round, i, sw[i], sc[i])
 			}
 		}
+	}
+}
+
+// TestRebuildProcessKeepsExactSubscription: a rebuild over moved views keeps
+// the predecessor's compiled own subscription while the subscription stands
+// (compiling a large one is most of a build's allocations) and compiles
+// afresh the moment it moves — the delivery predicate is always the member's
+// exact current subscription.
+func TestRebuildProcessKeepsExactSubscription(t *testing.T) {
+	tr, space := cacheTree(t)
+	self, peer := space.AddressAt(0), space.AddressAt(1)
+	topics := func(salt int) interest.Subscription {
+		names := make([]string, 300)
+		for i := range names {
+			names[i] = fmt.Sprintf("t%d-%d", salt, i)
+		}
+		return interest.NewSubscription().Where("topic", interest.OneOf(names...))
+	}
+	topicEv := func(name string, seq uint64) event.Event {
+		return event.NewBuilder().Str("topic", name).Build(event.ID{Origin: "t", Seq: seq})
+	}
+	delivered := func(p *Process, ev event.Event) bool {
+		t.Helper()
+		if err := p.Multicast(ev); err != nil {
+			t.Fatal(err)
+		}
+		return len(p.Deliveries()) == 1
+	}
+	if err := tr.UpdateSubscription(self, topics(0)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{F: 2, C: 3}
+	old, err := BuildProcess(tr, self, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !delivered(old, topicEv("t0-7", 1)) {
+		t.Fatal("own subscription does not deliver its topic")
+	}
+
+	// A peer moves: self's views change, its subscription does not.
+	if err := tr.UpdateSubscription(peer, topics(9)); err != nil {
+		t.Fatal(err)
+	}
+	var next *Process
+	kept := testing.AllocsPerRun(10, func() { next, _ = RebuildProcess(tr, self, cfg, old) })
+	scratch := testing.AllocsPerRun(10, func() { _, _ = BuildProcess(tr, self, cfg) })
+	if kept >= scratch {
+		t.Errorf("rebuild with the subscription unmoved allocates %.0f times, a build from scratch %.0f; the matcher was recompiled", kept, scratch)
+	}
+	if !next.HasSeen(event.ID{Origin: "t", Seq: 1}) {
+		t.Error("rebuild dropped the predecessor's seen-set")
+	}
+	if !delivered(next, topicEv("t0-8", 2)) || delivered(next, topicEv("t1-8", 3)) {
+		t.Error("kept matcher is not the own subscription's")
+	}
+
+	// Self moves: the kept matcher would now be stale.
+	if err := tr.UpdateSubscription(self, topics(1)); err != nil {
+		t.Fatal(err)
+	}
+	moved, err := RebuildProcess(tr, self, cfg, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delivered(moved, topicEv("t0-9", 4)) || !delivered(moved, topicEv("t1-9", 5)) {
+		t.Error("rebuild after a subscription change still delivers by the old subscription")
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"pmcast/internal/addr"
 	"pmcast/internal/analysis"
 	"pmcast/internal/event"
+	"pmcast/internal/interest"
 )
 
 // Common errors.
@@ -192,6 +193,11 @@ type Process struct {
 	cfg       Config
 	views     []DepthView // views[i−1] is the depth-i view
 	selfMatch func(event.Event) bool
+	// selfSub names the subscription selfMatch was compiled from, so a
+	// rebuild over new views can keep the matcher (RebuildProcess); zero —
+	// equal to no subscription's identity — when NewProcess was handed the
+	// predicate directly.
+	selfSub interest.Identity
 
 	gossips []map[event.ID]*entry
 	seen    map[event.ID]struct{}

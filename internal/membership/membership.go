@@ -14,9 +14,11 @@
 package membership
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -55,10 +57,19 @@ type DigestEntry struct {
 
 // Digest is the gossip-pull probe. Hash and Count summarize the sender's
 // whole roster (incrementally maintained, order-independent); a digest
-// without Entries is a summary probe — the steady-state form, costing O(1)
+// without lines is a summary probe — the steady-state form, costing O(1)
 // to build and compare. Converged peers exchange only probes; a mismatch
 // escalates to full (line, timestamp) digests via the push-pull reply, so
-// the O(n) roster walk is paid exactly when states actually diverge.
+// line-level comparison is paid exactly when states actually diverge.
+//
+// A full digest lists its lines in one of two forms. The entries form is
+// the list itself: what a classic service builds and what the wire decodes
+// to. The overlay form is what a roster-mode service is — the shared base
+// roster plus the lines that service holds differently — so building it
+// costs the overlay, not the roster, and a receiver over the same base
+// compares overlays only (see HandleDigest). Read the lines through Len and
+// Lines, which hide the form. Either form is immutable once handed
+// out: a digest in flight is never disturbed by its sender's next version.
 type Digest struct {
 	From  addr.Address
 	Hash  uint64
@@ -68,8 +79,56 @@ type Digest struct {
 	// The receiver compares it against what actually arrived to estimate
 	// the link's loss rate — piggybacked here because digests already flow
 	// on every link the estimator cares about. Zero when estimation is off.
-	Sent    uint32
+	Sent uint32
+	// Entries is the entries form; nil in a probe and in the overlay form.
 	Entries []DigestEntry
+	// base and over are the overlay form: every line of base, except that a
+	// line listed in over (sorted by base position) carries that stamp and
+	// liveness instead of the base record's.
+	base *Roster
+	over []overLine
+}
+
+// overLine is one overlay line of an overlay-form digest: the stamp and
+// liveness its sender holds for the base line at position idx.
+type overLine struct {
+	idx   int32
+	alive bool
+	stamp uint64
+}
+
+// Len returns the number of lines the digest lists; zero for a summary probe.
+func (d Digest) Len() int {
+	if d.base != nil {
+		return len(d.base.Records)
+	}
+	return len(d.Entries)
+}
+
+// Lines yields every line of the digest, whichever its form (use as
+// `for e := range d.Lines`). The overlay form lists base lines by rising
+// position, the order HandleDigest's line-by-line walk is cheapest in.
+func (d Digest) Lines(yield func(DigestEntry) bool) {
+	if d.base == nil {
+		for _, e := range d.Entries {
+			if !yield(e) {
+				return
+			}
+		}
+		return
+	}
+	o := 0
+	for i := range d.base.Records {
+		r := &d.base.Records[i]
+		e := DigestEntry{Key: r.Addr.Key(), Stamp: r.Stamp, Alive: r.Alive}
+		if o < len(d.over) && d.over[o].idx == int32(i) {
+			e.Stamp, e.Alive = d.over[o].stamp, d.over[o].alive
+			o++
+		}
+		if !yield(e) {
+			return
+		}
+	}
 }
 
 // Update carries full records; sent by a digest receiver for every line in
@@ -182,24 +241,28 @@ type Service struct {
 	peerCache     []addr.Address
 	neighborCache []addr.Address
 
-	// changelog records the keys touched by each version bump so tree
+	// changelog records the lines touched by each version bump so tree
 	// maintenance can fold deltas without rescanning the whole table; when
 	// it overflows, readers fall back to a full scan.
 	changelog    []changeEntry
 	changelogMin uint64 // changes with version > changelogMin are complete
 
-	// digestCache memoizes the full digest entries per version; mismatch
-	// storms during churn would otherwise rebuild the O(n) slice for every
-	// push-pull reply.
-	digestCache   []DigestEntry
+	// digest memoizes the full digest per version: divergence episodes
+	// trigger a push-pull reply per mismatched probe. Its line list is built
+	// fresh for every version and never written again, because digests
+	// handed out earlier still point at the previous one.
+	digest        Digest
 	digestVersion uint64 // 0 = invalid (version is always ≥ 1)
 }
 
-// changeEntry is one changelog line: the roster key touched when the
-// service moved to the given version.
+// changeEntry is one changelog line: the record touched when the service
+// moved to the given version. A line that has changed owns its *Record for
+// the life of the service — the classic table and the overlay mutate records
+// in place, and materialization carries overlay records over as they are —
+// so the pointer both names the line and reads its current state.
 type changeEntry struct {
 	version uint64
-	key     string
+	rec     *Record
 }
 
 // changelogCap bounds the changelog; overflow truncates the oldest half and
@@ -226,11 +289,12 @@ func New(cfg Config, selfSub interest.Subscription) (*Service, error) {
 		suspicion:  make(map[string]int),
 		selfPrefix: cfg.Self.Prefix(cfg.Space.Depth()),
 	}
-	s.records[cfg.Self.Key()] = &Record{Addr: cfg.Self, Sub: selfSub, Stamp: 1, Alive: true}
+	self := &Record{Addr: cfg.Self, Sub: selfSub, Stamp: 1, Alive: true}
+	s.records[cfg.Self.Key()] = self
 	s.alive = 1
 	s.hash = recHash(cfg.Self.Key(), 1, true)
 	s.version = 1
-	s.changelog = append(s.changelog, changeEntry{version: 1, key: cfg.Self.Key()})
+	s.changelog = append(s.changelog, changeEntry{version: 1, rec: self})
 	return s, nil
 }
 
@@ -352,34 +416,44 @@ func removeAddr(list []addr.Address, a addr.Address) []addr.Address {
 }
 
 // logChangeLocked appends one changelog line for the given (new) version.
-func (s *Service) logChangeLocked(version uint64, key string) {
+func (s *Service) logChangeLocked(version uint64, rec *Record) {
 	if len(s.changelog) >= changelogCap {
 		half := len(s.changelog) / 2
 		s.changelogMin = s.changelog[half-1].version
 		s.changelog = append(s.changelog[:0], s.changelog[half:]...)
 	}
-	s.changelog = append(s.changelog, changeEntry{version: version, key: key})
+	s.changelog = append(s.changelog, changeEntry{version: version, rec: rec})
 }
 
-// ChangesSince returns the roster keys touched since the given version
-// (possibly with duplicates), or ok=false when the changelog no longer
-// reaches back that far and the caller must scan the full table.
-func (s *Service) ChangesSince(v uint64) (keys []string, ok bool) {
+// ChangedSince returns the current record of every line touched since the
+// given version — each line once, however often it moved, in address order —
+// or ok=false when the changelog no longer reaches back that far and the
+// caller must scan the full table.
+func (s *Service) ChangedSince(v uint64) (recs []Record, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if v < s.changelogMin {
 		return nil, false
 	}
 	i := sort.Search(len(s.changelog), func(i int) bool { return s.changelog[i].version > v })
-	for ; i < len(s.changelog); i++ {
-		keys = append(keys, s.changelog[i].key)
+	lines := make([]*Record, 0, len(s.changelog)-i)
+	for _, c := range s.changelog[i:] {
+		lines = append(lines, c.rec)
 	}
-	return keys, true
+	// Mentions of one line are one pointer; sorting brings them together.
+	slices.SortFunc(lines, func(a, b *Record) int { return a.Addr.Compare(b.Addr) })
+	lines = slices.Compact(lines)
+	recs = make([]Record, len(lines))
+	for j, r := range lines {
+		recs[j] = *r
+	}
+	return recs, true
 }
 
 // apply merges one record; the higher stamp wins, tombstones win ties.
-// Returns whether state changed. Callers hold s.mu.
-func (s *Service) apply(r Record) bool {
+// Returns the service's own record for the line when state changed (the
+// changelog's handle on it), nil otherwise. Callers hold s.mu.
+func (s *Service) apply(r Record) *Record {
 	key := r.Addr.Key()
 	cur, ok := s.peekLocked(key)
 	if !ok {
@@ -393,13 +467,13 @@ func (s *Service) apply(r Record) bool {
 			s.setAliveLocked(r.Addr, key, true)
 		}
 		s.touchHashLocked(key, 0, false, r.Stamp, r.Alive)
-		return true
+		return &cp
 	}
 	if r.Stamp < cur.Stamp {
-		return false
+		return nil
 	}
 	if r.Stamp == cur.Stamp && (cur.Alive == r.Alive) {
-		return false
+		return nil
 	}
 	if r.Stamp == cur.Stamp && cur.Alive && !r.Alive {
 		// Tombstone precedence at equal stamps.
@@ -407,10 +481,10 @@ func (s *Service) apply(r Record) bool {
 		s.touchHashLocked(key, rec.Stamp, true, rec.Stamp, false)
 		rec.Alive = false
 		s.setAliveLocked(rec.Addr, key, false)
-		return true
+		return rec
 	}
 	if r.Stamp == cur.Stamp {
-		return false
+		return nil
 	}
 	// Self-defense: if someone declares us dead, resurrect with a higher
 	// stamp so the correction propagates (we are obviously alive).
@@ -422,7 +496,7 @@ func (s *Service) apply(r Record) bool {
 			s.setAliveLocked(rec.Addr, key, true)
 		}
 		rec.Alive = true
-		return true
+		return rec
 	}
 	rec := s.mutableLocked(key)
 	if rec.Alive != r.Alive {
@@ -430,7 +504,7 @@ func (s *Service) apply(r Record) bool {
 	}
 	s.touchHashLocked(key, rec.Stamp, rec.Alive, r.Stamp, r.Alive)
 	*rec = r
-	return true
+	return rec
 }
 
 // Apply merges records from an Update, returning how many changed state.
@@ -439,10 +513,10 @@ func (s *Service) Apply(u Update) int {
 	defer s.mu.Unlock()
 	changed := 0
 	for _, r := range u.Records {
-		if s.apply(r) {
+		if rec := s.apply(r); rec != nil {
 			changed++
 			// Log against the version this batch will land on.
-			s.logChangeLocked(s.version+1, r.Addr.Key())
+			s.logChangeLocked(s.version+1, rec)
 		}
 	}
 	if changed > 0 {
@@ -453,29 +527,34 @@ func (s *Service) Apply(u Update) int {
 }
 
 // MakeDigest snapshots the service's (line, timestamp) pairs plus the
-// roster summary. Entry order is unspecified: receivers compare sets, and
-// an O(n log n) sort here would be pure overhead at fleet scale. The entry
-// slice is memoized per version (divergence episodes trigger a push-pull
-// reply per mismatched probe, and rebuilding the O(n) slice each time is
-// the dominant cost of convergence); callers and receivers treat it as
-// read-only.
+// roster summary. A roster-mode service hands out the overlay form — its
+// base and a copy of its overlay's stamps, O(|overlay|) however long the
+// roster — and a classic one the entries form, in unspecified order:
+// receivers compare sets. The digest is memoized per version (divergence
+// episodes trigger a push-pull reply per mismatched probe); callers and
+// receivers treat its lines as read-only.
 func (s *Service) MakeDigest() Digest {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.digestVersion != s.version {
-		s.digestCache = make([]DigestEntry, 0, s.recordCountLocked())
-		s.visitLocked(func(key string, r *Record) {
-			s.digestCache = append(s.digestCache,
-				DigestEntry{Key: key, Stamp: r.Stamp, Alive: r.Alive})
-		})
+		s.digest = Digest{From: s.cfg.Self, Hash: s.hash, Count: s.recordCountLocked()}
+		if s.base != nil {
+			over := make([]overLine, 0, len(s.over))
+			for i, r := range s.over {
+				over = append(over, overLine{idx: i, stamp: r.Stamp, alive: r.Alive})
+			}
+			slices.SortFunc(over, func(a, b overLine) int { return cmp.Compare(a.idx, b.idx) })
+			s.digest.base, s.digest.over = s.base, over
+		} else {
+			s.digest.Entries = make([]DigestEntry, 0, len(s.records))
+			for key, r := range s.records {
+				s.digest.Entries = append(s.digest.Entries,
+					DigestEntry{Key: key, Stamp: r.Stamp, Alive: r.Alive})
+			}
+		}
 		s.digestVersion = s.version
 	}
-	return Digest{
-		From:    s.cfg.Self,
-		Hash:    s.hash,
-		Count:   s.recordCountLocked(),
-		Entries: s.digestCache,
-	}
+	return s.digest
 }
 
 // MakeSummaryDigest snapshots only the roster summary — the O(1) probe the
@@ -503,10 +582,11 @@ func (s *Service) MakeSummaryDigest() Digest {
 // peer's reply), and it cannot ping-pong: it is only sent for strictly
 // fresher lines, and applying the resulting Update equalizes the stamps.
 //
-// The common case — converged peers exchanging identical rosters — is a
-// single allocation-free pass over the digest; the set construction for
-// lines missing from the digest only happens when the line counts prove
-// some exist.
+// The common case — converged peers exchanging identical rosters — costs
+// two compares. An overlay-form digest over the receiver's own base costs
+// the two overlays: a line in neither is the same base record on both
+// sides, so it can yield neither a fresh record nor gossiperFresher. Any
+// other full digest is walked line by line.
 func (s *Service) HandleDigest(d Digest) (upd *Update, gossiperFresher bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -514,55 +594,97 @@ func (s *Service) HandleDigest(d Digest) (upd *Update, gossiperFresher bool) {
 	if d.Hash == s.hash && d.Count == s.recordCountLocked() {
 		return nil, false // identical rosters, probe or full
 	}
-	if len(d.Entries) == 0 {
+	if d.Len() == 0 {
 		// Mismatched summary probe: request the gossiper's full digest so
 		// the line-level exchange happens (the caller answers fresher=true
 		// with our own full digest).
 		return nil, true
 	}
-	var fresh []Record
-	shared := 0
-	var r *Record
-	var ok bool
-	next := int32(0)
-	for _, e := range d.Entries {
-		r, next, ok = s.peekNextLocked(e.Key, next)
-		switch {
-		case !ok:
-			gossiperFresher = true // a line we lack entirely
-		case e.Stamp < r.Stamp:
-			shared++
-			fresh = append(fresh, *r)
-		case e.Stamp > r.Stamp:
-			shared++
-			gossiperFresher = true
-		default:
-			shared++
-			// Equal stamps: tombstone precedence decides who is fresher.
-			if e.Alive && !r.Alive {
-				fresh = append(fresh, *r)
-			} else if !e.Alive && r.Alive {
-				gossiperFresher = true
-			}
+	var diff digestDiff
+	if d.base != nil && d.base == s.base {
+		s.diffOverlaysLocked(d, &diff)
+	} else {
+		s.diffLinesLocked(d, &diff)
+	}
+	if len(diff.fresh) == 0 {
+		return nil, diff.gossiperFresher
+	}
+	sort.Slice(diff.fresh, func(i, j int) bool { return diff.fresh[i].Addr.Less(diff.fresh[j].Addr) })
+	return &Update{From: s.cfg.Self, Records: diff.fresh}, diff.gossiperFresher
+}
+
+// digestDiff accumulates HandleDigest's two answers: the records the
+// gossiper is stale on, and whether it is fresher on any line.
+type digestDiff struct {
+	fresh           []Record
+	gossiperFresher bool
+}
+
+// line compares the gossiper's stamp and liveness for one line with our
+// record of it: the higher stamp is fresher, tombstones win ties. Both
+// digest walks decide every line they share with the gossiper here.
+func (x *digestDiff) line(stamp uint64, alive bool, r *Record) {
+	switch {
+	case stamp < r.Stamp:
+		x.fresh = append(x.fresh, *r)
+	case stamp > r.Stamp:
+		x.gossiperFresher = true
+	case alive && !r.Alive:
+		x.fresh = append(x.fresh, *r)
+	case !alive && r.Alive:
+		x.gossiperFresher = true
+	}
+}
+
+// diffOverlaysLocked is the walk for an overlay-form digest whose base is
+// this service's own: only lines in the gossiper's overlay or in ours can
+// differ. The digest lists every base line and a roster-mode service holds
+// exactly those, so neither side lacks a line.
+func (s *Service) diffOverlaysLocked(d Digest, x *digestDiff) {
+	for _, l := range d.over {
+		r, ok := s.over[l.idx]
+		if !ok {
+			r = &s.base.Records[l.idx]
 		}
+		x.line(l.stamp, l.alive, r)
+	}
+	for i, r := range s.over {
+		if _, theirs := slices.BinarySearchFunc(d.over, i, func(l overLine, i int32) int { return cmp.Compare(l.idx, i) }); theirs {
+			continue // compared above
+		}
+		b := &s.base.Records[i]
+		x.line(b.Stamp, b.Alive, r)
+	}
+}
+
+// diffLinesLocked walks a full digest line by line, then collects the lines
+// the digest does not list at all; the set construction for those only
+// happens when the line counts prove some exist.
+func (s *Service) diffLinesLocked(d Digest, x *digestDiff) {
+	shared := 0
+	next := int32(0)
+	for e := range d.Lines {
+		var r *Record
+		var ok bool
+		if r, next, ok = s.peekNextLocked(e.Key, next); !ok {
+			x.gossiperFresher = true // a line we lack entirely
+			continue
+		}
+		shared++
+		x.line(e.Stamp, e.Alive, r)
 	}
 	if shared < s.recordCountLocked() {
 		// The digest misses lines we hold; identify them.
-		known := make(map[string]struct{}, len(d.Entries))
-		for _, e := range d.Entries {
+		known := make(map[string]struct{}, d.Len())
+		for e := range d.Lines {
 			known[e.Key] = struct{}{}
 		}
 		s.visitLocked(func(key string, r *Record) {
 			if _, ok := known[key]; !ok {
-				fresh = append(fresh, *r)
+				x.fresh = append(x.fresh, *r)
 			}
 		})
 	}
-	if len(fresh) == 0 {
-		return nil, gossiperFresher
-	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].Addr.Less(fresh[j].Addr) })
-	return &Update{From: s.cfg.Self, Records: fresh}, gossiperFresher
 }
 
 // GossipTargets picks up to k distinct random alive peers.
@@ -644,9 +766,9 @@ func (s *Service) BuildJoinRequest() JoinRequest {
 // been contacted").
 func (s *Service) HandleJoinRequest(jr JoinRequest) (reply Update, forward addr.Address, ok bool) {
 	s.mu.Lock()
-	if s.apply(jr.Joiner) {
+	if rec := s.apply(jr.Joiner); rec != nil {
 		s.version++
-		s.logChangeLocked(s.version, jr.Joiner.Addr.Key())
+		s.logChangeLocked(s.version, rec)
 	}
 	s.markHeardLocked(jr.Joiner.Addr)
 	records := make([]Record, 0, s.recordCountLocked())
@@ -687,7 +809,7 @@ func (s *Service) Subscribe(sub interest.Subscription) {
 	s.touchHashLocked(s.cfg.Self.Key(), self.Stamp, self.Alive, self.Stamp+1, self.Alive)
 	self.Stamp++
 	s.version++
-	s.logChangeLocked(s.version, s.cfg.Self.Key())
+	s.logChangeLocked(s.version, self)
 }
 
 // BuildLeave tombstones the process's own record and returns the
@@ -703,7 +825,7 @@ func (s *Service) BuildLeave() Leave {
 	}
 	self.Alive = false
 	s.version++
-	s.logChangeLocked(s.version, s.cfg.Self.Key())
+	s.logChangeLocked(s.version, self)
 	return Leave{Addr: s.cfg.Self, Stamp: self.Stamp}
 }
 
@@ -711,9 +833,9 @@ func (s *Service) BuildLeave() Leave {
 func (s *Service) HandleLeave(l Leave) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.apply(Record{Addr: l.Addr, Stamp: l.Stamp, Alive: false}) {
+	if rec := s.apply(Record{Addr: l.Addr, Stamp: l.Stamp, Alive: false}); rec != nil {
 		s.version++
-		s.logChangeLocked(s.version, l.Addr.Key())
+		s.logChangeLocked(s.version, rec)
 	}
 }
 
@@ -777,7 +899,7 @@ func (s *Service) SweepFailures() []addr.Address {
 			r.Alive = false
 			s.setAliveLocked(r.Addr, key, false)
 			s.version++
-			s.logChangeLocked(s.version, key)
+			s.logChangeLocked(s.version, r)
 			suspected = append(suspected, r.Addr)
 		}
 	}
@@ -812,14 +934,9 @@ func (s *Service) VisitRecords(fn func(Record)) {
 
 // Lookup returns the record for an address.
 func (s *Service) Lookup(a addr.Address) (Record, bool) {
-	return s.LookupKey(a.Key())
-}
-
-// LookupKey returns the record for an address key (see addr.Address.Key).
-func (s *Service) LookupKey(key string) (Record, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if r, ok := s.peekLocked(key); ok {
+	if r, ok := s.peekLocked(a.Key()); ok {
 		return *r, true
 	}
 	return Record{}, false

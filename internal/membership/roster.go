@@ -139,7 +139,7 @@ func NewWithRoster(cfg Config, base *Roster) (*Service, error) {
 	s.alive = base.alive
 	s.hash = base.hash
 	s.version = 1
-	s.changelog = append(s.changelog, changeEntry{version: 1, key: selfKey})
+	s.changelog = append(s.changelog, changeEntry{version: 1, rec: &selfCopy})
 	// The pool exclusion set: self plus every base line that is not alive.
 	s.poolGone = append(s.poolGone, selfIdx)
 	for i := range base.Records {
@@ -326,6 +326,9 @@ func (s *Service) materializeLocked() {
 	s.base = nil
 	s.over = nil
 	s.poolGone = nil
+	// The memoized digest is the overlay form of a service that no longer
+	// has an overlay.
+	s.digest, s.digestVersion = Digest{}, 0
 	s.peerCache = s.peerCache[:0]
 	selfKey := s.cfg.Self.Key()
 	for key, r := range s.records {

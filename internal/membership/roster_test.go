@@ -83,12 +83,8 @@ func mustAgree(t *testing.T, classic, shared *Service, rngSeed int64) {
 	if a, b := classic.Snapshot(), shared.Snapshot(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("snapshot diverged: classic %d members, shared %d", len(a), len(b))
 	}
-	// Digest entry sets (order is unspecified — compare sorted).
-	da, db := classic.MakeDigest(), shared.MakeDigest()
-	ea := append([]DigestEntry(nil), da.Entries...)
-	eb := append([]DigestEntry(nil), db.Entries...)
-	sort.Slice(ea, func(i, j int) bool { return ea[i].Key < ea[j].Key })
-	sort.Slice(eb, func(i, j int) bool { return eb[i].Key < eb[j].Key })
+	// Digest line sets (order is unspecified — compare sorted).
+	ea, eb := sortedLines(classic.MakeDigest()), sortedLines(shared.MakeDigest())
 	if !reflect.DeepEqual(ea, eb) {
 		t.Fatalf("digest entries diverged:\nclassic %v\nshared  %v", ea, eb)
 	}
@@ -104,13 +100,26 @@ func mustAgree(t *testing.T, classic, shared *Service, rngSeed int64) {
 			t.Fatalf("digest draw %d: classic %v, shared %v", i, ta, tb)
 		}
 	}
-	// Every record line, looked up by key.
+	// Every record line, looked up by address.
 	classic.VisitRecords(func(r Record) {
-		got, ok := shared.LookupKey(r.Addr.Key())
+		got, ok := shared.Lookup(r.Addr)
 		if !ok || !reflect.DeepEqual(got, r) {
 			t.Fatalf("record %s: classic %+v, shared %+v (ok=%v)", r.Addr, r, got, ok)
 		}
 	})
+}
+
+// sortedLines lists a digest's lines, whichever its form, sorted by key.
+func sortedLines(d Digest) []DigestEntry {
+	var es []DigestEntry
+	for e := range d.Lines {
+		es = append(es, e)
+	}
+	if len(es) != d.Len() {
+		panic("digest Len disagrees with Lines")
+	}
+	sort.Slice(es, func(i, j int) bool { return es[i].Key < es[j].Key })
+	return es
 }
 
 // TestRosterModeMatchesClassic drives both backings through the same

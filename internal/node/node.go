@@ -1105,21 +1105,14 @@ func (n *Node) rebuildLocked() error {
 		}
 	}
 	// The membership changelog names exactly the lines that moved since the
-	// last fold. A fresh fold (first build, or recovery after a failed
-	// ApplyDelta dropped the tree) and a changelog that no longer reaches
-	// back (overflow) both rescan the whole table instead.
-	if keys, ok := n.mem.ChangesSince(n.treeVersion); ok && !freshFold {
-		// The changelog repeats a key that moved twice, and the tree does
-		// not move until ApplyDelta: fold each key at its first mention.
-		folded := make(map[string]struct{}, len(keys))
-		for _, key := range keys {
-			if _, dup := folded[key]; dup {
-				continue
-			}
-			folded[key] = struct{}{}
-			if r, found := n.mem.LookupKey(key); found {
-				fold(r)
-			}
+	// last fold, each once with its current record — the tree does not move
+	// until ApplyDelta, so a line folded twice would be two Adds. A fresh
+	// fold (first build, or recovery after a failed ApplyDelta dropped the
+	// tree) and a changelog that no longer reaches back (overflow) both
+	// rescan the whole table instead.
+	if recs, ok := n.mem.ChangedSince(n.treeVersion); ok && !freshFold {
+		for _, r := range recs {
+			fold(r)
 		}
 	} else {
 		n.mem.VisitRecords(fold)
@@ -1145,13 +1138,13 @@ func (n *Node) rebuildLocked() error {
 
 // swapProcessLocked replaces the protocol process with one built over the
 // current tree. In-flight disseminations survive the swap: the new process
-// adopts the old buffers, seen-set and counters.
+// adopts the old buffers, seen-set and counters, and the compiled own
+// subscription when that did not move.
 func (n *Node) swapProcessLocked() error {
-	proc, err := core.BuildProcess(n.tree, n.cfg.Addr, n.coreConfig())
+	proc, err := core.RebuildProcess(n.tree, n.cfg.Addr, n.coreConfig(), n.proc)
 	if err != nil {
 		return fmt.Errorf("node: rebuilding process: %w", err)
 	}
-	proc.AdoptState(n.proc)
 	n.proc = proc
 	return nil
 }

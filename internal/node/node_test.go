@@ -395,9 +395,9 @@ func TestBadDepthGossipDoesNotPoisonEvent(t *testing.T) {
 	}
 }
 
-// TestRebuildFoldsRepeatedChangelogKeyOnce: the changelog names a key once
+// TestRebuildFoldsRepeatedChangelogKeyOnce: the changelog logs a line once
 // per change, and the tree — the only record of what was folded — does not
-// move until ApplyDelta. A key that changed twice between rebuilds must be
+// move until ApplyDelta. A line that changed twice between rebuilds must be
 // folded once, from its current record: a join followed by a stamp bump is
 // one Add (two would be a duplicate member), two fluxes are one Update, and
 // a join followed by a leave is nothing at all.
@@ -419,22 +419,25 @@ func TestRebuildFoldsRepeatedChangelogKeyOnce(t *testing.T) {
 			t.Fatalf("record %s@%d did not apply", r.Addr, r.Stamp)
 		}
 	}
-	// rebuild checks that a actually repeats in the pending changelog, folds
-	// it, and returns the tree's answer for a.
+	// rebuild checks that a moved at least twice since the last fold yet is
+	// handed out once, folds it, and returns the tree's answer for a.
 	rebuild := func(a addr.Address) (tree.Member, bool) {
 		t.Helper()
-		keys, ok := n.Membership().ChangesSince(n.treeVersion)
+		recs, ok := n.Membership().ChangedSince(n.treeVersion)
 		if !ok {
 			t.Fatal("changelog does not reach back to the last fold")
 		}
+		if moves := n.Membership().Version() - n.treeVersion; moves < 2 {
+			t.Fatalf("membership moved %d times since the last fold; the test needs a repeat", moves)
+		}
 		mentions := 0
-		for _, k := range keys {
-			if k == a.Key() {
+		for _, r := range recs {
+			if r.Addr.Equal(a) {
 				mentions++
 			}
 		}
-		if mentions < 2 {
-			t.Fatalf("%s is mentioned %d times in %v; the test needs a repeat", a, mentions, keys)
+		if mentions != 1 || len(recs) != 1 {
+			t.Fatalf("%s is handed out %d times in %d records; want it alone, once", a, mentions, len(recs))
 		}
 		if err := n.WarmViews(); err != nil {
 			t.Fatalf("rebuild with %s repeated: %v", a, err)

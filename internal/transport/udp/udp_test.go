@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -98,6 +99,7 @@ func TestEveryWireKindRoundTrips(t *testing.T) {
 			Hops:   4,
 		},
 		membership.Leave{Addr: addr.New(0, 0), Stamp: 12},
+		overlayDigest(t),
 	}
 	for _, msg := range msgs {
 		if err := a.Send(b.Addr(), msg); err != nil {
@@ -133,6 +135,32 @@ func TestEveryWireKindRoundTrips(t *testing.T) {
 
 // wireEqual compares protocol messages up to subscription semantics (the
 // subscription's internal criterion order is canonicalized by the codec).
+// overlayDigest returns what a bootstrapped fleet's services send: the full
+// digest of a roster-mode service, here two lines off its four-line base.
+func overlayDigest(t *testing.T) membership.Digest {
+	t.Helper()
+	space := addr.MustRegular(2, 2)
+	recs := make([]membership.Record, space.Capacity())
+	for i := range recs {
+		recs[i] = membership.Record{Addr: space.AddressAt(i), Sub: sampleSub(), Stamp: 1, Alive: true}
+	}
+	base, err := membership.NewRoster(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := membership.NewWithRoster(membership.Config{Self: space.AddressAt(0), Space: space, R: 2}, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Subscribe(interest.NewSubscription())
+	svc.HandleLeave(membership.Leave{Addr: space.AddressAt(3), Stamp: 4})
+	d := svc.MakeDigest()
+	if d.Entries != nil || d.Len() != len(recs) {
+		t.Fatalf("roster-mode digest carries %d entries and lists %d lines; want the overlay form of %d", len(d.Entries), d.Len(), len(recs))
+	}
+	return d
+}
+
 func wireEqual(got, want any) bool {
 	switch w := want.(type) {
 	case membership.Update:
@@ -149,6 +177,11 @@ func wireEqual(got, want any) bool {
 	case membership.JoinRequest:
 		g, ok := got.(membership.JoinRequest)
 		return ok && g.Hops == w.Hops && recordEqual(g.Joiner, w.Joiner)
+	case membership.Digest:
+		// A digest arrives as the list of its lines whatever form it left in.
+		g, ok := got.(membership.Digest)
+		return ok && g.From.Equal(w.From) && g.Hash == w.Hash && g.Count == w.Count && g.Sent == w.Sent &&
+			slices.Equal(slices.Collect(g.Lines), slices.Collect(w.Lines))
 	default:
 		return reflect.DeepEqual(got, want)
 	}

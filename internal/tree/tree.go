@@ -149,6 +149,10 @@ type node struct {
 	// decide whether viewGen must advance. Replaced wholesale, so clones
 	// may share it.
 	kids []kidSig
+	// dirtySeq is the owning tree's deltaSeq at the last ApplyDelta that
+	// listed this node for recomputation. Written on owned nodes only and
+	// not carried by copyNode: a copy has not been listed by anyone.
+	dirtySeq uint64
 }
 
 // kidSig is one child's contribution to the parent's view: everything a
@@ -213,6 +217,8 @@ type Tree struct {
 	// the cache's own occupancy stats — so fleet reports can sum them.
 	foldRecomputes uint64
 	foldHits       uint64
+	// deltaSeq numbers this tree's ApplyDelta calls (see node.dirtySeq).
+	deltaSeq uint64
 }
 
 // FoldStats is a snapshot of the fold layer: this tree's own regrouping
@@ -633,23 +639,32 @@ func (t *Tree) ApplyDelta(d Delta) error {
 	if bulk := total >= 16 && total*2 >= t.Len()+len(d.Add); bulk {
 		return t.applyDeltaBulk(d)
 	}
-	dirty := make(map[string]addr.Prefix)
+	// dirty[l] lists the trie nodes of prefix length l the batch touched,
+	// each once: a node is stamped with this call's sequence number when it
+	// is first listed.
+	t.deltaSeq++
+	dirty := make([][]*node, t.Depth()+1)
 	markPath := func(a addr.Address) {
-		for i := 1; i <= t.Depth()+1; i++ {
-			p := a.Prefix(i)
-			dirty[p.Key()] = p
+		// The raw edit just made owned the whole path, down to where a
+		// removal pruned it.
+		n := t.ownRoot()
+		for l := 0; n != nil; l++ {
+			if n.dirtySeq != t.deltaSeq {
+				n.dirtySeq = t.deltaSeq
+				dirty[l] = append(dirty[l], n)
+			}
+			if l == t.Depth() {
+				break
+			}
+			n = t.ownChild(n, a.Digit(l+1))
 		}
 	}
 	recomputeDirty := func() {
-		byLen := make([][]addr.Prefix, t.Depth()+2)
-		for _, p := range dirty {
-			byLen[p.Len()] = append(byLen[p.Len()], p)
-		}
-		for l := len(byLen) - 1; l >= 0; l-- {
-			for _, p := range byLen[l] {
-				// A prefix pruned by a removal in the same batch looks up
-				// nil; there is nothing left to recompute there.
-				if n := t.ownLookup(p); n != nil {
+		for l := len(dirty) - 1; l >= 0; l-- {
+			for _, n := range dirty[l] {
+				// A node emptied by a removal later in the batch was pruned
+				// from the trie; there is nothing left to recompute there.
+				if n == t.root || n.member != nil || len(n.children) > 0 {
 					t.recompute(n)
 				}
 			}

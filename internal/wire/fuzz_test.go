@@ -136,6 +136,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 	for _, frame := range captureCorpus(f) {
 		f.Add(frame)
 	}
+	// The captured fleet joins one by one, so its services are classic and
+	// its digests the entries form; a bootstrapped fleet sends this one.
+	overlay, err := wire.Encode(wire.OverlayDigest(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(overlay)
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff})

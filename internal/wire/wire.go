@@ -706,8 +706,8 @@ func appendDigestBody(b []byte, m membership.Digest) []byte {
 	b = binenc.AppendUvarint(b, m.Hash)
 	b = binenc.AppendUvarint(b, uint64(m.Count))
 	b = binenc.AppendUvarint(b, uint64(m.Sent))
-	b = binenc.AppendUvarint(b, uint64(len(m.Entries)))
-	for _, e := range m.Entries {
+	b = binenc.AppendUvarint(b, uint64(m.Len()))
+	for e := range m.Lines {
 		b = binenc.AppendString(b, e.Key)
 		b = binenc.AppendUvarint(b, e.Stamp)
 		b = binenc.AppendBool(b, e.Alive)

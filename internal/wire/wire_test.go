@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pmcast/internal/addr"
@@ -68,15 +70,86 @@ func TestDigestRoundTrip(t *testing.T) {
 		},
 	}
 	out := roundTrip(t, in).(membership.Digest)
-	if !out.From.Equal(in.From) || len(out.Entries) != 2 {
+	if !out.From.Equal(in.From) || out.Len() != 2 {
 		t.Fatalf("digest = %+v", out)
 	}
 	if out.Sent != in.Sent {
 		t.Errorf("sent beacon = %d, want %d", out.Sent, in.Sent)
 	}
-	for i := range in.Entries {
-		if out.Entries[i] != in.Entries[i] {
-			t.Errorf("entry %d = %+v", i, out.Entries[i])
+	if got := slices.Collect(out.Lines); !slices.Equal(got, in.Entries) {
+		t.Errorf("lines = %+v, want %+v", got, in.Entries)
+	}
+}
+
+// OverlayDigest returns the full digest of a roster-mode service that
+// diverged from its 16-line base on three lines: the overlay form, which
+// only the membership package can build. Exported to the fuzz targets'
+// external test package.
+func OverlayDigest(t testing.TB) membership.Digest {
+	t.Helper()
+	space := addr.MustRegular(4, 2)
+	recs := make([]membership.Record, space.Capacity())
+	for i := range recs {
+		recs[i] = membership.Record{Addr: space.AddressAt(i), Sub: sampleSub(), Stamp: 1, Alive: true}
+	}
+	base, err := membership.NewRoster(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := membership.NewWithRoster(membership.Config{Self: space.AddressAt(6), Space: space, R: 2}, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Subscribe(interest.NewSubscription())
+	svc.HandleLeave(membership.Leave{Addr: space.AddressAt(2), Stamp: 1})
+	svc.HandleLeave(membership.Leave{Addr: space.AddressAt(11), Stamp: 5})
+	d := svc.MakeDigest()
+	if d.Entries != nil || d.Len() != len(recs) {
+		t.Fatalf("roster-mode digest: %d entries, %d lines; want the overlay form of %d lines",
+			len(d.Entries), d.Len(), len(recs))
+	}
+	return d
+}
+
+// TestOverlayDigestDecodesToEntriesForm: the wire knows one digest body. An
+// overlay-form digest encodes as the list of its lines — byte for byte what
+// the same lines in entries form encode to, alone or in a batch tail, and
+// EncodedSize agrees — and decodes to the entries form with the same lines.
+func TestOverlayDigestDecodesToEntriesForm(t *testing.T) {
+	in := OverlayDigest(t)
+	in.Sent = 77
+	lines := slices.Collect(in.Lines)
+	plain := membership.Digest{From: in.From, Hash: in.Hash, Count: in.Count, Sent: in.Sent, Entries: lines}
+	for name, pair := range map[string][2]any{
+		"bare":  {in, plain},
+		"batch": {Batch{Gossips: sampleBatch(2).Gossips, Digest: &in}, Batch{Gossips: sampleBatch(2).Gossips, Digest: &plain}},
+	} {
+		enc, err := Encode(pair[0])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want, _ := Encode(pair[1]); !bytes.Equal(enc, want) {
+			t.Errorf("%s: overlay form encodes differently from its lines in entries form", name)
+		}
+		if got := EncodedSize(pair[0]); got != len(enc) {
+			t.Errorf("%s: EncodedSize = %d, encoded %d bytes", name, got, len(enc))
+		}
+		msg, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out, ok := msg.(membership.Digest)
+		if b, isBatch := msg.(Batch); isBatch && b.Digest != nil {
+			out, ok = *b.Digest, true
+		}
+		if !ok {
+			t.Fatalf("%s: decoded %T carries no digest", name, msg)
+		}
+		if !out.From.Equal(in.From) || out.Hash != in.Hash || out.Count != in.Count || out.Sent != in.Sent {
+			t.Errorf("%s: header = %+v", name, out)
+		}
+		if !slices.Equal(out.Entries, lines) {
+			t.Errorf("%s: decoded entries = %+v, want the sender's lines %+v", name, out.Entries, lines)
 		}
 	}
 }
