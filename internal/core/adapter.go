@@ -201,10 +201,10 @@ func BuildProcess(t *tree.Tree, self addr.Address, cfg Config) (*Process, error)
 }
 
 // RebuildProcess is BuildProcess for a member whose views moved: the new
-// process adopts old's state (AdoptState) and, when the member's
-// subscription is still the one old compiled, old's delivery predicate —
-// the exact subscription's matcher, never a regrouped summary's. A nil old
-// builds from scratch.
+// process takes over old's state (AdoptState — old is dead afterwards) and,
+// when the member's subscription is still the one old compiled, old's
+// delivery predicate — the exact subscription's matcher, never a regrouped
+// summary's. A nil old builds from scratch.
 func RebuildProcess(t *tree.Tree, self addr.Address, cfg Config, old *Process) (*Process, error) {
 	m, ok := t.Member(self)
 	if !ok {

@@ -22,8 +22,8 @@ import (
 // bit test or a stored popcount. Invalidation is by view generation:
 // profiles are keyed by (event ID, generation), generations advance exactly
 // when a tree delta could have changed matching (see tree.Tree.Generation)
-// or when the simulator redraws its Bernoulli interests, and AdoptState
-// carries profiles across a rebuild only when generations still agree. The
+// or when the simulator redraws its Bernoulli interests, so profiles handed
+// across a rebuild (AdoptState) answer only while generations still agree. The
 // cache is therefore semantically invisible — every answer is bit-for-bit
 // what the uncached evaluation would produce, which is what keeps seeded
 // harness traces byte-identical with caching on.
@@ -178,8 +178,7 @@ type MatchStats struct {
 	CompilerEvictions  uint64
 }
 
-// Accumulate adds another process's counters (used when a rebuilt process
-// adopts its predecessor's state, and by fleet-wide reporting).
+// Accumulate adds another process's counters (fleet-wide reporting).
 func (m *MatchStats) Accumulate(o MatchStats) {
 	m.Evals += o.Evals
 	m.Comparisons += o.Comparisons
@@ -226,7 +225,7 @@ func (p *Process) profileAt(ev event.Event, depth int) *MatchProfile {
 }
 
 // evictProfile drops one event's cached profile at one depth (the event
-// left that depth's buffer: demoted, flooded, expired or forgotten).
+// left that depth's buffer: demoted, flooded or expired).
 func (p *Process) evictProfile(id event.ID, depth int) {
 	if c := &p.caches[depth-1]; c.profiles != nil {
 		delete(c.profiles, id)
@@ -246,21 +245,4 @@ func (p *Process) ProfileFor(ev event.Event, depth int) *MatchProfile {
 		return nil
 	}
 	return p.profileAt(ev, depth)
-}
-
-// adoptCaches carries the predecessor's cached profiles into this process
-// for every depth whose view generation still agrees — under churn, the
-// depths a delta did not touch keep their memoized matching across the
-// rebuild. Counter state is accumulated unconditionally.
-func (p *Process) adoptCaches(old *Process) {
-	for d := range p.caches {
-		if p.views[d] == nil || old.caches[d].profiles == nil {
-			continue
-		}
-		if viewGeneration(p.views[d]) != old.caches[d].gen {
-			continue
-		}
-		p.caches[d] = old.caches[d]
-	}
-	p.matchStats.Accumulate(old.matchStats)
 }

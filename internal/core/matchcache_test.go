@@ -208,31 +208,6 @@ func TestAdoptStateCarriesCaches(t *testing.T) {
 	}
 }
 
-// TestTickEvictsDemotedProfiles: an event leaving a depth's buffer drops
-// its profile there, and a full dissemination leaves no cached profiles for
-// expired events at their final depth either (Forget clears all).
-func TestForgetEvictsProfiles(t *testing.T) {
-	tr, space := cacheTree(t)
-	p, err := BuildProcess(tr, space.AddressAt(0), Config{F: 2, C: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := classEv(0, 1)
-	if err := p.Multicast(ev); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for p.Pending() > 0 {
-		p.Tick(rng)
-	}
-	p.Forget(ev.ID())
-	before := p.MatchStats().Hits
-	p.ProfileFor(ev, 1)
-	if p.MatchStats().Hits != before {
-		t.Error("profile survived Forget")
-	}
-}
-
 // TestTickDeterministicWithCache: two processes over the same tree with the
 // same RNG seed emit identical send sequences even when one of them has a
 // fully warmed cache and the other starts cold — caching changes no
@@ -344,5 +319,42 @@ func TestRebuildProcessKeepsExactSubscription(t *testing.T) {
 	}
 	if delivered(moved, topicEv("t0-9", 4)) || !delivered(moved, topicEv("t1-9", 5)) {
 		t.Error("rebuild after a subscription change still delivers by the old subscription")
+	}
+}
+
+// TestRebuildCostIndependentOfHistory: a rebuild takes the predecessor's
+// state over instead of copying it, so it allocates the same after 10
+// received events as after 10 000 — and the rebuilt process is the old one
+// continued: it dedupes an old ID and ticks the buffers it was handed.
+func TestRebuildCostIndependentOfHistory(t *testing.T) {
+	tr, space := cacheTree(t)
+	self := space.AddressAt(0)
+	cfg := Config{F: 2, C: 3}
+	rebuild := func(history int) (float64, *Process) {
+		old, err := BuildProcess(tr, self, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= history; i++ {
+			old.Receive(Gossip{Event: classEv(0, uint64(i)), Depth: 1, Rate: 1})
+		}
+		var next *Process
+		allocs := testing.AllocsPerRun(10, func() { next, _ = RebuildProcess(tr, self, cfg, old) })
+		return allocs, next
+	}
+	short, _ := rebuild(10)
+	long, next := rebuild(10000)
+	if short != long {
+		t.Errorf("rebuild allocates %.0f times after 10 events, %.0f after 10000", short, long)
+	}
+	next.Receive(Gossip{Event: classEv(0, 1), Depth: 1, Rate: 1})
+	if _, received := next.Stats(); received != 10000 {
+		t.Errorf("%d first receptions after replaying an old ID, want 10000", received)
+	}
+	if next.Pending() != 10000 {
+		t.Fatalf("%d events buffered after the rebuild, want 10000", next.Pending())
+	}
+	if len(next.Tick(rand.New(rand.NewSource(1)))) == 0 {
+		t.Error("rebuilt process does not gossip the buffers it was handed")
 	}
 }

@@ -97,13 +97,6 @@ type Config struct {
 	// default), the process consumes exactly the RNG draws of the untuned
 	// algorithm, so seeded traces are unchanged.
 	AdaptiveFanout bool
-	// AdaptiveBoost caps the extra susceptible targets added per (event,
-	// round) when loss is measured (default 2).
-	AdaptiveBoost int
-	// AdaptiveLossThreshold is the measured per-peer loss at which a link
-	// counts as lossy for the fan-out boost (default 0.05: a link measured
-	// above 5% loss earns extra redundancy).
-	AdaptiveLossThreshold float64
 	// PeerLoss reports the measured loss estimate toward a peer; ok is
 	// false while the estimator has not seen enough traffic. Required for
 	// AdaptiveFanout to have any effect.
@@ -113,19 +106,15 @@ type Config struct {
 // adaptiveOn reports whether the measured-loss tuning loop is active.
 func (c Config) adaptiveOn() bool { return c.AdaptiveFanout && c.PeerLoss != nil }
 
-func (c Config) adaptiveBoost() int {
-	if c.AdaptiveBoost > 0 {
-		return c.AdaptiveBoost
-	}
-	return 2
-}
-
-func (c Config) adaptiveLossThreshold() float64 {
-	if c.AdaptiveLossThreshold > 0 {
-		return c.AdaptiveLossThreshold
-	}
-	return 0.05
-}
+const (
+	// adaptiveBoost caps the extra susceptible targets added per (event,
+	// round) when loss is measured.
+	adaptiveBoost = 2
+	// adaptiveLossThreshold is the measured per-peer loss at which a link
+	// counts as lossy for the fan-out boost: above 5%, it earns extra
+	// redundancy.
+	adaptiveLossThreshold = 0.05
+)
 
 // AdaptiveStats counts what the measured-loss tuning loop actually did.
 type AdaptiveStats struct {
@@ -199,6 +188,13 @@ type Process struct {
 	// predicate directly.
 	selfSub interest.Identity
 
+	// The view-independent state, behind one pointer so that a rebuild over
+	// new views takes it over whole (AdoptState).
+	*state
+}
+
+// state is everything a Process keeps that does not depend on its views.
+type state struct {
 	gossips []map[event.ID]*entry
 	seen    map[event.ID]struct{}
 
@@ -239,9 +235,11 @@ func NewProcess(self addr.Address, cfg Config, views []DepthView, selfMatch func
 		cfg:       cfg,
 		views:     vs,
 		selfMatch: selfMatch,
-		gossips:   g,
-		caches:    make([]depthCache, cfg.D),
-		seen:      make(map[event.ID]struct{}),
+		state: &state{
+			gossips: g,
+			caches:  make([]depthCache, cfg.D),
+			seen:    make(map[event.ID]struct{}),
+		},
 	}, nil
 }
 
@@ -508,9 +506,8 @@ func (p *Process) gossipOnce(sends []Send, v DepthView, prof *MatchProfile, e *e
 	idxs := viewScratch(size, selfIdx)
 	k := samplePrefix(rng, idxs, 0, f)
 	if p.cfg.adaptiveOn() && k < len(idxs) {
-		threshold := p.cfg.adaptiveLossThreshold()
 		extra := 0
-		if viewLoss >= threshold {
+		if viewLoss >= adaptiveLossThreshold {
 			// Restore the effective fanout Eq. 11 discounts: F/(1−ε)
 			// targets keep F expected survivors, so the measured loss buys
 			// ceil(F·ε/(1−ε)) extra draws — one at the ~10% regimes, more
@@ -519,23 +516,20 @@ func (p *Process) gossipOnce(sends []Send, v DepthView, prof *MatchProfile, e *e
 			if extra < 1 {
 				extra = 1
 			}
-			if boost := p.cfg.adaptiveBoost(); extra > boost {
-				extra = boost
-			}
 		} else {
 			lossy := 0
 			for _, idx := range idxs[:k] {
 				if !p.susceptibleAt(prof, idx, tuned) {
 					continue
 				}
-				if l, ok := p.cfg.PeerLoss(v.MemberAt(idx)); ok && l >= threshold {
+				if l, ok := p.cfg.PeerLoss(v.MemberAt(idx)); ok && l >= adaptiveLossThreshold {
 					lossy++
 				}
 			}
 			extra = lossy
-			if boost := p.cfg.adaptiveBoost(); extra > boost {
-				extra = boost
-			}
+		}
+		if extra > adaptiveBoost {
+			extra = adaptiveBoost
 		}
 		if extra > 0 {
 			before := k
@@ -665,33 +659,19 @@ func samplePrefix(rng *rand.Rand, idxs []int, have, k int) int {
 	return have + k
 }
 
-// AdoptState carries the gossip buffers, seen-set, pending deliveries and
-// counters of a predecessor process across a view rebuild. Without it every
-// membership change wipes all in-flight disseminations fleet-wide — under
-// churn that turns steady version movement into mass delivery failure (the
-// chaos harness measures exactly this). Buffered entries keep their carried
-// rate and round, as a received gossip would.
+// AdoptState hands the gossip buffers, seen-set, cached profiles, pending
+// deliveries and counters of a predecessor over to p, a process freshly built
+// over the predecessor's moved views; old must not be used afterwards. Without
+// it every membership change wipes all in-flight disseminations fleet-wide —
+// under churn that turns steady version movement into mass delivery failure
+// (the chaos harness measures exactly this). Buffered entries keep their
+// carried rate and round, as a received gossip would; a cached profile whose
+// view generation moved is dropped by the next lookup (profileAt).
 func (p *Process) AdoptState(old *Process) {
 	if old == nil || len(old.gossips) != len(p.gossips) {
 		return
 	}
-	for d := range old.gossips {
-		for id, e := range old.gossips[d] {
-			if _, dup := p.gossips[d][id]; !dup {
-				p.gossips[d][id] = e
-			}
-		}
-	}
-	for id := range old.seen {
-		p.seen[id] = struct{}{}
-	}
-	p.adoptCaches(old)
-	p.deliveries = append(p.deliveries, old.deliveries...)
-	p.sent += old.sent
-	p.received += old.received
-	p.adaptive.Boosts += old.adaptive.Boosts
-	p.adaptive.ExtraTargets += old.adaptive.ExtraTargets
-	p.adaptive.BudgetDepths += old.adaptive.BudgetDepths
+	p.state = old.state
 }
 
 // Deliveries drains the events delivered (HPDELIVER) since the last call.
@@ -722,18 +702,6 @@ func (p *Process) Stats() (sent, received int) { return p.sent, p.received }
 
 // Adaptive reports what the measured-loss tuning loop did so far.
 func (p *Process) Adaptive() AdaptiveStats { return p.adaptive }
-
-// Forget drops an event from the seen-set (retention GC for long-running
-// nodes; the paper's passive garbage collection only bounds buffer rounds).
-func (p *Process) Forget(id event.ID) {
-	delete(p.seen, id)
-	for _, buf := range p.gossips {
-		delete(buf, id)
-	}
-	for d := range p.caches {
-		p.evictProfile(id, d+1)
-	}
-}
 
 // Reset clears all protocol state (buffers, seen-set, deliveries, counters)
 // so the process can be reused across simulation runs without rebuilding

@@ -368,24 +368,6 @@ func TestTuningThresholdWidensAudience(t *testing.T) {
 	}
 }
 
-func TestForgetAllowsReprocessing(t *testing.T) {
-	_, procs := buildGroup(t, 3, 2, 2, Config{F: 2})
-	p := procs["0.0"]
-	ev := bEvent(1, 3)
-	p.Receive(Gossip{Event: ev, Depth: 1, Rate: 1, Round: 0})
-	if !p.HasSeen(ev.ID()) {
-		t.Fatal("not seen after receive")
-	}
-	p.Forget(ev.ID())
-	if p.HasSeen(ev.ID()) || p.Pending() != 0 {
-		t.Error("forget did not clear state")
-	}
-	p.Receive(Gossip{Event: ev, Depth: 1, Rate: 1, Round: 0})
-	if !p.HasSeen(ev.ID()) {
-		t.Error("reprocessing after forget failed")
-	}
-}
-
 func TestSampleIndices(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {

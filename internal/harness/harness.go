@@ -449,28 +449,26 @@ func (r *run) spawn(i int, sub interest.Subscription) (*handle, error) {
 		r.adaptSum.Accumulate(h.n.AdaptiveStats())
 	}
 	cfg := node.Config{
-		Addr:                  a,
-		Space:                 r.space,
-		R:                     r.sc.Fleet.R,
-		F:                     r.sc.Fleet.F,
-		C:                     r.sc.Fleet.C,
-		Threshold:             r.sc.Fleet.Threshold,
-		LocalDescent:          r.sc.Fleet.LocalDescent,
-		LeafFloodRate:         r.sc.Fleet.LeafFloodRate,
-		Subscription:          sub,
-		GossipInterval:        r.sc.Fleet.GossipInterval,
-		MembershipInterval:    r.sc.Fleet.MembershipInterval,
-		MembershipFanout:      r.sc.Fleet.MembershipFanout,
-		SuspectAfter:          r.sc.Fleet.SuspectAfter,
-		SuspicionSweeps:       r.sc.Fleet.SuspicionSweeps,
-		DeliveryBuffer:        r.sc.Fleet.DeliveryBuffer,
-		MeasureWire:           r.sc.Fleet.MeasureWire,
-		FECRepairs:            r.sc.Fleet.FECRepairs,
-		FECSources:            r.sc.Fleet.FECSources,
-		AdaptiveFanout:        r.sc.Fleet.AdaptiveFanout,
-		AdaptiveBoost:         r.sc.Fleet.AdaptiveBoost,
-		AdaptiveLossThreshold: r.sc.Fleet.AdaptiveLossThreshold,
-		Seed:                  mixSeed(r.seed, i, h.gen),
+		Addr:               a,
+		Space:              r.space,
+		R:                  r.sc.Fleet.R,
+		F:                  r.sc.Fleet.F,
+		C:                  r.sc.Fleet.C,
+		Threshold:          r.sc.Fleet.Threshold,
+		LocalDescent:       r.sc.Fleet.LocalDescent,
+		LeafFloodRate:      r.sc.Fleet.LeafFloodRate,
+		Subscription:       sub,
+		GossipInterval:     r.sc.Fleet.GossipInterval,
+		MembershipInterval: r.sc.Fleet.MembershipInterval,
+		MembershipFanout:   r.sc.Fleet.MembershipFanout,
+		SuspectAfter:       r.sc.Fleet.SuspectAfter,
+		SuspicionSweeps:    r.sc.Fleet.SuspicionSweeps,
+		DeliveryBuffer:     r.sc.Fleet.DeliveryBuffer,
+		MeasureWire:        r.sc.Fleet.MeasureWire,
+		FECRepairs:         r.sc.Fleet.FECRepairs,
+		FECSources:         r.sc.Fleet.FECSources,
+		AdaptiveFanout:     r.sc.Fleet.AdaptiveFanout,
+		Seed:               mixSeed(r.seed, i, h.gen),
 		// The node's notion of now and every schedule it causes go through
 		// its worker's clock.
 		Clock: h.clk,

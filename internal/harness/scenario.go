@@ -81,12 +81,9 @@ type Fleet struct {
 	// AdaptiveFanout enables the loss-aware tuning loop fleet-wide
 	// (node.Config.AdaptiveFanout): every node runs the passive per-peer
 	// loss estimator and the gossip core widens round budgets and fan-out
-	// toward measured loss. AdaptiveBoost and AdaptiveLossThreshold tune it
-	// (0 = node defaults). Off keeps the estimator out of the build entirely
+	// toward measured loss. Off keeps the estimator out of the build entirely
 	// — seeded traces are unchanged.
-	AdaptiveFanout        bool
-	AdaptiveBoost         int
-	AdaptiveLossThreshold float64
+	AdaptiveFanout bool
 	// Classes partitions interests: node i subscribes to attribute "b" ==
 	// i mod Classes unless SubscriptionFor overrides it, and published
 	// events carry one class value.

@@ -92,12 +92,6 @@ type Config struct {
 	// view's measured loss exceeds the configured assumption and samples
 	// extra fan-out targets toward lossy peers.
 	AdaptiveFanout bool
-	// AdaptiveBoost caps the extra gossip targets per (event, round) when
-	// adapting (default 2).
-	AdaptiveBoost int
-	// AdaptiveLossThreshold is the estimated per-peer loss at which a link
-	// counts as lossy for fan-out boosting (default 0.05).
-	AdaptiveLossThreshold float64
 	// DeliveryBuffer sizes the Deliveries channel (default 256). When the
 	// consumer lags, further deliveries are dropped and counted.
 	DeliveryBuffer int
@@ -1061,8 +1055,6 @@ func (n *Node) coreConfig() core.Config {
 	if n.est != nil {
 		est := n.est
 		cfg.AdaptiveFanout = true
-		cfg.AdaptiveBoost = n.cfg.AdaptiveBoost
-		cfg.AdaptiveLossThreshold = n.cfg.AdaptiveLossThreshold
 		cfg.PeerLoss = func(a addr.Address) (float64, bool) {
 			return est.Estimate(a.Key())
 		}
@@ -1075,8 +1067,8 @@ func (n *Node) coreConfig() core.Config {
 // and rebuilds the protocol process over the updated views. A full
 // tree.Build over n members costs ~O(n·d) and at fleet scale every
 // anti-entropy arrival used to pay it; the delta fold makes a churn wave
-// cost proportional to the wave, not the fleet. The rebuilt process adopts
-// its predecessor's gossip buffers, so in-flight disseminations survive
+// cost proportional to the wave, not the fleet. The rebuilt process takes
+// over its predecessor's gossip buffers, so in-flight disseminations survive
 // membership movement (see DESIGN.md).
 func (n *Node) rebuildLocked() error {
 	version := n.mem.Version()
@@ -1128,24 +1120,16 @@ func (n *Node) rebuildLocked() error {
 		}
 	}
 	if changed || n.proc == nil {
-		if err := n.swapProcessLocked(); err != nil {
-			return err
+		// In-flight disseminations survive the swap: the new process takes
+		// over the old one's buffers, seen-set and counters, and its compiled
+		// own subscription when that did not move.
+		proc, err := core.RebuildProcess(n.tree, n.cfg.Addr, n.coreConfig(), n.proc)
+		if err != nil {
+			return fmt.Errorf("node: rebuilding process: %w", err)
 		}
+		n.proc = proc
 	}
 	n.treeVersion = version
-	return nil
-}
-
-// swapProcessLocked replaces the protocol process with one built over the
-// current tree. In-flight disseminations survive the swap: the new process
-// adopts the old buffers, seen-set and counters, and the compiled own
-// subscription when that did not move.
-func (n *Node) swapProcessLocked() error {
-	proc, err := core.RebuildProcess(n.tree, n.cfg.Addr, n.coreConfig(), n.proc)
-	if err != nil {
-		return fmt.Errorf("node: rebuilding process: %w", err)
-	}
-	n.proc = proc
 	return nil
 }
 

@@ -19,8 +19,10 @@ package node
 
 import (
 	"errors"
+	"fmt"
 
 	"pmcast/internal/addr"
+	"pmcast/internal/core"
 	"pmcast/internal/transport"
 )
 
@@ -86,7 +88,12 @@ func (n *Node) AdoptViewsFrom(donor *Node) error {
 	}
 	n.tree = clone
 	n.treeVersion = n.mem.Version()
-	return n.swapProcessLocked()
+	proc, err := core.RebuildProcess(n.tree, n.cfg.Addr, n.coreConfig(), n.proc)
+	if err != nil {
+		return fmt.Errorf("node: rebuilding process: %w", err)
+	}
+	n.proc = proc
+	return nil
 }
 
 // TickGossip runs one gossip period (the protocol stage's gossip arm).

@@ -4,17 +4,21 @@
 package transport
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"pmcast/internal/addr"
 	"pmcast/internal/clock"
+	"pmcast/internal/core"
+	"pmcast/internal/wire"
 )
 
 // TestBatchDelayLandsInOrder is the regression test for the in-batch
 // reordering bug: sub-messages of one wire.Batch used to draw independent
-// delays in routeFaulty, so a batch's parts could land out of canonical
-// order. One batch now draws one delay and its survivors land together.
+// delays, so a batch's parts could land out of canonical order. One batch
+// draws one delay and its survivors land together.
 func TestBatchDelayLandsInOrder(t *testing.T) {
 	vc, _, a, b := virtualPair(t, Config{
 		MinDelay: time.Millisecond,
@@ -90,9 +94,8 @@ func TestMinDelayValidation(t *testing.T) {
 }
 
 // TestFixedDelayHonored covers the legal boundary the validation keeps:
-// MinDelay == MaxDelay > 0 is a fixed delay on both the route gate (no
-// synchronous fast-path hand-off) and the faulty path (delivery at exactly
-// the configured offset).
+// MinDelay == MaxDelay > 0 is a fixed delay: no synchronous hand-off, and
+// delivery at exactly the configured offset.
 func TestFixedDelayHonored(t *testing.T) {
 	vc, _, a, b := virtualPair(t, Config{
 		MinDelay: 3 * time.Millisecond,
@@ -246,7 +249,7 @@ func TestGilbertElliottChainStatistics(t *testing.T) {
 }
 
 // TestLinkJitterDelays pins that jitter alone (no MinDelay/MaxDelay) takes
-// messages off the synchronous fast path and lands them inside the jitter
+// messages off the synchronous hand-off and lands them inside the jitter
 // bounds.
 func TestLinkJitterDelays(t *testing.T) {
 	vc := clock.NewVirtual()
@@ -308,5 +311,91 @@ func TestLinkModelValidation(t *testing.T) {
 		JitterMin: time.Millisecond, JitterMax: 2 * time.Millisecond}}
 	if _, err := NewNetwork(good); err != nil {
 		t.Errorf("legal link model rejected: %v", err)
+	}
+}
+
+// everyKnob turns on every fault draw route can make: ambient loss, the
+// Gilbert–Elliott chain, a delay span and a jitter span.
+var everyKnob = Config{
+	Loss:     0.2,
+	MinDelay: time.Millisecond,
+	MaxDelay: 8 * time.Millisecond,
+	Link: LinkModel{BadLoss: 0.7, PGB: 0.1, PBG: 0.3,
+		JitterMin: time.Millisecond, JitterMax: 3 * time.Millisecond},
+	Seed: 9,
+}
+
+// TestConcurrentSendsOnOneLink has two goroutines send from one endpoint to
+// one destination over a faulty fabric — what two egress workers of one node
+// do. Under -race it holds that the link's streams and FIFO floor are
+// guarded; every message must still be accounted for exactly once.
+func TestConcurrentSendsOnOneLink(t *testing.T) {
+	const perSender = 2000
+	cfg := everyKnob
+	cfg.QueueLen = 2 * perSender
+	vc, net, a, b := virtualPair(t, cfg)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				if err := a.Send(b.Addr(), i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	vc.Advance(time.Second)
+	if got := len(b.Recv()) + net.Dropped(); got != 2*perSender {
+		t.Errorf("%d delivered + %d dropped, want %d in all", len(b.Recv()), net.Dropped(), 2*perSender)
+	}
+}
+
+// TestBareAndOnePartBatchParity holds the premise route is built on: a bare
+// payload is a round envelope of one part. The same gossips sent bare and
+// wrapped one per wire.Batch, over every fault knob at once, must produce
+// the same survivors, the same landing instants and the same drop count.
+func TestBareAndOnePartBatchParity(t *testing.T) {
+	type landing struct {
+		seq uint64
+		at  time.Duration
+	}
+	run := func(wrap bool) ([]landing, int) {
+		vc, net, a, b := virtualPair(t, everyKnob)
+		start := vc.Now()
+		for _, g := range testBatch(400).Gossips {
+			var payload any = g
+			if wrap {
+				payload = wire.Batch{Gossips: []core.Gossip{g}}
+			}
+			if err := a.Send(b.Addr(), payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var landed []landing
+		for {
+			now, ran := vc.RunNext()
+			if ran == 0 {
+				return landed, net.Dropped()
+			}
+			for len(b.Recv()) > 0 {
+				g := (<-b.Recv()).Payload.(core.Gossip)
+				landed = append(landed, landing{g.Event.ID().Seq, now.Sub(start)})
+			}
+		}
+	}
+	bare, bareDropped := run(false)
+	batched, batchedDropped := run(true)
+	if len(bare) == 0 || bareDropped == 0 {
+		t.Fatalf("%d landed, %d dropped: the knobs must exercise both fates", len(bare), bareDropped)
+	}
+	if bareDropped != batchedDropped {
+		t.Errorf("dropped %d bare, %d batched", bareDropped, batchedDropped)
+	}
+	if !reflect.DeepEqual(bare, batched) {
+		t.Errorf("landings differ: %d bare, %d batched", len(bare), len(batched))
 	}
 }

@@ -34,9 +34,9 @@ import (
 //
 // and loss bursts in the classic GoodLoss=0, BadLoss=1 configuration have
 // mean length 1/PBG messages. Chain state and all its draws live on the same
-// per-link streams as the base faults (repair symbols included, on their
-// separate "|fec" streams), so the common-random-numbers property holds: a
-// link's fault outcomes depend only on its own traffic.
+// per-link streams as the base faults (repair symbols included, on the link's
+// repair stream), so the common-random-numbers property holds: a link's fault
+// outcomes depend only on its own traffic.
 //
 // The zero value disables the model entirely — zero extra RNG draws, so
 // every seeded trace pinned before the model existed replays byte-identically.
@@ -58,7 +58,7 @@ type LinkModel struct {
 }
 
 // Enabled reports whether any part of the model is active; the zero value
-// reports false and the fabric's fault-free fast path stays eligible.
+// reports false.
 func (m LinkModel) Enabled() bool {
 	return m.PGB > 0 || m.JitterMin > 0 || m.JitterMax > 0
 }
@@ -127,39 +127,26 @@ type Config struct {
 // Network is the shared in-memory fabric. Endpoints attach under their
 // address; sends route by address. All methods are safe for concurrent use.
 //
-// Batched round envelopes (wire.Batch) are modelled as one datagram whose
-// constituent messages are unbatched in transit: each sub-message draws loss
-// independently from the link's fault stream (so batching stays a measurable,
-// behavior-preserving aggregation of the same messages sent unbatched), while
-// the batch draws a single delivery delay — its survivors land together, in
-// the batch's canonical order. Delayed deliveries additionally respect
-// per-link FIFO: a later send on the same directed link never lands before an
-// earlier delayed one.
+// A round envelope (wire.Batch) is one datagram whose constituent messages
+// are unbatched in transit, so batching stays a measurable, behavior-preserving
+// aggregation of the same messages sent unbatched; route has the fault model.
 type Network struct {
 	clk clock.Clock
 
-	// mu is a reader/writer lock: every route — fault-free or faulty — runs
-	// under the shared read lock, so concurrent senders (the harness runs one
-	// goroutine per worker) never serialize on one global mutex.
-	// Only knob mutations (Attach/Detach, SetLoss, Block, Heal, Close) take
-	// the write lock; they happen while the fleet is quiescent.
+	// mu is a reader/writer lock: every route runs under the shared read
+	// lock, so concurrent senders (the harness runs one goroutine per worker)
+	// never serialize on one global mutex. Only knob mutations (Attach/Detach,
+	// SetLoss, Block, Heal, Close) take the write lock; they happen while the
+	// fleet is quiescent.
 	mu        sync.RWMutex
 	cfg       Config
 	seedMix   uint64 // Seed as stream material; seed 0 gets its own constant
 	endpoints map[string]*memEndpoint
-	blocked   map[string]bool // "from|to" directed block rules
-
-	// links holds each directed link's fault stream and FIFO floor. The map
-	// itself is guarded by linksMu (links are created lazily from concurrent
-	// routes), but a linkState's FIELDS are not: a directed link's draws
-	// happen only on sends from its source address, and one process's sends
-	// are totally ordered — by the process's own run loop when live, by the
-	// harness worker that owns it plus barrier handoffs in a campaign.
-	// Streams and floors survive endpoint detach/reattach, so a rejoined
-	// process continues its links' draw sequences exactly where the crashed
-	// generation left them.
-	linksMu sync.Mutex
-	links   map[string]*linkState
+	blocked   map[link]bool // directed block rules
+	// links keeps one table per source address ever attached, so streams and
+	// FIFO floors survive detach/reattach: a rejoined process continues its
+	// links' draw sequences exactly where the crashed generation left them.
+	links map[string]*linkTable
 
 	// timers tracks outstanding delayed deliveries for cancellation at
 	// Close. Its own mutex, not mu: delivery callbacks fire on shard
@@ -203,13 +190,57 @@ type linkStream struct {
 	bad   bool
 }
 
-// linkState is one directed link's mutable fabric state: its fault stream
-// and the per-link FIFO floor (the latest scheduled delivery instant — a
-// later send on the link never lands before an earlier delayed one). Fields
-// are owner-ordered, not locked; see Network.links.
+// link names one directed link by its endpoints' keys.
+type link struct{ from, to string }
+
+// linkState is one directed link's mutable fabric state: its two fault
+// streams (repair symbols draw from their own, see route) and its FIFO floor,
+// the latest scheduled delivery instant — a later send on the link never
+// lands before an earlier delayed one.
 type linkState struct {
-	linkStream
-	lastDelayed time.Time
+	main, repair linkStream
+	lastDelayed  time.Time
+}
+
+// linkTable holds the links leaving one source address, by destination key.
+// Determinism needs each link's draws in its own traffic order, which the
+// source's owner provides (its run loop when live, its harness worker in a
+// campaign); mu makes draws and floors safe when one source sends from
+// several goroutines — a node's egress workers, its only contenders.
+type linkTable struct {
+	from string
+	mu   sync.Mutex
+	to   map[string]*linkState
+}
+
+// state returns the link's state, seeding its streams on first use from the
+// fabric seed and FNV-1a over "from|to" (the repair stream's continues over
+// "|fec"): independent but reproducible per link. Callers hold t.mu.
+func (t *linkTable) state(seedMix uint64, to string) *linkState {
+	st, ok := t.to[to]
+	if !ok {
+		h := fnv1a(fnvOffset, t.from)
+		h = fnv1a((h^'|')*fnvPrime, to)
+		st = &linkState{
+			main:   linkStream{state: seedMix ^ h},
+			repair: linkStream{state: seedMix ^ fnv1a(h, "|fec")},
+		}
+		t.to[to] = st
+	}
+	return st
+}
+
+const (
+	fnvOffset = 1469598103934665603
+	fnvPrime  = 1099511628211
+)
+
+// fnv1a folds s into a running FNV-1a hash.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
 }
 
 func (s *linkStream) next() uint64 {
@@ -262,9 +293,9 @@ func NewNetwork(cfg Config) (*Network, error) {
 		clk:       clk,
 		cfg:       cfg,
 		seedMix:   seedMix,
-		links:     make(map[string]*linkState),
+		links:     make(map[string]*linkTable),
 		endpoints: make(map[string]*memEndpoint),
-		blocked:   make(map[string]bool),
+		blocked:   make(map[link]bool),
 		timers:    make(map[clock.Timer]struct{}),
 	}, nil
 }
@@ -280,26 +311,6 @@ func MustNetwork(cfg Config) *Network {
 	return n
 }
 
-// linkState returns the directed link's state, creating it deterministically
-// from the fabric seed and the link key on first use. Only the map access is
-// locked; the returned state's fields are owner-ordered (see Network.links).
-func (n *Network) linkState(linkKey string) *linkState {
-	n.linksMu.Lock()
-	st, ok := n.links[linkKey]
-	if !ok {
-		// FNV-1a over the link key, mixed with the fabric seed, so links get
-		// independent but reproducible starting states.
-		h := uint64(1469598103934665603)
-		for i := 0; i < len(linkKey); i++ {
-			h = (h ^ uint64(linkKey[i])) * 1099511628211
-		}
-		st = &linkState{linkStream: linkStream{state: n.seedMix ^ h}}
-		n.links[linkKey] = st
-	}
-	n.linksMu.Unlock()
-	return st
-}
-
 // Attach registers an address and returns its endpoint.
 func (n *Network) Attach(a addr.Address) (Endpoint, error) {
 	n.mu.Lock()
@@ -311,10 +322,16 @@ func (n *Network) Attach(a addr.Address) (Endpoint, error) {
 	if _, ok := n.endpoints[key]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateAddr, a)
 	}
+	links, ok := n.links[key]
+	if !ok {
+		links = &linkTable{from: key, to: make(map[string]*linkState)}
+		n.links[key] = links
+	}
 	ep := &memEndpoint{
-		addr: a,
-		net:  n,
-		in:   make(chan Envelope, n.cfg.QueueLen),
+		addr:  a,
+		net:   n,
+		links: links,
+		in:    make(chan Envelope, n.cfg.QueueLen),
 	}
 	n.endpoints[key] = ep
 	return ep, nil
@@ -372,7 +389,7 @@ func (n *Network) SetLoss(p float64) {
 func (n *Network) Block(from, to addr.Address) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.blocked[from.Key()+"|"+to.Key()] = true
+	n.blocked[link{from.Key(), to.Key()}] = true
 }
 
 // BlockBidirectional severs both directions between two addresses.
@@ -385,7 +402,7 @@ func (n *Network) BlockBidirectional(a, b addr.Address) {
 func (n *Network) Heal() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.blocked = make(map[string]bool)
+	n.blocked = make(map[link]bool)
 }
 
 // Dropped returns the number of messages lost so far (loss, partitions,
@@ -401,18 +418,22 @@ func (n *Network) Size() int {
 	return len(n.endpoints)
 }
 
-// route delivers one envelope subject to faults. A wire.Batch payload is
-// unbatched in transit: each sub-message draws its own loss from the link's
-// fault stream, the batch draws one delivery delay, and survivors arrive as
-// their own envelopes in the batch's canonical order — the same loss draws,
-// in the same order, the same messages sent unbatched would have made.
-// Returns ErrUnknownAddr only for routing errors the sender can act on —
-// faults are silent, as on a real network.
+// route delivers one payload subject to faults. A bare payload is a round
+// envelope of one part, so one loop decides every sub-message's fate: each
+// part draws its own loss from the link — the draws, in the order, the same
+// messages sent unbatched would have made — and the survivors draw one delay
+// (per-message delays would let them land reordered) and land together, as
+// their own envelopes, in the batch's canonical order. Drops count per
+// sub-message on every path, so batched and unbatched runs of the same
+// traffic report the same count. Only ErrUnknownAddr, which a sender can act
+// on, is returned — faults are silent, as on a real network.
 //
-// A fault-free fabric (no loss, no delay, no jitter, no link model, no tap,
-// no partition rules) routes under the read lock: no fault draws means no
-// per-link RNG state advances, so concurrent senders stay independent and
-// the path scales with cores.
+// Only configured knobs cost anything: partition rules are consulted when
+// there are any, link state (under the sender's table mutex) when Loss, the
+// link model or a delay needs a draw or the FIFO floor; a fault-free fabric
+// looks the destination up and hands over. Tap is called concurrently by
+// concurrent senders and must synchronize itself (every in-tree Tap runs
+// under a serial fabric).
 func (n *Network) route(e *memEndpoint, to addr.Address, payload any) error {
 	from := e.addr
 	n.mu.RLock()
@@ -420,47 +441,96 @@ func (n *Network) route(e *memEndpoint, to addr.Address, payload any) error {
 		n.mu.RUnlock()
 		return ErrClosed
 	}
-	if n.cfg.Tap == nil && n.cfg.Loss == 0 &&
-		n.cfg.MaxDelay == 0 && n.cfg.MinDelay == 0 &&
-		!n.cfg.Link.Enabled() && len(n.blocked) == 0 {
-		dst, ok := n.endpoints[to.Key()]
-		owned := e.owned
+	if n.cfg.Tap != nil {
+		n.cfg.Tap(from, to, payload)
+	}
+	b, isBatch := payload.(wire.Batch)
+	toKey := to.Key()
+	dst, known := n.endpoints[toKey]
+	if !known || (len(n.blocked) > 0 && n.blocked[link{from.Key(), toKey}]) {
+		parts := 1
+		if isBatch {
+			parts = b.Parts()
+		}
+		n.dropped.Add(int64(parts))
 		n.mu.RUnlock()
-		if !ok {
-			n.dropped.Add(int64(payloadParts(payload)))
+		if !known {
 			return fmt.Errorf("%w: %s", ErrUnknownAddr, to)
 		}
-		if b, isBatch := payload.(wire.Batch); isBatch {
-			// Unbatch in canonical order, as the faulty path would.
-			b.Each(func(sub any) {
-				n.deliver(dst, Envelope{From: from, To: to, Payload: sub})
-			})
-		} else {
-			n.deliver(dst, Envelope{From: from, To: to, Payload: payload})
+		return nil // silent partition
+	}
+	lossy := n.cfg.Loss > 0 || n.cfg.Link.PGB > 0
+	delayed := n.cfg.MaxDelay > 0 || n.cfg.Link.JitterMax > 0
+	var st *linkState
+	if lossy || delayed {
+		e.links.mu.Lock()
+		st = e.links.state(n.seedMix, toKey)
+	}
+	// Repair symbols are extra traffic a coded run adds to the gossips an
+	// uncoded run sends; their own stream keeps the source messages' draws
+	// identical to the uncoded run's (common random numbers, extended to the
+	// coding layer), so an r>0 campaign diverges from its r=0 twin only where
+	// the protocol does. For the same reason the delay comes from the main
+	// stream exactly when a main-stream part survived: that stream's
+	// consumption is a pure function of the link's non-repair traffic.
+	var buf [16]any // keeps the common zero-delay hand-off allocation-free
+	survivors := buf[:0]
+	mainSurvived := false
+	part := func(sub any) {
+		_, isRepair := sub.(fec.Repair)
+		if lossy {
+			s := &st.main
+			if isRepair {
+				s = &st.repair
+			}
+			if n.lost(s) {
+				n.dropped.Add(1) // silent loss
+				return
+			}
+		}
+		if !isRepair {
+			mainSurvived = true
+		}
+		survivors = append(survivors, sub)
+	}
+	if isBatch {
+		b.Each(part)
+	} else {
+		part(payload)
+	}
+	var delay time.Duration
+	if delayed && len(survivors) > 0 {
+		s := &st.main
+		if !mainSurvived {
+			s = &st.repair
+		}
+		delay = n.delay(s)
+	}
+	if delay > 0 {
+		n.schedule(e, st, dst, delay, append([]any(nil), survivors...))
+	}
+	if st != nil {
+		e.links.mu.Unlock()
+	}
+	owned := e.owned
+	n.mu.RUnlock()
+	if delay == 0 && len(survivors) > 0 {
+		for _, sub := range survivors {
+			n.deliver(dst, Envelope{From: from, To: to, Payload: sub})
 		}
 		if owned != nil {
 			owned.HandedOff(to)
 		}
-		return nil
 	}
-	n.mu.RUnlock()
-	return n.routeFaulty(e, from, to, payload)
+	return nil
 }
 
-// payloadParts counts the sub-messages of a payload for drop accounting.
-func payloadParts(payload any) int {
-	if b, isBatch := payload.(wire.Batch); isBatch {
-		return b.Parts()
-	}
-	return 1
-}
-
-// lostLocked draws one sub-message's fate from its link stream: the ambient
-// i.i.d. Loss draw composed with one Gilbert–Elliott chain step plus the
-// resulting state's loss draw. Disabled knobs consume no draws, which is the
-// replay contract: traces pinned before a knob existed stay byte-identical
-// while it is off.
-func (n *Network) lostLocked(rng *linkStream) bool {
+// lost draws one sub-message's fate from its link stream: the ambient i.i.d.
+// Loss draw composed with one Gilbert–Elliott chain step plus the resulting
+// state's loss draw. Disabled knobs consume no draws, which is the replay
+// contract: traces pinned before a knob existed stay byte-identical while it
+// is off.
+func (n *Network) lost(rng *linkStream) bool {
 	lost := n.cfg.Loss > 0 && rng.Float64() < n.cfg.Loss
 	if lm := n.cfg.Link; lm.PGB > 0 {
 		if rng.bad {
@@ -481,10 +551,10 @@ func (n *Network) lostLocked(rng *linkStream) bool {
 	return lost
 }
 
-// delayLocked draws one delivery delay: the uniform MinDelay/MaxDelay base
-// plus uniform link jitter. Each bound pair with span zero is a fixed offset
+// delay draws one delivery delay: the uniform MinDelay/MaxDelay base plus
+// uniform link jitter. Each bound pair with span zero is a fixed offset
 // consuming no draw.
-func (n *Network) delayLocked(rng *linkStream) time.Duration {
+func (n *Network) delay(rng *linkStream) time.Duration {
 	var d time.Duration
 	if n.cfg.MaxDelay > 0 {
 		if span := n.cfg.MaxDelay - n.cfg.MinDelay; span > 0 {
@@ -503,7 +573,7 @@ func (n *Network) delayLocked(rng *linkStream) time.Duration {
 	return d
 }
 
-// schedule registers one delayed delivery of envs (in order) on the link,
+// schedule registers one delayed delivery of subs (in order) on the link,
 // clamped to the per-link FIFO floor: it never lands before an earlier
 // delayed delivery on the same directed link. The timer is registered under
 // timersMu and the callback takes timersMu first, so it cannot observe the
@@ -514,7 +584,7 @@ func (n *Network) delayLocked(rng *linkStream) time.Duration {
 // endpoint's clock, when set, both reads now and schedules — the harness
 // points it at the sender's node clock, whose OwnedScheduler implementation
 // turns the delivery into an event owned by the destination.
-func (n *Network) schedule(e *memEndpoint, st *linkState, dst *memEndpoint, delay time.Duration, envs []Envelope) {
+func (n *Network) schedule(e *memEndpoint, st *linkState, dst *memEndpoint, delay time.Duration, subs []any) {
 	clk := e.clk
 	if clk == nil {
 		clk = n.clk
@@ -533,8 +603,8 @@ func (n *Network) schedule(e *memEndpoint, st *linkState, dst *memEndpoint, dela
 		delete(n.timers, timer)
 		n.timersMu.Unlock()
 		if live {
-			for _, env := range envs {
-				n.deliver(dst, env)
+			for _, sub := range subs {
+				n.deliver(dst, Envelope{From: e.addr, To: dst.addr, Payload: sub})
 			}
 		}
 	}
@@ -546,127 +616,6 @@ func (n *Network) schedule(e *memEndpoint, st *linkState, dst *memEndpoint, dela
 	}
 	n.timers[timer] = struct{}{}
 	n.timersMu.Unlock()
-}
-
-// routeFaulty is the fault-injecting path. It runs under the read lock:
-// fault draws advance the link's RNG stream, but each directed link's draws
-// happen only on sends from its source process, and those are totally
-// ordered by that process's owner (run loop or shard) — determinism needs
-// each link's draws in its own traffic order, which ownership provides
-// without a global write lock. Tap, when set, is called concurrently by
-// concurrent senders and must synchronize itself (every in-tree Tap runs
-// under a serial fabric).
-func (n *Network) routeFaulty(e *memEndpoint, from, to addr.Address, payload any) error {
-	n.mu.RLock()
-	if n.closed {
-		n.mu.RUnlock()
-		return ErrClosed
-	}
-	if n.cfg.Tap != nil {
-		n.cfg.Tap(from, to, payload)
-	}
-	// Drop accounting is per sub-message on every fault path, so batched and
-	// unbatched runs of the same traffic report identical drop counts.
-	parts := payloadParts(payload)
-	dst, ok := n.endpoints[to.Key()]
-	if !ok {
-		n.dropped.Add(int64(parts))
-		n.mu.RUnlock()
-		return fmt.Errorf("%w: %s", ErrUnknownAddr, to)
-	}
-	linkKey := from.Key() + "|" + to.Key()
-	if n.blocked[linkKey] {
-		n.dropped.Add(int64(parts))
-		n.mu.RUnlock()
-		return nil // silent partition
-	}
-	st := n.linkState(linkKey)
-	rng := &st.linkStream
-	// Repair symbols draw from a separate per-link stream: they are extra
-	// traffic a coded run adds on top of the same gossips an uncoded run
-	// sends, and giving them their own stream keeps the source messages'
-	// fault draws identical to the uncoded run's — the common-random-numbers
-	// property extended to the coding layer, so an r>0 campaign diverges from
-	// its r=0 twin only where the protocol actually diverges. The same rule
-	// governs the batch delay draw below: it comes from the main stream
-	// exactly when a main-stream sub-message survived, so the main stream's
-	// consumption is a pure function of the link's non-repair traffic.
-	var fecRNG *linkStream
-	fecStream := func() *linkStream {
-		if fecRNG == nil {
-			fecRNG = &n.linkState(linkKey + "|fec").linkStream
-		}
-		return fecRNG
-	}
-	if b, isBatch := payload.(wire.Batch); isBatch {
-		// One datagram, one delay: per-sub-message loss draws decide the
-		// survivors, then the batch draws a single delay and the survivors
-		// land together in canonical order (per-message delays would let
-		// them land reordered — the invariant this path exists to keep).
-		var survivors []Envelope
-		mainSurvived := false
-		b.Each(func(sub any) {
-			s := rng
-			if _, isRepair := sub.(fec.Repair); isRepair {
-				s = fecStream()
-			}
-			if n.lostLocked(s) {
-				n.dropped.Add(1) // silent loss
-				return
-			}
-			if s == rng {
-				mainSurvived = true
-			}
-			survivors = append(survivors, Envelope{From: from, To: to, Payload: sub})
-		})
-		if len(survivors) == 0 {
-			n.mu.RUnlock()
-			return nil
-		}
-		delayStream := rng
-		if !mainSurvived {
-			delayStream = fecStream()
-		}
-		delay := n.delayLocked(delayStream)
-		if delay == 0 {
-			owned := e.owned
-			n.mu.RUnlock()
-			for _, env := range survivors {
-				n.deliver(dst, env)
-			}
-			if owned != nil {
-				owned.HandedOff(to)
-			}
-			return nil
-		}
-		n.schedule(e, st, dst, delay, survivors)
-		n.mu.RUnlock()
-		return nil
-	}
-	// Bare payload: the common zero-delay case stays allocation-free.
-	s := rng
-	if _, isRepair := payload.(fec.Repair); isRepair {
-		s = fecStream()
-	}
-	if n.lostLocked(s) {
-		n.dropped.Add(1) // silent loss
-		n.mu.RUnlock()
-		return nil
-	}
-	env := Envelope{From: from, To: to, Payload: payload}
-	delay := n.delayLocked(s)
-	if delay == 0 {
-		owned := e.owned
-		n.mu.RUnlock()
-		n.deliver(dst, env)
-		if owned != nil {
-			owned.HandedOff(to)
-		}
-		return nil
-	}
-	n.schedule(e, st, dst, delay, []Envelope{env})
-	n.mu.RUnlock()
-	return nil
 }
 
 func (n *Network) deliver(dst *memEndpoint, env Envelope) {
@@ -685,8 +634,9 @@ func (n *Network) deliver(dst *memEndpoint, env Envelope) {
 
 // memEndpoint is one attached process's interface to the in-memory fabric.
 type memEndpoint struct {
-	addr addr.Address
-	net  *Network
+	addr  addr.Address
+	net   *Network
+	links *linkTable // this source's link states; the fabric's, see Network.links
 	// clk, when set via SetEndpointClock, schedules this endpoint's OUTGOING
 	// delayed deliveries in place of the fabric clock; owned is the same clock
 	// when it implements OwnedScheduler. Written under the network write lock,

@@ -94,9 +94,6 @@ type Config struct {
 	R int
 	// Election selects delegates; nil means SmallestAddress.
 	Election ElectionStrategy
-	// SummaryBound caps disjuncts per regrouped interest summary;
-	// 0 means interest.DefaultMaxDisjuncts.
-	SummaryBound int
 	// FoldCacheBound caps live entries in the shared fold cache;
 	// 0 means DefaultFoldCacheBound.
 	FoldCacheBound int
@@ -764,7 +761,7 @@ func (t *Tree) updateMemberRaw(a addr.Address, sub interest.Subscription) error 
 func (t *Tree) fold(leaf interest.Identity, kids []byte, merge func(*interest.Summary)) foldEntry {
 	e, hit := t.folds.get(leaf, kids)
 	if !hit {
-		s := interest.NewSummaryWithBound(t.cfg.SummaryBound)
+		s := interest.NewSummary()
 		merge(s)
 		e, hit = t.folds.put(leaf, kids, foldEntry{summary: s, compiled: t.compiler.CompileSummary(s)})
 	}

@@ -109,17 +109,12 @@ func WithLeafFlooding(rate float64) NodeOption {
 // bytes per membership message and no extra envelopes — and the gossip core
 // consumes the estimates two ways: round budgets widen where a view's
 // measured loss exceeds the configured assumption, and each gossip round
-// samples up to boost extra targets (0 = default 2) when the sampled peers'
-// estimated loss crosses lossThreshold (0 = default 0.05). With defaults the
-// adaptation is strictly demand-driven: on a clean network it changes
-// nothing — budgets, targets and the node's RNG stream are byte-identical
-// to a non-adaptive node.
-func WithAdaptiveFanout(boost int, lossThreshold float64) NodeOption {
-	return func(c *NodeConfig) {
-		c.AdaptiveFanout = true
-		c.AdaptiveBoost = boost
-		c.AdaptiveLossThreshold = lossThreshold
-	}
+// samples up to 2 extra targets when the sampled peers' estimated loss
+// crosses 5%. The adaptation is strictly demand-driven: on a clean network
+// it changes nothing — budgets, targets and the node's RNG stream are
+// byte-identical to a non-adaptive node.
+func WithAdaptiveFanout(on bool) NodeOption {
+	return func(c *NodeConfig) { c.AdaptiveFanout = on }
 }
 
 // WithWireMeasurement enables sender-side wire accounting: each outgoing
