@@ -19,7 +19,6 @@ type TreeView struct {
 	members   []addr.Address
 	lineOf    []int // member index → line index
 	lineStart []int // line index → first member index (len lines+1)
-	summaries []*interest.Summary
 	compiled  []*interest.CompiledMatcher
 	// Sibling subgroups whose folds converge — the norm under skewed
 	// subscription popularity — share one interned compiled summary, and
@@ -51,14 +50,12 @@ func NewTreeView(v *tree.View, self addr.Address) *TreeView {
 		members:   make([]addr.Address, 0, v.GroupSize()),
 		lineOf:    make([]int, 0, v.GroupSize()),
 		lineStart: make([]int, len(v.Lines)+1),
-		summaries: make([]*interest.Summary, len(v.Lines)),
 		compiled:  make([]*interest.CompiledMatcher, len(v.Lines)),
 		selfIndex: -1,
 		selfLine:  -1,
 		gen:       v.Gen,
 	}
 	for li, line := range v.Lines {
-		tv.summaries[li] = line.Summary
 		tv.compiled[li] = line.Compiled
 		if tv.compiled[li] == nil && line.Summary != nil {
 			// Hand-built views (tests, tools) may lack the compiled form;
@@ -201,10 +198,12 @@ func BuildProcess(t *tree.Tree, self addr.Address, cfg Config) (*Process, error)
 }
 
 // RebuildProcess is BuildProcess for a member whose views moved: the new
-// process takes over old's state (AdoptState — old is dead afterwards) and,
-// when the member's subscription is still the one old compiled, old's
-// delivery predicate — the exact subscription's matcher, never a regrouped
-// summary's. A nil old builds from scratch.
+// process takes over old's state (AdoptState — old is dead afterwards), the
+// views of old whose generation the tree still reports — a change under
+// another subtree moves only the shallow depths; old being dead, their
+// scratch has one user — and, when the member's subscription is still the
+// one old compiled, old's delivery predicate — the exact subscription's
+// matcher, never a regrouped summary's. A nil old builds from scratch.
 func RebuildProcess(t *tree.Tree, self addr.Address, cfg Config, old *Process) (*Process, error) {
 	m, ok := t.Member(self)
 	if !ok {
@@ -213,12 +212,16 @@ func RebuildProcess(t *tree.Tree, self addr.Address, cfg Config, old *Process) (
 	cfg.D = t.Depth()
 	views := make([]DepthView, t.Depth())
 	for depth := 1; depth <= t.Depth(); depth++ {
-		tv := NewTreeView(t.ViewAt(self, depth), self)
-		if tv == nil {
-			views[depth-1] = nil
-			continue
+		if old != nil && depth <= len(old.views) {
+			// Generation 0 names no view signature (a hand-built view).
+			if tv, _ := old.views[depth-1].(*TreeView); tv != nil && tv.gen != 0 && tv.gen == t.GenerationAt(self, depth) {
+				views[depth-1] = tv
+				continue
+			}
 		}
-		views[depth-1] = tv
+		if tv := NewTreeView(t.ViewAt(self, depth), self); tv != nil {
+			views[depth-1] = tv // a nil adapter must stay a nil interface
+		}
 	}
 	sub := m.Sub.Identity()
 	var selfMatch func(event.Event) bool

@@ -358,3 +358,58 @@ func TestRebuildCostIndependentOfHistory(t *testing.T) {
 		t.Error("rebuilt process does not gossip the buffers it was handed")
 	}
 }
+
+// TestRebuildKeepsUnmovedViews: a membership change under another top-level
+// subtree moves only the depth-1 view of a process, so a rebuild carries the
+// deeper TreeViews over from the process it replaces — by pointer, building
+// nothing for them — and replaces exactly the one whose generation moved.
+func TestRebuildKeepsUnmovedViews(t *testing.T) {
+	space := addr.MustRegular(4, 3)
+	members := make([]tree.Member, space.Capacity())
+	for i := range members {
+		members[i] = tree.Member{Addr: space.AddressAt(i), Sub: interest.NewSubscription().Where("b", interest.EqInt(int64(i%2)))}
+	}
+	tr, err := tree.Build(tree.Config{Space: space, R: 2}, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	self, cfg := space.AddressAt(0), Config{F: 2, C: 3}
+	old, err := BuildProcess(tr, self, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unmoved := testing.AllocsPerRun(10, func() { _, _ = RebuildProcess(tr, self, cfg, old) })
+
+	// 3.3.3 starts matching b=7: subtree 3's summary language moves, and with
+	// it the root's lines — nothing under self's own prefixes 0 and 0.0.
+	foreign := space.AddressAt(space.Capacity() - 1)
+	if err := tr.UpdateSubscription(foreign, interest.NewSubscription().Where("b", interest.EqInt(7))); err != nil {
+		t.Fatal(err)
+	}
+	var next *Process
+	moved := testing.AllocsPerRun(10, func() { next, err = RebuildProcess(tr, self, cfg, old) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.views[0] == old.views[0] {
+		t.Error("the depth-1 view survived a change of one of its lines")
+	}
+	if g := next.views[0].(*TreeView).Generation(); g != tr.Generation(addr.Root()) {
+		t.Errorf("depth-1 view carries generation %d, the tree reports %d", g, tr.Generation(addr.Root()))
+	}
+	for depth := 2; depth <= space.Depth(); depth++ {
+		if next.views[depth-1] != old.views[depth-1] {
+			t.Errorf("depth-%d view was rebuilt after a change in a foreign subtree", depth)
+		}
+	}
+	oneView := testing.AllocsPerRun(10, func() { NewTreeView(tr.ViewAt(self, 1), self) })
+	if moved != unmoved+oneView {
+		t.Errorf("rebuild allocates %.0f with no view moved and %.0f with one; want the depth-1 view's %.0f apart",
+			unmoved, moved, oneView)
+	}
+	// The carried views still answer: an event of the new class reaches
+	// subtree 3 only.
+	if lines, selfIn := next.views[0].MatchingSubgroups(classEv(7, 1)); lines != 1 || selfIn {
+		t.Errorf("b=7 matches %d depth-1 lines (self in: %v), want 1 foreign line", lines, selfIn)
+	}
+}

@@ -355,14 +355,19 @@ func (s Scenario) run(seed int64, afterInstant func(*run, int, time.Time)) (*Res
 	r.eng = newShardEngine(r, workers, lookahead)
 	defer r.eng.stop()
 
+	// Each node's subscription is drawn once: the roster line and the node
+	// share the value, and with it its memoized identity.
+	subs := make([]interest.Subscription, sc.Nodes)
+	for i := range subs {
+		subs[i] = sc.subscriptionFor(space.AddressAt(i), i)
+	}
 	// An oracle fleet starts from "anti-entropy already ran": build that
 	// state once as a shared immutable roster instead of handing every node
 	// its own copy of every line.
 	if sc.Bootstrap == BootstrapOracle {
 		recs := make([]membership.Record, sc.Nodes)
-		for i := 0; i < sc.Nodes; i++ {
-			a := space.AddressAt(i)
-			recs[i] = membership.Record{Addr: a, Sub: sc.subscriptionFor(a, i), Stamp: 1, Alive: true}
+		for i := range recs {
+			recs[i] = membership.Record{Addr: space.AddressAt(i), Sub: subs[i], Stamp: 1, Alive: true}
 		}
 		r.roster, err = membership.NewRoster(recs)
 		if err != nil {
@@ -372,7 +377,7 @@ func (s Scenario) run(seed int64, afterInstant func(*run, int, time.Time)) (*Res
 
 	// Spawn the initial fleet.
 	for i := 0; i < sc.Nodes; i++ {
-		if _, err := r.spawn(i, sc.subscriptionFor(space.AddressAt(i), i)); err != nil {
+		if _, err := r.spawn(i, subs[i]); err != nil {
 			return nil, err
 		}
 	}

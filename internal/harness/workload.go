@@ -41,20 +41,24 @@ type ZipfWorkload struct {
 	// Seed salts every deterministic draw.
 	Seed int64
 
-	// cum is the Zipf CDF over ranks, built once by NewZipfWorkload.
-	cum []float64
+	// cum is the Zipf CDF over ranks and names the topic of every rank,
+	// both built once by NewZipfWorkload.
+	cum   []float64
+	names []string
 }
 
-// NewZipfWorkload precomputes the popularity CDF.
+// NewZipfWorkload precomputes the popularity CDF and the topic names.
 func NewZipfWorkload(w ZipfWorkload) *ZipfWorkload {
 	if w.Topics < 1 {
 		w.Topics = 1
 	}
 	w.cum = make([]float64, w.Topics)
+	w.names = make([]string, w.Topics)
 	total := 0.0
 	for k := 0; k < w.Topics; k++ {
 		total += 1 / math.Pow(float64(k+1), w.Alpha)
 		w.cum[k] = total
+		w.names[k] = fmt.Sprintf("t%05d", k)
 	}
 	for k := range w.cum {
 		w.cum[k] /= total
@@ -72,9 +76,9 @@ func (w *ZipfWorkload) rankFor(u float64) int {
 	return r
 }
 
-// topicName renders one rank's topic. The zero-padded rank keeps names
-// lexically ordered by popularity, which makes reports and traces legible.
-func (w *ZipfWorkload) topicName(rank int) string { return fmt.Sprintf("t%05d", rank) }
+// topicName is one rank's topic. The zero-padded rank keeps names lexically
+// ordered by popularity, which makes reports and traces legible.
+func (w *ZipfWorkload) topicName(rank int) string { return w.names[rank] }
 
 // countFor draws the node's subscription count: Pareto(x_m, β=1.5) — mean
 // β·x_m/(β−1) = 3·x_m ≈ MeanSubs — truncated to [1, MaxSubs]. The tail

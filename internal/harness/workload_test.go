@@ -123,7 +123,7 @@ func TestZipfFluxWaveInversion(t *testing.T) {
 // event loop at eight workers at ≥0.999 reliability, replays its pinned trace
 // (goldenZipf1M) at its pinned fold_recompiles, and the PR-10 report fields
 // — class_reliability, summary_false_positive_rate — are populated. The full
-// campaign is ~23s of wall clock on two cores, so -short only checks the
+// campaign is ~8s of wall clock on two cores, so -short only checks the
 // subscription count.
 func TestZipf1MCampaign(t *testing.T) {
 	w := NewZipfWorkload(zipf1MWorkload())
@@ -139,7 +139,7 @@ func TestZipf1MCampaign(t *testing.T) {
 		t.Fatalf("zipf1m fleet carries %d subscriptions, want ≥ 1,000,000", total)
 	}
 	if testing.Short() {
-		t.Skip("full 4096-node zipf1m campaign is ~23s of wall clock")
+		t.Skip("full 4096-node zipf1m campaign is ~8s of wall clock")
 	}
 	res, err := sc.Run(1)
 	if err != nil {
@@ -160,6 +160,12 @@ func TestZipf1MCampaign(t *testing.T) {
 	// legacy-vs-shared skew sweep existed to compare.
 	if rep.FoldRecomputes != 5802 {
 		t.Errorf("fold_recompiles %d, want 5802", rep.FoldRecomputes)
+	}
+	// Every other trie node a change touched, fleet-wide, was served from
+	// the shared store — whole, or its regrouping: what the trees touch is a
+	// function of the campaign, not of which tree built a node first.
+	if rep.FoldCacheHits != 1508244 {
+		t.Errorf("fold_cache_hits %d, want 1508244", rep.FoldCacheHits)
 	}
 	if rep.SummaryFPRate <= 0 || rep.SummaryFPRate >= 1 {
 		t.Errorf("summary_false_positive_rate %.4f, want in (0, 1)", rep.SummaryFPRate)

@@ -213,9 +213,10 @@ type Node struct {
 	proc *core.Process
 	// tree is the node's fold ledger as well as its view source: what has
 	// been folded in is exactly what the tree holds, so rebuildLocked asks
-	// the tree instead of keeping a table beside it. Copy-on-write clones
-	// (AdoptViewsFrom) keep co-hosted fleets affordable: n nodes sharing one
-	// bootstrap fold hold one trie plus the paths each has since touched.
+	// the tree instead of keeping a table beside it. Clones (AdoptViewsFrom)
+	// keep co-hosted fleets affordable: the trie is immutable and interned in
+	// a store the clones share, so n nodes hold each subtree they agree on
+	// once.
 	tree             *tree.Tree
 	treeVersion      uint64
 	deliveriesClosed bool
@@ -1112,9 +1113,9 @@ func (n *Node) rebuildLocked() error {
 	changed := len(delta.Add)+len(delta.Update)+len(delta.Remove) > 0
 	if changed {
 		if err := n.tree.ApplyDelta(delta); err != nil {
-			// ApplyDelta documents partial application as fatal: drop the
-			// tree so the next rebuild folds from scratch instead of
-			// silently gossiping on a desynced one.
+			// A refused batch left the tree as it was, and the changelog
+			// has moved on: drop the tree so the next rebuild folds the
+			// whole table from scratch instead of gossiping on a stale one.
 			n.tree = nil
 			return fmt.Errorf("node: updating tree: %w", err)
 		}

@@ -118,13 +118,16 @@ func TestFoldCacheSharing(t *testing.T) {
 }
 
 // TestFoldIdentitiesExactUnderSweeps is the exactness property of the
-// identity scheme at its worst: three cloned trees share one fold cache
-// bounded to 4 entries, so identities are swept and minted again on almost
-// every step, while random Add/Update/Remove sequences (single calls and
-// batches) drive them apart. After every step the mutated tree must be
+// identity scheme at its worst: three cloned trees share one store bounded to
+// 4 entries a table, so summary identities, trie nodes — most of them still
+// held by one of the trees — and view signatures are swept and minted again
+// on almost every step, while random Add/Update/Remove sequences (single
+// calls and batches) drive the trees apart. After every step the mutated
+// tree must be
 // indistinguishable — same summary in the same disjunct order, same compiled
 // language, same delegates and counts at every prefix — from a tree built
-// from scratch over the same members with a private, unbounded cache. It is
+// from scratch over the same members with a private, unbounded cache, and
+// views of equal generation must expose equal lines across all three. It is
 // also the clone-isolation property: a change to one tree never shows in the
 // member answers of the trees it shares nodes with.
 func TestFoldIdentitiesExactUnderSweeps(t *testing.T) {
@@ -189,12 +192,14 @@ func TestFoldIdentitiesExactUnderSweeps(t *testing.T) {
 			for i := range trees {
 				checkMembers(t, trees[i], models[i], space)
 			}
+			checkGenerations(t, trees)
 			if t.Failed() {
 				t.Fatalf("trial %d diverged at step %d (%d members)", trial, step, len(members))
 			}
 		}
-		if first.FoldStats().CacheEvictions == 0 {
-			t.Fatalf("trial %d: bound 4 swept nothing — the property was not exercised", trial)
+		if fc := first.store; fc.folds.evictions == 0 || fc.nodes.evictions == 0 || fc.views.evictions == 0 {
+			t.Fatalf("trial %d: bound 4 swept %d folds, %d nodes, %d view signatures — the property was not exercised",
+				trial, fc.folds.evictions, fc.nodes.evictions, fc.views.evictions)
 		}
 	}
 }
@@ -276,10 +281,10 @@ func compareTries(t *testing.T, got, want *Tree, p addr.Prefix, space addr.Space
 }
 
 // TestFoldHitCostIndependentOfSummarySize pins what the identities buy: an
-// ApplyDelta whose every fold is already cached — a member toggling between
-// two known subscriptions, the shape of a co-hosted fleet digesting one
-// redraw — allocates a small constant, the same for 8-topic members as for
-// 2048-topic ones. Keys built from the summaries' encodings grew with them.
+// ApplyDelta whose every node is already in the store — a member toggling
+// between two known subscriptions, the shape of a co-hosted fleet digesting
+// one redraw — allocates the same for 8-topic members as for 2048-topic
+// ones. Keys built from the summaries' encodings grew with them.
 func TestFoldHitCostIndependentOfSummarySize(t *testing.T) {
 	space := addr.MustRegular(4, 3)
 	toggleAllocs := func(topics int) float64 {
@@ -325,11 +330,11 @@ func TestFoldHitCostIndependentOfSummarySize(t *testing.T) {
 	if small != large {
 		t.Errorf("all-hits ApplyDelta allocates %.0f with 8-topic members, %.0f with 2048-topic ones; want equal", small, large)
 	}
-	// Measured 30: the per-level dirty lists, the replaced member and, per
-	// recomputed node, its digit, candidate, kid and delegate slices — none
-	// of them the fold's.
-	if small > 34 {
-		t.Errorf("all-hits ApplyDelta allocates %.0f times; want ≤ 34", small)
+	// Every touched node — the leaf and its ancestors — is served whole from
+	// the store, the batch and the child arrays stay on the stack: nothing is
+	// allocated at all.
+	if small > 0 {
+		t.Errorf("all-hits ApplyDelta allocates %.0f times; want 0", small)
 	}
 }
 

@@ -9,9 +9,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"pmcast/internal/addr"
 	"pmcast/internal/event"
@@ -94,7 +96,8 @@ type Config struct {
 	R int
 	// Election selects delegates; nil means SmallestAddress.
 	Election ElectionStrategy
-	// FoldCacheBound caps live entries in the shared fold cache;
+	// FoldCacheBound caps live entries in each table of the shared store
+	// (regroupings, summary identities, trie nodes, view signatures);
 	// 0 means DefaultFoldCacheBound.
 	FoldCacheBound int
 	// CompilerBound caps interned compiled languages;
@@ -102,120 +105,64 @@ type Config struct {
 	CompilerBound int
 }
 
-// ownerTok marks trie nodes writable by exactly one tree: a node whose
-// owner field holds the tree's current token may be mutated in place;
-// anything else is potentially shared with clones and must be copied first
-// (copy-on-write). Clone swaps the donor's token, disowning every node it
-// held in O(1) — the donor re-copies lazily on its next mutation.
-type ownerTok struct{ _ byte }
-
-// node is one prefix of the trie: a subgroup and, once computed, its
-// delegates, process count (‖prefix‖, Eq. 4), regrouped interest summary,
-// the summary's compiled form, and a generation counter.
+// node is one populated prefix of the trie: a subgroup with its delegates,
+// process count (‖prefix‖, Eq. 4), regrouped interest summary and the
+// summary's compiled form. A node is a pure function of what lies beneath it
+// — every process of a subgroup derives the same one from the same
+// membership (Section 2.3) — so it is immutable once built and interned in
+// the store its tree shares with its clones: a leaf under (address,
+// subscription identity), an interior node under its children's ids. Trees
+// that agree on a subtree hold the same node; a tree moves by swapping in
+// the nodes of the root paths a change touched.
 type node struct {
-	prefix    addr.Prefix
-	children  map[int]*node // keyed by next digit
-	member    *Member       // set only at full depth (leaf)
-	owner     *ownerTok     // which tree may mutate this node in place
+	// id names the node in its parent's store key. Minted when the node is
+	// interned and never given to another, so a node the store has swept
+	// stays valid in the trees that hold it: content built again is a new
+	// node under a new id, and a key made of old ids can only miss.
+	id uint64
+	// children is indexed by the next digit, nil where the subgroup is
+	// unpopulated; a leaf has none.
+	children  []*node
+	member    *Member // set only at full depth (leaf)
 	delegates []addr.Address
 	count     int
 	summary   *interest.Summary
 	// compiled is the summary's compiled matcher, interned through the
-	// tree's Compiler so identical subtree interests share one form. It is
-	// recompiled exactly when the node is recomputed — i.e. only along the
-	// root path a membership change touched.
+	// tree's Compiler so identical subtree interests share one form.
 	compiled *interest.CompiledMatcher
-	// gen counts recomputations of this node. Every mutation that can
-	// change the view built over this prefix (its children's delegates,
-	// counts or summaries) recomputes the node — path recomputation always
-	// includes every ancestor of a touched leaf — so "gen unchanged" is a
-	// sound signal that cached per-event matching results over the view
-	// remain exact.
-	gen uint64
-	// viewGen advances exactly when the view-visible state of this node —
-	// its children's delegates, counts or summary languages, captured in
-	// kids — actually changed, while gen advances on every recompute.
-	// Views carry viewGen: under skewed subscription flux most recomputes
-	// re-derive identical lines (popular classes dominate every fold), and
-	// a stable viewGen keeps per-event profile caches warm across them.
-	// Sound because interned compiled-summary pointer equality is language
-	// equality, and a view exposes nothing beyond what kids captures.
+	// viewGen names what a view built over this prefix exposes: the interned
+	// identity of the children's view signature (see appendViewLine). Most
+	// folds under skewed subscription flux re-derive identical lines, and an
+	// unmoved viewGen keeps per-event profile caches warm across them.
 	viewGen uint64
-	// kids is the view-visible signature of the children at the last
-	// recompute, in sorted digit order; recompute compares against it to
-	// decide whether viewGen must advance. Replaced wholesale, so clones
-	// may share it.
-	kids []kidSig
-	// dirtySeq is the owning tree's deltaSeq at the last ApplyDelta that
-	// listed this node for recomputation. Written on owned nodes only and
-	// not carried by copyNode: a copy has not been listed by anyone.
-	dirtySeq uint64
-}
-
-// kidSig is one child's contribution to the parent's view: everything a
-// view line exposes about the subgroup.
-type kidSig struct {
-	digit     int
-	count     int
-	compiled  *interest.CompiledMatcher
-	delegates []addr.Address
-}
-
-// kidsEqual reports whether two child signatures expose identical view
-// lines. Compiled pointers compare by identity: the shared Compiler interns
-// by language fingerprint, so equal pointers mean equal matched languages
-// (the converse may fail after a compiler sweep, which only costs a
-// spurious generation bump — the safe direction).
-func kidsEqual(a, b []kidSig) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].digit != b[i].digit || a[i].count != b[i].count || a[i].compiled != b[i].compiled {
-			return false
-		}
-		if len(a[i].delegates) != len(b[i].delegates) {
-			return false
-		}
-		for j := range a[i].delegates {
-			if !a[i].delegates[j].Equal(b[i].delegates[j]) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Tree is the compound spanning tree over a concrete member population.
-// It is a value snapshot: membership changes go through Add/Remove which
-// incrementally recompute the affected root path. Tree is not safe for
+// It is a value snapshot: membership changes go through ApplyDelta, which
+// rebuilds the affected root paths and swaps the root. Tree is not safe for
 // concurrent mutation; the membership layer serializes access.
 type Tree struct {
 	cfg      Config
 	election ElectionStrategy
 	// root is the trie, and the trie is the only member index: a member is
-	// the leaf its address descends to, copy-on-write like every other node,
-	// so a harness co-hosting 64k processes over one bootstrap roster holds
-	// the members once, not 64k times.
+	// the leaf its address descends to. Nodes are shared through the store,
+	// so a harness co-hosting 64k processes over one roster holds each
+	// agreed subtree once, not 64k times.
 	root *node
-	// tok is the tree's current ownership token (see ownerTok).
-	tok *ownerTok
 	// compiler interns compiled summaries by fingerprint. Clones share it,
 	// so a harness fleet folding the same roster compiles each distinct
 	// interest language once per process population, not once per node.
 	compiler *interest.Compiler
-	// folds memoizes summary regrouping fleet-wide (shared by clones, like
-	// the compiler): recompute's summary is a pure function of the ordered
-	// child summaries, and co-hosted processes folding the same membership
-	// movement redo identical merges — the first pays, the rest look up.
-	folds *foldCache
-	// foldRecomputes and foldHits count the regroupings this tree computed
-	// (shared-cache misses it paid for) vs. looked up. Per-tree — unlike
-	// the cache's own occupancy stats — so fleet reports can sum them.
+	// store is shared by clones, like the compiler: trie nodes, view
+	// signatures and summary regroupings, each computed by the first tree
+	// that needs it and looked up by the rest.
+	store *store
+	// foldRecomputes and foldHits count, per node this tree's changes
+	// touched, whether the tree computed its regrouping or was served — the
+	// node whole, or its regrouping — from the store. Per-tree — unlike the
+	// store's own occupancy stats — so fleet reports can sum them.
 	foldRecomputes uint64
 	foldHits       uint64
-	// deltaSeq numbers this tree's ApplyDelta calls (see node.dirtySeq).
-	deltaSeq uint64
 }
 
 // FoldStats is a snapshot of the fold layer: this tree's own regrouping
@@ -224,12 +171,12 @@ type Tree struct {
 // aggregation must dedupe them by ID, not sum them per tree.
 type FoldStats struct {
 	// Recomputes counts summary regroupings this tree computed (fold-cache
-	// misses it paid); Hits the regroupings served from the shared cache.
+	// misses it paid); Hits the touched nodes served from the shared store.
 	Recomputes uint64
 	Hits       uint64
 	// CacheID identifies the shared fold cache; CacheEntries its live
-	// entries (gauge); CacheEvictions the entries dropped by generation
-	// sweeps since creation (counter).
+	// regroupings (gauge); CacheEvictions the regroupings dropped by
+	// generation sweeps since creation (counter).
 	CacheID        uint64
 	CacheEntries   int
 	CacheEvictions uint64
@@ -242,7 +189,7 @@ type FoldStats struct {
 
 // FoldStats reports the fold layer's counters and cache occupancy.
 func (t *Tree) FoldStats() FoldStats {
-	id, entries, evictions := t.folds.stats()
+	id, entries, evictions := t.store.stats()
 	cs := t.compiler.Stats()
 	return FoldStats{
 		Recomputes:        t.foldRecomputes,
@@ -257,8 +204,8 @@ func (t *Tree) FoldStats() FoldStats {
 }
 
 // foldEntry is one memoized regrouping result: the merged summary (treated
-// immutable, exactly like summaries shared through Clone) and its compiled
-// form. The summary carries the identity the cache minted for its content
+// immutable, like everything a node holds) and its compiled form. The
+// summary carries the identity the cache minted for its content
 // (interest.Summary.Identity) — the key material for folds that consume it
 // one level up.
 type foldEntry struct {
@@ -276,124 +223,195 @@ type foldKey struct {
 	kids string
 }
 
-// DefaultFoldCacheBound caps live entries in the shared fold cache (across
-// both generations). Sustained subscription flux mints fresh fold inputs
-// indefinitely; the former wholesale reset at this size threw the whole
-// working set away, the generational sweep below keeps the touched half.
+// nodeKey names a trie node by what it is a function of: a leaf by its
+// member (address key and subscription identity), an interior node by its
+// children's ids, 8 bytes per digit position, zero where unpopulated.
+type nodeKey struct {
+	addr string
+	sub  interest.Identity
+	kids string
+}
+
+// viewSig is an interned view signature. The signature names compiled
+// summaries by address, so the entry keeps them reachable: while it lives,
+// no other matcher can take their place in memory and alias the key.
+type viewSig struct {
+	id   uint64
+	hold []*interest.CompiledMatcher
+}
+
+// DefaultFoldCacheBound caps live entries in each table of the shared store
+// (across both generations). Sustained subscription flux mints fresh fold
+// inputs indefinitely; the generational sweep keeps the touched half.
 const DefaultFoldCacheBound = 1 << 16
 
-// foldCacheIDs mints process-unique cache identities so fleet-level stats
+// storeIDs mints process-unique cache identities so fleet-level stats
 // can count each shared cache once (a co-hosted fleet shares one through
 // tree clones).
-var foldCacheIDs atomic.Uint64
+var storeIDs atomic.Uint64
 
-// summaryIDs mints summary identities, process-wide and never reused: an
-// identity names one content for the life of the process, whichever cache
-// minted it.
-var summaryIDs atomic.Uint64
+// identities mints summary identities, node ids and view generations,
+// process-wide and never reused: an identity names one content for the life
+// of the process, whichever store minted it.
+var identities atomic.Uint64
 
-// foldGen is one generation of the cache: the memoized folds plus the
-// hash-consing table that gives every summary created in the generation its
-// identity, keyed by the summary's OrderedFingerprint so equal content —
-// reached through whatever fold — is named alike and keys the same folds one
-// level up.
-type foldGen struct {
-	folds map[foldKey]foldEntry
-	ids   map[string]uint64
-}
-
-func newFoldGen(size int) foldGen {
-	return foldGen{folds: make(map[foldKey]foldEntry, size), ids: make(map[string]uint64)}
-}
-
-// foldCache is the shared regrouping memo. Safe for concurrent use: trees
-// cloned across live nodes rebuild on their own goroutines.
-//
-// It is bounded by generational sweep: inserts and hits land in the hot
-// generation; when hot reaches half the bound, the cold generation — every
-// fold input not touched since the last sweep — is dropped wholesale. A
-// dropped entry only costs a recompute if the fold recurs; correctness
-// never depends on a hit. Identities are swept with their generation: content
-// created again after that is named afresh, so folds keyed by the old name
-// miss — they can never hit a fold of different inputs, because a name is
-// never given to a second content.
-type foldCache struct {
-	mu        sync.Mutex
-	id        uint64
-	bound     int
-	hot, cold foldGen
+// gens is one table of the store, bounded by generational sweep: inserts and
+// touched entries land in the hot generation; when hot reaches half the
+// bound, the cold generation — everything not touched since the last sweep —
+// is dropped wholesale. Lookups are spelled out at the call sites, where a
+// key converted from bytes inside the index expression does not allocate.
+type gens[K comparable, V any] struct {
+	hot, cold map[K]V
 	evictions uint64
 }
 
-func newFoldCache(bound int) *foldCache {
+// put inserts into the hot generation, sweeping first if it is full (hot and
+// cold stay disjoint; live entries never exceed bound).
+func (g *gens[K, V]) put(k K, v V, bound int) {
+	if g.hot == nil || len(g.hot) >= max(1, bound/2) {
+		g.evictions += uint64(len(g.cold))
+		g.cold, g.hot = g.hot, make(map[K]V, len(g.hot))
+	}
+	g.hot[k] = v
+}
+
+// promote moves an entry found in cold to hot: touched, it survives the next
+// sweep.
+func (g *gens[K, V]) promote(k K, v V, bound int) {
+	delete(g.cold, k)
+	g.put(k, v, bound)
+}
+
+// store is what a tree shares with its clones: the regrouping memo,
+// the table that gives every summary its identity (keyed by the summary's
+// OrderedFingerprint, so equal content — reached through whatever fold — is
+// named alike and keys the same folds one level up), the interned trie nodes
+// and the interned view signatures. Safe for concurrent use: trees cloned
+// across live nodes rebuild on their own goroutines.
+//
+// Every table is bounded by generational sweep (see gens). A dropped entry
+// only costs a recompute if its key recurs; correctness never depends on a
+// hit, and what a tree holds stays valid when the store forgets it.
+// Identities are never given to a second content, so content created again
+// after a sweep is named afresh and keys made of the old name miss — they
+// can never hit an entry of different inputs.
+type store struct {
+	mu    sync.Mutex
+	id    uint64
+	bound int
+	folds gens[foldKey, foldEntry]
+	ids   gens[string, uint64]
+	nodes gens[nodeKey, *node]
+	views gens[string, viewSig]
+}
+
+func newStore(bound int) *store {
 	if bound <= 0 {
 		bound = DefaultFoldCacheBound
 	}
-	return &foldCache{id: foldCacheIDs.Add(1), bound: bound, hot: newFoldGen(0), cold: newFoldGen(0)}
+	return &store{id: storeIDs.Add(1), bound: bound}
 }
 
-// get looks the fold up without building its key: the conversions below sit
-// inside the map index expressions, where they do not allocate.
-func (fc *foldCache) get(leaf interest.Identity, kids []byte) (foldEntry, bool) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return fc.getLocked(leaf, kids)
+// fold looks a regrouping up without building its key.
+func (st *store) fold(leaf interest.Identity, kids []byte) (foldEntry, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.foldLocked(leaf, kids)
 }
 
-func (fc *foldCache) getLocked(leaf interest.Identity, kids []byte) (foldEntry, bool) {
-	e, ok := fc.hot.folds[foldKey{leaf, string(kids)}]
+func (st *store) foldLocked(leaf interest.Identity, kids []byte) (foldEntry, bool) {
+	e, ok := st.folds.hot[foldKey{leaf, string(kids)}]
 	if !ok {
-		if e, ok = fc.cold.folds[foldKey{leaf, string(kids)}]; ok {
-			// Promote: a touched fold survives the next sweep.
-			key := foldKey{leaf, string(kids)}
-			delete(fc.cold.folds, key)
-			fc.rotateIfFullLocked()
-			fc.hot.folds[key] = e
+		if e, ok = st.folds.cold[foldKey{leaf, string(kids)}]; ok {
+			st.folds.promote(foldKey{leaf, string(kids)}, e, st.bound)
 		}
 	}
 	return e, ok
 }
 
-// put records a fold just computed, unless a racing tree recorded the same
+// putFold records a fold just computed, unless a racing tree recorded the same
 // fold first: then the resident entry is returned (and resident is true), so
 // every tree holds one summary per fold and the fold is counted once. A
 // summary that is inserted gets its identity here.
-func (fc *foldCache) put(leaf interest.Identity, kids []byte, e foldEntry) (_ foldEntry, resident bool) {
+func (st *store) putFold(leaf interest.Identity, kids []byte, e foldEntry) (_ foldEntry, resident bool) {
 	fp := e.summary.OrderedFingerprint()
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	if prev, ok := fc.getLocked(leaf, kids); ok {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if prev, ok := st.foldLocked(leaf, kids); ok {
 		return prev, true
 	}
-	fc.rotateIfFullLocked()
-	id, ok := fc.hot.ids[fp]
+	id, ok := st.ids.hot[fp]
 	if !ok {
-		if id, ok = fc.cold.ids[fp]; ok {
-			delete(fc.cold.ids, fp)
+		if id, ok = st.ids.cold[fp]; ok {
+			st.ids.promote(fp, id, st.bound)
 		} else {
-			id = summaryIDs.Add(1)
+			id = identities.Add(1)
+			st.ids.put(fp, id, st.bound)
 		}
-		fc.hot.ids[fp] = id
 	}
 	e.summary.SetIdentity(id)
-	fc.hot.folds[foldKey{leaf, string(kids)}] = e
+	st.folds.put(foldKey{leaf, string(kids)}, e, st.bound)
 	return e, false
 }
 
-// rotateIfFullLocked makes room for one insert into the hot generation (hot
-// and cold stay disjoint; live folds never exceed bound).
-func (fc *foldCache) rotateIfFullLocked() {
-	if len(fc.hot.folds) >= max(1, fc.bound/2) {
-		fc.evictions += uint64(len(fc.cold.folds))
-		fc.cold = fc.hot
-		fc.hot = newFoldGen(len(fc.cold.folds))
-	}
+// node returns the interned node of the key (see nodeKey), nil when the
+// store holds none.
+func (st *store) node(addr string, sub interest.Identity, kids []byte) *node {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.nodeLocked(addr, sub, kids)
 }
 
-func (fc *foldCache) stats() (id uint64, entries int, evictions uint64) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return fc.id, len(fc.hot.folds) + len(fc.cold.folds), fc.evictions
+func (st *store) nodeLocked(addr string, sub interest.Identity, kids []byte) *node {
+	n, ok := st.nodes.hot[nodeKey{addr, sub, string(kids)}]
+	if !ok {
+		if n, ok = st.nodes.cold[nodeKey{addr, sub, string(kids)}]; ok {
+			st.nodes.promote(nodeKey{addr, sub, string(kids)}, n, st.bound)
+		}
+	}
+	return n
+}
+
+// intern gives a node just built its id and records it, unless a racing tree
+// interned the same key first: then that node is returned, so the trees end
+// up sharing it.
+func (st *store) intern(addr string, sub interest.Identity, kids []byte, n *node) *node {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if prev := st.nodeLocked(addr, sub, kids); prev != nil {
+		return prev
+	}
+	n.id = identities.Add(1)
+	st.nodes.put(nodeKey{addr, sub, string(kids)}, n, st.bound)
+	return n
+}
+
+// viewGen returns the identity of a view signature over the given children,
+// minting one for a signature the store does not hold.
+func (st *store) viewGen(sig []byte, children []*node) uint64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	v, ok := st.views.hot[string(sig)]
+	if !ok {
+		if v, ok = st.views.cold[string(sig)]; ok {
+			st.views.promote(string(sig), v, st.bound)
+		} else {
+			v = viewSig{id: identities.Add(1), hold: make([]*interest.CompiledMatcher, 0, len(children))}
+			for _, child := range children {
+				if child != nil {
+					v.hold = append(v.hold, child.compiled)
+				}
+			}
+			st.views.put(string(sig), v, st.bound)
+		}
+	}
+	return v.id
+}
+
+func (st *store) stats() (id uint64, entries int, evictions uint64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.id, len(st.folds.hot) + len(st.folds.cold), st.folds.evictions
 }
 
 // New builds an empty tree.
@@ -408,26 +426,53 @@ func New(cfg Config) (*Tree, error) {
 	if el == nil {
 		el = SmallestAddress{}
 	}
-	tok := new(ownerTok)
 	return &Tree{
 		cfg:      cfg,
 		election: el,
-		tok:      tok,
-		root:     &node{prefix: addr.Root(), children: make(map[int]*node), owner: tok},
+		root:     &node{}, // no regrouping, so not interned
 		compiler: interest.NewCompilerBounded(cfg.CompilerBound),
-		folds:    newFoldCache(cfg.FoldCacheBound),
+		store:    newStore(cfg.FoldCacheBound),
 	}, nil
+}
+
+// child returns n's subgroup for the digit, nil when unpopulated.
+func (n *node) child(digit int) *node {
+	if digit < 0 || digit >= len(n.children) {
+		return nil
+	}
+	return n.children[digit]
+}
+
+// lookup returns the node for the prefix, or nil.
+func (t *Tree) lookup(p addr.Prefix) *node {
+	n := t.root
+	for i := 1; i <= p.Len() && n != nil; i++ {
+		n = n.child(p.Digit(i))
+	}
+	return n
+}
+
+// lookupPath returns the node for a's prefix of the given length, or nil —
+// lookup(a.Prefix(length+1)) without building the prefix.
+func (t *Tree) lookupPath(a addr.Address, length int) *node {
+	if length > a.Depth() {
+		return nil
+	}
+	n := t.root
+	for i := 1; i <= length && n != nil; i++ {
+		n = n.child(a.Digit(i))
+	}
+	return n
 }
 
 // lookupMember descends to the address's leaf; nil when the address is not
 // a member (or is not a full-depth address of this tree). The returned
-// value may be shared with clones: replace it through updateMemberRaw, never
-// write through it.
+// value is shared with every tree holding the leaf: never write through it.
 func (t *Tree) lookupMember(a addr.Address) *Member {
 	if a.Depth() != t.Depth() {
 		return nil
 	}
-	n := t.lookup(a.Prefix(t.Depth() + 1))
+	n := t.lookupPath(a, t.Depth())
 	if n == nil {
 		return nil
 	}
@@ -440,116 +485,24 @@ func visitMembers(n *node, fn func(*Member)) {
 		fn(n.member)
 		return
 	}
-	for _, digit := range sortedDigits(n.children) {
-		visitMembers(n.children[digit], fn)
-	}
-}
-
-// copyNode shallow-copies a shared trie node for mutation by the owning
-// tree: aggregates and the member pointer are shared (immutable until
-// replaced wholesale), the children map is copied so edits stay private.
-func copyNode(n *node, tok *ownerTok) *node {
-	c := &node{
-		prefix:    n.prefix,
-		children:  make(map[int]*node, len(n.children)),
-		member:    n.member,
-		delegates: n.delegates,
-		count:     n.count,
-		summary:   n.summary,
-		compiled:  n.compiled,
-		gen:       n.gen,
-		viewGen:   n.viewGen,
-		kids:      n.kids,
-		owner:     tok,
-	}
-	for d, ch := range n.children {
-		c.children[d] = ch
-	}
-	return c
-}
-
-// ownRoot returns the root, copied first if it is shared with clones.
-func (t *Tree) ownRoot() *node {
-	if t.root.owner != t.tok {
-		t.root = copyNode(t.root, t.tok)
-	}
-	return t.root
-}
-
-// ownChild returns parent's child for the digit, copied into this tree's
-// ownership if shared. parent must already be owned. Nil when absent.
-func (t *Tree) ownChild(parent *node, digit int) *node {
-	child, ok := parent.children[digit]
-	if !ok {
-		return nil
-	}
-	if child.owner != t.tok {
-		child = copyNode(child, t.tok)
-		parent.children[digit] = child
-	}
-	return child
-}
-
-// ownLookup descends to the prefix's node, copy-on-writing the whole path
-// so the caller may mutate it. Nil when the prefix is unpopulated.
-func (t *Tree) ownLookup(p addr.Prefix) *node {
-	n := t.ownRoot()
-	for i := 1; i <= p.Len(); i++ {
-		n = t.ownChild(n, p.Digit(i))
-		if n == nil {
-			return nil
+	for _, child := range n.children {
+		if child != nil {
+			visitMembers(child, fn)
 		}
 	}
-	return n
 }
 
-// Build constructs a tree over an initial member set in one pass: members
-// are inserted without intermediate aggregation and the whole trie is
-// recomputed bottom-up once, which is what the live runtime does on every
-// membership snapshot.
+// Build constructs a tree over an initial member set: ApplyDelta on an empty
+// tree, which is what the live runtime does on its first membership snapshot.
 func Build(cfg Config, members []Member) (*Tree, error) {
 	t, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range members {
-		if err := t.insertRaw(m); err != nil {
-			return nil, err
-		}
+	if err := t.ApplyDelta(Delta{Add: members}); err != nil {
+		return nil, err
 	}
-	t.recomputeAll(t.root)
 	return t, nil
-}
-
-// insertRaw attaches a member without recomputing aggregates.
-func (t *Tree) insertRaw(m Member) error {
-	if err := t.cfg.Space.Validate(m.Addr); err != nil {
-		return fmt.Errorf("%w: %v", ErrSpaceMismatch, err)
-	}
-	if t.lookupMember(m.Addr) != nil {
-		return fmt.Errorf("%w: %s", ErrDuplicateMember, m.Addr)
-	}
-	n := t.ownRoot()
-	for i := 1; i <= t.Depth(); i++ {
-		digit := m.Addr.Digit(i)
-		child := t.ownChild(n, digit)
-		if child == nil {
-			child = &node{prefix: n.prefix.Child(digit), children: make(map[int]*node), owner: t.tok}
-			n.children[digit] = child
-		}
-		n = child
-	}
-	n.member = &m
-	return nil
-}
-
-// recomputeAll refreshes aggregates postorder; n must be owned (the sweep
-// copy-on-writes every shared descendant it touches).
-func (t *Tree) recomputeAll(n *node) {
-	for digit := range n.children {
-		t.recomputeAll(t.ownChild(n, digit))
-	}
-	t.recompute(n)
 }
 
 // Depth returns the tree depth d.
@@ -580,34 +533,25 @@ func (t *Tree) Members() []Member {
 	return out
 }
 
-// Clone returns an independent copy of the tree in O(1): the whole trie —
-// members included, they are its leaves — is shared copy-on-write. The
-// donor's ownership token is swapped so every node it held becomes read-only
-// to both trees; whichever tree mutates a shared node next copies just the
-// touched root path (shallow, children maps excluded from aggregates).
-// Summaries, delegate slices and *Member values are immutable-by-convention
-// — recomputation replaces them wholesale. The point at fleet scale: 64k
-// co-hosted processes adopting one bootstrap fold hold ONE trie, and each
-// diverges only by the paths its own membership changes touch.
+// Clone returns an independent copy of the tree in O(1): a struct copy. The
+// trie is immutable and the store, compiler and election are shared, so the
+// two trees hold the same nodes until a change moves one of them — and meet
+// again, node for node, wherever their memberships agree. The point at fleet
+// scale: 64k co-hosted processes adopting one bootstrap fold hold ONE trie,
+// and a change they all digest builds each new node once. The clone meters
+// its own regrouping work from zero.
 func (t *Tree) Clone() *Tree {
-	// Disown every node the donor held: both trees now copy-on-write.
-	t.tok = new(ownerTok)
-	return &Tree{
-		cfg:      t.cfg,
-		election: t.election,
-		tok:      new(ownerTok),
-		root:     t.root,
-		compiler: t.compiler,
-		folds:    t.folds,
-	}
+	c := *t
+	c.foldRecomputes, c.foldHits = 0, 0
+	return &c
 }
 
-// Add inserts a member and recomputes delegates, counts and summaries along
+// Add inserts a member and rebuilds delegates, counts and summaries along
 // its root path.
 func (t *Tree) Add(m Member) error { return t.ApplyDelta(Delta{Add: []Member{m}}) }
 
 // Remove deletes a member (leave or exclusion after failure detection) and
-// recomputes its surviving root path.
+// rebuilds its surviving root path.
 func (t *Tree) Remove(a addr.Address) error { return t.ApplyDelta(Delta{Remove: []addr.Address{a}}) }
 
 // UpdateSubscription replaces a member's interests and refreshes summaries
@@ -616,140 +560,110 @@ func (t *Tree) UpdateSubscription(a addr.Address, sub interest.Subscription) err
 	return t.ApplyDelta(Delta{Update: []Member{{Addr: a, Sub: sub}}})
 }
 
-// Delta is a batch of membership changes applied with a single bottom-up
-// recompute of the touched prefixes: each dirty prefix is recomputed exactly
-// once however many of the batch's changes lie under it, which is what keeps
-// fleet-scale churn (and the initial population of a large tree) cheap.
+// Delta is a batch of membership changes applied in one pass over the
+// touched prefixes: each is rebuilt exactly once however many of the batch's
+// changes lie under it, which is what keeps fleet-scale churn (and the
+// initial population of a large tree) cheap. Per address, adds apply before
+// updates before removes.
 type Delta struct {
 	Add    []Member
 	Update []Member
 	Remove []addr.Address
 }
 
-// ApplyDelta applies the batch. On error the structural edits applied so
-// far remain (with their paths recomputed); callers treat that as fatal and
-// rebuild.
+// edit is one change of a batch; after resolution, the one outcome of an
+// address: its member, or editRemove for none.
+type edit struct {
+	addr addr.Address
+	sub  interest.Subscription
+	kind uint8
+}
+
+const (
+	editAdd uint8 = iota
+	editUpdate
+	editRemove
+)
+
+// ApplyDelta applies the batch. On error the tree — members, views and
+// counters — is exactly as before the call.
 func (t *Tree) ApplyDelta(d Delta) error {
-	// For bulk batches — the initial population, a mass rejoin — path
-	// bookkeeping costs more than sweeping the whole trie once.
-	total := len(d.Add) + len(d.Update) + len(d.Remove)
-	if bulk := total >= 16 && total*2 >= t.Len()+len(d.Add); bulk {
-		return t.applyDeltaBulk(d)
-	}
-	// dirty[l] lists the trie nodes of prefix length l the batch touched,
-	// each once: a node is stamped with this call's sequence number when it
-	// is first listed.
-	t.deltaSeq++
-	dirty := make([][]*node, t.Depth()+1)
-	markPath := func(a addr.Address) {
-		// The raw edit just made owned the whole path, down to where a
-		// removal pruned it.
-		n := t.ownRoot()
-		for l := 0; n != nil; l++ {
-			if n.dirtySeq != t.deltaSeq {
-				n.dirtySeq = t.deltaSeq
-				dirty[l] = append(dirty[l], n)
-			}
-			if l == t.Depth() {
-				break
-			}
-			n = t.ownChild(n, a.Digit(l+1))
-		}
-	}
-	recomputeDirty := func() {
-		for l := len(dirty) - 1; l >= 0; l-- {
-			for _, n := range dirty[l] {
-				// A node emptied by a removal later in the batch was pruned
-				// from the trie; there is nothing left to recompute there.
-				if n == t.root || n.member != nil || len(n.children) > 0 {
-					t.recompute(n)
-				}
-			}
-		}
+	var buf [4]edit // a small batch stays on the stack
+	edits := buf[:0]
+	if total := len(d.Add) + len(d.Update) + len(d.Remove); total > len(buf) {
+		edits = make([]edit, 0, total)
 	}
 	for _, m := range d.Add {
-		if err := t.insertRaw(m); err != nil {
-			recomputeDirty()
-			return err
+		if err := t.cfg.Space.Validate(m.Addr); err != nil {
+			return fmt.Errorf("%w: %v", ErrSpaceMismatch, err)
 		}
-		markPath(m.Addr)
+		edits = append(edits, edit{m.Addr, m.Sub, editAdd})
 	}
 	for _, m := range d.Update {
-		if err := t.updateMemberRaw(m.Addr, m.Sub); err != nil {
-			recomputeDirty()
-			return err
-		}
-		markPath(m.Addr)
+		edits = append(edits, edit{m.Addr, m.Sub, editUpdate})
 	}
 	for _, a := range d.Remove {
-		if err := t.removeRaw(a); err != nil {
-			recomputeDirty()
-			return err
-		}
-		markPath(a)
+		edits = append(edits, edit{addr: a, kind: editRemove})
 	}
-	recomputeDirty()
-	return nil
-}
-
-// applyDeltaBulk is ApplyDelta's bulk path: structural edits followed by one
-// whole-trie recompute (the same sweep Build does).
-func (t *Tree) applyDeltaBulk(d Delta) error {
-	var firstErr error
-	for _, m := range d.Add {
-		if err := t.insertRaw(m); err != nil {
-			firstErr = err
-			break
-		}
-	}
-	if firstErr == nil {
-		for _, m := range d.Update {
-			if err := t.updateMemberRaw(m.Addr, m.Sub); err != nil {
-				firstErr = err
-				break
+	// Stable, so each address's edits keep their add, update, remove order.
+	slices.SortStableFunc(edits, func(x, y edit) int { return x.addr.Compare(y.addr) })
+	// Resolve every address to its outcome before anything is built: a batch
+	// that fails must not have touched the store either.
+	resolved := edits[:0]
+	for _, e := range edits {
+		if len(resolved) == 0 || !e.addr.Equal(resolved[len(resolved)-1].addr) {
+			// A new address (resolved trails the read position, so writing
+			// it overwrites only edits already read): start from the tree.
+			kind := editRemove
+			if t.lookupMember(e.addr) != nil {
+				kind = editUpdate
 			}
+			resolved = append(resolved, edit{addr: e.addr, kind: kind})
 		}
-	}
-	if firstErr == nil {
-		for _, a := range d.Remove {
-			if err := t.removeRaw(a); err != nil {
-				firstErr = err
-				break
-			}
+		last := &resolved[len(resolved)-1]
+		switch present := last.kind != editRemove; {
+		case e.kind == editAdd && present:
+			return fmt.Errorf("%w: %s", ErrDuplicateMember, e.addr)
+		case e.kind != editAdd && !present:
+			return fmt.Errorf("%w: %s", ErrUnknownMember, e.addr)
 		}
+		*last = e
 	}
-	t.recomputeAll(t.ownRoot())
-	return firstErr
-}
-
-// removeRaw detaches a member and prunes emptied trie nodes without
-// recomputing aggregates.
-func (t *Tree) removeRaw(a addr.Address) error {
-	if t.lookupMember(a) == nil {
-		return fmt.Errorf("%w: %s", ErrUnknownMember, a)
-	}
-	n := t.ownRoot()
-	path := []*node{n}
-	for i := 1; i <= t.Depth(); i++ {
-		n = t.ownChild(n, a.Digit(i))
-		path = append(path, n)
-	}
-	n.member = nil
-	for i := len(path) - 1; i >= 1 && len(path[i].children) == 0; i-- {
-		delete(path[i-1].children, a.Digit(i))
+	if len(resolved) > 0 {
+		t.root = t.apply(t.root, resolved, 0)
 	}
 	return nil
 }
 
-// updateMemberRaw replaces a member's subscription without recomputing
-// aggregates, copy-on-writing the member value and its leaf path.
-func (t *Tree) updateMemberRaw(a addr.Address, sub interest.Subscription) error {
-	if t.lookupMember(a) == nil {
-		return fmt.Errorf("%w: %s", ErrUnknownMember, a)
+// apply returns the subtree that n (nil for an unpopulated prefix of the
+// given length) becomes under the resolved edits, all of which lie beneath
+// it, sorted by address; nil when nothing is left. Only touched digits are
+// descended into; everything else is shared with n.
+func (t *Tree) apply(n *node, edits []edit, length int) *node {
+	if length == t.Depth() {
+		if e := edits[0]; e.kind != editRemove {
+			return t.leaf(e.addr, e.sub)
+		}
+		return nil
 	}
-	leaf := t.ownLookup(a.Prefix(t.Depth() + 1))
-	leaf.member = &Member{Addr: leaf.member.Addr, Sub: sub}
-	return nil
+	var buf [16]*node // the child array stays on the stack up to arity 16
+	arity := t.cfg.Space.Arity(length + 1)
+	kids := buf[:min(arity, len(buf))]
+	if arity > len(buf) {
+		kids = make([]*node, arity)
+	}
+	if n != nil {
+		copy(kids, n.children)
+	}
+	for len(edits) > 0 {
+		digit, j := edits[0].addr.Digit(length+1), 1
+		for j < len(edits) && edits[j].addr.Digit(length+1) == digit {
+			j++
+		}
+		kids[digit] = t.apply(kids[digit], edits[:j], length+1)
+		edits = edits[j:]
+	}
+	return t.interior(kids, length)
 }
 
 // fold returns the regrouping of one node's inputs through the shared fold
@@ -759,11 +673,11 @@ func (t *Tree) updateMemberRaw(a addr.Address, sub interest.Subscription) error 
 // are computed once and shared. merge accumulates the inputs into a fresh
 // summary; it runs only when the fold is not cached.
 func (t *Tree) fold(leaf interest.Identity, kids []byte, merge func(*interest.Summary)) foldEntry {
-	e, hit := t.folds.get(leaf, kids)
+	e, hit := t.store.fold(leaf, kids)
 	if !hit {
 		s := interest.NewSummary()
 		merge(s)
-		e, hit = t.folds.put(leaf, kids, foldEntry{summary: s, compiled: t.compiler.CompileSummary(s)})
+		e, hit = t.store.putFold(leaf, kids, foldEntry{summary: s, compiled: t.compiler.CompileSummary(s)})
 	}
 	if hit {
 		t.foldHits++
@@ -773,72 +687,91 @@ func (t *Tree) fold(leaf interest.Identity, kids []byte, merge func(*interest.Su
 	return e
 }
 
-// recompute refreshes one node's aggregates. Every summary in the trie comes
-// out of fold, so every one carries the identity its parent's fold is keyed
-// by, and a cached fold costs its inputs' identities, never their size.
-func (t *Tree) recompute(n *node) {
-	n.gen++
-	if n.member != nil {
-		n.count = 1
-		e := t.fold(n.member.Sub.Identity(), nil, func(s *interest.Summary) { s.Add(n.member.Sub) })
-		n.summary, n.compiled = e.summary, e.compiled
-		n.delegates = []addr.Address{n.member.Addr}
-		// Leaves base no view (views are built over strict prefixes); their
-		// visible state is captured by the parent's kids signature.
-		n.viewGen = n.gen
-		return
+// leaf returns the interned leaf of a member. Every summary in the trie
+// comes out of fold, so every one carries the identity its parent's fold is
+// keyed by, and a cached fold costs its inputs' identities, never their size.
+func (t *Tree) leaf(a addr.Address, sub interest.Subscription) *node {
+	ident := sub.Identity()
+	if n := t.store.node(a.Key(), ident, nil); n != nil {
+		t.foldHits++
+		return n
 	}
-	n.count = 0
-	digits := sortedDigits(n.children)
-	kids := make([]byte, 0, 8*16) // on the stack up to arity 16
-	candidates := make([]addr.Address, 0, t.cfg.R*len(n.children))
-	newKids := make([]kidSig, 0, len(digits))
-	for _, digit := range digits {
-		child := n.children[digit]
+	e := t.fold(ident, nil, func(s *interest.Summary) { s.Add(sub) })
+	return t.store.intern(a.Key(), ident, nil, &node{
+		member:    &Member{Addr: a, Sub: sub},
+		delegates: []addr.Address{a},
+		count:     1,
+		summary:   e.summary,
+		compiled:  e.compiled,
+	})
+}
+
+// interior returns the interned node over the given children (indexed by
+// digit, nil where unpopulated): served whole from the store when some tree
+// built it before — the common case in a fleet digesting one change — and
+// otherwise regrouped, elected and signed here. A prefix left without
+// children is nil, except the root.
+func (t *Tree) interior(kids []*node, length int) *node {
+	key := make([]byte, 0, 8*16) // on the stack up to arity 16
+	populated := 0
+	for _, child := range kids {
+		id := uint64(0)
+		if child != nil {
+			id = child.id
+			populated++
+		}
+		key = binary.LittleEndian.AppendUint64(key, id)
+	}
+	if populated == 0 && length > 0 {
+		return nil
+	}
+	if n := t.store.node("", interest.Identity{}, key); n != nil {
+		t.foldHits++
+		return n
+	}
+	n := &node{children: slices.Clone(kids)}
+	candidates := make([]addr.Address, 0, t.cfg.R*populated)
+	inputs := make([]byte, 0, 8*16)
+	sig := make([]byte, 0, 512)
+	for digit, child := range kids {
+		if child == nil {
+			continue
+		}
 		n.count += child.count
-		kids = binary.LittleEndian.AppendUint64(kids, child.summary.Identity())
 		candidates = append(candidates, child.delegates...)
-		newKids = append(newKids, kidSig{
-			digit:     digit,
-			count:     child.count,
-			compiled:  child.compiled,
-			delegates: child.delegates,
-		})
+		inputs = binary.LittleEndian.AppendUint64(inputs, child.summary.Identity())
+		sig = t.appendViewLine(sig, digit, child)
 	}
-	e := t.fold(interest.Identity{}, kids, func(s *interest.Summary) {
-		for _, digit := range digits {
-			s.Merge(n.children[digit].summary)
+	e := t.fold(interest.Identity{}, inputs, func(s *interest.Summary) {
+		for _, child := range kids {
+			if child != nil {
+				s.Merge(child.summary)
+			}
 		}
 	})
 	n.summary, n.compiled = e.summary, e.compiled
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i].Less(candidates[j]) })
+	slices.SortFunc(candidates, addr.Address.Compare)
 	n.delegates = t.election.Elect(candidates, t.cfg.R)
-	if !kidsEqual(n.kids, newKids) {
-		n.viewGen = n.gen
-	}
-	n.kids = newKids
+	n.viewGen = t.store.viewGen(sig, n.children)
+	return t.store.intern("", interest.Identity{}, key, n)
 }
 
-func sortedDigits(children map[int]*node) []int {
-	digits := make([]int, 0, len(children))
-	for d := range children {
-		digits = append(digits, d)
+// appendViewLine appends one child's contribution to its parent's view
+// signature: everything a view line exposes about the subgroup — digit,
+// count, summary language, delegates. The language is named by the address
+// of its compiled matcher: the shared Compiler interns by fingerprint, so
+// equal pointers mean equal matched languages (the converse may fail after a
+// compiler sweep, which only costs a spurious generation — the safe
+// direction).
+func (t *Tree) appendViewLine(sig []byte, digit int, child *node) []byte {
+	sig = binary.AppendUvarint(sig, uint64(digit))
+	sig = binary.AppendUvarint(sig, uint64(child.count))
+	sig = binary.AppendUvarint(sig, uint64(uintptr(unsafe.Pointer(child.compiled))))
+	sig = binary.AppendUvarint(sig, uint64(len(child.delegates)))
+	for _, d := range child.delegates {
+		sig = binary.AppendUvarint(sig, uint64(t.cfg.Space.Index(d)))
 	}
-	sort.Ints(digits)
-	return digits
-}
-
-// lookup returns the node for the prefix, or nil.
-func (t *Tree) lookup(p addr.Prefix) *node {
-	n := t.root
-	for i := 1; i <= p.Len(); i++ {
-		child, ok := n.children[p.Digit(i)]
-		if !ok {
-			return nil
-		}
-		n = child
-	}
-	return n
+	return sig
 }
 
 // Count returns ‖prefix‖, the number of processes in the subtree (Eq. 4).
@@ -883,14 +816,25 @@ func (t *Tree) CompiledSummary(p addr.Prefix) *interest.CompiledMatcher {
 	return n.compiled
 }
 
-// Generation returns the view generation of the prefix node: it advances
-// exactly when a recompute changed what a view built over this prefix
-// exposes (its subgroups' delegates, counts or summary languages), so equal
-// generations guarantee the views match events identically — and recomputes
-// that re-derive identical lines, the common case under skewed subscription
-// flux, leave it untouched. Unpopulated prefixes report 0.
+// Generation returns the view generation of the prefix node: the identity
+// its store gave to what a view built over this prefix exposes (its
+// subgroups' digits, delegates, counts and summary languages). Equal
+// generations guarantee the views match events identically, on every tree of
+// the store, and changes that re-derive identical lines — the common case
+// under skewed subscription flux — leave it unmoved. Unpopulated prefixes,
+// leaves and the root of a tree nothing was applied to report 0.
 func (t *Tree) Generation(p addr.Prefix) uint64 {
 	n := t.lookup(p)
+	if n == nil {
+		return 0
+	}
+	return n.viewGen
+}
+
+// GenerationAt is Generation(a.Prefix(depth)) — the generation of the view
+// a keeps for the depth — without building the prefix.
+func (t *Tree) GenerationAt(a addr.Address, depth int) uint64 {
+	n := t.lookupPath(a, depth-1)
 	if n == nil {
 		return 0
 	}
@@ -926,7 +870,7 @@ func matchReach(n *node, ev event.Event) int {
 	}
 	total := 0
 	for _, child := range n.children {
-		total += matchReach(child, ev)
+		total += matchReach(child, ev) // 0 for an unpopulated digit
 	}
 	return total
 }
@@ -939,7 +883,7 @@ func (t *Tree) IsDelegate(a addr.Address, depth int) bool {
 		return t.lookupMember(a) != nil
 	}
 	// a represents its subtree rooted at prefix of length depth.
-	n := t.lookup(a.Prefix(depth + 1))
+	n := t.lookupPath(a, depth)
 	if n == nil {
 		return false
 	}

@@ -402,8 +402,8 @@ func TestPartialPopulationViews(t *testing.T) {
 }
 
 // TestCloneCostIndependentOfSize: the trie is the only member index and it
-// is shared copy-on-write, so Clone has nothing to freeze — four updates and
-// a Clone allocate the same in a 46-member tree as in a 4096-member one.
+// is immutable, so Clone has nothing to freeze — four updates and a Clone
+// allocate the same in a 46-member tree as in a 4096-member one.
 // Both populations live in one 16×16×16 space and keep every group on the
 // victim's root path full, so the updates themselves cost the same; only a
 // Clone that copies per-member state can tell the trees apart.

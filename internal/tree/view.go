@@ -51,10 +51,10 @@ type View struct {
 	// LeafLevel reports whether this is the deepest view (lines are
 	// individual processes rather than delegate sets).
 	LeafLevel bool
-	// Gen is the generation of the tree node the view was built over: equal
-	// generations (for the same prefix on the same tree lineage) guarantee
-	// identical matching behavior, which is what lets per-event
-	// susceptibility caches survive a process rebuild.
+	// Gen is the generation of the tree node the view was built over (see
+	// Tree.Generation): equal generations guarantee identical lines, which
+	// is what lets per-event susceptibility caches survive a process
+	// rebuild.
 	Gen uint64
 }
 
@@ -155,8 +155,10 @@ func (t *Tree) ViewOf(p addr.Prefix, depth int) *View {
 	leaf := depth == t.Depth()
 	v := &View{Prefix: p, Depth: depth, R: t.cfg.R, LeafLevel: leaf, Gen: n.viewGen}
 	v.Lines = make([]Line, 0, len(n.children))
-	for _, digit := range sortedDigits(n.children) {
-		child := n.children[digit]
+	for digit, child := range n.children {
+		if child == nil {
+			continue
+		}
 		dels := make([]addr.Address, len(child.delegates))
 		copy(dels, child.delegates)
 		v.Lines = append(v.Lines, Line{
