@@ -193,12 +193,18 @@ func (nv *naiveView) matchLine(ev event.Event, li int) bool {
 func (nv *naiveView) Size() int                   { return len(nv.members) }
 func (nv *naiveView) MemberAt(i int) addr.Address { return nv.members[i] }
 func (nv *naiveView) SelfIndex() int              { return nv.selfIdx }
-func (nv *naiveView) SusceptibleAt(ev event.Event, i int) bool {
-	return nv.matchLine(ev, nv.lineOf[i])
-}
-func (nv *naiveView) Rate(ev event.Event) float64 {
-	if len(nv.members) == 0 {
-		return 0
+
+// Profile implements core.DepthView the way the pre-engine runtime asked its
+// three questions: susceptibility member by member, then GETRATE over the
+// members again, then the matching subgroups line by line — every answer an
+// interpretive walk of the line's summary.
+func (nv *naiveView) Profile(ev event.Event, p *core.MatchProfile) {
+	p.Ensure(len(nv.members))
+	for i, li := range nv.lineOf {
+		if nv.matchLine(ev, li) {
+			p.Set(i)
+			p.Hits++
+		}
 	}
 	hits := 0
 	for _, li := range nv.lineOf {
@@ -206,24 +212,20 @@ func (nv *naiveView) Rate(ev event.Event) float64 {
 			hits++
 		}
 	}
-	return float64(hits) / float64(len(nv.members))
-}
-func (nv *naiveView) MatchingSubgroups(ev event.Event) (int, bool) {
-	total, selfIn := 0, false
+	if len(nv.members) > 0 {
+		p.Rate = float64(hits) / float64(len(nv.members))
+	}
 	for li := range nv.lines {
 		if nv.matchLine(ev, li) {
-			total++
-			if li == nv.selfLn {
-				selfIn = true
-			}
+			p.Lines++
+			p.SelfIn = p.SelfIn || li == nv.selfLn
 		}
 	}
-	return total, selfIn
 }
 
-// Generation implements core.Generational with a fresh value per query, so
-// the Process-level cache can never serve a hit: every profile is
-// recomputed through the per-member fallback, like the pre-engine runtime.
+// Generation implements core.DepthView with a fresh value per query, so the
+// Process-level cache can never serve a hit: every profile is recomputed,
+// like the pre-engine runtime.
 func (nv *naiveView) Generation() uint64 {
 	nv.gen++
 	return nv.gen

@@ -50,8 +50,6 @@ type soakStats struct {
 	SentDatagrams int64 `json:"sentDatagrams"`
 	RecvSyscalls  int64 `json:"recvSyscalls"`
 	RecvDatagrams int64 `json:"recvDatagrams"`
-	GSOSegments   int64 `json:"gsoSegments"`
-	GROSegments   int64 `json:"groSegments"`
 	Malformed     int64 `json:"malformed"`
 	DroppedInbox  int64 `json:"droppedInbox"`
 	EgressDropped int64 `json:"egressDropped"`
@@ -201,8 +199,6 @@ func soakChild() int {
 		SentDatagrams: st.SentDatagrams,
 		RecvSyscalls:  st.RecvSyscalls,
 		RecvDatagrams: st.RecvDatagrams,
-		GSOSegments:   st.GSOSegments,
-		GROSegments:   st.GROSegments,
 		Malformed:     st.Malformed,
 		DroppedInbox:  st.Dropped,
 		EgressDropped: egressDropped,
@@ -303,8 +299,6 @@ func runSoakFleet(b *testing.B, mode string) (totals soakStats, wall time.Durati
 		totals.SentDatagrams += st.SentDatagrams
 		totals.RecvSyscalls += st.RecvSyscalls
 		totals.RecvDatagrams += st.RecvDatagrams
-		totals.GSOSegments += st.GSOSegments
-		totals.GROSegments += st.GROSegments
 		if ms := time.Duration(st.ElapsedMs) * time.Millisecond; ms > wall {
 			wall = ms
 		}

@@ -63,10 +63,6 @@ func run(w io.Writer, args []string) error {
 		"egress encode/send workers of the staged engine (0: serial)")
 	portable := fs.Bool("portable", false,
 		"opt out of the kernel-batched datapath (sendmmsg/recvmmsg vectors, on by default on Linux) and run the one-syscall-per-datagram path other platforms always use")
-	gso := fs.Bool("gso", false,
-		"UDP generic segmentation offload: coalesce equal-size same-peer frames into kernel-split super-datagrams (not with -portable)")
-	gro := fs.Bool("gro", false,
-		"UDP generic receive offload: let the kernel coalesce inbound bursts (not with -portable)")
 	rcvbuf := fs.Int("rcvbuf", 0, "requested SO_RCVBUF in bytes (0: kernel default)")
 	sndbuf := fs.Int("sndbuf", 0, "requested SO_SNDBUF in bytes (0: kernel default)")
 	statsEvery := fs.Duration("stats", 0,
@@ -105,8 +101,6 @@ func run(w io.Writer, args []string) error {
 		Resolver:         res,
 		DeferDecode:      *decodeWorkers > 0,
 		Portable:         *portable,
-		GSO:              *gso,
-		GRO:              *gro,
 		ReadBufferBytes:  *rcvbuf,
 		WriteBufferBytes: *sndbuf,
 	})
@@ -209,9 +203,9 @@ func printStats(n *pmcast.Node, tr *pmcast.UDPTransport) {
 		return float64(datagrams) / float64(syscalls)
 	}
 	fmt.Fprintf(os.Stderr,
-		"stats: send %d dgrams / %d syscalls (%.1f/call, gso %d) | recv %d dgrams / %d syscalls (%.1f/call, gro %d) | malformed %d dropped %d | sockbuf r%d w%d\n",
-		st.SentDatagrams, st.SendSyscalls, ratio(st.SentDatagrams, st.SendSyscalls), st.GSOSegments,
-		st.RecvDatagrams, st.RecvSyscalls, ratio(st.RecvDatagrams, st.RecvSyscalls), st.GROSegments,
+		"stats: send %d dgrams / %d syscalls (%.1f/call) | recv %d dgrams / %d syscalls (%.1f/call) | malformed %d dropped %d | sockbuf r%d w%d\n",
+		st.SentDatagrams, st.SendSyscalls, ratio(st.SentDatagrams, st.SendSyscalls),
+		st.RecvDatagrams, st.RecvSyscalls, ratio(st.RecvDatagrams, st.RecvSyscalls),
 		st.Malformed, st.Dropped, st.ReadBufferBytes, st.WriteBufferBytes)
 	envelopes, bytes := n.WireStats()
 	flushes, flushed := n.EgressFlushStats()

@@ -10,14 +10,12 @@ import (
 // TreeView adapts one tree.View to the DepthView interface, flattening the
 // view lines into a deterministic member order (line order, then election
 // rank) and matching members through the compiled forms of the regrouped
-// subtree summaries. It implements MatchProfiler — one compiled evaluation
-// per distinct line language, expanded to the lines' member ranges — and
-// Generational, carrying
-// the tree node generation so cached profiles survive process rebuilds that
-// did not touch this view's prefix.
+// subtree summaries: one compiled evaluation per distinct line language,
+// expanded to the lines' member ranges. It carries the tree node generation,
+// so cached profiles survive process rebuilds that did not touch this view's
+// prefix.
 type TreeView struct {
 	members   []addr.Address
-	lineOf    []int // member index → line index
 	lineStart []int // line index → first member index (len lines+1)
 	compiled  []*interest.CompiledMatcher
 	// Sibling subgroups whose folds converge — the norm under skewed
@@ -34,11 +32,7 @@ type TreeView struct {
 	gen       uint64
 }
 
-var (
-	_ DepthView     = (*TreeView)(nil)
-	_ MatchProfiler = (*TreeView)(nil)
-	_ Generational  = (*TreeView)(nil)
-)
+var _ DepthView = (*TreeView)(nil)
 
 // NewTreeView builds the adapter for the given process. A nil view yields a
 // nil adapter (the process forwards through that depth without gossiping).
@@ -48,7 +42,6 @@ func NewTreeView(v *tree.View, self addr.Address) *TreeView {
 	}
 	tv := &TreeView{
 		members:   make([]addr.Address, 0, v.GroupSize()),
-		lineOf:    make([]int, 0, v.GroupSize()),
 		lineStart: make([]int, len(v.Lines)+1),
 		compiled:  make([]*interest.CompiledMatcher, len(v.Lines)),
 		selfIndex: -1,
@@ -69,7 +62,6 @@ func NewTreeView(v *tree.View, self addr.Address) *TreeView {
 				tv.selfLine = li
 			}
 			tv.members = append(tv.members, m)
-			tv.lineOf = append(tv.lineOf, li)
 		}
 	}
 	tv.lineStart[len(v.Lines)] = len(tv.members)
@@ -115,61 +107,17 @@ func (tv *TreeView) MemberAt(i int) addr.Address { return tv.members[i] }
 // SelfIndex implements DepthView.
 func (tv *TreeView) SelfIndex() int { return tv.selfIndex }
 
-// SusceptibleAt implements DepthView: the member's compiled subtree summary
-// decides.
-func (tv *TreeView) SusceptibleAt(ev event.Event, i int) bool {
-	return tv.compiled[tv.lineOf[i]].Matches(ev)
-}
-
-// evalDistinct evaluates each distinct compiled matcher once against the
-// event, leaving per-line results in scratch (indexed through dupOf).
-func (tv *TreeView) evalDistinct(ev event.Event, mc *interest.MatchCounter) {
-	for _, li := range tv.distinct {
-		tv.scratch[li] = tv.compiled[li].MatchesCounted(ev, mc)
-	}
-}
-
-// Rate implements DepthView (GETRATE): one compiled evaluation per distinct
-// line language, weighted by the lines' delegate counts — the same value
-// the per-member walk produced, at a fraction of the evaluations.
-func (tv *TreeView) Rate(ev event.Event) float64 {
-	if len(tv.members) == 0 {
-		return 0
-	}
-	tv.evalDistinct(ev, nil)
-	hits := 0
-	for li := range tv.compiled {
-		if tv.scratch[tv.dupOf[li]] {
-			hits += tv.lineStart[li+1] - tv.lineStart[li]
-		}
-	}
-	return float64(hits) / float64(len(tv.members))
-}
-
-// MatchingSubgroups implements DepthView.
-func (tv *TreeView) MatchingSubgroups(ev event.Event) (int, bool) {
-	tv.evalDistinct(ev, nil)
-	total, selfIn := 0, false
-	for li := range tv.compiled {
-		if tv.scratch[tv.dupOf[li]] {
-			total++
-			if li == tv.selfLine {
-				selfIn = true
-			}
-		}
-	}
-	return total, selfIn
-}
-
-// Generation implements Generational: the tree node generation of the view.
+// Generation implements DepthView: the tree node generation of the view.
 func (tv *TreeView) Generation() uint64 { return tv.gen }
 
-// Profile implements MatchProfiler: the whole susceptibility profile in one
+// Profile implements DepthView: the whole susceptibility profile in one
 // pass, each distinct line language evaluated exactly once.
 func (tv *TreeView) Profile(ev event.Event, p *MatchProfile) {
 	size := len(tv.members)
 	p.Ensure(size)
-	tv.evalDistinct(ev, &p.Cost)
+	for _, li := range tv.distinct {
+		tv.scratch[li] = tv.compiled[li].MatchesCounted(ev, &p.Cost)
+	}
 	hits, lines, selfIn := 0, 0, false
 	for li := range tv.compiled {
 		if !tv.scratch[tv.dupOf[li]] {
@@ -230,12 +178,14 @@ func RebuildProcess(t *tree.Tree, self addr.Address, cfg Config, old *Process) (
 	} else {
 		selfMatch = interest.Compile(m.Sub).Matches
 	}
-	p, err := NewProcess(self, cfg, views, selfMatch)
+	p, err := newShell(self, cfg, views, selfMatch)
 	if err != nil {
 		return nil, err
 	}
 	p.selfSub = sub
-	p.AdoptState(old)
+	if p.AdoptState(old); p.state == nil {
+		p.state = newState(cfg.D)
+	}
 	return p, nil
 }
 

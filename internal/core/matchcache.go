@@ -85,58 +85,6 @@ func (p *MatchProfile) Popcount() int {
 	return n
 }
 
-// MatchProfiler is the fast path of the matching engine: views that can
-// evaluate a whole profile in one pass — each distinct subgroup matcher
-// evaluated once, not once per member — implement it. The tree adapter
-// (compiled summaries) and the simulator's synthetic views do; views
-// without it are profiled generically through the naive per-member calls,
-// which keeps the interpretive implementations available as the oracle.
-type MatchProfiler interface {
-	Profile(ev event.Event, p *MatchProfile)
-}
-
-// Generational is implemented by views whose matching behavior can change
-// under a live Process (the simulator redraws interests between runs) or
-// that want their cached profiles to survive a Process rebuild (the tree
-// adapter inherits the tree node's generation). Views without it are
-// treated as static for the lifetime of the Process.
-type Generational interface {
-	Generation() uint64
-}
-
-// viewGeneration returns the view's generation, 0 for static views.
-func viewGeneration(v DepthView) uint64 {
-	if g, ok := v.(Generational); ok {
-		return g.Generation()
-	}
-	return 0
-}
-
-// profileView fills a profile for the event, preferring the view's one-pass
-// implementation and falling back to the naive per-member interface calls.
-// The fallback asks the view's own Rate/MatchingSubgroups rather than
-// deriving them from the bits, so stub views with unusual semantics keep
-// exactly the behavior they had before caching existed.
-func profileView(v DepthView, ev event.Event, p *MatchProfile) {
-	if mp, ok := v.(MatchProfiler); ok {
-		mp.Profile(ev, p)
-		return
-	}
-	size := v.Size()
-	p.Ensure(size)
-	hits := 0
-	for i := 0; i < size; i++ {
-		if v.SusceptibleAt(ev, i) {
-			p.Set(i)
-			hits++
-		}
-	}
-	p.Hits = hits
-	p.Rate = v.Rate(ev)
-	p.Lines, p.SelfIn = v.MatchingSubgroups(ev)
-	p.Cost.Evals += uint64(size) + 2
-}
-
 // depthCache memoizes profiles for one depth, keyed by event ID and guarded
 // by the view generation the entries were computed against.
 type depthCache struct {
@@ -163,15 +111,16 @@ type MatchStats struct {
 	Nanos int64
 	// Fold-layer counters, filled by the membership layer (Node.MatchStats)
 	// from its tree: FoldRecomputes counts summary regroupings the tree
-	// actually computed, FoldHits the regroupings served by the shared fold
-	// cache. Summed by Accumulate like the matcher counters.
+	// actually computed, FoldHits the touched nodes served by the tree's
+	// shared store. Summed by Accumulate like the matcher counters.
 	FoldRecomputes uint64
 	FoldHits       uint64
-	// Shared-cache snapshots: live entries and sweep evictions of the fold
-	// cache and interning compiler behind the tree. The instances are
+	// Shared-store snapshots: live entries and sweep evictions of the
+	// regroupings (FoldCacheEntries/Evictions) and compiled languages
+	// (CompilerEntries/Evictions) in the store behind the tree. A store is
 	// typically shared by many processes (tree clones), so Accumulate keeps
-	// the max rather than double-counting one cache per process; exact
-	// fleet totals dedupe by cache identity through Node.FoldStats.
+	// the max rather than double-counting one store per process; exact fleet
+	// totals dedupe by store identity (CacheID) through Node.FoldStats.
 	FoldCacheEntries   uint64
 	FoldCacheEvictions uint64
 	CompilerEntries    uint64
@@ -205,7 +154,7 @@ func (p *Process) profileAt(ev event.Event, depth int) *MatchProfile {
 		return nil
 	}
 	c := &p.caches[depth-1]
-	if g := viewGeneration(v); c.profiles == nil || c.gen != g {
+	if g := v.Generation(); c.profiles == nil || c.gen != g {
 		c.profiles = make(map[event.ID]*MatchProfile)
 		c.gen = g
 	}
@@ -215,7 +164,7 @@ func (p *Process) profileAt(ev event.Event, depth int) *MatchProfile {
 	}
 	prof := &MatchProfile{}
 	start := time.Now()
-	profileView(v, ev, prof)
+	v.Profile(ev, prof)
 	p.matchStats.Nanos += time.Since(start).Nanoseconds()
 	p.matchStats.Misses++
 	p.matchStats.Evals += prof.Cost.Evals

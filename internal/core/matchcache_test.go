@@ -61,10 +61,11 @@ func TestProfileCacheMemoizes(t *testing.T) {
 	}
 }
 
-// TestProfileMatchesNaiveView: the profile's bitset and aggregates agree
-// with the per-member interface calls (the retained oracle) for every view
-// depth and several event classes.
-func TestProfileMatchesNaiveView(t *testing.T) {
+// TestProfileMatchesInterpretedView: the profile's bitset and aggregates are
+// what the interpretive Summary.Matches — the oracle interest keeps beside the
+// compiled path — says of the tree's view lines, for every view depth and
+// several event classes.
+func TestProfileMatchesInterpretedView(t *testing.T) {
 	tr, space := cacheTree(t)
 	self := space.AddressAt(5)
 	p, err := BuildProcess(tr, self, Config{F: 2, C: 3})
@@ -72,23 +73,32 @@ func TestProfileMatchesNaiveView(t *testing.T) {
 		t.Fatal(err)
 	}
 	for depth := 1; depth <= tr.Depth(); depth++ {
-		v := NewTreeView(tr.ViewAt(self, depth), self)
+		v := tr.ViewAt(self, depth)
 		for class := int64(0); class < 3; class++ {
 			ev := classEv(class, uint64(10*int64(depth)+class))
 			prof := p.ProfileFor(ev, depth)
-			if prof.Rate != v.Rate(ev) {
-				t.Errorf("depth %d class %d: rate %g vs %g", depth, class, prof.Rate, v.Rate(ev))
-			}
-			lines, selfIn := v.MatchingSubgroups(ev)
-			if prof.Lines != lines || prof.SelfIn != selfIn {
-				t.Errorf("depth %d class %d: lines (%d,%v) vs (%d,%v)",
-					depth, class, prof.Lines, prof.SelfIn, lines, selfIn)
-			}
-			for i := 0; i < v.Size(); i++ {
-				if prof.Bit(i) != v.SusceptibleAt(ev, i) {
-					t.Errorf("depth %d class %d member %d: bit %v vs naive %v",
-						depth, class, i, prof.Bit(i), v.SusceptibleAt(ev, i))
+			member, hits, lines, selfIn := 0, 0, 0, false
+			for _, line := range v.Lines {
+				want := line.Summary.Matches(ev)
+				if want {
+					lines++
+					hits += len(line.Delegates)
+					selfIn = selfIn || line.Infix == self.Digit(depth)
 				}
+				for range line.Delegates {
+					if prof.Bit(member) != want {
+						t.Errorf("depth %d class %d member %d: bit %v, interpreted %v",
+							depth, class, member, prof.Bit(member), want)
+					}
+					member++
+				}
+			}
+			if prof.Hits != hits || prof.Lines != lines || prof.SelfIn != selfIn {
+				t.Errorf("depth %d class %d: hits, lines, self in (%d,%d,%v), interpreted (%d,%d,%v)",
+					depth, class, prof.Hits, prof.Lines, prof.SelfIn, hits, lines, selfIn)
+			}
+			if want := float64(hits) / float64(v.GroupSize()); prof.Rate != want {
+				t.Errorf("depth %d class %d: rate %g, interpreted %g", depth, class, prof.Rate, want)
 			}
 		}
 	}
@@ -102,23 +112,17 @@ type mutableView struct {
 	on   bool
 }
 
-func (v *mutableView) Size() int                           { return v.size }
-func (v *mutableView) MemberAt(i int) addr.Address         { return addr.New(i, v.size) }
-func (v *mutableView) SelfIndex() int                      { return -1 }
-func (v *mutableView) SusceptibleAt(event.Event, int) bool { return v.on }
-func (v *mutableView) Rate(event.Event) float64 {
+func (v *mutableView) Size() int                   { return v.size }
+func (v *mutableView) MemberAt(i int) addr.Address { return addr.New(i, v.size) }
+func (v *mutableView) SelfIndex() int              { return -1 }
+func (v *mutableView) Generation() uint64          { return v.gen }
+func (v *mutableView) Profile(_ event.Event, p *MatchProfile) {
+	p.Ensure(v.size)
 	if v.on {
-		return 1
+		p.SetRange(0, v.size)
+		p.Hits, p.Lines, p.Rate = v.size, v.size, 1
 	}
-	return 0
 }
-func (v *mutableView) MatchingSubgroups(event.Event) (int, bool) {
-	if v.on {
-		return v.size, false
-	}
-	return 0, false
-}
-func (v *mutableView) Generation() uint64 { return v.gen }
 
 // TestProfileCacheInvalidatesOnGeneration: a generation bump drops cached
 // profiles; without it they would serve stale matching.
@@ -323,8 +327,9 @@ func TestRebuildProcessKeepsExactSubscription(t *testing.T) {
 }
 
 // TestRebuildCostIndependentOfHistory: a rebuild takes the predecessor's
-// state over instead of copying it, so it allocates the same after 10
-// received events as after 10 000 — and the rebuilt process is the old one
+// state over instead of copying it — or building one of its own to drop — so
+// it allocates the same after 10 received events as after 10 000, and only
+// for the shell. The rebuilt process is the old one
 // continued: it dedupes an old ID and ticks the buffers it was handed.
 func TestRebuildCostIndependentOfHistory(t *testing.T) {
 	tr, space := cacheTree(t)
@@ -346,6 +351,11 @@ func TestRebuildCostIndependentOfHistory(t *testing.T) {
 	long, next := rebuild(10000)
 	if short != long {
 		t.Errorf("rebuild allocates %.0f times after 10 events, %.0f after 10000", short, long)
+	}
+	// No view moved and the state is taken over, not built and dropped: what
+	// is left is the process and its two view slices.
+	if short > 3 {
+		t.Errorf("rebuild with nothing moved allocates %.0f times, want at most 3", short)
 	}
 	next.Receive(Gossip{Event: classEv(0, 1), Depth: 1, Rate: 1})
 	if _, received := next.Stats(); received != 10000 {
@@ -379,6 +389,9 @@ func TestRebuildKeepsUnmovedViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	unmoved := testing.AllocsPerRun(10, func() { _, _ = RebuildProcess(tr, self, cfg, old) })
+	if unmoved > 3 {
+		t.Errorf("rebuild with no view moved allocates %.0f times, want at most 3 (the process and its view slices)", unmoved)
+	}
 
 	// 3.3.3 starts matching b=7: subtree 3's summary language moves, and with
 	// it the root's lines — nothing under self's own prefixes 0 and 0.0.
@@ -409,7 +422,7 @@ func TestRebuildKeepsUnmovedViews(t *testing.T) {
 	}
 	// The carried views still answer: an event of the new class reaches
 	// subtree 3 only.
-	if lines, selfIn := next.views[0].MatchingSubgroups(classEv(7, 1)); lines != 1 || selfIn {
-		t.Errorf("b=7 matches %d depth-1 lines (self in: %v), want 1 foreign line", lines, selfIn)
+	if prof := next.ProfileFor(classEv(7, 1), 1); prof.Lines != 1 || prof.SelfIn {
+		t.Errorf("b=7 matches %d depth-1 lines (self in: %v), want 1 foreign line", prof.Lines, prof.SelfIn)
 	}
 }

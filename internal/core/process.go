@@ -32,10 +32,11 @@ var (
 )
 
 // DepthView is the process's table for one tree depth: the members of its
-// depth-i group in deterministic line order, with per-member susceptibility
-// for an event (the aggregated subtree interest the member represents at this
-// depth). Implementations: the tree adapter (adapter.go) for live nodes, and
-// the simulator's synthetic views.
+// depth-i group in deterministic line order, and the one question the
+// algorithm asks of it per event — the susceptibility profile (the aggregated
+// subtree interest each member represents at this depth). Implementations:
+// the tree adapter (adapter.go) for live nodes, and the simulator's synthetic
+// views.
 type DepthView interface {
 	// Size returns the number of group members (|view[i]|·R at inner depths,
 	// the subgroup population at depth d).
@@ -46,17 +47,16 @@ type DepthView interface {
 	// −1 when the process is not a member of this depth's group (it still
 	// gossips here while PMCAST-ing).
 	SelfIndex() int
-	// SusceptibleAt reports whether member i should receive the event:
-	// whether the interests it represents at this depth match
-	// ("event ⊳ dest", Figure 3 line 13).
-	SusceptibleAt(ev event.Event, i int) bool
-	// Rate implements GETRATE (Figure 3): the fraction of members
-	// susceptible to the event.
-	Rate(ev event.Event) float64
-	// MatchingSubgroups returns how many distinct subgroups (view lines)
-	// match the event and whether the owning process's own subgroup is one
-	// of them. Drives the Section 3.2 local-interest descent.
-	MatchingSubgroups(ev event.Event) (total int, selfIn bool)
+	// Profile fills p with the event's whole susceptibility profile: which
+	// members should receive it ("event ⊳ dest", Figure 3 line 13), GETRATE's
+	// value, and the Section 3.2 descent inputs.
+	Profile(ev event.Event, p *MatchProfile)
+	// Generation names what Profile answers from: profiles cached under one
+	// generation stay valid while the view reports it. The tree adapter
+	// carries the tree node's generation, so cached profiles survive a
+	// rebuild that did not move the view; the simulator advances it when it
+	// redraws interests; a view that never changes may return a constant.
+	Generation() uint64
 }
 
 // Config parameterizes the algorithm.
@@ -215,6 +215,17 @@ type state struct {
 // view is allowed for depths where the process has no populated group, it
 // then forwards without gossiping at that depth.
 func NewProcess(self addr.Address, cfg Config, views []DepthView, selfMatch func(event.Event) bool) (*Process, error) {
+	p, err := newShell(self, cfg, views, selfMatch)
+	if err != nil {
+		return nil, err
+	}
+	p.state = newState(cfg.D)
+	return p, nil
+}
+
+// newShell is NewProcess without the state: for a caller that installs one
+// (NewProcess a fresh one, RebuildProcess the predecessor's).
+func newShell(self addr.Address, cfg Config, views []DepthView, selfMatch func(event.Event) bool) (*Process, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -226,21 +237,20 @@ func NewProcess(self addr.Address, cfg Config, views []DepthView, selfMatch func
 	}
 	vs := make([]DepthView, len(views))
 	copy(vs, views)
-	g := make([]map[event.ID]*entry, cfg.D)
+	return &Process{self: self, cfg: cfg, views: vs, selfMatch: selfMatch}, nil
+}
+
+// newState returns the empty state of a depth-d process.
+func newState(d int) *state {
+	g := make([]map[event.ID]*entry, d)
 	for i := range g {
 		g[i] = make(map[event.ID]*entry)
 	}
-	return &Process{
-		self:      self,
-		cfg:       cfg,
-		views:     vs,
-		selfMatch: selfMatch,
-		state: &state{
-			gossips: g,
-			caches:  make([]depthCache, cfg.D),
-			seen:    make(map[event.ID]struct{}),
-		},
-	}, nil
+	return &state{
+		gossips: g,
+		caches:  make([]depthCache, d),
+		seen:    make(map[event.ID]struct{}),
+	}
 }
 
 // Self returns the process address.
@@ -668,7 +678,7 @@ func samplePrefix(rng *rand.Rand, idxs []int, have, k int) int {
 // carried rate and round, as a received gossip would; a cached profile whose
 // view generation moved is dropped by the next lookup (profileAt).
 func (p *Process) AdoptState(old *Process) {
-	if old == nil || len(old.gossips) != len(p.gossips) {
+	if old == nil || len(old.gossips) != p.cfg.D {
 		return
 	}
 	p.state = old.state

@@ -86,11 +86,11 @@ type Report struct {
 
 	// Fold-layer accounting (the membership side of matching), fleet-wide:
 	// summary regroupings the fleet's trees actually computed vs. served by
-	// their shared fold caches, plus end-of-run occupancy and sweep
-	// evictions of the fold caches and interning compilers — each shared
-	// instance counted once by identity, over the fleet's live trees
-	// (replaced generations' dead caches are not in these gauges; their
-	// recompute/hit counters are banked into the totals).
+	// their shared stores, plus end-of-run occupancy and sweep evictions of
+	// the stores' regroupings (fold_cache_*) and compiled languages
+	// (compiler_*) — each shared store counted once by identity, over the
+	// fleet's live trees (replaced generations' dead stores are not in these
+	// gauges; their recompute/hit counters are banked into the totals).
 	FoldRecomputes     uint64 `json:"fold_recompiles"`
 	FoldCacheHits      uint64 `json:"fold_cache_hits"`
 	FoldCacheEntries   int    `json:"fold_cache_entries"`
@@ -865,11 +865,10 @@ func (r *run) finish(wallStart time.Time) {
 	r.report.MatchCacheMisses = match.Misses
 	r.report.FoldRecomputes = match.FoldRecomputes
 	r.report.FoldCacheHits = match.FoldHits
-	// Shared fold caches and compilers are counted once each by identity —
-	// tree clones within one node share an instance, and summing per handle
-	// would multiply the same gauge.
+	// A shared store is counted once by identity — tree clones within one
+	// node share an instance, and summing per handle would multiply the same
+	// gauge.
 	seenCaches := make(map[uint64]bool)
-	seenCompilers := make(map[uint64]bool)
 	for _, h := range r.handles {
 		if h == nil || h.n == nil {
 			continue
@@ -879,9 +878,6 @@ func (r *run) finish(wallStart time.Time) {
 			seenCaches[fs.CacheID] = true
 			r.report.FoldCacheEntries += fs.CacheEntries
 			r.report.FoldCacheEvictions += fs.CacheEvictions
-		}
-		if fs.CompilerID != 0 && !seenCompilers[fs.CompilerID] {
-			seenCompilers[fs.CompilerID] = true
 			r.report.CompilerEntries += fs.CompilerEntries
 			r.report.CompilerEvictions += fs.CompilerEvictions
 		}

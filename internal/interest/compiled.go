@@ -3,8 +3,6 @@ package interest
 import (
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"pmcast/internal/event"
 )
@@ -17,9 +15,10 @@ import (
 // searched — IntervalSet.Contains already is that index), string criteria
 // trade the sorted slice for a hashed set, and the conjunction keeps its
 // criteria cheapest-first so mismatches short-circuit early. A canonical
-// fingerprint identifies the matched language itself, so structurally
-// identical interests — a fleet where hundreds of processes subscribe to
-// the same classes — share one compiled form through a Compiler.
+// fingerprint (Summary.Fingerprint) identifies the matched language itself,
+// so structurally identical interests — a fleet where hundreds of processes
+// subscribe to the same classes — can share one compiled form: internal/tree
+// interns compiled summaries under it.
 //
 // The interpretive Matches implementations on Subscription and Summary stay
 // exactly as they were: they are the oracle the property and fuzz tests
@@ -126,12 +125,11 @@ func (cc *compiledConjunction) matches(ev event.Event, mc *MatchCounter) bool {
 }
 
 // CompiledMatcher is the immutable compiled form of a subscription or
-// summary: a disjunction of indexed conjunctions plus a canonical
-// fingerprint. The nil matcher matches nothing (like a nil Summary); a
+// summary: a disjunction of indexed conjunctions. The nil matcher matches
+// nothing (like a nil Summary); a
 // match-all matcher answers without touching the event. CompiledMatcher is
 // safe for concurrent use — compilation produced it, nothing mutates it.
 type CompiledMatcher struct {
-	fp        string
 	matchAll  bool
 	disjuncts []compiledConjunction
 }
@@ -164,18 +162,6 @@ func (m *CompiledMatcher) MatchesCounted(ev event.Event, mc *MatchCounter) bool 
 	return false
 }
 
-// Fingerprint returns the canonical identity of the matched language: two
-// compiled matchers with equal fingerprints accept exactly the same events.
-// (The converse is not guaranteed — semantically equal interests with
-// different structure may fingerprint apart — which is the right trade for
-// an interning key.)
-func (m *CompiledMatcher) Fingerprint() string {
-	if m == nil {
-		return ""
-	}
-	return m.fp
-}
-
 // IsMatchAll reports whether the matcher accepts every event.
 func (m *CompiledMatcher) IsMatchAll() bool { return m != nil && m.matchAll }
 
@@ -189,10 +175,9 @@ func (s Subscription) Fingerprint() string {
 
 // OrderedFingerprint identifies the summary as a regrouping input: the
 // disjunct fingerprints in accumulation order (plus a match-all sentinel).
-// Unlike the compiled matcher's language fingerprint — which sorts — this
-// one is order-sensitive, because the regrouping heuristics fold disjuncts
-// in slice order: only order-identical summaries are interchangeable as
-// inputs to a further Merge.
+// Unlike Fingerprint — which sorts — this one is order-sensitive, because
+// the regrouping heuristics fold disjuncts in slice order: only
+// order-identical summaries are interchangeable as inputs to a further Merge.
 func (s *Summary) OrderedFingerprint() string {
 	if s == nil {
 		return ""
@@ -208,10 +193,14 @@ func (s *Summary) OrderedFingerprint() string {
 	return sb.String()
 }
 
-// summaryFingerprint canonicalizes a summary: the sorted fingerprints of
-// its disjuncts (Add/compact order is arrival-dependent, the language is
-// not), with sentinels for match-all and match-nothing.
-func summaryFingerprint(s *Summary) string {
+// Fingerprint returns the canonical identity of the summary's matched
+// language: the sorted fingerprints of its disjuncts (Add/compact order is
+// arrival-dependent, the language is not), with sentinels for match-all and
+// match-nothing. Summaries with equal fingerprints accept exactly the same
+// events. (The converse is not guaranteed — semantically equal interests with
+// different structure may fingerprint apart — which is the right trade for an
+// interning key.)
+func (s *Summary) Fingerprint() string {
 	if s == nil || s.IsEmpty() {
 		return "\x00empty"
 	}
@@ -257,13 +246,10 @@ func compileConjunction(s Subscription) compiledConjunction {
 // criterion still compiles (its conjunction simply never matches), keeping
 // compiled semantics bit-for-bit equal to the interpretive path.
 func Compile(s Subscription) *CompiledMatcher {
-	m := &CompiledMatcher{fp: "s:" + s.Fingerprint()}
 	if s.IsMatchAll() {
-		m.matchAll = true
-		return m
+		return &CompiledMatcher{matchAll: true}
 	}
-	m.disjuncts = []compiledConjunction{compileConjunction(s)}
-	return m
+	return &CompiledMatcher{disjuncts: []compiledConjunction{compileConjunction(s)}}
 }
 
 // CompileSummary compiles a summary's disjunction. Disjuncts are compiled
@@ -271,147 +257,20 @@ func Compile(s Subscription) *CompiledMatcher {
 // evaluation order (and equal MatchCounter accounting) no matter how the
 // summary was accumulated.
 func CompileSummary(s *Summary) *CompiledMatcher {
-	m := &CompiledMatcher{fp: "y:" + summaryFingerprint(s)}
 	if s == nil || s.IsEmpty() {
-		return m
+		return &CompiledMatcher{}
 	}
 	if s.matchAll {
-		m.matchAll = true
-		return m
+		return &CompiledMatcher{matchAll: true}
 	}
 	subs := make([]Subscription, len(s.subs))
 	copy(subs, s.subs)
 	sort.Slice(subs, func(i, j int) bool {
 		return subs[i].Fingerprint() < subs[j].Fingerprint()
 	})
-	m.disjuncts = make([]compiledConjunction, len(subs))
+	m := &CompiledMatcher{disjuncts: make([]compiledConjunction, len(subs))}
 	for i, sub := range subs {
 		m.disjuncts[i] = compileConjunction(sub)
 	}
 	return m
-}
-
-// DefaultCompilerBound caps live entries in an interning Compiler (across
-// both generations, see below). Zipf-scale subscription flux mints fresh
-// languages indefinitely; without a bound the interning table is a leak.
-const DefaultCompilerBound = 1 << 16
-
-// compilerIDs mints process-unique Compiler identities for fleet-level
-// stats deduplication (many trees may share one Compiler through clones).
-var compilerIDs atomic.Uint64
-
-// Compiler interns compiled matchers by fingerprint, so every structurally
-// identical interest in a process — a tree whose leaf summaries repeat a
-// handful of subscription shapes, a fleet sharing one Compiler through
-// tree clones — holds the same *CompiledMatcher. Interning is also what
-// makes compiled-summary pointer equality a cheap "did the language
-// change?" test. Safe for concurrent use.
-//
-// The table is bounded by generational sweep: inserts and hits land in the
-// hot generation; when hot reaches half the bound, the cold generation —
-// every fingerprint not touched since the last sweep, i.e. languages whose
-// view generations have retired — is dropped wholesale. Eviction only costs
-// a recompile (and a pointer-identity miss) if the language recurs; it never
-// affects matching semantics.
-type Compiler struct {
-	mu        sync.Mutex
-	id        uint64
-	bound     int
-	hot, cold map[string]*CompiledMatcher
-	evictions uint64
-}
-
-// CompilerStats is a snapshot of a Compiler's interning table.
-type CompilerStats struct {
-	// ID identifies the compiler instance (clone-shared compilers report one
-	// ID), letting fleet aggregation count each table once.
-	ID uint64
-	// Entries is the number of live interned languages (both generations).
-	Entries int
-	// Evictions counts languages dropped by generation sweeps since creation.
-	Evictions uint64
-}
-
-// NewCompiler returns an empty interning compiler with the default bound.
-func NewCompiler() *Compiler { return NewCompilerBounded(0) }
-
-// NewCompilerBounded returns an empty interning compiler holding at most
-// bound live entries; 0 means DefaultCompilerBound.
-func NewCompilerBounded(bound int) *Compiler {
-	if bound <= 0 {
-		bound = DefaultCompilerBound
-	}
-	return &Compiler{
-		id:    compilerIDs.Add(1),
-		bound: bound,
-		hot:   make(map[string]*CompiledMatcher),
-		cold:  make(map[string]*CompiledMatcher),
-	}
-}
-
-// putLocked inserts into the hot generation, rotating generations first if
-// hot is full (hot and cold stay disjoint; live entries never exceed bound).
-func (c *Compiler) putLocked(fp string, m *CompiledMatcher) {
-	if _, ok := c.hot[fp]; !ok && len(c.hot) >= max(1, c.bound/2) {
-		c.evictions += uint64(len(c.cold))
-		c.cold = c.hot
-		c.hot = make(map[string]*CompiledMatcher, len(c.cold))
-	}
-	c.hot[fp] = m
-}
-
-// intern returns the canonical matcher for the fingerprint, compiling once.
-func (c *Compiler) intern(fp string, compile func() *CompiledMatcher) *CompiledMatcher {
-	c.mu.Lock()
-	if m, ok := c.hot[fp]; ok {
-		c.mu.Unlock()
-		return m
-	}
-	if m, ok := c.cold[fp]; ok {
-		// Promote: a touched language survives the next sweep.
-		delete(c.cold, fp)
-		c.putLocked(fp, m)
-		c.mu.Unlock()
-		return m
-	}
-	c.mu.Unlock()
-	// Compile outside the lock: compilation may be arbitrarily large and
-	// two racing compiles of the same language are idempotent.
-	m := compile()
-	c.mu.Lock()
-	if prev, ok := c.hot[m.fp]; ok {
-		m = prev
-	} else if prev, ok := c.cold[m.fp]; ok {
-		m = prev
-		delete(c.cold, m.fp)
-		c.putLocked(m.fp, m)
-	} else {
-		c.putLocked(m.fp, m)
-	}
-	c.mu.Unlock()
-	return m
-}
-
-// Compile returns the interned compiled form of the subscription.
-func (c *Compiler) Compile(s Subscription) *CompiledMatcher {
-	return c.intern("s:"+s.Fingerprint(), func() *CompiledMatcher { return Compile(s) })
-}
-
-// CompileSummary returns the interned compiled form of the summary.
-func (c *Compiler) CompileSummary(s *Summary) *CompiledMatcher {
-	return c.intern("y:"+summaryFingerprint(s), func() *CompiledMatcher { return CompileSummary(s) })
-}
-
-// Len returns the number of distinct compiled languages interned.
-func (c *Compiler) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.hot) + len(c.cold)
-}
-
-// Stats returns a snapshot of the interning table.
-func (c *Compiler) Stats() CompilerStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CompilerStats{ID: c.id, Entries: len(c.hot) + len(c.cold), Evictions: c.evictions}
 }

@@ -114,26 +114,20 @@ func TestCompiledMatchesSubscriptionParity(t *testing.T) {
 // TestCompiledMatchesSummaryParity extends the oracle property to regrouped
 // summaries: randomized disjunction sets (driven through Add's absorption
 // and compaction) compile to matchers that agree with Summary.Matches on
-// every probe, and interned compilation returns the same decisions through
-// shared values.
+// every probe.
 func TestCompiledMatchesSummaryParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	compiler := NewCompiler()
 	for trial := 0; trial < 400; trial++ {
 		s := NewSummaryWithBound(1 + rng.Intn(4))
 		for i, n := 0, rng.Intn(10); i < n; i++ {
 			s.Add(randSubscription(rng))
 		}
 		cm := CompileSummary(s)
-		interned := compiler.CompileSummary(s)
 		for k := 0; k < 25; k++ {
 			ev := randEvent(rng, uint64(trial*25+k))
 			want := s.Matches(ev)
 			if got := cm.Matches(ev); got != want {
 				t.Fatalf("trial %d: compiled=%v naive=%v\nsummary: %s\nevent: %s", trial, got, want, s, ev)
-			}
-			if got := interned.Matches(ev); got != want {
-				t.Fatalf("trial %d: interned=%v naive=%v\nsummary: %s\nevent: %s", trial, got, want, s, ev)
 			}
 		}
 	}
@@ -184,29 +178,6 @@ func TestIntervalSetUnionMergeParity(t *testing.T) {
 		if n := s.unionCount(u); n != len(want) {
 			t.Fatalf("trial %d: unionCount %d, union has %d", trial, n, len(want))
 		}
-	}
-}
-
-// TestCompilerInternsByFingerprint: structurally identical interests share
-// one compiled form; different interests do not.
-func TestCompilerInternsByFingerprint(t *testing.T) {
-	c := NewCompiler()
-	s1 := NewSubscription().Where("b", EqInt(2)).Where("c", Gt(40))
-	s2 := NewSubscription().Where("c", Gt(40)).Where("b", EqInt(2)) // same language, different build order
-	if c.Compile(s1) != c.Compile(s2) {
-		t.Error("identical subscriptions did not intern to one compiled form")
-	}
-	s3 := s1.Where("b", EqInt(3))
-	if c.Compile(s1) == c.Compile(s3) {
-		t.Error("different subscriptions interned to the same compiled form")
-	}
-	if got := c.Len(); got != 2 {
-		t.Errorf("interner holds %d entries, want 2", got)
-	}
-	sumA := Summarize(s1, s3)
-	sumB := Summarize(s3, s2) // same disjunct language, different order
-	if c.CompileSummary(sumA) != c.CompileSummary(sumB) {
-		t.Error("language-equal summaries did not intern to one compiled form")
 	}
 }
 

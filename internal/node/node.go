@@ -535,10 +535,9 @@ func (n *Node) MatchStats() core.MatchStats {
 
 // FoldStats reports the fold layer behind the node's membership trie: this
 // tree's regrouping counters plus the occupancy of the (possibly
-// clone-shared) fold cache and interning compiler. Zero when the node has
-// not built a tree yet. Fleet aggregation dedupes the cache fields by
-// CacheID/CompilerID — co-hosted nodes bootstrapped from one oracle share
-// one cache.
+// clone-shared) store's regroupings and compiled languages. Zero when the
+// node has not built a tree yet. Fleet aggregation dedupes the store fields
+// by CacheID — co-hosted nodes bootstrapped from one oracle share one store.
 func (n *Node) FoldStats() tree.FoldStats {
 	n.mu.Lock()
 	defer n.mu.Unlock()

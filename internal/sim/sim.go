@@ -405,14 +405,10 @@ type simView struct {
 	group int // prefix index (length depth−1) of the owning process
 	perR  int // delegates per line: R at inner depths, 1 at the leaves
 	self  int // position of the owner in the view, −1 if not a member
-	owner int // owning process index (for MatchingSubgroups selfIn)
+	owner int // owning process index (for the profile's SelfIn)
 }
 
-var (
-	_ core.DepthView     = (*simView)(nil)
-	_ core.MatchProfiler = (*simView)(nil)
-	_ core.Generational  = (*simView)(nil)
-)
+var _ core.DepthView = (*simView)(nil)
 
 // viewFor builds the depth view of process i.
 func (s *Simulator) viewFor(i, depth int) *simView {
@@ -453,54 +449,17 @@ func (v *simView) memberIndex(k int) int {
 // SelfIndex implements core.DepthView.
 func (v *simView) SelfIndex() int { return v.self }
 
-// SusceptibleAt implements core.DepthView: member k is susceptible iff the
-// subtree it represents at this depth contains an interested leaf.
-func (v *simView) SusceptibleAt(_ event.Event, k int) bool {
-	sub := v.group*v.sim.params.A + k/v.perR
-	return v.sim.run.subInterested[v.depth][sub]
-}
-
-// Rate implements core.DepthView (GETRATE): matching lines over total lines,
-// which equals susceptible members over group size since every line
-// contributes perR delegates.
-func (v *simView) Rate(event.Event) float64 {
-	hits := 0
-	base := v.group * v.sim.params.A
-	level := v.sim.run.subInterested[v.depth]
-	for c := 0; c < v.sim.params.A; c++ {
-		if level[base+c] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(v.sim.params.A)
-}
-
-// MatchingSubgroups implements core.DepthView.
-func (v *simView) MatchingSubgroups(event.Event) (int, bool) {
-	total, selfIn := 0, false
-	base := v.group * v.sim.params.A
-	level := v.sim.run.subInterested[v.depth]
-	ownSub := v.owner / v.sim.strides[v.depth]
-	for c := 0; c < v.sim.params.A; c++ {
-		if level[base+c] {
-			total++
-			if base+c == ownSub {
-				selfIn = true
-			}
-		}
-	}
-	return total, selfIn
-}
-
-// Generation implements core.Generational: the shared run state's redraw
+// Generation implements core.DepthView: the shared run state's redraw
 // counter, so per-event profiles cached during one run never leak into the
 // next (the simulator reuses one event ID across runs).
 func (v *simView) Generation() uint64 { return v.sim.run.gen }
 
-// Profile implements core.MatchProfiler: one pass over the A subgroup bits,
-// each synthetic "summary" consulted once and expanded to the line's perR
-// members. The rate is matching lines over A — exactly Rate's expression,
-// so cached and uncached values are bit-identical.
+// Profile implements core.DepthView: one pass over the A subgroup bits — a
+// line is susceptible iff the subtree it stands for contains an interested
+// leaf — each synthetic "summary" consulted once and expanded to the line's
+// perR members. The rate (GETRATE) is matching lines over A, which equals
+// susceptible members over group size since every line contributes perR
+// delegates.
 func (v *simView) Profile(_ event.Event, p *core.MatchProfile) {
 	a := v.sim.params.A
 	p.Ensure(a * v.perR)

@@ -105,8 +105,7 @@ type Outgoing struct {
 // kernel work across messages implement it, and the engine's egress workers
 // hand over their whole drained send queue instead of one datagram at a
 // time. The UDP backend flushes the queue with a single sendmmsg vector per
-// 64 messages (coalescing same-destination frames with GSO where enabled);
-// see internal/transport/udp.
+// 64 messages; see internal/transport/udp.
 //
 // Delivery semantics match Send called once per message, in order:
 // per-message loss stays silent, and SendMany keeps going past individual

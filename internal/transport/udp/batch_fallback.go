@@ -7,9 +7,8 @@ import (
 	"net"
 )
 
-// The kernel-batched datapath (sendmmsg/recvmmsg with optional UDP
-// GSO/GRO, see batch_linux.go) exists only on Linux amd64/arm64. Here
-// newBatchIO reports "unavailable" and the endpoint keeps the portable
+// The kernel-batched datapath (sendmmsg/recvmmsg, see batch_linux.go)
+// exists only on Linux amd64/arm64. Here newBatchIO reports "unavailable" and the endpoint keeps the portable
 // one-syscall-per-datagram path; SendMany and RecvMany still work — the
 // former loops Send, the latter drains the inbox channel — so callers
 // never branch on platform, only the syscall amortization differs.
@@ -19,13 +18,13 @@ var errUnsupported = errors.New("udp: kernel-batched I/O unavailable on this pla
 
 func newBatchIO(conn *net.UDPConn, cfg Config, maxDatagram int) *batchIO { return nil }
 
-func (b *batchIO) flush(frames []outFrame) (int64, int64, int64, error) {
-	return 0, 0, 0, errUnsupported
+func (b *batchIO) flush(frames []outFrame) (int64, int64, error) {
+	return 0, 0, errUnsupported
 }
 
 func (b *batchIO) recv() (int, error) { return 0, errUnsupported }
 
-func (b *batchIO) datagram(i int) ([]byte, int) { return nil, 0 }
+func (b *batchIO) datagram(i int) []byte { return nil }
 
 // socketBuffers has no portable readback; Stats reports zero sizes.
 func socketBuffers(conn *net.UDPConn) (rcv, snd int) { return 0, 0 }

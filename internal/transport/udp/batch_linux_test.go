@@ -4,7 +4,6 @@ package udp
 
 import (
 	"errors"
-	"net"
 	"testing"
 
 	"pmcast/internal/addr"
@@ -16,14 +15,14 @@ import (
 // never attempted), and sendAll must resubmit exactly the tail until the
 // vector drains.
 func TestSendAllPartialCompletion(t *testing.T) {
-	msgs := make([]wireMsg, 10)
+	msgs := make([]outFrame, 10)
 	for i := range msgs {
 		msgs[i].buf = []byte{byte(i)}
 	}
 	var calls [][]int        // first message index + length of each submitted chunk
 	accept := []int{4, 1, 5} // the kernel takes 4, then 1, then the rest
 	sent := 0
-	syscalls, n, err := sendAll(msgs, 64, func(chunk []wireMsg) (int, error) {
+	syscalls, n, err := sendAll(msgs, 64, func(chunk []outFrame) (int, error) {
 		calls = append(calls, []int{int(chunk[0].buf[0]), len(chunk)})
 		k := accept[len(calls)-1]
 		sent += k
@@ -48,9 +47,9 @@ func TestSendAllPartialCompletion(t *testing.T) {
 // exits: a mid-stream syscall failure reports what was already accepted,
 // and a zero-progress return fails rather than spinning.
 func TestSendAllChunksAndErrors(t *testing.T) {
-	msgs := make([]wireMsg, 150)
+	msgs := make([]outFrame, 150)
 	var lens []int
-	syscalls, n, err := sendAll(msgs, 64, func(chunk []wireMsg) (int, error) {
+	syscalls, n, err := sendAll(msgs, 64, func(chunk []outFrame) (int, error) {
 		lens = append(lens, len(chunk))
 		return len(chunk), nil
 	})
@@ -62,7 +61,7 @@ func TestSendAllChunksAndErrors(t *testing.T) {
 	}
 
 	boom := errors.New("boom")
-	_, n, err = sendAll(msgs[:100], 64, func(chunk []wireMsg) (int, error) {
+	_, n, err = sendAll(msgs[:100], 64, func(chunk []outFrame) (int, error) {
 		if len(chunk) == 64 {
 			return 64, nil
 		}
@@ -72,66 +71,11 @@ func TestSendAllChunksAndErrors(t *testing.T) {
 		t.Fatalf("got (%d sent, %v), want (74, boom)", n, err)
 	}
 
-	_, _, err = sendAll(msgs[:5], 64, func(chunk []wireMsg) (int, error) {
+	_, _, err = sendAll(msgs[:5], 64, func(chunk []outFrame) (int, error) {
 		return 0, nil // no progress, no error: must not spin
 	})
 	if !errors.Is(err, errSendStall) {
 		t.Fatalf("zero-progress send returned %v, want errSendStall", err)
-	}
-}
-
-// TestCoalesceGSORuns pins the segmentation contract the coalescer feeds
-// the kernel: runs only over pointer-identical destinations, segments equal
-// to the first frame's size, a shorter frame closes its run, and a larger
-// one starts a new message.
-func TestCoalesceGSORuns(t *testing.T) {
-	b := &batchIO{gso: true}
-	dstA := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1}
-	dstB := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 2}
-	mk := func(dst *net.UDPAddr, size int) outFrame {
-		return outFrame{dst: dst, buf: make([]byte, size)}
-	}
-	frames := []outFrame{
-		mk(dstA, 100), mk(dstA, 100), mk(dstA, 40), // run of 3, short tail
-		mk(dstA, 100), mk(dstB, 100), // destination change splits
-		mk(dstB, 100), mk(dstB, 200), // larger frame starts a new message
-	}
-	msgs := b.coalesce(frames, nil)
-	type shape struct {
-		dst  *net.UDPAddr
-		segs int
-		seg  int
-	}
-	want := []shape{
-		{dstA, 3, 100}, // the two full frames plus the short tail
-		{dstA, 1, 0},   // alone: the destination changes right after
-		{dstB, 2, 100}, // the two equal B frames
-		{dstB, 1, 0},   // the larger frame cannot join their run
-	}
-	if len(msgs) != len(want) {
-		t.Fatalf("coalesced into %d messages, want %d", len(msgs), len(want))
-	}
-	var datagrams int64
-	for i, m := range msgs {
-		if m.dst != want[i].dst || int(m.datagrams()) != want[i].segs || m.seg != want[i].seg {
-			t.Fatalf("msg %d = {dst %v, datagrams %d, seg %d}, want {%v, %d, %d}",
-				i, m.dst, m.datagrams(), m.seg, want[i].dst, want[i].segs, want[i].seg)
-		}
-		datagrams += m.datagrams()
-	}
-	if datagrams != int64(len(frames)) {
-		t.Fatalf("coalesce conserved %d datagrams of %d frames", datagrams, len(frames))
-	}
-
-	// A run longer than the kernel's segment cap splits into several
-	// super-datagrams.
-	long := make([]outFrame, gsoMaxSegs+10)
-	for i := range long {
-		long[i] = mk(dstA, 100)
-	}
-	msgs = b.coalesce(long, nil)
-	if len(msgs) != 2 || msgs[0].datagrams() != gsoMaxSegs || msgs[1].datagrams() != 10 {
-		t.Fatalf("over-cap run coalesced into %d messages (%v)", len(msgs), msgs)
 	}
 }
 
@@ -182,40 +126,4 @@ func TestBatchedSyscallAmortization(t *testing.T) {
 	}
 	t.Fatalf("recv amortization too weak in every one of %d rounds: last %d syscalls for %d datagrams",
 		rounds, st.RecvSyscalls, st.RecvDatagrams)
-}
-
-// TestGSOSegmentsDeliver exercises the UDP_SEGMENT path end to end on
-// kernels that support it: equal-size frames to one peer leave as GSO
-// super-datagrams yet arrive as ordinary, byte-identical datagrams.
-func TestGSOSegmentsDeliver(t *testing.T) {
-	msgs := make([]transport.Outgoing, 0, 64)
-	for i := 0; i < 64; i++ {
-		msgs = append(msgs, transport.Outgoing{To: addr.MustParse("0.1"), Payload: sampleGossip(7)})
-	}
-	want := frameCount(t, msgs)
-
-	a, b, tr := batchedPair(t, func(c *Config) {
-		c.GSO = true
-		c.ReadBufferBytes = 4 << 20
-	})
-	sender := a.(*endpoint)
-	if sender.bio == nil || !sender.bio.gso {
-		t.Skip("UDP_SEGMENT unsupported on this kernel")
-	}
-	if err := sender.SendMany(msgs); err != nil {
-		t.Fatal(err)
-	}
-	frames := collectFrames(t, b, want)
-	for i := 1; i < len(frames); i++ {
-		if string(frames[i]) != string(frames[0]) {
-			t.Fatalf("frame %d differs from frame 0 after GSO segmentation", i)
-		}
-	}
-	st := tr.Stats()
-	if st.GSOSegments == 0 {
-		t.Fatal("GSO enabled and probed, but no segments were counted")
-	}
-	if st.SendSyscalls >= int64(want) {
-		t.Fatalf("GSO path used %d syscalls for %d datagrams", st.SendSyscalls, want)
-	}
 }

@@ -151,7 +151,7 @@ func TestBatchedFallbackParity(t *testing.T) {
 		return collectFrames(t, b, want)
 	}
 	fallback := run(func(c *Config) { c.Portable = true })
-	batched := run(func(c *Config) { c.GSO = true; c.GRO = true })
+	batched := run(nil)
 
 	if len(fallback) != len(batched) {
 		t.Fatalf("frame counts differ: fallback %d, batched %d", len(fallback), len(batched))

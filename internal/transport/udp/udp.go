@@ -15,12 +15,11 @@
 //
 // The datapath is kernel-batched on Linux (see batch_linux.go): egress
 // queues handed over via SendMany flush as one sendmmsg vector per 64
-// messages — with optional UDP GSO coalescing equal-size same-destination
-// frames into super-datagrams — and the read loop fills a pooled vector of
-// buffers with one recvmmsg per wakeup (optional GRO). Everywhere else, and
-// under the Config opt-outs, the endpoint keeps the portable
-// one-syscall-per-datagram path; behavior is identical either way, only the
-// syscall count changes (Stats reports both sides' amortization).
+// messages, and the read loop fills a vector of 32 buffers with one recvmmsg
+// per wakeup. Everywhere else, and under the Config opt-out, the endpoint
+// keeps the portable one-syscall-per-datagram path; behavior is identical
+// either way, only the syscall count changes (Stats reports both sides'
+// amortization).
 package udp
 
 import (
@@ -137,26 +136,10 @@ type Config struct {
 	// endpoint on the one-syscall-per-datagram path every platform has. By
 	// default, where the platform supports it (Linux amd64/arm64), SendMany
 	// flushes its whole queue with sendmmsg — one syscall per 64 datagrams —
-	// and the read loop fills a vector of RecvBatch pooled buffers with one
-	// recvmmsg per wakeup. Single-message Send always uses the portable
-	// path; frames and their per-link order are identical either way.
+	// and the read loop fills a vector of 32 buffers with one recvmmsg per
+	// wakeup. Single-message Send always uses the portable path; frames and
+	// their per-link order are identical either way.
 	Portable bool
-	// RecvBatch is the recvmmsg vector width (default 32): how many
-	// datagrams one ingress syscall can drain. Each slot holds a
-	// MaxDatagram-sized buffer reused across syscalls.
-	RecvBatch int
-	// GSO opts in to UDP generic segmentation offload on the batched
-	// egress path: runs of equal-size frames to the same destination are
-	// handed to the kernel as one super-datagram plus a UDP_SEGMENT size,
-	// and the kernel splits it back into one UDP datagram per frame.
-	// Probed at attach; silently off where the kernel lacks support.
-	GSO bool
-	// GRO opts in to UDP generic receive offload on the batched ingress
-	// path: the kernel may coalesce bursts of equal-size datagrams into
-	// one buffer plus a segment size, and the read loop splits them back
-	// into individual frames. Probed at attach; silently off where
-	// unsupported.
-	GRO bool
 	// ReadBufferBytes requests SO_RCVBUF for each endpoint socket (0
 	// keeps the kernel default). At kernel-batched rates the default
 	// routinely overflows between read wakeups; the achieved size — the
@@ -179,15 +162,9 @@ type Stats struct {
 
 	SendSyscalls  int64
 	SentDatagrams int64
-	// GSOSegments counts datagrams that left as segments of a GSO
-	// super-datagram (a subset of SentDatagrams).
-	GSOSegments int64
 
 	RecvSyscalls  int64
 	RecvDatagrams int64
-	// GROSegments counts datagrams that arrived coalesced into a GRO
-	// super-datagram (a subset of RecvDatagrams).
-	GROSegments int64
 
 	// BatchSend/BatchRecv report whether the kernel-batched paths are live
 	// on this platform and configuration.
@@ -215,10 +192,8 @@ type Transport struct {
 
 	sendSyscalls  atomic.Int64
 	sentDatagrams atomic.Int64
-	gsoSegments   atomic.Int64
 	recvSyscalls  atomic.Int64
 	recvDatagrams atomic.Int64
-	groSegments   atomic.Int64
 
 	batchOn     atomic.Bool
 	readBufSize atomic.Int64
@@ -237,9 +212,6 @@ func New(cfg Config) (*Transport, error) {
 	}
 	if cfg.MaxDatagram <= 0 {
 		cfg.MaxDatagram = 64<<10 - 1
-	}
-	if cfg.RecvBatch <= 0 {
-		cfg.RecvBatch = 32
 	}
 	return &Transport{
 		cfg:       cfg,
@@ -350,10 +322,8 @@ func (t *Transport) Stats() Stats {
 		Dropped:          t.dropped.Load(),
 		SendSyscalls:     t.sendSyscalls.Load(),
 		SentDatagrams:    t.sentDatagrams.Load(),
-		GSOSegments:      t.gsoSegments.Load(),
 		RecvSyscalls:     t.recvSyscalls.Load(),
 		RecvDatagrams:    t.recvDatagrams.Load(),
-		GROSegments:      t.groSegments.Load(),
 		BatchSend:        t.batchOn.Load(),
 		BatchRecv:        t.batchOn.Load(),
 		ReadBufferBytes:  t.readBufSize.Load(),
@@ -579,10 +549,9 @@ func (e *endpoint) SendMany(msgs []transport.Outgoing) error {
 			firstErr = err
 		}
 	}
-	syscalls, datagrams, gsoSegs, err := e.bio.flush(frames)
+	syscalls, datagrams, err := e.bio.flush(frames)
 	e.tr.sendSyscalls.Add(syscalls)
 	e.tr.sentDatagrams.Add(datagrams)
-	e.tr.gsoSegments.Add(gsoSegs)
 	if err != nil && firstErr == nil {
 		select {
 		case <-e.done:
@@ -664,10 +633,8 @@ func (e *endpoint) shutdown() {
 // unframing moves to the consumer's ingress workers.
 //
 // With kernel-batched ingress the loop drains the socket through a vector
-// of pooled buffers — one recvmmsg per wakeup — and GRO-coalesced
-// super-datagrams are split back into their constituent frames before
-// delivery; the per-datagram handling is byte-identical to the portable
-// path below it.
+// of buffers — one recvmmsg per wakeup; the per-datagram handling is
+// byte-identical to the portable path below it.
 func (e *endpoint) readLoop(maxDatagram int) {
 	defer close(e.in)
 	var dec *wire.Decoder
@@ -681,22 +648,9 @@ func (e *endpoint) readLoop(maxDatagram int) {
 				return // socket closed (or fatally broken): endpoint is done
 			}
 			e.tr.recvSyscalls.Add(1)
+			e.tr.recvDatagrams.Add(int64(n))
 			for i := 0; i < n; i++ {
-				data, seg := e.bio.datagram(i)
-				if seg > 0 && seg < len(data) {
-					// A GRO super-datagram: the kernel coalesced a burst of
-					// equal-size datagrams; every seg-sized chunk (the last
-					// may be shorter) is one wire datagram.
-					for off := 0; off < len(data); off += seg {
-						end := min(off+seg, len(data))
-						e.tr.recvDatagrams.Add(1)
-						e.tr.groSegments.Add(1)
-						e.deliver(data[off:end], dec)
-					}
-					continue
-				}
-				e.tr.recvDatagrams.Add(1)
-				e.deliver(data, dec)
+				e.deliver(e.bio.datagram(i), dec)
 			}
 		}
 	}

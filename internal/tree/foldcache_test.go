@@ -13,11 +13,15 @@ import (
 )
 
 // TestFoldCacheBounded drives sustained subscription flux — every round
-// mints 16 fresh fold inputs — through a tree whose fold cache and
-// interning compiler are bounded to 4 entries, and checks the bound holds:
-// live entries never exceed the bound, the generational sweep actually
-// evicts, and eviction is a pure cost (the tree's summaries stay correct,
-// it just recomputes folds a bigger cache would have remembered).
+// mints 16 fresh fold inputs — through a tree whose store is bounded to 4
+// entries a table, and checks the bound holds for the regroupings and the
+// compiled languages: live entries never exceed the bound, the generational
+// sweep actually evicts, and eviction is a pure cost (the tree's summaries
+// stay correct, it just recomputes folds a bigger cache would have
+// remembered). The zero bound is the default, not unbounded and not tiny: 200
+// distinct languages evict nothing, and a language folded again while live
+// comes back as the pointer-identical matcher under the same name — pointer
+// equality IS language equality, which the view adapter's dedup depends on.
 func TestFoldCacheBounded(t *testing.T) {
 	space, err := addr.NewSpace(4, 4)
 	if err != nil {
@@ -31,7 +35,7 @@ func TestFoldCacheBounded(t *testing.T) {
 			Sub:  interest.NewSubscription().Where("topic", interest.OneOf(fmt.Sprintf("seed-%d", i))),
 		}
 	}
-	tr, err := Build(Config{Space: space, R: 2, FoldCacheBound: bound, CompilerBound: bound}, members)
+	tr, err := Build(Config{Space: space, R: 2, FoldCacheBound: bound}, members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +75,79 @@ func TestFoldCacheBounded(t *testing.T) {
 		map[string]event.Value{"topic": event.Str("r0-n5")})
 	if got := tr.MatchReach(stale); got != 0 {
 		t.Errorf("replaced subscription still reachable (%d) after cache churn", got)
+	}
+
+	roomy, err := Build(Config{Space: space, R: 2}, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := members[0].Addr
+	for i := 0; i < 200; i++ {
+		sub := interest.NewSubscription().Where("k", interest.EqInt(int64(i)))
+		if err := roomy.UpdateSubscription(victim, sub); err != nil {
+			t.Fatal(err)
+		}
+		// The same language reached through another fold: a summary of its own.
+		held := roomy.lookupPath(victim, roomy.Depth()).lang
+		if again := roomy.store.lang(interest.Summarize(sub)); again != held {
+			t.Fatalf("language %d: folded again while live, got matcher %p named %d; the leaf holds %p named %d",
+				i, again.compiled, again.id, held.compiled, held.id)
+		}
+	}
+	if fs := roomy.FoldStats(); fs.CompilerEntries < 200 || fs.CompilerEvictions != 0 {
+		t.Errorf("200 distinct languages under the default bound %d: %d live, %d evicted; want all live",
+			DefaultFoldCacheBound, fs.CompilerEntries, fs.CompilerEvictions)
+	}
+}
+
+// TestSiblingLanguagesShareOneMatcher: the store names a language, not the
+// order its disjuncts were accumulated in. Sibling subgroups whose members
+// hold the same subscriptions in different address order regroup to different
+// summaries and end with the pointer-identical compiled matcher — one
+// evaluation per event in a view over them; a second tree of the store whose
+// subgroup holds them the other way round is made of different nodes and
+// reports the same view generation; a subgroup with another language shares
+// neither.
+func TestSiblingLanguagesShareOneMatcher(t *testing.T) {
+	space := addr.MustRegular(2, 2)
+	s1 := interest.NewSubscription().Where("b", interest.EqInt(2)).Where("c", interest.Gt(40))
+	s2 := interest.NewSubscription().Where("b", interest.EqInt(3)).Where("c", interest.Gt(40))
+	s3 := interest.NewSubscription().Where("b", interest.EqInt(4))
+	first, err := New(Config{Space: space, R: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(subs ...interest.Subscription) *Tree {
+		tr := first.Clone()
+		members := make([]Member, len(subs))
+		for i, sub := range subs {
+			members[i] = Member{Addr: space.AddressAt(i), Sub: sub}
+		}
+		if err := tr.ApplyDelta(Delta{Add: members}); err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	a := build(s1, s2, s2, s1)
+	lines := a.ViewOf(addr.Root(), 1).Lines
+	if lines[0].Summary.OrderedFingerprint() == lines[1].Summary.OrderedFingerprint() {
+		t.Fatal("the siblings regrouped to one summary: the test does not exercise language naming")
+	}
+	if lines[0].Compiled != lines[1].Compiled {
+		t.Error("sibling subgroups of one language hold two compiled matchers")
+	}
+	swapped, other := build(s2, s1, s2, s1), build(s1, s3, s2, s1)
+	if swapped.root == a.root {
+		t.Fatal("the swapped tree is the same trie: the test does not exercise the view signature")
+	}
+	if g, w := swapped.Generation(addr.Root()), a.Generation(addr.Root()); g != w {
+		t.Errorf("same lines from differently ordered members: generation %d, want %d", g, w)
+	}
+	if other.Generation(addr.Root()) == a.Generation(addr.Root()) {
+		t.Error("a subgroup of another language left the view generation unmoved")
+	}
+	if l := other.ViewOf(addr.Root(), 1).Lines; l[0].Compiled == l[1].Compiled {
+		t.Error("subgroups of different languages share one compiled matcher")
 	}
 }
 
@@ -266,7 +343,7 @@ func compareTries(t *testing.T, got, want *Tree, p addr.Prefix, space addr.Space
 	if g, w := got.Summary(p).OrderedFingerprint(), want.Summary(p).OrderedFingerprint(); g != w {
 		t.Errorf("%s: summary %s, from scratch %s", p, got.Summary(p), want.Summary(p))
 	}
-	if g, w := got.CompiledSummary(p).Fingerprint(), want.CompiledSummary(p).Fingerprint(); g != w {
+	if g, w := got.Summary(p).Fingerprint(), want.Summary(p).Fingerprint(); g != w {
 		t.Errorf("%s: compiled language differs from scratch", p)
 	}
 	if g, w := fmt.Sprint(got.Delegates(p)), fmt.Sprint(want.Delegates(p)); g != w {
@@ -341,7 +418,9 @@ func TestFoldHitCostIndependentOfSummarySize(t *testing.T) {
 // TestFoldCacheRaceCountsOnce: two trees that need the same fold at the same
 // instant both compute it, but only one result is kept — the loser adopts
 // the resident summary and its identity and counts a hit — so Recomputes is
-// the number of distinct folds inserted and repeats exactly run to run.
+// the number of distinct folds inserted and repeats exactly run to run. The
+// same holds one table over: however many trees compile a language at once,
+// they all end up holding one matcher for it.
 func TestFoldCacheRaceCountsOnce(t *testing.T) {
 	space := addr.MustRegular(4, 3)
 	first, err := New(Config{Space: space, R: 2})
@@ -375,6 +454,9 @@ func TestFoldCacheRaceCountsOnce(t *testing.T) {
 	if got[0].summary != got[1].summary || got[0].summary.Identity() == 0 {
 		t.Error("the racing trees did not end up sharing one identified summary")
 	}
+	if got[0].lang != got[1].lang || got[0].lang.id == 0 {
+		t.Error("the racing trees did not end up sharing one named matcher")
+	}
 
 	// And at large: eight clones fold the same population concurrently; the
 	// fleet's recomputes must equal what one tree alone pays.
@@ -404,10 +486,26 @@ func TestFoldCacheRaceCountsOnce(t *testing.T) {
 	}
 	done.Wait()
 	var recomputes, folds uint64
+	matchers := make(map[string]*interest.CompiledMatcher)
 	for _, tr := range clones {
 		fs := tr.FoldStats()
 		recomputes += fs.Recomputes
 		folds += fs.Recomputes + fs.Hits
+		var walk func(n *node)
+		walk = func(n *node) {
+			if n == nil {
+				return
+			}
+			fp := n.summary.Fingerprint()
+			if m, ok := matchers[fp]; ok && m != n.lang.compiled {
+				t.Errorf("language %q is held as two matchers", fp)
+			}
+			matchers[fp] = n.lang.compiled
+			for _, child := range n.children {
+				walk(child)
+			}
+		}
+		walk(tr.root)
 	}
 	want := alone.FoldStats()
 	if recomputes != want.Recomputes || folds != uint64(len(clones))*(want.Recomputes+want.Hits) {

@@ -32,7 +32,7 @@ func viewsOf(tr *Tree) []renderedView {
 		}
 		var sb strings.Builder
 		for _, l := range v.Lines {
-			fmt.Fprintf(&sb, " [%d n=%d %x %v]", l.Infix, l.Count, l.Compiled.Fingerprint(), l.Delegates)
+			fmt.Fprintf(&sb, " [%d n=%d %x %v]", l.Infix, l.Count, l.Summary.Fingerprint(), l.Delegates)
 		}
 		out = append(out, renderedView{p.String(), v.Gen, sb.String()})
 		for _, l := range v.Lines {

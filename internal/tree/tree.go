@@ -13,7 +13,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"pmcast/internal/addr"
 	"pmcast/internal/event"
@@ -97,12 +96,9 @@ type Config struct {
 	// Election selects delegates; nil means SmallestAddress.
 	Election ElectionStrategy
 	// FoldCacheBound caps live entries in each table of the shared store
-	// (regroupings, summary identities, trie nodes, view signatures);
-	// 0 means DefaultFoldCacheBound.
+	// (regroupings, summary identities, compiled languages, trie nodes, view
+	// signatures); 0 means DefaultFoldCacheBound.
 	FoldCacheBound int
-	// CompilerBound caps interned compiled languages;
-	// 0 means interest.DefaultCompilerBound.
-	CompilerBound int
 }
 
 // node is one populated prefix of the trie: a subgroup with its delegates,
@@ -127,9 +123,9 @@ type node struct {
 	delegates []addr.Address
 	count     int
 	summary   *interest.Summary
-	// compiled is the summary's compiled matcher, interned through the
-	// tree's Compiler so identical subtree interests share one form.
-	compiled *interest.CompiledMatcher
+	// lang is the summary's compiled matcher, interned in the store so
+	// identical subtree interests share one form under one name.
+	lang lang
 	// viewGen names what a view built over this prefix exposes: the interned
 	// identity of the children's view signature (see appendViewLine). Most
 	// folds under skewed subscription flux re-derive identical lines, and an
@@ -149,13 +145,11 @@ type Tree struct {
 	// so a harness co-hosting 64k processes over one roster holds each
 	// agreed subtree once, not 64k times.
 	root *node
-	// compiler interns compiled summaries by fingerprint. Clones share it,
-	// so a harness fleet folding the same roster compiles each distinct
-	// interest language once per process population, not once per node.
-	compiler *interest.Compiler
-	// store is shared by clones, like the compiler: trie nodes, view
-	// signatures and summary regroupings, each computed by the first tree
-	// that needs it and looked up by the rest.
+	// store is shared by clones: trie nodes, view signatures, summary
+	// regroupings and compiled languages, each computed by the first tree
+	// that needs it and looked up by the rest — a harness fleet folding the
+	// same roster compiles each distinct interest language once per process
+	// population, not once per node.
 	store *store
 	// foldRecomputes and foldHits count, per node this tree's changes
 	// touched, whether the tree computed its regrouping or was served — the
@@ -166,41 +160,41 @@ type Tree struct {
 }
 
 // FoldStats is a snapshot of the fold layer: this tree's own regrouping
-// counters plus the occupancy of the shared caches behind it. The cache and
-// compiler fields describe instances possibly shared with clones — fleet
-// aggregation must dedupe them by ID, not sum them per tree.
+// counters plus the occupancy of the shared store behind it. The cache and
+// compiler fields describe a store possibly shared with clones — fleet
+// aggregation must dedupe them by CacheID, not sum them per tree.
 type FoldStats struct {
 	// Recomputes counts summary regroupings this tree computed (fold-cache
 	// misses it paid); Hits the touched nodes served from the shared store.
 	Recomputes uint64
 	Hits       uint64
-	// CacheID identifies the shared fold cache; CacheEntries its live
+	// CacheID identifies the shared store; CacheEntries its live
 	// regroupings (gauge); CacheEvictions the regroupings dropped by
 	// generation sweeps since creation (counter).
 	CacheID        uint64
 	CacheEntries   int
 	CacheEvictions uint64
-	// CompilerID/Entries/Evictions mirror the above for the interning
-	// compiler.
-	CompilerID        uint64
+	// CompilerEntries/Evictions mirror the above for the store's compiled
+	// languages.
 	CompilerEntries   int
 	CompilerEvictions uint64
 }
 
 // FoldStats reports the fold layer's counters and cache occupancy.
 func (t *Tree) FoldStats() FoldStats {
-	id, entries, evictions := t.store.stats()
-	cs := t.compiler.Stats()
-	return FoldStats{
-		Recomputes:        t.foldRecomputes,
-		Hits:              t.foldHits,
-		CacheID:           id,
-		CacheEntries:      entries,
-		CacheEvictions:    evictions,
-		CompilerID:        cs.ID,
-		CompilerEntries:   cs.Entries,
-		CompilerEvictions: cs.Evictions,
-	}
+	fs := t.store.stats()
+	fs.Recomputes, fs.Hits = t.foldRecomputes, t.foldHits
+	return fs
+}
+
+// lang is one interned language: the compiled matcher of every summary with
+// the same sorted-disjunct fingerprint, and the name the store minted for it.
+// Equal ids mean equal matched languages; a language compiled again after a
+// sweep is named afresh, which only costs a spurious view generation — the
+// safe direction.
+type lang struct {
+	compiled *interest.CompiledMatcher
+	id       uint64
 }
 
 // foldEntry is one memoized regrouping result: the merged summary (treated
@@ -209,8 +203,8 @@ func (t *Tree) FoldStats() FoldStats {
 // (interest.Summary.Identity) — the key material for folds that consume it
 // one level up.
 type foldEntry struct {
-	summary  *interest.Summary
-	compiled *interest.CompiledMatcher
+	summary *interest.Summary
+	lang    lang
 }
 
 // foldKey names a fold by its inputs, fixed-width per input: a leaf fold by
@@ -232,14 +226,6 @@ type nodeKey struct {
 	kids string
 }
 
-// viewSig is an interned view signature. The signature names compiled
-// summaries by address, so the entry keeps them reachable: while it lives,
-// no other matcher can take their place in memory and alias the key.
-type viewSig struct {
-	id   uint64
-	hold []*interest.CompiledMatcher
-}
-
 // DefaultFoldCacheBound caps live entries in each table of the shared store
 // (across both generations). Sustained subscription flux mints fresh fold
 // inputs indefinitely; the generational sweep keeps the touched half.
@@ -250,16 +236,17 @@ const DefaultFoldCacheBound = 1 << 16
 // tree clones).
 var storeIDs atomic.Uint64
 
-// identities mints summary identities, node ids and view generations,
-// process-wide and never reused: an identity names one content for the life
-// of the process, whichever store minted it.
+// identities mints summary identities, language names, node ids and view
+// generations, process-wide and never reused: an identity names one content
+// for the life of the process, whichever store minted it.
 var identities atomic.Uint64
 
 // gens is one table of the store, bounded by generational sweep: inserts and
 // touched entries land in the hot generation; when hot reaches half the
 // bound, the cold generation — everything not touched since the last sweep —
-// is dropped wholesale. Lookups are spelled out at the call sites, where a
-// key converted from bytes inside the index expression does not allocate.
+// is dropped wholesale. Lookups under a key built from bytes are spelled out
+// at the call sites, where a key converted inside the index expression does
+// not allocate; get serves the string-keyed tables.
 type gens[K comparable, V any] struct {
 	hot, cold map[K]V
 	evictions uint64
@@ -282,12 +269,25 @@ func (g *gens[K, V]) promote(k K, v V, bound int) {
 	g.put(k, v, bound)
 }
 
+// get looks a key up in both generations, promoting a cold hit.
+func (g *gens[K, V]) get(k K, bound int) (V, bool) {
+	v, ok := g.hot[k]
+	if !ok {
+		if v, ok = g.cold[k]; ok {
+			g.promote(k, v, bound)
+		}
+	}
+	return v, ok
+}
+
 // store is what a tree shares with its clones: the regrouping memo,
 // the table that gives every summary its identity (keyed by the summary's
 // OrderedFingerprint, so equal content — reached through whatever fold — is
-// named alike and keys the same folds one level up), the interned trie nodes
-// and the interned view signatures. Safe for concurrent use: trees cloned
-// across live nodes rebuild on their own goroutines.
+// named alike and keys the same folds one level up), the compiled languages
+// (keyed by the summary's Fingerprint, which sorts: accumulation order does
+// not change what is matched), the interned trie nodes and the interned view
+// signatures. Safe for concurrent use: trees cloned across live nodes rebuild
+// on their own goroutines.
 //
 // Every table is bounded by generational sweep (see gens). A dropped entry
 // only costs a recompute if its key recurs; correctness never depends on a
@@ -301,8 +301,9 @@ type store struct {
 	bound int
 	folds gens[foldKey, foldEntry]
 	ids   gens[string, uint64]
+	langs gens[string, lang]
 	nodes gens[nodeKey, *node]
-	views gens[string, viewSig]
+	views gens[string, uint64]
 }
 
 func newStore(bound int) *store {
@@ -340,18 +341,36 @@ func (st *store) putFold(leaf interest.Identity, kids []byte, e foldEntry) (_ fo
 	if prev, ok := st.foldLocked(leaf, kids); ok {
 		return prev, true
 	}
-	id, ok := st.ids.hot[fp]
+	id, ok := st.ids.get(fp, st.bound)
 	if !ok {
-		if id, ok = st.ids.cold[fp]; ok {
-			st.ids.promote(fp, id, st.bound)
-		} else {
-			id = identities.Add(1)
-			st.ids.put(fp, id, st.bound)
-		}
+		id = identities.Add(1)
+		st.ids.put(fp, id, st.bound)
 	}
 	e.summary.SetIdentity(id)
 	st.folds.put(foldKey{leaf, string(kids)}, e, st.bound)
 	return e, false
+}
+
+// lang returns the interned compiled form of the summary's language,
+// compiling it when the store holds none.
+func (st *store) lang(s *interest.Summary) lang {
+	fp := s.Fingerprint()
+	st.mu.Lock()
+	l, ok := st.langs.get(fp, st.bound)
+	st.mu.Unlock()
+	if ok {
+		return l
+	}
+	// Compile outside the lock: a summary may be arbitrarily large. Of two
+	// racing compiles of one language the second adopts the first's entry.
+	m := interest.CompileSummary(s)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if l, ok = st.langs.get(fp, st.bound); !ok {
+		l = lang{compiled: m, id: identities.Add(1)}
+		st.langs.put(fp, l, st.bound)
+	}
+	return l
 }
 
 // node returns the interned node of the key (see nodeKey), nil when the
@@ -386,32 +405,34 @@ func (st *store) intern(addr string, sub interest.Identity, kids []byte, n *node
 	return n
 }
 
-// viewGen returns the identity of a view signature over the given children,
-// minting one for a signature the store does not hold.
-func (st *store) viewGen(sig []byte, children []*node) uint64 {
+// viewGen returns the identity of a view signature, minting one for a
+// signature the store does not hold.
+func (st *store) viewGen(sig []byte) uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	v, ok := st.views.hot[string(sig)]
+	id, ok := st.views.hot[string(sig)]
 	if !ok {
-		if v, ok = st.views.cold[string(sig)]; ok {
-			st.views.promote(string(sig), v, st.bound)
+		if id, ok = st.views.cold[string(sig)]; ok {
+			st.views.promote(string(sig), id, st.bound)
 		} else {
-			v = viewSig{id: identities.Add(1), hold: make([]*interest.CompiledMatcher, 0, len(children))}
-			for _, child := range children {
-				if child != nil {
-					v.hold = append(v.hold, child.compiled)
-				}
-			}
-			st.views.put(string(sig), v, st.bound)
+			id = identities.Add(1)
+			st.views.put(string(sig), id, st.bound)
 		}
 	}
-	return v.id
+	return id
 }
 
-func (st *store) stats() (id uint64, entries int, evictions uint64) {
+// stats snapshots the store's share of FoldStats.
+func (st *store) stats() FoldStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.id, len(st.folds.hot) + len(st.folds.cold), st.folds.evictions
+	return FoldStats{
+		CacheID:           st.id,
+		CacheEntries:      len(st.folds.hot) + len(st.folds.cold),
+		CacheEvictions:    st.folds.evictions,
+		CompilerEntries:   len(st.langs.hot) + len(st.langs.cold),
+		CompilerEvictions: st.langs.evictions,
+	}
 }
 
 // New builds an empty tree.
@@ -430,7 +451,6 @@ func New(cfg Config) (*Tree, error) {
 		cfg:      cfg,
 		election: el,
 		root:     &node{}, // no regrouping, so not interned
-		compiler: interest.NewCompilerBounded(cfg.CompilerBound),
 		store:    newStore(cfg.FoldCacheBound),
 	}, nil
 }
@@ -534,7 +554,7 @@ func (t *Tree) Members() []Member {
 }
 
 // Clone returns an independent copy of the tree in O(1): a struct copy. The
-// trie is immutable and the store, compiler and election are shared, so the
+// trie is immutable and the store and election are shared, so the
 // two trees hold the same nodes until a change moves one of them — and meet
 // again, node for node, wherever their memberships agree. The point at fleet
 // scale: 64k co-hosted processes adopting one bootstrap fold hold ONE trie,
@@ -677,7 +697,7 @@ func (t *Tree) fold(leaf interest.Identity, kids []byte, merge func(*interest.Su
 	if !hit {
 		s := interest.NewSummary()
 		merge(s)
-		e, hit = t.store.putFold(leaf, kids, foldEntry{summary: s, compiled: t.compiler.CompileSummary(s)})
+		e, hit = t.store.putFold(leaf, kids, foldEntry{summary: s, lang: t.store.lang(s)})
 	}
 	if hit {
 		t.foldHits++
@@ -702,7 +722,7 @@ func (t *Tree) leaf(a addr.Address, sub interest.Subscription) *node {
 		delegates: []addr.Address{a},
 		count:     1,
 		summary:   e.summary,
-		compiled:  e.compiled,
+		lang:      e.lang,
 	})
 }
 
@@ -749,24 +769,21 @@ func (t *Tree) interior(kids []*node, length int) *node {
 			}
 		}
 	})
-	n.summary, n.compiled = e.summary, e.compiled
+	n.summary, n.lang = e.summary, e.lang
 	slices.SortFunc(candidates, addr.Address.Compare)
 	n.delegates = t.election.Elect(candidates, t.cfg.R)
-	n.viewGen = t.store.viewGen(sig, n.children)
+	n.viewGen = t.store.viewGen(sig)
 	return t.store.intern("", interest.Identity{}, key, n)
 }
 
 // appendViewLine appends one child's contribution to its parent's view
 // signature: everything a view line exposes about the subgroup — digit,
-// count, summary language, delegates. The language is named by the address
-// of its compiled matcher: the shared Compiler interns by fingerprint, so
-// equal pointers mean equal matched languages (the converse may fail after a
-// compiler sweep, which only costs a spurious generation — the safe
-// direction).
+// count, summary language (by the name the store minted, see lang),
+// delegates.
 func (t *Tree) appendViewLine(sig []byte, digit int, child *node) []byte {
 	sig = binary.AppendUvarint(sig, uint64(digit))
 	sig = binary.AppendUvarint(sig, uint64(child.count))
-	sig = binary.AppendUvarint(sig, uint64(uintptr(unsafe.Pointer(child.compiled))))
+	sig = binary.AppendUvarint(sig, child.lang.id)
 	sig = binary.AppendUvarint(sig, uint64(len(child.delegates)))
 	for _, d := range child.delegates {
 		sig = binary.AppendUvarint(sig, uint64(t.cfg.Space.Index(d)))
@@ -813,7 +830,7 @@ func (t *Tree) CompiledSummary(p addr.Prefix) *interest.CompiledMatcher {
 	if n == nil {
 		return nil
 	}
-	return n.compiled
+	return n.lang.compiled
 }
 
 // Generation returns the view generation of the prefix node: the identity
@@ -865,7 +882,7 @@ func matchReach(n *node, ev event.Event) int {
 	if n.member != nil {
 		return 1 // entry was gated by the parent prefix's summary
 	}
-	if n.compiled == nil || !n.compiled.Matches(ev) {
+	if !n.lang.compiled.Matches(ev) {
 		return 0
 	}
 	total := 0

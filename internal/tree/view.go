@@ -165,7 +165,7 @@ func (t *Tree) ViewOf(p addr.Prefix, depth int) *View {
 			Infix:     digit,
 			Delegates: dels,
 			Summary:   child.summary,
-			Compiled:  child.compiled,
+			Compiled:  child.lang.compiled,
 			Count:     child.count,
 		})
 	}

@@ -218,8 +218,8 @@ type (
 	// port 0 bind ephemeral ports and register themselves.
 	StaticResolver = udp.StaticResolver
 	// UDPStats is a snapshot of the UDP datapath counters — syscalls,
-	// datagrams (their ratio is the kernel-batching amortization), GSO/GRO
-	// segments, malformed/dropped datagrams and achieved socket buffers.
+	// datagrams (their ratio is the kernel-batching amortization),
+	// malformed/dropped datagrams and achieved socket buffers.
 	UDPStats = udp.Stats
 )
 
