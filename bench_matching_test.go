@@ -91,8 +91,9 @@ func BenchmarkMatchCompiled(b *testing.B) {
 
 // BenchmarkRateCached measures GETRATE through the susceptibility cache on
 // the soak256 workload: steady-state (cache-hit) rate queries against a
-// live Process, which must be allocation-free, versus the naive per-member
-// summary walk the pre-engine runtime ran on every query.
+// live Process — for events buffered at the depth asked about, whose entries
+// hold the profile — which must be allocation-free, versus the naive
+// per-member summary walk the pre-engine runtime ran on every query.
 func BenchmarkRateCached(b *testing.B) {
 	t, space := soak256Tree(b)
 	self := space.AddressAt(0)
@@ -100,21 +101,20 @@ func BenchmarkRateCached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	evs := make([]event.Event, 4)
-	for class := range evs {
-		evs[class] = classEvent(int64(class), uint64(class+1))
-	}
-	// Warm the cache: first query per (event, depth) computes the profile.
-	for _, ev := range evs {
-		for depth := 1; depth <= t.Depth(); depth++ {
-			if proc.ProfileFor(ev, depth) == nil {
-				b.Fatalf("no view at depth %d", depth)
-			}
+	// One buffered event per (class, depth); the first query computes its
+	// profile and warms the entry.
+	depthOf := func(i int) int { return 1 + i%t.Depth() }
+	evs := make([]event.Event, 4*t.Depth())
+	for i := range evs {
+		evs[i] = classEvent(int64(i/t.Depth()), uint64(i+1))
+		proc.Receive(core.Gossip{Event: evs[i], Depth: depthOf(i), Rate: 1})
+		if proc.ProfileFor(evs[i], depthOf(i)) == nil {
+			b.Fatalf("no view at depth %d", depthOf(i))
 		}
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		for _, ev := range evs {
-			proc.ProfileFor(ev, 1)
+		for i, ev := range evs {
+			proc.ProfileFor(ev, depthOf(i))
 		}
 	}); allocs != 0 {
 		b.Fatalf("steady-state cached rate allocates (%v allocs/op); must be 0-alloc", allocs)
@@ -126,9 +126,8 @@ func BenchmarkRateCached(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ev := evs[i%len(evs)]
-			depth := 1 + i%t.Depth()
-			_ = proc.ProfileFor(ev, depth).Rate
+			j := i % len(evs)
+			_ = proc.ProfileFor(evs[j], depthOf(j)).Rate
 		}
 	})
 	b.Run("naive", func(b *testing.B) {

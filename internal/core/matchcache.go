@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"time"
 
 	"pmcast/internal/event"
@@ -19,14 +20,18 @@ import (
 // movement builds a new Process), so the Process computes each (event,
 // depth) profile once — a bitset over the view members plus the handful of
 // aggregates the algorithm consumes — and answers every later query with a
-// bit test or a stored popcount. Invalidation is by view generation:
-// profiles are keyed by (event ID, generation), generations advance exactly
-// when a tree delta could have changed matching (see tree.Tree.Generation)
-// or when the simulator redraws its Bernoulli interests, so profiles handed
-// across a rebuild (AdoptState) answer only while generations still agree. The
-// cache is therefore semantically invisible — every answer is bit-for-bit
-// what the uncached evaluation would produce, which is what keeps seeded
-// harness traces byte-identical with caching on.
+// bit test or a stored popcount. The gossip buffer is the cache: an event is
+// buffered at one depth at a time, so its entry holds the one profile it
+// needs, and the profile leaves with the entry (demoted, flooded or expired)
+// without a table to evict from. Invalidation is by view generation: the
+// entry stamps its profile with the generation it was computed against,
+// generations advance exactly when a tree delta could have changed matching
+// (see tree.Tree.Generation) or when the simulator redraws its Bernoulli
+// interests, so profiles handed across a rebuild (AdoptState) answer only
+// while generations still agree. The cache is therefore semantically
+// invisible — every answer is bit-for-bit what the uncached evaluation would
+// produce, which is what keeps seeded harness traces byte-identical with
+// caching on.
 
 // MatchProfile is the complete susceptibility profile of one event against
 // one depth view: who is susceptible (a bitset in member order), how many
@@ -85,13 +90,6 @@ func (p *MatchProfile) Popcount() int {
 	return n
 }
 
-// depthCache memoizes profiles for one depth, keyed by event ID and guarded
-// by the view generation the entries were computed against.
-type depthCache struct {
-	gen      uint64
-	profiles map[event.ID]*MatchProfile
-}
-
 // MatchStats are the matching engine's counters: matcher evaluations and
 // attribute comparisons actually performed, cache traffic, gossip rounds
 // ticked, and the wall time spent computing profiles. All deterministic for
@@ -143,25 +141,9 @@ func (m *MatchStats) Accumulate(o MatchStats) {
 	m.CompilerEvictions = max(m.CompilerEvictions, o.CompilerEvictions)
 }
 
-// profileAt returns the event's susceptibility profile at the given depth,
-// computing and caching it on first use. Returns nil for depths without a
-// view. The generation check clears a depth's cache the moment its view
-// stops matching the cached answers, never later — exact invalidation, so
-// caching is invisible to the protocol.
-func (p *Process) profileAt(ev event.Event, depth int) *MatchProfile {
-	v := p.views[depth-1]
-	if v == nil {
-		return nil
-	}
-	c := &p.caches[depth-1]
-	if g := v.Generation(); c.profiles == nil || c.gen != g {
-		c.profiles = make(map[event.ID]*MatchProfile)
-		c.gen = g
-	}
-	if prof, ok := c.profiles[ev.ID()]; ok {
-		p.matchStats.Hits++
-		return prof
-	}
+// compute evaluates the event's susceptibility profile against a view: a
+// cache miss, the only place matcher work happens.
+func (p *Process) compute(v DepthView, ev event.Event) *MatchProfile {
 	prof := &MatchProfile{}
 	start := time.Now()
 	v.Profile(ev, prof)
@@ -169,29 +151,39 @@ func (p *Process) profileAt(ev event.Event, depth int) *MatchProfile {
 	p.matchStats.Misses++
 	p.matchStats.Evals += prof.Cost.Evals
 	p.matchStats.Comparisons += prof.Cost.Comparisons
-	c.profiles[ev.ID()] = prof
 	return prof
 }
 
-// evictProfile drops one event's cached profile at one depth (the event
-// left that depth's buffer: demoted, flooded or expired).
-func (p *Process) evictProfile(id event.ID, depth int) {
-	if c := &p.caches[depth-1]; c.profiles != nil {
-		delete(c.profiles, id)
+// profileOf returns a buffered entry's profile against its depth's view,
+// computing it on first use (a received gossip arrives without one) and again
+// the moment the view's generation stops being the one it was computed
+// against, never later — exact invalidation, so caching is invisible to the
+// protocol.
+func (p *Process) profileOf(e *entry, v DepthView) *MatchProfile {
+	if g := v.Generation(); e.prof == nil || e.gen != g {
+		e.prof, e.gen = p.compute(v, e.ev), g
+	} else {
+		p.matchStats.Hits++
 	}
+	return e.prof
 }
 
 // MatchStats reports the matching engine's counters.
 func (p *Process) MatchStats() MatchStats { return p.matchStats }
 
-// ProfileFor exposes the (possibly cached) susceptibility profile of an
-// event at a depth — the matching engine's introspection hook, used by
-// benchmarks and diagnostics. Callers observe the same single-writer
-// discipline as every other Process method; the returned profile is shared
-// with the cache and must not be mutated.
+// ProfileFor exposes the susceptibility profile of an event at a depth — the
+// matching engine's introspection hook, used by benchmarks and diagnostics.
+// An event buffered at that depth answers from its entry, like its next
+// round will; any other is evaluated and not kept. Callers observe the same
+// single-writer discipline as every other Process method; the returned
+// profile may be the buffer's own and must not be mutated.
 func (p *Process) ProfileFor(ev event.Event, depth int) *MatchProfile {
-	if depth < 1 || depth > p.cfg.D {
+	if depth < 1 || depth > p.cfg.D || p.views[depth-1] == nil {
 		return nil
 	}
-	return p.profileAt(ev, depth)
+	v, buf := p.views[depth-1], p.gossips[depth-1]
+	if i, ok := slices.BinarySearchFunc(buf, ev.ID(), compareID); ok {
+		return p.profileOf(&buf[i], v)
+	}
+	return p.compute(v, ev)
 }

@@ -34,8 +34,9 @@ func classEv(class int64, seq uint64) event.Event {
 	return event.NewBuilder().Int("b", class).Build(event.ID{Origin: "t", Seq: seq})
 }
 
-// TestProfileCacheMemoizes: the second identical query is a cache hit and
-// performs zero additional matcher evaluations.
+// TestProfileCacheMemoizes: a buffered event's second identical query is a
+// cache hit and performs zero additional matcher evaluations; an event that
+// is not buffered at the depth is evaluated and not kept.
 func TestProfileCacheMemoizes(t *testing.T) {
 	tr, space := cacheTree(t)
 	p, err := BuildProcess(tr, space.AddressAt(0), Config{F: 2, C: 3})
@@ -43,6 +44,7 @@ func TestProfileCacheMemoizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := classEv(0, 1)
+	p.Receive(Gossip{Event: ev, Depth: 1, Rate: 1})
 	first := p.ProfileFor(ev, 1)
 	s1 := p.MatchStats()
 	if s1.Misses != 1 || s1.Hits != 0 || s1.Evals == 0 {
@@ -58,6 +60,12 @@ func TestProfileCacheMemoizes(t *testing.T) {
 	}
 	if first.Hits != first.Popcount() {
 		t.Errorf("Hits %d disagrees with popcount %d", first.Hits, first.Popcount())
+	}
+	if p.ProfileFor(ev, 2) == p.ProfileFor(ev, 2) {
+		t.Error("an event not buffered at the depth was served from a cache")
+	}
+	if s3 := p.MatchStats(); s3.Misses != 3 || s3.Hits != 1 {
+		t.Fatalf("unbuffered lookups: %+v", s3)
 	}
 }
 
@@ -133,6 +141,7 @@ func TestProfileCacheInvalidatesOnGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := classEv(0, 1)
+	p.Receive(Gossip{Event: ev, Depth: 1, Rate: 1})
 	if got := p.ProfileFor(ev, 1).Rate; got != 1 {
 		t.Fatalf("rate %g, want 1", got)
 	}
@@ -150,9 +159,9 @@ func TestProfileCacheInvalidatesOnGeneration(t *testing.T) {
 	}
 }
 
-// TestAdoptStateCarriesCaches: a rebuilt process adopts cached profiles for
-// depths whose view generation is unchanged and drops the rest; counters
-// accumulate.
+// TestAdoptStateCarriesCaches: a rebuilt process adopts the buffered entries'
+// profiles, which answer at depths whose view generation is unchanged and
+// are recomputed at the rest; counters accumulate.
 func TestAdoptStateCarriesCaches(t *testing.T) {
 	tr, space := cacheTree(t)
 	self := space.AddressAt(0)
@@ -160,9 +169,12 @@ func TestAdoptStateCarriesCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := classEv(0, 1)
+	// One buffered event per depth: an entry holds the profile of the depth it
+	// is buffered at.
+	evAt := func(depth int) event.Event { return classEv(0, uint64(depth)) }
 	for depth := 1; depth <= tr.Depth(); depth++ {
-		old.ProfileFor(ev, depth)
+		old.Receive(Gossip{Event: evAt(depth), Depth: depth, Rate: 1})
+		old.ProfileFor(evAt(depth), depth)
 	}
 	oldStats := old.MatchStats()
 
@@ -187,10 +199,10 @@ func TestAdoptStateCarriesCaches(t *testing.T) {
 	// path, so all lookups miss.
 	before := fresh.MatchStats().Misses
 	for depth := 1; depth <= tr.Depth(); depth++ {
-		fresh.ProfileFor(ev, depth)
+		fresh.ProfileFor(evAt(depth), depth)
 	}
-	if after := fresh.MatchStats().Misses; after == before {
-		t.Error("no recompute after a tree delta on the shared path")
+	if after := fresh.MatchStats().Misses; after != before+uint64(tr.Depth()) {
+		t.Errorf("%d recomputes after a tree delta on the shared path, want %d", after-before, tr.Depth())
 	}
 
 	// A rebuild with NO tree movement keeps every cached profile.
@@ -201,7 +213,7 @@ func TestAdoptStateCarriesCaches(t *testing.T) {
 	same.AdoptState(fresh)
 	b := same.MatchStats()
 	for depth := 1; depth <= tr.Depth(); depth++ {
-		same.ProfileFor(ev, depth)
+		same.ProfileFor(evAt(depth), depth)
 	}
 	a := same.MatchStats()
 	if a.Misses != b.Misses {
@@ -213,9 +225,9 @@ func TestAdoptStateCarriesCaches(t *testing.T) {
 }
 
 // TestTickDeterministicWithCache: two processes over the same tree with the
-// same RNG seed emit identical send sequences even when one of them has a
-// fully warmed cache and the other starts cold — caching changes no
-// observable behavior.
+// same RNG seed emit identical send sequences even when one of them holds the
+// received event's profile already and the other computes it in its first
+// round — caching changes no observable behavior.
 func TestTickDeterministicWithCache(t *testing.T) {
 	tr, space := cacheTree(t)
 	self := space.AddressAt(0)
@@ -228,15 +240,11 @@ func TestTickDeterministicWithCache(t *testing.T) {
 	}
 	warm, cold := mk(), mk()
 	ev := classEv(1, 1)
-	// Warm every depth before the protocol runs.
-	for depth := 1; depth <= tr.Depth(); depth++ {
-		warm.ProfileFor(ev, depth)
-	}
-	if err := warm.Multicast(ev); err != nil {
-		t.Fatal(err)
-	}
-	if err := cold.Multicast(ev); err != nil {
-		t.Fatal(err)
+	warm.Receive(Gossip{Event: ev, Depth: 1, Rate: 0.5})
+	cold.Receive(Gossip{Event: ev, Depth: 1, Rate: 0.5})
+	// Warm the entry before the protocol runs.
+	if warm.ProfileFor(ev, 1); warm.MatchStats().Misses != 1 || cold.MatchStats().Misses != 0 {
+		t.Fatalf("warm-up: warm %+v, cold %+v", warm.MatchStats(), cold.MatchStats())
 	}
 	rngW := rand.New(rand.NewSource(7))
 	rngC := rand.New(rand.NewSource(7))

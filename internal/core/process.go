@@ -12,11 +12,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"pmcast/internal/addr"
 	"pmcast/internal/analysis"
@@ -169,11 +170,15 @@ type RoundSend struct {
 	Gossips []Gossip
 }
 
-// entry is one buffered gossip: (event, rate, round) of Figure 3.
+// entry is one buffered gossip: (event, rate, round) of Figure 3, plus the
+// event's susceptibility profile at the depth it is buffered at, stamped with
+// the view generation it was computed against (matchcache.go).
 type entry struct {
 	ev    event.Event
 	rate  float64
 	round int
+	prof  *MatchProfile // nil until first asked for
+	gen   uint64
 }
 
 // Process is the pmcast protocol state of a single process.
@@ -195,19 +200,30 @@ type Process struct {
 
 // state is everything a Process keeps that does not depend on its views.
 type state struct {
-	gossips []map[event.ID]*entry
+	// gossips[i−1] is the depth-i buffer, ordered by event ID at rest: a round
+	// walks it front to back, so seeded runs are reproducible without sorting.
+	// An ID sits in at most one depth's buffer — the seen-set guards every
+	// way in — so nothing ever looks an entry up by ID.
+	gossips [][]entry
 	seen    map[event.ID]struct{}
 
-	// caches[i−1] memoizes per-event susceptibility profiles for depth i —
-	// the matching engine's runtime state (matchcache.go). A gossip buffer
-	// that lives k rounds pays for matching once, not k times.
-	caches     []depthCache
 	matchStats MatchStats
 	adaptive   AdaptiveStats
 
 	deliveries []event.Event
 	received   int // gossips accepted (first receptions)
 	sent       int // gossip messages emitted
+
+	// Round scratch, kept across rounds for its capacity and emptied before a
+	// round returns, so an idle process pins no event: the picks the walk
+	// emitted in order, the Fisher–Yates candidate indices of one draw, and
+	// TickRound's grouping tables (destination key → slot, each pick's slot,
+	// each slot's gossip count).
+	picks  []Send
+	idxs   []int
+	slot   map[string]int
+	slotOf []int
+	counts []int
 }
 
 // NewProcess builds a process from its per-depth views and its own interest
@@ -242,14 +258,10 @@ func newShell(self addr.Address, cfg Config, views []DepthView, selfMatch func(e
 
 // newState returns the empty state of a depth-d process.
 func newState(d int) *state {
-	g := make([]map[event.ID]*entry, d)
-	for i := range g {
-		g[i] = make(map[event.ID]*entry)
-	}
 	return &state{
-		gossips: g,
-		caches:  make([]depthCache, d),
+		gossips: make([][]entry, d),
 		seen:    make(map[event.ID]struct{}),
+		slot:    make(map[string]int),
 	}
 }
 
@@ -274,24 +286,22 @@ func (p *Process) Multicast(ev event.Event) error {
 	p.markSeen(ev)
 
 	depth := 1
+	var prof *MatchProfile
 	if p.cfg.LocalDescent {
-		for depth < p.cfg.D {
-			prof := p.profileAt(ev, depth)
-			if prof == nil {
-				depth++
+		for ; depth < p.cfg.D; depth++ {
+			v := p.views[depth-1]
+			if v == nil {
 				continue
 			}
-			if prof.Lines == 1 && prof.SelfIn {
-				// Skipped depths never buffer the event; drop the profile the
-				// descent test just computed.
-				p.evictProfile(ev.ID(), depth)
-				depth++
-				continue
+			// A skipped depth never buffers the event, so its probe is dropped;
+			// the depth that keeps it takes the probe's profile along.
+			if prof = p.compute(v, ev); !(prof.Lines == 1 && prof.SelfIn) {
+				break
 			}
-			break
+			prof = nil
 		}
 	}
-	p.insert(ev, depth, p.rateAt(ev, depth), 0)
+	p.place(ev, depth, prof)
 	return nil
 }
 
@@ -308,7 +318,7 @@ func (p *Process) Receive(g Gossip) {
 	}
 	p.received++
 	p.markSeen(g.Event)
-	p.insert(g.Event, g.Depth, g.Rate, g.Round)
+	p.insert(g.Depth, entry{ev: g.Event, rate: g.Rate, round: g.Round})
 }
 
 func (p *Process) markSeen(ev event.Event) {
@@ -318,28 +328,54 @@ func (p *Process) markSeen(ev event.Event) {
 	}
 }
 
-func (p *Process) insert(ev event.Event, depth int, rate float64, round int) {
-	p.gossips[depth-1][ev.ID()] = &entry{ev: ev, rate: rate, round: round}
-}
-
-// rateAt computes GETRATE(depth, event) through the susceptibility cache.
-func (p *Process) rateAt(ev event.Event, depth int) float64 {
-	prof := p.profileAt(ev, depth)
-	if prof == nil {
-		return 0
+// compareID orders a buffered entry against an event ID: by origin, then by
+// sequence number.
+func compareID(e entry, id event.ID) int {
+	if c := cmp.Compare(e.ev.ID().Origin, id.Origin); c != 0 {
+		return c
 	}
-	return prof.Rate
+	return cmp.Compare(e.ev.ID().Seq, id.Seq)
 }
 
-// Tick executes one gossip period (Figure 3 task GOSSIP): for every buffered
-// event at every depth, either gossip to F random view members (susceptible
-// ones actually receive a message) or, when the Pittel budget is exhausted,
-// hand the event down to the next depth with a freshly computed rate.
-// The returned sends are to be delivered by the driver; rng supplies the
-// destination choices.
-func (p *Process) Tick(rng *rand.Rand) []Send {
+// insert files e into the depth's buffer at its ID's place. The callers hold
+// the seen-set, so the ID is in no buffer yet; a publisher's stream arrives
+// in ID order and appends.
+func (p *Process) insert(depth int, e entry) {
+	buf, id := p.gossips[depth-1], e.ev.ID()
+	i := len(buf)
+	if i > 0 && compareID(buf[i-1], id) > 0 {
+		i, _ = slices.BinarySearchFunc(buf, id, compareID)
+	}
+	p.gossips[depth-1] = slices.Insert(buf, i, e)
+}
+
+// place buffers ev at depth with a fresh round counter and GETRATE(depth,
+// event) computed here (PMCAST and demotion, Figure 3 lines 17 and 25) — read
+// off prof when the caller already profiled the event against this depth's
+// view, which counts as the profile's first cache hit.
+func (p *Process) place(ev event.Event, depth int, prof *MatchProfile) {
+	e := entry{ev: ev}
+	if v := p.views[depth-1]; v != nil {
+		if prof != nil {
+			p.matchStats.Hits++
+		} else {
+			prof = p.compute(v, ev)
+		}
+		e.prof, e.gen, e.rate = prof, v.Generation(), prof.Rate
+	}
+	p.insert(depth, e)
+}
+
+// round executes one gossip period (Figure 3 task GOSSIP) and leaves what it
+// emitted in p.picks: for every buffered event at every depth, either gossip
+// to F random view members (susceptible ones actually receive a message) or,
+// when the Pittel budget is exhausted, hand the event down to the next depth
+// with a freshly computed rate. Each buffer is walked once, in ID order, and
+// compacted in place as entries leave; an entry demoted from depth i lands in
+// depth i+1's buffer before that one is walked, so it is gossiped there in the
+// same round.
+func (p *Process) round(rng *rand.Rand) {
 	p.matchStats.Rounds++
-	var sends []Send
 	for depth := 1; depth <= p.cfg.D; depth++ {
 		buf := p.gossips[depth-1]
 		if len(buf) == 0 {
@@ -352,35 +388,59 @@ func (p *Process) Tick(rng *rand.Rand) []Send {
 		if v != nil && p.cfg.adaptiveOn() {
 			loss = p.measuredLossAt(v, loss)
 		}
-		for _, id := range sortedIDs(buf) {
-			e := buf[id]
-			if v == nil {
-				p.demote(buf, id, e, depth)
-				continue
+		kept := 0
+		for i := range buf {
+			if p.gossipEntry(&buf[i], depth, v, loss, rng) {
+				if kept != i {
+					buf[kept] = buf[i]
+				}
+				kept++
 			}
-			size := v.Size()
-			prof := p.profileAt(e.ev, depth)
-			effRate, tunedSus := p.effectiveRate(prof, e, size)
-			budget := p.roundBudget(size, effRate, loss)
-			if e.round >= budget {
-				p.demote(buf, id, e, depth)
-				continue
-			}
-			if depth == p.cfg.D && p.cfg.LeafFloodRate > 0 && effRate >= p.cfg.LeafFloodRate {
-				sends = p.floodLeaf(sends, v, prof, e, size, budget)
-				delete(buf, id) // flooding replaces the leaf gossip rounds
-				p.evictProfile(id, depth)
-				continue
-			}
-			e.round++
-			sends = p.gossipOnce(sends, v, prof, e, depth, size, tunedSus, loss, rng)
 		}
+		clear(buf[kept:]) // the departed entries' events and profiles
+		p.gossips[depth-1] = buf[:kept]
 	}
+}
+
+// gossipEntry is one buffered event's turn in a round; it reports whether the
+// entry stays in this depth's buffer.
+func (p *Process) gossipEntry(e *entry, depth int, v DepthView, loss float64, rng *rand.Rand) bool {
+	if v == nil {
+		p.demote(e, depth)
+		return false
+	}
+	size := v.Size()
+	prof := p.profileOf(e, v)
+	effRate, tunedSus := p.effectiveRate(prof, e, size)
+	budget := p.roundBudget(size, effRate, loss)
+	if e.round >= budget {
+		p.demote(e, depth)
+		return false
+	}
+	if depth == p.cfg.D && p.cfg.LeafFloodRate > 0 && effRate >= p.cfg.LeafFloodRate {
+		p.floodLeaf(v, prof, e, size, budget)
+		return false // flooding replaces the leaf gossip rounds
+	}
+	e.round++
+	p.gossipOnce(v, prof, e, depth, size, tunedSus, loss, rng)
+	return true
+}
+
+// Tick executes one gossip period and returns the emitted sends flat, in
+// emission order, to be delivered by the driver; rng supplies the destination
+// choices. The simulator's form of a round; the runtime takes TickRound's.
+func (p *Process) Tick(rng *rand.Rand) []Send {
+	p.round(rng)
+	if len(p.picks) == 0 {
+		return nil
+	}
+	sends := slices.Clone(p.picks)
+	p.dropPicks()
 	return sends
 }
 
-// TickRound executes one gossip period exactly like Tick — same protocol
-// steps, same RNG consumption — but groups the emitted sends by destination
+// TickRound executes one gossip period exactly like Tick — the same walk,
+// the same RNG consumption — but groups the emitted sends by destination
 // into per-peer round envelopes, in order of each destination's first
 // appearance and preserving per-destination gossip order. Grouping is the
 // whole batching contract: the sub-messages a peer receives, and their
@@ -388,25 +448,53 @@ func (p *Process) Tick(rng *rand.Rand) []Send {
 // round envelopes are also the engine's send-job handoff: the protocol
 // stage owns this call, and each RoundSend becomes one job for whoever
 // encodes and sends — the egress workers in a parallel configuration, the
-// protocol goroutine itself in the serial one.
+// protocol goroutine itself in the serial one. They read the gossips after
+// this call returned, so the envelopes and the one array behind all their
+// Gossips are fresh every round and the process keeps no reference to them.
 func (p *Process) TickRound(rng *rand.Rand) []RoundSend {
-	sends := p.Tick(rng)
-	if len(sends) == 0 {
+	p.round(rng)
+	if len(p.picks) == 0 {
 		return nil
 	}
-	rounds := make([]RoundSend, 0, len(sends))
-	slot := make(map[string]int, len(sends))
-	for _, s := range sends {
-		key := s.To.Key()
-		i, ok := slot[key]
+	// Count each destination's gossips, then carve the one backing array into
+	// per-destination sub-slices, each capped at its own count so that an
+	// append to one envelope reallocates instead of running into the next.
+	slotOf, counts := p.slotOf[:0], p.counts[:0]
+	for i := range p.picks {
+		key := p.picks[i].To.Key()
+		s, ok := p.slot[key]
 		if !ok {
-			i = len(rounds)
-			slot[key] = i
-			rounds = append(rounds, RoundSend{To: s.To})
+			s = len(counts)
+			p.slot[key] = s
+			counts = append(counts, 0)
 		}
-		rounds[i].Gossips = append(rounds[i].Gossips, s.Gossip)
+		counts[s]++
+		slotOf = append(slotOf, s)
 	}
+	rounds := make([]RoundSend, len(counts))
+	backing := make([]Gossip, len(p.picks))
+	lo := 0
+	for s, c := range counts {
+		rounds[s].Gossips = backing[lo : lo : lo+c]
+		lo += c
+	}
+	for i := range p.picks {
+		rs := &rounds[slotOf[i]]
+		if len(rs.Gossips) == 0 {
+			rs.To = p.picks[i].To
+		}
+		rs.Gossips = append(rs.Gossips, p.picks[i].Gossip)
+	}
+	clear(p.slot)
+	p.slotOf, p.counts = slotOf, counts
+	p.dropPicks()
 	return rounds
+}
+
+// dropPicks empties the round's emission scratch, releasing its events.
+func (p *Process) dropPicks() {
+	clear(p.picks)
+	p.picks = p.picks[:0]
 }
 
 // effectiveRate applies the Section 5.3 tuning: when the susceptible count
@@ -483,9 +571,27 @@ func (p *Process) measuredLossAt(v DepthView, assumed float64) float64 {
 	return mean
 }
 
-// gossipOnce chooses F distinct destinations at random from the view
-// (excluding the process itself) and emits sends to the susceptible ones —
-// susceptibility answered by the event's cached profile. With the adaptive
+// gossipOnce emits one round's sends for a buffered event: to the
+// susceptible ones — the event's profile answers — among the destinations
+// drawn from the view.
+func (p *Process) gossipOnce(v DepthView, prof *MatchProfile, e *entry, depth, size int, tuned bool, viewLoss float64, rng *rand.Rand) {
+	p.idxs = candidates(p.idxs[:0], size, v.SelfIndex())
+	for _, idx := range p.draw(p.idxs, v, prof, tuned, viewLoss, rng) {
+		if p.susceptibleAt(prof, idx, tuned) {
+			p.emit(v.MemberAt(idx), e, depth, e.round)
+		}
+	}
+}
+
+// emit records one send of a buffered event in the round's picks.
+func (p *Process) emit(to addr.Address, e *entry, depth, round int) {
+	p.sent++
+	p.picks = append(p.picks, Send{To: to, Gossip: Gossip{Event: e.ev, Depth: depth, Rate: e.rate, Round: round}})
+}
+
+// draw chooses F distinct destinations at random from idxs, the view's
+// members but the process itself, by shuffling them to its front, and returns
+// that prefix; the caller sends to the susceptible ones. With the adaptive
 // loop on, the round extends the same Fisher–Yates walk by extra targets,
 // never beyond the view. Two gates decide how much of the boost to spend:
 // when the view's mean measured loss (viewLoss, the same per-depth figure
@@ -500,20 +606,8 @@ func (p *Process) measuredLossAt(v DepthView, assumed float64) float64 {
 // extra draws would mostly be wasted exactly where a burst on a delegate
 // link can black out the whole subtree. With the loop off, the RNG
 // consumption is exactly the untuned algorithm's.
-func (p *Process) gossipOnce(sends []Send, v DepthView, prof *MatchProfile, e *entry, depth, size int, tuned bool, viewLoss float64, rng *rand.Rand) []Send {
-	selfIdx := v.SelfIndex()
-	pool := size
-	if selfIdx >= 0 {
-		pool--
-	}
-	if pool <= 0 {
-		return sends
-	}
-	f := p.cfg.F
-	if f > pool {
-		f = pool
-	}
-	idxs := viewScratch(size, selfIdx)
+func (p *Process) draw(idxs []int, v DepthView, prof *MatchProfile, tuned bool, viewLoss float64, rng *rand.Rand) []int {
+	f := min(p.cfg.F, len(idxs))
 	k := samplePrefix(rng, idxs, 0, f)
 	if p.cfg.adaptiveOn() && k < len(idxs) {
 		extra := 0
@@ -556,22 +650,7 @@ func (p *Process) gossipOnce(sends []Send, v DepthView, prof *MatchProfile, e *e
 			}
 		}
 	}
-	for _, idx := range idxs[:k] {
-		if !p.susceptibleAt(prof, idx, tuned) {
-			continue
-		}
-		p.sent++
-		sends = append(sends, Send{
-			To: v.MemberAt(idx),
-			Gossip: Gossip{
-				Event: e.ev,
-				Depth: depth,
-				Rate:  e.rate,
-				Round: e.round,
-			},
-		})
-	}
-	return sends
+	return idxs[:k]
 }
 
 // susceptibleAt answers one view slot's susceptibility: the cached profile
@@ -587,70 +666,33 @@ func (p *Process) susceptibleAt(prof *MatchProfile, idx int, tuned bool) bool {
 // Section 6 dense-interest extension). The carried round counter equals the
 // receiver's budget, so receivers treat the event as exhausted and do not
 // flood again.
-func (p *Process) floodLeaf(sends []Send, v DepthView, prof *MatchProfile, e *entry, size, budget int) []Send {
+func (p *Process) floodLeaf(v DepthView, prof *MatchProfile, e *entry, size, budget int) {
 	selfIdx := v.SelfIndex()
 	for i := 0; i < size; i++ {
-		if i == selfIdx || !prof.Bit(i) {
-			continue
+		if i != selfIdx && prof.Bit(i) {
+			p.emit(v.MemberAt(i), e, p.cfg.D, budget)
 		}
-		p.sent++
-		sends = append(sends, Send{
-			To: v.MemberAt(i),
-			Gossip: Gossip{
-				Event: e.ev,
-				Depth: p.cfg.D,
-				Rate:  e.rate,
-				Round: budget,
-			},
-		})
 	}
-	return sends
 }
 
-// demote implements Figure 3 lines 16–18: drop the event at this depth and,
-// above the leaves, reinsert it one depth deeper with a fresh rate and a
-// zeroed round counter. The departed depth's cached profile goes with it.
-func (p *Process) demote(buf map[event.ID]*entry, id event.ID, e *entry, depth int) {
-	delete(buf, id)
-	p.evictProfile(id, depth)
+// demote implements Figure 3 lines 16–18 for an entry the round walk is
+// dropping from this depth: above the leaves it re-enters one depth deeper
+// with a fresh rate and a zeroed round counter. Its profile here goes with
+// its slot.
+func (p *Process) demote(e *entry, depth int) {
 	if depth < p.cfg.D {
-		p.insert(e.ev, depth+1, p.rateAt(e.ev, depth+1), 0)
+		p.place(e.ev, depth+1, nil)
 	}
 }
 
-// sortedIDs returns the buffer's event IDs in a deterministic order so that
-// simulation runs are reproducible for a fixed seed (Go map iteration order
-// is randomized).
-func sortedIDs(buf map[event.ID]*entry) []event.ID {
-	ids := make([]event.ID, 0, len(buf))
-	for id := range buf {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Origin != ids[j].Origin {
-			return ids[i].Origin < ids[j].Origin
-		}
-		return ids[i].Seq < ids[j].Seq
-	})
-	return ids
-}
-
-// sampleIndices draws k distinct indices uniformly from [0, size) \ {excl}
-// via a partial Fisher–Yates over a scratch slice.
-func sampleIndices(rng *rand.Rand, size, excl, k int) []int {
-	idxs := viewScratch(size, excl)
-	return idxs[:samplePrefix(rng, idxs, 0, k)]
-}
-
-// viewScratch builds the candidate slice [0, size) \ {excl}.
-func viewScratch(size, excl int) []int {
-	idxs := make([]int, 0, size)
+// candidates appends the candidate indices [0, size) \ {excl} to dst.
+func candidates(dst []int, size, excl int) []int {
 	for i := 0; i < size; i++ {
 		if i != excl {
-			idxs = append(idxs, i)
+			dst = append(dst, i)
 		}
 	}
-	return idxs
+	return dst
 }
 
 // samplePrefix extends the uniformly-sampled prefix of idxs from have to
@@ -669,14 +711,15 @@ func samplePrefix(rng *rand.Rand, idxs []int, have, k int) int {
 	return have + k
 }
 
-// AdoptState hands the gossip buffers, seen-set, cached profiles, pending
-// deliveries and counters of a predecessor over to p, a process freshly built
-// over the predecessor's moved views; old must not be used afterwards. Without
-// it every membership change wipes all in-flight disseminations fleet-wide —
-// under churn that turns steady version movement into mass delivery failure
-// (the chaos harness measures exactly this). Buffered entries keep their
-// carried rate and round, as a received gossip would; a cached profile whose
-// view generation moved is dropped by the next lookup (profileAt).
+// AdoptState hands the gossip buffers with the profiles their entries hold,
+// the seen-set, pending deliveries, counters and round scratch of a
+// predecessor over to p, a process freshly built over the predecessor's moved
+// views; old must not be used afterwards. Without it every membership change
+// wipes all in-flight disseminations fleet-wide — under churn that turns
+// steady version movement into mass delivery failure (the chaos harness
+// measures exactly this). Buffered entries keep their carried rate and round,
+// as a received gossip would; a profile whose view generation moved is
+// recomputed at its entry's next turn (profileOf).
 func (p *Process) AdoptState(old *Process) {
 	if old == nil || len(old.gossips) != p.cfg.D {
 		return
@@ -717,11 +760,9 @@ func (p *Process) Adaptive() AdaptiveStats { return p.adaptive }
 // so the process can be reused across simulation runs without rebuilding
 // views.
 func (p *Process) Reset() {
-	for _, buf := range p.gossips {
+	for i, buf := range p.gossips {
 		clear(buf)
-	}
-	for i := range p.caches {
-		p.caches[i] = depthCache{}
+		p.gossips[i] = buf[:0]
 	}
 	p.matchStats = MatchStats{}
 	p.adaptive = AdaptiveStats{}

@@ -522,7 +522,7 @@ func (s *Service) Apply(u Update) int {
 	if changed > 0 {
 		s.version++
 	}
-	s.markHeardLocked(u.From)
+	s.markHeardLocked(u.From, s.now())
 	return changed
 }
 
@@ -590,7 +590,7 @@ func (s *Service) MakeSummaryDigest() Digest {
 func (s *Service) HandleDigest(d Digest) (upd *Update, gossiperFresher bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.markHeardLocked(d.From)
+	s.markHeardLocked(d.From, s.now())
 	if d.Hash == s.hash && d.Count == s.recordCountLocked() {
 		return nil, false // identical rosters, probe or full
 	}
@@ -770,7 +770,7 @@ func (s *Service) HandleJoinRequest(jr JoinRequest) (reply Update, forward addr.
 		s.version++
 		s.logChangeLocked(s.version, rec)
 	}
-	s.markHeardLocked(jr.Joiner.Addr)
+	s.markHeardLocked(jr.Joiner.Addr, s.now())
 	records := make([]Record, 0, s.recordCountLocked())
 	s.visitLocked(func(_ string, r *Record) {
 		records = append(records, *r)
@@ -842,15 +842,19 @@ func (s *Service) HandleLeave(l Leave) {
 // MarkHeard records life signs from a peer (any protocol message counts,
 // membership or gossip — "every process keeps track of the last time it was
 // contacted").
-func (s *Service) MarkHeard(a addr.Address) {
+func (s *Service) MarkHeard(a addr.Address) { s.MarkHeardAt(a, s.now()) }
+
+// MarkHeardAt is MarkHeard for a caller that already read the clock: the
+// runtime reads it once for a whole batch of received messages.
+func (s *Service) MarkHeardAt(a addr.Address, at time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.markHeardLocked(a)
+	s.markHeardLocked(a, at)
 }
 
-func (s *Service) markHeardLocked(a addr.Address) {
+func (s *Service) markHeardLocked(a addr.Address, at time.Time) {
 	if !a.IsZero() {
-		s.lastHeard[a.Key()] = s.now()
+		s.lastHeard[a.Key()] = at
 		delete(s.suspicion, a.Key())
 	}
 }

@@ -24,6 +24,7 @@ package node
 
 import (
 	"sync"
+	"time"
 
 	"pmcast/internal/addr"
 	"pmcast/internal/event"
@@ -97,7 +98,21 @@ func (n *Node) run() {
 	sweep := n.cfg.Clock.NewTicker(n.cfg.SuspectAfter / 2)
 	defer sweep.Stop()
 
+	// A wake-up on either input queue pumps it: the envelope the select
+	// received, then what else is queued, up to ingressRecvBatch — one trip
+	// through the seven-way select per burst instead of one per envelope, and
+	// bounded, so the tickers and stop are never more than a batch away.
+	var h heard
+	onEnvelope := func(env transport.Envelope) { n.handle(env, &h) }
+	onMsg := func(m protoMsg) {
+		if m.pub != nil {
+			m.pub.errc <- n.applyPublish(m.pub.ev)
+		} else {
+			n.handle(m.env, &h)
+		}
+	}
 	for {
+		h = heard{}
 		select {
 		case <-n.stop:
 			return
@@ -105,15 +120,15 @@ func (n *Node) run() {
 			if !ok {
 				return
 			}
-			n.handle(env)
+			onEnvelope(env)
+			if _, open := pump(inbox, ingressRecvBatch, onEnvelope); !open {
+				return
+			}
 		case <-ingressDone: // nil (never ready) in the serial configuration
 			return // transport closed underneath the node
 		case m := <-n.protoCh: // nil (never ready) in the serial configuration
-			if m.pub != nil {
-				m.pub.errc <- n.applyPublish(m.pub.ev)
-			} else {
-				n.handle(m.env)
-			}
+			onMsg(m)
+			pump(n.protoCh, ingressRecvBatch, onMsg)
 		case <-gossip.C():
 			n.tickGossip()
 		case <-memTick.C():
@@ -127,12 +142,46 @@ func (n *Node) run() {
 // Stage batch widths. egressFlushMax bounds how many queued send jobs one
 // egress worker hands the endpoint per SendMany flush — on the UDP backend
 // that is up to four sendmmsg vectors of 64 — and ingressRecvBatch is how
-// many envelopes one ingress worker pulls per RecvMany wakeup (matching the
-// transport's kernel-side recvmmsg vector plus slack).
+// many envelopes one wake-up moves on the way in: what an ingress worker
+// pulls per RecvMany (four of the UDP backend's 16-datagram recvmmsg
+// vectors, which a burst fills back to back), and what the protocol stage
+// pumps from its queue before it looks at its tickers again.
 const (
 	egressFlushMax   = 256
 	ingressRecvBatch = 64
 )
+
+// pump hands handle the messages queued on ch without blocking — at most
+// limit of them, all that are there when limit is negative — and reports how
+// many it handled and whether ch is still open. It is the one way in for
+// queued input: the live protocol stage pumps a bounded batch per wake-up,
+// step mode (PumpInbox) the whole queue.
+func pump[T any](ch <-chan T, limit int, handle func(T)) (handled int, open bool) {
+	for handled != limit {
+		select {
+		case m, ok := <-ch:
+			if !ok {
+				return handled, false
+			}
+			handle(m)
+			handled++
+		default:
+			return handled, true
+		}
+	}
+	return handled, true
+}
+
+// heard is one pump's liveness bookkeeping. Every envelope is a life sign of
+// its sender, but a pump is one visit to the queue: it reads the clock once,
+// and a run of consecutive envelopes from one sender — the in-memory fabric
+// lands a round envelope's gossips back to back — records the sender once.
+// Under a virtual clock a pump is a single instant, so what the failure
+// detector sees is exactly what one record per envelope left behind.
+type heard struct {
+	at   time.Time
+	from string // key of the sender recorded last; "" before the first
+}
 
 // ingressLoop is one ingress-stage worker: it drains the endpoint —
 // concurrently with its siblings — decodes deferred frames with its own

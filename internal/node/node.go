@@ -634,13 +634,20 @@ func (n *Node) decodeRaw(dec *wire.Decoder, env *transport.Envelope) bool {
 	return true
 }
 
-// handle dispatches one received payload. It runs on the protocol stage (or
-// a step-mode driver): everything it touches is single-writer state.
-func (n *Node) handle(env transport.Envelope) {
+// handle dispatches one received payload within the pump that h belongs to.
+// It runs on the protocol stage (or a step-mode driver): everything it
+// touches is single-writer state.
+func (n *Node) handle(env transport.Envelope, h *heard) {
 	if !n.decodeRaw(n.dec, &env) {
 		return
 	}
-	n.mem.MarkHeard(env.From)
+	if from := env.From.Key(); from != h.from {
+		if h.at.IsZero() {
+			h.at = n.cfg.Clock.Now()
+		}
+		n.mem.MarkHeardAt(env.From, h.at)
+		h.from = from
+	}
 	if n.est != nil {
 		n.observeIncoming(env.From, env.Payload)
 	}
@@ -675,7 +682,7 @@ func (n *Node) handle(env transport.Envelope) {
 	case membership.Leave:
 		n.mem.HandleLeave(msg)
 	case membership.Heartbeat:
-		// Liveness only; the MarkHeard above already recorded the contact.
+		// Liveness only; the pump already recorded the contact.
 	case wire.Batch:
 		// A round envelope from a byte-oriented fabric (the in-memory fabric
 		// unbatches in transit). Sub-messages are processed in the batch's

@@ -29,25 +29,15 @@ import (
 // HandleEnvelope processes one received message synchronously — the
 // ingress-plus-protocol stages of the engine run inline (deferred-decode
 // payloads are unframed with the node's own decoder).
-func (n *Node) HandleEnvelope(env transport.Envelope) { n.handle(env) }
+func (n *Node) HandleEnvelope(env transport.Envelope) { n.handle(env, new(heard)) }
 
 // PumpInbox drains and handles every envelope currently queued on the
-// node's endpoint without blocking, returning how many were processed. A
-// closed endpoint pumps zero.
+// node's endpoint without blocking, returning how many were processed — the
+// live engine's pump without its bound. A closed endpoint pumps zero.
 func (n *Node) PumpInbox() int {
-	handled := 0
-	for {
-		select {
-		case env, ok := <-n.ep.Recv():
-			if !ok {
-				return handled
-			}
-			n.handle(env)
-			handled++
-		default:
-			return handled
-		}
-	}
+	var h heard
+	handled, _ := pump(n.ep.Recv(), -1, func(env transport.Envelope) { n.handle(env, &h) })
+	return handled
 }
 
 // WarmViews folds any pending membership changes into the node's tree views

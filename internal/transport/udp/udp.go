@@ -15,7 +15,7 @@
 //
 // The datapath is kernel-batched on Linux (see batch_linux.go): egress
 // queues handed over via SendMany flush as one sendmmsg vector per 64
-// messages, and the read loop fills a vector of 32 buffers with one recvmmsg
+// messages, and the read loop fills a vector of 16 buffers with one recvmmsg
 // per wakeup. Everywhere else, and under the Config opt-out, the endpoint
 // keeps the portable one-syscall-per-datagram path; behavior is identical
 // either way, only the syscall count changes (Stats reports both sides'
@@ -136,7 +136,7 @@ type Config struct {
 	// endpoint on the one-syscall-per-datagram path every platform has. By
 	// default, where the platform supports it (Linux amd64/arm64), SendMany
 	// flushes its whole queue with sendmmsg — one syscall per 64 datagrams —
-	// and the read loop fills a vector of 32 buffers with one recvmmsg per
+	// and the read loop fills a vector of 16 buffers with one recvmmsg per
 	// wakeup. Single-message Send always uses the portable path; frames and
 	// their per-link order are identical either way.
 	Portable bool
