@@ -308,7 +308,8 @@ func (p *Process) Multicast(ev event.Event) error {
 // Receive implements RECEIVE (Figure 3 line 19). The first reception buffers
 // the gossip at the depth it arrived for and delivers the event when it
 // matches the process's own interests. Duplicates are dropped against the
-// retained seen-set (see DESIGN.md §4.4).
+// retained seen-set, which outlives the buffers and every process rebuild
+// (DESIGN.md "Runtime notes"; bounding it is ROADMAP item 2a).
 func (p *Process) Receive(g Gossip) {
 	if g.Depth < 1 || g.Depth > p.cfg.D {
 		return

@@ -157,54 +157,52 @@ func (a *Assembler) ObserveSource(id event.ID, body []byte) []Recovered {
 	return out
 }
 
-// ObserveRepair folds one repair symbol into its generation, creating the
-// partial generation on first sight, and returns any recoveries it
-// unlocked. Malformed repairs are dropped silently — the wire layer has
-// already charged the sender for them.
-func (a *Assembler) ObserveRepair(from string, rp Repair) []Recovered {
+// ObserveRepair folds one repair symbol of generation gen (its header; the
+// symbols gen itself lists are not read) into the pending generation,
+// creating it on first sight, and returns any recoveries it unlocked.
+// Malformed repairs are dropped silently — the wire layer has already charged
+// the sender for them.
+func (a *Assembler) ObserveRepair(from string, gen Generation, rs RepairSymbol) []Recovered {
 	a.stats.RepairsReceived++
-	if rp.K < 1 || rp.R < 1 || rp.K+rp.R > MaxSymbols ||
-		rp.Index < 0 || rp.Index >= rp.R ||
-		rp.SymLen < 1 || rp.SymLen > maxSymbolLen ||
-		len(rp.IDs) != rp.K || len(rp.Meta) != rp.K || len(rp.Data) != rp.SymLen {
+	if gen.K < 1 || gen.R < 1 || gen.K+gen.R > MaxSymbols ||
+		rs.Index < 0 || rs.Index >= gen.R ||
+		gen.SymLen < 1 || gen.SymLen > maxSymbolLen ||
+		len(gen.IDs) != gen.K || len(gen.Meta) != gen.K || len(rs.Data) != gen.SymLen {
 		a.stats.Corrupt++
 		return nil
 	}
 	s := a.sender(from)
-	if s == nil {
+	if s.done[gen.Gen] {
 		return nil
 	}
-	if s.done[rp.Gen] {
-		return nil
-	}
-	g := s.gens[rp.Gen]
+	g := s.gens[gen.Gen]
 	if g == nil {
 		if len(s.genOrder) >= maxGens {
 			a.evictOldestGen(s)
 		}
 		g = &pendingGen{
-			k:       rp.K,
-			r:       rp.R,
-			symLen:  rp.SymLen,
-			ids:     append([]event.ID(nil), rp.IDs...),
-			meta:    append([]Meta(nil), rp.Meta...),
-			srcHave: make([][]byte, rp.K),
+			k:       gen.K,
+			r:       gen.R,
+			symLen:  gen.SymLen,
+			ids:     append([]event.ID(nil), gen.IDs...),
+			meta:    append([]Meta(nil), gen.Meta...),
+			srcHave: make([][]byte, gen.K),
 			born:    a.round,
 		}
-		s.gens[rp.Gen] = g
-		s.genOrder = append(s.genOrder, rp.Gen)
+		s.gens[gen.Gen] = g
+		s.genOrder = append(s.genOrder, gen.Gen)
 		a.fillSources(g)
-	} else if g.k != rp.K || g.r != rp.R || g.symLen != rp.SymLen {
+	} else if g.k != gen.K || g.r != gen.R || g.symLen != gen.SymLen {
 		a.stats.Corrupt++
 		return nil
 	}
 	for _, have := range g.reps {
-		if have.Index == rp.Index {
-			return a.tryComplete(s, rp.Gen, g)
+		if have.Index == rs.Index {
+			return a.tryComplete(s, gen.Gen, g)
 		}
 	}
-	g.reps = append(g.reps, RepairSymbol{Index: rp.Index, Data: rp.Data})
-	return a.tryComplete(s, rp.Gen, g)
+	g.reps = append(g.reps, rs)
+	return a.tryComplete(s, gen.Gen, g)
 }
 
 // Sweep advances the assembler's round clock: generations older than

@@ -178,8 +178,8 @@ func TestEncoderAssemblerRecovery(t *testing.T) {
 			}
 			rec = append(rec, asm.ObserveSource(src.ID, src.Body)...)
 		}
-		for _, rp := range g.Split() {
-			rec = append(rec, asm.ObserveRepair("s", rp)...)
+		for _, rs := range g.Repairs {
+			rec = append(rec, asm.ObserveRepair("s", g, rs)...)
 		}
 		if len(rec) != len(lost) {
 			t.Fatalf("(%d,%d): recovered %d, lost %d", k, r, len(rec), len(lost))
@@ -233,7 +233,7 @@ func TestAssemblerRepairFirst(t *testing.T) {
 	g := enc.Encode(srcs)[0]
 
 	asm := NewAssembler()
-	if rec := asm.ObserveRepair("s", g.Split()[0]); rec != nil {
+	if rec := asm.ObserveRepair("s", g, g.Repairs[0]); rec != nil {
 		t.Fatalf("premature recovery: %v", rec)
 	}
 	if rec := asm.ObserveSource(srcs[0].ID, srcs[0].Body); rec != nil {
@@ -254,7 +254,7 @@ func TestAssemblerSweepExpires(t *testing.T) {
 	g := enc.Encode(makeSources(rng, 3))[0]
 
 	asm := NewAssembler()
-	asm.ObserveRepair("s", g.Split()[0])
+	asm.ObserveRepair("s", g, g.Repairs[0])
 	for i := 0; i < genTTL; i++ {
 		asm.Sweep()
 	}
@@ -267,17 +267,18 @@ func TestAssemblerSweepExpires(t *testing.T) {
 // assembler; none may produce a recovery or panic.
 func TestAssemblerRejectsMalformed(t *testing.T) {
 	asm := NewAssembler()
-	bad := []Repair{
-		{K: 0, R: 1, SymLen: 4, Index: 0, Data: make([]byte, 4)},
-		{K: 2, R: 0, SymLen: 4, Index: 0, IDs: make([]event.ID, 2), Meta: make([]Meta, 2), Data: make([]byte, 4)},
-		{K: 2, R: 1, SymLen: 4, Index: 1, IDs: make([]event.ID, 2), Meta: make([]Meta, 2), Data: make([]byte, 4)},
-		{K: 2, R: 1, SymLen: 4, Index: 0, IDs: make([]event.ID, 1), Meta: make([]Meta, 1), Data: make([]byte, 4)},
-		{K: 2, R: 1, SymLen: 4, Index: 0, IDs: make([]event.ID, 2), Meta: make([]Meta, 1), Data: make([]byte, 4)},
-		{K: 2, R: 1, SymLen: 4, Index: 0, IDs: make([]event.ID, 2), Meta: make([]Meta, 2), Data: make([]byte, 3)},
-		{K: 200, R: 100, SymLen: 4, Index: 0, IDs: make([]event.ID, 200), Meta: make([]Meta, 200), Data: make([]byte, 4)},
+	sym := func(index, n int) []RepairSymbol { return []RepairSymbol{{Index: index, Data: make([]byte, n)}} }
+	bad := []Generation{
+		{K: 0, R: 1, SymLen: 4, Repairs: sym(0, 4)},
+		{K: 2, R: 0, SymLen: 4, IDs: make([]event.ID, 2), Meta: make([]Meta, 2), Repairs: sym(0, 4)},
+		{K: 2, R: 1, SymLen: 4, IDs: make([]event.ID, 2), Meta: make([]Meta, 2), Repairs: sym(1, 4)},
+		{K: 2, R: 1, SymLen: 4, IDs: make([]event.ID, 1), Meta: make([]Meta, 1), Repairs: sym(0, 4)},
+		{K: 2, R: 1, SymLen: 4, IDs: make([]event.ID, 2), Meta: make([]Meta, 1), Repairs: sym(0, 4)},
+		{K: 2, R: 1, SymLen: 4, IDs: make([]event.ID, 2), Meta: make([]Meta, 2), Repairs: sym(0, 3)},
+		{K: 200, R: 100, SymLen: 4, IDs: make([]event.ID, 200), Meta: make([]Meta, 200), Repairs: sym(0, 4)},
 	}
-	for i, rp := range bad {
-		if rec := asm.ObserveRepair("s", rp); rec != nil {
+	for i, g := range bad {
+		if rec := asm.ObserveRepair("s", g, g.Repairs[0]); rec != nil {
 			t.Fatalf("malformed repair %d produced a recovery", i)
 		}
 	}
@@ -382,7 +383,7 @@ func TestEncoderAccumulatesAcrossRounds(t *testing.T) {
 	for i := 0; i < 3; i++ { // source 3 lost
 		asm.ObserveSource(srcs[i].ID, srcs[i].Body)
 	}
-	rec := asm.ObserveRepair("n", g.Split()[0])
+	rec := asm.ObserveRepair("n", g, g.Repairs[0])
 	if len(rec) != 1 || rec[0].ID != srcs[3].ID || !bytes.Equal(rec[0].Body, srcs[3].Body) {
 		t.Fatalf("accumulated generation did not recover the lost source: %v", rec)
 	}

@@ -66,12 +66,12 @@ func FuzzFECRoundTrip(f *testing.F) {
 			rec = append(rec, asm.ObserveSource(srcs[i].ID, srcs[i].Body)...)
 		}
 		repairsDelivered := 0
-		for j, rp := range g.Split() {
+		for j, rs := range g.Repairs {
 			if mask&(1<<(k+j)) != 0 {
 				continue
 			}
 			repairsDelivered++
-			rec = append(rec, asm.ObserveRepair("s", rp)...)
+			rec = append(rec, asm.ObserveRepair("s", g, rs)...)
 		}
 
 		for _, rv := range rec {

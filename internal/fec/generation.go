@@ -76,31 +76,6 @@ type Generation struct {
 	Repairs []RepairSymbol
 }
 
-// Repair is one repair symbol flattened for transit through fabrics that
-// unbatch envelopes: the generation header plus a single symbol, so loss
-// can be drawn per symbol.
-type Repair struct {
-	Gen    uint64
-	K      int
-	R      int
-	SymLen int
-	IDs    []event.ID
-	Meta   []Meta
-	Index  int
-	Data   []byte
-}
-
-// Split flattens the generation into per-symbol Repair values sharing the
-// header (IDs and Meta are aliased, not copied).
-func (g Generation) Split() []Repair {
-	out := make([]Repair, len(g.Repairs))
-	for i, rs := range g.Repairs {
-		out[i] = Repair{Gen: g.Gen, K: g.K, R: g.R, SymLen: g.SymLen,
-			IDs: g.IDs, Meta: g.Meta, Index: rs.Index, Data: rs.Data}
-	}
-	return out
-}
-
 // RepairBytes sums the repair payload bytes carried by the generation.
 func (g Generation) RepairBytes() int {
 	n := 0

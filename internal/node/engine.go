@@ -174,10 +174,12 @@ func pump[T any](ch <-chan T, limit int, handle func(T)) (handled int, open bool
 
 // heard is one pump's liveness bookkeeping. Every envelope is a life sign of
 // its sender, but a pump is one visit to the queue: it reads the clock once,
-// and a run of consecutive envelopes from one sender — the in-memory fabric
-// lands a round envelope's gossips back to back — records the sender once.
-// Under a virtual clock a pump is a single instant, so what the failure
-// detector sees is exactly what one record per envelope left behind.
+// and a run of consecutive envelopes from one sender — a round envelope with
+// the repair-only flush or the membership beacon the sender ticked behind it,
+// the chunks of a round envelope the UDP fabric split at the MTU — records
+// the sender once (a record per envelope was measured and costs more, ROADMAP
+// item 5e). Under a virtual clock a pump is a single instant, so what the
+// failure detector sees is exactly what one record per envelope left behind.
 type heard struct {
 	at   time.Time
 	from string // key of the sender recorded last; "" before the first

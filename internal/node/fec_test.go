@@ -60,19 +60,19 @@ func TestFECRecoversWithheldGossip(t *testing.T) {
 		t.Fatalf("generations = %d, want 1", len(gens))
 	}
 
-	// Deliver three of the four sources (index 1 is "lost in transit"),
-	// exactly as the unbatching fabric would: one envelope per sub-message.
-	for i, g := range gossips {
-		if i == 1 {
-			continue
-		}
-		n.HandleEnvelope(transport.Envelope{From: sender, To: n.Addr(), Payload: g})
-	}
+	// Deliver three of the four sources (index 1 is "lost in transit") as the
+	// round envelope a lossy link leaves of them.
+	survivors := append(append([]core.Gossip(nil), gossips[:1]...), gossips[2:]...)
+	n.HandleEnvelope(transport.Envelope{From: sender, To: n.Addr(), Payload: wire.Batch{Gossips: survivors}})
 	if st := n.FECStats(); st.Recovered != 0 {
 		t.Fatalf("recovered %d before any repair arrived", st.Recovered)
 	}
-	// One repair symbol closes the generation: 3 sources + 1 repair = k.
-	n.HandleEnvelope(transport.Envelope{From: sender, To: n.Addr(), Payload: gens[0].Split()[0]})
+	// One repair symbol closes the generation: 3 sources + 1 repair = k. It
+	// arrives the way the backstop flush sends one, in a repair-only envelope.
+	repair := gens[0]
+	repair.Repairs = repair.Repairs[:1]
+	repairOnly := transport.Envelope{From: sender, To: n.Addr(), Payload: wire.Batch{FEC: []fec.Generation{repair}}}
+	n.HandleEnvelope(repairOnly)
 
 	// The recovery waits out its revival delay: if the real wave had
 	// delivered the event meanwhile, the revival would cancel as a
@@ -105,7 +105,7 @@ func TestFECRecoversWithheldGossip(t *testing.T) {
 	}
 
 	// A duplicate of the same repair must not re-recover anything.
-	n.HandleEnvelope(transport.Envelope{From: sender, To: n.Addr(), Payload: gens[0].Split()[0]})
+	n.HandleEnvelope(repairOnly)
 	if st := n.FECStats(); st.Recovered != 1 {
 		t.Fatalf("duplicate repair re-recovered: %+v", st)
 	}

@@ -169,9 +169,9 @@ type LossEstStats struct {
 // stampOutgoing charges an outgoing payload to the destination's sent
 // counter and stamps any digest/heartbeat beacon it carries with the
 // cumulative count at that sub-message's position in the batch's canonical
-// order (gossips, repairs, update, digest, heartbeat) — the same order a
-// decomposing fabric delivers them, so a lossless link's receive counter
-// reads exactly the beacon value when the beacon arrives. Beacon-carrying
+// order (gossips, repairs, update, digest, heartbeat) — the order the
+// receiver counts an envelope's parts in, so a lossless link's receive counter
+// reads exactly the beacon value when it reaches the beacon. Beacon-carrying
 // payloads are copied before stamping: egress workers encode asynchronously
 // and the membership layer's pointers may be shared.
 func (n *Node) stampOutgoing(to addr.Address, payload any) any {
@@ -179,10 +179,7 @@ func (n *Node) stampOutgoing(to addr.Address, payload any) any {
 	switch m := payload.(type) {
 	case wire.Batch:
 		base := n.est.advanceOut(key, m.Parts())
-		pos := uint32(len(m.Gossips))
-		for _, g := range m.FEC {
-			pos += uint32(len(g.Repairs))
-		}
+		pos := uint32(len(m.Gossips) + m.Repairs())
 		if m.Update != nil {
 			pos++
 		}
@@ -214,17 +211,15 @@ func (n *Node) stampOutgoing(to addr.Address, payload any) any {
 // observeIncoming counts one received payload's sub-messages and folds any
 // beacon it carries. Inside a batch the counting is positional: each beacon
 // compares against the receive counter as of its own canonical slot, not the
-// whole envelope. A zero Sent is "no beacon" — the sender isn't running an
-// estimator (the wire zero value).
+// whole envelope — over the parts that arrived, since a lossy fabric hands
+// over an envelope's survivors. A zero Sent is "no beacon" — the sender isn't
+// running an estimator (the wire zero value).
 func (n *Node) observeIncoming(from addr.Address, payload any) {
 	key := from.Key()
 	switch m := payload.(type) {
 	case wire.Batch:
 		counted := 0
-		prefix := len(m.Gossips)
-		for _, g := range m.FEC {
-			prefix += len(g.Repairs)
-		}
+		prefix := len(m.Gossips) + m.Repairs()
 		if m.Update != nil {
 			prefix++
 		}

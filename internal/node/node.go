@@ -653,21 +653,10 @@ func (n *Node) handle(env transport.Envelope, h *heard) {
 	}
 	switch msg := env.Payload.(type) {
 	case core.Gossip:
-		n.handleGossip(msg)
-		if n.fasm != nil {
-			// Feed the coding layer the canonical bytes of what arrived, so
-			// any pending generation listing the event can count it as a
-			// source symbol (the in-memory fabric delivers coded rounds
-			// unbatched: gossips and repairs as separate envelopes).
-			n.observeSourceFEC(msg)
-		}
-	case fec.Repair:
-		if n.fasm != nil {
-			n.fecMu.Lock()
-			recs := n.fasm.ObserveRepair(env.From.Key(), msg)
-			n.fecMu.Unlock()
-			n.acceptRecoveredFEC(recs)
-		}
+		// A round envelope of one gossip travels bare (tickGossip).
+		n.handleRound(env.From, wire.Batch{Gossips: []core.Gossip{msg}})
+	case wire.Batch:
+		n.handleRound(env.From, msg)
 	case membership.Digest:
 		n.handleDigest(env.From, msg)
 	case membership.Update:
@@ -683,30 +672,36 @@ func (n *Node) handle(env transport.Envelope, h *heard) {
 		n.mem.HandleLeave(msg)
 	case membership.Heartbeat:
 		// Liveness only; the pump already recorded the contact.
-	case wire.Batch:
-		// A round envelope from a byte-oriented fabric (the in-memory fabric
-		// unbatches in transit). Sub-messages are processed in the batch's
-		// canonical order: gossips, repairs, update, digest, heartbeat.
-		n.handleGossipBatch(msg.Gossips)
-		if n.fasm != nil {
-			for _, g := range msg.Gossips {
-				n.observeSourceFEC(g)
+	}
+}
+
+// handleRound processes one round envelope — the same value on every fabric —
+// in the batch's canonical order: gossips, repairs, update, digest, heartbeat
+// (liveness only, recorded by the pump).
+func (n *Node) handleRound(from addr.Address, b wire.Batch) {
+	n.handleGossipBatch(b.Gossips)
+	if n.fasm != nil {
+		// Feed the coding layer the canonical bytes of what arrived, so any
+		// pending generation listing an event can count it as a source symbol,
+		// then the repair symbols, one at a time: a recovery one unlocks is a
+		// source for the generations after it.
+		for _, g := range b.Gossips {
+			n.observeSourceFEC(g)
+		}
+		for _, gen := range b.FEC {
+			for _, rs := range gen.Repairs {
+				n.fecMu.Lock()
+				recs := n.fasm.ObserveRepair(from.Key(), gen, rs)
+				n.fecMu.Unlock()
+				n.acceptRecoveredFEC(recs)
 			}
-			for _, gen := range msg.FEC {
-				for _, rp := range gen.Split() {
-					n.fecMu.Lock()
-					recs := n.fasm.ObserveRepair(env.From.Key(), rp)
-					n.fecMu.Unlock()
-					n.acceptRecoveredFEC(recs)
-				}
-			}
 		}
-		if msg.Update != nil {
-			n.mem.Apply(*msg.Update)
-		}
-		if msg.Digest != nil {
-			n.handleDigest(env.From, *msg.Digest)
-		}
+	}
+	if b.Update != nil {
+		n.mem.Apply(*b.Update)
+	}
+	if b.Digest != nil {
+		n.handleDigest(from, *b.Digest)
 	}
 }
 
@@ -731,21 +726,9 @@ func (n *Node) handleDigest(from addr.Address, d membership.Digest) {
 	}
 }
 
-func (n *Node) handleGossip(g core.Gossip) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.proc.HasSeen(g.Event.ID()) {
-		return
-	}
-	if err := n.rebuildIfStaleLocked(); err != nil {
-		return
-	}
-	n.proc.Receive(g)
-	n.drainDeliveriesLocked()
-}
-
-// handleGossipBatch processes a round envelope's gossip section under one
-// lock acquisition and one staleness check — the receive-side half of the
+// handleGossipBatch is the one way a gossip enters the protocol: a round
+// envelope's gossip section (a revived recovery is a section of one), under
+// one lock acquisition and one staleness check — the receive-side half of the
 // batched pipeline.
 func (n *Node) handleGossipBatch(gs []core.Gossip) {
 	if len(gs) == 0 {
@@ -833,9 +816,9 @@ func (n *Node) acceptRecoveredFEC(recs []fec.Recovered) {
 }
 
 // reviveRecoveredFEC runs once per gossip round on the protocol stage:
-// revival candidates whose delay has elapsed re-enter through handleGossip,
-// whose seen-set check is the cancellation — an event the real wave
-// delivered meanwhile is a duplicate and the revival is a no-op.
+// revival candidates whose delay has elapsed re-enter through
+// handleGossipBatch, whose seen-set check is the cancellation — an event the
+// real wave delivered meanwhile is a duplicate and the revival is a no-op.
 func (n *Node) reviveRecoveredFEC() {
 	n.fecReviveTick++
 	if len(n.fecRevive) == 0 {
@@ -847,7 +830,7 @@ func (n *Node) reviveRecoveredFEC() {
 			keep = append(keep, rv)
 			continue
 		}
-		n.handleGossip(rv.g)
+		n.handleGossipBatch([]core.Gossip{rv.g})
 	}
 	n.fecRevive = keep
 	// Drop the processed tail so retained event references can be collected.

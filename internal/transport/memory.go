@@ -16,7 +16,6 @@ import (
 
 	"pmcast/internal/addr"
 	"pmcast/internal/clock"
-	"pmcast/internal/fec"
 	"pmcast/internal/wire"
 )
 
@@ -100,18 +99,18 @@ type Config struct {
 	// Link layers bursty (Gilbert–Elliott) loss and latency jitter on the
 	// link; the zero value disables it with zero extra RNG draws.
 	Link LinkModel
-	// QueueLen is each endpoint's inbox capacity (default 1024); overflow
-	// drops messages, mirroring UDP socket buffers.
+	// QueueLen is each endpoint's inbox capacity in envelopes (default 1024),
+	// as a socket buffer counts datagrams; overflow drops the envelope,
+	// charged per sub-message.
 	QueueLen int
 	// Seed seeds the fault RNGs. Every directed link draws loss and delay
 	// from its own seed-derived stream — common random numbers, in
 	// simulation terms — so fault outcomes depend only on a link's own
-	// traffic, not on how traffic to other links is interleaved or
-	// enveloped. That is what makes a batched and an unbatched run of the
-	// same campaign fault-equivalent (see the harness equivalence test).
-	// Seed 0 selects its own dedicated stream constant, distinct from every
-	// explicit seed, so sweeps that iterate from 0 never duplicate a
-	// campaign.
+	// traffic, not on how traffic to other links is interleaved: a campaign
+	// replays at any worker count, and two runs that differ in one protocol
+	// knob diverge only where the protocol does. Seed 0 selects its own
+	// dedicated stream constant, distinct from every explicit seed, so sweeps
+	// that iterate from 0 never duplicate a campaign.
 	Seed int64
 	// Tap, when set, observes every routed payload before fault injection —
 	// whole round envelopes included, exactly as a byte-oriented fabric
@@ -127,9 +126,10 @@ type Config struct {
 // Network is the shared in-memory fabric. Endpoints attach under their
 // address; sends route by address. All methods are safe for concurrent use.
 //
-// A round envelope (wire.Batch) is one datagram whose constituent messages
-// are unbatched in transit, so batching stays a measurable, behavior-preserving
-// aggregation of the same messages sent unbatched; route has the fault model.
+// A round envelope (wire.Batch) is one datagram: one Send queues at most one
+// Envelope on the destination, as on UDP. Faults are per sub-message — each
+// part draws its own loss, and what the link lost is gone from the envelope
+// that lands; route has the fault model.
 type Network struct {
 	clk clock.Clock
 
@@ -168,7 +168,7 @@ type Network struct {
 type OwnedScheduler interface {
 	// AfterFuncOwned schedules f, d from now, as work of the process at owner.
 	AfterFuncOwned(owner addr.Address, d time.Duration, f func()) clock.Timer
-	// HandedOff reports that a zero-delay send just queued envelopes on
+	// HandedOff reports that a zero-delay send just queued an envelope on
 	// owner's inbox.
 	HandedOff(owner addr.Address)
 }
@@ -405,8 +405,8 @@ func (n *Network) Heal() {
 	n.blocked = make(map[link]bool)
 }
 
-// Dropped returns the number of messages lost so far (loss, partitions,
-// overflow and unknown destinations).
+// Dropped returns the number of sub-messages lost so far (loss, partitions,
+// overflow, unknown and detached destinations).
 func (n *Network) Dropped() int {
 	return int(n.dropped.Load())
 }
@@ -418,15 +418,23 @@ func (n *Network) Size() int {
 	return len(n.endpoints)
 }
 
-// route delivers one payload subject to faults. A bare payload is a round
-// envelope of one part, so one loop decides every sub-message's fate: each
-// part draws its own loss from the link — the draws, in the order, the same
-// messages sent unbatched would have made — and the survivors draw one delay
-// (per-message delays would let them land reordered) and land together, as
-// their own envelopes, in the batch's canonical order. Drops count per
-// sub-message on every path, so batched and unbatched runs of the same
-// traffic report the same count. Only ErrUnknownAddr, which a sender can act
-// on, is returned — faults are silent, as on a real network.
+// parts is how many sub-messages a payload carries — a bare payload is a round
+// envelope of one part — which is what a drop is charged, on every path.
+func parts(payload any) int {
+	if b, ok := payload.(wire.Batch); ok {
+		return b.Parts()
+	}
+	return 1
+}
+
+// route delivers one payload subject to faults, as one envelope. Each
+// sub-message draws its own loss from the link, in the round envelope's
+// canonical order; the survivors draw one delay and land together — the
+// sender's own wire.Batch value when nothing was lost, a filtered copy
+// otherwise (wire.Batch.Surviving), no envelope when nothing is left. A bare
+// payload is a round envelope of one part and arrives bare. Only
+// ErrUnknownAddr, which a sender can act on, is returned — faults are silent,
+// as on a real network.
 //
 // Only configured knobs cost anything: partition rules are consulted when
 // there are any, link state (under the sender's table mutex) when Loss, the
@@ -444,15 +452,10 @@ func (n *Network) route(e *memEndpoint, to addr.Address, payload any) error {
 	if n.cfg.Tap != nil {
 		n.cfg.Tap(from, to, payload)
 	}
-	b, isBatch := payload.(wire.Batch)
 	toKey := to.Key()
 	dst, known := n.endpoints[toKey]
 	if !known || (len(n.blocked) > 0 && n.blocked[link{from.Key(), toKey}]) {
-		parts := 1
-		if isBatch {
-			parts = b.Parts()
-		}
-		n.dropped.Add(int64(parts))
+		n.dropped.Add(int64(parts(payload)))
 		n.mu.RUnlock()
 		if !known {
 			return fmt.Errorf("%w: %s", ErrUnknownAddr, to)
@@ -466,58 +469,57 @@ func (n *Network) route(e *memEndpoint, to addr.Address, payload any) error {
 		e.links.mu.Lock()
 		st = e.links.state(n.seedMix, toKey)
 	}
-	// Repair symbols are extra traffic a coded run adds to the gossips an
-	// uncoded run sends; their own stream keeps the source messages' draws
-	// identical to the uncoded run's (common random numbers, extended to the
-	// coding layer), so an r>0 campaign diverges from its r=0 twin only where
-	// the protocol does. For the same reason the delay comes from the main
-	// stream exactly when a main-stream part survived: that stream's
-	// consumption is a pure function of the link's non-repair traffic.
-	var buf [16]any // keeps the common zero-delay hand-off allocation-free
-	survivors := buf[:0]
-	mainSurvived := false
-	part := func(sub any) {
-		_, isRepair := sub.(fec.Repair)
-		if lossy {
+	b, isBatch := payload.(wire.Batch)
+	left := parts(payload) // sub-messages still in the envelope
+	if lossy {
+		// Repair symbols are extra traffic a coded run adds to the gossips an
+		// uncoded run sends; their own stream keeps the source messages' draws
+		// identical to the uncoded run's (common random numbers, extended to
+		// the coding layer), so an r>0 campaign diverges from its r=0 twin only
+		// where the protocol does.
+		lost := 0
+		fate := func(repair bool) bool {
 			s := &st.main
-			if isRepair {
+			if repair {
 				s = &st.repair
 			}
-			if n.lost(s) {
-				n.dropped.Add(1) // silent loss
-				return
+			if !n.lost(s) {
+				return false
 			}
+			lost++
+			return true
 		}
-		if !isRepair {
-			mainSurvived = true
+		if !isBatch {
+			fate(false)
+		} else if b = b.Surviving(fate); lost > 0 {
+			payload = b // boxed anew only when the envelope changed
 		}
-		survivors = append(survivors, sub)
-	}
-	if isBatch {
-		b.Each(part)
-	} else {
-		part(payload)
+		if lost > 0 {
+			n.dropped.Add(int64(lost)) // silent loss
+			left -= lost
+		}
 	}
 	var delay time.Duration
-	if delayed && len(survivors) > 0 {
+	if delayed && left > 0 {
+		// The delay comes from the main stream exactly when a main-stream
+		// part survived, so that stream's consumption stays a pure function
+		// of the link's non-repair traffic (see the repair stream above).
 		s := &st.main
-		if !mainSurvived {
+		if isBatch && left == b.Repairs() {
 			s = &st.repair
 		}
 		delay = n.delay(s)
 	}
 	if delay > 0 {
-		n.schedule(e, st, dst, delay, append([]any(nil), survivors...))
+		n.schedule(e, st, dst, delay, payload)
 	}
 	if st != nil {
 		e.links.mu.Unlock()
 	}
 	owned := e.owned
 	n.mu.RUnlock()
-	if delay == 0 && len(survivors) > 0 {
-		for _, sub := range survivors {
-			n.deliver(dst, Envelope{From: from, To: to, Payload: sub})
-		}
+	if delay == 0 && left > 0 {
+		n.deliver(dst, Envelope{From: from, To: to, Payload: payload})
 		if owned != nil {
 			owned.HandedOff(to)
 		}
@@ -573,7 +575,7 @@ func (n *Network) delay(rng *linkStream) time.Duration {
 	return d
 }
 
-// schedule registers one delayed delivery of subs (in order) on the link,
+// schedule registers one delayed delivery of the envelope on the link,
 // clamped to the per-link FIFO floor: it never lands before an earlier
 // delayed delivery on the same directed link. The timer is registered under
 // timersMu and the callback takes timersMu first, so it cannot observe the
@@ -584,7 +586,7 @@ func (n *Network) delay(rng *linkStream) time.Duration {
 // endpoint's clock, when set, both reads now and schedules — the harness
 // points it at the sender's node clock, whose OwnedScheduler implementation
 // turns the delivery into an event owned by the destination.
-func (n *Network) schedule(e *memEndpoint, st *linkState, dst *memEndpoint, delay time.Duration, subs []any) {
+func (n *Network) schedule(e *memEndpoint, st *linkState, dst *memEndpoint, delay time.Duration, payload any) {
 	clk := e.clk
 	if clk == nil {
 		clk = n.clk
@@ -603,9 +605,7 @@ func (n *Network) schedule(e *memEndpoint, st *linkState, dst *memEndpoint, dela
 		delete(n.timers, timer)
 		n.timersMu.Unlock()
 		if live {
-			for _, sub := range subs {
-				n.deliver(dst, Envelope{From: e.addr, To: dst.addr, Payload: sub})
-			}
+			n.deliver(dst, Envelope{From: e.addr, To: dst.addr, Payload: payload})
 		}
 	}
 	n.timersMu.Lock()
@@ -618,18 +618,19 @@ func (n *Network) schedule(e *memEndpoint, st *linkState, dst *memEndpoint, dela
 	n.timersMu.Unlock()
 }
 
+// deliver queues one envelope on the destination's inbox; a full inbox or a
+// closed destination drops it, charged per sub-message like every other drop.
 func (n *Network) deliver(dst *memEndpoint, env Envelope) {
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
-	if dst.closed {
-		n.dropped.Add(1)
-		return
+	if !dst.closed {
+		select {
+		case dst.in <- env:
+			return
+		default: // queue overflow
+		}
 	}
-	select {
-	case dst.in <- env:
-	default:
-		n.dropped.Add(1) // queue overflow
-	}
+	n.dropped.Add(int64(parts(env.Payload)))
 }
 
 // memEndpoint is one attached process's interface to the in-memory fabric.

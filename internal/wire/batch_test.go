@@ -82,24 +82,68 @@ func TestBatchGossipsOnlyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchEachVisitsCanonicalOrder(t *testing.T) {
-	b := fullBatch()
-	var kinds []string
-	b.Each(func(payload any) {
-		kinds = append(kinds, fmt.Sprintf("%T", payload))
-	})
-	want := []string{
-		"core.Gossip", "core.Gossip", "core.Gossip",
-		"membership.Update", "membership.Digest", "membership.Heartbeat",
+// partNames lists a batch's sub-messages in canonical order, each under a
+// name that tells it from its neighbours.
+func partNames(b Batch) []string {
+	var names []string
+	for _, g := range b.Gossips {
+		names = append(names, fmt.Sprintf("gossip %d", g.Event.ID().Seq))
 	}
-	if len(kinds) != len(want) {
-		t.Fatalf("parts = %v", kinds)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Errorf("part %d = %s, want %s", i, kinds[i], want[i])
+	for _, gen := range b.FEC {
+		for _, rs := range gen.Repairs {
+			names = append(names, fmt.Sprintf("repair %d.%d", gen.Gen, rs.Index))
 		}
 	}
+	if b.Update != nil {
+		names = append(names, "update")
+	}
+	if b.Digest != nil {
+		names = append(names, "digest")
+	}
+	if b.Heartbeat != nil {
+		names = append(names, "heartbeat")
+	}
+	return names
+}
+
+// checkSurvivingOrder pins the order Surviving asks fates in — the order a
+// lossy link spends its draws in: one question per part, repair says which
+// are repair symbols, and losing the i-th answer removes the i-th part of the
+// canonical order and nothing else.
+func checkSurvivingOrder(t *testing.T, b Batch, repair []bool) {
+	t.Helper()
+	names := partNames(b)
+	if got := b.Parts(); got != len(names) || len(repair) != len(names) {
+		t.Fatalf("Parts = %d, %d names, %d flags", got, len(names), len(repair))
+	}
+	for lose := range names {
+		var asked []bool
+		kept := b.Surviving(func(isRepair bool) bool {
+			asked = append(asked, isRepair)
+			return len(asked)-1 == lose
+		})
+		if fmt.Sprint(asked) != fmt.Sprint(repair) {
+			t.Fatalf("fates asked as %v, want %v", asked, repair)
+		}
+		want := append(append([]string(nil), names[:lose]...), names[lose+1:]...)
+		if got := partNames(kept); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("losing part %d (%s) left %v", lose, names[lose], got)
+		}
+		if got := kept.Parts(); got != len(want) {
+			t.Errorf("losing part %d: Parts = %d, want %d", lose, got, len(want))
+		}
+	}
+	if got := partNames(b); fmt.Sprint(got) != fmt.Sprint(names) {
+		t.Errorf("Surviving changed its input: %v, was %v", got, names)
+	}
+}
+
+func TestSurvivingAsksCanonicalOrder(t *testing.T) {
+	b := fullBatch()
+	if got, want := partNames(b), "[gossip 1 gossip 2 gossip 3 update digest heartbeat]"; fmt.Sprint(got) != want {
+		t.Fatalf("parts = %v, want %s", got, want)
+	}
+	checkSurvivingOrder(t, b, make([]bool, 6))
 }
 
 func TestEncodedSizeMatchesEncoding(t *testing.T) {

@@ -93,33 +93,130 @@ func TestCodedBatchEncodedSizeMatches(t *testing.T) {
 	}
 }
 
-// TestCodedBatchEachOrder pins the canonical decomposition: gossips first,
-// then one fec.Repair per repair symbol, then the membership payloads.
-func TestCodedBatchEachOrder(t *testing.T) {
+// TestCodedSurvivingOrder pins where repair symbols sit in the canonical
+// order — after the gossips they protect, before the membership payloads,
+// each one asked about on its own — and what a lossy link leaves of a
+// generation: its header with the symbols that survived, or nothing.
+func TestCodedSurvivingOrder(t *testing.T) {
 	b := codedFullBatch(t, 5, 4, 2)
-	var kinds []string
-	repairs := 0
-	b.Each(func(payload any) {
-		kinds = append(kinds, fmt.Sprintf("%T", payload))
-		if rp, ok := payload.(fec.Repair); ok {
-			repairs++
-			if rp.K < 1 || rp.SymLen != len(rp.Data) || len(rp.IDs) != rp.K || len(rp.Meta) != rp.K {
-				t.Fatalf("malformed flattened repair: %+v", rp)
+	repair := []bool{
+		false, false, false, false, false,
+		true, true, true, true,
+		false, false, false,
+	}
+	checkSurvivingOrder(t, b, repair)
+
+	// The first generation loses one symbol, the second both.
+	asked := 0
+	kept := b.Surviving(func(isRepair bool) bool {
+		asked++
+		return isRepair && asked != 6
+	})
+	if len(kept.FEC) != 1 || len(kept.FEC[0].Repairs) != 1 {
+		t.Fatalf("kept generations %+v, want the first with one symbol", kept.FEC)
+	}
+	g, was := kept.FEC[0], b.FEC[0]
+	g.Repairs, was.Repairs = nil, nil
+	if err := sameFEC([]fec.Generation{g}, []fec.Generation{was}); err != nil {
+		t.Errorf("surviving generation lost its header: %v", err)
+	}
+	if len(b.FEC) != 2 || len(b.FEC[0].Repairs) != 2 || len(b.FEC[1].Repairs) != 2 {
+		t.Errorf("Surviving changed its input: %+v", b.FEC)
+	}
+}
+
+// FuzzBatchSurviving holds Surviving to a filter that always copies: whatever
+// batch decodes, under whatever loss mask (bit i set loses the i-th part of
+// the canonical order), the result is exactly the kept parts in order, counts
+// them, is itself a frame that round-trips — and the input is untouched, spare
+// capacity included: the sender may still be encoding it on an egress worker.
+func FuzzBatchSurviving(f *testing.F) {
+	for _, b := range []Batch{fullBatch(), sampleBatch(16), codedFullBatch(f, 5, 4, 2), codedBatch(f, 9, 4, 3), {}} {
+		frame := mustEncode(f, b)
+		for _, mask := range [][]byte{nil, {0x01}, {0xaa, 0xaa}, {0xe0, 0x01}, {0xff, 0xff, 0xff}} {
+			f.Add(frame, mask)
+		}
+	}
+	f.Fuzz(func(t *testing.T, frame, mask []byte) {
+		msg, err := Decode(frame)
+		if err != nil {
+			return
+		}
+		in, ok := msg.(Batch)
+		if !ok {
+			return
+		}
+		// A sentinel in each section's spare capacity catches an append into
+		// the sender's backing array.
+		mark := sampleGossip(99)
+		in.Gossips = append(in.Gossips, mark)[:len(in.Gossips)]
+		in.FEC = append(in.FEC, fec.Generation{Gen: 99})[:len(in.FEC)]
+		before := mustEncode(t, in)
+
+		asked := 0
+		lost := func(bool) bool {
+			i := asked
+			asked++
+			return i/8 < len(mask) && mask[i/8]&(1<<(i%8)) != 0
+		}
+		var want Batch
+		for _, g := range in.Gossips {
+			if !lost(false) {
+				want.Gossips = append(want.Gossips, g)
 			}
 		}
+		for _, gen := range in.FEC {
+			reps := gen.Repairs
+			gen.Repairs = nil
+			for _, rs := range reps {
+				if !lost(true) {
+					gen.Repairs = append(gen.Repairs, rs)
+				}
+			}
+			if len(gen.Repairs) > 0 || len(reps) == 0 {
+				want.FEC = append(want.FEC, gen)
+			}
+		}
+		if in.Update != nil && !lost(false) {
+			want.Update = in.Update
+		}
+		if in.Digest != nil && !lost(false) {
+			want.Digest = in.Digest
+		}
+		if in.Heartbeat != nil && !lost(false) {
+			want.Heartbeat = in.Heartbeat
+		}
+		parts := asked
+
+		asked = 0
+		got := in.Surviving(lost)
+		if asked != parts || parts != in.Parts() {
+			t.Fatalf("%d fates asked of %d parts (oracle asked %d)", asked, in.Parts(), parts)
+		}
+		enc := mustEncode(t, got)
+		if !bytes.Equal(enc, mustEncode(t, want)) {
+			t.Fatalf("mask %x of %v kept %v, want %v", mask, partNames(in), partNames(got), partNames(want))
+		}
+		if got.Parts() != want.Parts() {
+			t.Fatalf("Parts = %d, want %d", got.Parts(), want.Parts())
+		}
+		back, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("the surviving batch does not decode: %v", err)
+		}
+		if !bytes.Equal(mustEncode(t, back), enc) {
+			t.Fatal("the surviving batch does not round-trip")
+		}
+		if !bytes.Equal(mustEncode(t, in), before) {
+			t.Fatal("Surviving changed its input")
+		}
+		if g := in.Gossips[:len(in.Gossips)+1][len(in.Gossips)]; g.Event.ID() != mark.Event.ID() {
+			t.Fatal("Surviving wrote past its input's gossip section")
+		}
+		if g := in.FEC[:len(in.FEC)+1][len(in.FEC)]; g.Gen != 99 {
+			t.Fatal("Surviving wrote past its input's FEC section")
+		}
 	})
-	want := []string{
-		"core.Gossip", "core.Gossip", "core.Gossip", "core.Gossip", "core.Gossip",
-		"fec.Repair", "fec.Repair", "fec.Repair", "fec.Repair",
-		"membership.Update", "membership.Digest", "membership.Heartbeat",
-	}
-	if fmt.Sprint(kinds) != fmt.Sprint(want) {
-		t.Fatalf("order = %v, want %v", kinds, want)
-	}
-	if got := b.Parts(); got != len(want) {
-		t.Fatalf("Parts = %d, want %d", got, len(want))
-	}
-	_ = repairs
 }
 
 // TestPreFECDecoderRejectsCodedBatch pins the version gate: a coded batch
@@ -287,8 +384,8 @@ func TestSplitBatchCodedReassembles(t *testing.T) {
 			recovered = append(recovered, asm.ObserveSource(g.Event.ID(), AppendEventBody(nil, g.Event))...)
 		}
 		for _, gen := range b.FEC {
-			for _, rp := range gen.Split() {
-				recovered = append(recovered, asm.ObserveRepair("s", rp)...)
+			for _, rs := range gen.Repairs {
+				recovered = append(recovered, asm.ObserveRepair("s", gen, rs)...)
 			}
 		}
 	}
@@ -309,7 +406,7 @@ func TestSplitBatchCodedReassembles(t *testing.T) {
 	}
 }
 
-func mustEncode(t *testing.T, msg any) []byte {
+func mustEncode(t testing.TB, msg any) []byte {
 	t.Helper()
 	enc, err := Encode(msg)
 	if err != nil {

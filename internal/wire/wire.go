@@ -62,11 +62,11 @@ const (
 )
 
 // Batch is one per-peer round envelope: the multi-event gossip section plus
-// any membership payloads piggybacked onto the same round. The canonical
-// sub-message order — gossips, update, digest, heartbeat — matches the order
-// an unbatched sender would emit the same messages on one link, which is what
-// makes batching a pure envelope-level aggregation (see the equivalence
-// property test in internal/harness).
+// any membership payloads piggybacked onto the same round. It crosses every
+// fabric as one envelope. The canonical sub-message order — gossips, repair
+// symbols, update, digest, heartbeat — is the order the frame lays them out,
+// a simulated fabric asks their fates (Surviving) and a receiver processes
+// them in.
 type Batch struct {
 	Gossips []core.Gossip
 	// FEC carries the repair symbols of the coded-gossip extension: each
@@ -78,14 +78,20 @@ type Batch struct {
 	Heartbeat *membership.Heartbeat
 }
 
-// Parts returns the number of sub-messages carried. Each repair symbol
-// counts as one part: fabrics decompose batches per sub-message for fault
-// draws and drop accounting.
-func (b Batch) Parts() int {
-	n := len(b.Gossips)
+// Repairs returns the number of repair symbols carried.
+func (b Batch) Repairs() int {
+	n := 0
 	for _, g := range b.FEC {
 		n += len(g.Repairs)
 	}
+	return n
+}
+
+// Parts returns the number of sub-messages carried. Each repair symbol
+// counts as one part: fault draws, drop accounting and the loss estimator's
+// beacons are all per sub-message.
+func (b Batch) Parts() int {
+	n := len(b.Gossips) + b.Repairs()
 	if b.Update != nil {
 		n++
 	}
@@ -98,29 +104,61 @@ func (b Batch) Parts() int {
 	return n
 }
 
-// Each visits every sub-message in canonical order as the bare payload value
-// an unbatched sender would have sent. Simulated fabrics use this to apply
-// per-message fault draws to a batch's contents. Repair symbols visit as
-// flattened fec.Repair values (one per symbol), after the gossips they
-// protect and before the membership payloads.
-func (b Batch) Each(fn func(payload any)) {
-	for _, g := range b.Gossips {
-		fn(g)
-	}
-	for _, gen := range b.FEC {
-		for _, rp := range gen.Split() {
-			fn(rp)
+// Surviving asks lost for the fate of every sub-message in canonical order
+// (repair is true for a repair symbol) and returns the round envelope a lossy
+// link hands over: b itself when nothing was lost, otherwise a copy holding
+// the survivors in the same order. The copy shares the parts it keeps, but
+// b's slices are never written — the sender may still be encoding them. A
+// generation keeps its header with the symbols that survived; one with none
+// left is dropped.
+func (b Batch) Surviving(lost func(repair bool) bool) Batch {
+	kept := b
+	kept.Gossips = surviving(b.Gossips, lost, false)
+	shared := true
+	for i, g := range b.FEC {
+		reps := surviving(g.Repairs, lost, true)
+		if len(reps) == len(g.Repairs) {
+			if !shared {
+				kept.FEC = append(kept.FEC, g)
+			}
+			continue
+		}
+		if shared {
+			kept.FEC = append(make([]fec.Generation, 0, len(b.FEC)), b.FEC[:i]...)
+			shared = false
+		}
+		if len(reps) > 0 {
+			g.Repairs = reps
+			kept.FEC = append(kept.FEC, g)
 		}
 	}
-	if b.Update != nil {
-		fn(*b.Update)
+	if b.Update != nil && lost(false) {
+		kept.Update = nil
 	}
-	if b.Digest != nil {
-		fn(*b.Digest)
+	if b.Digest != nil && lost(false) {
+		kept.Digest = nil
 	}
-	if b.Heartbeat != nil {
-		fn(*b.Heartbeat)
+	if b.Heartbeat != nil && lost(false) {
+		kept.Heartbeat = nil
 	}
+	return kept
+}
+
+// surviving is Surviving over one section: s itself when every element was
+// kept, a fresh slice of the survivors otherwise.
+func surviving[T any](s []T, lost func(repair bool) bool, repair bool) []T {
+	kept, shared := s, true
+	for i := range s {
+		switch {
+		case lost(repair):
+			if shared {
+				kept, shared = append(make([]T, 0, len(s)-1), s[:i]...), false
+			}
+		case !shared:
+			kept = append(kept, s[i])
+		}
+	}
+	return kept
 }
 
 // Buffer pooling: hot paths (per-round batch encodes, UDP datagram assembly,
