@@ -396,7 +396,6 @@ func BenchmarkEnginePublishStream(b *testing.B) {
 					MembershipInterval: time.Hour, // membership quiesced: gossip is the subject
 					SuspectAfter:       time.Hour,
 					DeliveryBuffer:     8192,
-					MeasureWire:        true,
 					DecodeWorkers:      mode.decode,
 					EncodeWorkers:      mode.encode,
 					StageQueue:         8192,

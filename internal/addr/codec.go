@@ -14,6 +14,16 @@ func AppendAddress(b []byte, a Address) []byte {
 	return b
 }
 
+// WireSize returns the exact number of bytes AppendAddress would emit,
+// without encoding.
+func WireSize(a Address) int {
+	n := binenc.UvarintLen(uint64(len(a.digits)))
+	for _, d := range a.digits {
+		n += binenc.VarintLen(int64(d))
+	}
+	return n
+}
+
 // ReadAddress reads an address previously written by AppendAddress. On
 // malformed input the reader's error is set and the zero Address returned.
 func ReadAddress(r *binenc.Reader) Address {

@@ -18,7 +18,7 @@ func TestAddressCodecRoundTrip(t *testing.T) {
 		}
 		in := New(digits...)
 		data, err := in.MarshalBinary()
-		if err != nil {
+		if err != nil || WireSize(in) != len(data) {
 			return false
 		}
 		var out Address

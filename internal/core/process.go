@@ -89,23 +89,21 @@ type Config struct {
 	// Zero disables flooding. Flooded gossips carry an exhausted round
 	// counter so receivers do not re-flood.
 	LeafFloodRate float64
-	// AdaptiveFanout closes the Section 5.3 tuning loop over measured
+	// PeerLoss, when set, closes the Section 5.3 tuning loop over measured
 	// instead of assumed loss: per-depth round budgets substitute the view's
 	// mean measured loss for AssumedLoss when it is worse, and each gossip
 	// round adds extra susceptible targets — restoring the Eq. 11 effective
 	// fanout when the whole view measures lossy, or compensating individual
-	// lossy picks when only some links do (see gossipOnce). Off (the
-	// default), the process consumes exactly the RNG draws of the untuned
-	// algorithm, so seeded traces are unchanged.
-	AdaptiveFanout bool
-	// PeerLoss reports the measured loss estimate toward a peer; ok is
-	// false while the estimator has not seen enough traffic. Required for
-	// AdaptiveFanout to have any effect.
+	// lossy picks when only some links do (see gossipOnce). It reports the
+	// measured loss estimate toward a peer; ok is false while the estimator
+	// has not seen enough traffic. Nil (the default), the process consumes
+	// exactly the RNG draws of the untuned algorithm, so seeded traces are
+	// unchanged.
 	PeerLoss func(a addr.Address) (loss float64, ok bool)
 }
 
 // adaptiveOn reports whether the measured-loss tuning loop is active.
-func (c Config) adaptiveOn() bool { return c.AdaptiveFanout && c.PeerLoss != nil }
+func (c Config) adaptiveOn() bool { return c.PeerLoss != nil }
 
 const (
 	// adaptiveBoost caps the extra susceptible targets added per (event,

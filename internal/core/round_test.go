@@ -83,8 +83,8 @@ func TestTickRoundMatchesTick(t *testing.T) {
 		{name: "local descent", cfg: Config{F: 3, C: 2, LocalDescent: true}},
 		{name: "threshold", cfg: Config{F: 2, C: 2, Threshold: 3}},
 		{name: "leaf flood", cfg: Config{F: 3, C: 2, LeafFloodRate: 0.4}},
-		{name: "adaptive, lossy view", cfg: Config{F: 2, C: 2, AdaptiveFanout: true, PeerLoss: lossy}},
-		{name: "adaptive, lossy links", cfg: Config{F: 2, C: 2, Threshold: 2, AdaptiveFanout: true, PeerLoss: someLossy}},
+		{name: "adaptive, lossy view", cfg: Config{F: 2, C: 2, PeerLoss: lossy}},
+		{name: "adaptive, lossy links", cfg: Config{F: 2, C: 2, Threshold: 2, PeerLoss: someLossy}},
 		{name: "rebuild over a moved view", cfg: Config{F: 3, C: 3, LocalDescent: true}, rebuild: true},
 	}
 	for _, tc := range cases {
@@ -165,7 +165,7 @@ func TestTickRoundMatchesTick(t *testing.T) {
 				s, _ := grouped[i].Stats()
 				sent += s
 			}
-			if sent == 0 || tc.cfg.AdaptiveFanout && boosts.Boosts == 0 {
+			if sent == 0 || tc.cfg.adaptiveOn() && boosts.Boosts == 0 {
 				t.Fatalf("the case exercised nothing: %d sends, %+v", sent, boosts)
 			}
 		})
@@ -337,7 +337,6 @@ func FuzzRoundAgainstReference(f *testing.F) {
 			cfg.LeafFloodRate = 0.4
 		}
 		if rules&0x80 != 0 {
-			cfg.AdaptiveFanout = true
 			cfg.PeerLoss = func(a addr.Address) (float64, bool) { return 0.07 * float64(a.Digit(2)), a.Digit(1) != 3 }
 		}
 		self := space.AddressAt(int(data[1]) % space.Capacity())

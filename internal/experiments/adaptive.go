@@ -65,7 +65,6 @@ func AdaptiveCellAt(base harness.Scenario, variant string, seed int64, f int, ad
 	sc := base
 	sc.Fleet.F = f
 	sc.Fleet.AdaptiveFanout = adaptive
-	sc.Fleet.MeasureWire = true
 	res, err := sc.Run(seed)
 	if err != nil {
 		return AdaptiveCell{}, fmt.Errorf("adaptive ablation %s %s seed=%d: %w",
@@ -160,7 +159,6 @@ func FrontierPointLinked(base harness.Scenario, seed int64, link transport.LinkM
 	sc.Fleet.F = f
 	sc.Fleet.FECSources = k
 	sc.Fleet.FECRepairs = r
-	sc.Fleet.MeasureWire = true
 	res, err := sc.Run(seed)
 	if err != nil {
 		return FrontierPoint{}, fmt.Errorf("frontier %s linked f=%d r=%d: %w",

@@ -48,7 +48,6 @@ func FrontierPointAt(base harness.Scenario, seed int64, loss float64, f, k, r in
 	sc.Fleet.F = f
 	sc.Fleet.FECSources = k
 	sc.Fleet.FECRepairs = r
-	sc.Fleet.MeasureWire = true
 	res, err := sc.Run(seed)
 	if err != nil {
 		return FrontierPoint{}, fmt.Errorf("frontier %s loss=%.2f f=%d r=%d: %w",

@@ -59,8 +59,8 @@ type Report struct {
 
 	// Throughput accounting (the soak workload class). Envelopes counts
 	// sender-side transport sends fleet-wide (a batched round envelope is
-	// one); WireBytes is their total encoded size, measured only when the
-	// fleet sets MeasureWire. EventsPerSec is deliveries per virtual second;
+	// one); WireBytes is their total encoded size, which every node sums as
+	// it sends. EventsPerSec is deliveries per virtual second;
 	// EnvelopesPerEvent and BytesPerEvent normalize fabric cost by events
 	// published.
 	Envelopes         int64   `json:"envelopes"`
@@ -469,7 +469,6 @@ func (r *run) spawn(i int, sub interest.Subscription) (*handle, error) {
 		SuspectAfter:       r.sc.Fleet.SuspectAfter,
 		SuspicionSweeps:    r.sc.Fleet.SuspicionSweeps,
 		DeliveryBuffer:     r.sc.Fleet.DeliveryBuffer,
-		MeasureWire:        r.sc.Fleet.MeasureWire,
 		FECRepairs:         r.sc.Fleet.FECRepairs,
 		FECSources:         r.sc.Fleet.FECSources,
 		AdaptiveFanout:     r.sc.Fleet.AdaptiveFanout,

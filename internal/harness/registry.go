@@ -167,10 +167,9 @@ func Lossy256() Scenario {
 
 // Soak64 is the quick sustained-throughput campaign: four fixed publishers
 // spread across the tree's top-level subtrees emit a steady event stream
-// under mild ambient loss and a small crash wave. Wire accounting is on, so
-// its report carries events/sec, envelopes/event and bytes/event — the
-// workload the batched gossip pipeline is measured by, at a size that runs
-// in well under a second of wall clock.
+// under mild ambient loss and a small crash wave. Its report's events/sec,
+// envelopes/event and bytes/event are what the batched gossip pipeline is
+// measured by, at a size that runs in well under a second of wall clock.
 func Soak64() Scenario {
 	s := Scenario{
 		Name: "soak64",
@@ -181,7 +180,6 @@ func Soak64() Scenario {
 			MembershipInterval: 100 * time.Millisecond,
 			SuspectAfter:       600 * time.Millisecond,
 			Classes:            4,
-			MeasureWire:        true,
 		},
 		Nodes:     64,
 		Bootstrap: BootstrapOracle,
@@ -237,7 +235,6 @@ func Soak256() Scenario {
 			MembershipInterval: 100 * time.Millisecond,
 			SuspectAfter:       600 * time.Millisecond,
 			Classes:            4,
-			MeasureWire:        true,
 		},
 		Nodes:     256,
 		Bootstrap: BootstrapOracle,
@@ -316,14 +313,13 @@ func Noisy256() Scenario {
 // and churn schedule, with the ambient 2% Bernoulli loss replaced by
 // deeper Gilbert–Elliott bursts (~9% stationary loss, mean burst length 10
 // — a link that goes bad stays bad for most of a gossip round's fan-out).
-// Adaptive fan-out is on and wire accounting measures what the adaptation
+// Adaptive fan-out is on and the report's bytes/event is what the adaptation
 // spends; jitter is left off so the campaign stays delay-free and fast at
 // 1024 nodes.
 func Bursty1024() Scenario {
 	s := Churn1024()
 	s.Name = "bursty1024"
 	s.Fleet.AdaptiveFanout = true
-	s.Fleet.MeasureWire = true
 	s.Loss = 0
 	s.Link = transport.LinkModel{
 		BadLoss: 1,

@@ -66,11 +66,6 @@ type Fleet struct {
 	// it after every virtual instant, so bursts rarely need more than the
 	// default.
 	DeliveryBuffer int
-	// MeasureWire enables sender-side encoded-byte accounting on every
-	// node, feeding the report's bytes/event. Costs one pooled encode per
-	// envelope; soak scenarios turn it on, reliability campaigns leave it
-	// off.
-	MeasureWire bool
 	// FECRepairs and FECSources configure the coding layer fleet-wide
 	// (node.Config.FECRepairs/FECSources): each gossip round's outgoing
 	// events are grouped into generations of FECSources symbols carrying

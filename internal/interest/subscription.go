@@ -99,6 +99,13 @@ func (s Subscription) Identity() Identity {
 	return s.ident.id
 }
 
+// WireSize returns the exact number of bytes AppendSubscription would emit:
+// the length of the canonical encoding Identity memoizes, so sizing a
+// subscription that has been identified is O(1) and never encodes again.
+func (s Subscription) WireSize() int {
+	return len(s.Fingerprint())
+}
+
 // NewSubscription returns an empty (match-all) subscription.
 func NewSubscription() Subscription { return Subscription{} }
 

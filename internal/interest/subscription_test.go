@@ -238,6 +238,9 @@ func TestSubscriptionIdentity(t *testing.T) {
 			s = s.Where(attr, EqInt(int64(r.Intn(3))))
 		}
 		fp, id := string(AppendSubscription(nil, s)), s.Identity()
+		if s.WireSize() != len(fp) {
+			t.Fatalf("WireSize = %d, encoded %d bytes", s.WireSize(), len(fp))
+		}
 		if prev, ok := byFP[fp]; ok && prev != id {
 			t.Fatalf("encoding %q named twice", fp)
 		}

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"pmcast/internal/addr"
+	"pmcast/internal/binenc"
 	"pmcast/internal/interest"
 	"pmcast/internal/tree"
 )
@@ -129,6 +130,32 @@ func (d Digest) Lines(yield func(DigestEntry) bool) {
 			return
 		}
 	}
+}
+
+// lineWireSize is the size of one digest line as package wire frames it: the
+// key as a length-prefixed string, the stamp as a varint, one liveness byte.
+func lineWireSize(key string, stamp uint64) int {
+	return binenc.StringLen(key) + binenc.UvarintLen(stamp) + 1
+}
+
+// LinesWireSize returns the encoded size of the digest's lines without
+// listing them. The entries form is walked. The overlay form costs its
+// overlay however long the roster: the base's total was summed once in
+// NewRoster, and an overlay line differs from the base line it replaces only
+// in how many bytes its stamp's varint takes.
+func (d Digest) LinesWireSize() int {
+	if d.base == nil {
+		n := 0
+		for i := range d.Entries {
+			n += lineWireSize(d.Entries[i].Key, d.Entries[i].Stamp)
+		}
+		return n
+	}
+	n := d.base.linesSize
+	for _, l := range d.over {
+		n += binenc.UvarintLen(l.stamp) - binenc.UvarintLen(d.base.Records[l.idx].Stamp)
+	}
+	return n
 }
 
 // Update carries full records; sent by a digest receiver for every line in

@@ -40,6 +40,9 @@ type Roster struct {
 	index   map[string]int32
 	hash    uint64
 	alive   int
+	// linesSize is the wire size of the roster listed as digest lines, the
+	// term an overlay-form digest is sized from without walking the roster.
+	linesSize int
 }
 
 // NewRoster builds a shared roster from the given records (copied, sorted
@@ -59,6 +62,7 @@ func NewRoster(recs []Record) (*Roster, error) {
 		}
 		r.index[key] = int32(i)
 		r.hash ^= recHash(key, rec.Stamp, rec.Alive)
+		r.linesSize += lineWireSize(key, rec.Stamp)
 		if rec.Alive {
 			r.alive++
 		}

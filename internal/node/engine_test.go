@@ -165,7 +165,6 @@ func TestEngineConcurrentPublishFluxStop(t *testing.T) {
 			MembershipInterval: 20 * time.Millisecond,
 			SuspectAfter:       time.Hour,
 			DeliveryBuffer:     2048,
-			MeasureWire:        true,
 			DecodeWorkers:      2,
 			EncodeWorkers:      2,
 			StageQueue:         512,

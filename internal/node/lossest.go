@@ -21,9 +21,9 @@
 // meaningless.
 //
 // All methods are safe for concurrent use; in the staged engine the writers
-// are the protocol stage (stamping in emit, counting in handle) while
-// readers are the core.Process tuning loop (same stage) and stats snapshots
-// (any goroutine).
+// are the protocol stage (stamping in emit, counting in handle) and whoever
+// calls Join or Leave, while readers are the core.Process tuning loop
+// (protocol stage) and stats snapshots (any goroutine).
 
 package node
 
@@ -173,8 +173,14 @@ type LossEstStats struct {
 // receiver counts an envelope's parts in, so a lossless link's receive counter
 // reads exactly the beacon value when it reaches the beacon. Beacon-carrying
 // payloads are copied before stamping: egress workers encode asynchronously
-// and the membership layer's pointers may be shared.
+// and the membership layer's pointers may be shared. Every send is charged
+// here — emit's, and the Join and Leave announcements that go around it —
+// or the receiver counts parts no beacon accounts for. Without an estimator
+// the payload passes through untouched.
 func (n *Node) stampOutgoing(to addr.Address, payload any) any {
+	if n.est == nil {
+		return payload
+	}
 	key := to.Key()
 	switch m := payload.(type) {
 	case wire.Batch:

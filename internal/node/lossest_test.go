@@ -173,6 +173,66 @@ func TestBeaconStampPositions(t *testing.T) {
 	}
 }
 
+// TestJoinAndLeaveAreCharged: Join and Leave send around emit, and the
+// receiver counts them like any other part — so the sender must charge them,
+// or the "lossless link ⇒ beacon equals receive counter" invariant breaks
+// across a join or a leave. Two step-mode nodes on a lossless fabric: Join,
+// then membership traffic until a window closes. Every window base the
+// receiver keeps is a (beacon, receive counter) pair read at one beacon, so
+// equal bases mean the window closed with recvDelta == sentDelta — loss 0
+// measured, not clamped.
+func TestJoinAndLeaveAreCharged(t *testing.T) {
+	net := transport.MustNetwork(transport.Config{})
+	space := addr.MustRegular(4, 1)
+	mk := func(i int) *Node {
+		n, err := New(net, Config{
+			Addr: space.AddressAt(i), Space: space, R: 1, F: 1, C: 1,
+			AdaptiveFanout: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Stop() })
+		return n
+	}
+	joiner, contact := mk(0), mk(1)
+	pump := func() {
+		for joiner.PumpInbox()+contact.PumpInbox() > 0 {
+		}
+	}
+	link := func() (sent, recv *peerLossState) {
+		return joiner.est.peers[contact.Addr().Key()], contact.est.peers[joiner.Addr().Key()]
+	}
+
+	if err := joiner.Join(contact.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	pump()
+	for i := 0; i < 2*lossEstMinWindow; i++ {
+		joiner.TickMembership()
+		contact.TickMembership()
+		pump()
+	}
+	sent, recv := link()
+	if sent == nil || recv == nil || recv.samples == 0 {
+		t.Fatalf("no window closed on the joiner→contact link: sender %+v, receiver %+v", sent, recv)
+	}
+	if recv.recvFrom != sent.sentTo {
+		t.Errorf("contact received %d parts from the joiner, which charged %d", recv.recvFrom, sent.sentTo)
+	}
+	if recv.beaconBase != recv.recvBase || recv.est != 0 {
+		t.Errorf("window closed at beacon %d with %d parts received (est %v); want them equal, loss 0 unclamped",
+			recv.beaconBase, recv.recvBase, recv.est)
+	}
+
+	joiner.Leave()
+	for contact.PumpInbox() > 0 {
+	}
+	if sent, recv = link(); recv.recvFrom != sent.sentTo {
+		t.Errorf("after Leave: contact received %d parts from the joiner, which charged %d", recv.recvFrom, sent.sentTo)
+	}
+}
+
 // TestAdaptiveClusterConvergesLossless runs a real 8-node cluster with
 // adaptive fan-out on a clean fabric: estimators must converge toward zero
 // (no phantom loss from the protocol's own traffic patterns).

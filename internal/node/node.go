@@ -109,11 +109,6 @@ type Config struct {
 	// FECSources is the generation size k (default 8 when FECRepairs > 0).
 	// FECSources+FECRepairs must not exceed fec.MaxSymbols.
 	FECSources int
-	// MeasureWire enables sender-side wire accounting: every outgoing
-	// envelope's encoded size is measured (via the wire codec, without
-	// retaining an allocation) and summed into WireStats. Off by default —
-	// in-memory campaigns that don't report bytes skip the encoding work.
-	MeasureWire bool
 	// DecodeWorkers is the ingress-stage parallelism of the staged engine:
 	// how many decode workers drain the transport endpoint concurrently,
 	// each owning its own interning wire.Decoder (intern tables are not
@@ -226,7 +221,7 @@ type Node struct {
 	dropped    atomic.Int64
 
 	envelopes atomic.Int64 // outgoing envelopes (batched counts as one)
-	wireBytes atomic.Int64 // encoded bytes of outgoing envelopes (MeasureWire)
+	wireBytes atomic.Int64 // encoded bytes of outgoing envelopes
 
 	// The coding layer (nil when FECRepairs is 0). Both sides live on the
 	// protocol stage — the encoder codes round envelopes in tickGossip, the
@@ -413,26 +408,25 @@ func (n *Node) Join(contact addr.Address) error {
 	n.joinMu.Lock()
 	n.joinContact = contact
 	n.joinMu.Unlock()
-	return n.send(contact, n.mem.BuildJoinRequest())
+	return n.send(contact, n.stampOutgoing(contact, n.mem.BuildJoinRequest()))
 }
 
 // Leave announces departure to the closest known neighbors and stops the
-// node (Section 2.3, "Leaving").
+// node (Section 2.3, "Leaving"). The announcements go around emit: they must
+// be on the fabric, not in an egress queue, when Stop runs.
 func (n *Node) Leave() {
 	leave := n.mem.BuildLeave()
 	for _, nb := range n.mem.ImmediateNeighbors() {
-		_ = n.send(nb, leave) // best effort; gossip spreads the tombstone
+		_ = n.send(nb, n.stampOutgoing(nb, leave)) // best effort; gossip spreads the tombstone
 	}
 	n.Stop()
 }
 
-// send ships one payload through the endpoint, counting envelopes and —
-// when MeasureWire is on — their encoded wire size.
+// send ships one payload through the endpoint, counting the envelope and its
+// encoded wire size (walked, never encoded to be measured).
 func (n *Node) send(to addr.Address, payload any) error {
 	n.envelopes.Add(1)
-	if n.cfg.MeasureWire {
-		n.wireBytes.Add(int64(wire.EncodedSize(payload)))
-	}
+	n.wireBytes.Add(int64(wire.EncodedSize(payload)))
 	return n.ep.Send(to, payload)
 }
 
@@ -441,21 +435,18 @@ func (n *Node) send(to addr.Address, payload any) error {
 // flush-amortization counters behind EgressFlushStats.
 func (n *Node) sendMany(bs transport.BatchSender, msgs []transport.Outgoing) {
 	n.envelopes.Add(int64(len(msgs)))
-	if n.cfg.MeasureWire {
-		var total int64
-		for i := range msgs {
-			total += int64(wire.EncodedSize(msgs[i].Payload))
-		}
-		n.wireBytes.Add(total)
+	var total int64
+	for i := range msgs {
+		total += int64(wire.EncodedSize(msgs[i].Payload))
 	}
+	n.wireBytes.Add(total)
 	n.egressFlushes.Add(1)
 	n.egressFlushed.Add(int64(len(msgs)))
 	_ = bs.SendMany(msgs) // per-message loss is silent, exactly like send
 }
 
 // WireStats reports the sender-side network cost so far: envelopes emitted
-// (a batch counts as one) and their total encoded bytes (zero unless
-// MeasureWire is configured).
+// (a batch counts as one) and their total encoded bytes.
 func (n *Node) WireStats() (envelopes, bytes int64) {
 	return n.envelopes.Load(), n.wireBytes.Load()
 }
@@ -1044,7 +1035,6 @@ func (n *Node) coreConfig() core.Config {
 	}
 	if n.est != nil {
 		est := n.est
-		cfg.AdaptiveFanout = true
 		cfg.PeerLoss = func(a addr.Address) (float64, bool) {
 			return est.Estimate(a.Key())
 		}

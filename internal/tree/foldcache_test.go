@@ -35,7 +35,7 @@ func TestFoldCacheBounded(t *testing.T) {
 			Sub:  interest.NewSubscription().Where("topic", interest.OneOf(fmt.Sprintf("seed-%d", i))),
 		}
 	}
-	tr, err := Build(Config{Space: space, R: 2, FoldCacheBound: bound}, members)
+	tr, err := Build(Config{Space: space, R: 2, foldCacheBound: bound}, members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestFoldIdentitiesExactUnderSweeps(t *testing.T) {
 	}
 	for trial := 0; trial < 8; trial++ {
 		space := addr.MustRegular(2+r.Intn(3), 2+r.Intn(2))
-		first, err := New(Config{Space: space, R: 1 + r.Intn(2), FoldCacheBound: 4})
+		first, err := New(Config{Space: space, R: 1 + r.Intn(2), foldCacheBound: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

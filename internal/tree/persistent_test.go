@@ -256,7 +256,7 @@ func FuzzApplyDeltaMatchesBuild(f *testing.F) {
 	subs := classSubs(7)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		// A small store bound: the lineage also crosses sweeps.
-		tr, err := New(Config{Space: space, R: 2, FoldCacheBound: 16})
+		tr, err := New(Config{Space: space, R: 2, foldCacheBound: 16})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -95,10 +95,10 @@ type Config struct {
 	R int
 	// Election selects delegates; nil means SmallestAddress.
 	Election ElectionStrategy
-	// FoldCacheBound caps live entries in each table of the shared store
-	// (regroupings, summary identities, compiled languages, trie nodes, view
-	// signatures); 0 means DefaultFoldCacheBound.
-	FoldCacheBound int
+	// foldCacheBound is test plumbing: in-package tests shrink the shared
+	// store's per-table bound to force sweeps. 0, what every caller outside
+	// the package gets, means DefaultFoldCacheBound.
+	foldCacheBound int
 }
 
 // node is one populated prefix of the trie: a subgroup with its delegates,
@@ -451,7 +451,7 @@ func New(cfg Config) (*Tree, error) {
 		cfg:      cfg,
 		election: el,
 		root:     &node{}, // no regrouping, so not interned
-		store:    newStore(cfg.FoldCacheBound),
+		store:    newStore(cfg.foldCacheBound),
 	}, nil
 }
 
@@ -819,18 +819,6 @@ func (t *Tree) Summary(p addr.Prefix) *interest.Summary {
 		return nil
 	}
 	return n.summary
-}
-
-// CompiledSummary returns the compiled matcher of the subtree's regrouped
-// interest — the form the runtime matches events against. Nil when the
-// prefix is unpopulated (the nil matcher matches nothing, like a nil
-// Summary).
-func (t *Tree) CompiledSummary(p addr.Prefix) *interest.CompiledMatcher {
-	n := t.lookup(p)
-	if n == nil {
-		return nil
-	}
-	return n.lang.compiled
 }
 
 // Generation returns the view generation of the prefix node: the identity

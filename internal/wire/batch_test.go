@@ -3,11 +3,13 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"pmcast/internal/addr"
 	"pmcast/internal/core"
 	"pmcast/internal/event"
+	"pmcast/internal/interest"
 	"pmcast/internal/membership"
 )
 
@@ -146,15 +148,49 @@ func TestSurvivingAsksCanonicalOrder(t *testing.T) {
 	checkSurvivingOrder(t, b, make([]bool, 6))
 }
 
-func TestEncodedSizeMatchesEncoding(t *testing.T) {
-	msgs := []any{
+// sizedMessages is one message of every kind EncodedSize knows, membership
+// payloads in each shape the protocol sends them.
+func sizedMessages(t testing.TB) []any {
+	// Overlay stamps just above the 127/128 and 16 383/16 384 varint
+	// boundaries over base stamps just below them, so an overlay line's stamp
+	// takes more bytes than the base line it replaces — beside one that moved
+	// without growing.
+	overlay, _ := overlayDigestOver(t, addr.MustRegular(4, 2),
+		func(i int) uint64 { return []uint64{127, 16383, 128, 1}[i%4] },
+		map[int]uint64{4: 128, 5: 16384, 6: 16384, 7: 127, 9: 1 << 40})
+	entries := membership.Digest{From: overlay.From, Hash: overlay.Hash, Count: overlay.Count,
+		Entries: slices.Collect(overlay.Lines)}
+	many := make([]string, 281)
+	for i := range many {
+		many[i] = fmt.Sprintf("symbol-%03d", i)
+	}
+	update := membership.Update{
+		From: addr.New(0, 1),
+		Records: []membership.Record{
+			{Addr: addr.New(1, 0), Sub: interest.NewSubscription(), Stamp: 127, Alive: true},
+			{Addr: addr.New(1, 1), Sub: interest.NewSubscription().Where("b", interest.EqInt(2)), Stamp: 128},
+			{Addr: addr.New(1, 2), Sub: interest.NewSubscription().Where("e", interest.OneOf(many...)), Stamp: 16384, Alive: true},
+		},
+	}
+	withTail := sampleBatch(2)
+	withTail.Update, withTail.Digest = &update, &overlay
+	return []any{
 		sampleGossip(3),
 		fullBatch(),
 		sampleBatch(10),
+		withTail,
 		membership.Heartbeat{From: addr.New(2, 2)},
 		membership.Leave{Addr: addr.New(1), Stamp: 4},
+		membership.Digest{From: addr.New(0, 1), Hash: 1 << 60, Count: 300, Sent: 5}, // summary probe
+		entries,
+		overlay,
+		update,
+		membership.JoinRequest{Joiner: update.Records[2], Hops: 3},
 	}
-	for _, msg := range msgs {
+}
+
+func TestEncodedSizeMatchesEncoding(t *testing.T) {
+	for _, msg := range sizedMessages(t) {
 		enc, err := Encode(msg)
 		if err != nil {
 			t.Fatal(err)
@@ -162,6 +198,41 @@ func TestEncodedSizeMatchesEncoding(t *testing.T) {
 		if got := EncodedSize(msg); got != len(enc) {
 			t.Errorf("EncodedSize(%T) = %d, encoded %d bytes", msg, got, len(enc))
 		}
+	}
+}
+
+// TestEncodedSizeAllocatesNothing: sizing is a walk for every kind — the
+// sender accounts every envelope, so it must cost no allocation, whatever
+// the payload and however long the roster behind a full digest.
+func TestEncodedSizeAllocatesNothing(t *testing.T) {
+	big, _ := overlayDigestOver(t, addr.MustRegular(16, 3),
+		func(int) uint64 { return 1 }, map[int]uint64{9: 2, 100: 300, 4000: 70000})
+	for _, msg := range append(sizedMessages(t), big) {
+		EncodedSize(msg) // a subscription is encoded once, the first time it is identified
+		if got := testing.AllocsPerRun(100, func() { EncodedSize(msg) }); got != 0 {
+			t.Errorf("EncodedSize(%T) allocates %.1f times per call, want 0", msg, got)
+		}
+	}
+}
+
+// TestOverlayDigestSizedWithoutWalkingRoster: a full digest over a 4 096-line
+// roster is sized from the roster's precomputed total and the overlay's eight
+// lines. The roster lines outside the overlay are blanked after the digest is
+// built; a size that read any of them would change.
+func TestOverlayDigestSizedWithoutWalkingRoster(t *testing.T) {
+	bumped := map[int]uint64{3: 128, 64: 2, 65: 16384, 1000: 5, 2047: 1 << 30, 3000: 127, 4095: 9}
+	d, base := overlayDigestOver(t, addr.MustRegular(16, 3), func(int) uint64 { return 1 }, bumped)
+	enc, err := Encode(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range base.Records {
+		if _, over := bumped[i]; !over && i != 0 {
+			base.Records[i] = membership.Record{}
+		}
+	}
+	if got := EncodedSize(d); got != len(enc) {
+		t.Errorf("EncodedSize = %d after blanking the roster outside the overlay, encoded %d bytes", got, len(enc))
 	}
 }
 

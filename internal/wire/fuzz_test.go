@@ -130,8 +130,9 @@ func reencode(t *testing.T, msg any) []byte {
 }
 
 // FuzzWireRoundTrip feeds arbitrary bytes to the frame decoder: it must
-// never panic, and every frame it accepts must re-encode canonically and
-// decode identically through the interning Decoder.
+// never panic, and every frame it accepts must re-encode canonically — to
+// exactly as many bytes as the size walk says — and decode identically
+// through the interning Decoder.
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, frame := range captureCorpus(f) {
 		f.Add(frame)
@@ -153,6 +154,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 			return // malformed input is fine; panics are not
 		}
 		enc1 := reencode(t, msg)
+		if got := wire.EncodedSize(msg); got != len(enc1) {
+			t.Fatalf("EncodedSize(%T) = %d, encoded %d bytes", msg, got, len(enc1))
+		}
 		// The interning decoder must agree with the plain one byte-for-byte
 		// after re-encoding (interning changes allocations, not values).
 		msg3, err := dec.Decode(data)

@@ -161,8 +161,8 @@ func surviving[T any](s []T, lost func(repair bool) bool, repair bool) []T {
 	return kept
 }
 
-// Buffer pooling: hot paths (per-round batch encodes, UDP datagram assembly,
-// size measurement) borrow scratch buffers instead of allocating per message.
+// Buffer pooling: hot paths (per-round batch encodes, UDP datagram assembly)
+// borrow scratch buffers instead of allocating per message.
 
 var bufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 2048)
@@ -209,8 +209,7 @@ func AppendMessage(b []byte, msg any) ([]byte, error) {
 		return binenc.AppendUvarint(b, m.Stamp), nil
 	case membership.Heartbeat:
 		b = append(b, kindHeartbeat)
-		b = addr.AppendAddress(b, m.From)
-		return binenc.AppendUvarint(b, uint64(m.Sent)), nil
+		return appendHeartbeatBody(b, m), nil
 	case Batch:
 		return AppendBatch(b, m)
 	default:
@@ -366,8 +365,7 @@ func readFECSection(r *binenc.Reader) ([]fec.Generation, error) {
 	return gens, nil
 }
 
-// appendBatchTail appends the piggybacked membership bodies in flag order —
-// shared by the encoder and the size walk so they cannot drift apart.
+// appendBatchTail appends the piggybacked membership bodies in flag order.
 func appendBatchTail(b []byte, m Batch) []byte {
 	if m.Update != nil {
 		b = appendUpdateBody(b, *m.Update)
@@ -376,8 +374,7 @@ func appendBatchTail(b []byte, m Batch) []byte {
 		b = appendDigestBody(b, *m.Digest)
 	}
 	if m.Heartbeat != nil {
-		b = addr.AppendAddress(b, m.Heartbeat.From)
-		b = binenc.AppendUvarint(b, uint64(m.Heartbeat.Sent))
+		b = appendHeartbeatBody(b, *m.Heartbeat)
 	}
 	return b
 }
@@ -391,42 +388,48 @@ func GossipBodySize(g core.Gossip) int {
 		binenc.UvarintLen(uint64(g.Round))
 }
 
-// EncodedSize returns the framed size of a message in bytes without
-// retaining an allocation — the measurement hook behind the soak reports'
-// bytes/event. Gossip sections are size-walked (no encoding); the rarer
-// membership payloads are sized by encoding into a pooled scratch buffer.
-// Unknown types size to zero.
+// EncodedSize returns the framed size of a message in bytes: the size walk
+// of AppendMessage, kind by kind. Nothing is encoded and nothing allocated,
+// so senders account every envelope. Unknown types size to zero.
 func EncodedSize(msg any) int {
 	switch m := msg.(type) {
 	case core.Gossip:
 		return 1 + GossipBodySize(m)
+	case membership.Digest:
+		return 1 + digestBodySize(m)
+	case membership.Update:
+		return 1 + updateBodySize(m)
+	case membership.JoinRequest:
+		return 1 + recordSize(m.Joiner) + binenc.UvarintLen(uint64(m.Hops))
+	case membership.Leave:
+		return 1 + addr.WireSize(m.Addr) + binenc.UvarintLen(m.Stamp)
+	case membership.Heartbeat:
+		return 1 + heartbeatBodySize(m)
 	case Batch:
 		n := 2 + binenc.UvarintLen(uint64(len(m.Gossips))) // kind + flags + count
 		for _, g := range m.Gossips {
 			s := GossipBodySize(g)
 			n += binenc.UvarintLen(uint64(s)) + s
 		}
-		if len(m.FEC) > 0 {
-			n += FECSectionSize(m.FEC)
-		}
-		if m.Update != nil || m.Digest != nil || m.Heartbeat != nil {
-			p := GetBuffer()
-			b := appendBatchTail(*p, m)
-			n += len(b)
-			*p = b[:0]
-			PutBuffer(p)
-		}
-		return n
+		return n + fecContribution(m.FEC) + batchTailSize(m)
 	default:
-		p := GetBuffer()
-		defer PutBuffer(p)
-		enc, err := AppendMessage(*p, msg)
-		if err != nil {
-			return 0
-		}
-		*p = enc[:0]
-		return len(enc)
+		return 0
 	}
+}
+
+// batchTailSize is the size walk of appendBatchTail.
+func batchTailSize(m Batch) int {
+	n := 0
+	if m.Update != nil {
+		n += updateBodySize(*m.Update)
+	}
+	if m.Digest != nil {
+		n += digestBodySize(*m.Digest)
+	}
+	if m.Heartbeat != nil {
+		n += heartbeatBodySize(*m.Heartbeat)
+	}
+	return n
 }
 
 // SplitBatch partitions a batch into sub-batches whose encoded frames each
@@ -461,14 +464,7 @@ func splitUncoded(m Batch, limit int) ([]Batch, error) {
 		return []Batch{m}, nil
 	}
 	hasTail := m.Update != nil || m.Digest != nil || m.Heartbeat != nil
-	tailSize := 0
-	if hasTail {
-		p := GetBuffer()
-		b := appendBatchTail(*p, m)
-		tailSize = len(b)
-		*p = b[:0]
-		PutBuffer(p)
-	}
+	tailSize := batchTailSize(m)
 	// chunkSize is the exact encoded size of one sub-batch: kind and flags
 	// bytes, the chunk's own gossip-count varint (which grows with the
 	// chunk, not the original batch — modeling it any other way is an
@@ -753,6 +749,18 @@ func appendDigestBody(b []byte, m membership.Digest) []byte {
 	return b
 }
 
+// digestBodySize is the size walk of appendDigestBody. The lines are sized by
+// the digest itself, which knows its form: a full digest of a roster-mode
+// sender costs its overlay, not the roster.
+func digestBodySize(m membership.Digest) int {
+	return addr.WireSize(m.From) +
+		binenc.UvarintLen(m.Hash) +
+		binenc.UvarintLen(uint64(m.Count)) +
+		binenc.UvarintLen(uint64(m.Sent)) +
+		binenc.UvarintLen(uint64(m.Len())) +
+		m.LinesWireSize()
+}
+
 func readDigestBody(r *binenc.Reader) membership.Digest {
 	d := membership.Digest{From: addr.ReadAddress(r)}
 	d.Hash = r.Uvarint()
@@ -781,6 +789,15 @@ func appendUpdateBody(b []byte, m membership.Update) []byte {
 	return b
 }
 
+// updateBodySize is the size walk of appendUpdateBody.
+func updateBodySize(m membership.Update) int {
+	n := addr.WireSize(m.From) + binenc.UvarintLen(uint64(len(m.Records)))
+	for i := range m.Records {
+		n += recordSize(m.Records[i])
+	}
+	return n
+}
+
 func readUpdateBody(r *binenc.Reader) membership.Update {
 	u := membership.Update{From: addr.ReadAddress(r)}
 	n := r.Count(3)
@@ -798,6 +815,12 @@ func appendRecord(b []byte, rec membership.Record) []byte {
 	return binenc.AppendBool(b, rec.Alive)
 }
 
+// recordSize is the size walk of appendRecord; the subscription's term is the
+// length of its memoized canonical encoding.
+func recordSize(rec membership.Record) int {
+	return addr.WireSize(rec.Addr) + rec.Sub.WireSize() + binenc.UvarintLen(rec.Stamp) + 1
+}
+
 func readRecord(r *binenc.Reader) membership.Record {
 	return membership.Record{
 		Addr:  addr.ReadAddress(r),
@@ -805,6 +828,15 @@ func readRecord(r *binenc.Reader) membership.Record {
 		Stamp: r.Uvarint(),
 		Alive: r.Bool(),
 	}
+}
+
+func appendHeartbeatBody(b []byte, m membership.Heartbeat) []byte {
+	b = addr.AppendAddress(b, m.From)
+	return binenc.AppendUvarint(b, uint64(m.Sent))
+}
+
+func heartbeatBodySize(m membership.Heartbeat) int {
+	return addr.WireSize(m.From) + binenc.UvarintLen(uint64(m.Sent))
 }
 
 func finish(r *binenc.Reader) error {

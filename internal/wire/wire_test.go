@@ -81,34 +81,67 @@ func TestDigestRoundTrip(t *testing.T) {
 	}
 }
 
-// OverlayDigest returns the full digest of a roster-mode service that
-// diverged from its 16-line base on three lines: the overlay form, which
-// only the membership package can build. Exported to the fuzz targets'
-// external test package.
-func OverlayDigest(t testing.TB) membership.Digest {
+// rosterService returns a roster-mode service — the node at position self —
+// over the returned roster, which fills space with line i at stamp(i).
+func rosterService(t testing.TB, space addr.Space, self int, stamp func(i int) uint64) (*membership.Service, *membership.Roster) {
 	t.Helper()
-	space := addr.MustRegular(4, 2)
 	recs := make([]membership.Record, space.Capacity())
 	for i := range recs {
-		recs[i] = membership.Record{Addr: space.AddressAt(i), Sub: sampleSub(), Stamp: 1, Alive: true}
+		recs[i] = membership.Record{Addr: space.AddressAt(i), Sub: sampleSub(), Stamp: stamp(i), Alive: true}
 	}
 	base, err := membership.NewRoster(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := membership.NewWithRoster(membership.Config{Self: space.AddressAt(6), Space: space, R: 2}, base)
+	svc, err := membership.NewWithRoster(membership.Config{Self: space.AddressAt(self), Space: space, R: 2}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return svc, base
+}
+
+// overlayForm returns the service's full digest, which must be the overlay
+// form: only the membership package can build one.
+func overlayForm(t testing.TB, svc *membership.Service, lines int) membership.Digest {
+	t.Helper()
+	d := svc.MakeDigest()
+	if d.Entries != nil || d.Len() != lines {
+		t.Fatalf("roster-mode digest: %d entries, %d lines; want the overlay form of %d lines",
+			len(d.Entries), d.Len(), lines)
+	}
+	return d
+}
+
+// OverlayDigest returns the full digest of a roster-mode service that
+// diverged from its 16-line base on three lines, two of them tombstones.
+// Exported to the fuzz targets' external test package.
+func OverlayDigest(t testing.TB) membership.Digest {
+	t.Helper()
+	space := addr.MustRegular(4, 2)
+	svc, base := rosterService(t, space, 6, func(int) uint64 { return 1 })
 	svc.Subscribe(interest.NewSubscription())
 	svc.HandleLeave(membership.Leave{Addr: space.AddressAt(2), Stamp: 1})
 	svc.HandleLeave(membership.Leave{Addr: space.AddressAt(11), Stamp: 5})
-	d := svc.MakeDigest()
-	if d.Entries != nil || d.Len() != len(recs) {
-		t.Fatalf("roster-mode digest: %d entries, %d lines; want the overlay form of %d lines",
-			len(d.Entries), d.Len(), len(recs))
+	return overlayForm(t, svc, base.Len())
+}
+
+// overlayDigestOver returns the full digest of a roster-mode service over the
+// returned roster (line i at stamp(i)) after it learned the stamps in bumped:
+// its overlay is its own line (position 0, stamp unchanged) and the bumped
+// ones.
+func overlayDigestOver(t testing.TB, space addr.Space, stamp func(i int) uint64, bumped map[int]uint64) (membership.Digest, *membership.Roster) {
+	t.Helper()
+	svc, base := rosterService(t, space, 0, stamp)
+	upd := membership.Update{From: space.AddressAt(1)}
+	for i, st := range bumped {
+		rec := base.Records[i] // address-sorted, which is position order
+		rec.Stamp = st
+		upd.Records = append(upd.Records, rec)
 	}
-	return d
+	if got := svc.Apply(upd); got != len(bumped) {
+		t.Fatalf("applied %d of %d bumped lines", got, len(bumped))
+	}
+	return overlayForm(t, svc, base.Len()), base
 }
 
 // TestOverlayDigestDecodesToEntriesForm: the wire knows one digest body. An

@@ -117,13 +117,6 @@ func WithAdaptiveFanout(on bool) NodeOption {
 	return func(c *NodeConfig) { c.AdaptiveFanout = on }
 }
 
-// WithWireMeasurement enables sender-side wire accounting: each outgoing
-// envelope's encoded size is summed into Node.WireStats. Costs one pooled
-// encode per envelope.
-func WithWireMeasurement(on bool) NodeOption {
-	return func(c *NodeConfig) { c.MeasureWire = on }
-}
-
 // WithParallelism sets the staged engine's worker counts: decode ingress
 // workers draining the transport endpoint (each with its own interning wire
 // decoder) and encode/send egress workers consuming the protocol stage's
