@@ -480,8 +480,8 @@ func (r *run) spawn(i int, sub interest.Subscription) (*handle, error) {
 	if r.roster != nil && h.gen == 1 && i < r.sc.Nodes {
 		// Initial-generation oracle nodes share the bootstrap roster
 		// copy-on-write and receive their first fold from the donor clone in
-		// bootstrap(); rejoined generations and fresh joiners diverge from
-		// the roster immediately, so they run the classic backing.
+		// bootstrap(); rejoined generations and fresh joiners start alone,
+		// over a one-line roster of their own, which the join reply rebases.
 		cfg.MembershipRoster = r.roster
 		cfg.DeferViews = true
 	}

@@ -68,7 +68,7 @@ func TestExpelRejoinTable(t *testing.T) {
 			s.Apply(Update{Records: []Record{{Addr: peer, Stamp: 1, Alive: true}}})
 
 			// Start the silence timer, then cross the deadline and expel.
-			s.MarkHeard(peer)
+			s.MarkHeardAt(peer, now)
 			now = now.Add(200 * time.Millisecond)
 			expelled := s.SweepFailures()
 			if len(expelled) != 1 || !expelled[0].Equal(peer) {
@@ -128,14 +128,10 @@ func TestChurnProperties(t *testing.T) {
 		if got := s.RosterHash(); got != hash {
 			t.Fatalf("step %d (%s): roster hash drifted", step, op)
 		}
-		// Target caches: sorted, alive, non-self, neighbors have the prefix.
-		peers := s.GossipTargets(rand.New(rand.NewSource(1)), 1<<30)
+		// Target caches: alive, non-self, neighbors sorted and with the prefix.
+		peers := s.DigestTargets(rand.New(rand.NewSource(1)), 1<<30)
 		seen := map[string]bool{}
-		for i, p := range peers {
-			if i > 0 && !peers[i-1].Less(p) {
-				// GossipTargets shuffles; instead check membership facts only.
-				_ = i
-			}
+		for _, p := range peers {
 			rec, ok := s.Lookup(p)
 			if !ok || !rec.Alive {
 				t.Fatalf("step %d (%s): target %s is not an alive record", step, op, p)
@@ -202,7 +198,7 @@ func TestChurnProperties(t *testing.T) {
 			}
 		case 5: // contact from a random peer resets its silence timer
 			op = "heard " + key
-			s.MarkHeard(peer)
+			s.MarkHeardAt(peer, now)
 		}
 		check(step, op)
 

@@ -13,7 +13,7 @@ import (
 
 // digestFleet is the fixture of the digest-form tests: a 5×5 space whose
 // first 20 addresses form the shared base roster (the last five stay
-// outside it, so applying one materializes a service).
+// outside it, so applying one rebases a service).
 type digestFleet struct {
 	space addr.Space
 	recs  []Record
@@ -74,20 +74,22 @@ func describeUpdate(u *Update, fresher bool) string {
 
 // FuzzDigestFormsAgree: however two services over one roster diverged —
 // stamp bumps, tombstones at equal and higher stamps, a false tombstone the
-// victim resurrects from, either side materialized by a stranger, or the
-// sender built over a different Roster value — HandleDigest answers an
-// overlay-form digest exactly as it answers the same lines in entries form:
-// the overlay walk skips only lines that cannot differ.
+// victim resurrects from, either side rebased by a stranger, or the sender
+// built over a different Roster value — every service hands out the overlay
+// form, and HandleDigest answers it exactly as it answers the same lines in
+// entries form: the overlay walk skips only lines that cannot differ. A
+// record outside the space is refused along the way, moving nothing.
 func FuzzDigestFormsAgree(f *testing.F) {
 	f.Add([]byte{}, false)
 	f.Add([]byte{0, 3, 2, 1, 3, 2}, false)                            // both bump line 3 alike
 	f.Add([]byte{0, 4, 1, 5, 4, 0}, false)                            // bump, then receiver tombstones at equal stamp
 	f.Add([]byte{2, 7, 0, 3, 9, 1, 0, 7, 3}, false)                   // tombstones, then a resurrection
 	f.Add([]byte{4, 0, 0, 5, 1, 0, 6, 0, 0, 7, 0, 0}, false)          // self-defence both sides, flux
-	f.Add([]byte{0, 2, 1, 8, 0, 0, 1, 5, 2}, false)                   // sender materialized
-	f.Add([]byte{1, 2, 1, 9, 1, 0, 0, 5, 2}, false)                   // receiver materialized
+	f.Add([]byte{0, 2, 1, 8, 0, 0, 1, 5, 2}, false)                   // sender rebased
+	f.Add([]byte{1, 2, 1, 9, 1, 0, 0, 5, 2}, false)                   // receiver rebased
 	f.Add([]byte{0, 2, 1, 1, 6, 3, 2, 11, 0, 3, 12, 1}, true)         // different base
-	f.Add([]byte{8, 0, 0, 9, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 0}, false) // both materialized
+	f.Add([]byte{8, 0, 0, 9, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 0}, false) // both rebased
+	f.Add([]byte{10, 3, 0, 11, 4, 1, 8, 1, 1, 10, 2, 3}, false)       // out-of-space records refused
 	f.Fuzz(func(t *testing.T, ops []byte, otherBase bool) {
 		fleet := newDigestFleet(t)
 		senderBase := fleet.base
@@ -97,7 +99,7 @@ func FuzzDigestFormsAgree(f *testing.F) {
 		const senderSelf, receiverSelf = 0, 1
 		sender, receiver := fleet.service(t, senderSelf, senderBase), fleet.service(t, receiverSelf, fleet.base)
 		for ; len(ops) >= 3; ops = ops[3:] {
-			kind, line, arg := ops[0]%10, int(ops[1])%len(fleet.recs), uint64(ops[2]%4)
+			kind, line, arg := ops[0]%12, int(ops[1])%len(fleet.recs), uint64(ops[2]%4)
 			s, self := sender, senderSelf
 			if kind%2 == 1 {
 				s, self = receiver, receiverSelf
@@ -115,15 +117,26 @@ func FuzzDigestFormsAgree(f *testing.F) {
 			case 3: // own subscription flux
 				s.Subscribe(interest.NewSubscription().Where("b", interest.Gt(float64(100+arg))))
 				continue
-			case 4: // a stranger joins: the service leaves roster mode
+			case 4: // a stranger joins: the service rebases
 				rec = Record{Addr: fleet.space.AddressAt(20 + int(arg)), Sub: interest.NewSubscription(), Stamp: 1 + arg, Alive: true}
+			case 5: // a record outside the space — a digit past its arity, or too deep — is refused
+				bad := addr.New(line%5, 5+int(arg))
+				if arg%2 == 1 {
+					bad = addr.New(line%5, 0, int(arg))
+				}
+				v, n, h := s.Version(), s.Len(), s.RosterHash()
+				if got := s.Apply(Update{Records: []Record{{Addr: bad, Stamp: 1 + arg, Alive: arg != 0}}}); got != 0 ||
+					s.Version() != v || s.Len() != n || s.RosterHash() != h {
+					t.Fatalf("out-of-space %s admitted: %d changes, version %d → %d", bad, got, v, s.Version())
+				}
+				continue
 			}
 			s.Apply(Update{Records: []Record{rec}})
 		}
 
 		d := sender.MakeDigest()
-		if overlay := d.base != nil; overlay != (sender.base != nil) {
-			t.Fatalf("sender in roster mode %v hands out overlay form %v", sender.base != nil, overlay)
+		if d.base == nil || d.Entries != nil {
+			t.Fatalf("sender hands out base=%v with %d entries; want the overlay form", d.base != nil, len(d.Entries))
 		}
 		plain := entriesForm(d)
 		if plain.Len() != d.Len() || d.Len() != d.Count {
@@ -133,7 +146,7 @@ func FuzzDigestFormsAgree(f *testing.F) {
 		wantUpd, wantFresher := receiver.HandleDigest(plain)
 		if got, want := describeUpdate(gotUpd, gotFresher), describeUpdate(wantUpd, wantFresher); got != want {
 			t.Fatalf("forms disagree (receiver on sender's base: %v)\noverlay form: %s\nentries form: %s",
-				receiver.base != nil && receiver.base == d.base, got, want)
+				receiver.base == d.base, got, want)
 		}
 		if gotUpd != nil {
 			for i, r := range gotUpd.Records {
@@ -214,8 +227,8 @@ func TestMakeDigestCostFollowsOverlay(t *testing.T) {
 
 // TestDigestInFlightIsImmutable: a digest handed out is a value of its
 // version. Whatever the sender does next — bump the same lines, tombstone
-// others, leave roster mode — the lines it lists and the answer a receiver
-// gives it do not move.
+// others, rebase — the lines it lists and the answer a receiver gives it do
+// not move.
 func TestDigestInFlightIsImmutable(t *testing.T) {
 	fleet := newDigestFleet(t)
 	sender, receiver := fleet.service(t, 0, fleet.base), fleet.service(t, 1, fleet.base)
@@ -250,19 +263,19 @@ func TestDigestInFlightIsImmutable(t *testing.T) {
 	}
 	check("the sender's next version")
 	sender.Apply(Update{Records: []Record{{Addr: fleet.space.AddressAt(22), Stamp: 1, Alive: true}}})
-	if sender.base != nil {
-		t.Fatal("stranger did not materialize the sender")
+	if sender.base == fleet.base {
+		t.Fatal("stranger did not rebase the sender")
 	}
-	if d := sender.MakeDigest(); d.base != nil || d.Len() != 21 {
-		t.Fatalf("materialized sender hands out base=%v with %d lines; want the entries form of 21", d.base != nil, d.Len())
+	if d := sender.MakeDigest(); d.base != sender.base || d.Len() != 21 {
+		t.Fatalf("rebased sender hands out %d lines over base %p; want the overlay form of 21 over its own base", d.Len(), d.base)
 	}
-	check("the sender materialized")
+	check("the sender rebased")
 }
 
 // TestChangedSinceHandsEachLineOnce: however often a line moved since the
 // reader's version, ChangedSince hands out its current record once, in
-// address order — across a materialization too, which must not orphan the
-// lines logged before it.
+// address order — across a rebase too, which must not orphan the lines
+// logged before it.
 func TestChangedSinceHandsEachLineOnce(t *testing.T) {
 	fleet := newDigestFleet(t)
 	s := fleet.service(t, 3, fleet.base)
@@ -282,7 +295,7 @@ func TestChangedSinceHandsEachLineOnce(t *testing.T) {
 	apply(r7)
 	s.Subscribe(interest.NewSubscription())
 	stranger := Record{Addr: fleet.space.AddressAt(23), Stamp: 1, Alive: true}
-	apply(stranger) // materializes
+	apply(stranger) // rebases
 	r7.Stamp = 4
 	apply(r7)
 

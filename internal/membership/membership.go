@@ -26,7 +26,6 @@ import (
 	"pmcast/internal/addr"
 	"pmcast/internal/binenc"
 	"pmcast/internal/interest"
-	"pmcast/internal/tree"
 )
 
 // Errors reported by the service.
@@ -63,14 +62,14 @@ type DigestEntry struct {
 // escalates to full (line, timestamp) digests via the push-pull reply, so
 // line-level comparison is paid exactly when states actually diverge.
 //
-// A full digest lists its lines in one of two forms. The entries form is
-// the list itself: what a classic service builds and what the wire decodes
-// to. The overlay form is what a roster-mode service is — the shared base
-// roster plus the lines that service holds differently — so building it
-// costs the overlay, not the roster, and a receiver over the same base
-// compares overlays only (see HandleDigest). Read the lines through Len and
-// Lines, which hide the form. Either form is immutable once handed
-// out: a digest in flight is never disturbed by its sender's next version.
+// A full digest lists its lines in one of two forms. The overlay form is
+// what every service builds, because it is what a service is — its base
+// roster plus the lines it holds differently — so building it costs the
+// overlay, not the roster, and a receiver over the same base compares
+// overlays only (see HandleDigest). The entries form is the list itself:
+// only what the wire decodes to. Read the lines through Len and Lines, which
+// hide the form. Either form is immutable once handed out: a digest in
+// flight is never disturbed by its sender's next version.
 type Digest struct {
 	From  addr.Address
 	Hash  uint64
@@ -81,7 +80,8 @@ type Digest struct {
 	// the link's loss rate — piggybacked here because digests already flow
 	// on every link the estimator cares about. Zero when estimation is off.
 	Sent uint32
-	// Entries is the entries form; nil in a probe and in the overlay form.
+	// Entries is the entries form, which only the wire decoder builds; nil in
+	// a probe and in the overlay form.
 	Entries []DigestEntry
 	// base and over are the overlay form: every line of base, except that a
 	// line listed in over (sorted by base position) carries that stamp and
@@ -237,35 +237,32 @@ type Service struct {
 	now func() time.Time
 
 	mu sync.RWMutex
-	// records is the classic record table. In roster mode (base non-nil) it
-	// is unused: see over.
-	records   map[string]*Record
+	// lastHeard and suspicion are the failure detector's state, kept for
+	// immediate neighbors only (see MarkHeardAt): an address's prefix never
+	// changes, so nothing else is ever read back.
 	lastHeard map[string]time.Time
 	suspicion map[string]int
 	version   uint64
 	alive     int    // count of alive records, maintained on every transition
 	hash      uint64 // order-independent roster hash, maintained likewise
 
-	// base, when non-nil, is the immutable shared roster this service was
-	// bootstrapped from (see NewWithRoster); over then holds the lines that
-	// diverged from it, keyed by base position (an overlay only ever shadows
-	// base lines), so a lookup hashes its key once — into base.index — and
-	// reaches the overlay by integer. poolGone lists the base positions
-	// excluded from the alive-peer pool — self plus every currently dead
-	// line — sorted ascending. Invariant: poolGone = {i : base line i is
-	// effectively not alive} ∪ {self}, so the pool seen through
-	// poolAtLocked is exactly what peerCache would hold classically.
+	// The record table is base, an immutable roster (shared by a fleet
+	// bootstrapped from one, private after a rebase — see roster.go), plus
+	// over, the lines this service holds differently, keyed by base position
+	// (an overlay only ever shadows base lines), so a lookup hashes its key
+	// once — into base.index — and reaches the overlay by integer. poolGone
+	// lists the base positions excluded from the alive-peer pool — self plus
+	// every currently dead line — sorted ascending: the pool seen through
+	// poolAtLocked is the sorted list of live peers.
 	base     *Roster
 	over     map[int32]*Record
 	poolGone []int32
 
-	// peerCache and neighborCache are the sorted alive-peer and
-	// immediate-neighbor lists, maintained incrementally on every liveness
-	// transition: digest fan-out and heartbeats read them every membership
-	// interval on every node, and rebuilding (or re-sorting) them per tick
-	// dominates fleet-scale campaigns.
+	// neighborCache is the sorted immediate-neighbor list, maintained
+	// incrementally on every liveness transition like poolGone: digest
+	// fan-out and heartbeats read both every membership interval on every
+	// node, and rebuilding them per tick dominates fleet-scale campaigns.
 	selfPrefix    addr.Prefix
-	peerCache     []addr.Address
 	neighborCache []addr.Address
 
 	// changelog records the lines touched by each version bump so tree
@@ -284,9 +281,9 @@ type Service struct {
 
 // changeEntry is one changelog line: the record touched when the service
 // moved to the given version. A line that has changed owns its *Record for
-// the life of the service — the classic table and the overlay mutate records
-// in place, and materialization carries overlay records over as they are —
-// so the pointer both names the line and reads its current state.
+// the life of the service — the overlay mutates records in place, and a
+// rebase carries overlay records over as they are — so the pointer both
+// names the line and reads its current state.
 type changeEntry struct {
 	version uint64
 	rec     *Record
@@ -296,33 +293,11 @@ type changeEntry struct {
 // moves changelogMin forward.
 const changelogCap = 8192
 
-// New builds a service seeded with the process's own record.
+// New builds a service that knows only itself: NewWithRoster over a
+// one-line roster holding the process's own record. Whatever it learns
+// later rebases it (see roster.go).
 func New(cfg Config, selfSub interest.Subscription) (*Service, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
-	if cfg.SuspicionSweeps < 1 {
-		cfg.SuspicionSweeps = 1
-	}
-	s := &Service{
-		cfg:        cfg,
-		now:        now,
-		records:    make(map[string]*Record),
-		lastHeard:  make(map[string]time.Time),
-		suspicion:  make(map[string]int),
-		selfPrefix: cfg.Self.Prefix(cfg.Space.Depth()),
-	}
-	self := &Record{Addr: cfg.Self, Sub: selfSub, Stamp: 1, Alive: true}
-	s.records[cfg.Self.Key()] = self
-	s.alive = 1
-	s.hash = recHash(cfg.Self.Key(), 1, true)
-	s.version = 1
-	s.changelog = append(s.changelog, changeEntry{version: 1, rec: self})
-	return s, nil
+	return NewWithRoster(cfg, newRoster([]Record{{Addr: cfg.Self, Sub: selfSub, Stamp: 1, Alive: true}}))
 }
 
 // Self returns the owning address.
@@ -372,45 +347,28 @@ func recHash(key string, stamp uint64, alive bool) uint64 {
 	return h ^ (h >> 31)
 }
 
-// touchHashLocked folds a line transition into the roster hash; zero stamp
-// means no previous line.
+// touchHashLocked folds a line transition into the roster hash.
 func (s *Service) touchHashLocked(key string, oldStamp uint64, oldAlive bool, newStamp uint64, newAlive bool) {
-	if oldStamp != 0 {
-		s.hash ^= recHash(key, oldStamp, oldAlive)
-	}
-	s.hash ^= recHash(key, newStamp, newAlive)
+	s.hash ^= recHash(key, oldStamp, oldAlive) ^ recHash(key, newStamp, newAlive)
 }
 
-// setAliveLocked folds one liveness transition into the alive counter and
-// the sorted target caches. Self is counted but never cached (a process
-// does not gossip to itself).
-func (s *Service) setAliveLocked(a addr.Address, key string, nowAlive bool) {
+// setAliveLocked folds base line i's liveness transition into the alive
+// counter, the pool's exclusion set and the neighbor cache. Self is counted
+// but never pooled (a process does not gossip to itself).
+func (s *Service) setAliveLocked(i int32, nowAlive bool) {
 	if nowAlive {
 		s.alive++
 	} else {
 		s.alive--
 	}
-	if key == s.cfg.Self.Key() {
+	a := s.base.Records[i].Addr
+	if a.Equal(s.cfg.Self) {
 		return
 	}
-	if s.base != nil {
-		// Roster mode: the pool is the base minus the exclusion set, so a
-		// liveness transition moves the base position in or out of poolGone.
-		// Addresses outside the base cannot reach here — apply materializes
-		// before admitting one.
-		idx, ok := s.base.index[key]
-		if !ok {
-			panic("membership: non-roster address in roster-mode pool transition")
-		}
-		if nowAlive {
-			s.poolGone = removeIdx(s.poolGone, idx)
-		} else {
-			s.poolGone = insortIdx(s.poolGone, idx)
-		}
-	} else if nowAlive {
-		s.peerCache = insortAddr(s.peerCache, a)
+	if nowAlive {
+		s.poolGone = removeIdx(s.poolGone, i)
 	} else {
-		s.peerCache = removeAddr(s.peerCache, a)
+		s.poolGone = insortIdx(s.poolGone, i)
 	}
 	if a.HasPrefix(s.selfPrefix) {
 		if nowAlive {
@@ -477,108 +435,111 @@ func (s *Service) ChangedSince(v uint64) (recs []Record, ok bool) {
 	return recs, true
 }
 
-// apply merges one record; the higher stamp wins, tombstones win ties.
-// Returns the service's own record for the line when state changed (the
-// changelog's handle on it), nil otherwise. Callers hold s.mu.
-func (s *Service) apply(r Record) *Record {
+// apply merges one record for a line this service holds; the higher stamp
+// wins, tombstones win ties. It returns the service's own record for the line
+// when state changed (the changelog's handle on it), nil otherwise, and
+// known=false — having done nothing — when the address is a stranger.
+// Callers hold s.mu.
+func (s *Service) apply(r Record) (rec *Record, known bool) {
 	key := r.Addr.Key()
-	cur, ok := s.peekLocked(key)
-	if !ok {
-		// An address this service has never seen. In roster mode that means
-		// it is outside the shared base: stop sharing and run classic from
-		// here on (exceptional — only genuinely new joiners trigger it).
-		s.materializeLocked()
-		cp := r
-		s.records[key] = &cp
-		if r.Alive {
-			s.setAliveLocked(r.Addr, key, true)
-		}
-		s.touchHashLocked(key, 0, false, r.Stamp, r.Alive)
-		return &cp
+	cur, i, known := s.peekLocked(key)
+	if !known {
+		return nil, false
 	}
 	if r.Stamp < cur.Stamp {
-		return nil
+		return nil, true
 	}
 	if r.Stamp == cur.Stamp && (cur.Alive == r.Alive) {
-		return nil
+		return nil, true
 	}
 	if r.Stamp == cur.Stamp && cur.Alive && !r.Alive {
 		// Tombstone precedence at equal stamps.
-		rec := s.mutableLocked(key)
+		rec := s.mutableLocked(i)
 		s.touchHashLocked(key, rec.Stamp, true, rec.Stamp, false)
 		rec.Alive = false
-		s.setAliveLocked(rec.Addr, key, false)
-		return rec
+		s.setAliveLocked(i, false)
+		return rec, true
 	}
 	if r.Stamp == cur.Stamp {
-		return nil
+		return nil, true
 	}
 	// Self-defense: if someone declares us dead, resurrect with a higher
 	// stamp so the correction propagates (we are obviously alive).
 	if key == s.cfg.Self.Key() && !r.Alive {
-		rec := s.mutableLocked(key)
+		rec := s.mutableLocked(i)
 		s.touchHashLocked(key, rec.Stamp, rec.Alive, r.Stamp+1, true)
 		rec.Stamp = r.Stamp + 1
 		if !rec.Alive {
-			s.setAliveLocked(rec.Addr, key, true)
+			s.setAliveLocked(i, true)
 		}
 		rec.Alive = true
-		return rec
+		return rec, true
 	}
-	rec := s.mutableLocked(key)
+	rec = s.mutableLocked(i)
 	if rec.Alive != r.Alive {
-		s.setAliveLocked(r.Addr, key, r.Alive)
+		s.setAliveLocked(i, r.Alive)
 	}
 	s.touchHashLocked(key, rec.Stamp, rec.Alive, r.Stamp, r.Alive)
 	*rec = r
-	return rec
+	return rec, true
+}
+
+// admitLocked merges a batch of records — an Update's, a joiner's, a
+// leave's tombstone — and lands it on the next version when anything
+// changed, returning how many records did. A record whose address does not
+// fit the space is refused: it could never be folded into a tree, and
+// anti-entropy would carry it to every peer. Known lines merge in place;
+// the batch's strangers rebase the service once, after them.
+func (s *Service) admitLocked(recs []Record) int {
+	changed := 0
+	var strangers []Record
+	for _, r := range recs {
+		if s.cfg.Space.Validate(r.Addr) != nil {
+			continue
+		}
+		rec, known := s.apply(r)
+		switch {
+		case !known:
+			strangers = append(strangers, r)
+		case rec != nil:
+			changed++
+			// Log against the version this batch will land on.
+			s.logChangeLocked(s.version+1, rec)
+		}
+	}
+	if len(strangers) > 0 {
+		changed += s.rebaseLocked(strangers)
+	}
+	if changed > 0 {
+		s.version++
+	}
+	return changed
 }
 
 // Apply merges records from an Update, returning how many changed state.
 func (s *Service) Apply(u Update) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	changed := 0
-	for _, r := range u.Records {
-		if rec := s.apply(r); rec != nil {
-			changed++
-			// Log against the version this batch will land on.
-			s.logChangeLocked(s.version+1, rec)
-		}
-	}
-	if changed > 0 {
-		s.version++
-	}
+	changed := s.admitLocked(u.Records)
 	s.markHeardLocked(u.From, s.now())
 	return changed
 }
 
 // MakeDigest snapshots the service's (line, timestamp) pairs plus the
-// roster summary. A roster-mode service hands out the overlay form — its
-// base and a copy of its overlay's stamps, O(|overlay|) however long the
-// roster — and a classic one the entries form, in unspecified order:
-// receivers compare sets. The digest is memoized per version (divergence
-// episodes trigger a push-pull reply per mismatched probe); callers and
-// receivers treat its lines as read-only.
+// roster summary, in the overlay form: its base and a copy of its overlay's
+// stamps, O(|overlay|) however long the roster. The digest is memoized per
+// version (divergence episodes trigger a push-pull reply per mismatched
+// probe); callers and receivers treat its lines as read-only.
 func (s *Service) MakeDigest() Digest {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.digestVersion != s.version {
-		s.digest = Digest{From: s.cfg.Self, Hash: s.hash, Count: s.recordCountLocked()}
-		if s.base != nil {
-			over := make([]overLine, 0, len(s.over))
-			for i, r := range s.over {
-				over = append(over, overLine{idx: i, stamp: r.Stamp, alive: r.Alive})
-			}
-			slices.SortFunc(over, func(a, b overLine) int { return cmp.Compare(a.idx, b.idx) })
-			s.digest.base, s.digest.over = s.base, over
-		} else {
-			s.digest.Entries = make([]DigestEntry, 0, len(s.records))
-			for key, r := range s.records {
-				s.digest.Entries = append(s.digest.Entries,
-					DigestEntry{Key: key, Stamp: r.Stamp, Alive: r.Alive})
-			}
+		over := make([]overLine, 0, len(s.over))
+		for i, r := range s.over {
+			over = append(over, overLine{idx: i, stamp: r.Stamp, alive: r.Alive})
 		}
+		slices.SortFunc(over, func(a, b overLine) int { return cmp.Compare(a.idx, b.idx) })
+		s.digest = Digest{From: s.cfg.Self, Hash: s.hash, Count: len(s.base.Records), base: s.base, over: over}
 		s.digestVersion = s.version
 	}
 	return s.digest
@@ -591,7 +552,7 @@ func (s *Service) MakeDigest() Digest {
 func (s *Service) MakeSummaryDigest() Digest {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return Digest{From: s.cfg.Self, Hash: s.hash, Count: s.recordCountLocked()}
+	return Digest{From: s.cfg.Self, Hash: s.hash, Count: len(s.base.Records)}
 }
 
 // HandleDigest implements the pull: it returns an Update carrying every
@@ -618,7 +579,7 @@ func (s *Service) HandleDigest(d Digest) (upd *Update, gossiperFresher bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.markHeardLocked(d.From, s.now())
-	if d.Hash == s.hash && d.Count == s.recordCountLocked() {
+	if d.Hash == s.hash && d.Count == len(s.base.Records) {
 		return nil, false // identical rosters, probe or full
 	}
 	if d.Len() == 0 {
@@ -628,7 +589,7 @@ func (s *Service) HandleDigest(d Digest) (upd *Update, gossiperFresher bool) {
 		return nil, true
 	}
 	var diff digestDiff
-	if d.base != nil && d.base == s.base {
+	if d.base == s.base {
 		s.diffOverlaysLocked(d, &diff)
 	} else {
 		s.diffLinesLocked(d, &diff)
@@ -665,15 +626,11 @@ func (x *digestDiff) line(stamp uint64, alive bool, r *Record) {
 
 // diffOverlaysLocked is the walk for an overlay-form digest whose base is
 // this service's own: only lines in the gossiper's overlay or in ours can
-// differ. The digest lists every base line and a roster-mode service holds
-// exactly those, so neither side lacks a line.
+// differ. The digest lists every base line and a service holds exactly
+// those, so neither side lacks a line.
 func (s *Service) diffOverlaysLocked(d Digest, x *digestDiff) {
 	for _, l := range d.over {
-		r, ok := s.over[l.idx]
-		if !ok {
-			r = &s.base.Records[l.idx]
-		}
-		x.line(l.stamp, l.alive, r)
+		x.line(l.stamp, l.alive, s.lineLocked(l.idx))
 	}
 	for i, r := range s.over {
 		if _, theirs := slices.BinarySearchFunc(d.over, i, func(l overLine, i int32) int { return cmp.Compare(l.idx, i) }); theirs {
@@ -700,7 +657,7 @@ func (s *Service) diffLinesLocked(d Digest, x *digestDiff) {
 		shared++
 		x.line(e.Stamp, e.Alive, r)
 	}
-	if shared < s.recordCountLocked() {
+	if shared < len(s.base.Records) {
 		// The digest misses lines we hold; identify them.
 		known := make(map[string]struct{}, d.Len())
 		for e := range d.Lines {
@@ -712,13 +669,6 @@ func (s *Service) diffLinesLocked(d Digest, x *digestDiff) {
 			}
 		})
 	}
-}
-
-// GossipTargets picks up to k distinct random alive peers.
-func (s *Service) GossipTargets(rng *rand.Rand, k int) []addr.Address {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.pickDistinctLocked(rng, k, nil)
 }
 
 // DigestTargets picks up to k distinct digest destinations, the first drawn
@@ -735,7 +685,7 @@ func (s *Service) DigestTargets(rng *rand.Rand, k int) []addr.Address {
 		return nil
 	}
 	var out []addr.Address
-	used := make(map[string]bool, k)
+	used := make(map[string]bool, min(k, s.poolLenLocked()))
 	// The neighbor slot only exists when at least one uniform slot remains:
 	// digests are the sole cross-subgroup membership channel, so a fanout
 	// of 1 must mix globally (the heartbeat beacon keeps the subgroup
@@ -750,9 +700,9 @@ func (s *Service) DigestTargets(rng *rand.Rand, k int) []addr.Address {
 
 // pickDistinctLocked draws up to k distinct addresses from the sorted
 // alive-peer pool by deterministic rejection sampling, skipping anything in
-// used. The pool is the classic peerCache or, in roster mode, the identical
-// logical sequence read through poolAtLocked — rng consumption and drawn
-// addresses match between the modes exactly, which the golden traces pin.
+// used. The pool is read through poolAtLocked as the sorted list of live
+// peers, so rng consumption and drawn addresses are the same whichever route
+// built the table — which the golden traces pin.
 func (s *Service) pickDistinctLocked(rng *rand.Rand, k int, used map[string]bool) []addr.Address {
 	n := s.poolLenLocked()
 	avail := n - len(used)
@@ -761,9 +711,6 @@ func (s *Service) pickDistinctLocked(rng *rand.Rand, k int, used map[string]bool
 	}
 	if k <= 0 {
 		return nil
-	}
-	if used == nil {
-		used = make(map[string]bool, k)
 	}
 	out := make([]addr.Address, 0, k)
 	for len(out) < k {
@@ -781,7 +728,7 @@ func (s *Service) pickDistinctLocked(rng *rand.Rand, k int, used map[string]bool
 func (s *Service) BuildJoinRequest() JoinRequest {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	self, _ := s.peekLocked(s.cfg.Self.Key())
+	self, _, _ := s.peekLocked(s.cfg.Self.Key())
 	return JoinRequest{Joiner: *self, Hops: s.cfg.Space.Depth()}
 }
 
@@ -793,15 +740,10 @@ func (s *Service) BuildJoinRequest() JoinRequest {
 // been contacted").
 func (s *Service) HandleJoinRequest(jr JoinRequest) (reply Update, forward addr.Address, ok bool) {
 	s.mu.Lock()
-	if rec := s.apply(jr.Joiner); rec != nil {
-		s.version++
-		s.logChangeLocked(s.version, rec)
-	}
+	s.admitLocked([]Record{jr.Joiner})
 	s.markHeardLocked(jr.Joiner.Addr, s.now())
-	records := make([]Record, 0, s.recordCountLocked())
-	s.visitLocked(func(_ string, r *Record) {
-		records = append(records, *r)
-	})
+	records := make([]Record, 0, len(s.base.Records))
+	s.visitLocked(func(_ string, r *Record) { records = append(records, *r) })
 	// Choose the forward hop over the sorted alive-peer pool: ties at equal
 	// prefix depth must resolve identically on every process and every run
 	// (map iteration order would make seeded replays diverge).
@@ -818,8 +760,7 @@ func (s *Service) HandleJoinRequest(jr JoinRequest) (reply Update, forward addr.
 	})
 	s.mu.Unlock()
 
-	sort.Slice(records, func(i, j int) bool { return records[i].Addr.Less(records[j].Addr) })
-	reply = Update{From: s.cfg.Self, Records: records}
+	reply = Update{From: s.cfg.Self, Records: records} // in address order, as visited
 	if jr.Hops > 0 && !best.IsZero() {
 		return reply, best, true
 	}
@@ -831,7 +772,7 @@ func (s *Service) HandleJoinRequest(jr JoinRequest) (reply Update, forward addr.
 func (s *Service) Subscribe(sub interest.Subscription) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	self := s.mutableLocked(s.cfg.Self.Key())
+	self := s.mutableLocked(s.base.index[s.cfg.Self.Key()])
 	self.Sub = sub
 	s.touchHashLocked(s.cfg.Self.Key(), self.Stamp, self.Alive, self.Stamp+1, self.Alive)
 	self.Stamp++
@@ -844,11 +785,12 @@ func (s *Service) Subscribe(sub interest.Subscription) {
 func (s *Service) BuildLeave() Leave {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	self := s.mutableLocked(s.cfg.Self.Key())
+	i := s.base.index[s.cfg.Self.Key()]
+	self := s.mutableLocked(i)
 	s.touchHashLocked(s.cfg.Self.Key(), self.Stamp, self.Alive, self.Stamp+1, false)
 	self.Stamp++
 	if self.Alive {
-		s.setAliveLocked(s.cfg.Self, s.cfg.Self.Key(), false)
+		s.setAliveLocked(i, false)
 	}
 	self.Alive = false
 	s.version++
@@ -860,27 +802,34 @@ func (s *Service) BuildLeave() Leave {
 func (s *Service) HandleLeave(l Leave) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if rec := s.apply(Record{Addr: l.Addr, Stamp: l.Stamp, Alive: false}); rec != nil {
-		s.version++
-		s.logChangeLocked(s.version, rec)
-	}
+	s.admitLocked([]Record{{Addr: l.Addr, Stamp: l.Stamp, Alive: false}})
 }
 
-// MarkHeard records life signs from a peer (any protocol message counts,
-// membership or gossip — "every process keeps track of the last time it was
-// contacted").
-func (s *Service) MarkHeard(a addr.Address) { s.MarkHeardAt(a, s.now()) }
-
-// MarkHeardAt is MarkHeard for a caller that already read the clock: the
-// runtime reads it once for a whole batch of received messages.
+// MarkHeardAt records life signs from a peer at the given time (any
+// protocol message counts, membership or gossip — "every process keeps track
+// of the last time it was contacted"); the runtime reads the clock once for a
+// whole batch of received messages. Only immediate neighbors are recorded:
+// SweepFailures reads nothing else, and whether an address is a neighbor is
+// its prefix, which never changes — so the detector's maps stay bounded by
+// the subgroup whoever writes, forged senders included, and everyone else
+// never takes the lock.
 func (s *Service) MarkHeardAt(a addr.Address, at time.Time) {
+	if !s.monitors(a) {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.markHeardLocked(a, at)
 }
 
+// monitors reports whether a is an immediate neighbor's address — in the
+// space, under self's prefix — which is all the failure detector watches.
+func (s *Service) monitors(a addr.Address) bool {
+	return a.HasPrefix(s.selfPrefix) && s.cfg.Space.Validate(a) == nil
+}
+
 func (s *Service) markHeardLocked(a addr.Address, at time.Time) {
-	if !a.IsZero() {
+	if s.monitors(a) {
 		s.lastHeard[a.Key()] = at
 		delete(s.suspicion, a.Key())
 	}
@@ -924,11 +873,12 @@ func (s *Service) SweepFailures() []addr.Address {
 				continue // confirmation phase (Section 6): not yet expelled
 			}
 			delete(s.suspicion, key)
-			r := s.mutableLocked(key)
+			i := s.base.index[key]
+			r := s.mutableLocked(i)
 			s.touchHashLocked(key, r.Stamp, r.Alive, r.Stamp+1, false)
 			r.Stamp++
 			r.Alive = false
-			s.setAliveLocked(r.Addr, key, false)
+			s.setAliveLocked(i, false)
 			s.version++
 			s.logChangeLocked(s.version, r)
 			suspected = append(suspected, r.Addr)
@@ -936,21 +886,6 @@ func (s *Service) SweepFailures() []addr.Address {
 	}
 	// neighbors was sorted, so suspected already is.
 	return suspected
-}
-
-// Snapshot materializes the alive records as tree members, ready for
-// tree.Build.
-func (s *Service) Snapshot() []tree.Member {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]tree.Member, 0, s.alive)
-	s.visitLocked(func(_ string, r *Record) {
-		if r.Alive {
-			out = append(out, tree.Member{Addr: r.Addr, Sub: r.Sub})
-		}
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr.Less(out[j].Addr) })
-	return out
 }
 
 // VisitRecords calls fn for every record — alive and tombstoned — in
@@ -967,7 +902,7 @@ func (s *Service) VisitRecords(fn func(Record)) {
 func (s *Service) Lookup(a addr.Address) (Record, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if r, ok := s.peekLocked(a.Key()); ok {
+	if r, _, ok := s.peekLocked(a.Key()); ok {
 		return *r, true
 	}
 	return Record{}, false

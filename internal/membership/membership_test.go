@@ -204,7 +204,7 @@ func TestFailureDetection(t *testing.T) {
 	// Life signs reset the clock.
 	now = now.Add(time.Minute)
 	s.Apply(Update{From: distant, Records: []Record{{Addr: neighbor, Stamp: 5, Alive: true}}})
-	s.MarkHeard(neighbor)
+	s.MarkHeardAt(neighbor, now)
 	if sus := s.SweepFailures(); len(sus) != 0 {
 		t.Errorf("re-suspected immediately after contact: %v", sus)
 	}
@@ -237,7 +237,7 @@ func TestSuspicionConfirmationPhase(t *testing.T) {
 		t.Fatalf("expelled on second sweep: %v", sus)
 	}
 	// A life sign resets the confirmation counter.
-	s.MarkHeard(neighbor)
+	s.MarkHeardAt(neighbor, now)
 	now = now.Add(time.Minute)
 	if sus := s.SweepFailures(); len(sus) != 0 {
 		t.Fatal("expelled right after contact")
@@ -254,15 +254,20 @@ func TestSuspicionConfirmationPhase(t *testing.T) {
 	}
 }
 
-func TestGossipTargets(t *testing.T) {
+// TestDigestTargets: the first target is an immediate neighbor, every
+// target is a distinct alive peer, and a request past the pool caps at it.
+func TestDigestTargets(t *testing.T) {
 	s := newService(t, "0.0", nil)
 	for i := 1; i < 8; i++ {
 		s.Apply(Update{Records: []Record{{Addr: addr.New(i/4, i%4), Stamp: 1, Alive: true}}})
 	}
 	rng := rand.New(rand.NewSource(1))
-	targets := s.GossipTargets(rng, 3)
+	targets := s.DigestTargets(rng, 3)
 	if len(targets) != 3 {
 		t.Fatalf("targets = %d", len(targets))
+	}
+	if !targets[0].HasPrefix(s.Self().Prefix(2)) {
+		t.Errorf("first target %s is no immediate neighbor", targets[0])
 	}
 	seen := map[string]bool{}
 	for _, a := range targets {
@@ -275,12 +280,12 @@ func TestGossipTargets(t *testing.T) {
 		seen[a.Key()] = true
 	}
 	// Request exceeding peers caps gracefully.
-	if got := s.GossipTargets(rng, 99); len(got) != 7 {
+	if got := s.DigestTargets(rng, 99); len(got) != 7 {
 		t.Errorf("capped targets = %d, want 7", len(got))
 	}
 }
 
-func TestImmediateNeighborsAndSnapshot(t *testing.T) {
+func TestImmediateNeighborsAndVisitRecords(t *testing.T) {
 	s := newService(t, "1.0", nil)
 	s.Apply(Update{Records: []Record{
 		{Addr: addr.New(1, 1), Stamp: 1, Alive: true},
@@ -291,14 +296,15 @@ func TestImmediateNeighborsAndSnapshot(t *testing.T) {
 	if len(nbrs) != 1 || !nbrs[0].Equal(addr.New(1, 1)) {
 		t.Errorf("neighbors = %v", nbrs)
 	}
-	snap := s.Snapshot()
-	if len(snap) != 3 { // self + 1.1 + 2.0
-		t.Errorf("snapshot = %d members", len(snap))
-	}
-	for i := 1; i < len(snap); i++ {
-		if !snap[i-1].Addr.Less(snap[i].Addr) {
-			t.Error("snapshot not sorted")
+	all, alive := 0, 0
+	s.VisitRecords(func(r Record) {
+		all++
+		if r.Alive {
+			alive++
 		}
+	})
+	if all != 4 || alive != 3 { // self + 1.1 + 2.0 alive, 1.2 tombstoned
+		t.Errorf("VisitRecords saw %d records, %d alive; want 4 and 3", all, alive)
 	}
 }
 
@@ -332,7 +338,7 @@ func TestAntiEntropyConvergence(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for round := 0; round < 40; round++ {
 		for _, s := range services {
-			for _, to := range s.GossipTargets(rng, 2) {
+			for _, to := range s.DigestTargets(rng, 2) {
 				// Route the digest to the owner of `to`.
 				for _, other := range services {
 					if other.Self().Equal(to) {
@@ -347,6 +353,90 @@ func TestAntiEntropyConvergence(t *testing.T) {
 	for i, s := range services {
 		if s.Len() != n {
 			t.Errorf("service %d knows %d of %d members", i, s.Len(), n)
+		}
+	}
+}
+
+// TestOutOfSpaceRecordsRefused: a record whose address does not fit the
+// space — too deep, too shallow, a digit past its arity — is refused at every
+// door: an Update's records, a JoinRequest's joiner, a Leave's address. The
+// version, the alive count and the roster hash do not move, on a service
+// that starts alone and on one bootstrapped on a roster.
+func TestOutOfSpaceRecordsRefused(t *testing.T) {
+	space, recs := rosterFixture(t)
+	cfg := Config{Self: addr.New(1, 2), Space: space, R: 2, SuspectAfter: time.Minute}
+	alone, err := New(cfg, interest.NewSubscription())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Service{"alone": alone, "roster": rosterService(t, cfg, recs)} {
+		for _, bad := range []addr.Address{addr.New(0, 0, 0), addr.New(2), addr.New(4, 0), addr.New(1, 7)} {
+			v, n, h := s.Version(), s.Len(), s.RosterHash()
+			unchanged := func(door string) {
+				t.Helper()
+				if s.Version() != v || s.Len() != n || s.RosterHash() != h {
+					t.Errorf("%s: %s %s moved the service: version %d → %d, len %d → %d", name, door, bad, v, s.Version(), n, s.Len())
+				}
+				if _, ok := s.Lookup(bad); ok {
+					t.Errorf("%s: %s %s admitted a line", name, door, bad)
+				}
+			}
+			rec := Record{Addr: bad, Sub: interest.NewSubscription(), Stamp: 3, Alive: true}
+			if got := s.Apply(Update{From: addr.New(0, 0), Records: []Record{rec}}); got != 0 {
+				t.Errorf("%s: Apply of %s changed %d records", name, bad, got)
+			}
+			unchanged("Update")
+			s.HandleJoinRequest(JoinRequest{Joiner: rec, Hops: 2})
+			unchanged("JoinRequest")
+			s.HandleLeave(Leave{Addr: bad, Stamp: 3})
+			unchanged("Leave")
+		}
+	}
+}
+
+// TestDetectorStateBoundedBySubgroup: traffic from 200 processes outside the
+// subgroup — plus forged senders outside the space — leaves the failure
+// detector's maps holding at most the subgroup, however it arrives.
+func TestDetectorStateBoundedBySubgroup(t *testing.T) {
+	now := time.Unix(0, 0)
+	space := addr.MustRegular(16, 2)
+	s, err := New(Config{Self: addr.New(3, 3), Space: space, R: 2, SuspectAfter: time.Second,
+		Now: func() time.Time { return now }}, interest.NewSubscription())
+	if err != nil {
+		t.Fatal(err)
+	}
+	subgroup := space.Arity(2)
+	var senders []addr.Address
+	for i := 0; len(senders) < 200; i++ {
+		if a := space.AddressAt(i); !a.HasPrefix(s.Self().Prefix(2)) {
+			senders = append(senders, a)
+		}
+	}
+	senders = append(senders, addr.New(3, 99), addr.New(3, 3, 3), addr.New(99))
+	for i, a := range senders {
+		now = now.Add(time.Millisecond)
+		s.MarkHeardAt(a, now)
+		s.Apply(Update{From: a})
+		s.HandleDigest(Digest{From: a, Hash: uint64(i)})
+		s.HandleJoinRequest(JoinRequest{Joiner: Record{Addr: a, Stamp: 1, Alive: true}})
+	}
+	// Neighbors join, fall silent and are swept, so both maps see use.
+	for j := 0; j < subgroup; j++ {
+		s.Apply(Update{Records: []Record{{Addr: addr.New(3, j), Stamp: 2, Alive: true}}})
+	}
+	for range 3 {
+		now = now.Add(2 * time.Second)
+		s.SweepFailures()
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if len(s.lastHeard) > subgroup || len(s.suspicion) > subgroup {
+		t.Errorf("detector holds %d contact times and %d suspicions; want at most the subgroup's %d",
+			len(s.lastHeard), len(s.suspicion), subgroup)
+	}
+	for key := range s.lastHeard {
+		if a := addr.MustParse(key); !a.HasPrefix(s.selfPrefix) {
+			t.Errorf("contact time kept for %s, outside the subgroup", key)
 		}
 	}
 }

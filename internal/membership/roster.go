@@ -1,39 +1,41 @@
-// Shared-roster membership: the copy-on-write backing that lets a harness
-// co-host tens of thousands of processes over one bootstrap roster.
+// One table, two layers: every Service is a Roster plus an overlay.
 //
-// A classic Service holds the whole record table per process — O(n) lines
-// each, O(n²) for a co-hosted fleet, which caps campaigns near a thousand
-// processes. In roster mode every Service of a bootstrap fleet shares one
-// immutable sorted Roster and keeps only an overlay: the records IT has
-// seen change. All observable behavior — record lookups, digests, roster
-// hash, and crucially the order and arity of random peer draws — is
-// byte-identical to a classic service that applied the same roster line by
-// line, which the pinned golden traces verify continuously (the oracle
-// bootstrap always runs through this path).
+// The paper's membership state is one timestamped table per process. Here
+// that table is an immutable address-sorted Roster — the base, which a
+// harness fleet bootstrapped from one roster shares, so co-hosting tens of
+// thousands of processes costs one copy of the lines — plus an overlay of the
+// lines this service holds differently, keyed by base position. A service
+// that starts alone (New) is the same thing over a one-line roster of its own
+// record.
 //
-// The alive-peer pool is where identity is subtle: classic sampling draws
-// from a sorted materialized peer cache. Roster mode draws from the same
-// logical sequence — the sorted base minus a (small) sorted exclusion set of
-// base positions (self plus every line currently dead) — by mapping the
-// drawn rank through the exclusion set, so rng consumption and the drawn
-// addresses match the classic path exactly. A record for an address outside
-// the base (a genuinely new joiner) falls back to full materialization for
-// that one service.
+// A record for an address outside the base is a stranger. The batch that
+// carries strangers rebases the service once: the new base is the current
+// logical table plus the strangers, the overlay's records move to their new
+// positions as they are, and every base-dependent field (alive count, roster
+// hash, pool exclusion set, neighbor cache) is derived afresh by the one
+// function construction also calls.
+//
+// The alive-peer pool is where identity is subtle: peer draws must consume the
+// rng and pick addresses exactly as sampling a sorted list of the live peers
+// would, or seeded traces move. The pool is the sorted base minus a (small)
+// sorted exclusion set of base positions — self plus every line currently
+// dead — and a drawn rank is mapped through the exclusion set, so the logical
+// sequence is that sorted list whatever route built the table.
 
 package membership
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"pmcast/internal/addr"
 )
 
-// Roster is an immutable bootstrap roster shared by many services: records
-// sorted by address, with the precomputed index, order-independent hash and
-// alive count every adopting service starts from. Build it once, hand it to
-// every NewWithRoster.
+// Roster is an immutable table of records sorted by address, with the
+// precomputed index, order-independent hash and alive count every service
+// adopting it starts from. Build it once, hand it to every NewWithRoster.
 type Roster struct {
 	// Records is sorted by address and must not be mutated after NewRoster.
 	Records []Record
@@ -48,18 +50,23 @@ type Roster struct {
 // NewRoster builds a shared roster from the given records (copied, sorted
 // by address). Duplicate addresses are an error.
 func NewRoster(recs []Record) (*Roster, error) {
-	r := &Roster{
-		Records: make([]Record, len(recs)),
-		index:   make(map[string]int32, len(recs)),
+	sorted := slices.Clone(recs)
+	slices.SortFunc(sorted, func(a, b Record) int { return a.Addr.Compare(b.Addr) })
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i].Addr.Equal(sorted[i-1].Addr) {
+			return nil, fmt.Errorf("membership: duplicate roster address %s", sorted[i].Addr)
+		}
 	}
-	copy(r.Records, recs)
-	sort.Slice(r.Records, func(i, j int) bool { return r.Records[i].Addr.Less(r.Records[j].Addr) })
+	return newRoster(sorted), nil
+}
+
+// newRoster indexes records already sorted by distinct address, taking
+// ownership of the slice.
+func newRoster(sorted []Record) *Roster {
+	r := &Roster{Records: sorted, index: make(map[string]int32, len(sorted))}
 	for i := range r.Records {
 		rec := &r.Records[i]
 		key := rec.Addr.Key()
-		if _, dup := r.index[key]; dup {
-			return nil, fmt.Errorf("membership: duplicate roster address %s", rec.Addr)
-		}
 		r.index[key] = int32(i)
 		r.hash ^= recHash(key, rec.Stamp, rec.Alive)
 		r.linesSize += lineWireSize(key, rec.Stamp)
@@ -67,23 +74,11 @@ func NewRoster(recs []Record) (*Roster, error) {
 			r.alive++
 		}
 	}
-	return r, nil
+	return r
 }
 
 // Len returns the number of roster lines.
 func (r *Roster) Len() int { return len(r.Records) }
-
-// lookup returns the base record for a key, if present.
-func (r *Roster) lookup(key string) (*Record, int32, bool) {
-	if r == nil {
-		return nil, 0, false
-	}
-	i, ok := r.index[key]
-	if !ok {
-		return nil, 0, false
-	}
-	return &r.Records[i], i, true
-}
 
 // prefixRange returns the half-open index range [lo, hi) of roster records
 // whose addresses carry the prefix. Records are address-sorted, so the
@@ -106,10 +101,9 @@ func addrBeforePrefix(a addr.Address, p addr.Prefix) bool {
 	return false
 }
 
-// NewWithRoster builds a service backed by a shared roster, equivalent to a
-// classic service that applied every roster line (self's own line included —
-// the roster carries each process's subscription). The service keeps only
-// an overlay of records that later diverge from the base.
+// NewWithRoster builds a service over a roster (self's own line included —
+// the roster carries each process's subscription). The service keeps only an
+// overlay of records that later diverge from the base.
 func NewWithRoster(cfg Config, base *Roster) (*Service, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -121,45 +115,111 @@ func NewWithRoster(cfg Config, base *Roster) (*Service, error) {
 	if cfg.SuspicionSweeps < 1 {
 		cfg.SuspicionSweeps = 1
 	}
-	selfKey := cfg.Self.Key()
-	selfRec, selfIdx, ok := base.lookup(selfKey)
+	selfIdx, ok := base.index[cfg.Self.Key()]
 	if !ok {
 		return nil, fmt.Errorf("%w: self %s not in roster", ErrBadConfig, cfg.Self)
 	}
 	s := &Service{
 		cfg:        cfg,
 		now:        now,
-		over:       make(map[int32]*Record, 4),
 		lastHeard:  make(map[string]time.Time),
 		suspicion:  make(map[string]int),
 		selfPrefix: cfg.Self.Prefix(cfg.Space.Depth()),
-		base:       base,
 	}
+	s.adoptLocked(base)
 	// Self lives in the overlay from the start: subscribe/leave bump its
-	// stamp, and overlay-shadowing with an identical value keeps the
-	// incremental hash exact.
-	selfCopy := *selfRec
-	s.over[selfIdx] = &selfCopy
-	s.alive = base.alive
-	s.hash = base.hash
+	// stamp, and overlay-shadowing with an identical value keeps the derived
+	// fields exact.
+	selfCopy := base.Records[selfIdx]
+	s.over = map[int32]*Record{selfIdx: &selfCopy}
 	s.version = 1
 	s.changelog = append(s.changelog, changeEntry{version: 1, rec: &selfCopy})
-	// The pool exclusion set: self plus every base line that is not alive.
-	s.poolGone = append(s.poolGone, selfIdx)
+	return s, nil
+}
+
+// adoptLocked makes base the service's base and derives every field that
+// depends on it: the alive count, the roster hash, the pool exclusion set
+// (self plus every dead line, ascending) and the neighbor cache (the base's
+// contiguous subgroup range, alive, minus self). The overlay must shadow
+// base lines with identical values only, as it does at construction and
+// across a rebase.
+func (s *Service) adoptLocked(base *Roster) {
+	s.base = base
+	s.alive, s.hash = base.alive, base.hash
+	selfIdx := base.index[s.cfg.Self.Key()]
+	s.poolGone = s.poolGone[:0]
 	for i := range base.Records {
-		if !base.Records[i].Alive && int32(i) != selfIdx {
-			s.poolGone = insortIdx(s.poolGone, int32(i))
+		if !base.Records[i].Alive || int32(i) == selfIdx {
+			s.poolGone = append(s.poolGone, int32(i))
 		}
 	}
-	// Immediate neighbors: the base's contiguous subgroup range, minus self.
+	s.neighborCache = s.neighborCache[:0]
 	lo, hi := base.prefixRange(s.selfPrefix)
 	for i := lo; i < hi; i++ {
-		rec := &base.Records[i]
-		if rec.Alive && int32(i) != selfIdx {
+		if rec := &base.Records[i]; rec.Alive && int32(i) != selfIdx {
 			s.neighborCache = append(s.neighborCache, rec.Addr)
 		}
 	}
-	return s, nil
+}
+
+// rebaseLocked admits a batch's strangers — records for addresses outside
+// the base — by building the new base once: the current logical table merged
+// with the strangers, a stranger listed twice merging by the stamp rule apply
+// uses. The overlay's records move to their new positions as they are and
+// each stranger gets a record of its own, logged against the version the
+// batch lands on, so the changelog keeps one pointer per line. It returns how
+// many stranger records changed state, counted as applying them one by one
+// would.
+func (s *Service) rebaseLocked(strangers []Record) int {
+	slices.SortStableFunc(strangers, func(a, b Record) int { return a.Addr.Compare(b.Addr) })
+	changed := 0
+	merged := strangers[:0]
+	for _, r := range strangers {
+		n := len(merged)
+		if n == 0 || !merged[n-1].Addr.Equal(r.Addr) {
+			merged = append(merged, r)
+			changed++
+			continue
+		}
+		switch cur := &merged[n-1]; {
+		case r.Stamp > cur.Stamp:
+			*cur = r
+			changed++
+		case r.Stamp == cur.Stamp && cur.Alive && !r.Alive:
+			cur.Alive = false // tombstone precedence at equal stamps
+			changed++
+		}
+	}
+
+	old := s.base
+	recs := make([]Record, 0, len(old.Records)+len(merged))
+	over := make(map[int32]*Record, len(s.over)+len(merged))
+	owned := slices.Clone(merged)
+	j := 0
+	for i := range old.Records {
+		r, mine := s.over[int32(i)]
+		if !mine {
+			r = &old.Records[i]
+		}
+		for ; j < len(owned) && owned[j].Addr.Less(r.Addr); j++ {
+			over[int32(len(recs))] = &owned[j]
+			recs = append(recs, owned[j])
+		}
+		if mine {
+			over[int32(len(recs))] = r
+		}
+		recs = append(recs, *r)
+	}
+	for ; j < len(owned); j++ {
+		over[int32(len(recs))] = &owned[j]
+		recs = append(recs, owned[j])
+	}
+	for k := range owned {
+		s.logChangeLocked(s.version+1, &owned[k])
+	}
+	s.over = over
+	s.adoptLocked(newRoster(recs))
+	return changed
 }
 
 // insortIdx inserts v into the sorted index list (no-op if present).
@@ -183,22 +243,24 @@ func removeIdx(list []int32, v int32) []int32 {
 	return append(list[:i], list[i+1:]...)
 }
 
-// recordCountLocked is the logical size of the record table. While the
-// base is live the overlay only ever shadows base lines (a record for any
-// new address triggers materialization first), so the base length is exact.
-func (s *Service) recordCountLocked() int {
-	if s.base == nil {
-		return len(s.records)
+// lineLocked reads base line i: the overlay's record when it shadows the
+// line, else the base's. The result may be a shared base line — mutate
+// through mutableLocked only.
+func (s *Service) lineLocked(i int32) *Record {
+	if r, ok := s.over[i]; ok {
+		return r
 	}
-	return len(s.base.Records)
+	return &s.base.Records[i]
 }
 
-// peekLocked resolves a record for reading: the key is hashed once, to the
-// classic table's record or to the base position the overlay is keyed by.
-// The result may be a shared base line — mutate through mutableLocked only.
-func (s *Service) peekLocked(key string) (*Record, bool) {
-	r, _, ok := s.peekNextLocked(key, -1)
-	return r, ok
+// peekLocked resolves a record for reading and its base position: the key
+// is hashed once, into the base's index.
+func (s *Service) peekLocked(key string) (*Record, int32, bool) {
+	i, ok := s.base.index[key]
+	if !ok {
+		return nil, 0, false
+	}
+	return s.lineLocked(i), i, true
 }
 
 // peekNextLocked is peekLocked for a caller walking keys in the order digests
@@ -207,10 +269,6 @@ func (s *Service) peekLocked(key string) (*Record, bool) {
 // for a key cut from the shared roster is a pointer compare, it is not hashed
 // at all. The second result is the next call's hint.
 func (s *Service) peekNextLocked(key string, hint int32) (*Record, int32, bool) {
-	if s.base == nil {
-		r, ok := s.records[key]
-		return r, -1, ok
-	}
 	i := hint
 	if i < 0 || int(i) >= len(s.base.Records) || s.base.Records[i].Addr.Key() != key {
 		var ok bool
@@ -218,22 +276,12 @@ func (s *Service) peekNextLocked(key string, hint int32) (*Record, int32, bool) 
 			return nil, hint, false
 		}
 	}
-	if r, ok := s.over[i]; ok {
-		return r, i + 1, true
-	}
-	return &s.base.Records[i], i + 1, true
+	return s.lineLocked(i), i + 1, true
 }
 
-// mutableLocked returns the service's own record for the key, copying the
-// base line into the overlay on first mutation. Nil when the key is unknown.
-func (s *Service) mutableLocked(key string) *Record {
-	if s.base == nil {
-		return s.records[key]
-	}
-	i, ok := s.base.index[key]
-	if !ok {
-		return nil
-	}
+// mutableLocked returns the service's own record for base line i, copying
+// the base line into the overlay on first mutation.
+func (s *Service) mutableLocked(i int32) *Record {
 	r, ok := s.over[i]
 	if !ok {
 		cp := s.base.Records[i]
@@ -244,31 +292,16 @@ func (s *Service) mutableLocked(key string) *Record {
 }
 
 // visitLocked calls fn for every logical record (overlay shadows base) in
-// unspecified order, mirroring classic map iteration.
+// address order.
 func (s *Service) visitLocked(fn func(key string, r *Record)) {
-	if s.base == nil {
-		for k, r := range s.records {
-			fn(k, r)
-		}
-		return
-	}
-	for _, r := range s.over {
-		fn(r.Addr.Key(), r)
-	}
 	for i := range s.base.Records {
-		if _, shadowed := s.over[int32(i)]; shadowed {
-			continue
-		}
-		rec := &s.base.Records[i]
-		fn(rec.Addr.Key(), rec)
+		r := s.lineLocked(int32(i))
+		fn(r.Addr.Key(), r)
 	}
 }
 
-// poolLenLocked is the alive-peer pool size (classic: the peer cache).
+// poolLenLocked is the alive-peer pool size.
 func (s *Service) poolLenLocked() int {
-	if s.base == nil {
-		return len(s.peerCache)
-	}
 	return len(s.base.Records) - len(s.poolGone)
 }
 
@@ -276,9 +309,6 @@ func (s *Service) poolLenLocked() int {
 // position whose rank among non-excluded lines is j, found by a fixpoint
 // over the sorted exclusion set (|gone| is small — self plus current dead).
 func (s *Service) poolAtLocked(j int) addr.Address {
-	if s.base == nil {
-		return s.peerCache[j]
-	}
 	m := j
 	for {
 		k := sort.Search(len(s.poolGone), func(i int) bool { return s.poolGone[i] > int32(m) })
@@ -292,12 +322,6 @@ func (s *Service) poolAtLocked(j int) addr.Address {
 
 // poolVisitLocked walks the pool in sorted order.
 func (s *Service) poolVisitLocked(fn func(addr.Address)) {
-	if s.base == nil {
-		for _, a := range s.peerCache {
-			fn(a)
-		}
-		return
-	}
 	g := 0
 	for i := range s.base.Records {
 		if g < len(s.poolGone) && s.poolGone[g] == int32(i) {
@@ -305,39 +329,5 @@ func (s *Service) poolVisitLocked(fn func(addr.Address)) {
 			continue
 		}
 		fn(s.base.Records[i].Addr)
-	}
-}
-
-// materializeLocked abandons the shared base for this service: every base
-// line is copied into the overlay and the classic peer cache is built, so
-// all subsequent operations run the classic path. Triggered when a record
-// outside the base appears (a genuinely new joiner) — exceptional, and the
-// sampling sequence is unchanged because the materialized pool is exactly
-// the logical pool.
-func (s *Service) materializeLocked() {
-	if s.base == nil {
-		return
-	}
-	s.records = make(map[string]*Record, len(s.base.Records))
-	for i := range s.base.Records {
-		r, shadowed := s.over[int32(i)]
-		if !shadowed {
-			cp := s.base.Records[i]
-			r = &cp
-		}
-		s.records[r.Addr.Key()] = r
-	}
-	s.base = nil
-	s.over = nil
-	s.poolGone = nil
-	// The memoized digest is the overlay form of a service that no longer
-	// has an overlay.
-	s.digest, s.digestVersion = Digest{}, 0
-	s.peerCache = s.peerCache[:0]
-	selfKey := s.cfg.Self.Key()
-	for key, r := range s.records {
-		if r.Alive && key != selfKey {
-			s.peerCache = insortAddr(s.peerCache, r.Addr)
-		}
 	}
 }

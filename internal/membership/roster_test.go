@@ -1,8 +1,10 @@
 package membership
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -30,83 +32,96 @@ func rosterFixture(t *testing.T) (addr.Space, []Record) {
 	return space, recs
 }
 
-// servicePair builds the same logical service twice: classically (self line
-// seeded, remaining roster lines applied as an update) and through the
-// shared roster. Everything observable must match between the two.
-func servicePair(t *testing.T, self addr.Address) (*Service, *Service) {
+// servicePair builds the same logical service by the two routes into the one
+// representation: grown (New's one-line roster, the remaining roster lines
+// applied as one update, which rebases it) and bootstrapped on the whole
+// roster. Everything observable must match between the two.
+func servicePair(t *testing.T, self addr.Address) (grown, bootstrapped *Service) {
 	t.Helper()
 	space, recs := rosterFixture(t)
 	cfg := Config{Self: self, Space: space, R: 2, SuspectAfter: 10 * time.Second}
+	return grownService(t, cfg, recs), rosterService(t, cfg, recs)
+}
 
+// grownService is New for cfg.Self — whose subscription recs carries — with
+// every other line of recs applied as one update.
+func grownService(t *testing.T, cfg Config, recs []Record) *Service {
+	t.Helper()
 	var selfSub interest.Subscription
 	var others []Record
 	for _, r := range recs {
-		if r.Addr.Equal(self) {
+		if r.Addr.Equal(cfg.Self) {
 			selfSub = r.Sub
 		} else {
 			others = append(others, r)
 		}
 	}
-	classic, err := New(cfg, selfSub)
+	s, err := New(cfg, selfSub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	classic.Apply(Update{Records: others})
+	s.Apply(Update{Records: others})
+	return s
+}
 
+// rosterService bootstraps a service on a roster of recs.
+func rosterService(t *testing.T, cfg Config, recs []Record) *Service {
+	t.Helper()
 	base, err := NewRoster(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := NewWithRoster(cfg, base)
+	s, err := NewWithRoster(cfg, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return classic, shared
+	return s
 }
 
 // mustAgree compares every externally observable surface of the two
 // services, including the exact sequence of random peer draws.
-func mustAgree(t *testing.T, classic, shared *Service, rngSeed int64) {
+func mustAgree(t *testing.T, grown, shared *Service, rngSeed int64) {
 	t.Helper()
-	if a, b := classic.RosterHash(), shared.RosterHash(); a != b {
-		t.Fatalf("roster hash: classic %x, shared %x", a, b)
+	if a, b := grown.RosterHash(), shared.RosterHash(); a != b {
+		t.Fatalf("roster hash: grown %x, bootstrapped %x", a, b)
 	}
-	if a, b := classic.Len(), shared.Len(); a != b {
-		t.Fatalf("alive len: classic %d, shared %d", a, b)
+	if a, b := grown.Len(), shared.Len(); a != b {
+		t.Fatalf("alive len: grown %d, bootstrapped %d", a, b)
 	}
-	if a, b := classic.MakeSummaryDigest().Count, shared.MakeSummaryDigest().Count; a != b {
-		t.Fatalf("record count: classic %d, shared %d", a, b)
+	if a, b := grown.MakeSummaryDigest().Count, shared.MakeSummaryDigest().Count; a != b {
+		t.Fatalf("record count: grown %d, bootstrapped %d", a, b)
 	}
-	if a, b := classic.ImmediateNeighbors(), shared.ImmediateNeighbors(); !reflect.DeepEqual(a, b) {
-		t.Fatalf("neighbors: classic %v, shared %v", a, b)
+	if a, b := grown.ImmediateNeighbors(), shared.ImmediateNeighbors(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("neighbors: grown %v, bootstrapped %v", a, b)
 	}
-	if a, b := classic.Snapshot(), shared.Snapshot(); !reflect.DeepEqual(a, b) {
-		t.Fatalf("snapshot diverged: classic %d members, shared %d", len(a), len(b))
+	if a, b := sortedRecords(grown), sortedRecords(shared); !reflect.DeepEqual(a, b) {
+		t.Fatalf("records diverged:\ngrown        %v\nbootstrapped %v", a, b)
 	}
 	// Digest line sets (order is unspecified — compare sorted).
-	ea, eb := sortedLines(classic.MakeDigest()), sortedLines(shared.MakeDigest())
+	ea, eb := sortedLines(grown.MakeDigest()), sortedLines(shared.MakeDigest())
 	if !reflect.DeepEqual(ea, eb) {
-		t.Fatalf("digest entries diverged:\nclassic %v\nshared  %v", ea, eb)
+		t.Fatalf("digest entries diverged:\ngrown        %v\nbootstrapped %v", ea, eb)
 	}
 	// Identical rng streams must produce identical draw sequences.
 	ra, rb := rand.New(rand.NewSource(rngSeed)), rand.New(rand.NewSource(rngSeed))
 	for i := 0; i < 32; i++ {
-		ga, gb := classic.GossipTargets(ra, 3), shared.GossipTargets(rb, 3)
+		ga, gb := grown.DigestTargets(ra, 3), shared.DigestTargets(rb, 3)
 		if !reflect.DeepEqual(ga, gb) {
-			t.Fatalf("gossip draw %d: classic %v, shared %v", i, ga, gb)
+			t.Fatalf("3-target draw %d: grown %v, bootstrapped %v", i, ga, gb)
 		}
-		ta, tb := classic.DigestTargets(ra, 2), shared.DigestTargets(rb, 2)
+		ta, tb := grown.DigestTargets(ra, 2), shared.DigestTargets(rb, 2)
 		if !reflect.DeepEqual(ta, tb) {
-			t.Fatalf("digest draw %d: classic %v, shared %v", i, ta, tb)
+			t.Fatalf("2-target draw %d: grown %v, bootstrapped %v", i, ta, tb)
 		}
 	}
-	// Every record line, looked up by address.
-	classic.VisitRecords(func(r Record) {
-		got, ok := shared.Lookup(r.Addr)
-		if !ok || !reflect.DeepEqual(got, r) {
-			t.Fatalf("record %s: classic %+v, shared %+v (ok=%v)", r.Addr, r, got, ok)
-		}
-	})
+}
+
+// sortedRecords lists every record of the service by address.
+func sortedRecords(s *Service) []Record {
+	var recs []Record
+	s.VisitRecords(func(r Record) { recs = append(recs, r) })
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Addr.Less(recs[j].Addr) })
+	return recs
 }
 
 // sortedLines lists a digest's lines, whichever its form, sorted by key.
@@ -122,60 +137,66 @@ func sortedLines(d Digest) []DigestEntry {
 	return es
 }
 
-// TestRosterModeMatchesClassic drives both backings through the same
-// transition sequence — tombstones, resurrections, sweeps, a subscription
-// change — and checks full observable equivalence after each step.
+// TestRosterModeMatchesClassic drives the two routes into the one
+// representation — a table grown line by line through Apply, as the paper's
+// classic table grows, and one bootstrapped on the roster — through the same
+// transition sequence (tombstones, resurrections, a subscription change,
+// self-defense) and checks full observable equivalence after each step.
 func TestRosterModeMatchesClassic(t *testing.T) {
 	self := addr.New(1, 2)
-	classic, shared := servicePair(t, self)
-	mustAgree(t, classic, shared, 7)
+	grown, shared := servicePair(t, self)
+	if grown.base == shared.base {
+		t.Fatal("the grown service shares the bootstrap roster")
+	}
+	mustAgree(t, grown, shared, 7)
 
 	// Tombstone a few peers (one inside the subgroup, some outside).
 	for step, victim := range []addr.Address{addr.New(1, 3), addr.New(0, 0), addr.New(3, 1)} {
 		l := Leave{Addr: victim, Stamp: 2}
-		classic.HandleLeave(l)
+		grown.HandleLeave(l)
 		shared.HandleLeave(l)
-		mustAgree(t, classic, shared, int64(100+step))
+		mustAgree(t, grown, shared, int64(100+step))
 	}
 
 	// Resurrect one with a fresher stamp.
 	res := Record{Addr: addr.New(0, 0), Sub: interest.NewSubscription(), Stamp: 3, Alive: true}
-	classic.Apply(Update{Records: []Record{res}})
+	grown.Apply(Update{Records: []Record{res}})
 	shared.Apply(Update{Records: []Record{res}})
-	mustAgree(t, classic, shared, 11)
+	mustAgree(t, grown, shared, 11)
 
 	// Self subscription change bumps the overlay self line.
 	sub := interest.NewSubscription().Where("x", interest.Gt(9))
-	classic.Subscribe(sub)
+	grown.Subscribe(sub)
 	shared.Subscribe(sub)
-	mustAgree(t, classic, shared, 13)
+	mustAgree(t, grown, shared, 13)
 
 	// A false tombstone against self triggers self-defense identically.
 	tomb := Record{Addr: self, Stamp: 5, Alive: false}
-	classic.Apply(Update{Records: []Record{tomb}})
+	grown.Apply(Update{Records: []Record{tomb}})
 	shared.Apply(Update{Records: []Record{tomb}})
-	mustAgree(t, classic, shared, 17)
+	mustAgree(t, grown, shared, 17)
 
-	// An address outside the roster materializes the shared service; the
-	// logical state must still be identical afterwards.
-	joiner := Record{Addr: addr.New(2, 2), Sub: interest.NewSubscription(), Stamp: 9, Alive: true}
-	// 2.2 is in the roster — use a genuinely divergent line via a stamp-9
-	// flip instead, then check HandleDigest symmetry both ways.
-	classic.Apply(Update{Records: []Record{joiner}})
-	shared.Apply(Update{Records: []Record{joiner}})
-	mustAgree(t, classic, shared, 19)
+	// A known line moving to a fresher stamp.
+	flip := Record{Addr: addr.New(2, 2), Sub: interest.NewSubscription(), Stamp: 9, Alive: true}
+	grown.Apply(Update{Records: []Record{flip}})
+	shared.Apply(Update{Records: []Record{flip}})
+	mustAgree(t, grown, shared, 19)
 
-	// Cross-digest: each backing must see the other as identical.
-	if upd, fresher := classic.HandleDigest(shared.MakeSummaryDigest()); upd != nil || fresher {
-		t.Fatalf("classic sees shared as divergent: upd=%v fresher=%v", upd, fresher)
+	// Cross-digest: each route must see the other as identical, probe or full.
+	for _, d := range []Digest{shared.MakeSummaryDigest(), shared.MakeDigest()} {
+		if upd, fresher := grown.HandleDigest(d); upd != nil || fresher {
+			t.Fatalf("grown sees bootstrapped as divergent: upd=%v fresher=%v", upd, fresher)
+		}
 	}
-	if upd, fresher := shared.HandleDigest(classic.MakeSummaryDigest()); upd != nil || fresher {
-		t.Fatalf("shared sees classic as divergent: upd=%v fresher=%v", upd, fresher)
+	for _, d := range []Digest{grown.MakeSummaryDigest(), grown.MakeDigest()} {
+		if upd, fresher := shared.HandleDigest(d); upd != nil || fresher {
+			t.Fatalf("bootstrapped sees grown as divergent: upd=%v fresher=%v", upd, fresher)
+		}
 	}
 }
 
 // TestRosterSweepAndPoolMapping exercises the failure detector and the
-// rank-through-exclusion pool mapping with many dead lines.
+// rank-through-exclusion pool mapping with many dead lines, on both routes.
 func TestRosterSweepAndPoolMapping(t *testing.T) {
 	now := time.Unix(1000, 0)
 	space, recs := rosterFixture(t)
@@ -185,42 +206,21 @@ func TestRosterSweepAndPoolMapping(t *testing.T) {
 		SuspectAfter: 5 * time.Second,
 		Now:          func() time.Time { return now },
 	}
-	var selfSub interest.Subscription
-	var others []Record
-	for _, r := range recs {
-		if r.Addr.Equal(self) {
-			selfSub = r.Sub
-		} else {
-			others = append(others, r)
-		}
-	}
-	classic, err := New(cfg, selfSub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	classic.Apply(Update{Records: others})
-	base, err := NewRoster(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := NewWithRoster(cfg, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	grown, shared := grownService(t, cfg, recs), rosterService(t, cfg, recs)
 
 	// First sweep grandfathers; advance past the deadline and sweep again —
 	// the whole subgroup is expelled identically.
-	classic.SweepFailures()
+	grown.SweepFailures()
 	shared.SweepFailures()
 	now = now.Add(6 * time.Second)
-	sa, sb := classic.SweepFailures(), shared.SweepFailures()
+	sa, sb := grown.SweepFailures(), shared.SweepFailures()
 	if !reflect.DeepEqual(sa, sb) || len(sa) == 0 {
-		t.Fatalf("sweep diverged: classic %v, shared %v", sa, sb)
+		t.Fatalf("sweep diverged: grown %v, bootstrapped %v", sa, sb)
 	}
-	mustAgree(t, classic, shared, 23)
+	mustAgree(t, grown, shared, 23)
 
 	// Tombstone most of the fleet so poolGone is dense, then verify the
-	// draw sequence still matches the classic cache exactly.
+	// draw sequences still match exactly.
 	stamp := uint64(4)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
@@ -229,52 +229,69 @@ func TestRosterSweepAndPoolMapping(t *testing.T) {
 				continue
 			}
 			l := Leave{Addr: a, Stamp: stamp}
-			classic.HandleLeave(l)
+			grown.HandleLeave(l)
 			shared.HandleLeave(l)
 		}
 	}
-	mustAgree(t, classic, shared, 29)
+	mustAgree(t, grown, shared, 29)
 	if got := shared.Len(); got != 3 {
 		t.Fatalf("alive len = %d, want 3 (self + 2 survivors)", got)
 	}
 }
 
-// TestRosterMaterializeOnNewAddress checks the de-COW path: a record for an
-// address outside the base flips the service to classic backing with no
-// observable discontinuity.
-func TestRosterMaterializeOnNewAddress(t *testing.T) {
-	space := addr.MustRegular(4, 3) // deeper space: roster covers only a slice
+// TestStrangersRebaseOnce: a batch carrying three strangers — one listed
+// twice, the later copy fresher — rebases the service once, onto the
+// current table plus the three, and leaves it equal to the service
+// bootstrapped on that table; the changelog names each line once across the
+// rebase, at its current state.
+func TestStrangersRebaseOnce(t *testing.T) {
+	space := addr.MustRegular(4, 3) // deeper space: the roster covers only a slice
 	var recs []Record
 	for i := 0; i < 4; i++ {
-		recs = append(recs, Record{
-			Addr:  addr.New(0, 0, i),
-			Sub:   interest.NewSubscription(),
-			Stamp: 1,
-			Alive: true,
-		})
+		recs = append(recs, Record{Addr: addr.New(0, 0, i), Sub: interest.NewSubscription(), Stamp: 1, Alive: true})
 	}
 	cfg := Config{Self: addr.New(0, 0, 1), Space: space, R: 2, SuspectAfter: time.Minute}
-	base, err := NewRoster(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewWithRoster(cfg, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	classic, err := New(cfg, interest.NewSubscription())
-	if err != nil {
-		t.Fatal(err)
-	}
-	classic.Apply(Update{Records: recs})
+	s := rosterService(t, cfg, recs)
+	before, since := s.base, s.Version()
 
-	joiner := Record{Addr: addr.New(1, 2, 3), Sub: interest.NewSubscription(), Stamp: 1, Alive: true}
-	s.Apply(Update{Records: []Record{joiner}})
-	classic.Apply(Update{Records: []Record{joiner}})
-	if s.base != nil {
-		t.Fatal("new address did not materialize the shared service")
+	sub := func(v float64) interest.Subscription { return interest.NewSubscription().Where("b", interest.Gt(v)) }
+	known := Record{Addr: addr.New(0, 0, 3), Sub: sub(3), Stamp: 2, Alive: true}
+	batch := []Record{
+		{Addr: addr.New(1, 2, 3), Sub: sub(1), Stamp: 1, Alive: true},
+		known,
+		{Addr: addr.New(0, 1, 0), Sub: sub(2), Stamp: 2, Alive: false},
+		{Addr: addr.New(1, 2, 3), Sub: sub(9), Stamp: 4, Alive: true}, // fresher: wins
+		{Addr: addr.New(3, 3, 3), Sub: sub(4), Stamp: 1, Alive: true},
+		{Addr: addr.New(1, 2, 3), Sub: sub(5), Stamp: 2, Alive: true}, // staler: loses
 	}
-	mustAgree(t, classic, s, 31)
+	if got := s.Apply(Update{Records: batch}); got != 5 {
+		t.Fatalf("Apply = %d changes, want 5 (the known line, three strangers, the fresher copy)", got)
+	}
+	if s.Version() != since+1 {
+		t.Fatalf("version moved %d → %d; one batch lands on one version", since, s.Version())
+	}
+	if s.base == before || before.Len() != 4 || s.base.Len() != 7 {
+		t.Fatalf("base %p (%d lines) after %p (%d lines); want a new base of 7", s.base, s.base.Len(), before, before.Len())
+	}
+
+	want := append(append([]Record(nil), recs...), batch[3], batch[2], batch[4])
+	want[3] = known
+	mustAgree(t, s, rosterService(t, cfg, want), 31)
+
+	changed, ok := s.ChangedSince(since)
+	if !ok {
+		t.Fatal("changelog does not reach back across the rebase")
+	}
+	var got []string
+	for _, r := range changed {
+		got = append(got, fmt.Sprintf("%s@%d/%v", r.Addr, r.Stamp, r.Alive))
+	}
+	if w := []string{"0.0.3@2/true", "0.1.0@2/false", "1.2.3@4/true", "3.3.3@1/true"}; !slices.Equal(got, w) {
+		t.Errorf("ChangedSince = %v, want %v", got, w)
+	}
+	if r, _ := s.Lookup(addr.New(1, 2, 3)); r.Sub.Identity() != sub(9).Identity() {
+		t.Error("the twice-listed stranger kept the staler copy's subscription")
+	}
 }
 
 // TestNewWithRosterRejectsStrangers pins the constructor contract.
@@ -296,15 +313,15 @@ func TestNewWithRosterRejectsStrangers(t *testing.T) {
 }
 
 // TestHandleDigestAnyOrder pins the positional walk in HandleDigest: a
-// roster-backed service resolves a digest listed in base order without
-// hashing, and must answer exactly like the classic table however the
-// gossiper ordered its lines, wherever the key strings live, and whether or
-// not the digest names lines the receiver lacks.
+// service resolves a digest listed in base order without hashing, and must
+// answer exactly alike on both routes however the gossiper ordered its
+// lines, wherever the key strings live, and whether or not the digest names
+// lines the receiver lacks.
 func TestHandleDigestAnyOrder(t *testing.T) {
 	self := addr.New(1, 2)
-	classic, shared := servicePair(t, self)
+	grown, shared := servicePair(t, self)
 	for _, l := range []Leave{{Addr: addr.New(0, 1), Stamp: 2}, {Addr: addr.New(3, 3), Stamp: 4}} {
-		classic.HandleLeave(l)
+		grown.HandleLeave(l)
 		shared.HandleLeave(l)
 	}
 
@@ -341,10 +358,10 @@ func TestHandleDigestAnyOrder(t *testing.T) {
 		es := append([]DigestEntry(nil), entries...)
 		reorder(es)
 		d := Digest{From: addr.New(2, 0), Hash: 1, Count: len(es), Entries: es}
-		wantUpd, wantFresher := classic.HandleDigest(d)
+		wantUpd, wantFresher := grown.HandleDigest(d)
 		gotUpd, gotFresher := shared.HandleDigest(d)
 		if gotFresher != wantFresher || !reflect.DeepEqual(gotUpd, wantUpd) {
-			t.Errorf("%s: shared answered (%v, %v), classic (%v, %v)", name, gotUpd, gotFresher, wantUpd, wantFresher)
+			t.Errorf("%s: bootstrapped answered (%v, %v), grown (%v, %v)", name, gotUpd, gotFresher, wantUpd, wantFresher)
 		}
 		if wantUpd == nil || !wantFresher {
 			t.Fatalf("%s: fixture no longer diverges both ways (upd=%v fresher=%v)", name, wantUpd, wantFresher)

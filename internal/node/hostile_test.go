@@ -1,0 +1,227 @@
+package node
+
+import (
+	"fmt"
+	"testing"
+
+	"pmcast/internal/addr"
+	"pmcast/internal/core"
+	"pmcast/internal/event"
+	"pmcast/internal/interest"
+	"pmcast/internal/membership"
+	"pmcast/internal/transport"
+	"pmcast/internal/tree"
+	"pmcast/internal/wire"
+)
+
+// hostileSpace is the space of the hostile-ingress tests: nine processes, all
+// subscribed to b=1.
+var hostileSpace = addr.MustRegular(3, 2)
+
+// rosterNode builds a step-mode node at hostileSpace's first address over a
+// roster of the whole space.
+func rosterNode(tb testing.TB) *Node {
+	tb.Helper()
+	recs := oracleRecords(hostileSpace, hostileSpace.Capacity(), func(addr.Address) interest.Subscription { return subEq(1) }).Records
+	roster, err := membership.NewRoster(recs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n, err := New(transport.MustNetwork(transport.Config{}), Config{
+		Addr: hostileSpace.AddressAt(0), Space: hostileSpace,
+		R: 2, F: 3, C: 2,
+		Subscription:     subEq(1),
+		MembershipRoster: roster,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { n.Stop() })
+	return n
+}
+
+// deliversFresh hands the node a well-formed depth-1 gossip of an event it
+// has not seen, from a roster peer, and reports whether it was delivered.
+func deliversFresh(n *Node, seq uint64) bool {
+	id := event.ID{Origin: "probe", Seq: seq}
+	n.mu.Lock()
+	for n.proc != nil && n.proc.HasSeen(id) {
+		id.Seq++
+	}
+	n.mu.Unlock()
+	ev := event.NewBuilder().Int("b", 1).Build(id)
+	n.HandleEnvelope(transport.Envelope{From: hostileSpace.AddressAt(1), To: n.Addr(),
+		Payload: core.Gossip{Event: ev, Depth: 1, Rate: 1}})
+	delivered := false
+	for {
+		select {
+		case got := <-n.Deliveries():
+			delivered = delivered || got.ID() == id
+		default:
+			return delivered
+		}
+	}
+}
+
+// wireDecoded round-trips a message through the codec: what a receiver holds
+// after a datagram carrying it.
+func wireDecoded(tb testing.TB, msg any) any {
+	tb.Helper()
+	frame, err := wire.Encode(msg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	payload, err := wire.Decode(frame)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return payload
+}
+
+// poisonUpdate is the Update that stopped a node for good before admission
+// checked the space: one alive record at an address one digit too deep.
+var poisonUpdate = membership.Update{
+	From:    hostileSpace.AddressAt(1),
+	Records: []membership.Record{{Addr: addr.New(0, 0, 0), Sub: subEq(1), Stamp: 1, Alive: true}},
+}
+
+// TestOutOfSpaceRecordDoesNotStopNode: a record whose address the space
+// cannot hold — too deep, a digit past its arity, a forged joiner — used to
+// reach tree.ApplyDelta, which refuses the Add. The rebuild dropped the tree,
+// and every later rebuild folded the same record and failed again: the node
+// delivered nothing ever after, and anti-entropy carried the record to every
+// peer. Admission refuses such records now; the node keeps delivering and
+// its membership does not move.
+func TestOutOfSpaceRecordDoesNotStopNode(t *testing.T) {
+	forged := membership.Record{Addr: addr.New(7, 7), Sub: subEq(1), Stamp: 1, Alive: true}
+	for name, msg := range map[string]any{
+		"too deep":        poisonUpdate,
+		"digit too large": membership.Update{From: hostileSpace.AddressAt(1), Records: []membership.Record{{Addr: addr.New(1, 3), Sub: subEq(1), Stamp: 1, Alive: true}}},
+		"forged joiner":   membership.JoinRequest{Joiner: forged, Hops: 2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			n := rosterNode(t)
+			if !deliversFresh(n, 1) {
+				t.Fatal("the fresh node does not deliver")
+			}
+			version := n.Membership().Version()
+			n.HandleEnvelope(transport.Envelope{From: hostileSpace.AddressAt(1), To: n.Addr(), Payload: wireDecoded(t, msg)})
+			for k := uint64(2); k <= 5; k++ {
+				if !deliversFresh(n, k) {
+					t.Fatalf("gossip %d after the %s record was not delivered (tree nil: %v, tree version %d, membership %d)",
+						k, name, n.tree == nil, n.treeVersion, n.Membership().Version())
+				}
+			}
+			if v := n.Membership().Version(); v != version {
+				t.Errorf("membership moved %d → %d on a refused record", version, v)
+			}
+		})
+	}
+}
+
+// TestFoldAcrossRebaseMatchesBuild: a node that starts alone folds its table
+// into its tree, then admits a batch that moves a known line and carries
+// three strangers, one listed twice. The batch rebases its membership; the
+// fold across the rebase must leave the tree tree.Build makes of the
+// resulting members.
+func TestFoldAcrossRebaseMatchesBuild(t *testing.T) {
+	space := addr.MustRegular(4, 3)
+	n, err := New(transport.MustNetwork(transport.Config{}), Config{
+		Addr: space.AddressAt(5), Space: space, R: 2, F: 3, C: 2,
+		Subscription: subEq(1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	rec := func(i int, sub int64, stamp uint64, alive bool) membership.Record {
+		return membership.Record{Addr: space.AddressAt(i), Sub: subEq(sub), Stamp: stamp, Alive: alive}
+	}
+	n.Membership().Apply(membership.Update{Records: []membership.Record{rec(6, 2, 1, true), rec(40, 3, 1, true)}})
+	if err := n.WarmViews(); err != nil {
+		t.Fatal(err)
+	}
+	n.Membership().Apply(membership.Update{Records: []membership.Record{
+		rec(33, 4, 1, true),
+		rec(6, 5, 2, true), // a known line moves
+		rec(62, 6, 1, true),
+		rec(33, 7, 3, true), // fresher copy of a stranger
+		rec(17, 8, 1, false),
+		rec(40, 3, 2, false), // a known line dies
+	}})
+	if err := n.WarmViews(); err != nil {
+		t.Fatal(err)
+	}
+
+	var members []tree.Member
+	n.Membership().VisitRecords(func(r membership.Record) {
+		if r.Alive {
+			members = append(members, tree.Member{Addr: r.Addr, Sub: r.Sub})
+		}
+	})
+	if len(members) != 4 {
+		t.Fatalf("%d alive members, want 4 (self, 6, 33, 62)", len(members))
+	}
+	ref, err := tree.Build(tree.Config{Space: space, R: 2}, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := renderTree(n.tree, space), renderTree(ref, space); got != want {
+		t.Errorf("folded across the rebase:\n%s\nbuilt from scratch:\n%s", got, want)
+	}
+}
+
+// renderTree lists a tree's members and, for every prefix on their paths,
+// its count, delegates and summary fingerprint.
+func renderTree(tr *tree.Tree, space addr.Space) string {
+	out := ""
+	for i := 0; i < space.Capacity(); i++ {
+		a := space.AddressAt(i)
+		m, ok := tr.Member(a)
+		if !ok {
+			continue
+		}
+		out += fmt.Sprintf("%s %v\n", a, m.Sub.Identity())
+		for depth := 1; depth <= space.Depth(); depth++ {
+			p := a.Prefix(depth)
+			out += fmt.Sprintf("  %s count=%d delegates=%v summary=%s\n", p, tr.Count(p), tr.Delegates(p), tr.Summary(p).OrderedFingerprint())
+		}
+	}
+	return out
+}
+
+// FuzzHostileMembershipKeepsDelivering hands a step-mode node whatever
+// arbitrary bytes decode to, from a roster peer, then re-asserts the node's
+// own subscription — a forged fresher line for self may legitimately
+// replace it — and demands a well-formed gossip still be delivered: no
+// decodable message may stop a node for good.
+func FuzzHostileMembershipKeepsDelivering(f *testing.F) {
+	for _, msg := range []any{
+		poisonUpdate,
+		membership.Update{From: hostileSpace.AddressAt(2), Records: []membership.Record{
+			{Addr: hostileSpace.AddressAt(4), Sub: subEq(2), Stamp: 3, Alive: true},
+			{Addr: hostileSpace.AddressAt(5), Stamp: 2, Alive: false},
+		}},
+		membership.JoinRequest{Joiner: membership.Record{Addr: addr.New(1, 3), Sub: subEq(1), Stamp: 1, Alive: true}, Hops: 2},
+		membership.Leave{Addr: addr.New(2, 2, 2), Stamp: 9},
+		membership.Heartbeat{From: addr.New(0, 1), Sent: 3},
+	} {
+		frame, err := wire.Encode(msg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		payload, err := wire.Decode(frame)
+		if err != nil {
+			return
+		}
+		n := rosterNode(t)
+		n.HandleEnvelope(transport.Envelope{From: hostileSpace.AddressAt(1), To: n.Addr(), Payload: payload})
+		n.Subscribe(subEq(1))
+		if !deliversFresh(n, 1) {
+			t.Fatalf("a well-formed gossip was not delivered after %T %+v (tree nil: %v)", payload, payload, n.tree == nil)
+		}
+	})
+}

@@ -134,12 +134,12 @@ type Config struct {
 	// fleets of nodes in step mode on one virtual clock.
 	Clock clock.Clock
 	// MembershipRoster, when non-nil, bootstraps the membership service
-	// from a shared immutable roster (membership.NewWithRoster) instead of
-	// a self-seeded table — the fleet-bootstrap path where n co-hosted
-	// services would otherwise each hold an O(n) copy of the same records.
-	// The roster must contain the node's own line; Subscription should
-	// match it. Observable behavior is identical to applying the roster
-	// line by line (the golden traces pin this).
+	// on a shared immutable roster (membership.NewWithRoster) instead of a
+	// one-line roster of the node's own record (membership.New) — the
+	// fleet-bootstrap path where n co-hosted services share one copy of the
+	// same records. The roster must contain the node's own line;
+	// Subscription should match it. Observable behavior is identical to
+	// applying the roster line by line (the golden traces pin this).
 	MembershipRoster *membership.Roster
 	// DeferViews skips building tree views at construction. The node is
 	// NOT usable until WarmViews or AdoptViewsFrom runs; harnesses set it

@@ -137,8 +137,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 	for _, frame := range captureCorpus(f) {
 		f.Add(frame)
 	}
-	// The captured fleet joins one by one, so its services are classic and
-	// its digests the entries form; a bootstrapped fleet sends this one.
+	// The captured fleet joins one by one, so each digest lists its sender's
+	// private, rebased table; a bootstrapped fleet shares one roster and
+	// sends this one, diverging on a few lines.
 	overlay, err := wire.Encode(wire.OverlayDigest(f))
 	if err != nil {
 		f.Fatal(err)
