@@ -32,39 +32,79 @@ var (
 // Address is a fully qualified process address: exactly d digit components.
 // Addresses are immutable values; the zero value is the (invalid) empty
 // address.
+//
+// An Address is one pointer word. Every envelope, queued send, membership
+// record, gossip entry and tree line carries one, so the digits and the
+// dotted key live once, behind the pointer, and copying an address copies a
+// word. The leading zero-size func field keeps the type non-comparable: ==
+// on two addresses would compare identity, not digits, so it must not
+// compile — use Equal or Compare.
 type Address struct {
-	digits []int
+	_ [0]func()
+	r *rep // nil for the zero address
+}
+
+// rep is an address's shared, immutable representation.
+type rep struct {
 	// key is the dotted rendering, precomputed at construction: addresses
 	// serve as map keys on every hot path (routing, membership, trees) and
 	// rebuilding the string each time dominated fleet-scale profiles.
-	key string
+	key    string
+	digits []int
 }
 
-// makeAddress builds an address around the given digit slice (not copied),
-// precomputing its key.
-func makeAddress(digits []int) Address {
-	return Address{digits: digits, key: renderDigits(digits)}
-}
-
-func renderDigits(digits []int) string {
-	if len(digits) == 0 {
-		return ""
+// newRep allocates a representation for n digits. Up to depth 8 —
+// every space this repository runs — the digits share the rep's object, so
+// a constructed address costs two allocations: this one and its key.
+func newRep(n int) *rep {
+	switch {
+	case n <= 4:
+		x := new(struct {
+			rep
+			inline [4]int
+		})
+		x.digits = x.inline[:n:n]
+		return &x.rep
+	case n <= 8:
+		x := new(struct {
+			rep
+			inline [8]int
+		})
+		x.digits = x.inline[:n:n]
+		return &x.rep
 	}
-	var sb strings.Builder
+	return &rep{digits: make([]int, n)}
+}
+
+// seal renders r's key once its digits are filled in. No digits is the zero
+// address.
+func (r *rep) seal() Address {
+	if len(r.digits) == 0 {
+		return Address{}
+	}
+	r.key = renderDigits(r.digits)
+	return Address{r: r}
+}
+
+// renderDigits renders the dotted form with a single allocation (the string)
+// for keys up to 64 bytes.
+func renderDigits(digits []int) string {
+	var buf [64]byte
+	b := buf[:0]
 	for i, v := range digits {
 		if i > 0 {
-			sb.WriteByte('.')
+			b = append(b, '.')
 		}
-		sb.WriteString(strconv.Itoa(v))
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return sb.String()
+	return string(b)
 }
 
 // New builds an address from the given digit components. The slice is copied.
 func New(digits ...int) Address {
-	d := make([]int, len(digits))
-	copy(d, digits)
-	return makeAddress(d)
+	r := newRep(len(digits))
+	copy(r.digits, digits)
+	return r.seal()
 }
 
 // Parse parses a dotted decimal address such as "128.178.73.3".
@@ -72,9 +112,10 @@ func Parse(s string) (Address, error) {
 	if s == "" {
 		return Address{}, ErrEmpty
 	}
-	parts := strings.Split(s, ".")
-	digits := make([]int, len(parts))
-	for i, p := range parts {
+	r := newRep(strings.Count(s, ".") + 1)
+	for i := range r.digits {
+		p, rest, _ := strings.Cut(s, ".")
+		s = rest
 		v, err := strconv.Atoi(p)
 		if err != nil || p == "" {
 			return Address{}, fmt.Errorf("%w: component %d %q", ErrBadSyntax, i+1, p)
@@ -82,9 +123,9 @@ func Parse(s string) (Address, error) {
 		if v < 0 {
 			return Address{}, fmt.Errorf("%w: component %d is negative", ErrDigitRange, i+1)
 		}
-		digits[i] = v
+		r.digits[i] = v
 	}
-	return makeAddress(digits), nil
+	return r.seal(), nil
 }
 
 // MustParse is Parse that panics on error; intended for constants in tests
@@ -97,16 +138,24 @@ func MustParse(s string) Address {
 	return a
 }
 
+// digits returns the address's components (nil for the zero address).
+func (a Address) digits() []int {
+	if a.r == nil {
+		return nil
+	}
+	return a.r.digits
+}
+
 // Depth returns the number of components d of the address.
-func (a Address) Depth() int { return len(a.digits) }
+func (a Address) Depth() int { return len(a.digits()) }
 
 // Digit returns component x(i) using the paper's 1-based indexing
 // (1 ≤ i ≤ Depth). It panics when i is out of range, as would indexing a
 // slice.
-func (a Address) Digit(i int) int { return a.digits[i-1] }
+func (a Address) Digit(i int) int { return a.digits()[i-1] }
 
 // IsZero reports whether the address is the empty (invalid) address.
-func (a Address) IsZero() bool { return len(a.digits) == 0 }
+func (a Address) IsZero() bool { return a.r == nil }
 
 // Prefix returns the prefix of depth i, i.e. the partial address
 // x(1).….x(i−1). Prefix(1) is the empty (root) prefix; Prefix(Depth()+1) is
@@ -114,38 +163,35 @@ func (a Address) IsZero() bool { return len(a.digits) == 0 }
 // address's precomputed key, so walking an address's whole root path (as
 // incremental tree maintenance does per membership change) renders nothing.
 func (a Address) Prefix(i int) Prefix {
-	if i < 1 || i > len(a.digits)+1 {
-		panic(fmt.Sprintf("addr: prefix depth %d out of range for depth-%d address", i, len(a.digits)))
+	ds := a.digits()
+	if i < 1 || i > len(ds)+1 {
+		panic(fmt.Sprintf("addr: prefix depth %d out of range for depth-%d address", i, len(ds)))
 	}
 	if i == 1 {
 		return Prefix{}
 	}
 	d := make([]int, i-1)
-	copy(d, a.digits[:i-1])
-	key := ""
-	if a.key != "" {
-		comps, end := 0, len(a.key)
-		for idx := 0; idx < len(a.key); idx++ {
-			if a.key[idx] == '.' {
-				comps++
-				if comps == i-1 {
-					end = idx
-					break
-				}
+	copy(d, ds)
+	key := a.r.key
+	for idx, comps := 0, 0; idx < len(key); idx++ {
+		if key[idx] == '.' {
+			if comps++; comps == i-1 {
+				key = key[:idx]
+				break
 			}
 		}
-		key = a.key[:end]
 	}
 	return Prefix{digits: d, key: key}
 }
 
 // HasPrefix reports whether p is a prefix of a.
 func (a Address) HasPrefix(p Prefix) bool {
-	if len(p.digits) > len(a.digits) {
+	ds := a.digits()
+	if len(p.digits) > len(ds) {
 		return false
 	}
 	for i, v := range p.digits {
-		if a.digits[i] != v {
+		if ds[i] != v {
 			return false
 		}
 	}
@@ -157,19 +203,23 @@ func (a Address) HasPrefix(p Prefix) bool {
 // Delegate election uses this order ("the R processes with the smallest
 // addresses", Section 2.2).
 func (a Address) Compare(b Address) int {
-	n := min(len(a.digits), len(b.digits))
+	if a.r == b.r {
+		return 0
+	}
+	ad, bd := a.digits(), b.digits()
+	n := min(len(ad), len(bd))
 	for i := 0; i < n; i++ {
 		switch {
-		case a.digits[i] < b.digits[i]:
+		case ad[i] < bd[i]:
 			return -1
-		case a.digits[i] > b.digits[i]:
+		case ad[i] > bd[i]:
 			return 1
 		}
 	}
 	switch {
-	case len(a.digits) < len(b.digits):
+	case len(ad) < len(bd):
 		return -1
-	case len(a.digits) > len(b.digits):
+	case len(ad) > len(bd):
 		return 1
 	}
 	return 0
@@ -185,9 +235,10 @@ func (a Address) Less(b Address) bool { return a.Compare(b) < 0 }
 // b; that is, the largest i such that a.Prefix(i) == b.Prefix(i). The result
 // is at least 1 (the empty root prefix is always shared).
 func (a Address) CommonPrefixDepth(b Address) int {
-	n := min(len(a.digits), len(b.digits))
+	ad, bd := a.digits(), b.digits()
+	n := min(len(ad), len(bd))
 	i := 0
-	for i < n && a.digits[i] == b.digits[i] {
+	for i < n && ad[i] == bd[i] {
 		i++
 	}
 	return i + 1
@@ -201,24 +252,24 @@ func (a Address) Distance(b Address) int {
 		return 0
 	}
 	shared := a.CommonPrefixDepth(b) - 1
-	return len(a.digits) - shared
+	return a.Depth() - shared
 }
 
 // String renders the address in dotted form, e.g. "128.178.73.3".
 func (a Address) String() string {
-	if len(a.digits) == 0 {
+	if a.r == nil {
 		return "<zero>"
 	}
-	return a.Key()
+	return a.r.key
 }
 
 // Key returns a canonical comparable map key for the address: the dotted
 // rendering, precomputed at construction ("" for the zero address).
 func (a Address) Key() string {
-	if a.key == "" && len(a.digits) > 0 {
-		return renderDigits(a.digits) // address built outside the package helpers
+	if a.r == nil {
+		return ""
 	}
-	return a.key
+	return a.r.key
 }
 
 // Prefix is a partial address x(1).….x(i−1) denoting a subgroup of depth i.
@@ -272,10 +323,9 @@ func (p Prefix) Parent() Prefix {
 // Address completes the prefix with the given remaining digits into a full
 // address.
 func (p Prefix) Address(rest ...int) Address {
-	d := make([]int, 0, len(p.digits)+len(rest))
-	d = append(d, p.digits...)
-	d = append(d, rest...)
-	return makeAddress(d)
+	r := newRep(len(p.digits) + len(rest))
+	copy(r.digits[copy(r.digits, p.digits):], rest)
+	return r.seal()
 }
 
 // Contains reports whether address a lies inside the subgroup denoted by p.
@@ -402,9 +452,10 @@ func (s Space) ValidatePrefix(p Prefix) error {
 // Index maps an address to its rank in lexicographic order within the space,
 // in [0, Capacity). The mapping is the mixed-radix value of the digits.
 func (s Space) Index(a Address) int {
+	ds := a.digits()
 	idx := 0
-	for i := 1; i <= s.Depth(); i++ {
-		idx = idx*s.Arity(i) + a.Digit(i)
+	for i, ar := range s.arities {
+		idx = idx*ar + ds[i]
 	}
 	return idx
 }
@@ -412,13 +463,13 @@ func (s Space) Index(a Address) int {
 // AddressAt is the inverse of Index: it returns the address whose
 // lexicographic rank is idx.
 func (s Space) AddressAt(idx int) Address {
-	digits := make([]int, s.Depth())
+	r := newRep(s.Depth())
 	for i := s.Depth(); i >= 1; i-- {
 		a := s.Arity(i)
-		digits[i-1] = idx % a
+		r.digits[i-1] = idx % a
 		idx /= a
 	}
-	return makeAddress(digits)
+	return r.seal()
 }
 
 // SubtreeSize returns the number of addresses covered by a prefix of the

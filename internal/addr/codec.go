@@ -7,8 +7,8 @@ import (
 // AppendAddress appends the wire form of an address: digit count followed by
 // the digits as varints.
 func AppendAddress(b []byte, a Address) []byte {
-	b = binenc.AppendUvarint(b, uint64(len(a.digits)))
-	for _, d := range a.digits {
+	b = binenc.AppendUvarint(b, uint64(a.Depth()))
+	for _, d := range a.digits() {
 		b = binenc.AppendVarint(b, int64(d))
 	}
 	return b
@@ -17,8 +17,8 @@ func AppendAddress(b []byte, a Address) []byte {
 // WireSize returns the exact number of bytes AppendAddress would emit,
 // without encoding.
 func WireSize(a Address) int {
-	n := binenc.UvarintLen(uint64(len(a.digits)))
-	for _, d := range a.digits {
+	n := binenc.UvarintLen(uint64(a.Depth()))
+	for _, d := range a.digits() {
 		n += binenc.VarintLen(int64(d))
 	}
 	return n
@@ -31,14 +31,14 @@ func ReadAddress(r *binenc.Reader) Address {
 	if n == 0 {
 		return Address{}
 	}
-	digits := make([]int, n)
-	for i := range digits {
-		digits[i] = int(r.Varint())
+	rp := newRep(n)
+	for i := range rp.digits {
+		rp.digits[i] = int(r.Varint())
 	}
 	if r.Err() != nil {
 		return Address{}
 	}
-	return makeAddress(digits)
+	return rp.seal()
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.

@@ -280,11 +280,13 @@ func ceilRoot(n, d int) int {
 	return a
 }
 
+// intPow returns a^d for a ≥ 1, saturating at math.MaxInt instead of
+// overflowing.
 func intPow(a, d int) int {
 	out := 1
 	for i := 0; i < d; i++ {
-		if out > 1<<40 { // avoid overflow; already ≥ any realistic n
-			return out
+		if out > math.MaxInt/a {
+			return math.MaxInt
 		}
 		out *= a
 	}

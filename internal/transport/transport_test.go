@@ -4,9 +4,18 @@ import (
 	"errors"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pmcast/internal/addr"
 )
+
+// TestEnvelopeIsFourWords pins what every queued delivery costs: two
+// one-word addresses and an interface.
+func TestEnvelopeIsFourWords(t *testing.T) {
+	if got, want := unsafe.Sizeof(Envelope{}), 4*unsafe.Sizeof(uintptr(0)); got != want {
+		t.Fatalf("unsafe.Sizeof(Envelope{}) = %d, want %d (four words)", got, want)
+	}
+}
 
 func TestAttachSendRecv(t *testing.T) {
 	net := MustNetwork(Config{})

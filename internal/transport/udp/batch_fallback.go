@@ -16,15 +16,15 @@ type batchIO struct{}
 
 var errUnsupported = errors.New("udp: kernel-batched I/O unavailable on this platform")
 
-func newBatchIO(conn *net.UDPConn, cfg Config, maxDatagram int) *batchIO { return nil }
+func newBatchIO(conn *net.UDPConn, t *Transport) *batchIO { return nil }
+
+func (t *Transport) initPools() {}
 
 func (b *batchIO) flush(frames []outFrame) (int64, int64, error) {
 	return 0, 0, errUnsupported
 }
 
-func (b *batchIO) recv() (int, error) { return 0, errUnsupported }
-
-func (b *batchIO) datagram(i int) []byte { return nil }
+func (b *batchIO) recv(deliver func([]byte)) error { return errUnsupported }
 
 // socketBuffers has no portable readback; Stats reports zero sizes.
 func socketBuffers(conn *net.UDPConn) (rcv, snd int) { return 0, 0 }

@@ -6,16 +6,17 @@
 // The layouts below are the stable linux/amd64+arm64 ABI: 8-byte pointers.
 //
 // Concurrency contract: flush may be called from many egress workers at
-// once (each takes a pooled sendState; the syscall itself serializes on the
-// runtime's fd write lock, exactly like concurrent WriteToUDP). recv and
-// the datagram accessors belong to the endpoint's single read loop.
+// once (each borrows a sendState; the syscall itself serializes on the
+// runtime's fd write lock, exactly like concurrent WriteToUDP). recv belongs
+// to the endpoint's single read loop. Both scratch kinds are lent by the
+// Transport's pools, shared by all of its endpoints, for the length of one
+// call.
 
 package udp
 
 import (
 	"errors"
 	"net"
-	"sync"
 	"syscall"
 	"unsafe"
 )
@@ -28,14 +29,16 @@ const (
 	// scratch arenas stay cache-friendly.
 	sendVector = 64
 	// recvVector is the recvmmsg vector width: how many datagrams one
-	// ingress syscall can drain. Each slot holds a MaxDatagram-sized buffer
-	// reused across syscalls, so the width is also what an endpoint pins:
-	// 16 × 64 KiB = 1 MiB. Over 160 k recvmmsg returns of the udp_broadcast
-	// benchmark workload (16 nodes, 2 ms gossip, closed-loop bursts) at the
-	// former width of 32 — then 2.05 of the workload's 3.55 MB of heap per
-	// node — the mean return was 3.5 datagrams, 97 % returned at most 16 and
-	// 0.8 % filled all 32 (no datagram exceeded 4 KiB): at 16 the rare longer
-	// burst costs one more syscall, and the socket buffer holds it meanwhile.
+	// ingress syscall can drain. Each slot holds a full datagram plus one
+	// byte (see recvVec), so a vector is 16 × 64 KiB = 1 MiB. It is lent per
+	// wakeup, not owned per endpoint: a read loop parked on an idle socket
+	// holds none, so what a transport pins follows the wakeups in flight
+	// (about GOMAXPROCS), not the endpoints attached. Over 160 k recvmmsg
+	// returns of the udp_broadcast benchmark workload (16 nodes, 2 ms
+	// gossip, closed-loop bursts) at the former width of 32 the mean return
+	// was 3.5 datagrams, 97 % returned at most 16 and 0.8 % filled all 32
+	// (no datagram exceeded 4 KiB): at 16 the rare longer burst costs one
+	// more syscall, and the socket buffer holds it meanwhile.
 	recvVector = 16
 )
 
@@ -91,41 +94,58 @@ type sendState struct {
 	names [sendVector][sockaddrInet6Size]byte
 }
 
-// batchIO is the kernel-batched datapath of one endpoint socket.
+// recvVec is one recvmmsg vector: recvVector slots, each one byte longer
+// than MaxDatagram so that a datagram the kernel had to cut shows as too
+// long (the endpoint drops it) instead of as a shorter frame that may still
+// decode. Headers point into the vector's own arrays, which never move.
+type recvVec struct {
+	bufs [recvVector][]byte
+	iovs [recvVector]iovec
+	hdrs [recvVector]mmsghdr
+}
+
+func newRecvVec(slot int) *recvVec {
+	v := new(recvVec)
+	arena := make([]byte, recvVector*slot)
+	for i := range v.bufs {
+		v.bufs[i] = arena[i*slot : (i+1)*slot : (i+1)*slot]
+		v.iovs[i] = iovec{base: &v.bufs[i][0], len: uint64(slot)}
+		v.hdrs[i].hdr.iov = &v.iovs[i]
+		v.hdrs[i].hdr.iovlen = 1
+	}
+	return v
+}
+
+// initPools sets up the scratch the transport lends its endpoints' batched
+// calls.
+func (t *Transport) initPools() {
+	t.sendPool.New = func() any { return new(sendState) }
+	slot := t.cfg.MaxDatagram + 1
+	t.recvPool.New = func() any { return newRecvVec(slot) }
+}
+
+// batchIO is the kernel-batched datapath of one endpoint socket. It owns no
+// scratch: every call borrows it from the transport.
 type batchIO struct {
 	rc    syscall.RawConn
 	sock6 bool // socket family is AF_INET6: names must be v6(-mapped)
-
-	sendPool sync.Pool // *sendState
-
-	// Ingress vector, owned by the read loop: recv fills rhdrs, datagram(i)
-	// reads them until the next recv.
-	rbufs [recvVector][]byte
-	riovs [recvVector]iovec
-	rhdrs [recvVector]mmsghdr
+	tr    *Transport
 }
 
 // newBatchIO returns the batched datapath of the socket, or nil when the
 // configuration opts out or the socket exposes no raw access (the caller
 // then keeps the portable path).
-func newBatchIO(conn *net.UDPConn, cfg Config, maxDatagram int) *batchIO {
-	if cfg.Portable {
+func newBatchIO(conn *net.UDPConn, t *Transport) *batchIO {
+	if t.cfg.Portable {
 		return nil
 	}
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return nil
 	}
-	b := &batchIO{rc: rc}
+	b := &batchIO{rc: rc, tr: t}
 	if la, ok := conn.LocalAddr().(*net.UDPAddr); ok {
 		b.sock6 = la.IP.To4() == nil
-	}
-	b.sendPool.New = func() any { return new(sendState) }
-	for i := range b.rbufs {
-		b.rbufs[i] = make([]byte, maxDatagram)
-		b.riovs[i] = iovec{base: &b.rbufs[i][0], len: uint64(maxDatagram)}
-		b.rhdrs[i].hdr.iov = &b.riovs[i]
-		b.rhdrs[i].hdr.iovlen = 1
 	}
 	return b
 }
@@ -147,11 +167,11 @@ func socketBuffers(conn *net.UDPConn) (rcv, snd int) {
 // reports (syscalls, datagrams actually accepted). On error the counts cover
 // what the kernel took before failing.
 func (b *batchIO) flush(frames []outFrame) (syscalls, datagrams int64, err error) {
-	st := b.sendPool.Get().(*sendState)
+	st := b.tr.sendPool.Get().(*sendState)
 	syscalls, sent, err := sendAll(frames, sendVector, func(chunk []outFrame) (int, error) {
 		return b.sendChunk(st, chunk)
 	})
-	b.sendPool.Put(st)
+	b.tr.sendPool.Put(st)
 	return syscalls, int64(sent), err
 }
 
@@ -218,34 +238,46 @@ func (b *batchIO) sendChunk(st *sendState, frames []outFrame) (int, error) {
 	return n, nil
 }
 
-// recv fills the ingress vector with one recvmmsg, blocking (via the
-// runtime poller) until at least one datagram is ready. After a successful
-// return, datagram(i) for i < n yields each payload.
-func (b *batchIO) recv() (int, error) {
+// recv drains the socket with one recvmmsg, blocking (via the runtime
+// poller) until at least one datagram is ready, and hands each datagram to
+// deliver in arrival order. The vector is borrowed inside the readiness
+// callback — only once the socket is readable — and returned when the
+// kernel has nothing (EAGAIN, EINTR), on error, and after deliver has run
+// for every datagram: deliver must copy what it keeps. The syscall and its
+// datagrams are counted before the first delivery.
+func (b *batchIO) recv(deliver func([]byte)) error {
+	var v *recvVec
 	var n int
 	var errno syscall.Errno
 	err := b.rc.Read(func(fd uintptr) bool {
+		v = b.tr.recvPool.Get().(*recvVec)
 		r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&b.rhdrs[0])), uintptr(len(b.rhdrs)),
+			uintptr(unsafe.Pointer(&v.hdrs[0])), uintptr(len(v.hdrs)),
 			msgDontwait, 0, 0)
 		if e == syscall.EAGAIN || e == syscall.EINTR {
-			return false // wait for readability, then retry
+			b.tr.recvPool.Put(v) // parked: wait for readability holding nothing
+			v = nil
+			return false
 		}
 		n, errno = int(r1), e
 		return true
 	})
+	if err == nil && errno != 0 {
+		err = errno
+	}
 	if err != nil {
-		return 0, err
+		if v != nil {
+			b.tr.recvPool.Put(v)
+		}
+		return err
 	}
-	if errno != 0 {
-		return 0, errno
+	b.tr.recvSyscalls.Add(1)
+	b.tr.recvDatagrams.Add(int64(n))
+	for i := 0; i < n; i++ {
+		deliver(v.bufs[i][:v.hdrs[i].len])
 	}
-	return n, nil
-}
-
-// datagram returns the i-th received payload. Valid until the next recv.
-func (b *batchIO) datagram(i int) []byte {
-	return b.rbufs[i][:b.rhdrs[i].len]
+	b.tr.recvPool.Put(v)
+	return nil
 }
 
 // putSockaddr writes dst as a kernel sockaddr into buf and returns its

@@ -4,10 +4,19 @@ package udp
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pmcast/internal/addr"
+	"pmcast/internal/core"
+	"pmcast/internal/event"
 	"pmcast/internal/transport"
+	"pmcast/internal/wire"
 )
 
 // TestSendAllPartialCompletion pins the sendmmsg retry contract: the kernel
@@ -126,4 +135,143 @@ func TestBatchedSyscallAmortization(t *testing.T) {
 	}
 	t.Fatalf("recv amortization too weak in every one of %d rounds: last %d syscalls for %d datagrams",
 		rounds, st.RecvSyscalls, st.RecvDatagrams)
+}
+
+// fleet attaches n loopback endpoints 0.0 … 0.(n−1) on one transport whose
+// receive-vector pool counts what it creates, pausing settle after each
+// attach.
+func fleet(t *testing.T, n int, settle time.Duration, mut func(*Config)) ([]*endpoint, *atomic.Int64) {
+	t.Helper()
+	peers := make(map[string]string, n)
+	for i := 0; i < n; i++ {
+		peers[fmt.Sprintf("0.%d", i)] = "127.0.0.1:0"
+	}
+	res, err := NewStaticResolver(peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Resolver: res}
+	if mut != nil {
+		mut(&cfg)
+	}
+	tr, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	made := new(atomic.Int64)
+	newVec := tr.recvPool.New
+	tr.recvPool.New = func() any { made.Add(1); return newVec() }
+	eps := make([]*endpoint, n)
+	for i := range eps {
+		ep, err := tr.Attach(addr.New(0, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps[i] = ep.(*endpoint)
+		if eps[i].bio == nil {
+			t.Skip("kernel-batched path unavailable")
+		}
+		time.Sleep(settle)
+	}
+	return eps, made
+}
+
+// TestIdleEndpointsBorrowFewVectors pins the lending claim: a read loop
+// parked on an idle socket holds no receive vector, so sixteen endpoints
+// share about one per processor instead of owning one each. Each read loop
+// gets a moment to try its socket once and park before the next starts: a
+// vector still out with one loop is not yet reusable by another, which
+// under load could otherwise push the count past the bound for reasons
+// other than ownership.
+func TestIdleEndpointsBorrowFewVectors(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops returned items at random")
+	}
+	_, made := fleet(t, 16, 3*time.Millisecond, nil)
+	bound := int64(runtime.GOMAXPROCS(0) + 1)
+	if got := made.Load(); got < 1 || got > bound {
+		t.Fatalf("16 idle endpoints created %d receive vectors, want 1..%d", got, bound)
+	}
+}
+
+// TestLentVectorsDeliverIntact has sixteen endpoints receive distinct
+// payloads at once through the shared vectors. deliver copies or decodes a
+// datagram before its vector goes back to the pool, so every payload must
+// arrive byte for byte whichever read loop borrows the vector next; the
+// bodies are longer than the decoder interns, so they are copied, not
+// shared.
+func TestLentVectorsDeliverIntact(t *testing.T) {
+	const nodes, perLink = 16, 48
+	body := func(from, seq int) string {
+		return strings.Repeat(string(rune('a'+from)), 80+seq) + fmt.Sprint(from*1000+seq)
+	}
+	for _, deferDecode := range []bool{false, true} {
+		t.Run(fmt.Sprintf("defer=%v", deferDecode), func(t *testing.T) {
+			eps, _ := fleet(t, nodes, 0, func(c *Config) {
+				c.DeferDecode = deferDecode
+				c.ReadBufferBytes = 1 << 20
+			})
+			var wg sync.WaitGroup
+			for i, ep := range eps {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					to := addr.New(0, (i+1)%nodes)
+					msgs := make([]transport.Outgoing, perLink)
+					for seq := range msgs {
+						ev := event.NewBuilder().Int("from", int64(i)).Int("seq", int64(seq)).Str("body", body(i, seq)).
+							Build(event.ID{Origin: ep.Addr().Key(), Seq: uint64(seq + 1)})
+						msgs[seq] = transport.Outgoing{To: to, Payload: core.Gossip{Event: ev, Depth: 2, Rate: 0.5, Round: 1}}
+					}
+					if err := ep.SendMany(msgs); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			errs := make(chan error, nodes)
+			for i, ep := range eps {
+				go func() {
+					dec := wire.NewDecoder()
+					from := (i + nodes - 1) % nodes
+					for seq := 0; seq < perLink; seq++ {
+						var env transport.Envelope
+						select {
+						case env = <-ep.Recv():
+						case <-time.After(10 * time.Second):
+							errs <- fmt.Errorf("0.%d: %d/%d payloads arrived", i, seq, perLink)
+							return
+						}
+						payload := env.Payload
+						if raw, ok := payload.(transport.Raw); ok {
+							var err error
+							payload, err = dec.Decode(raw.Frame)
+							raw.Release()
+							if err != nil {
+								errs <- err
+								return
+							}
+						}
+						g, ok := payload.(core.Gossip)
+						if !ok {
+							errs <- fmt.Errorf("0.%d: payload %T", i, payload)
+							return
+						}
+						got, _ := g.Event.Attr("body").AsString()
+						if !env.From.Equal(addr.New(0, from)) || g.Event.ID().Seq != uint64(seq+1) || got != body(from, seq) {
+							errs <- fmt.Errorf("0.%d: payload %d from %s arrived as seq %d body %q", i, seq, env.From, g.Event.ID().Seq, got)
+							return
+						}
+					}
+					errs <- nil
+				}()
+			}
+			wg.Wait()
+			for range eps {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
 }

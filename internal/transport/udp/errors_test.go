@@ -5,6 +5,7 @@ package udp
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"pmcast/internal/addr"
 	"pmcast/internal/membership"
 	"pmcast/internal/transport"
+	"pmcast/internal/wire"
 )
 
 func TestAttachUnknownResolverAddress(t *testing.T) {
@@ -122,9 +124,8 @@ func TestSendAfterTransportClose(t *testing.T) {
 }
 
 // TestOversizedDatagramFramingRejected feeds the endpoint a raw datagram
-// larger than its configured MaxDatagram: the read truncates it, the frame
-// fails to parse, and the endpoint counts it malformed instead of
-// delivering garbage.
+// larger than its configured MaxDatagram: the endpoint counts it malformed
+// instead of delivering garbage.
 func TestOversizedDatagramFramingRejected(t *testing.T) {
 	const maxDatagram = 512
 	res, err := NewStaticResolver(map[string]string{"0.0": "127.0.0.1:0"})
@@ -165,5 +166,78 @@ func TestOversizedDatagramFramingRejected(t *testing.T) {
 	case env := <-ep.Recv():
 		t.Errorf("oversized datagram delivered: %+v", env)
 	default:
+	}
+}
+
+// TestOversizedDatagramIsNeverCutToAFrame sends a valid datagram with junk
+// after it to a receiver whose MaxDatagram is exactly the valid part's
+// length. A read buffer of MaxDatagram bytes would let the kernel cut the
+// junk off silently and deliver the frame; the datagram must instead be
+// counted malformed and dropped, on both read paths, decoding or deferring.
+func TestOversizedDatagramIsNeverCutToAFrame(t *testing.T) {
+	sender := addr.New(0, 1)
+	datagram := func(stamp uint64) []byte {
+		b, err := wire.AppendMessage(addr.AppendAddress(nil, sender), membership.Leave{Addr: sender, Stamp: stamp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, portable := range []bool{false, true} {
+		for _, deferDecode := range []bool{false, true} {
+			t.Run(fmt.Sprintf("portable=%v/defer=%v", portable, deferDecode), func(t *testing.T) {
+				good := datagram(2)
+				res, err := NewStaticResolver(map[string]string{"0.0": "127.0.0.1:0"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr, err := New(Config{Resolver: res, MaxDatagram: len(good), Portable: portable, DeferDecode: deferDecode})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tr.Close()
+				ep, err := tr.Attach(addr.New(0, 0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				dst, err := res.Resolve(ep.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				conn, err := net.DialUDP("udp", nil, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				cut := append(datagram(1), "junk"...)
+				for _, d := range [][]byte{cut, good} {
+					if _, err := conn.Write(d); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				var env transport.Envelope
+				select {
+				case env = <-ep.Recv():
+				case <-time.After(5 * time.Second):
+					t.Fatal("the well-formed datagram never arrived")
+				}
+				payload := env.Payload
+				if raw, ok := payload.(transport.Raw); ok {
+					payload, err = wire.NewDecoder().Decode(raw.Frame)
+					raw.Release()
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if l, ok := payload.(membership.Leave); !ok || l.Stamp != 2 || !env.From.Equal(sender) {
+					t.Fatalf("first delivery is %+v from %s, want the stamp-2 Leave from %s: the oversized datagram was cut and delivered",
+						payload, env.From, sender)
+				}
+				if got := tr.Malformed(); got != 1 {
+					t.Fatalf("Malformed = %d, want 1", got)
+				}
+			})
+		}
 	}
 }

@@ -11,15 +11,18 @@
 // Datagram layout: the sender's pmcast address (addr.AppendAddress) followed
 // by one wire frame. UDP preserves message boundaries, so no further
 // delimiting is needed; datagrams that fail to parse are counted and
-// dropped, exactly like line noise on a real fabric.
+// dropped, exactly like line noise on a real fabric. So are datagrams longer
+// than MaxDatagram: every read buffer is one byte longer than the bound, so
+// a datagram the kernel had to cut is seen as too long and never decoded.
 //
 // The datapath is kernel-batched on Linux (see batch_linux.go): egress
 // queues handed over via SendMany flush as one sendmmsg vector per 64
 // messages, and the read loop fills a vector of 16 buffers with one recvmmsg
-// per wakeup. Everywhere else, and under the Config opt-out, the endpoint
-// keeps the portable one-syscall-per-datagram path; behavior is identical
-// either way, only the syscall count changes (Stats reports both sides'
-// amortization).
+// per wakeup. The vectors are lent by the transport for one wakeup at a
+// time, so an idle endpoint holds no receive buffer. Everywhere else, and
+// under the Config opt-out, the endpoint keeps the portable
+// one-syscall-per-datagram path; behavior is identical either way, only the
+// syscall count changes (Stats reports both sides' amortization).
 package udp
 
 import (
@@ -121,7 +124,8 @@ type Config struct {
 	// overflow drops messages, like a full socket buffer.
 	QueueLen int
 	// MaxDatagram bounds datagram size in bytes (default 64 KiB − 1, the
-	// UDP maximum). Sends that encode larger fail with an error.
+	// UDP maximum). Sends that encode larger fail with an error; received
+	// datagrams that are larger are counted in Malformed and dropped.
 	MaxDatagram int
 	// DeferDecode hands received frames to the consumer undecoded — as
 	// transport.Raw payloads on pooled buffers — instead of unframing them
@@ -198,6 +202,12 @@ type Transport struct {
 	batchOn     atomic.Bool
 	readBufSize atomic.Int64
 	sendBufSize atomic.Int64
+
+	// Kernel-batched scratch, lent to the endpoints for one call at a time
+	// (see batch_linux.go): a flush borrows a sendState, a read-loop wakeup
+	// a recvVec.
+	sendPool sync.Pool
+	recvPool sync.Pool
 }
 
 var _ transport.Transport = (*Transport)(nil)
@@ -213,10 +223,12 @@ func New(cfg Config) (*Transport, error) {
 	if cfg.MaxDatagram <= 0 {
 		cfg.MaxDatagram = 64<<10 - 1
 	}
-	return &Transport{
+	t := &Transport{
 		cfg:       cfg,
 		endpoints: make(map[string]*endpoint),
-	}, nil
+	}
+	t.initPools()
+	return t, nil
 }
 
 // Attach binds the socket the resolver assigns to a and starts its receive
@@ -261,7 +273,7 @@ func (t *Transport) Attach(a addr.Address) (transport.Endpoint, error) {
 		in:        make(chan transport.Envelope, t.cfg.QueueLen),
 		done:      make(chan struct{}),
 	}
-	ep.bio = newBatchIO(conn, t.cfg, t.cfg.MaxDatagram)
+	ep.bio = newBatchIO(conn, t)
 	if ep.bio != nil {
 		t.batchOn.Store(true)
 	}
@@ -288,7 +300,7 @@ func (t *Transport) Attach(a addr.Address) (transport.Endpoint, error) {
 			reg.Register(a, conn.LocalAddr().(*net.UDPAddr))
 		}
 	}
-	go ep.readLoop(t.cfg.MaxDatagram)
+	go ep.readLoop()
 	return ep, nil
 }
 
@@ -406,6 +418,7 @@ type endpoint struct {
 	bio       *batchIO // kernel-batched I/O; nil on the portable path
 	in        chan transport.Envelope
 	done      chan struct{}
+	senders   senderTable // owned by the read loop
 
 	closeOnce sync.Once
 }
@@ -632,29 +645,22 @@ func (e *endpoint) shutdown() {
 // parses the sender prefix and ships the frame bytes as a transport.Raw —
 // unframing moves to the consumer's ingress workers.
 //
-// With kernel-batched ingress the loop drains the socket through a vector
-// of buffers — one recvmmsg per wakeup; the per-datagram handling is
+// With kernel-batched ingress the loop drains the socket through a borrowed
+// vector of buffers — one recvmmsg per wakeup; the per-datagram handling is
 // byte-identical to the portable path below it.
-func (e *endpoint) readLoop(maxDatagram int) {
+func (e *endpoint) readLoop() {
 	defer close(e.in)
 	var dec *wire.Decoder
 	if !e.tr.cfg.DeferDecode {
 		dec = wire.NewDecoder() // unused (and unallocated) when deferring
 	}
 	if e.bio != nil {
-		for {
-			n, err := e.bio.recv()
-			if err != nil {
-				return // socket closed (or fatally broken): endpoint is done
-			}
-			e.tr.recvSyscalls.Add(1)
-			e.tr.recvDatagrams.Add(int64(n))
-			for i := 0; i < n; i++ {
-				e.deliver(e.bio.datagram(i), dec)
-			}
+		deliver := func(data []byte) { e.deliver(data, dec) }
+		for e.bio.recv(deliver) == nil {
 		}
+		return // socket closed (or fatally broken): endpoint is done
 	}
-	buf := make([]byte, maxDatagram)
+	buf := make([]byte, e.tr.cfg.MaxDatagram+1) // +1: a cut datagram shows as too long
 	for {
 		n, _, err := e.conn.ReadFromUDP(buf)
 		if err != nil {
@@ -668,20 +674,24 @@ func (e *endpoint) readLoop(maxDatagram int) {
 
 // deliver parses one wire datagram and pushes its envelope, counting
 // malformed datagrams and inbox overflow — the shared per-datagram body of
-// both read loops.
+// both read loops. data is the read buffer itself: whatever the envelope
+// keeps is copied (transport.NewRaw) or decoded into fresh values before
+// deliver returns.
 func (e *endpoint) deliver(data []byte, dec *wire.Decoder) {
-	r := binenc.NewReader(data)
-	from := addr.ReadAddress(r)
-	if r.Err() != nil {
+	if len(data) > e.tr.cfg.MaxDatagram {
+		e.tr.malformed.Add(1) // longer than any peer may send, or cut by the kernel
+		return
+	}
+	from, n, err := e.senders.parse(data)
+	if err != nil {
 		e.tr.malformed.Add(1)
 		return
 	}
 	var payload any
 	if e.tr.cfg.DeferDecode {
-		payload = transport.NewRaw(data[len(data)-r.Len():])
+		payload = transport.NewRaw(data[n:])
 	} else {
-		var err error
-		payload, err = dec.Decode(data[len(data)-r.Len():])
+		payload, err = dec.Decode(data[n:])
 		if err != nil {
 			e.tr.malformed.Add(1)
 			return
@@ -696,4 +706,38 @@ func (e *endpoint) deliver(data []byte, dec *wire.Decoder) {
 		}
 		e.tr.dropped.Add(1) // inbox overflow, like a full socket buffer
 	}
+}
+
+// maxSenders bounds a sender table the way binenc.Interner bounds its
+// strings: forged prefixes cannot grow it past this, and a full table is
+// dropped and rebuilt from the traffic that follows.
+const maxSenders = 4096
+
+// senderTable maps encoded sender prefixes to the addresses already built
+// from them, so the prefix of a known sender parses without allocating. The
+// zero value is ready to use; it is not safe for concurrent use.
+type senderTable struct {
+	m map[string]addr.Address
+}
+
+// parse reads the sender prefix at the head of data and returns the sender
+// and the prefix's length in bytes.
+func (t *senderTable) parse(data []byte) (addr.Address, int, error) {
+	r := binenc.NewReader(data)
+	for n := r.Count(1); n > 0; n-- {
+		r.Varint()
+	}
+	if err := r.Err(); err != nil {
+		return addr.Address{}, 0, err
+	}
+	prefix := data[:len(data)-r.Len()]
+	if a, ok := t.m[string(prefix)]; ok { // no-alloc lookup: string(prefix) is not retained
+		return a, len(prefix), nil
+	}
+	a := addr.ReadAddress(binenc.NewReader(prefix))
+	if t.m == nil || len(t.m) >= maxSenders {
+		t.m = make(map[string]addr.Address)
+	}
+	t.m[string(prefix)] = a
+	return a, len(prefix), nil
 }

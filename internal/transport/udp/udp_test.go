@@ -371,3 +371,36 @@ func TestDeferDecodeDeliversRawFrames(t *testing.T) {
 		t.Errorf("%d frames counted malformed", tr.Malformed())
 	}
 }
+
+// TestSenderTable pins the read loop's sender interning: a known prefix
+// parses to the address built at first sight without allocating, malformed
+// prefixes are refused, and forged prefixes cannot grow the table past its
+// bound.
+func TestSenderTable(t *testing.T) {
+	var st senderTable
+	from := addr.New(2, 3, 1)
+	data := append(addr.AppendAddress(nil, from), "frame"...)
+	first, n, err := st.parse(data)
+	if err != nil || n != len(data)-len("frame") || !first.Equal(from) {
+		t.Fatalf("parse = (%v, %d, %v), want (%v, %d, nil)", first, n, err, from, len(data)-len("frame"))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		a, _, _ := st.parse(data)
+		if a.Key() != first.Key() {
+			t.Fatal("known sender parsed to another address")
+		}
+	}); allocs != 0 {
+		t.Fatalf("parsing a known sender allocates %.1f times, want 0", allocs)
+	}
+	if _, _, err := st.parse([]byte{0x05, 0x01}); err == nil {
+		t.Fatal("truncated prefix accepted")
+	}
+	for i := 0; i < 3*maxSenders; i++ {
+		if _, _, err := st.parse(addr.AppendAddress(nil, addr.New(i))); err != nil {
+			t.Fatal(err)
+		}
+		if len(st.m) > maxSenders {
+			t.Fatalf("table holds %d senders, bound is %d", len(st.m), maxSenders)
+		}
+	}
+}
