@@ -452,10 +452,9 @@ func (s Space) ValidatePrefix(p Prefix) error {
 // Index maps an address to its rank in lexicographic order within the space,
 // in [0, Capacity). The mapping is the mixed-radix value of the digits.
 func (s Space) Index(a Address) int {
-	ds := a.digits()
 	idx := 0
-	for i, ar := range s.arities {
-		idx = idx*ar + ds[i]
+	for i := 1; i <= s.Depth(); i++ {
+		idx = idx*s.Arity(i) + a.Digit(i)
 	}
 	return idx
 }

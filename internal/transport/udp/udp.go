@@ -708,10 +708,17 @@ func (e *endpoint) deliver(data []byte, dec *wire.Decoder) {
 	}
 }
 
-// maxSenders bounds a sender table the way binenc.Interner bounds its
-// strings: forged prefixes cannot grow it past this, and a full table is
-// dropped and rebuilt from the traffic that follows.
-const maxSenders = 4096
+// A sender table is bounded the way binenc.Interner bounds its strings: a
+// full table is dropped and rebuilt from the traffic that follows, and a
+// prefix longer than maxSenderLen is parsed but never stored. Sixteen wire
+// bytes hold every address of a depth-8 space with digits below 64, or of a
+// depth-5 space with digits below 8192, so a real sender fits. A stored
+// entry holds at most 15 digits — its key, digits and map slot measure
+// about 260 bytes — so forged prefixes can pin at most about 1 MiB.
+const (
+	maxSenders   = 4096
+	maxSenderLen = 16
+)
 
 // senderTable maps encoded sender prefixes to the addresses already built
 // from them, so the prefix of a known sender parses without allocating. The
@@ -735,6 +742,9 @@ func (t *senderTable) parse(data []byte) (addr.Address, int, error) {
 		return a, len(prefix), nil
 	}
 	a := addr.ReadAddress(binenc.NewReader(prefix))
+	if len(prefix) > maxSenderLen {
+		return a, len(prefix), nil
+	}
 	if t.m == nil || len(t.m) >= maxSenders {
 		t.m = make(map[string]addr.Address)
 	}

@@ -374,8 +374,8 @@ func TestDeferDecodeDeliversRawFrames(t *testing.T) {
 
 // TestSenderTable pins the read loop's sender interning: a known prefix
 // parses to the address built at first sight without allocating, malformed
-// prefixes are refused, and forged prefixes cannot grow the table past its
-// bound.
+// prefixes are refused, forged prefixes cannot grow the table past its
+// bound, and a long prefix parses without being stored.
 func TestSenderTable(t *testing.T) {
 	var st senderTable
 	from := addr.New(2, 3, 1)
@@ -402,5 +402,20 @@ func TestSenderTable(t *testing.T) {
 		if len(st.m) > maxSenders {
 			t.Fatalf("table holds %d senders, bound is %d", len(st.m), maxSenders)
 		}
+	}
+	st = senderTable{}
+	digits := make([]int, maxSenderLen) // one count byte plus 16 one-byte digits
+	for i := 0; i < maxSenders; i++ {
+		digits[0] = i % 64
+		digits[1] = i / 64
+		long := addr.New(digits...)
+		data := addr.AppendAddress(nil, long)
+		a, n, err := st.parse(data)
+		if err != nil || n != len(data) || !a.Equal(long) {
+			t.Fatalf("long prefix parsed to (%v, %d, %v), want (%v, %d, nil)", a, n, err, long, len(data))
+		}
+	}
+	if len(st.m) != 0 {
+		t.Fatalf("table holds %d prefixes longer than %d bytes, want none", len(st.m), maxSenderLen)
 	}
 }
