@@ -203,7 +203,7 @@ type state struct {
 	// An ID sits in at most one depth's buffer — the seen-set guards every
 	// way in — so nothing ever looks an entry up by ID.
 	gossips [][]entry
-	seen    map[event.ID]struct{}
+	seen    seenSet
 
 	matchStats MatchStats
 	adaptive   AdaptiveStats
@@ -258,7 +258,6 @@ func newShell(self addr.Address, cfg Config, views []DepthView, selfMatch func(e
 func newState(d int) *state {
 	return &state{
 		gossips: make([][]entry, d),
-		seen:    make(map[event.ID]struct{}),
 		slot:    make(map[string]int),
 	}
 }
@@ -278,10 +277,9 @@ func (p *Process) Multicast(ev event.Event) error {
 	if ev.ID().IsZero() {
 		return ErrNilEvent
 	}
-	if _, dup := p.seen[ev.ID()]; dup {
+	if !p.markSeen(ev) {
 		return nil
 	}
-	p.markSeen(ev)
 
 	depth := 1
 	var prof *MatchProfile
@@ -307,24 +305,26 @@ func (p *Process) Multicast(ev event.Event) error {
 // the gossip at the depth it arrived for and delivers the event when it
 // matches the process's own interests. Duplicates are dropped against the
 // retained seen-set, which outlives the buffers and every process rebuild
-// (DESIGN.md "Runtime notes"; bounding it is ROADMAP item 2a).
+// (DESIGN.md "The event and the seen-set").
 func (p *Process) Receive(g Gossip) {
-	if g.Depth < 1 || g.Depth > p.cfg.D {
-		return
-	}
-	if _, dup := p.seen[g.Event.ID()]; dup {
+	if g.Depth < 1 || g.Depth > p.cfg.D || !p.markSeen(g.Event) {
 		return
 	}
 	p.received++
-	p.markSeen(g.Event)
 	p.insert(g.Depth, entry{ev: g.Event, rate: g.Rate, round: g.Round})
 }
 
-func (p *Process) markSeen(ev event.Event) {
-	p.seen[ev.ID()] = struct{}{}
+// markSeen enters ev in the seen-set and delivers it when the process's own
+// interest matches; it reports false, and does nothing, when ev was seen
+// before.
+func (p *Process) markSeen(ev event.Event) bool {
+	if !p.seen.add(ev.ID()) {
+		return false
+	}
 	if p.selfMatch(ev) {
 		p.deliveries = append(p.deliveries, ev)
 	}
+	return true
 }
 
 // compareID orders a buffered entry against an event ID: by origin, then by
@@ -734,9 +734,16 @@ func (p *Process) Deliveries() []event.Event {
 }
 
 // HasSeen reports whether the process ever received or multicast the event.
-func (p *Process) HasSeen(id event.ID) bool {
-	_, ok := p.seen[id]
-	return ok
+func (p *Process) HasSeen(id event.ID) bool { return p.seen.has(id) }
+
+// SeenOccupancy reports what the seen-set keeps for one origin: the words of
+// its sequence-number bitmap (at most 64) and the 64-number chunks held
+// beyond it. Both are 0 for an origin never seen.
+func (p *Process) SeenOccupancy(origin string) (words, far int) {
+	if w := p.seen.window(origin, false); w != nil {
+		return len(w.words), len(w.far)
+	}
+	return 0, 0
 }
 
 // Pending returns the number of events currently buffered across all depths;
@@ -765,7 +772,7 @@ func (p *Process) Reset() {
 	}
 	p.matchStats = MatchStats{}
 	p.adaptive = AdaptiveStats{}
-	clear(p.seen)
+	p.seen.reset()
 	p.deliveries = nil
 	p.received = 0
 	p.sent = 0

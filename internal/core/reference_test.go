@@ -11,14 +11,16 @@ import (
 // slices, kept as the oracle the built-in-place walk is held to: per-depth
 // map buffers sorted into a fresh ID list every round, a per-depth profile
 // table dropped whole when the view's generation moves, flat sends regrouped
-// through a fresh map. It borrows a Process — whose own buffers stay empty —
-// for the configuration, the views, the seen-set, the counters and the
-// arithmetic the rewrite did not touch (budgets, tuning, the destination
-// draw).
+// through a fresh map, and the seen-set as a plain set of IDs, which holds
+// the per-origin windows to the answers they replaced. It borrows a Process —
+// whose own buffers and seen-set stay empty — for the configuration, the
+// views, the deliveries, the counters and the arithmetic the rewrite did not
+// touch (budgets, tuning, the destination draw).
 type refProcess struct {
 	*Process
 	bufs   []map[event.ID]*entry
 	caches []refCache
+	seen   map[event.ID]struct{}
 }
 
 type refCache struct {
@@ -27,7 +29,7 @@ type refCache struct {
 }
 
 func newRefProcess(p *Process) *refProcess {
-	r := &refProcess{Process: p, bufs: make([]map[event.ID]*entry, p.cfg.D), caches: make([]refCache, p.cfg.D)}
+	r := &refProcess{Process: p, bufs: make([]map[event.ID]*entry, p.cfg.D), caches: make([]refCache, p.cfg.D), seen: make(map[event.ID]struct{})}
 	for i := range r.bufs {
 		r.bufs[i] = make(map[event.ID]*entry)
 	}
@@ -59,11 +61,27 @@ func (r *refProcess) rateAt(ev event.Event, depth int) float64 {
 	return 0
 }
 
-func (r *refProcess) Multicast(ev event.Event) {
+// markSeen is Process.markSeen over the reference's own seen-set.
+func (r *refProcess) markSeen(ev event.Event) bool {
 	if _, dup := r.seen[ev.ID()]; dup {
+		return false
+	}
+	r.seen[ev.ID()] = struct{}{}
+	if r.selfMatch(ev) {
+		r.deliveries = append(r.deliveries, ev)
+	}
+	return true
+}
+
+func (r *refProcess) HasSeen(id event.ID) bool {
+	_, ok := r.seen[id]
+	return ok
+}
+
+func (r *refProcess) Multicast(ev event.Event) {
+	if !r.markSeen(ev) {
 		return
 	}
-	r.markSeen(ev)
 	depth := 1
 	for r.cfg.LocalDescent && depth < r.cfg.D {
 		if prof := r.profileAt(ev, depth); prof != nil {
@@ -78,11 +96,10 @@ func (r *refProcess) Multicast(ev event.Event) {
 }
 
 func (r *refProcess) Receive(g Gossip) {
-	if _, dup := r.seen[g.Event.ID()]; dup || g.Depth < 1 || g.Depth > r.cfg.D {
+	if g.Depth < 1 || g.Depth > r.cfg.D || !r.markSeen(g.Event) {
 		return
 	}
 	r.received++
-	r.markSeen(g.Event)
 	r.bufs[g.Depth-1][g.Event.ID()] = &entry{ev: g.Event, rate: g.Rate, round: g.Round}
 }
 

@@ -317,8 +317,10 @@ func TestRoundAllocations(t *testing.T) {
 // same byte-chosen sequence of publishes, receptions, rounds and rebuilds over
 // moved views, under a byte-chosen configuration, and demands the same
 // envelopes from every round, the same RNG afterwards and the same counters.
-// The first byte picks the rules in force, the second the process; then each
-// pair of bytes is one operation and its argument.
+// The reference keeps its seen-set as a plain map, so the per-origin windows
+// answer every ID the operations can name as the map does. The first byte
+// picks the rules in force, the second the process; then each pair of bytes
+// is one operation and its argument.
 func FuzzRoundAgainstReference(f *testing.F) {
 	f.Add([]byte{0x00, 0, 0, 1, 0, 2, 2, 0, 2, 1, 2, 0})
 	f.Add([]byte{0x10, 5, 0, 9, 0, 3, 1, 0x21, 2, 0, 3, 7, 2, 1, 2, 0, 2, 0})
@@ -390,6 +392,13 @@ func FuzzRoundAgainstReference(f *testing.F) {
 		sameCounters(t, self.String(), p, r.Process)
 		if p.Pending() != r.Pending() || !reflect.DeepEqual(p.Deliveries(), r.Deliveries()) {
 			t.Fatal("buffered events or deliveries differ from the reference")
+		}
+		for _, origin := range []string{"a", "b", "c"} {
+			for seq := uint64(0); seq < 16; seq++ {
+				if id := (event.ID{Origin: origin, Seq: seq}); p.HasSeen(id) != r.HasSeen(id) {
+					t.Fatalf("HasSeen(%v) = %v, reference %v", id, p.HasSeen(id), r.HasSeen(id))
+				}
+			}
 		}
 	})
 }

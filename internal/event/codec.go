@@ -38,8 +38,9 @@ func ReadValue(r *binenc.Reader) Value {
 	case 0:
 		return Value{}
 	default:
-		// Unknown kind: poison the reader so the caller sees the error.
-		r.Bytes() // consumes a bogus length, setting the error state
+		// An unknown kind has no payload length this decoder could skip, so
+		// the rest of the input is unreadable.
+		r.Fail(fmt.Errorf("event: unknown value kind %d", kind))
 		return Value{}
 	}
 }
@@ -65,9 +66,10 @@ func IDWireSize(id ID) int {
 // Attributes are stored sorted, so encoding is a straight walk — no scratch
 // allocations on the batched wire hot path.
 func AppendEvent(b []byte, e Event) []byte {
-	b = AppendID(b, e.id)
-	b = binenc.AppendUvarint(b, uint64(len(e.attrs)))
-	for _, a := range e.attrs {
+	as := e.attrs()
+	b = AppendID(b, e.ID())
+	b = binenc.AppendUvarint(b, uint64(len(as)))
+	for _, a := range as {
 		b = binenc.AppendString(b, a.name)
 		b = AppendValue(b, a.val)
 	}
@@ -90,29 +92,35 @@ func valueWireSize(v Value) int {
 	}
 }
 
+// zeroWireSize is the encoded size of the zero event: an empty origin, a zero
+// sequence number and no attributes, one byte each.
+const zeroWireSize = 3
+
 // WireSize returns the exact number of bytes AppendEvent would emit, without
 // encoding. Batch framing length-prefixes each event section, so encoders
-// need sizes before bodies.
+// need sizes before bodies; the size is computed once, when the event is
+// built or decoded, and read here.
 func WireSize(e Event) int {
-	n := binenc.StringLen(e.id.Origin) + binenc.UvarintLen(e.id.Seq) +
-		binenc.UvarintLen(uint64(len(e.attrs)))
-	for _, a := range e.attrs {
-		n += binenc.StringLen(a.name) + valueWireSize(a.val)
+	if e.r == nil {
+		return zeroWireSize
 	}
-	return n
+	return e.r.size
 }
 
-// ReadEvent reads an event written by AppendEvent. Attributes arrive sorted
-// from our own encoder, which the fast path exploits; unsorted or duplicated
-// names (foreign encoders, corrupted frames) are insertion-sorted with
-// last-wins semantics so the canonical form is restored.
+// ReadEvent reads an event written by AppendEvent. Through an interning
+// reader it costs one allocation, the representation with up to 16
+// attributes inline. Attributes arrive sorted from our own
+// encoder, which the fast path exploits; unsorted or duplicated names
+// (foreign encoders, corrupted frames) are insertion-sorted with last-wins
+// semantics so the canonical form is restored.
 func ReadEvent(r *binenc.Reader) Event {
 	id := ReadID(r)
 	n := r.Count(2)
-	var attrs []attr
-	if n > 0 {
-		attrs = make([]attr, 0, n)
+	if r.Err() != nil {
+		return Event{}
 	}
+	rp := newRep(n)
+	attrs := rp.attrs[:0]
 	for i := 0; i < n; i++ {
 		name := r.String()
 		v := ReadValue(r)
@@ -136,7 +144,8 @@ func ReadEvent(r *binenc.Reader) Event {
 		copy(attrs[at+1:], attrs[at:])
 		attrs[at] = attr{name: name, val: v}
 	}
-	return Event{id: id, attrs: attrs}
+	rp.id, rp.attrs = id, attrs
+	return rp.seal()
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.

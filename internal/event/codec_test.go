@@ -1,6 +1,7 @@
 package event
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -36,14 +37,30 @@ func TestZeroValueCodec(t *testing.T) {
 	}
 }
 
+// TestUnknownValueKindPoisonsReader: a value of unknown kind has no payload
+// length to skip, so it must fail the read whatever bytes follow the kind —
+// alone and inside an event. A following 0x00, or a byte that reads as a
+// length the input can satisfy, once decoded to {o#1 x=<invalid>} with no
+// error.
 func TestUnknownValueKindPoisonsReader(t *testing.T) {
-	r := binenc.NewReader([]byte{0x7F, 0x01})
-	got := ReadValue(r)
-	if !got.IsZero() {
-		t.Error("unknown kind yielded a live value")
-	}
-	if r.Err() == nil {
-		t.Error("unknown kind left reader clean")
+	for name, in := range map[string][]byte{
+		"bogus length":      {0x7F, 0x01},
+		"zero byte":         {5, 0x00},
+		"a readable length": {5, 3, 'a', 'b', 'c'},
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := binenc.NewReader(in)
+			if got := ReadValue(r); !got.IsZero() || r.Err() == nil {
+				t.Errorf("ReadValue = %v, error %v", got, r.Err())
+			}
+			data := AppendID(nil, ID{Origin: "o", Seq: 1})
+			data = binenc.AppendUvarint(data, 1)
+			data = binenc.AppendString(data, "x")
+			var e Event
+			if err := e.UnmarshalBinary(append(data, in...)); err == nil {
+				t.Errorf("decoded %v with no error", e)
+			}
+		})
 	}
 }
 
@@ -91,5 +108,80 @@ func TestEventUnmarshalRejectsCorrupt(t *testing.T) {
 	var e Event
 	if err := e.UnmarshalBinary([]byte{0xFF, 0xFF}); err == nil {
 		t.Error("corrupt event accepted")
+	}
+}
+
+// TestWireSizeIsMemoised: the size an event carries from construction is the
+// size AppendEvent emits — built, re-identified, and decoded, including a
+// decode that restores canonical order and drops a duplicate name.
+func TestWireSizeIsMemoised(t *testing.T) {
+	built := NewBuilder().Int("z", -300).Float("c", 2.5).Str("e", "Bob").Bool("b", true).Build(ID{Origin: "1.2", Seq: 7})
+	// A foreign encoder's frame: names out of order, "e" twice.
+	foreign := AppendID(nil, ID{Origin: "o", Seq: 1 << 40})
+	foreign = binenc.AppendUvarint(foreign, 3)
+	for _, kv := range []struct {
+		name string
+		v    Value
+	}{{"e", Str("long value")}, {"a", Int(1)}, {"e", Str("x")}} {
+		foreign = binenc.AppendString(foreign, kv.name)
+		foreign = AppendValue(foreign, kv.v)
+	}
+	var decoded Event
+	if err := decoded.UnmarshalBinary(foreign); err != nil {
+		t.Fatal(err)
+	}
+	if decoded.Len() != 2 || !decoded.Attr("e").Equal(Str("x")) {
+		t.Fatalf("foreign frame decoded to %v", decoded)
+	}
+	for name, e := range map[string]Event{
+		"zero":          {},
+		"built":         built,
+		"empty":         New(ID{Origin: "p", Seq: 3}, nil),
+		"re-identified": built.WithID(ID{Origin: "a much longer origin", Seq: 1 << 50}),
+		"zero with id":  Event{}.WithID(ID{Origin: "q", Seq: 9}),
+		"decoded":       decoded,
+		"many attrs":    manyAttrs(40),
+	} {
+		if got, want := WireSize(e), len(AppendEvent(nil, e)); got != want {
+			t.Errorf("%s: WireSize = %d, AppendEvent emits %d", name, got, want)
+		}
+	}
+}
+
+// sink keeps a measured result on the heap, where a caller would hold it.
+var sink Event
+
+// manyAttrs builds an event with n integer attributes, past every inline
+// size class.
+func manyAttrs(n int) Event {
+	b := NewBuilder()
+	for i := 0; i < n; i++ {
+		b.Int(fmt.Sprintf("a%02d", i), int64(i))
+	}
+	return b.Build(ID{Origin: "m", Seq: uint64(n)})
+}
+
+// TestEventAllocations: decoding an event through an interning reader costs
+// one allocation — the representation, its attributes inline — at every
+// inline size class; so does re-identifying one, whatever its size.
+func TestEventAllocations(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 16} {
+		data := AppendEvent(nil, manyAttrs(n))
+		r := binenc.NewReader(data)
+		r.SetIntern(binenc.NewInterner())
+		ReadEvent(r) // fills the intern table
+		if allocs := testing.AllocsPerRun(100, func() {
+			r.Reset(data)
+			if ev := ReadEvent(r); r.Err() != nil || ev.Len() != n {
+				t.Fatalf("decode of %d attributes: %v, %v", n, ev, r.Err())
+			}
+		}); allocs != 1 {
+			t.Errorf("ReadEvent with %d attributes: %.1f allocations, want 1", n, allocs)
+		}
+	}
+	ev := manyAttrs(9)
+	id := ID{Origin: "w", Seq: 2}
+	if allocs := testing.AllocsPerRun(100, func() { sink = ev.WithID(id) }); allocs != 1 {
+		t.Errorf("WithID: %.1f allocations, want 1", allocs)
 	}
 }

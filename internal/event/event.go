@@ -5,14 +5,23 @@
 // b, float c, string e, integer z). Events here are flat attribute maps with
 // typed values, plus a unique identifier used for duplicate suppression and
 // gossip bookkeeping.
+//
+// An Event is a pointer to an immutable representation that holds the
+// identifier, the attributes sorted by name, and the event's encoded size,
+// computed once when the event is built or decoded. Gossip buffers, round
+// envelopes and delivery queues copy an event as one word, and the encoders
+// read its size instead of walking its attributes.
 package event
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+
+	"pmcast/internal/binenc"
 )
 
 // Kind enumerates attribute value types. Kinds start at 1 so the zero Value
@@ -168,44 +177,123 @@ type attr struct {
 }
 
 // Event is an immutable set of named, typed attributes with an identifier.
-// Construct events with NewBuilder/Builder or New; the zero Event carries no
-// attributes.
+// Construct events with NewBuilder/Builder or New; the zero Event carries the
+// zero ID and no attributes.
+//
+// An Event is one pointer word. Every gossip buffer entry, round pick, publish
+// request and delivery slot holds one, so the identifier, the attributes and
+// the event's wire size live once, behind the pointer, and copying an event
+// copies a word. The leading zero-size func field keeps the type
+// non-comparable, as for addr.Address: == would compare identity, not content.
 type Event struct {
-	id    ID
+	_ [0]func()
+	r *rep // nil for the zero event
+}
+
+// rep is an event's shared, immutable representation.
+type rep struct {
+	id ID
+	// size is WireSize's answer, computed once at construction: the encoders
+	// size every event they frame, once per send, and walking its 64-byte
+	// attributes each time was a measurable share of a live node's CPU.
+	size  int
 	attrs []attr // sorted by name, unique names
+}
+
+// newRep allocates a representation for n attributes. Up to 16 attributes
+// share the rep's object, so building or decoding an event costs one
+// allocation; the classes are spaced so an event wastes at most one attribute
+// slot below 12.
+func newRep(n int) *rep {
+	switch {
+	case n == 0:
+		return new(rep)
+	case n <= 2:
+		return inlineRep(n, func(a *[2]attr) []attr { return a[:] })
+	case n <= 4:
+		return inlineRep(n, func(a *[4]attr) []attr { return a[:] })
+	case n <= 6:
+		return inlineRep(n, func(a *[6]attr) []attr { return a[:] })
+	case n <= 8:
+		return inlineRep(n, func(a *[8]attr) []attr { return a[:] })
+	case n <= 10:
+		return inlineRep(n, func(a *[10]attr) []attr { return a[:] })
+	case n <= 12:
+		return inlineRep(n, func(a *[12]attr) []attr { return a[:] })
+	case n <= 16:
+		return inlineRep(n, func(a *[16]attr) []attr { return a[:] })
+	}
+	return &rep{attrs: make([]attr, n)}
+}
+
+// inlineRep allocates a rep and an attribute array A in one object; the rep's
+// attrs are the array's first n slots.
+func inlineRep[A any](n int, slots func(*A) []attr) *rep {
+	x := new(struct {
+		rep
+		inline A
+	})
+	x.attrs = slots(&x.inline)[:n:n]
+	return &x.rep
+}
+
+// seal memoises r's wire size once its ID and attributes are final.
+func (r *rep) seal() Event {
+	r.size = IDWireSize(r.id) + binenc.UvarintLen(uint64(len(r.attrs)))
+	for _, a := range r.attrs {
+		r.size += binenc.StringLen(a.name) + valueWireSize(a.val)
+	}
+	return Event{r: r}
 }
 
 // New builds an event from an attribute map. The map is copied.
 func New(id ID, attrs map[string]Value) Event {
-	as := make([]attr, 0, len(attrs))
+	r := newRep(len(attrs))
+	as := r.attrs[:0]
 	for k, v := range attrs {
 		as = append(as, attr{name: k, val: v})
 	}
-	sort.Slice(as, func(i, j int) bool { return as[i].name < as[j].name })
-	return Event{id: id, attrs: as}
+	slices.SortFunc(as, func(a, b attr) int { return strings.Compare(a.name, b.name) })
+	r.id = id
+	return r.seal()
+}
+
+// attrs returns the event's sorted attributes; none for the zero event.
+func (e Event) attrs() []attr {
+	if e.r == nil {
+		return nil
+	}
+	return e.r.attrs
 }
 
 // find returns the index of name in the sorted attribute slice, or -1.
 func (e Event) find(name string) int {
-	i := sort.Search(len(e.attrs), func(i int) bool { return e.attrs[i].name >= name })
-	if i < len(e.attrs) && e.attrs[i].name == name {
+	as := e.attrs()
+	i := sort.Search(len(as), func(i int) bool { return as[i].name >= name })
+	if i < len(as) && as[i].name == name {
 		return i
 	}
 	return -1
 }
 
 // ID returns the event identifier.
-func (e Event) ID() ID { return e.id }
+func (e Event) ID() ID {
+	if e.r == nil {
+		return ID{}
+	}
+	return e.r.id
+}
 
-// WithID returns a copy of the event carrying the given identifier.
+// WithID returns a copy of the event carrying the given identifier. The copy
+// shares the attributes, so it costs one allocation whatever their number.
 func (e Event) WithID(id ID) Event {
-	return Event{id: id, attrs: e.attrs}
+	return (&rep{id: id, attrs: e.attrs()}).seal()
 }
 
 // Attr returns the named attribute value; the zero Value if absent.
 func (e Event) Attr(name string) Value {
 	if i := e.find(name); i >= 0 {
-		return e.attrs[i].val
+		return e.r.attrs[i].val
 	}
 	return Value{}
 }
@@ -213,7 +301,7 @@ func (e Event) Attr(name string) Value {
 // Lookup returns the named attribute and whether it exists.
 func (e Event) Lookup(name string) (Value, bool) {
 	if i := e.find(name); i >= 0 {
-		return e.attrs[i].val, true
+		return e.r.attrs[i].val, true
 	}
 	return Value{}, false
 }
@@ -222,29 +310,31 @@ func (e Event) Lookup(name string) (Value, bool) {
 // 0 ≤ i < Len(). Index access lets matchers merge-walk an event against a
 // sorted criteria list instead of binary-searching per attribute.
 func (e Event) AttrAt(i int) (string, Value) {
-	return e.attrs[i].name, e.attrs[i].val
+	a := &e.r.attrs[i]
+	return a.name, a.val
 }
 
 // Names returns the attribute names in sorted order.
 func (e Event) Names() []string {
-	names := make([]string, len(e.attrs))
-	for i, a := range e.attrs {
+	as := e.attrs()
+	names := make([]string, len(as))
+	for i, a := range as {
 		names[i] = a.name
 	}
 	return names
 }
 
 // Len returns the number of attributes.
-func (e Event) Len() int { return len(e.attrs) }
+func (e Event) Len() int { return len(e.attrs()) }
 
 // String renders the event as "{id a=1 b=2.5}".
 func (e Event) String() string {
 	var sb strings.Builder
 	sb.WriteByte('{')
-	if !e.id.IsZero() {
-		sb.WriteString(e.id.String())
+	if id := e.ID(); !id.IsZero() {
+		sb.WriteString(id.String())
 	}
-	for _, a := range e.attrs {
+	for _, a := range e.attrs() {
 		if sb.Len() > 1 {
 			sb.WriteByte(' ')
 		}

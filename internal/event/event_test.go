@@ -3,6 +3,7 @@ package event
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueKinds(t *testing.T) {
@@ -219,5 +220,29 @@ func TestWithID(t *testing.T) {
 	}
 	if !ev.ID().IsZero() {
 		t.Error("WithID mutated original")
+	}
+}
+
+func TestEventIsOneWord(t *testing.T) {
+	if got, want := unsafe.Sizeof(Event{}), unsafe.Sizeof(uintptr(0)); got != want {
+		t.Errorf("sizeof(Event) = %d, want one pointer (%d)", got, want)
+	}
+}
+
+// TestZeroEvent: the zero Event answers as an event with the zero ID and no
+// attributes.
+func TestZeroEvent(t *testing.T) {
+	var e Event
+	if !e.ID().IsZero() || e.Len() != 0 || len(e.Names()) != 0 {
+		t.Errorf("zero event: id %v, len %d, names %v", e.ID(), e.Len(), e.Names())
+	}
+	if _, ok := e.Lookup("x"); ok || !e.Attr("x").IsZero() {
+		t.Error("zero event has an attribute")
+	}
+	if got := WireSize(e); got != 3 {
+		t.Errorf("WireSize = %d, want 3", got)
+	}
+	if got := e.String(); got != "{}" {
+		t.Errorf("String = %q", got)
 	}
 }

@@ -119,6 +119,47 @@ func TestOutOfSpaceRecordDoesNotStopNode(t *testing.T) {
 	}
 }
 
+// TestForgedFutureSeqKeepsOriginDelivering: a forged gossip carrying a live
+// origin's ID with sequence number 2^63 must not poison the seen-set — no
+// high-water mark jumps past the origin's real stream — so every real event
+// it publishes afterwards is delivered, past its first bitmap window too, and
+// the origin's seen state stays one bitmap plus the forged number.
+func TestForgedFutureSeqKeepsOriginDelivering(t *testing.T) {
+	n := rosterNode(t)
+	origin := hostileSpace.AddressAt(1)
+	gossip := func(seq uint64) transport.Envelope {
+		ev := event.NewBuilder().Int("b", 1).Build(event.ID{Origin: origin.Key(), Seq: seq})
+		return transport.Envelope{From: origin, To: n.Addr(), Payload: core.Gossip{Event: ev, Depth: 1, Rate: 1}}
+	}
+	drain := func() (ids []event.ID) {
+		for {
+			select {
+			case got := <-n.Deliveries():
+				ids = append(ids, got.ID())
+			default:
+				return ids
+			}
+		}
+	}
+	forged := gossip(1 << 63)
+	forged.Payload = wireDecoded(t, forged.Payload)
+	n.HandleEnvelope(forged)
+	drain()
+	const real = 5_000 // more than one 4 096-number window
+	for seq := uint64(1); seq <= real; seq++ {
+		n.HandleEnvelope(gossip(seq))
+		if got := drain(); len(got) != 1 || got[0] != (event.ID{Origin: origin.Key(), Seq: seq}) {
+			t.Fatalf("real event %d after a forged 2^63: delivered %v", seq, got)
+		}
+	}
+	n.mu.Lock()
+	words, far := n.proc.SeenOccupancy(origin.Key())
+	n.mu.Unlock()
+	if words > 64 || far != 1 {
+		t.Errorf("the origin's seen state holds %d bitmap words and %d far chunks, want ≤ 64 and 1", words, far)
+	}
+}
+
 // TestFoldAcrossRebaseMatchesBuild: a node that starts alone folds its table
 // into its tree, then admits a batch that moves a known line and carries
 // three strangers, one listed twice. The batch rebases its membership; the

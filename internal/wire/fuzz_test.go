@@ -129,10 +129,20 @@ func reencode(t *testing.T, msg any) []byte {
 	return enc1
 }
 
+// eventSizeHolds asserts the size an event memoised at construction is the
+// size its encoding has.
+func eventSizeHolds(t *testing.T, ev event.Event) {
+	t.Helper()
+	if got, want := event.WireSize(ev), len(event.AppendEvent(nil, ev)); got != want {
+		t.Fatalf("WireSize(%v) = %d, AppendEvent emits %d bytes", ev, got, want)
+	}
+}
+
 // FuzzWireRoundTrip feeds arbitrary bytes to the frame decoder: it must
 // never panic, and every frame it accepts must re-encode canonically — to
 // exactly as many bytes as the size walk says — and decode identically
-// through the interning Decoder.
+// through the interning Decoder. Every event it decodes carries the size
+// its encoding has, and so does the event re-identified.
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, frame := range captureCorpus(f) {
 		f.Add(frame)
@@ -157,6 +167,17 @@ func FuzzWireRoundTrip(f *testing.F) {
 		enc1 := reencode(t, msg)
 		if got := wire.EncodedSize(msg); got != len(enc1) {
 			t.Fatalf("EncodedSize(%T) = %d, encoded %d bytes", msg, got, len(enc1))
+		}
+		var gossips []core.Gossip
+		switch m := msg.(type) {
+		case core.Gossip:
+			gossips = []core.Gossip{m}
+		case wire.Batch:
+			gossips = m.Gossips
+		}
+		for _, g := range gossips {
+			eventSizeHolds(t, g.Event)
+			eventSizeHolds(t, g.Event.WithID(event.ID{Origin: "a re-identified origin", Seq: g.Event.ID().Seq + 1<<40}))
 		}
 		// The interning decoder must agree with the plain one byte-for-byte
 		// after re-encoding (interning changes allocations, not values).
