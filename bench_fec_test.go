@@ -1,8 +1,8 @@
 // Benchmarks for the coding layer: the hot symbol-arithmetic paths
 // (encode is on every coded round's critical path, decode only on loss)
 // and the frontier summary cells — one coded and one uncoded campaign at
-// the acceptance point, reporting reliability and bytes/event as custom
-// metrics.
+// the acceptance point, under Bernoulli and under bursty loss, reporting
+// reliability and bytes/event as custom metrics.
 package pmcast_test
 
 import (
@@ -11,6 +11,7 @@ import (
 	"pmcast/internal/experiments"
 	"pmcast/internal/fec"
 	"pmcast/internal/harness"
+	"pmcast/internal/transport"
 )
 
 const fecSymLen = 1024
@@ -136,6 +137,43 @@ func BenchmarkFrontierPoint(b *testing.B) {
 			var rel, bytes, rounds float64
 			for i := 0; i < b.N; i++ {
 				pt, err := experiments.FrontierPointAt(base, 1, 0.40, c.f, c.k, c.r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rel += pt.MeanReliability
+				bytes += pt.BytesPerEvent
+				rounds += pt.RoundsToDeliveryP99
+			}
+			n := float64(b.N)
+			b.ReportMetric(rel/n, "reliability")
+			b.ReportMetric(bytes/n, "bytes/event")
+			b.ReportMetric(rounds/n, "rounds-p99")
+		})
+	}
+}
+
+// BenchmarkFrontierPointBursty re-runs the frontier acceptance cells under
+// correlated loss: deep Gilbert–Elliott bursts (~28.6% stationary)
+// instead of Bernoulli drops. The coded arm's Pareto win must survive the
+// burstier fault model — the cells record where it lands.
+func BenchmarkFrontierPointBursty(b *testing.B) {
+	base, err := harness.Lookup("frontier64")
+	if err != nil {
+		b.Fatal(err)
+	}
+	link := transport.LinkModel{BadLoss: 1, PGB: 0.04, PBG: 0.10}
+	cells := []struct {
+		name    string
+		f, k, r int
+	}{
+		{"coded_f6_k8_r2", 6, 8, 2},
+		{"uncoded_f7", 7, 8, 0},
+	}
+	for _, c := range cells {
+		b.Run(c.name, func(b *testing.B) {
+			var rel, bytes, rounds float64
+			for i := 0; i < b.N; i++ {
+				pt, err := experiments.FrontierPointLinked(base, 1, link, c.f, c.k, c.r)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -9,7 +9,6 @@
 //	pmcast-chaos -scenario churn1024 -seed 7
 //	pmcast-chaos -scenario lossy256 -seed 1 -o report.json -trace run.trace
 //	pmcast-chaos -scenario frontier64 -fec-k 8 -fec-r 2   # run with the coding layer on
-//	pmcast-chaos -scenario noisy64 -adaptive   # force the loss-aware tuning loop on
 //	pmcast-chaos -scenario soak256 -cpuprofile soak.pprof   # profile a soak run
 //	pmcast-chaos -scenario soak64k -shards 8   # 64k nodes across eight workers
 //	pmcast-chaos -scenario churn16k -shards 1   # same trace, one inline worker
@@ -35,7 +34,6 @@ func main() {
 		fanout     = flag.Int("fanout", 0, "override the fleet's gossip fan-out F (0 keeps the scenario's own setting)")
 		fecK       = flag.Int("fec-k", 0, "coding-layer generation size k (0 keeps the scenario's own setting)")
 		fecR       = flag.Int("fec-r", -1, "repair symbols per generation r (-1 keeps the scenario's own setting; 0 disables coding)")
-		adaptive   = flag.Bool("adaptive", false, "force the loss-aware adaptive fan-out loop on (noisy256/bursty1024 enable it scenario-side)")
 		shards     = flag.Int("shards", 0, "override the scenario's worker count (0 keeps its own setting; the trace is byte-identical at any value; 1 runs the loop inline, and a scenario whose fabric has no delay always does)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run here (soak profiling)")
 	)
@@ -62,9 +60,6 @@ func main() {
 	}
 	if *fecR >= 0 {
 		sc.Fleet.FECRepairs = *fecR
-	}
-	if *adaptive {
-		sc.Fleet.AdaptiveFanout = true
 	}
 	if *shards > 0 {
 		sc.Shards = *shards
@@ -106,12 +101,6 @@ func main() {
 			"pmcast-chaos: fec k=%d r=%d  repair_bytes_per_event=%.1f  fec_recoveries=%d  rounds_to_delivery_p99=%.1f\n",
 			sc.Fleet.FECSources, sc.Fleet.FECRepairs,
 			res.Report.RepairBytesPerEvent, res.Report.FECRecoveries, res.Report.RoundsToDeliveryP99)
-	}
-	if sc.Fleet.AdaptiveFanout {
-		fmt.Fprintf(os.Stderr,
-			"pmcast-chaos: adaptive  est_loss_mean=%.4f  est_loss_peers=%d  boosts=%d  extra_targets=%d  budget_depths=%d\n",
-			res.Report.EstLossMean, res.Report.EstLossPeers,
-			res.Report.AdaptiveBoosts, res.Report.AdaptiveExtraTargets, res.Report.AdaptiveBudgetDepths)
 	}
 	if sc.MeasureSummaryFPR || res.Report.FoldRecomputes > 0 {
 		fmt.Fprintf(os.Stderr,

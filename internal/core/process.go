@@ -89,49 +89,6 @@ type Config struct {
 	// Zero disables flooding. Flooded gossips carry an exhausted round
 	// counter so receivers do not re-flood.
 	LeafFloodRate float64
-	// PeerLoss, when set, closes the Section 5.3 tuning loop over measured
-	// instead of assumed loss: per-depth round budgets substitute the view's
-	// mean measured loss for AssumedLoss when it is worse, and each gossip
-	// round adds extra susceptible targets — restoring the Eq. 11 effective
-	// fanout when the whole view measures lossy, or compensating individual
-	// lossy picks when only some links do (see gossipOnce). It reports the
-	// measured loss estimate toward a peer; ok is false while the estimator
-	// has not seen enough traffic. Nil (the default), the process consumes
-	// exactly the RNG draws of the untuned algorithm, so seeded traces are
-	// unchanged.
-	PeerLoss func(a addr.Address) (loss float64, ok bool)
-}
-
-// adaptiveOn reports whether the measured-loss tuning loop is active.
-func (c Config) adaptiveOn() bool { return c.PeerLoss != nil }
-
-const (
-	// adaptiveBoost caps the extra susceptible targets added per (event,
-	// round) when loss is measured.
-	adaptiveBoost = 2
-	// adaptiveLossThreshold is the measured per-peer loss at which a link
-	// counts as lossy for the fan-out boost: above 5%, it earns extra
-	// redundancy.
-	adaptiveLossThreshold = 0.05
-)
-
-// AdaptiveStats counts what the measured-loss tuning loop actually did.
-type AdaptiveStats struct {
-	// Boosts is the number of (event, round) emissions that extended the
-	// target walk; ExtraTargets is the total extra susceptible targets
-	// added.
-	Boosts       int
-	ExtraTargets int
-	// BudgetDepths counts per-depth budget evaluations that used a measured
-	// loss above the assumed one.
-	BudgetDepths int
-}
-
-// Accumulate folds another snapshot into s (fleet-wide aggregation).
-func (s *AdaptiveStats) Accumulate(o AdaptiveStats) {
-	s.Boosts += o.Boosts
-	s.ExtraTargets += o.ExtraTargets
-	s.BudgetDepths += o.BudgetDepths
 }
 
 func (c Config) validate() error {
@@ -206,7 +163,6 @@ type state struct {
 	seen    seenSet
 
 	matchStats MatchStats
-	adaptive   AdaptiveStats
 
 	deliveries []event.Event
 	received   int // gossips accepted (first receptions)
@@ -381,15 +337,9 @@ func (p *Process) round(rng *rand.Rand) {
 			continue
 		}
 		v := p.views[depth-1]
-		// One measured-loss evaluation per depth per round: every event at
-		// this depth shares the view, so it shares the budget's loss term.
-		loss := p.cfg.AssumedLoss
-		if v != nil && p.cfg.adaptiveOn() {
-			loss = p.measuredLossAt(v, loss)
-		}
 		kept := 0
 		for i := range buf {
-			if p.gossipEntry(&buf[i], depth, v, loss, rng) {
+			if p.gossipEntry(&buf[i], depth, v, rng) {
 				if kept != i {
 					buf[kept] = buf[i]
 				}
@@ -403,7 +353,7 @@ func (p *Process) round(rng *rand.Rand) {
 
 // gossipEntry is one buffered event's turn in a round; it reports whether the
 // entry stays in this depth's buffer.
-func (p *Process) gossipEntry(e *entry, depth int, v DepthView, loss float64, rng *rand.Rand) bool {
+func (p *Process) gossipEntry(e *entry, depth int, v DepthView, rng *rand.Rand) bool {
 	if v == nil {
 		p.demote(e, depth)
 		return false
@@ -411,7 +361,7 @@ func (p *Process) gossipEntry(e *entry, depth int, v DepthView, loss float64, rn
 	size := v.Size()
 	prof := p.profileOf(e, v)
 	effRate, tunedSus := p.effectiveRate(prof, e, size)
-	budget := p.roundBudget(size, effRate, loss)
+	budget := p.roundBudget(size, effRate)
 	if e.round >= budget {
 		p.demote(e, depth)
 		return false
@@ -421,7 +371,7 @@ func (p *Process) gossipEntry(e *entry, depth int, v DepthView, loss float64, rn
 		return false // flooding replaces the leaf gossip rounds
 	}
 	e.round++
-	p.gossipOnce(v, prof, e, depth, size, tunedSus, loss, rng)
+	p.gossipOnce(v, prof, e, depth, size, tunedSus, rng)
 	return true
 }
 
@@ -526,56 +476,20 @@ func (p *Process) effectiveRate(prof *MatchProfile, e *entry, size int) (float64
 }
 
 // roundBudget evaluates Figure 3 line 7: T(size·rate, F·rate), loss-adjusted
-// per Eq. 11. loss is AssumedLoss, or the view's measured loss when the
-// adaptive loop found it worse (Tick computes it once per depth).
-func (p *Process) roundBudget(size int, rate, loss float64) int {
+// per Eq. 11 by the assumed ε and τ.
+func (p *Process) roundBudget(size int, rate float64) int {
 	return analysis.PittelLossAdjustedRounds(
 		float64(size)*rate, float64(p.cfg.F)*rate, p.cfg.C,
-		loss, p.cfg.AssumedCrash)
-}
-
-// measuredLossCap bounds the loss fed into round budgets: estimates near 1
-// (a peer behind a fresh partition reads as 100% loss) would blow the
-// Eq. 11 adjustment toward unbounded round counts.
-const measuredLossCap = 0.8
-
-// measuredLossAt averages the measured loss across the view's peers with
-// live estimates. The result only ever lengthens budgets: it replaces
-// assumed when worse, never when better, so the adaptive loop degrades to
-// the configured ε exactly where measurement is silent or rosier.
-func (p *Process) measuredLossAt(v DepthView, assumed float64) float64 {
-	size := v.Size()
-	selfIdx := v.SelfIndex()
-	sum, cnt := 0.0, 0
-	for i := 0; i < size; i++ {
-		if i == selfIdx {
-			continue
-		}
-		if l, ok := p.cfg.PeerLoss(v.MemberAt(i)); ok {
-			sum += l
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return assumed
-	}
-	mean := sum / float64(cnt)
-	if mean > measuredLossCap {
-		mean = measuredLossCap
-	}
-	if mean <= assumed {
-		return assumed
-	}
-	p.adaptive.BudgetDepths++
-	return mean
+		p.cfg.AssumedLoss, p.cfg.AssumedCrash)
 }
 
 // gossipOnce emits one round's sends for a buffered event: to the
-// susceptible ones — the event's profile answers — among the destinations
-// drawn from the view.
-func (p *Process) gossipOnce(v DepthView, prof *MatchProfile, e *entry, depth, size int, tuned bool, viewLoss float64, rng *rand.Rand) {
+// susceptible ones — the event's profile answers — among F distinct
+// destinations drawn at random from the view's members but the process
+// itself.
+func (p *Process) gossipOnce(v DepthView, prof *MatchProfile, e *entry, depth, size int, tuned bool, rng *rand.Rand) {
 	p.idxs = candidates(p.idxs[:0], size, v.SelfIndex())
-	for _, idx := range p.draw(p.idxs, v, prof, tuned, viewLoss, rng) {
+	for _, idx := range p.idxs[:samplePrefix(rng, p.idxs, p.cfg.F)] {
 		if p.susceptibleAt(prof, idx, tuned) {
 			p.emit(v.MemberAt(idx), e, depth, e.round)
 		}
@@ -586,70 +500,6 @@ func (p *Process) gossipOnce(v DepthView, prof *MatchProfile, e *entry, depth, s
 func (p *Process) emit(to addr.Address, e *entry, depth, round int) {
 	p.sent++
 	p.picks = append(p.picks, Send{To: to, Gossip: Gossip{Event: e.ev, Depth: depth, Rate: e.rate, Round: round}})
-}
-
-// draw chooses F distinct destinations at random from idxs, the view's
-// members but the process itself, by shuffling them to its front, and returns
-// that prefix; the caller sends to the susceptible ones. With the adaptive
-// loop on, the round extends the same Fisher–Yates walk by extra targets,
-// never beyond the view. Two gates decide how much of the boost to spend:
-// when the view's mean measured loss (viewLoss, the same per-depth figure
-// the round budget consumed) crosses the threshold, the whole view is
-// under-provisioned and the boost restores the Eq. 11 effective fanout;
-// otherwise one compensating draw is added per susceptible pick that sits
-// behind an individually lossy link — spend targeted where only some links
-// measure bad. The extension is susceptibility-aware: it keeps walking
-// until `extra` susceptible targets joined the prefix (or the view ran
-// out), because a draw that lands on an uninterested line emits nothing —
-// in sparse-audience views (a depth-1 event headed for one subtree) blind
-// extra draws would mostly be wasted exactly where a burst on a delegate
-// link can black out the whole subtree. With the loop off, the RNG
-// consumption is exactly the untuned algorithm's.
-func (p *Process) draw(idxs []int, v DepthView, prof *MatchProfile, tuned bool, viewLoss float64, rng *rand.Rand) []int {
-	f := min(p.cfg.F, len(idxs))
-	k := samplePrefix(rng, idxs, 0, f)
-	if p.cfg.adaptiveOn() && k < len(idxs) {
-		extra := 0
-		if viewLoss >= adaptiveLossThreshold {
-			// Restore the effective fanout Eq. 11 discounts: F/(1−ε)
-			// targets keep F expected survivors, so the measured loss buys
-			// ceil(F·ε/(1−ε)) extra draws — one at the ~10% regimes, more
-			// only when the view measures substantially worse.
-			extra = int(math.Ceil(float64(f) * viewLoss / (1 - viewLoss)))
-			if extra < 1 {
-				extra = 1
-			}
-		} else {
-			lossy := 0
-			for _, idx := range idxs[:k] {
-				if !p.susceptibleAt(prof, idx, tuned) {
-					continue
-				}
-				if l, ok := p.cfg.PeerLoss(v.MemberAt(idx)); ok && l >= adaptiveLossThreshold {
-					lossy++
-				}
-			}
-			extra = lossy
-		}
-		if extra > adaptiveBoost {
-			extra = adaptiveBoost
-		}
-		if extra > 0 {
-			before := k
-			added := 0
-			for added < extra && k < len(idxs) {
-				k = samplePrefix(rng, idxs, k, 1)
-				if p.susceptibleAt(prof, idxs[k-1], tuned) {
-					added++
-				}
-			}
-			if k > before {
-				p.adaptive.Boosts++
-				p.adaptive.ExtraTargets += added
-			}
-		}
-	}
-	return idxs[:k]
 }
 
 // susceptibleAt answers one view slot's susceptibility: the cached profile
@@ -694,20 +544,16 @@ func candidates(dst []int, size, excl int) []int {
 	return dst
 }
 
-// samplePrefix extends the uniformly-sampled prefix of idxs from have to
-// have+k elements (clamped to the slice) by continuing the partial
-// Fisher–Yates walk, and returns the new prefix length. Continuing the same
-// walk is what lets the adaptive boost add draws without re-sampling — and
-// without consuming any RNG when it never runs.
-func samplePrefix(rng *rand.Rand, idxs []int, have, k int) int {
-	if k > len(idxs)-have {
-		k = len(idxs) - have
-	}
-	for i := have; i < have+k; i++ {
+// samplePrefix shuffles a uniformly-sampled k elements of idxs (clamped to
+// the slice) to its front by a partial Fisher–Yates walk, and returns the
+// prefix length.
+func samplePrefix(rng *rand.Rand, idxs []int, k int) int {
+	k = min(k, len(idxs))
+	for i := 0; i < k; i++ {
 		j := i + rng.Intn(len(idxs)-i)
 		idxs[i], idxs[j] = idxs[j], idxs[i]
 	}
-	return have + k
+	return k
 }
 
 // AdoptState hands the gossip buffers with the profiles their entries hold,
@@ -759,9 +605,6 @@ func (p *Process) Pending() int {
 // Stats reports protocol counters: messages emitted and first receptions.
 func (p *Process) Stats() (sent, received int) { return p.sent, p.received }
 
-// Adaptive reports what the measured-loss tuning loop did so far.
-func (p *Process) Adaptive() AdaptiveStats { return p.adaptive }
-
 // Reset clears all protocol state (buffers, seen-set, deliveries, counters)
 // so the process can be reused across simulation runs without rebuilding
 // views.
@@ -771,7 +614,6 @@ func (p *Process) Reset() {
 		p.gossips[i] = buf[:0]
 	}
 	p.matchStats = MatchStats{}
-	p.adaptive = AdaptiveStats{}
 	p.seen.reset()
 	p.deliveries = nil
 	p.received = 0

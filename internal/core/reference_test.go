@@ -131,10 +131,6 @@ func (r *refProcess) Tick(rng *rand.Rand) []Send {
 		if len(buf) == 0 {
 			continue
 		}
-		loss := r.cfg.AssumedLoss
-		if v != nil && r.cfg.adaptiveOn() {
-			loss = r.measuredLossAt(v, loss)
-		}
 		ids := make([]event.ID, 0, len(buf))
 		for id := range buf {
 			ids = append(ids, id)
@@ -153,7 +149,7 @@ func (r *refProcess) Tick(rng *rand.Rand) []Send {
 			}
 			size, prof := v.Size(), r.profileAt(e.ev, depth)
 			effRate, tuned := r.effectiveRate(prof, e, size)
-			budget := r.roundBudget(size, effRate, loss)
+			budget := r.roundBudget(size, effRate)
 			if e.round >= budget {
 				r.leave(id, depth, true)
 				continue
@@ -168,7 +164,7 @@ func (r *refProcess) Tick(rng *rand.Rand) []Send {
 				continue
 			}
 			e.round++
-			for _, idx := range r.draw(candidates(nil, size, v.SelfIndex()), v, prof, tuned, loss, rng) {
+			for _, idx := range sampleIndices(rng, size, v.SelfIndex(), r.cfg.F) {
 				if r.susceptibleAt(prof, idx, tuned) {
 					send(v, idx, e, depth, e.round)
 				}
@@ -202,5 +198,5 @@ func regroup(flat []Send) []RoundSend {
 // via a partial Fisher–Yates over the candidate slice.
 func sampleIndices(rng *rand.Rand, size, excl, k int) []int {
 	idxs := candidates(nil, size, excl)
-	return idxs[:samplePrefix(rng, idxs, 0, k)]
+	return idxs[:samplePrefix(rng, idxs, k)]
 }

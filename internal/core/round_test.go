@@ -52,9 +52,6 @@ func sameCounters(t *testing.T, who string, got, want *Process) {
 	if gm != wm {
 		t.Errorf("%s: match stats %+v, reference %+v", who, gm, wm)
 	}
-	if got.Adaptive() != want.Adaptive() {
-		t.Errorf("%s: adaptive stats %+v, reference %+v", who, got.Adaptive(), want.Adaptive())
-	}
 }
 
 // TestTickRoundMatchesTick is the batching contract at the protocol layer and
@@ -67,13 +64,6 @@ func sameCounters(t *testing.T, who string, got, want *Process) {
 // consumed the same draws; and the counters must agree at the end. The table
 // switches on each rule that decides who is walked, dropped or drawn.
 func TestTickRoundMatchesTick(t *testing.T) {
-	lossy := func(a addr.Address) (float64, bool) { return 0.12, a.Digit(2) != 3 }
-	someLossy := func(a addr.Address) (float64, bool) {
-		if a.Digit(2) == 1 {
-			return 0.2, true
-		}
-		return 0, a.Digit(2) != 3
-	}
 	cases := []struct {
 		name    string
 		cfg     Config
@@ -83,8 +73,6 @@ func TestTickRoundMatchesTick(t *testing.T) {
 		{name: "local descent", cfg: Config{F: 3, C: 2, LocalDescent: true}},
 		{name: "threshold", cfg: Config{F: 2, C: 2, Threshold: 3}},
 		{name: "leaf flood", cfg: Config{F: 3, C: 2, LeafFloodRate: 0.4}},
-		{name: "adaptive, lossy view", cfg: Config{F: 2, C: 2, PeerLoss: lossy}},
-		{name: "adaptive, lossy links", cfg: Config{F: 2, C: 2, Threshold: 2, PeerLoss: someLossy}},
 		{name: "rebuild over a moved view", cfg: Config{F: 3, C: 3, LocalDescent: true}, rebuild: true},
 	}
 	for _, tc := range cases {
@@ -153,9 +141,7 @@ func TestTickRoundMatchesTick(t *testing.T) {
 				}
 			}
 			sent := 0
-			var boosts AdaptiveStats
 			for i := 0; i < n; i++ {
-				boosts.Accumulate(grouped[i].Adaptive())
 				who := space.AddressAt(i).String()
 				sameCounters(t, who, grouped[i], ref[i].Process)
 				sameCounters(t, who+" (Tick)", flat[i], ref[i].Process)
@@ -165,8 +151,8 @@ func TestTickRoundMatchesTick(t *testing.T) {
 				s, _ := grouped[i].Stats()
 				sent += s
 			}
-			if sent == 0 || tc.cfg.adaptiveOn() && boosts.Boosts == 0 {
-				t.Fatalf("the case exercised nothing: %d sends, %+v", sent, boosts)
+			if sent == 0 {
+				t.Fatal("the case exercised nothing: no sends")
 			}
 		})
 	}
@@ -337,9 +323,6 @@ func FuzzRoundAgainstReference(f *testing.F) {
 		}
 		if rules&0x40 != 0 {
 			cfg.LeafFloodRate = 0.4
-		}
-		if rules&0x80 != 0 {
-			cfg.PeerLoss = func(a addr.Address) (float64, bool) { return 0.07 * float64(a.Digit(2)), a.Digit(1) != 3 }
 		}
 		self := space.AddressAt(int(data[1]) % space.Capacity())
 		build := func(old *Process) *Process {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"pmcast/internal/harness"
+	"pmcast/internal/transport"
 )
 
 // FrontierPoint is one (loss, fan-out, redundancy) cell of the frontier.
@@ -58,6 +59,41 @@ func FrontierPointAt(base harness.Scenario, seed int64, loss float64, f, k, r in
 		Scenario:            sc.Name,
 		Seed:                seed,
 		Loss:                loss,
+		F:                   f,
+		K:                   k,
+		R:                   r,
+		MeanReliability:     rep.MeanReliability,
+		MinReliability:      rep.MinReliability,
+		BytesPerEvent:       rep.BytesPerEvent,
+		RepairBytesPerEvent: rep.RepairBytesPerEvent,
+		EnvelopesPerEvent:   rep.EnvelopesPerEvent,
+		RoundsToDeliveryP99: rep.RoundsToDeliveryP99,
+		FECRecoveries:       rep.FECRecoveries,
+	}, nil
+}
+
+// FrontierPointLinked measures one frontier cell under a correlated-loss
+// link model instead of Bernoulli loss: a Gilbert–Elliott chain on every
+// directed link. The point's Loss field records the chain's
+// stationary loss rate, so linked and Bernoulli points plot on one axis.
+func FrontierPointLinked(base harness.Scenario, seed int64, link transport.LinkModel, f, k, r int) (FrontierPoint, error) {
+	sc := base
+	sc.Loss = 0
+	sc.Link = link
+	sc.Fleet.F = f
+	sc.Fleet.FECSources = k
+	sc.Fleet.FECRepairs = r
+	res, err := sc.Run(seed)
+	if err != nil {
+		return FrontierPoint{}, fmt.Errorf("frontier %s linked f=%d r=%d: %w",
+			sc.Name, f, r, err)
+	}
+	rep := res.Report
+	pBad := link.PGB / (link.PGB + link.PBG)
+	return FrontierPoint{
+		Scenario:            sc.Name,
+		Seed:                seed,
+		Loss:                pBad*link.BadLoss + (1-pBad)*link.GoodLoss,
 		F:                   f,
 		K:                   k,
 		R:                   r,

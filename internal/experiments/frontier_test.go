@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pmcast/internal/harness"
+	"pmcast/internal/transport"
 )
 
 // TestFrontierCodedBeatsUncodedHighFanout pins the acceptance point of the
@@ -97,5 +98,78 @@ func TestFrontierPointShape(t *testing.T) {
 	}
 	if coded.RoundsToDeliveryP99 <= 0 {
 		t.Fatalf("latency tail missing: %+v", coded)
+	}
+}
+
+// TestFrontierLinkedRepinsCodedWin holds the coded Pareto win under
+// correlated loss: on Gilbert–Elliott chains, a coded fleet (k=8) matches or
+// beats an uncoded fleet at higher fan-out on mean reliability at no more
+// bytes per event, averaged over four seeds, with recoveries to show the
+// code fired; each cell's Loss field must be the chain's stationary rate.
+func TestFrontierLinkedRepinsCodedWin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-seed linked frontier sweep is a long test")
+	}
+	cases := []struct {
+		scenario       string
+		link           transport.LinkModel
+		codedF, codedR int
+		uncodedF       int
+	}{
+		// Deep bursts at a high stationary rate, 0.04/(0.04+0.10) ≈ 28.6%,
+		// averaging 10 messages: a whole generation's wire copies can die in
+		// one burst.
+		{"frontier64", transport.LinkModel{BadLoss: 1, PGB: 0.04, PBG: 0.10}, 6, 2, 7},
+		// noisy64's own chains, ≈ 9.1% in bursts of 5: one repair at base
+		// fan-out against the fan-out raised by two.
+		{"noisy64", harness.Noisy64().Link, 3, 1, 5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.scenario, func(t *testing.T) {
+			base, err := harness.Lookup(tc.scenario)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				codedRel, codedBytes     float64
+				uncodedRel, uncodedBytes float64
+				recoveries               int64
+			)
+			const seeds = 4
+			for seed := int64(1); seed <= seeds; seed++ {
+				coded, err := FrontierPointLinked(base, seed, tc.link, tc.codedF, 8, tc.codedR)
+				if err != nil {
+					t.Fatal(err)
+				}
+				uncoded, err := FrontierPointLinked(base, seed, tc.link, tc.uncodedF, 8, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := tc.link.PGB / (tc.link.PGB + tc.link.PBG)
+				if diff := coded.Loss - want; diff > 1e-9 || diff < -1e-9 {
+					t.Fatalf("seed %d: linked cell Loss %.6f, want stationary %.6f", seed, coded.Loss, want)
+				}
+				codedRel += coded.MeanReliability
+				codedBytes += coded.BytesPerEvent
+				uncodedRel += uncoded.MeanReliability
+				uncodedBytes += uncoded.BytesPerEvent
+				recoveries += coded.FECRecoveries
+			}
+			codedRel /= seeds
+			codedBytes /= seeds
+			uncodedRel /= seeds
+			uncodedBytes /= seeds
+			t.Logf("over %d seeds: coded f=%d k=8 r=%d rel %.6f bytes %.1f | uncoded f=%d rel %.6f bytes %.1f",
+				seeds, tc.codedF, tc.codedR, codedRel, codedBytes, tc.uncodedF, uncodedRel, uncodedBytes)
+			if codedRel < uncodedRel {
+				t.Errorf("coded mean reliability %.6f fell below uncoded %.6f under bursty loss", codedRel, uncodedRel)
+			}
+			if codedBytes > uncodedBytes {
+				t.Errorf("coded bytes/event %.1f exceeded uncoded %.1f under bursty loss", codedBytes, uncodedBytes)
+			}
+			if recoveries == 0 {
+				t.Error("coded cells recorded zero FEC recoveries under bursty loss")
+			}
+		})
 	}
 }

@@ -64,7 +64,10 @@ type Recovered struct {
 // source cache holds the last maxSrcCache distinct bodies seen on any
 // link (a few rounds' worth at any realistic event rate); sender slots
 // and pending generations are FIFO-capped so a hostile stream cannot
-// grow state without limit.
+// grow state without limit. A pending generation holds its header, its
+// repair symbols and references to cached bodies — never a padded copy
+// of one — so a repair that claims a long SymLen over many cached events
+// costs what it carried, not SymLen per listed event.
 const (
 	genTTL       = 6
 	senderTTL    = 64
@@ -106,7 +109,7 @@ type pendingGen struct {
 	symLen  int
 	ids     []event.ID
 	meta    []Meta
-	srcHave [][]byte // len k, padded symbols; nil = missing
+	srcHave [][]byte // len k, cached event bodies, unpadded; nil = missing
 	reps    []RepairSymbol
 	born    int
 }
@@ -272,8 +275,8 @@ func (a *Assembler) evictOldestGen(s *senderState) {
 	}
 }
 
-// fillSources copies cached source bodies into the generation's symbol
-// slots. Reports whether it filled at least one new slot.
+// fillSources points the generation's empty symbol slots at the cached
+// bodies they list. Reports whether it filled at least one new slot.
 func (a *Assembler) fillSources(g *pendingGen) bool {
 	filled := false
 	for i, id := range g.ids {
@@ -284,9 +287,7 @@ func (a *Assembler) fillSources(g *pendingGen) bool {
 		if !ok || SymbolLen(body) > g.symLen {
 			continue
 		}
-		sym := make([]byte, g.symLen)
-		PackSymbol(sym, body)
-		g.srcHave[i] = sym
+		g.srcHave[i] = body
 		filled = true
 	}
 	return filled
@@ -295,7 +296,8 @@ func (a *Assembler) fillSources(g *pendingGen) bool {
 // tryComplete attempts reconstruction once the generation holds k symbols.
 // Whatever the outcome — complete with nothing to recover, a successful
 // solve, or a corrupt reconstruction — the generation is retired; only a
-// still-short generation keeps waiting.
+// still-short generation keeps waiting. Source bodies are padded to symbols
+// here, for the solve alone.
 func (a *Assembler) tryComplete(s *senderState, key uint64, g *pendingGen) []Recovered {
 	have := 0
 	for _, sym := range g.srcHave {
@@ -311,7 +313,12 @@ func (a *Assembler) tryComplete(s *senderState, key uint64, g *pendingGen) []Rec
 		return nil
 	}
 	shards := make([][]byte, g.k+g.r)
-	copy(shards, g.srcHave)
+	for i, body := range g.srcHave {
+		if body != nil {
+			shards[i] = make([]byte, g.symLen)
+			PackSymbol(shards[i], body)
+		}
+	}
 	for _, rep := range g.reps {
 		shards[g.k+rep.Index] = rep.Data
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pmcast/internal/event"
@@ -284,6 +285,41 @@ func TestAssemblerRejectsMalformed(t *testing.T) {
 	}
 	if st := asm.Stats(); st.Corrupt != int64(len(bad)) {
 		t.Fatalf("want %d corrupt, got %+v", len(bad), st)
+	}
+}
+
+// TestForgedRepairRetainsWhatItCarries: one repair whose header lists 200
+// cached events under a symbol length that fits a 64 KB datagram leaves a
+// pending generation that costs its symbol and its header — not a padded
+// copy of every cached event it names, which came to 13 MB.
+func TestForgedRepairRetainsWhatItCarries(t *testing.T) {
+	const k, symLen = 200, 60000
+	asm := NewAssembler()
+	ids := make([]event.ID, k)
+	for i := range ids {
+		ids[i] = genID(i)
+		if i >= 2 { // two sources missing: one repair cannot complete the generation
+			asm.ObserveSource(ids[i], []byte{byte(i), 1, 2, 3})
+		}
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	gen := Generation{K: k, R: 1, SymLen: symLen, IDs: ids, Meta: make([]Meta, k)}
+	if rec := asm.ObserveRepair("forger", gen, RepairSymbol{Data: make([]byte, symLen)}); rec != nil {
+		t.Fatalf("a generation two sources short recovered %v", rec)
+	}
+	retained := heap() - before
+	if st := asm.Stats(); st.Decodes != 0 || st.Corrupt != 0 {
+		t.Fatalf("the repair was not kept pending: %+v", st)
+	}
+	runtime.KeepAlive(asm)
+	if retained >= 1<<20 {
+		t.Errorf("one %d-byte repair left %d bytes retained, want < 1 MB", symLen, retained)
 	}
 }
 

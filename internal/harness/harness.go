@@ -129,23 +129,9 @@ type Report struct {
 	FECExpired          int64   `json:"fec_expired"`
 	RoundsToDeliveryP99 float64 `json:"rounds_to_delivery_p99"`
 
-	// Adaptive-fanout accounting (the Section 5.3 tuning loop over measured
-	// loss; all zero when Fleet.AdaptiveFanout is off). AdaptiveBoosts counts
-	// (event, round) emissions that sampled extra targets, and
-	// AdaptiveExtraTargets the extra sends those boosts added;
-	// AdaptiveBudgetDepths counts per-depth round-budget evaluations that
-	// used a measured loss above the configured assumption. EstLossPeers and
-	// EstLossMean summarize the fleet's loss estimators at the end of the
-	// run: directed links with at least one measured window, and the mean
-	// estimate over them. LinkModel records whether the fabric ran the
-	// Gilbert–Elliott/jitter link model, so reports are self-describing.
-	Adaptive             bool    `json:"adaptive"`
-	AdaptiveBoosts       int     `json:"adaptive_boosts"`
-	AdaptiveExtraTargets int     `json:"adaptive_extra_targets"`
-	AdaptiveBudgetDepths int     `json:"adaptive_budget_depths"`
-	EstLossPeers         int     `json:"est_loss_peers"`
-	EstLossMean          float64 `json:"est_loss_mean"`
-	LinkModel            bool    `json:"link_model"`
+	// LinkModel records whether the fabric ran the Gilbert–Elliott/jitter
+	// link model, so reports are self-describing.
+	LinkModel bool `json:"link_model"`
 
 	// MeanReliability and MinReliability summarize, over published events,
 	// the fraction of eligible processes (interested, alive at publish time
@@ -244,7 +230,6 @@ type run struct {
 	byteSum  int64
 	matchSum core.MatchStats
 	fecSum   node.FECStats
-	adaptSum core.AdaptiveStats
 
 	// shadow is the MeasureSummaryFPR oracle: a membership tree mirroring
 	// the fleet's churn and flux, queried (never gossiped through) at each
@@ -451,7 +436,6 @@ func (r *run) spawn(i int, sub interest.Subscription) (*handle, error) {
 		r.byteSum += bytes
 		r.matchSum.Accumulate(h.n.MatchStats())
 		r.fecSum.Accumulate(h.n.FECStats())
-		r.adaptSum.Accumulate(h.n.AdaptiveStats())
 	}
 	cfg := node.Config{
 		Addr:               a,
@@ -471,7 +455,6 @@ func (r *run) spawn(i int, sub interest.Subscription) (*handle, error) {
 		DeliveryBuffer:     r.sc.Fleet.DeliveryBuffer,
 		FECRepairs:         r.sc.Fleet.FECRepairs,
 		FECSources:         r.sc.Fleet.FECSources,
-		AdaptiveFanout:     r.sc.Fleet.AdaptiveFanout,
 		Seed:               mixSeed(r.seed, i, h.gen),
 		// The node's notion of now and every schedule it causes go through
 		// its worker's clock.
@@ -829,8 +812,6 @@ func (r *run) finish(wallStart time.Time) {
 	r.report.WireBytes = r.byteSum
 	match := r.matchSum
 	fec := r.fecSum
-	adapt := r.adaptSum
-	var estSum float64
 	for _, h := range r.handles {
 		if h == nil || h.n == nil {
 			continue
@@ -840,20 +821,8 @@ func (r *run) finish(wallStart time.Time) {
 		r.report.WireBytes += wb
 		match.Accumulate(h.n.MatchStats())
 		fec.Accumulate(h.n.FECStats())
-		adapt.Accumulate(h.n.AdaptiveStats())
-		if est := h.n.LossEstimates(); est.MeasuredPeers > 0 {
-			r.report.EstLossPeers += est.MeasuredPeers
-			estSum += est.MeanLoss * float64(est.MeasuredPeers)
-		}
 	}
-	r.report.Adaptive = r.sc.Fleet.AdaptiveFanout
 	r.report.LinkModel = r.sc.Link.Enabled()
-	r.report.AdaptiveBoosts = adapt.Boosts
-	r.report.AdaptiveExtraTargets = adapt.ExtraTargets
-	r.report.AdaptiveBudgetDepths = adapt.BudgetDepths
-	if r.report.EstLossPeers > 0 {
-		r.report.EstLossMean = estSum / float64(r.report.EstLossPeers)
-	}
 	r.report.FECRepairBytes = fec.RepairBytes
 	r.report.FECRecoveries = fec.Recovered
 	r.report.FECRepairsReceived = fec.RepairsReceived

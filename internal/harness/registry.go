@@ -262,13 +262,13 @@ func Soak256() Scenario {
 	return s
 }
 
-// Noisy64 is the quick bursty-link campaign and the base of the
-// adaptive-vs-fixed ablation (internal/experiments): Frontier64's sustained
-// stream, but the ambient Bernoulli loss replaced by per-link
-// Gilbert–Elliott chains — ~9% stationary loss arriving in bursts of mean
-// length 5, the regime where a uniform loss assumption under-budgets some
-// links and over-budgets others. Adaptation is off here; the ablation turns
-// it on (and raises fixed fan-out for the comparison arm) scenario-side.
+// Noisy64 is the quick bursty-link campaign and the base of the linked
+// frontier cells (internal/experiments): Frontier64's sustained stream, but
+// the ambient Bernoulli loss replaced by per-link Gilbert–Elliott chains —
+// ~9% stationary loss arriving in bursts of mean length 5, the regime where
+// a uniform loss assumption under-budgets some links and over-budgets
+// others. Coding is off here; the frontier cells set fan-out and coding
+// scenario-side.
 func Noisy64() Scenario {
 	s := Frontier64()
 	s.Name = "noisy64"
@@ -281,8 +281,8 @@ func Noisy64() Scenario {
 	// Frontier64's 200ms post-stream tail is tighter than the depth
 	// budgets' worst-case descent, so with it the campaign measures horizon
 	// truncation, not loss: every fan-out variant loses its last events'
-	// deep deliveries regardless of how robustly they gossip. The ablation
-	// needs reliability differences to be loss-driven, so give the tail
+	// deep deliveries regardless of how robustly they gossip. The frontier
+	// cells need reliability differences to be loss-driven, so give the tail
 	// enough rounds for any arm's full descent.
 	s.Horizon = 1900 * time.Millisecond
 	return s
@@ -291,13 +291,13 @@ func Noisy64() Scenario {
 // Noisy256 is the fleet-scale bursty-link campaign: 256 nodes whose links
 // run Gilbert–Elliott chains (~9% stationary loss in mean-length-5 bursts)
 // plus per-link latency jitter, with eight publishers streaming through a
-// mid-run crash wave. Adaptive fan-out is on: the report's reliability,
-// bytes/event and adaptive_* fields are the loss-aware tuning loop's
-// headline numbers under correlated loss.
+// mid-run crash wave. Coding is on (k=8, r=1): the report's reliability,
+// bytes/event and fec_* fields are the loss response's headline numbers
+// under correlated loss.
 func Noisy256() Scenario {
 	s := Soak256()
 	s.Name = "noisy256"
-	s.Fleet.AdaptiveFanout = true
+	s.Fleet.FECSources, s.Fleet.FECRepairs = 8, 1
 	s.Loss = 0
 	s.Link = transport.LinkModel{
 		BadLoss:   1,
@@ -313,13 +313,13 @@ func Noisy256() Scenario {
 // and churn schedule, with the ambient 2% Bernoulli loss replaced by
 // deeper Gilbert–Elliott bursts (~9% stationary loss, mean burst length 10
 // — a link that goes bad stays bad for most of a gossip round's fan-out).
-// Adaptive fan-out is on and the report's bytes/event is what the adaptation
-// spends; jitter is left off so the campaign stays delay-free and fast at
-// 1024 nodes.
+// Coding is on (k=8, r=1) and the report's bytes/event includes what its
+// repairs spend; jitter is left off so the campaign stays delay-free and
+// fast at 1024 nodes.
 func Bursty1024() Scenario {
 	s := Churn1024()
 	s.Name = "bursty1024"
-	s.Fleet.AdaptiveFanout = true
+	s.Fleet.FECSources, s.Fleet.FECRepairs = 8, 1
 	s.Loss = 0
 	s.Link = transport.LinkModel{
 		BadLoss: 1,

@@ -73,12 +73,6 @@ type Fleet struct {
 	// pre-FEC wire path, so seeded traces are unchanged.
 	FECRepairs int
 	FECSources int
-	// AdaptiveFanout enables the loss-aware tuning loop fleet-wide
-	// (node.Config.AdaptiveFanout): every node runs the passive per-peer
-	// loss estimator and the gossip core widens round budgets and fan-out
-	// toward measured loss. Off keeps the estimator out of the build entirely
-	// — seeded traces are unchanged.
-	AdaptiveFanout bool
 	// Classes partitions interests: node i subscribes to attribute "b" ==
 	// i mod Classes unless SubscriptionFor overrides it, and published
 	// events carry one class value.

@@ -56,7 +56,7 @@ func (f digestFleet) service(tb testing.TB, self int, base *Roster) *Service {
 // entriesForm rebuilds a digest as the plain list of its lines — what the
 // wire hands a receiver.
 func entriesForm(d Digest) Digest {
-	return Digest{From: d.From, Hash: d.Hash, Count: d.Count, Sent: d.Sent, Entries: slices.Collect(d.Lines)}
+	return Digest{From: d.From, Hash: d.Hash, Count: d.Count, Entries: slices.Collect(d.Lines)}
 }
 
 // describeUpdate renders HandleDigest's answer for comparison: the records'

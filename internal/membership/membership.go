@@ -74,12 +74,6 @@ type Digest struct {
 	From  addr.Address
 	Hash  uint64
 	Count int
-	// Sent is the loss-estimator beacon: the cumulative number of protocol
-	// sub-messages the sender has addressed to this digest's destination.
-	// The receiver compares it against what actually arrived to estimate
-	// the link's loss rate — piggybacked here because digests already flow
-	// on every link the estimator cares about. Zero when estimation is off.
-	Sent uint32
 	// Entries is the entries form, which only the wire decoder builds; nil in
 	// a probe and in the overlay form.
 	Entries []DigestEntry
@@ -185,13 +179,10 @@ type Leave struct {
 // digest fan-out alone cannot keep those contact times fresh — the expected
 // silence gap of uniform fan-out grows with n — so the beacon carries the
 // detector while digests carry anti-entropy. Any received message refreshes
-// the contact time; the heartbeat merely guarantees a bounded refresh rate.
-type Heartbeat struct {
-	From addr.Address
-	// Sent is the same cumulative loss-estimator beacon a Digest carries
-	// (Digest.Sent): heartbeats reach the subgroup peers digests may skip.
-	Sent uint32
-}
+// the contact time; the heartbeat merely guarantees a bounded refresh rate. It
+// carries nothing, not even a sender: the receiver records the envelope's,
+// never one a payload claims.
+type Heartbeat struct{}
 
 // Config parameterizes the service.
 type Config struct {

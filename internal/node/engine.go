@@ -270,7 +270,6 @@ func (n *Node) egressLoop() {
 // slow fabric: a full egress queue drops the envelope and counts it, the
 // same silent-loss semantics as an overflowing UDP socket buffer.
 func (n *Node) emit(to addr.Address, payload any) {
-	payload = n.stampOutgoing(to, payload)
 	if n.egressOn {
 		select {
 		case n.egressCh <- egressJob{to: to, payload: payload}:

@@ -245,7 +245,7 @@ func FuzzHostileMembershipKeepsDelivering(f *testing.F) {
 		}},
 		membership.JoinRequest{Joiner: membership.Record{Addr: addr.New(1, 3), Sub: subEq(1), Stamp: 1, Alive: true}, Hops: 2},
 		membership.Leave{Addr: addr.New(2, 2, 2), Stamp: 9},
-		membership.Heartbeat{From: addr.New(0, 1), Sent: 3},
+		membership.Heartbeat{},
 	} {
 		frame, err := wire.Encode(msg)
 		if err != nil {

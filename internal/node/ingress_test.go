@@ -19,7 +19,7 @@ import (
 // fabric, so a node fed the same envelopes as the in-memory fabric hands them
 // over (wire.Batch values) and as the UDP fabric does (frames for the node to
 // decode) must end in the same state: the same deliveries in the same order,
-// coding-layer, matching and loss-estimator counters, and membership version.
+// coding-layer and matching counters, and membership version.
 func TestIngressParityAcrossFabrics(t *testing.T) {
 	space := addr.MustRegular(3, 2)
 	sender := space.AddressAt(5)
@@ -39,27 +39,23 @@ func TestIngressParityAcrossFabrics(t *testing.T) {
 	gen.Repairs = gen.Repairs[1:] // the link lost the first symbol and a source
 	moved := roster.Records[7]
 	moved.Sub, moved.Stamp = subEq(8), 2
-	beacons := func(sent uint32) wire.Batch {
-		return wire.Batch{
-			Digest:    &membership.Digest{From: sender, Sent: sent},
-			Heartbeat: &membership.Heartbeat{From: sender, Sent: sent + 1},
-		}
+	probe := func() wire.Batch {
+		return wire.Batch{Digest: &membership.Digest{From: sender}, Heartbeat: &membership.Heartbeat{}}
 	}
-	closing := beacons(16) // 5 + the 4 + 2 coded parts + 3 gossips, an update and the digest
+	closing := probe()
 	closing.Gossips = []core.Gossip{fecGossip(sender.Key(), 20), fecGossip(sender.Key(), 21), fecGossip(sender.Key(), 1)}
 	closing.Update = &membership.Update{From: sender, Records: []membership.Record{moved}}
 	envelopes := []wire.Batch{
 		{Gossips: []core.Gossip{fecGossip(sender.Key(), 1), fecGossip(sender.Key(), 2), fecGossip(sender.Key(), 3)}}, // plain
-		beacons(4), // anchors the estimator's window
+		probe(), // membership only
 		{Gossips: []core.Gossip{coded[0], coded[1], coded[3]}, FEC: []fec.Generation{gen}}, // coded, a symbol missing
-		closing, // closes the window: 9 of 11 parts arrived
+		closing, // gossips, an update, a digest and a heartbeat
 	}
 
 	type outcome struct {
 		Delivered  []event.ID
 		FEC        FECStats
 		Match      core.MatchStats
-		Loss       LossEstStats
 		Membership uint64
 	}
 	run := func(shape func(wire.Batch) any) outcome {
@@ -68,8 +64,7 @@ func TestIngressParityAcrossFabrics(t *testing.T) {
 			R: 2, F: 3, C: 2,
 			Subscription: subEq(7),
 			FECSources:   4, FECRepairs: 2,
-			AdaptiveFanout: true,
-			SuspectAfter:   time.Hour,
+			SuspectAfter: time.Hour,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -82,7 +77,7 @@ func TestIngressParityAcrossFabrics(t *testing.T) {
 		for i := 0; i <= fecReviveDelay; i++ {
 			n.TickGossip() // the recovered gossip re-enters
 		}
-		out := outcome{FEC: n.FECStats(), Match: n.MatchStats(), Loss: n.LossEstimates(), Membership: n.Membership().Version()}
+		out := outcome{FEC: n.FECStats(), Match: n.MatchStats(), Membership: n.Membership().Version()}
 		out.Match.Nanos = 0 // wall time
 		for len(n.Deliveries()) > 0 {
 			out.Delivered = append(out.Delivered, (<-n.Deliveries()).ID())
@@ -100,7 +95,7 @@ func TestIngressParityAcrossFabrics(t *testing.T) {
 	if !reflect.DeepEqual(memory, udp) {
 		t.Errorf("in-memory ingress ended at\n%+v\nUDP ingress at\n%+v", memory, udp)
 	}
-	if len(memory.Delivered) != 9 || memory.FEC.Recovered != 1 || memory.Loss.MeasuredPeers != 1 || memory.Loss.MeanLoss == 0 {
-		t.Errorf("the envelopes must exercise delivery, recovery and a measured window: %+v", memory)
+	if len(memory.Delivered) != 9 || memory.FEC.Recovered != 1 {
+		t.Errorf("the envelopes must exercise delivery and recovery: %+v", memory)
 	}
 }

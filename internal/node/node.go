@@ -85,13 +85,6 @@ type Config struct {
 	LocalDescent bool
 	// LeafFloodRate enables the Section 6 leaf-flooding extension (0 = off).
 	LeafFloodRate float64
-	// AdaptiveFanout closes the Section 5.3 tuning loop over measured loss:
-	// the node runs a passive per-peer loss estimator (beacons piggybacked on
-	// the digests and heartbeats it already sends — see lossest.go) and feeds
-	// the estimates to the gossip core, which widens round budgets where a
-	// view's measured loss exceeds the configured assumption and samples
-	// extra fan-out targets toward lossy peers.
-	AdaptiveFanout bool
 	// DeliveryBuffer sizes the Deliveries channel (default 256). When the
 	// consumer lags, further deliveries are dropped and counted.
 	DeliveryBuffer int
@@ -237,12 +230,6 @@ type Node struct {
 	repairBytes   atomic.Int64            // encoded bytes of emitted repair sections
 	fecRecovered  atomic.Int64            // gossips reconstructed from repairs and accepted
 
-	// The loss estimator behind AdaptiveFanout (nil when disabled). It has
-	// its own lock: the protocol stage writes (stamping in emit, counting in
-	// handle), the core tuning loop reads on the same stage, and stats
-	// snapshots read from anywhere.
-	est *lossEstimator
-
 	// Engine plumbing (engine.go). protoCh and egressCh exist only when
 	// Start brings up a parallel configuration; egressOn routes emit through
 	// the egress stage and is set before the engine goroutines launch.
@@ -306,9 +293,6 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 		deliveries: make(chan event.Event, cfg.DeliveryBuffer),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
-	}
-	if cfg.AdaptiveFanout {
-		n.est = newLossEstimator()
 	}
 	if cfg.FECRepairs > 0 {
 		if cfg.FECSources+cfg.FECRepairs > fec.MaxSymbols {
@@ -408,7 +392,7 @@ func (n *Node) Join(contact addr.Address) error {
 	n.joinMu.Lock()
 	n.joinContact = contact
 	n.joinMu.Unlock()
-	return n.send(contact, n.stampOutgoing(contact, n.mem.BuildJoinRequest()))
+	return n.send(contact, n.mem.BuildJoinRequest())
 }
 
 // Leave announces departure to the closest known neighbors and stops the
@@ -417,7 +401,7 @@ func (n *Node) Join(contact addr.Address) error {
 func (n *Node) Leave() {
 	leave := n.mem.BuildLeave()
 	for _, nb := range n.mem.ImmediateNeighbors() {
-		_ = n.send(nb, n.stampOutgoing(nb, leave)) // best effort; gossip spreads the tombstone
+		_ = n.send(nb, leave) // best effort; gossip spreads the tombstone
 	}
 	n.Stop()
 }
@@ -638,9 +622,6 @@ func (n *Node) handle(env transport.Envelope, h *heard) {
 		}
 		n.mem.MarkHeardAt(env.From, h.at)
 		h.from = from
-	}
-	if n.est != nil {
-		n.observeIncoming(env.From, env.Payload)
 	}
 	switch msg := env.Payload.(type) {
 	case core.Gossip:
@@ -982,7 +963,7 @@ func (n *Node) tickMembership() {
 	// Beacon the whole subgroup: the failure detector deadline is counted in
 	// membership intervals, so every immediate neighbor must hear from us at
 	// interval granularity regardless of where the digests went.
-	hb := membership.Heartbeat{From: n.cfg.Addr}
+	hb := membership.Heartbeat{}
 	neighbors := n.mem.ImmediateNeighbors()
 	// Piggyback: a digest target that is also an immediate neighbor gets one
 	// envelope carrying both the probe and the beacon.
@@ -1021,11 +1002,9 @@ func (n *Node) rebuildIfStaleLocked() error {
 	return nil
 }
 
-// coreConfig assembles the gossip-core configuration, wiring the loss
-// estimator into the core's Section 5.3 tuning loop when adaptive fan-out is
-// on.
+// coreConfig assembles the gossip-core configuration.
 func (n *Node) coreConfig() core.Config {
-	cfg := core.Config{
+	return core.Config{
 		D:             n.cfg.Space.Depth(),
 		F:             n.cfg.F,
 		C:             n.cfg.C,
@@ -1033,13 +1012,6 @@ func (n *Node) coreConfig() core.Config {
 		LocalDescent:  n.cfg.LocalDescent,
 		LeafFloodRate: n.cfg.LeafFloodRate,
 	}
-	if n.est != nil {
-		est := n.est
-		cfg.PeerLoss = func(a addr.Address) (float64, bool) {
-			return est.Estimate(a.Key())
-		}
-	}
-	return cfg
 }
 
 // rebuildLocked folds membership changes into the node's persistent tree
@@ -1132,15 +1104,3 @@ func (n *Node) drainDeliveriesLocked() {
 
 // KnownMembers returns the current alive membership size as seen locally.
 func (n *Node) KnownMembers() int { return n.mem.Len() }
-
-// AdaptiveStats reports the gossip core's adaptation counters — fan-out
-// boosts taken, extra targets sampled, depths budgeted off measured loss.
-// Zero when AdaptiveFanout is off.
-func (n *Node) AdaptiveStats() core.AdaptiveStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.proc == nil {
-		return core.AdaptiveStats{}
-	}
-	return n.proc.Adaptive()
-}

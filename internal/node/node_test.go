@@ -87,6 +87,45 @@ func subEq(val int64) interest.Subscription {
 	return interest.NewSubscription().Where("b", interest.EqInt(val))
 }
 
+// TestJoinAndLeaveAreCharged: Join and Leave send around emit — Leave's
+// announcements must be on the fabric before Stop — and their envelopes must
+// still reach the node's wire accounting, each at its walked size.
+func TestJoinAndLeaveAreCharged(t *testing.T) {
+	net := transport.MustNetwork(transport.Config{})
+	space := addr.MustRegular(4, 1)
+	mk := func(i int) *Node {
+		n, err := New(net, Config{Addr: space.AddressAt(i), Space: space, R: 1, F: 1, C: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Stop() })
+		return n
+	}
+	joiner, contact := mk(0), mk(1)
+	if err := joiner.Join(contact.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	env, bytes := joiner.WireStats()
+	if want := int64(wire.EncodedSize(joiner.mem.BuildJoinRequest())); env != 1 || bytes != want {
+		t.Fatalf("after Join: %d envelopes, %d bytes; want 1 and %d", env, bytes, want)
+	}
+	for joiner.PumpInbox()+contact.PumpInbox() > 0 {
+	}
+	neighbors := len(joiner.mem.ImmediateNeighbors())
+	if neighbors == 0 {
+		t.Fatal("the joiner learned no neighbor to announce its leave to")
+	}
+	env, bytes = joiner.WireStats()
+	joiner.Leave()
+	self, _ := joiner.mem.Lookup(joiner.Addr())
+	size := int64(wire.EncodedSize(membership.Leave{Addr: joiner.Addr(), Stamp: self.Stamp}))
+	gotEnv, gotBytes := joiner.WireStats()
+	if gotEnv-env != int64(neighbors) || gotBytes-bytes != int64(neighbors)*size {
+		t.Errorf("Leave charged %d envelopes, %d bytes; want %d and %d",
+			gotEnv-env, gotBytes-bytes, neighbors, int64(neighbors)*size)
+	}
+}
+
 func TestPublishReachesInterestedOnly(t *testing.T) {
 	net := transport.MustNetwork(transport.Config{})
 	space := addr.MustRegular(3, 2)

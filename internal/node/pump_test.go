@@ -169,7 +169,7 @@ func TestStepAndLivePumpParity(t *testing.T) {
 		q := newQueueTransport(queued)
 		for i := 0; i < queued; i++ {
 			from := space.AddressAt(1 + i/5%3) // runs of five envelopes a sender
-			var payload any = membership.Heartbeat{From: from}
+			var payload any = membership.Heartbeat{}
 			if i%4 != 3 {
 				ev := event.NewBuilder().Int("b", 1).Build(event.ID{Origin: from.String(), Seq: uint64(queued - i)})
 				payload = core.Gossip{Event: ev, Depth: 1, Rate: 1}

@@ -39,7 +39,7 @@ func TestBatchDelayLandsInOrder(t *testing.T) {
 		t.Fatalf("%d envelopes landed, want the one that was sent", got)
 	}
 	got := partTags((<-b.Recv()).Payload)
-	if want := "[g1 g2 g3 g4 d7 h0]"; fmt.Sprint(got) != want {
+	if want := "[g1 g2 g3 g4 d7 h7]"; fmt.Sprint(got) != want {
 		t.Fatalf("landed parts %v, want %s (canonical order violated)", got, want)
 	}
 }

@@ -62,7 +62,7 @@ func batchedPair(t *testing.T, mut func(*Config)) (transport.Endpoint, transport
 func parityTraffic() []transport.Outgoing {
 	to := addr.MustParse("0.1")
 	var msgs []transport.Outgoing
-	hb := membership.Heartbeat{From: addr.MustParse("0.0")}
+	hb := membership.Heartbeat{}
 	for i := 0; i < 40; i++ {
 		msgs = append(msgs, transport.Outgoing{To: to, Payload: sampleGossip(i)})
 		if i%5 == 0 {

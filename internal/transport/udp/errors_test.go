@@ -50,7 +50,7 @@ func TestDoubleAttachSameTreeAddress(t *testing.T) {
 	}
 	// The losing attach must not have clobbered the live endpoint's
 	// registration: the survivor still resolves to a live socket.
-	if err := ep.Send(addr.New(0, 0), membership.Heartbeat{From: addr.New(0, 0)}); err != nil {
+	if err := ep.Send(addr.New(0, 0), membership.Heartbeat{}); err != nil {
 		t.Errorf("survivor endpoint broken after duplicate attach: %v", err)
 	}
 	// After closing, the address becomes attachable again.
@@ -85,7 +85,7 @@ func TestSendAfterEndpointClose(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send(addr.New(0, 1), membership.Heartbeat{From: addr.New(0, 0)}); !errors.Is(err, transport.ErrClosed) {
+	if err := a.Send(addr.New(0, 1), membership.Heartbeat{}); !errors.Is(err, transport.ErrClosed) {
 		t.Errorf("send after endpoint close: err = %v, want ErrClosed", err)
 	}
 	// The recv channel drains and closes.
@@ -115,7 +115,7 @@ func TestSendAfterTransportClose(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ep.Send(addr.New(0, 0), membership.Heartbeat{From: addr.New(0, 0)}); !errors.Is(err, transport.ErrClosed) {
+	if err := ep.Send(addr.New(0, 0), membership.Heartbeat{}); !errors.Is(err, transport.ErrClosed) {
 		t.Errorf("send after transport close: err = %v, want ErrClosed", err)
 	}
 	if _, err := tr.Attach(addr.New(0, 0)); !errors.Is(err, transport.ErrClosed) {

@@ -56,7 +56,7 @@ func TestTransportCloseLeavesNoGoroutines(t *testing.T) {
 		eps = append(eps, ep.(*endpoint))
 	}
 	for _, ep := range eps {
-		if err := ep.Send(addr.New(0, 0), membership.Heartbeat{From: ep.Addr()}); err != nil {
+		if err := ep.Send(addr.New(0, 0), membership.Heartbeat{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -88,8 +88,7 @@ func (b Batch) Repairs() int {
 }
 
 // Parts returns the number of sub-messages carried. Each repair symbol
-// counts as one part: fault draws, drop accounting and the loss estimator's
-// beacons are all per sub-message.
+// counts as one part: fault draws and drop accounting are per sub-message.
 func (b Batch) Parts() int {
 	n := len(b.Gossips) + b.Repairs()
 	if b.Update != nil {
@@ -208,8 +207,7 @@ func AppendMessage(b []byte, msg any) ([]byte, error) {
 		b = addr.AppendAddress(b, m.Addr)
 		return binenc.AppendUvarint(b, m.Stamp), nil
 	case membership.Heartbeat:
-		b = append(b, kindHeartbeat)
-		return appendHeartbeatBody(b, m), nil
+		return append(b, kindHeartbeat), nil // the kind byte is the message
 	case Batch:
 		return AppendBatch(b, m)
 	default:
@@ -365,16 +363,14 @@ func readFECSection(r *binenc.Reader) ([]fec.Generation, error) {
 	return gens, nil
 }
 
-// appendBatchTail appends the piggybacked membership bodies in flag order.
+// appendBatchTail appends the piggybacked membership bodies in flag order. A
+// heartbeat's body is empty: its flag is all it sends.
 func appendBatchTail(b []byte, m Batch) []byte {
 	if m.Update != nil {
 		b = appendUpdateBody(b, *m.Update)
 	}
 	if m.Digest != nil {
 		b = appendDigestBody(b, *m.Digest)
-	}
-	if m.Heartbeat != nil {
-		b = appendHeartbeatBody(b, *m.Heartbeat)
 	}
 	return b
 }
@@ -404,7 +400,7 @@ func EncodedSize(msg any) int {
 	case membership.Leave:
 		return 1 + addr.WireSize(m.Addr) + binenc.UvarintLen(m.Stamp)
 	case membership.Heartbeat:
-		return 1 + heartbeatBodySize(m)
+		return 1
 	case Batch:
 		n := 2 + binenc.UvarintLen(uint64(len(m.Gossips))) // kind + flags + count
 		for _, g := range m.Gossips {
@@ -425,9 +421,6 @@ func batchTailSize(m Batch) int {
 	}
 	if m.Digest != nil {
 		n += digestBodySize(*m.Digest)
-	}
-	if m.Heartbeat != nil {
-		n += heartbeatBodySize(*m.Heartbeat)
 	}
 	return n
 }
@@ -635,9 +628,7 @@ func decodeFrom(r *binenc.Reader, kind byte) (any, error) {
 		}
 		return l, finish(r)
 	case kindHeartbeat:
-		hb := membership.Heartbeat{From: addr.ReadAddress(r)}
-		hb.Sent = uint32(r.Uvarint())
-		return hb, finish(r)
+		return membership.Heartbeat{}, finish(r)
 	case kindBatch:
 		b, err := readBatchBody(r)
 		if err != nil {
@@ -690,9 +681,7 @@ func readBatchBody(r *binenc.Reader) (Batch, error) {
 		b.Digest = &d
 	}
 	if flags&batchHasHeartbeat != 0 {
-		hb := membership.Heartbeat{From: addr.ReadAddress(r)}
-		hb.Sent = uint32(r.Uvarint())
-		b.Heartbeat = &hb
+		b.Heartbeat = &membership.Heartbeat{}
 	}
 	return b, nil
 }
@@ -739,7 +728,6 @@ func appendDigestBody(b []byte, m membership.Digest) []byte {
 	b = addr.AppendAddress(b, m.From)
 	b = binenc.AppendUvarint(b, m.Hash)
 	b = binenc.AppendUvarint(b, uint64(m.Count))
-	b = binenc.AppendUvarint(b, uint64(m.Sent))
 	b = binenc.AppendUvarint(b, uint64(m.Len()))
 	for e := range m.Lines {
 		b = binenc.AppendString(b, e.Key)
@@ -756,7 +744,6 @@ func digestBodySize(m membership.Digest) int {
 	return addr.WireSize(m.From) +
 		binenc.UvarintLen(m.Hash) +
 		binenc.UvarintLen(uint64(m.Count)) +
-		binenc.UvarintLen(uint64(m.Sent)) +
 		binenc.UvarintLen(uint64(m.Len())) +
 		m.LinesWireSize()
 }
@@ -765,7 +752,6 @@ func readDigestBody(r *binenc.Reader) membership.Digest {
 	d := membership.Digest{From: addr.ReadAddress(r)}
 	d.Hash = r.Uvarint()
 	d.Count = int(r.Uvarint())
-	d.Sent = uint32(r.Uvarint())
 	n := r.Count(2)
 	if n > 0 {
 		d.Entries = make([]membership.DigestEntry, 0, n)
@@ -828,15 +814,6 @@ func readRecord(r *binenc.Reader) membership.Record {
 		Stamp: r.Uvarint(),
 		Alive: r.Bool(),
 	}
-}
-
-func appendHeartbeatBody(b []byte, m membership.Heartbeat) []byte {
-	b = addr.AppendAddress(b, m.From)
-	return binenc.AppendUvarint(b, uint64(m.Sent))
-}
-
-func heartbeatBodySize(m membership.Heartbeat) int {
-	return addr.WireSize(m.From) + binenc.UvarintLen(uint64(m.Sent))
 }
 
 func finish(r *binenc.Reader) error {

@@ -63,7 +63,7 @@ func TestGossipRoundTrip(t *testing.T) {
 func TestDigestRoundTrip(t *testing.T) {
 	in := membership.Digest{
 		From: addr.New(1, 2, 3),
-		Sent: math.MaxUint32,
+		Hash: math.MaxUint64,
 		Entries: []membership.DigestEntry{
 			{Key: "0.0.1", Stamp: 5},
 			{Key: "2.9.1", Stamp: math.MaxUint64},
@@ -73,8 +73,8 @@ func TestDigestRoundTrip(t *testing.T) {
 	if !out.From.Equal(in.From) || out.Len() != 2 {
 		t.Fatalf("digest = %+v", out)
 	}
-	if out.Sent != in.Sent {
-		t.Errorf("sent beacon = %d, want %d", out.Sent, in.Sent)
+	if out.Hash != in.Hash {
+		t.Errorf("hash = %d, want %d", out.Hash, in.Hash)
 	}
 	if got := slices.Collect(out.Lines); !slices.Equal(got, in.Entries) {
 		t.Errorf("lines = %+v, want %+v", got, in.Entries)
@@ -150,9 +150,8 @@ func overlayDigestOver(t testing.TB, space addr.Space, stamp func(i int) uint64,
 // EncodedSize agrees — and decodes to the entries form with the same lines.
 func TestOverlayDigestDecodesToEntriesForm(t *testing.T) {
 	in := OverlayDigest(t)
-	in.Sent = 77
 	lines := slices.Collect(in.Lines)
-	plain := membership.Digest{From: in.From, Hash: in.Hash, Count: in.Count, Sent: in.Sent, Entries: lines}
+	plain := membership.Digest{From: in.From, Hash: in.Hash, Count: in.Count, Entries: lines}
 	for name, pair := range map[string][2]any{
 		"bare":  {in, plain},
 		"batch": {Batch{Gossips: sampleBatch(2).Gossips, Digest: &in}, Batch{Gossips: sampleBatch(2).Gossips, Digest: &plain}},
@@ -178,7 +177,7 @@ func TestOverlayDigestDecodesToEntriesForm(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: decoded %T carries no digest", name, msg)
 		}
-		if !out.From.Equal(in.From) || out.Hash != in.Hash || out.Count != in.Count || out.Sent != in.Sent {
+		if !out.From.Equal(in.From) || out.Hash != in.Hash || out.Count != in.Count {
 			t.Errorf("%s: header = %+v", name, out)
 		}
 		if !slices.Equal(out.Entries, lines) {

@@ -103,20 +103,6 @@ func WithLeafFlooding(rate float64) NodeOption {
 	return func(c *NodeConfig) { c.LeafFloodRate = rate }
 }
 
-// WithAdaptiveFanout closes the Section 5.3 tuning loop over measured loss.
-// The node runs a passive per-peer loss estimator — beacons piggybacked on
-// the digests and heartbeats it already sends, so the estimator costs a few
-// bytes per membership message and no extra envelopes — and the gossip core
-// consumes the estimates two ways: round budgets widen where a view's
-// measured loss exceeds the configured assumption, and each gossip round
-// samples up to 2 extra targets when the sampled peers' estimated loss
-// crosses 5%. The adaptation is strictly demand-driven: on a clean network
-// it changes nothing — budgets, targets and the node's RNG stream are
-// byte-identical to a non-adaptive node.
-func WithAdaptiveFanout(on bool) NodeOption {
-	return func(c *NodeConfig) { c.AdaptiveFanout = on }
-}
-
 // WithParallelism sets the staged engine's worker counts: decode ingress
 // workers draining the transport endpoint (each with its own interning wire
 // decoder) and encode/send egress workers consuming the protocol stage's
