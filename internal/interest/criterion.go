@@ -127,25 +127,29 @@ func dedupSorted(ss []string) []string {
 }
 
 // mergedUniqueCount returns len(mergeSortedUnique(a, b)) without building
-// the merge.
-func mergedUniqueCount(a, b []string) int {
+// the merge when that is at most limit, and limit+1 otherwise. It stops as
+// soon as the union must pass limit — at once when one side alone does, and
+// mid-walk once the strings counted plus the longer remainder do — and makes
+// one three-way compare per step.
+func mergedUniqueCount(a, b []string, limit int) int {
+	if len(a) > limit || len(b) > limit {
+		return limit + 1
+	}
 	i, j, n := 0, 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case i == len(a):
-			j++
-		case j == len(b):
+	for i < len(a) && j < len(b) {
+		switch c := strings.Compare(a[i], b[j]); {
+		case c < 0:
 			i++
-		case a[i] < b[j]:
-			i++
-		case b[j] < a[i]:
+		case c > 0:
 			j++
 		default:
 			i, j = i+1, j+1
 		}
-		n++
+		if n++; n+max(len(a)-i, len(b)-j) > limit {
+			return limit + 1
+		}
 	}
-	return n
+	return min(n+len(a)-i+len(b)-j, limit+1)
 }
 
 // mergeSortedUnique merges two sorted, deduplicated string slices into a
@@ -238,6 +242,9 @@ func (c Criterion) Subsumes(d Criterion) bool {
 	case kindNumeric:
 		return d.nums.SubsetOf(c.nums)
 	case kindString:
+		if len(d.strs) > len(c.strs) {
+			return false // both sets are deduplicated
+		}
 		for _, s := range d.strs {
 			i := sort.SearchStrings(c.strs, s)
 			if i >= len(c.strs) || c.strs[i] != s {
@@ -336,7 +343,7 @@ func (c Criterion) unionCost(d Criterion) (kept bool, size int) {
 		}
 		return true, n
 	case kindString:
-		n := mergedUniqueCount(c.strs, d.strs)
+		n := mergedUniqueCount(c.strs, d.strs, MaxStringDisjuncts)
 		if n > MaxStringDisjuncts {
 			return false, 0
 		}
@@ -348,6 +355,31 @@ func (c Criterion) unionCost(d Criterion) (kept bool, size int) {
 		return false, 0
 	default:
 		return false, 0
+	}
+}
+
+// unionCostBound is unionCost without merging a string set or an interval
+// union: a lower bound on what the union costs a hull. Two non-empty interval
+// unions keep at least one interval; two non-empty string sets are dropped
+// exactly when one alone passes MaxStringDisjuncts, and otherwise keep at
+// least the larger set's strings — if the merge then passed the cap after
+// all, the dropped attribute adds 2000 to the hull score, more than any kept
+// string set costs. Every other arm is unionCost's.
+func (c Criterion) unionCostBound(d Criterion) (kept bool, size int) {
+	if c.kind != d.kind || c.IsEmpty() || d.IsEmpty() {
+		return c.unionCost(d)
+	}
+	switch c.kind {
+	case kindNumeric:
+		return true, 1
+	case kindString:
+		n := max(len(c.strs), len(d.strs))
+		if n > MaxStringDisjuncts {
+			return false, 0
+		}
+		return true, n
+	default:
+		return c.unionCost(d)
 	}
 }
 

@@ -59,6 +59,11 @@ func TestCriterionSubsumes(t *testing.T) {
 		{"point in range", Between(0, 100), EqInt(50), true},
 		{"superset strings", OneOf("Bob", "Tom", "Ann"), OneOf("Bob", "Tom"), true},
 		{"subset strings", OneOf("Bob"), OneOf("Bob", "Tom"), false},
+		{"larger set holding all of c", OneOf("Bob", "Tom"), OneOf("Ann", "Bob", "Tom"), false},
+		{"larger disjoint set", OneOf("Bob", "Tom"), OneOf("Ann", "Eve", "Max"), false},
+		{"equal string sets", OneOf("Bob", "Tom"), OneOf("Tom", "Bob"), true},
+		{"empty set under empty set", OneOf(), OneOf(), true},
+		{"empty set over one string", OneOf(), OneOf("Bob"), false},
 		{"same bool", IsBool(true), IsBool(true), true},
 		{"diff bool", IsBool(true), IsBool(false), false},
 		{"any subsumes numeric", Any(), Gt(0), true},

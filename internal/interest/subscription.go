@@ -280,9 +280,30 @@ func (s Subscription) HullWith(t Subscription) Subscription {
 // hullCostWith predicts HullWith's cost without materializing the hull:
 // how many constrained attributes the hull would drop (widen to wildcard)
 // and the hull's resulting Size. One merge walk, allocation-free — the
-// closest-pair search of regrouping scores O(k²) candidate pairs per merge
-// and only the winner's hull is ever built.
+// closest-pair search of regrouping scores candidate pairs and only the
+// winner's hull is ever built.
 func (s Subscription) hullCostWith(t Subscription) (dropped, size int) {
+	return s.hullWalk(t, true)
+}
+
+// hullScore is the closest-pair score of merging s with t: attributes the
+// hull drops ×1000 plus the hull's size.
+func (s Subscription) hullScore(t Subscription) int {
+	dropped, size := s.hullWalk(t, true)
+	return dropped*1000 + size
+}
+
+// hullScoreBound is a lower bound on hullScore from the same walk with no
+// string-set or interval merge: attributes only one side constrains are
+// dropped exactly, and each shared one is costed by unionCostBound.
+func (s Subscription) hullScoreBound(t Subscription) int {
+	dropped, size := s.hullWalk(t, false)
+	return dropped*1000 + size
+}
+
+// hullWalk is hullCostWith, exact or, when exact is false, with every shared
+// attribute costed by unionCostBound.
+func (s Subscription) hullWalk(t Subscription, exact bool) (dropped, size int) {
 	kept := 0
 	j := 0
 	for i := range s.criteria {
@@ -296,7 +317,13 @@ func (s Subscription) hullCostWith(t Subscription) (dropped, size int) {
 		if t.criteria[j].attr != attr {
 			continue
 		}
-		k, sz := s.criteria[i].crit.unionCost(t.criteria[j].crit)
+		var k bool
+		var sz int
+		if exact {
+			k, sz = s.criteria[i].crit.unionCost(t.criteria[j].crit)
+		} else {
+			k, sz = s.criteria[i].crit.unionCostBound(t.criteria[j].crit)
+		}
 		j++
 		if k {
 			kept++

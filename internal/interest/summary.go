@@ -46,6 +46,102 @@ func NewSummaryWithBound(maxDisjuncts int) *Summary {
 // Add incorporates one subscription, maintaining the size bound through
 // subsumption elimination and closest-pair merging.
 func (s *Summary) Add(sub Subscription) {
+	var buf [stackMemo * stackMemo]int
+	f := fold{s: s, score: buf[:], stride: stackMemo}
+	f.add(sub)
+}
+
+// Merge incorporates every disjunct of the given summaries, in order
+// (hierarchical regrouping: a parent line summarizes its child lines). It
+// leaves exactly what merging them one call at a time would; one call is one
+// fold, whose pair scores closestPair computes once and keeps until a merge
+// retires one of the pair.
+func (s *Summary) Merge(ts ...*Summary) {
+	var buf [stackMemo * stackMemo]int
+	f := fold{s: s, score: buf[:], stride: stackMemo}
+	for _, t := range ts {
+		if t == nil {
+			continue
+		}
+		if t.matchAll {
+			s.id = 0
+			s.matchAll = true
+			s.subs = nil
+			continue
+		}
+		for _, sub := range t.subs {
+			f.add(sub)
+		}
+	}
+}
+
+// stackMemo is the number of disjuncts whose pair scores a fold keeps on the
+// stack: a summary at the default bound holds one more while it compacts.
+// maxMemo is where a fold stops keeping scores at all (a decoded summary
+// carries any bound, and any number of disjuncts, from the wire): past it
+// every compaction scores its pairs afresh, in no memory of its own.
+const (
+	stackMemo = DefaultMaxDisjuncts + 1
+	maxMemo   = 64
+)
+
+// fold is the scratch of one Add or Merge call: the scores closestPair has
+// computed, kept in step with s.subs. score[i*stride+j], i < j, is the score
+// of the pair (s.subs[i], s.subs[j]) plus one; zero means not yet scored. A
+// score is a pure function of the pair, so it stays valid until a merge or
+// an absorption removes one of the two, which removes its row and column.
+//
+// The table is in step only while s.subs fits it. That is all it needs: a
+// fold scores nothing before its first compaction, and from then on never
+// holds more disjuncts than it did then (it compacts back to the bound after
+// every push), so closestPair sizes the table once, by the disjuncts present.
+type fold struct {
+	s      *Summary
+	score  []int // stride×stride; nil past maxMemo disjuncts
+	stride int
+}
+
+// push appends a disjunct, unscored against every other.
+func (f *fold) push(sub Subscription) {
+	s := f.s
+	s.subs = append(s.subs, sub)
+	if n := len(s.subs); n <= f.stride {
+		for i := 0; i < n-1; i++ {
+			f.score[i*f.stride+n-1] = 0
+		}
+	}
+}
+
+// remove deletes disjunct r with its row and column of scores.
+func (f *fold) remove(r int) {
+	s := f.s
+	n := len(s.subs)
+	s.subs = append(s.subs[:r], s.subs[r+1:]...)
+	if n > f.stride {
+		return // nothing is scored yet
+	}
+	w := f.stride
+	for i := 0; i < n; i++ {
+		copy(f.score[i*w+r:i*w+n-1], f.score[i*w+r+1:i*w+n])
+	}
+	copy(f.score[r*w:(n-1)*w], f.score[(r+1)*w:n*w])
+}
+
+// dropSubsumedBy removes every disjunct sub covers, keeping the others in
+// order.
+func (f *fold) dropSubsumedBy(sub Subscription) {
+	for i := 0; i < len(f.s.subs); {
+		if sub.Subsumes(f.s.subs[i]) {
+			f.remove(i)
+		} else {
+			i++
+		}
+	}
+}
+
+// add is Add within the fold.
+func (f *fold) add(sub Subscription) {
+	s := f.s
 	s.id = 0
 	if s.matchAll || sub.IsEmpty() {
 		return
@@ -66,71 +162,67 @@ func (s *Summary) Add(sub Subscription) {
 			return
 		}
 	}
-	keep := s.subs[:0]
-	for _, old := range s.subs {
-		if !sub.Subsumes(old) {
-			keep = append(keep, old)
-		}
-	}
-	s.subs = append(keep, sub)
-	s.compact()
-}
-
-// Merge incorporates every disjunct of another summary (hierarchical
-// regrouping: a parent line summarizes its child lines).
-func (s *Summary) Merge(t *Summary) {
-	if t == nil {
-		return
-	}
-	if t.matchAll {
-		s.id = 0
-		s.matchAll = true
-		s.subs = nil
-		return
-	}
-	for _, sub := range t.subs {
-		s.Add(sub)
-	}
+	f.dropSubsumedBy(sub)
+	f.push(sub)
+	f.compact()
 }
 
 // compact merges closest pairs until the bound holds.
-func (s *Summary) compact() {
+func (f *fold) compact() {
+	s := f.s
 	for len(s.subs) > s.maxSubs {
-		i, j := s.closestPair()
+		i, j := f.closestPair()
 		merged := s.subs[i].HullWith(s.subs[j])
-		// Remove j then i (j > i), append merged.
-		s.subs = append(s.subs[:j], s.subs[j+1:]...)
-		s.subs = append(s.subs[:i], s.subs[i+1:]...)
+		f.remove(j) // j > i
+		f.remove(i)
 		if merged.IsMatchAll() {
 			s.matchAll = true
 			s.subs = nil
 			return
 		}
 		// Re-add with absorption (merged may now cover others).
-		keep := s.subs[:0]
-		for _, old := range s.subs {
-			if !merged.Subsumes(old) {
-				keep = append(keep, old)
-			}
-		}
-		s.subs = append(keep, merged)
+		f.dropSubsumedBy(merged)
+		f.push(merged)
 	}
 }
 
 // closestPair picks the pair whose hull loses the least precision, preferring
-// pairs constraining the same attribute sets. Cost = number of attributes
+// pairs constraining the same attribute sets. Score = number of attributes
 // dropped by the hull (widened to wildcard) ×1000 + resulting disjunct size,
-// a cheap heuristic that keeps structurally similar interests together.
-// Scoring is allocation-free (hullCostWith); only the winning pair's hull
+// a cheap heuristic that keeps structurally similar interests together; the
+// earliest pair (row-major) of least score wins. Only the winning pair's hull
 // is materialized, by the caller.
-func (s *Summary) closestPair() (int, int) {
-	bestI, bestJ, bestCost := 0, 1, int(^uint(0)>>1)
-	for i := 0; i < len(s.subs); i++ {
-		for j := i + 1; j < len(s.subs); j++ {
-			dropped, size := s.subs[i].hullCostWith(s.subs[j])
-			cost := dropped*1000 + size
-			if cost < bestCost {
-				bestI, bestJ, bestCost = i, j, cost
+//
+// A pair is scored (hullScore) at most once per fold. An unscored pair whose
+// lower bound (hullScoreBound) already reaches the best score so far cannot
+// win — only a strictly lower score replaces the best — so it is skipped
+// unscored, and the pick is the full scan's, tie-breaks included.
+func (f *fold) closestPair() (int, int) {
+	subs := f.s.subs
+	if len(subs) > f.stride {
+		f.score, f.stride = nil, 0
+		if len(subs) <= maxMemo {
+			f.score, f.stride = make([]int, len(subs)*len(subs)), len(subs)
+		}
+	}
+	bestI, bestJ, best := 0, 1, int(^uint(0)>>1)
+	for i := 0; i < len(subs); i++ {
+		for j := i + 1; j < len(subs); j++ {
+			cost := -1
+			if f.score != nil {
+				cost = f.score[i*f.stride+j] - 1
+			}
+			if cost < 0 {
+				if subs[i].hullScoreBound(subs[j]) >= best {
+					continue
+				}
+				cost = subs[i].hullScore(subs[j])
+				if f.score != nil {
+					f.score[i*f.stride+j] = cost + 1
+				}
+			}
+			if cost < best {
+				bestI, bestJ, best = i, j, cost
 			}
 		}
 	}

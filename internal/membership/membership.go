@@ -443,6 +443,20 @@ func (s *Service) apply(r Record) (rec *Record, known bool) {
 	if r.Stamp == cur.Stamp && (cur.Alive == r.Alive) {
 		return nil, true
 	}
+	// Self-defense: if someone declares us dead, resurrect with a higher
+	// stamp so the correction propagates (we are obviously alive). It comes
+	// before the tie rule: a tombstone at our own stamp would otherwise win
+	// the tie, and every later Subscribe would bump a dead line.
+	if key == s.cfg.Self.Key() && !r.Alive {
+		rec := s.mutableLocked(i)
+		s.touchHashLocked(key, rec.Stamp, rec.Alive, r.Stamp+1, true)
+		rec.Stamp = r.Stamp + 1
+		if !rec.Alive {
+			s.setAliveLocked(i, true)
+		}
+		rec.Alive = true
+		return rec, true
+	}
 	if r.Stamp == cur.Stamp && cur.Alive && !r.Alive {
 		// Tombstone precedence at equal stamps.
 		rec := s.mutableLocked(i)
@@ -453,18 +467,6 @@ func (s *Service) apply(r Record) (rec *Record, known bool) {
 	}
 	if r.Stamp == cur.Stamp {
 		return nil, true
-	}
-	// Self-defense: if someone declares us dead, resurrect with a higher
-	// stamp so the correction propagates (we are obviously alive).
-	if key == s.cfg.Self.Key() && !r.Alive {
-		rec := s.mutableLocked(i)
-		s.touchHashLocked(key, rec.Stamp, rec.Alive, r.Stamp+1, true)
-		rec.Stamp = r.Stamp + 1
-		if !rec.Alive {
-			s.setAliveLocked(i, true)
-		}
-		rec.Alive = true
-		return rec, true
 	}
 	rec = s.mutableLocked(i)
 	if rec.Alive != r.Alive {

@@ -125,6 +125,47 @@ func TestSelfDefenseAgainstFalseTombstone(t *testing.T) {
 	}
 }
 
+// TestSelfDefenseAgainstEqualStampTombstone: a tombstone for a service's own
+// line at its current stamp — through any of the three doors a record enters
+// by — is answered like a fresher one: self stays alive, at the tombstone's
+// stamp plus one, and stays alive through a later Subscribe. A peer that took
+// the tombstone sees self alive again after one digest exchange.
+func TestSelfDefenseAgainstEqualStampTombstone(t *testing.T) {
+	self := addr.New(0, 0)
+	tombstone := Record{Addr: self, Stamp: 1, Alive: false}
+	for name, forge := range map[string]func(s *Service){
+		"Apply":             func(s *Service) { s.Apply(Update{Records: []Record{tombstone}}) },
+		"HandleJoinRequest": func(s *Service) { s.HandleJoinRequest(JoinRequest{Joiner: tombstone, Hops: 2}) },
+		"HandleLeave":       func(s *Service) { s.HandleLeave(Leave{Addr: self, Stamp: tombstone.Stamp}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := newService(t, "0.0", nil)
+			peer := newService(t, "0.1", nil)
+			reply, _, _ := peer.HandleJoinRequest(s.BuildJoinRequest())
+			s.Apply(reply)
+
+			forge(s)
+			if rec, _ := s.Lookup(self); !rec.Alive || rec.Stamp != tombstone.Stamp+1 {
+				t.Fatalf("after the tombstone, self is %+v; want alive at stamp %d", rec, tombstone.Stamp+1)
+			}
+			peer.Apply(Update{Records: []Record{tombstone}})
+			if rec, _ := peer.Lookup(self); rec.Alive {
+				t.Fatal("the peer did not take the equal-stamp tombstone")
+			}
+			if upd, _ := s.HandleDigest(peer.MakeDigest()); upd != nil {
+				peer.Apply(*upd)
+			}
+			if rec, _ := peer.Lookup(self); !rec.Alive || rec.Stamp != tombstone.Stamp+1 {
+				t.Errorf("after one digest exchange the peer holds self as %+v", rec)
+			}
+			s.Subscribe(interest.NewSubscription().Where("b", interest.Gt(5)))
+			if rec, _ := s.Lookup(self); !rec.Alive || rec.Stamp != tombstone.Stamp+2 {
+				t.Errorf("after Subscribe, self is %+v", rec)
+			}
+		})
+	}
+}
+
 func TestJoinForwardsTowardsNeighbors(t *testing.T) {
 	// Contact 0.0 knows 2.0; joiner 2.3 should be forwarded to 2.0 (deeper
 	// common prefix with the joiner than the contact itself).

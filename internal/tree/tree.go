@@ -752,6 +752,7 @@ func (t *Tree) interior(kids []*node, length int) *node {
 	n := &node{children: slices.Clone(kids)}
 	candidates := make([]addr.Address, 0, t.cfg.R*populated)
 	inputs := make([]byte, 0, 8*16)
+	summaries := make([]*interest.Summary, 0, 16)
 	sig := make([]byte, 0, 512)
 	for digit, child := range kids {
 		if child == nil {
@@ -760,15 +761,10 @@ func (t *Tree) interior(kids []*node, length int) *node {
 		n.count += child.count
 		candidates = append(candidates, child.delegates...)
 		inputs = binary.LittleEndian.AppendUint64(inputs, child.summary.Identity())
+		summaries = append(summaries, child.summary)
 		sig = t.appendViewLine(sig, digit, child)
 	}
-	e := t.fold(interest.Identity{}, inputs, func(s *interest.Summary) {
-		for _, child := range kids {
-			if child != nil {
-				s.Merge(child.summary)
-			}
-		}
-	})
+	e := t.fold(interest.Identity{}, inputs, func(s *interest.Summary) { s.Merge(summaries...) })
 	n.summary, n.lang = e.summary, e.lang
 	slices.SortFunc(candidates, addr.Address.Compare)
 	n.delegates = t.election.Elect(candidates, t.cfg.R)
