@@ -9,24 +9,17 @@ import (
 
 // TreeView adapts one tree.View to the DepthView interface, flattening the
 // view lines into a deterministic member order (line order, then election
-// rank) and matching members through the compiled forms of the regrouped
-// subtree summaries: one compiled evaluation per distinct line language,
-// expanded to the lines' member ranges. It carries the tree node generation,
-// so cached profiles survive process rebuilds that did not touch this view's
-// prefix.
+// rank) and matching members through the view's index: one probe answers
+// every line, and each matching line sets its member range. It carries the
+// tree node generation, so cached profiles survive process rebuilds that did
+// not touch this view's prefix. The index is shared with every process of
+// the store that holds the view; while one does, the tree keeps handing it
+// out.
 type TreeView struct {
 	members   []addr.Address
 	lineStart []int // line index → first member index (len lines+1)
-	compiled  []*interest.CompiledMatcher
-	// Sibling subgroups whose folds converge — the norm under skewed
-	// subscription popularity — share one interned compiled summary, and
-	// pointer equality is language equality, so each distinct matcher is
-	// evaluated once per event: dupOf maps every line to its canonical
-	// line, distinct lists the canonical lines, scratch holds their match
-	// results for the duration of one query.
-	dupOf     []int
-	distinct  []int
-	scratch   []bool
+	index     *interest.Index
+	hits      []uint64 // the probe's result, one word per index block
 	selfIndex int
 	selfLine  int
 	gen       uint64
@@ -43,18 +36,21 @@ func NewTreeView(v *tree.View, self addr.Address) *TreeView {
 	tv := &TreeView{
 		members:   make([]addr.Address, 0, v.GroupSize()),
 		lineStart: make([]int, len(v.Lines)+1),
-		compiled:  make([]*interest.CompiledMatcher, len(v.Lines)),
+		index:     v.Index,
 		selfIndex: -1,
 		selfLine:  -1,
 		gen:       v.Gen,
 	}
-	for li, line := range v.Lines {
-		tv.compiled[li] = line.Compiled
-		if tv.compiled[li] == nil && line.Summary != nil {
-			// Hand-built views (tests, tools) may lack the compiled form;
-			// compile here so the adapter always runs the engine's path.
-			tv.compiled[li] = interest.CompileSummary(line.Summary)
+	if tv.index == nil {
+		// A hand-built view: index its lines here, each its own language.
+		sums := make([]*interest.Summary, len(v.Lines))
+		for li, line := range v.Lines {
+			sums[li] = line.Summary
 		}
+		tv.index = interest.NewIndex(sums, nil)
+	}
+	tv.hits = make([]uint64, tv.index.Blocks())
+	for li, line := range v.Lines {
 		tv.lineStart[li] = len(tv.members)
 		for _, m := range line.Delegates {
 			if m.Equal(self) {
@@ -65,22 +61,6 @@ func NewTreeView(v *tree.View, self addr.Address) *TreeView {
 		}
 	}
 	tv.lineStart[len(v.Lines)] = len(tv.members)
-	tv.dupOf = make([]int, len(v.Lines))
-	tv.distinct = make([]int, 0, len(v.Lines))
-	tv.scratch = make([]bool, len(v.Lines))
-	for li, cm := range tv.compiled {
-		canon := li
-		for _, dj := range tv.distinct {
-			if tv.compiled[dj] == cm {
-				canon = dj
-				break
-			}
-		}
-		tv.dupOf[li] = canon
-		if canon == li {
-			tv.distinct = append(tv.distinct, li)
-		}
-	}
 	if tv.selfLine < 0 {
 		// The process may not be a member of this depth's group (e.g. a
 		// publisher that is no delegate); its own subgroup is still the line
@@ -110,17 +90,16 @@ func (tv *TreeView) SelfIndex() int { return tv.selfIndex }
 // Generation implements DepthView: the tree node generation of the view.
 func (tv *TreeView) Generation() uint64 { return tv.gen }
 
-// Profile implements DepthView: the whole susceptibility profile in one
-// pass, each distinct line language evaluated exactly once.
+// Profile implements DepthView: the whole susceptibility profile from one
+// index probe. The cost counts one Eval per distinct line language and one
+// Comparison per attribute probe.
 func (tv *TreeView) Profile(ev event.Event, p *MatchProfile) {
 	size := len(tv.members)
 	p.Ensure(size)
-	for _, li := range tv.distinct {
-		tv.scratch[li] = tv.compiled[li].MatchesCounted(ev, &p.Cost)
-	}
+	tv.index.Probe(ev, tv.hits, &p.Cost)
 	hits, lines, selfIn := 0, 0, false
-	for li := range tv.compiled {
-		if !tv.scratch[tv.dupOf[li]] {
+	for li := 0; li+1 < len(tv.lineStart); li++ {
+		if !tv.index.Hit(tv.hits, li) {
 			continue
 		}
 		lines++

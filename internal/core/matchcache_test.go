@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pmcast/internal/addr"
+	"pmcast/internal/binenc"
 	"pmcast/internal/event"
 	"pmcast/internal/interest"
 	"pmcast/internal/tree"
@@ -71,8 +72,11 @@ func TestProfileCacheMemoizes(t *testing.T) {
 
 // TestProfileMatchesInterpretedView: the profile's bitset and aggregates are
 // what the interpretive Summary.Matches — the oracle interest keeps beside the
-// compiled path — says of the tree's view lines, for every view depth and
-// several event classes.
+// index — says of the view lines, for every view depth of a tree and several
+// event classes, and for hand-built views of the shapes the fuzzer reaches
+// rarely (rareViews), with the view's index and with the one the adapter
+// builds when a view has none. Every line's handle answers alike, and a probe
+// counts one Eval per distinct language.
 func TestProfileMatchesInterpretedView(t *testing.T) {
 	tr, space := cacheTree(t)
 	self := space.AddressAt(5)
@@ -84,30 +88,171 @@ func TestProfileMatchesInterpretedView(t *testing.T) {
 		v := tr.ViewAt(self, depth)
 		for class := int64(0); class < 3; class++ {
 			ev := classEv(class, uint64(10*int64(depth)+class))
-			prof := p.ProfileFor(ev, depth)
-			member, hits, lines, selfIn := 0, 0, 0, false
-			for _, line := range v.Lines {
-				want := line.Summary.Matches(ev)
-				if want {
-					lines++
-					hits += len(line.Delegates)
-					selfIn = selfIn || line.Infix == self.Digit(depth)
+			checkProfile(t, fmt.Sprintf("depth %d class %d", depth, class), v, self, ev, p.ProfileFor(ev, depth))
+		}
+	}
+	evs := rareEvents()
+	for _, rv := range rareViews() {
+		v := &tree.View{Prefix: addr.Root(), Depth: 1, Index: interest.NewIndex(rv.sums, rv.langs)}
+		for li, sum := range rv.sums {
+			v.Lines = append(v.Lines, tree.Line{Infix: li, Delegates: []addr.Address{addr.New(li, 0), addr.New(li, 1)}, Summary: sum})
+		}
+		self := addr.New(1, 1)
+		shared, own := NewTreeView(v, self), NewTreeView(&tree.View{Prefix: v.Prefix, Depth: 1, Lines: v.Lines}, self)
+		for i, ev := range evs {
+			for _, tv := range []*TreeView{shared, own} {
+				var prof MatchProfile
+				tv.Profile(ev, &prof)
+				checkProfile(t, fmt.Sprintf("%s event %d (%s)", rv.name, i, ev), v, self, ev, &prof)
+				if tv == shared && prof.Cost.Evals != rv.evals {
+					t.Errorf("%s: a probe answered %d languages, want %d", rv.name, prof.Cost.Evals, rv.evals)
 				}
-				for range line.Delegates {
-					if prof.Bit(member) != want {
-						t.Errorf("depth %d class %d member %d: bit %v, interpreted %v",
-							depth, class, member, prof.Bit(member), want)
-					}
-					member++
+			}
+			for li, sum := range rv.sums {
+				if got, want := v.Index.Line(li).Matches(ev), sum.Matches(ev); got != want {
+					t.Errorf("%s line %d event %s: handle %v, interpreted %v", rv.name, li, ev, got, want)
 				}
 			}
-			if prof.Hits != hits || prof.Lines != lines || prof.SelfIn != selfIn {
-				t.Errorf("depth %d class %d: hits, lines, self in (%d,%d,%v), interpreted (%d,%d,%v)",
-					depth, class, prof.Hits, prof.Lines, prof.SelfIn, hits, lines, selfIn)
+		}
+	}
+}
+
+// checkProfile holds one profile to Summary.Matches on the view's lines.
+func checkProfile(t *testing.T, name string, v *tree.View, self addr.Address, ev event.Event, prof *MatchProfile) {
+	t.Helper()
+	member, hits, lines, selfIn := 0, 0, 0, false
+	for _, line := range v.Lines {
+		want := line.Summary.Matches(ev)
+		if want {
+			lines++
+			hits += len(line.Delegates)
+			selfIn = selfIn || line.Infix == self.Digit(v.Depth)
+		}
+		for range line.Delegates {
+			if prof.Bit(member) != want {
+				t.Errorf("%s member %d: bit %v, interpreted %v", name, member, prof.Bit(member), want)
 			}
-			if want := float64(hits) / float64(v.GroupSize()); prof.Rate != want {
-				t.Errorf("depth %d class %d: rate %g, interpreted %g", depth, class, prof.Rate, want)
+			member++
+		}
+	}
+	if prof.Hits != hits || prof.Lines != lines || prof.SelfIn != selfIn {
+		t.Errorf("%s: hits, lines, self in (%d,%d,%v), interpreted (%d,%d,%v)",
+			name, prof.Hits, prof.Lines, prof.SelfIn, hits, lines, selfIn)
+	}
+	if want := float64(hits) / float64(v.GroupSize()); prof.Rate != want {
+		t.Errorf("%s: rate %g, interpreted %g", name, prof.Rate, want)
+	}
+}
+
+// rareView is a view's lines as summaries, the language name of each (equal
+// nonzero names share bits in the index) and the languages a probe answers.
+type rareView struct {
+	name  string
+	sums  []*interest.Summary
+	langs []uint64
+	evals uint64
+}
+
+// rareViews are the view shapes the fuzzer reaches rarely: more than 64
+// disjunct bits, with lines straddling block ends; duplicate, match-all,
+// empty and nil lines; unsatisfiable criteria (an empty string or interval
+// set) beside satisfiable disjuncts; and one attribute constrained in every
+// kind, so values meet criteria of their own kind and of every other.
+func rareViews() []rareView {
+	where := interest.NewSubscription().Where
+	wide := func(lo, n int) *interest.Summary {
+		s := interest.NewSummaryWithBound(n)
+		for i := 0; i < n; i++ {
+			s.Add(where("b", interest.EqInt(int64(lo+i))).Where("c", interest.Gt(float64(i))))
+		}
+		return s
+	}
+	// decoded builds a summary as the wire delivers it: disjuncts kept as
+	// sent, unsatisfiable ones included, beside a match-all flag.
+	decoded := func(matchAll bool, subs ...interest.Subscription) *interest.Summary {
+		b := binenc.AppendBool(nil, matchAll)
+		b = binenc.AppendUvarint(b, uint64(interest.DefaultMaxDisjuncts))
+		b = binenc.AppendUvarint(b, uint64(len(subs)))
+		for _, sub := range subs {
+			b = interest.AppendSubscription(b, sub)
+		}
+		return interest.ReadSummary(binenc.NewReader(b))
+	}
+	return []rareView{
+		{"second block", []*interest.Summary{wide(0, 70), wide(100, 30), wide(0, 70), wide(200, 40)}, []uint64{1, 2, 1, 3}, 3},
+		{"constants", []*interest.Summary{interest.Summarize(interest.NewSubscription()), interest.NewSummary(), nil,
+			interest.Summarize(where("b", interest.Any())), decoded(true, where("b", interest.EqInt(1))), wide(0, 3)}, nil, 5},
+		{"unsatisfiable", []*interest.Summary{
+			decoded(false, where("e", interest.OneOf()), where("b", interest.EqInt(5))),
+			decoded(false, where("b", interest.InIntervals()).Where("c", interest.Gt(1))),
+			decoded(false, where("e", interest.OneOf()).Where("b", interest.EqInt(1)), interest.NewSubscription())}, nil, 3},
+		{"kinds", []*interest.Summary{
+			interest.Summarize(where("b", interest.Between(0, 10))), interest.Summarize(where("b", interest.OneOf("x", "1"))),
+			interest.Summarize(where("b", interest.IsBool(true))), interest.Summarize(where("b", interest.IsBool(false))),
+			interest.Summarize(where("e", interest.OneOf("1")), where("e", interest.EqInt(2))),
+			interest.Summarize(where("b", interest.Between(0, 10)))}, []uint64{7, 0, 0, 0, 0, 7}, 5},
+		{"absent attributes", []*interest.Summary{
+			interest.Summarize(where("b", interest.EqInt(1)).Where("z", interest.Ge(0))),
+			interest.Summarize(where("z", interest.Lt(0))), interest.Summarize(where("a", interest.IsBool(true)))}, nil, 3},
+	}
+}
+
+// rareEvents crosses values of b of every kind — integers on and between the
+// views' boundaries, floats, strings, booleans, the zero Value and absence —
+// with c, e and z present, absent or of a foreign kind.
+func rareEvents() []event.Event {
+	bs := []event.Value{event.Int(-1), event.Int(0), event.Int(1), event.Int(5), event.Int(10), event.Int(63),
+		event.Int(64), event.Int(69), event.Int(70), event.Int(100), event.Int(129), event.Int(139), event.Int(239),
+		event.Int(250), event.Float(5.5), event.Float(64), event.Str("x"), event.Str("1"), event.Str(""),
+		event.Bool(true), event.Bool(false), {}}
+	var evs []event.Event
+	for i := 0; i <= len(bs); i++ {
+		for j, c := range []event.Value{{}, event.Int(3), event.Float(100.5), event.Str("3")} {
+			for k := 0; k < 5; k++ {
+				b := event.NewBuilder()
+				if i < len(bs) {
+					b.Set("b", bs[i])
+				}
+				if j > 0 {
+					b.Set("c", c)
+				}
+				switch k {
+				case 1:
+					b.Str("e", "1")
+				case 2:
+					b.Int("e", 1).Bool("a", true)
+				case 3:
+					b.Int("z", 0)
+				case 4:
+					b.Int("z", -1).Str("a", "true")
+				}
+				evs = append(evs, b.Build(event.ID{Origin: "rare", Seq: uint64(len(evs) + 1)}))
 			}
+		}
+	}
+	return evs
+}
+
+// TestProfileAllocatesNothing: a profile into a reused MatchProfile — what
+// every cache miss of a live process computes — allocates nothing, on a tree
+// view and on a view of three index blocks.
+func TestProfileAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are asserted only without the race detector")
+	}
+	tr, space := cacheTree(t)
+	self := space.AddressAt(5)
+	rv := rareViews()[0]
+	v := &tree.View{Prefix: addr.Root(), Depth: 1, Index: interest.NewIndex(rv.sums, rv.langs)}
+	for li, sum := range rv.sums {
+		v.Lines = append(v.Lines, tree.Line{Infix: li, Delegates: []addr.Address{addr.New(li, 0)}, Summary: sum})
+	}
+	ev := event.NewBuilder().Int("b", 69).Float("c", 100.5).Build(event.ID{Origin: "t", Seq: 1})
+	for _, tv := range []*TreeView{NewTreeView(tr.ViewAt(self, 1), self), NewTreeView(tr.ViewAt(self, 2), self), NewTreeView(v, self)} {
+		var prof MatchProfile
+		tv.Profile(ev, &prof)
+		if allocs := testing.AllocsPerRun(100, func() { tv.Profile(ev, &prof) }); allocs != 0 {
+			t.Errorf("a profile into a reused MatchProfile allocates %.1f times, want 0", allocs)
 		}
 	}
 }

@@ -70,9 +70,11 @@ func randSubscription(rng *rand.Rand) Subscription {
 func randEvent(rng *rand.Rand, seq uint64) event.Event {
 	b := event.NewBuilder()
 	for _, attr := range attrNames {
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0:
 			// Absent attribute.
+		case 6:
+			b.Set(attr, event.Value{}) // satisfies no criterion, the wildcard included
 		case 1:
 			b.Int(attr, int64(rng.Intn(110)))
 		case 2:
@@ -90,13 +92,13 @@ func randEvent(rng *rand.Rand, seq uint64) event.Event {
 	return b.Build(event.ID{Origin: "prop", Seq: seq})
 }
 
-// TestCompiledMatchesSubscriptionParity is the compiled engine's oracle
-// property: for randomized subscriptions × events — zero-criterion
+// TestCompiledMatchesSubscriptionParity is the index's oracle property for
+// one subscription: for randomized subscriptions × events — zero-criterion
 // (match-all) subscriptions, empty interval sets, empty string sets,
 // boundary open/closed intervals, missing attributes, cross-domain values —
 // Compile(sub).Matches ≡ sub.Matches, decision for decision. Run it under
-// -race along with the rest of the suite; compiled matchers are shared
-// immutable state by design.
+// -race along with the rest of the suite; indexes are shared immutable
+// state by design.
 func TestCompiledMatchesSubscriptionParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 2000; trial++ {
@@ -128,6 +130,78 @@ func TestCompiledMatchesSummaryParity(t *testing.T) {
 			want := s.Matches(ev)
 			if got := cm.Matches(ev); got != want {
 				t.Fatalf("trial %d: compiled=%v naive=%v\nsummary: %s\nevent: %s", trial, got, want, s, ev)
+			}
+		}
+	}
+}
+
+// rawSubscription draws a subscription past Where, as no public constructor
+// builds one: its criteria may hold the wildcard, which Where drops.
+func rawSubscription(rng *rand.Rand) Subscription {
+	var criteria []attrCriterion
+	for _, attr := range []string{"b", "c", "e", "w", "z"} { // sorted
+		if rng.Intn(3) == 0 {
+			criteria = append(criteria, attrCriterion{attr: attr, crit: randCriterion(rng)})
+		}
+	}
+	return withCriteria(criteria)
+}
+
+// TestIndexMatchesSummaryParity extends the oracle property to views: 1–6
+// lines of summaries — regrouped, or raw as the wire or a bug could hand
+// them over, with wildcard criteria and past 64 disjuncts — duplicates
+// sharing a language name, match-all, empty and nil lines. One probe of the
+// index, and each line's handle, must answer every line as Summary.Matches
+// does, and the probe counts one Eval per distinct non-nil line.
+func TestIndexMatchesSummaryParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(6)
+		sums, langs := make([]*Summary, n), make([]uint64, n)
+		var evals uint64
+		for i := range sums {
+			switch k := rng.Intn(8); {
+			case k == 0 && i > 0:
+				j := rng.Intn(i)
+				sums[i], langs[i] = sums[j].Clone(), langs[j]
+				continue
+			case k == 1:
+				continue // a nil line
+			case k == 2:
+				sums[i] = &Summary{matchAll: rng.Intn(2) == 0}
+			case k == 3:
+				s := &Summary{maxSubs: DefaultMaxDisjuncts}
+				for d := rng.Intn(80); d > 0; d-- {
+					s.subs = append(s.subs, rawSubscription(rng))
+				}
+				sums[i] = s
+			default:
+				s := NewSummaryWithBound(1 + rng.Intn(8))
+				for d := rng.Intn(10); d > 0; d-- {
+					s.Add(randSubscription(rng))
+				}
+				sums[i] = s
+			}
+			langs[i] = uint64(i + 1)
+			evals++
+		}
+		x := NewIndex(sums, langs)
+		hits := make([]uint64, x.Blocks())
+		for k := 0; k < 25; k++ {
+			ev := randEvent(rng, uint64(trial*25+k))
+			var mc MatchCounter
+			x.Probe(ev, hits, &mc)
+			if mc.Evals != evals {
+				t.Fatalf("trial %d: a probe answered %d languages, want %d", trial, mc.Evals, evals)
+			}
+			for li, s := range sums {
+				want := s.Matches(ev)
+				if got := x.Hit(hits, li); got != want {
+					t.Fatalf("trial %d line %d: probe %v, interpreted %v\nsummary: %s\nevent: %s", trial, li, got, want, s, ev)
+				}
+				if got := x.Line(li).Matches(ev); got != want {
+					t.Fatalf("trial %d line %d: handle %v, interpreted %v\nsummary: %s\nevent: %s", trial, li, got, want, s, ev)
+				}
 			}
 		}
 	}

@@ -730,8 +730,13 @@ func (s *Service) BuildJoinRequest() JoinRequest {
 // it knows a process strictly closer to the joiner — returns that address so
 // the caller forwards the request one hop further ("this is made
 // recursively, until the most immediate delegates of the new process have
-// been contacted").
+// been contacted"). A joiner whose address does not fit the space is refused
+// before anything is built: the reply holds no records and there is no hop,
+// so a forged request of a few bytes costs no full-view reply.
 func (s *Service) HandleJoinRequest(jr JoinRequest) (reply Update, forward addr.Address, ok bool) {
+	if s.cfg.Space.Validate(jr.Joiner.Addr) != nil {
+		return Update{}, addr.Address{}, false
+	}
 	s.mu.Lock()
 	s.admitLocked([]Record{jr.Joiner})
 	s.markHeardLocked(jr.Joiner.Addr, s.now())

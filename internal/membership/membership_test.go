@@ -402,7 +402,8 @@ func TestAntiEntropyConvergence(t *testing.T) {
 // space — too deep, too shallow, a digit past its arity — is refused at every
 // door: an Update's records, a JoinRequest's joiner, a Leave's address. The
 // version, the alive count and the roster hash do not move, on a service
-// that starts alone and on one bootstrapped on a roster.
+// that starts alone and on one bootstrapped on a roster, and a refused
+// joiner gets no reply records and no forward hop.
 func TestOutOfSpaceRecordsRefused(t *testing.T) {
 	space, recs := rosterFixture(t)
 	cfg := Config{Self: addr.New(1, 2), Space: space, R: 2, SuspectAfter: time.Minute}
@@ -427,7 +428,9 @@ func TestOutOfSpaceRecordsRefused(t *testing.T) {
 				t.Errorf("%s: Apply of %s changed %d records", name, bad, got)
 			}
 			unchanged("Update")
-			s.HandleJoinRequest(JoinRequest{Joiner: rec, Hops: 2})
+			if reply, fwd, ok := s.HandleJoinRequest(JoinRequest{Joiner: rec, Hops: 2}); len(reply.Records) != 0 || ok || !fwd.IsZero() {
+				t.Errorf("%s: refused joiner %s got %d reply records and forward %v (%s)", name, bad, len(reply.Records), ok, fwd)
+			}
 			unchanged("JoinRequest")
 			s.HandleLeave(Leave{Addr: bad, Stamp: 3})
 			unchanged("Leave")

@@ -119,6 +119,22 @@ func TestOutOfSpaceRecordDoesNotStopNode(t *testing.T) {
 	}
 }
 
+// TestRefusedJoinerGetsNoReply: a forged JoinRequest for an address outside
+// the space is refused before anything is built, so the node emits nothing —
+// no full-view reply to the forged address and no forward — for the few bytes
+// the request costs its sender.
+func TestRefusedJoinerGetsNoReply(t *testing.T) {
+	n := rosterNode(t)
+	for _, joiner := range []addr.Address{addr.New(7, 7), addr.New(0, 0, 0), addr.New(1)} {
+		before, _ := n.WireStats()
+		req := membership.JoinRequest{Joiner: membership.Record{Addr: joiner, Sub: subEq(1), Stamp: 1, Alive: true}, Hops: 2}
+		n.HandleEnvelope(transport.Envelope{From: hostileSpace.AddressAt(1), To: n.Addr(), Payload: wireDecoded(t, req)})
+		if after, _ := n.WireStats(); after != before {
+			t.Errorf("a forged join for %s made the node emit %d envelopes, want 0", joiner, after-before)
+		}
+	}
+}
+
 // TestForgedFutureSeqKeepsOriginDelivering: a forged gossip carrying a live
 // origin's ID with sequence number 2^63 must not poison the seen-set — no
 // high-water mark jumps past the origin's real stream — so every real event

@@ -635,6 +635,9 @@ func (n *Node) handle(env transport.Envelope, h *heard) {
 		n.mem.Apply(msg)
 	case membership.JoinRequest:
 		reply, fwd, forwardIt := n.mem.HandleJoinRequest(msg)
+		if len(reply.Records) == 0 {
+			return // a refused joiner: nothing to answer or forward
+		}
 		n.emit(msg.Joiner.Addr, reply)
 		if forwardIt && msg.Hops > 0 {
 			msg.Hops--

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -15,13 +16,13 @@ import (
 // TestFoldCacheBounded drives sustained subscription flux — every round
 // mints 16 fresh fold inputs — through a tree whose store is bounded to 4
 // entries a table, and checks the bound holds for the regroupings and the
-// compiled languages: live entries never exceed the bound, the generational
+// language names: live entries never exceed the bound, the generational
 // sweep actually evicts, and eviction is a pure cost (the tree's summaries
 // stay correct, it just recomputes folds a bigger cache would have
 // remembered). The zero bound is the default, not unbounded and not tiny: 200
 // distinct languages evict nothing, and a language folded again while live
-// comes back as the pointer-identical matcher under the same name — pointer
-// equality IS language equality, which the view adapter's dedup depends on.
+// comes back under the same name — which view signatures and the bits a
+// view's index shares between lines depend on.
 func TestFoldCacheBounded(t *testing.T) {
 	space, err := addr.NewSpace(4, 4)
 	if err != nil {
@@ -56,10 +57,10 @@ func TestFoldCacheBounded(t *testing.T) {
 		t.Error("sustained flux evicted nothing — the fold cache is not bounded")
 	}
 	if fs.CompilerEntries > bound {
-		t.Errorf("compiler holds %d entries, bound %d", fs.CompilerEntries, bound)
+		t.Errorf("language table holds %d entries, bound %d", fs.CompilerEntries, bound)
 	}
 	if fs.CompilerEvictions == 0 {
-		t.Error("sustained flux evicted no compiled languages — the compiler is not bounded")
+		t.Error("sustained flux evicted no language names — the table is not bounded")
 	}
 	if fs.Recomputes == 0 {
 		t.Error("fold recompute meter never moved")
@@ -90,8 +91,7 @@ func TestFoldCacheBounded(t *testing.T) {
 		// The same language reached through another fold: a summary of its own.
 		held := roomy.lookupPath(victim, roomy.Depth()).lang
 		if again := roomy.store.lang(interest.Summarize(sub)); again != held {
-			t.Fatalf("language %d: folded again while live, got matcher %p named %d; the leaf holds %p named %d",
-				i, again.compiled, again.id, held.compiled, held.id)
+			t.Fatalf("language %d: folded again while live, named %d; the leaf holds %d", i, again, held)
 		}
 	}
 	if fs := roomy.FoldStats(); fs.CompilerEntries < 200 || fs.CompilerEvictions != 0 {
@@ -103,11 +103,11 @@ func TestFoldCacheBounded(t *testing.T) {
 // TestSiblingLanguagesShareOneMatcher: the store names a language, not the
 // order its disjuncts were accumulated in. Sibling subgroups whose members
 // hold the same subscriptions in different address order regroup to different
-// summaries and end with the pointer-identical compiled matcher — one
-// evaluation per event in a view over them; a second tree of the store whose
-// subgroup holds them the other way round is made of different nodes and
-// reports the same view generation; a subgroup with another language shares
-// neither.
+// summaries under one name, and their lines share one set of bits in the
+// view's index — one language answered per probe; a second tree of the store
+// whose subgroup holds them the other way round is made of different nodes
+// and reports the same view generation; a subgroup with another language
+// moves the generation and holds bits of its own.
 func TestSiblingLanguagesShareOneMatcher(t *testing.T) {
 	space := addr.MustRegular(2, 2)
 	s1 := interest.NewSubscription().Where("b", interest.EqInt(2)).Where("c", interest.Gt(40))
@@ -128,13 +128,21 @@ func TestSiblingLanguagesShareOneMatcher(t *testing.T) {
 		}
 		return tr
 	}
+	// languages probes the view's index once and returns the distinct
+	// languages it answered: one run of bits each.
+	languages := func(v *View) uint64 {
+		var mc interest.MatchCounter
+		v.Index.Probe(event.NewBuilder().Int("b", 3).Float("c", 50).Build(event.ID{Origin: "sib", Seq: 1}),
+			make([]uint64, v.Index.Blocks()), &mc)
+		return mc.Evals
+	}
 	a := build(s1, s2, s2, s1)
-	lines := a.ViewOf(addr.Root(), 1).Lines
-	if lines[0].Summary.OrderedFingerprint() == lines[1].Summary.OrderedFingerprint() {
+	v := a.ViewOf(addr.Root(), 1)
+	if v.Lines[0].Summary.OrderedFingerprint() == v.Lines[1].Summary.OrderedFingerprint() {
 		t.Fatal("the siblings regrouped to one summary: the test does not exercise language naming")
 	}
-	if lines[0].Compiled != lines[1].Compiled {
-		t.Error("sibling subgroups of one language hold two compiled matchers")
+	if n := languages(v); n != 1 {
+		t.Errorf("sibling subgroups of one language hold %d sets of bits, want 1", n)
 	}
 	swapped, other := build(s2, s1, s2, s1), build(s1, s3, s2, s1)
 	if swapped.root == a.root {
@@ -146,8 +154,63 @@ func TestSiblingLanguagesShareOneMatcher(t *testing.T) {
 	if other.Generation(addr.Root()) == a.Generation(addr.Root()) {
 		t.Error("a subgroup of another language left the view generation unmoved")
 	}
-	if l := other.ViewOf(addr.Root(), 1).Lines; l[0].Compiled == l[1].Compiled {
-		t.Error("subgroups of different languages share one compiled matcher")
+	if n := languages(other.ViewOf(addr.Root(), 1)); n != 2 {
+		t.Errorf("subgroups of two languages hold %d sets of bits, want 2", n)
+	}
+}
+
+// TestViewIndexHeldWeakly: a node's view index is built once and shared while
+// a view holds it — across ViewOf calls, clones and collections — and only
+// that long. Once nothing holds it, a collection frees it, the node keeps no
+// index, and the next ViewOf builds one that answers every line alike.
+func TestViewIndexHeldWeakly(t *testing.T) {
+	space := addr.MustRegular(4, 2)
+	members := make([]Member, space.Capacity())
+	for i := range members {
+		members[i] = Member{Addr: space.AddressAt(i), Sub: interest.NewSubscription().Where("b", interest.EqInt(int64(i%3)))}
+	}
+	tr, err := Build(Config{Space: space, R: 2}, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := make([]event.Event, 4)
+	for b := range evs {
+		evs[b] = event.NewBuilder().Int("b", int64(b)).Build(event.ID{Origin: "weak", Seq: uint64(b)})
+	}
+	answers := func(x *interest.Index) string {
+		hits := make([]uint64, x.Blocks())
+		out := ""
+		for _, ev := range evs {
+			x.Probe(ev, hits, nil)
+			for li := range tr.root.children {
+				out += fmt.Sprint(x.Hit(hits, li))
+			}
+			out += "|"
+		}
+		return out
+	}
+	// held runs in a frame of its own, so nothing it held outlives it.
+	held := func() string {
+		v := tr.ViewOf(addr.Root(), 1)
+		runtime.GC()
+		if again := tr.ViewOf(addr.Root(), 1); again.Index != v.Index {
+			t.Error("a held view's index was built again")
+		}
+		if cloned := tr.Clone().ViewOf(addr.Root(), 1); cloned.Index != v.Index {
+			t.Error("a clone of the store built its own index of a held view")
+		}
+		return answers(v.Index)
+	}
+	want := held()
+	runtime.GC()
+	tr.store.mu.Lock()
+	kept := tr.root.index.Value()
+	tr.store.mu.Unlock()
+	if kept != nil {
+		t.Error("the node still holds its view's index after every view was dropped")
+	}
+	if got := answers(tr.ViewOf(addr.Root(), 1).Index); got != want {
+		t.Errorf("the rebuilt index answers %s, the first %s", got, want)
 	}
 }
 
@@ -419,8 +482,8 @@ func TestFoldHitCostIndependentOfSummarySize(t *testing.T) {
 // instant both compute it, but only one result is kept — the loser adopts
 // the resident summary and its identity and counts a hit — so Recomputes is
 // the number of distinct folds inserted and repeats exactly run to run. The
-// same holds one table over: however many trees compile a language at once,
-// they all end up holding one matcher for it.
+// same holds one table over: however many trees name a language at once,
+// they all end up holding one name for it.
 func TestFoldCacheRaceCountsOnce(t *testing.T) {
 	space := addr.MustRegular(4, 3)
 	first, err := New(Config{Space: space, R: 2})
@@ -454,8 +517,8 @@ func TestFoldCacheRaceCountsOnce(t *testing.T) {
 	if got[0].summary != got[1].summary || got[0].summary.Identity() == 0 {
 		t.Error("the racing trees did not end up sharing one identified summary")
 	}
-	if got[0].lang != got[1].lang || got[0].lang.id == 0 {
-		t.Error("the racing trees did not end up sharing one named matcher")
+	if got[0].lang != got[1].lang || got[0].lang == 0 {
+		t.Error("the racing trees did not end up sharing one language name")
 	}
 
 	// And at large: eight clones fold the same population concurrently; the
@@ -486,7 +549,7 @@ func TestFoldCacheRaceCountsOnce(t *testing.T) {
 	}
 	done.Wait()
 	var recomputes, folds uint64
-	matchers := make(map[string]*interest.CompiledMatcher)
+	names := make(map[string]uint64)
 	for _, tr := range clones {
 		fs := tr.FoldStats()
 		recomputes += fs.Recomputes
@@ -497,10 +560,10 @@ func TestFoldCacheRaceCountsOnce(t *testing.T) {
 				return
 			}
 			fp := n.summary.Fingerprint()
-			if m, ok := matchers[fp]; ok && m != n.lang.compiled {
-				t.Errorf("language %q is held as two matchers", fp)
+			if id, ok := names[fp]; ok && id != n.lang {
+				t.Errorf("language %q is held under two names", fp)
 			}
-			matchers[fp] = n.lang.compiled
+			names[fp] = n.lang
 			for _, child := range n.children {
 				walk(child)
 			}

@@ -86,7 +86,9 @@ func classSubs(n int) []interest.Subscription {
 // membership — by whatever order and batching of edits, on whatever
 // goroutine — hold the same root, pointer for pointer, and a clone that
 // applies a change some other tree of the store already digested finds every
-// node built: its ApplyDelta allocates nothing.
+// node built: its ApplyDelta allocates nothing. The clones read views as
+// they go, so nodes they share build their view indexes concurrently; the
+// converged clones, each holding its root view, hold one index.
 func TestClonesConvergeOnOneTrie(t *testing.T) {
 	space := addr.MustRegular(4, 3)
 	subs := classSubs(5)
@@ -113,6 +115,7 @@ func TestClonesConvergeOnOneTrie(t *testing.T) {
 		edits = append(edits, Delta{Remove: []addr.Address{members[i].Addr}})
 	}
 	clones := make([]*Tree, 8)
+	rootViews := make([]*View, len(clones))
 	var wg sync.WaitGroup
 	for k := range clones {
 		clones[k] = base.Clone()
@@ -132,13 +135,19 @@ func TestClonesConvergeOnOneTrie(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				tr.ViewOf(addr.Root(), 1)
+				tr.ViewAt(members[0].Addr, 2)
 			}
+			rootViews[k] = tr.ViewOf(addr.Root(), 1)
 		}(clones[k], 1+k) // batches of 1, 2, … 8 edits
 	}
 	wg.Wait()
 	for k, tr := range clones[1:] {
 		if tr.root != clones[0].root {
 			t.Errorf("clone %d reached the same %d members through another order and holds another root", k+1, tr.Len())
+		}
+		if rootViews[k+1].Index != rootViews[0].Index {
+			t.Errorf("clone %d holds the converged root's view with an index of its own", k+1)
 		}
 	}
 	if base.root == clones[0].root || base.Len() != 40 {

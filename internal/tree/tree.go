@@ -13,6 +13,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"pmcast/internal/addr"
 	"pmcast/internal/event"
@@ -102,14 +103,16 @@ type Config struct {
 }
 
 // node is one populated prefix of the trie: a subgroup with its delegates,
-// process count (‖prefix‖, Eq. 4), regrouped interest summary and the
-// summary's compiled form. A node is a pure function of what lies beneath it
+// process count (‖prefix‖, Eq. 4), regrouped interest summary and the name of
+// the summary's language. A node is a pure function of what lies beneath it
 // — every process of a subgroup derives the same one from the same
 // membership (Section 2.3) — so it is immutable once built and interned in
 // the store its tree shares with its clones: a leaf under (address,
 // subscription identity), an interior node under its children's ids. Trees
 // that agree on a subtree hold the same node; a tree moves by swapping in
-// the nodes of the root paths a change touched.
+// the nodes of the root paths a change touched. The one field that is not
+// immutable is a cache: the index of the view over an interior node's
+// children, built on the first ViewOf and held weakly (see viewIndex).
 type node struct {
 	// id names the node in its parent's store key. Minted when the node is
 	// interned and never given to another, so a node the store has swept
@@ -123,14 +126,19 @@ type node struct {
 	delegates []addr.Address
 	count     int
 	summary   *interest.Summary
-	// lang is the summary's compiled matcher, interned in the store so
-	// identical subtree interests share one form under one name.
-	lang lang
+	// lang names the summary's language (see store.lang): equal names, equal
+	// matched events.
+	lang uint64
 	// viewGen names what a view built over this prefix exposes: the interned
 	// identity of the children's view signature (see appendViewLine). Most
 	// folds under skewed subscription flux re-derive identical lines, and an
 	// unmoved viewGen keeps per-event profile caches warm across them.
 	viewGen uint64
+	// index is the view's index while some TreeView holds it, guarded by the
+	// store's mutex. Weak, because the store keeps every node it interned:
+	// under subscription flux most are stale, and a strong index on each
+	// would pin memory no process reads.
+	index weak.Pointer[interest.Index]
 }
 
 // Tree is the compound spanning tree over a concrete member population.
@@ -146,10 +154,10 @@ type Tree struct {
 	// agreed subtree once, not 64k times.
 	root *node
 	// store is shared by clones: trie nodes, view signatures, summary
-	// regroupings and compiled languages, each computed by the first tree
-	// that needs it and looked up by the rest — a harness fleet folding the
-	// same roster compiles each distinct interest language once per process
-	// population, not once per node.
+	// regroupings and language names, each computed by the first tree that
+	// needs it and looked up by the rest — a harness fleet folding the same
+	// roster regroups each distinct subtree once per process population, not
+	// once per node.
 	store *store
 	// foldRecomputes and foldHits count, per node this tree's changes
 	// touched, whether the tree computed its regrouping or was served — the
@@ -161,7 +169,7 @@ type Tree struct {
 
 // FoldStats is a snapshot of the fold layer: this tree's own regrouping
 // counters plus the occupancy of the shared store behind it. The cache and
-// compiler fields describe a store possibly shared with clones — fleet
+// language fields describe a store possibly shared with clones — fleet
 // aggregation must dedupe them by CacheID, not sum them per tree.
 type FoldStats struct {
 	// Recomputes counts summary regroupings this tree computed (fold-cache
@@ -174,8 +182,8 @@ type FoldStats struct {
 	CacheID        uint64
 	CacheEntries   int
 	CacheEvictions uint64
-	// CompilerEntries/Evictions mirror the above for the store's compiled
-	// languages.
+	// CompilerEntries/Evictions mirror the above for the store's language
+	// names.
 	CompilerEntries   int
 	CompilerEvictions uint64
 }
@@ -187,24 +195,14 @@ func (t *Tree) FoldStats() FoldStats {
 	return fs
 }
 
-// lang is one interned language: the compiled matcher of every summary with
-// the same sorted-disjunct fingerprint, and the name the store minted for it.
-// Equal ids mean equal matched languages; a language compiled again after a
-// sweep is named afresh, which only costs a spurious view generation — the
-// safe direction.
-type lang struct {
-	compiled *interest.CompiledMatcher
-	id       uint64
-}
-
 // foldEntry is one memoized regrouping result: the merged summary (treated
-// immutable, like everything a node holds) and its compiled form. The
+// immutable, like everything a node holds) and its language's name. The
 // summary carries the identity the cache minted for its content
 // (interest.Summary.Identity) — the key material for folds that consume it
 // one level up.
 type foldEntry struct {
 	summary *interest.Summary
-	lang    lang
+	lang    uint64
 }
 
 // foldKey names a fold by its inputs, fixed-width per input: a leaf fold by
@@ -283,11 +281,15 @@ func (g *gens[K, V]) get(k K, bound int) (V, bool) {
 // store is what a tree shares with its clones: the regrouping memo,
 // the table that gives every summary its identity (keyed by the summary's
 // OrderedFingerprint, so equal content — reached through whatever fold — is
-// named alike and keys the same folds one level up), the compiled languages
+// named alike and keys the same folds one level up), the language names
 // (keyed by the summary's Fingerprint, which sorts: accumulation order does
 // not change what is matched), the interned trie nodes and the interned view
 // signatures. Safe for concurrent use: trees cloned across live nodes rebuild
 // on their own goroutines.
+//
+// The store retains no matcher. A view's index is built from the summaries
+// when a process first reads the view, and lives on the node only as long as
+// some process holds it (node.index).
 //
 // Every table is bounded by generational sweep (see gens). A dropped entry
 // only costs a recompute if its key recurs; correctness never depends on a
@@ -301,7 +303,7 @@ type store struct {
 	bound int
 	folds gens[foldKey, foldEntry]
 	ids   gens[string, uint64]
-	langs gens[string, lang]
+	langs gens[string, uint64]
 	nodes gens[nodeKey, *node]
 	views gens[string, uint64]
 }
@@ -351,26 +353,49 @@ func (st *store) putFold(leaf interest.Identity, kids []byte, e foldEntry) (_ fo
 	return e, false
 }
 
-// lang returns the interned compiled form of the summary's language,
-// compiling it when the store holds none.
-func (st *store) lang(s *interest.Summary) lang {
+// lang returns the name of the summary's language, minting one when the
+// store holds none. View signatures name a line's language by it, and a
+// view's index lets lines of one name share bits. Equal names mean equal
+// matched languages; a language named again after a sweep gets a new name,
+// which only costs a spurious view generation — the safe direction.
+func (st *store) lang(s *interest.Summary) uint64 {
 	fp := s.Fingerprint()
 	st.mu.Lock()
-	l, ok := st.langs.get(fp, st.bound)
-	st.mu.Unlock()
-	if ok {
-		return l
+	defer st.mu.Unlock()
+	id, ok := st.langs.get(fp, st.bound)
+	if !ok {
+		id = identities.Add(1)
+		st.langs.put(fp, id, st.bound)
 	}
-	// Compile outside the lock: a summary may be arbitrarily large. Of two
-	// racing compiles of one language the second adopts the first's entry.
-	m := interest.CompileSummary(s)
+	return id
+}
+
+// viewIndex returns the index of the view over n's children, building it
+// when no live view holds one. The build runs outside the lock; of two racing
+// builds the second adopts the first's index, so every holder of the view
+// shares one.
+func (st *store) viewIndex(n *node) *interest.Index {
+	st.mu.Lock()
+	x := n.index.Value()
+	st.mu.Unlock()
+	if x != nil {
+		return x
+	}
+	sums := make([]*interest.Summary, 0, len(n.children))
+	langs := make([]uint64, 0, len(n.children))
+	for _, child := range n.children {
+		if child != nil {
+			sums, langs = append(sums, child.summary), append(langs, child.lang)
+		}
+	}
+	built := interest.NewIndex(sums, langs)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if l, ok = st.langs.get(fp, st.bound); !ok {
-		l = lang{compiled: m, id: identities.Add(1)}
-		st.langs.put(fp, l, st.bound)
+	if x = n.index.Value(); x == nil {
+		x = built
+		n.index = weak.Make(x)
 	}
-	return l
+	return x
 }
 
 // node returns the interned node of the key (see nodeKey), nil when the
@@ -779,7 +804,7 @@ func (t *Tree) interior(kids []*node, length int) *node {
 func (t *Tree) appendViewLine(sig []byte, digit int, child *node) []byte {
 	sig = binary.AppendUvarint(sig, uint64(digit))
 	sig = binary.AppendUvarint(sig, uint64(child.count))
-	sig = binary.AppendUvarint(sig, child.lang.id)
+	sig = binary.AppendUvarint(sig, child.lang)
 	sig = binary.AppendUvarint(sig, uint64(len(child.delegates)))
 	for _, d := range child.delegates {
 		sig = binary.AppendUvarint(sig, uint64(t.cfg.Space.Index(d)))
@@ -866,7 +891,7 @@ func matchReach(n *node, ev event.Event) int {
 	if n.member != nil {
 		return 1 // entry was gated by the parent prefix's summary
 	}
-	if !n.lang.compiled.Matches(ev) {
+	if !n.summary.Matches(ev) {
 		return 0
 	}
 	total := 0

@@ -23,9 +23,8 @@ type Line struct {
 	Delegates []addr.Address
 	// Summary is the regrouped interest of every process in the subgroup.
 	Summary *interest.Summary
-	// Compiled is the summary's compiled matcher — the indexed form the
-	// runtime evaluates. Views built by Tree always carry it; hand-built
-	// views may leave it nil, in which case adapters compile on demand.
+	// Compiled is the line's handle on the view's Index: it answers for this
+	// line alone. Views built by Tree always carry it.
 	Compiled *interest.CompiledMatcher
 	// Count is the total number of processes in the subgroup (‖·‖, Eq. 4),
 	// used by the round-estimation heuristics (Section 2.3, "Process count").
@@ -56,6 +55,10 @@ type View struct {
 	// is what lets per-event susceptibility caches survive a process
 	// rebuild.
 	Gen uint64
+	// Index answers an event for every line in one probe, line i being
+	// Lines[i]. Views built by Tree share it with every other holder of the
+	// view; hand-built views may leave it nil.
+	Index *interest.Index
 }
 
 // NumLines returns |view[i]|: the number of populated subgroups (table rows).
@@ -153,7 +156,7 @@ func (t *Tree) ViewOf(p addr.Prefix, depth int) *View {
 		return nil
 	}
 	leaf := depth == t.Depth()
-	v := &View{Prefix: p, Depth: depth, R: t.cfg.R, LeafLevel: leaf, Gen: n.viewGen}
+	v := &View{Prefix: p, Depth: depth, R: t.cfg.R, LeafLevel: leaf, Gen: n.viewGen, Index: t.store.viewIndex(n)}
 	v.Lines = make([]Line, 0, len(n.children))
 	for digit, child := range n.children {
 		if child == nil {
@@ -165,7 +168,7 @@ func (t *Tree) ViewOf(p addr.Prefix, depth int) *View {
 			Infix:     digit,
 			Delegates: dels,
 			Summary:   child.summary,
-			Compiled:  child.lang.compiled,
+			Compiled:  v.Index.Line(len(v.Lines)),
 			Count:     child.count,
 		})
 	}

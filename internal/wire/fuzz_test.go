@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"pmcast/internal/addr"
+	"pmcast/internal/binenc"
 	"pmcast/internal/clock"
 	"pmcast/internal/core"
 	"pmcast/internal/event"
@@ -195,15 +196,20 @@ func FuzzWireRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzCompiledMatchParity holds the compiled matching engine to its oracle
-// under adversarial inputs: arbitrary byte pairs decode into a subscription
-// and an event (through the same codecs the wire path uses), and whatever
-// decodes must match identically through the interpretive path and the
-// compiled one — as a bare subscription, as a regrouped summary, and as an
-// interned compiled form. The seed corpus is the wire fuzz corpus: every
-// event the captured mini-fleet gossiped (extracted from its frames) paired
-// with every subscription shape the fleet used, plus the summaries its
-// membership traffic carried.
+// FuzzCompiledMatchParity holds the matching engine's index to its oracle
+// under adversarial inputs: arbitrary bytes decode into a subscription, an
+// event and a view (through the same codecs the wire path uses), and
+// whatever decodes must match identically through the interpretive path and
+// the index — as a bare subscription, as a regrouped summary, and, in the
+// view arm, as the lines of one view: 2–6 summaries decoded from the third
+// input as sent (any bound, any number of disjuncts, unsatisfiable ones and
+// a match-all flag beside disjuncts included), plus a duplicate of the first
+// under its language name, a match-all line and an empty one. Lines of equal
+// fingerprint share a name, as in the tree's store. Every line's answer from
+// one probe, and from its handle, must be Summary.Matches. The seed corpus is
+// the wire fuzz corpus: every event the captured mini-fleet gossiped
+// (extracted from its frames) paired with every subscription shape the
+// fleet used, and a view of the summaries of three of them.
 func FuzzCompiledMatchParity(f *testing.F) {
 	var evSeeds [][]byte
 	var subSeeds [][]byte
@@ -256,12 +262,19 @@ func FuzzCompiledMatchParity(f *testing.F) {
 	if len(subSeeds) == 0 || len(evSeeds) == 0 {
 		f.Fatal("corpus capture yielded no subscription/event seeds")
 	}
-	for _, sb := range subSeeds {
+	for i, sb := range subSeeds {
+		var view []byte
+		for k := 0; k < 3; k++ {
+			var sub interest.Subscription
+			if err := sub.UnmarshalBinary(subSeeds[(i+k)%len(subSeeds)]); err == nil {
+				view = interest.AppendSummary(view, interest.Summarize(sub))
+			}
+		}
 		for _, eb := range evSeeds {
-			f.Add(sb, eb)
+			f.Add(sb, eb, view)
 		}
 	}
-	f.Fuzz(func(t *testing.T, subBytes, evBytes []byte) {
+	f.Fuzz(func(t *testing.T, subBytes, evBytes, viewBytes []byte) {
 		var sub interest.Subscription
 		if err := sub.UnmarshalBinary(subBytes); err != nil {
 			return // malformed subscription: nothing to compare
@@ -278,6 +291,39 @@ func FuzzCompiledMatchParity(f *testing.F) {
 		sumWant := sum.Matches(ev)
 		if got := interest.CompileSummary(sum).Matches(ev); got != sumWant {
 			t.Fatalf("compiled summary diverges: compiled=%v naive=%v\nsummary: %s\nevent: %s", got, sumWant, sum, ev)
+		}
+
+		var lines []*interest.Summary
+		for r := binenc.NewReader(viewBytes); r.Len() > 0 && len(lines) < 6; {
+			s := interest.ReadSummary(r)
+			if r.Err() != nil {
+				break
+			}
+			lines = append(lines, s)
+		}
+		if len(lines) < 2 {
+			return
+		}
+		lines = append(lines, lines[0].Clone(), interest.Summarize(interest.NewSubscription()), interest.NewSummary())
+		langs, names := make([]uint64, len(lines)), make(map[string]uint64)
+		for i, s := range lines {
+			fp := s.Fingerprint()
+			if names[fp] == 0 {
+				names[fp] = uint64(len(names) + 1)
+			}
+			langs[i] = names[fp]
+		}
+		x := interest.NewIndex(lines, langs)
+		hits := make([]uint64, x.Blocks())
+		x.Probe(ev, hits, nil)
+		for i, s := range lines {
+			want := s.Matches(ev)
+			if got := x.Hit(hits, i); got != want {
+				t.Fatalf("view line %d diverges: probe=%v naive=%v\nsummary: %s\nevent: %s", i, got, want, s, ev)
+			}
+			if got := x.Line(i).Matches(ev); got != want {
+				t.Fatalf("view line %d diverges: handle=%v naive=%v\nsummary: %s\nevent: %s", i, got, want, s, ev)
+			}
 		}
 	})
 }
