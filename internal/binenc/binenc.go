@@ -248,20 +248,31 @@ func (r *Reader) Bool() bool {
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
-	n := r.Uvarint()
+	raw := r.StringBytes()
 	if r.err != nil {
 		return ""
 	}
-	if uint64(r.Len()) < n {
-		r.fail(ErrTooLong)
-		return ""
-	}
-	raw := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
 	if r.intern != nil {
 		return r.intern.Intern(raw)
 	}
 	return string(raw)
+}
+
+// StringBytes reads a length-prefixed string as a slice aliasing the buffer:
+// it fails where String fails, and neither copies nor interns. A scan that
+// only validates or skips a string uses it.
+func (r *Reader) StringBytes() []byte {
+	n := r.Uvarint()
+	if r.err != nil {
+		return nil
+	}
+	if uint64(r.Len()) < n {
+		r.fail(ErrTooLong)
+		return nil
+	}
+	raw := r.buf[r.off : r.off+int(n)]
+	r.off += int(n)
+	return raw
 }
 
 // Bytes reads a length-prefixed byte slice (copied).

@@ -19,6 +19,7 @@ func TestScalarRoundTrips(t *testing.T) {
 		buf = AppendString(buf, s)
 		buf = AppendBool(buf, b)
 		buf = AppendBytes(buf, []byte(s))
+		buf = AppendString(buf, s)
 
 		r := NewReader(buf)
 		if got := r.Uvarint(); got != u {
@@ -37,6 +38,9 @@ func TestScalarRoundTrips(t *testing.T) {
 			return false
 		}
 		if got := r.Bytes(); string(got) != s {
+			return false
+		}
+		if got := r.StringBytes(); string(got) != s {
 			return false
 		}
 		return r.Err() == nil && r.Len() == 0
@@ -66,6 +70,7 @@ func TestShortBufferErrors(t *testing.T) {
 		{"float", func(r *Reader) { r.Float() }},
 		{"bool", func(r *Reader) { r.Bool() }},
 		{"string", func(r *Reader) { _ = r.String() }},
+		{"string bytes", func(r *Reader) { r.StringBytes() }},
 		{"bytes", func(r *Reader) { r.Bytes() }},
 	}
 	for _, tt := range tests {
@@ -102,6 +107,9 @@ func TestLengthPrefixValidation(t *testing.T) {
 	r := NewReader(buf)
 	if got := r.String(); got != "" || r.Err() == nil {
 		t.Error("oversized string length accepted")
+	}
+	if got := NewReader(buf).StringBytes(); got != nil {
+		t.Error("oversized string length read as bytes")
 	}
 	r2 := NewReader(buf)
 	if n := r2.Count(8); n != 0 || r2.Err() == nil {

@@ -582,6 +582,13 @@ func (p *Process) Deliveries() []event.Event {
 // HasSeen reports whether the process ever received or multicast the event.
 func (p *Process) HasSeen(id event.ID) bool { return p.seen.has(id) }
 
+// HasSeenBytes is HasSeen for an ID read off a frame and not yet built: the
+// origin's bytes and the sequence number. It does not allocate, so a receiver
+// pays for building an event only when the event is new.
+func (p *Process) HasSeenBytes(origin []byte, seq uint64) bool {
+	return p.seen.hasBytes(origin, seq)
+}
+
 // SeenOccupancy reports what the seen-set keeps for one origin: the words of
 // its sequence-number bitmap (at most 64) and the 64-number chunks held
 // beyond it. Both are 0 for an origin never seen.

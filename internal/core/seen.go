@@ -46,6 +46,20 @@ func (s *seenSet) has(id event.ID) bool {
 	return w != nil && w.has(id.Seq)
 }
 
+// hasBytes is has for an ID whose origin is still the bytes of a received
+// frame. Neither lookup allocates: the compiler reads string(origin) in a
+// comparison or a map index in place. A hit does not move the cache, whose
+// key is a string: round envelopes interleave many origins, and a
+// udp_broadcast profile with a refreshable cache (the origin's string kept
+// in every window) still spent most of this lookup in the map.
+func (s *seenSet) hasBytes(origin []byte, seq uint64) bool {
+	w := s.last
+	if w == nil || s.lastOrigin != string(origin) {
+		w = s.origins[string(origin)]
+	}
+	return w != nil && w.has(seq)
+}
+
 // add puts id in the set and reports whether it was new.
 func (s *seenSet) add(id event.ID) bool {
 	return s.window(id.Origin, true).add(id.Seq)

@@ -57,6 +57,14 @@ func TestSeenWindowStaysSmall(t *testing.T) {
 	if s.has(event.ID{Origin: "late", Seq: 9_001}) || s.has(event.ID{Origin: "never", Seq: 1}) {
 		t.Error("an unseen ID reads as seen")
 	}
+	late, never := []byte("late"), []byte("never")
+	if allocs := testing.AllocsPerRun(100, func() {
+		if !s.hasBytes(late, 9_000) || s.hasBytes(late, 9_001) || s.hasBytes(never, 1) {
+			t.Fatal("hasBytes disagrees with has")
+		}
+	}); allocs != 0 {
+		t.Errorf("hasBytes: %.1f allocations, want 0", allocs)
+	}
 
 	s.reset()
 	if s.has(event.ID{Origin: "in-order", Seq: 1}) || s.window("in-order", false) != nil {
@@ -95,6 +103,8 @@ func FuzzSeenWindowAgainstMap(f *testing.F) {
 				ref[id] = struct{}{}
 			} else if got := s.has(id); got != want {
 				t.Fatalf("has(%v) = %v, map %v", id, got, want)
+			} else if got := s.hasBytes([]byte(id.Origin), id.Seq); got != want {
+				t.Fatalf("hasBytes(%v) = %v, map %v", id, got, want)
 			}
 		}
 		for ; len(data) >= 2; data = data[2:] {
@@ -127,7 +137,7 @@ func FuzzSeenWindowAgainstMap(f *testing.F) {
 			}
 		}
 		for id := range ref {
-			if !s.has(id) {
+			if !s.has(id) || !s.hasBytes([]byte(id.Origin), id.Seq) {
 				t.Fatalf("%v was added and reads as unseen", id)
 			}
 		}

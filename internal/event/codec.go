@@ -38,11 +38,34 @@ func ReadValue(r *binenc.Reader) Value {
 	case 0:
 		return Value{}
 	default:
-		// An unknown kind has no payload length this decoder could skip, so
-		// the rest of the input is unreadable.
-		r.Fail(fmt.Errorf("event: unknown value kind %d", kind))
+		failKind(r, kind)
 		return Value{}
 	}
+}
+
+// skipValue consumes a value as ReadValue reads it, failing where ReadValue
+// fails, without building it.
+func skipValue(r *binenc.Reader) {
+	switch kind := Kind(r.Byte()); kind {
+	case KindInt:
+		r.Varint()
+	case KindFloat:
+		r.Float()
+	case KindString:
+		r.StringBytes()
+	case KindBool:
+		r.Bool()
+	case 0:
+	default:
+		failKind(r, kind)
+	}
+}
+
+// failKind poisons r on a value kind it does not know: an unknown kind has no
+// payload length a decoder could skip, so the rest of the input is
+// unreadable.
+func failKind(r *binenc.Reader, kind Kind) {
+	r.Fail(fmt.Errorf("event: unknown value kind %d", kind))
 }
 
 // AppendID appends an event identifier.
@@ -146,6 +169,25 @@ func ReadEvent(r *binenc.Reader) Event {
 	}
 	rp.id, rp.attrs = id, attrs
 	return rp.seal()
+}
+
+// ScanEvent validates an event written by AppendEvent without building it:
+// it fails on exactly the inputs ReadEvent fails on, consumes the same bytes,
+// and returns the event's origin, aliasing r's buffer, and its sequence
+// number. It neither allocates nor interns, so a receiver can ask its
+// seen-set about an event before paying to build it.
+func ScanEvent(r *binenc.Reader) (origin []byte, seq uint64) {
+	origin = r.StringBytes()
+	seq = r.Uvarint()
+	n := r.Count(2)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		r.StringBytes()
+		skipValue(r)
+	}
+	if r.Err() != nil {
+		return nil, 0
+	}
+	return origin, seq
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.

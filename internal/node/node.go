@@ -117,7 +117,10 @@ type Config struct {
 	// A full ingress queue applies backpressure to the transport, whose
 	// inbox overflows by dropping — UDP socket-buffer semantics. A full
 	// egress queue drops the send job and counts it in EngineStats: the
-	// protocol stage never blocks on a slow fabric.
+	// protocol stage never blocks on a slow fabric. Start preallocates both
+	// queues: 64 bytes per slot on a 64-bit host (a 40-byte protocol-queue
+	// element and a 24-byte egress job), so 64 KB per node at the default
+	// and 256 KB at 4 096.
 	StageQueue int
 	// Seed seeds the node RNG (0 derives one from the address).
 	Seed int64
@@ -190,7 +193,10 @@ type Node struct {
 	cfg Config
 	ep  transport.Endpoint
 	mem *membership.Service
-	dec *wire.Decoder // serial/step-mode decoder for deferred-decode fabrics
+	// dec is the protocol stage's decoder: it unframes deferred-decode
+	// payloads on the serial and step-mode paths, and builds the unseen
+	// gossip sections of every frame, whoever unframed it.
+	dec *wire.Decoder
 
 	// mu guards the protocol state below. While the engine runs, the
 	// protocol stage is the state's single writer, so the lock is
@@ -593,13 +599,15 @@ func (n *Node) applyPublish(ev event.Event) error {
 // decodeRaw unframes a deferred-decode payload in place with the given
 // decoder, releasing the pooled frame and counting failures. It reports
 // whether the envelope is usable — shared by the ingress workers (worker
-// decoders) and the serial/step path (the node's own decoder).
+// decoders) and the serial/step path (the node's own decoder). A round
+// envelope's gossip sections are validated here but built only on the
+// protocol stage, and only when the seen-set lacks them (handleGossipBatch).
 func (n *Node) decodeRaw(dec *wire.Decoder, env *transport.Envelope) bool {
 	raw, ok := env.Payload.(transport.Raw)
 	if !ok {
 		return true
 	}
-	payload, err := dec.Decode(raw.Frame)
+	payload, err := dec.DecodeLazy(raw.Frame)
 	raw.Release()
 	if err != nil {
 		n.malformed.Add(1)
@@ -626,9 +634,11 @@ func (n *Node) handle(env transport.Envelope, h *heard) {
 	switch msg := env.Payload.(type) {
 	case core.Gossip:
 		// A round envelope of one gossip travels bare (tickGossip).
-		n.handleRound(env.From, wire.Batch{Gossips: []core.Gossip{msg}})
+		n.handleRound(env.From, wire.Batch{Gossips: []core.Gossip{msg}}, nil)
 	case wire.Batch:
-		n.handleRound(env.From, msg)
+		n.handleRound(env.From, msg, nil)
+	case wire.Round:
+		n.handleRound(env.From, msg.Batch, msg.Sections)
 	case membership.Digest:
 		n.handleDigest(env.From, msg)
 	case membership.Update:
@@ -650,11 +660,23 @@ func (n *Node) handle(env transport.Envelope, h *heard) {
 	}
 }
 
-// handleRound processes one round envelope — the same value on every fabric —
-// in the batch's canonical order: gossips, repairs, update, digest, heartbeat
-// (liveness only, recorded by the pump).
-func (n *Node) handleRound(from addr.Address, b wire.Batch) {
-	n.handleGossipBatch(b.Gossips)
+// handleRound processes one round envelope in the batch's canonical order:
+// gossips, repairs, update, digest, heartbeat (liveness only, recorded by the
+// pump). Its gossips come typed in b (the in-memory fabric) or as the
+// sections of a frame in ss (a byte fabric); the other is empty.
+func (n *Node) handleRound(from addr.Address, b wire.Batch, ss []wire.Section) {
+	if n.fasm != nil && len(ss) > 0 {
+		// The assembler observes every arrival's canonical bytes, duplicates
+		// included, so a coding node builds every section.
+		b.Gossips = make([]core.Gossip, 0, len(ss))
+		for i := range ss {
+			if g, ok := n.buildSection(&ss[i]); ok {
+				b.Gossips = append(b.Gossips, g)
+			}
+		}
+		ss = nil
+	}
+	n.handleGossipBatch(b.Gossips, ss)
 	if n.fasm != nil {
 		// Feed the coding layer the canonical bytes of what arrived, so any
 		// pending generation listing an event can count it as a source symbol,
@@ -704,17 +726,33 @@ func (n *Node) handleDigest(from addr.Address, d membership.Digest) {
 // handleGossipBatch is the one way a gossip enters the protocol: a round
 // envelope's gossip section (a revived recovery is a section of one), under
 // one lock acquisition and one staleness check — the receive-side half of the
-// batched pipeline.
-func (n *Node) handleGossipBatch(gs []core.Gossip) {
-	if len(gs) == 0 {
+// batched pipeline. The gossips come typed (gs) or as scanned sections of a
+// frame (ss), in order. A section is built only when the seen-set lacks its
+// ID: at the redundancy a reliable epidemic needs, almost every arrival is a
+// duplicate, and a duplicate then costs its ID.
+func (n *Node) handleGossipBatch(gs []core.Gossip, ss []wire.Section) {
+	count := len(gs) + len(ss)
+	if count == 0 {
 		return
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	rebuilt := false
-	for _, g := range gs {
-		if n.proc.HasSeen(g.Event.ID()) {
-			continue
+	for i := 0; i < count; i++ {
+		var g core.Gossip
+		if i < len(gs) {
+			if g = gs[i]; n.proc.HasSeen(g.Event.ID()) {
+				continue
+			}
+		} else {
+			s := &ss[i-len(gs)]
+			if n.proc.HasSeenBytes(s.Origin, s.Seq) {
+				continue
+			}
+			var ok bool
+			if g, ok = n.buildSection(s); !ok {
+				continue
+			}
 		}
 		if !rebuilt {
 			if err := n.rebuildIfStaleLocked(); err != nil {
@@ -725,6 +763,18 @@ func (n *Node) handleGossipBatch(gs []core.Gossip) {
 		n.proc.Receive(g)
 	}
 	n.drainDeliveriesLocked()
+}
+
+// buildSection builds the gossip one scanned section carries. It runs on the
+// protocol stage, whose decoder's intern table is its own. The scan already
+// validated the body, so building cannot fail on a section DecodeLazy
+// returned.
+func (n *Node) buildSection(s *wire.Section) (core.Gossip, bool) {
+	ev, err := n.dec.Event(s.Body)
+	if err != nil {
+		return core.Gossip{}, false
+	}
+	return core.Gossip{Event: ev, Depth: s.Depth, Rate: s.Rate, Round: s.Round}, true
 }
 
 // observeSourceFEC hands one arrived gossip's canonical event bytes to the
@@ -805,7 +855,7 @@ func (n *Node) reviveRecoveredFEC() {
 			keep = append(keep, rv)
 			continue
 		}
-		n.handleGossipBatch([]core.Gossip{rv.g})
+		n.handleGossipBatch([]core.Gossip{rv.g}, nil)
 	}
 	n.fecRevive = keep
 	// Drop the processed tail so retained event references can be collected.

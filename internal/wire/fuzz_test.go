@@ -9,6 +9,7 @@ package wire_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"pmcast/internal/addr"
@@ -367,4 +368,125 @@ func FuzzBatchDecode(f *testing.F) {
 			t.Fatalf("split lost gossips: %d of %d", total, len(b.Gossips))
 		}
 	})
+}
+
+// FuzzScanAgreesWithRead holds the lazy receive path to the eager one. On
+// arbitrary bytes read as one event, event.ScanEvent accepts exactly what
+// event.ReadEvent accepts, consumes the same bytes and reads the same ID. On
+// the same bytes read as a frame, DecodeLazy accepts exactly what Decode
+// accepts; building every section yields Decode's gossips, and the rest of
+// the round is Decode's batch. The seeds are captured traffic plus events a
+// foreign or broken encoder writes: an unknown value kind, a truncated
+// string, attribute names out of order and one named twice.
+func FuzzScanAgreesWithRead(f *testing.F) {
+	for _, frame := range captureCorpus(f) {
+		f.Add(frame)
+	}
+	gossipKind := mustEncode(f, core.Gossip{})[0]
+	batchKind := mustEncode(f, wire.Batch{})[0]
+	for _, body := range [][]byte{
+		foreignEvent(attrBytes("x", 9, 1, 2)),                                                         // an unknown value kind
+		foreignEvent(attrBytes("e", byte(event.KindString), 5, 'a', 'b')),                             // a string cut short
+		foreignEvent(attrBytes("e", byte(event.KindInt), 4), attrBytes("a", byte(event.KindBool), 1)), // out of order
+		foreignEvent(attrBytes("e", byte(event.KindInt), 4), attrBytes("a", byte(event.KindBool), 1),
+			attrBytes("e", byte(event.KindFloat), 0, 0, 0, 0, 0, 0, 0xf8, 0x7f)), // "e" twice, the last a NaN
+	} {
+		f.Add(body)
+		section := binenc.AppendUvarint(body, 2)      // depth
+		section = binenc.AppendFloat(section, 0.5)    // rate
+		section = binenc.AppendUvarint(section, 3)    // round
+		f.Add(append([]byte{gossipKind}, section...)) // a bare gossip frame
+		batch := append([]byte{batchKind, 0, 2}, byte(len(section)))
+		batch = append(append(batch, section...), byte(len(section)))
+		f.Add(append(batch, section...)) // a batch frame of two copies
+	}
+	dec, lazy := wire.NewDecoder(), wire.NewDecoder()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		read, scan := binenc.NewReader(data), binenc.NewReader(data)
+		ev := event.ReadEvent(read)
+		origin, seq := event.ScanEvent(scan)
+		if (read.Err() == nil) != (scan.Err() == nil) || read.Len() != scan.Len() {
+			t.Fatalf("ReadEvent: %v, %d bytes left; ScanEvent: %v, %d bytes left", read.Err(), read.Len(), scan.Err(), scan.Len())
+		}
+		if read.Err() == nil && (string(origin) != ev.ID().Origin || seq != ev.ID().Seq) {
+			t.Fatalf("ScanEvent read %q#%d, ReadEvent %v", origin, seq, ev.ID())
+		}
+
+		want, err := dec.Decode(data)
+		got, lazyErr := lazy.DecodeLazy(data)
+		if (err == nil) != (lazyErr == nil) {
+			t.Fatalf("Decode: %v; DecodeLazy: %v", err, lazyErr)
+		}
+		if err != nil {
+			return
+		}
+		rd, ok := got.(wire.Round)
+		if !ok {
+			if !bytes.Equal(mustEncode(t, got), mustEncode(t, want)) {
+				t.Fatalf("DecodeLazy returned %+v, Decode %+v", got, want)
+			}
+			return
+		}
+		var batch wire.Batch
+		switch m := want.(type) {
+		case core.Gossip:
+			batch.Gossips = []core.Gossip{m}
+		case wire.Batch:
+			batch = m
+		default:
+			t.Fatalf("DecodeLazy returned a round for a %T", want)
+		}
+		built := make([]core.Gossip, 0, len(rd.Sections))
+		for _, s := range rd.Sections {
+			ev, err := lazy.Event(s.Body)
+			if err != nil {
+				t.Fatalf("a scanned section does not build: %v", err)
+			}
+			if string(s.Origin) != ev.ID().Origin || s.Seq != ev.ID().Seq {
+				t.Fatalf("section reads %q#%d, builds %v", s.Origin, s.Seq, ev.ID())
+			}
+			built = append(built, core.Gossip{Event: ev, Depth: s.Depth, Rate: s.Rate, Round: s.Round})
+		}
+		// DeepEqual holds NaN unequal to itself; the bits must still agree.
+		if !reflect.DeepEqual(built, batch.Gossips) &&
+			!bytes.Equal(mustEncode(t, wire.Batch{Gossips: built}), mustEncode(t, wire.Batch{Gossips: batch.Gossips})) {
+			t.Fatalf("sections build\n%+v\nDecode read\n%+v", built, batch.Gossips)
+		}
+		for i := range built {
+			if event.WireSize(built[i].Event) != event.WireSize(batch.Gossips[i].Event) {
+				t.Fatalf("section %d builds an event of size %d, Decode's is %d", i, event.WireSize(built[i].Event), event.WireSize(batch.Gossips[i].Event))
+			}
+		}
+		batch.Gossips = nil
+		if !bytes.Equal(mustEncode(t, rd.Batch), mustEncode(t, batch)) {
+			t.Fatalf("the round's other parts %+v, Decode's %+v", rd.Batch, batch)
+		}
+	})
+}
+
+// mustEncode frames one message.
+func mustEncode(tb testing.TB, msg any) []byte {
+	tb.Helper()
+	data, err := wire.Encode(msg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// foreignEvent writes an event body by hand, attribute by attribute, as an
+// encoder other than event.AppendEvent might.
+func foreignEvent(attrs ...[]byte) []byte {
+	b := event.AppendID(nil, event.ID{Origin: "0.1", Seq: 7})
+	b = binenc.AppendUvarint(b, uint64(len(attrs)))
+	for _, a := range attrs {
+		b = append(b, a...)
+	}
+	return b
+}
+
+// attrBytes is one attribute's wire form: its name, then a value's kind byte
+// and payload as given.
+func attrBytes(name string, kind byte, payload ...byte) []byte {
+	return append(append(binenc.AppendString(nil, name), kind), payload...)
 }

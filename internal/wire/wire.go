@@ -593,6 +593,95 @@ func (d *Decoder) Decode(data []byte) (any, error) {
 	return decodeFrom(&d.r, data[0])
 }
 
+// Section is one gossip section of a received frame, validated but not
+// built: the event's ID and bytes, and the round metadata the section
+// carried. Origin and Body alias the frame DecodeLazy copied.
+type Section struct {
+	Origin []byte
+	Seq    uint64
+	Body   []byte // the event's bytes as the frame carried them; Decoder.Event builds it
+	Depth  int
+	Rate   float64
+	Round  int
+}
+
+// Round is a round envelope as DecodeLazy returns it: the gossip sections
+// validated but not built, and the rest of the batch decoded as Decode
+// decodes it (Batch.Gossips is nil).
+type Round struct {
+	Sections []Section
+	Batch    Batch
+}
+
+// DecodeLazy unframes one message as Decode does, except that a round
+// envelope's gossip sections are scanned, not built: a batch frame, or a bare
+// gossip frame as a batch of one section, comes back as a Round. A receiver
+// that already holds most of what arrives then builds only the events it
+// lacks (Event). It rejects a frame on exactly the inputs Decode rejects,
+// and, like Decode, returns nothing that aliases data: a frame that can carry
+// sections is copied once, and the sections alias the copy.
+func (d *Decoder) DecodeLazy(data []byte) (any, error) {
+	if len(data) == 0 {
+		return nil, fmt.Errorf("%w: empty frame", ErrBadPayload)
+	}
+	kind := data[0]
+	if kind != kindGossip && kind != kindBatch {
+		return d.Decode(data)
+	}
+	frame := append([]byte(nil), data[1:]...)
+	d.r.Reset(frame)
+	d.r.SetIntern(d.intern)
+	if kind == kindGossip {
+		s := scanGossipBody(&d.r, frame)
+		if err := finish(&d.r); err != nil {
+			return nil, err
+		}
+		return Round{Sections: []Section{s}}, nil
+	}
+	rd, err := scanBatchBody(&d.r, frame)
+	if err != nil {
+		return nil, err
+	}
+	return rd, finish(&d.r)
+}
+
+// Event builds the event of one section's Body through the decoder's intern
+// table. A body DecodeLazy scanned always builds.
+func (d *Decoder) Event(body []byte) (event.Event, error) {
+	d.r.Reset(body)
+	d.r.SetIntern(d.intern)
+	ev := event.ReadEvent(&d.r)
+	if err := finish(&d.r); err != nil {
+		return event.Event{}, err
+	}
+	return ev, nil
+}
+
+// scanBatchBody is readBatchBody with the gossip sections scanned into a
+// Round instead of built; buf is the buffer r reads.
+func scanBatchBody(r *binenc.Reader, buf []byte) (Round, error) {
+	flags, n, err := readBatchHead(r)
+	if err != nil {
+		return Round{}, err
+	}
+	var rd Round
+	if n > 0 {
+		rd.Sections = make([]Section, 0, n)
+	}
+	for i := 0; i < n; i++ {
+		end, err := openSection(r)
+		if err != nil {
+			return Round{}, err
+		}
+		s := scanGossipBody(r, buf)
+		if err := closeSection(r, end); err != nil {
+			return Round{}, err
+		}
+		rd.Sections = append(rd.Sections, s)
+	}
+	return rd, readBatchTail(r, flags, &rd.Batch)
+}
+
 // Decode unframes a message encoded by Encode.
 func Decode(data []byte) (any, error) {
 	if len(data) == 0 {
@@ -641,34 +730,67 @@ func decodeFrom(r *binenc.Reader, kind byte) (any, error) {
 }
 
 func readBatchBody(r *binenc.Reader) (Batch, error) {
-	flags := r.Byte()
-	if flags&^batchFlagMask != 0 {
-		return Batch{}, fmt.Errorf("%w: unknown batch flags %#x", ErrBadPayload, flags)
+	flags, n, err := readBatchHead(r)
+	if err != nil {
+		return Batch{}, err
 	}
-	n := r.Count(2)
 	var b Batch
 	if n > 0 {
 		b.Gossips = make([]core.Gossip, 0, n)
 	}
 	for i := 0; i < n; i++ {
-		size := r.Uvarint()
-		before := r.Len()
-		if uint64(before) < size {
-			return Batch{}, fmt.Errorf("%w: gossip section overruns frame", ErrBadPayload)
+		end, err := openSection(r)
+		if err != nil {
+			return Batch{}, err
 		}
 		g := readGossipBody(r)
-		if err := r.Err(); err != nil {
-			return Batch{}, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		if consumed := before - r.Len(); uint64(consumed) != size {
-			return Batch{}, fmt.Errorf("%w: gossip section length %d, consumed %d", ErrBadPayload, size, consumed)
+		if err := closeSection(r, end); err != nil {
+			return Batch{}, err
 		}
 		b.Gossips = append(b.Gossips, g)
 	}
+	return b, readBatchTail(r, flags, &b)
+}
+
+// readBatchHead reads a batch's flags and gossip-section count.
+func readBatchHead(r *binenc.Reader) (flags byte, sections int, err error) {
+	flags = r.Byte()
+	if flags&^batchFlagMask != 0 {
+		return 0, 0, fmt.Errorf("%w: unknown batch flags %#x", ErrBadPayload, flags)
+	}
+	return flags, r.Count(2), nil
+}
+
+// openSection reads a gossip section's length prefix and returns the unread
+// length the reader must be left at when the section ends.
+func openSection(r *binenc.Reader) (end int, err error) {
+	size := r.Uvarint()
+	if uint64(r.Len()) < size {
+		return 0, fmt.Errorf("%w: gossip section overruns frame", ErrBadPayload)
+	}
+	return r.Len() - int(size), nil
+}
+
+// closeSection checks that a gossip section read cleanly and consumed
+// exactly its length prefix.
+func closeSection(r *binenc.Reader, end int) error {
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadPayload, err)
+	}
+	if r.Len() != end {
+		return fmt.Errorf("%w: gossip section ends %d bytes off its length prefix", ErrBadPayload, end-r.Len())
+	}
+	return nil
+}
+
+// readBatchTail reads what follows a batch's gossip sections — the repair
+// symbols and the piggybacked membership payloads its flags announce — into
+// b.
+func readBatchTail(r *binenc.Reader, flags byte, b *Batch) error {
 	if flags&batchHasFEC != 0 {
 		gens, err := readFECSection(r)
 		if err != nil {
-			return Batch{}, fmt.Errorf("%w: %v", ErrBadPayload, err)
+			return fmt.Errorf("%w: %v", ErrBadPayload, err)
 		}
 		b.FEC = gens
 	}
@@ -683,7 +805,7 @@ func readBatchBody(r *binenc.Reader) (Batch, error) {
 	if flags&batchHasHeartbeat != 0 {
 		b.Heartbeat = &membership.Heartbeat{}
 	}
-	return b, nil
+	return nil
 }
 
 func appendGossipBody(b []byte, g core.Gossip) []byte {
@@ -722,6 +844,19 @@ func readGossipBody(r *binenc.Reader) core.Gossip {
 		Rate:  r.Float(),
 		Round: int(r.Uvarint()),
 	}
+}
+
+// scanGossipBody is readGossipBody with the event scanned, not built; buf is
+// the buffer r reads, which the section's Origin and Body alias.
+func scanGossipBody(r *binenc.Reader, buf []byte) Section {
+	start := len(buf) - r.Len()
+	s := Section{}
+	s.Origin, s.Seq = event.ScanEvent(r)
+	s.Body = buf[start : len(buf)-r.Len()]
+	s.Depth = int(r.Uvarint())
+	s.Rate = r.Float()
+	s.Round = int(r.Uvarint())
+	return s
 }
 
 func appendDigestBody(b []byte, m membership.Digest) []byte {
