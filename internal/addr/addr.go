@@ -281,16 +281,6 @@ type Prefix struct {
 	key string
 }
 
-// Root returns the empty prefix (depth 1, the whole group).
-func Root() Prefix { return Prefix{} }
-
-// NewPrefix builds a prefix from digit components. The slice is copied.
-func NewPrefix(digits ...int) Prefix {
-	d := make([]int, len(digits))
-	copy(d, digits)
-	return Prefix{digits: d}
-}
-
 // Depth returns the subgroup depth the prefix denotes: len+1, so the root
 // prefix has depth 1.
 func (p Prefix) Depth() int { return len(p.digits) + 1 }

@@ -148,13 +148,13 @@ func TestPrefixAndDistance(t *testing.T) {
 	if !p.Contains(a) || !p.Contains(c) || p.Contains(b) {
 		t.Errorf("prefix containment wrong: %v %v %v", p.Contains(a), p.Contains(c), p.Contains(b))
 	}
-	if !a.Prefix(1).Equal(Root()) {
+	if !a.Prefix(1).Equal(Prefix{}) {
 		t.Errorf("Prefix(1) should be root")
 	}
 }
 
 func TestPrefixChildParent(t *testing.T) {
-	p := Root()
+	p := Prefix{}
 	p = p.Child(128)
 	p = p.Child(178)
 	if p.String() != "128.178" {
@@ -166,7 +166,7 @@ func TestPrefixChildParent(t *testing.T) {
 	if got := p.Parent().String(); got != "128" {
 		t.Fatalf("parent = %s, want 128", got)
 	}
-	if !Root().Parent().Equal(Root()) {
+	if root := (Prefix{}); !root.Parent().Equal(root) {
 		t.Fatal("parent of root should be root")
 	}
 	a := p.Address(73, 3)
@@ -275,7 +275,7 @@ func TestKeyUniqueness(t *testing.T) {
 		}
 		keys[k] = true
 	}
-	if Root().Key() != "" {
-		t.Errorf("root key = %q, want empty", Root().Key())
+	if key := (Prefix{}).Key(); key != "" {
+		t.Errorf("root key = %q, want empty", key)
 	}
 }

@@ -68,31 +68,6 @@ func NewChain(params FlatParams) (*Chain, error) {
 	return &Chain{params: params, q: 1 - params.InfectionProb()}, nil
 }
 
-// Params returns the chain parameters.
-func (c *Chain) Params() FlatParams { return c.params }
-
-// TransitionProb evaluates Eq. 9: the probability p_jk of moving from j
-// infected processes to k in one round,
-//
-//	p_jk = C(n−j, k−j) · (1 − q^j)^(k−j) · q^(j(n−k))
-//
-// — each of the n−j susceptibles is independently reached by at least one of
-// the j infected with probability 1−q^j.
-func (c *Chain) TransitionProb(j, k int) float64 {
-	n := c.params.N
-	if j < 0 || k < j || k > n {
-		return 0
-	}
-	if j == 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	pReach := 1 - math.Pow(c.q, float64(j)) // 1 − q^j
-	return binomialPMF(n-j, pReach, k-j)
-}
-
 // Step advances a distribution over infected counts by one gossip round.
 // dist[j] is P[s_t = j]; the result has the same length N+1. Unlike the
 // paper's Eq. 10 we do not truncate the source states at j ≥ k/(1+F): the
@@ -145,28 +120,4 @@ func (c *Chain) ExpectedInfected(s0, t int) float64 {
 		e += float64(k) * pk
 	}
 	return e
-}
-
-// DeliveryProbability returns the probability that one fixed interested
-// process is infected after t rounds: E[s_t]/N with the initially infected
-// process discounted (the origin counts itself). For reporting we use the
-// plain fraction E[s_t]/N, matching the paper's "expected fraction of
-// processes infected".
-func (c *Chain) DeliveryProbability(s0, t int) float64 {
-	if c.params.N == 0 {
-		return 0
-	}
-	return c.ExpectedInfected(s0, t) / float64(c.params.N)
-}
-
-// FlatReliability is the one-call convenience used by benchmarks: the
-// expected fraction of an n·p_d audience infected after the loss-adjusted
-// Pittel bound of rounds, starting from one infected process.
-func FlatReliability(params FlatParams, c float64) (float64, error) {
-	chain, err := NewChain(params)
-	if err != nil {
-		return 0, err
-	}
-	rounds := PittelLossAdjustedRounds(float64(params.N), params.F, c, params.Eps, params.Tau)
-	return chain.DeliveryProbability(1, rounds), nil
 }

@@ -154,15 +154,16 @@ func TestDeliveryProbability(t *testing.T) {
 	}
 }
 
+// TestFlatReliabilityConvenience: the expected fraction of a flat group
+// infected after the loss-adjusted Pittel bound of rounds, from one infected
+// process, is high.
 func TestFlatReliabilityConvenience(t *testing.T) {
-	got, err := FlatReliability(FlatParams{N: 100, F: 3, Eps: 0.05, Tau: 0.01}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got < 0.8 || got > 1 {
+	params := FlatParams{N: 100, F: 3, Eps: 0.05, Tau: 0.01}
+	rounds := PittelLossAdjustedRounds(float64(params.N), params.F, 0, params.Eps, params.Tau)
+	if got := mustChain(t, params).DeliveryProbability(1, rounds); got < 0.8 || got > 1 {
 		t.Errorf("flat reliability = %g", got)
 	}
-	if _, err := FlatReliability(FlatParams{N: -1, F: 3}, 0); err == nil {
+	if _, err := NewChain(FlatParams{N: -1, F: 3}); err == nil {
 		t.Error("invalid params accepted")
 	}
 }

@@ -36,16 +36,6 @@ func Pittel(n, f, c float64) float64 {
 	return max(t, 0)
 }
 
-// PittelRounds is Pittel rounded up to a whole number of rounds, the bound
-// used by the algorithm's gossip-buffer garbage collection (Figure 3 line 7).
-func PittelRounds(n, f, c float64) int {
-	t := Pittel(n, f, c)
-	if t <= 0 {
-		return 0
-	}
-	return int(math.Ceil(t))
-}
-
 // PittelLossAdjusted evaluates Eq. 11: Pittel's estimate with the effective
 // group size and fanout both discounted by message loss ε and crash
 // probability τ,

@@ -29,7 +29,7 @@ func TestPittelDegenerate(t *testing.T) {
 	if Pittel(100, -1, 0) != 0 {
 		t.Error("negative F cannot spread")
 	}
-	if PittelRounds(1, 2, 0) != 0 {
+	if PittelLossAdjustedRounds(1, 2, 0, 0, 0) != 0 {
 		t.Error("rounds for n=1 should be 0")
 	}
 }
@@ -83,7 +83,7 @@ func TestPittelNonMonotoneInRate(t *testing.T) {
 
 func TestPittelRoundsCeil(t *testing.T) {
 	raw := Pittel(1000, 2, 0)
-	got := PittelRounds(1000, 2, 0)
+	got := PittelLossAdjustedRounds(1000, 2, 0, 0, 0)
 	if got != int(math.Ceil(raw)) {
 		t.Errorf("rounds = %d, want ceil(%g)", got, raw)
 	}

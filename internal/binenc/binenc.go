@@ -70,12 +70,6 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// AppendBytes appends a length-prefixed byte slice.
-func AppendBytes(b []byte, p []byte) []byte {
-	b = AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
 // Interner deduplicates decoded strings across frames. Gossip streams repeat
 // the same small vocabulary endlessly — event origins, attribute names,
 // membership keys — and a decoder that allocates a fresh string for each
@@ -273,22 +267,6 @@ func (r *Reader) StringBytes() []byte {
 	raw := r.buf[r.off : r.off+int(n)]
 	r.off += int(n)
 	return raw
-}
-
-// Bytes reads a length-prefixed byte slice (copied).
-func (r *Reader) Bytes() []byte {
-	n := r.Uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if uint64(r.Len()) < n {
-		r.fail(ErrTooLong)
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:r.off+int(n)])
-	r.off += int(n)
-	return out
 }
 
 // Raw reads exactly n raw bytes with no length prefix (copied). Callers

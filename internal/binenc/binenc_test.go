@@ -18,7 +18,6 @@ func TestScalarRoundTrips(t *testing.T) {
 		buf = AppendFloat(buf, fl)
 		buf = AppendString(buf, s)
 		buf = AppendBool(buf, b)
-		buf = AppendBytes(buf, []byte(s))
 		buf = AppendString(buf, s)
 
 		r := NewReader(buf)
@@ -35,9 +34,6 @@ func TestScalarRoundTrips(t *testing.T) {
 			return false
 		}
 		if got := r.Bool(); got != b {
-			return false
-		}
-		if got := r.Bytes(); string(got) != s {
 			return false
 		}
 		if got := r.StringBytes(); string(got) != s {
@@ -71,7 +67,6 @@ func TestShortBufferErrors(t *testing.T) {
 		{"bool", func(r *Reader) { r.Bool() }},
 		{"string", func(r *Reader) { _ = r.String() }},
 		{"string bytes", func(r *Reader) { r.StringBytes() }},
-		{"bytes", func(r *Reader) { r.Bytes() }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

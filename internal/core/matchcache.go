@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"slices"
 	"time"
 
@@ -26,7 +25,7 @@ import (
 // without a table to evict from. Invalidation is by view generation: the
 // entry stamps its profile with the generation it was computed against,
 // generations advance exactly when a tree delta could have changed matching
-// (see tree.Tree.Generation) or when the simulator redraws its Bernoulli
+// (see tree.Tree.GenerationAt) or when the simulator redraws its Bernoulli
 // interests, so profiles handed across a rebuild (AdoptState) answer only
 // while generations still agree. The cache is therefore semantically
 // invisible — every answer is bit-for-bit what the uncached evaluation would
@@ -79,15 +78,6 @@ func (p *MatchProfile) SetRange(lo, hi int) {
 // Bit reports whether member i is susceptible.
 func (p *MatchProfile) Bit(i int) bool {
 	return p.Bits[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// Popcount returns the number of set bits.
-func (p *MatchProfile) Popcount() int {
-	n := 0
-	for _, w := range p.Bits {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // MatchStats are the matching engine's counters: matcher evaluations and

@@ -93,7 +93,7 @@ func TestProfileMatchesInterpretedView(t *testing.T) {
 	}
 	evs := rareEvents()
 	for _, rv := range rareViews() {
-		v := &tree.View{Prefix: addr.Root(), Depth: 1, Index: interest.NewIndex(rv.sums, rv.langs)}
+		v := &tree.View{Prefix: addr.Prefix{}, Depth: 1, Index: interest.NewIndex(rv.sums, rv.langs)}
 		for li, sum := range rv.sums {
 			v.Lines = append(v.Lines, tree.Line{Infix: li, Delegates: []addr.Address{addr.New(li, 0), addr.New(li, 1)}, Summary: sum})
 		}
@@ -243,7 +243,7 @@ func TestProfileAllocatesNothing(t *testing.T) {
 	tr, space := cacheTree(t)
 	self := space.AddressAt(5)
 	rv := rareViews()[0]
-	v := &tree.View{Prefix: addr.Root(), Depth: 1, Index: interest.NewIndex(rv.sums, rv.langs)}
+	v := &tree.View{Prefix: addr.Prefix{}, Depth: 1, Index: interest.NewIndex(rv.sums, rv.langs)}
 	for li, sum := range rv.sums {
 		v.Lines = append(v.Lines, tree.Line{Infix: li, Delegates: []addr.Address{addr.New(li, 0)}, Summary: sum})
 	}
@@ -560,8 +560,8 @@ func TestRebuildKeepsUnmovedViews(t *testing.T) {
 	if next.views[0] == old.views[0] {
 		t.Error("the depth-1 view survived a change of one of its lines")
 	}
-	if g := next.views[0].(*TreeView).Generation(); g != tr.Generation(addr.Root()) {
-		t.Errorf("depth-1 view carries generation %d, the tree reports %d", g, tr.Generation(addr.Root()))
+	if g := next.views[0].(*TreeView).Generation(); g != tr.GenerationAt(self, 1) {
+		t.Errorf("depth-1 view carries generation %d, the tree reports %d", g, tr.GenerationAt(self, 1))
 	}
 	for depth := 2; depth <= space.Depth(); depth++ {
 		if next.views[depth-1] != old.views[depth-1] {

@@ -218,12 +218,6 @@ func newState(d int) *state {
 	}
 }
 
-// Self returns the process address.
-func (p *Process) Self() addr.Address { return p.self }
-
-// Config returns the algorithm configuration.
-func (p *Process) Config() Config { return p.cfg }
-
 // Multicast implements PMCAST (Figure 3 line 24): the event enters the
 // process's root-depth buffer with the locally computed matching rate and a
 // fresh round counter. With LocalDescent enabled, depths where only the
@@ -608,9 +602,6 @@ func (p *Process) Pending() int {
 	}
 	return n
 }
-
-// Stats reports protocol counters: messages emitted and first receptions.
-func (p *Process) Stats() (sent, received int) { return p.sent, p.received }
 
 // Reset clears all protocol state (buffers, seen-set, deliveries, counters)
 // so the process can be reused across simulation runs without rebuilding

@@ -14,7 +14,6 @@
 package event
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -161,9 +160,6 @@ func (id ID) String() string { return id.Origin + "#" + strconv.FormatUint(id.Se
 
 // IsZero reports whether the ID is unset.
 func (id ID) IsZero() bool { return id.Origin == "" && id.Seq == 0 }
-
-// ErrNoAttribute is returned when an event lacks a requested attribute.
-var ErrNoAttribute = errors.New("event: no such attribute")
 
 // attr is one named attribute. Events store their attributes as a slice
 // sorted by name rather than a map: events carry a handful of attributes, a

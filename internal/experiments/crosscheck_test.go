@@ -68,7 +68,7 @@ func TestFlatChainTracksFlatSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := chain.ExpectedInfected(1, analysis.PittelRounds(n, f, 0)) / n
+	full := chain.ExpectedInfected(1, analysis.PittelLossAdjustedRounds(n, f, 0, 0, 0)) / n
 	if math.Abs(agg.Delivery.Mean()-full) > 0.12 {
 		t.Errorf("flat sim %g vs chain %g (after T rounds) diverge",
 			agg.Delivery.Mean(), full)

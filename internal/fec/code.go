@@ -54,12 +54,6 @@ func NewCode(k, r int) (*Code, error) {
 	return c, nil
 }
 
-// K returns the source-symbol count.
-func (c *Code) K() int { return c.k }
-
-// R returns the repair-symbol count.
-func (c *Code) R() int { return c.r }
-
 // vandermondeRepairRows computes B = V_bottom · V_top⁻¹ for the (k+r)×k
 // Vandermonde matrix V[i][j] = i^j over GF(2^8).
 func vandermondeRepairRows(k, r int) [][]byte {

@@ -99,12 +99,6 @@ func NewEncoder(k, r int) *Encoder {
 	return &Encoder{k: k, r: r, codes: make(map[int]*Code), keys: make(map[string]*openGen)}
 }
 
-// K returns the configured generation size.
-func (e *Encoder) K() int { return e.k }
-
-// R returns the configured repair count.
-func (e *Encoder) R() int { return e.r }
-
 // Add accumulates one round envelope's gossips into the key's open
 // generation and returns every generation that should ride this envelope:
 // replica copies owed from earlier flushes toward this subtree, an aged

@@ -21,7 +21,7 @@ func randSymbols(rng *rand.Rand, k, symLen int) [][]byte {
 
 func encodeAll(t *testing.T, c *Code, src [][]byte, symLen int) [][]byte {
 	t.Helper()
-	repairs := make([][]byte, c.R())
+	repairs := make([][]byte, c.r)
 	for i := range repairs {
 		repairs[i] = make([]byte, symLen)
 	}

@@ -163,9 +163,8 @@ type EventReport struct {
 // ClassReport aggregates per-event outcomes over one popularity bucket of a
 // skewed workload (see Scenario.ClassBucketOf).
 type ClassReport struct {
-	Bucket int    `json:"bucket"`
-	Label  string `json:"label,omitempty"`
-	Events int    `json:"events"`
+	Bucket int `json:"bucket"`
+	Events int `json:"events"`
 	// Audienced counts the bucket's events with a nonzero eligible
 	// audience — the denominator of the reliability figures. Deep-tail
 	// topics can draw zero subscribers; such events have no reliability
@@ -443,9 +442,6 @@ func (r *run) spawn(i int, sub interest.Subscription) (*handle, error) {
 		R:                  r.sc.Fleet.R,
 		F:                  r.sc.Fleet.F,
 		C:                  r.sc.Fleet.C,
-		Threshold:          r.sc.Fleet.Threshold,
-		LocalDescent:       r.sc.Fleet.LocalDescent,
-		LeafFloodRate:      r.sc.Fleet.LeafFloodRate,
 		Subscription:       sub,
 		GossipInterval:     r.sc.Fleet.GossipInterval,
 		MembershipInterval: r.sc.Fleet.MembershipInterval,
@@ -962,9 +958,6 @@ func (r *run) finish(wallStart time.Time) {
 			continue
 		}
 		cr := ClassReport{Bucket: b, Events: ba.events, Audienced: ba.relEvents}
-		if b < len(r.sc.BucketLabels) {
-			cr.Label = r.sc.BucketLabels[b]
-		}
 		if ba.relEvents > 0 {
 			cr.MeanReliability = ba.relSum / float64(ba.relEvents)
 			cr.MinReliability = ba.relMin

@@ -50,11 +50,6 @@ type Fleet struct {
 	// constant.
 	R, F int
 	C    float64
-	// Threshold, LocalDescent and LeafFloodRate enable the Section 5.3/3.2/6
-	// extensions.
-	Threshold     int
-	LocalDescent  bool
-	LeafFloodRate float64
 	// GossipInterval, MembershipInterval, MembershipFanout, SuspectAfter and
 	// SuspicionSweeps drive the periodic tasks (all in virtual time).
 	GossipInterval     time.Duration
@@ -131,9 +126,6 @@ type Scenario struct {
 	// and return values in [0, NumClassBuckets).
 	ClassBucketOf   func(class int64) int
 	NumClassBuckets int
-	// BucketLabels optionally names the buckets in the report (index =
-	// bucket).
-	BucketLabels []string
 	// MeasureSummaryFPR maintains a shadow membership tree mirroring the
 	// fleet's churn and flux, and scores every published event against it:
 	// reach through the summary hierarchy vs. truly interested members. The
@@ -211,12 +203,6 @@ func (s *Scenario) CrashAt(at time.Duration, count int) *Scenario {
 // RejoinAt schedules a rejoin wave of count previously crashed nodes.
 func (s *Scenario) RejoinAt(at time.Duration, count int) *Scenario {
 	s.Ops = append(s.Ops, Op{At: at, Kind: OpRejoin, Count: count})
-	return s
-}
-
-// JoinAt schedules count fresh joiners.
-func (s *Scenario) JoinAt(at time.Duration, count int) *Scenario {
-	s.Ops = append(s.Ops, Op{At: at, Kind: OpJoin, Count: count})
 	return s
 }
 

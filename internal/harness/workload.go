@@ -186,14 +186,3 @@ func (w *ZipfWorkload) ClassBucketOf(class int64) int {
 
 // NumClassBuckets is the bucket count ClassBucketOf can return.
 func (w *ZipfWorkload) NumClassBuckets() int { return bits.Len(uint(w.Topics)) }
-
-// TotalSubscriptions sums the fleet's subscription count (topics per node,
-// wave 0) without building anything — the campaign-scale invariant the
-// zipf1m acceptance test checks (≥1M).
-func (w *ZipfWorkload) TotalSubscriptions(nodes int, space addr.Space) int {
-	total := 0
-	for i := 0; i < nodes; i++ {
-		total += len(w.topicsFor(i, space.AddressAt(i).Digit(1), 0))
-	}
-	return total
-}

@@ -175,8 +175,8 @@ func TestZipf1MCampaign(t *testing.T) {
 	}
 	for _, cr := range rep.ClassReliability {
 		if cr.Audienced > 0 && cr.MeanReliability < 0.999 {
-			t.Errorf("popularity bucket %d (%s): reliability %.4f < 0.999",
-				cr.Bucket, cr.Label, cr.MeanReliability)
+			t.Errorf("popularity bucket %d: reliability %.4f < 0.999",
+				cr.Bucket, cr.MeanReliability)
 		}
 	}
 }

@@ -34,12 +34,6 @@ type MatchCounter struct {
 	Comparisons uint64
 }
 
-// Add accumulates another counter into c.
-func (c *MatchCounter) Add(d MatchCounter) {
-	c.Evals += d.Evals
-	c.Comparisons += d.Comparisons
-}
-
 // Index is the attribute-major matcher of a set of lines. Every disjunct of
 // every line is one bit, 64 to a block; a line's disjuncts hold consecutive
 // bits, and lines of one language share one run of them. Per block, and per

@@ -19,11 +19,6 @@ type Interval struct {
 	LoOpen, HiOpen bool
 }
 
-// FullInterval returns the interval covering all reals.
-func FullInterval() Interval {
-	return Interval{Lo: math.Inf(-1), Hi: math.Inf(1), LoOpen: true, HiOpen: true}
-}
-
 // PointInterval returns the degenerate interval {x}.
 func PointInterval(x float64) Interval { return Interval{Lo: x, Hi: x} }
 

@@ -291,9 +291,6 @@ func New(cfg Config, selfSub interest.Subscription) (*Service, error) {
 	return NewWithRoster(cfg, newRoster([]Record{{Addr: cfg.Self, Sub: selfSub, Stamp: 1, Alive: true}}))
 }
 
-// Self returns the owning address.
-func (s *Service) Self() addr.Address { return s.cfg.Self }
-
 // Version increases on every effective record change; the node rebuilds its
 // tree views when it observes a new version.
 func (s *Service) Version() uint64 {
@@ -894,14 +891,4 @@ func (s *Service) VisitRecords(fn func(Record)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.visitLocked(func(_ string, r *Record) { fn(*r) })
-}
-
-// Lookup returns the record for an address.
-func (s *Service) Lookup(a addr.Address) (Record, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if r, _, ok := s.peekLocked(a.Key()); ok {
-		return *r, true
-	}
-	return Record{}, false
 }

@@ -77,9 +77,6 @@ func newRoster(sorted []Record) *Roster {
 	return r
 }
 
-// Len returns the number of roster lines.
-func (r *Roster) Len() int { return len(r.Records) }
-
 // prefixRange returns the half-open index range [lo, hi) of roster records
 // whose addresses carry the prefix. Records are address-sorted, so the
 // range is contiguous and found by binary search.

@@ -71,7 +71,7 @@ func wireDecoded(tb testing.TB, msg any) any {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	payload, err := wire.Decode(frame)
+	payload, err := wire.NewDecoder().Decode(frame)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -228,8 +228,8 @@ func TestFoldAcrossRebaseMatchesBuild(t *testing.T) {
 	}
 }
 
-// renderTree lists a tree's members and, for every prefix on their paths,
-// its count, delegates and summary fingerprint.
+// renderTree lists a tree's members and, for every view on their paths, each
+// line's count, delegates and summary fingerprint.
 func renderTree(tr *tree.Tree, space addr.Space) string {
 	out := ""
 	for i := 0; i < space.Capacity(); i++ {
@@ -240,8 +240,9 @@ func renderTree(tr *tree.Tree, space addr.Space) string {
 		}
 		out += fmt.Sprintf("%s %v\n", a, m.Sub.Identity())
 		for depth := 1; depth <= space.Depth(); depth++ {
-			p := a.Prefix(depth)
-			out += fmt.Sprintf("  %s count=%d delegates=%v summary=%s\n", p, tr.Count(p), tr.Delegates(p), tr.Summary(p).OrderedFingerprint())
+			for _, l := range tr.ViewAt(a, depth).Lines {
+				out += fmt.Sprintf("  %s/%d count=%d delegates=%v summary=%s\n", a.Prefix(depth), l.Infix, l.Count, l.Delegates, l.Summary.OrderedFingerprint())
+			}
 		}
 	}
 	return out
@@ -270,7 +271,7 @@ func FuzzHostileMembershipKeepsDelivering(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		payload, err := wire.Decode(frame)
+		payload, err := wire.NewDecoder().Decode(frame)
 		if err != nil {
 			return
 		}

@@ -164,7 +164,7 @@ func TestCorruptDuplicateDropsFrame(t *testing.T) {
 		t.Fatal("cannot find the sections' attributes in the frame")
 	}
 	frame[at+2] = 9
-	if _, err := wire.Decode(frame); err == nil {
+	if _, err := wire.NewDecoder().Decode(frame); err == nil {
 		t.Fatal("the eager decoder accepts the corrupt frame")
 	}
 	n.HandleEnvelope(transport.Envelope{From: sender, To: n.Addr(), Payload: transport.Raw{Frame: frame}})

@@ -45,11 +45,8 @@ import (
 	"pmcast/internal/wire"
 )
 
-// Errors reported by the runtime.
-var (
-	ErrStopped    = errors.New("node: stopped")
-	ErrNotStarted = errors.New("node: not started")
-)
+// ErrStopped is reported by a node that has been stopped.
+var ErrStopped = errors.New("node: stopped")
 
 // Config parameterizes a node.
 type Config struct {

@@ -49,19 +49,3 @@ func (a *Accumulator) StdErr() float64 {
 // CI95 returns the half-width of the normal-approximation 95% confidence
 // interval around the mean.
 func (a *Accumulator) CI95() float64 { return 1.96 * a.StdErr() }
-
-// Merge folds another accumulator into this one (parallel aggregation).
-func (a *Accumulator) Merge(b Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = b
-		return
-	}
-	n := float64(a.n + b.n)
-	delta := b.mean - a.mean
-	a.m2 += b.m2 + delta*delta*float64(a.n)*float64(b.n)/n
-	a.mean += delta * float64(b.n) / n
-	a.n += b.n
-}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestAccumulatorBasics(t *testing.T) {
@@ -42,58 +41,6 @@ func TestSingleObservation(t *testing.T) {
 	a.Add(3.5)
 	if a.Mean() != 3.5 || a.Variance() != 0 {
 		t.Errorf("single obs: mean %g var %g", a.Mean(), a.Variance())
-	}
-}
-
-func TestMergeEqualsSequential(t *testing.T) {
-	f := func(xs []float64, split uint8) bool {
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e6 {
-				return true // skip pathological inputs
-			}
-		}
-		var whole Accumulator
-		for _, x := range xs {
-			whole.Add(x)
-		}
-		k := 0
-		if len(xs) > 0 {
-			k = int(split) % (len(xs) + 1)
-		}
-		var left, right Accumulator
-		for _, x := range xs[:k] {
-			left.Add(x)
-		}
-		for _, x := range xs[k:] {
-			right.Add(x)
-		}
-		left.Merge(right)
-		if left.N() != whole.N() {
-			return false
-		}
-		if whole.N() == 0 {
-			return true
-		}
-		return math.Abs(left.Mean()-whole.Mean()) < 1e-6 &&
-			math.Abs(left.Variance()-whole.Variance()) < 1e-4*(1+whole.Variance())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMergeIntoEmpty(t *testing.T) {
-	var a, b Accumulator
-	b.Add(1)
-	b.Add(3)
-	a.Merge(b)
-	if a.N() != 2 || a.Mean() != 2 {
-		t.Errorf("merge into empty: n=%d mean=%g", a.N(), a.Mean())
-	}
-	var c Accumulator
-	a.Merge(c) // merging empty is a no-op
-	if a.N() != 2 {
-		t.Error("merging empty changed state")
 	}
 }
 

@@ -137,7 +137,7 @@ func TestSiblingLanguagesShareOneMatcher(t *testing.T) {
 		return mc.Evals
 	}
 	a := build(s1, s2, s2, s1)
-	v := a.ViewOf(addr.Root(), 1)
+	v := a.ViewOf(addr.Prefix{}, 1)
 	if v.Lines[0].Summary.OrderedFingerprint() == v.Lines[1].Summary.OrderedFingerprint() {
 		t.Fatal("the siblings regrouped to one summary: the test does not exercise language naming")
 	}
@@ -148,13 +148,13 @@ func TestSiblingLanguagesShareOneMatcher(t *testing.T) {
 	if swapped.root == a.root {
 		t.Fatal("the swapped tree is the same trie: the test does not exercise the view signature")
 	}
-	if g, w := swapped.Generation(addr.Root()), a.Generation(addr.Root()); g != w {
+	if g, w := swapped.Generation(addr.Prefix{}), a.Generation(addr.Prefix{}); g != w {
 		t.Errorf("same lines from differently ordered members: generation %d, want %d", g, w)
 	}
-	if other.Generation(addr.Root()) == a.Generation(addr.Root()) {
+	if other.Generation(addr.Prefix{}) == a.Generation(addr.Prefix{}) {
 		t.Error("a subgroup of another language left the view generation unmoved")
 	}
-	if n := languages(other.ViewOf(addr.Root(), 1)); n != 2 {
+	if n := languages(other.ViewOf(addr.Prefix{}, 1)); n != 2 {
 		t.Errorf("subgroups of two languages hold %d sets of bits, want 2", n)
 	}
 }
@@ -191,12 +191,12 @@ func TestViewIndexHeldWeakly(t *testing.T) {
 	}
 	// held runs in a frame of its own, so nothing it held outlives it.
 	held := func() string {
-		v := tr.ViewOf(addr.Root(), 1)
+		v := tr.ViewOf(addr.Prefix{}, 1)
 		runtime.GC()
-		if again := tr.ViewOf(addr.Root(), 1); again.Index != v.Index {
+		if again := tr.ViewOf(addr.Prefix{}, 1); again.Index != v.Index {
 			t.Error("a held view's index was built again")
 		}
-		if cloned := tr.Clone().ViewOf(addr.Root(), 1); cloned.Index != v.Index {
+		if cloned := tr.Clone().ViewOf(addr.Prefix{}, 1); cloned.Index != v.Index {
 			t.Error("a clone of the store built its own index of a held view")
 		}
 		return answers(v.Index)
@@ -209,7 +209,7 @@ func TestViewIndexHeldWeakly(t *testing.T) {
 	if kept != nil {
 		t.Error("the node still holds its view's index after every view was dropped")
 	}
-	if got := answers(tr.ViewOf(addr.Root(), 1).Index); got != want {
+	if got := answers(tr.ViewOf(addr.Prefix{}, 1).Index); got != want {
 		t.Errorf("the rebuilt index answers %s, the first %s", got, want)
 	}
 }
@@ -322,11 +322,11 @@ func TestFoldIdentitiesExactUnderSweeps(t *testing.T) {
 			for idx, sub := range model {
 				members = append(members, Member{Addr: space.AddressAt(idx), Sub: sub})
 			}
-			ref, err := Build(Config{Space: space, R: tr.R()}, members)
+			ref, err := Build(Config{Space: space, R: tr.cfg.R}, members)
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareTries(t, tr, ref, addr.Root(), space)
+			compareTries(t, tr, ref, addr.Prefix{}, space)
 			// The step changed one tree: every tree — the two it shares trie
 			// nodes with included — must still answer from its own model.
 			for i := range trees {

@@ -39,7 +39,7 @@ func viewsOf(tr *Tree) []renderedView {
 			walk(p.Child(l.Infix))
 		}
 	}
-	walk(addr.Root())
+	walk(addr.Prefix{})
 	return out
 }
 
@@ -135,10 +135,10 @@ func TestClonesConvergeOnOneTrie(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				tr.ViewOf(addr.Root(), 1)
+				tr.ViewOf(addr.Prefix{}, 1)
 				tr.ViewAt(members[0].Addr, 2)
 			}
-			rootViews[k] = tr.ViewOf(addr.Root(), 1)
+			rootViews[k] = tr.ViewOf(addr.Prefix{}, 1)
 		}(clones[k], 1+k) // batches of 1, 2, … 8 edits
 	}
 	wg.Wait()
@@ -317,7 +317,7 @@ func FuzzApplyDeltaMatchesBuild(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkMembers(t, tr, model, space)
-		compareTries(t, tr, ref, addr.Root(), space)
+		compareTries(t, tr, ref, addr.Prefix{}, space)
 		if got, want := renderViews(tr, false), renderViews(ref, false); got != want {
 			t.Errorf("views:\n%s\nfrom scratch:\n%s", got, want)
 		}

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pmcast/internal/addr"
@@ -41,7 +42,7 @@ func TestTreeInvariants(t *testing.T) {
 		if tr.Len() != len(members) {
 			t.Fatalf("trial %d: len %d != %d", trial, tr.Len(), len(members))
 		}
-		checkSubtree(t, tr, addr.Root(), members, rr)
+		checkSubtree(t, tr, addr.Prefix{}, members, rr)
 
 		// Summary soundness at every member's every depth: if some member
 		// under a line matches the event, the line summary must match.
@@ -90,7 +91,7 @@ func checkSubtree(t *testing.T, tr *Tree, p addr.Prefix, members []Member, r int
 	}
 	// Smallest-address election: delegates are exactly the r smallest
 	// members of the subtree.
-	SortAddresses(inside)
+	slices.SortFunc(inside, addr.Address.Compare)
 	for i, d := range dels {
 		if !d.Equal(inside[i]) {
 			t.Fatalf("delegate %d of %s = %s, want %s", i, p, d, inside[i])
@@ -127,8 +128,8 @@ func TestAddRemoveRoundTrip(t *testing.T) {
 				t.Fatalf("len after %d removals = %d", k+1, tr.Len())
 			}
 		}
-		if tr.Count(addr.Root()) != 0 {
-			t.Fatalf("trial %d: root count %d after draining", trial, tr.Count(addr.Root()))
+		if tr.Count(addr.Prefix{}) != 0 {
+			t.Fatalf("trial %d: root count %d after draining", trial, tr.Count(addr.Prefix{}))
 		}
 		// The drained tree accepts everyone again.
 		for _, m := range members {
@@ -164,7 +165,7 @@ func TestIncrementalMatchesBulk(t *testing.T) {
 		for _, m := range members {
 			for depth := 1; depth <= space.Depth(); depth++ {
 				vb, vi := bulk.ViewAt(m.Addr, depth), incr.ViewAt(m.Addr, depth)
-				if vb.NumLines() != vi.NumLines() || vb.GroupSize() != vi.GroupSize() {
+				if len(vb.Lines) != len(vi.Lines) || vb.GroupSize() != vi.GroupSize() {
 					t.Fatalf("trial %d: view mismatch at %s depth %d", trial, m.Addr, depth)
 				}
 				for li := range vb.Lines {

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"weak"
@@ -34,59 +33,6 @@ type Member struct {
 	Sub  interest.Subscription
 }
 
-// ElectionStrategy chooses R delegates out of a candidate set. The choice
-// must be deterministic: every process of a subgroup computes the same set
-// without explicit agreement (paper Section 2.3, "Delegate selection").
-type ElectionStrategy interface {
-	// Elect returns min(r, len(candidates)) delegates. Candidates arrive
-	// sorted by address; the returned slice must be a (possibly reordered)
-	// subset.
-	Elect(candidates []addr.Address, r int) []addr.Address
-}
-
-// SmallestAddress elects the R smallest addresses — the paper's default.
-type SmallestAddress struct{}
-
-var _ ElectionStrategy = SmallestAddress{}
-
-// Elect implements ElectionStrategy.
-func (SmallestAddress) Elect(candidates []addr.Address, r int) []addr.Address {
-	if r > len(candidates) {
-		r = len(candidates)
-	}
-	out := make([]addr.Address, r)
-	copy(out, candidates[:r])
-	return out
-}
-
-// ScoredElection elects the R candidates with the highest score, breaking
-// ties by smallest address. It models the paper's suggested alternative
-// criteria (computing power, memory, nature of interests).
-type ScoredElection struct {
-	// Score maps an address to its fitness; higher is better. Must be
-	// deterministic across processes.
-	Score func(addr.Address) float64
-}
-
-var _ ElectionStrategy = ScoredElection{}
-
-// Elect implements ElectionStrategy.
-func (e ScoredElection) Elect(candidates []addr.Address, r int) []addr.Address {
-	if r > len(candidates) {
-		r = len(candidates)
-	}
-	ranked := make([]addr.Address, len(candidates))
-	copy(ranked, candidates)
-	sort.SliceStable(ranked, func(i, j int) bool {
-		si, sj := e.Score(ranked[i]), e.Score(ranked[j])
-		if si != sj {
-			return si > sj
-		}
-		return ranked[i].Less(ranked[j])
-	})
-	return ranked[:r]
-}
-
 // Config parameterizes tree construction.
 type Config struct {
 	// Space bounds addresses (depth d and arities).
@@ -94,8 +40,6 @@ type Config struct {
 	// R is the redundancy factor: delegates elected per subgroup. The paper
 	// recommends R > 1 (typically 3–4) for membership reliability.
 	R int
-	// Election selects delegates; nil means SmallestAddress.
-	Election ElectionStrategy
 	// foldCacheBound is test plumbing: in-package tests shrink the shared
 	// store's per-table bound to force sweeps. 0, what every caller outside
 	// the package gets, means DefaultFoldCacheBound.
@@ -146,8 +90,7 @@ type node struct {
 // rebuilds the affected root paths and swaps the root. Tree is not safe for
 // concurrent mutation; the membership layer serializes access.
 type Tree struct {
-	cfg      Config
-	election ElectionStrategy
+	cfg Config
 	// root is the trie, and the trie is the only member index: a member is
 	// the leaf its address descends to. Nodes are shared through the store,
 	// so a harness co-hosting 64k processes over one roster holds each
@@ -468,15 +411,10 @@ func New(cfg Config) (*Tree, error) {
 	if cfg.Space.Depth() == 0 {
 		return nil, fmt.Errorf("%w: zero space", ErrSpaceMismatch)
 	}
-	el := cfg.Election
-	if el == nil {
-		el = SmallestAddress{}
-	}
 	return &Tree{
-		cfg:      cfg,
-		election: el,
-		root:     &node{}, // no regrouping, so not interned
-		store:    newStore(cfg.foldCacheBound),
+		cfg:   cfg,
+		root:  &node{}, // no regrouping, so not interned
+		store: newStore(cfg.foldCacheBound),
 	}, nil
 }
 
@@ -524,19 +462,6 @@ func (t *Tree) lookupMember(a addr.Address) *Member {
 	return n.member
 }
 
-// visitMembers calls fn for every member under n in address order.
-func visitMembers(n *node, fn func(*Member)) {
-	if n.member != nil {
-		fn(n.member)
-		return
-	}
-	for _, child := range n.children {
-		if child != nil {
-			visitMembers(child, fn)
-		}
-	}
-}
-
 // Build constructs a tree over an initial member set: ApplyDelta on an empty
 // tree, which is what the live runtime does on its first membership snapshot.
 func Build(cfg Config, members []Member) (*Tree, error) {
@@ -553,12 +478,6 @@ func Build(cfg Config, members []Member) (*Tree, error) {
 // Depth returns the tree depth d.
 func (t *Tree) Depth() int { return t.cfg.Space.Depth() }
 
-// R returns the redundancy factor.
-func (t *Tree) R() int { return t.cfg.R }
-
-// Space returns the address space.
-func (t *Tree) Space() addr.Space { return t.cfg.Space }
-
 // Len returns the current number of members.
 func (t *Tree) Len() int { return t.root.count }
 
@@ -571,20 +490,13 @@ func (t *Tree) Member(a addr.Address) (Member, bool) {
 	return *m, true
 }
 
-// Members returns all members sorted by address.
-func (t *Tree) Members() []Member {
-	out := make([]Member, 0, t.Len())
-	visitMembers(t.root, func(m *Member) { out = append(out, *m) })
-	return out
-}
-
 // Clone returns an independent copy of the tree in O(1): a struct copy. The
-// trie is immutable and the store and election are shared, so the
-// two trees hold the same nodes until a change moves one of them — and meet
-// again, node for node, wherever their memberships agree. The point at fleet
-// scale: 64k co-hosted processes adopting one bootstrap fold hold ONE trie,
-// and a change they all digest builds each new node once. The clone meters
-// its own regrouping work from zero.
+// trie is immutable and the store is shared, so the two trees hold the same
+// nodes until a change moves one of them — and meet again, node for node,
+// wherever their memberships agree. The point at fleet scale: 64k co-hosted
+// processes adopting one bootstrap fold hold ONE trie, and a change they all
+// digest builds each new node once. The clone meters its own regrouping work
+// from zero.
 func (t *Tree) Clone() *Tree {
 	c := *t
 	c.foldRecomputes, c.foldHits = 0, 0
@@ -791,8 +703,10 @@ func (t *Tree) interior(kids []*node, length int) *node {
 	}
 	e := t.fold(interest.Identity{}, inputs, func(s *interest.Summary) { s.Merge(summaries...) })
 	n.summary, n.lang = e.summary, e.lang
+	// Delegate election (Section 2.3): the R smallest addresses, a rule every
+	// process of the subgroup computes alike without agreement.
 	slices.SortFunc(candidates, addr.Address.Compare)
-	n.delegates = t.election.Elect(candidates, t.cfg.R)
+	n.delegates = slices.Clone(candidates[:min(t.cfg.R, len(candidates))])
 	n.viewGen = t.store.viewGen(sig)
 	return t.store.intern("", interest.Identity{}, key, n)
 }
@@ -812,53 +726,13 @@ func (t *Tree) appendViewLine(sig []byte, digit int, child *node) []byte {
 	return sig
 }
 
-// Count returns ‖prefix‖, the number of processes in the subtree (Eq. 4).
-func (t *Tree) Count(p addr.Prefix) int {
-	n := t.lookup(p)
-	if n == nil {
-		return 0
-	}
-	return n.count
-}
-
-// Delegates returns the elected delegates representing the subtree at the
-// given prefix (the processes populating the parent node on its behalf).
-func (t *Tree) Delegates(p addr.Prefix) []addr.Address {
-	n := t.lookup(p)
-	if n == nil {
-		return nil
-	}
-	out := make([]addr.Address, len(n.delegates))
-	copy(out, n.delegates)
-	return out
-}
-
-// Summary returns the regrouped interest summary of the subtree.
-func (t *Tree) Summary(p addr.Prefix) *interest.Summary {
-	n := t.lookup(p)
-	if n == nil {
-		return nil
-	}
-	return n.summary
-}
-
-// Generation returns the view generation of the prefix node: the identity
-// its store gave to what a view built over this prefix exposes (its
-// subgroups' digits, delegates, counts and summary languages). Equal
-// generations guarantee the views match events identically, on every tree of
-// the store, and changes that re-derive identical lines — the common case
-// under skewed subscription flux — leave it unmoved. Unpopulated prefixes,
-// leaves and the root of a tree nothing was applied to report 0.
-func (t *Tree) Generation(p addr.Prefix) uint64 {
-	n := t.lookup(p)
-	if n == nil {
-		return 0
-	}
-	return n.viewGen
-}
-
-// GenerationAt is Generation(a.Prefix(depth)) — the generation of the view
-// a keeps for the depth — without building the prefix.
+// GenerationAt returns the generation of the view a keeps for the depth: the
+// identity its store gave to what the view exposes (its subgroups' digits,
+// delegates, counts and summary languages). Equal generations guarantee the
+// views match events identically, on every tree of the store, and changes
+// that re-derive identical lines — the common case under skewed subscription
+// flux — leave it unmoved. An unpopulated prefix, and the root of a tree
+// nothing was applied to, report 0.
 func (t *Tree) GenerationAt(a addr.Address, depth int) uint64 {
 	n := t.lookupPath(a, depth-1)
 	if n == nil {
@@ -899,38 +773,6 @@ func matchReach(n *node, ev event.Event) int {
 		total += matchReach(child, ev) // 0 for an unpopulated digit
 	}
 	return total
-}
-
-// IsDelegate reports whether process a represents its depth-i subtree, i.e.
-// appears in the group of depth i. Every process is trivially a "delegate"
-// at depth d (it appears in its leaf group).
-func (t *Tree) IsDelegate(a addr.Address, depth int) bool {
-	if depth == t.Depth() {
-		return t.lookupMember(a) != nil
-	}
-	// a represents its subtree rooted at prefix of length depth.
-	n := t.lookupPath(a, depth)
-	if n == nil {
-		return false
-	}
-	for _, d := range n.delegates {
-		if d.Equal(a) {
-			return true
-		}
-	}
-	return false
-}
-
-// TopDepth returns the smallest depth at which the process appears (1 if it
-// is a root delegate). Processes participate in gossiping from their top
-// depth down to depth d.
-func (t *Tree) TopDepth(a addr.Address) int {
-	for i := 1; i < t.Depth(); i++ {
-		if t.IsDelegate(a, i) {
-			return i
-		}
-	}
-	return t.Depth()
 }
 
 // KnownProcesses computes the total membership knowledge of a process

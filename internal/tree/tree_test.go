@@ -27,6 +27,15 @@ func fullTree(t *testing.T, a, d, r int) *Tree {
 	return tr
 }
 
+// prefix builds the prefix with the given digits.
+func prefix(digits ...int) addr.Prefix {
+	var p addr.Prefix
+	for _, d := range digits {
+		p = p.Child(d)
+	}
+	return p
+}
+
 func TestBuildValidation(t *testing.T) {
 	space := addr.MustRegular(3, 2)
 	if _, err := New(Config{Space: space, R: 0}); err == nil {
@@ -53,7 +62,7 @@ func TestBuildValidation(t *testing.T) {
 func TestSmallestAddressElection(t *testing.T) {
 	tr := fullTree(t, 3, 2, 2)
 	// Leaf subgroup 1.*: members 1.0,1.1,1.2 → delegates 1.0,1.1.
-	dels := tr.Delegates(addr.NewPrefix(1))
+	dels := tr.Delegates(prefix(1))
 	if len(dels) != 2 {
 		t.Fatalf("delegates = %v", dels)
 	}
@@ -62,38 +71,24 @@ func TestSmallestAddressElection(t *testing.T) {
 	}
 	// Root: candidates are delegates of 0.*,1.*,2.* → 0.0,0.1,1.0,1.1,2.0,2.1;
 	// the two smallest are 0.0 and 0.1.
-	rootDels := tr.Delegates(addr.Root())
+	rootDels := tr.Delegates(addr.Prefix{})
 	if rootDels[0].String() != "0.0" || rootDels[1].String() != "0.1" {
 		t.Errorf("root delegates = %v", rootDels)
 	}
 }
 
-func TestScoredElection(t *testing.T) {
-	space := addr.MustRegular(4, 1)
-	score := func(a addr.Address) float64 { return float64(a.Digit(1)) } // prefer big digits
-	tr, err := Build(Config{Space: space, R: 2, Election: ScoredElection{Score: score}},
-		[]Member{{Addr: addr.New(0)}, {Addr: addr.New(1)}, {Addr: addr.New(2)}, {Addr: addr.New(3)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dels := tr.Delegates(addr.Root())
-	if len(dels) != 2 || dels[0].Digit(1) != 3 || dels[1].Digit(1) != 2 {
-		t.Errorf("scored delegates = %v, want [3 2]", dels)
-	}
-}
-
 func TestCounts(t *testing.T) {
 	tr := fullTree(t, 3, 3, 2)
-	if got := tr.Count(addr.Root()); got != 27 {
+	if got := tr.Count(addr.Prefix{}); got != 27 {
 		t.Errorf("root count = %d", got)
 	}
-	if got := tr.Count(addr.NewPrefix(1)); got != 9 {
+	if got := tr.Count(prefix(1)); got != 9 {
 		t.Errorf("subtree count = %d", got)
 	}
-	if got := tr.Count(addr.NewPrefix(1, 2)); got != 3 {
+	if got := tr.Count(prefix(1, 2)); got != 3 {
 		t.Errorf("leaf group count = %d", got)
 	}
-	if got := tr.Count(addr.NewPrefix(2, 2, 2).Child(0)); got != 0 {
+	if got := tr.Count(prefix(2, 2, 2).Child(0)); got != 0 {
 		t.Errorf("nonexistent prefix count = %d", got)
 	}
 	if tr.Len() != 27 {
@@ -107,16 +102,16 @@ func TestViewStructure(t *testing.T) {
 
 	// Depth 1 view: root group, 3 lines (subtrees 0,1,2), R delegates each.
 	v1 := tr.ViewAt(p, 1)
-	if v1.NumLines() != 3 || v1.GroupSize() != 6 {
-		t.Fatalf("depth1: lines=%d size=%d", v1.NumLines(), v1.GroupSize())
+	if len(v1.Lines) != 3 || v1.GroupSize() != 6 {
+		t.Fatalf("depth1: lines=%d size=%d", len(v1.Lines), v1.GroupSize())
 	}
 	if v1.LeafLevel {
 		t.Error("depth1 marked leaf")
 	}
 	// Depth 3 view: leaf group 1.2.*, 3 single-process lines.
 	v3 := tr.ViewAt(p, 3)
-	if v3.NumLines() != 3 || v3.GroupSize() != 3 {
-		t.Fatalf("depth3: lines=%d size=%d", v3.NumLines(), v3.GroupSize())
+	if len(v3.Lines) != 3 || v3.GroupSize() != 3 {
+		t.Fatalf("depth3: lines=%d size=%d", len(v3.Lines), v3.GroupSize())
 	}
 	if !v3.LeafLevel {
 		t.Error("depth3 not marked leaf")
@@ -218,12 +213,12 @@ func TestSummariesAggregateUpward(t *testing.T) {
 		return event.NewBuilder().Int("b", v).Build(event.ID{})
 	}
 	// Subtree 0 summary covers b∈{1,2} but not 3.
-	s0 := tr.Summary(addr.NewPrefix(0))
+	s0 := tr.Summary(prefix(0))
 	if !s0.Matches(evB(1)) || !s0.Matches(evB(2)) || s0.Matches(evB(3)) {
 		t.Errorf("subtree 0 summary wrong: %v", s0)
 	}
 	// Root summary covers all.
-	sr := tr.Summary(addr.Root())
+	sr := tr.Summary(addr.Prefix{})
 	for v := int64(1); v <= 4; v++ {
 		if !sr.Matches(evB(v)) {
 			t.Errorf("root summary misses b=%d: %v", v, sr)
@@ -240,12 +235,12 @@ func TestRemoveReelectsDelegates(t *testing.T) {
 	if err := tr.Remove(addr.New(0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	dels := tr.Delegates(addr.NewPrefix(0))
+	dels := tr.Delegates(prefix(0))
 	if len(dels) != 2 || dels[0].String() != "0.1" || dels[1].String() != "0.2" {
 		t.Errorf("after removal delegates = %v", dels)
 	}
 	// Root delegates must no longer include 0.0.
-	for _, d := range tr.Delegates(addr.Root()) {
+	for _, d := range tr.Delegates(addr.Prefix{}) {
 		if d.String() == "0.0" {
 			t.Error("removed member still a root delegate")
 		}
@@ -265,15 +260,15 @@ func TestRemoveWholeSubtreePrunes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.Count(addr.NewPrefix(1)) != 0 {
+	if tr.Count(prefix(1)) != 0 {
 		t.Error("emptied subtree still counted")
 	}
-	v := tr.ViewOf(addr.Root(), 1)
-	if v.NumLines() != 1 {
-		t.Errorf("root view lines = %d, want 1", v.NumLines())
+	v := tr.ViewOf(addr.Prefix{}, 1)
+	if len(v.Lines) != 1 {
+		t.Errorf("root view lines = %d, want 1", len(v.Lines))
 	}
-	if tr.Count(addr.Root()) != 2 {
-		t.Errorf("root count = %d", tr.Count(addr.Root()))
+	if tr.Count(addr.Prefix{}) != 2 {
+		t.Errorf("root count = %d", tr.Count(addr.Prefix{}))
 	}
 }
 
@@ -284,7 +279,7 @@ func TestUpdateSubscription(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := event.NewBuilder().Int("b", 999).Build(event.ID{})
-	if !tr.Summary(addr.Root()).Matches(ev) {
+	if !tr.Summary(addr.Prefix{}).Matches(ev) {
 		t.Error("updated interest did not propagate to root summary")
 	}
 	if err := tr.UpdateSubscription(addr.New(0, 0).Prefix(1).Address(9, 9), newSub); err == nil {
@@ -309,47 +304,41 @@ func TestSusceptibleAndRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := event.NewBuilder().Int("b", 1).Build(event.ID{})
-	v := tr.ViewOf(addr.Root(), 1)
-	sus := v.SusceptibleMembers(ev)
+	v := tr.ViewOf(addr.Prefix{}, 1)
+	var sus []addr.Address
+	for _, l := range v.Lines {
+		if l.Matches(ev) {
+			sus = append(sus, l.Delegates...)
+		}
+	}
 	if len(sus) != 1 || sus[0].String() != "0.0" {
 		t.Errorf("susceptible = %v", sus)
 	}
 	if got := v.MatchingRate(ev); got != 0.5 {
 		t.Errorf("rate = %g, want 0.5", got)
 	}
-	if got := v.MatchingLines(ev); got != 1 {
-		t.Errorf("matching lines = %d", got)
-	}
-	if _, ok := v.Line(0); !ok {
-		t.Error("line 0 missing")
-	}
-	if _, ok := v.Line(7); ok {
-		t.Error("phantom line found")
-	}
 }
 
 func TestViewsStack(t *testing.T) {
 	tr := fullTree(t, 3, 3, 2)
-	views := tr.Views(addr.New(1, 1, 1))
-	if len(views) != 3 {
-		t.Fatalf("views = %d", len(views))
-	}
-	for i, v := range views {
+	a := addr.New(1, 1, 1)
+	for depth := 1; depth <= tr.Depth(); depth++ {
+		v := tr.ViewAt(a, depth)
 		if v == nil {
-			t.Fatalf("view %d nil", i)
+			t.Fatalf("view %d nil", depth)
 		}
-		if v.Depth != i+1 {
-			t.Errorf("view %d depth = %d", i, v.Depth)
+		if v.Depth != depth {
+			t.Errorf("view %d depth = %d", depth, v.Depth)
 		}
 	}
-	if views[1].Prefix.String() != "1" {
-		t.Errorf("depth2 prefix = %s", views[1].Prefix)
+	if p := tr.ViewAt(a, 2).Prefix; p.String() != "1" {
+		t.Errorf("depth2 prefix = %s", p)
 	}
 }
 
 func TestRenderViewContainsPaperShape(t *testing.T) {
 	tr := fullTree(t, 2, 2, 1)
-	out := RenderView(tr.ViewOf(addr.NewPrefix(0), 2))
+	out := RenderView(tr.ViewOf(prefix(0), 2))
 	if out == "" || out == "<no view>" {
 		t.Fatalf("render = %q", out)
 	}
@@ -384,20 +373,18 @@ func TestPartialPopulationViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := tr.ViewOf(addr.Root(), 1)
-	if v.NumLines() != 2 {
-		t.Fatalf("lines = %d, want 2", v.NumLines())
+	v := tr.ViewOf(addr.Prefix{}, 1)
+	if len(v.Lines) != 2 {
+		t.Fatalf("lines = %d, want 2", len(v.Lines))
 	}
-	l0, _ := v.Line(0)
-	if len(l0.Delegates) != 1 {
-		t.Errorf("subgroup 0 delegates = %v", l0.Delegates)
+	if l0 := v.Lines[0]; l0.Infix != 0 || len(l0.Delegates) != 1 {
+		t.Errorf("subgroup 0 line %d delegates = %v", l0.Infix, l0.Delegates)
 	}
-	l2, _ := v.Line(2)
-	if len(l2.Delegates) != 2 {
-		t.Errorf("subgroup 2 delegates = %v", l2.Delegates)
+	if l2 := v.Lines[1]; l2.Infix != 2 || len(l2.Delegates) != 2 {
+		t.Errorf("subgroup 2 line %d delegates = %v", l2.Infix, l2.Delegates)
 	}
-	if tr.Count(addr.Root()) != 3 {
-		t.Errorf("count = %d", tr.Count(addr.Root()))
+	if tr.Count(addr.Prefix{}) != 3 {
+		t.Errorf("count = %d", tr.Count(addr.Prefix{}))
 	}
 }
 

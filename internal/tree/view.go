@@ -2,7 +2,6 @@ package tree
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"pmcast/internal/addr"
@@ -51,7 +50,7 @@ type View struct {
 	// individual processes rather than delegate sets).
 	LeafLevel bool
 	// Gen is the generation of the tree node the view was built over (see
-	// Tree.Generation): equal generations guarantee identical lines, which
+	// Tree.GenerationAt): equal generations guarantee identical lines, which
 	// is what lets per-event susceptibility caches survive a process
 	// rebuild.
 	Gen uint64
@@ -60,9 +59,6 @@ type View struct {
 	// view; hand-built views may leave it nil.
 	Index *interest.Index
 }
-
-// NumLines returns |view[i]|: the number of populated subgroups (table rows).
-func (v *View) NumLines() int { return len(v.Lines) }
 
 // GroupSize returns the number of processes forming the depth-i group: the
 // delegates of every line (Section 3.3: |view[i]|·R), or the neighbor
@@ -73,31 +69,6 @@ func (v *View) GroupSize() int {
 		n += len(l.Delegates)
 	}
 	return n
-}
-
-// Members returns the addresses of every process in the group, ordered by
-// line and election rank.
-func (v *View) Members() []addr.Address {
-	out := make([]addr.Address, 0, v.GroupSize())
-	for _, l := range v.Lines {
-		out = append(out, l.Delegates...)
-	}
-	return out
-}
-
-// SusceptibleMembers returns the processes of the group that should receive
-// the event: every delegate of a line whose subgroup summary matches. This
-// includes delegates that are themselves uninterested but represent
-// interested processes — exactly why pmcast is not a "genuine" multicast
-// (Section 3.1).
-func (v *View) SusceptibleMembers(ev event.Event) []addr.Address {
-	var out []addr.Address
-	for _, l := range v.Lines {
-		if l.Matches(ev) {
-			out = append(out, l.Delegates...)
-		}
-	}
-	return out
 }
 
 // MatchingRate implements GETRATE (Figure 3): the fraction of the group's
@@ -114,27 +85,6 @@ func (v *View) MatchingRate(ev event.Event) float64 {
 		}
 	}
 	return float64(hits) / float64(total)
-}
-
-// MatchingLines returns the number of lines whose subgroup matches.
-func (v *View) MatchingLines(ev event.Event) int {
-	hits := 0
-	for _, l := range v.Lines {
-		if l.Matches(ev) {
-			hits++
-		}
-	}
-	return hits
-}
-
-// Line returns the line with the given infix digit.
-func (v *View) Line(infix int) (Line, bool) {
-	for _, l := range v.Lines {
-		if l.Infix == infix {
-			return l, true
-		}
-	}
-	return Line{}, false
 }
 
 // ViewAt returns the view of process a at the given depth: the table for
@@ -175,16 +125,6 @@ func (t *Tree) ViewOf(p addr.Prefix, depth int) *View {
 	return v
 }
 
-// Views returns the full stack of views of a process, indexed by depth−1.
-// This is the complete membership knowledge of the process (Figure 2).
-func (t *Tree) Views(a addr.Address) []*View {
-	out := make([]*View, t.Depth())
-	for depth := 1; depth <= t.Depth(); depth++ {
-		out[depth-1] = t.ViewAt(a, depth)
-	}
-	return out
-}
-
 // RenderView formats a view table in the style of the paper's Figure 2.
 func RenderView(v *View) string {
 	if v == nil {
@@ -205,11 +145,4 @@ func RenderView(v *View) string {
 		fmt.Fprintf(&sb, "%5d | %s | %s (%d)\n", l.Infix, l.Summary, strings.Join(dels, ", "), l.Count)
 	}
 	return sb.String()
-}
-
-// SortAddresses sorts a slice of addresses in place (ascending) and returns
-// it; a convenience shared by election strategies and tests.
-func SortAddresses(as []addr.Address) []addr.Address {
-	sort.Slice(as, func(i, j int) bool { return as[i].Less(as[j]) })
-	return as
 }

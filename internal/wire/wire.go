@@ -682,15 +682,6 @@ func scanBatchBody(r *binenc.Reader, buf []byte) (Round, error) {
 	return rd, readBatchTail(r, flags, &rd.Batch)
 }
 
-// Decode unframes a message encoded by Encode.
-func Decode(data []byte) (any, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: empty frame", ErrBadPayload)
-	}
-	r := binenc.NewReader(data[1:])
-	return decodeFrom(r, data[0])
-}
-
 // decodeFrom dispatches on the kind byte with the payload reader positioned
 // at the body.
 func decodeFrom(r *binenc.Reader, kind byte) (any, error) {

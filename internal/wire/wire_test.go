@@ -122,7 +122,7 @@ func OverlayDigest(t testing.TB) membership.Digest {
 	svc.Subscribe(interest.NewSubscription())
 	svc.HandleLeave(membership.Leave{Addr: space.AddressAt(2), Stamp: 1})
 	svc.HandleLeave(membership.Leave{Addr: space.AddressAt(11), Stamp: 5})
-	return overlayForm(t, svc, base.Len())
+	return overlayForm(t, svc, len(base.Records))
 }
 
 // overlayDigestOver returns the full digest of a roster-mode service over the
@@ -141,7 +141,7 @@ func overlayDigestOver(t testing.TB, space addr.Space, stamp func(i int) uint64,
 	if got := svc.Apply(upd); got != len(bumped) {
 		t.Fatalf("applied %d of %d bumped lines", got, len(bumped))
 	}
-	return overlayForm(t, svc, base.Len()), base
+	return overlayForm(t, svc, len(base.Records)), base
 }
 
 // TestOverlayDigestDecodesToEntriesForm: the wire knows one digest body. An

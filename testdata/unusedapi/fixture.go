@@ -1,0 +1,23 @@
+// Package fixture is the root package of a small module the unused-API
+// scan is tested on. It plays the facade: it re-exports lib.Thing.
+package fixture
+
+import (
+	"sort"
+
+	"fixture/internal/lib"
+)
+
+// Thing is re-exported, so its methods are API though nothing calls them.
+type Thing = lib.Thing
+
+// Run references what the scan must see as used.
+func Run(names []string) error {
+	lib.Used()
+	sort.Sort(lib.ByName(names))
+	c := lib.Config{Used: len(names)}
+	if c.Used == 0 {
+		return nil
+	}
+	return lib.ErrBad{}
+}
