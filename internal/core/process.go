@@ -147,6 +147,7 @@ type Process struct {
 	// equal to no subscription's identity — when NewProcess was handed the
 	// predicate directly.
 	selfSub interest.Identity
+	budget  budgetMemo
 
 	// The view-independent state, behind one pointer so that a rebuild over
 	// new views takes it over whole (AdoptState).
@@ -470,11 +471,27 @@ func (p *Process) effectiveRate(prof *MatchProfile, e *entry, size int) (float64
 }
 
 // roundBudget evaluates Figure 3 line 7: T(size·rate, F·rate), loss-adjusted
-// per Eq. 11 by the assumed ε and τ.
+// per Eq. 11 by the assumed ε and τ. Every other input is fixed per process,
+// and a round walks a depth's buffer with one view size and, mostly, one
+// rate, so the last answer is kept: two logarithms per depth, not per entry.
 func (p *Process) roundBudget(size int, rate float64) int {
-	return analysis.PittelLossAdjustedRounds(
+	key := budgetMemo{size: size, rate: math.Float64bits(rate)}
+	if key.size == p.budget.size && key.rate == p.budget.rate {
+		return p.budget.rounds
+	}
+	key.rounds = analysis.PittelLossAdjustedRounds(
 		float64(size)*rate, float64(p.cfg.F)*rate, p.cfg.C,
 		p.cfg.AssumedLoss, p.cfg.AssumedCrash)
+	p.budget = key
+	return key.rounds
+}
+
+// budgetMemo is roundBudget's last answer. Its zero value is a true one: a
+// group of size 0 gets 0 rounds whatever the rate and the configuration.
+type budgetMemo struct {
+	size   int
+	rate   uint64 // math.Float64bits of the rate
+	rounds int
 }
 
 // gossipOnce emits one round's sends for a buffered event: to the

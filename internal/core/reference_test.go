@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"pmcast/internal/analysis"
 	"pmcast/internal/event"
 )
 
@@ -15,7 +16,7 @@ import (
 // the per-origin windows to the answers they replaced. It borrows a Process —
 // whose own buffers and seen-set stay empty — for the configuration, the
 // views, the deliveries, the counters and the arithmetic the rewrite did not
-// touch (budgets, tuning, the destination draw).
+// touch (tuning, the destination draw); budgets it computes afresh, unmemoised.
 type refProcess struct {
 	*Process
 	bufs   []map[event.ID]*entry
@@ -175,6 +176,14 @@ func (r *refProcess) Tick(rng *rand.Rand) []Send {
 }
 
 func (r *refProcess) TickRound(rng *rand.Rand) []RoundSend { return regroup(r.Tick(rng)) }
+
+// roundBudget is Figure 3 line 7 evaluated afresh every time, which holds
+// Process's memo to the formula.
+func (r *refProcess) roundBudget(size int, rate float64) int {
+	return analysis.PittelLossAdjustedRounds(
+		float64(size)*rate, float64(r.cfg.F)*rate, r.cfg.C,
+		r.cfg.AssumedLoss, r.cfg.AssumedCrash)
+}
 
 // regroup is TickRound's documented contract applied to flat sends: one
 // envelope per destination, destinations in order of first appearance,

@@ -47,30 +47,34 @@ type publishReq struct {
 }
 
 // egressJob is one outgoing envelope: the egress workers encode (via the
-// transport) and send it.
-type egressJob struct {
-	to      addr.Address
-	payload any
-}
+// transport) and send it, a drained run of them in one SendMany.
+type egressJob = transport.Outgoing
 
 // run is the protocol stage: the one goroutine that mutates protocol state
 // while the engine is live. It brings up the ingress and egress stages
 // around itself when the configuration asks for parallelism.
 func (n *Node) run() {
 	defer close(n.done)
-	if n.cfg.EncodeWorkers > 0 {
+	if n.egressQ != nil {
 		// Closed when the protocol stage exits, so the workers drain the
 		// remaining jobs and quit before Stop joins them.
-		defer close(n.egressCh)
+		defer n.egressQ.close()
 		for i := 0; i < n.cfg.EncodeWorkers; i++ {
 			n.wg.Add(1)
 			go n.egressLoop()
 		}
 	}
+	// protoReady is nil (never ready) in the serial configuration.
+	var protoReady <-chan struct{}
+	var msgs []protoMsg
+	if n.protoQ != nil {
+		protoReady = n.protoQ.ready
+		msgs = make([]protoMsg, ingressRecvBatch)
+	}
 	inbox := n.ep.Recv()
 	var ingressDone chan struct{}
 	if n.cfg.DecodeWorkers > 0 {
-		inbox = nil // the ingress workers own the endpoint; we read protoCh
+		inbox = nil // the ingress workers own the endpoint; we read protoQ
 		ingressDone = make(chan struct{})
 		var ingress sync.WaitGroup
 		for i := 0; i < n.cfg.DecodeWorkers; i++ {
@@ -98,19 +102,13 @@ func (n *Node) run() {
 	sweep := n.cfg.Clock.NewTicker(n.cfg.SuspectAfter / 2)
 	defer sweep.Stop()
 
-	// A wake-up on either input queue pumps it: the envelope the select
-	// received, then what else is queued, up to ingressRecvBatch — one trip
-	// through the seven-way select per burst instead of one per envelope, and
-	// bounded, so the tickers and stop are never more than a batch away.
+	// A wake-up on either input queue pumps it: up to ingressRecvBatch of
+	// what is queued (plus, on the inbox, the envelope the select received)
+	// — one trip through the seven-way select per burst instead of
+	// one per envelope, and bounded, so the tickers and stop are never more
+	// than a batch away. A drain that leaves messages behind re-arms ready.
 	var h heard
 	onEnvelope := func(env transport.Envelope) { n.handle(env, &h) }
-	onMsg := func(m protoMsg) {
-		if m.pub != nil {
-			m.pub.errc <- n.applyPublish(m.pub.ev)
-		} else {
-			n.handle(m.env, &h)
-		}
-	}
 	for {
 		h = heard{}
 		select {
@@ -126,9 +124,16 @@ func (n *Node) run() {
 			}
 		case <-ingressDone: // nil (never ready) in the serial configuration
 			return // transport closed underneath the node
-		case m := <-n.protoCh: // nil (never ready) in the serial configuration
-			onMsg(m)
-			pump(n.protoCh, ingressRecvBatch, onMsg)
+		case <-protoReady:
+			k, _ := n.protoQ.drain(msgs)
+			for _, m := range msgs[:k] {
+				if m.pub != nil {
+					m.pub.errc <- n.applyPublish(m.pub.ev)
+				} else {
+					n.handle(m.env, &h)
+				}
+			}
+			clear(msgs[:k])
 		case <-gossip.C():
 			n.tickGossip()
 		case <-memTick.C():
@@ -195,35 +200,32 @@ type heard struct {
 func (n *Node) ingressLoop() {
 	defer n.wg.Done()
 	dec := wire.NewDecoder()
-	forward := func(env transport.Envelope) bool {
-		if !n.decodeRaw(dec, &env) {
-			return true
+	recv := func(batch []transport.Envelope) (int, bool) {
+		env, ok := <-n.ep.Recv()
+		if !ok {
+			return 0, false
 		}
-		select {
-		case n.protoCh <- protoMsg{env: env}:
-			return true
-		case <-n.stop:
-			return false
-		}
+		batch[0] = env
+		return 1, true
 	}
 	if br, ok := n.ep.(transport.BatchReceiver); ok {
-		batch := make([]transport.Envelope, ingressRecvBatch)
-		for {
-			m, alive := br.RecvMany(batch)
-			for i := 0; i < m; i++ {
-				env := batch[i]
-				batch[i] = transport.Envelope{}
-				if !forward(env) {
-					return
-				}
-			}
-			if !alive {
-				return
-			}
-		}
+		recv = br.RecvMany
 	}
-	for env := range n.ep.Recv() {
-		if !forward(env) {
+	batch := make([]transport.Envelope, ingressRecvBatch)
+	msgs := make([]protoMsg, 0, ingressRecvBatch)
+	for {
+		m, alive := recv(batch)
+		for i := range batch[:m] {
+			if n.decodeRaw(dec, &batch[i]) {
+				msgs = append(msgs, protoMsg{env: batch[i]})
+			}
+			batch[i] = transport.Envelope{}
+		}
+		// One hand-off per burst: the whole batch under one lock.
+		queued := len(msgs) == 0 || n.protoQ.push(msgs, n.stop, n.done)
+		clear(msgs)
+		msgs = msgs[:0]
+		if !queued || !alive {
 			return
 		}
 	}
@@ -232,36 +234,35 @@ func (n *Node) ingressLoop() {
 // egressLoop is one egress-stage worker: it consumes send jobs until the
 // protocol stage closes the queue, encoding (inside the transport send) and
 // counting wire cost as it goes. When the endpoint offers a batch seam
-// (transport.BatchSender), the worker greedily drains whatever the queue
-// already holds and hands the whole run over in one SendMany — the flush
+// (transport.BatchSender), the worker drains whatever the queue holds, up to
+// egressFlushMax, and hands the whole run over in one SendMany — the flush
 // the UDP backend turns into sendmmsg vectors. Per-message semantics are
 // identical to sending one at a time (the seam guarantees it), so the
-// serial configuration and non-batching fabrics are untouched.
+// serial configuration and non-batching fabrics are untouched. Without the
+// seam a worker takes one job per drain, so a burst spreads over the workers.
 func (n *Node) egressLoop() {
 	defer n.wg.Done()
-	bs, ok := n.ep.(transport.BatchSender)
-	if !ok {
-		for job := range n.egressCh {
-			_ = n.send(job.to, job.payload)
-		}
-		return
+	bs, batched := n.ep.(transport.BatchSender)
+	width := 1
+	if batched {
+		width = egressFlushMax
 	}
-	batch := make([]transport.Outgoing, 0, egressFlushMax)
-	for job := range n.egressCh {
-		batch = append(batch[:0], transport.Outgoing{To: job.to, Payload: job.payload})
-	drain:
-		for len(batch) < egressFlushMax {
-			select {
-			case j, open := <-n.egressCh:
-				if !open {
-					break drain // flush below, then the outer range exits
-				}
-				batch = append(batch, transport.Outgoing{To: j.to, Payload: j.payload})
-			default:
-				break drain
+	jobs := make([]egressJob, width)
+	for {
+		k, open := n.egressQ.drain(jobs)
+		if k == 0 {
+			if !open {
+				return // closed and drained
 			}
+			<-n.egressQ.ready
+			continue
 		}
-		n.sendMany(bs, batch)
+		if batched {
+			n.sendMany(bs, jobs[:k])
+		} else {
+			_ = n.send(jobs[0].To, jobs[0].Payload)
+		}
+		clear(jobs[:k])
 	}
 }
 
@@ -270,10 +271,8 @@ func (n *Node) egressLoop() {
 // slow fabric: a full egress queue drops the envelope and counts it, the
 // same silent-loss semantics as an overflowing UDP socket buffer.
 func (n *Node) emit(to addr.Address, payload any) {
-	if n.egressOn {
-		select {
-		case n.egressCh <- egressJob{to: to, payload: payload}:
-		default:
+	if n.egressQ != nil {
+		if !n.egressQ.tryPush(egressJob{To: to, Payload: payload}) {
 			n.egressDrops.Add(1)
 		}
 		return

@@ -1,10 +1,12 @@
 package node
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pmcast/internal/addr"
 	"pmcast/internal/core"
@@ -244,6 +246,104 @@ func TestEngineConcurrentPublishFluxStop(t *testing.T) {
 		if d := n.DroppedDeliveries(); d != 0 {
 			t.Errorf("%s dropped %d deliveries", n.Addr(), d)
 		}
+	}
+}
+
+// TestIdleStageQueuesHoldNoBound is the stage queues' footprint contract: a
+// staged node whose queues are bounded at 4 096 — the bound bench/ gives its
+// fleets — holds storage for what its queues carry, not for the bound. After
+// a burst has been disseminated and the queues have drained, each queue
+// keeps at most its one spare segment (a few KB), and the started fleet's
+// heap has grown by far less per node than the 256 KB that queues
+// preallocated at their bound held.
+func TestIdleStageQueuesHoldNoBound(t *testing.T) {
+	net := transport.MustNetwork(transport.Config{QueueLen: 4096})
+	space := addr.MustRegular(4, 1)
+	const fleetN, burst = 4, 100
+	roster := oracleRecords(space, fleetN, func(addr.Address) interest.Subscription { return subEq(1) })
+	nodes := make([]*Node, fleetN)
+	for i := range nodes {
+		n, err := New(net, Config{
+			Addr: space.AddressAt(i), Space: space,
+			R: 1, F: 2, C: 2,
+			Subscription:   subEq(1),
+			GossipInterval: time.Millisecond,
+			// No membership traffic: once the burst's budgets run out, the
+			// fleet is silent and its queues stay empty.
+			MembershipInterval: time.Hour,
+			SuspectAfter:       time.Hour,
+			DeliveryBuffer:     burst,
+			DecodeWorkers:      1,
+			EncodeWorkers:      1,
+			StageQueue:         4096,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Membership().Apply(roster)
+		if err := n.WarmViews(); err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = n
+	}
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.Stop()
+		}
+	})
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	counts := make([]atomic.Int64, fleetN)
+	for i, n := range nodes {
+		n.Start()
+		go func(c <-chan event.Event) {
+			for range c {
+				counts[i].Add(1)
+			}
+		}(n.Deliveries())
+	}
+	for k := 0; k < burst; k++ {
+		if _, err := nodes[0].Publish(map[string]event.Value{"b": event.Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 15*time.Second, func() bool {
+		for i := range nodes {
+			if counts[i].Load() < burst {
+				return false
+			}
+		}
+		return true
+	}, "every node to deliver the burst")
+	// Silent once every round budget has run out; drained, every queue holds
+	// nothing but, at most, its spare segment.
+	waitFor(t, 15*time.Second, func() bool {
+		for _, n := range nodes {
+			n.mu.Lock()
+			pending := n.proc.Pending()
+			n.mu.Unlock()
+			if pending > 0 || n.protoQ.segments() > 1 || n.egressQ.segments() > 1 {
+				return false
+			}
+		}
+		return true
+	}, "the burst's gossip to run out and the stage queues to drain")
+	spares := unsafe.Sizeof(stageSegment[protoMsg]{}) + unsafe.Sizeof(stageSegment[egressJob]{})
+	if spares > 8<<10 {
+		t.Errorf("one spare segment per queue is %d bytes, want a few KB", spares)
+	}
+	// The growth also counts the stage workers' batch buffers and the round
+	// scratch the burst left behind, about 35 KB per node on a 64-bit host.
+	grown := (int64(heap()) - int64(before)) / fleetN
+	t.Logf("a started, drained node grew the heap by %d bytes", grown)
+	if grown > 128<<10 {
+		t.Errorf("a started, drained node grew the heap by %d KB, want well under the 256 KB a preallocated bound costs", grown>>10)
 	}
 }
 

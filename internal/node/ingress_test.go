@@ -210,11 +210,11 @@ func TestDuplicateSectionsCostNothing(t *testing.T) {
 	}
 }
 
-// TestStageQueueFootprint pins the stage-queue elements. Start preallocates
-// StageQueue of each per parallel node, so a word added to either grows every
-// started node by StageQueue words: at the 4 096 slots bench/ gives its
-// fleets, protoMsg's 40 bytes and egressJob's 24 are 256 KB of
-// udp_broadcast's ~0.69 MB per node.
+// TestStageQueueFootprint pins the stage-queue elements. A slot costs its
+// element's size while it is occupied, and an idle staged node keeps one
+// spare segment of stageSegLen slots per queue, so a word added to either
+// element costs a word per queued message and stageSegLen words per idle
+// node.
 func TestStageQueueFootprint(t *testing.T) {
 	word := unsafe.Sizeof(uintptr(0))
 	if got := unsafe.Sizeof(protoMsg{}); got != 5*word {

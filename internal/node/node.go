@@ -110,14 +110,15 @@ type Config struct {
 	// workers consume per-peer send jobs from the protocol stage. 0 sends
 	// inline on the protocol goroutine.
 	EncodeWorkers int
-	// StageQueue bounds the channels between engine stages (default 1024).
-	// A full ingress queue applies backpressure to the transport, whose
-	// inbox overflows by dropping — UDP socket-buffer semantics. A full
-	// egress queue drops the send job and counts it in EngineStats: the
-	// protocol stage never blocks on a slow fabric. Start preallocates both
-	// queues: 64 bytes per slot on a 64-bit host (a 40-byte protocol-queue
-	// element and a 24-byte egress job), so 64 KB per node at the default
-	// and 256 KB at 4 096.
+	// StageQueue bounds the queues between engine stages (default 1024),
+	// exactly: neither ever holds more. A full ingress queue applies
+	// backpressure to the transport, whose inbox overflows by dropping — UDP
+	// socket-buffer semantics. A full egress queue drops the send job and
+	// counts it in EngineStats: the protocol stage never blocks on a slow
+	// fabric. The bound is not paid up front: a queue holds storage for what
+	// it carries, in segments of 64 slots (40 bytes each on the protocol
+	// queue, 24 on the egress queue, on a 64-bit host), and keeps one spare
+	// segment when it is empty.
 	StageQueue int
 	// Seed seeds the node RNG (0 derives one from the address).
 	Seed int64
@@ -233,12 +234,12 @@ type Node struct {
 	repairBytes   atomic.Int64            // encoded bytes of emitted repair sections
 	fecRecovered  atomic.Int64            // gossips reconstructed from repairs and accepted
 
-	// Engine plumbing (engine.go). protoCh and egressCh exist only when
-	// Start brings up a parallel configuration; egressOn routes emit through
-	// the egress stage and is set before the engine goroutines launch.
-	protoCh       chan protoMsg
-	egressCh      chan egressJob
-	egressOn      bool
+	// Engine plumbing (engine.go). protoQ and egressQ exist only when Start
+	// brings up a parallel configuration, and are set before the engine
+	// goroutines launch; a non-nil egressQ routes emit through the egress
+	// stage.
+	protoQ        *stageQueue[protoMsg]
+	egressQ       *stageQueue[egressJob]
 	wg            sync.WaitGroup
 	egressDrops   atomic.Int64
 	malformed     atomic.Int64
@@ -341,10 +342,9 @@ func (n *Node) Start() {
 			return // Stop won: stay inert rather than racing a dead runtime
 		}
 		if n.cfg.DecodeWorkers > 0 || n.cfg.EncodeWorkers > 0 {
-			n.protoCh = make(chan protoMsg, n.cfg.StageQueue)
+			n.protoQ = newStageQueue[protoMsg](n.cfg.StageQueue)
 			if n.cfg.EncodeWorkers > 0 {
-				n.egressCh = make(chan egressJob, n.cfg.StageQueue)
-				n.egressOn = true
+				n.egressQ = newStageQueue[egressJob](n.cfg.StageQueue)
 			}
 		}
 		n.started.Store(true)
@@ -545,19 +545,15 @@ func (n *Node) Publish(attrs map[string]event.Value) (event.ID, error) {
 	}
 	id := event.ID{Origin: n.cfg.Addr.Key(), Seq: n.seq.Add(1)}
 	ev := event.New(id, attrs)
-	// The started load is the acquire barrier for protoCh: Start stores it
+	// The started load is the acquire barrier for protoQ: Start stores it
 	// before flipping started, so checking in this order is race-free even
 	// against a concurrent Start.
-	if n.started.Load() && n.protoCh != nil {
+	if n.started.Load() && n.protoQ != nil {
 		// The done arms cover a protocol stage that wound down without Stop
 		// (transport closed underneath the node): the serial path degrades to
 		// buffering the event locally, and the engine path must not hang.
 		req := &publishReq{ev: ev, errc: make(chan error, 1)}
-		select {
-		case n.protoCh <- protoMsg{pub: req}:
-		case <-n.stop:
-			return event.ID{}, ErrStopped
-		case <-n.done:
+		if !n.protoQ.push([]protoMsg{{pub: req}}, n.stop, n.done) {
 			return event.ID{}, ErrStopped
 		}
 		select {

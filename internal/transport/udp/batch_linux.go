@@ -10,13 +10,14 @@
 // runtime's fd write lock, exactly like concurrent WriteToUDP). recv belongs
 // to the endpoint's single read loop. Both scratch kinds are lent by the
 // Transport's pools, shared by all of its endpoints, for the length of one
-// call.
+// call; at most one receive vector per processor is out at once.
 
 package udp
 
 import (
 	"errors"
 	"net"
+	"runtime"
 	"syscall"
 	"unsafe"
 )
@@ -122,6 +123,23 @@ func (t *Transport) initPools() {
 	t.sendPool.New = func() any { return new(sendState) }
 	slot := t.cfg.MaxDatagram + 1
 	t.recvPool.New = func() any { return newRecvVec(slot) }
+	t.recvLent = make(chan struct{}, runtime.GOMAXPROCS(0))
+}
+
+// borrowRecv lends a read-loop wakeup a receive vector, waiting while one
+// per processor is already out. The bound caps what a burst can cost: a loop
+// descheduled with a vector out (a GC assist, a preemption) would otherwise
+// make the next readable socket's loop take a fresh 1 MiB vector, and the
+// pool keeps every vector it was handed alive through the next collection.
+func (t *Transport) borrowRecv() *recvVec {
+	t.recvLent <- struct{}{}
+	return t.recvPool.Get().(*recvVec)
+}
+
+// returnRecv takes back a vector borrowRecv lent.
+func (t *Transport) returnRecv(v *recvVec) {
+	t.recvPool.Put(v)
+	<-t.recvLent
 }
 
 // batchIO is the kernel-batched datapath of one endpoint socket. It owns no
@@ -250,12 +268,12 @@ func (b *batchIO) recv(deliver func([]byte)) error {
 	var n int
 	var errno syscall.Errno
 	err := b.rc.Read(func(fd uintptr) bool {
-		v = b.tr.recvPool.Get().(*recvVec)
+		v = b.tr.borrowRecv()
 		r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
 			uintptr(unsafe.Pointer(&v.hdrs[0])), uintptr(len(v.hdrs)),
 			msgDontwait, 0, 0)
 		if e == syscall.EAGAIN || e == syscall.EINTR {
-			b.tr.recvPool.Put(v) // parked: wait for readability holding nothing
+			b.tr.returnRecv(v) // parked: wait for readability holding nothing
 			v = nil
 			return false
 		}
@@ -267,7 +285,7 @@ func (b *batchIO) recv(deliver func([]byte)) error {
 	}
 	if err != nil {
 		if v != nil {
-			b.tr.recvPool.Put(v)
+			b.tr.returnRecv(v)
 		}
 		return err
 	}
@@ -276,7 +294,7 @@ func (b *batchIO) recv(deliver func([]byte)) error {
 	for i := 0; i < n; i++ {
 		deliver(v.bufs[i][:v.hdrs[i].len])
 	}
-	b.tr.recvPool.Put(v)
+	b.tr.returnRecv(v)
 	return nil
 }
 

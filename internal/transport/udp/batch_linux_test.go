@@ -199,6 +199,40 @@ func TestIdleEndpointsBorrowFewVectors(t *testing.T) {
 	}
 }
 
+// TestReadLoopsWaitForALentVector pins the bound on receive vectors: at most
+// one per processor is out at once. With every one of them borrowed, a read
+// loop whose socket turns readable waits — it creates no vector and delivers
+// nothing — until one comes back.
+func TestReadLoopsWaitForALentVector(t *testing.T) {
+	eps, made := fleet(t, 2, 3*time.Millisecond, nil)
+	tr := eps[0].tr
+	held := make([]*recvVec, cap(tr.recvLent))
+	for i := range held {
+		held[i] = tr.borrowRecv()
+	}
+	before := made.Load()
+	ev := event.NewBuilder().Int("seq", 1).Build(event.ID{Origin: eps[0].Addr().Key(), Seq: 1})
+	if err := eps[0].Send(eps[1].Addr(), core.Gossip{Event: ev, Depth: 1, Rate: 1}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-eps[1].Recv():
+		t.Fatal("a datagram was received with every vector lent")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if got := made.Load(); got != before {
+		t.Errorf("a waiting read loop created %d vectors", got-before)
+	}
+	for _, v := range held {
+		tr.returnRecv(v)
+	}
+	select {
+	case <-eps[1].Recv():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the datagram never arrived once the vectors came back")
+	}
+}
+
 // TestLentVectorsDeliverIntact has sixteen endpoints receive distinct
 // payloads at once through the shared vectors. deliver copies or decodes a
 // datagram before its vector goes back to the pool, so every payload must

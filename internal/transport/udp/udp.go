@@ -205,9 +205,11 @@ type Transport struct {
 
 	// Kernel-batched scratch, lent to the endpoints for one call at a time
 	// (see batch_linux.go): a flush borrows a sendState, a read-loop wakeup
-	// a recvVec.
+	// a recvVec. recvLent holds a token per recvVec out, at most one per
+	// processor.
 	sendPool sync.Pool
 	recvPool sync.Pool
+	recvLent chan struct{}
 }
 
 var _ transport.Transport = (*Transport)(nil)

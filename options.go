@@ -120,10 +120,13 @@ func WithParallelism(decode, encode int) NodeOption {
 	}
 }
 
-// WithStageQueue bounds the queues between engine stages (default 1024).
-// A full ingress queue backpressures into the transport inbox (which drops,
-// like a UDP socket buffer); a full egress queue drops the send job and
-// counts it in Node.EngineStats — the protocol stage never blocks.
+// WithStageQueue bounds the queues between engine stages (default 1024),
+// exactly. A full ingress queue backpressures into the transport inbox
+// (which drops, like a UDP socket buffer); a full egress queue drops the
+// send job and counts it in Node.EngineStats — the protocol stage never
+// blocks. A bound costs no memory until it is used: a queue holds storage
+// for the messages it carries, in 64-slot segments, and one spare segment
+// when it is empty.
 func WithStageQueue(depth int) NodeOption {
 	return func(c *NodeConfig) { c.StageQueue = depth }
 }
