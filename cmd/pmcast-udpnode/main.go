@@ -109,17 +109,18 @@ func run(w io.Writer, args []string) error {
 	}
 	defer tr.Close()
 
-	n, err := pmcast.NewNode(tr,
-		pmcast.WithAddr(self),
-		pmcast.WithSpace(space),
-		pmcast.WithGroupRedundancy(*r),
-		pmcast.WithFanout(*f),
-		pmcast.WithPittelC(*c),
-		pmcast.WithSubscription(sub),
-		pmcast.WithGossipInterval(*gossip),
-		pmcast.WithMembershipInterval(*membership),
-		pmcast.WithParallelism(*decodeWorkers, *encodeWorkers),
-	)
+	n, err := pmcast.NewNode(tr, pmcast.NodeConfig{
+		Addr:               self,
+		Space:              space,
+		R:                  *r,
+		F:                  *f,
+		C:                  *c,
+		Subscription:       sub,
+		GossipInterval:     *gossip,
+		MembershipInterval: *membership,
+		DecodeWorkers:      *decodeWorkers,
+		EncodeWorkers:      *encodeWorkers,
+	})
 	if err != nil {
 		return err
 	}

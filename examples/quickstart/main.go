@@ -6,6 +6,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"pmcast"
@@ -26,16 +27,16 @@ func main() {
 	}
 	nodes := make([]*pmcast.Node, 0, len(specs))
 	for _, sp := range specs {
-		n, err := pmcast.NewNode(net,
-			pmcast.WithAddr(pmcast.MustParseAddress(sp.addr)),
-			pmcast.WithSpace(space),
-			pmcast.WithGroupRedundancy(1),
-			pmcast.WithFanout(2),
-			pmcast.WithPittelC(2),
-			pmcast.WithSubscription(sp.sub),
-			pmcast.WithGossipInterval(5*time.Millisecond),
-			pmcast.WithMembershipInterval(10*time.Millisecond),
-		)
+		n, err := pmcast.NewNode(net, pmcast.NodeConfig{
+			Addr:               pmcast.MustParseAddress(sp.addr),
+			Space:              space,
+			R:                  1,
+			F:                  2,
+			C:                  2,
+			Subscription:       sp.sub,
+			GossipInterval:     5 * time.Millisecond,
+			MembershipInterval: 10 * time.Millisecond,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,48 +62,36 @@ func main() {
 		}
 	}
 
-	// Collect deliveries for a moment.
-	deadline := time.After(2 * time.Second)
-	expected := map[string]int{"0.0": 1, "0.1": 1, "1.0": 1, "1.1": 2}
-	got := map[string]int{}
-	for len(got) < len(nodes) {
-		progressed := false
+	// Collect deliveries until every subscriber has its events, then a
+	// little longer so that an extra delivery shows too.
+	want := []int{1, 1, 1, 2}
+	got := make([]int, len(nodes))
+	deadline := time.Now().Add(2 * time.Second)
+	var settled time.Time
+	for time.Now().Before(deadline) && (settled.IsZero() || time.Now().Before(settled)) {
 		for i, n := range nodes {
 			select {
 			case ev := <-n.Deliveries():
 				r, _ := ev.Attr("reading").AsFloat()
-				fmt.Printf("%s delivered reading=%g (want %s)\n",
-					specs[i].addr, r, specs[i].sub)
-				got[specs[i].addr]++
-				progressed = true
+				fmt.Printf("%s delivered reading=%g (want %s)\n", specs[i].addr, r, specs[i].sub)
+				if !specs[i].sub.Matches(ev) {
+					log.Fatalf("%s delivered reading=%g, which its subscription rejects", specs[i].addr, r)
+				}
+				got[i]++
 			default:
 			}
-			if got[specs[i].addr] >= expected[specs[i].addr] {
-				// done for this node
-			}
 		}
-		if !progressed {
-			select {
-			case <-deadline:
-				fmt.Println("timeout waiting for deliveries")
-				return
-			case <-time.After(5 * time.Millisecond):
-			}
+		if settled.IsZero() && slices.Equal(got, want) {
+			settled = time.Now().Add(100 * time.Millisecond)
 		}
-		if done(got, expected) {
-			break
+		time.Sleep(time.Millisecond)
+	}
+	for i, sp := range specs {
+		if got[i] != want[i] {
+			log.Fatalf("%s delivered %d events, want %d", sp.addr, got[i], want[i])
 		}
 	}
 	fmt.Println("quickstart complete: every subscriber saw exactly its events")
-}
-
-func done(got, want map[string]int) bool {
-	for k, w := range want {
-		if got[k] < w {
-			return false
-		}
-	}
-	return true
 }
 
 func waitForMembership(nodes []*pmcast.Node, want int) {
@@ -120,4 +109,5 @@ func waitForMembership(nodes []*pmcast.Node, want int) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	log.Fatalf("membership did not converge to %d members", want)
 }

@@ -19,17 +19,17 @@ func main() {
 	space := pmcast.MustRegularSpace(3, 3) // building.floor.room
 
 	mkNode := func(a string, sub pmcast.Subscription) *pmcast.Node {
-		n, err := pmcast.NewNode(net,
-			pmcast.WithAddr(pmcast.MustParseAddress(a)),
-			pmcast.WithSpace(space),
-			pmcast.WithGroupRedundancy(2),
-			pmcast.WithFanout(3),
-			pmcast.WithPittelC(2),
-			pmcast.WithSubscription(sub),
-			pmcast.WithGossipInterval(4*time.Millisecond),
-			pmcast.WithMembershipInterval(6*time.Millisecond),
-			pmcast.WithSuspectAfter(150*time.Millisecond),
-		)
+		n, err := pmcast.NewNode(net, pmcast.NodeConfig{
+			Addr:               pmcast.MustParseAddress(a),
+			Space:              space,
+			R:                  2,
+			F:                  3,
+			C:                  2,
+			Subscription:       sub,
+			GossipInterval:     4 * time.Millisecond,
+			MembershipInterval: 6 * time.Millisecond,
+			SuspectAfter:       150 * time.Millisecond,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -88,32 +88,41 @@ func main() {
 	waitMembers(stations, len(stations))
 	fmt.Println("station 1.0.1 left gracefully")
 
-	// Crash: stop without leave; neighbors expel it via failure detection.
-	stations["0.1.0"].Stop()
-	delete(stations, "0.1.0")
+	// Crash: stop without leave. The failure detector watches immediate
+	// neighbors, so 0.0.0, the other station in room group 0.0, notices the
+	// silence and expels it.
+	stations["0.0.1"].Stop()
+	delete(stations, "0.0.1")
 	waitMembers(stations, len(stations))
-	fmt.Println("station 0.1.0 crashed and was expelled")
+	fmt.Println("station 0.0.1 crashed and was expelled")
 
 	// The fabric still routes alarms.
 	must1(stations["0.0.0"].Publish(map[string]pmcast.Value{
 		"temp": pmcast.Float(90), "smoke": pmcast.Bool(true), "room": pmcast.Str("0.0.0"),
 	}))
-	expectDeliveries(stations, []string{"0.0.0", "0.0.1", "1.0.0", "2.0.0", "2.1.0"}, "combined alarm")
+	expectDeliveries(stations, []string{"0.0.0", "0.1.0", "1.0.0", "2.0.0", "2.1.0"}, "combined alarm")
 	fmt.Println("sensornet example complete")
 }
 
+// expectDeliveries waits for exactly one delivery at each listed station and
+// then briefly for any other: a missing or extra delivery ends the program
+// with an error.
 func expectDeliveries(stations map[string]*pmcast.Node, keys []string, what string) {
 	for _, key := range keys {
-		n, ok := stations[key]
-		if !ok {
-			continue
-		}
 		select {
-		case ev := <-n.Deliveries():
+		case ev := <-stations[key].Deliveries():
 			room, _ := ev.Attr("room").AsString()
 			fmt.Printf("  %s received %s from %s\n", key, what, room)
 		case <-time.After(5 * time.Second):
-			fmt.Printf("  %s MISSED %s (gossip is probabilistic; rerun or raise C)\n", key, what)
+			log.Fatalf("%s missed the %s", key, what)
+		}
+	}
+	time.Sleep(100 * time.Millisecond)
+	for key, n := range stations {
+		select {
+		case ev := <-n.Deliveries():
+			log.Fatalf("%s delivered an extra event %s after the %s", key, ev, what)
+		default:
 		}
 	}
 }
@@ -133,6 +142,7 @@ func waitMembers(stations map[string]*pmcast.Node, want int) {
 		}
 		time.Sleep(3 * time.Millisecond)
 	}
+	log.Fatalf("membership did not converge to %d stations", want)
 }
 
 func must(err error) {

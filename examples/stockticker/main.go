@@ -38,16 +38,16 @@ func main() {
 	traders := make([]*trader, 0, space.Capacity())
 	for i := 0; i < space.Capacity(); i++ {
 		sub := randomSubscription(rng)
-		n, err := pmcast.NewNode(net,
-			pmcast.WithAddr(space.AddressAt(i)),
-			pmcast.WithSpace(space),
-			pmcast.WithGroupRedundancy(2),
-			pmcast.WithFanout(3),
-			pmcast.WithPittelC(2),
-			pmcast.WithSubscription(sub),
-			pmcast.WithGossipInterval(4*time.Millisecond),
-			pmcast.WithMembershipInterval(8*time.Millisecond),
-		)
+		n, err := pmcast.NewNode(net, pmcast.NodeConfig{
+			Addr:               space.AddressAt(i),
+			Space:              space,
+			R:                  2,
+			F:                  3,
+			C:                  2,
+			Subscription:       sub,
+			GossipInterval:     4 * time.Millisecond,
+			MembershipInterval: 8 * time.Millisecond,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -93,26 +93,30 @@ func main() {
 		}
 	}
 
-	// Drain deliveries until everyone matched expectations (or timeout).
+	// Drain deliveries until everyone matched expectations, then a little
+	// longer so that an extra delivery shows too.
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
+	var settled time.Time
+	for time.Now().Before(deadline) && (settled.IsZero() || time.Now().Before(settled)) {
 		pending := false
 		for _, tr := range traders {
-			for {
+			for drained := false; !drained; {
 				select {
-				case <-tr.node.Deliveries():
+				case ev := <-tr.node.Deliveries():
+					if !tr.sub.Matches(ev) {
+						log.Fatalf("%s delivered %s, which its subscription %s rejects", tr.node.Addr(), ev, tr.sub)
+					}
 					tr.got++
-					continue
 				default:
+					drained = true
 				}
-				break
 			}
 			if tr.got < tr.want {
 				pending = true
 			}
 		}
-		if !pending {
-			break
+		if !pending && settled.IsZero() {
+			settled = time.Now().Add(100 * time.Millisecond)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -130,6 +134,11 @@ func main() {
 	}
 	fmt.Printf("delivered %d of %d expected quote notifications (%d quotes × 27 traders = %d possible)\n",
 		total, totalWant, quotes, quotes*len(traders))
+	for _, tr := range traders {
+		if tr.got != tr.want {
+			log.Fatalf("%s delivered %d quotes, want %d", tr.node.Addr(), tr.got, tr.want)
+		}
+	}
 }
 
 func randomSubscription(rng *rand.Rand) pmcast.Subscription {
@@ -176,4 +185,5 @@ func waitForMembership[T any](items []T, size func(T) int, want int) {
 		}
 		time.Sleep(3 * time.Millisecond)
 	}
+	log.Fatalf("membership did not converge to %d members", want)
 }

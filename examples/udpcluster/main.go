@@ -147,18 +147,19 @@ func runChild(addrStr, peerSpec string, publisher bool) error {
 	if self.Digit(1) == 1 {
 		sub = pmcast.Where("reading", pmcast.Ge(50))
 	}
-	n, err := pmcast.NewNode(tr,
-		pmcast.WithAddr(self),
-		pmcast.WithSpace(pmcast.MustRegularSpace(arity, depth)),
-		pmcast.WithGroupRedundancy(2),
-		pmcast.WithFanout(4),
-		pmcast.WithPittelC(3),
-		pmcast.WithSubscription(sub),
-		pmcast.WithGossipInterval(8*time.Millisecond),
-		pmcast.WithMembershipInterval(12*time.Millisecond),
-		pmcast.WithSuspectAfter(time.Minute),
-		pmcast.WithParallelism(2, 2),
-	)
+	n, err := pmcast.NewNode(tr, pmcast.NodeConfig{
+		Addr:               self,
+		Space:              pmcast.MustRegularSpace(arity, depth),
+		R:                  2,
+		F:                  4,
+		C:                  3,
+		Subscription:       sub,
+		GossipInterval:     8 * time.Millisecond,
+		MembershipInterval: 12 * time.Millisecond,
+		SuspectAfter:       time.Minute,
+		DecodeWorkers:      2,
+		EncodeWorkers:      2,
+	})
 	if err != nil {
 		return err
 	}
@@ -194,6 +195,9 @@ func runChild(addrStr, peerSpec string, publisher bool) error {
 	select {
 	case ev := <-n.Deliveries():
 		r, _ := ev.Attr("reading").AsFloat()
+		if !sub.Matches(ev) {
+			return fmt.Errorf("delivered reading=%g outside the band %s", r, sub)
+		}
 		fmt.Printf("delivered reading=%g\n", r)
 	case <-time.After(30 * time.Second):
 		return fmt.Errorf("no delivery")

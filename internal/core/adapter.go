@@ -41,14 +41,6 @@ func NewTreeView(v *tree.View, self addr.Address) *TreeView {
 		selfLine:  -1,
 		gen:       v.Gen,
 	}
-	if tv.index == nil {
-		// A hand-built view: index its lines here, each its own language.
-		sums := make([]*interest.Summary, len(v.Lines))
-		for li, line := range v.Lines {
-			sums[li] = line.Summary
-		}
-		tv.index = interest.NewIndex(sums, nil)
-	}
 	tv.hits = make([]uint64, tv.index.Blocks())
 	for li, line := range v.Lines {
 		tv.lineStart[li] = len(tv.members)

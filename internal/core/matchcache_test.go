@@ -98,7 +98,7 @@ func TestProfileMatchesInterpretedView(t *testing.T) {
 			v.Lines = append(v.Lines, tree.Line{Infix: li, Delegates: []addr.Address{addr.New(li, 0), addr.New(li, 1)}, Summary: sum})
 		}
 		self := addr.New(1, 1)
-		shared, own := NewTreeView(v, self), NewTreeView(&tree.View{Prefix: v.Prefix, Depth: 1, Lines: v.Lines}, self)
+		shared, own := NewTreeView(v, self), NewTreeView(&tree.View{Prefix: v.Prefix, Depth: 1, Lines: v.Lines, Index: interest.NewIndex(rv.sums, nil)}, self)
 		for i, ev := range evs {
 			for _, tv := range []*TreeView{shared, own} {
 				var prof MatchProfile

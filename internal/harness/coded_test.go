@@ -10,7 +10,7 @@ import (
 // FECSources set but FECRepairs at zero, the coding layer must collapse
 // to the exact pre-FEC wire path — no extra sections, no extra fault
 // draws — so every golden trace hash replays bit for bit. This is the
-// contract that lets WithRedundancy(k, 0) be a free no-op. It replays the
+// contract that makes FECRepairs 0 a free no-op. It replays the
 // four campaigns pinned before PR 14; the pins that PR added hold the event
 // loop, which this identity does not touch.
 func TestCodedZeroRepairsReplaysGoldenTraces(t *testing.T) {

@@ -445,9 +445,7 @@ func (r *run) spawn(i int, sub interest.Subscription) (*handle, error) {
 		Subscription:       sub,
 		GossipInterval:     r.sc.Fleet.GossipInterval,
 		MembershipInterval: r.sc.Fleet.MembershipInterval,
-		MembershipFanout:   r.sc.Fleet.MembershipFanout,
 		SuspectAfter:       r.sc.Fleet.SuspectAfter,
-		SuspicionSweeps:    r.sc.Fleet.SuspicionSweeps,
 		DeliveryBuffer:     r.sc.Fleet.DeliveryBuffer,
 		FECRepairs:         r.sc.Fleet.FECRepairs,
 		FECSources:         r.sc.Fleet.FECSources,

@@ -50,13 +50,11 @@ type Fleet struct {
 	// constant.
 	R, F int
 	C    float64
-	// GossipInterval, MembershipInterval, MembershipFanout, SuspectAfter and
-	// SuspicionSweeps drive the periodic tasks (all in virtual time).
+	// GossipInterval, MembershipInterval and SuspectAfter drive the periodic
+	// tasks (all in virtual time).
 	GossipInterval     time.Duration
 	MembershipInterval time.Duration
-	MembershipFanout   int
 	SuspectAfter       time.Duration
-	SuspicionSweeps    int
 	// DeliveryBuffer sizes each node's delivery channel; the engine drains
 	// it after every virtual instant, so bursts rarely need more than the
 	// default.
@@ -245,14 +243,8 @@ func (s Scenario) withDefaults() (Scenario, error) {
 	if f.MembershipInterval <= 0 {
 		f.MembershipInterval = 4 * f.GossipInterval
 	}
-	if f.MembershipFanout <= 0 {
-		f.MembershipFanout = 2
-	}
 	if f.SuspectAfter <= 0 {
 		f.SuspectAfter = 20 * f.MembershipInterval
-	}
-	if f.SuspicionSweeps <= 0 {
-		f.SuspicionSweeps = 1
 	}
 	if f.DeliveryBuffer <= 0 {
 		f.DeliveryBuffer = 1024

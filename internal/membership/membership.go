@@ -195,12 +195,6 @@ type Config struct {
 	// SuspectAfter is how long an immediate neighbor may stay silent before
 	// the failure detector declares it crashed.
 	SuspectAfter time.Duration
-	// SuspicionSweeps is how many consecutive over-deadline sweeps are
-	// required before a silent neighbor is expelled (default 1: expel on
-	// first detection). Values > 1 implement the Section 6 suggestion of a
-	// confirmation phase before exclusion, trading detection latency for
-	// resilience against transient silence.
-	SuspicionSweeps int
 	// Now tells time (injectable for tests); nil means time.Now.
 	Now func() time.Time
 }
@@ -228,11 +222,10 @@ type Service struct {
 	now func() time.Time
 
 	mu sync.RWMutex
-	// lastHeard and suspicion are the failure detector's state, kept for
-	// immediate neighbors only (see MarkHeardAt): an address's prefix never
-	// changes, so nothing else is ever read back.
+	// lastHeard is the failure detector's state, kept for immediate
+	// neighbors only (see MarkHeardAt): an address's prefix never changes,
+	// so nothing else is ever read back.
 	lastHeard map[string]time.Time
-	suspicion map[string]int
 	version   uint64
 	alive     int    // count of alive records, maintained on every transition
 	hash      uint64 // order-independent roster hash, maintained likewise
@@ -826,7 +819,6 @@ func (s *Service) monitors(a addr.Address) bool {
 func (s *Service) markHeardLocked(a addr.Address, at time.Time) {
 	if s.monitors(a) {
 		s.lastHeard[a.Key()] = at
-		delete(s.suspicion, a.Key())
 	}
 }
 
@@ -839,9 +831,10 @@ func (s *Service) ImmediateNeighbors() []addr.Address {
 }
 
 // SweepFailures tombstones immediate neighbors that have been silent longer
-// than SuspectAfter, returning the newly suspected addresses. Neighbors
-// never heard from are grandfathered at first sweep (their timer starts
-// then), so a fresh join does not immediately expel its group.
+// than SuspectAfter, returning the newly suspected addresses: the first sweep
+// past the deadline expels. Neighbors never heard from are grandfathered at
+// first sweep (their timer starts then), so a fresh join does not
+// immediately expel its group.
 func (s *Service) SweepFailures() []addr.Address {
 	if s.cfg.SuspectAfter <= 0 {
 		return nil
@@ -863,11 +856,6 @@ func (s *Service) SweepFailures() []addr.Address {
 			continue
 		}
 		if now.Sub(heard) > s.cfg.SuspectAfter {
-			s.suspicion[key]++
-			if s.suspicion[key] < s.cfg.SuspicionSweeps {
-				continue // confirmation phase (Section 6): not yet expelled
-			}
-			delete(s.suspicion, key)
 			i := s.base.index[key]
 			r := s.mutableLocked(i)
 			s.touchHashLocked(key, r.Stamp, r.Alive, r.Stamp+1, false)

@@ -215,6 +215,10 @@ func TestLeaveTombstonePropagates(t *testing.T) {
 	}
 }
 
+// TestFailureDetection pins the one-sweep detector: a neighbor heard within
+// the deadline survives any number of sweeps, a life sign that lands after
+// the deadline passed but before the sweep saves it, and the first sweep that
+// finds it silent past the deadline expels it and tombstones its record.
 func TestFailureDetection(t *testing.T) {
 	now := time.Unix(1000, 0)
 	s := newService(t, "0.0", &now)
@@ -228,19 +232,41 @@ func TestFailureDetection(t *testing.T) {
 	if sus := s.SweepFailures(); len(sus) != 0 {
 		t.Fatalf("premature suspicion: %v", sus)
 	}
-	// Silence beyond the deadline: the neighbor is suspected, the distant
-	// process is not monitored (only immediate neighbors are).
-	now = now.Add(time.Minute)
+	// Heard within the deadline (10s, silence of exactly 10s included):
+	// never suspected, however many sweeps run.
+	for i := range 20 {
+		now = now.Add(time.Duration(9+i%2) * time.Second)
+		if sus := s.SweepFailures(); len(sus) != 0 {
+			t.Fatalf("sweep %d suspected a neighbor heard within the deadline: %v", i, sus)
+		}
+		s.MarkHeardAt(neighbor, now)
+	}
+	// The deadline passes, but a life sign arrives before the sweep.
+	now = now.Add(11 * time.Second)
+	s.MarkHeardAt(neighbor, now)
+	if sus := s.SweepFailures(); len(sus) != 0 {
+		t.Fatalf("a life sign just before the sweep did not save the neighbor: %v", sus)
+	}
+	// Silence beyond the deadline: the first sweep expels the neighbor; the
+	// distant process is not monitored (only immediate neighbors are).
+	v := s.Version()
+	now = now.Add(11 * time.Second)
 	sus := s.SweepFailures()
 	if len(sus) != 1 || !sus[0].Equal(neighbor) {
 		t.Fatalf("suspected = %v, want [0.1]", sus)
 	}
 	rec, _ := s.Lookup(neighbor)
-	if rec.Alive {
-		t.Error("suspected neighbor not tombstoned")
+	if rec.Alive || rec.Stamp != 2 {
+		t.Errorf("expelled neighbor = %+v, want a tombstone at stamp 2", rec)
+	}
+	if s.Version() == v {
+		t.Error("expulsion did not move the membership version")
 	}
 	if recD, _ := s.Lookup(distant); !recD.Alive {
 		t.Error("distant process wrongly tombstoned")
+	}
+	if sus := s.SweepFailures(); len(sus) != 0 {
+		t.Errorf("expelled neighbor suspected again: %v", sus)
 	}
 	// Life signs reset the clock.
 	now = now.Add(time.Minute)
@@ -248,50 +274,6 @@ func TestFailureDetection(t *testing.T) {
 	s.MarkHeardAt(neighbor, now)
 	if sus := s.SweepFailures(); len(sus) != 0 {
 		t.Errorf("re-suspected immediately after contact: %v", sus)
-	}
-}
-
-func TestSuspicionConfirmationPhase(t *testing.T) {
-	// With SuspicionSweeps=3, a silent neighbor survives two over-deadline
-	// sweeps and is expelled on the third; any life sign resets the count.
-	now := time.Unix(0, 0)
-	cfg := Config{
-		Self:            addr.New(0, 0),
-		Space:           addr.MustRegular(4, 2),
-		R:               2,
-		SuspectAfter:    10 * time.Second,
-		SuspicionSweeps: 3,
-		Now:             func() time.Time { return now },
-	}
-	s, err := New(cfg, interest.NewSubscription())
-	if err != nil {
-		t.Fatal(err)
-	}
-	neighbor := addr.New(0, 1)
-	s.Apply(Update{From: neighbor, Records: []Record{{Addr: neighbor, Stamp: 1, Alive: true}}})
-
-	now = now.Add(time.Minute)
-	if sus := s.SweepFailures(); len(sus) != 0 {
-		t.Fatalf("expelled on first sweep: %v", sus)
-	}
-	if sus := s.SweepFailures(); len(sus) != 0 {
-		t.Fatalf("expelled on second sweep: %v", sus)
-	}
-	// A life sign resets the confirmation counter.
-	s.MarkHeardAt(neighbor, now)
-	now = now.Add(time.Minute)
-	if sus := s.SweepFailures(); len(sus) != 0 {
-		t.Fatal("expelled right after contact")
-	}
-	if sus := s.SweepFailures(); len(sus) != 0 {
-		t.Fatal("reset did not take effect")
-	}
-	if sus := s.SweepFailures(); len(sus) != 1 || !sus[0].Equal(neighbor) {
-		t.Fatalf("third consecutive sweep should expel, got %v", sus)
-	}
-	rec, _ := s.Lookup(neighbor)
-	if rec.Alive {
-		t.Error("expelled neighbor still alive")
 	}
 }
 
@@ -440,7 +422,7 @@ func TestOutOfSpaceRecordsRefused(t *testing.T) {
 
 // TestDetectorStateBoundedBySubgroup: traffic from 200 processes outside the
 // subgroup — plus forged senders outside the space — leaves the failure
-// detector's maps holding at most the subgroup, however it arrives.
+// detector's map holding at most the subgroup, however it arrives.
 func TestDetectorStateBoundedBySubgroup(t *testing.T) {
 	now := time.Unix(0, 0)
 	space := addr.MustRegular(16, 2)
@@ -464,7 +446,7 @@ func TestDetectorStateBoundedBySubgroup(t *testing.T) {
 		s.HandleDigest(Digest{From: a, Hash: uint64(i)})
 		s.HandleJoinRequest(JoinRequest{Joiner: Record{Addr: a, Stamp: 1, Alive: true}})
 	}
-	// Neighbors join, fall silent and are swept, so both maps see use.
+	// Neighbors join, fall silent and are swept, so the detector sees use.
 	for j := 0; j < subgroup; j++ {
 		s.Apply(Update{Records: []Record{{Addr: addr.New(3, j), Stamp: 2, Alive: true}}})
 	}
@@ -474,9 +456,9 @@ func TestDetectorStateBoundedBySubgroup(t *testing.T) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if len(s.lastHeard) > subgroup || len(s.suspicion) > subgroup {
-		t.Errorf("detector holds %d contact times and %d suspicions; want at most the subgroup's %d",
-			len(s.lastHeard), len(s.suspicion), subgroup)
+	if len(s.lastHeard) > subgroup {
+		t.Errorf("detector holds %d contact times; want at most the subgroup's %d",
+			len(s.lastHeard), subgroup)
 	}
 	for key := range s.lastHeard {
 		if a := addr.MustParse(key); !a.HasPrefix(s.selfPrefix) {

@@ -109,9 +109,6 @@ func NewWithRoster(cfg Config, base *Roster) (*Service, error) {
 	if now == nil {
 		now = time.Now
 	}
-	if cfg.SuspicionSweeps < 1 {
-		cfg.SuspicionSweeps = 1
-	}
 	selfIdx, ok := base.index[cfg.Self.Key()]
 	if !ok {
 		return nil, fmt.Errorf("%w: self %s not in roster", ErrBadConfig, cfg.Self)
@@ -120,7 +117,6 @@ func NewWithRoster(cfg Config, base *Roster) (*Service, error) {
 		cfg:        cfg,
 		now:        now,
 		lastHeard:  make(map[string]time.Time),
-		suspicion:  make(map[string]int),
 		selfPrefix: cfg.Self.Prefix(cfg.Space.Depth()),
 	}
 	s.adoptLocked(base)

@@ -58,7 +58,8 @@ type Config struct {
 	R int
 	// F is the gossip fanout.
 	F int
-	// C is Pittel's constant for round budgets.
+	// C is Pittel's constant for round budgets (Eq. 3); 0 is accepted and
+	// gives the shortest budgets.
 	C float64
 	// Subscription is the node's initial interest.
 	Subscription interest.Subscription
@@ -66,22 +67,10 @@ type Config struct {
 	GossipInterval time.Duration
 	// MembershipInterval is the digest period (default 4·GossipInterval).
 	MembershipInterval time.Duration
-	// MembershipFanout is how many peers receive each digest (default 2).
-	MembershipFanout int
 	// SuspectAfter configures the failure detector (default 20 membership
 	// intervals; ≤ 0 keeps the default — failure detection is integral to
 	// the membership scheme).
 	SuspectAfter time.Duration
-	// SuspicionSweeps is the number of consecutive over-deadline detector
-	// sweeps before a silent neighbor is expelled (default 1; >1 enables
-	// the Section 6 confirmation phase).
-	SuspicionSweeps int
-	// Threshold is the Section 5.3 tuning parameter h (0 = untuned).
-	Threshold int
-	// LocalDescent enables the Section 3.2 start-depth rule.
-	LocalDescent bool
-	// LeafFloodRate enables the Section 6 leaf-flooding extension (0 = off).
-	LeafFloodRate float64
 	// DeliveryBuffer sizes the Deliveries channel (default 256). When the
 	// consumer lags, further deliveries are dropped and counted.
 	DeliveryBuffer int
@@ -94,7 +83,8 @@ type Config struct {
 	// FECSources+FECRepairs symbols reconstruct the generation, so a
 	// receiver that missed an event on every inbound link rebuilds it from
 	// a repair plus the events it already holds.
-	// 0 disables coding entirely — the pre-FEC wire path, byte for byte.
+	// 0 disables coding entirely: the wire format, fault draws and seeded
+	// traces are byte-identical to a node without the coding layer.
 	FECRepairs int
 	// FECSources is the generation size k (default 8 when FECRepairs > 0).
 	// FECSources+FECRepairs must not exceed fec.MaxSymbols.
@@ -105,6 +95,9 @@ type Config struct {
 	// shareable across goroutines). 0 — the default — runs ingress inline on
 	// the protocol goroutine: the serial loop every deterministic campaign
 	// replays. Only Start consults this; step-mode driving is always serial.
+	// Pair decode workers with the UDP transport's DeferDecode, so that the
+	// datagram unframing actually lands on them; multicore deployments size
+	// both worker counts by runtime.NumCPU().
 	DecodeWorkers int
 	// EncodeWorkers is the egress-stage parallelism: how many encode/send
 	// workers consume per-peer send jobs from the protocol stage. 0 sends
@@ -148,9 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MembershipInterval <= 0 {
 		c.MembershipInterval = 4 * c.GossipInterval
-	}
-	if c.MembershipFanout <= 0 {
-		c.MembershipFanout = 2
 	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 20 * c.MembershipInterval
@@ -267,12 +257,11 @@ type Node struct {
 func New(tr transport.Transport, cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
 	memCfg := membership.Config{
-		Self:            cfg.Addr,
-		Space:           cfg.Space,
-		R:               cfg.R,
-		SuspectAfter:    cfg.SuspectAfter,
-		SuspicionSweeps: cfg.SuspicionSweeps,
-		Now:             cfg.Clock.Now,
+		Self:         cfg.Addr,
+		Space:        cfg.Space,
+		R:            cfg.R,
+		SuspectAfter: cfg.SuspectAfter,
+		Now:          cfg.Clock.Now,
 	}
 	var mem *membership.Service
 	var err error
@@ -991,6 +980,9 @@ func (n *Node) tickGossip() {
 	}
 }
 
+// membershipFanout is how many peers receive each membership digest.
+const membershipFanout = 2
+
 func (n *Node) tickMembership() {
 	// Bootstrap retry: while the node knows nobody, keep announcing itself
 	// to its join contact (join messages are as lossy as any other).
@@ -1003,7 +995,7 @@ func (n *Node) tickMembership() {
 		}
 	}
 	n.mu.Lock()
-	targets := n.mem.DigestTargets(n.rng, n.cfg.MembershipFanout)
+	targets := n.mem.DigestTargets(n.rng, membershipFanout)
 	n.mu.Unlock()
 	d := n.mem.MakeSummaryDigest()
 	// Beacon the whole subgroup: the failure detector deadline is counted in
@@ -1051,12 +1043,9 @@ func (n *Node) rebuildIfStaleLocked() error {
 // coreConfig assembles the gossip-core configuration.
 func (n *Node) coreConfig() core.Config {
 	return core.Config{
-		D:             n.cfg.Space.Depth(),
-		F:             n.cfg.F,
-		C:             n.cfg.C,
-		Threshold:     n.cfg.Threshold,
-		LocalDescent:  n.cfg.LocalDescent,
-		LeafFloodRate: n.cfg.LeafFloodRate,
+		D: n.cfg.Space.Depth(),
+		F: n.cfg.F,
+		C: n.cfg.C,
 	}
 }
 

@@ -23,7 +23,7 @@ type Line struct {
 	// Summary is the regrouped interest of every process in the subgroup.
 	Summary *interest.Summary
 	// Compiled is the line's handle on the view's Index: it answers for this
-	// line alone. Views built by Tree always carry it.
+	// line alone.
 	Compiled *interest.CompiledMatcher
 	// Count is the total number of processes in the subgroup (‖·‖, Eq. 4),
 	// used by the round-estimation heuristics (Section 2.3, "Process count").
@@ -56,7 +56,7 @@ type View struct {
 	Gen uint64
 	// Index answers an event for every line in one probe, line i being
 	// Lines[i]. Views built by Tree share it with every other holder of the
-	// view; hand-built views may leave it nil.
+	// view.
 	Index *interest.Index
 }
 

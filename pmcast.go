@@ -14,19 +14,20 @@
 // Nodes run over a pluggable Transport: the in-memory simulation fabric
 // (NewNetwork) or real UDP sockets (NewUDPTransport). The live runtime is a
 // staged engine — parallel decode workers, a single-writer protocol
-// goroutine, parallel encode/send workers — sized by WithParallelism;
-// the default (0, 0) is the serial, deterministic configuration.
-// Quickstart:
+// goroutine, parallel encode/send workers — sized by NodeConfig's
+// DecodeWorkers and EncodeWorkers; the default (0, 0) is the serial,
+// deterministic configuration. Quickstart:
 //
 //	net := pmcast.MustNetwork(pmcast.NetworkConfig{})
 //	space := pmcast.MustRegularSpace(4, 2) // 16 addresses: x.y, 0 ≤ x,y < 4
-//	n, _ := pmcast.NewNode(net,
-//		pmcast.WithAddr(pmcast.MustParseAddress("0.1")),
-//		pmcast.WithSpace(space),
-//		pmcast.WithGroupRedundancy(2),
-//		pmcast.WithFanout(3),
-//		pmcast.WithSubscription(pmcast.Where("price", pmcast.Gt(100))),
-//	)
+//	n, _ := pmcast.NewNode(net, pmcast.NodeConfig{
+//		Addr:         pmcast.MustParseAddress("0.1"),
+//		Space:        space,
+//		R:            2,
+//		F:            3,
+//		C:            2,
+//		Subscription: pmcast.Where("price", pmcast.Gt(100)),
+//	})
 //	n.Start()
 //	defer n.Stop()
 //
@@ -236,27 +237,19 @@ func NewStaticResolver(peers map[string]string) (*StaticResolver, error) {
 type (
 	// Node is a live pmcast process.
 	Node = node.Node
-	// NodeConfig parameterizes a node; it is usually assembled through
-	// NodeOption values rather than filled in literally.
+	// NodeConfig parameterizes a node. Write it as a keyed literal: a
+	// field added later then breaks no caller, and an unset field takes its
+	// documented default.
 	NodeConfig = node.Config
 )
 
 // NewNode attaches a new node to a transport fabric; call Start to run it.
-// The node is parameterized by functional options, so new tuning knobs can
-// be added without breaking existing callers:
+// Addr, Space, R and F must be set; every other field has a default.
 //
-//	n, err := pmcast.NewNode(tr,
-//		pmcast.WithAddr(a), pmcast.WithSpace(space),
-//		pmcast.WithGroupRedundancy(2), pmcast.WithFanout(3),
-//		pmcast.WithSubscription(sub),
-//	)
-func NewNode(tr Transport, opts ...NodeOption) (*Node, error) {
-	var cfg NodeConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return node.New(tr, cfg)
-}
+//	n, err := pmcast.NewNode(tr, pmcast.NodeConfig{
+//		Addr: a, Space: space, R: 2, F: 3, C: 2, Subscription: sub,
+//	})
+func NewNode(tr Transport, cfg NodeConfig) (*Node, error) { return node.New(tr, cfg) }
 
 // Simulation (paper Section 5).
 type (

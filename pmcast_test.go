@@ -22,16 +22,16 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	nodes := make(map[string]*pmcast.Node)
 	for key, sub := range subs {
-		n, err := pmcast.NewNode(net,
-			pmcast.WithAddr(pmcast.MustParseAddress(key)),
-			pmcast.WithSpace(space),
-			pmcast.WithGroupRedundancy(2),
-			pmcast.WithFanout(3),
-			pmcast.WithPittelC(2),
-			pmcast.WithSubscription(sub),
-			pmcast.WithGossipInterval(4*time.Millisecond),
-			pmcast.WithMembershipInterval(6*time.Millisecond),
-		)
+		n, err := pmcast.NewNode(net, pmcast.NodeConfig{
+			Addr:               pmcast.MustParseAddress(key),
+			Space:              space,
+			R:                  2,
+			F:                  3,
+			C:                  2,
+			Subscription:       sub,
+			GossipInterval:     4 * time.Millisecond,
+			MembershipInterval: 6 * time.Millisecond,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,18 +121,19 @@ func TestFacadeUDPEndToEnd(t *testing.T) {
 	}
 	nodes := make(map[string]*pmcast.Node)
 	for key, sub := range subs {
-		n, err := pmcast.NewNode(tr,
-			pmcast.WithAddr(pmcast.MustParseAddress(key)),
-			pmcast.WithSpace(space),
-			pmcast.WithGroupRedundancy(2),
-			pmcast.WithFanout(3),
-			pmcast.WithPittelC(2),
-			pmcast.WithSubscription(sub),
-			pmcast.WithGossipInterval(4*time.Millisecond),
-			pmcast.WithMembershipInterval(6*time.Millisecond),
-			pmcast.WithParallelism(2, 2),
-			pmcast.WithStageQueue(512),
-		)
+		n, err := pmcast.NewNode(tr, pmcast.NodeConfig{
+			Addr:               pmcast.MustParseAddress(key),
+			Space:              space,
+			R:                  2,
+			F:                  3,
+			C:                  2,
+			Subscription:       sub,
+			GossipInterval:     4 * time.Millisecond,
+			MembershipInterval: 6 * time.Millisecond,
+			DecodeWorkers:      2,
+			EncodeWorkers:      2,
+			StageQueue:         512,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +236,7 @@ func TestFacadeSubscriptionLanguage(t *testing.T) {
 	}
 }
 
-// TestFacadeCodedCluster exercises WithRedundancy through the public API
+// TestFacadeCodedCluster exercises the coding layer through the public API
 // only: a small coded cluster delivers everything, and the publisher's
 // FEC stats show repair symbols actually left on the wire.
 func TestFacadeCodedCluster(t *testing.T) {
@@ -244,17 +245,18 @@ func TestFacadeCodedCluster(t *testing.T) {
 	sub := pmcast.Where("b", pmcast.EqInt(1))
 	nodes := make([]*pmcast.Node, 6)
 	for i := range nodes {
-		n, err := pmcast.NewNode(net,
-			pmcast.WithAddr(space.AddressAt(i)),
-			pmcast.WithSpace(space),
-			pmcast.WithGroupRedundancy(2),
-			pmcast.WithFanout(3),
-			pmcast.WithPittelC(2),
-			pmcast.WithSubscription(sub),
-			pmcast.WithGossipInterval(4*time.Millisecond),
-			pmcast.WithMembershipInterval(6*time.Millisecond),
-			pmcast.WithRedundancy(4, 1),
-		)
+		n, err := pmcast.NewNode(net, pmcast.NodeConfig{
+			Addr:               space.AddressAt(i),
+			Space:              space,
+			R:                  2,
+			F:                  3,
+			C:                  2,
+			Subscription:       sub,
+			GossipInterval:     4 * time.Millisecond,
+			MembershipInterval: 6 * time.Millisecond,
+			FECRepairs:         1,
+			FECSources:         4,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
