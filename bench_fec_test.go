@@ -136,7 +136,7 @@ func BenchmarkFrontierPoint(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var rel, bytes, rounds float64
 			for i := 0; i < b.N; i++ {
-				pt, err := experiments.FrontierPointAt(base, 1, 0.40, c.f, c.k, c.r)
+				pt, err := experiments.FrontierPointAt(base, 1, 0.40, transport.LinkModel{}, c.f, c.k, c.r)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -173,7 +173,7 @@ func BenchmarkFrontierPointBursty(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var rel, bytes, rounds float64
 			for i := 0; i < b.N; i++ {
-				pt, err := experiments.FrontierPointLinked(base, 1, link, c.f, c.k, c.r)
+				pt, err := experiments.FrontierPointAt(base, 1, 0, link, c.f, c.k, c.r)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -247,6 +248,9 @@ func parsePeers(spec string) (map[string]string, error) {
 		if !ok {
 			return nil, fmt.Errorf("peer entry %q is not addr=host:port", kv)
 		}
+		if _, dup := peers[k]; dup {
+			return nil, fmt.Errorf("peer %q is listed twice", k)
+		}
 		peers[k] = v
 	}
 	return peers, nil
@@ -291,14 +295,14 @@ func parseClause(clause string) (string, pmcast.Criterion, error) {
 			if b, err := strconv.ParseBool(val); err == nil {
 				return attr, pmcast.IsBool(b), nil
 			}
-			if x, err := strconv.ParseFloat(val, 64); err == nil {
+			if x, ok := parseFinite(val); ok {
 				return attr, pmcast.EqFloat(x), nil
 			}
 			return "", pmcast.Criterion{}, fmt.Errorf("clause %q: %q is not a number or bool", clause, val)
 		default:
-			x, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return "", pmcast.Criterion{}, fmt.Errorf("clause %q: %w", clause, err)
+			x, ok := parseFinite(val)
+			if !ok {
+				return "", pmcast.Criterion{}, fmt.Errorf("clause %q: %q is not a finite number", clause, val)
 			}
 			switch op {
 			case ">":
@@ -316,7 +320,7 @@ func parseClause(clause string) (string, pmcast.Criterion, error) {
 }
 
 // parseAttrs compiles 'k=v' pairs into typed event attributes: integers,
-// floats and booleans by syntax, strings otherwise.
+// finite floats and booleans by syntax, strings otherwise.
 func parseAttrs(spec string) (map[string]pmcast.Value, error) {
 	attrs := make(map[string]pmcast.Value)
 	for _, kv := range strings.Split(spec, ",") {
@@ -324,28 +328,23 @@ func parseAttrs(spec string) (map[string]pmcast.Value, error) {
 		if !ok {
 			return nil, fmt.Errorf("attribute %q is not k=v", kv)
 		}
-		switch {
-		case isInt(v):
-			i, _ := strconv.ParseInt(v, 10, 64)
+		if i, err := strconv.ParseInt(v, 10, 64); err == nil {
 			attrs[k] = pmcast.Int(i)
-		case isFloat(v):
-			x, _ := strconv.ParseFloat(v, 64)
+		} else if x, ok := parseFinite(v); ok {
 			attrs[k] = pmcast.Float(x)
-		case v == "true" || v == "false":
+		} else if v == "true" || v == "false" {
 			attrs[k] = pmcast.Bool(v == "true")
-		default:
+		} else {
 			attrs[k] = pmcast.Str(v)
 		}
 	}
 	return attrs, nil
 }
 
-func isInt(s string) bool {
-	_, err := strconv.ParseInt(s, 10, 64)
-	return err == nil
-}
-
-func isFloat(s string) bool {
-	_, err := strconv.ParseFloat(s, 64)
-	return err == nil
+// parseFinite parses s as a finite float. strconv.ParseFloat also reads
+// "inf", "infinity" and "nan" in any case; those are words here, not
+// numbers.
+func parseFinite(s string) (float64, bool) {
+	x, err := strconv.ParseFloat(s, 64)
+	return x, err == nil && !math.IsInf(x, 0) && !math.IsNaN(x)
 }

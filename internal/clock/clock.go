@@ -1,4 +1,4 @@
-// Package clock is the time seam of the runtime: every layer that sleeps,
+// Package clock is the time seam of the runtime: every layer that waits,
 // ticks or reads the wall clock does so through the Clock interface, so the
 // same code runs on real timers in production and on a deterministic
 // virtual-time event queue in tests and chaos campaigns (internal/harness).
@@ -26,8 +26,6 @@ type Clock interface {
 	// NewTicker returns a ticker firing every d on its channel. Ticks that
 	// find the channel full are coalesced, like time.Ticker's.
 	NewTicker(d time.Duration) Ticker
-	// Sleep blocks the calling goroutine for d of this clock's time.
-	Sleep(d time.Duration)
 }
 
 // Timer is a cancellable pending AfterFunc call.
@@ -59,9 +57,6 @@ func (Real) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d
 
 // NewTicker implements Clock.
 func (Real) NewTicker(d time.Duration) Ticker { return realTicker{time.NewTicker(d)} }
-
-// Sleep implements Clock.
-func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
 type realTicker struct{ t *time.Ticker }
 

@@ -1,7 +1,6 @@
 package clock
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
@@ -206,29 +205,6 @@ func TestVirtualTickerStop(t *testing.T) {
 	if v.Pending() != 0 {
 		t.Fatalf("%d callbacks pending after ticker stop", v.Pending())
 	}
-}
-
-func TestSleepWakesWhenAdvanced(t *testing.T) {
-	v := NewVirtual()
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		v.Sleep(50 * time.Millisecond)
-		close(done)
-	}()
-	// Wait until the sleeper has registered its wake-up call.
-	for v.Pending() == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
-	v.Advance(50 * time.Millisecond)
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Sleep did not wake after Advance")
-	}
-	wg.Wait()
 }
 
 func TestRealClockSmoke(t *testing.T) {

@@ -167,15 +167,6 @@ func (v *Virtual) NewTicker(d time.Duration) Ticker {
 	return vt
 }
 
-// Sleep implements Clock: it blocks until another goroutine advances the
-// clock past d. Calling Sleep from the advancing goroutine deadlocks;
-// single-threaded harnesses use AfterFunc instead.
-func (v *Virtual) Sleep(d time.Duration) {
-	done := make(chan struct{})
-	v.AfterFunc(d, func() { close(done) })
-	<-done
-}
-
 // Pending returns the number of scheduled, un-stopped callbacks.
 func (v *Virtual) Pending() int {
 	v.mu.Lock()

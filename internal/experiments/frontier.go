@@ -42,58 +42,33 @@ type FrontierPoint struct {
 }
 
 // FrontierPointAt measures one cell: the base scenario re-parameterized to
-// the given loss, fan-out and coding configuration.
-func FrontierPointAt(base harness.Scenario, seed int64, loss float64, f, k, r int) (FrontierPoint, error) {
+// the given ambient Bernoulli loss, link model, fan-out and coding
+// configuration. A zero link model runs Bernoulli loss alone; an enabled
+// Gilbert–Elliott chain on every directed link adds correlated loss. The
+// point's Loss field records the combined loss rate — the ambient loss plus,
+// of what survives it, the chain's stationary loss — so linked and
+// Bernoulli points plot on one axis.
+func FrontierPointAt(base harness.Scenario, seed int64, loss float64, link transport.LinkModel, f, k, r int) (FrontierPoint, error) {
 	sc := base
 	sc.Loss = loss
-	sc.Fleet.F = f
-	sc.Fleet.FECSources = k
-	sc.Fleet.FECRepairs = r
-	res, err := sc.Run(seed)
-	if err != nil {
-		return FrontierPoint{}, fmt.Errorf("frontier %s loss=%.2f f=%d r=%d: %w",
-			sc.Name, loss, f, r, err)
-	}
-	rep := res.Report
-	return FrontierPoint{
-		Scenario:            sc.Name,
-		Seed:                seed,
-		Loss:                loss,
-		F:                   f,
-		K:                   k,
-		R:                   r,
-		MeanReliability:     rep.MeanReliability,
-		MinReliability:      rep.MinReliability,
-		BytesPerEvent:       rep.BytesPerEvent,
-		RepairBytesPerEvent: rep.RepairBytesPerEvent,
-		EnvelopesPerEvent:   rep.EnvelopesPerEvent,
-		RoundsToDeliveryP99: rep.RoundsToDeliveryP99,
-		FECRecoveries:       rep.FECRecoveries,
-	}, nil
-}
-
-// FrontierPointLinked measures one frontier cell under a correlated-loss
-// link model instead of Bernoulli loss: a Gilbert–Elliott chain on every
-// directed link. The point's Loss field records the chain's
-// stationary loss rate, so linked and Bernoulli points plot on one axis.
-func FrontierPointLinked(base harness.Scenario, seed int64, link transport.LinkModel, f, k, r int) (FrontierPoint, error) {
-	sc := base
-	sc.Loss = 0
 	sc.Link = link
 	sc.Fleet.F = f
 	sc.Fleet.FECSources = k
 	sc.Fleet.FECRepairs = r
 	res, err := sc.Run(seed)
 	if err != nil {
-		return FrontierPoint{}, fmt.Errorf("frontier %s linked f=%d r=%d: %w",
-			sc.Name, f, r, err)
+		return FrontierPoint{}, fmt.Errorf("frontier %s loss=%.2f linked=%t f=%d r=%d: %w",
+			sc.Name, loss, link.PGB > 0, f, r, err)
+	}
+	if link.PGB > 0 {
+		pBad := link.PGB / (link.PGB + link.PBG)
+		loss += (1 - loss) * (pBad*link.BadLoss + (1-pBad)*link.GoodLoss)
 	}
 	rep := res.Report
-	pBad := link.PGB / (link.PGB + link.PBG)
 	return FrontierPoint{
 		Scenario:            sc.Name,
 		Seed:                seed,
-		Loss:                pBad*link.BadLoss + (1-pBad)*link.GoodLoss,
+		Loss:                loss,
 		F:                   f,
 		K:                   k,
 		R:                   r,

@@ -31,11 +31,11 @@ func TestFrontierCodedBeatsUncodedHighFanout(t *testing.T) {
 	)
 	const seeds = 8
 	for seed := int64(1); seed <= seeds; seed++ {
-		coded, err := FrontierPointAt(base, seed, loss, 6, 8, 2)
+		coded, err := FrontierPointAt(base, seed, loss, transport.LinkModel{}, 6, 8, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		uncoded, err := FrontierPointAt(base, seed, loss, 7, 8, 0)
+		uncoded, err := FrontierPointAt(base, seed, loss, transport.LinkModel{}, 7, 8, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,11 +73,11 @@ func TestFrontierPointShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coded, err := FrontierPointAt(base, 1, 0.20, 6, 8, 2)
+	coded, err := FrontierPointAt(base, 1, 0.20, transport.LinkModel{}, 6, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncoded, err := FrontierPointAt(base, 1, 0.20, 6, 8, 0)
+	uncoded, err := FrontierPointAt(base, 1, 0.20, transport.LinkModel{}, 6, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func TestFrontierLinkedRepinsCodedWin(t *testing.T) {
 			)
 			const seeds = 4
 			for seed := int64(1); seed <= seeds; seed++ {
-				coded, err := FrontierPointLinked(base, seed, tc.link, tc.codedF, 8, tc.codedR)
+				coded, err := FrontierPointAt(base, seed, 0, tc.link, tc.codedF, 8, tc.codedR)
 				if err != nil {
 					t.Fatal(err)
 				}
-				uncoded, err := FrontierPointLinked(base, seed, tc.link, tc.uncodedF, 8, 0)
+				uncoded, err := FrontierPointAt(base, seed, 0, tc.link, tc.uncodedF, 8, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

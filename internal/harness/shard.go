@@ -201,10 +201,6 @@ func (c *nodeClock) NewTicker(time.Duration) clock.Ticker {
 	panic("harness: NewTicker is not available to a harness node (step mode drives by callback)")
 }
 
-func (c *nodeClock) Sleep(time.Duration) {
-	panic("harness: Sleep is not available to a harness node")
-}
-
 // dirtySet is a worker's ordered set of nodes to pump when the open instant
 // closes: a min-heap of pump keys, pass<<32 | fleet index, so popping in key
 // order is pass-major and rising index within a pass. floor is the key being

@@ -296,8 +296,6 @@ type CompiledMatcher struct {
 	line int
 }
 
-var _ Matcher = (*CompiledMatcher)(nil)
-
 // Matches reports whether the line's summary matches the event.
 func (m *CompiledMatcher) Matches(ev event.Event) bool {
 	if m == nil {

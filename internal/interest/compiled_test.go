@@ -281,3 +281,59 @@ func TestConstrainValidCriteria(t *testing.T) {
 		}
 	}
 }
+
+// TestNaNSatisfiesNoNumericCriterion: NaN compares false with every number,
+// so neither an event attribute nor a criterion bound that is NaN may let a
+// numeric criterion through. Both matchers — the interpretive one and the
+// index, on a subscription and on its summary — must refuse every pair. The
+// wildcard still admits a NaN value: it asks only that the attribute be set.
+func TestNaNSatisfiesNoNumericCriterion(t *testing.T) {
+	nan := math.NaN()
+	build := func(x float64) event.Event {
+		return event.NewBuilder().Float("price", x).Build(event.ID{Origin: "nan", Seq: 1})
+	}
+	cases := []struct {
+		name string
+		crit Criterion
+		x    float64
+	}{
+		{"nan > 100", Gt(100), nan},
+		{"nan < 0", Lt(0), nan},
+		{"nan = 5", EqFloat(5), nan},
+		{"nan in [1, 2]", BetweenIncl(1, 2), nan},
+		{"nan in all reals", InIntervals(FullInterval()), nan},
+		{"nan in [-inf, +inf]", BetweenIncl(math.Inf(-1), math.Inf(1)), nan},
+		{"50 = nan", EqFloat(nan), 50},
+		{"50 > nan", Gt(nan), 50},
+		{"50 <= nan", Le(nan), 50},
+		{"50 in (nan, 100)", Between(nan, 100), 50},
+		{"50 in [0, nan]", BetweenIncl(0, nan), 50},
+		{"50 in {nan}", Eq(event.Float(nan)), 50},
+		{"nan = nan", EqFloat(nan), nan},
+		{"nan in [nan, nan]", InIntervals(Interval{Lo: nan, Hi: nan}), nan},
+	}
+	for _, tc := range cases {
+		ev := build(tc.x)
+		sub := NewSubscription().Where("price", tc.crit)
+		sum := Summarize(sub)
+		if tc.crit.Matches(event.Float(tc.x)) {
+			t.Errorf("%s: criterion matches", tc.name)
+		}
+		if sub.Matches(ev) || Compile(sub).Matches(ev) {
+			t.Errorf("%s: subscription matches (interpretive %v, index %v)", tc.name, sub.Matches(ev), Compile(sub).Matches(ev))
+		}
+		if sum.Matches(ev) || CompileSummary(sum).Matches(ev) {
+			t.Errorf("%s: summary matches (interpretive %v, index %v)", tc.name, sum.Matches(ev), CompileSummary(sum).Matches(ev))
+		}
+		if math.IsNaN(tc.x) {
+			continue
+		}
+		if !tc.crit.IsEmpty() {
+			t.Errorf("%s: a criterion with a NaN bound is not empty", tc.name)
+		}
+	}
+	wild := NewSubscription().Where("price", Any())
+	if ev := build(nan); !wild.Matches(ev) || !Compile(wild).Matches(ev) {
+		t.Error("the wildcard refuses a NaN value")
+	}
+}

@@ -37,8 +37,12 @@ type Criterion struct {
 func Any() Criterion { return Criterion{kind: kindAny} }
 
 // Eq constrains the attribute to a single value of any supported type.
+// NaN, like an invalid value, admits nothing.
 func Eq(v event.Value) Criterion {
 	if n, ok := v.Numeric(); ok {
+		if math.IsNaN(n) {
+			return Criterion{kind: kindNumeric}
+		}
 		return Criterion{kind: kindNumeric, nums: IntervalSet{PointInterval(n)}}
 	}
 	if s, ok := v.AsString(); ok {

@@ -22,9 +22,10 @@ type Interval struct {
 // PointInterval returns the degenerate interval {x}.
 func PointInterval(x float64) Interval { return Interval{Lo: x, Hi: x} }
 
-// IsEmpty reports whether the interval contains no points.
+// IsEmpty reports whether the interval contains no points. An interval
+// with a NaN bound is empty: no number compares with NaN.
 func (iv Interval) IsEmpty() bool {
-	if iv.Lo > iv.Hi {
+	if !(iv.Lo <= iv.Hi) {
 		return true
 	}
 	if iv.Lo == iv.Hi {
@@ -35,15 +36,11 @@ func (iv Interval) IsEmpty() bool {
 	return false
 }
 
-// Contains reports whether x lies in the interval.
+// Contains reports whether x lies in the interval. NaN lies in none, and an
+// interval with a NaN bound contains nothing.
 func (iv Interval) Contains(x float64) bool {
-	if x < iv.Lo || (x == iv.Lo && iv.LoOpen) {
-		return false
-	}
-	if x > iv.Hi || (x == iv.Hi && iv.HiOpen) {
-		return false
-	}
-	return true
+	return (x > iv.Lo || (x == iv.Lo && !iv.LoOpen)) &&
+		(x < iv.Hi || (x == iv.Hi && !iv.HiOpen))
 }
 
 // SubsetOf reports whether iv is entirely contained in jv.

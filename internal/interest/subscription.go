@@ -19,15 +19,6 @@ import (
 // chose. Constrain rejects it early instead.
 var ErrInvalidCriterion = errors.New("interest: zero-value Criterion (use Any() for the wildcard)")
 
-// Matcher is anything that can decide whether an event is of interest.
-// Individual subscriptions, regrouped summaries, and the simulator's
-// synthetic Bernoulli interests all implement it.
-type Matcher interface {
-	// Matches reports whether the event is of interest ("event ⊳ process"
-	// in the paper's Figure 3 notation).
-	Matches(ev event.Event) bool
-}
-
 // attrCriterion is one (attribute, constraint) pair of a conjunction.
 type attrCriterion struct {
 	attr string
@@ -57,8 +48,6 @@ type Subscription struct {
 	// the zero Subscription.
 	ident *identCell
 }
-
-var _ Matcher = Subscription{}
 
 // Identity names a subscription's canonical encoding: two subscriptions
 // have equal identities exactly when their encodings are byte-equal, however

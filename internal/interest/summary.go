@@ -29,8 +29,6 @@ type Summary struct {
 	id uint64
 }
 
-var _ Matcher = (*Summary)(nil)
-
 // NewSummary returns an empty summary with the default disjunct bound.
 func NewSummary() *Summary { return NewSummaryWithBound(DefaultMaxDisjuncts) }
 

@@ -4,7 +4,7 @@
 // It substitutes for the UDP/IP fabric of a real deployment (the paper's
 // environment) while preserving the failure modes the protocol is designed
 // around: silent loss, delay, and unreachability. Tests inject faults
-// deterministically through the Fabric knobs.
+// deterministically through Network's methods.
 
 package transport
 
@@ -257,9 +257,6 @@ func (s *linkStream) Float64() float64 { return float64(s.next()>>11) / (1 << 53
 // Int63n returns a uniform draw in [0, n); n must be positive. The modulo
 // bias (~n/2⁶³) is irrelevant for fault simulation.
 func (s *linkStream) Int63n(n int64) int64 { return int64(s.next()>>1) % n }
-
-// Network implements the full fault-injection surface.
-var _ Fabric = (*Network)(nil)
 
 // NewNetwork builds a fabric with the given configuration. It rejects
 // configurations the fault paths would otherwise misread: inverted delay or

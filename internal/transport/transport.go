@@ -10,9 +10,9 @@
 // while internal/transport/udp frames the same messages over real UDP
 // sockets via the internal/wire codec.
 //
-// Simulated fabrics additionally expose their fault-injection knobs through
-// the narrow Fabric interface; tests that need loss or partitions assert to
-// it (or use *Network directly) without widening the runtime's dependency.
+// The in-memory Network's fault-injection knobs (SetLoss, Block, Heal, ...)
+// are methods of *Network: code that injects faults holds the concrete
+// fabric, so the runtime's dependency stays the two interfaces.
 package transport
 
 import (
@@ -125,23 +125,4 @@ type BatchSender interface {
 // use by multiple consumers, like Recv.
 type BatchReceiver interface {
 	RecvMany(out []Envelope) (int, bool)
-}
-
-// Fabric is the fault-injection surface of simulated transports. The
-// in-memory Network implements it; tests drive loss, partitions and drop
-// accounting through this interface without depending on the concrete type.
-type Fabric interface {
-	Transport
-	// SetLoss changes the message loss probability at runtime.
-	SetLoss(p float64)
-	// Block severs the directed link from → to.
-	Block(from, to addr.Address)
-	// BlockBidirectional severs both directions between two addresses.
-	BlockBidirectional(a, b addr.Address)
-	// Heal removes every block rule.
-	Heal()
-	// Dropped returns the number of messages lost so far.
-	Dropped() int
-	// Size returns the number of attached endpoints.
-	Size() int
 }

@@ -213,19 +213,6 @@ func TestNetworkCloseRejectsFurtherUse(t *testing.T) {
 	}
 }
 
-func TestNetworkImplementsFabric(t *testing.T) {
-	var f Fabric = MustNetwork(Config{})
-	ep, err := f.Attach(addr.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.SetLoss(1)
-	f.Heal()
-	if f.Size() != 1 || ep.Addr().Depth() != 1 {
-		t.Errorf("fabric view wrong: size=%d", f.Size())
-	}
-}
-
 func TestQueueOverflowDrops(t *testing.T) {
 	net := MustNetwork(Config{QueueLen: 2})
 	a, _ := net.Attach(addr.New(1))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -120,7 +121,6 @@ func frameCount(t *testing.T, msgs []transport.Outgoing) int {
 		addr:      addr.MustParse("0.0"),
 		tr:        tr,
 		prefixLen: len(addr.AppendAddress(nil, addr.MustParse("0.0"))),
-		cache:     newResolveCache(res),
 	}
 	var frames []outFrame
 	for _, m := range msgs {
@@ -223,10 +223,10 @@ func TestRecvManyDrainsBursts(t *testing.T) {
 	}
 }
 
-// TestResolverCacheInvalidation re-Registers a peer onto a new socket and
-// asserts traffic follows: the per-endpoint cache must flush on the
-// resolver's generation bump, never pinning the old destination.
-func TestResolverCacheInvalidation(t *testing.T) {
+// TestReRegisterMovesNextSend re-Registers a peer onto a new socket and
+// asserts traffic follows: the very next send resolves the new mapping,
+// never the old destination.
+func TestReRegisterMovesNextSend(t *testing.T) {
 	res, err := NewStaticResolver(map[string]string{
 		"0.0": "127.0.0.1:0",
 		"0.1": "127.0.0.1:0",
@@ -274,6 +274,69 @@ func TestResolverCacheInvalidation(t *testing.T) {
 	newConn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, _, err := newConn.ReadFromUDP(buf); err != nil {
 		t.Fatalf("post-Register datagram still went to the old socket: %v", err)
+	}
+}
+
+// TestRegisterWhileSending races the peer table's writer against its
+// readers: one goroutine keeps registering peers (and re-registering the
+// receiver at its own socket) while others resolve and send. Under -race
+// this holds the copy-and-swap; every resolve must see the receiver's one
+// socket, and every address registered must resolve once the writer is done.
+func TestRegisterWhileSending(t *testing.T) {
+	a, b, tr := batchedPair(t, nil)
+	res := tr.cfg.Resolver
+	to := b.Addr()
+	home, err := res.Resolve(to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 200
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			res.Register(addr.New(1, i), &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 20000 + i})
+			res.Register(to, home)
+		}
+	}()
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if ua, err := res.Resolve(to); err != nil || ua != home {
+					errs <- fmt.Errorf("resolve %s = %v, %v; want %v", to, ua, err, home)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		bs := a.(transport.BatchSender)
+		for i := 0; i < rounds/10; i++ {
+			if err := a.Send(to, sampleGossip(i)); err != nil {
+				errs <- err
+				return
+			}
+			if err := bs.SendMany([]transport.Outgoing{{To: to, Payload: sampleGossip(i)}}); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for i := 0; i < rounds; i++ {
+		if ua, err := res.Resolve(addr.New(1, i)); err != nil || ua.Port != 20000+i {
+			t.Fatalf("registered peer 1.%d resolves to %v, %v", i, ua, err)
+		}
 	}
 }
 
@@ -334,9 +397,8 @@ func TestSocketBufferConfig(t *testing.T) {
 	}
 }
 
-// BenchmarkResolve pins the satellite claim that resolution is off the hot
-// path: the cached resolve is an atomic load + map read, the uncached one
-// pays the resolver's RWMutex on every call.
+// BenchmarkResolve measures the per-envelope cost of the peer table's read
+// side: one atomic load and a map lookup.
 func BenchmarkResolve(b *testing.B) {
 	peers := make(map[string]string, 64)
 	for i := 0; i < 64; i++ {
@@ -350,27 +412,10 @@ func BenchmarkResolve(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		targets = append(targets, addr.MustParse(fmt.Sprintf("0.%d", i)))
 	}
-	b.Run("uncached", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := res.Resolve(targets[i&63]); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := res.Resolve(targets[i&63]); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		c := newResolveCache(res)
-		for _, a := range targets {
-			if _, err := c.resolve(a); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.resolve(targets[i&63]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

@@ -3,10 +3,10 @@
 // datagrams, one endpoint per bound socket.
 //
 // Addressing is two-layered. Processes keep their hierarchical pmcast
-// address (addr.Address, the tree coordinate); a Resolver maps that address
-// to a socket address. The StaticResolver is the simplest useful mapping —
-// a table populated up front (a deployment manifest) or lazily by
-// endpoints that bind ephemeral ports and register themselves.
+// address (addr.Address, the tree coordinate); the transport's one
+// StaticResolver maps that address to a socket address. The table is
+// populated up front (a deployment manifest) or lazily by endpoints that
+// bind ephemeral ports and register themselves.
 //
 // Datagram layout: the sender's pmcast address (addr.AppendAddress) followed
 // by one wire frame. UDP preserves message boundaries, so no further
@@ -38,88 +38,74 @@ import (
 	"pmcast/internal/wire"
 )
 
-// Resolver maps a pmcast tree address to the UDP socket it listens on.
-type Resolver interface {
-	// Resolve returns the socket address for a. Unknown addresses report
-	// an error wrapping transport.ErrUnknownAddr.
-	Resolve(a addr.Address) (*net.UDPAddr, error)
-}
-
-// Registrar is the optional write side of a Resolver. When an endpoint is
-// told to bind port 0 (ephemeral), the transport registers the actual bound
-// socket back so in-process peers can resolve it — the pattern tests and
-// single-host clusters use.
-type Registrar interface {
-	Register(a addr.Address, ua *net.UDPAddr)
-}
-
-// Versioned is an optional Resolver extension: Gen returns a counter that
-// moves whenever any mapping changes. Endpoints only cache resolved socket
-// addresses for resolvers that implement it — the generation check is one
-// atomic load per send, and a bumped generation flushes the cache, so a
-// re-Registered peer is never resolved stale. A resolver without Gen is
-// consulted on every send, exactly as before the cache existed.
-type Versioned interface {
-	Gen() uint64
-}
-
-// StaticResolver is a concurrency-safe static table from address keys to
-// socket addresses. It implements Resolver, Registrar and Versioned.
+// StaticResolver is the transport's peer table: it maps each pmcast tree
+// address to the UDP socket it listens on. The table is an immutable map
+// behind an atomic pointer, so Resolve — once per envelope sent — is one
+// load and a lookup; Register copies the map under a writer lock and swaps
+// the copy in, so a re-registered peer is resolved at its new socket from
+// the very next send.
 type StaticResolver struct {
-	mu    sync.RWMutex
-	table map[string]*net.UDPAddr
-	gen   atomic.Uint64
+	mu    sync.Mutex // serializes Register's copy and swap
+	peers atomic.Pointer[map[string]*net.UDPAddr]
 }
 
 // NewStaticResolver builds a resolver from dotted pmcast addresses to
 // "host:port" strings, e.g. {"0.1": "127.0.0.1:7701"}. A port of 0 means
-// "bind ephemeral and register the real port" (single-process use).
+// "bind ephemeral and register the real port" (single-process use). Two
+// keys that parse to one address ("0.1" and "00.1") are an error.
 func NewStaticResolver(peers map[string]string) (*StaticResolver, error) {
-	r := &StaticResolver{table: make(map[string]*net.UDPAddr, len(peers))}
+	table := make(map[string]*net.UDPAddr, len(peers))
+	keys := make(map[string]string, len(peers)) // address key → the key given
 	for key, hostport := range peers {
 		a, err := addr.Parse(key)
 		if err != nil {
 			return nil, fmt.Errorf("udp: resolver key %q: %w", key, err)
 		}
+		if prev, ok := keys[a.Key()]; ok {
+			return nil, fmt.Errorf("udp: resolver keys %q and %q both name %s", min(prev, key), max(prev, key), a)
+		}
+		keys[a.Key()] = key
 		ua, err := net.ResolveUDPAddr("udp", hostport)
 		if err != nil {
 			return nil, fmt.Errorf("udp: resolver value %q: %w", hostport, err)
 		}
-		r.table[a.Key()] = ua
+		table[a.Key()] = ua
 	}
+	r := &StaticResolver{}
+	r.peers.Store(&table)
 	return r, nil
 }
 
-// Resolve implements Resolver.
+// Resolve returns the socket address for a. Unknown addresses report an
+// error wrapping transport.ErrUnknownAddr.
 func (r *StaticResolver) Resolve(a addr.Address) (*net.UDPAddr, error) {
-	r.mu.RLock()
-	ua, ok := r.table[a.Key()]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s has no socket mapping", transport.ErrUnknownAddr, a)
+	if peers := r.peers.Load(); peers != nil {
+		if ua, ok := (*peers)[a.Key()]; ok {
+			return ua, nil
+		}
 	}
-	return ua, nil
+	return nil, fmt.Errorf("%w: %s has no socket mapping", transport.ErrUnknownAddr, a)
 }
 
-// Register implements Registrar.
+// Register maps a to ua, replacing any earlier mapping. Attach calls it for
+// an endpoint bound to an ephemeral port, so in-process peers can reach it.
 func (r *StaticResolver) Register(a addr.Address, ua *net.UDPAddr) {
 	r.mu.Lock()
-	r.table[a.Key()] = ua
-	r.mu.Unlock()
-	// Bump after the table write: an endpoint cache that observes the new
-	// generation is guaranteed to resolve the new mapping, and one that
-	// cached the new mapping under the old generation merely flushes a
-	// fresh entry (see resolveCache).
-	r.gen.Add(1)
+	defer r.mu.Unlock()
+	var cur map[string]*net.UDPAddr
+	if p := r.peers.Load(); p != nil {
+		cur = *p
+	}
+	next := make(map[string]*net.UDPAddr, len(cur)+1)
+	maps.Copy(next, cur)
+	next[a.Key()] = ua
+	r.peers.Store(&next)
 }
-
-// Gen implements Versioned.
-func (r *StaticResolver) Gen() uint64 { return r.gen.Load() }
 
 // Config tunes the UDP transport.
 type Config struct {
 	// Resolver maps tree addresses to sockets. Required.
-	Resolver Resolver
+	Resolver *StaticResolver
 	// QueueLen is each endpoint's decoded-inbox capacity (default 1024);
 	// overflow drops messages, like a full socket buffer.
 	QueueLen int
@@ -234,8 +220,8 @@ func New(cfg Config) (*Transport, error) {
 }
 
 // Attach binds the socket the resolver assigns to a and starts its receive
-// loop. If the resolved port is 0 the endpoint binds an ephemeral port and,
-// when the resolver is also a Registrar, publishes the real socket back.
+// loop. If the resolved port is 0 the endpoint binds an ephemeral port and
+// registers the real socket back.
 func (t *Transport) Attach(a addr.Address) (transport.Endpoint, error) {
 	t.mu.Lock()
 	if t.closed {
@@ -271,7 +257,6 @@ func (t *Transport) Attach(a addr.Address) (transport.Endpoint, error) {
 		tr:        t,
 		conn:      conn,
 		prefixLen: len(addr.AppendAddress(nil, a)),
-		cache:     newResolveCache(t.cfg.Resolver),
 		in:        make(chan transport.Envelope, t.cfg.QueueLen),
 		done:      make(chan struct{}),
 	}
@@ -298,9 +283,7 @@ func (t *Transport) Attach(a addr.Address) (transport.Endpoint, error) {
 	// duplicate Attach closes its conn, and must not leave the resolver
 	// pointing at that dead socket.
 	if bind.Port == 0 {
-		if reg, ok := t.cfg.Resolver.(Registrar); ok {
-			reg.Register(a, conn.LocalAddr().(*net.UDPAddr))
-		}
+		t.cfg.Resolver.Register(a, conn.LocalAddr().(*net.UDPAddr))
 	}
 	go ep.readLoop()
 	return ep, nil
@@ -353,70 +336,12 @@ func (t *Transport) detach(ep *endpoint) {
 	t.mu.Unlock()
 }
 
-// resolveCache is the per-endpoint resolved-address cache behind the send
-// hot path. The backing resolver pays an RWMutex acquisition and a map
-// lookup per Resolve — measurable at kernel-batched rates — so endpoints
-// keep an immutable copy-on-write table read with one atomic load. The
-// cache only engages for Versioned resolvers: every resolve compares the
-// resolver's generation and discards the whole table when it moved, so a
-// re-Registered peer can never be sent to a stale socket for longer than
-// the Register itself takes.
-type resolveCache struct {
-	res Resolver
-	ver Versioned // nil: caching disabled, every resolve hits res
-	tab atomic.Pointer[cacheTable]
-}
-
-// cacheTable is one immutable cache snapshot, valid for exactly one
-// resolver generation.
-type cacheTable struct {
-	gen uint64
-	m   map[string]*net.UDPAddr
-}
-
-func newResolveCache(res Resolver) *resolveCache {
-	c := &resolveCache{res: res}
-	c.ver, _ = res.(Versioned)
-	return c
-}
-
-func (c *resolveCache) resolve(a addr.Address) (*net.UDPAddr, error) {
-	if c.ver == nil {
-		return c.res.Resolve(a)
-	}
-	gen := c.ver.Gen()
-	cur := c.tab.Load()
-	if cur != nil && cur.gen == gen {
-		if ua, ok := cur.m[a.Key()]; ok {
-			return ua, nil
-		}
-	}
-	ua, err := c.res.Resolve(a)
-	if err != nil {
-		return nil, err
-	}
-	// Publish a fresh snapshot derived from the one loaded above. The CAS
-	// makes the (gen check, derive, publish) sequence atomic against
-	// concurrent inserts and invalidations: losing the race just drops
-	// this insert, and the entry is re-resolved and re-cached next send —
-	// a stale entry can never be resurrected past a generation bump.
-	m := make(map[string]*net.UDPAddr, 8)
-	if cur != nil && cur.gen == gen {
-		m = make(map[string]*net.UDPAddr, len(cur.m)+1)
-		maps.Copy(m, cur.m)
-	}
-	m[a.Key()] = ua
-	c.tab.CompareAndSwap(cur, &cacheTable{gen: gen, m: m})
-	return ua, nil
-}
-
 // endpoint is one bound UDP socket speaking the wire framing.
 type endpoint struct {
 	addr      addr.Address
 	tr        *Transport
 	conn      *net.UDPConn
-	prefixLen int // encoded size of the sender-address datagram prefix
-	cache     *resolveCache
+	prefixLen int      // encoded size of the sender-address datagram prefix
 	bio       *batchIO // kernel-batched I/O; nil on the portable path
 	in        chan transport.Envelope
 	done      chan struct{}
@@ -453,7 +378,7 @@ var framePool = sync.Pool{New: func() any {
 // payloads ride the first datagram and the length-prefixed gossip sections
 // fill greedily.
 func (e *endpoint) appendFrames(frames []outFrame, to addr.Address, payload any) ([]outFrame, error) {
-	dst, err := e.cache.resolve(to)
+	dst, err := e.tr.cfg.Resolver.Resolve(to)
 	if err != nil {
 		return frames, err
 	}

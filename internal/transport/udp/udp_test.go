@@ -5,6 +5,7 @@ import (
 	"net"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,6 +42,26 @@ func pair(t *testing.T) (transport.Endpoint, transport.Endpoint, *Transport) {
 		t.Fatal(err)
 	}
 	return a, b, tr
+}
+
+// TestStaticResolverRejectsAliasedKeys: keys that parse to one address
+// would leave map order to pick the socket, so the table refuses them and
+// names both keys.
+func TestStaticResolverRejectsAliasedKeys(t *testing.T) {
+	for _, alias := range []string{"0.01", "00.1"} {
+		_, err := NewStaticResolver(map[string]string{
+			"0.1": "127.0.0.1:7701",
+			alias: "127.0.0.1:7702",
+		})
+		if err == nil {
+			t.Fatalf("keys 0.1 and %s accepted", alias)
+		}
+		for _, key := range []string{`"0.1"`, `"` + alias + `"`} {
+			if !strings.Contains(err.Error(), key) {
+				t.Errorf("error %q does not name key %s", err, key)
+			}
+		}
+	}
 }
 
 func recvOne(t *testing.T, ep transport.Endpoint) transport.Envelope {

@@ -9,6 +9,7 @@ package wire_test
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -257,8 +258,12 @@ func FuzzCompiledMatchParity(f *testing.F) {
 		subSeeds = append(subSeeds, data)
 	}
 	richEv := event.NewBuilder().Int("b", 2).Float("c", 155.5).Str("e", "Bob").Build(event.ID{Origin: "seed", Seq: 1})
-	if data, err := richEv.MarshalBinary(); err == nil {
-		evSeeds = append(evSeeds, data)
+	// A NaN attribute must satisfy no numeric criterion on either side.
+	nanEv := event.NewBuilder().Int("b", 2).Float("c", math.NaN()).Str("e", "Bob").Build(event.ID{Origin: "seed", Seq: 2})
+	for _, ev := range []event.Event{richEv, nanEv} {
+		if data, err := ev.MarshalBinary(); err == nil {
+			evSeeds = append(evSeeds, data)
+		}
 	}
 	if len(subSeeds) == 0 || len(evSeeds) == 0 {
 		f.Fatal("corpus capture yielded no subscription/event seeds")

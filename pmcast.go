@@ -182,9 +182,6 @@ type (
 	Endpoint = transport.Endpoint
 	// Envelope is one delivered message.
 	Envelope = transport.Envelope
-	// Fabric is the fault-injection surface of simulated transports
-	// (loss, partitions, drop accounting).
-	Fabric = transport.Fabric
 )
 
 // In-memory fabric (the reference Transport, with fault injection).
@@ -213,10 +210,8 @@ type (
 	UDPTransport = udp.Transport
 	// UDPConfig tunes the UDP transport.
 	UDPConfig = udp.Config
-	// UDPResolver maps tree addresses to UDP sockets.
-	UDPResolver = udp.Resolver
-	// StaticResolver is a static address → socket table; entries with
-	// port 0 bind ephemeral ports and register themselves.
+	// StaticResolver is the UDP transport's address → socket table;
+	// entries with port 0 bind ephemeral ports and register themselves.
 	StaticResolver = udp.StaticResolver
 	// UDPStats is a snapshot of the UDP datapath counters — syscalls,
 	// datagrams (their ratio is the kernel-batching amortization),

@@ -36,3 +36,36 @@ type Thing struct{}
 
 // Extra is API through the root package's alias.
 func (Thing) Extra() int { return 0 }
+
+// Shape is only asserted and aliased: flagged, with Shape.Area and
+// Square.Area, which nothing but Shape keeps alive.
+type Shape interface{ Area() float64 }
+
+var _ Shape = Square{}
+
+type Square struct{}
+
+func (Square) Area() float64 { return 1 }
+
+// Sizer's Size is called through it, its Reset never: Sizer.Reset and
+// Box.Reset are flagged, Box.Size is not.
+type Sizer interface {
+	Size() int
+	Reset()
+}
+
+func Measure(s Sizer) int { return s.Size() }
+
+type Box struct{}
+
+func (Box) Size() int { return 1 }
+func (Box) Reset()    {}
+
+// Namer.Name is called only on Person, which implements Namer.
+type Namer interface{ Name() string }
+
+func Describe(Namer) string { return "a namer" }
+
+type Person struct{}
+
+func (Person) Name() string { return "p" }

@@ -22,11 +22,10 @@ import (
 // non-test file references but that stay, each with the reason. A key is
 // the package path below internal/, then the name: "tree.View.Line".
 var unusedAllowed = map[string]string{
-	"core.Process.ProfileFor":         "BenchmarkRateCached (bench_matching_test.go) holds the cached rate query to 0 allocations through it; CI's bench-asserts job runs it",
-	"core.Process.SeenOccupancy":      "node's TestForgedFutureSeqKeepsOriginDelivering bounds a live node's seen window through it",
-	"experiments.FrontierPointAt":     "BenchmarkFrontierPoint (bench_fec_test.go) runs one frontier point per arm through it",
-	"experiments.FrontierPointLinked": "BenchmarkFrontierPointBursty (bench_fec_test.go) runs one frontier point per arm through it",
-	"tree.View.MatchingRate":          "the interpretive per-line GETRATE walk BenchmarkRateCached (bench_matching_test.go) compares the cache against",
+	"core.Process.ProfileFor":     "BenchmarkRateCached (bench_matching_test.go) holds the cached rate query to 0 allocations through it; CI's bench-asserts job runs it",
+	"core.Process.SeenOccupancy":  "node's TestForgedFutureSeqKeepsOriginDelivering bounds a live node's seen window through it",
+	"experiments.FrontierPointAt": "BenchmarkFrontierPoint and BenchmarkFrontierPointBursty (bench_fec_test.go) run one frontier point per arm through it",
+	"tree.View.MatchingRate":      "the interpretive per-line GETRATE walk BenchmarkRateCached (bench_matching_test.go) compares the cache against",
 }
 
 // TestNoUnusedInternalAPI fails on an exported identifier under internal/
@@ -51,16 +50,27 @@ func TestUnusedAPICheckerOnFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Unused and Config.Unset are planted. Not flagged: ErrBad.Error
-	// (error), ByName's methods (sort.Interface), Thing.Extra (the root
-	// package aliases Thing), OnLinux and OnDarwin (each referenced only
-	// under one platform's build tag).
-	want := []string{"lib.Config.Unset", "lib.Unused"}
+	// Unused and Config.Unset are planted; so are Shape (only asserted and
+	// aliased) with Shape.Area and Square.Area, and Sizer.Reset (never
+	// called) with Box.Reset. Not flagged: ErrBad.Error (error), ByName's
+	// methods (sort.Interface), Thing.Extra (the root package aliases
+	// Thing), Box.Size (called through Sizer), Namer.Name (called on
+	// Person, which implements Namer), OnLinux and OnDarwin (each
+	// referenced only under one platform's build tag).
+	want := []string{
+		"lib.Box.Reset", "lib.Config.Unset", "lib.Shape", "lib.Shape.Area",
+		"lib.Sizer.Reset", "lib.Square.Area", "lib.Unused",
+	}
 	if !slices.Equal(res.unused, want) {
 		t.Errorf("unused = %q, want %q", res.unused, want)
 	}
 	got := res.problems(map[string]string{
 		"lib.Unused":      "planted",
+		"lib.Shape":       "planted",
+		"lib.Shape.Area":  "planted",
+		"lib.Square.Area": "planted",
+		"lib.Sizer.Reset": "planted",
+		"lib.Box.Reset":   "planted",
 		"lib.Config.Used": "stale: referenced",
 		"lib.Gone":        "stale: not declared",
 	})
@@ -114,11 +124,17 @@ var apiPlatforms = []struct{ goos, goarch string }{
 // scanInternalAPI type-checks, once per platform, every non-test package
 // in the tree at root (module path mod; a nested module such as bench/
 // is reached by its directory) and reports the exported funcs, methods,
-// types, package vars and consts, and struct fields declared under
-// internal/ that no non-test file references. A method also counts as
-// used when its type implements an interface that has it (one of the
-// tree's, one of the standard library's, or error), or when the root
-// package re-exports its type by an alias: those method sets are API.
+// types, package vars and consts, struct fields and interface methods
+// declared under internal/ that no non-test file references.
+//
+// Interfaces are used only by what consumes them: a `var _ I = x`
+// assertion and a root-package alias of I are not uses of I. A method of
+// one of the tree's interfaces is used when non-test code calls it, through
+// the interface or on a type that implements the interface. A concrete
+// method also counts as used when its type implements an interface that
+// has it and that method is called (the tree's interfaces), or implements
+// any interface of the standard library or error, or when the root package
+// re-exports its type by an alias: those method sets are API.
 func scanInternalAPI(root, mod string) (apiScan, error) {
 	fset := token.NewFileSet()
 	dirs := map[string][]*ast.File{} // import path → parsed non-test files
@@ -157,7 +173,8 @@ func scanInternalAPI(root, mod string) (apiScan, error) {
 			sizes:  types.SizesFor("gc", pl.goarch),
 			strict: pl.goos == runtime.GOOS && pl.goarch == runtime.GOARCH,
 			pkgs:   map[string]*types.Package{}, infos: map[string]*types.Info{},
-			key: map[types.Object]string{}, used: used,
+			files: map[string][]*ast.File{},
+			key:   map[types.Object]string{}, used: used,
 			match: func(f *ast.File) bool {
 				ok, err := ctx.MatchFile(filepath.Split(fset.File(f.Pos()).Name()))
 				return err == nil && ok
@@ -195,6 +212,7 @@ type apiChecker struct {
 	match  func(f *ast.File) bool
 	pkgs   map[string]*types.Package
 	infos  map[string]*types.Info
+	files  map[string][]*ast.File  // the files checked, by import path
 	key    map[types.Object]string // declared internal/ object → its name
 	used   map[string]bool
 }
@@ -223,12 +241,12 @@ func (c *apiChecker) Import(ip string) (*types.Package, error) {
 	if len(errs) > 0 && c.strict {
 		return nil, errs[0]
 	}
-	c.pkgs[ip], c.infos[ip] = p, info
+	c.pkgs[ip], c.infos[ip], c.files[ip] = p, info, files
 	return p, nil
 }
 
 // collect names every exported declaration under internal/ into declared
-// and every one some non-test file references into c.used.
+// and every one some non-test file uses into c.used.
 func (c *apiChecker) collect(declared map[string]bool) {
 	internal := c.mod + "/internal/"
 	var named []*types.Named // internal/ named non-interface types
@@ -249,7 +267,12 @@ func (c *apiChecker) collect(declared map[string]bool) {
 				continue
 			}
 			n := tn.Type().(*types.Named)
-			if types.IsInterface(n) {
+			if it, ok := n.Underlying().(*types.Interface); ok {
+				for m := range it.ExplicitMethods() {
+					if m.Exported() {
+						c.key[m] = prefix + name + "." + m.Name()
+					}
+				}
 				continue
 			}
 			named = append(named, n)
@@ -332,10 +355,30 @@ func (c *apiChecker) collect(declared map[string]bool) {
 		}
 	}
 
+	assertion := map[*ast.Ident]bool{}
+	for ip, files := range c.files {
+		for _, f := range files {
+			addAssertionIdents(assertion, f, ip == c.mod)
+		}
+	}
+
+	called := map[*types.Func]bool{}      // methods non-test code calls
+	calledOn := map[string][]types.Type{} // method name → concrete receivers it is called on
 	for ip, info := range c.infos {
 		walkStd(c.pkgs[ip])
-		for _, obj := range info.Uses {
+		for id, obj := range info.Uses {
+			if _, ok := obj.(*types.TypeName); ok && assertion[id] && types.IsInterface(obj.Type()) {
+				continue
+			}
 			mark(obj)
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.Signature().Recv() == nil || called[fn.Origin()] {
+				continue
+			}
+			called[fn.Origin()] = true
+			if recv := fn.Signature().Recv().Type(); !types.IsInterface(recv) {
+				calledOn[fn.Name()] = append(calledOn[fn.Name()], recv)
+			}
 		}
 		// A promoted selector x.F also uses each embedded field it passes.
 		for _, sel := range info.Selections {
@@ -375,6 +418,43 @@ func (c *apiChecker) collect(declared map[string]bool) {
 			}
 		}
 	}
+
+	implements := func(t types.Type, it *types.Interface) bool {
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		return types.Implements(t, it) || types.Implements(types.NewPointer(t), it)
+	}
+	method := func(it *types.Interface, name string) *types.Func {
+		for m := range it.Methods() {
+			if m.Name() == name {
+				return m
+			}
+		}
+		return nil
+	}
+	// calledThrough reports whether method name of interface it is called:
+	// through an interface that has it, or on a type that implements it.
+	calledThrough := func(it *types.Interface, name string) bool {
+		return called[method(it, name)] ||
+			slices.ContainsFunc(calledOn[name], func(t types.Type) bool { return implements(t, it) })
+	}
+	for obj, k := range c.key {
+		fn, ok := obj.(*types.Func)
+		if !ok || c.used[k] || fn.Signature().Recv() == nil {
+			continue
+		}
+		if it, ok := fn.Signature().Recv().Type().Underlying().(*types.Interface); ok && calledThrough(it, fn.Name()) {
+			c.used[k] = true
+		}
+	}
+	fromTree := func(fn *types.Func) bool {
+		if fn.Pkg() == nil {
+			return false // error's Error
+		}
+		_, ok := c.dirs[fn.Pkg().Path()]
+		return ok
+	}
 	for _, n := range named {
 		if n.TypeParams().Len() > 0 {
 			continue
@@ -384,11 +464,49 @@ func (c *apiChecker) collect(declared map[string]bool) {
 				continue
 			}
 			for _, it := range ifaces[m.Name()] {
-				if types.Implements(n, it) || types.Implements(types.NewPointer(n), it) {
+				if !implements(n, it) {
+					continue
+				}
+				if !fromTree(method(it, m.Name())) || calledThrough(it, m.Name()) {
 					c.used[c.key[m]] = true
 					break
 				}
 			}
+		}
+	}
+}
+
+// addAssertionIdents adds to into the identifiers in the type of each
+// top-level `var _ I = x` declaration of f and, when f is in the root
+// package, in the target of each alias: neither consumes an interface it
+// names.
+func addAssertionIdents(into map[*ast.Ident]bool, f *ast.File, root bool) {
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok {
+			continue
+		}
+		for _, sp := range gd.Specs {
+			var typ ast.Expr
+			switch sp := sp.(type) {
+			case *ast.ValueSpec:
+				if !slices.ContainsFunc(sp.Names, func(id *ast.Ident) bool { return id.Name != "_" }) {
+					typ = sp.Type
+				}
+			case *ast.TypeSpec:
+				if root && sp.Assign.IsValid() {
+					typ = sp.Type
+				}
+			}
+			if typ == nil {
+				continue
+			}
+			ast.Inspect(typ, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					into[id] = true
+				}
+				return true
+			})
 		}
 	}
 }
