@@ -17,7 +17,7 @@ import "pmcast/internal/event"
 // instead of once per link — a repair patches the rare event the node
 // missed on every inbound link at once.
 //
-// The assembler is owned by the single-writer protocol stage: no locking,
+// The assembler is protocol state, under its node's state lock: no locking,
 // and every internal iteration runs over insertion-ordered slices rather
 // than maps, so a seeded run replays byte-identically.
 //

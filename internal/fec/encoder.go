@@ -28,7 +28,7 @@ import "pmcast/internal/event"
 // next envelope toward their subtree after piggybackAge rounds, or by
 // FlushAged as a dedicated repair-only envelope if traffic stops.
 //
-// The encoder is owned by the single-writer protocol stage: no locking,
+// The encoder is protocol state, under its node's state lock: no locking,
 // and all state lives in insertion-ordered slices so seeded runs replay
 // byte-identically.
 type Encoder struct {

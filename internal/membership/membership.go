@@ -500,12 +500,13 @@ func (s *Service) admitLocked(recs []Record) int {
 }
 
 // Apply merges records from an Update, returning how many changed state.
+// The Update's From is not a life sign: liveness is learned from who sent an
+// envelope (MarkHeardAt), never from what a payload claims, so a forged
+// Update cannot keep a silent neighbor alive.
 func (s *Service) Apply(u Update) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	changed := s.admitLocked(u.Records)
-	s.markHeardLocked(u.From, s.now())
-	return changed
+	return s.admitLocked(u.Records)
 }
 
 // MakeDigest snapshots the service's (line, timestamp) pairs plus the
@@ -557,11 +558,11 @@ func (s *Service) MakeSummaryDigest() Digest {
 // two compares. An overlay-form digest over the receiver's own base costs
 // the two overlays: a line in neither is the same base record on both
 // sides, so it can yield neither a fresh record nor gossiperFresher. Any
-// other full digest is walked line by line.
+// other full digest is walked line by line. Like an Update's, the digest's
+// From is not a life sign (see Apply).
 func (s *Service) HandleDigest(d Digest) (upd *Update, gossiperFresher bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.markHeardLocked(d.From, s.now())
 	if d.Hash == s.hash && d.Count == len(s.base.Records) {
 		return nil, false // identical rosters, probe or full
 	}
@@ -729,6 +730,10 @@ func (s *Service) HandleJoinRequest(jr JoinRequest) (reply Update, forward addr.
 	}
 	s.mu.Lock()
 	s.admitLocked([]Record{jr.Joiner})
+	// The one life sign a payload names: a relayed request comes from the
+	// relay, not the joiner, and is a rejoiner's first life sign — its
+	// lastHeard, from before it was expelled, is stale, and the next sweep
+	// would expel the process just admitted.
 	s.markHeardLocked(jr.Joiner.Addr, s.now())
 	records := make([]Record, 0, len(s.base.Records))
 	s.visitLocked(func(_ string, r *Record) { records = append(records, *r) })

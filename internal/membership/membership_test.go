@@ -277,6 +277,43 @@ func TestFailureDetection(t *testing.T) {
 	}
 }
 
+// TestPayloadFromIsNoLifeSign: a digest or an Update naming a silent
+// neighbor as its From — forged, or relayed by a third party — does not
+// refresh the failure detector; only MarkHeardAt, the envelope's sender,
+// does. The neighbor falls silent for 400 ms under a 100 ms deadline while
+// payloads naming it arrive every 40 ms, and the sweeps expel it all the
+// same.
+func TestPayloadFromIsNoLifeSign(t *testing.T) {
+	neighbor := addr.New(0, 1)
+	for name, forge := range map[string]func(*Service){
+		"digest": func(s *Service) { s.HandleDigest(Digest{From: neighbor}) },
+		"update": func(s *Service) { s.Apply(Update{From: neighbor}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			now := time.Unix(1000, 0)
+			s, err := New(Config{
+				Self: addr.New(0, 0), Space: addr.MustRegular(4, 2), R: 2,
+				SuspectAfter: 100 * time.Millisecond,
+				Now:          func() time.Time { return now },
+			}, interest.NewSubscription())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Apply(Update{Records: []Record{{Addr: neighbor, Stamp: 1, Alive: true}}})
+			s.MarkHeardAt(neighbor, now)
+			var expelled []addr.Address
+			for range 10 {
+				now = now.Add(40 * time.Millisecond)
+				forge(s)
+				expelled = append(expelled, s.SweepFailures()...)
+			}
+			if len(expelled) != 1 || !expelled[0].Equal(neighbor) {
+				t.Errorf("a neighbor silent for 400 ms behind %s payloads naming it: expelled %v, want [0.1]", name, expelled)
+			}
+		})
+	}
+}
+
 // TestDigestTargets: the first target is an immediate neighbor, every
 // target is a distinct alive peer, and a request past the pool caps at it.
 func TestDigestTargets(t *testing.T) {

@@ -3,17 +3,18 @@
 //
 //	endpoint ──▶ ingress (N decode workers) ──▶ protocol (1 goroutine) ──▶ egress (M send workers) ──▶ endpoint
 //
-// The protocol stage is the single writer of all protocol state —
-// membership folds, tree views, the core.Process, the RNG, the seen-set.
-// Because only it mutates, nothing in the hot path contends on the state
-// lock; the ingress workers own the per-worker wire decoders (intern tables
-// are goroutine-local), and the egress workers own the encode/send cost
-// (the pooled wire encoders and the socket writes). Stages are connected by
-// bounded queues: ingress backpressures into the transport's inbox (which
-// drops on overflow, like a UDP socket buffer), while the protocol stage
-// never blocks on egress — a full egress queue drops the send job and
-// counts it (EngineStats), exactly the failure semantics a kernel socket
-// buffer would impose.
+// Protocol state — membership folds, tree views, the core.Process, the RNG,
+// the seen-set, the coding layer — has one lock, the node's mu. The protocol
+// stage takes it to handle an envelope or run a tick, and Publish takes it
+// on the caller's goroutine; nothing else writes. The ingress workers own the
+// per-worker wire decoders (intern tables are goroutine-local), and the
+// egress workers own the encode/send cost (the pooled wire encoders and the
+// socket writes), so neither holds the lock. Stages are connected by bounded
+// queues: ingress backpressures into the transport's inbox (which drops on
+// overflow, like a UDP socket buffer), while the protocol stage never blocks
+// on egress — a full egress queue drops the send job and counts it
+// (EngineStats), exactly the failure semantics a kernel socket buffer would
+// impose.
 //
 // With DecodeWorkers and EncodeWorkers both zero the stages collapse onto
 // the protocol goroutine and run() is precisely the serial event loop of
@@ -23,36 +24,23 @@
 package node
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"pmcast/internal/addr"
-	"pmcast/internal/event"
 	"pmcast/internal/transport"
 	"pmcast/internal/wire"
 )
-
-// protoMsg is one unit of protocol-stage input: an inbound envelope from
-// the ingress stage, or a local publish handed off by Publish.
-type protoMsg struct {
-	env transport.Envelope
-	pub *publishReq
-}
-
-// publishReq carries a locally published event to the protocol stage and
-// its acceptance result back to the publisher.
-type publishReq struct {
-	ev   event.Event
-	errc chan error
-}
 
 // egressJob is one outgoing envelope: the egress workers encode (via the
 // transport) and send it, a drained run of them in one SendMany.
 type egressJob = transport.Outgoing
 
-// run is the protocol stage: the one goroutine that mutates protocol state
-// while the engine is live. It brings up the ingress and egress stages
-// around itself when the configuration asks for parallelism.
+// run is the protocol stage: the one goroutine that handles received
+// envelopes and runs the periodic tasks while the engine is live. It brings
+// up the ingress and egress stages around itself when the configuration asks
+// for parallelism, and returns on Stop or once its input is gone — the
+// serial inbox closed, or the protocol queue closed and drained.
 func (n *Node) run() {
 	defer close(n.done)
 	if n.egressQ != nil {
@@ -64,36 +52,24 @@ func (n *Node) run() {
 			go n.egressLoop()
 		}
 	}
+	inbox := n.ep.Recv()
 	// protoReady is nil (never ready) in the serial configuration.
 	var protoReady <-chan struct{}
-	var msgs []protoMsg
+	var envs []transport.Envelope
 	if n.protoQ != nil {
-		protoReady = n.protoQ.ready
-		msgs = make([]protoMsg, ingressRecvBatch)
-	}
-	inbox := n.ep.Recv()
-	var ingressDone chan struct{}
-	if n.cfg.DecodeWorkers > 0 {
 		inbox = nil // the ingress workers own the endpoint; we read protoQ
-		ingressDone = make(chan struct{})
-		var ingress sync.WaitGroup
+		protoReady = n.protoQ.ready
+		envs = make([]transport.Envelope, ingressRecvBatch)
+		// The ingress workers are the queue's only producers: the last one to
+		// exit — the endpoint's Recv closed underneath the node — closes it,
+		// and the protocol stage winds down once it has drained it, just as
+		// the serial loop returns on a closed inbox.
+		live := new(atomic.Int32)
+		live.Store(int32(n.cfg.DecodeWorkers))
 		for i := 0; i < n.cfg.DecodeWorkers; i++ {
 			n.wg.Add(1)
-			ingress.Add(1)
-			go func() {
-				defer ingress.Done()
-				n.ingressLoop()
-			}()
+			go n.ingressLoop(live)
 		}
-		// When every ingress worker has exited — the endpoint's Recv closed
-		// underneath the node — the protocol stage must wind down too, just
-		// as the serial loop returns on a closed inbox.
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			ingress.Wait()
-			close(ingressDone)
-		}()
 	}
 	gossip := n.cfg.Clock.NewTicker(n.cfg.GossipInterval)
 	defer gossip.Stop()
@@ -102,11 +78,11 @@ func (n *Node) run() {
 	sweep := n.cfg.Clock.NewTicker(n.cfg.SuspectAfter / 2)
 	defer sweep.Stop()
 
-	// A wake-up on either input queue pumps it: up to ingressRecvBatch of
-	// what is queued (plus, on the inbox, the envelope the select received)
-	// — one trip through the seven-way select per burst instead of
-	// one per envelope, and bounded, so the tickers and stop are never more
-	// than a batch away. A drain that leaves messages behind re-arms ready.
+	// A wake-up on either input pumps it: up to ingressRecvBatch of what is
+	// queued (plus, on the inbox, the envelope the select received) — one
+	// trip through the six-way select per burst instead of one per envelope,
+	// and bounded, so the tickers and stop are never more than a batch away.
+	// A drain that leaves envelopes behind re-arms ready.
 	var h heard
 	onEnvelope := func(env transport.Envelope) { n.handle(env, &h) }
 	for {
@@ -122,18 +98,15 @@ func (n *Node) run() {
 			if _, open := pump(inbox, ingressRecvBatch, onEnvelope); !open {
 				return
 			}
-		case <-ingressDone: // nil (never ready) in the serial configuration
-			return // transport closed underneath the node
 		case <-protoReady:
-			k, _ := n.protoQ.drain(msgs)
-			for _, m := range msgs[:k] {
-				if m.pub != nil {
-					m.pub.errc <- n.applyPublish(m.pub.ev)
-				} else {
-					n.handle(m.env, &h)
-				}
+			k, open := n.protoQ.drain(envs)
+			if k == 0 && !open {
+				return // transport closed underneath the node
 			}
-			clear(msgs[:k])
+			for _, env := range envs[:k] {
+				onEnvelope(env)
+			}
+			clear(envs[:k])
 		case <-gossip.C():
 			n.tickGossip()
 		case <-memTick.C():
@@ -196,9 +169,15 @@ type heard struct {
 // protocol queue blocks the worker (backpressure into the transport inbox),
 // never the protocol stage itself. Endpoints with a batch seam
 // (transport.BatchReceiver) are drained a burst at a time — one worker
-// wakeup per kernel receive batch instead of one per datagram.
-func (n *Node) ingressLoop() {
+// wakeup per kernel receive batch instead of one per datagram. live counts
+// the workers still running; the last to exit closes the protocol queue.
+func (n *Node) ingressLoop(live *atomic.Int32) {
 	defer n.wg.Done()
+	defer func() {
+		if live.Add(-1) == 0 {
+			n.protoQ.close()
+		}
+	}()
 	dec := wire.NewDecoder()
 	recv := func(batch []transport.Envelope) (int, bool) {
 		env, ok := <-n.ep.Recv()
@@ -212,19 +191,19 @@ func (n *Node) ingressLoop() {
 		recv = br.RecvMany
 	}
 	batch := make([]transport.Envelope, ingressRecvBatch)
-	msgs := make([]protoMsg, 0, ingressRecvBatch)
 	for {
 		m, alive := recv(batch)
+		// Decoded envelopes are compacted to the front of the batch.
+		k := 0
 		for i := range batch[:m] {
 			if n.decodeRaw(dec, &batch[i]) {
-				msgs = append(msgs, protoMsg{env: batch[i]})
+				batch[k] = batch[i]
+				k++
 			}
-			batch[i] = transport.Envelope{}
 		}
 		// One hand-off per burst: the whole batch under one lock.
-		queued := len(msgs) == 0 || n.protoQ.push(msgs, n.stop, n.done)
-		clear(msgs)
-		msgs = msgs[:0]
+		queued := k == 0 || n.protoQ.push(batch[:k], n.stop)
+		clear(batch[:m])
 		if !queued || !alive {
 			return
 		}

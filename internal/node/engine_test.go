@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -77,6 +78,16 @@ func TestStopLifecycle(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				n.Stop()
+				// Whichever Stop did the work, each returns after it closed
+				// the delivery channel.
+				select {
+				case _, ok := <-n.Deliveries():
+					if ok {
+						t.Error("a delivery on a stopped node")
+					}
+				default:
+					t.Error("Stop returned before the delivery channel closed")
+				}
 			}()
 		}
 		wg.Wait()
@@ -90,30 +101,33 @@ func TestStopLifecycle(t *testing.T) {
 		n.Stop()    // must not panic or hang
 	})
 
-	t.Run("parallel engine winds down with its transport", func(t *testing.T) {
-		net := transport.MustNetwork(transport.Config{})
-		n, err := New(net, Config{
-			Addr: space.AddressAt(0), Space: space, R: 1, F: 1,
-			Subscription:  subEq(1),
-			DecodeWorkers: 2,
-			EncodeWorkers: 2,
+	// Serial or staged, an engine whose transport died stops, and Publish
+	// refuses: the event could never leave.
+	for name, workers := range map[string]int{"serial": 0, "parallel": 2} {
+		t.Run(name+" engine winds down with its transport", func(t *testing.T) {
+			net := transport.MustNetwork(transport.Config{})
+			n, err := New(net, Config{
+				Addr: space.AddressAt(0), Space: space, R: 1, F: 1,
+				Subscription:  subEq(1),
+				DecodeWorkers: workers,
+				EncodeWorkers: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Start()
+			net.Close() // the endpoint's Recv closes; the protocol stage must follow
+			select {
+			case <-n.done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("protocol stage kept running after the transport died")
+			}
+			if _, err := n.Publish(map[string]event.Value{"b": event.Int(1)}); err != ErrStopped {
+				t.Errorf("publish on a dead engine: err=%v, want ErrStopped", err)
+			}
+			n.Stop()
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.Start()
-		net.Close() // ingress workers exit; the protocol stage must follow
-		select {
-		case <-n.done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("protocol stage kept running after the transport died")
-		}
-		// Publish against the dead runtime must fail fast, not hang.
-		if _, err := n.Publish(map[string]event.Value{"b": event.Int(1)}); err != ErrStopped {
-			t.Errorf("publish on a dead engine: err=%v, want ErrStopped", err)
-		}
-		n.Stop()
-	})
+	}
 
 	t.Run("late step deliveries drop instead of panicking", func(t *testing.T) {
 		n := mk(transport.MustNetwork(transport.Config{})) // step mode: never started
@@ -140,13 +154,21 @@ func TestStopLifecycle(t *testing.T) {
 }
 
 // TestEngineConcurrentPublishFluxStop is the race-detector workout for the
-// staged engine: a real-clock mini-fleet in a parallel configuration (two
-// decode and two encode workers per node) under concurrent Publish from
-// several goroutines — two of them racing on the same publisher —
-// subscription flux, and a node hard-stopped mid-traffic. Assertions are
-// loose on purpose; the test's job is to put every engine stage under the
-// race detector (the CI race job runs the whole suite with -race).
+// engine: a real-clock mini-fleet, serial and in each staged configuration,
+// under concurrent Publish from several goroutines — two of them racing on
+// the same publisher — subscription flux, and a node hard-stopped
+// mid-traffic. Assertions are loose on purpose; the test's job is to put
+// every engine stage under the race detector (the CI race job runs the whole
+// suite with -race).
 func TestEngineConcurrentPublishFluxStop(t *testing.T) {
+	for _, w := range []struct{ decode, encode int }{{0, 0}, {0, 2}, {2, 0}, {2, 2}} {
+		t.Run(fmt.Sprintf("decode=%d,encode=%d", w.decode, w.encode), func(t *testing.T) {
+			testConcurrentPublishFluxStop(t, w.decode, w.encode)
+		})
+	}
+}
+
+func testConcurrentPublishFluxStop(t *testing.T, decodeWorkers, encodeWorkers int) {
 	net := transport.MustNetwork(transport.Config{QueueLen: 4096})
 	space := addr.MustRegular(3, 2)
 	const fleetN = 9
@@ -167,8 +189,8 @@ func TestEngineConcurrentPublishFluxStop(t *testing.T) {
 			MembershipInterval: 20 * time.Millisecond,
 			SuspectAfter:       time.Hour,
 			DeliveryBuffer:     2048,
-			DecodeWorkers:      2,
-			EncodeWorkers:      2,
+			DecodeWorkers:      decodeWorkers,
+			EncodeWorkers:      encodeWorkers,
 			StageQueue:         512,
 		})
 		if err != nil {
@@ -334,7 +356,7 @@ func TestIdleStageQueuesHoldNoBound(t *testing.T) {
 		}
 		return true
 	}, "the burst's gossip to run out and the stage queues to drain")
-	spares := unsafe.Sizeof(stageSegment[protoMsg]{}) + unsafe.Sizeof(stageSegment[egressJob]{})
+	spares := unsafe.Sizeof(stageSegment[transport.Envelope]{}) + unsafe.Sizeof(stageSegment[egressJob]{})
 	if spares > 8<<10 {
 		t.Errorf("one spare segment per queue is %d bytes, want a few KB", spares)
 	}

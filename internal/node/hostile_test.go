@@ -7,6 +7,7 @@ import (
 	"pmcast/internal/addr"
 	"pmcast/internal/core"
 	"pmcast/internal/event"
+	"pmcast/internal/fec"
 	"pmcast/internal/interest"
 	"pmcast/internal/membership"
 	"pmcast/internal/transport"
@@ -21,17 +22,25 @@ var hostileSpace = addr.MustRegular(3, 2)
 // rosterNode builds a step-mode node at hostileSpace's first address over a
 // roster of the whole space.
 func rosterNode(tb testing.TB) *Node {
+	return rosterNodeAt(tb, transport.MustNetwork(transport.Config{}), 0, 0)
+}
+
+// rosterNodeAt builds a step-mode node at hostileSpace's i-th address on net
+// over a roster of the whole space, coding with fecRepairs repairs per
+// generation (0: no coding layer).
+func rosterNodeAt(tb testing.TB, net transport.Transport, i, fecRepairs int) *Node {
 	tb.Helper()
 	recs := oracleRecords(hostileSpace, hostileSpace.Capacity(), func(addr.Address) interest.Subscription { return subEq(1) }).Records
 	roster, err := membership.NewRoster(recs)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	n, err := New(transport.MustNetwork(transport.Config{}), Config{
-		Addr: hostileSpace.AddressAt(0), Space: hostileSpace,
+	n, err := New(net, Config{
+		Addr: hostileSpace.AddressAt(i), Space: hostileSpace,
 		R: 2, F: 3, C: 2,
 		Subscription:     subEq(1),
 		MembershipRoster: roster,
+		FECRepairs:       fecRepairs,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -132,6 +141,28 @@ func TestRefusedJoinerGetsNoReply(t *testing.T) {
 		if after, _ := n.WireStats(); after != before {
 			t.Errorf("a forged join for %s made the node emit %d envelopes, want 0", joiner, after-before)
 		}
+	}
+}
+
+// TestLeaveCountsOnlyFromTheLeaver: a Leave tombstones the process it names
+// only when that process sent it. A third party's Leave for a live neighbor
+// is ignored — applied, it would tombstone the neighbor, and anti-entropy
+// would carry the tombstone fleet-wide — while the neighbor's own Leave
+// still tombstones it.
+func TestLeaveCountsOnlyFromTheLeaver(t *testing.T) {
+	net := transport.MustNetwork(transport.Config{})
+	n, leaver := rosterNodeAt(t, net, 0, 0), rosterNodeAt(t, net, 1, 0)
+	forged := membership.Leave{Addr: leaver.Addr(), Stamp: 9}
+	n.HandleEnvelope(transport.Envelope{From: hostileSpace.AddressAt(2), To: n.Addr(), Payload: wireDecoded(t, forged)})
+	if rec, _ := recordOf(n.mem, leaver.Addr()); !rec.Alive {
+		t.Fatalf("a third party's Leave tombstoned %s: %+v", leaver.Addr(), rec)
+	}
+	leaver.Leave()
+	if n.PumpInbox() == 0 {
+		t.Fatal("the leaver's announcement did not arrive")
+	}
+	if rec, _ := recordOf(n.mem, leaver.Addr()); rec.Alive {
+		t.Errorf("the leaver's own Leave left it alive: %+v", rec)
 	}
 }
 
@@ -248,11 +279,31 @@ func renderTree(tr *tree.Tree, space addr.Space) string {
 	return out
 }
 
+// forgedRepairBatch is a round envelope whose one gossip is listed, beside
+// an event never sent, in a forged generation with one garbage repair: the
+// coding node solves for the missing source and must discard what it gets.
+func forgedRepairBatch() wire.Batch {
+	sent := event.NewBuilder().Int("b", 1).Build(event.ID{Origin: hostileSpace.AddressAt(1).Key(), Seq: 1})
+	never := event.ID{Origin: hostileSpace.AddressAt(2).Key(), Seq: 7}
+	meta := fec.Meta{Depth: 1, Rate: 1}
+	return wire.Batch{
+		Gossips: []core.Gossip{{Event: sent, Depth: 1, Rate: 1}},
+		FEC: []fec.Generation{{
+			Gen: 1, K: 2, R: 1, SymLen: 24,
+			IDs:     []event.ID{sent.ID(), never},
+			Meta:    []fec.Meta{meta, meta},
+			Repairs: []fec.RepairSymbol{{Index: 0, Data: []byte("twenty-four garbage byte")}},
+		}},
+	}
+}
+
 // FuzzHostileMembershipKeepsDelivering hands a step-mode node whatever
 // arbitrary bytes decode to, from a roster peer, then re-asserts the node's
 // own subscription — a forged fresher line for self may legitimately
 // replace it — and demands a well-formed gossip still be delivered: no
-// decodable message may stop a node for good.
+// decodable message may stop a node for good. Every frame goes to a node
+// without the coding layer and to one with it, whose assembler takes in the
+// forged generations and repairs the frame may carry.
 func FuzzHostileMembershipKeepsDelivering(f *testing.F) {
 	for _, msg := range []any{
 		poisonUpdate,
@@ -263,6 +314,7 @@ func FuzzHostileMembershipKeepsDelivering(f *testing.F) {
 		membership.JoinRequest{Joiner: membership.Record{Addr: addr.New(1, 3), Sub: subEq(1), Stamp: 1, Alive: true}, Hops: 2},
 		membership.Leave{Addr: addr.New(2, 2, 2), Stamp: 9},
 		membership.Heartbeat{},
+		forgedRepairBatch(),
 	} {
 		frame, err := wire.Encode(msg)
 		if err != nil {
@@ -271,15 +323,18 @@ func FuzzHostileMembershipKeepsDelivering(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		payload, err := wire.NewDecoder().Decode(frame)
-		if err != nil {
+		if _, err := wire.NewDecoder().Decode(frame); err != nil {
 			return
 		}
-		n := rosterNode(t)
-		n.HandleEnvelope(transport.Envelope{From: hostileSpace.AddressAt(1), To: n.Addr(), Payload: payload})
-		n.Subscribe(subEq(1))
-		if !deliversFresh(n, 1) {
-			t.Fatalf("a well-formed gossip was not delivered after %T %+v (tree nil: %v)", payload, payload, n.tree == nil)
+		for _, repairs := range []int{0, 1} {
+			n := rosterNodeAt(t, transport.MustNetwork(transport.Config{}), 0, repairs)
+			payload, _ := wire.NewDecoder().Decode(frame) // each node gets its own copy
+			n.HandleEnvelope(transport.Envelope{From: hostileSpace.AddressAt(1), To: n.Addr(), Payload: payload})
+			n.Subscribe(subEq(1))
+			if !deliversFresh(n, 1) {
+				t.Fatalf("FECRepairs=%d: a well-formed gossip was not delivered after %T %+v (tree nil: %v)",
+					repairs, payload, payload, n.tree == nil)
+			}
 		}
 	})
 }

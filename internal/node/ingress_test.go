@@ -217,8 +217,8 @@ func TestDuplicateSectionsCostNothing(t *testing.T) {
 // node.
 func TestStageQueueFootprint(t *testing.T) {
 	word := unsafe.Sizeof(uintptr(0))
-	if got := unsafe.Sizeof(protoMsg{}); got != 5*word {
-		t.Errorf("protoMsg is %d bytes, want %d", got, 5*word)
+	if got := unsafe.Sizeof(transport.Envelope{}); got != 4*word {
+		t.Errorf("transport.Envelope is %d bytes, want %d", got, 4*word)
 	}
 	if got := unsafe.Sizeof(egressJob{}); got != 3*word {
 		t.Errorf("egressJob is %d bytes, want %d", got, 3*word)

@@ -12,10 +12,13 @@
 //
 //	ingress   N decode workers draining the endpoint, each owning a wire
 //	          decoder (DecodeWorkers)
-//	protocol  ONE goroutine owning membership folds, tree views and the
-//	          core.Process — the single writer of all protocol state
-//	sweep/    M encode/send workers consuming per-peer send jobs from the
-//	egress    protocol stage (EncodeWorkers)
+//	protocol  ONE goroutine handling received envelopes and running the
+//	          gossip, membership and failure-detector ticks
+//	egress    M encode/send workers consuming per-peer send jobs from the
+//	          protocol stage (EncodeWorkers)
+//
+// Protocol state — membership folds, tree views, the core.Process — has one
+// lock, which the protocol stage and Publish both take.
 //
 // Parallelism 0 collapses every stage onto the protocol goroutine: exactly
 // the serial event loop earlier revisions ran, and the configuration the
@@ -45,7 +48,7 @@ import (
 	"pmcast/internal/wire"
 )
 
-// ErrStopped is reported by a node that has been stopped.
+// ErrStopped is reported by a node after Stop, or after its runtime exited.
 var ErrStopped = errors.New("node: stopped")
 
 // Config parameterizes a node.
@@ -109,7 +112,7 @@ type Config struct {
 	// socket-buffer semantics. A full egress queue drops the send job and
 	// counts it in EngineStats: the protocol stage never blocks on a slow
 	// fabric. The bound is not paid up front: a queue holds storage for what
-	// it carries, in segments of 64 slots (40 bytes each on the protocol
+	// it carries, in segments of 64 slots (32 bytes each on the protocol
 	// queue, 24 on the egress queue, on a 64-bit host), and keeps one spare
 	// segment when it is empty.
 	StageQueue int
@@ -186,10 +189,11 @@ type Node struct {
 	// gossip sections of every frame, whoever unframed it.
 	dec *wire.Decoder
 
-	// mu guards the protocol state below. While the engine runs, the
-	// protocol stage is the state's single writer, so the lock is
-	// uncontended there; it remains the arbiter for step-mode drivers,
-	// bootstrap tools (WarmViews, AdoptViewsFrom) and serial-path Publish.
+	// mu is the one lock on the node's protocol state: membership folds, tree
+	// views, the core.Process, the RNG, the coding layer and the join contact.
+	// Every way into that state takes it — a received envelope, the gossip and
+	// membership ticks, Publish, step-mode drivers and the bootstrap tools
+	// (WarmViews, AdoptViewsFrom) — and every send happens after it drops.
 	mu   sync.Mutex
 	rng  *rand.Rand
 	proc *core.Process
@@ -202,6 +206,18 @@ type Node struct {
 	tree             *tree.Tree
 	treeVersion      uint64
 	deliveriesClosed bool
+	joinContact      addr.Address
+
+	// The coding layer (nil when FECRepairs is 0), under mu like the rest of
+	// the protocol: the encoder codes round envelopes in tickGossip, the
+	// assembler reassembles in handleRound.
+	fenc          *fec.Encoder
+	fasm          *fec.Assembler
+	fecKeyAddr    map[string]addr.Address // routing key → last round-send target
+	fecRevive     []fecRevival            // delayed revival queue
+	fecReviveTick int                     // revival round clock
+	repairBytes   int64                   // encoded bytes of emitted repair sections
+	fecRecovered  int64                   // gossips reconstructed from repairs and accepted
 
 	seq        atomic.Uint64
 	deliveries chan event.Event
@@ -210,25 +226,10 @@ type Node struct {
 	envelopes atomic.Int64 // outgoing envelopes (batched counts as one)
 	wireBytes atomic.Int64 // encoded bytes of outgoing envelopes
 
-	// The coding layer (nil when FECRepairs is 0). Both sides live on the
-	// protocol stage — the encoder codes round envelopes in tickGossip, the
-	// assembler reassembles in handle — but stats snapshots come from other
-	// goroutines, so a dedicated mutex arbitrates. It is uncontended on the
-	// hot path.
-	fecMu         sync.Mutex
-	fenc          *fec.Encoder
-	fasm          *fec.Assembler
-	fecKeyAddr    map[string]addr.Address // routing key → last round-send target, tickGossip only
-	fecRevive     []fecRevival            // delayed revival queue, protocol stage only
-	fecReviveTick int                     // revival round clock, protocol stage only
-	repairBytes   atomic.Int64            // encoded bytes of emitted repair sections
-	fecRecovered  atomic.Int64            // gossips reconstructed from repairs and accepted
-
-	// Engine plumbing (engine.go). protoQ and egressQ exist only when Start
-	// brings up a parallel configuration, and are set before the engine
-	// goroutines launch; a non-nil egressQ routes emit through the egress
-	// stage.
-	protoQ        *stageQueue[protoMsg]
+	// Engine plumbing (engine.go). Start creates protoQ when ingress workers
+	// run and egressQ when egress workers do, before the engine goroutines
+	// launch; a non-nil egressQ routes emit through the egress stage.
+	protoQ        *stageQueue[transport.Envelope]
 	egressQ       *stageQueue[egressJob]
 	wg            sync.WaitGroup
 	egressDrops   atomic.Int64
@@ -236,20 +237,24 @@ type Node struct {
 	egressFlushes atomic.Int64 // SendMany flushes issued by egress workers
 	egressFlushed atomic.Int64 // envelopes those flushes carried
 
-	joinMu      sync.Mutex
-	joinContact addr.Address
-
-	// lifeMu serializes the Start/Stop decision so a Stop racing a first
-	// Start can never observe started=false while Start goes on to launch
-	// the runtime — Stop's "drained and joined" guarantee depends on it.
-	lifeMu    sync.Mutex
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	done      chan struct{}
-	started   atomic.Bool
-	stopped   atomic.Bool
+	// lifeMu guards life. Start and Stop hold it across their decision and
+	// what follows it, so a Stop racing Start either finds the runtime
+	// launched and joins it, or leaves it never launched; and a second Stop
+	// returns only after the first has closed Deliveries. run never takes it.
+	lifeMu sync.Mutex
+	life   lifecycle
+	stop   chan struct{} // closed by Stop
+	done   chan struct{} // closed when the protocol stage exits, or by Stop if it never ran
 }
+
+// lifecycle is where a node is in its one pass from New to Stop.
+type lifecycle uint8
+
+const (
+	lifeNew     lifecycle = iota // inert: step mode, or before Start
+	lifeRunning                  // Start launched the engine
+	lifeOver                     // Stop ran; the node stays inert
+)
 
 // New attaches a node to a transport fabric — any implementation of the
 // transport.Transport interface: the in-memory simulation network, the UDP
@@ -319,26 +324,24 @@ func (n *Node) Deliveries() <-chan event.Event { return n.deliveries }
 // DroppedDeliveries reports deliveries discarded because the consumer lagged.
 func (n *Node) DroppedDeliveries() int64 { return n.dropped.Load() }
 
-// Start launches the staged engine: the single-writer protocol goroutine
-// plus — when the configuration asks for parallelism — the ingress decode
-// workers and egress send workers. Starting a node that was already stopped
-// is a no-op: the node stays inert.
+// Start launches the staged engine: the protocol goroutine plus — when the
+// configuration asks for parallelism — the ingress decode workers and egress
+// send workers. Start runs a node once: on a running or ended node it is a
+// no-op, and an ended node stays inert.
 func (n *Node) Start() {
-	n.startOnce.Do(func() {
-		n.lifeMu.Lock()
-		defer n.lifeMu.Unlock()
-		if n.stopped.Load() {
-			return // Stop won: stay inert rather than racing a dead runtime
-		}
-		if n.cfg.DecodeWorkers > 0 || n.cfg.EncodeWorkers > 0 {
-			n.protoQ = newStageQueue[protoMsg](n.cfg.StageQueue)
-			if n.cfg.EncodeWorkers > 0 {
-				n.egressQ = newStageQueue[egressJob](n.cfg.StageQueue)
-			}
-		}
-		n.started.Store(true)
-		go n.run()
-	})
+	n.lifeMu.Lock()
+	defer n.lifeMu.Unlock()
+	if n.life != lifeNew {
+		return
+	}
+	n.life = lifeRunning
+	if n.cfg.DecodeWorkers > 0 {
+		n.protoQ = newStageQueue[transport.Envelope](n.cfg.StageQueue)
+	}
+	if n.cfg.EncodeWorkers > 0 {
+		n.egressQ = newStageQueue[egressJob](n.cfg.StageQueue)
+	}
+	go n.run()
 }
 
 // Stop terminates the runtime, detaches from the network and closes the
@@ -346,33 +349,32 @@ func (n *Node) Start() {
 // before Start (the node stays inert and a later Start is a no-op), after
 // Start (the engine drains and joins every stage worker), after the
 // transport was closed underneath the node, and from multiple goroutines
-// at once. The delivery channel is closed exactly once.
+// at once — each returns once the delivery channel is closed, which happens
+// exactly once.
 func (n *Node) Stop() {
-	n.stopOnce.Do(func() {
-		// Under lifeMu, either a racing first Start already launched the
-		// runtime (then started is true here and we join it) or it has not
-		// yet taken its decision (then it will see stopped and stay inert).
-		n.lifeMu.Lock()
-		n.stopped.Store(true)
-		close(n.stop)
-		started := n.started.Load()
-		n.lifeMu.Unlock()
-		if started {
-			<-n.done // protocol stage has exited and closed the egress queue
-		} else {
-			close(n.done) // never started: done must still read as terminal
-		}
-		n.ep.Close() // unblocks ingress workers waiting on Recv
-		n.wg.Wait()  // every stage worker has drained and exited
-		// Mark the channel closed under the state lock: step-mode drivers
-		// push deliveries under the same lock, so none can be mid-send, and
-		// any later step call discards into the dropped counter instead of
-		// panicking on a closed channel.
-		n.mu.Lock()
-		n.deliveriesClosed = true
-		n.mu.Unlock()
-		close(n.deliveries)
-	})
+	n.lifeMu.Lock()
+	defer n.lifeMu.Unlock()
+	if n.life == lifeOver {
+		return
+	}
+	ran := n.life == lifeRunning
+	n.life = lifeOver
+	close(n.stop)
+	if ran {
+		<-n.done // protocol stage has exited and closed the egress queue
+	} else {
+		close(n.done) // never launched: done must still read as terminal
+	}
+	n.ep.Close() // unblocks ingress workers waiting on Recv
+	n.wg.Wait()  // every stage worker has drained and exited
+	// Mark the channel closed under the state lock: every delivery is pushed
+	// under the same lock, so none can be mid-send, and any later step call
+	// discards into the dropped counter instead of panicking on a closed
+	// channel.
+	n.mu.Lock()
+	n.deliveriesClosed = true
+	n.mu.Unlock()
+	close(n.deliveries)
 }
 
 // Join bootstraps membership through a known contact: the node announces
@@ -381,9 +383,9 @@ func (n *Node) Stop() {
 // re-sent on the membership period for as long as the node knows nobody,
 // so a lossy network cannot strand a joiner.
 func (n *Node) Join(contact addr.Address) error {
-	n.joinMu.Lock()
+	n.mu.Lock()
 	n.joinContact = contact
-	n.joinMu.Unlock()
+	n.mu.Unlock()
 	return n.send(contact, n.mem.BuildJoinRequest())
 }
 
@@ -460,14 +462,11 @@ func (s *FECStats) Accumulate(o FECStats) {
 
 // FECStats reports the coding layer's work so far.
 func (n *Node) FECStats() FECStats {
-	st := FECStats{
-		RepairBytes: n.repairBytes.Load(),
-		Recovered:   n.fecRecovered.Load(),
-	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	st := FECStats{RepairBytes: n.repairBytes, Recovered: n.fecRecovered}
 	if n.fasm != nil {
-		n.fecMu.Lock()
 		s := n.fasm.Stats()
-		n.fecMu.Unlock()
 		st.RepairsReceived = s.RepairsReceived
 		st.Decodes = s.Decodes
 		st.Corrupt = s.Corrupt
@@ -521,61 +520,31 @@ func (n *Node) Subscribe(sub interest.Subscription) {
 }
 
 // Publish multicasts an event built from the given attributes. The event ID
-// is derived from the node address and a local sequence number. While the
-// engine runs in a parallel configuration, the event is handed to the
-// protocol stage — the single writer of protocol state — and Publish waits
-// for it to be accepted; otherwise the caller applies it directly under the
-// state lock, as the serial runtime always has.
+// is derived from the node address and a local sequence number. The event
+// enters protocol state under the state lock, from the caller's goroutine,
+// in every configuration. After Stop, or once the runtime has exited because
+// its transport closed underneath it, the node refuses with ErrStopped: the
+// event could never leave.
 func (n *Node) Publish(attrs map[string]event.Value) (event.ID, error) {
 	select {
 	case <-n.stop:
+		return event.ID{}, ErrStopped
+	case <-n.done:
 		return event.ID{}, ErrStopped
 	default:
 	}
 	id := event.ID{Origin: n.cfg.Addr.Key(), Seq: n.seq.Add(1)}
 	ev := event.New(id, attrs)
-	// The started load is the acquire barrier for protoQ: Start stores it
-	// before flipping started, so checking in this order is race-free even
-	// against a concurrent Start.
-	if n.started.Load() && n.protoQ != nil {
-		// The done arms cover a protocol stage that wound down without Stop
-		// (transport closed underneath the node): the serial path degrades to
-		// buffering the event locally, and the engine path must not hang.
-		req := &publishReq{ev: ev, errc: make(chan error, 1)}
-		if !n.protoQ.push([]protoMsg{{pub: req}}, n.stop, n.done) {
-			return event.ID{}, ErrStopped
-		}
-		select {
-		case err := <-req.errc:
-			if err != nil {
-				return event.ID{}, err
-			}
-			return id, nil
-		case <-n.stop:
-			return event.ID{}, ErrStopped
-		case <-n.done:
-			return event.ID{}, ErrStopped
-		}
-	}
-	if err := n.applyPublish(ev); err != nil {
-		return event.ID{}, err
-	}
-	return id, nil
-}
-
-// applyPublish folds one locally published event into protocol state — the
-// shared body of the serial path and the protocol stage's publish handler.
-func (n *Node) applyPublish(ev event.Event) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if err := n.rebuildIfStaleLocked(); err != nil {
-		return err
+		return event.ID{}, err
 	}
 	if err := n.proc.Multicast(ev); err != nil {
-		return err
+		return event.ID{}, err
 	}
 	n.drainDeliveriesLocked()
-	return nil
+	return id, nil
 }
 
 // decodeRaw unframes a deferred-decode payload in place with the given
@@ -583,7 +552,8 @@ func (n *Node) applyPublish(ev event.Event) error {
 // whether the envelope is usable — shared by the ingress workers (worker
 // decoders) and the serial/step path (the node's own decoder). A round
 // envelope's gossip sections are validated here but built only on the
-// protocol stage, and only when the seen-set lacks them (handleGossipBatch).
+// protocol stage, and only when the seen-set lacks them
+// (handleGossipBatchLocked).
 func (n *Node) decodeRaw(dec *wire.Decoder, env *transport.Envelope) bool {
 	raw, ok := env.Payload.(transport.Raw)
 	if !ok {
@@ -600,8 +570,8 @@ func (n *Node) decodeRaw(dec *wire.Decoder, env *transport.Envelope) bool {
 }
 
 // handle dispatches one received payload within the pump that h belongs to.
-// It runs on the protocol stage (or a step-mode driver): everything it
-// touches is single-writer state.
+// It runs on the protocol stage (or a step-mode driver), and takes the state
+// lock for the protocol state it touches.
 func (n *Node) handle(env transport.Envelope, h *heard) {
 	if !n.decodeRaw(n.dec, &env) {
 		return
@@ -636,7 +606,12 @@ func (n *Node) handle(env transport.Envelope, h *heard) {
 			n.emit(fwd, msg)
 		}
 	case membership.Leave:
-		n.mem.HandleLeave(msg)
+		// Only the leaver can announce its departure: a third party's Leave
+		// would tombstone a live process fleet-wide. Node.Leave sends its
+		// own announcement, so an honest one always passes.
+		if msg.Addr.Equal(env.From) {
+			n.mem.HandleLeave(msg)
+		}
 	case membership.Heartbeat:
 		// Liveness only; the pump already recorded the contact.
 	}
@@ -658,24 +633,23 @@ func (n *Node) handleRound(from addr.Address, b wire.Batch, ss []wire.Section) {
 		}
 		ss = nil
 	}
-	n.handleGossipBatch(b.Gossips, ss)
+	n.mu.Lock()
+	n.handleGossipBatchLocked(b.Gossips, ss)
 	if n.fasm != nil {
 		// Feed the coding layer the canonical bytes of what arrived, so any
 		// pending generation listing an event can count it as a source symbol,
 		// then the repair symbols, one at a time: a recovery one unlocks is a
 		// source for the generations after it.
 		for _, g := range b.Gossips {
-			n.observeSourceFEC(g)
+			n.acceptRecoveredFECLocked(n.fasm.ObserveSource(g.Event.ID(), wire.AppendEventBody(nil, g.Event)))
 		}
 		for _, gen := range b.FEC {
 			for _, rs := range gen.Repairs {
-				n.fecMu.Lock()
-				recs := n.fasm.ObserveRepair(from.Key(), gen, rs)
-				n.fecMu.Unlock()
-				n.acceptRecoveredFEC(recs)
+				n.acceptRecoveredFECLocked(n.fasm.ObserveRepair(from.Key(), gen, rs))
 			}
 		}
 	}
+	n.mu.Unlock()
 	if b.Update != nil {
 		n.mem.Apply(*b.Update)
 	}
@@ -705,20 +679,18 @@ func (n *Node) handleDigest(from addr.Address, d membership.Digest) {
 	}
 }
 
-// handleGossipBatch is the one way a gossip enters the protocol: a round
-// envelope's gossip section (a revived recovery is a section of one), under
-// one lock acquisition and one staleness check — the receive-side half of the
-// batched pipeline. The gossips come typed (gs) or as scanned sections of a
-// frame (ss), in order. A section is built only when the seen-set lacks its
-// ID: at the redundancy a reliable epidemic needs, almost every arrival is a
-// duplicate, and a duplicate then costs its ID.
-func (n *Node) handleGossipBatch(gs []core.Gossip, ss []wire.Section) {
+// handleGossipBatchLocked is the one way a gossip enters the protocol: a
+// round envelope's gossip section (a revived recovery is a section of one),
+// under one staleness check — the receive-side half of the batched pipeline.
+// The gossips come typed (gs) or as scanned sections of a frame (ss), in
+// order. A section is built only when the seen-set lacks its ID: at the
+// redundancy a reliable epidemic needs, almost every arrival is a duplicate,
+// and a duplicate then costs its ID.
+func (n *Node) handleGossipBatchLocked(gs []core.Gossip, ss []wire.Section) {
 	count := len(gs) + len(ss)
 	if count == 0 {
 		return
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	rebuilt := false
 	for i := 0; i < count; i++ {
 		var g core.Gossip
@@ -759,21 +731,11 @@ func (n *Node) buildSection(s *wire.Section) (core.Gossip, bool) {
 	return core.Gossip{Event: ev, Depth: s.Depth, Rate: s.Rate, Round: s.Round}, true
 }
 
-// observeSourceFEC hands one arrived gossip's canonical event bytes to the
-// assembler and folds in whatever recoveries that unlocks. Symbols are
-// event bytes — invariant across retransmissions and identical from every
-// sender — so any copy of the event fills its slot in every pending
-// generation that lists it, whoever coded that generation.
-func (n *Node) observeSourceFEC(g core.Gossip) {
-	body := wire.AppendEventBody(nil, g.Event)
-	n.fecMu.Lock()
-	recs := n.fasm.ObserveSource(g.Event.ID(), body)
-	n.fecMu.Unlock()
-	n.acceptRecoveredFEC(recs)
-}
-
-// acceptRecoveredFEC validates reconstructed events and queues them for
-// delayed revival. Each recovered body must decode to the event the
+// acceptRecoveredFECLocked validates reconstructed events and queues them for
+// delayed revival. Symbols are event bytes — invariant across
+// retransmissions and identical from every sender — so any copy of an event
+// fills its slot in every pending generation that lists it, whoever coded
+// that generation. Each recovered body must decode to the event the
 // generation header promised — a mismatch means the solve ran over a
 // poisoned source cache and the result is discarded as corrupt. Accepted
 // recoveries are re-observed as sources, which can complete further
@@ -792,18 +754,16 @@ func (n *Node) observeSourceFEC(g core.Gossip) {
 // nowhere in sight — the subtree-dead case the coding layer exists for —
 // re-enters, with a fresh round budget, to be delivered and re-gossiped
 // downstream.
-func (n *Node) acceptRecoveredFEC(recs []fec.Recovered) {
+func (n *Node) acceptRecoveredFECLocked(recs []fec.Recovered) {
 	for len(recs) > 0 {
 		rec := recs[0]
 		recs = recs[1:]
 		ev, err := wire.DecodeEventBody(rec.Body)
 		if err != nil || ev.ID() != rec.ID {
-			n.fecMu.Lock()
 			n.fasm.NoteCorrupt()
-			n.fecMu.Unlock()
 			continue
 		}
-		n.fecRecovered.Add(1)
+		n.fecRecovered++
 		if len(n.fecRevive) < maxFECRevive {
 			n.fecRevive = append(n.fecRevive, fecRevival{
 				g: core.Gossip{
@@ -815,18 +775,15 @@ func (n *Node) acceptRecoveredFEC(recs []fec.Recovered) {
 				due: n.fecReviveTick + fecReviveDelay,
 			})
 		}
-		n.fecMu.Lock()
-		more := n.fasm.ObserveSource(rec.ID, rec.Body)
-		n.fecMu.Unlock()
-		recs = append(recs, more...)
+		recs = append(recs, n.fasm.ObserveSource(rec.ID, rec.Body)...)
 	}
 }
 
-// reviveRecoveredFEC runs once per gossip round on the protocol stage:
-// revival candidates whose delay has elapsed re-enter through
-// handleGossipBatch, whose seen-set check is the cancellation — an event the
-// real wave delivered meanwhile is a duplicate and the revival is a no-op.
-func (n *Node) reviveRecoveredFEC() {
+// reviveRecoveredFECLocked runs once per gossip round: revival candidates
+// whose delay has elapsed re-enter through handleGossipBatchLocked, whose
+// seen-set check is the cancellation — an event the real wave delivered
+// meanwhile is a duplicate and the revival is a no-op.
+func (n *Node) reviveRecoveredFECLocked() {
 	n.fecReviveTick++
 	if len(n.fecRevive) == 0 {
 		return
@@ -837,7 +794,7 @@ func (n *Node) reviveRecoveredFEC() {
 			keep = append(keep, rv)
 			continue
 		}
-		n.handleGossipBatch([]core.Gossip{rv.g}, nil)
+		n.handleGossipBatchLocked([]core.Gossip{rv.g}, nil)
 	}
 	n.fecRevive = keep
 	// Drop the processed tail so retained event references can be collected.
@@ -884,13 +841,14 @@ func fecRouteKey(a addr.Address) string {
 	return strconv.Itoa(a.Digit(1))
 }
 
-// codeRoundSend feeds one round envelope's gossips into the destination
-// subtree's generation accumulator and returns the generations that should
-// ride this envelope's FEC section: fresh fills, aged piggybacks, and
-// replica copies of recent generations spreading across the subtree. Most
-// round-sends return nothing — the accumulator is what amortizes one
-// repair symbol over k distinct events instead of one round-send's few.
-func (n *Node) codeRoundSend(rs core.RoundSend) []fec.Generation {
+// codeRoundSendLocked feeds one round envelope's gossips into the
+// destination subtree's generation accumulator and returns the generations
+// that should ride this envelope's FEC section: fresh fills, aged
+// piggybacks, and replica copies of recent generations spreading across the
+// subtree. Most round-sends return nothing — the accumulator is what
+// amortizes one repair symbol over k distinct events instead of one
+// round-send's few.
+func (n *Node) codeRoundSendLocked(rs core.RoundSend) []fec.Generation {
 	leaf := n.cfg.Space.Depth()
 	srcs := make([]fec.Source, 0, len(rs.Gossips))
 	for _, g := range rs.Gossips {
@@ -912,71 +870,70 @@ func (n *Node) codeRoundSend(rs core.RoundSend) []fec.Generation {
 	}
 	key := fecRouteKey(rs.To)
 	n.fecKeyAddr[key] = rs.To
-	n.fecMu.Lock()
 	gens := n.fenc.Add(key, srcs)
-	n.fecMu.Unlock()
 	for _, g := range gens {
-		n.repairBytes.Add(int64(g.RepairBytes()))
+		n.repairBytes += int64(g.RepairBytes())
 	}
 	return gens
 }
 
+// tickGossip runs one gossip period. Under the state lock, in this order:
+// due revivals re-enter, the round ticks, the assembler ages out partial
+// generations, each round envelope is coded, and an aged partial generation
+// is flushed. The envelopes are emitted, in that order, after the lock
+// drops: emit either hands them to the egress workers or — serially — sends
+// on this goroutine.
 func (n *Node) tickGossip() {
+	n.mu.Lock()
 	if n.fasm != nil {
 		// Revive before ticking: a recovery whose delay just elapsed enters
 		// the gossip buffers now and rides this very round's envelopes.
-		n.reviveRecoveredFEC()
+		n.reviveRecoveredFECLocked()
 	}
-	n.mu.Lock()
 	if err := n.rebuildIfStaleLocked(); err != nil {
 		n.mu.Unlock()
 		return
 	}
 	// Every gossip this round owes one peer rides a single round envelope.
-	// The round envelopes are the engine's send jobs, emitted after the lock
-	// drops: emit either hands them to the egress workers or — serially —
-	// sends on this goroutine.
 	jobs := n.proc.TickRound(n.rng)
 	n.drainDeliveriesLocked()
-	n.mu.Unlock()
+	var gens [][]fec.Generation
+	var flush []transport.Outgoing
 	if n.fasm != nil {
 		// One gossip round elapsed: age out partial generations that will
 		// never complete (their arrived sources were already processed).
-		n.fecMu.Lock()
 		n.fasm.Sweep()
-		n.fecMu.Unlock()
-	}
-	for _, rs := range jobs {
-		var gens []fec.Generation
-		if n.fenc != nil {
-			gens = n.codeRoundSend(rs)
+		gens = make([][]fec.Generation, len(jobs))
+		for i, rs := range jobs {
+			gens[i] = n.codeRoundSendLocked(rs)
 		}
+		// Backstop flush: if gossip traffic ceased with a partial
+		// generation open, ship it as a short (k', r) code in a repair-only
+		// envelope so the trailing events keep their protection.
+		for _, kg := range n.fenc.FlushAged(fecFlushAge) {
+			to, ok := n.fecKeyAddr[kg.Key]
+			if !ok || to.IsZero() {
+				continue
+			}
+			for _, g := range kg.Gens {
+				n.repairBytes += int64(g.RepairBytes())
+			}
+			flush = append(flush, transport.Outgoing{To: to, Payload: wire.Batch{FEC: kg.Gens}})
+		}
+	}
+	n.mu.Unlock()
+	for i, rs := range jobs {
 		switch {
-		case len(gens) > 0:
-			n.emit(rs.To, wire.Batch{Gossips: rs.Gossips, FEC: gens})
+		case gens != nil && len(gens[i]) > 0:
+			n.emit(rs.To, wire.Batch{Gossips: rs.Gossips, FEC: gens[i]})
 		case len(rs.Gossips) == 1:
 			n.emit(rs.To, rs.Gossips[0]) // a bare frame is smaller than a batch of one
 		default:
 			n.emit(rs.To, wire.Batch{Gossips: rs.Gossips})
 		}
 	}
-	if n.fenc != nil {
-		// Backstop flush: if gossip traffic stopped with a partial
-		// generation open, ship it as a short (k', r) code in a repair-only
-		// envelope so the trailing events keep their protection.
-		n.fecMu.Lock()
-		aged := n.fenc.FlushAged(fecFlushAge)
-		n.fecMu.Unlock()
-		for _, kg := range aged {
-			to, ok := n.fecKeyAddr[kg.Key]
-			if !ok || to.IsZero() {
-				continue
-			}
-			for _, g := range kg.Gens {
-				n.repairBytes.Add(int64(g.RepairBytes()))
-			}
-			n.emit(to, wire.Batch{FEC: kg.Gens})
-		}
+	for _, o := range flush {
+		n.emit(o.To, o.Payload)
 	}
 }
 
@@ -984,19 +941,15 @@ func (n *Node) tickGossip() {
 const membershipFanout = 2
 
 func (n *Node) tickMembership() {
-	// Bootstrap retry: while the node knows nobody, keep announcing itself
-	// to its join contact (join messages are as lossy as any other).
-	if n.mem.Len() <= 1 {
-		n.joinMu.Lock()
-		contact := n.joinContact
-		n.joinMu.Unlock()
-		if !contact.IsZero() {
-			n.emit(contact, n.mem.BuildJoinRequest())
-		}
-	}
 	n.mu.Lock()
+	contact := n.joinContact
 	targets := n.mem.DigestTargets(n.rng, membershipFanout)
 	n.mu.Unlock()
+	// Bootstrap retry: while the node knows nobody, keep announcing itself
+	// to its join contact (join messages are as lossy as any other).
+	if n.mem.Len() <= 1 && !contact.IsZero() {
+		n.emit(contact, n.mem.BuildJoinRequest())
+	}
 	d := n.mem.MakeSummaryDigest()
 	// Beacon the whole subgroup: the failure detector deadline is counted in
 	// membership intervals, so every immediate neighbor must hear from us at

@@ -15,7 +15,7 @@ const stageSegLen = 64
 //
 // bound is exact: a queue never holds more than bound items. Producers either
 // give up on a full queue (tryPush, the protocol stage's egress hand-off) or
-// wait for room (push, the ingress workers and Publish). Consumers wait on
+// wait for room (push, the ingress workers). Consumers wait on
 // ready, then drain a bounded batch.
 type stageQueue[T any] struct {
 	// ready holds a token whenever the queue may hold items: a push leaves
@@ -73,9 +73,9 @@ func (q *stageQueue[T]) tryPush(v T) bool {
 }
 
 // push queues every item of batch, in order, waiting for room as long as it
-// must. It reports false, with only a prefix of batch queued, when stop or
-// done closes first or the queue is closed.
-func (q *stageQueue[T]) push(batch []T, stop, done <-chan struct{}) bool {
+// must. It reports false, with only a prefix of batch queued, when stop
+// closes first or the queue is closed.
+func (q *stageQueue[T]) push(batch []T, stop <-chan struct{}) bool {
 	for {
 		q.mu.Lock()
 		if q.closed {
@@ -98,8 +98,6 @@ func (q *stageQueue[T]) push(batch []T, stop, done <-chan struct{}) bool {
 		select {
 		case <-q.space:
 		case <-stop:
-			return false
-		case <-done:
 			return false
 		}
 	}

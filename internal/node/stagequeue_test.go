@@ -111,17 +111,17 @@ func FuzzStageQueueAgainstSlice(f *testing.F) {
 				free := bound - len(model)
 				switch {
 				case closed:
-					if q.push(batch, stopped, nil) {
+					if q.push(batch, stopped) {
 						t.Fatal("push into a closed queue succeeded")
 					}
 				case len(batch) <= free:
-					if !q.push(batch, nil, nil) {
+					if !q.push(batch, nil) {
 						t.Fatalf("push of %d with %d free gave up", len(batch), free)
 					}
 					model = append(model, batch...)
 				default:
 					// Nothing drains while it waits, so only stop ends it.
-					if q.push(batch, stopped, nil) {
+					if q.push(batch, stopped) {
 						t.Fatalf("push of %d with %d free succeeded", len(batch), free)
 					}
 					model = append(model, batch[:free]...)
@@ -199,7 +199,7 @@ func TestStageQueueConcurrent(t *testing.T) {
 					for i := range batch {
 						batch[i] = p*perProducer + seq + i
 					}
-					if !q.push(batch, nil, nil) {
+					if !q.push(batch, nil) {
 						t.Error("push gave up with nothing to stop it")
 						return
 					}
@@ -286,14 +286,14 @@ func TestStageQueueConcurrent(t *testing.T) {
 	t.Run("a blocked push", func(t *testing.T) {
 		full := func() *stageQueue[int] {
 			q := newStageQueue[int](4)
-			if !q.push([]int{1, 2, 3, 4}, nil, nil) {
+			if !q.push([]int{1, 2, 3, 4}, nil) {
 				t.Fatal("fill failed")
 			}
 			return q
 		}
-		blocked := func(q *stageQueue[int], stop, done chan struct{}) chan bool {
+		blocked := func(q *stageQueue[int], stop chan struct{}) chan bool {
 			res := make(chan bool, 1)
-			go func() { res <- q.push([]int{5, 6, 7}, stop, done) }()
+			go func() { res <- q.push([]int{5, 6, 7}, stop) }()
 			select {
 			case ok := <-res:
 				t.Fatalf("push into a full queue returned %v at once", ok)
@@ -311,22 +311,16 @@ func TestStageQueueConcurrent(t *testing.T) {
 				t.Fatalf("%s: push still blocked", what)
 			}
 		}
-		for _, byStop := range []bool{true, false} {
-			q := full()
-			stop, done := make(chan struct{}), make(chan struct{})
-			res := blocked(q, stop, done)
-			if byStop {
-				close(stop)
-			} else {
-				close(done)
-			}
-			settle(res, false, "released")
-			if k, _ := q.drain(make([]int, 10)); k != 4 {
-				t.Errorf("a released push queued %d items past a full queue", k-4)
-			}
-		}
 		q := full()
-		res := blocked(q, nil, nil)
+		stop := make(chan struct{})
+		res := blocked(q, stop)
+		close(stop)
+		settle(res, false, "released")
+		if k, _ := q.drain(make([]int, 10)); k != 4 {
+			t.Errorf("a released push queued %d items past a full queue", k-4)
+		}
+		q = full()
+		res = blocked(q, nil)
 		dst := make([]int, 10)
 		k, _ := q.drain(dst[:2])
 		for k < 7 {
@@ -343,7 +337,7 @@ func TestStageQueueConcurrent(t *testing.T) {
 			}
 		}
 		q = full()
-		res = blocked(q, nil, nil)
+		res = blocked(q, nil)
 		q.close()
 		settle(res, false, "closed")
 	})

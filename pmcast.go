@@ -13,8 +13,8 @@
 //
 // Nodes run over a pluggable Transport: the in-memory simulation fabric
 // (NewNetwork) or real UDP sockets (NewUDPTransport). The live runtime is a
-// staged engine — parallel decode workers, a single-writer protocol
-// goroutine, parallel encode/send workers — sized by NodeConfig's
+// staged engine — parallel decode workers, one protocol goroutine,
+// parallel encode/send workers — sized by NodeConfig's
 // DecodeWorkers and EncodeWorkers; the default (0, 0) is the serial,
 // deterministic configuration. Quickstart:
 //
