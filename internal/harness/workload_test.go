@@ -161,11 +161,13 @@ func TestZipf1MCampaign(t *testing.T) {
 	if rep.FoldRecomputes != 5802 {
 		t.Errorf("fold_recompiles %d, want 5802", rep.FoldRecomputes)
 	}
-	// Every other trie node a change touched, fleet-wide, was served from
-	// the shared store — whole, or its regrouping: what the trees touch is a
-	// function of the campaign, not of which tree built a node first.
-	if rep.FoldCacheHits != 1508244 {
-		t.Errorf("fold_cache_hits %d, want 1508244", rep.FoldCacheHits)
+	// Every other trie node below the root a change touched, fleet-wide, was
+	// served from the shared store — whole, or its regrouping: what the trees
+	// touch is a function of the campaign, not of which tree built a node
+	// first. The root, a line in no view, counts in neither meter: 1 508 244
+	// while it was folded, less its 19 626 touches, every one of them a hit.
+	if rep.FoldCacheHits != 1488618 {
+		t.Errorf("fold_cache_hits %d, want 1488618", rep.FoldCacheHits)
 	}
 	if rep.SummaryFPRate <= 0 || rep.SummaryFPRate >= 1 {
 		t.Errorf("summary_false_positive_rate %.4f, want in (0, 1)", rep.SummaryFPRate)

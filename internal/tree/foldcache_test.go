@@ -568,11 +568,48 @@ func TestFoldCacheRaceCountsOnce(t *testing.T) {
 				walk(child)
 			}
 		}
-		walk(tr.root)
+		for _, child := range tr.root.children { // the root names no language
+			walk(child)
+		}
 	}
 	want := alone.FoldStats()
 	if recomputes != want.Recomputes || folds != uint64(len(clones))*(want.Recomputes+want.Hits) {
 		t.Errorf("8 racing clones: %d recomputes of %d folds; want %d (one tree's) of %d",
 			recomputes, folds, want.Recomputes, uint64(len(clones))*(want.Recomputes+want.Hits))
+	}
+	// The meters' arithmetic: one tree touches its 64 leaves and the 16 + 4
+	// interior lines above them, and the root counts in neither meter (85
+	// and 680 while it was folded). 18 of the 84 are distinct regroupings.
+	if want.Recomputes != 18 || want.Recomputes+want.Hits != 84 || folds != 672 {
+		t.Errorf("one tree %d recomputes of %d folds, the clones %d folds; want 18 of 84, and 672",
+			want.Recomputes, want.Recomputes+want.Hits, folds)
+	}
+}
+
+// TestUpdateTouchesOneNodePerLine: one subscription change on a depth-d tree
+// touches d nodes — the member's leaf and the d−1 interior lines above it —
+// and not the root, which is no view's line. A tree that computes the change
+// pays d recomputes; a clone that follows it is served d nodes whole.
+func TestUpdateTouchesOneNodePerLine(t *testing.T) {
+	for _, d := range []int{2, 3} {
+		base := fullTree(t, 3, d, 2)
+		follower := base.Clone()
+		victim := addr.MustRegular(3, d).AddressAt(4)
+		sub := interest.NewSubscription().Where("b", interest.EqInt(99)) // no member's yet
+		for _, c := range []struct {
+			name             string
+			tr               *Tree
+			recomputes, hits uint64
+		}{{"fresh", base, uint64(d), 0}, {"clone", follower, 0, uint64(d)}} {
+			before := c.tr.FoldStats()
+			if err := c.tr.UpdateSubscription(victim, sub); err != nil {
+				t.Fatal(err)
+			}
+			after := c.tr.FoldStats()
+			if r, h := after.Recomputes-before.Recomputes, after.Hits-before.Hits; r != c.recomputes || h != c.hits {
+				t.Errorf("d=%d %s: one update cost %d recomputes and %d hits; want %d and %d",
+					d, c.name, r, h, c.recomputes, c.hits)
+			}
+		}
 	}
 }

@@ -251,11 +251,84 @@ func TestFailedDeltaLeavesTreeUntouched(t *testing.T) {
 	}
 }
 
+// rootGatedReach is MatchReach as defined while the root carried a summary:
+// the descent was gated at the root too, by a fold of its children's
+// summaries, built here afresh.
+func rootGatedReach(tr *Tree, ev event.Event) int {
+	var kids []*interest.Summary
+	for _, child := range tr.root.children {
+		if child != nil {
+			kids = append(kids, child.summary)
+		}
+	}
+	rootGate := interest.NewSummary()
+	rootGate.Merge(kids...)
+	var reach func(n *node, gate *interest.Summary) int
+	reach = func(n *node, gate *interest.Summary) int {
+		switch {
+		case n == nil:
+			return 0
+		case n.member != nil:
+			return 1
+		case !gate.Matches(ev):
+			return 0
+		}
+		total := 0
+		for _, child := range n.children {
+			if child != nil {
+				total += reach(child, child.summary)
+			}
+		}
+		return total
+	}
+	return reach(tr.root, rootGate)
+}
+
+// checkRootCarriesNoLine holds a tree to what dropping the root's summary
+// rests on: the root holds no summary and no delegates, every interior node
+// below it holds a summary that matches wherever one of its children's does
+// (a merge only widens), and so MatchReach answers as rootGatedReach does.
+func checkRootCarriesNoLine(t *testing.T, tr *Tree, evs []event.Event) {
+	t.Helper()
+	if tr.root.summary != nil || len(tr.root.delegates) != 0 {
+		t.Errorf("root holds summary %v and delegates %v; want neither", tr.root.summary, tr.root.delegates)
+	}
+	var walk func(n *node, length int)
+	walk = func(n *node, length int) {
+		if n == nil || n.member != nil {
+			return
+		}
+		if length > 0 && n.summary == nil {
+			t.Errorf("interior node at length %d holds no summary", length)
+			return
+		}
+		for _, child := range n.children {
+			if child == nil {
+				continue
+			}
+			for _, ev := range evs {
+				if length > 0 && child.summary.Matches(ev) && !n.summary.Matches(ev) {
+					t.Errorf("length %d: a child matches %v and its parent does not", length, ev)
+				}
+			}
+			walk(child, length+1)
+		}
+	}
+	walk(tr.root, 0)
+	for _, ev := range evs {
+		if got, want := tr.MatchReach(ev), rootGatedReach(tr, ev); got != want {
+			t.Errorf("%v reaches %d, %d when gated at the root", ev, got, want)
+		}
+	}
+}
+
 // FuzzApplyDeltaMatchesBuild folds arbitrary add/update/remove batches
 // through a lineage of clones — the input picks the edits, where the batches
 // split and where the tree is handed to a clone — and holds the result
 // against Build over the final member set: members, and at every prefix the
-// count, delegates, summary, compiled language, view lines and reach.
+// count, delegates, summary, compiled language, view lines and reach. After
+// every batch the root must carry no line (checkRootCarriesNoLine), for
+// events on each subscribed value and one nothing subscribes to.
 func FuzzApplyDeltaMatchesBuild(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{200, 3, 200, 3, 201, 3, 77, 255, 0, 0, 129, 64, 31, 31, 31})
@@ -263,6 +336,10 @@ func FuzzApplyDeltaMatchesBuild(f *testing.F) {
 	f.Add([]byte{})
 	space := addr.MustRegular(3, 3)
 	subs := classSubs(7)
+	evs := make([]event.Event, 0, len(subs)+1)
+	for b := 0; b <= len(subs); b++ {
+		evs = append(evs, event.NewBuilder().Int("b", int64(b)).Build(event.ID{Origin: "fz", Seq: uint64(b)}))
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		// A small store bound: the lineage also crosses sweeps.
 		tr, err := New(Config{Space: space, R: 2, foldCacheBound: 16})
@@ -276,6 +353,7 @@ func FuzzApplyDeltaMatchesBuild(f *testing.F) {
 			if err := tr.ApplyDelta(d); err != nil {
 				t.Fatalf("valid batch %+v refused: %v", d, err)
 			}
+			checkRootCarriesNoLine(t, tr, evs)
 			d, touched = Delta{}, make(map[int]bool)
 		}
 		for i := 0; i+1 < len(in); i += 2 {
@@ -321,8 +399,7 @@ func FuzzApplyDeltaMatchesBuild(f *testing.F) {
 		if got, want := renderViews(tr, false), renderViews(ref, false); got != want {
 			t.Errorf("views:\n%s\nfrom scratch:\n%s", got, want)
 		}
-		for b := range subs {
-			ev := event.NewBuilder().Int("b", int64(b)).Build(event.ID{Origin: "fz", Seq: uint64(b)})
+		for b, ev := range evs {
 			if got, want := tr.MatchReach(ev), ref.MatchReach(ev); got != want {
 				t.Errorf("b=%d reaches %d, from scratch %d", b, got, want)
 			}

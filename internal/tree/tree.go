@@ -48,7 +48,8 @@ type Config struct {
 
 // node is one populated prefix of the trie: a subgroup with its delegates,
 // process count (‖prefix‖, Eq. 4), regrouped interest summary and the name of
-// the summary's language. A node is a pure function of what lies beneath it
+// the summary's language — at the root, which is no view's line, only the
+// count. A node is a pure function of what lies beneath it
 // — every process of a subgroup derives the same one from the same
 // membership (Section 2.3) — so it is immutable once built and interned in
 // the store its tree shares with its clones: a leaf under (address,
@@ -102,10 +103,10 @@ type Tree struct {
 	// roster regroups each distinct subtree once per process population, not
 	// once per node.
 	store *store
-	// foldRecomputes and foldHits count, per node this tree's changes
-	// touched, whether the tree computed its regrouping or was served — the
-	// node whole, or its regrouping — from the store. Per-tree — unlike the
-	// store's own occupancy stats — so fleet reports can sum them.
+	// foldRecomputes and foldHits count, per node below the root this tree's
+	// changes touched, whether the tree computed its regrouping or was served
+	// — the node whole, or its regrouping — from the store. Per-tree — unlike
+	// the store's own occupancy stats — so fleet reports can sum them.
 	foldRecomputes uint64
 	foldHits       uint64
 }
@@ -115,8 +116,8 @@ type Tree struct {
 // language fields describe a store possibly shared with clones — fleet
 // aggregation must dedupe them by CacheID, not sum them per tree.
 type FoldStats struct {
-	// Recomputes counts summary regroupings this tree computed (fold-cache
-	// misses it paid); Hits the touched nodes served from the shared store.
+	// Recomputes counts the regroupings this tree computed (fold-cache misses
+	// it paid); Hits the nodes below the root it touched that the store served.
 	Recomputes uint64
 	Hits       uint64
 	// CacheID identifies the shared store; CacheEntries its live
@@ -679,11 +680,16 @@ func (t *Tree) interior(kids []*node, length int) *node {
 		}
 		key = binary.LittleEndian.AppendUint64(key, id)
 	}
+	// The root, the depth-1 view's prefix, is a line in no table (Section 2.3,
+	// Figure 2): only signed, and counted in neither fold meter. No line has its
+	// key: a leaf is keyed by its address, so only the root has length-1 children.
 	if populated == 0 && length > 0 {
 		return nil
 	}
 	if n := t.store.node("", interest.Identity{}, key); n != nil {
-		t.foldHits++
+		if length > 0 {
+			t.foldHits++
+		}
 		return n
 	}
 	n := &node{children: slices.Clone(kids)}
@@ -696,18 +702,22 @@ func (t *Tree) interior(kids []*node, length int) *node {
 			continue
 		}
 		n.count += child.count
-		candidates = append(candidates, child.delegates...)
-		inputs = binary.LittleEndian.AppendUint64(inputs, child.summary.Identity())
-		summaries = append(summaries, child.summary)
 		sig = t.appendViewLine(sig, digit, child)
+		if length > 0 {
+			candidates = append(candidates, child.delegates...)
+			inputs = binary.LittleEndian.AppendUint64(inputs, child.summary.Identity())
+			summaries = append(summaries, child.summary)
+		}
 	}
-	e := t.fold(interest.Identity{}, inputs, func(s *interest.Summary) { s.Merge(summaries...) })
-	n.summary, n.lang = e.summary, e.lang
-	// Delegate election (Section 2.3): the R smallest addresses, a rule every
-	// process of the subgroup computes alike without agreement.
-	slices.SortFunc(candidates, addr.Address.Compare)
-	n.delegates = slices.Clone(candidates[:min(t.cfg.R, len(candidates))])
 	n.viewGen = t.store.viewGen(sig)
+	if length > 0 {
+		e := t.fold(interest.Identity{}, inputs, func(s *interest.Summary) { s.Merge(summaries...) })
+		n.summary, n.lang = e.summary, e.lang
+		// Delegate election (Section 2.3): the R smallest addresses, a rule
+		// every process of the subgroup computes alike without agreement.
+		slices.SortFunc(candidates, addr.Address.Compare)
+		n.delegates = slices.Clone(candidates[:min(t.cfg.R, len(candidates))])
+	}
 	return t.store.intern("", interest.Identity{}, key, n)
 }
 
@@ -742,35 +752,25 @@ func (t *Tree) GenerationAt(a addr.Address, depth int) uint64 {
 }
 
 // MatchReach counts the members an event descends to through the regrouped
-// summary hierarchy: a member is reached when the summary of every interior
-// prefix on its path (lengths 0 … d−1 — the prefixes the view tables at
-// depths 1 … d are built over) matches the event, i.e. the event's gossip
-// enters the member's leaf group. The member's own exact interest at depth d
-// is deliberately not consulted: it is what finally filters delivery, so
-// reach minus interest is precisely the routing the widened summaries could
-// not prune. Summaries only over-approximate (regrouping widens, never
-// narrows), so the reached set always contains the interested set — the
-// surplus is the false-positive traffic the disjunct caps
-// (MaxNumericDisjuncts, MaxStringDisjuncts and the summary bound) trade for
-// bounded summaries, which is what the harness's
-// summary_false_positive_rate reports.
-func (t *Tree) MatchReach(ev event.Event) int {
-	return matchReach(t.root, ev)
-}
+// summary hierarchy: those whose prefixes of length 1 … d−1 — their lines in
+// the views of depths 1 … d−1 — all match it, so its gossip enters their leaf
+// group; the root, a line in no view, gates nothing (a merge only widens).
+// Their own interests are not consulted, so reach minus interest is the
+// routing the widened summaries could not prune: the false-positive traffic
+// the disjunct caps trade for bounded summaries (summary_false_positive_rate).
+func (t *Tree) MatchReach(ev event.Event) int { return matchReach(t.root, ev) }
 
+// matchReach counts the members under n that an event reaching n reaches.
 func matchReach(n *node, ev event.Event) int {
-	if n == nil {
-		return 0
-	}
-	if n.member != nil {
-		return 1 // entry was gated by the parent prefix's summary
-	}
-	if !n.summary.Matches(ev) {
-		return 0
-	}
 	total := 0
 	for _, child := range n.children {
-		total += matchReach(child, ev) // 0 for an unpopulated digit
+		switch {
+		case child == nil: // an unpopulated digit
+		case child.member != nil:
+			total++ // the leaf group is entered: n's gate was the last
+		case child.summary.Matches(ev):
+			total += matchReach(child, ev)
+		}
 	}
 	return total
 }

@@ -1,6 +1,8 @@
 package tree
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"pmcast/internal/addr"
@@ -69,11 +71,14 @@ func TestSmallestAddressElection(t *testing.T) {
 	if dels[0].String() != "1.0" || dels[1].String() != "1.1" {
 		t.Errorf("delegates = %v, want [1.0 1.1]", dels)
 	}
-	// Root: candidates are delegates of 0.*,1.*,2.* → 0.0,0.1,1.0,1.1,2.0,2.1;
-	// the two smallest are 0.0 and 0.1.
-	rootDels := tr.Delegates(addr.Prefix{})
-	if rootDels[0].String() != "0.0" || rootDels[1].String() != "0.1" {
-		t.Errorf("root delegates = %v", rootDels)
+	// The depth-1 view: one line per subgroup 0.*, 1.*, 2.*, each carrying
+	// its own two smallest addresses — the root group is their union.
+	var lines []string
+	for _, l := range tr.ViewOf(addr.Prefix{}, 1).Lines {
+		lines = append(lines, fmt.Sprint(l.Delegates))
+	}
+	if got := strings.Join(lines, " "); got != "[0.0 0.1] [1.0 1.1] [2.0 2.1]" {
+		t.Errorf("depth-1 line delegates = %s", got)
 	}
 }
 
@@ -217,15 +222,31 @@ func TestSummariesAggregateUpward(t *testing.T) {
 	if !s0.Matches(evB(1)) || !s0.Matches(evB(2)) || s0.Matches(evB(3)) {
 		t.Errorf("subtree 0 summary wrong: %v", s0)
 	}
-	// Root summary covers all.
-	sr := tr.Summary(addr.Prefix{})
+	// The depth-1 view's lines together cover b=1…4, each value on the line
+	// of the subgroup that subscribed to it, and nothing else.
+	v1 := tr.ViewOf(addr.Prefix{}, 1)
+	if len(v1.Lines) != 2 {
+		t.Fatalf("depth-1 view has %d lines, want 2", len(v1.Lines))
+	}
 	for v := int64(1); v <= 4; v++ {
-		if !sr.Matches(evB(v)) {
-			t.Errorf("root summary misses b=%d: %v", v, sr)
+		for _, l := range v1.Lines {
+			if want := l.Infix == int(v-1)/2; l.Matches(evB(v)) != want {
+				t.Errorf("depth-1 line %d matches b=%d: %v, want %v (%v)", l.Infix, v, !want, want, l.Summary)
+			}
 		}
 	}
-	if sr.Matches(evB(9)) {
-		t.Errorf("root summary over-matches: %v", sr)
+	for _, l := range v1.Lines {
+		if l.Matches(evB(9)) {
+			t.Errorf("depth-1 line %d over-matches: %v", l.Infix, l.Summary)
+		}
+	}
+	// The root is the depth-1 view's prefix and no view's line: it holds no
+	// summary and elects no delegates.
+	if s := tr.Summary(addr.Prefix{}); s != nil {
+		t.Errorf("root summary = %v, want none", s)
+	}
+	if d := tr.Delegates(addr.Prefix{}); len(d) != 0 {
+		t.Errorf("root delegates = %v, want none", d)
 	}
 }
 
@@ -239,10 +260,12 @@ func TestRemoveReelectsDelegates(t *testing.T) {
 	if len(dels) != 2 || dels[0].String() != "0.1" || dels[1].String() != "0.2" {
 		t.Errorf("after removal delegates = %v", dels)
 	}
-	// Root delegates must no longer include 0.0.
-	for _, d := range tr.Delegates(addr.Prefix{}) {
-		if d.String() == "0.0" {
-			t.Error("removed member still a root delegate")
+	// No line of the depth-1 view may list 0.0 any more.
+	for _, l := range tr.ViewOf(addr.Prefix{}, 1).Lines {
+		for _, d := range l.Delegates {
+			if d.String() == "0.0" {
+				t.Errorf("removed member still a delegate of depth-1 line %d", l.Infix)
+			}
 		}
 	}
 	if _, ok := tr.Member(addr.New(0, 0)); ok {
@@ -279,8 +302,11 @@ func TestUpdateSubscription(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := event.NewBuilder().Int("b", 999).Build(event.ID{})
-	if !tr.Summary(addr.Prefix{}).Matches(ev) {
-		t.Error("updated interest did not propagate to root summary")
+	v1 := tr.ViewOf(addr.Prefix{}, 1)
+	for _, l := range v1.Lines {
+		if l.Matches(ev) != (l.Infix == 1) {
+			t.Errorf("depth-1 line %d matches b=999: %v; only line 1 should", l.Infix, l.Matches(ev))
+		}
 	}
 	if err := tr.UpdateSubscription(addr.New(0, 0).Prefix(1).Address(9, 9), newSub); err == nil {
 		t.Error("update of unknown member accepted")
