@@ -1,7 +1,6 @@
 package clock
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 )
@@ -22,10 +21,13 @@ var Epoch = time.Date(2000, time.January, 1, 0, 0, 0, 0, time.UTC)
 // concurrent use, but determinism is only meaningful when a single
 // goroutine advances the clock.
 type Virtual struct {
-	mu    sync.Mutex
-	now   time.Time
-	seq   uint64
-	queue vqueue
+	mu sync.Mutex
+	// origin is the reading the clock started at; heap keys are nanoseconds
+	// since it.
+	origin time.Time
+	now    time.Time
+	seq    uint64
+	queue  vqueue
 	// dead counts cancelled entries still occupying heap slots. Lazy discard
 	// alone lets the heap grow without bound when long-lived runs stop many
 	// timers (churn waves stopping thousands of ticker chains); once dead
@@ -39,7 +41,7 @@ var _ Clock = (*Virtual)(nil)
 func NewVirtual() *Virtual { return NewVirtualAt(Epoch) }
 
 // NewVirtualAt returns a virtual clock reading start.
-func NewVirtualAt(start time.Time) *Virtual { return &Virtual{now: start} }
+func NewVirtualAt(start time.Time) *Virtual { return &Virtual{origin: start, now: start} }
 
 // Now implements Clock.
 func (v *Virtual) Now() time.Time {
@@ -59,10 +61,13 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 	return v.scheduleLocked(v.now.Add(d), f)
 }
 
+// scheduleLocked queues f at when, keyed by when's offset from the origin.
+// time.Time.Sub saturates 292 years out: due times past that tie in the
+// heap and pop in scheduling order.
 func (v *Virtual) scheduleLocked(when time.Time, f func()) *vtimer {
-	t := &vtimer{v: v, when: when, seq: v.seq, fn: f, pending: true}
+	t := &vtimer{v: v, when: when, fn: f, pending: true}
+	v.queue.push(ventry{whenNs: int64(when.Sub(v.origin)), seq: v.seq, t: t})
 	v.seq++
-	heap.Push(&v.queue, t)
 	return t
 }
 
@@ -88,10 +93,10 @@ func (v *Virtual) PopDue(until time.Time) (when time.Time, tag int32, fn func(),
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.discardDeadLocked()
-	if len(v.queue) == 0 || v.queue[0].when.After(until) {
+	if len(v.queue) == 0 || v.queue[0].t.when.After(until) {
 		return time.Time{}, 0, nil, false
 	}
-	tm := heap.Pop(&v.queue).(*vtimer)
+	tm := v.queue.pop()
 	tm.pending = false
 	return tm.when, tm.tag, tm.fn, true
 }
@@ -109,8 +114,8 @@ func (v *Virtual) SetNow(t time.Time) {
 
 // discardDeadLocked drops cancelled entries off the heap top.
 func (v *Virtual) discardDeadLocked() {
-	for len(v.queue) > 0 && !v.queue[0].pending {
-		heap.Pop(&v.queue)
+	for len(v.queue) > 0 && !v.queue[0].t.pending {
+		v.queue.pop()
 		v.dead--
 	}
 }
@@ -127,19 +132,14 @@ func (v *Virtual) maybeCompactLocked() {
 		return
 	}
 	live := v.queue[:0]
-	for _, t := range v.queue {
-		if t.pending {
-			live = append(live, t)
+	for _, e := range v.queue {
+		if e.t.pending {
+			live = append(live, e)
 		}
 	}
-	for i := len(live); i < len(v.queue); i++ {
-		v.queue[i] = nil
-	}
+	clear(v.queue[len(live):])
 	v.queue = live
-	for i, t := range v.queue {
-		t.index = i
-	}
-	heap.Init(&v.queue)
+	v.queue.heapify()
 	v.dead = 0
 }
 
@@ -172,8 +172,8 @@ func (v *Virtual) Pending() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	n := 0
-	for _, t := range v.queue {
-		if t.pending {
+	for _, e := range v.queue {
+		if e.t.pending {
 			n++
 		}
 	}
@@ -188,7 +188,7 @@ func (v *Virtual) NextAt() (time.Time, bool) {
 	if len(v.queue) == 0 {
 		return time.Time{}, false
 	}
-	return v.queue[0].when, true
+	return v.queue[0].t.when, true
 }
 
 // Advance moves the clock forward by d, running every callback that comes
@@ -249,11 +249,11 @@ func (v *Virtual) RunNext() (time.Time, int) {
 func (v *Virtual) runDueLocked(t time.Time) bool {
 	v.mu.Lock()
 	v.discardDeadLocked()
-	if len(v.queue) == 0 || v.queue[0].when.After(t) {
+	if len(v.queue) == 0 || v.queue[0].t.when.After(t) {
 		v.mu.Unlock()
 		return false
 	}
-	tm := heap.Pop(&v.queue).(*vtimer)
+	tm := v.queue.pop()
 	tm.pending = false
 	if tm.when.After(v.now) {
 		v.now = tm.when
@@ -270,11 +270,9 @@ func (v *Virtual) runDueLocked(t time.Time) bool {
 type vtimer struct {
 	v       *Virtual
 	when    time.Time
-	seq     uint64
 	tag     int32
-	fn      func()
 	pending bool
-	index   int
+	fn      func()
 }
 
 // Stop implements Timer. Stopping after the callback ran returns false.
@@ -330,31 +328,79 @@ func (vt *vticker) fire() {
 	}
 }
 
-// vqueue is a min-heap over (when, seq).
-type vqueue []*vtimer
+// ventry is one heap slot: the timer's order keys inline, so sifting
+// compares integers in the slot array and never dereferences a timer.
+type ventry struct {
+	whenNs int64 // due time, nanoseconds since the clock's origin
+	seq    uint64
+	t      *vtimer
+}
 
-func (q vqueue) Len() int { return len(q) }
-func (q vqueue) Less(i, j int) bool {
-	if !q[i].when.Equal(q[j].when) {
-		return q[i].when.Before(q[j].when)
+func (e ventry) less(o ventry) bool {
+	return e.whenNs < o.whenNs || e.whenNs == o.whenNs && e.seq < o.seq
+}
+
+// vqueue is a 4-ary min-heap over (whenNs, seq). That order is total — seq
+// is unique — so the pop sequence is fixed by the live set alone, whatever
+// the arity or the order entries were pushed in.
+type vqueue []ventry
+
+func (q *vqueue) push(e ventry) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	h[i] = e
+	*q = h
 }
-func (q vqueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+
+// pop removes the minimum; the queue must not be empty.
+func (q *vqueue) pop() *vtimer {
+	h := *q
+	top := h[0].t
+	n := len(h) - 1
+	last := h[n]
+	h[n] = ventry{}
+	h = h[:n]
+	if n > 0 {
+		h.siftDown(0, last)
+	}
+	*q = h
+	return top
 }
-func (q *vqueue) Push(x any) {
-	t := x.(*vtimer)
-	t.index = len(*q)
-	*q = append(*q, t)
+
+// siftDown places e at slot i or below, moving smaller children up.
+func (q vqueue) siftDown(i int, e ventry) {
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < min(c+4, n); j++ {
+			if q[j].less(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].less(e) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = e
 }
-func (q *vqueue) Pop() any {
-	old := *q
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return t
+
+// heapify restores the heap order over arbitrary contents.
+func (q vqueue) heapify() {
+	for i := (len(q) - 2) / 4; i >= 0 && len(q) > 1; i-- {
+		q.siftDown(i, q[i])
+	}
 }

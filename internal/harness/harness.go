@@ -10,6 +10,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pmcast/internal/addr"
@@ -340,11 +341,12 @@ func (s Scenario) run(seed int64, afterInstant func(*run, int, time.Time)) (*Res
 	defer r.eng.stop()
 
 	// Each node's subscription is drawn once: the roster line and the node
-	// share the value, and with it its memoized identity.
+	// share the value, and with it its memoized identity. The hooks are pure
+	// functions of (address, index), so the draw runs on every core.
 	subs := make([]interest.Subscription, sc.Nodes)
-	for i := range subs {
+	parallelFor(sc.Nodes, func(i int) {
 		subs[i] = sc.subscriptionFor(space.AddressAt(i), i)
-	}
+	})
 	// An oracle fleet starts from "anti-entropy already ran": build that
 	// state once as a shared immutable roster instead of handing every node
 	// its own copy of every line.
@@ -405,6 +407,31 @@ func (s Scenario) run(seed int64, afterInstant func(*run, int, time.Time)) (*Res
 		Delivered: r.delivered,
 	}
 	return res, nil
+}
+
+// parallelFor calls f(i) for every i in [0, n) on GOMAXPROCS goroutines,
+// handing out indices in small blocks so uneven calls balance, and returns
+// once every call has.
+func parallelFor(n int, f func(i int)) {
+	const block = 64
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := min(runtime.GOMAXPROCS(0), (n+block-1)/block); g > 0; g-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(block)) - block
+				if lo >= n {
+					return
+				}
+				for i := lo; i < min(lo+block, n); i++ {
+					f(i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // spawn creates (or re-creates) the node at fleet index i and starts its

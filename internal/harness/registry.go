@@ -597,20 +597,25 @@ func Zipf64() Scenario {
 		QueueLen:  2048,
 		Horizon:   2 * time.Second,
 	}
-	s = zipfScenario(s, ZipfWorkload{
-		Topics:   256,
-		Alpha:    1.0,
-		MeanSubs: 24,
-		MaxSubs:  128,
-		Locality: 0.8,
-		Arity:    4,
-	})
+	s = zipfScenario(s, zipf64Workload())
 	s.PublishAt(200*time.Millisecond, -1, 4, -1).
 		FluxAt(600*time.Millisecond, 16).
 		PublishAt(900*time.Millisecond, -1, 4, -1).
 		FluxAt(1200*time.Millisecond, 16).
 		PublishAt(1500*time.Millisecond, -1, 4, -1)
 	return s
+}
+
+// zipf64Workload is Zipf64's workload model.
+func zipf64Workload() ZipfWorkload {
+	return ZipfWorkload{
+		Topics:   256,
+		Alpha:    1.0,
+		MeanSubs: 24,
+		MaxSubs:  128,
+		Locality: 0.8,
+		Arity:    4,
+	}
 }
 
 // Zipf1M is the million-subscription campaign ROADMAP item 5 asked for: the

@@ -103,7 +103,10 @@ type Scenario struct {
 	// Ops is the schedule, executed at their virtual offsets.
 	Ops []Op
 	// SubscriptionFor overrides the modular class scheme (optional). It must
-	// be deterministic; the engine re-evaluates matching against it.
+	// be deterministic; the engine re-evaluates matching against it. At
+	// campaign start it is called for the whole initial fleet concurrently,
+	// in no fixed order, so it must be safe for concurrent use: a pure
+	// function of address and index.
 	SubscriptionFor func(a addr.Address, index int) interest.Subscription
 	// EventFor overrides published event content (optional): given the
 	// drawn class and the engine RNG it returns the attribute map of one

@@ -54,7 +54,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -96,6 +95,47 @@ func (k schedKey) less(o schedKey) bool {
 		return k.a < o.a
 	}
 	return k.ord < o.ord
+}
+
+// mergeRuns visits the elements of runs in ascending key order. Every run
+// already ascends — a worker buffers schedules and records in the order it
+// makes them, which is key order — so a k-way merge of the heads replaces a
+// sort of the concatenation. A run that does not ascend would replay in an
+// order one worker never makes: that is an engine bug, and it panics.
+func mergeRuns[T any](runs [][]T, key func(*T) schedKey, visit func(*T)) {
+	type head struct {
+		key  schedKey
+		run  []T
+		next int
+	}
+	var buf [16]head // up to 16 runs merge without allocating
+	heads := buf[:0]
+	for _, run := range runs {
+		if len(run) > 0 {
+			heads = append(heads, head{key: key(&run[0]), run: run, next: 1})
+		}
+	}
+	for len(heads) > 0 {
+		m := 0
+		for j := 1; j < len(heads); j++ {
+			if heads[j].key.less(heads[m].key) {
+				m = j
+			}
+		}
+		h := &heads[m]
+		visit(&h.run[h.next-1])
+		if h.next == len(h.run) {
+			heads[m] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+			continue
+		}
+		k := key(&h.run[h.next])
+		if k.less(h.key) {
+			panic(fmt.Sprintf("harness: replay run out of order: key %+v after %+v", k, h.key))
+		}
+		h.key = k
+		h.next++
+	}
 }
 
 // bufferedSched is a schedule made during worker execution, replayed into the
@@ -386,7 +426,7 @@ type shardEngine struct {
 	popIdx int64
 	opOrd  int64
 	opRecs []deliveryRecord
-	gather []bufferedSched
+	runs   [][]bufferedSched // the workers' buffers, merged at each barrier
 }
 
 // newShardEngine builds the loop's workers. A lone worker runs inline on the
@@ -459,19 +499,20 @@ func (eng *shardEngine) runSegment(evs []shardEvent, cut, until time.Time) {
 			<-w.done
 		}
 	}
-	eng.gather = eng.gather[:0]
+	eng.runs = eng.runs[:0]
 	for _, w := range eng.workers {
-		eng.gather = append(eng.gather, w.scheds...)
-		clear(w.scheds)
-		w.scheds = w.scheds[:0]
+		eng.runs = append(eng.runs, w.scheds)
 	}
-	sort.Slice(eng.gather, func(i, j int) bool { return eng.gather[i].key.less(eng.gather[j].key) })
-	for _, bs := range eng.gather {
+	mergeRuns(eng.runs, func(bs *bufferedSched) schedKey { return bs.key }, func(bs *bufferedSched) {
 		if !bs.at.After(until) {
 			panic(fmt.Sprintf("harness: lookahead violation: schedule at %v inside window ending %v",
 				bs.at, until))
 		}
 		bs.tm.bind(eng.r.vc.ScheduleTagged(bs.at, bs.tag, bs.fn))
+	})
+	for _, w := range eng.workers {
+		clear(w.scheds)
+		w.scheds = w.scheds[:0]
 	}
 }
 
@@ -487,17 +528,18 @@ func (eng *shardEngine) stop() {
 }
 
 // mergeDeliveries replays every recorded delivery in key order into the
-// run's trace and accounting — the one trace writer. Keys are unique (a node
-// is pumped once per instant and pass, op drains carry an issue counter), so
-// the order does not depend on the sort being stable.
+// run's trace and accounting — the one trace writer. The op drains and each
+// worker's records are runs in key order, merged like the barrier's
+// schedules. Keys are unique (a node is pumped once per instant and pass, op
+// drains carry an issue counter), so the order does not depend on which run
+// a tie would come from.
 func (eng *shardEngine) mergeDeliveries() {
-	recs := append([]deliveryRecord(nil), eng.opRecs...)
+	runs := [][]deliveryRecord{eng.opRecs}
 	for _, w := range eng.workers {
-		recs = append(recs, w.recs...)
+		runs = append(runs, w.recs)
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].key.less(recs[j].key) })
 	r := eng.r
-	for _, rec := range recs {
+	mergeRuns(runs, func(rec *deliveryRecord) schedKey { return rec.key }, func(rec *deliveryRecord) {
 		h := r.handles[rec.node]
 		for _, id := range rec.ids {
 			fmt.Fprintf(&r.trace, "%d %s %s#%d\n", rec.key.whenNs, h.key, id.Origin, id.Seq)
@@ -508,7 +550,7 @@ func (eng *shardEngine) mergeDeliveries() {
 				r.latNanos = append(r.latNanos, rec.key.whenNs-pub.at)
 			}
 		}
-	}
+	})
 }
 
 // loop is the coordinator: windows of fixed due-event sets, partitioned to

@@ -171,3 +171,32 @@ func TestDirtySetCoversEveryInbox(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeRunsOrdersAndPanics: the replay merge visits ascending runs in
+// global key order — ties on the instant broken by phase, origin and issue
+// order — and refuses a run that does not ascend.
+func TestMergeRunsOrdersAndPanics(t *testing.T) {
+	key := func(k *schedKey) schedKey { return *k }
+	runs := [][]schedKey{
+		{{whenNs: 1, a: 3}, {whenNs: 2, phase: 2, a: 1}, {whenNs: 4}},
+		nil,
+		{{whenNs: 1, a: 3, ord: 1}, {whenNs: 2, phase: 1}, {whenNs: 3}},
+		{{whenNs: 0}, {whenNs: 2, phase: 2, a: 1, ord: 2}},
+	}
+	var got []schedKey
+	mergeRuns(runs, key, func(k *schedKey) { got = append(got, *k) })
+	if len(got) != 8 {
+		t.Fatalf("merge visited %d keys, want 8", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].less(got[i-1]) {
+			t.Fatalf("merge visited %+v after %+v", got[i], got[i-1])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a run out of key order merged without a panic")
+		}
+	}()
+	mergeRuns([][]schedKey{{{whenNs: 1}}, {{whenNs: 2}, {whenNs: 2, ord: -1}}}, key, func(*schedKey) {})
+}

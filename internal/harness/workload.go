@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"pmcast/internal/addr"
 	"pmcast/internal/event"
@@ -41,43 +42,58 @@ type ZipfWorkload struct {
 	// Seed salts every deterministic draw.
 	Seed int64
 
-	// cum is the Zipf CDF over ranks and names the topic of every rank,
-	// both built once by NewZipfWorkload.
+	// cum is the Zipf CDF over ranks, names the topic of every rank, and
+	// guide[b] the first rank whose cumulative weight reaches b/G, G being
+	// len(guide)−1, the least power of two ≥ Topics — all built once by
+	// NewZipfWorkload.
 	cum   []float64
 	names []string
+	guide []int32
 }
 
-// NewZipfWorkload precomputes the popularity CDF and the topic names.
+// NewZipfWorkload precomputes the popularity CDF, its guide table and the
+// topic names.
 func NewZipfWorkload(w ZipfWorkload) *ZipfWorkload {
 	if w.Topics < 1 {
 		w.Topics = 1
 	}
 	w.cum = make([]float64, w.Topics)
 	w.names = make([]string, w.Topics)
+	width := max(5, len(fmt.Sprint(w.Topics-1)))
 	total := 0.0
 	for k := 0; k < w.Topics; k++ {
 		total += 1 / math.Pow(float64(k+1), w.Alpha)
 		w.cum[k] = total
-		w.names[k] = fmt.Sprintf("t%05d", k)
+		w.names[k] = fmt.Sprintf("t%0*d", width, k)
 	}
 	for k := range w.cum {
 		w.cum[k] /= total
+	}
+	buckets := 1 << bits.Len(uint(w.Topics-1))
+	w.guide = make([]int32, buckets+1)
+	for b := range w.guide {
+		w.guide[b] = int32(sort.SearchFloat64s(w.cum, float64(b)/float64(buckets)))
 	}
 	return &w
 }
 
 // rankFor maps a uniform u ∈ [0, 1) to a topic rank by inverting the CDF:
-// the Zipf-weighted quantile.
+// the Zipf-weighted quantile, the first rank whose cumulative weight reaches
+// u (clamped to the last rank). The guide table narrows the binary search to
+// the ranks of u's bucket b = ⌊u·G⌋. G is a power of two, so u·G and b/G
+// round nothing: b/G ≤ u < (b+1)/G holds exactly, the answer lies in
+// [guide[b], guide[b+1]], and it is always sort.SearchFloat64s's.
 func (w *ZipfWorkload) rankFor(u float64) int {
-	r := sort.SearchFloat64s(w.cum, u)
-	if r >= w.Topics {
-		r = w.Topics - 1
+	lo, hi := 0, w.Topics
+	if b := int(u * float64(len(w.guide)-1)); b >= 0 && b < len(w.guide)-1 {
+		lo, hi = int(w.guide[b]), int(w.guide[b+1])
 	}
-	return r
+	return min(lo+sort.SearchFloat64s(w.cum[lo:hi], u), w.Topics-1)
 }
 
-// topicName is one rank's topic. The zero-padded rank keeps names lexically
-// ordered by popularity, which makes reports and traces legible.
+// topicName is one rank's topic. The rank is zero-padded to the width of
+// the largest (five digits at least), so names sort lexically in rank order,
+// which makes reports and traces legible.
 func (w *ZipfWorkload) topicName(rank int) string { return w.names[rank] }
 
 // countFor draws the node's subscription count: Pareto(x_m, β=1.5) — mean
@@ -113,27 +129,50 @@ func (w *ZipfWorkload) rotate(rank, g int) int {
 	return (rank + g*(w.Topics/w.Arity)) % w.Topics
 }
 
+// drawScratch is what one topicsFor call works in: a generator re-seeded
+// per call and a bitset over ranks, which the call leaves clear.
+type drawScratch struct {
+	rng    *rand.Rand
+	picked []uint64
+}
+
+// drawPool hands each goroutine drawing subscriptions its own scratch.
+var drawPool = sync.Pool{New: func() any {
+	return &drawScratch{rng: rand.New(rand.NewSource(0))}
+}}
+
 // topicsFor draws one node's topic set for one flux wave, deterministically
 // from (Seed, index, wave): Zipf-weighted sampling without replacement, with
 // the node's top-level subtree rotating the ranking for the Locality
 // fraction of draws, and odd waves inverting the popularity ranks (the
 // flash-crowd flip: rank k becomes rank Topics−1−k). Waves re-seed the RNG,
-// so a wave's draw does not depend on how many waves preceded it.
+// so a wave's draw does not depend on how many waves preceded it. The names
+// come back in rank order, which is also their lexical order. Safe for
+// concurrent use.
 func (w *ZipfWorkload) topicsFor(index int, group int, wave int64) []string {
-	rng := rand.New(rand.NewSource(int64(index)*0x9e3779b9 + wave*0x85ebca6b + w.Seed*0xc2b2ae35 + 1))
+	sc := drawPool.Get().(*drawScratch)
+	defer drawPool.Put(sc)
+	// Re-seeding yields the stream a fresh rand.NewSource of the same seed
+	// would, without allocating one.
+	rng := sc.rng
+	rng.Seed(int64(index)*0x9e3779b9 + wave*0x85ebca6b + w.Seed*0xc2b2ae35 + 1)
+	words := (w.Topics + 63) / 64
+	if len(sc.picked) < words {
+		sc.picked = make([]uint64, words)
+	}
+	picked := sc.picked[:words]
 	count := w.countFor(rng)
-	picked := make(map[int]bool, count)
-	names := make([]string, 0, count)
+	n := 0
 	add := func(rank int) {
-		if !picked[rank] {
-			picked[rank] = true
-			names = append(names, w.topicName(rank))
+		if bit := uint64(1) << (rank % 64); picked[rank/64]&bit == 0 {
+			picked[rank/64] |= bit
+			n++
 		}
 	}
 	// Rejection-sample the Zipf draw; a bounded number of retries keeps the
 	// draw cheap when count approaches Topics, and the linear fill below
 	// guarantees the count regardless.
-	for tries := 0; len(names) < count && tries < 4*count+16; tries++ {
+	for tries := 0; n < count && tries < 4*count+16; tries++ {
 		rank := w.rankFor(rng.Float64())
 		if rng.Float64() < w.Locality {
 			rank = w.rotate(rank, group)
@@ -143,9 +182,16 @@ func (w *ZipfWorkload) topicsFor(index int, group int, wave int64) []string {
 		}
 		add(rank)
 	}
-	for rank := 0; len(names) < count && rank < w.Topics; rank++ {
+	for rank := 0; n < count && rank < w.Topics; rank++ {
 		add(w.rotate(rank, group))
 	}
+	names := make([]string, 0, n)
+	for i, word := range picked {
+		for ; word != 0; word &= word - 1 {
+			names = append(names, w.topicName(i*64+bits.TrailingZeros64(word)))
+		}
+	}
+	clear(picked)
 	return names
 }
 

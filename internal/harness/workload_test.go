@@ -3,6 +3,8 @@ package harness
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"pmcast/internal/addr"
@@ -180,5 +182,129 @@ func TestZipf1MCampaign(t *testing.T) {
 			t.Errorf("popularity bucket %d: reliability %.4f < 0.999",
 				cr.Bucket, cr.MeanReliability)
 		}
+	}
+}
+
+// TestRankForMatchesSearch: the guide-table lookup is the binary search it
+// fronts — the clamped sort.SearchFloat64s over the CDF — at the interval
+// ends, at every k/Topics, every guide bucket edge and every CDF step (each
+// with its float neighbours, where rounding would put u in the wrong
+// bucket), and at a spread of seeded uniforms.
+func TestRankForMatchesSearch(t *testing.T) {
+	for _, alpha := range []float64{0.6, 1, 1.4} {
+		for _, topics := range []int{1, 2, 3, 256, 4096} {
+			w := NewZipfWorkload(ZipfWorkload{Topics: topics, Alpha: alpha})
+			check := func(u float64) {
+				want := min(sort.SearchFloat64s(w.cum, u), topics-1)
+				if got := w.rankFor(u); got != want {
+					t.Fatalf("alpha=%g topics=%d: rankFor(%v) = %d, search gives %d", alpha, topics, u, got, want)
+				}
+			}
+			withNeighbours := func(u float64) {
+				check(math.Nextafter(u, math.Inf(-1)))
+				check(u)
+				check(math.Nextafter(u, math.Inf(1)))
+			}
+			check(0)
+			check(1 - 0x1p-53)
+			for k := 0; k <= topics; k++ {
+				withNeighbours(float64(k) / float64(topics))
+			}
+			for b := range w.guide {
+				withNeighbours(float64(b) / float64(len(w.guide)-1))
+			}
+			for _, c := range w.cum {
+				withNeighbours(c)
+			}
+			rng := rand.New(rand.NewSource(int64(topics)))
+			for i := 0; i < 100_000; i++ {
+				check(rng.Float64())
+			}
+		}
+	}
+}
+
+// referenceTopicsFor is topicsFor as it was before the bitset, the guide
+// table and the pooled generator: a fresh source per call, a map of picked
+// ranks, names in draw order, then sorted as strings the way OneOf sorts
+// them.
+func referenceTopicsFor(w *ZipfWorkload, index int, group int, wave int64) []string {
+	rng := rand.New(rand.NewSource(int64(index)*0x9e3779b9 + wave*0x85ebca6b + w.Seed*0xc2b2ae35 + 1))
+	count := w.countFor(rng)
+	picked := make(map[int]bool, count)
+	names := make([]string, 0, count)
+	add := func(rank int) {
+		if !picked[rank] {
+			picked[rank] = true
+			names = append(names, w.topicName(rank))
+		}
+	}
+	rankFor := func(u float64) int { return min(sort.SearchFloat64s(w.cum, u), w.Topics-1) }
+	for tries := 0; len(names) < count && tries < 4*count+16; tries++ {
+		rank := rankFor(rng.Float64())
+		if rng.Float64() < w.Locality {
+			rank = w.rotate(rank, group)
+		}
+		if wave%2 == 1 {
+			rank = w.Topics - 1 - rank
+		}
+		add(rank)
+	}
+	for rank := 0; len(names) < count && rank < w.Topics; rank++ {
+		add(w.rotate(rank, group))
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestTopicsForMatchesReference: the faster draw is the old draw — the same
+// topic set for every node of zipf1m's and zipf64's workloads, in the
+// initial wave and three flux waves (both parities of the popularity flip).
+func TestTopicsForMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		w             ZipfWorkload
+		arity, levels int
+	}{
+		{zipf1MWorkload(), 4, 6},
+		{zipf64Workload(), 4, 3},
+	} {
+		w := NewZipfWorkload(c.w)
+		space, err := addr.Regular(c.arity, c.levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Drawn on every core, as a campaign's initial draw is, so the
+		// race detector sees the pooled scratch shared.
+		parallelFor(space.Capacity(), func(i int) {
+			group := space.AddressAt(i).Digit(1)
+			for wave := int64(0); wave <= 3; wave++ {
+				got, want := w.topicsFor(i, group, wave), referenceTopicsFor(w, i, group, wave)
+				if !slices.Equal(got, want) {
+					t.Errorf("%d topics, node %d wave %d: drew %v, reference %v", w.Topics, i, wave, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestTopicNamesSortInRankOrder: past 99 999 topics the zero padding widens,
+// so names still sort lexically in rank order — and below that width every
+// name keeps the five-digit form the pinned traces were recorded with.
+func TestTopicNamesSortInRankOrder(t *testing.T) {
+	w := NewZipfWorkload(ZipfWorkload{Topics: 100_001, Alpha: 1})
+	for k := 1; k < w.Topics; k++ {
+		if w.topicName(k) <= w.topicName(k-1) {
+			t.Fatalf("topic %q (rank %d) does not sort after %q (rank %d)", w.topicName(k), k, w.topicName(k-1), k-1)
+		}
+	}
+	if got := w.topicName(100_000); got != "t100000" {
+		t.Errorf("rank 100000 named %q, want t100000", got)
+	}
+	if got := w.topicName(7); got != "t000007" {
+		t.Errorf("rank 7 of 100 001 named %q, want t000007", got)
+	}
+	small := NewZipfWorkload(ZipfWorkload{Topics: 100_000, Alpha: 1})
+	if got := small.topicName(7); got != "t00007" {
+		t.Errorf("rank 7 of 100 000 named %q, want t00007", got)
 	}
 }
