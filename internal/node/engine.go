@@ -32,8 +32,9 @@ import (
 	"pmcast/internal/wire"
 )
 
-// egressJob is one outgoing envelope: the egress workers encode (via the
-// transport) and send it, a drained run of them in one SendMany.
+// egressJob is one outgoing envelope, a wire.Batch that emit boxed: the
+// egress workers encode (via the transport) and send it, a drained run of
+// them in one SendMany.
 type egressJob = transport.Outgoing
 
 // run is the protocol stage: the one goroutine that handles received
@@ -239,24 +240,25 @@ func (n *Node) egressLoop() {
 		if batched {
 			n.sendMany(bs, jobs[:k])
 		} else {
-			_ = n.send(jobs[0].To, jobs[0].Payload)
+			n.count(jobs[0].Payload)
+			_ = n.ep.Send(jobs[0].To, jobs[0].Payload)
 		}
 		clear(jobs[:k])
 	}
 }
 
-// emit hands one outgoing protocol message to the egress stage, or sends it
+// emit hands one outgoing batch to the egress stage, or sends it
 // inline when no egress workers run. The protocol stage never blocks on a
 // slow fabric: a full egress queue drops the envelope and counts it, the
 // same silent-loss semantics as an overflowing UDP socket buffer.
-func (n *Node) emit(to addr.Address, payload any) {
+func (n *Node) emit(to addr.Address, b wire.Batch) {
 	if n.egressQ != nil {
-		if !n.egressQ.tryPush(egressJob{To: to, Payload: payload}) {
+		if !n.egressQ.tryPush(egressJob{To: to, Payload: b}) {
 			n.egressDrops.Add(1)
 		}
 		return
 	}
-	_ = n.send(to, payload)
+	_ = n.send(to, b)
 }
 
 // EngineStats reports staged-runtime counters: send jobs dropped because

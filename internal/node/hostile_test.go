@@ -74,7 +74,7 @@ func deliversFresh(n *Node, seq uint64) bool {
 
 // wireDecoded round-trips a message through the codec: what a receiver holds
 // after a datagram carrying it.
-func wireDecoded(tb testing.TB, msg any) any {
+func wireDecoded(tb testing.TB, msg any) wire.Batch {
 	tb.Helper()
 	frame, err := wire.Encode(msg)
 	if err != nil {
@@ -103,10 +103,10 @@ var poisonUpdate = membership.Update{
 // its membership does not move.
 func TestOutOfSpaceRecordDoesNotStopNode(t *testing.T) {
 	forged := membership.Record{Addr: addr.New(7, 7), Sub: subEq(1), Stamp: 1, Alive: true}
-	for name, msg := range map[string]any{
-		"too deep":        poisonUpdate,
-		"digit too large": membership.Update{From: hostileSpace.AddressAt(1), Records: []membership.Record{{Addr: addr.New(1, 3), Sub: subEq(1), Stamp: 1, Alive: true}}},
-		"forged joiner":   membership.JoinRequest{Joiner: forged, Hops: 2},
+	for name, msg := range map[string]wire.Batch{
+		"too deep":        {Update: &poisonUpdate},
+		"digit too large": {Update: &membership.Update{From: hostileSpace.AddressAt(1), Records: []membership.Record{{Addr: addr.New(1, 3), Sub: subEq(1), Stamp: 1, Alive: true}}}},
+		"forged joiner":   {Join: &membership.JoinRequest{Joiner: forged, Hops: 2}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			n := rosterNode(t)
@@ -131,15 +131,35 @@ func TestOutOfSpaceRecordDoesNotStopNode(t *testing.T) {
 // TestRefusedJoinerGetsNoReply: a forged JoinRequest for an address outside
 // the space is refused before anything is built, so the node emits nothing —
 // no full-view reply to the forged address and no forward — for the few bytes
-// the request costs its sender.
+// the request costs its sender. Behind a gossip in the same batch, the join
+// is refused just the same while the gossip is delivered.
 func TestRefusedJoinerGetsNoReply(t *testing.T) {
 	n := rosterNode(t)
-	for _, joiner := range []addr.Address{addr.New(7, 7), addr.New(0, 0, 0), addr.New(1)} {
-		before, _ := n.WireStats()
+	for i, joiner := range []addr.Address{addr.New(7, 7), addr.New(0, 0, 0), addr.New(1)} {
 		req := membership.JoinRequest{Joiner: membership.Record{Addr: joiner, Sub: subEq(1), Stamp: 1, Alive: true}, Hops: 2}
-		n.HandleEnvelope(transport.Envelope{From: hostileSpace.AddressAt(1), To: n.Addr(), Payload: wireDecoded(t, req)})
-		if after, _ := n.WireStats(); after != before {
-			t.Errorf("a forged join for %s made the node emit %d envelopes, want 0", joiner, after-before)
+		id := event.ID{Origin: "joiner", Seq: uint64(i + 1)}
+		withGossip := wire.Batch{Gossips: []core.Gossip{{Event: event.NewBuilder().Int("b", 1).Build(id), Depth: 1, Rate: 1}}, Join: &req}
+		for name, msg := range map[string]wire.Batch{"alone": {Join: &req}, "behind a gossip": withGossip} {
+			before, _ := n.WireStats()
+			n.HandleEnvelope(transport.Envelope{From: hostileSpace.AddressAt(1), To: n.Addr(), Payload: wireDecoded(t, msg)})
+			if after, _ := n.WireStats(); after != before {
+				t.Errorf("a forged join for %s %s made the node emit %d envelopes, want 0", joiner, name, after-before)
+			}
+		}
+		if got := drainIDs(n); len(got) != 1 || got[0] != id {
+			t.Errorf("the gossip beside the forged join for %s delivered %v, want [%v]", joiner, got, id)
+		}
+	}
+}
+
+// drainIDs returns the IDs of every delivery the node has queued.
+func drainIDs(n *Node) (ids []event.ID) {
+	for {
+		select {
+		case got := <-n.Deliveries():
+			ids = append(ids, got.ID())
+		default:
+			return ids
 		}
 	}
 }
@@ -147,15 +167,23 @@ func TestRefusedJoinerGetsNoReply(t *testing.T) {
 // TestLeaveCountsOnlyFromTheLeaver: a Leave tombstones the process it names
 // only when that process sent it. A third party's Leave for a live neighbor
 // is ignored — applied, it would tombstone the neighbor, and anti-entropy
-// would carry the tombstone fleet-wide — while the neighbor's own Leave
+// would carry the tombstone fleet-wide — alone or riding a valid round
+// envelope, whose gossips are still delivered; the neighbor's own Leave
 // still tombstones it.
 func TestLeaveCountsOnlyFromTheLeaver(t *testing.T) {
 	net := transport.MustNetwork(transport.Config{})
 	n, leaver := rosterNodeAt(t, net, 0, 0), rosterNodeAt(t, net, 1, 0)
 	forged := membership.Leave{Addr: leaver.Addr(), Stamp: 9}
-	n.HandleEnvelope(transport.Envelope{From: hostileSpace.AddressAt(2), To: n.Addr(), Payload: wireDecoded(t, forged)})
-	if rec, _ := recordOf(n.mem, leaver.Addr()); !rec.Alive {
-		t.Fatalf("a third party's Leave tombstoned %s: %+v", leaver.Addr(), rec)
+	id := event.ID{Origin: hostileSpace.AddressAt(2).Key(), Seq: 1}
+	round := wire.Batch{Gossips: []core.Gossip{{Event: event.NewBuilder().Int("b", 1).Build(id), Depth: 1, Rate: 1}}, Leave: &forged}
+	for name, msg := range map[string]wire.Batch{"alone": {Leave: &forged}, "on a round envelope": round} {
+		n.HandleEnvelope(transport.Envelope{From: hostileSpace.AddressAt(2), To: n.Addr(), Payload: wireDecoded(t, msg)})
+		if rec, _ := recordOf(n.mem, leaver.Addr()); !rec.Alive {
+			t.Fatalf("a third party's Leave %s tombstoned %s: %+v", name, leaver.Addr(), rec)
+		}
+	}
+	if got := drainIDs(n); len(got) != 1 || got[0] != id {
+		t.Errorf("the round envelope carrying a forged Leave delivered %v, want [%v]", got, id)
 	}
 	leaver.Leave()
 	if n.PumpInbox() == 0 {
@@ -178,24 +206,14 @@ func TestForgedFutureSeqKeepsOriginDelivering(t *testing.T) {
 		ev := event.NewBuilder().Int("b", 1).Build(event.ID{Origin: origin.Key(), Seq: seq})
 		return transport.Envelope{From: origin, To: n.Addr(), Payload: core.Gossip{Event: ev, Depth: 1, Rate: 1}}
 	}
-	drain := func() (ids []event.ID) {
-		for {
-			select {
-			case got := <-n.Deliveries():
-				ids = append(ids, got.ID())
-			default:
-				return ids
-			}
-		}
-	}
 	forged := gossip(1 << 63)
 	forged.Payload = wireDecoded(t, forged.Payload)
 	n.HandleEnvelope(forged)
-	drain()
+	drainIDs(n)
 	const real = 5_000 // more than one 4 096-number window
 	for seq := uint64(1); seq <= real; seq++ {
 		n.HandleEnvelope(gossip(seq))
-		if got := drain(); len(got) != 1 || got[0] != (event.ID{Origin: origin.Key(), Seq: seq}) {
+		if got := drainIDs(n); len(got) != 1 || got[0] != (event.ID{Origin: origin.Key(), Seq: seq}) {
 			t.Fatalf("real event %d after a forged 2^63: delivered %v", seq, got)
 		}
 	}
@@ -305,15 +323,15 @@ func forgedRepairBatch() wire.Batch {
 // without the coding layer and to one with it, whose assembler takes in the
 // forged generations and repairs the frame may carry.
 func FuzzHostileMembershipKeepsDelivering(f *testing.F) {
-	for _, msg := range []any{
-		poisonUpdate,
-		membership.Update{From: hostileSpace.AddressAt(2), Records: []membership.Record{
+	for _, msg := range []wire.Batch{
+		{Update: &poisonUpdate},
+		{Update: &membership.Update{From: hostileSpace.AddressAt(2), Records: []membership.Record{
 			{Addr: hostileSpace.AddressAt(4), Sub: subEq(2), Stamp: 3, Alive: true},
 			{Addr: hostileSpace.AddressAt(5), Stamp: 2, Alive: false},
-		}},
-		membership.JoinRequest{Joiner: membership.Record{Addr: addr.New(1, 3), Sub: subEq(1), Stamp: 1, Alive: true}, Hops: 2},
-		membership.Leave{Addr: addr.New(2, 2, 2), Stamp: 9},
-		membership.Heartbeat{},
+		}}},
+		{Join: &membership.JoinRequest{Joiner: membership.Record{Addr: addr.New(1, 3), Sub: subEq(1), Stamp: 1, Alive: true}, Hops: 2}},
+		{Leave: &membership.Leave{Addr: addr.New(2, 2, 2), Stamp: 9}},
+		{Heartbeat: &membership.Heartbeat{}},
 		forgedRepairBatch(),
 	} {
 		frame, err := wire.Encode(msg)

@@ -126,11 +126,7 @@ func TestIngressParityAcrossFabrics(t *testing.T) {
 // batchFrame encodes a round envelope as a byte fabric carries it.
 func batchFrame(tb testing.TB, b wire.Batch) []byte {
 	tb.Helper()
-	frame, err := wire.AppendBatch(nil, b)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return frame
+	return wire.AppendBatch(nil, b)
 }
 
 // TestCorruptDuplicateDropsFrame: a frame is accepted or rejected whole, as

@@ -386,7 +386,8 @@ func (n *Node) Join(contact addr.Address) error {
 	n.mu.Lock()
 	n.joinContact = contact
 	n.mu.Unlock()
-	return n.send(contact, n.mem.BuildJoinRequest())
+	jr := n.mem.BuildJoinRequest()
+	return n.send(contact, wire.Batch{Join: &jr})
 }
 
 // Leave announces departure to the closest known neighbors and stops the
@@ -395,17 +396,23 @@ func (n *Node) Join(contact addr.Address) error {
 func (n *Node) Leave() {
 	leave := n.mem.BuildLeave()
 	for _, nb := range n.mem.ImmediateNeighbors() {
-		_ = n.send(nb, leave) // best effort; gossip spreads the tombstone
+		_ = n.send(nb, wire.Batch{Leave: &leave}) // best effort; gossip spreads the tombstone
 	}
 	n.Stop()
 }
 
-// send ships one payload through the endpoint, counting the envelope and its
+// send ships one batch through the endpoint, counting the envelope and its
 // encoded wire size (walked, never encoded to be measured).
-func (n *Node) send(to addr.Address, payload any) error {
+func (n *Node) send(to addr.Address, b wire.Batch) error {
+	var payload any = b
+	n.count(payload)
+	return n.ep.Send(to, payload)
+}
+
+// count charges one outgoing envelope to the wire counters.
+func (n *Node) count(payload any) {
 	n.envelopes.Add(1)
 	n.wireBytes.Add(int64(wire.EncodedSize(payload)))
-	return n.ep.Send(to, payload)
 }
 
 // sendMany flushes one drained egress-queue batch through the endpoint's
@@ -584,43 +591,21 @@ func (n *Node) handle(env transport.Envelope, h *heard) {
 		h.from = from
 	}
 	switch msg := env.Payload.(type) {
-	case core.Gossip:
-		// A round envelope of one gossip travels bare (tickGossip).
-		n.handleRound(env.From, wire.Batch{Gossips: []core.Gossip{msg}}, nil)
 	case wire.Batch:
 		n.handleRound(env.From, msg, nil)
 	case wire.Round:
 		n.handleRound(env.From, msg.Batch, msg.Sections)
-	case membership.Digest:
-		n.handleDigest(env.From, msg)
-	case membership.Update:
-		n.mem.Apply(msg)
-	case membership.JoinRequest:
-		reply, fwd, forwardIt := n.mem.HandleJoinRequest(msg)
-		if len(reply.Records) == 0 {
-			return // a refused joiner: nothing to answer or forward
-		}
-		n.emit(msg.Joiner.Addr, reply)
-		if forwardIt && msg.Hops > 0 {
-			msg.Hops--
-			n.emit(fwd, msg)
-		}
-	case membership.Leave:
-		// Only the leaver can announce its departure: a third party's Leave
-		// would tombstone a live process fleet-wide. Node.Leave sends its
-		// own announcement, so an honest one always passes.
-		if msg.Addr.Equal(env.From) {
-			n.mem.HandleLeave(msg)
-		}
-	case membership.Heartbeat:
-		// Liveness only; the pump already recorded the contact.
+	case core.Gossip:
+		// The batch of one it encodes to; bench/ still sends gossips bare.
+		n.handleRound(env.From, wire.Batch{Gossips: []core.Gossip{msg}}, nil)
 	}
 }
 
-// handleRound processes one round envelope in the batch's canonical order:
-// gossips, repairs, update, digest, heartbeat (liveness only, recorded by the
-// pump). Its gossips come typed in b (the in-memory fabric) or as the
-// sections of a frame in ss (a byte fabric); the other is empty.
+// handleRound processes one batch in its canonical order: gossips, repairs,
+// update, digest, heartbeat (liveness only, recorded by the pump), join,
+// leave. Its gossips come typed in b (the in-memory fabric) or as the
+// sections of a frame in ss (a byte fabric); the other is empty. A batch of
+// membership sections alone never takes the state lock.
 func (n *Node) handleRound(from addr.Address, b wire.Batch, ss []wire.Section) {
 	if n.fasm != nil && len(ss) > 0 {
 		// The assembler observes every arrival's canonical bytes, duplicates
@@ -633,49 +618,65 @@ func (n *Node) handleRound(from addr.Address, b wire.Batch, ss []wire.Section) {
 		}
 		ss = nil
 	}
-	n.mu.Lock()
-	n.handleGossipBatchLocked(b.Gossips, ss)
-	if n.fasm != nil {
-		// Feed the coding layer the canonical bytes of what arrived, so any
-		// pending generation listing an event can count it as a source symbol,
-		// then the repair symbols, one at a time: a recovery one unlocks is a
-		// source for the generations after it.
-		for _, g := range b.Gossips {
-			n.acceptRecoveredFECLocked(n.fasm.ObserveSource(g.Event.ID(), wire.AppendEventBody(nil, g.Event)))
-		}
-		for _, gen := range b.FEC {
-			for _, rs := range gen.Repairs {
-				n.acceptRecoveredFECLocked(n.fasm.ObserveRepair(from.Key(), gen, rs))
+	if len(b.Gossips) > 0 || len(ss) > 0 || len(b.FEC) > 0 {
+		n.mu.Lock()
+		n.handleGossipBatchLocked(b.Gossips, ss)
+		if n.fasm != nil {
+			// Feed the coding layer the canonical bytes of what arrived, so
+			// any pending generation listing an event can count it as a source
+			// symbol, then the repair symbols, one at a time: a recovery one
+			// unlocks is a source for the generations after it.
+			for _, g := range b.Gossips {
+				n.acceptRecoveredFECLocked(n.fasm.ObserveSource(g.Event.ID(), wire.AppendEventBody(nil, g.Event)))
+			}
+			for _, gen := range b.FEC {
+				for _, rs := range gen.Repairs {
+					n.acceptRecoveredFECLocked(n.fasm.ObserveRepair(from.Key(), gen, rs))
+				}
 			}
 		}
+		n.mu.Unlock()
 	}
-	n.mu.Unlock()
 	if b.Update != nil {
 		n.mem.Apply(*b.Update)
 	}
 	if b.Digest != nil {
 		n.handleDigest(from, *b.Digest)
 	}
+	if b.Join != nil {
+		reply, fwd, forwardIt := n.mem.HandleJoinRequest(*b.Join)
+		if len(reply.Records) > 0 { // a refused joiner gets nothing answered or forwarded
+			n.emit(b.Join.Joiner.Addr, wire.Batch{Update: &reply})
+			if forwardIt && b.Join.Hops > 0 {
+				next := *b.Join // the sender may still hold b.Join
+				next.Hops--
+				n.emit(fwd, wire.Batch{Join: &next})
+			}
+		}
+	}
+	// Only the leaver can announce its departure: a third party's Leave would
+	// tombstone a live process fleet-wide. Node.Leave sends its own
+	// announcement, so an honest one always passes.
+	if b.Leave != nil && b.Leave.Addr.Equal(from) {
+		n.mem.HandleLeave(*b.Leave)
+	}
 }
 
-// handleDigest answers one anti-entropy probe. A reply that needs both the
-// pulled update and our own counter-digest piggybacks them onto a single
-// envelope.
+// handleDigest answers one anti-entropy probe with one batch: the update the
+// gossiper lacks, our own counter-digest when it knows things we don't, or
+// both.
 func (n *Node) handleDigest(from addr.Address, d membership.Digest) {
 	upd, gossiperFresher := n.mem.HandleDigest(d)
-	// Push-pull: when the gossiper knows things we don't, answer with our
-	// own digest so it pushes them (see membership.HandleDigest; this is
-	// also how a falsely-expelled process re-enters views).
-	if upd != nil && gossiperFresher {
-		mine := n.mem.MakeDigest()
-		n.emit(from, wire.Batch{Update: upd, Digest: &mine})
-		return
-	}
-	if upd != nil {
-		n.emit(from, *upd)
-	}
+	reply := wire.Batch{Update: upd}
+	// Push-pull: when the gossiper knows things we don't, answer with our own
+	// digest so it pushes them (see membership.HandleDigest; this is also how
+	// a falsely-expelled process re-enters views).
 	if gossiperFresher {
-		n.emit(from, n.mem.MakeDigest())
+		mine := n.mem.MakeDigest()
+		reply.Digest = &mine
+	}
+	if reply.Parts() > 0 {
+		n.emit(from, reply)
 	}
 }
 
@@ -898,7 +899,8 @@ func (n *Node) tickGossip() {
 	jobs := n.proc.TickRound(n.rng)
 	n.drainDeliveriesLocked()
 	var gens [][]fec.Generation
-	var flush []transport.Outgoing
+	var flushTo []addr.Address // repair-only envelopes, with their generations
+	var flushGens [][]fec.Generation
 	if n.fasm != nil {
 		// One gossip round elapsed: age out partial generations that will
 		// never complete (their arrived sources were already processed).
@@ -918,22 +920,19 @@ func (n *Node) tickGossip() {
 			for _, g := range kg.Gens {
 				n.repairBytes += int64(g.RepairBytes())
 			}
-			flush = append(flush, transport.Outgoing{To: to, Payload: wire.Batch{FEC: kg.Gens}})
+			flushTo, flushGens = append(flushTo, to), append(flushGens, kg.Gens)
 		}
 	}
 	n.mu.Unlock()
 	for i, rs := range jobs {
-		switch {
-		case gens != nil && len(gens[i]) > 0:
-			n.emit(rs.To, wire.Batch{Gossips: rs.Gossips, FEC: gens[i]})
-		case len(rs.Gossips) == 1:
-			n.emit(rs.To, rs.Gossips[0]) // a bare frame is smaller than a batch of one
-		default:
-			n.emit(rs.To, wire.Batch{Gossips: rs.Gossips})
+		b := wire.Batch{Gossips: rs.Gossips}
+		if gens != nil {
+			b.FEC = gens[i]
 		}
+		n.emit(rs.To, b)
 	}
-	for _, o := range flush {
-		n.emit(o.To, o.Payload)
+	for i, to := range flushTo {
+		n.emit(to, wire.Batch{FEC: flushGens[i]})
 	}
 }
 
@@ -948,7 +947,8 @@ func (n *Node) tickMembership() {
 	// Bootstrap retry: while the node knows nobody, keep announcing itself
 	// to its join contact (join messages are as lossy as any other).
 	if n.mem.Len() <= 1 && !contact.IsZero() {
-		n.emit(contact, n.mem.BuildJoinRequest())
+		jr := n.mem.BuildJoinRequest()
+		n.emit(contact, wire.Batch{Join: &jr})
 	}
 	d := n.mem.MakeSummaryDigest()
 	// Beacon the whole subgroup: the failure detector deadline is counted in
@@ -958,24 +958,22 @@ func (n *Node) tickMembership() {
 	neighbors := n.mem.ImmediateNeighbors()
 	// Piggyback: a digest target that is also an immediate neighbor gets one
 	// envelope carrying both the probe and the beacon.
-	beaconed := make(map[string]bool, len(targets))
 	for _, to := range targets {
+		probe := wire.Batch{Digest: &d}
 		if isNeighbor(neighbors, to) {
-			beaconed[to.Key()] = true
-			n.emit(to, wire.Batch{Digest: &d, Heartbeat: &hb})
-		} else {
-			n.emit(to, d)
+			probe.Heartbeat = &hb
 		}
+		n.emit(to, probe)
 	}
 	for _, nb := range neighbors {
-		if !beaconed[nb.Key()] {
-			n.emit(nb, hb)
+		if !isNeighbor(targets, nb) {
+			n.emit(nb, wire.Batch{Heartbeat: &hb})
 		}
 	}
 }
 
-// isNeighbor reports whether a appears in the (small, subgroup-sized)
-// neighbor list.
+// isNeighbor reports whether a appears in the (small) address list: a
+// subgroup's neighbors, or the membershipFanout digest targets.
 func isNeighbor(neighbors []addr.Address, a addr.Address) bool {
 	for _, nb := range neighbors {
 		if nb.Equal(a) {

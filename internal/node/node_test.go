@@ -106,7 +106,8 @@ func TestJoinAndLeaveAreCharged(t *testing.T) {
 		t.Fatal(err)
 	}
 	env, bytes := joiner.WireStats()
-	if want := int64(wire.EncodedSize(joiner.mem.BuildJoinRequest())); env != 1 || bytes != want {
+	jr := joiner.mem.BuildJoinRequest()
+	if want := int64(wire.EncodedSize(wire.Batch{Join: &jr})); env != 1 || bytes != want {
 		t.Fatalf("after Join: %d envelopes, %d bytes; want 1 and %d", env, bytes, want)
 	}
 	for joiner.PumpInbox()+contact.PumpInbox() > 0 {
@@ -118,7 +119,7 @@ func TestJoinAndLeaveAreCharged(t *testing.T) {
 	env, bytes = joiner.WireStats()
 	joiner.Leave()
 	self, _ := recordOf(joiner.mem, joiner.Addr())
-	size := int64(wire.EncodedSize(membership.Leave{Addr: joiner.Addr(), Stamp: self.Stamp}))
+	size := int64(wire.EncodedSize(wire.Batch{Leave: &membership.Leave{Addr: joiner.Addr(), Stamp: self.Stamp}}))
 	gotEnv, gotBytes := joiner.WireStats()
 	if gotEnv-env != int64(neighbors) || gotBytes-bytes != int64(neighbors)*size {
 		t.Errorf("Leave charged %d envelopes, %d bytes; want %d and %d",

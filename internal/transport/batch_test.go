@@ -119,6 +119,21 @@ func TestBatchDropAccountingParity(t *testing.T) {
 	if got := delayed.Dropped(); got != 3 {
 		t.Errorf("an envelope in flight to a detached destination dropped %d, want 3", got)
 	}
+
+	// A join request and a leave are a part each, on every path.
+	joinLeave := testBatch(1)
+	joinLeave.Join = &membership.JoinRequest{Hops: 1}
+	joinLeave.Leave = &membership.Leave{Stamp: 1}
+	net.Block(a.Addr(), b.Addr())
+	_ = a.Send(b.Addr(), joinLeave)
+	net.Heal()
+	net.SetLoss(1)
+	_ = a.Send(b.Addr(), joinLeave)
+	net.SetLoss(0)
+	_ = a.Send(addr.New(9), joinLeave)
+	if got := net.Dropped(); got != 15+3*5 {
+		t.Errorf("join and leave batches dropped %d, want %d (five parts, three times)", got, 15+3*5)
+	}
 }
 
 // TestHandOffAllocations is the hand-off's allocation contract: an envelope
@@ -200,6 +215,16 @@ var fatesAtParent = []sendFate{
 	{0b0, 77711298},
 	{0b0, 77711298},
 	{0b10, 86149185},
+	// Recorded when join requests and leaves became batch sections; the rows
+	// above did not move.
+	{0b0, 86149185},
+	{0b111, -1},
+	{0b111, -1},
+	{0b0, 96642310},
+	{0b110, 98468920},
+	{0b111, -1},
+	{0b0, 113514909},
+	{0b10, 113879635},
 }
 
 // TestSeededFatesAndLandings pins the fabric's draw order inside this
@@ -221,7 +246,8 @@ func TestSeededFatesAndLandings(t *testing.T) {
 
 // codedSequence is a fixed run of round envelopes of every shape a node
 // sends — coded with a full membership tail, repair-only, a bare gossip,
-// plain, beacons only — each sub-message tagged with its send.
+// plain, beacons only, then a gossip with a join request and a leave — each
+// sub-message tagged with its send.
 func codedSequence() []any {
 	gossip := func(send, i int) core.Gossip {
 		return core.Gossip{Event: event.NewBuilder().Int("b", 1).
@@ -257,6 +283,14 @@ func codedSequence() []any {
 			seq = append(seq, wire.Batch{Digest: tail.Digest, Heartbeat: tail.Heartbeat})
 		}
 	}
+	// A join request and a leave ride last, one fate each.
+	for send := 20; send < 28; send++ {
+		seq = append(seq, wire.Batch{
+			Gossips: []core.Gossip{gossip(send, 0)},
+			Join:    &membership.JoinRequest{Joiner: membership.Record{Stamp: uint64(send)}},
+			Leave:   &membership.Leave{Stamp: uint64(send)},
+		})
+	}
 	return seq
 }
 
@@ -287,6 +321,12 @@ func partTags(payload any) []string {
 	}
 	if b.Heartbeat != nil {
 		tags = append(tags, "h"+digest)
+	}
+	if b.Join != nil {
+		tags = append(tags, fmt.Sprintf("j%d", b.Join.Joiner.Stamp))
+	}
+	if b.Leave != nil {
+		tags = append(tags, fmt.Sprintf("l%d", b.Leave.Stamp))
 	}
 	return tags
 }

@@ -415,8 +415,8 @@ func (n *Network) Size() int {
 	return len(n.endpoints)
 }
 
-// parts is how many sub-messages a payload carries — a bare payload is a round
-// envelope of one part — which is what a drop is charged, on every path.
+// parts is how many sub-messages a payload carries — anything but a
+// wire.Batch is one part — which is what a drop is charged, on every path.
 func parts(payload any) int {
 	if b, ok := payload.(wire.Batch); ok {
 		return b.Parts()
@@ -428,8 +428,9 @@ func parts(payload any) int {
 // sub-message draws its own loss from the link, in the round envelope's
 // canonical order; the survivors draw one delay and land together — the
 // sender's own wire.Batch value when nothing was lost, a filtered copy
-// otherwise (wire.Batch.Surviving), no envelope when nothing is left. A bare
-// payload is a round envelope of one part and arrives bare. Only
+// otherwise (wire.Batch.Surviving), no envelope when nothing is left. Any
+// other payload (a bare core.Gossip, which frames as the batch of one it
+// is) is one part and arrives as it was sent. Only
 // ErrUnknownAddr, which a sender can act on, is returned — faults are silent,
 // as on a real network.
 //

@@ -101,7 +101,7 @@ func TestBatchedSyscallAmortization(t *testing.T) {
 	const total, rounds = 128, 5
 	msgs := make([]transport.Outgoing, 0, total)
 	for i := 0; i < total; i++ {
-		msgs = append(msgs, transport.Outgoing{To: addr.MustParse("0.1"), Payload: sampleGossip(i)})
+		msgs = append(msgs, transport.Outgoing{To: addr.MustParse("0.1"), Payload: oneGossip(i)})
 	}
 	var st Stats
 	for round := 0; round < rounds; round++ {
@@ -212,7 +212,7 @@ func TestReadLoopsWaitForALentVector(t *testing.T) {
 	}
 	before := made.Load()
 	ev := event.NewBuilder().Int("seq", 1).Build(event.ID{Origin: eps[0].Addr().Key(), Seq: 1})
-	if err := eps[0].Send(eps[1].Addr(), core.Gossip{Event: ev, Depth: 1, Rate: 1}); err != nil {
+	if err := eps[0].Send(eps[1].Addr(), wire.Batch{Gossips: []core.Gossip{{Event: ev, Depth: 1, Rate: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -260,7 +260,7 @@ func TestLentVectorsDeliverIntact(t *testing.T) {
 					for seq := range msgs {
 						ev := event.NewBuilder().Int("from", int64(i)).Int("seq", int64(seq)).Str("body", body(i, seq)).
 							Build(event.ID{Origin: ep.Addr().Key(), Seq: uint64(seq + 1)})
-						msgs[seq] = transport.Outgoing{To: to, Payload: core.Gossip{Event: ev, Depth: 2, Rate: 0.5, Round: 1}}
+						msgs[seq] = transport.Outgoing{To: to, Payload: wire.Batch{Gossips: []core.Gossip{{Event: ev, Depth: 2, Rate: 0.5, Round: 1}}}}
 					}
 					if err := ep.SendMany(msgs); err != nil {
 						t.Error(err)
@@ -290,11 +290,12 @@ func TestLentVectorsDeliverIntact(t *testing.T) {
 								return
 							}
 						}
-						g, ok := payload.(core.Gossip)
-						if !ok {
-							errs <- fmt.Errorf("0.%d: payload %T", i, payload)
+						b, ok := payload.(wire.Batch)
+						if !ok || len(b.Gossips) != 1 {
+							errs <- fmt.Errorf("0.%d: payload %T %+v", i, payload, payload)
 							return
 						}
+						g := b.Gossips[0]
 						got, _ := g.Event.Attr("body").AsString()
 						if !env.From.Equal(addr.New(0, from)) || g.Event.ID().Seq != uint64(seq+1) || got != body(from, seq) {
 							errs <- fmt.Errorf("0.%d: payload %d from %s arrived as seq %d body %q", i, seq, env.From, g.Event.ID().Seq, got)

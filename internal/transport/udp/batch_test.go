@@ -25,6 +25,11 @@ func sampleGossip(i int) core.Gossip {
 	return core.Gossip{Event: ev, Depth: 2, Rate: 0.5, Round: i % 5}
 }
 
+// oneGossip is the batch of sampleGossip(i) alone.
+func oneGossip(i int) wire.Batch {
+	return wire.Batch{Gossips: []core.Gossip{sampleGossip(i)}}
+}
+
 // batchedPair attaches two loopback endpoints under the given config
 // overrides, with ephemeral ports and raw-frame delivery so tests can
 // compare exact wire bytes.
@@ -57,17 +62,17 @@ func batchedPair(t *testing.T, mut func(*Config)) (transport.Endpoint, transport
 	return a, b, tr
 }
 
-// parityTraffic is a SendMany workload exercising every egress shape: bare
-// messages, round envelopes small enough for one datagram, and a fat batch
-// that SplitBatch has to break across several datagrams.
+// parityTraffic is a SendMany workload exercising every egress shape:
+// batches of one section, batches small enough for one datagram, and a fat
+// batch that SplitBatch has to break across several datagrams.
 func parityTraffic() []transport.Outgoing {
 	to := addr.MustParse("0.1")
 	var msgs []transport.Outgoing
 	hb := membership.Heartbeat{}
 	for i := 0; i < 40; i++ {
-		msgs = append(msgs, transport.Outgoing{To: to, Payload: sampleGossip(i)})
+		msgs = append(msgs, transport.Outgoing{To: to, Payload: oneGossip(i)})
 		if i%5 == 0 {
-			msgs = append(msgs, transport.Outgoing{To: to, Payload: hb})
+			msgs = append(msgs, transport.Outgoing{To: to, Payload: wire.Batch{Heartbeat: &hb}})
 		}
 		if i%7 == 0 {
 			b := wire.Batch{Heartbeat: &hb}
@@ -171,9 +176,9 @@ func TestSendManyKeepsGoingPastFailures(t *testing.T) {
 	sender := a.(*endpoint)
 	to := addr.MustParse("0.1")
 	msgs := []transport.Outgoing{
-		{To: to, Payload: sampleGossip(1)},
-		{To: addr.MustParse("0.2"), Payload: sampleGossip(2)}, // not in the resolver
-		{To: to, Payload: sampleGossip(3)},
+		{To: to, Payload: oneGossip(1)},
+		{To: addr.MustParse("0.2"), Payload: oneGossip(2)}, // not in the resolver
+		{To: to, Payload: oneGossip(3)},
 	}
 	err := sender.SendMany(msgs)
 	if !errors.Is(err, transport.ErrUnknownAddr) {
@@ -194,7 +199,7 @@ func TestRecvManyDrainsBursts(t *testing.T) {
 	const total = 20
 	msgs := make([]transport.Outgoing, 0, total)
 	for i := 0; i < total; i++ {
-		msgs = append(msgs, transport.Outgoing{To: addr.MustParse("0.1"), Payload: sampleGossip(i)})
+		msgs = append(msgs, transport.Outgoing{To: addr.MustParse("0.1"), Payload: oneGossip(i)})
 	}
 	if err := sender.SendMany(msgs); err != nil {
 		t.Fatal(err)
@@ -252,7 +257,7 @@ func TestReRegisterMovesNextSend(t *testing.T) {
 	}
 	defer oldConn.Close()
 	res.Register(to, oldConn.LocalAddr().(*net.UDPAddr))
-	if err := a.Send(to, sampleGossip(1)); err != nil {
+	if err := a.Send(to, oneGossip(1)); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 65536)
@@ -268,7 +273,7 @@ func TestReRegisterMovesNextSend(t *testing.T) {
 	}
 	defer newConn.Close()
 	res.Register(to, newConn.LocalAddr().(*net.UDPAddr))
-	if err := a.Send(to, sampleGossip(2)); err != nil {
+	if err := a.Send(to, oneGossip(2)); err != nil {
 		t.Fatal(err)
 	}
 	newConn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -318,11 +323,11 @@ func TestRegisterWhileSending(t *testing.T) {
 		defer wg.Done()
 		bs := a.(transport.BatchSender)
 		for i := 0; i < rounds/10; i++ {
-			if err := a.Send(to, sampleGossip(i)); err != nil {
+			if err := a.Send(to, oneGossip(i)); err != nil {
 				errs <- err
 				return
 			}
-			if err := bs.SendMany([]transport.Outgoing{{To: to, Payload: sampleGossip(i)}}); err != nil {
+			if err := bs.SendMany([]transport.Outgoing{{To: to, Payload: oneGossip(i)}}); err != nil {
 				errs <- err
 				return
 			}
@@ -349,7 +354,7 @@ func TestStatsCountDatapath(t *testing.T) {
 	const total = 16
 	msgs := make([]transport.Outgoing, 0, total)
 	for i := 0; i < total; i++ {
-		msgs = append(msgs, transport.Outgoing{To: addr.MustParse("0.1"), Payload: sampleGossip(i)})
+		msgs = append(msgs, transport.Outgoing{To: addr.MustParse("0.1"), Payload: oneGossip(i)})
 	}
 	if err := sender.SendMany(msgs); err != nil {
 		t.Fatal(err)

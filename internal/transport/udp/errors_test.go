@@ -50,7 +50,7 @@ func TestDoubleAttachSameTreeAddress(t *testing.T) {
 	}
 	// The losing attach must not have clobbered the live endpoint's
 	// registration: the survivor still resolves to a live socket.
-	if err := ep.Send(addr.New(0, 0), membership.Heartbeat{}); err != nil {
+	if err := ep.Send(addr.New(0, 0), wire.Batch{Heartbeat: &membership.Heartbeat{}}); err != nil {
 		t.Errorf("survivor endpoint broken after duplicate attach: %v", err)
 	}
 	// After closing, the address becomes attachable again.
@@ -85,7 +85,7 @@ func TestSendAfterEndpointClose(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send(addr.New(0, 1), membership.Heartbeat{}); !errors.Is(err, transport.ErrClosed) {
+	if err := a.Send(addr.New(0, 1), wire.Batch{Heartbeat: &membership.Heartbeat{}}); !errors.Is(err, transport.ErrClosed) {
 		t.Errorf("send after endpoint close: err = %v, want ErrClosed", err)
 	}
 	// The recv channel drains and closes.
@@ -115,7 +115,7 @@ func TestSendAfterTransportClose(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ep.Send(addr.New(0, 0), membership.Heartbeat{}); !errors.Is(err, transport.ErrClosed) {
+	if err := ep.Send(addr.New(0, 0), wire.Batch{Heartbeat: &membership.Heartbeat{}}); !errors.Is(err, transport.ErrClosed) {
 		t.Errorf("send after transport close: err = %v, want ErrClosed", err)
 	}
 	if _, err := tr.Attach(addr.New(0, 0)); !errors.Is(err, transport.ErrClosed) {
@@ -177,11 +177,7 @@ func TestOversizedDatagramFramingRejected(t *testing.T) {
 func TestOversizedDatagramIsNeverCutToAFrame(t *testing.T) {
 	sender := addr.New(0, 1)
 	datagram := func(stamp uint64) []byte {
-		b, err := wire.AppendMessage(addr.AppendAddress(nil, sender), membership.Leave{Addr: sender, Stamp: stamp})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+		return wire.AppendBatch(addr.AppendAddress(nil, sender), wire.Batch{Leave: &membership.Leave{Addr: sender, Stamp: stamp}})
 	}
 	for _, portable := range []bool{false, true} {
 		for _, deferDecode := range []bool{false, true} {
@@ -230,7 +226,7 @@ func TestOversizedDatagramIsNeverCutToAFrame(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if l, ok := payload.(membership.Leave); !ok || l.Stamp != 2 || !env.From.Equal(sender) {
+				if b, ok := payload.(wire.Batch); !ok || b.Leave == nil || b.Leave.Stamp != 2 || !env.From.Equal(sender) {
 					t.Fatalf("first delivery is %+v from %s, want the stamp-2 Leave from %s: the oversized datagram was cut and delivered",
 						payload, env.From, sender)
 				}

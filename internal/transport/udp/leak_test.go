@@ -8,6 +8,7 @@ import (
 
 	"pmcast/internal/addr"
 	"pmcast/internal/membership"
+	"pmcast/internal/wire"
 )
 
 // waitGoroutines polls until the live goroutine count drops back to at most
@@ -56,7 +57,7 @@ func TestTransportCloseLeavesNoGoroutines(t *testing.T) {
 		eps = append(eps, ep.(*endpoint))
 	}
 	for _, ep := range eps {
-		if err := ep.Send(addr.New(0, 0), membership.Heartbeat{}); err != nil {
+		if err := ep.Send(addr.New(0, 0), wire.Batch{Heartbeat: &membership.Heartbeat{}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -372,57 +372,40 @@ var framePool = sync.Pool{New: func() any {
 	return &s
 }}
 
-// appendFrames encodes one protocol message into datagram frames, reusing
-// pooled encode buffers. Round envelopes (wire.Batch) that exceed the
-// datagram bound are split at the MTU boundary: the piggybacked membership
-// payloads ride the first datagram and the length-prefixed gossip sections
-// fill greedily.
+// appendFrames encodes one batch into datagram frames, reusing pooled encode
+// buffers. A batch that exceeds the datagram bound is split at the MTU
+// boundary: the membership sections ride the first datagram and the gossip
+// sections fill greedily. A payload that is not a wire.Batch is refused.
 func (e *endpoint) appendFrames(frames []outFrame, to addr.Address, payload any) ([]outFrame, error) {
 	dst, err := e.tr.cfg.Resolver.Resolve(to)
 	if err != nil {
 		return frames, err
 	}
-	if b, ok := payload.(wire.Batch); ok {
-		// The sender-address prefix shares the datagram with the frame.
-		chunks, err := wire.SplitBatch(b, e.tr.cfg.MaxDatagram-e.prefixLen)
-		if err != nil {
-			return frames, fmt.Errorf("udp: batch for %s: %w", to, err)
-		}
-		for _, chunk := range chunks {
-			p := wire.GetBuffer()
-			buf := addr.AppendAddress(*p, e.addr)
-			buf, err := wire.AppendBatch(buf, chunk)
-			if err != nil {
-				wire.PutBuffer(p)
-				return frames, fmt.Errorf("udp: encoding batch for %s: %w", to, err)
-			}
-			*p = buf[:0] // keep the grown capacity pooled
-			if len(buf) > e.tr.cfg.MaxDatagram {
-				// SplitBatch guarantees this never fires; the guard keeps a
-				// codec-accounting bug from emitting a datagram the receiver's
-				// MaxDatagram-sized read buffer would silently truncate.
-				wire.PutBuffer(p)
-				return frames, fmt.Errorf("udp: batch chunk for %s is %d bytes, above the %d-byte datagram bound",
-					to, len(buf), e.tr.cfg.MaxDatagram)
-			}
-			frames = append(frames, outFrame{dst: dst, buf: buf, p: p})
-		}
-		return frames, nil
+	b, ok := payload.(wire.Batch)
+	if !ok {
+		return frames, fmt.Errorf("udp: encoding for %s: %w: %T", to, wire.ErrUnknownKind, payload)
 	}
-	p := wire.GetBuffer()
-	buf := addr.AppendAddress(*p, e.addr)
-	buf, err = wire.AppendMessage(buf, payload)
+	// The sender-address prefix shares the datagram with the frame.
+	chunks, err := wire.SplitBatch(b, e.tr.cfg.MaxDatagram-e.prefixLen)
 	if err != nil {
-		wire.PutBuffer(p)
-		return frames, fmt.Errorf("udp: encoding for %s: %w", to, err)
+		return frames, fmt.Errorf("udp: batch for %s: %w", to, err)
 	}
-	*p = buf[:0]
-	if len(buf) > e.tr.cfg.MaxDatagram {
-		wire.PutBuffer(p)
-		return frames, fmt.Errorf("udp: message for %s is %d bytes, above the %d-byte datagram bound",
-			to, len(buf), e.tr.cfg.MaxDatagram)
+	for _, chunk := range chunks {
+		p := wire.GetBuffer()
+		buf := addr.AppendAddress(*p, e.addr)
+		buf = wire.AppendBatch(buf, chunk)
+		*p = buf[:0] // keep the grown capacity pooled
+		if len(buf) > e.tr.cfg.MaxDatagram {
+			// SplitBatch guarantees this never fires; the guard keeps a
+			// codec-accounting bug from emitting a datagram the receiver's
+			// MaxDatagram-sized read buffer would silently truncate.
+			wire.PutBuffer(p)
+			return frames, fmt.Errorf("udp: batch chunk for %s is %d bytes, above the %d-byte datagram bound",
+				to, len(buf), e.tr.cfg.MaxDatagram)
+		}
+		frames = append(frames, outFrame{dst: dst, buf: buf, p: p})
 	}
-	return append(frames, outFrame{dst: dst, buf: buf, p: p}), nil
+	return frames, nil
 }
 
 // releaseFrames returns the frames' pooled encode buffers.

@@ -3,7 +3,6 @@ package udp
 import (
 	"errors"
 	"net"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -99,63 +98,55 @@ func sampleSub() interest.Subscription {
 // the in-memory fabric would have handed over.
 func TestEveryWireKindRoundTrips(t *testing.T) {
 	a, b, _ := pair(t)
-	msgs := []any{
-		core.Gossip{Event: sampleEvent(), Depth: 3, Rate: 0.4375, Round: 7},
-		membership.Digest{
-			From: addr.New(0, 0),
-			Entries: []membership.DigestEntry{
-				{Key: "0.0", Stamp: 5},
-				{Key: "0.1", Stamp: 9},
-			},
+	gossip := core.Gossip{Event: sampleEvent(), Depth: 3, Rate: 0.4375, Round: 7}
+	digest := membership.Digest{
+		From: addr.New(0, 0),
+		Entries: []membership.DigestEntry{
+			{Key: "0.0", Stamp: 5},
+			{Key: "0.1", Stamp: 9},
 		},
-		membership.Update{
-			From: addr.New(0, 0),
-			Records: []membership.Record{
-				{Addr: addr.New(0, 1), Sub: sampleSub(), Stamp: 9, Alive: true},
-				{Addr: addr.New(0, 0), Sub: interest.NewSubscription(), Stamp: 3, Alive: false},
-			},
-		},
-		membership.JoinRequest{
-			Joiner: membership.Record{Addr: addr.New(0, 0), Sub: sampleSub(), Stamp: 1, Alive: true},
-			Hops:   4,
-		},
-		membership.Leave{Addr: addr.New(0, 0), Stamp: 12},
-		overlayDigest(t),
 	}
-	for _, msg := range msgs {
+	update := membership.Update{
+		From: addr.New(0, 0),
+		Records: []membership.Record{
+			{Addr: addr.New(0, 1), Sub: sampleSub(), Stamp: 9, Alive: true},
+			{Addr: addr.New(0, 0), Sub: interest.NewSubscription(), Stamp: 3, Alive: false},
+		},
+	}
+	join := membership.JoinRequest{
+		Joiner: membership.Record{Addr: addr.New(0, 0), Sub: sampleSub(), Stamp: 1, Alive: true},
+		Hops:   4,
+	}
+	leave := membership.Leave{Addr: addr.New(0, 0), Stamp: 12}
+	overlay := overlayDigest(t)
+	hb := membership.Heartbeat{}
+	msgs := []wire.Batch{
+		{Gossips: []core.Gossip{gossip}},
+		{Digest: &digest},
+		{Update: &update},
+		{Join: &join},
+		{Leave: &leave},
+		{Digest: &overlay, Heartbeat: &hb},
+		{Gossips: []core.Gossip{gossip, gossip}, Update: &update, Digest: &overlay, Heartbeat: &hb, Join: &join, Leave: &leave},
+	}
+	for i, msg := range msgs {
 		if err := a.Send(b.Addr(), msg); err != nil {
-			t.Fatalf("send %T: %v", msg, err)
+			t.Fatalf("send %d: %v", i, err)
 		}
 		env := recvOne(t, b)
 		if !env.From.Equal(a.Addr()) || !env.To.Equal(b.Addr()) {
-			t.Errorf("%T envelope addressed %s → %s", msg, env.From, env.To)
+			t.Errorf("batch %d addressed %s → %s", i, env.From, env.To)
 		}
-		if g, ok := msg.(core.Gossip); ok {
-			// Events hide their attributes behind an unexported map; compare
-			// semantically instead of reflectively.
-			got, ok := env.Payload.(core.Gossip)
-			if !ok {
-				t.Fatalf("payload = %T, want core.Gossip", env.Payload)
-			}
-			if got.Depth != g.Depth || got.Rate != g.Rate || got.Round != g.Round ||
-				got.Event.ID() != g.Event.ID() || got.Event.Len() != g.Event.Len() {
-				t.Errorf("gossip mutated in flight: %+v", got)
-			}
-			for _, name := range g.Event.Names() {
-				if !got.Event.Attr(name).Equal(g.Event.Attr(name)) {
-					t.Errorf("attr %s = %v", name, got.Event.Attr(name))
-				}
-			}
-			continue
+		got, ok := env.Payload.(wire.Batch)
+		if !ok {
+			t.Fatalf("batch %d arrived as %T", i, env.Payload)
 		}
-		if !wireEqual(env.Payload, msg) {
-			t.Errorf("%T mutated in flight:\n got %+v\nwant %+v", msg, env.Payload, msg)
+		if !batchEqual(got, msg) {
+			t.Errorf("batch %d mutated in flight:\n got %+v\nwant %+v", i, got, msg)
 		}
 	}
 }
 
-// wireEqual compares protocol messages up to subscription semantics (the
-// subscription's internal criterion order is canonicalized by the codec).
 // overlayDigest returns what a bootstrapped fleet's services send: the full
 // digest of a roster-mode service, here two lines off its four-line base.
 func overlayDigest(t *testing.T) membership.Digest {
@@ -182,11 +173,29 @@ func overlayDigest(t *testing.T) membership.Digest {
 	return d
 }
 
-func wireEqual(got, want any) bool {
-	switch w := want.(type) {
-	case membership.Update:
-		g, ok := got.(membership.Update)
-		if !ok || !g.From.Equal(w.From) || len(g.Records) != len(w.Records) {
+// batchEqual compares batches up to event and subscription semantics (events
+// hide their attributes behind an unexported map, and the codec
+// canonicalizes a subscription's criterion order); a digest arrives as the
+// list of its lines whatever form it left in.
+func batchEqual(got, want wire.Batch) bool {
+	if got.Parts() != want.Parts() || len(got.Gossips) != len(want.Gossips) {
+		return false
+	}
+	for i, w := range want.Gossips {
+		g := got.Gossips[i]
+		if g.Depth != w.Depth || g.Rate != w.Rate || g.Round != w.Round ||
+			g.Event.ID() != w.Event.ID() || g.Event.Len() != w.Event.Len() {
+			return false
+		}
+		for _, name := range w.Event.Names() {
+			if !g.Event.Attr(name).Equal(w.Event.Attr(name)) {
+				return false
+			}
+		}
+	}
+	if w := want.Update; w != nil {
+		g := got.Update
+		if g == nil || !g.From.Equal(w.From) || len(g.Records) != len(w.Records) {
 			return false
 		}
 		for i := range w.Records {
@@ -194,18 +203,21 @@ func wireEqual(got, want any) bool {
 				return false
 			}
 		}
-		return true
-	case membership.JoinRequest:
-		g, ok := got.(membership.JoinRequest)
-		return ok && g.Hops == w.Hops && recordEqual(g.Joiner, w.Joiner)
-	case membership.Digest:
-		// A digest arrives as the list of its lines whatever form it left in.
-		g, ok := got.(membership.Digest)
-		return ok && g.From.Equal(w.From) && g.Hash == w.Hash && g.Count == w.Count &&
-			slices.Equal(slices.Collect(g.Lines), slices.Collect(w.Lines))
-	default:
-		return reflect.DeepEqual(got, want)
 	}
+	if w := want.Digest; w != nil {
+		g := got.Digest
+		if g == nil || !g.From.Equal(w.From) || g.Hash != w.Hash || g.Count != w.Count ||
+			!slices.Equal(slices.Collect(g.Lines), slices.Collect(w.Lines)) {
+			return false
+		}
+	}
+	if w := want.Join; w != nil && (got.Join == nil || got.Join.Hops != w.Hops || !recordEqual(got.Join.Joiner, w.Joiner)) {
+		return false
+	}
+	if w := want.Leave; w != nil && (got.Leave == nil || !got.Leave.Addr.Equal(w.Addr) || got.Leave.Stamp != w.Stamp) {
+		return false
+	}
+	return (got.Heartbeat != nil) == (want.Heartbeat != nil)
 }
 
 func recordEqual(got, want membership.Record) bool {
@@ -215,16 +227,20 @@ func recordEqual(got, want membership.Record) bool {
 
 func TestSendToUnknownAddress(t *testing.T) {
 	a, _, _ := pair(t)
-	err := a.Send(addr.MustParse("9.9"), membership.Leave{Addr: a.Addr(), Stamp: 1})
+	err := a.Send(addr.MustParse("9.9"), wire.Batch{Leave: &membership.Leave{Addr: a.Addr(), Stamp: 1}})
 	if !errors.Is(err, transport.ErrUnknownAddr) {
 		t.Errorf("err = %v", err)
 	}
 }
 
+// TestSendRejectsUnframeableMessage: a datagram carries a wire.Batch and
+// nothing else — not a foreign value, and not a bare gossip either.
 func TestSendRejectsUnframeableMessage(t *testing.T) {
 	a, b, _ := pair(t)
-	if err := a.Send(b.Addr(), "not a protocol message"); err == nil {
-		t.Error("foreign payload accepted")
+	for _, payload := range []any{"not a protocol message", sampleGossip(1)} {
+		if err := a.Send(b.Addr(), payload); !errors.Is(err, wire.ErrUnknownKind) {
+			t.Errorf("%T payload: err = %v, want ErrUnknownKind", payload, err)
+		}
 	}
 }
 
@@ -245,7 +261,7 @@ func TestOversizeMessageRejected(t *testing.T) {
 			Addr: addr.New(0, i), Sub: sampleSub(), Stamp: uint64(i), Alive: true,
 		})
 	}
-	if err := a.Send(addr.MustParse("0.1"), big); err == nil {
+	if err := a.Send(addr.MustParse("0.1"), wire.Batch{Update: &big}); err == nil {
 		t.Error("oversize datagram accepted")
 	}
 }
@@ -266,11 +282,11 @@ func TestMalformedDatagramsAreCountedAndSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The endpoint must survive and keep delivering well-formed traffic.
-	if err := a.Send(b.Addr(), membership.Leave{Addr: a.Addr(), Stamp: 3}); err != nil {
+	if err := a.Send(b.Addr(), wire.Batch{Leave: &membership.Leave{Addr: a.Addr(), Stamp: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	env := recvOne(t, b)
-	if l, ok := env.Payload.(membership.Leave); !ok || l.Stamp != 3 {
+	if m, ok := env.Payload.(wire.Batch); !ok || m.Leave == nil || m.Leave.Stamp != 3 {
 		t.Errorf("payload = %+v", env.Payload)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -294,7 +310,7 @@ func TestEndpointClose(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Send(a.Addr(), membership.Leave{Addr: b.Addr(), Stamp: 1}); !errors.Is(err, transport.ErrClosed) {
+	if err := b.Send(a.Addr(), wire.Batch{Leave: &membership.Leave{Addr: b.Addr(), Stamp: 1}}); !errors.Is(err, transport.ErrClosed) {
 		t.Errorf("send from closed endpoint = %v", err)
 	}
 	select {
@@ -316,7 +332,7 @@ func TestTransportCloseShutsEverythingDown(t *testing.T) {
 	if err := tr.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if err := a.Send(b.Addr(), membership.Leave{Addr: a.Addr(), Stamp: 1}); !errors.Is(err, transport.ErrClosed) {
+	if err := a.Send(b.Addr(), wire.Batch{Leave: &membership.Leave{Addr: a.Addr(), Stamp: 1}}); !errors.Is(err, transport.ErrClosed) {
 		t.Errorf("send after transport close = %v", err)
 	}
 	if _, err := tr.Attach(addr.MustParse("1.0")); !errors.Is(err, transport.ErrClosed) {
@@ -363,7 +379,7 @@ func TestDeferDecodeDeliversRawFrames(t *testing.T) {
 	}
 
 	want := core.Gossip{Event: sampleEvent(), Depth: 2, Rate: 0.25, Round: 3}
-	if err := a.Send(b.Addr(), want); err != nil {
+	if err := a.Send(b.Addr(), wire.Batch{Gossips: []core.Gossip{want}}); err != nil {
 		t.Fatal(err)
 	}
 	env := recvOne(t, b)
@@ -380,10 +396,10 @@ func TestDeferDecodeDeliversRawFrames(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decoding deferred frame: %v", err)
 	}
-	got, ok := payload.(core.Gossip)
-	if !ok {
-		t.Fatalf("decoded payload = %T, want core.Gossip", payload)
+	if len(payload.Gossips) != 1 {
+		t.Fatalf("decoded payload = %+v, want a batch of one gossip", payload)
 	}
+	got := payload.Gossips[0]
 	if got.Depth != want.Depth || got.Rate != want.Rate || got.Round != want.Round ||
 		got.Event.ID() != want.Event.ID() {
 		t.Errorf("gossip mutated through the raw path: %+v", got)

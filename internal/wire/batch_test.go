@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -45,12 +46,17 @@ func fullBatch() Batch {
 		Count: 7,
 	}
 	b.Heartbeat = &membership.Heartbeat{}
+	b.Join = &membership.JoinRequest{
+		Joiner: membership.Record{Addr: addr.New(2, 1), Sub: sampleSub(), Stamp: 3, Alive: true},
+		Hops:   2,
+	}
+	b.Leave = &membership.Leave{Addr: addr.New(0, 1), Stamp: 10}
 	return b
 }
 
 func TestBatchRoundTrip(t *testing.T) {
 	in := fullBatch()
-	out := roundTrip(t, in).(Batch)
+	out := roundTrip(t, in)
 	if len(out.Gossips) != len(in.Gossips) {
 		t.Fatalf("gossips = %d, want %d", len(out.Gossips), len(in.Gossips))
 	}
@@ -71,14 +77,20 @@ func TestBatchRoundTrip(t *testing.T) {
 	if out.Heartbeat == nil {
 		t.Errorf("heartbeat = %+v", out.Heartbeat)
 	}
-	if got, want := in.Parts(), 6; got != want {
+	if out.Join == nil || out.Join.Hops != 2 || !out.Join.Joiner.Sub.Equal(sampleSub()) {
+		t.Errorf("join = %+v", out.Join)
+	}
+	if out.Leave == nil || !out.Leave.Addr.Equal(addr.New(0, 1)) || out.Leave.Stamp != 10 {
+		t.Errorf("leave = %+v", out.Leave)
+	}
+	if got, want := in.Parts(), 8; got != want {
 		t.Errorf("parts = %d, want %d", got, want)
 	}
 }
 
 func TestBatchGossipsOnlyRoundTrip(t *testing.T) {
-	out := roundTrip(t, sampleBatch(5)).(Batch)
-	if len(out.Gossips) != 5 || out.Update != nil || out.Digest != nil || out.Heartbeat != nil {
+	out := roundTrip(t, sampleBatch(5))
+	if len(out.Gossips) != 5 || out.Parts() != 5 {
 		t.Errorf("batch = %+v", out)
 	}
 }
@@ -103,6 +115,12 @@ func partNames(b Batch) []string {
 	}
 	if b.Heartbeat != nil {
 		names = append(names, "heartbeat")
+	}
+	if b.Join != nil {
+		names = append(names, "join")
+	}
+	if b.Leave != nil {
+		names = append(names, "leave")
 	}
 	return names
 }
@@ -141,14 +159,19 @@ func checkSurvivingOrder(t *testing.T, b Batch, repair []bool) {
 
 func TestSurvivingAsksCanonicalOrder(t *testing.T) {
 	b := fullBatch()
-	if got, want := partNames(b), "[gossip 1 gossip 2 gossip 3 update digest heartbeat]"; fmt.Sprint(got) != want {
+	if got, want := partNames(b), "[gossip 1 gossip 2 gossip 3 update digest heartbeat join leave]"; fmt.Sprint(got) != want {
 		t.Fatalf("parts = %v, want %s", got, want)
 	}
-	checkSurvivingOrder(t, b, make([]bool, 6))
+	checkSurvivingOrder(t, b, make([]bool, 8))
+	// A membership batch without gossips: each section is one fate.
+	m := b.tail()
+	m.Update = nil
+	checkSurvivingOrder(t, m, make([]bool, 4))
 }
 
-// sizedMessages is one message of every kind EncodedSize knows, membership
-// payloads in each shape the protocol sends them.
+// sizedMessages is one message of every shape EncodedSize knows: a bare
+// gossip, and batches carrying each section in the shapes the protocol sends
+// them.
 func sizedMessages(t testing.TB) []any {
 	// Overlay stamps just above the 127/128 and 16 383/16 384 varint
 	// boundaries over base stamps just below them, so an overlay line's stamp
@@ -173,18 +196,21 @@ func sizedMessages(t testing.TB) []any {
 	}
 	withTail := sampleBatch(2)
 	withTail.Update, withTail.Digest = &update, &overlay
+	many128 := sampleBatch(130) // a two-byte gossip count
 	return []any{
 		sampleGossip(3),
 		fullBatch(),
 		sampleBatch(10),
+		many128,
 		withTail,
-		membership.Heartbeat{},
-		membership.Leave{Addr: addr.New(1), Stamp: 4},
-		membership.Digest{From: addr.New(0, 1), Hash: 1 << 60, Count: 300}, // summary probe
-		entries,
-		overlay,
-		update,
-		membership.JoinRequest{Joiner: update.Records[2], Hops: 3},
+		Batch{},
+		Batch{Heartbeat: &membership.Heartbeat{}},
+		Batch{Leave: &membership.Leave{Addr: addr.New(1), Stamp: 4}},
+		Batch{Digest: &membership.Digest{From: addr.New(0, 1), Hash: 1 << 60, Count: 300}}, // summary probe
+		Batch{Digest: &entries},
+		Batch{Digest: &overlay, Heartbeat: &membership.Heartbeat{}},
+		Batch{Update: &update},
+		Batch{Join: &membership.JoinRequest{Joiner: update.Records[2], Hops: 3}},
 	}
 }
 
@@ -198,9 +224,9 @@ func TestEncodedSizeMatchesEncoding(t *testing.T) {
 			t.Errorf("EncodedSize(%T) = %d, encoded %d bytes", msg, got, len(enc))
 		}
 	}
-	// A heartbeat carries nothing: it is its kind byte.
-	if got := EncodedSize(membership.Heartbeat{}); got != 1 {
-		t.Errorf("EncodedSize(Heartbeat{}) = %d, want 1", got)
+	// A heartbeat's section is empty: the frame is its flags byte.
+	if got := EncodedSize(Batch{Heartbeat: &membership.Heartbeat{}}); got != 1 {
+		t.Errorf("EncodedSize(heartbeat batch) = %d, want 1", got)
 	}
 }
 
@@ -225,7 +251,7 @@ func TestEncodedSizeAllocatesNothing(t *testing.T) {
 func TestOverlayDigestSizedWithoutWalkingRoster(t *testing.T) {
 	bumped := map[int]uint64{3: 128, 64: 2, 65: 16384, 1000: 5, 2047: 1 << 30, 3000: 127, 4095: 9}
 	d, base := overlayDigestOver(t, addr.MustRegular(16, 3), func(int) uint64 { return 1 }, bumped)
-	enc, err := Encode(d)
+	enc, err := Encode(Batch{Digest: &d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,52 +260,55 @@ func TestOverlayDigestSizedWithoutWalkingRoster(t *testing.T) {
 			base.Records[i] = membership.Record{}
 		}
 	}
-	if got := EncodedSize(d); got != len(enc) {
+	if got := EncodedSize(Batch{Digest: &d}); got != len(enc) {
 		t.Errorf("EncodedSize = %d after blanking the roster outside the overlay, encoded %d bytes", got, len(enc))
 	}
 }
 
 func TestSplitBatchRespectsLimit(t *testing.T) {
-	in := fullBatch()
-	for i := 0; i < 40; i++ {
-		in.Gossips = append(in.Gossips, sampleGossip(uint64(100+i)))
-	}
-	whole, err := Encode(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	limit := len(whole) / 4
-	chunks, err := SplitBatch(in, limit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chunks) < 4 {
-		t.Fatalf("split into %d chunks under a quarter-size limit", len(chunks))
-	}
-	var reassembled []core.Gossip
-	for i, c := range chunks {
-		enc, err := Encode(c)
+	full := fullBatch()
+	for name, in := range map[string]Batch{
+		"every section":               full,
+		"join and leave ride chunk 0": {Gossips: sampleBatch(3).Gossips, Join: full.Join, Leave: full.Leave},
+	} {
+		for i := 0; i < 40; i++ {
+			in.Gossips = append(in.Gossips, sampleGossip(uint64(100+i)))
+		}
+		whole, err := Encode(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(enc) > limit {
-			t.Errorf("chunk %d encodes to %d bytes, above the %d limit", i, len(enc), limit)
+		limit := len(whole) / 4
+		chunks, err := SplitBatch(in, limit)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if i == 0 {
-			if c.Update == nil || c.Digest == nil || c.Heartbeat == nil {
-				t.Error("piggybacked payloads must ride the first chunk")
+		if len(chunks) < 4 {
+			t.Fatalf("%s: split into %d chunks under a quarter-size limit", name, len(chunks))
+		}
+		var reassembled []core.Gossip
+		for i, c := range chunks {
+			enc, err := Encode(c)
+			if err != nil {
+				t.Fatal(err)
 			}
-		} else if c.Update != nil || c.Digest != nil || c.Heartbeat != nil {
-			t.Errorf("chunk %d repeats piggybacked payloads", i)
+			if len(enc) > limit {
+				t.Errorf("%s: chunk %d encodes to %d bytes, above the %d limit", name, i, len(enc), limit)
+			}
+			if got, want := partNames(c.tail()), partNames(in.tail()); i == 0 && fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: chunk 0 carries membership sections %v, want %v", name, got, want)
+			} else if i > 0 && len(got) > 0 {
+				t.Errorf("%s: chunk %d repeats membership sections %v", name, i, got)
+			}
+			reassembled = append(reassembled, c.Gossips...)
 		}
-		reassembled = append(reassembled, c.Gossips...)
-	}
-	if len(reassembled) != len(in.Gossips) {
-		t.Fatalf("reassembled %d gossips, want %d", len(reassembled), len(in.Gossips))
-	}
-	for i := range in.Gossips {
-		if reassembled[i].Event.ID() != in.Gossips[i].Event.ID() {
-			t.Fatalf("gossip %d out of order after split", i)
+		if len(reassembled) != len(in.Gossips) {
+			t.Fatalf("%s: reassembled %d gossips, want %d", name, len(reassembled), len(in.Gossips))
+		}
+		for i := range in.Gossips {
+			if reassembled[i].Event.ID() != in.Gossips[i].Event.ID() {
+				t.Fatalf("%s: gossip %d out of order after split", name, i)
+			}
 		}
 	}
 }
@@ -310,16 +339,15 @@ func TestSplitBatchExactBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// minViable: the piggyback tail chunk and the largest standalone-gossip
+	// minViable: the membership chunk and the largest standalone-gossip
 	// chunk must both fit for a split to be possible.
 	minViable := 0
 	for _, g := range in.Gossips {
-		gs := GossipBodySize(g)
-		if s := 3 + gs + 1; s > minViable { // kind+flags+count(1) + prefix(1)+body
+		if s := EncodedSize(g); s > minViable {
 			minViable = s
 		}
 	}
-	if s := EncodedSize(Batch{Update: in.Update, Digest: in.Digest, Heartbeat: in.Heartbeat}); s > minViable {
+	if s := EncodedSize(in.tail()); s > minViable {
 		minViable = s
 	}
 	for limit := minViable - 10; limit <= len(total)+10; limit += 3 {
@@ -353,25 +381,41 @@ func TestSplitBatchExactBudgets(t *testing.T) {
 	}
 }
 
+// TestSplitBatchOversizedPiggyback: membership sections that alone exceed the
+// limit are a refusal, never an oversized first chunk — an update too long,
+// or one join record too big.
 func TestSplitBatchOversizedPiggyback(t *testing.T) {
-	// Piggybacked payloads that alone exceed the limit must be a refusal,
-	// never an oversized first chunk.
 	recs := make([]membership.Record, 100)
 	for i := range recs {
 		recs[i] = membership.Record{Addr: addr.New(i, i), Sub: sampleSub(), Stamp: uint64(i), Alive: true}
 	}
-	b := Batch{
-		Gossips: []core.Gossip{sampleGossip(1)},
-		Update:  &membership.Update{From: addr.New(0), Records: recs},
+	many := make([]string, 60)
+	for i := range many {
+		many[i] = fmt.Sprintf("symbol-%03d", i)
 	}
-	chunks, err := SplitBatch(b, 300)
-	if err == nil {
-		for i, c := range chunks {
-			if enc, encErr := Encode(c); encErr == nil && len(enc) > 300 {
-				t.Fatalf("chunk %d is %d bytes, above the 300-byte limit, and no error was returned", i, len(enc))
-			}
+	bigSub := interest.NewSubscription().Where("e", interest.OneOf(many...))
+	for name, b := range map[string]Batch{
+		"update": {
+			Gossips: []core.Gossip{sampleGossip(1)},
+			Update:  &membership.Update{From: addr.New(0), Records: recs},
+		},
+		"join record": {
+			Gossips: []core.Gossip{sampleGossip(1)},
+			Join:    &membership.JoinRequest{Joiner: membership.Record{Addr: addr.New(1, 1), Sub: bigSub, Stamp: 1, Alive: true}, Hops: 2},
+		},
+	} {
+		if s := EncodedSize(b.tail()); s <= 300 {
+			t.Fatalf("%s: the membership sections take %d bytes, not above the 300-byte limit", name, s)
 		}
-		t.Fatal("oversized piggyback split without error")
+		chunks, err := SplitBatch(b, 300)
+		if !errors.Is(err, ErrOversized) {
+			for i, c := range chunks {
+				if enc, encErr := Encode(c); encErr == nil && len(enc) > 300 {
+					t.Errorf("%s: chunk %d is %d bytes, above the 300-byte limit", name, i, len(enc))
+				}
+			}
+			t.Errorf("%s: oversized membership sections split with error %v, want ErrOversized", name, err)
+		}
 	}
 }
 
@@ -390,15 +434,15 @@ func TestBatchDecodeRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Unknown flag bits.
+	// Flags that contradict each other.
 	bad := append([]byte(nil), good...)
-	bad[1] |= 0x80
+	bad[0] &^= hasGossips
 	if _, err := Decode(bad); err == nil {
-		t.Error("unknown batch flags accepted")
+		t.Error("a gossip count without gossips accepted")
 	}
 	// Corrupted section length.
 	bad = append([]byte(nil), good...)
-	bad[2] = 0xff
+	bad[1] = 0xff
 	if _, err := Decode(bad); err == nil {
 		t.Error("corrupt gossip count accepted")
 	}
@@ -441,11 +485,7 @@ func TestBatchCodecAllocBudget(t *testing.T) {
 
 	buf := make([]byte, 0, 64<<10)
 	encAllocs := testing.AllocsPerRun(200, func() {
-		out, err := AppendBatch(buf[:0], in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = out[:0]
+		buf = AppendBatch(buf[:0], in)[:0]
 	})
 	if encAllocs != 0 {
 		t.Errorf("batch encode allocates %.1f times per op, want 0", encAllocs)
@@ -457,16 +497,16 @@ func TestBatchCodecAllocBudget(t *testing.T) {
 	}
 	dec := NewDecoder()
 	decAllocs := testing.AllocsPerRun(200, func() {
-		msg, err := dec.Decode(data)
+		b, err := dec.Decode(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b := msg.(Batch); len(b.Gossips) != events {
+		if len(b.Gossips) != events {
 			t.Fatalf("decoded %d gossips", len(b.Gossips))
 		}
 	})
 	// ≤ 1 alloc/event: each event's attribute slice, plus a constant for the
-	// gossip slice and the interface boxing of the returned Batch.
+	// gossip slice.
 	if limit := float64(events) + 4; decAllocs > limit {
 		t.Errorf("batch decode allocates %.1f times per op for %d events, want ≤ %.0f",
 			decAllocs, events, limit)

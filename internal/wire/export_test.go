@@ -1,16 +1,13 @@
 package wire
 
-import (
-	"fmt"
+import "pmcast/internal/binenc"
 
-	"pmcast/internal/binenc"
-)
-
-// Decode unframes a message encoded by Encode.
-func Decode(data []byte) (any, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: empty frame", ErrBadPayload)
+// Decode unframes a batch encoded by Encode.
+func Decode(data []byte) (Batch, error) {
+	r := binenc.NewReader(data)
+	b, err := readBatch(r)
+	if err != nil {
+		return Batch{}, err
 	}
-	r := binenc.NewReader(data[1:])
-	return decodeFrom(r, data[0])
+	return b, finish(r)
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -31,7 +32,7 @@ func codedFullBatch(t testing.TB, n, k, r int) Batch {
 	t.Helper()
 	b := codedBatch(t, n, k, r)
 	full := fullBatch()
-	b.Update, b.Digest, b.Heartbeat = full.Update, full.Digest, full.Heartbeat
+	b.Update, b.Digest, b.Heartbeat, b.Join, b.Leave = full.Update, full.Digest, full.Heartbeat, full.Join, full.Leave
 	return b
 }
 
@@ -69,14 +70,14 @@ func sameFEC(a, b []fec.Generation) error {
 
 func TestCodedBatchRoundTrip(t *testing.T) {
 	in := codedFullBatch(t, 7, 4, 2)
-	out := roundTrip(t, in).(Batch)
+	out := roundTrip(t, in)
 	if len(out.Gossips) != 7 {
 		t.Fatalf("gossips = %d", len(out.Gossips))
 	}
 	if err := sameFEC(in.FEC, out.FEC); err != nil {
 		t.Fatal(err)
 	}
-	if out.Update == nil || out.Digest == nil || out.Heartbeat == nil {
+	if out.Update == nil || out.Digest == nil || out.Heartbeat == nil || out.Join == nil || out.Leave == nil {
 		t.Fatalf("membership tail lost: %+v", out)
 	}
 }
@@ -102,7 +103,7 @@ func TestCodedSurvivingOrder(t *testing.T) {
 	repair := []bool{
 		false, false, false, false, false,
 		true, true, true, true,
-		false, false, false,
+		false, false, false, false, false,
 	}
 	checkSurvivingOrder(t, b, repair)
 
@@ -131,19 +132,17 @@ func TestCodedSurvivingOrder(t *testing.T) {
 // them, is itself a frame that round-trips — and the input is untouched, spare
 // capacity included: the sender may still be encoding it on an egress worker.
 func FuzzBatchSurviving(f *testing.F) {
-	for _, b := range []Batch{fullBatch(), sampleBatch(16), codedFullBatch(f, 5, 4, 2), codedBatch(f, 9, 4, 3), {}} {
+	full := fullBatch()
+	for _, b := range []Batch{fullBatch(), sampleBatch(16), codedFullBatch(f, 5, 4, 2), codedBatch(f, 9, 4, 3), {},
+		{Gossips: sampleBatch(2).Gossips, Join: full.Join, Leave: full.Leave}} {
 		frame := mustEncode(f, b)
 		for _, mask := range [][]byte{nil, {0x01}, {0xaa, 0xaa}, {0xe0, 0x01}, {0xff, 0xff, 0xff}} {
 			f.Add(frame, mask)
 		}
 	}
 	f.Fuzz(func(t *testing.T, frame, mask []byte) {
-		msg, err := Decode(frame)
+		in, err := Decode(frame)
 		if err != nil {
-			return
-		}
-		in, ok := msg.(Batch)
-		if !ok {
 			return
 		}
 		// A sentinel in each section's spare capacity catches an append into
@@ -186,6 +185,12 @@ func FuzzBatchSurviving(f *testing.F) {
 		if in.Heartbeat != nil && !lost(false) {
 			want.Heartbeat = in.Heartbeat
 		}
+		if in.Join != nil && !lost(false) {
+			want.Join = in.Join
+		}
+		if in.Leave != nil && !lost(false) {
+			want.Leave = in.Leave
+		}
 		parts := asked
 
 		asked = 0
@@ -219,27 +224,23 @@ func FuzzBatchSurviving(f *testing.F) {
 	})
 }
 
-// TestPreFECDecoderRejectsCodedBatch pins the version gate: a coded batch
-// sets a flag bit outside the pre-FEC mask, and this decoder applies the
-// same rule to bits beyond its own mask — unknown flags are a clean
-// ErrBadPayload, never a misparse.
+// TestPreFECDecoderRejectsCodedBatch pins the FEC flag: a coded batch sets
+// it and frames its repair section, an uncoded one leaves it clear and is
+// the same frame it was before coding existed, and flags that disagree with
+// what follows — a coded frame read as uncoded — fail cleanly with
+// ErrBadPayload, never misparse.
 func TestPreFECDecoderRejectsCodedBatch(t *testing.T) {
-	enc, err := Encode(codedBatch(t, 4, 4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if enc[1]&batchHasFEC == 0 {
+	enc := mustEncode(t, codedBatch(t, 4, 4, 1))
+	if enc[0]&hasFEC == 0 {
 		t.Fatal("coded batch must set the FEC flag bit")
 	}
-	const preFECMask = batchHasUpdate | batchHasDigest | batchHasHeartbeat
-	if enc[1]&^byte(preFECMask) == 0 {
-		t.Fatal("coded batch flags fit the pre-FEC mask; old decoders would misparse")
+	if plain := mustEncode(t, sampleBatch(4)); plain[0]&hasFEC != 0 {
+		t.Fatal("uncoded batch sets the FEC flag bit")
 	}
-	// The same future-bit rule in this decoder:
 	bad := append([]byte(nil), enc...)
-	bad[1] |= 1 << 4
-	if _, err := Decode(bad); err == nil {
-		t.Fatal("unknown future flag bit must be rejected")
+	bad[0] &^= hasFEC
+	if _, err := Decode(bad); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("a coded frame read as uncoded: %v, want ErrBadPayload", err)
 	}
 }
 
@@ -260,36 +261,53 @@ func TestCodedBatchDecodeRejectsCorruptFEC(t *testing.T) {
 // TestSplitBatchCodedBoundaryExact is the MTU±1 test: at exactly the
 // encoded size one chunk suffices; one byte under forces a split; and at
 // every limit each emitted chunk re-measures within the budget with no
-// part lost.
+// part lost. The three-section batch sweeps down to 120 bytes, where repair
+// symbols spill into chunks of their own; the batch that also carries a
+// join and a leave sweeps down to its membership sections' own size, the
+// smallest limit that can hold chunk 0.
 func TestSplitBatchCodedBoundaryExact(t *testing.T) {
-	m := codedFullBatch(t, 9, 4, 2)
-	full := EncodedSize(m)
+	threeSections := codedFullBatch(t, 9, 4, 2)
+	threeSections.Join, threeSections.Leave = nil, nil
+	joinLeave := codedFullBatch(t, 9, 4, 2)
+	for _, tc := range []struct {
+		name  string
+		m     Batch
+		floor int
+	}{
+		{"update, digest and heartbeat", threeSections, 120},
+		{"join and leave too", joinLeave, EncodedSize(joinLeave.tail()) - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.m
+			full := EncodedSize(m)
 
-	chunks, err := SplitBatch(m, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chunks) != 1 {
-		t.Fatalf("at limit=size: %d chunks, want 1", len(chunks))
-	}
+			chunks, err := SplitBatch(m, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(chunks) != 1 {
+				t.Fatalf("at limit=size: %d chunks, want 1", len(chunks))
+			}
 
-	chunks, err = SplitBatch(m, full-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chunks) < 2 {
-		t.Fatalf("at limit=size-1: %d chunks, want ≥ 2", len(chunks))
-	}
-	checkSplit(t, m, chunks, full-1)
+			chunks, err = SplitBatch(m, full-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(chunks) < 2 {
+				t.Fatalf("at limit=size-1: %d chunks, want ≥ 2", len(chunks))
+			}
+			checkSplit(t, m, chunks, full-1)
 
-	// Sweep a window of limits around practical MTUs down to tiny budgets:
-	// every chunk must measure within the limit, bit-exactly.
-	for limit := full + 1; limit > 120; limit-- {
-		chunks, err := SplitBatch(m, limit)
-		if err != nil {
-			t.Fatalf("limit %d: %v", limit, err)
-		}
-		checkSplit(t, m, chunks, limit)
+			// Sweep a window of limits around practical MTUs down to tiny
+			// budgets: every chunk must measure within the limit, bit-exactly.
+			for limit := full + 1; limit > tc.floor; limit-- {
+				chunks, err := SplitBatch(m, limit)
+				if err != nil {
+					t.Fatalf("limit %d: %v", limit, err)
+				}
+				checkSplit(t, m, chunks, limit)
+			}
+		})
 	}
 }
 
@@ -319,7 +337,7 @@ func checkSplit(t *testing.T, m Batch, chunks []Batch, limit int) {
 				repairs[fmt.Sprintf("%d/%d", gen.Gen, rs.Index)]++
 			}
 		}
-		if c.Update != nil || c.Digest != nil || c.Heartbeat != nil {
+		if c.tail().Parts() > 0 {
 			if i != 0 {
 				t.Fatalf("membership tail on chunk %d", i)
 			}
@@ -346,7 +364,7 @@ func checkSplit(t *testing.T, m Batch, chunks []Batch, limit int) {
 	if len(repairs) != wantRepairs {
 		t.Fatalf("limit %d: %d distinct repairs, want %d", limit, len(repairs), wantRepairs)
 	}
-	if hasTail := m.Update != nil || m.Digest != nil || m.Heartbeat != nil; hasTail && tails != 1 {
+	if hasTail := m.tail().Parts() > 0; hasTail && tails != 1 {
 		t.Fatalf("limit %d: membership tail on %d chunks", limit, tails)
 	}
 }
@@ -372,11 +390,10 @@ func TestSplitBatchCodedReassembles(t *testing.T) {
 	}
 	var recovered []fec.Recovered
 	for _, c := range chunks {
-		dec, err := Decode(mustEncode(t, c))
+		b, err := Decode(mustEncode(t, c))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := dec.(Batch)
 		for _, g := range b.Gossips {
 			if lost[g.Event.ID()] {
 				continue
@@ -413,4 +430,10 @@ func mustEncode(t testing.TB, msg any) []byte {
 		t.Fatal(err)
 	}
 	return enc
+}
+
+// EverySection returns a coded batch carrying every section a frame can
+// flag. Exported to the fuzz targets' external test package.
+func EverySection(tb testing.TB) Batch {
+	return codedFullBatch(tb, 5, 4, 2)
 }

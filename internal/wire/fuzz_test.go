@@ -1,14 +1,14 @@
 // Native fuzz targets for the wire codec. The seed corpus is captured from
 // real traffic: a small step-mode fleet runs the live join/gossip/anti-
 // entropy protocol over the in-memory fabric with a tap, and every routed
-// payload — batched round envelopes included — is encoded into a seed
-// frame. The fuzz properties are the codec's two contracts: arbitrary bytes
-// never panic, and whatever decodes re-encodes to a stable canonical byte
-// string (encode→decode→encode identity).
+// batch is encoded into a seed frame. The fuzz properties are the codec's two
+// contracts: arbitrary bytes never panic, and whatever decodes re-encodes to
+// a stable canonical byte string (encode→decode→encode identity).
 package wire_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -19,7 +19,6 @@ import (
 	"pmcast/internal/core"
 	"pmcast/internal/event"
 	"pmcast/internal/interest"
-	"pmcast/internal/membership"
 	"pmcast/internal/node"
 	"pmcast/internal/transport"
 	"pmcast/internal/wire"
@@ -153,14 +152,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// The captured fleet joins one by one, so each digest lists its sender's
 	// private, rebased table; a bootstrapped fleet shares one roster and
 	// sends this one, diverging on a few lines.
-	overlay, err := wire.Encode(wire.OverlayDigest(f))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(overlay)
+	overlay := wire.OverlayDigest(f)
+	f.Add(mustEncode(f, wire.Batch{Digest: &overlay}))
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff})
+	f.Add(mustEncode(f, wire.EverySection(f))) // every section a frame can flag
 	dec := wire.NewDecoder()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := wire.Decode(data)
@@ -169,16 +166,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		enc1 := reencode(t, msg)
 		if got := wire.EncodedSize(msg); got != len(enc1) {
-			t.Fatalf("EncodedSize(%T) = %d, encoded %d bytes", msg, got, len(enc1))
+			t.Fatalf("EncodedSize = %d, encoded %d bytes", got, len(enc1))
 		}
-		var gossips []core.Gossip
-		switch m := msg.(type) {
-		case core.Gossip:
-			gossips = []core.Gossip{m}
-		case wire.Batch:
-			gossips = m.Gossips
-		}
-		for _, g := range gossips {
+		for _, g := range msg.Gossips {
 			eventSizeHolds(t, g.Event)
 			eventSizeHolds(t, g.Event.WithID(event.ID{Origin: "a re-identified origin", Seq: g.Event.ID().Seq + 1<<40}))
 		}
@@ -220,32 +210,20 @@ func FuzzCompiledMatchParity(f *testing.F) {
 			evSeeds = append(evSeeds, data)
 		}
 	}
-	collect := func(msg any) {
-		switch m := msg.(type) {
-		case core.Gossip:
-			addEvent(m.Event)
-		case wire.Batch:
-			for _, g := range m.Gossips {
-				addEvent(g.Event)
-			}
-			if m.Update != nil {
-				for _, rec := range m.Update.Records {
-					if data, err := rec.Sub.MarshalBinary(); err == nil {
-						subSeeds = append(subSeeds, data)
-					}
-				}
-			}
-		case membership.Update:
-			for _, rec := range m.Records {
+	for _, frame := range captureCorpus(f) {
+		m, err := wire.Decode(frame)
+		if err != nil {
+			continue
+		}
+		for _, g := range m.Gossips {
+			addEvent(g.Event)
+		}
+		if m.Update != nil {
+			for _, rec := range m.Update.Records {
 				if data, err := rec.Sub.MarshalBinary(); err == nil {
 					subSeeds = append(subSeeds, data)
 				}
 			}
-		}
-	}
-	for _, frame := range captureCorpus(f) {
-		if msg, err := wire.Decode(frame); err == nil {
-			collect(msg)
 		}
 	}
 	// Always-present seeds so the pairing fuzzes even if capture shapes
@@ -334,43 +312,55 @@ func FuzzCompiledMatchParity(f *testing.F) {
 	})
 }
 
-// FuzzBatchDecode drives arbitrary bytes through the batch frame path
-// specifically: the length-prefixed gossip sections and piggyback flags are
-// the newest parsing surface, so the fuzzer is pointed straight at them.
+// FuzzBatchDecode splits whatever decodes under tight limits: the size of
+// the frame, half of it, and a 64-byte budget no real datagram has. Each
+// split is a refusal with ErrOversized, or chunks that each fit the limit and
+// together carry exactly the batch's parts — gossips in order, every repair
+// symbol once, the membership sections on the first chunk and only there.
 func FuzzBatchDecode(f *testing.F) {
 	for _, frame := range captureCorpus(f) {
-		f.Add(frame[1:]) // bodies of every captured kind, re-headed below; a heartbeat's is empty
+		f.Add(frame)
 	}
-	f.Add([]byte{0x00, 0x00})
+	f.Add(mustEncode(f, wire.EverySection(f)))
 	f.Add([]byte{0x07, 0x01, 0x05})
-	kindByte, err := wire.Encode(wire.Batch{})
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frame := make([]byte, 0, len(data)+1)
-		frame = append(frame, kindByte[0])
-		frame = append(frame, data...)
-		msg, err := wire.Decode(frame)
+		b, err := wire.Decode(data)
 		if err != nil {
 			return
 		}
-		b, ok := msg.(wire.Batch)
-		if !ok {
-			t.Fatalf("batch frame decoded to %T", msg)
-		}
 		reencode(t, b)
-		// Splitting whatever decoded must preserve the gossip sequence.
-		chunks, err := wire.SplitBatch(b, 1<<16)
-		if err != nil {
-			return // oversized single gossips are a legal refusal
-		}
-		total := 0
-		for _, c := range chunks {
-			total += len(c.Gossips)
-		}
-		if total != len(b.Gossips) {
-			t.Fatalf("split lost gossips: %d of %d", total, len(b.Gossips))
+		size := wire.EncodedSize(b)
+		for _, limit := range []int{size, size / 2, 64} {
+			chunks, err := wire.SplitBatch(b, limit)
+			if errors.Is(err, wire.ErrOversized) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("limit %d: %v", limit, err)
+			}
+			var gossips []core.Gossip
+			repairs, parts := 0, 0
+			for i, c := range chunks {
+				if n := len(mustEncode(t, c)); n > limit {
+					t.Fatalf("limit %d: chunk %d encodes to %d bytes", limit, i, n)
+				}
+				gossips = append(gossips, c.Gossips...)
+				repairs += c.Repairs()
+				parts += c.Parts()
+				tail := c.Parts() - len(c.Gossips) - c.Repairs()
+				if i > 0 && tail > 0 {
+					t.Fatalf("limit %d: chunk %d carries %d membership sections", limit, i, tail)
+				}
+			}
+			if parts != b.Parts() || repairs != b.Repairs() || len(gossips) != len(b.Gossips) {
+				t.Fatalf("limit %d: chunks carry %d parts (%d repairs, %d gossips), the batch %d (%d, %d)",
+					limit, parts, repairs, len(gossips), b.Parts(), b.Repairs(), len(b.Gossips))
+			}
+			for i := range gossips {
+				if gossips[i].Event.ID() != b.Gossips[i].Event.ID() {
+					t.Fatalf("limit %d: split moved gossip %d", limit, i)
+				}
+			}
 		}
 	})
 }
@@ -387,8 +377,8 @@ func FuzzScanAgreesWithRead(f *testing.F) {
 	for _, frame := range captureCorpus(f) {
 		f.Add(frame)
 	}
-	gossipKind := mustEncode(f, core.Gossip{})[0]
-	batchKind := mustEncode(f, wire.Batch{})[0]
+	g := core.Gossip{Event: event.NewBuilder().Build(event.ID{Origin: "0.1", Seq: 7})}
+	one, two := mustEncode(f, g)[0], mustEncode(f, wire.Batch{Gossips: []core.Gossip{g, g}})[0] // flags bytes
 	for _, body := range [][]byte{
 		foreignEvent(attrBytes("x", 9, 1, 2)),                                                         // an unknown value kind
 		foreignEvent(attrBytes("e", byte(event.KindString), 5, 'a', 'b')),                             // a string cut short
@@ -397,13 +387,11 @@ func FuzzScanAgreesWithRead(f *testing.F) {
 			attrBytes("e", byte(event.KindFloat), 0, 0, 0, 0, 0, 0, 0xf8, 0x7f)), // "e" twice, the last a NaN
 	} {
 		f.Add(body)
-		section := binenc.AppendUvarint(body, 2)      // depth
-		section = binenc.AppendFloat(section, 0.5)    // rate
-		section = binenc.AppendUvarint(section, 3)    // round
-		f.Add(append([]byte{gossipKind}, section...)) // a bare gossip frame
-		batch := append([]byte{batchKind, 0, 2}, byte(len(section)))
-		batch = append(append(batch, section...), byte(len(section)))
-		f.Add(append(batch, section...)) // a batch frame of two copies
+		section := binenc.AppendUvarint(body, 2)                      // depth
+		section = binenc.AppendFloat(section, 0.5)                    // rate
+		section = binenc.AppendUvarint(section, 3)                    // round
+		f.Add(append([]byte{one}, section...))                        // a batch of one
+		f.Add(append(append([]byte{two, 2}, section...), section...)) // a batch of two copies
 	}
 	dec, lazy := wire.NewDecoder(), wire.NewDecoder()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -417,29 +405,13 @@ func FuzzScanAgreesWithRead(f *testing.F) {
 			t.Fatalf("ScanEvent read %q#%d, ReadEvent %v", origin, seq, ev.ID())
 		}
 
-		want, err := dec.Decode(data)
-		got, lazyErr := lazy.DecodeLazy(data)
+		batch, err := dec.Decode(data)
+		rd, lazyErr := lazy.DecodeLazy(data)
 		if (err == nil) != (lazyErr == nil) {
 			t.Fatalf("Decode: %v; DecodeLazy: %v", err, lazyErr)
 		}
 		if err != nil {
 			return
-		}
-		rd, ok := got.(wire.Round)
-		if !ok {
-			if !bytes.Equal(mustEncode(t, got), mustEncode(t, want)) {
-				t.Fatalf("DecodeLazy returned %+v, Decode %+v", got, want)
-			}
-			return
-		}
-		var batch wire.Batch
-		switch m := want.(type) {
-		case core.Gossip:
-			batch.Gossips = []core.Gossip{m}
-		case wire.Batch:
-			batch = m
-		default:
-			t.Fatalf("DecodeLazy returned a round for a %T", want)
 		}
 		built := make([]core.Gossip, 0, len(rd.Sections))
 		for _, s := range rd.Sections {

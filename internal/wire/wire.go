@@ -3,14 +3,13 @@
 // in-memory transport passes Go values directly; this codec is the seam a
 // production deployment plugs a socket into.
 //
-// Frame format: one kind byte followed by the message payload. All integers
-// are varints, floats IEEE 754 little-endian, collections length-prefixed
-// (package binenc).
-//
-// The Batch frame is the round envelope of the batched gossip pipeline: every
-// gossip a sender owes one peer in one round, each in a length-prefixed
-// section, plus piggybacked membership payloads (update, digest, heartbeat)
-// that would otherwise each cost their own envelope. Encoders are
+// There is one frame, the Batch: everything a node sends one peer at once —
+// the gossips it owes it this round, the repair symbols coding them, and the
+// membership messages (update, digest, heartbeat, join request, leave) that
+// would otherwise each cost an envelope. A frame is one flags byte — a bit
+// per section, and one for a gossip count — followed by exactly the sections
+// it flags, in canonical order. All integers are varints, floats IEEE 754
+// little-endian, collections length-prefixed (package binenc). Encoders are
 // append-style so hot paths reuse buffers (GetBuffer/PutBuffer); the Decoder
 // type interns repeated strings so steady-state decoding stays within one
 // allocation per event.
@@ -19,6 +18,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"pmcast/internal/addr"
@@ -37,36 +37,27 @@ var (
 	ErrOversized   = errors.New("wire: gossip exceeds the datagram budget")
 )
 
-// Message kinds start at 1 so a zero byte is detectably invalid.
+// Flag bits, one per section, in the order the frame lays the sections out.
+// hasGossips alone announces one gossip section; with hasCount, a count of
+// two or more precedes the sections, so a gossip alone costs its flags byte
+// and nothing else. A heartbeat's section is empty: its bit is all it sends.
 const (
-	kindGossip byte = iota + 1
-	kindDigest
-	kindUpdate
-	kindJoinRequest
-	kindLeave
-	kindHeartbeat
-	kindBatch
+	hasGossips byte = 1 << iota
+	hasCount
+	hasFEC
+	hasUpdate
+	hasDigest
+	hasHeartbeat
+	hasJoin
+	hasLeave
 )
 
-// Batch flag bits (presence of piggybacked sections). The FEC bit is the
-// coded-gossip wire version gate: decoders reject flags outside their mask,
-// so a pre-FEC decoder drops a coded batch with a clean ErrBadPayload
-// instead of misparsing it, and an uncoded batch (no FEC section, bit
-// clear) remains byte-identical to the pre-FEC format.
-const (
-	batchHasUpdate    byte = 1 << 0
-	batchHasDigest    byte = 1 << 1
-	batchHasHeartbeat byte = 1 << 2
-	batchHasFEC       byte = 1 << 3
-	batchFlagMask          = batchHasUpdate | batchHasDigest | batchHasHeartbeat | batchHasFEC
-)
-
-// Batch is one per-peer round envelope: the multi-event gossip section plus
-// any membership payloads piggybacked onto the same round. It crosses every
-// fabric as one envelope. The canonical sub-message order — gossips, repair
-// symbols, update, digest, heartbeat — is the order the frame lays them out,
-// a simulated fabric asks their fates (Surviving) and a receiver processes
-// them in.
+// Batch is one per-peer envelope, and the only frame: the multi-event gossip
+// section plus whatever membership messages go to the same peer at the same
+// time. It crosses every fabric as one envelope. The canonical sub-message
+// order — gossips, repair symbols, update, digest, heartbeat, join, leave —
+// is the order the frame lays them out, a simulated fabric asks their fates
+// (Surviving) and a receiver processes them in.
 type Batch struct {
 	Gossips []core.Gossip
 	// FEC carries the repair symbols of the coded-gossip extension: each
@@ -76,6 +67,8 @@ type Batch struct {
 	Update    *membership.Update
 	Digest    *membership.Digest
 	Heartbeat *membership.Heartbeat
+	Join      *membership.JoinRequest
+	Leave     *membership.Leave
 }
 
 // Repairs returns the number of repair symbols carried.
@@ -90,17 +83,13 @@ func (b Batch) Repairs() int {
 // Parts returns the number of sub-messages carried. Each repair symbol
 // counts as one part: fault draws and drop accounting are per sub-message.
 func (b Batch) Parts() int {
-	n := len(b.Gossips) + b.Repairs()
-	if b.Update != nil {
-		n++
-	}
-	if b.Digest != nil {
-		n++
-	}
-	if b.Heartbeat != nil {
-		n++
-	}
-	return n
+	return len(b.Gossips) + b.Repairs() + bits.OnesCount8(flagsOf(b)&^(hasGossips|hasCount|hasFEC))
+}
+
+// tail returns the batch's membership sections alone: what rides the first
+// chunk of a split.
+func (b Batch) tail() Batch {
+	return Batch{Update: b.Update, Digest: b.Digest, Heartbeat: b.Heartbeat, Join: b.Join, Leave: b.Leave}
 }
 
 // Surviving asks lost for the fate of every sub-message in canonical order
@@ -131,16 +120,20 @@ func (b Batch) Surviving(lost func(repair bool) bool) Batch {
 			kept.FEC = append(kept.FEC, g)
 		}
 	}
-	if b.Update != nil && lost(false) {
-		kept.Update = nil
-	}
-	if b.Digest != nil && lost(false) {
-		kept.Digest = nil
-	}
-	if b.Heartbeat != nil && lost(false) {
-		kept.Heartbeat = nil
-	}
+	lose(&kept.Update, lost)
+	lose(&kept.Digest, lost)
+	lose(&kept.Heartbeat, lost)
+	lose(&kept.Join, lost)
+	lose(&kept.Leave, lost)
 	return kept
+}
+
+// lose asks the fate of one membership section, when present, and clears it
+// when lost.
+func lose[T any](p **T, lost func(repair bool) bool) {
+	if *p != nil && lost(false) {
+		*p = nil
+	}
 }
 
 // surviving is Surviving over one section: s itself when every element was
@@ -177,72 +170,58 @@ func PutBuffer(b *[]byte) {
 	bufPool.Put(b)
 }
 
-// Encode frames one protocol message into a fresh buffer. Supported types:
-// core.Gossip, membership.Digest, membership.Update, membership.JoinRequest,
-// membership.Leave, membership.Heartbeat, Batch. Hot paths should prefer
-// AppendMessage with a pooled buffer.
+// Encode frames one message into a fresh buffer. A message is a Batch, or a
+// bare core.Gossip, which frames as the batch of one it is. Hot paths should
+// prefer AppendMessage with a pooled buffer.
 func Encode(msg any) ([]byte, error) {
 	return AppendMessage(nil, msg)
 }
 
-// AppendMessage appends the frame for one protocol message to b, the
-// allocation-free counterpart of Encode.
+// AppendMessage appends the frame of one message to b, the allocation-free
+// counterpart of Encode.
 func AppendMessage(b []byte, msg any) ([]byte, error) {
 	switch m := msg.(type) {
-	case core.Gossip:
-		b = append(b, kindGossip)
-		return appendGossipBody(b, m), nil
-	case membership.Digest:
-		b = append(b, kindDigest)
-		return appendDigestBody(b, m), nil
-	case membership.Update:
-		b = append(b, kindUpdate)
-		return appendUpdateBody(b, m), nil
-	case membership.JoinRequest:
-		b = append(b, kindJoinRequest)
-		b = appendRecord(b, m.Joiner)
-		return binenc.AppendUvarint(b, uint64(m.Hops)), nil
-	case membership.Leave:
-		b = append(b, kindLeave)
-		b = addr.AppendAddress(b, m.Addr)
-		return binenc.AppendUvarint(b, m.Stamp), nil
-	case membership.Heartbeat:
-		return append(b, kindHeartbeat), nil // the kind byte is the message
 	case Batch:
-		return AppendBatch(b, m)
+		return AppendBatch(b, m), nil
+	case core.Gossip:
+		return appendGossipBody(append(b, hasGossips), m), nil
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrUnknownKind, msg)
 	}
 }
 
-// AppendBatch appends a batch frame: flags, the length-prefixed gossip
-// sections, the repair-symbol section when the batch is coded, then the
-// piggybacked membership payloads flagged present.
-func AppendBatch(b []byte, m Batch) ([]byte, error) {
-	b = append(b, kindBatch)
-	var flags byte
-	if len(m.FEC) > 0 {
-		flags |= batchHasFEC
+// AppendBatch appends a batch frame: the flags byte, then the sections it
+// flags — the gossip count when there are two or more, the gossip sections,
+// the repair-symbol section, then the membership sections. A gossip section
+// needs no length prefix: its event's encoding delimits itself, and the
+// round metadata after it has a fixed shape.
+func AppendBatch(b []byte, m Batch) []byte {
+	b = append(b, flagsOf(m))
+	if len(m.Gossips) > 1 {
+		b = binenc.AppendUvarint(b, uint64(len(m.Gossips)))
 	}
-	if m.Update != nil {
-		flags |= batchHasUpdate
-	}
-	if m.Digest != nil {
-		flags |= batchHasDigest
-	}
-	if m.Heartbeat != nil {
-		flags |= batchHasHeartbeat
-	}
-	b = append(b, flags)
-	b = binenc.AppendUvarint(b, uint64(len(m.Gossips)))
 	for _, g := range m.Gossips {
-		b = binenc.AppendUvarint(b, uint64(GossipBodySize(g)))
 		b = appendGossipBody(b, g)
 	}
 	if len(m.FEC) > 0 {
 		b = appendFECSection(b, m.FEC)
 	}
-	return appendBatchTail(b, m), nil
+	return appendBatchTail(b, m)
+}
+
+// flagsOf returns the flags byte of m's frame.
+func flagsOf(m Batch) byte {
+	return flag(len(m.Gossips) > 0, hasGossips) | flag(len(m.Gossips) > 1, hasCount) |
+		flag(len(m.FEC) > 0, hasFEC) | flag(m.Update != nil, hasUpdate) | flag(m.Digest != nil, hasDigest) |
+		flag(m.Heartbeat != nil, hasHeartbeat) | flag(m.Join != nil, hasJoin) | flag(m.Leave != nil, hasLeave)
+}
+
+// flag is bit when set, 0 otherwise.
+func flag(set bool, bit byte) byte {
+	if set {
+		return bit
+	}
+	return 0
 }
 
 // appendFECSection appends the repair-symbol section: a generation count,
@@ -363,8 +342,8 @@ func readFECSection(r *binenc.Reader) ([]fec.Generation, error) {
 	return gens, nil
 }
 
-// appendBatchTail appends the piggybacked membership bodies in flag order. A
-// heartbeat's body is empty: its flag is all it sends.
+// appendBatchTail appends the membership sections in flag order. A
+// heartbeat's section is empty: its flag is all it sends.
 func appendBatchTail(b []byte, m Batch) []byte {
 	if m.Update != nil {
 		b = appendUpdateBody(b, *m.Update)
@@ -372,12 +351,20 @@ func appendBatchTail(b []byte, m Batch) []byte {
 	if m.Digest != nil {
 		b = appendDigestBody(b, *m.Digest)
 	}
+	if m.Join != nil {
+		b = appendRecord(b, m.Join.Joiner)
+		b = binenc.AppendUvarint(b, uint64(m.Join.Hops))
+	}
+	if m.Leave != nil {
+		b = addr.AppendAddress(b, m.Leave.Addr)
+		b = binenc.AppendUvarint(b, m.Leave.Stamp)
+	}
 	return b
 }
 
-// GossipBodySize returns the exact encoded size of one gossip body (the
-// length prefixed by batch framing), computed without encoding.
-func GossipBodySize(g core.Gossip) int {
+// gossipSize returns the exact encoded size of one gossip section, computed
+// without encoding.
+func gossipSize(g core.Gossip) int {
 	return event.WireSize(g.Event) +
 		binenc.UvarintLen(uint64(g.Depth)) +
 		8 + // rate, IEEE 754 double
@@ -385,32 +372,30 @@ func GossipBodySize(g core.Gossip) int {
 }
 
 // EncodedSize returns the framed size of a message in bytes: the size walk
-// of AppendMessage, kind by kind. Nothing is encoded and nothing allocated,
-// so senders account every envelope. Unknown types size to zero.
+// of AppendMessage. Nothing is encoded and nothing allocated, so senders
+// account every envelope. Unknown types size to zero.
 func EncodedSize(msg any) int {
 	switch m := msg.(type) {
-	case core.Gossip:
-		return 1 + GossipBodySize(m)
-	case membership.Digest:
-		return 1 + digestBodySize(m)
-	case membership.Update:
-		return 1 + updateBodySize(m)
-	case membership.JoinRequest:
-		return 1 + recordSize(m.Joiner) + binenc.UvarintLen(uint64(m.Hops))
-	case membership.Leave:
-		return 1 + addr.WireSize(m.Addr) + binenc.UvarintLen(m.Stamp)
-	case membership.Heartbeat:
-		return 1
 	case Batch:
-		n := 2 + binenc.UvarintLen(uint64(len(m.Gossips))) // kind + flags + count
+		n := 1 + countSize(len(m.Gossips)) + fecContribution(m.FEC) + batchTailSize(m)
 		for _, g := range m.Gossips {
-			s := GossipBodySize(g)
-			n += binenc.UvarintLen(uint64(s)) + s
+			n += gossipSize(g)
 		}
-		return n + fecContribution(m.FEC) + batchTailSize(m)
+		return n
+	case core.Gossip:
+		return 1 + gossipSize(m)
 	default:
 		return 0
 	}
+}
+
+// countSize is the size of the gossip count of a frame of n gossips: none
+// below two.
+func countSize(n int) int {
+	if n < 2 {
+		return 0
+	}
+	return binenc.UvarintLen(uint64(n))
 }
 
 // batchTailSize is the size walk of appendBatchTail.
@@ -422,18 +407,24 @@ func batchTailSize(m Batch) int {
 	if m.Digest != nil {
 		n += digestBodySize(*m.Digest)
 	}
+	if m.Join != nil {
+		n += recordSize(m.Join.Joiner) + binenc.UvarintLen(uint64(m.Join.Hops))
+	}
+	if m.Leave != nil {
+		n += addr.WireSize(m.Leave.Addr) + binenc.UvarintLen(m.Leave.Stamp)
+	}
 	return n
 }
 
 // SplitBatch partitions a batch into sub-batches whose encoded frames each
 // fit within limit bytes — the datagram MTU seam of the UDP fabric. The
-// piggybacked membership payloads ride the first sub-batch; gossips fill
-// greedily; repair symbols then pack into whatever room the chunks have
-// left, spilling into trailing chunks of their own (a generation's header
-// repeats in every chunk that carries one of its symbols, and receivers
-// key partial generations by sequence number, so the split is invisible to
-// reassembly). A batch whose single gossip, single repair symbol, or
-// piggybacked payloads alone cannot fit returns ErrOversized.
+// membership sections ride the first sub-batch; gossips fill greedily; repair
+// symbols then pack into whatever room the chunks have left, spilling into
+// trailing chunks of their own (a generation's header repeats in every chunk
+// that carries one of its symbols, and receivers key partial generations by
+// sequence number, so the split is invisible to reassembly). A batch whose
+// single gossip, single repair symbol, or membership sections alone cannot
+// fit returns ErrOversized.
 func SplitBatch(m Batch, limit int) ([]Batch, error) {
 	if s := EncodedSize(m); s <= limit {
 		return []Batch{m}, nil
@@ -447,8 +438,8 @@ func SplitBatch(m Batch, limit int) ([]Batch, error) {
 	return packRepairs(out, m.FEC, limit)
 }
 
-// splitUncoded splits the gossip sections and membership tail (the
-// pre-coding batch format) across chunks.
+// splitUncoded splits the gossip sections and membership sections across
+// chunks.
 func splitUncoded(m Batch, limit int) ([]Batch, error) {
 	if m.Parts() == 0 {
 		return nil, nil
@@ -456,41 +447,40 @@ func splitUncoded(m Batch, limit int) ([]Batch, error) {
 	if s := EncodedSize(m); s <= limit {
 		return []Batch{m}, nil
 	}
-	hasTail := m.Update != nil || m.Digest != nil || m.Heartbeat != nil
+	cur := m.tail() // the first chunk starts with the membership sections
 	tailSize := batchTailSize(m)
-	// chunkSize is the exact encoded size of one sub-batch: kind and flags
-	// bytes, the chunk's own gossip-count varint (which grows with the
-	// chunk, not the original batch — modeling it any other way is an
-	// off-by-one at the 128-gossip boundary), the length-prefixed gossip
-	// sections, and the piggyback tail when this chunk carries it.
+	if cur.Parts() > 0 && 1+tailSize > limit {
+		// The membership sections alone bust the budget; no gossip packing can
+		// fix that, and emitting an oversized first chunk would break the
+		// documented contract.
+		return nil, fmt.Errorf("%w: membership sections need %d bytes against a %d-byte limit",
+			ErrOversized, 1+tailSize, limit)
+	}
+	// chunkSize is the exact encoded size of one sub-batch: the flags byte,
+	// the chunk's own gossip count (absent for one gossip, and growing with
+	// the chunk, not the original batch — modeling it any other way is an
+	// off-by-one at the 128-gossip boundary), the gossip sections, and the
+	// membership sections when this chunk carries them.
 	chunkSize := func(count, sumNeed int, withTail bool) int {
-		n := 2 + binenc.UvarintLen(uint64(count)) + sumNeed
+		n := 1 + countSize(count) + sumNeed
 		if withTail {
 			n += tailSize
 		}
 		return n
 	}
-	if hasTail && chunkSize(0, 0, true) > limit {
-		// The piggybacked membership payloads alone bust the budget; no
-		// gossip packing can fix that, and emitting an oversized first chunk
-		// would break the documented contract.
-		return nil, fmt.Errorf("%w: piggybacked payloads need %d bytes against a %d-byte limit",
-			ErrOversized, chunkSize(0, 0, true), limit)
-	}
 	var out []Batch
-	cur := Batch{Update: m.Update, Digest: m.Digest, Heartbeat: m.Heartbeat}
-	curTail := hasTail
+	curTail := cur.Parts() > 0
 	sumNeed := 0
 	for _, g := range m.Gossips {
-		gs := GossipBodySize(g)
-		need := binenc.UvarintLen(uint64(gs)) + gs
+		need := gossipSize(g)
 		if chunkSize(1, need, false) > limit {
 			return nil, fmt.Errorf("%w: %d bytes against a %d-byte limit",
 				ErrOversized, chunkSize(1, need, false), limit)
 		}
 		if chunkSize(len(cur.Gossips)+1, sumNeed+need, curTail) > limit {
-			// cur always has at least one part here: either the tail (first
-			// chunk) or the gossip admitted by the standalone check above.
+			// cur always has at least one part here: either the membership
+			// sections (first chunk) or the gossip admitted by the standalone
+			// check above.
 			out = append(out, cur)
 			cur, curTail, sumNeed = Batch{}, false, 0
 		}
@@ -583,14 +573,16 @@ func NewDecoder() *Decoder {
 	return &Decoder{intern: binenc.NewInterner()}
 }
 
-// Decode unframes one message, reusing the decoder's scratch state.
-func (d *Decoder) Decode(data []byte) (any, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: empty frame", ErrBadPayload)
-	}
-	d.r.Reset(data[1:])
+// Decode unframes one batch, reusing the decoder's scratch state. Nothing it
+// returns aliases data.
+func (d *Decoder) Decode(data []byte) (Batch, error) {
+	d.r.Reset(data)
 	d.r.SetIntern(d.intern)
-	return decodeFrom(&d.r, data[0])
+	b, err := readBatch(&d.r)
+	if err != nil {
+		return Batch{}, err
+	}
+	return b, finish(&d.r)
 }
 
 // Section is one gossip section of a received frame, validated but not
@@ -605,42 +597,31 @@ type Section struct {
 	Round  int
 }
 
-// Round is a round envelope as DecodeLazy returns it: the gossip sections
-// validated but not built, and the rest of the batch decoded as Decode
-// decodes it (Batch.Gossips is nil).
+// Round is a batch as DecodeLazy returns it: the gossip sections validated
+// but not built, and the rest of the batch decoded as Decode decodes it
+// (Batch.Gossips is nil).
 type Round struct {
 	Sections []Section
 	Batch    Batch
 }
 
-// DecodeLazy unframes one message as Decode does, except that a round
-// envelope's gossip sections are scanned, not built: a batch frame, or a bare
-// gossip frame as a batch of one section, comes back as a Round. A receiver
-// that already holds most of what arrives then builds only the events it
-// lacks (Event). It rejects a frame on exactly the inputs Decode rejects,
-// and, like Decode, returns nothing that aliases data: a frame that can carry
-// sections is copied once, and the sections alias the copy.
-func (d *Decoder) DecodeLazy(data []byte) (any, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: empty frame", ErrBadPayload)
+// DecodeLazy unframes one batch as Decode does, except that its gossip
+// sections are scanned, not built. A receiver that already holds most of
+// what arrives then builds only the events it lacks (Event). It rejects a
+// frame on exactly the inputs Decode rejects, and, like Decode, returns
+// nothing that aliases data: a frame that flags gossip sections is copied
+// once, and the sections alias the copy.
+func (d *Decoder) DecodeLazy(data []byte) (Round, error) {
+	if len(data) == 0 || data[0]&hasGossips == 0 {
+		b, err := d.Decode(data)
+		return Round{Batch: b}, err
 	}
-	kind := data[0]
-	if kind != kindGossip && kind != kindBatch {
-		return d.Decode(data)
-	}
-	frame := append([]byte(nil), data[1:]...)
+	frame := append([]byte(nil), data...)
 	d.r.Reset(frame)
 	d.r.SetIntern(d.intern)
-	if kind == kindGossip {
-		s := scanGossipBody(&d.r, frame)
-		if err := finish(&d.r); err != nil {
-			return nil, err
-		}
-		return Round{Sections: []Section{s}}, nil
-	}
-	rd, err := scanBatchBody(&d.r, frame)
+	rd, err := scanBatch(&d.r, frame)
 	if err != nil {
-		return nil, err
+		return Round{}, err
 	}
 	return rd, finish(&d.r)
 }
@@ -657,9 +638,9 @@ func (d *Decoder) Event(body []byte) (event.Event, error) {
 	return ev, nil
 }
 
-// scanBatchBody is readBatchBody with the gossip sections scanned into a
-// Round instead of built; buf is the buffer r reads.
-func scanBatchBody(r *binenc.Reader, buf []byte) (Round, error) {
+// scanBatch is readBatch with the gossip sections scanned into a Round
+// instead of built; buf is the buffer r reads.
+func scanBatch(r *binenc.Reader, buf []byte) (Round, error) {
 	flags, n, err := readBatchHead(r)
 	if err != nil {
 		return Round{}, err
@@ -668,59 +649,13 @@ func scanBatchBody(r *binenc.Reader, buf []byte) (Round, error) {
 	if n > 0 {
 		rd.Sections = make([]Section, 0, n)
 	}
-	for i := 0; i < n; i++ {
-		end, err := openSection(r)
-		if err != nil {
-			return Round{}, err
-		}
-		s := scanGossipBody(r, buf)
-		if err := closeSection(r, end); err != nil {
-			return Round{}, err
-		}
-		rd.Sections = append(rd.Sections, s)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		rd.Sections = append(rd.Sections, scanGossipBody(r, buf))
 	}
 	return rd, readBatchTail(r, flags, &rd.Batch)
 }
 
-// decodeFrom dispatches on the kind byte with the payload reader positioned
-// at the body.
-func decodeFrom(r *binenc.Reader, kind byte) (any, error) {
-	switch kind {
-	case kindGossip:
-		g := readGossipBody(r)
-		return g, finish(r)
-	case kindDigest:
-		d := readDigestBody(r)
-		return d, finish(r)
-	case kindUpdate:
-		u := readUpdateBody(r)
-		return u, finish(r)
-	case kindJoinRequest:
-		jr := membership.JoinRequest{
-			Joiner: readRecord(r),
-		}
-		jr.Hops = int(r.Uvarint())
-		return jr, finish(r)
-	case kindLeave:
-		l := membership.Leave{
-			Addr:  addr.ReadAddress(r),
-			Stamp: r.Uvarint(),
-		}
-		return l, finish(r)
-	case kindHeartbeat:
-		return membership.Heartbeat{}, finish(r)
-	case kindBatch:
-		b, err := readBatchBody(r)
-		if err != nil {
-			return nil, err
-		}
-		return b, finish(r)
-	default:
-		return nil, fmt.Errorf("%w: kind %d", ErrUnknownKind, kind)
-	}
-}
-
-func readBatchBody(r *binenc.Reader) (Batch, error) {
+func readBatch(r *binenc.Reader) (Batch, error) {
 	flags, n, err := readBatchHead(r)
 	if err != nil {
 		return Batch{}, err
@@ -729,72 +664,68 @@ func readBatchBody(r *binenc.Reader) (Batch, error) {
 	if n > 0 {
 		b.Gossips = make([]core.Gossip, 0, n)
 	}
-	for i := 0; i < n; i++ {
-		end, err := openSection(r)
-		if err != nil {
-			return Batch{}, err
-		}
-		g := readGossipBody(r)
-		if err := closeSection(r, end); err != nil {
-			return Batch{}, err
-		}
-		b.Gossips = append(b.Gossips, g)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		b.Gossips = append(b.Gossips, readGossipBody(r))
 	}
 	return b, readBatchTail(r, flags, &b)
 }
 
-// readBatchHead reads a batch's flags and gossip-section count.
+// minGossipSize bounds a gossip section from below — an event ID and an
+// attribute count, depth, rate and round — so a forged count cannot size an
+// allocation the frame could not fill.
+const minGossipSize = 3 + 1 + 8 + 1
+
+// readBatchHead reads a frame's flags and how many gossip sections follow:
+// none, one, or the count the frame carries, which is then at least two.
 func readBatchHead(r *binenc.Reader) (flags byte, sections int, err error) {
 	flags = r.Byte()
-	if flags&^batchFlagMask != 0 {
-		return 0, 0, fmt.Errorf("%w: unknown batch flags %#x", ErrBadPayload, flags)
-	}
-	return flags, r.Count(2), nil
-}
-
-// openSection reads a gossip section's length prefix and returns the unread
-// length the reader must be left at when the section ends.
-func openSection(r *binenc.Reader) (end int, err error) {
-	size := r.Uvarint()
-	if uint64(r.Len()) < size {
-		return 0, fmt.Errorf("%w: gossip section overruns frame", ErrBadPayload)
-	}
-	return r.Len() - int(size), nil
-}
-
-// closeSection checks that a gossip section read cleanly and consumed
-// exactly its length prefix.
-func closeSection(r *binenc.Reader, end int) error {
 	if err := r.Err(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadPayload, err)
+		return 0, 0, fmt.Errorf("%w: empty frame", ErrBadPayload)
 	}
-	if r.Len() != end {
-		return fmt.Errorf("%w: gossip section ends %d bytes off its length prefix", ErrBadPayload, end-r.Len())
+	switch flags & (hasGossips | hasCount) {
+	case 0:
+		return flags, 0, nil
+	case hasGossips:
+		return flags, 1, nil
+	case hasCount:
+		// Reserved: a later section announces a second flags byte this way
+		// (DESIGN.md "The batch frame").
+		return 0, 0, fmt.Errorf("%w: a gossip count without gossips", ErrBadPayload)
 	}
-	return nil
+	if sections = r.Count(minGossipSize); sections < 2 && r.Err() == nil {
+		return 0, 0, fmt.Errorf("%w: a gossip count of %d", ErrBadPayload, sections)
+	}
+	return flags, sections, nil
 }
 
 // readBatchTail reads what follows a batch's gossip sections — the repair
-// symbols and the piggybacked membership payloads its flags announce — into
-// b.
+// symbols and the membership sections its flags announce — into b.
 func readBatchTail(r *binenc.Reader, flags byte, b *Batch) error {
-	if flags&batchHasFEC != 0 {
+	if flags&hasFEC != 0 {
 		gens, err := readFECSection(r)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrBadPayload, err)
 		}
 		b.FEC = gens
 	}
-	if flags&batchHasUpdate != 0 {
+	if flags&hasUpdate != 0 {
 		u := readUpdateBody(r)
 		b.Update = &u
 	}
-	if flags&batchHasDigest != 0 {
+	if flags&hasDigest != 0 {
 		d := readDigestBody(r)
 		b.Digest = &d
 	}
-	if flags&batchHasHeartbeat != 0 {
+	if flags&hasHeartbeat != 0 {
 		b.Heartbeat = &membership.Heartbeat{}
+	}
+	if flags&hasJoin != 0 {
+		jr := membership.JoinRequest{Joiner: readRecord(r)}
+		jr.Hops = int(r.Uvarint())
+		b.Join = &jr
+	}
+	if flags&hasLeave != 0 {
+		b.Leave = &membership.Leave{Addr: addr.ReadAddress(r), Stamp: r.Uvarint()}
 	}
 	return nil
 }
@@ -806,8 +737,8 @@ func appendGossipBody(b []byte, g core.Gossip) []byte {
 	return binenc.AppendUvarint(b, uint64(g.Round))
 }
 
-// AppendEventBody appends one event's canonical bytes without frame kind
-// or length prefix — the symbol payload of the coding layer, which codes
+// AppendEventBody appends one event's canonical bytes without flags or
+// length prefix — the symbol payload of the coding layer, which codes
 // events exactly as gossip sections carry them. Event bytes are invariant
 // across retransmissions (the per-round gossip metadata rides the
 // generation header instead), which is what lets a repair emitted rounds

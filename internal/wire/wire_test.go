@@ -31,7 +31,7 @@ func sampleSub() interest.Subscription {
 		Where("u", interest.IsBool(false))
 }
 
-func roundTrip(t *testing.T, msg any) any {
+func roundTrip(t *testing.T, msg any) Batch {
 	t.Helper()
 	data, err := Encode(msg)
 	if err != nil {
@@ -44,9 +44,17 @@ func roundTrip(t *testing.T, msg any) any {
 	return out
 }
 
+// TestGossipRoundTrip: a bare gossip frames as the batch of one it is.
 func TestGossipRoundTrip(t *testing.T) {
 	in := core.Gossip{Event: sampleEvent(), Depth: 3, Rate: 0.4375, Round: 7}
-	out := roundTrip(t, in).(core.Gossip)
+	if bare, one := mustEncode(t, in), mustEncode(t, Batch{Gossips: []core.Gossip{in}}); !bytes.Equal(bare, one) {
+		t.Fatalf("a bare gossip frames as %x, its batch of one as %x", bare, one)
+	}
+	b := roundTrip(t, in)
+	if len(b.Gossips) != 1 || b.Parts() != 1 {
+		t.Fatalf("decoded %+v, want a batch of one gossip", b)
+	}
+	out := b.Gossips[0]
 	if out.Depth != in.Depth || out.Rate != in.Rate || out.Round != in.Round {
 		t.Errorf("metadata mismatch: %+v", out)
 	}
@@ -69,7 +77,7 @@ func TestDigestRoundTrip(t *testing.T) {
 			{Key: "2.9.1", Stamp: math.MaxUint64},
 		},
 	}
-	out := roundTrip(t, in).(membership.Digest)
+	out := *roundTrip(t, Batch{Digest: &in}).Digest
 	if !out.From.Equal(in.From) || out.Len() != 2 {
 		t.Fatalf("digest = %+v", out)
 	}
@@ -146,15 +154,15 @@ func overlayDigestOver(t testing.TB, space addr.Space, stamp func(i int) uint64,
 
 // TestOverlayDigestDecodesToEntriesForm: the wire knows one digest body. An
 // overlay-form digest encodes as the list of its lines — byte for byte what
-// the same lines in entries form encode to, alone or in a batch tail, and
+// the same lines in entries form encode to, alone or behind gossips, and
 // EncodedSize agrees — and decodes to the entries form with the same lines.
 func TestOverlayDigestDecodesToEntriesForm(t *testing.T) {
 	in := OverlayDigest(t)
 	lines := slices.Collect(in.Lines)
 	plain := membership.Digest{From: in.From, Hash: in.Hash, Count: in.Count, Entries: lines}
-	for name, pair := range map[string][2]any{
-		"bare":  {in, plain},
-		"batch": {Batch{Gossips: sampleBatch(2).Gossips, Digest: &in}, Batch{Gossips: sampleBatch(2).Gossips, Digest: &plain}},
+	for name, pair := range map[string][2]Batch{
+		"alone":        {{Digest: &in}, {Digest: &plain}},
+		"with gossips": {{Gossips: sampleBatch(2).Gossips, Digest: &in}, {Gossips: sampleBatch(2).Gossips, Digest: &plain}},
 	} {
 		enc, err := Encode(pair[0])
 		if err != nil {
@@ -170,13 +178,10 @@ func TestOverlayDigestDecodesToEntriesForm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		out, ok := msg.(membership.Digest)
-		if b, isBatch := msg.(Batch); isBatch && b.Digest != nil {
-			out, ok = *b.Digest, true
+		if msg.Digest == nil {
+			t.Fatalf("%s: decoded %+v carries no digest", name, msg)
 		}
-		if !ok {
-			t.Fatalf("%s: decoded %T carries no digest", name, msg)
-		}
+		out := *msg.Digest
 		if !out.From.Equal(in.From) || out.Hash != in.Hash || out.Count != in.Count {
 			t.Errorf("%s: header = %+v", name, out)
 		}
@@ -194,7 +199,7 @@ func TestUpdateRoundTrip(t *testing.T) {
 			{Addr: addr.New(2, 2), Sub: interest.NewSubscription(), Stamp: 3, Alive: false},
 		},
 	}
-	out := roundTrip(t, in).(membership.Update)
+	out := *roundTrip(t, Batch{Update: &in}).Update
 	if len(out.Records) != 2 {
 		t.Fatalf("records = %d", len(out.Records))
 	}
@@ -210,18 +215,33 @@ func TestUpdateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJoinAndLeaveRoundTrip: a join request and a leave are batch sections,
+// each alone and both behind a gossip.
 func TestJoinAndLeaveRoundTrip(t *testing.T) {
 	jr := membership.JoinRequest{
 		Joiner: membership.Record{Addr: addr.New(3, 1), Sub: sampleSub(), Stamp: 1, Alive: true},
 		Hops:   4,
 	}
-	out := roundTrip(t, jr).(membership.JoinRequest)
-	if out.Hops != 4 || !out.Joiner.Addr.Equal(addr.New(3, 1)) || !out.Joiner.Sub.Equal(sampleSub()) {
-		t.Errorf("join = %+v", out)
-	}
 	lv := membership.Leave{Addr: addr.New(3, 1), Stamp: 12}
-	if got := roundTrip(t, lv).(membership.Leave); !got.Addr.Equal(lv.Addr) || got.Stamp != lv.Stamp {
-		t.Errorf("leave = %+v", got)
+	for name, in := range map[string]Batch{
+		"join":  {Join: &jr},
+		"leave": {Leave: &lv},
+		"both":  {Gossips: sampleBatch(1).Gossips, Join: &jr, Leave: &lv},
+	} {
+		out := roundTrip(t, in)
+		if out.Parts() != in.Parts() || len(out.Gossips) != len(in.Gossips) {
+			t.Errorf("%s: decoded %d parts, sent %d", name, out.Parts(), in.Parts())
+		}
+		if in.Join != nil {
+			if got := out.Join; got == nil || got.Hops != 4 || !got.Joiner.Addr.Equal(addr.New(3, 1)) || !got.Joiner.Sub.Equal(sampleSub()) {
+				t.Errorf("%s: join = %+v", name, got)
+			}
+		}
+		if in.Leave != nil {
+			if got := out.Leave; got == nil || !got.Addr.Equal(lv.Addr) || got.Stamp != lv.Stamp {
+				t.Errorf("%s: leave = %+v", name, got)
+			}
+		}
 	}
 }
 
@@ -241,7 +261,7 @@ func TestSubscriptionSemanticsPreserved(t *testing.T) {
 			sub = sub.Where("z", interest.Le(float64(rng.Intn(100))))
 		}
 		u := membership.Update{Records: []membership.Record{{Addr: addr.New(0), Sub: sub, Stamp: 1, Alive: true}}}
-		got := roundTrip(t, u).(membership.Update).Records[0].Sub
+		got := roundTrip(t, Batch{Update: &u}).Update.Records[0].Sub
 		for probe := 0; probe < 50; probe++ {
 			names := []string{"x", "y", "z", "w"}
 			ev := event.NewBuilder().
@@ -310,17 +330,23 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := Decode(nil); err == nil {
 		t.Error("empty frame accepted")
 	}
-	if _, err := Decode([]byte{99}); err == nil {
-		t.Error("unknown kind accepted")
+	if _, err := Decode([]byte{hasCount, 2}); err == nil {
+		t.Error("a gossip count without gossips accepted")
 	}
-	if _, err := Decode([]byte{kindGossip, 0xff}); err == nil {
+	if _, err := Decode([]byte{hasGossips, 0xff}); err == nil {
 		t.Error("truncated gossip accepted")
+	}
+	one := mustEncode(t, sampleGossip(1))
+	for _, count := range []byte{0, 1} {
+		if _, err := Decode(append([]byte{hasGossips | hasCount, count}, one[1:]...)); err == nil {
+			t.Errorf("a gossip count of %d accepted", count)
+		}
 	}
 	if _, err := Encode("not a message"); err == nil {
 		t.Error("foreign type accepted")
 	}
 	// Trailing bytes rejected.
-	good, err := Encode(membership.Leave{Addr: addr.New(1), Stamp: 1})
+	good, err := Encode(Batch{Leave: &membership.Leave{Addr: addr.New(1), Stamp: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,8 +359,9 @@ func TestDecodeFuzzLikeCorruption(t *testing.T) {
 	// Random mutations of valid frames must never panic; errors are fine.
 	msgs := []any{
 		core.Gossip{Event: sampleEvent(), Depth: 2, Rate: 0.5, Round: 3},
-		membership.Digest{From: addr.New(1, 2), Entries: []membership.DigestEntry{{Key: "a", Stamp: 1}}},
-		membership.Update{From: addr.New(1, 2), Records: []membership.Record{{Addr: addr.New(0, 0), Sub: sampleSub(), Stamp: 2, Alive: true}}},
+		Batch{Digest: &membership.Digest{From: addr.New(1, 2), Entries: []membership.DigestEntry{{Key: "a", Stamp: 1}}}},
+		Batch{Update: &membership.Update{From: addr.New(1, 2), Records: []membership.Record{{Addr: addr.New(0, 0), Sub: sampleSub(), Stamp: 2, Alive: true}}}},
+		fullBatch(),
 	}
 	rng := rand.New(rand.NewSource(7))
 	for _, msg := range msgs {
