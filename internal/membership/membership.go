@@ -301,19 +301,21 @@ func (s *Service) Len() int {
 }
 
 // RosterHash returns the order-independent hash of the whole record table
-// (keys, stamps, liveness). Two services with equal hashes hold identical
-// rosters up to hash collision; digests compare it, and co-located runtimes
-// use it to prove their folds interchangeable.
+// over each line's (key, stamp, liveness), not its subscription. Equal hashes
+// mean equal lines up to hash collision and up to subscriptions: two services
+// may hold one line at one stamp and liveness with different subscriptions
+// and still hash equal. Digests compare it.
 func (s *Service) RosterHash() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.hash
 }
 
-// recHash hashes one roster line (FNV-1a over the key, mixed with stamp and
-// liveness through a splitmix64 finalizer). Line hashes combine by XOR into
-// the Service's order-independent roster hash, so every mutation updates it
-// in O(1).
+// recHash hashes one roster line's (key, stamp, liveness) — FNV-1a over the
+// key, mixed with stamp and liveness through a splitmix64 finalizer — and not
+// its subscription, which supersedes does not compare either. Line hashes
+// combine by XOR into the Service's order-independent roster hash, so every
+// write updates it in O(1).
 func recHash(key string, stamp uint64, alive bool) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
@@ -328,9 +330,61 @@ func recHash(key string, stamp uint64, alive bool) uint64 {
 	return h ^ (h >> 31)
 }
 
-// touchHashLocked folds a line transition into the roster hash.
-func (s *Service) touchHashLocked(key string, oldStamp uint64, oldAlive bool, newStamp uint64, newAlive bool) {
-	s.hash ^= recHash(key, oldStamp, oldAlive) ^ recHash(key, newStamp, newAlive)
+// supersedes is the one freshness order of a membership line: a line at
+// (stamp, alive) replaces one held at (curStamp, curAlive) when its stamp is
+// higher, or at an equal stamp when it is a tombstone and the held line is
+// not — removals win over stale copies.
+func supersedes(stamp uint64, alive bool, curStamp uint64, curAlive bool) bool {
+	return stamp > curStamp || stamp == curStamp && !alive && curAlive
+}
+
+// merge returns what a line held as cur becomes on receiving r, and whether
+// that differs from cur. A record that would win even alive has the higher
+// stamp and replaces the whole line; one that wins only as a tombstone wins a
+// tie, and the line keeps its subscription.
+func merge(cur, r Record) (Record, bool) {
+	if !supersedes(r.Stamp, r.Alive, cur.Stamp, cur.Alive) {
+		return cur, false
+	}
+	if supersedes(r.Stamp, true, cur.Stamp, cur.Alive) {
+		return r, true
+	}
+	cur.Alive = false
+	return cur, true
+}
+
+// writeLocked is the one write to a known line: base line i becomes next.
+// The line is copied into the overlay on its first write, the change is
+// folded into the roster hash and the liveness-derived fields, and the line
+// is logged against the version the write lands on, s.version+1, which the
+// caller moves to. It returns the service's own record for the line.
+func (s *Service) writeLocked(i int32, next Record) *Record {
+	rec, ok := s.over[i]
+	if !ok {
+		cp := s.base.Records[i]
+		rec = &cp
+		s.over[i] = rec
+	}
+	key := rec.Addr.Key()
+	s.hash ^= recHash(key, rec.Stamp, rec.Alive) ^ recHash(key, next.Stamp, next.Alive)
+	if rec.Alive != next.Alive {
+		s.setAliveLocked(i, next.Alive)
+	}
+	*rec = next
+	s.logChangeLocked(s.version+1, rec)
+	return rec
+}
+
+// bumpLocked is the owner's write, the one way a service itself moves a
+// line: base line i goes to its next stamp with edit applied, on a version of
+// its own.
+func (s *Service) bumpLocked(i int32, edit func(*Record)) *Record {
+	next := *s.lineLocked(i)
+	next.Stamp++
+	edit(&next)
+	rec := s.writeLocked(i, next)
+	s.version++
+	return rec
 }
 
 // setAliveLocked folds base line i's liveness transition into the alive
@@ -416,55 +470,28 @@ func (s *Service) ChangedSince(v uint64) (recs []Record, ok bool) {
 	return recs, true
 }
 
-// apply merges one record for a line this service holds; the higher stamp
-// wins, tombstones win ties. It returns the service's own record for the line
-// when state changed (the changelog's handle on it), nil otherwise, and
-// known=false — having done nothing — when the address is a stranger.
-// Callers hold s.mu.
-func (s *Service) apply(r Record) (rec *Record, known bool) {
-	key := r.Addr.Key()
-	cur, i, known := s.peekLocked(key)
+// apply merges one record for a line this service holds, writing the line
+// when it changed. It reports changed=false for a record that does not
+// supersede the line, and known=false — having done nothing — when the
+// address is a stranger. Callers hold s.mu.
+func (s *Service) apply(r Record) (changed, known bool) {
+	cur, i, known := s.peekLocked(r.Addr.Key())
 	if !known {
-		return nil, false
+		return false, false
 	}
-	if r.Stamp < cur.Stamp {
-		return nil, true
+	next, changed := merge(*cur, r)
+	if !changed {
+		return false, true
 	}
-	if r.Stamp == cur.Stamp && (cur.Alive == r.Alive) {
-		return nil, true
+	// Self-defense: a tombstone that wins against our own line is answered by
+	// staying alive one stamp above it, so the correction propagates (we are
+	// obviously alive) and every later Subscribe bumps a live line.
+	if !next.Alive && r.Addr.Equal(s.cfg.Self) {
+		next = *cur
+		next.Stamp, next.Alive = r.Stamp+1, true
 	}
-	// Self-defense: if someone declares us dead, resurrect with a higher
-	// stamp so the correction propagates (we are obviously alive). It comes
-	// before the tie rule: a tombstone at our own stamp would otherwise win
-	// the tie, and every later Subscribe would bump a dead line.
-	if key == s.cfg.Self.Key() && !r.Alive {
-		rec := s.mutableLocked(i)
-		s.touchHashLocked(key, rec.Stamp, rec.Alive, r.Stamp+1, true)
-		rec.Stamp = r.Stamp + 1
-		if !rec.Alive {
-			s.setAliveLocked(i, true)
-		}
-		rec.Alive = true
-		return rec, true
-	}
-	if r.Stamp == cur.Stamp && cur.Alive && !r.Alive {
-		// Tombstone precedence at equal stamps.
-		rec := s.mutableLocked(i)
-		s.touchHashLocked(key, rec.Stamp, true, rec.Stamp, false)
-		rec.Alive = false
-		s.setAliveLocked(i, false)
-		return rec, true
-	}
-	if r.Stamp == cur.Stamp {
-		return nil, true
-	}
-	rec = s.mutableLocked(i)
-	if rec.Alive != r.Alive {
-		s.setAliveLocked(i, r.Alive)
-	}
-	s.touchHashLocked(key, rec.Stamp, rec.Alive, r.Stamp, r.Alive)
-	*rec = r
-	return rec, true
+	s.writeLocked(i, next)
+	return true, true
 }
 
 // admitLocked merges a batch of records — an Update's, a joiner's, a
@@ -480,14 +507,11 @@ func (s *Service) admitLocked(recs []Record) int {
 		if s.cfg.Space.Validate(r.Addr) != nil {
 			continue
 		}
-		rec, known := s.apply(r)
-		switch {
+		switch ok, known := s.apply(r); {
 		case !known:
 			strangers = append(strangers, r)
-		case rec != nil:
+		case ok:
 			changed++
-			// Log against the version this batch will land on.
-			s.logChangeLocked(s.version+1, rec)
 		}
 	}
 	if len(strangers) > 0 {
@@ -593,17 +617,13 @@ type digestDiff struct {
 }
 
 // line compares the gossiper's stamp and liveness for one line with our
-// record of it: the higher stamp is fresher, tombstones win ties. Both
-// digest walks decide every line they share with the gossiper here.
+// record of it, by supersedes in both directions. Both digest walks decide
+// every line they share with the gossiper here.
 func (x *digestDiff) line(stamp uint64, alive bool, r *Record) {
 	switch {
-	case stamp < r.Stamp:
+	case supersedes(r.Stamp, r.Alive, stamp, alive):
 		x.fresh = append(x.fresh, *r)
-	case stamp > r.Stamp:
-		x.gossiperFresher = true
-	case alive && !r.Alive:
-		x.fresh = append(x.fresh, *r)
-	case !alive && r.Alive:
+	case supersedes(stamp, alive, r.Stamp, r.Alive):
 		x.gossiperFresher = true
 	}
 }
@@ -665,45 +685,28 @@ func (s *Service) diffLinesLocked(d Digest, x *digestDiff) {
 func (s *Service) DigestTargets(rng *rand.Rand, k int) []addr.Address {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if k <= 0 || s.poolLenLocked() == 0 {
+	n := s.poolLenLocked()
+	if k <= 0 || n == 0 {
 		return nil
 	}
-	var out []addr.Address
-	used := make(map[string]bool, min(k, s.poolLenLocked()))
+	want := min(k, n)
+	out := make([]addr.Address, 0, want)
 	// The neighbor slot only exists when at least one uniform slot remains:
 	// digests are the sole cross-subgroup membership channel, so a fanout
 	// of 1 must mix globally (the heartbeat beacon keeps the subgroup
 	// failure detector fed regardless).
 	if len(s.neighborCache) > 0 && k >= 2 {
-		nb := s.neighborCache[rng.Intn(len(s.neighborCache))]
-		out = append(out, nb)
-		used[nb.Key()] = true
+		out = append(out, s.neighborCache[rng.Intn(len(s.neighborCache))])
 	}
-	return append(out, s.pickDistinctLocked(rng, k-len(out), used)...)
-}
-
-// pickDistinctLocked draws up to k distinct addresses from the sorted
-// alive-peer pool by deterministic rejection sampling, skipping anything in
-// used. The pool is read through poolAtLocked as the sorted list of live
-// peers, so rng consumption and drawn addresses are the same whichever route
-// built the table — which the golden traces pin.
-func (s *Service) pickDistinctLocked(rng *rand.Rand, k int, used map[string]bool) []addr.Address {
-	n := s.poolLenLocked()
-	avail := n - len(used)
-	if k > avail {
-		k = avail
-	}
-	if k <= 0 {
-		return nil
-	}
-	out := make([]addr.Address, 0, k)
-	for len(out) < k {
-		p := s.poolAtLocked(rng.Intn(n))
-		if used[p.Key()] {
-			continue
+	// The rest by deterministic rejection sampling over the sorted alive-peer
+	// pool, read through poolAtLocked, so rng consumption and drawn addresses
+	// are the same whichever route built the table — which the golden traces
+	// pin. A draw is checked against the at most k picks already made; the
+	// neighbor is a pool member, so want picks always exist.
+	for len(out) < want {
+		if p := s.poolAtLocked(rng.Intn(n)); !slices.ContainsFunc(out, p.Equal) {
+			out = append(out, p)
 		}
-		used[p.Key()] = true
-		out = append(out, p)
 	}
 	return out
 }
@@ -765,12 +768,7 @@ func (s *Service) HandleJoinRequest(jr JoinRequest) (reply Update, forward addr.
 func (s *Service) Subscribe(sub interest.Subscription) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	self := s.mutableLocked(s.base.index[s.cfg.Self.Key()])
-	self.Sub = sub
-	s.touchHashLocked(s.cfg.Self.Key(), self.Stamp, self.Alive, self.Stamp+1, self.Alive)
-	self.Stamp++
-	s.version++
-	s.logChangeLocked(s.version, self)
+	s.bumpLocked(s.base.index[s.cfg.Self.Key()], func(r *Record) { r.Sub = sub })
 }
 
 // BuildLeave tombstones the process's own record and returns the
@@ -778,18 +776,12 @@ func (s *Service) Subscribe(sub interest.Subscription) {
 func (s *Service) BuildLeave() Leave {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := s.base.index[s.cfg.Self.Key()]
-	self := s.mutableLocked(i)
-	s.touchHashLocked(s.cfg.Self.Key(), self.Stamp, self.Alive, self.Stamp+1, false)
-	self.Stamp++
-	if self.Alive {
-		s.setAliveLocked(i, false)
-	}
-	self.Alive = false
-	s.version++
-	s.logChangeLocked(s.version, self)
+	self := s.bumpLocked(s.base.index[s.cfg.Self.Key()], expel)
 	return Leave{Addr: s.cfg.Self, Stamp: self.Stamp}
 }
+
+// expel is the edit of an owner's write that tombstones a line.
+func expel(r *Record) { r.Alive = false }
 
 // HandleLeave applies a departure notification.
 func (s *Service) HandleLeave(l Leave) {
@@ -861,15 +853,8 @@ func (s *Service) SweepFailures() []addr.Address {
 			continue
 		}
 		if now.Sub(heard) > s.cfg.SuspectAfter {
-			i := s.base.index[key]
-			r := s.mutableLocked(i)
-			s.touchHashLocked(key, r.Stamp, r.Alive, r.Stamp+1, false)
-			r.Stamp++
-			r.Alive = false
-			s.setAliveLocked(i, false)
-			s.version++
-			s.logChangeLocked(s.version, r)
-			suspected = append(suspected, r.Addr)
+			s.bumpLocked(s.base.index[key], expel)
+			suspected = append(suspected, a)
 		}
 	}
 	// neighbors was sorted, so suspected already is.

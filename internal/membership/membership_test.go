@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -85,27 +86,88 @@ func TestDigestPullCycle(t *testing.T) {
 	}
 }
 
+// TestApplyStampRules: every (stamp below / at / above) × (alive, tombstone)
+// record against a line held alive or dead at stamp 3, for a peer's line and
+// for self's. The higher stamp wins whole; a tombstone wins a tie and keeps
+// the line's subscription; self answers a winning tombstone alive one stamp
+// above it, keeping its own subscription.
 func TestApplyStampRules(t *testing.T) {
-	s := newService(t, "0.0", nil)
-	peer := addr.New(2, 2)
-	if n := s.Apply(Update{Records: []Record{{Addr: peer, Stamp: 3, Alive: true}}}); n != 1 {
-		t.Fatal("fresh record rejected")
+	const held = 3
+	recSub := interest.NewSubscription().Where("b", interest.Gt(9))
+	type want struct {
+		stamp  uint64
+		alive  bool
+		recSub bool // the line took the record's subscription
 	}
-	// Stale stamp ignored.
-	if n := s.Apply(Update{Records: []Record{{Addr: peer, Stamp: 2, Alive: false}}}); n != 0 {
-		t.Error("stale record applied")
-	}
-	// Equal stamp: tombstone wins.
-	if n := s.Apply(Update{Records: []Record{{Addr: peer, Stamp: 3, Alive: false}}}); n != 1 {
-		t.Error("equal-stamp tombstone not applied")
-	}
-	// Equal stamp alive does not resurrect.
-	if n := s.Apply(Update{Records: []Record{{Addr: peer, Stamp: 3, Alive: true}}}); n != 0 {
-		t.Error("equal-stamp resurrect applied")
-	}
-	// Higher stamp resurrects.
-	if n := s.Apply(Update{Records: []Record{{Addr: peer, Stamp: 4, Alive: true}}}); n != 1 {
-		t.Error("higher-stamp update rejected")
+	for _, tc := range []struct {
+		self, heldAlive bool
+		delta           int
+		alive           bool
+		want            *want // nil: nothing changes
+	}{
+		{false, true, -1, true, nil},
+		{false, true, -1, false, nil},
+		{false, true, 0, true, nil},
+		{false, true, 0, false, &want{held, false, false}},
+		{false, true, +1, true, &want{held + 1, true, true}},
+		{false, true, +1, false, &want{held + 1, false, true}},
+		{false, false, -1, true, nil},
+		{false, false, -1, false, nil},
+		{false, false, 0, true, nil}, // equal stamp alive does not resurrect
+		{false, false, 0, false, nil},
+		{false, false, +1, true, &want{held + 1, true, true}},
+		{false, false, +1, false, &want{held + 1, false, true}},
+		{true, true, -1, true, nil},
+		{true, true, -1, false, nil},
+		{true, true, 0, true, nil},
+		{true, true, 0, false, &want{held + 1, true, false}},
+		{true, true, +1, true, &want{held + 1, true, true}},
+		{true, true, +1, false, &want{held + 2, true, false}},
+		{true, false, -1, true, nil},
+		{true, false, -1, false, nil},
+		{true, false, 0, true, nil},
+		{true, false, 0, false, nil},
+		{true, false, +1, true, &want{held + 1, true, true}},
+		{true, false, +1, false, &want{held + 2, true, false}},
+	} {
+		name := fmt.Sprintf("self=%v/held_alive=%v/stamp%+d/alive=%v", tc.self, tc.heldAlive, tc.delta, tc.alive)
+		t.Run(name, func(t *testing.T) {
+			s := newService(t, "0.0", nil)
+			line := addr.New(2, 2)
+			if tc.self {
+				line = s.Self()
+				s.Subscribe(interest.NewSubscription().Where("b", interest.Gt(1)))
+				if tc.heldAlive {
+					s.Subscribe(interest.NewSubscription().Where("b", interest.Gt(2)))
+				} else {
+					s.BuildLeave()
+				}
+			} else if n := s.Apply(Update{Records: []Record{{Addr: line, Sub: interest.NewSubscription().Where("b", interest.Gt(2)), Stamp: held, Alive: tc.heldAlive}}}); n != 1 {
+				t.Fatal("fresh record rejected")
+			}
+			before, _ := s.Lookup(line)
+			if before.Stamp != held || before.Alive != tc.heldAlive {
+				t.Fatalf("held %+v", before)
+			}
+			v := s.Version()
+			n := s.Apply(Update{Records: []Record{{Addr: line, Sub: recSub, Stamp: uint64(held + tc.delta), Alive: tc.alive}}})
+			got, _ := s.Lookup(line)
+			if tc.want == nil {
+				if n != 0 || s.Version() != v || got.Stamp != before.Stamp || got.Alive != before.Alive {
+					t.Fatalf("applied %d, line %+v at version %d; want nothing changed", n, got, s.Version())
+				}
+				return
+			}
+			wantSub := before.Sub
+			if tc.want.recSub {
+				wantSub = recSub
+			}
+			if n != 1 || s.Version() != v+1 || got.Stamp != tc.want.stamp || got.Alive != tc.want.alive ||
+				got.Sub.Identity() != wantSub.Identity() {
+				t.Fatalf("applied %d, line %+v at version %d; want stamp %d alive=%v, the record's subscription: %v",
+					n, got, s.Version(), tc.want.stamp, tc.want.alive, tc.want.recSub)
+			}
+		})
 	}
 }
 

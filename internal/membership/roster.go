@@ -118,15 +118,13 @@ func NewWithRoster(cfg Config, base *Roster) (*Service, error) {
 		now:        now,
 		lastHeard:  make(map[string]time.Time),
 		selfPrefix: cfg.Self.Prefix(cfg.Space.Depth()),
+		over:       make(map[int32]*Record),
 	}
 	s.adoptLocked(base)
-	// Self lives in the overlay from the start: subscribe/leave bump its
-	// stamp, and overlay-shadowing with an identical value keeps the derived
-	// fields exact.
-	selfCopy := base.Records[selfIdx]
-	s.over = map[int32]*Record{selfIdx: &selfCopy}
+	// Self lives in the overlay from the start, written at version 1 with
+	// its own value.
+	s.writeLocked(selfIdx, base.Records[selfIdx])
 	s.version = 1
-	s.changelog = append(s.changelog, changeEntry{version: 1, rec: &selfCopy})
 	return s, nil
 }
 
@@ -157,12 +155,11 @@ func (s *Service) adoptLocked(base *Roster) {
 
 // rebaseLocked admits a batch's strangers — records for addresses outside
 // the base — by building the new base once: the current logical table merged
-// with the strangers, a stranger listed twice merging by the stamp rule apply
-// uses. The overlay's records move to their new positions as they are and
-// each stranger gets a record of its own, logged against the version the
-// batch lands on, so the changelog keeps one pointer per line. It returns how
-// many stranger records changed state, counted as applying them one by one
-// would.
+// with the strangers, a stranger listed twice merging as apply merges. The
+// overlay's records move to their new positions as they are and each
+// stranger gets a record of its own, logged against the version the batch
+// lands on, so the changelog keeps one pointer per line. It returns how many
+// stranger records changed state, counted as applying them one by one would.
 func (s *Service) rebaseLocked(strangers []Record) int {
 	slices.SortStableFunc(strangers, func(a, b Record) int { return a.Addr.Compare(b.Addr) })
 	changed := 0
@@ -174,12 +171,8 @@ func (s *Service) rebaseLocked(strangers []Record) int {
 			changed++
 			continue
 		}
-		switch cur := &merged[n-1]; {
-		case r.Stamp > cur.Stamp:
-			*cur = r
-			changed++
-		case r.Stamp == cur.Stamp && cur.Alive && !r.Alive:
-			cur.Alive = false // tombstone precedence at equal stamps
+		if next, ok := merge(merged[n-1], r); ok {
+			merged[n-1] = next
 			changed++
 		}
 	}
@@ -237,8 +230,8 @@ func removeIdx(list []int32, v int32) []int32 {
 }
 
 // lineLocked reads base line i: the overlay's record when it shadows the
-// line, else the base's. The result may be a shared base line — mutate
-// through mutableLocked only.
+// line, else the base's. The result may be a shared base line — write
+// through writeLocked only.
 func (s *Service) lineLocked(i int32) *Record {
 	if r, ok := s.over[i]; ok {
 		return r
@@ -270,18 +263,6 @@ func (s *Service) peekNextLocked(key string, hint int32) (*Record, int32, bool) 
 		}
 	}
 	return s.lineLocked(i), i + 1, true
-}
-
-// mutableLocked returns the service's own record for base line i, copying
-// the base line into the overlay on first mutation.
-func (s *Service) mutableLocked(i int32) *Record {
-	r, ok := s.over[i]
-	if !ok {
-		cp := s.base.Records[i]
-		r = &cp
-		s.over[i] = r
-	}
-	return r
 }
 
 // visitLocked calls fn for every logical record (overlay shadows base) in

@@ -54,10 +54,13 @@ func (n *Node) WarmViews() error {
 
 // AdoptViewsFrom copies the donor's folded tree instead of recomputing an
 // identical fold. Legal only when both nodes hold the same membership
-// roster (checked via the roster hash) and the donor is fully folded; both
-// nodes must be quiescent — this is a bootstrap-time tool for harnesses
-// co-hosting many nodes, where n identical folds would otherwise cost n
-// full aggregate recomputations.
+// roster and the donor is fully folded; both nodes must be quiescent — this
+// is a bootstrap-time tool for harnesses co-hosting many nodes, where n
+// identical folds would otherwise cost n full aggregate recomputations. The
+// roster hash check is sound only because the fleets that use it are
+// bootstrapped over one shared membership.Roster: the hash does not cover
+// subscriptions, so two rosters built apart could hash equal and fold
+// differently.
 func (n *Node) AdoptViewsFrom(donor *Node) error {
 	if donor == n {
 		return nil

@@ -158,14 +158,16 @@ type Network struct {
 	closed  bool
 }
 
-// OwnedScheduler is an optional capability of an endpoint clock (see
-// SetEndpointClock): it learns which process every message sent through the
-// endpoint lands on. The harness clock implements it so a delayed delivery
-// becomes an event owned (and executed) by the destination, and a synchronous
-// one marks the destination as having something to pump. Plain clocks fall
-// back to AfterFunc and hear nothing of synchronous hand-offs; a fabric
-// without endpoint clocks — every live one — pays a nil check.
+// OwnedScheduler is an endpoint clock (see SetEndpointClock): it tells the
+// time of the endpoint's sends and learns which process every message sent
+// through the endpoint lands on. The harness clock implements it so a
+// delayed delivery becomes an event owned (and executed) by the destination,
+// and a synchronous one marks the destination as having something to pump.
+// An endpoint without one uses the fabric clock; a fabric without endpoint
+// clocks — every live one — pays a nil check.
 type OwnedScheduler interface {
+	// Now reads the sender's time, from which a delayed delivery is placed.
+	Now() time.Time
 	// AfterFuncOwned schedules f, d from now, as work of the process at owner.
 	AfterFuncOwned(owner addr.Address, d time.Duration, f func()) clock.Timer
 	// HandedOff reports that a zero-delay send just queued an envelope on
@@ -582,14 +584,15 @@ func (n *Network) delay(rng *linkStream) time.Duration {
 // advances time — in strict (time, scheduling-order) order, which together
 // with the clamp is what makes the FIFO guarantee deterministic. The sender
 // endpoint's clock, when set, both reads now and schedules — the harness
-// points it at the sender's node clock, whose OwnedScheduler implementation
-// turns the delivery into an event owned by the destination.
+// points it at the sender's node clock, which turns the delivery into an
+// event owned by the destination.
 func (n *Network) schedule(e *memEndpoint, st *linkState, dst *memEndpoint, delay time.Duration, payload any) {
-	clk := e.clk
-	if clk == nil {
-		clk = n.clk
+	var now time.Time
+	if e.owned != nil {
+		now = e.owned.Now()
+	} else {
+		now = n.clk.Now()
 	}
-	now := clk.Now()
 	at := now.Add(delay)
 	if st.lastDelayed.After(at) {
 		at = st.lastDelayed
@@ -610,7 +613,7 @@ func (n *Network) schedule(e *memEndpoint, st *linkState, dst *memEndpoint, dela
 	if e.owned != nil {
 		timer = e.owned.AfterFuncOwned(dst.addr, delay, fire)
 	} else {
-		timer = clk.AfterFunc(delay, fire)
+		timer = n.clk.AfterFunc(delay, fire)
 	}
 	n.timers[timer] = struct{}{}
 	n.timersMu.Unlock()
@@ -636,11 +639,9 @@ type memEndpoint struct {
 	addr  addr.Address
 	net   *Network
 	links *linkTable // this source's link states; the fabric's, see Network.links
-	// clk, when set via SetEndpointClock, schedules this endpoint's OUTGOING
-	// delayed deliveries in place of the fabric clock; owned is the same clock
-	// when it implements OwnedScheduler. Written under the network write lock,
-	// read under the read lock.
-	clk   clock.Clock
+	// owned, when set via SetEndpointClock, schedules this endpoint's
+	// OUTGOING delayed deliveries in place of the fabric clock. Written under
+	// the network write lock, read under the read lock.
 	owned OwnedScheduler
 
 	mu     sync.Mutex
@@ -652,12 +653,11 @@ type memEndpoint struct {
 // deliveries for messages SENT by the given address (default: the fabric
 // clock). The harness points each endpoint at its node's clock. Unknown
 // addresses are ignored.
-func (n *Network) SetEndpointClock(a addr.Address, clk clock.Clock) {
+func (n *Network) SetEndpointClock(a addr.Address, clk OwnedScheduler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if ep, ok := n.endpoints[a.Key()]; ok {
-		ep.clk = clk
-		ep.owned, _ = clk.(OwnedScheduler)
+		ep.owned = clk
 	}
 }
 
