@@ -46,11 +46,12 @@ func (a Address) MarshalBinary() ([]byte, error) {
 	return AppendAddress(nil, a), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. data must hold
+// exactly an address: trailing bytes are an error.
 func (a *Address) UnmarshalBinary(data []byte) error {
 	r := binenc.NewReader(data)
 	got := ReadAddress(r)
-	if err := r.Err(); err != nil {
+	if err := r.Done(); err != nil {
 		return err
 	}
 	*a = got

@@ -49,8 +49,13 @@ func TestAddressCodecComposes(t *testing.T) {
 }
 
 func TestAddressCodecRejectsCorrupt(t *testing.T) {
-	var a Address
-	if err := a.UnmarshalBinary([]byte{0x05, 0x01}); err == nil {
-		t.Error("truncated address accepted")
+	for name, in := range map[string][]byte{
+		"truncated":      {0x05, 0x01},
+		"trailing bytes": append(AppendAddress(nil, New(1, 2)), 0),
+	} {
+		var a Address
+		if err := a.UnmarshalBinary(in); err == nil {
+			t.Errorf("%s: decoded %v with no error", name, a)
+		}
 	}
 }

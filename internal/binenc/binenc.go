@@ -155,6 +155,15 @@ func (r *Reader) Fail(err error) { r.fail(err) }
 // Len returns the number of unread bytes.
 func (r *Reader) Len() int { return len(r.buf) - r.off }
 
+// Done ends a whole-buffer decode: it returns Err, or, when the value read
+// cleanly but left bytes unread, an error counting them.
+func (r *Reader) Done() error {
+	if r.err == nil && r.Len() != 0 {
+		return fmt.Errorf("%d trailing bytes", r.Len())
+	}
+	return r.err
+}
+
 // fail records the first error.
 func (r *Reader) fail(err error) {
 	if r.err == nil {

@@ -195,11 +195,12 @@ func (e Event) MarshalBinary() ([]byte, error) {
 	return AppendEvent(nil, e), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. data must hold
+// exactly an event: trailing bytes are an error.
 func (e *Event) UnmarshalBinary(data []byte) error {
 	r := binenc.NewReader(data)
 	got := ReadEvent(r)
-	if err := r.Err(); err != nil {
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("event: decoding: %w", err)
 	}
 	*e = got

@@ -109,9 +109,15 @@ func TestEventCodecDeterministic(t *testing.T) {
 }
 
 func TestEventUnmarshalRejectsCorrupt(t *testing.T) {
-	var e Event
-	if err := e.UnmarshalBinary([]byte{0xFF, 0xFF}); err == nil {
-		t.Error("corrupt event accepted")
+	valid := AppendEvent(nil, NewBuilder().Int("b", 1).Build(ID{Origin: "o", Seq: 1}))
+	for name, in := range map[string][]byte{
+		"truncated":      {0xFF, 0xFF},
+		"trailing bytes": append(valid, 0, 0),
+	} {
+		var e Event
+		if err := e.UnmarshalBinary(in); err == nil {
+			t.Errorf("%s: decoded %v with no error", name, e)
+		}
 	}
 }
 

@@ -84,8 +84,9 @@ func vandermondeRepairRows(k, r int) [][]byte {
 }
 
 // EncodeInto fills the r repair symbols from the k source symbols. All
-// slices must share one length; repairs are overwritten. The r = 1 path is
-// a pure XOR accumulation and performs no allocations.
+// slices must share one length; repairs are overwritten. It allocates
+// nothing; for r = 1 the row is all ones, and mulAddSlice by 1 is the plain
+// XOR loop.
 func (c *Code) EncodeInto(repairs, src [][]byte) {
 	if len(repairs) != c.r || len(src) != c.k {
 		panic("fec: EncodeInto shape mismatch")
@@ -93,12 +94,6 @@ func (c *Code) EncodeInto(repairs, src [][]byte) {
 	for x, rep := range repairs {
 		for i := range rep {
 			rep[i] = 0
-		}
-		if c.r == 1 {
-			for _, s := range src {
-				mulAddSlice(rep, s, 1)
-			}
-			continue
 		}
 		row := c.b[x]
 		for j, s := range src {

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 
+	"pmcast/internal/addr"
+	"pmcast/internal/core"
 	"pmcast/internal/event"
 )
 
@@ -149,9 +151,14 @@ func makeSources(rng *rand.Rand, n int) []Source {
 	return srcs
 }
 
+// receiver returns a coder for the receive-side tests, which drive
+// observeSource and observeRepair with arbitrary bodies; its own (k, r) plays
+// no part there.
+func receiver() *Coder { return NewCoder(1, 1, 1) }
+
 // TestEncoderAssemblerRecovery drives the full sender→receiver pipeline:
 // encode a round, lose some sources, observe the survivors and the repairs,
-// and check the assembler hands back exactly the lost bodies.
+// and check the receiver side hands back exactly the lost bodies.
 func TestEncoderAssemblerRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, kr := range [][2]int{{4, 1}, {4, 2}, {8, 3}} {
@@ -167,38 +174,37 @@ func TestEncoderAssemblerRecovery(t *testing.T) {
 			t.Fatalf("generation shape: %+v", g)
 		}
 
-		asm := NewAssembler()
+		c := receiver()
 		lost := map[int]bool{}
 		for len(lost) < r {
 			lost[rng.Intn(k)] = true
 		}
-		var rec []Recovered
+		var rec []recovered
 		for i, src := range srcs {
 			if lost[i] {
 				continue
 			}
-			rec = append(rec, asm.ObserveSource(src.ID, src.Body)...)
+			rec = append(rec, c.observeSource(src.ID, src.Body)...)
 		}
 		for _, rs := range g.Repairs {
-			rec = append(rec, asm.ObserveRepair("s", g, rs)...)
+			rec = append(rec, c.observeRepair("s", g, rs)...)
 		}
 		if len(rec) != len(lost) {
 			t.Fatalf("(%d,%d): recovered %d, lost %d", k, r, len(rec), len(lost))
 		}
 		for _, rv := range rec {
-			i := int(rv.ID.Seq)
+			i := int(rv.id.Seq)
 			if !lost[i] {
-				t.Fatalf("recovered a symbol that was never lost: %v", rv.ID)
+				t.Fatalf("recovered a symbol that was never lost: %v", rv.id)
 			}
-			if !bytes.Equal(rv.Body, srcs[i].Body) {
+			if !bytes.Equal(rv.body, srcs[i].Body) {
 				t.Fatalf("recovered body %d mismatch", i)
 			}
-			if rv.Meta != srcs[i].Meta {
-				t.Fatalf("recovered meta %d mismatch: %+v != %+v", i, rv.Meta, srcs[i].Meta)
+			if rv.meta != srcs[i].Meta {
+				t.Fatalf("recovered meta %d mismatch: %+v != %+v", i, rv.meta, srcs[i].Meta)
 			}
 		}
-		st := asm.Stats()
-		if st.Recoveries != int64(len(lost)) || st.Decodes != 1 {
+		if st := c.Stats(); st.Decodes != 1 || st.Corrupt != 0 {
 			t.Fatalf("stats: %+v", st)
 		}
 	}
@@ -233,41 +239,40 @@ func TestAssemblerRepairFirst(t *testing.T) {
 	srcs := makeSources(rng, 3)
 	g := enc.Encode(srcs)[0]
 
-	asm := NewAssembler()
-	if rec := asm.ObserveRepair("s", g, g.Repairs[0]); rec != nil {
+	c := receiver()
+	if rec := c.observeRepair("s", g, g.Repairs[0]); rec != nil {
 		t.Fatalf("premature recovery: %v", rec)
 	}
-	if rec := asm.ObserveSource(srcs[0].ID, srcs[0].Body); rec != nil {
+	if rec := c.observeSource(srcs[0].ID, srcs[0].Body); rec != nil {
 		t.Fatalf("premature recovery: %v", rec)
 	}
-	rec := asm.ObserveSource(srcs[1].ID, srcs[1].Body)
-	if len(rec) != 1 || !bytes.Equal(rec[0].Body, srcs[2].Body) {
+	rec := c.observeSource(srcs[1].ID, srcs[1].Body)
+	if len(rec) != 1 || !bytes.Equal(rec[0].body, srcs[2].Body) {
 		t.Fatalf("want body 2 recovered, got %v", rec)
 	}
 }
 
 // TestAssemblerSweepExpires checks the partial-generation timeout: after
-// genTTL rounds an incomplete generation is dropped and a late repair
-// re-opens a fresh one instead of resurrecting stale state.
+// genTTL rounds an incomplete generation is dropped.
 func TestAssemblerSweepExpires(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	enc := NewEncoder(3, 1)
 	g := enc.Encode(makeSources(rng, 3))[0]
 
-	asm := NewAssembler()
-	asm.ObserveRepair("s", g, g.Repairs[0])
+	c := receiver()
+	c.observeRepair("s", g, g.Repairs[0])
 	for i := 0; i < genTTL; i++ {
-		asm.Sweep()
+		c.Tick()
 	}
-	if st := asm.Stats(); st.Expired != 1 {
+	if st := c.Stats(); st.Expired != 1 {
 		t.Fatalf("want 1 expired generation, got %+v", st)
 	}
 }
 
 // TestAssemblerRejectsMalformed throws hostile repair headers at the
-// assembler; none may produce a recovery or panic.
+// receiver side; none may produce a recovery or panic.
 func TestAssemblerRejectsMalformed(t *testing.T) {
-	asm := NewAssembler()
+	c := receiver()
 	sym := func(index, n int) []RepairSymbol { return []RepairSymbol{{Index: index, Data: make([]byte, n)}} }
 	bad := []Generation{
 		{K: 0, R: 1, SymLen: 4, Repairs: sym(0, 4)},
@@ -279,11 +284,11 @@ func TestAssemblerRejectsMalformed(t *testing.T) {
 		{K: 200, R: 100, SymLen: 4, IDs: make([]event.ID, 200), Meta: make([]Meta, 200), Repairs: sym(0, 4)},
 	}
 	for i, g := range bad {
-		if rec := asm.ObserveRepair("s", g, g.Repairs[0]); rec != nil {
+		if rec := c.observeRepair("s", g, g.Repairs[0]); rec != nil {
 			t.Fatalf("malformed repair %d produced a recovery", i)
 		}
 	}
-	if st := asm.Stats(); st.Corrupt != int64(len(bad)) {
+	if st := c.Stats(); st.Corrupt != int64(len(bad)) {
 		t.Fatalf("want %d corrupt, got %+v", len(bad), st)
 	}
 }
@@ -294,12 +299,12 @@ func TestAssemblerRejectsMalformed(t *testing.T) {
 // copy of every cached event it names, which came to 13 MB.
 func TestForgedRepairRetainsWhatItCarries(t *testing.T) {
 	const k, symLen = 200, 60000
-	asm := NewAssembler()
+	c := receiver()
 	ids := make([]event.ID, k)
 	for i := range ids {
 		ids[i] = genID(i)
 		if i >= 2 { // two sources missing: one repair cannot complete the generation
-			asm.ObserveSource(ids[i], []byte{byte(i), 1, 2, 3})
+			c.observeSource(ids[i], []byte{byte(i), 1, 2, 3})
 		}
 	}
 	heap := func() int64 {
@@ -310,14 +315,14 @@ func TestForgedRepairRetainsWhatItCarries(t *testing.T) {
 	}
 	before := heap()
 	gen := Generation{K: k, R: 1, SymLen: symLen, IDs: ids, Meta: make([]Meta, k)}
-	if rec := asm.ObserveRepair("forger", gen, RepairSymbol{Data: make([]byte, symLen)}); rec != nil {
+	if rec := c.observeRepair("forger", gen, RepairSymbol{Data: make([]byte, symLen)}); rec != nil {
 		t.Fatalf("a generation two sources short recovered %v", rec)
 	}
 	retained := heap() - before
-	if st := asm.Stats(); st.Decodes != 0 || st.Corrupt != 0 {
+	if st := c.Stats(); st.Decodes != 0 || st.Corrupt != 0 {
 		t.Fatalf("the repair was not kept pending: %+v", st)
 	}
-	runtime.KeepAlive(asm)
+	runtime.KeepAlive(c)
 	if retained >= 1<<20 {
 		t.Errorf("one %d-byte repair left %d bytes retained, want < 1 MB", symLen, retained)
 	}
@@ -370,25 +375,60 @@ func BenchmarkReconstruct(b *testing.B) {
 	}
 }
 
-// TestEncoderAccumulatesAcrossRounds drives one routing key's accumulator:
-// sends smaller than k accumulate silently, the k-th distinct event flushes
-// a generation onto that round's envelope, the flushed generation then rides
-// the next genCopies-1 envelopes toward the same key as replica copies, and
-// retransmissions — of accumulated or already-coded events — are never
-// double-counted.
-func TestEncoderAccumulatesAcrossRounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	enc := NewEncoder(4, 1)
-	srcs := makeSources(rng, 6)
+// gossips builds n depth-1 gossips with distinct events — the sub-leaf hops
+// a coder in a depth-3 space codes.
+func gossips(n int) []core.Gossip {
+	gs := make([]core.Gossip, n)
+	for i := range gs {
+		ev := event.New(genID(i), map[string]event.Value{"b": event.Int(int64(i))})
+		gs[i] = core.Gossip{Event: ev, Depth: 1, Rate: 1, Round: i}
+	}
+	return gs
+}
 
-	if gens := enc.Add("t", srcs[:2]); gens != nil {
+// sources presents gossips to an Encoder as the coder does.
+func sources(gs []core.Gossip) []Source {
+	srcs := make([]Source, len(gs))
+	for i, g := range gs {
+		srcs[i] = Source{
+			ID:   g.Event.ID(),
+			Meta: Meta{Depth: g.Depth, Rate: g.Rate, Round: g.Round},
+			Body: event.AppendEvent(nil, g.Event),
+		}
+	}
+	return srcs
+}
+
+func send(to addr.Address, gs ...core.Gossip) core.RoundSend {
+	return core.RoundSend{To: to, Gossips: gs}
+}
+
+// TestEncoderAccumulatesAcrossRounds drives one subtree's accumulator:
+// envelopes with fewer than k events accumulate silently, the k-th distinct
+// event flushes a generation onto that envelope, the flushed generation then
+// rides the next genCopies-1 envelopes toward the same subtree as replica
+// copies, and retransmissions — of accumulated or already-coded events — are
+// never double-counted, nor are leaf-depth gossips coded at all. The
+// envelopes go to different peers of one subtree.
+func TestEncoderAccumulatesAcrossRounds(t *testing.T) {
+	c := NewCoder(4, 1, 3)
+	gs := gossips(6)
+	peers := []addr.Address{addr.New(0, 0, 1), addr.New(0, 1, 0), addr.New(0, 1, 1)}
+
+	if gens := c.Code(send(peers[0], gs[:2]...)); gens != nil {
 		t.Fatalf("premature flush: %v", gens)
 	}
 	// A retransmission of an already-accumulated event must not fill a slot.
-	if gens := enc.Add("t", srcs[1:2]); gens != nil {
+	if gens := c.Code(send(peers[1], gs[1])); gens != nil {
 		t.Fatalf("duplicate flushed a generation: %v", gens)
 	}
-	gens := enc.Add("t", srcs[2:4])
+	// Neither does a leaf-depth gossip: the space's depth is 3.
+	leaf := gs[5]
+	leaf.Depth = 3
+	if gens := c.Code(send(peers[1], leaf)); gens != nil {
+		t.Fatalf("a leaf gossip was coded: %v", gens)
+	}
+	gens := c.Code(send(peers[2], gs[2:4]...))
 	if len(gens) != 1 {
 		t.Fatalf("want 1 generation at the 4th distinct event, got %d", len(gens))
 	}
@@ -396,113 +436,173 @@ func TestEncoderAccumulatesAcrossRounds(t *testing.T) {
 	if g.K != 4 || len(g.IDs) != 4 || len(g.Meta) != 4 || len(g.Repairs) != 1 {
 		t.Fatalf("generation shape: %+v", g)
 	}
-	for i := 0; i < 4; i++ {
-		if g.IDs[i] != srcs[i].ID || g.Meta[i] != srcs[i].Meta {
-			t.Fatalf("slot %d holds %v, want %v", i, g.IDs[i], srcs[i].ID)
+	for i, src := range sources(gs[:4]) {
+		if g.IDs[i] != src.ID || g.Meta[i] != src.Meta {
+			t.Fatalf("slot %d holds %v, want %v", i, g.IDs[i], src.ID)
 		}
+	}
+	if st := c.Stats(); st.RepairBytes != int64(g.RepairBytes()) {
+		t.Fatalf("RepairBytes = %d, want the generation's %d", st.RepairBytes, g.RepairBytes())
 	}
 
 	// The coded generation spreads: the next genCopies-1 envelopes carry a
 	// replica copy each, then it stops. Re-sent coded events are skipped.
 	for i := 0; i < genCopies-1; i++ {
-		copies := enc.Add("t", srcs[:1])
+		copies := c.Code(send(peers[i%len(peers)], gs[0]))
 		if len(copies) != 1 || copies[0].Gen != g.Gen {
 			t.Fatalf("envelope %d: want replica of gen %d, got %+v", i, g.Gen, copies)
 		}
 	}
-	if extra := enc.Add("t", srcs[:2]); extra != nil {
+	if extra := c.Code(send(peers[0], gs[:2]...)); extra != nil {
 		t.Fatalf("generation over-replicated (or coded events re-coded): %v", extra)
 	}
 
-	// The flushed generation must reconstruct like any other.
-	asm := NewAssembler()
-	for i := 0; i < 3; i++ { // source 3 lost
-		asm.ObserveSource(srcs[i].ID, srcs[i].Body)
+	// The flushed generation must reconstruct like any other: a receiver
+	// that got three sources and the repair revives the fourth.
+	rx := NewCoder(4, 1, 3)
+	rx.Observe(addr.New(1, 0, 0), gs[:3], []Generation{g})
+	if st := rx.Stats(); st.Recovered != 1 || st.RepairsReceived != 1 {
+		t.Fatalf("accumulated generation did not recover the lost source: %+v", st)
 	}
-	rec := asm.ObserveRepair("n", g, g.Repairs[0])
-	if len(rec) != 1 || rec[0].ID != srcs[3].ID || !bytes.Equal(rec[0].Body, srcs[3].Body) {
-		t.Fatalf("accumulated generation did not recover the lost source: %v", rec)
+	var revived []core.Gossip
+	for i := 0; i < 10 && len(revived) == 0; i++ {
+		revived = rx.Tick()
+	}
+	if len(revived) != 1 || revived[0].Event.ID() != gs[3].Event.ID() || revived[0].Depth != gs[3].Depth {
+		t.Fatalf("revived %+v, want the lost gossip", revived)
 	}
 }
 
 // TestEncoderPiggybacksAged pins the cheap short-flush path: once the open
-// generation has waited piggybackAge rounds, the next envelope flushes it
-// short — no dedicated repair-only envelope needed while traffic flows —
-// and the events that triggered the flush start the next generation.
+// generation has waited piggybackAge rounds, the next envelope toward its
+// subtree flushes it short — no dedicated repair-only envelope needed while
+// traffic flows — and the events that triggered the flush start the next
+// generation.
 func TestEncoderPiggybacksAged(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	enc := NewEncoder(8, 1)
-	srcs := makeSources(rng, 2)
-	enc.Add("t", srcs[:1])
+	c := NewCoder(8, 1, 3)
+	gs := gossips(2)
+	c.Tick()
+	c.Code(send(addr.New(2, 0, 0), gs[0]))
 	for i := 0; i < piggybackAge; i++ {
-		if out := enc.FlushAged(100); out != nil {
+		c.Tick()
+		if out := c.Flush(); out != nil {
 			t.Fatalf("backstop fired below its age bound: %v", out)
 		}
 	}
-	gens := enc.Add("t", srcs[1:2])
-	if len(gens) != 1 || gens[0].K != 1 || gens[0].IDs[0] != srcs[0].ID {
+	gens := c.Code(send(addr.New(2, 1, 0), gs[1]))
+	if len(gens) != 1 || gens[0].K != 1 || gens[0].IDs[0] != gs[0].Event.ID() {
 		t.Fatalf("want the aged K=1 generation piggybacked, got %+v", gens)
 	}
 }
 
 // TestEncoderFlushAged pins the backstop: a partial generation left waiting
-// with no envelopes to ride flushes after maxAge rounds under a (k', r)
-// code, and an empty accumulator never flushes.
+// with no envelopes to ride flushes after flushAge rounds under a (k', r)
+// code, in a repair-only envelope to the subtree's last destination, and an
+// empty accumulator never flushes.
 func TestEncoderFlushAged(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	enc := NewEncoder(8, 2)
-	srcs := makeSources(rng, 3)
-	enc.Add("t", srcs)
-
-	if out := enc.FlushAged(2); out != nil {
-		t.Fatalf("flushed a fresh generation: %v", out)
+	c := NewCoder(8, 2, 3)
+	to := addr.New(1, 0, 1)
+	c.Code(send(to, gossips(3)...))
+	for age := 0; age < flushAge; age++ {
+		if out := c.Flush(); out != nil {
+			t.Fatalf("flushed at age %d: %v", age, out)
+		}
+		c.Tick()
 	}
-	if out := enc.FlushAged(2); out != nil {
-		t.Fatalf("flushed one round early: %v", out)
-	}
-	out := enc.FlushAged(2)
-	if len(out) != 1 || out[0].Key != "t" || len(out[0].Gens) != 1 {
+	out := c.Flush()
+	if len(out) != 1 || !out[0].To.Equal(to) || len(out[0].Gens) != 1 {
 		t.Fatalf("aged flush: %+v", out)
 	}
 	g := out[0].Gens[0]
 	if g.K != 3 || g.R != 2 || len(g.Repairs) != 2 {
 		t.Fatalf("short generation shape: %+v", g)
 	}
-	if out := enc.FlushAged(2); out != nil {
+	if st := c.Stats(); st.RepairBytes != int64(g.RepairBytes()) {
+		t.Fatalf("RepairBytes = %d, want the flush's %d", st.RepairBytes, g.RepairBytes())
+	}
+	c.Tick()
+	if out := c.Flush(); out != nil {
 		t.Fatalf("empty accumulator flushed: %v", out)
 	}
 }
 
 // TestEncoderKeysAreIndependent pins the per-subtree grouping: events sent
-// toward different routing keys accumulate in separate generations, so a
-// generation never mixes events bound for different subtrees — the mix
+// toward different top-level subtrees accumulate in separate generations,
+// so a generation never mixes events bound for different subtrees — the mix
 // would present mostly holes to every receiver and decode nowhere.
 func TestEncoderKeysAreIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	enc := NewEncoder(2, 1)
-	srcs := makeSources(rng, 4)
+	c := NewCoder(2, 1, 3)
+	gs := gossips(4)
+	a, b := addr.New(0, 1, 1), addr.New(1, 0, 1)
 
-	if gens := enc.Add("a", srcs[:1]); gens != nil {
-		t.Fatalf("premature flush on key a: %v", gens)
+	if gens := c.Code(send(a, gs[0])); gens != nil {
+		t.Fatalf("premature flush toward subtree 0: %v", gens)
 	}
-	// Key b fills first: its generation holds only b's events.
-	gens := enc.Add("b", srcs[2:4])
+	// Subtree 1 fills first: its generation holds only its own events.
+	gens := c.Code(send(b, gs[2:4]...))
 	if len(gens) != 1 {
-		t.Fatalf("key b should flush at k=2, got %+v", gens)
+		t.Fatalf("subtree 1 should flush at k=2, got %+v", gens)
 	}
-	if g := gens[0]; g.IDs[0] != srcs[2].ID || g.IDs[1] != srcs[3].ID {
-		t.Fatalf("key b generation mixed keys: %+v", g.IDs)
+	if g := gens[0]; g.IDs[0] != gs[2].Event.ID() || g.IDs[1] != gs[3].Event.ID() {
+		t.Fatalf("subtree 1's generation mixed subtrees: %+v", g.IDs)
 	}
-	// The same event accumulates under both keys — each subtree's
+	// The same event accumulates toward both subtrees — each subtree's
 	// generation must be self-contained.
-	gens = enc.Add("a", srcs[1:3])
+	gens = c.Code(send(a, gs[1:3]...))
 	if len(gens) != 1 {
-		t.Fatalf("key a should flush at k=2, got %+v", gens)
+		t.Fatalf("subtree 0 should flush at k=2, got %+v", gens)
 	}
-	if g := gens[0]; g.IDs[0] != srcs[0].ID || g.IDs[1] != srcs[1].ID {
-		t.Fatalf("key a generation: %+v", g.IDs)
+	if g := gens[0]; g.IDs[0] != gs[0].Event.ID() || g.IDs[1] != gs[1].Event.ID() {
+		t.Fatalf("subtree 0's generation: %+v", g.IDs)
 	}
-	if gens := enc.Add("a", srcs[2:3]); len(gens) != 1 || gens[0].Gen != 1 {
-		t.Fatalf("want key a's replica copy, got %+v", gens)
+	if gens := c.Code(send(a, gs[2])); len(gens) != 1 || gens[0].Gen != 1 {
+		t.Fatalf("want subtree 0's replica copy, got %+v", gens)
+	}
+}
+
+// TestCoderOneClock pins every bound to the one round counter Tick advances.
+// In round k a receiver recovers an event, opens a generation toward a
+// subtree (then sends there again, to another peer), and holds a repair
+// that cannot complete. The recovery comes back from round k+3's Tick; the
+// open generation flushes from round k+6's Flush, to the subtree's last
+// destination; the pending generation expires in round k+genTTL's Tick.
+func TestCoderOneClock(t *testing.T) {
+	const k = 5
+	gs := gossips(4)
+	enc := NewEncoder(2, 1)
+	recoverable := enc.Encode(sources(gs[:2]))[0]
+	stuck := enc.Encode(sources(gs[2:4]))[0] // neither source ever arrives
+
+	c := NewCoder(2, 1, 3)
+	for i := 0; i < k; i++ {
+		c.Tick()
+	}
+	from := addr.New(2, 0, 0)
+	c.Observe(from, gs[:1], []Generation{recoverable, stuck})
+	if st := c.Stats(); st.Recovered != 1 {
+		t.Fatalf("round %d: no recovery: %+v", k, st)
+	}
+	c.Code(send(addr.New(1, 0, 0), gs[2]))
+	last := addr.New(1, 1, 1)
+	c.Code(send(last))
+
+	// want is 1 in the round an event is due, else 0.
+	want := func(round, due int) int {
+		if round == due {
+			return 1
+		}
+		return 0
+	}
+	for round := k + 1; round <= k+genTTL; round++ {
+		due := c.Tick()
+		if n := want(round, k+3); len(due) != n || n == 1 && due[0].Event.ID() != gs[1].Event.ID() {
+			t.Fatalf("round %d: revived %+v", round, due)
+		}
+		if got := c.Stats().Expired; got != int64(want(round, k+genTTL)) {
+			t.Fatalf("round %d: %d generations expired", round, got)
+		}
+		if out := c.Flush(); len(out) != want(round, k+6) || len(out) == 1 && !out[0].To.Equal(last) {
+			t.Fatalf("round %d: flushed %+v, want one flush to %v in round %d", round, out, last, k+6)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // FuzzFECRoundTrip checks decode(encode) identity under arbitrary erasure
 // patterns: for every (k, r) and loss mask the fuzzer invents, whatever the
-// assembler recovers must be bit-identical to the original body (with its
+// receiver side recovers must be bit-identical to the original body (with its
 // header metadata intact), and whenever no more than r of the k+r symbols
 // are lost it must recover every missing source. Degenerate shapes — r = 0
 // (coding off), k = 1, generations with every symbol lost — are seeded
@@ -55,15 +55,15 @@ func FuzzFECRoundTrip(f *testing.F) {
 		}
 		g := gens[0]
 
-		asm := NewAssembler()
+		c := receiver()
 		lostSrc := map[int]bool{}
-		var rec []Recovered
+		var rec []recovered
 		for i := 0; i < k; i++ {
 			if mask&(1<<i) != 0 {
 				lostSrc[i] = true
 				continue
 			}
-			rec = append(rec, asm.ObserveSource(srcs[i].ID, srcs[i].Body)...)
+			rec = append(rec, c.observeSource(srcs[i].ID, srcs[i].Body)...)
 		}
 		repairsDelivered := 0
 		for j, rs := range g.Repairs {
@@ -71,19 +71,19 @@ func FuzzFECRoundTrip(f *testing.F) {
 				continue
 			}
 			repairsDelivered++
-			rec = append(rec, asm.ObserveRepair("s", g, rs)...)
+			rec = append(rec, c.observeRepair("s", g, rs)...)
 		}
 
 		for _, rv := range rec {
-			i := int(rv.ID.Seq)
+			i := int(rv.id.Seq)
 			if !lostSrc[i] {
 				t.Fatalf("recovered symbol %d that was never lost", i)
 			}
-			if !bytes.Equal(rv.Body, srcs[i].Body) {
+			if !bytes.Equal(rv.body, srcs[i].Body) {
 				t.Fatalf("recovered body %d differs from the original", i)
 			}
-			if rv.Meta != srcs[i].Meta {
-				t.Fatalf("recovered meta %d differs: %+v != %+v", i, rv.Meta, srcs[i].Meta)
+			if rv.meta != srcs[i].Meta {
+				t.Fatalf("recovered meta %d differs: %+v != %+v", i, rv.meta, srcs[i].Meta)
 			}
 		}
 		if len(lostSrc) > 0 && repairsDelivered >= len(lostSrc) {
@@ -92,7 +92,7 @@ func FuzzFECRoundTrip(f *testing.F) {
 					k, r, mask, (k-len(lostSrc))+repairsDelivered, len(rec), len(lostSrc))
 			}
 		}
-		if st := asm.Stats(); st.Corrupt != 0 {
+		if st := c.Stats(); st.Corrupt != 0 {
 			t.Fatalf("round trip flagged corrupt symbols: %+v", st)
 		}
 	})

@@ -4,10 +4,10 @@
 // the k+r symbols reconstruct the originals. r = 1 is plain XOR parity;
 // r ≥ 2 uses a Reed–Solomon code built from a Vandermonde matrix.
 //
-// The package is self-contained: it knows about byte slices and event IDs,
-// not about the wire format or the protocol. wire frames Generation values
-// into the batch envelope; node groups outgoing gossips into generations on
-// the sender and reassembles them on the receiver.
+// The package knows gossips (core) and events, not the wire format: wire
+// frames Generation values into the batch envelope. Coder is the whole
+// layer a node drives — keying by destination subtree, reassembly, delayed
+// revival — on one clock, the gossip round.
 package fec
 
 // GF(2^8) arithmetic with the AES-adjacent primitive polynomial

@@ -17,6 +17,7 @@ import (
 	"pmcast/internal/clock"
 	"pmcast/internal/core"
 	"pmcast/internal/event"
+	"pmcast/internal/fec"
 	"pmcast/internal/interest"
 	"pmcast/internal/membership"
 	"pmcast/internal/node"
@@ -229,7 +230,7 @@ type run struct {
 	envSum   int64
 	byteSum  int64
 	matchSum core.MatchStats
-	fecSum   node.FECStats
+	fecSum   fec.Stats
 
 	// shadow is the MeasureSummaryFPR oracle: a membership tree mirroring
 	// the fleet's churn and flux, queried (never gossiped through) at each
@@ -832,7 +833,7 @@ func (r *run) finish(wallStart time.Time) {
 	r.report.Envelopes = r.envSum
 	r.report.WireBytes = r.byteSum
 	match := r.matchSum
-	fec := r.fecSum
+	coding := r.fecSum
 	for _, h := range r.handles {
 		if h == nil || h.n == nil {
 			continue
@@ -841,13 +842,13 @@ func (r *run) finish(wallStart time.Time) {
 		r.report.Envelopes += env
 		r.report.WireBytes += wb
 		match.Accumulate(h.n.MatchStats())
-		fec.Accumulate(h.n.FECStats())
+		coding.Accumulate(h.n.FECStats())
 	}
 	r.report.LinkModel = r.sc.Link.Enabled()
-	r.report.FECRepairBytes = fec.RepairBytes
-	r.report.FECRecoveries = fec.Recovered
-	r.report.FECRepairsReceived = fec.RepairsReceived
-	r.report.FECExpired = fec.Expired
+	r.report.FECRepairBytes = coding.RepairBytes
+	r.report.FECRecoveries = coding.Recovered
+	r.report.FECRepairsReceived = coding.RepairsReceived
+	r.report.FECExpired = coding.Expired
 	r.report.MatchEvals = match.Evals
 	r.report.MatchComparisons = match.Comparisons
 	r.report.MatchCacheHits = match.Hits

@@ -153,11 +153,12 @@ func (s Subscription) MarshalBinary() ([]byte, error) {
 	return AppendSubscription(nil, s), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. data must hold
+// exactly a subscription: trailing bytes are an error.
 func (s *Subscription) UnmarshalBinary(data []byte) error {
 	r := binenc.NewReader(data)
 	got := ReadSubscription(r)
-	if err := r.Err(); err != nil {
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("interest: decoding subscription: %w", err)
 	}
 	*s = got
@@ -169,11 +170,12 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 	return AppendSummary(nil, s), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. data must hold
+// exactly a summary: trailing bytes are an error.
 func (s *Summary) UnmarshalBinary(data []byte) error {
 	r := binenc.NewReader(data)
 	got := ReadSummary(r)
-	if err := r.Err(); err != nil {
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("interest: decoding summary: %w", err)
 	}
 	*s = *got

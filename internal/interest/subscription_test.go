@@ -275,3 +275,26 @@ func TestSummaryIdentityDroppedOnChange(t *testing.T) {
 		t.Error("nil summary has an identity")
 	}
 }
+
+// TestCodecRejectsTrailingBytes: a value decodes from exactly its encoding;
+// bytes after it are an error, not ignored.
+func TestCodecRejectsTrailingBytes(t *testing.T) {
+	sub := paperSub()
+	sum := Summarize(sub, NewSubscription().Where("e", OneOf("Tom")))
+	for name, tc := range map[string]struct {
+		data []byte
+		into interface{ UnmarshalBinary([]byte) error }
+	}{
+		"subscription": {AppendSubscription(nil, sub), new(Subscription)},
+		"summary":      {AppendSummary(nil, sum), new(Summary)},
+	} {
+		if err := tc.into.UnmarshalBinary(tc.data); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, junk := range [][]byte{{0}, {0, 0}} {
+			if err := tc.into.UnmarshalBinary(append(tc.data[:len(tc.data):len(tc.data)], junk...)); err == nil {
+				t.Errorf("%s with %d trailing bytes decoded with no error", name, len(junk))
+			}
+		}
+	}
+}

@@ -74,27 +74,27 @@ func TestFECRecoversWithheldGossip(t *testing.T) {
 	repairOnly := transport.Envelope{From: sender, To: n.Addr(), Payload: wire.Batch{FEC: []fec.Generation{repair}}}
 	n.HandleEnvelope(repairOnly)
 
+	if st := n.FECStats(); st.Recovered != 1 {
+		t.Fatalf("decode should recover immediately: %+v", st)
+	}
+	got := map[event.ID]bool{}
+	for len(n.Deliveries()) > 0 {
+		got[(<-n.Deliveries()).ID()] = true
+	}
+	if len(got) != 3 || got[ids[1]] {
+		t.Fatalf("delivered %v before any round: want the 3 survivors", got)
+	}
 	// The recovery waits out its revival delay: if the real wave had
 	// delivered the event meanwhile, the revival would cancel as a
 	// duplicate. Here it never arrives, so the delayed re-entry delivers.
-	for i := 0; i <= fecReviveDelay; i++ {
-		if st := n.FECStats(); st.Recovered != 1 {
-			t.Fatalf("decode should recover immediately: %+v", st)
+	for round := 1; !got[ids[1]]; round++ {
+		if round > 10 {
+			t.Fatal("the withheld gossip was not delivered within 10 rounds")
 		}
 		n.TickGossip()
-	}
-
-	got := map[event.ID]bool{}
-	for len(got) < 4 {
-		select {
-		case ev := <-n.Deliveries():
-			got[ev.ID()] = true
-		default:
-			t.Fatalf("delivered %d of 4 events (missing recovery?)", len(got))
+		for len(n.Deliveries()) > 0 {
+			got[(<-n.Deliveries()).ID()] = true
 		}
-	}
-	if !got[ids[1]] {
-		t.Fatal("the withheld gossip was not delivered")
 	}
 	st := n.FECStats()
 	if st.Recovered != 1 || st.Decodes != 1 || st.Corrupt != 0 {
@@ -195,20 +195,21 @@ func TestFECCodedRoundOnWire(t *testing.T) {
 	}
 	a.TickGossip()
 	batches = nil
-	for i := 0; i < fecFlushAge+2; i++ {
-		a.TickGossip()
-	}
 	short := 0
-	for _, bt := range batches {
-		if len(bt.FEC) == 1 && bt.FEC[0].K == 1 {
-			short++
-			if len(bt.Gossips) == 0 {
-				t.Fatalf("short flush spent a dedicated envelope despite live traffic: %+v", bt)
+	for round := 1; short == 0; round++ {
+		if round > 16 {
+			t.Fatalf("no short aged flush within 16 rounds: %+v", batches)
+		}
+		a.TickGossip()
+		for _, bt := range batches {
+			if len(bt.FEC) == 1 && bt.FEC[0].K == 1 {
+				short++
+				if len(bt.Gossips) == 0 {
+					t.Fatalf("short flush spent a dedicated envelope despite live traffic: %+v", bt)
+				}
 			}
 		}
-	}
-	if short == 0 {
-		t.Fatalf("no short aged flush observed: %+v", batches)
+		batches = nil
 	}
 }
 

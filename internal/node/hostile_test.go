@@ -320,7 +320,7 @@ func forgedRepairBatch() wire.Batch {
 // own subscription — a forged fresher line for self may legitimately
 // replace it — and demands a well-formed gossip still be delivered: no
 // decodable message may stop a node for good. Every frame goes to a node
-// without the coding layer and to one with it, whose assembler takes in the
+// without the coding layer and to one with it, whose coder takes in the
 // forged generations and repairs the frame may carry.
 func FuzzHostileMembershipKeepsDelivering(f *testing.F) {
 	for _, msg := range []wire.Batch{

@@ -67,7 +67,7 @@ func TestIngressParityAcrossFabrics(t *testing.T) {
 
 	type outcome struct {
 		Delivered  []event.ID
-		FEC        FECStats
+		FEC        fec.Stats
 		Match      core.MatchStats
 		Membership uint64
 		Malformed  int64
@@ -100,8 +100,8 @@ func TestIngressParityAcrossFabrics(t *testing.T) {
 				for _, b := range envelopes {
 					n.HandleEnvelope(transport.Envelope{From: sender, To: n.Addr(), Payload: shape(b)})
 				}
-				for i := 0; i <= fecReviveDelay; i++ {
-					n.TickGossip() // the recovered gossip re-enters
+				for i := 0; i < 10 && len(n.Deliveries()) < tc.delivered; i++ {
+					n.TickGossip() // until the recovered gossip re-enters
 				}
 				out := outcome{FEC: n.FECStats(), Match: n.MatchStats(), Membership: n.Membership().Version()}
 				out.Match.Nanos = 0 // wall time

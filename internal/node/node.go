@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -208,16 +207,10 @@ type Node struct {
 	deliveriesClosed bool
 	joinContact      addr.Address
 
-	// The coding layer (nil when FECRepairs is 0), under mu like the rest of
-	// the protocol: the encoder codes round envelopes in tickGossip, the
-	// assembler reassembles in handleRound.
-	fenc          *fec.Encoder
-	fasm          *fec.Assembler
-	fecKeyAddr    map[string]addr.Address // routing key → last round-send target
-	fecRevive     []fecRevival            // delayed revival queue
-	fecReviveTick int                     // revival round clock
-	repairBytes   int64                   // encoded bytes of emitted repair sections
-	fecRecovered  int64                   // gossips reconstructed from repairs and accepted
+	// coder is the coding layer (nil when FECRepairs is 0), under mu like the
+	// rest of the protocol: tickGossip ticks it and hands it round envelopes,
+	// handleRound hands it what arrived.
+	coder *fec.Coder
 
 	seq        atomic.Uint64
 	deliveries chan event.Event
@@ -298,9 +291,7 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 			return nil, fmt.Errorf("node: FEC k+r = %d exceeds %d symbols",
 				cfg.FECSources+cfg.FECRepairs, fec.MaxSymbols)
 		}
-		n.fenc = fec.NewEncoder(cfg.FECSources, cfg.FECRepairs)
-		n.fasm = fec.NewAssembler()
-		n.fecKeyAddr = make(map[string]addr.Address)
+		n.coder = fec.NewCoder(cfg.FECSources, cfg.FECRepairs, cfg.Space.Depth())
 	}
 	if !cfg.DeferViews {
 		if err := n.rebuildLocked(); err != nil {
@@ -436,50 +427,14 @@ func (n *Node) WireStats() (envelopes, bytes int64) {
 	return n.envelopes.Load(), n.wireBytes.Load()
 }
 
-// FECStats is a snapshot of the coding layer's counters. All zeros when
-// coding is off.
-type FECStats struct {
-	// RepairBytes is the encoded size of every repair section emitted —
-	// the redundancy overhead this node paid on the wire.
-	RepairBytes int64
-	// RepairsReceived counts repair symbols that reached the assembler.
-	RepairsReceived int64
-	// Decodes counts reconstruction solves attempted.
-	Decodes int64
-	// Recovered counts gossips reconstructed from repairs and accepted into
-	// the protocol — events that would otherwise have waited for a
-	// retransmission or been missed.
-	Recovered int64
-	// Corrupt counts malformed repairs and reconstructions that failed
-	// verification; Expired counts partial generations that timed out.
-	Corrupt int64
-	Expired int64
-}
-
-// Accumulate folds another snapshot into this one — harness-style banking
-// of counters across node generations.
-func (s *FECStats) Accumulate(o FECStats) {
-	s.RepairBytes += o.RepairBytes
-	s.RepairsReceived += o.RepairsReceived
-	s.Decodes += o.Decodes
-	s.Recovered += o.Recovered
-	s.Corrupt += o.Corrupt
-	s.Expired += o.Expired
-}
-
 // FECStats reports the coding layer's work so far.
-func (n *Node) FECStats() FECStats {
+func (n *Node) FECStats() fec.Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	st := FECStats{RepairBytes: n.repairBytes, Recovered: n.fecRecovered}
-	if n.fasm != nil {
-		s := n.fasm.Stats()
-		st.RepairsReceived = s.RepairsReceived
-		st.Decodes = s.Decodes
-		st.Corrupt = s.Corrupt
-		st.Expired = s.Expired
+	if n.coder == nil {
+		return fec.Stats{}
 	}
-	return st
+	return n.coder.Stats()
 }
 
 // MatchStats reports the matching engine's counters — matcher evaluations,
@@ -607,8 +562,8 @@ func (n *Node) handle(env transport.Envelope, h *heard) {
 // sections of a frame in ss (a byte fabric); the other is empty. A batch of
 // membership sections alone never takes the state lock.
 func (n *Node) handleRound(from addr.Address, b wire.Batch, ss []wire.Section) {
-	if n.fasm != nil && len(ss) > 0 {
-		// The assembler observes every arrival's canonical bytes, duplicates
+	if n.coder != nil && len(ss) > 0 {
+		// The coder observes every arrival's canonical bytes, duplicates
 		// included, so a coding node builds every section.
 		b.Gossips = make([]core.Gossip, 0, len(ss))
 		for i := range ss {
@@ -621,19 +576,8 @@ func (n *Node) handleRound(from addr.Address, b wire.Batch, ss []wire.Section) {
 	if len(b.Gossips) > 0 || len(ss) > 0 || len(b.FEC) > 0 {
 		n.mu.Lock()
 		n.handleGossipBatchLocked(b.Gossips, ss)
-		if n.fasm != nil {
-			// Feed the coding layer the canonical bytes of what arrived, so
-			// any pending generation listing an event can count it as a source
-			// symbol, then the repair symbols, one at a time: a recovery one
-			// unlocks is a source for the generations after it.
-			for _, g := range b.Gossips {
-				n.acceptRecoveredFECLocked(n.fasm.ObserveSource(g.Event.ID(), wire.AppendEventBody(nil, g.Event)))
-			}
-			for _, gen := range b.FEC {
-				for _, rs := range gen.Repairs {
-					n.acceptRecoveredFECLocked(n.fasm.ObserveRepair(from.Key(), gen, rs))
-				}
-			}
+		if n.coder != nil {
+			n.coder.Observe(from, b.Gossips, b.FEC)
 		}
 		n.mu.Unlock()
 	}
@@ -681,7 +625,7 @@ func (n *Node) handleDigest(from addr.Address, d membership.Digest) {
 }
 
 // handleGossipBatchLocked is the one way a gossip enters the protocol: a
-// round envelope's gossip section (a revived recovery is a section of one),
+// round envelope's gossip section, or the coder's due revivals,
 // under one staleness check — the receive-side half of the batched pipeline.
 // The gossips come typed (gs) or as scanned sections of a frame (ss), in
 // order. A section is built only when the seen-set lacks its ID: at the
@@ -732,164 +676,17 @@ func (n *Node) buildSection(s *wire.Section) (core.Gossip, bool) {
 	return core.Gossip{Event: ev, Depth: s.Depth, Rate: s.Rate, Round: s.Round}, true
 }
 
-// acceptRecoveredFECLocked validates reconstructed events and queues them for
-// delayed revival. Symbols are event bytes — invariant across
-// retransmissions and identical from every sender — so any copy of an event
-// fills its slot in every pending generation that lists it, whoever coded
-// that generation. Each recovered body must decode to the event the
-// generation header promised — a mismatch means the solve ran over a
-// poisoned source cache and the result is discarded as corrupt. Accepted
-// recoveries are re-observed as sources, which can complete further
-// pending generations; the worklist is bounded because every completion
-// retires its generation.
-//
-// Recoveries are NOT handed to the protocol immediately. A repair decodes
-// an event a round or two after the gossip it protects was sent, so for a
-// tail loss the real wave usually delivers the event on another link
-// moments later — and a premature re-entry would mark it seen, suppress
-// that reception, and strip this node of its forwarding duty in the live
-// epidemic (measurably lowering fleet reliability). Instead the recovery
-// waits fecReviveDelay gossip rounds in the revival queue: if the real
-// wave shows up the revival cancels as a duplicate and the run is
-// byte-identical to an uncoded one, and only an event that is still
-// nowhere in sight — the subtree-dead case the coding layer exists for —
-// re-enters, with a fresh round budget, to be delivered and re-gossiped
-// downstream.
-func (n *Node) acceptRecoveredFECLocked(recs []fec.Recovered) {
-	for len(recs) > 0 {
-		rec := recs[0]
-		recs = recs[1:]
-		ev, err := wire.DecodeEventBody(rec.Body)
-		if err != nil || ev.ID() != rec.ID {
-			n.fasm.NoteCorrupt()
-			continue
-		}
-		n.fecRecovered++
-		if len(n.fecRevive) < maxFECRevive {
-			n.fecRevive = append(n.fecRevive, fecRevival{
-				g: core.Gossip{
-					Event: ev,
-					Depth: rec.Meta.Depth,
-					Rate:  rec.Meta.Rate,
-					Round: 0,
-				},
-				due: n.fecReviveTick + fecReviveDelay,
-			})
-		}
-		recs = append(recs, n.fasm.ObserveSource(rec.ID, rec.Body)...)
-	}
-}
-
-// reviveRecoveredFECLocked runs once per gossip round: revival candidates
-// whose delay has elapsed re-enter through handleGossipBatchLocked, whose
-// seen-set check is the cancellation — an event the real wave delivered
-// meanwhile is a duplicate and the revival is a no-op.
-func (n *Node) reviveRecoveredFECLocked() {
-	n.fecReviveTick++
-	if len(n.fecRevive) == 0 {
-		return
-	}
-	keep := n.fecRevive[:0]
-	for _, rv := range n.fecRevive {
-		if rv.due > n.fecReviveTick {
-			keep = append(keep, rv)
-			continue
-		}
-		n.handleGossipBatchLocked([]core.Gossip{rv.g}, nil)
-	}
-	n.fecRevive = keep
-	// Drop the processed tail so retained event references can be collected.
-	tail := n.fecRevive[len(n.fecRevive):cap(n.fecRevive)]
-	for i := range tail {
-		tail[i] = fecRevival{}
-	}
-}
-
-// fecRevival is one recovered gossip waiting out its revival delay.
-type fecRevival struct {
-	g   core.Gossip
-	due int
-}
-
-// fecReviveDelay is how many gossip rounds a recovery waits before
-// re-entering the protocol, giving the real wave time to deliver the event
-// and cancel the revival; maxFECRevive bounds the queue against a hostile
-// repair stream.
-const (
-	fecReviveDelay = 3
-	maxFECRevive   = 4096
-)
-
-// fecFlushAge is how many gossip rounds a partial generation may wait for
-// the accumulator to fill before a dedicated repair-only envelope flushes
-// it. The encoder already piggybacks an aged generation onto the next
-// ordinary envelope after a couple of rounds, so this backstop only fires
-// when the node stops sending entirely — it is deliberately lax because
-// every firing costs a whole envelope.
-const fecFlushAge = 6
-
-// fecRouteKey buckets a round-send destination into its top-level subtree.
-// Generations accumulate per destination subtree because gossip routes
-// events by interest: the events a node sends toward subtree T are the
-// events T's members hold, so a generation coded toward T is decodable
-// there. One accumulator mixing traffic for every subtree would present
-// mostly holes to each receiver — it can fill only its own subtree's
-// slots — and reconstruction needs k of k+r symbols present.
-func fecRouteKey(a addr.Address) string {
-	if a.IsZero() {
-		return ""
-	}
-	return strconv.Itoa(a.Digit(1))
-}
-
-// codeRoundSendLocked feeds one round envelope's gossips into the
-// destination subtree's generation accumulator and returns the generations
-// that should ride this envelope's FEC section: fresh fills, aged
-// piggybacks, and replica copies of recent generations spreading across the
-// subtree. Most round-sends return nothing — the accumulator is what
-// amortizes one repair symbol over k distinct events instead of one
-// round-send's few.
-func (n *Node) codeRoundSendLocked(rs core.RoundSend) []fec.Generation {
-	leaf := n.cfg.Space.Depth()
-	srcs := make([]fec.Source, 0, len(rs.Gossips))
-	for _, g := range rs.Gossips {
-		if g.Depth >= leaf && leaf > 1 {
-			// Leaf-level gossips are the dense tail of dissemination: by the
-			// time an event floods a leaf group, many members hold it and a
-			// lost copy arrives again on another link. Coding them buys
-			// little and their volume dominates — the per-slot header cost
-			// of protecting every leaf transmission dwarfs the repairs.
-			// The sub-leaf delegate hops are where few copies carry the
-			// whole subtree's delivery; those are the ones worth coding.
-			continue
-		}
-		srcs = append(srcs, fec.Source{
-			ID:   g.Event.ID(),
-			Meta: fec.Meta{Depth: g.Depth, Rate: g.Rate, Round: g.Round},
-			Body: wire.AppendEventBody(nil, g.Event),
-		})
-	}
-	key := fecRouteKey(rs.To)
-	n.fecKeyAddr[key] = rs.To
-	gens := n.fenc.Add(key, srcs)
-	for _, g := range gens {
-		n.repairBytes += int64(g.RepairBytes())
-	}
-	return gens
-}
-
 // tickGossip runs one gossip period. Under the state lock, in this order:
-// due revivals re-enter, the round ticks, the assembler ages out partial
-// generations, each round envelope is coded, and an aged partial generation
-// is flushed. The envelopes are emitted, in that order, after the lock
-// drops: emit either hands them to the egress workers or — serially — sends
-// on this goroutine.
+// the coder ticks and its due revivals re-enter, the round ticks, each round
+// envelope is coded, and the coder flushes what waited too long. The
+// envelopes are emitted, in that order, after the lock drops: emit either
+// hands them to the egress workers or — serially — sends on this goroutine.
 func (n *Node) tickGossip() {
 	n.mu.Lock()
-	if n.fasm != nil {
+	if n.coder != nil {
 		// Revive before ticking: a recovery whose delay just elapsed enters
 		// the gossip buffers now and rides this very round's envelopes.
-		n.reviveRecoveredFECLocked()
+		n.handleGossipBatchLocked(n.coder.Tick(), nil)
 	}
 	if err := n.rebuildIfStaleLocked(); err != nil {
 		n.mu.Unlock()
@@ -899,29 +696,13 @@ func (n *Node) tickGossip() {
 	jobs := n.proc.TickRound(n.rng)
 	n.drainDeliveriesLocked()
 	var gens [][]fec.Generation
-	var flushTo []addr.Address // repair-only envelopes, with their generations
-	var flushGens [][]fec.Generation
-	if n.fasm != nil {
-		// One gossip round elapsed: age out partial generations that will
-		// never complete (their arrived sources were already processed).
-		n.fasm.Sweep()
+	var flushed []fec.Flushed
+	if n.coder != nil {
 		gens = make([][]fec.Generation, len(jobs))
 		for i, rs := range jobs {
-			gens[i] = n.codeRoundSendLocked(rs)
+			gens[i] = n.coder.Code(rs)
 		}
-		// Backstop flush: if gossip traffic ceased with a partial
-		// generation open, ship it as a short (k', r) code in a repair-only
-		// envelope so the trailing events keep their protection.
-		for _, kg := range n.fenc.FlushAged(fecFlushAge) {
-			to, ok := n.fecKeyAddr[kg.Key]
-			if !ok || to.IsZero() {
-				continue
-			}
-			for _, g := range kg.Gens {
-				n.repairBytes += int64(g.RepairBytes())
-			}
-			flushTo, flushGens = append(flushTo, to), append(flushGens, kg.Gens)
-		}
+		flushed = n.coder.Flush()
 	}
 	n.mu.Unlock()
 	for i, rs := range jobs {
@@ -931,8 +712,8 @@ func (n *Node) tickGossip() {
 		}
 		n.emit(rs.To, b)
 	}
-	for i, to := range flushTo {
-		n.emit(to, wire.Batch{FEC: flushGens[i]})
+	for _, f := range flushed {
+		n.emit(f.To, wire.Batch{FEC: f.Gens})
 	}
 }
 

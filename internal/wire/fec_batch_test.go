@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 
+	"pmcast/internal/addr"
+	"pmcast/internal/core"
 	"pmcast/internal/event"
 	"pmcast/internal/fec"
 )
@@ -370,9 +372,9 @@ func checkSplit(t *testing.T, m Batch, chunks []Batch, limit int) {
 }
 
 // TestSplitBatchCodedReassembles proves the split is invisible to the
-// receiver: decoding every chunk and feeding the parts to an assembler
-// recovers a generation even when its sources and repairs landed in
-// different datagrams and some sources were lost.
+// receiver: decoding every chunk and handing each to a coder recovers a
+// generation even when its sources and repairs landed in different
+// datagrams and some sources were lost.
 func TestSplitBatchCodedReassembles(t *testing.T) {
 	m := codedBatch(t, 8, 4, 2)
 	full := EncodedSize(m)
@@ -383,42 +385,40 @@ func TestSplitBatchCodedReassembles(t *testing.T) {
 	if len(chunks) < 3 {
 		t.Fatalf("want ≥ 3 chunks, got %d", len(chunks))
 	}
-	asm := fec.NewAssembler()
+	c := fec.NewCoder(4, 2, 3)
 	lost := map[event.ID]bool{
 		m.Gossips[1].Event.ID(): true,
 		m.Gossips[6].Event.ID(): true,
 	}
-	var recovered []fec.Recovered
-	for _, c := range chunks {
-		b, err := Decode(mustEncode(t, c))
+	for _, chunk := range chunks {
+		b, err := Decode(mustEncode(t, chunk))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var arrived []core.Gossip
 		for _, g := range b.Gossips {
-			if lost[g.Event.ID()] {
-				continue
-			}
-			recovered = append(recovered, asm.ObserveSource(g.Event.ID(), AppendEventBody(nil, g.Event))...)
-		}
-		for _, gen := range b.FEC {
-			for _, rs := range gen.Repairs {
-				recovered = append(recovered, asm.ObserveRepair("s", gen, rs)...)
+			if !lost[g.Event.ID()] {
+				arrived = append(arrived, g)
 			}
 		}
+		c.Observe(addr.New(1, 0, 0), arrived, b.FEC)
 	}
-	if len(recovered) != len(lost) {
-		t.Fatalf("recovered %d of %d lost gossips", len(recovered), len(lost))
+	if st := c.Stats(); st.Recovered != int64(len(lost)) || st.Corrupt != 0 {
+		t.Fatalf("stats %+v: want %d recoveries, none corrupt", st, len(lost))
 	}
-	for _, rec := range recovered {
-		ev, err := DecodeEventBody(rec.Body)
-		if err != nil {
-			t.Fatalf("recovered body does not decode: %v", err)
+	var revived []core.Gossip
+	for i := 0; i < 10 && len(revived) < len(lost); i++ {
+		revived = append(revived, c.Tick()...)
+	}
+	if len(revived) != len(lost) {
+		t.Fatalf("revived %d of %d lost gossips", len(revived), len(lost))
+	}
+	for _, g := range revived {
+		if !lost[g.Event.ID()] {
+			t.Fatalf("revived the wrong event: %v", g.Event.ID())
 		}
-		if ev.ID() != rec.ID || !lost[ev.ID()] {
-			t.Fatalf("recovered wrong event: %v", ev.ID())
-		}
-		if rec.Meta.Depth < 1 {
-			t.Fatalf("recovered meta lost its depth: %+v", rec.Meta)
+		if g.Depth < 1 {
+			t.Fatalf("revived gossip lost its depth: %+v", g)
 		}
 	}
 }

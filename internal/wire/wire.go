@@ -747,18 +747,6 @@ func AppendEventBody(b []byte, ev event.Event) []byte {
 	return event.AppendEvent(b, ev)
 }
 
-// DecodeEventBody decodes one bare event body as written by
-// AppendEventBody — the inverse the coding layer applies to recovered
-// symbols. The whole slice must be consumed.
-func DecodeEventBody(data []byte) (event.Event, error) {
-	r := binenc.NewReader(data)
-	ev := event.ReadEvent(r)
-	if err := finish(r); err != nil {
-		return event.Event{}, err
-	}
-	return ev, nil
-}
-
 func readGossipBody(r *binenc.Reader) core.Gossip {
 	return core.Gossip{
 		Event: event.ReadEvent(r),
@@ -874,11 +862,8 @@ func readRecord(r *binenc.Reader) membership.Record {
 }
 
 func finish(r *binenc.Reader) error {
-	if err := r.Err(); err != nil {
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadPayload, err)
-	}
-	if r.Len() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, r.Len())
 	}
 	return nil
 }
