@@ -102,26 +102,24 @@ func main() {
 			sc.Fleet.FECSources, sc.Fleet.FECRepairs,
 			res.Report.RepairBytesPerEvent, res.Report.FECRecoveries, res.Report.RoundsToDeliveryP99)
 	}
-	if sc.MeasureSummaryFPR || res.Report.FoldRecomputes > 0 {
+	if res.Report.FoldRecomputes > 0 {
 		fmt.Fprintf(os.Stderr,
 			"pmcast-chaos: matcher  fold_recompiles=%d  fold_cache_hits=%d  fold_cache=%d(evict %d)  compiler=%d(evict %d)\n",
 			res.Report.FoldRecomputes, res.Report.FoldCacheHits,
 			res.Report.FoldCacheEntries, res.Report.FoldCacheEvictions,
 			res.Report.CompilerEntries, res.Report.CompilerEvictions)
 	}
-	if sc.MeasureSummaryFPR {
-		fmt.Fprintf(os.Stderr,
-			"pmcast-chaos: summaries  false_positive_rate=%.4f  class_buckets=%d\n",
-			res.Report.SummaryFPRate, len(res.Report.ClassReliability))
-		for _, cr := range res.Report.ClassReliability {
-			rel := fmt.Sprintf("mean=%.4f min=%.4f", cr.MeanReliability, cr.MinReliability)
-			if cr.Audienced == 0 {
-				rel = "n/a (no audience)"
-			}
-			fmt.Fprintf(os.Stderr,
-				"pmcast-chaos:   bucket=%d  events=%d  reliability %s  fp_rate=%.4f\n",
-				cr.Bucket, cr.Events, rel, cr.SummaryFPRate)
+	fmt.Fprintf(os.Stderr,
+		"pmcast-chaos: summaries  false_positive_rate=%.4f  class_buckets=%d\n",
+		res.Report.SummaryFPRate, len(res.Report.ClassReliability))
+	for _, cr := range res.Report.ClassReliability {
+		rel := fmt.Sprintf("mean=%.4f min=%.4f", cr.MeanReliability, cr.MinReliability)
+		if cr.Audienced == 0 {
+			rel = "n/a (no audience)"
 		}
+		fmt.Fprintf(os.Stderr,
+			"pmcast-chaos:   bucket=%d  events=%d  reliability %s  fp_rate=%.4f\n",
+			cr.Bucket, cr.Events, rel, cr.SummaryFPRate)
 	}
 	if *out == "" {
 		os.Stdout.Write(enc)

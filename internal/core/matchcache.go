@@ -104,15 +104,12 @@ type MatchStats struct {
 	FoldRecomputes uint64
 	FoldHits       uint64
 	// Shared-store snapshots: live entries and sweep evictions of the
-	// regroupings (FoldCacheEntries/Evictions) and compiled languages
-	// (CompilerEntries/Evictions) in the store behind the tree. A store is
-	// typically shared by many processes (tree clones), so Accumulate keeps
-	// the max rather than double-counting one store per process; exact fleet
-	// totals dedupe by store identity (CacheID) through Node.FoldStats.
-	FoldCacheEntries   uint64
-	FoldCacheEvictions uint64
-	CompilerEntries    uint64
-	CompilerEvictions  uint64
+	// compiled languages in the store behind the tree. A store is typically
+	// shared by many processes (tree clones), so Accumulate keeps the max
+	// rather than double-counting one store per process; exact fleet totals
+	// dedupe by store identity (CacheID) through Node.FoldStats.
+	CompilerEntries   uint64
+	CompilerEvictions uint64
 }
 
 // Accumulate adds another process's counters (fleet-wide reporting).
@@ -125,8 +122,6 @@ func (m *MatchStats) Accumulate(o MatchStats) {
 	m.Nanos += o.Nanos
 	m.FoldRecomputes += o.FoldRecomputes
 	m.FoldHits += o.FoldHits
-	m.FoldCacheEntries = max(m.FoldCacheEntries, o.FoldCacheEntries)
-	m.FoldCacheEvictions = max(m.FoldCacheEvictions, o.FoldCacheEvictions)
 	m.CompilerEntries = max(m.CompilerEntries, o.CompilerEntries)
 	m.CompilerEvictions = max(m.CompilerEvictions, o.CompilerEvictions)
 }

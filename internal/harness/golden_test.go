@@ -104,7 +104,9 @@ const goldenZipf1M = "0340d3c5c8882b4f2c463db84b3ff39b33df1566575fe9c875e3865537
 
 // TestEngineMatchesGoldenTraces replays the pinned (scenario, seed) pairs
 // through the staged engine at parallelism 0, at each scenario's own worker
-// count, and demands the pinned bytes, hash for hash.
+// count, and demands the pinned bytes, hash for hash. Each replay also checks
+// the audience oracle: a summary over-approximates its subgroup, so every
+// event's reach through the summaries covers its eligible audience.
 func TestEngineMatchesGoldenTraces(t *testing.T) {
 	for name, seeds := range goldenTraces {
 		sc, err := Lookup(name)
@@ -122,6 +124,12 @@ func TestEngineMatchesGoldenTraces(t *testing.T) {
 			if got := res.Report.TraceSHA256; got != want {
 				t.Errorf("%s seed %d: trace sha %s, golden %s — the engine no longer replays the pinned runtime",
 					name, seed, got, want)
+			}
+			for _, ev := range res.Report.Events {
+				if ev.Reached < ev.Eligible {
+					t.Errorf("%s seed %d: event %s reached %d < eligible %d — a summary dropped an interested member",
+						name, seed, ev.ID, ev.Reached, ev.Eligible)
+				}
 			}
 		}
 	}

@@ -104,9 +104,8 @@ type Report struct {
 	// events: (reached − interested) / reached, where "reached" counts
 	// members whose whole summary path matched the event (see
 	// tree.Tree.MatchReach) and "interested" the members whose own
-	// subscription did, both at publish time. Zero unless the scenario sets
-	// MeasureSummaryFPR — the widened-summary lossiness the disjunct caps
-	// trade for bounded summaries.
+	// subscription did, both at publish time — the widened-summary
+	// lossiness the disjunct caps trade for bounded summaries.
 	SummaryFPRate float64 `json:"summary_false_positive_rate"`
 
 	// ClassReliability breaks delivery and false-positive rates down by
@@ -157,8 +156,8 @@ type EventReport struct {
 	Eligible    int     `json:"eligible"`
 	Delivered   int     `json:"delivered"`
 	Reliability float64 `json:"reliability"`
-	// Reached is the summary-path reach at publish time (MeasureSummaryFPR
-	// scenarios only; see Report.SummaryFPRate).
+	// Reached is the summary-path reach at publish time (see
+	// Report.SummaryFPRate).
 	Reached int `json:"reached,omitempty"`
 }
 
@@ -224,17 +223,12 @@ type run struct {
 	handles   []*handle // fixed index order — the engine's iteration order
 	nextFresh int       // next unused address index for OpJoin
 
-	// envSum, byteSum, matchSum and fecSum accumulate wire, matching and
-	// coding counters of node generations replaced by rejoins; finish() adds
-	// the live generations on top.
-	envSum   int64
-	byteSum  int64
-	matchSum core.MatchStats
-	fecSum   fec.Stats
+	// retired banks the counters of node generations replaced by rejoins;
+	// finish adds the generations still on their handles.
+	retired counters
 
-	// shadow is the MeasureSummaryFPR oracle: a membership tree mirroring
-	// the fleet's churn and flux, queried (never gossiped through) at each
-	// publish.
+	// shadow is the audience oracle: a membership tree mirroring the fleet's
+	// churn and flux, queried (never gossiped through) at each publish.
 	shadow *tree.Tree
 
 	trace     bytes.Buffer
@@ -253,7 +247,7 @@ type published struct {
 	at         int64 // virtual nanoseconds since the run's start
 	class      int64
 	interested int // processes eligible at publish time
-	reached    int // summary-path reach at publish time (shadow runs only)
+	reached    int // summary-path reach at publish time
 	// eligible holds the interested processes still expected to deliver: a
 	// crash, or a flux away from the event, removes a process from it.
 	eligible map[string]bool
@@ -362,24 +356,19 @@ func (s Scenario) run(seed int64, afterInstant func(*run, int, time.Time)) (*Res
 		}
 	}
 
-	// Spawn the initial fleet.
-	for i := 0; i < sc.Nodes; i++ {
+	// Spawn the initial fleet, and the audience oracle: one shadow tree over
+	// the same membership, updated in lockstep with churn and flux ops. It
+	// touches no transport and no engine RNG, so measuring moves no trace.
+	members := make([]tree.Member, sc.Nodes)
+	for i := range members {
 		if _, err := r.spawn(i, subs[i]); err != nil {
 			return nil, err
 		}
+		members[i] = tree.Member{Addr: space.AddressAt(i), Sub: subs[i]}
 	}
-	if sc.MeasureSummaryFPR {
-		// The FPR oracle: one shadow tree over the same membership, updated
-		// in lockstep with churn and flux ops. It touches no transport and no
-		// engine RNG, so measuring costs nothing deterministically.
-		members := make([]tree.Member, 0, sc.Nodes)
-		for _, h := range r.handles {
-			members = append(members, tree.Member{Addr: h.a, Sub: h.sub})
-		}
-		r.shadow, err = tree.Build(tree.Config{Space: space, R: sc.Fleet.R}, members)
-		if err != nil {
-			return nil, fmt.Errorf("harness: scenario %q: building FPR shadow tree: %w", sc.Name, err)
-		}
+	r.shadow, err = tree.Build(tree.Config{Space: space, R: sc.Fleet.R}, members)
+	if err != nil {
+		return nil, fmt.Errorf("harness: scenario %q: building the shadow tree: %w", sc.Name, err)
 	}
 	if err := r.bootstrap(); err != nil {
 		return nil, err
@@ -455,14 +444,9 @@ func (r *run) spawn(i int, sub interest.Subscription) (*handle, error) {
 	}
 	h.gen++
 	if h.n != nil {
-		// The crashed generation's wire and matching counters would vanish
-		// with the handle's node pointer; bank them before the rejoin
-		// replaces it.
-		env, bytes := h.n.WireStats()
-		r.envSum += env
-		r.byteSum += bytes
-		r.matchSum.Accumulate(h.n.MatchStats())
-		r.fecSum.Accumulate(h.n.FECStats())
+		// The crashed generation's counters would vanish with the handle's
+		// node pointer; bank them before the rejoin replaces it.
+		r.retired.add(h.n)
 	}
 	cfg := node.Config{
 		Addr:               a,
@@ -539,19 +523,10 @@ func (r *run) bootstrap() error {
 		if err := donor.WarmViews(); err != nil {
 			return fmt.Errorf("harness: warming views: %w", err)
 		}
-		var wg sync.WaitGroup
-		errs := make([]error, len(r.handles))
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for i, h := range r.handles[1:] {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, h *handle) {
-				defer wg.Done()
-				errs[i] = h.n.AdoptViewsFrom(donor)
-				<-sem
-			}(i, h)
-		}
-		wg.Wait()
+		errs := make([]error, len(r.handles)-1)
+		parallelFor(len(r.handles)-1, func(i int) {
+			errs[i] = r.handles[i+1].n.AdoptViewsFrom(donor)
+		})
 		for _, err := range errs {
 			if err != nil {
 				return fmt.Errorf("harness: adopting views: %w", err)
@@ -615,11 +590,9 @@ func (r *run) exec(op Op) {
 				at:         at.Nanoseconds(),
 				class:      class,
 				interested: len(elig),
+				reached:    r.shadow.MatchReach(ev),
 				eligible:   elig,
 				got:        make(map[string]bool),
-			}
-			if r.shadow != nil {
-				pub.reached = r.shadow.MatchReach(ev)
 			}
 			r.pubOrder = append(r.pubOrder, pub)
 			r.events[id] = pub
@@ -641,9 +614,7 @@ func (r *run) exec(op Op) {
 			for _, pub := range r.pubOrder {
 				delete(pub.eligible, h.key)
 			}
-			if r.shadow != nil {
-				_ = r.shadow.Remove(h.a)
-			}
+			_ = r.shadow.Remove(h.a)
 			r.report.Crashes++
 		}
 		logf("crash %d nodes: %s", len(victims), keysOf(victims))
@@ -657,16 +628,10 @@ func (r *run) exec(op Op) {
 		picked := r.pickFrom(crashed, op.Count)
 		var revived []*handle
 		for _, h := range picked {
-			nh, err := r.spawn(h.index, h.sub)
+			nh, err := r.admit(h.index, h.sub)
 			if err != nil {
 				logf("rejoin of %s failed: %v", h.key, err)
 				continue
-			}
-			if c := r.contact(nh); c != nil {
-				_ = nh.n.Join(c.a)
-			}
-			if r.shadow != nil {
-				_ = r.shadow.Add(tree.Member{Addr: nh.a, Sub: nh.sub})
 			}
 			revived = append(revived, nh)
 			r.report.Rejoins++
@@ -677,17 +642,10 @@ func (r *run) exec(op Op) {
 		for k := 0; k < op.Count && r.nextFresh < r.space.Capacity(); k++ {
 			i := r.nextFresh
 			r.nextFresh++
-			sub := r.sc.subscriptionFor(r.space.AddressAt(i), i)
-			nh, err := r.spawn(i, sub)
+			nh, err := r.admit(i, r.sc.subscriptionFor(r.space.AddressAt(i), i))
 			if err != nil {
 				logf("join of index %d failed: %v", i, err)
 				continue
-			}
-			if c := r.contact(nh); c != nil {
-				_ = nh.n.Join(c.a)
-			}
-			if r.shadow != nil {
-				_ = r.shadow.Add(tree.Member{Addr: nh.a, Sub: nh.sub})
 			}
 			joined = append(joined, nh)
 			r.report.Joins++
@@ -731,9 +689,7 @@ func (r *run) exec(op Op) {
 					delete(pub.eligible, h.key)
 				}
 			}
-			if r.shadow != nil {
-				_ = r.shadow.UpdateSubscription(h.a, sub)
-			}
+			_ = r.shadow.UpdateSubscription(h.a, sub)
 			r.report.Fluxes++
 		}
 		logf("flux %d nodes: %s", len(victims), keysOf(victims))
@@ -801,6 +757,74 @@ func (r *run) contact(h *handle) *handle {
 	return nil
 }
 
+// admit spawns a new generation at fleet index i, joins it through its
+// contact and mirrors it into the shadow tree — a rejoin and a fresh join
+// alike.
+func (r *run) admit(i int, sub interest.Subscription) (*handle, error) {
+	h, err := r.spawn(i, sub)
+	if err != nil {
+		return nil, err
+	}
+	if c := r.contact(h); c != nil {
+		_ = h.n.Join(c.a)
+	}
+	_ = r.shadow.Add(tree.Member{Addr: h.a, Sub: h.sub})
+	return h, nil
+}
+
+// counters sums node generations' wire, matching and coding counters.
+type counters struct {
+	envelopes, wireBytes int64
+	match                core.MatchStats
+	coding               fec.Stats
+}
+
+// add banks one node generation's counters.
+func (c *counters) add(n *node.Node) {
+	env, wb := n.WireStats()
+	c.envelopes += env
+	c.wireBytes += wb
+	c.match.Accumulate(n.MatchStats())
+	c.coding.Accumulate(n.FECStats())
+}
+
+// outcome folds per-event outcomes into one report row: the fleet's, or one
+// popularity bucket's. Audienced events are those with a nonzero eligible
+// set, the only ones with a reliability to report.
+type outcome struct {
+	events, audienced int
+	relSum, relMin    float64
+	reached, falseP   int
+}
+
+// add folds one event in. False positives compare reach and interest both
+// at publish time — the eligible set shrinks when interested members crash
+// later, so measuring against it would overstate the surplus.
+func (o *outcome) add(er EventReport, interested int) {
+	o.events++
+	if er.Eligible > 0 {
+		if o.audienced == 0 || er.Reliability < o.relMin {
+			o.relMin = er.Reliability
+		}
+		o.audienced++
+		o.relSum += er.Reliability
+	}
+	o.reached += er.Reached
+	o.falseP += max(0, er.Reached-interested)
+}
+
+// rates returns the mean and minimum reliability over audienced events
+// (both 0 when there are none) and the false-positive rate over all events.
+func (o *outcome) rates() (mean, lowest, fpRate float64) {
+	if o.audienced > 0 {
+		mean, lowest = o.relSum/float64(o.audienced), o.relMin
+	}
+	if o.reached > 0 {
+		fpRate = float64(o.falseP) / float64(o.reached)
+	}
+	return mean, lowest, fpRate
+}
+
 // finish computes the end-of-run report fields and stops the fleet.
 func (r *run) finish(wallStart time.Time) {
 	r.eng.mergeDeliveries()
@@ -821,29 +845,32 @@ func (r *run) finish(wallStart time.Time) {
 		}
 		r.report.DeliveriesDropped += h.n.DroppedDeliveries()
 	}
-	if memMin < 0 {
-		memMin = 0
-	}
-	r.report.MembershipMin, r.report.MembershipMax = memMin, memMax
+	r.report.MembershipMin, r.report.MembershipMax = max(memMin, 0), memMax
 	r.report.MessagesDropped = r.fabric.Dropped()
 
-	// Wire and matching cost fleet-wide: banked counters of replaced
-	// generations plus every handle's current node (crashed nodes keep
-	// their counters).
-	r.report.Envelopes = r.envSum
-	r.report.WireBytes = r.byteSum
-	match := r.matchSum
-	coding := r.fecSum
+	// Wire, matching and coding cost fleet-wide: the retired generations'
+	// banked counters plus every handle's current node (crashed nodes keep
+	// their counters). A shared store's gauges are counted once by identity —
+	// tree clones within one node share an instance, and summing per handle
+	// would multiply the same gauge.
+	tot := r.retired
+	seenCaches := make(map[uint64]bool)
 	for _, h := range r.handles {
 		if h == nil || h.n == nil {
 			continue
 		}
-		env, wb := h.n.WireStats()
-		r.report.Envelopes += env
-		r.report.WireBytes += wb
-		match.Accumulate(h.n.MatchStats())
-		coding.Accumulate(h.n.FECStats())
+		tot.add(h.n)
+		fs := h.n.FoldStats()
+		if fs.CacheID != 0 && !seenCaches[fs.CacheID] {
+			seenCaches[fs.CacheID] = true
+			r.report.FoldCacheEntries += fs.CacheEntries
+			r.report.FoldCacheEvictions += fs.CacheEvictions
+			r.report.CompilerEntries += fs.CompilerEntries
+			r.report.CompilerEvictions += fs.CompilerEvictions
+		}
 	}
+	match, coding := tot.match, tot.coding
+	r.report.Envelopes, r.report.WireBytes = tot.envelopes, tot.wireBytes
 	r.report.LinkModel = r.sc.Link.Enabled()
 	r.report.FECRepairBytes = coding.RepairBytes
 	r.report.FECRecoveries = coding.Recovered
@@ -855,23 +882,6 @@ func (r *run) finish(wallStart time.Time) {
 	r.report.MatchCacheMisses = match.Misses
 	r.report.FoldRecomputes = match.FoldRecomputes
 	r.report.FoldCacheHits = match.FoldHits
-	// A shared store is counted once by identity — tree clones within one
-	// node share an instance, and summing per handle would multiply the same
-	// gauge.
-	seenCaches := make(map[uint64]bool)
-	for _, h := range r.handles {
-		if h == nil || h.n == nil {
-			continue
-		}
-		fs := h.n.FoldStats()
-		if fs.CacheID != 0 && !seenCaches[fs.CacheID] {
-			seenCaches[fs.CacheID] = true
-			r.report.FoldCacheEntries += fs.CacheEntries
-			r.report.FoldCacheEvictions += fs.CacheEvictions
-			r.report.CompilerEntries += fs.CompilerEntries
-			r.report.CompilerEvictions += fs.CompilerEvictions
-		}
-	}
 	if match.Rounds > 0 {
 		r.report.MatchMicrosPerRound = float64(match.Nanos) / 1000 / float64(match.Rounds)
 	}
@@ -888,39 +898,16 @@ func (r *run) finish(wallStart time.Time) {
 	if n := len(r.latNanos); n > 0 {
 		lats := append([]int64(nil), r.latNanos...)
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		idx := (n*99 + 99) / 100 // ceil(0.99·n)
-		if idx > n {
-			idx = n
-		}
-		p99 := lats[idx-1]
-		r.report.RoundsToDeliveryP99 = float64(p99) / float64(r.sc.Fleet.GossipInterval.Nanoseconds())
+		idx := min((n*99+99)/100, n) // ceil(0.99·n)
+		r.report.RoundsToDeliveryP99 = float64(lats[idx-1]) / float64(r.sc.Fleet.GossipInterval.Nanoseconds())
 	}
 
 	// Reliability over events: delivered / eligible, eligibility restricted
-	// to processes still alive at the end (crashes already removed).
-	type bucketAgg struct {
-		events    int
-		relEvents int
-		relSum    float64
-		relMin    float64
-		reached   int
-		falseP    int
-	}
-	var buckets []bucketAgg
-	if r.sc.ClassBucketOf != nil {
-		nb := r.sc.NumClassBuckets
-		if nb <= 0 {
-			nb = 1
-		}
-		buckets = make([]bucketAgg, nb)
-		for i := range buckets {
-			buckets[i].relMin = 1
-		}
-	}
-	var sum float64
-	evs := 0
-	totReached, totFalseP := 0, 0
-	r.report.MinReliability = 1
+	// to processes still alive at the end (crashes already removed). The
+	// fleet row and every popularity bucket's fold the same rules, in
+	// publish order.
+	var fleet outcome
+	var buckets []outcome
 	for _, pub := range r.pubOrder {
 		id, elig := pub.ev.ID(), pub.eligible
 		er := EventReport{
@@ -937,60 +924,25 @@ func (r *run) finish(wallStart time.Time) {
 		}
 		if len(elig) > 0 {
 			er.Reliability = float64(er.Delivered) / float64(len(elig))
-			sum += er.Reliability
-			evs++
-			if er.Reliability < r.report.MinReliability {
-				r.report.MinReliability = er.Reliability
-			}
 		}
-		// False positives compare reach and interest both at publish time —
-		// the eligible map shrinks when interested members crash later, so
-		// len(elig) here would overstate the surplus.
-		fp := er.Reached - pub.interested
-		if fp < 0 {
-			fp = 0
-		}
-		totReached += er.Reached
-		totFalseP += fp
-		if buckets != nil {
-			b := r.sc.ClassBucketOf(er.Class)
-			if b >= 0 && b < len(buckets) {
-				ba := &buckets[b]
-				ba.events++
-				if len(elig) > 0 {
-					ba.relEvents++
-					ba.relSum += er.Reliability
-					if er.Reliability < ba.relMin {
-						ba.relMin = er.Reliability
-					}
+		fleet.add(er, pub.interested)
+		if r.sc.ClassBucketOf != nil {
+			if b := r.sc.ClassBucketOf(er.Class); b >= 0 {
+				if b >= len(buckets) {
+					buckets = append(buckets, make([]outcome, b+1-len(buckets))...)
 				}
-				ba.reached += er.Reached
-				ba.falseP += fp
+				buckets[b].add(er, pub.interested)
 			}
 		}
 		r.report.Events = append(r.report.Events, er)
 	}
-	if evs > 0 {
-		r.report.MeanReliability = sum / float64(evs)
-	} else {
-		r.report.MinReliability = 0
-	}
-	if totReached > 0 {
-		r.report.SummaryFPRate = float64(totFalseP) / float64(totReached)
-	}
-	for b := range buckets {
-		ba := &buckets[b]
-		if ba.events == 0 {
+	r.report.MeanReliability, r.report.MinReliability, r.report.SummaryFPRate = fleet.rates()
+	for b, o := range buckets {
+		if o.events == 0 {
 			continue
 		}
-		cr := ClassReport{Bucket: b, Events: ba.events, Audienced: ba.relEvents}
-		if ba.relEvents > 0 {
-			cr.MeanReliability = ba.relSum / float64(ba.relEvents)
-			cr.MinReliability = ba.relMin
-		}
-		if ba.reached > 0 {
-			cr.SummaryFPRate = float64(ba.falseP) / float64(ba.reached)
-		}
+		cr := ClassReport{Bucket: b, Events: o.events, Audienced: o.audienced}
+		cr.MeanReliability, cr.MinReliability, cr.SummaryFPRate = o.rates()
 		r.report.ClassReliability = append(r.report.ClassReliability, cr)
 	}
 

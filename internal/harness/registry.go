@@ -557,8 +557,8 @@ func ManyAttr512() Scenario {
 }
 
 // zipfScenario assembles a campaign over a ZipfWorkload: subscriptions,
-// flux redraws, event content, popularity buckets and the FPR oracle all
-// come from the workload model; the caller supplies fleet and schedule.
+// flux redraws, event content and popularity buckets all come from the
+// workload model; the caller supplies fleet and schedule.
 func zipfScenario(s Scenario, w ZipfWorkload) Scenario {
 	zw := NewZipfWorkload(w)
 	s.Fleet.Classes = zw.Topics
@@ -566,8 +566,6 @@ func zipfScenario(s Scenario, w ZipfWorkload) Scenario {
 	s.FluxFor = zw.FluxFor
 	s.EventFor = zw.EventFor
 	s.ClassBucketOf = zw.ClassBucketOf
-	s.NumClassBuckets = zw.NumClassBuckets()
-	s.MeasureSummaryFPR = true
 	return s
 }
 

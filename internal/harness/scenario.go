@@ -122,19 +122,11 @@ type Scenario struct {
 	FluxFor func(a addr.Address, index int, class int64) interest.Subscription
 	// ClassBucketOf maps a published event's class to a popularity bucket
 	// (optional). When set, the report carries a class_reliability breakdown
-	// — one row per bucket — so skewed workloads can see how the tail of the
-	// popularity distribution fares against the head. Must be deterministic
-	// and return values in [0, NumClassBuckets).
-	ClassBucketOf   func(class int64) int
-	NumClassBuckets int
-	// MeasureSummaryFPR maintains a shadow membership tree mirroring the
-	// fleet's churn and flux, and scores every published event against it:
-	// reach through the summary hierarchy vs. truly interested members. The
-	// surplus is the regrouping false-positive rate
-	// (summary_false_positive_rate, and per bucket in class_reliability).
-	// Purely observational — the shadow tree handles no protocol traffic and
-	// consumes no engine randomness, so seeded traces are unchanged.
-	MeasureSummaryFPR bool
+	// — one row per bucket an event landed in — so skewed workloads can see
+	// how the tail of the popularity distribution fares against the head.
+	// Must be deterministic; an event whose bucket is negative counts in
+	// none.
+	ClassBucketOf func(class int64) int
 }
 
 // OpKind enumerates schedulable operations.

@@ -224,11 +224,9 @@ func (w *ZipfWorkload) EventFor(class int64, rng *rand.Rand) map[string]event.Va
 
 // ClassBucketOf groups classes into log₂ popularity bands of the published
 // rank: bucket 0 is rank 0, bucket 1 ranks 1–2, bucket 2 ranks 3–6, … — the
-// head-to-tail axis of the report's class_reliability breakdown.
+// head-to-tail axis of the report's class_reliability breakdown. The rank
+// is below Topics, so the bucket never exceeds bits.Len(Topics)−1.
 func (w *ZipfWorkload) ClassBucketOf(class int64) int {
 	u := (float64(class) + 0.5) / float64(w.Topics)
 	return bits.Len(uint(w.rankFor(u)+1)) - 1
 }
-
-// NumClassBuckets is the bucket count ClassBucketOf can return.
-func (w *ZipfWorkload) NumClassBuckets() int { return bits.Len(uint(w.Topics)) }

@@ -118,13 +118,11 @@ func TestFECRecoversWithheldGossip(t *testing.T) {
 // batch once it ages out.
 func TestFECCodedRoundOnWire(t *testing.T) {
 	var batches []wire.Batch
-	net := transport.MustNetwork(transport.Config{
-		Tap: func(from, to addr.Address, payload any) {
-			if b, ok := payload.(wire.Batch); ok {
-				batches = append(batches, b)
-			}
-		},
-	})
+	net := sendRecorder{transport.MustNetwork(transport.Config{}), func(payload any) {
+		if b, ok := payload.(wire.Batch); ok {
+			batches = append(batches, b)
+		}
+	}}
 	space := addr.MustRegular(3, 2)
 	make3 := func(i int) *Node {
 		n, err := New(net, Config{
@@ -286,4 +284,29 @@ func TestLossyNetworkCodedDelivers(t *testing.T) {
 	if repairs == 0 {
 		t.Error("no repair symbols crossed the lossy fabric")
 	}
+}
+
+// sendRecorder wraps a fabric so every endpoint it attaches reports each
+// payload it sends before handing it on.
+type sendRecorder struct {
+	transport.Transport
+	record func(payload any)
+}
+
+func (s sendRecorder) Attach(a addr.Address) (transport.Endpoint, error) {
+	ep, err := s.Transport.Attach(a)
+	if err != nil {
+		return nil, err
+	}
+	return recordingEndpoint{ep, s.record}, nil
+}
+
+type recordingEndpoint struct {
+	transport.Endpoint
+	record func(payload any)
+}
+
+func (e recordingEndpoint) Send(to addr.Address, payload any) error {
+	e.record(payload)
+	return e.Endpoint.Send(to, payload)
 }

@@ -453,8 +453,6 @@ func (n *Node) MatchStats() core.MatchStats {
 		fs := n.tree.FoldStats()
 		st.FoldRecomputes = fs.Recomputes
 		st.FoldHits = fs.Hits
-		st.FoldCacheEntries = uint64(fs.CacheEntries)
-		st.FoldCacheEvictions = fs.CacheEvictions
 		st.CompilerEntries = uint64(fs.CompilerEntries)
 		st.CompilerEvictions = fs.CompilerEvictions
 	}

@@ -112,11 +112,6 @@ type Config struct {
 	// dedicated stream constant, distinct from every explicit seed, so sweeps
 	// that iterate from 0 never duplicate a campaign.
 	Seed int64
-	// Tap, when set, observes every routed payload before fault injection —
-	// whole round envelopes included, exactly as a byte-oriented fabric
-	// would frame them. Corpus capture and debugging; called with the
-	// network lock held, so it must not reenter the network.
-	Tap func(from, to addr.Address, payload any)
 	// Clock schedules delayed deliveries (default: the real clock). A
 	// clock.Virtual turns in-flight messages into deterministic virtual-time
 	// events — the scenario harness runs whole fleets this way.
@@ -439,18 +434,13 @@ func parts(payload any) int {
 // Only configured knobs cost anything: partition rules are consulted when
 // there are any, link state (under the sender's table mutex) when Loss, the
 // link model or a delay needs a draw or the FIFO floor; a fault-free fabric
-// looks the destination up and hands over. Tap is called concurrently by
-// concurrent senders and must synchronize itself (every in-tree Tap runs
-// under a serial fabric).
+// looks the destination up and hands over.
 func (n *Network) route(e *memEndpoint, to addr.Address, payload any) error {
 	from := e.addr
 	n.mu.RLock()
 	if n.closed {
 		n.mu.RUnlock()
 		return ErrClosed
-	}
-	if n.cfg.Tap != nil {
-		n.cfg.Tap(from, to, payload)
 	}
 	toKey := to.Key()
 	dst, known := n.endpoints[toKey]

@@ -17,9 +17,9 @@ package transport
 
 import (
 	"errors"
-	"sync"
 
 	"pmcast/internal/addr"
+	"pmcast/internal/wire"
 )
 
 // Errors reported by transports. Backends wrap these sentinel values so
@@ -47,15 +47,10 @@ type Raw struct {
 	buf   *[]byte
 }
 
-var rawPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 2048)
-	return &b
-}}
-
-// NewRaw copies one frame into a pooled buffer.
+// NewRaw copies one frame into a buffer from the codec's pool.
 func NewRaw(frame []byte) Raw {
-	p := rawPool.Get().(*[]byte)
-	*p = append((*p)[:0], frame...)
+	p := wire.GetBuffer()
+	*p = append(*p, frame...)
 	return Raw{Frame: *p, buf: p}
 }
 
@@ -63,8 +58,7 @@ func NewRaw(frame []byte) Raw {
 // be used afterwards. Release on a literal (unpooled) Raw is a no-op.
 func (r Raw) Release() {
 	if r.buf != nil {
-		*r.buf = (*r.buf)[:0]
-		rawPool.Put(r.buf)
+		wire.PutBuffer(r.buf)
 	}
 }
 

@@ -375,9 +375,6 @@ func TestStatsCountDatapath(t *testing.T) {
 	if st.RecvSyscalls < 1 || st.RecvSyscalls > st.RecvDatagrams {
 		t.Fatalf("RecvSyscalls = %d out of range [1, %d]", st.RecvSyscalls, st.RecvDatagrams)
 	}
-	if st.Malformed != tr.Malformed() || st.Dropped != tr.Dropped() {
-		t.Fatal("Stats snapshot disagrees with the counter accessors")
-	}
 }
 
 // TestSocketBufferConfig asks for explicit socket buffers and checks the

@@ -156,10 +156,10 @@ func TestOversizedDatagramFramingRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for tr.Malformed() == 0 && time.Now().Before(deadline) {
+	for tr.Stats().Malformed == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := tr.Malformed(); got == 0 {
+	if got := tr.Stats().Malformed; got == 0 {
 		t.Error("oversized datagram was not counted as malformed")
 	}
 	select {
@@ -230,7 +230,7 @@ func TestOversizedDatagramIsNeverCutToAFrame(t *testing.T) {
 					t.Fatalf("first delivery is %+v from %s, want the stamp-2 Leave from %s: the oversized datagram was cut and delivered",
 						payload, env.From, sender)
 				}
-				if got := tr.Malformed(); got != 1 {
+				if got := tr.Stats().Malformed; got != 1 {
 					t.Fatalf("Malformed = %d, want 1", got)
 				}
 			})

@@ -306,12 +306,6 @@ func (t *Transport) Close() error {
 	return nil
 }
 
-// Malformed reports datagrams discarded because they failed to parse.
-func (t *Transport) Malformed() int64 { return t.malformed.Load() }
-
-// Dropped reports decoded messages discarded because an inbox was full.
-func (t *Transport) Dropped() int64 { return t.dropped.Load() }
-
 // Stats snapshots the transport's datapath counters.
 func (t *Transport) Stats() Stats {
 	return Stats{

@@ -290,10 +290,10 @@ func TestMalformedDatagramsAreCountedAndSkipped(t *testing.T) {
 		t.Errorf("payload = %+v", env.Payload)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for tr.Malformed() == 0 && time.Now().Before(deadline) {
+	for tr.Stats().Malformed == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if tr.Malformed() == 0 {
+	if tr.Stats().Malformed == 0 {
 		t.Error("malformed datagram not counted")
 	}
 }
@@ -404,8 +404,8 @@ func TestDeferDecodeDeliversRawFrames(t *testing.T) {
 		got.Event.ID() != want.Event.ID() {
 		t.Errorf("gossip mutated through the raw path: %+v", got)
 	}
-	if tr.Malformed() != 0 {
-		t.Errorf("%d frames counted malformed", tr.Malformed())
+	if tr.Stats().Malformed != 0 {
+		t.Errorf("%d frames counted malformed", tr.Stats().Malformed)
 	}
 }
 

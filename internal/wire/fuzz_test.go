@@ -1,7 +1,7 @@
 // Native fuzz targets for the wire codec. The seed corpus is captured from
 // real traffic: a small step-mode fleet runs the live join/gossip/anti-
-// entropy protocol over the in-memory fabric with a tap, and every routed
-// batch is encoded into a seed frame. The fuzz properties are the codec's two
+// entropy protocol over the in-memory fabric, and every batch an endpoint
+// sends is encoded into a seed frame. The fuzz properties are the codec's two
 // contracts: arbitrary bytes never panic, and whatever decodes re-encodes to
 // a stable canonical byte string (encode→decode→encode identity).
 package wire_test
@@ -25,27 +25,24 @@ import (
 )
 
 // captureCorpus runs a deterministic 8-node step-mode fleet and returns the
-// encoded form of every distinct payload shape the fabric routed, capped to
+// encoded form of every distinct payload shape the fleet sent, capped to
 // keep the seed corpus small.
 func captureCorpus(tb testing.TB) [][]byte {
 	tb.Helper()
 	var frames [][]byte
 	seen := make(map[string]bool)
 	vc := clock.NewVirtual()
-	fab := transport.MustNetwork(transport.Config{
-		Clock: vc,
-		Tap: func(from, to addr.Address, payload any) {
-			data, err := wire.Encode(payload)
-			if err != nil || len(frames) >= 64 {
-				return
-			}
-			// Dedup by frame bytes so the corpus spans shapes, not repeats.
-			if !seen[string(data)] {
-				seen[string(data)] = true
-				frames = append(frames, data)
-			}
-		},
-	})
+	fab := sendRecorder{transport.MustNetwork(transport.Config{Clock: vc}), func(payload any) {
+		data, err := wire.Encode(payload)
+		if err != nil || len(frames) >= 64 {
+			return
+		}
+		// Dedup by frame bytes so the corpus spans shapes, not repeats.
+		if !seen[string(data)] {
+			seen[string(data)] = true
+			frames = append(frames, data)
+		}
+	}}
 	defer fab.Close()
 
 	space := addr.MustRegular(4, 2)
@@ -108,6 +105,31 @@ func captureCorpus(tb testing.TB) [][]byte {
 		tb.Fatal("mini-fleet routed no traffic — corpus capture broken")
 	}
 	return frames
+}
+
+// sendRecorder wraps a fabric so every endpoint it attaches reports each
+// payload it sends before handing it on.
+type sendRecorder struct {
+	transport.Transport
+	record func(payload any)
+}
+
+func (s sendRecorder) Attach(a addr.Address) (transport.Endpoint, error) {
+	ep, err := s.Transport.Attach(a)
+	if err != nil {
+		return nil, err
+	}
+	return recordingEndpoint{ep, s.record}, nil
+}
+
+type recordingEndpoint struct {
+	transport.Endpoint
+	record func(payload any)
+}
+
+func (e recordingEndpoint) Send(to addr.Address, payload any) error {
+	e.record(payload)
+	return e.Endpoint.Send(to, payload)
 }
 
 // reencode asserts the canonical-form contract on one decoded message.
