@@ -6,7 +6,7 @@
 //	go test -bench BenchmarkFigure4 -benchmem
 //
 // prints both the cost of a run and the reproduced reliability. The CSV
-// tables behind the figures come from cmd/pmcast-bench.
+// tables behind the figures come from `pmcast-paper fig` (cmd/pmcast-paper).
 package pmcast_test
 
 import (

@@ -13,7 +13,8 @@
 //     under loss and crashes (one lost edge severs a subtree).
 //
 // All three run the same single-event, Bernoulli-audience, ε/τ environment
-// as internal/sim, so results are directly comparable.
+// as internal/sim and report a sim.Result, so results are directly
+// comparable and fold by the same rule (sim.Aggregate).
 package baseline
 
 import (
@@ -22,38 +23,11 @@ import (
 	"math/rand"
 
 	"pmcast/internal/analysis"
+	"pmcast/internal/sim"
 )
 
 // ErrBadParams reports invalid baseline parameters.
 var ErrBadParams = errors.New("baseline: invalid parameters")
-
-// Result captures one baseline dissemination, with the same semantics as
-// sim.Result so experiment tables can mix columns.
-type Result struct {
-	Interested           int
-	DeliveredInterested  int
-	Uninterested         int
-	InfectedUninterested int
-	Rounds               int
-	Messages             int
-}
-
-// DeliveryRate returns the fraction of the audience that delivered.
-func (r Result) DeliveryRate() float64 {
-	if r.Interested == 0 {
-		return 1
-	}
-	return float64(r.DeliveredInterested) / float64(r.Interested)
-}
-
-// UninterestedReceptionRate returns the fraction of uninterested processes
-// that received the event.
-func (r Result) UninterestedReceptionRate() float64 {
-	if r.Uninterested == 0 {
-		return 0
-	}
-	return float64(r.InfectedUninterested) / float64(r.Uninterested)
-}
 
 // FloodParams configures the gossip-broadcast baseline.
 type FloodParams struct {
@@ -80,12 +54,12 @@ func (p FloodParams) validate() error {
 // RunFlood simulates one gossip broadcast with filtering on reception: every
 // process relays every received event for the Pittel-bounded number of
 // rounds, regardless of anyone's interests.
-func RunFlood(p FloodParams, pd float64, rng *rand.Rand) (Result, error) {
+func RunFlood(p FloodParams, pd float64, rng *rand.Rand) (sim.Result, error) {
 	if err := p.validate(); err != nil {
-		return Result{}, err
+		return sim.Result{}, err
 	}
 	if pd < 0 || pd > 1 {
-		return Result{}, fmt.Errorf("%w: pd=%g", ErrBadParams, pd)
+		return sim.Result{}, fmt.Errorf("%w: pd=%g", ErrBadParams, pd)
 	}
 	interested, crashed := drawPopulation(p.N, pd, p.Tau, rng)
 	budget := analysis.PittelLossAdjustedRounds(float64(p.N), float64(p.F), p.C, p.Eps, p.Tau)
@@ -94,7 +68,7 @@ func RunFlood(p FloodParams, pd float64, rng *rand.Rand) (Result, error) {
 	origin := alivePick(rng, crashed)
 	infected[origin] = true
 	frontier := []int{origin}
-	res := Result{}
+	res := sim.Result{}
 	for round := 0; round < budget && len(frontier) > 0; round++ {
 		res.Rounds++
 		var fresh []int
@@ -153,12 +127,12 @@ func (p GenuineParams) validate() error {
 // only to the interested members of its partial view. Uninterested processes
 // never receive anything — at the price of isolating audience members whose
 // interested neighbors are unreachable.
-func RunGenuine(p GenuineParams, pd float64, rng *rand.Rand) (Result, error) {
+func RunGenuine(p GenuineParams, pd float64, rng *rand.Rand) (sim.Result, error) {
 	if err := p.validate(); err != nil {
-		return Result{}, err
+		return sim.Result{}, err
 	}
 	if pd < 0 || pd > 1 {
-		return Result{}, fmt.Errorf("%w: pd=%g", ErrBadParams, pd)
+		return sim.Result{}, fmt.Errorf("%w: pd=%g", ErrBadParams, pd)
 	}
 	interested, crashed := drawPopulation(p.N, pd, p.Tau, rng)
 
@@ -180,7 +154,7 @@ func RunGenuine(p GenuineParams, pd float64, rng *rand.Rand) (Result, error) {
 	infected := make([]bool, p.N)
 	origin := alivePick(rng, crashed)
 	infected[origin] = true
-	res := Result{}
+	res := sim.Result{}
 	for round := 0; round < budget; round++ {
 		res.Rounds++
 		spread := false
@@ -242,12 +216,12 @@ func (p DetTreeParams) validate() error {
 // gossip). In stable phases this is cheap and exact; a lost hand-off severs
 // the whole subtree, which is the robustness gap pmcast closes (Section 6,
 // Astrolabe comparison).
-func RunDeterministicTree(p DetTreeParams, pd float64, rng *rand.Rand) (Result, error) {
+func RunDeterministicTree(p DetTreeParams, pd float64, rng *rand.Rand) (sim.Result, error) {
 	if err := p.validate(); err != nil {
-		return Result{}, err
+		return sim.Result{}, err
 	}
 	if pd < 0 || pd > 1 {
-		return Result{}, fmt.Errorf("%w: pd=%g", ErrBadParams, pd)
+		return sim.Result{}, fmt.Errorf("%w: pd=%g", ErrBadParams, pd)
 	}
 	n := 1
 	for i := 0; i < p.D; i++ {
@@ -281,7 +255,7 @@ func RunDeterministicTree(p DetTreeParams, pd float64, rng *rand.Rand) (Result, 
 		return out
 	}
 
-	res := Result{Rounds: p.D}
+	res := sim.Result{Rounds: p.D}
 	infected := make([]bool, n)
 	origin := alivePick(rng, crashed)
 	infected[origin] = true
@@ -385,8 +359,9 @@ func carriers(infected, crashed []bool) []int {
 	return out
 }
 
-// tally fills the audience counters of a result.
-func tally(res *Result, infected, interested []bool, origin int) {
+// tally fills the publisher and audience counters of a result.
+func tally(res *sim.Result, infected, interested []bool, origin int) {
+	res.Publisher = origin
 	for i := range infected {
 		if interested[i] {
 			res.Interested++

@@ -181,20 +181,6 @@ func TestDetTreeValidation(t *testing.T) {
 	}
 }
 
-func TestResultRates(t *testing.T) {
-	r := Result{Interested: 10, DeliveredInterested: 7, Uninterested: 20, InfectedUninterested: 5}
-	if r.DeliveryRate() != 0.7 {
-		t.Errorf("delivery = %g", r.DeliveryRate())
-	}
-	if r.UninterestedReceptionRate() != 0.25 {
-		t.Errorf("reception = %g", r.UninterestedReceptionRate())
-	}
-	empty := Result{}
-	if empty.DeliveryRate() != 1 || empty.UninterestedReceptionRate() != 0 {
-		t.Error("vacuous rates wrong")
-	}
-}
-
 func TestSampleDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	got := sampleDistinct(rng, 10, 3, 5)

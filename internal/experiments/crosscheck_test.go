@@ -77,7 +77,7 @@ func TestFlatChainTracksFlatSimulation(t *testing.T) {
 
 // TestAblationTableQuick exercises the ablation harness end to end.
 func TestAblationTableQuick(t *testing.T) {
-	o := Options{Quick: true, Runs: 4, Seed: 3}
+	o := Options{Quick: true, Runs: 4, Seed: 3, Eps: 0.01, Tau: 0.001}
 	rows, err := AblationTable(o)
 	if err != nil {
 		t.Fatal(err)

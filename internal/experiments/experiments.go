@@ -1,12 +1,14 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // (Section 5) plus the analytical tables implied by Sections 2 and 4. Each
-// harness returns printable rows; cmd/pmcast-bench renders them as CSV and
-// bench_test.go replays single points as Go benchmarks.
+// harness returns printable rows; `pmcast-paper fig` (cmd/pmcast-paper)
+// renders them as CSV and bench_test.go replays single points as Go
+// benchmarks.
 //
 // Paper baselines (DSN 2002):
 //   - Figure 4: delivery probability vs fraction of interested processes,
 //     n ≈ 10000 (a=22, d=3), R=3, F=2.
-//   - Figure 5: reception probability for uninterested processes, same setup.
+//   - Figure 5: reception probability for uninterested processes, same
+//     campaign: the reception columns of Figure 4's rows.
 //   - Figure 6: delivery vs subgroup size a ∈ [10,40], d=3, R=4, F=3,
 //     matching rates 0.5 and 0.2.
 //   - Figure 7: tuned (threshold h) vs untuned delivery, Figure 4 setup.
@@ -30,8 +32,9 @@ type Options struct {
 	// Quick shrinks the tree (a=10, d=2 scale) and the sweep for fast test
 	// runs; figures remain shape-comparable but not paper-scale.
 	Quick bool
-	// Eps and Tau set the simulated environment (default ε=0.01, τ=0.001;
-	// the paper's simulations assume a mildly lossy environment).
+	// Eps and Tau set the simulated environment as given: zero is a
+	// loss-free, crash-free run. The paper's simulations assume a mildly
+	// lossy environment, ε=0.01 and τ=0.001.
 	Eps, Tau float64
 	// Threshold is Figure 7's tuning parameter h (default 8).
 	Threshold int
@@ -43,12 +46,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Eps == 0 {
-		o.Eps = 0.01
-	}
-	if o.Tau == 0 {
-		o.Tau = 0.001
 	}
 	if o.Threshold == 0 {
 		o.Threshold = 8
@@ -136,11 +133,6 @@ func Figure4(o Options) ([]DeliveryRow, error) {
 	o = o.withDefaults()
 	return DeliverySweep(o.PaperParams(), o.PdSweep(), o.Runs, o.Seed)
 }
-
-// Figure5 regenerates the paper's Figure 5: probability of reception for
-// uninterested processes vs fraction of interested processes. It shares the
-// Figure 4 sweep (the paper plots two metrics of the same campaign).
-func Figure5(o Options) ([]DeliveryRow, error) { return Figure4(o) }
 
 // Fig6Row is one point of the scalability figure.
 type Fig6Row struct {
@@ -239,26 +231,6 @@ func Figure7(o Options) ([]Fig7Row, error) {
 	return rows, nil
 }
 
-// ViewSizeRow is one depth choice of the membership-scalability table.
-type ViewSizeRow struct {
-	// D is the candidate tree depth.
-	D int
-	// ViewSize is the per-process membership knowledge m (Eq. 2/12).
-	ViewSize int
-}
-
-// ViewSizeTable evaluates Eq. 2/12 for a fixed population across candidate
-// depths, exhibiting the Section 4.3 claim that m = R·a·(d−1)+a decreases in
-// d with a minimum near d = log n.
-func ViewSizeTable(n, r, maxD int) []ViewSizeRow {
-	sizes := analysis.ViewSizeByDepth(n, r, maxD)
-	rows := make([]ViewSizeRow, len(sizes))
-	for i, s := range sizes {
-		rows[i] = ViewSizeRow{D: i + 1, ViewSize: s}
-	}
-	return rows
-}
-
 // RoundsRow compares tree and flat round bounds at one matching rate.
 type RoundsRow struct {
 	// Pd is the matching rate.
@@ -313,7 +285,9 @@ type BaselineRow struct {
 }
 
 // BaselineTable runs the Section 1 comparison: pmcast vs flood broadcast vs
-// genuine multicast vs deterministic tree, sharing the environment.
+// genuine multicast vs deterministic tree, sharing the environment. Every
+// arm is folded by sim.Aggregate, so a run with an empty audience counts
+// toward no arm's delivery.
 func BaselineTable(o Options) ([]BaselineRow, error) {
 	o = o.withDefaults()
 	params := o.PaperParams()
@@ -330,12 +304,10 @@ func BaselineTable(o Options) ([]BaselineRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		row.Pmcast = agg.Delivery.Mean()
-		row.PmcastUninterested = agg.UninterestedReception.Mean()
-		row.PmcastMsgs = agg.Messages.Mean()
+		row.Pmcast, row.PmcastUninterested, row.PmcastMsgs = means(agg)
 
 		rng := rand.New(rand.NewSource(o.Seed + int64(i)*59))
-		var fl, gn, dt stats3
+		var fl, gn, dt sim.Aggregate
 		for run := 0; run < o.Runs; run++ {
 			fr, err := baseline.RunFlood(baseline.FloodParams{
 				N: n, F: params.F, Eps: o.Eps, Tau: o.Tau}, pd, rng)
@@ -354,35 +326,20 @@ func BaselineTable(o Options) ([]BaselineRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			fl.add(fr)
-			gn.add(gr)
-			dt.add(dr)
+			fl.Add(fr)
+			gn.Add(gr)
+			dt.Add(dr)
 		}
-		row.Flood, row.FloodUninterested, row.FloodMsgs = fl.means()
-		row.Genuine, row.GenuineUninterested, row.GenuineMsgs = gn.means()
-		row.DetTree, row.DetTreeUninterested, row.DetTreeMsgs = dt.means()
+		row.Flood, row.FloodUninterested, row.FloodMsgs = means(fl)
+		row.Genuine, row.GenuineUninterested, row.GenuineMsgs = means(gn)
+		row.DetTree, row.DetTreeUninterested, row.DetTreeMsgs = means(dt)
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// stats3 accumulates the three headline metrics of a baseline.
-type stats3 struct {
-	n                         int
-	delivery, reception, msgs float64
-}
-
-func (s *stats3) add(r baseline.Result) {
-	s.n++
-	s.delivery += r.DeliveryRate()
-	s.reception += r.UninterestedReceptionRate()
-	s.msgs += float64(r.Messages)
-}
-
-func (s *stats3) means() (delivery, reception, msgs float64) {
-	if s.n == 0 {
-		return 0, 0, 0
-	}
-	f := float64(s.n)
-	return s.delivery / f, s.reception / f, s.msgs / f
+// means returns an arm's three headline metrics: delivery, uninterested
+// reception and messages.
+func means(a sim.Aggregate) (delivery, reception, msgs float64) {
+	return a.Delivery.Mean(), a.UninterestedReception.Mean(), a.Messages.Mean()
 }

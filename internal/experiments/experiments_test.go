@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"testing"
+
+	"pmcast/internal/analysis"
 )
 
-// quickOpts keeps test runtime low while preserving figure shapes.
+// quickOpts keeps test runtime low while preserving figure shapes, in the
+// paper's mildly lossy environment.
 func quickOpts() Options {
-	return Options{Quick: true, Runs: 8, Seed: 42}
+	return Options{Quick: true, Runs: 8, Seed: 42, Eps: 0.01, Tau: 0.001}
 }
 
 func TestFigure4QuickShape(t *testing.T) {
@@ -43,7 +46,8 @@ func TestFigure4QuickShape(t *testing.T) {
 }
 
 func TestFigure5UninterestedBounds(t *testing.T) {
-	rows, err := Figure5(quickOpts())
+	// Figure 5 plots the reception columns of Figure 4's campaign.
+	rows, err := Figure4(quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,20 +113,31 @@ func TestFigure7TunedDominatesAtSmallRates(t *testing.T) {
 	}
 }
 
+// TestViewSizeTable checks the views table (Eq. 2/12 by depth) for the
+// population of the paper's tree: it starts at n, falls over early depths and
+// at the tree's own depth matches the tree's total view size.
 func TestViewSizeTable(t *testing.T) {
-	rows := ViewSizeTable(10648, 3, 6)
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d", len(rows))
+	p := Options{}.PaperParams()
+	n := 1
+	for range p.D {
+		n *= p.A
 	}
-	if rows[0].D != 1 || rows[0].ViewSize != 10648 {
-		t.Errorf("d=1 row = %+v", rows[0])
+	sizes := analysis.ViewSizeByDepth(n, p.R, 6)
+	if len(sizes) != 6 {
+		t.Fatalf("rows = %d", len(sizes))
+	}
+	if sizes[0] != n {
+		t.Errorf("d=1 size = %d, want %d", sizes[0], n)
 	}
 	// d=3 (a=22): 3·22·2+22 = 154.
-	if rows[2].ViewSize != 154 {
-		t.Errorf("d=3 view size = %d, want 154", rows[2].ViewSize)
+	if sizes[2] != 154 {
+		t.Errorf("d=3 view size = %d, want 154", sizes[2])
 	}
-	// Decreasing at the start.
-	if !(rows[0].ViewSize > rows[1].ViewSize && rows[1].ViewSize > rows[2].ViewSize) {
+	tree := analysis.TreeParams{A: p.A, D: p.D, R: p.R}
+	if got := sizes[p.D-1]; got != tree.TotalViewSize() {
+		t.Errorf("d=%d size = %d, tree total = %d", p.D, got, tree.TotalViewSize())
+	}
+	if !(sizes[0] > sizes[1] && sizes[1] > sizes[2]) {
 		t.Error("view sizes not decreasing over early depths")
 	}
 }
@@ -176,7 +191,7 @@ func TestBaselineTable(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Runs != 20 || o.Seed != 1 || o.Eps != 0.01 || o.Tau != 0.001 || o.Threshold != 8 {
+	if o.Runs != 20 || o.Seed != 1 || o.Threshold != 8 {
 		t.Errorf("defaults = %+v", o)
 	}
 	p := o.PaperParams()

@@ -149,6 +149,18 @@ type Aggregate struct {
 	Messages stats.Accumulator
 }
 
+// Add folds one run into the aggregate. This is the one averaging rule for
+// every arm of a figure: a run whose audience is empty has no delivery rate,
+// so it counts toward every metric but Delivery.
+func (a *Aggregate) Add(r Result) {
+	if r.Interested > 0 {
+		a.Delivery.Add(r.DeliveryRate())
+	}
+	a.UninterestedReception.Add(r.UninterestedReceptionRate())
+	a.Rounds.Add(float64(r.Rounds))
+	a.Messages.Add(float64(r.Messages))
+}
+
 // Simulator owns the reusable per-configuration state: the process array
 // with their synthetic views. A Simulator is not safe for concurrent use;
 // run independent Simulators for parallel sweeps.
@@ -322,12 +334,7 @@ func (s *Simulator) RunMany(pd float64, runs int, seed int64) (Aggregate, error)
 		if err != nil {
 			return Aggregate{}, err
 		}
-		if res.Interested > 0 {
-			agg.Delivery.Add(res.DeliveryRate())
-		}
-		agg.UninterestedReception.Add(res.UninterestedReceptionRate())
-		agg.Rounds.Add(float64(res.Rounds))
-		agg.Messages.Add(float64(res.Messages))
+		agg.Add(res)
 	}
 	return agg, nil
 }

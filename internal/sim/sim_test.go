@@ -261,6 +261,32 @@ func TestRunManyAggregates(t *testing.T) {
 	}
 }
 
+func TestResultRates(t *testing.T) {
+	r := Result{Interested: 10, DeliveredInterested: 7, Uninterested: 20, InfectedUninterested: 5, Messages: 30}
+	if r.DeliveryRate() != 0.7 {
+		t.Errorf("delivery = %g", r.DeliveryRate())
+	}
+	if r.UninterestedReceptionRate() != 0.25 {
+		t.Errorf("reception = %g", r.UninterestedReceptionRate())
+	}
+	empty := Result{Uninterested: 20, InfectedUninterested: 10, Messages: 10}
+	if empty.DeliveryRate() != 1 || (Result{}).UninterestedReceptionRate() != 0 {
+		t.Error("vacuous rates wrong")
+	}
+	// An empty audience's vacuous delivery is not averaged in; its other
+	// metrics are.
+	var agg Aggregate
+	agg.Add(r)
+	agg.Add(empty)
+	if agg.Delivery.N() != 1 || agg.Delivery.Mean() != 0.7 {
+		t.Errorf("delivery: n=%d mean=%g, want 1 run at 0.7", agg.Delivery.N(), agg.Delivery.Mean())
+	}
+	if agg.UninterestedReception.Mean() != 0.375 || agg.Messages.Mean() != 20 || agg.Rounds.N() != 2 {
+		t.Errorf("reception %g, messages %g, rounds n=%d; want 0.375, 20, 2",
+			agg.UninterestedReception.Mean(), agg.Messages.Mean(), agg.Rounds.N())
+	}
+}
+
 func TestPaperScaleSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale smoke test skipped in -short mode")
