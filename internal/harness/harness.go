@@ -436,7 +436,7 @@ func (r *run) spawn(i int, sub interest.Subscription) (*handle, error) {
 		h = r.handles[i]
 	} else {
 		h = &handle{index: i, a: a, key: a.Key(),
-			clk: &nodeClock{w: r.eng.workerOf(int32(i)), tag: int32(i)}}
+			clk: &nodeClock{w: r.eng.workerOf(int32(i))}}
 		for len(r.handles) <= i {
 			r.handles = append(r.handles, nil)
 		}
@@ -498,9 +498,9 @@ func (r *run) startTickers(h *handle) {
 				return
 			}
 			task(h.n)
-			h.clk.AfterFunc(d, fire)
+			h.clk.scheduleTagged(d, int32(h.index), fire)
 		}
-		h.clk.AfterFunc(d, fire)
+		h.clk.scheduleTagged(d, int32(h.index), fire)
 	}
 	chain(r.sc.Fleet.GossipInterval, func(n *node.Node) { n.TickGossip() })
 	chain(r.sc.Fleet.MembershipInterval, func(n *node.Node) { n.TickMembership() })

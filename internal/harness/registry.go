@@ -416,16 +416,16 @@ func Churn16k() Scenario {
 	return s
 }
 
-// Soak64k is the scale-ceiling campaign ROADMAP item 1 asked for: 65536
-// nodes — the regular 4^8 tree, two orders of magnitude past the paper's own
-// evaluation — publishing four event waves through interest-clustered
-// subtrees. The fixed 2ms link delay is deliberate: delays keep the
-// lookahead window real (the workers genuinely run in parallel), while their
-// uniformity keeps deliveries clustered onto a few instants per gossip
-// round. Membership is frozen (digest interval past the horizon,
-// detection off) — at 64k the roster beacons alone would dominate the wire,
-// and what this campaign measures is dissemination at scale, with per-node
-// memory compaction (shared roster, small queues) reported as MB/node.
+// Soak64k is the scale-ceiling campaign of the PR 8 sweep: 65536 nodes — the
+// regular 4^8 tree, two orders of magnitude past the paper's own evaluation —
+// publishing four event waves through interest-clustered subtrees. The fixed
+// 2ms link delay is deliberate: delays keep the lookahead window real (the
+// workers genuinely run in parallel), while their uniformity keeps deliveries
+// clustered onto a few instants per gossip round. Membership is frozen (digest
+// interval past the horizon, detection off) — at 64k the roster beacons alone
+// would dominate the wire, and what this campaign measures is dissemination at
+// scale, with per-node memory compaction (shared roster, small queues)
+// reported as MB/node.
 func Soak64k() Scenario {
 	s := Scenario{
 		Name: "soak64k",
@@ -616,16 +616,16 @@ func zipf64Workload() ZipfWorkload {
 	}
 }
 
-// Zipf1M is the million-subscription campaign ROADMAP item 5 asked for: the
-// soak4k fabric (4096 nodes, the regular 4^6 tree, jittered link delays,
-// eight shards) under a 4096-topic Zipf(α=1) vocabulary whose truncated-
-// Pareto per-node topic counts total over a million subscriptions fleet-wide
-// (ZipfWorkload.TotalSubscriptions is the acceptance check). Two
-// flash-crowd flux waves invert the popularity ranking mid-run — the
-// workload that made unbounded fold caches and per-recompute view
-// invalidation unaffordable, and the measurement bed for the shared-summary
-// matcher: fold_recompiles, class_reliability and
-// summary_false_positive_rate are its headline report fields.
+// Zipf1M is the million-subscription campaign of PR 10: the soak4k fabric
+// (4096 nodes, the regular 4^6 tree, jittered link delays, eight shards) under
+// a 4096-topic Zipf(α=1) vocabulary whose truncated-Pareto per-node topic
+// counts total over a million subscriptions fleet-wide
+// (ZipfWorkload.TotalSubscriptions is the acceptance check). Two flash-crowd
+// flux waves invert the popularity ranking mid-run — the workload that made
+// unbounded fold caches and per-recompute view invalidation unaffordable, and
+// the measurement bed for the shared-summary matcher: fold_recompiles,
+// class_reliability and summary_false_positive_rate are its headline report
+// fields.
 func Zipf1M() Scenario {
 	s := Scenario{
 		Name: "zipf1m",

@@ -145,7 +145,6 @@ type bufferedSched struct {
 	at  time.Time
 	tag int32
 	fn  func()
-	tm  *proxyTimer
 }
 
 // deliveryRecord is one node's deliveries at one pump (or op drain), merged
@@ -156,38 +155,6 @@ type deliveryRecord struct {
 	ids  []event.ID
 }
 
-// proxyTimer stands in for a virtual-clock timer whose creation is deferred
-// to the barrier replay. Stopping it before the replay marks it dead; the
-// replay then stops the real timer the moment it binds.
-type proxyTimer struct {
-	mu      sync.Mutex
-	real    clock.Timer
-	stopped bool
-}
-
-func (t *proxyTimer) Stop() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stopped {
-		return false
-	}
-	t.stopped = true
-	if t.real != nil {
-		return t.real.Stop()
-	}
-	return true
-}
-
-func (t *proxyTimer) bind(real clock.Timer) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stopped {
-		real.Stop()
-		return
-	}
-	t.real = real
-}
-
 // nodeClock is one node's view of time: its worker's cursor while that worker
 // is executing (so Now() reads the current event's instant), the virtual
 // clock otherwise. Schedules made during worker execution are buffered for
@@ -195,11 +162,11 @@ func (t *proxyTimer) bind(real clock.Timer) {
 // the clock, tagged with their owner. It is also the node's endpoint clock,
 // and as a transport.OwnedScheduler it hears where every message the node
 // sends lands: a delayed delivery becomes an event of its destination, a
-// synchronous one dirties it.
-type nodeClock struct {
-	w   *shardWorker
-	tag int32
-}
+// synchronous one dirties it. A schedule is one clock entry, never stopped:
+// a crashed generation's tick chains end at their generation check, and a
+// closed endpoint drops late mail. So AfterFunc, whose timer could not stop,
+// panics; the node only reads Now, since step mode starts no tickers.
+type nodeClock struct{ w *shardWorker }
 
 func (c *nodeClock) Now() time.Time {
 	if c.w.live {
@@ -208,12 +175,12 @@ func (c *nodeClock) Now() time.Time {
 	return c.w.eng.r.vc.Now()
 }
 
-func (c *nodeClock) AfterFunc(d time.Duration, f func()) clock.Timer {
-	return c.scheduleTagged(d, c.tag, f)
+func (c *nodeClock) AfterFunc(time.Duration, func()) clock.Timer {
+	panic("harness: AfterFunc is not available to a harness node (its schedules cannot be stopped)")
 }
 
-func (c *nodeClock) AfterFuncOwned(owner addr.Address, d time.Duration, f func()) clock.Timer {
-	return c.scheduleTagged(d, int32(c.w.eng.r.space.Index(owner)), f)
+func (c *nodeClock) AfterFuncOwned(owner addr.Address, d time.Duration, f func()) {
+	c.scheduleTagged(d, int32(c.w.eng.r.space.Index(owner)), f)
 }
 
 func (c *nodeClock) HandedOff(owner addr.Address) {
@@ -225,16 +192,15 @@ func (c *nodeClock) HandedOff(owner addr.Address) {
 	eng.touch(i)
 }
 
-func (c *nodeClock) scheduleTagged(d time.Duration, tag int32, f func()) clock.Timer {
-	w := c.w
+// scheduleTagged runs f d from now as work of fleet index tag.
+func (c *nodeClock) scheduleTagged(d time.Duration, tag int32, f func()) {
+	w, at := c.w, c.Now().Add(d)
 	if !w.live {
-		vc := w.eng.r.vc
-		return vc.ScheduleTagged(vc.Now().Add(d), tag, f)
+		w.eng.r.vc.ScheduleTagged(at, tag, f)
+		return
 	}
-	tm := &proxyTimer{}
-	w.scheds = append(w.scheds, bufferedSched{key: w.origin, at: w.cursor.Add(d), tag: tag, fn: f, tm: tm})
+	w.scheds = append(w.scheds, bufferedSched{key: w.origin, at: at, tag: tag, fn: f})
 	w.origin.ord++
-	return tm
 }
 
 func (c *nodeClock) NewTicker(time.Duration) clock.Ticker {
@@ -508,7 +474,7 @@ func (eng *shardEngine) runSegment(evs []shardEvent, cut, until time.Time) {
 			panic(fmt.Sprintf("harness: lookahead violation: schedule at %v inside window ending %v",
 				bs.at, until))
 		}
-		bs.tm.bind(eng.r.vc.ScheduleTagged(bs.at, bs.tag, bs.fn))
+		eng.r.vc.ScheduleTagged(bs.at, bs.tag, bs.fn)
 	})
 	for _, w := range eng.workers {
 		clear(w.scheds)

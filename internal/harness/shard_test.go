@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pmcast/internal/addr"
 )
 
 // TestChurn16kShardedRace drives the full churn16k campaign across eight
@@ -199,4 +201,24 @@ func TestMergeRunsOrdersAndPanics(t *testing.T) {
 		}
 	}()
 	mergeRuns([][]schedKey{{{whenNs: 1}}, {{whenNs: 2}, {whenNs: 2, ord: -1}}}, key, func(*schedKey) {})
+}
+
+// TestScheduleInWindowAllocatesNothing: a delivery scheduled inside a window
+// is one entry in its worker's buffer and nothing more — once the buffer is
+// warm, the schedule allocates nothing.
+func TestScheduleInWindowAllocatesNothing(t *testing.T) {
+	space := addr.MustRegular(2, 3)
+	w := &shardWorker{live: true, cursor: time.Unix(0, 0)}
+	w.eng = &shardEngine{r: &run{space: space}, workers: []*shardWorker{w}}
+	c := &nodeClock{w: w}
+	owner, f := space.AddressAt(5), func() {}
+	schedule := func() {
+		c.AfterFuncOwned(owner, time.Millisecond, f)
+		clear(w.scheds) // as the barrier replay leaves the buffer
+		w.scheds = w.scheds[:0]
+	}
+	schedule()
+	if allocs := testing.AllocsPerRun(100, schedule); allocs != 0 {
+		t.Errorf("a schedule in a window allocates %v times, want 0", allocs)
+	}
 }

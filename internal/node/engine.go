@@ -156,9 +156,10 @@ func pump[T any](ch <-chan T, limit int, handle func(T)) (handled int, open bool
 // and a run of consecutive envelopes from one sender — a round envelope with
 // the repair-only flush or the membership beacon the sender ticked behind it,
 // the chunks of a round envelope the UDP fabric split at the MTU — records
-// the sender once (a record per envelope was measured and costs more, ROADMAP
-// item 5e). Under a virtual clock a pump is a single instant, so what the
-// failure detector sees is exactly what one record per envelope left behind.
+// the sender once (a record per envelope was measured and costs more, see
+// DESIGN.md "Liveness once per sender per pump"). Under a virtual clock a
+// pump is a single instant, so what the failure detector sees is exactly
+// what one record per envelope left behind.
 type heard struct {
 	at   time.Time
 	from string // key of the sender recorded last; "" before the first

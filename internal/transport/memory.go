@@ -112,9 +112,9 @@ type Config struct {
 	// dedicated stream constant, distinct from every explicit seed, so sweeps
 	// that iterate from 0 never duplicate a campaign.
 	Seed int64
-	// Clock schedules delayed deliveries (default: the real clock). A
-	// clock.Virtual turns in-flight messages into deterministic virtual-time
-	// events — the scenario harness runs whole fleets this way.
+	// Clock schedules the delayed deliveries of endpoints without an
+	// OwnedScheduler (default: the real clock), and Close cancels them; a
+	// clock.Virtual makes them deterministic events tests advance by hand.
 	Clock clock.Clock
 }
 
@@ -143,9 +143,9 @@ type Network struct {
 	// links' draw sequences exactly where the crashed generation left them.
 	links map[string]*linkTable
 
-	// timers tracks outstanding delayed deliveries for cancellation at
-	// Close. Its own mutex, not mu: delivery callbacks fire on shard
-	// goroutines while other senders hold the read lock.
+	// timers holds the deliveries pending on the fabric clock, for Close to
+	// cancel; an OwnedScheduler's are its owner's. Its own mutex, not mu: a
+	// callback fires on the clock's goroutine while senders hold the read lock.
 	timersMu sync.Mutex
 	timers   map[clock.Timer]struct{}
 
@@ -158,13 +158,15 @@ type Network struct {
 // through the endpoint lands on. The harness clock implements it so a
 // delayed delivery becomes an event owned (and executed) by the destination,
 // and a synchronous one marks the destination as having something to pump.
-// An endpoint without one uses the fabric clock; a fabric without endpoint
-// clocks — every live one — pays a nil check.
+// A delivery handed to it is its owner's: the fabric neither tracks nor
+// cancels it, and one that fires after its destination closed is a counted
+// drop. An endpoint without one uses the fabric clock; a fabric without
+// endpoint clocks — every live one — pays a nil check.
 type OwnedScheduler interface {
 	// Now reads the sender's time, from which a delayed delivery is placed.
 	Now() time.Time
 	// AfterFuncOwned schedules f, d from now, as work of the process at owner.
-	AfterFuncOwned(owner addr.Address, d time.Duration, f func()) clock.Timer
+	AfterFuncOwned(owner addr.Address, d time.Duration, f func())
 	// HandedOff reports that a zero-delay send just queued an envelope on
 	// owner's inbox.
 	HandedOff(owner addr.Address)
@@ -344,10 +346,10 @@ func (n *Network) Detach(a addr.Address) {
 	}
 }
 
-// Close shuts the fabric down: every outstanding delayed delivery is
-// cancelled (no timer or goroutine outlives the network — long simulation
-// campaigns create and discard many networks) and every endpoint is
-// detached. Subsequent Attach and Send calls fail with ErrClosed.
+// Close shuts the fabric down: it cancels every delayed delivery pending on
+// the fabric clock, so no timer outlives the network, leaves those an
+// OwnedScheduler holds to their owner, and detaches every endpoint.
+// Subsequent Attach and Send calls fail with ErrClosed.
 func (n *Network) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -565,48 +567,45 @@ func (n *Network) delay(rng *linkStream) time.Duration {
 	return d
 }
 
-// schedule registers one delayed delivery of the envelope on the link,
-// clamped to the per-link FIFO floor: it never lands before an earlier
-// delayed delivery on the same directed link. The timer is registered under
-// timersMu and the callback takes timersMu first, so it cannot observe the
-// map before the timer is tracked, and Close cancels anything still
-// registered. On a virtual clock the callback only runs when the harness
-// advances time — in strict (time, scheduling-order) order, which together
-// with the clamp is what makes the FIFO guarantee deterministic. The sender
-// endpoint's clock, when set, both reads now and schedules — the harness
-// points it at the sender's node clock, which turns the delivery into an
-// event owned by the destination.
+// schedule places one delayed delivery of the envelope on the link, clamped
+// to its FIFO floor. On a virtual clock the callback only runs when time
+// advances — in strict (time, scheduling-order) order, which together with
+// the clamp is what makes the FIFO guarantee deterministic. The sender's
+// OwnedScheduler, when set, reads now and takes the delivery as an event of
+// the destination, its owner's alone. Otherwise the fabric clock schedules
+// it, tracked under timersMu for Close; the callback takes timersMu first,
+// so it cannot observe the map before the timer is tracked.
 func (n *Network) schedule(e *memEndpoint, st *linkState, dst *memEndpoint, delay time.Duration, payload any) {
-	var now time.Time
-	if e.owned != nil {
-		now = e.owned.Now()
-	} else {
-		now = n.clk.Now()
+	env := Envelope{From: e.addr, To: dst.addr, Payload: payload}
+	if o := e.owned; o != nil {
+		o.AfterFuncOwned(dst.addr, st.floor(o.Now(), delay), func() { n.deliver(dst, env) })
+		return
 	}
-	at := now.Add(delay)
-	if st.lastDelayed.After(at) {
-		at = st.lastDelayed
-		delay = at.Sub(now)
-	}
-	st.lastDelayed = at
+	delay = st.floor(n.clk.Now(), delay)
 	var timer clock.Timer
-	fire := func() {
+	n.timersMu.Lock()
+	timer = n.clk.AfterFunc(delay, func() {
 		n.timersMu.Lock()
 		_, live := n.timers[timer]
 		delete(n.timers, timer)
 		n.timersMu.Unlock()
 		if live {
-			n.deliver(dst, Envelope{From: e.addr, To: dst.addr, Payload: payload})
+			n.deliver(dst, env)
 		}
-	}
-	n.timersMu.Lock()
-	if e.owned != nil {
-		timer = e.owned.AfterFuncOwned(dst.addr, delay, fire)
-	} else {
-		timer = n.clk.AfterFunc(delay, fire)
-	}
+	})
 	n.timers[timer] = struct{}{}
 	n.timersMu.Unlock()
+}
+
+// floor returns the delay, drawn at now, clamped so the delivery never lands
+// before an earlier delayed one on the same directed link, and moves the
+// link's floor to that instant. Callers hold the source's table mutex.
+func (st *linkState) floor(now time.Time, delay time.Duration) time.Duration {
+	if at := now.Add(delay); !st.lastDelayed.After(at) {
+		st.lastDelayed = at
+		return delay
+	}
+	return st.lastDelayed.Sub(now)
 }
 
 // deliver queues one envelope on the destination's inbox; a full inbox or a
