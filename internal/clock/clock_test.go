@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -204,6 +205,62 @@ func TestVirtualTickerStop(t *testing.T) {
 	}
 	if v.Pending() != 0 {
 		t.Fatalf("%d callbacks pending after ticker stop", v.Pending())
+	}
+}
+
+// TestVirtualTickerStopRacesAdvance stops a ticker while another goroutine
+// advances the clock through its ticks and drains them: once Stop has
+// returned, at most the one tick whose send was already under way arrives,
+// and nothing stays scheduled. Under -race it also checks that Stop and the
+// tick callback share one lock.
+func TestVirtualTickerStopRacesAdvance(t *testing.T) {
+	const interval = time.Millisecond
+	v := NewVirtual()
+	tk := v.NewTicker(interval)
+	var stopped atomic.Bool
+	early, late := 0, 0 // ticks received before and after Stop returned
+	drain := func() {
+		for {
+			select {
+			case <-tk.C():
+				if stopped.Load() {
+					late++
+				} else {
+					early++
+				}
+			default:
+				return
+			}
+		}
+	}
+	halfway := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			if i == 1000 {
+				close(halfway)
+			}
+			v.Advance(interval)
+			drain()
+		}
+	}()
+	<-halfway
+	tk.Stop()
+	stopped.Store(true)
+	<-done
+	for i := 0; i < 100; i++ {
+		v.Advance(interval)
+		drain()
+	}
+	if early < 1000 {
+		t.Fatalf("%d ticks before Stop, want at least 1000", early)
+	}
+	if late > 1 {
+		t.Fatalf("%d ticks after Stop returned, want at most 1", late)
+	}
+	if p := v.Pending(); p != 0 {
+		t.Fatalf("%d callbacks pending after ticker stop", p)
 	}
 }
 

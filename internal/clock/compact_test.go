@@ -5,49 +5,10 @@ import (
 	"time"
 )
 
-// TestStoppedTimersCompacted pins the heap-growth bound: cancelled timers
-// must not accumulate past the live population (plus the compaction floor).
-// Before compaction existed, a churn wave stopping thousands of ticker
-// chains left every dead entry in the heap until its due time — at 64k-node
-// scale the heap grew without bound over a long campaign.
-func TestStoppedTimersCompacted(t *testing.T) {
-	v := NewVirtual()
-	const total = 10000
-	const keep = 100
-	timers := make([]Timer, 0, total)
-	for i := 0; i < total; i++ {
-		d := time.Duration(i+1) * time.Millisecond
-		timers = append(timers, v.AfterFunc(d, func() {}))
-	}
-	for i, tm := range timers {
-		if i%(total/keep) == 0 {
-			continue // leave a sparse live population
-		}
-		if !tm.Stop() {
-			t.Fatalf("timer %d: Stop reported already-fired", i)
-		}
-	}
-	live := v.Pending()
-	if live != keep {
-		t.Fatalf("Pending() = %d, want %d (must stay exact across compaction)", live, keep)
-	}
-	if got := v.queueLen(); got > 2*live+compactFloor {
-		t.Fatalf("heap holds %d entries for %d live timers — dead entries are not being compacted", got, live)
-	}
-
-	// The surviving timers must still fire in order: compaction may not
-	// disturb (when, seq) heap order.
-	fired := 0
-	v.AdvanceTo(v.Now().Add(total * time.Millisecond))
-	_ = fired
-	if p := v.Pending(); p != 0 {
-		t.Fatalf("after advancing past every deadline, %d timers still pending", p)
-	}
-}
-
-// TestCompactionKeepsOrder verifies stopped-timer compaction cannot reorder
-// the survivors: two interleaved populations fire in exactly scheduled
-// order after the dead majority is compacted away.
+// TestCompactionKeepsOrder verifies a stopped majority cannot reorder the
+// survivors: stopped timers never fire, and the interleaved live population
+// fires in exactly scheduled order as the dead entries are dropped off the
+// heap top.
 func TestCompactionKeepsOrder(t *testing.T) {
 	v := NewVirtual()
 	var got []int

@@ -17,7 +17,7 @@ type modelTimer struct {
 
 // FuzzVirtualClockOrder drives byte-chosen AfterFunc and ScheduleTagged
 // calls (delays of a few nanoseconds, so ties abound, and instants in the
-// past), Stop waves large enough to compact the heap past compactFloor, and
+// past), Stop waves that leave many stopped entries in the heap, and
 // interleaved PopDue, RunNext and AdvanceTo calls through a Virtual clock,
 // and demands that every popped or run (when, seq, tag) be the minimum of
 // the live set a plain list holds, and that Pending stay exact.

@@ -10,16 +10,18 @@ import (
 var Epoch = time.Date(2000, time.January, 1, 0, 0, 0, 0, time.UTC)
 
 // Virtual is a deterministic clock: time is a number that only moves when
-// Advance, AdvanceTo or RunNext is called, and scheduled callbacks run
-// synchronously on the advancing goroutine in strict (due time, scheduling
-// order) order. Two runs that schedule the same work in the same order
-// therefore execute it identically — the property the scenario harness
+// Advance, AdvanceTo, RunNext or SetNow is called, and scheduled callbacks
+// run synchronously on the advancing goroutine in strict (due time,
+// scheduling order) order. Two runs that schedule the same work in the same
+// order therefore execute it identically — the property the scenario harness
 // builds its byte-identical traces on.
 //
-// Callbacks may schedule further work (including at the current instant);
-// the queue is re-examined after every callback. All methods are safe for
-// concurrent use, but determinism is only meaningful when a single
-// goroutine advances the clock.
+// It is one heap behind one mutex with one pop: PopDue serves the harness's
+// windowed dispatcher and Advance, AdvanceTo and RunNext alike. Callbacks may
+// schedule further work (including at the current instant); the queue is
+// re-examined after every callback. All methods are safe for concurrent use,
+// but determinism is only meaningful when a single goroutine advances the
+// clock.
 type Virtual struct {
 	mu sync.Mutex
 	// origin is the reading the clock started at; heap keys are nanoseconds
@@ -28,11 +30,6 @@ type Virtual struct {
 	now    time.Time
 	seq    uint64
 	queue  vqueue
-	// dead counts cancelled entries still occupying heap slots. Lazy discard
-	// alone lets the heap grow without bound when long-lived runs stop many
-	// timers (churn waves stopping thousands of ticker chains); once dead
-	// entries outnumber live ones the heap is compacted in place.
-	dead int
 }
 
 var _ Clock = (*Virtual)(nil)
@@ -102,8 +99,8 @@ func (v *Virtual) PopDue(until time.Time) (when time.Time, tag int32, fn func(),
 }
 
 // SetNow moves the clock reading forward to t without running callbacks.
-// Callers (the windowed dispatcher) guarantee everything due at or before t
-// has already been popped; t never moves the clock backwards.
+// Callers (the windowed dispatcher, runDue) guarantee everything due before
+// t has already been popped; t never moves the clock backwards.
 func (v *Virtual) SetNow(t time.Time) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -112,43 +109,11 @@ func (v *Virtual) SetNow(t time.Time) {
 	}
 }
 
-// discardDeadLocked drops cancelled entries off the heap top.
+// discardDeadLocked drops stopped entries off the heap top.
 func (v *Virtual) discardDeadLocked() {
 	for len(v.queue) > 0 && !v.queue[0].t.pending {
 		v.queue.pop()
-		v.dead--
 	}
-}
-
-// compactFloor is the heap size below which compaction is not worth a
-// rebuild.
-const compactFloor = 64
-
-// maybeCompactLocked rebuilds the heap when cancelled entries outnumber
-// pending ones: the live entries are filtered in place and re-heapified,
-// which preserves the (when, seq) order exactly — seq survives the rebuild.
-func (v *Virtual) maybeCompactLocked() {
-	if len(v.queue) < compactFloor || v.dead*2 <= len(v.queue) {
-		return
-	}
-	live := v.queue[:0]
-	for _, e := range v.queue {
-		if e.t.pending {
-			live = append(live, e)
-		}
-	}
-	clear(v.queue[len(live):])
-	v.queue = live
-	v.queue.heapify()
-	v.dead = 0
-}
-
-// queueLen reports the heap's physical size, dead entries included (test
-// hook for the compaction bound).
-func (v *Virtual) queueLen() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.queue)
 }
 
 // NewTicker implements Clock. A virtual ticker re-schedules itself every d;
@@ -204,19 +169,8 @@ func (v *Virtual) Advance(d time.Duration) int {
 // AdvanceTo moves the clock forward to t (no-op if t is not in the future),
 // running every callback due at or before t in (time, scheduling) order.
 func (v *Virtual) AdvanceTo(t time.Time) int {
-	ran := 0
-	for {
-		if v.runDueLocked(t) {
-			ran++
-			continue
-		}
-		break
-	}
-	v.mu.Lock()
-	if t.After(v.now) {
-		v.now = t
-	}
-	v.mu.Unlock()
+	ran := v.runDue(t)
+	v.SetNow(t)
 	return ran
 }
 
@@ -229,44 +183,31 @@ func (v *Virtual) RunNext() (time.Time, int) {
 	if !ok {
 		return v.Now(), 0
 	}
-	ran := 0
-	for v.runDueLocked(next) {
-		ran++
-	}
-	v.mu.Lock()
-	if next.After(v.now) {
-		v.now = next
-	}
-	now := v.now
-	v.mu.Unlock()
-	return now, ran
+	ran := v.runDue(next)
+	v.SetNow(next)
+	return v.Now(), ran
 }
 
-// runDueLocked pops and runs the earliest callback due at or before t,
-// moving the clock to its due time first. It reports whether one ran. The
+// runDue runs every callback due at or before t, each popped by PopDue with
+// the clock moved to its due time first, and returns how many ran. A
 // callback executes without the clock lock held, so it may re-enter the
 // clock freely.
-func (v *Virtual) runDueLocked(t time.Time) bool {
-	v.mu.Lock()
-	v.discardDeadLocked()
-	if len(v.queue) == 0 || v.queue[0].t.when.After(t) {
-		v.mu.Unlock()
-		return false
+func (v *Virtual) runDue(t time.Time) int {
+	ran := 0
+	for {
+		when, _, fn, ok := v.PopDue(t)
+		if !ok {
+			return ran
+		}
+		v.SetNow(when)
+		fn()
+		ran++
 	}
-	tm := v.queue.pop()
-	tm.pending = false
-	if tm.when.After(v.now) {
-		v.now = tm.when
-	}
-	v.mu.Unlock()
-	tm.fn()
-	return true
 }
 
 // vtimer is one scheduled callback. The pending flag is guarded by the
-// owning clock's mutex; cancelled entries stay in the heap, are lazily
-// discarded off the top, and trigger an in-place compaction once they
-// outnumber the live entries (see maybeCompactLocked).
+// owning clock's mutex. A stopped entry stays in the heap until it reaches
+// the top, where discardDeadLocked drops it.
 type vtimer struct {
 	v       *Virtual
 	when    time.Time
@@ -280,48 +221,41 @@ func (t *vtimer) Stop() bool {
 	t.v.mu.Lock()
 	defer t.v.mu.Unlock()
 	stopped := t.pending
-	if stopped {
-		t.pending = false
-		t.v.dead++
-		t.v.maybeCompactLocked()
-	}
+	t.pending = false
 	return stopped
 }
 
 // vticker is the virtual Ticker: a self-rescheduling callback feeding a
-// capacity-one channel.
+// capacity-one channel. Its state sits under the clock's mutex.
 type vticker struct {
 	v  *Virtual
 	d  time.Duration
 	ch chan time.Time
-
-	mu      sync.Mutex
-	timer   *vtimer
-	stopped bool
+	// timer is the next tick's entry, guarded by v.mu; nil once stopped.
+	timer *vtimer
 }
 
 func (vt *vticker) C() <-chan time.Time { return vt.ch }
 
 func (vt *vticker) Stop() {
-	vt.mu.Lock()
-	defer vt.mu.Unlock()
-	vt.stopped = true
+	vt.v.mu.Lock()
+	defer vt.v.mu.Unlock()
 	if vt.timer != nil {
-		vt.timer.Stop()
+		vt.timer.pending = false
+		vt.timer = nil
 	}
 }
 
 func (vt *vticker) fire() {
-	vt.mu.Lock()
-	if vt.stopped {
-		vt.mu.Unlock()
+	v := vt.v
+	v.mu.Lock()
+	if vt.timer == nil {
+		v.mu.Unlock()
 		return
 	}
-	vt.v.mu.Lock()
-	vt.timer = vt.v.scheduleLocked(vt.v.now.Add(vt.d), vt.fire)
-	now := vt.v.now
-	vt.v.mu.Unlock()
-	vt.mu.Unlock()
+	vt.timer = v.scheduleLocked(v.now.Add(vt.d), vt.fire)
+	now := v.now
+	v.mu.Unlock()
 	select {
 	case vt.ch <- now:
 	default: // receiver lags: coalesce, as time.Ticker does
@@ -396,11 +330,4 @@ func (q vqueue) siftDown(i int, e ventry) {
 		i = m
 	}
 	q[i] = e
-}
-
-// heapify restores the heap order over arbitrary contents.
-func (q vqueue) heapify() {
-	for i := (len(q) - 2) / 4; i >= 0 && len(q) > 1; i-- {
-		q.siftDown(i, q[i])
-	}
 }

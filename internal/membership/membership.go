@@ -400,39 +400,22 @@ func (s *Service) setAliveLocked(i int32, nowAlive bool) {
 	if a.Equal(s.cfg.Self) {
 		return
 	}
-	if nowAlive {
-		s.poolGone = removeIdx(s.poolGone, i)
-	} else {
-		s.poolGone = insortIdx(s.poolGone, i)
+	// poolGone holds the down lines and neighborCache the live neighbors,
+	// both sorted; inserting a present element or removing an absent one
+	// is a no-op.
+	if j, found := slices.BinarySearch(s.poolGone, i); nowAlive && found {
+		s.poolGone = slices.Delete(s.poolGone, j, j+1)
+	} else if !nowAlive && !found {
+		s.poolGone = slices.Insert(s.poolGone, j, i)
 	}
-	if a.HasPrefix(s.selfPrefix) {
-		if nowAlive {
-			s.neighborCache = insortAddr(s.neighborCache, a)
-		} else {
-			s.neighborCache = removeAddr(s.neighborCache, a)
-		}
+	if !a.HasPrefix(s.selfPrefix) {
+		return
 	}
-}
-
-// insortAddr inserts a into the sorted list (no-op if present).
-func insortAddr(list []addr.Address, a addr.Address) []addr.Address {
-	i := sort.Search(len(list), func(i int) bool { return !list[i].Less(a) })
-	if i < len(list) && list[i].Equal(a) {
-		return list
+	if j, found := slices.BinarySearchFunc(s.neighborCache, a, addr.Address.Compare); nowAlive && !found {
+		s.neighborCache = slices.Insert(s.neighborCache, j, a)
+	} else if !nowAlive && found {
+		s.neighborCache = slices.Delete(s.neighborCache, j, j+1)
 	}
-	list = append(list, addr.Address{})
-	copy(list[i+1:], list[i:])
-	list[i] = a
-	return list
-}
-
-// removeAddr deletes a from the sorted list (no-op if absent).
-func removeAddr(list []addr.Address, a addr.Address) []addr.Address {
-	i := sort.Search(len(list), func(i int) bool { return !list[i].Less(a) })
-	if i == len(list) || !list[i].Equal(a) {
-		return list
-	}
-	return append(list[:i], list[i+1:]...)
 }
 
 // logChangeLocked appends one changelog line for the given (new) version.

@@ -208,27 +208,6 @@ func (s *Service) rebaseLocked(strangers []Record) int {
 	return changed
 }
 
-// insortIdx inserts v into the sorted index list (no-op if present).
-func insortIdx(list []int32, v int32) []int32 {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= v })
-	if i < len(list) && list[i] == v {
-		return list
-	}
-	list = append(list, 0)
-	copy(list[i+1:], list[i:])
-	list[i] = v
-	return list
-}
-
-// removeIdx deletes v from the sorted index list (no-op if absent).
-func removeIdx(list []int32, v int32) []int32 {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= v })
-	if i == len(list) || list[i] != v {
-		return list
-	}
-	return append(list[:i], list[i+1:]...)
-}
-
 // lineLocked reads base line i: the overlay's record when it shadows the
 // line, else the base's. The result may be a shared base line — write
 // through writeLocked only.

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -739,27 +740,16 @@ func (n *Node) tickMembership() {
 	// envelope carrying both the probe and the beacon.
 	for _, to := range targets {
 		probe := wire.Batch{Digest: &d}
-		if isNeighbor(neighbors, to) {
+		if slices.ContainsFunc(neighbors, to.Equal) {
 			probe.Heartbeat = &hb
 		}
 		n.emit(to, probe)
 	}
 	for _, nb := range neighbors {
-		if !isNeighbor(targets, nb) {
+		if !slices.ContainsFunc(targets, nb.Equal) {
 			n.emit(nb, wire.Batch{Heartbeat: &hb})
 		}
 	}
-}
-
-// isNeighbor reports whether a appears in the (small) address list: a
-// subgroup's neighbors, or the membershipFanout digest targets.
-func isNeighbor(neighbors []addr.Address, a addr.Address) bool {
-	for _, nb := range neighbors {
-		if nb.Equal(a) {
-			return true
-		}
-	}
-	return false
 }
 
 // rebuildIfStaleLocked refreshes tree views when membership moved.

@@ -176,9 +176,9 @@ func TestNetworkCloseCancelsDelayedDeliveries(t *testing.T) {
 	if err := net.Close(); err != nil {
 		t.Fatal(err)
 	}
-	net.mu.Lock()
+	net.timersMu.Lock()
 	pending := len(net.timers)
-	net.mu.Unlock()
+	net.timersMu.Unlock()
 	if pending != 0 {
 		t.Errorf("timers still tracked after Close: %d", pending)
 	}
