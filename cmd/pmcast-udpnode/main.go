@@ -95,12 +95,8 @@ func run(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	// With decode workers, datagram unframing is deferred to the node's
-	// ingress stage so it actually parallelizes instead of serializing on
-	// the socket read loop.
 	tr, err := pmcast.NewUDPTransport(pmcast.UDPConfig{
 		Resolver:         res,
-		DeferDecode:      *decodeWorkers > 0,
 		Portable:         *portable,
 		ReadBufferBytes:  *rcvbuf,
 		WriteBufferBytes: *sndbuf,

@@ -129,10 +129,9 @@ func runChild(addrStr, peerSpec string, publisher bool) error {
 	}
 	// The full production datapath: kernel-batched I/O (sendmmsg/recvmmsg
 	// where the platform has it, with explicit socket buffers) feeding the
-	// staged engine — deferred decode pairs with the ingress workers.
+	// staged engine, whose ingress workers unframe every datagram.
 	tr, err := pmcast.NewUDPTransport(pmcast.UDPConfig{
 		Resolver:         res,
-		DeferDecode:      true,
 		ReadBufferBytes:  1 << 20,
 		WriteBufferBytes: 1 << 20,
 	})

@@ -245,6 +245,9 @@ func checkDerived(s *Service, changedAt map[string]uint64, versions []uint64) er
 	return nil
 }
 
+// maxLineWriteOps bounds the ops one FuzzMembershipLineWrites input runs.
+const maxLineWriteOps = 256
+
 // FuzzMembershipLineWrites drives byte-chosen line writes through every door
 // a line is written by — records for any line, self and strangers included,
 // through Apply, HandleJoinRequest and HandleLeave; Subscribe; BuildLeave;
@@ -257,6 +260,10 @@ func checkDerived(s *Service, changedAt map[string]uint64, versions []uint64) er
 // stamp and liveness, and on their hashes. Subscriptions are left out of
 // that agreement: a tie at equal stamp and liveness keeps whichever
 // subscription arrived first.
+//
+// An input runs at most maxLineWriteOps ops. The derivation checks every
+// version seen so far after every op, so an input costs the square of its
+// op count: uncapped, a 4 KB input ran past the fuzzer's 10 s hang limit.
 func FuzzMembershipLineWrites(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 6, 2, 0, 6, 5, 0, 0, 5, 6, 3, 0})          // a peer bumped, then tombstoned at its stamp; self tombstoned; one digest
@@ -266,7 +273,7 @@ func FuzzMembershipLineWrites(f *testing.F) {
 	f.Add([]byte{7, 2, 0, 6, 7, 1, 0, 14, 5, 6, 5, 2})         // the lone service rebases through digests, then a summary probe
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		w := newWriteWorld(t)
-		for ; len(ops) >= 3; ops = ops[3:] {
+		for n := 0; len(ops) >= 3 && n < maxLineWriteOps; ops, n = ops[3:], n+1 {
 			op := w.step(ops[0], ops[1], ops[2])
 			for i, s := range w.svcs {
 				w.observe(i)

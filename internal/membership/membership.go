@@ -190,7 +190,9 @@ type Config struct {
 	Self addr.Address
 	// Space bounds the address space (tree depth d and arities).
 	Space addr.Space
-	// R is the redundancy factor used when snapshotting into a tree.
+	// R is the tree's redundancy factor. The service reads nothing of it:
+	// New and NewWithRoster only reject R < 1. It remains only because
+	// bench/layers.go and internal/node set it.
 	R int
 	// SuspectAfter is how long an immediate neighbor may stay silent before
 	// the failure detector declares it crashed.

@@ -166,7 +166,7 @@ type heard struct {
 }
 
 // ingressLoop is one ingress-stage worker: it drains the endpoint —
-// concurrently with its siblings — decodes deferred frames with its own
+// concurrently with its siblings — decodes raw frames with its own
 // interning decoder, and hands typed messages to the protocol stage. A full
 // protocol queue blocks the worker (backpressure into the transport inbox),
 // never the protocol stage itself. Endpoints with a batch seam
@@ -266,7 +266,7 @@ func (n *Node) emit(to addr.Address, b wire.Batch) {
 // the egress queue was full (always zero in serial configurations, which
 // send inline), and inbound frames that failed to decode — counted wherever
 // the decoding happened, on an ingress worker or on the serial/step path of
-// a deferred-decode fabric.
+// a byte-oriented fabric (UDP).
 func (n *Node) EngineStats() (egressDropped, malformed int64) {
 	return n.egressDrops.Load(), n.malformed.Load()
 }

@@ -321,7 +321,11 @@ func forgedRepairBatch() wire.Batch {
 // replace it — and demands a well-formed gossip still be delivered: no
 // decodable message may stop a node for good. Every frame goes to a node
 // without the coding layer and to one with it, whose coder takes in the
-// forged generations and repairs the frame may carry.
+// forged generations and repairs the frame may carry. Every input, a frame
+// that does not decode included, also goes to a fresh pair of nodes as a
+// transport.Raw, the way UDP hands frames over, so the node's own lazy
+// decode (DecodeLazy, the seen-set read by bytes, the section build) meets
+// the same bytes.
 func FuzzHostileMembershipKeepsDelivering(f *testing.F) {
 	for _, msg := range []wire.Batch{
 		{Update: &poisonUpdate},
@@ -341,6 +345,16 @@ func FuzzHostileMembershipKeepsDelivering(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
+		for _, repairs := range []int{0, 1} {
+			n := rosterNodeAt(t, transport.MustNetwork(transport.Config{}), 0, repairs)
+			raw := transport.Raw{Frame: append([]byte(nil), frame...)} // the node may keep what it decodes
+			n.HandleEnvelope(transport.Envelope{From: hostileSpace.AddressAt(1), To: n.Addr(), Payload: raw})
+			n.Subscribe(subEq(1))
+			if !deliversFresh(n, 1) {
+				t.Fatalf("FECRepairs=%d: a well-formed gossip was not delivered after the raw frame %x (tree nil: %v)",
+					repairs, frame, n.tree == nil)
+			}
+		}
 		if _, err := wire.NewDecoder().Decode(frame); err != nil {
 			return
 		}

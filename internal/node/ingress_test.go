@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"pmcast/internal/interest"
 	"pmcast/internal/membership"
 	"pmcast/internal/transport"
+	"pmcast/internal/transport/udp"
 	"pmcast/internal/wire"
 )
 
@@ -172,6 +174,51 @@ func TestCorruptDuplicateDropsFrame(t *testing.T) {
 	}
 	if v := n.Membership().Version(); v != version {
 		t.Errorf("membership moved %d → %d on a corrupt frame", version, v)
+	}
+}
+
+// TestGarbledUDPPayloadIsCountedOnceByTheNode: the UDP transport hands every
+// frame over undecoded, so a datagram whose sender prefix parses but whose
+// payload does not decode is counted once, by the node that decodes it, and
+// not by the transport.
+func TestGarbledUDPPayloadIsCountedOnceByTheNode(t *testing.T) {
+	self := hostileSpace.AddressAt(0)
+	res, err := udp.NewStaticResolver(map[string]string{self.String(): "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := udp.New(udp.Config{Resolver: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	n, err := New(tr, Config{Addr: self, Space: hostileSpace, R: 2, F: 3, C: 2, Subscription: subEq(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	dst, err := res.Resolve(self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.DialUDP("udp", nil, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	garbled := append(addr.AppendAddress(nil, hostileSpace.AddressAt(1)), 0xff, 0x01)
+	if _, err := conn.Write(garbled); err != nil {
+		t.Fatal(err)
+	}
+	nodeMalformed := func() int64 { _, m := n.EngineStats(); return m }
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		n.PumpInbox()
+		if nodeMalformed() > 0 || tr.Stats().Malformed > 0 {
+			break
+		}
+	}
+	if got, udpGot := nodeMalformed(), tr.Stats().Malformed; got != 1 || udpGot != 0 {
+		t.Errorf("node malformed=%d udp malformed=%d, want 1 and 0", got, udpGot)
 	}
 }
 

@@ -98,9 +98,9 @@ type Config struct {
 	// shareable across goroutines). 0 — the default — runs ingress inline on
 	// the protocol goroutine: the serial loop every deterministic campaign
 	// replays. Only Start consults this; step-mode driving is always serial.
-	// Pair decode workers with the UDP transport's DeferDecode, so that the
-	// datagram unframing actually lands on them; multicore deployments size
-	// both worker counts by runtime.NumCPU().
+	// A byte-oriented transport (UDP) hands every frame over undecoded, so
+	// its unframing lands on these workers; multicore deployments size both
+	// worker counts by runtime.NumCPU().
 	DecodeWorkers int
 	// EncodeWorkers is the egress-stage parallelism: how many encode/send
 	// workers consume per-peer send jobs from the protocol stage. 0 sends
@@ -184,7 +184,7 @@ type Node struct {
 	cfg Config
 	ep  transport.Endpoint
 	mem *membership.Service
-	// dec is the protocol stage's decoder: it unframes deferred-decode
+	// dec is the protocol stage's decoder: it unframes transport.Raw
 	// payloads on the serial and step-mode paths, and builds the unseen
 	// gossip sections of every frame, whoever unframed it.
 	dec *wire.Decoder
@@ -508,7 +508,7 @@ func (n *Node) Publish(attrs map[string]event.Value) (event.ID, error) {
 	return id, nil
 }
 
-// decodeRaw unframes a deferred-decode payload in place with the given
+// decodeRaw unframes a transport.Raw payload in place with the given
 // decoder, releasing the pooled frame and counting failures. It reports
 // whether the envelope is usable — shared by the ingress workers (worker
 // decoders) and the serial/step path (the node's own decoder). A round

@@ -27,7 +27,7 @@ import (
 )
 
 // HandleEnvelope processes one received message synchronously — the
-// ingress-plus-protocol stages of the engine run inline (deferred-decode
+// ingress-plus-protocol stages of the engine run inline (transport.Raw
 // payloads are unframed with the node's own decoder).
 func (n *Node) HandleEnvelope(env transport.Envelope) { n.handle(env, new(heard)) }
 

@@ -36,12 +36,12 @@ type Envelope struct {
 	Payload  any
 }
 
-// Raw is an undecoded wire frame: a byte-oriented transport configured to
-// defer unframing (see udp.Config.DeferDecode) delivers envelopes whose
-// Payload is a Raw, and the consumer decodes. The staged node engine uses
-// this to spread decoding over several ingress workers — each owning its own
-// interning decoder — instead of serializing it on the transport's single
-// read loop. Frames ride pooled buffers; call Release once decoded.
+// Raw is an undecoded wire frame: a byte-oriented transport (the UDP
+// backend) delivers every envelope's Payload as a Raw, and the consumer
+// decodes. The node engine decodes on its ingress workers — each owning its
+// own interning decoder — when it has them, and on its protocol goroutine
+// otherwise, so hostile bytes are validated in one place. Frames ride
+// pooled buffers; call Release once decoded.
 type Raw struct {
 	Frame []byte
 	buf   *[]byte

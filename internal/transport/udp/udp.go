@@ -10,10 +10,11 @@
 //
 // Datagram layout: the sender's pmcast address (addr.AppendAddress) followed
 // by one wire frame. UDP preserves message boundaries, so no further
-// delimiting is needed; datagrams that fail to parse are counted and
-// dropped, exactly like line noise on a real fabric. So are datagrams longer
-// than MaxDatagram: every read buffer is one byte longer than the bound, so
-// a datagram the kernel had to cut is seen as too long and never decoded.
+// delimiting is needed. The frame is handed over undecoded, as a
+// transport.Raw. A datagram whose sender prefix fails to parse is counted
+// and dropped, like line noise on a real fabric; so is one longer than
+// MaxDatagram: every read buffer is one byte longer than the bound, so a
+// datagram the kernel had to cut is seen as too long.
 //
 // The datapath is kernel-batched on Linux (see batch_linux.go): egress
 // queues handed over via SendMany flush as one sendmmsg vector per 64
@@ -106,21 +107,16 @@ func (r *StaticResolver) Register(a addr.Address, ua *net.UDPAddr) {
 type Config struct {
 	// Resolver maps tree addresses to sockets. Required.
 	Resolver *StaticResolver
-	// QueueLen is each endpoint's decoded-inbox capacity (default 1024);
-	// overflow drops messages, like a full socket buffer.
+	// QueueLen is each endpoint's inbox capacity in frames (default 1024);
+	// overflow drops frames, like a full socket buffer.
 	QueueLen int
 	// MaxDatagram bounds datagram size in bytes (default 64 KiB − 1, the
 	// UDP maximum). Sends that encode larger fail with an error; received
 	// datagrams that are larger are counted in Malformed and dropped.
 	MaxDatagram int
-	// DeferDecode hands received frames to the consumer undecoded — as
-	// transport.Raw payloads on pooled buffers — instead of unframing them
-	// on the endpoint's single read loop. The node engine's ingress workers
-	// then decode in parallel, each with its own interning decoder: the
-	// configuration for multicore deployments (pair with the node's
-	// DecodeWorkers). The sender-address prefix is still parsed (and
-	// malformed prefixes counted) here; payload decode failures are counted
-	// by whoever decodes.
+	// DeferDecode is ignored: every received frame is handed over
+	// undecoded, as a transport.Raw. The field remains only for the one
+	// line of bench/fleet.go that sets it.
 	DeferDecode bool
 	// Portable opts out of the kernel-batched datapath and keeps the
 	// endpoint on the one-syscall-per-datagram path every platform has. By
@@ -144,9 +140,10 @@ type Config struct {
 // SentDatagrams/RecvDatagrams count wire datagrams, so datagrams/syscall is
 // the kernel-batching amortization (exactly 1.0 on the portable path).
 type Stats struct {
-	// Malformed counts datagrams discarded because they failed to parse;
-	// Dropped counts decoded messages discarded because an inbox was full.
-	// Both are silent-loss signals a loopback soak must watch.
+	// Malformed counts datagrams discarded because they were too long or
+	// their sender prefix failed to parse (the node counts a frame that
+	// fails to decode); Dropped counts frames discarded because an inbox
+	// was full. Both are silent-loss signals a loopback soak must watch.
 	Malformed int64
 	Dropped   int64
 
@@ -497,7 +494,8 @@ func (e *endpoint) write(to addr.Address, dst *net.UDPAddr, buf []byte) error {
 	return nil
 }
 
-// Recv exposes the decoded inbox. The channel closes when the endpoint does.
+// Recv exposes the inbox of undecoded frames (transport.Raw payloads). The
+// channel closes when the endpoint does.
 func (e *endpoint) Recv() <-chan transport.Envelope { return e.in }
 
 // RecvMany implements transport.BatchReceiver: one blocking receive, then a
@@ -542,25 +540,17 @@ func (e *endpoint) shutdown() {
 	})
 }
 
-// readLoop turns datagrams into envelopes until the socket closes. The
-// decoder is loop-local with an intern table, so the strings a gossip
-// stream endlessly repeats (origins, attribute names, membership keys) are
-// allocated once and shared across frames. With DeferDecode the loop only
-// parses the sender prefix and ships the frame bytes as a transport.Raw —
-// unframing moves to the consumer's ingress workers.
+// readLoop turns datagrams into envelopes until the socket closes. It
+// decodes nothing: it parses the sender prefix and ships the frame bytes as
+// a transport.Raw, which the consumer unframes.
 //
 // With kernel-batched ingress the loop drains the socket through a borrowed
 // vector of buffers — one recvmmsg per wakeup; the per-datagram handling is
 // byte-identical to the portable path below it.
 func (e *endpoint) readLoop() {
 	defer close(e.in)
-	var dec *wire.Decoder
-	if !e.tr.cfg.DeferDecode {
-		dec = wire.NewDecoder() // unused (and unallocated) when deferring
-	}
 	if e.bio != nil {
-		deliver := func(data []byte) { e.deliver(data, dec) }
-		for e.bio.recv(deliver) == nil {
+		for e.bio.recv(e.deliver) == nil {
 		}
 		return // socket closed (or fatally broken): endpoint is done
 	}
@@ -572,16 +562,15 @@ func (e *endpoint) readLoop() {
 		}
 		e.tr.recvSyscalls.Add(1)
 		e.tr.recvDatagrams.Add(1)
-		e.deliver(buf[:n], dec)
+		e.deliver(buf[:n])
 	}
 }
 
-// deliver parses one wire datagram and pushes its envelope, counting
-// malformed datagrams and inbox overflow — the shared per-datagram body of
-// both read loops. data is the read buffer itself: whatever the envelope
-// keeps is copied (transport.NewRaw) or decoded into fresh values before
-// deliver returns.
-func (e *endpoint) deliver(data []byte, dec *wire.Decoder) {
+// deliver parses one datagram's sender prefix and pushes its frame,
+// counting malformed datagrams and inbox overflow — the shared per-datagram
+// body of both read loops. data is the read buffer itself, so the frame is
+// copied (transport.NewRaw) before deliver returns.
+func (e *endpoint) deliver(data []byte) {
 	if len(data) > e.tr.cfg.MaxDatagram {
 		e.tr.malformed.Add(1) // longer than any peer may send, or cut by the kernel
 		return
@@ -591,23 +580,11 @@ func (e *endpoint) deliver(data []byte, dec *wire.Decoder) {
 		e.tr.malformed.Add(1)
 		return
 	}
-	var payload any
-	if e.tr.cfg.DeferDecode {
-		payload = transport.NewRaw(data[n:])
-	} else {
-		payload, err = dec.Decode(data[n:])
-		if err != nil {
-			e.tr.malformed.Add(1)
-			return
-		}
-	}
-	env := transport.Envelope{From: from, To: e.addr, Payload: payload}
+	raw := transport.NewRaw(data[n:])
 	select {
-	case e.in <- env:
+	case e.in <- transport.Envelope{From: from, To: e.addr, Payload: raw}:
 	default:
-		if raw, ok := payload.(transport.Raw); ok {
-			raw.Release() // overflow never reaches a decoder
-		}
+		raw.Release()
 		e.tr.dropped.Add(1) // inbox overflow, like a full socket buffer
 	}
 }

@@ -77,6 +77,22 @@ func recvOne(t *testing.T, ep transport.Endpoint) transport.Envelope {
 	panic("unreachable")
 }
 
+// decodeFrame unframes the transport.Raw an envelope carries, the way the
+// node decodes every frame the transport hands over.
+func decodeFrame(t *testing.T, env transport.Envelope) wire.Batch {
+	t.Helper()
+	raw, ok := env.Payload.(transport.Raw)
+	if !ok {
+		t.Fatalf("payload = %T, want transport.Raw", env.Payload)
+	}
+	defer raw.Release()
+	b, err := wire.NewDecoder().Decode(raw.Frame)
+	if err != nil {
+		t.Fatalf("decoding frame: %v", err)
+	}
+	return b
+}
+
 func sampleEvent() event.Event {
 	return event.NewBuilder().
 		Int("b", -42).
@@ -137,11 +153,7 @@ func TestEveryWireKindRoundTrips(t *testing.T) {
 		if !env.From.Equal(a.Addr()) || !env.To.Equal(b.Addr()) {
 			t.Errorf("batch %d addressed %s → %s", i, env.From, env.To)
 		}
-		got, ok := env.Payload.(wire.Batch)
-		if !ok {
-			t.Fatalf("batch %d arrived as %T", i, env.Payload)
-		}
-		if !batchEqual(got, msg) {
+		if got := decodeFrame(t, env); !batchEqual(got, msg) {
 			t.Errorf("batch %d mutated in flight:\n got %+v\nwant %+v", i, got, msg)
 		}
 	}
@@ -285,9 +297,8 @@ func TestMalformedDatagramsAreCountedAndSkipped(t *testing.T) {
 	if err := a.Send(b.Addr(), wire.Batch{Leave: &membership.Leave{Addr: a.Addr(), Stamp: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	env := recvOne(t, b)
-	if m, ok := env.Payload.(wire.Batch); !ok || m.Leave == nil || m.Leave.Stamp != 3 {
-		t.Errorf("payload = %+v", env.Payload)
+	if m := decodeFrame(t, recvOne(t, b)); m.Leave == nil || m.Leave.Stamp != 3 {
+		t.Errorf("payload = %+v", m)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for tr.Stats().Malformed == 0 && time.Now().Before(deadline) {

@@ -562,7 +562,8 @@ func packRepairs(out []Batch, gens []fec.Generation, limit int) ([]Batch, error)
 // Decoder unframes messages with decoder-scratch reuse: repeated strings
 // (event origins, attribute names, membership keys) are interned across
 // frames, so steady-state decoding allocates only per-event storage. A
-// Decoder is not safe for concurrent use; give each receive loop its own.
+// Decoder is not safe for concurrent use: each goroutine that decodes needs
+// its own.
 type Decoder struct {
 	intern *binenc.Interner
 	r      binenc.Reader
