@@ -111,7 +111,9 @@ func (tv *TreeView) Profile(ev event.Event, p *MatchProfile) {
 }
 
 // BuildProcess assembles a Process for a tree member: per-depth TreeViews
-// plus the member's own compiled subscription as delivery predicate.
+// plus, as delivery predicate, the member's own line of its depth-d view — a
+// leaf's summary is the member's subscription alone, so the line matches
+// exactly what the subscription does.
 func BuildProcess(t *tree.Tree, self addr.Address, cfg Config) (*Process, error) {
 	return RebuildProcess(t, self, cfg, nil)
 }
@@ -120,12 +122,10 @@ func BuildProcess(t *tree.Tree, self addr.Address, cfg Config) (*Process, error)
 // process takes over old's state (AdoptState — old is dead afterwards), the
 // views of old whose generation the tree still reports — a change under
 // another subtree moves only the shallow depths; old being dead, their
-// scratch has one user — and, when the member's subscription is still the
-// one old compiled, old's delivery predicate — the exact subscription's
-// matcher, never a regrouped summary's. A nil old builds from scratch.
+// scratch has one user — and, when the depth-d view is one of them, old's
+// delivery predicate, the line of that view. A nil old builds from scratch.
 func RebuildProcess(t *tree.Tree, self addr.Address, cfg Config, old *Process) (*Process, error) {
-	m, ok := t.Member(self)
-	if !ok {
+	if _, ok := t.Member(self); !ok {
 		return nil, ErrUnknownSelf(self)
 	}
 	cfg.D = t.Depth()
@@ -142,18 +142,16 @@ func RebuildProcess(t *tree.Tree, self addr.Address, cfg Config, old *Process) (
 			views[depth-1] = tv // a nil adapter must stay a nil interface
 		}
 	}
-	sub := m.Sub.Identity()
 	var selfMatch func(event.Event) bool
-	if old != nil && old.selfSub == sub {
+	if leaf := views[cfg.D-1].(*TreeView); old != nil && len(old.views) == cfg.D && leaf == old.views[cfg.D-1] {
 		selfMatch = old.selfMatch
 	} else {
-		selfMatch = interest.Compile(m.Sub).Matches
+		selfMatch = leaf.index.Line(leaf.selfLine).Matches
 	}
 	p, err := newShell(self, cfg, views, selfMatch)
 	if err != nil {
 		return nil, err
 	}
-	p.selfSub = sub
 	if p.AdoptState(old); p.state == nil {
 		p.state = newState(cfg.D)
 	}

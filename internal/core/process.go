@@ -22,7 +22,6 @@ import (
 	"pmcast/internal/addr"
 	"pmcast/internal/analysis"
 	"pmcast/internal/event"
-	"pmcast/internal/interest"
 )
 
 // Common errors.
@@ -138,16 +137,14 @@ type entry struct {
 
 // Process is the pmcast protocol state of a single process.
 type Process struct {
-	self      addr.Address
-	cfg       Config
-	views     []DepthView // views[i−1] is the depth-i view
+	self  addr.Address
+	cfg   Config
+	views []DepthView // views[i−1] is the depth-i view
+	// selfMatch is the delivery predicate (HPDELIVER): for a tree member the
+	// member's own line of its depth-d view (RebuildProcess), which answers
+	// exactly what its subscription matches.
 	selfMatch func(event.Event) bool
-	// selfSub names the subscription selfMatch was compiled from, so a
-	// rebuild over new views can keep the matcher (RebuildProcess); zero —
-	// equal to no subscription's identity — when NewProcess was handed the
-	// predicate directly.
-	selfSub interest.Identity
-	budget  budgetMemo
+	budget    budgetMemo
 
 	// The view-independent state, behind one pointer so that a rebuild over
 	// new views takes it over whole (AdoptState).

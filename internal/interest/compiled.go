@@ -2,7 +2,6 @@ package interest
 
 import (
 	"slices"
-	"sort"
 	"strings"
 
 	"pmcast/internal/event"
@@ -14,8 +13,8 @@ import (
 // in one walk of its attributes: the counting algorithm of content-based
 // publish/subscribe (Fabret et al., SIGMOD 2001), attribute-major where the
 // summaries are conjunction-major. A CompiledMatcher is a handle on one line
-// of an Index; Compile and CompileSummary build one-line indexes for the
-// delivery predicate and for tools.
+// of an Index; Compile and CompileSummary build one-line indexes for tests
+// and tools.
 //
 // The interpretive Matches implementations on Subscription and Summary stay
 // exactly as they were: they are the oracle the property and fuzz tests
@@ -333,46 +332,4 @@ func CompileSummary(s *Summary) *CompiledMatcher {
 // It is the string Identity stands for, encoded once per value.
 func (s Subscription) Fingerprint() string {
 	return s.Identity().h.Value()
-}
-
-// OrderedFingerprint identifies the summary as a regrouping input: the
-// disjunct fingerprints in accumulation order (plus a match-all sentinel).
-// Unlike Fingerprint — which sorts — this one is order-sensitive, because
-// the regrouping heuristics fold disjuncts in slice order: only
-// order-identical summaries are interchangeable as inputs to a further Merge.
-func (s *Summary) OrderedFingerprint() string {
-	if s == nil {
-		return ""
-	}
-	if s.matchAll {
-		return "\x01*"
-	}
-	var sb strings.Builder
-	for _, sub := range s.subs {
-		sb.WriteString(sub.Fingerprint())
-		sb.WriteByte(0)
-	}
-	return sb.String()
-}
-
-// Fingerprint returns the canonical identity of the summary's matched
-// language: the sorted fingerprints of its disjuncts (Add/compact order is
-// arrival-dependent, the language is not), with sentinels for match-all and
-// match-nothing. Summaries with equal fingerprints accept exactly the same
-// events. (The converse is not guaranteed — semantically equal interests with
-// different structure may fingerprint apart — which is the right trade for an
-// interning key.)
-func (s *Summary) Fingerprint() string {
-	if s == nil || s.IsEmpty() {
-		return "\x00empty"
-	}
-	if s.matchAll {
-		return "\x00all"
-	}
-	fps := make([]string, len(s.subs))
-	for i, sub := range s.subs {
-		fps[i] = sub.Fingerprint()
-	}
-	sort.Strings(fps)
-	return strings.Join(fps, "\x00")
 }

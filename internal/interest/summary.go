@@ -274,8 +274,9 @@ func (s *Summary) Covers(sub Subscription) bool {
 
 // SetIdentity names the summary's present content as a regrouping input.
 // The namer — the tree's fold cache, which hash-conses the summaries it
-// creates — promises that one nonzero name never stands for two different
-// OrderedFingerprints in one process; equal names then prove two summaries
+// creates — promises that one nonzero name never stands for two summaries
+// whose disjunct identities differ, in order, or of which one matches all
+// and the other not, in one process; equal names then prove two summaries
 // interchangeable as inputs to a further Merge without comparing them. Like
 // a Subscription's Identity the number differs from run to run: it must
 // never be encoded, reported or ordered by.
@@ -315,6 +316,20 @@ func (s *Summary) Clone() *Summary {
 		out.subs[i] = sub.clone()
 	}
 	return out
+}
+
+// AppendIdentities appends the identities of the retained subscriptions, in
+// accumulation order, to dst: the summary's content as a regrouping input,
+// without the copy Disjuncts makes. A match-all summary, like an empty one,
+// appends none (IsEmpty tells them apart).
+func (s *Summary) AppendIdentities(dst []Identity) []Identity {
+	if s == nil {
+		return dst
+	}
+	for _, sub := range s.subs {
+		dst = append(dst, sub.Identity())
+	}
+	return dst
 }
 
 // Disjuncts returns a copy of the retained subscriptions.

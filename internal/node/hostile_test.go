@@ -278,7 +278,7 @@ func TestFoldAcrossRebaseMatchesBuild(t *testing.T) {
 }
 
 // renderTree lists a tree's members and, for every view on their paths, each
-// line's count, delegates and summary fingerprint.
+// line's count, delegates and summary, disjuncts in accumulation order.
 func renderTree(tr *tree.Tree, space addr.Space) string {
 	out := ""
 	for i := 0; i < space.Capacity(); i++ {
@@ -290,7 +290,7 @@ func renderTree(tr *tree.Tree, space addr.Space) string {
 		out += fmt.Sprintf("%s %v\n", a, m.Sub.Identity())
 		for depth := 1; depth <= space.Depth(); depth++ {
 			for _, l := range tr.ViewAt(a, depth).Lines {
-				out += fmt.Sprintf("  %s/%d count=%d delegates=%v summary=%s\n", a.Prefix(depth), l.Infix, l.Count, l.Delegates, l.Summary.OrderedFingerprint())
+				out += fmt.Sprintf("  %s/%d count=%d delegates=%v summary=%s\n", a.Prefix(depth), l.Infix, l.Count, l.Delegates, l.Summary)
 			}
 		}
 	}

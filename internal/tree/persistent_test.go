@@ -32,7 +32,7 @@ func viewsOf(tr *Tree) []renderedView {
 		}
 		var sb strings.Builder
 		for _, l := range v.Lines {
-			fmt.Fprintf(&sb, " [%d n=%d %x %v]", l.Infix, l.Count, l.Summary.Fingerprint(), l.Delegates)
+			fmt.Fprintf(&sb, " [%d n=%d %x %v]", l.Infix, l.Count, languageForm(l.Summary), l.Delegates)
 		}
 		out = append(out, renderedView{p.String(), v.Gen, sb.String()})
 		for _, l := range v.Lines {
@@ -88,7 +88,9 @@ func classSubs(n int) []interest.Subscription {
 // applies a change some other tree of the store already digested finds every
 // node built: its ApplyDelta allocates nothing. The clones read views as
 // they go, so nodes they share build their view indexes concurrently; the
-// converged clones, each holding its root view, hold one index.
+// converged clones, each holding its root view, hold one index. They also
+// mint the store's disjunct numbers concurrently, and end up with one
+// summary identity and one language name per distinct content.
 func TestClonesConvergeOnOneTrie(t *testing.T) {
 	space := addr.MustRegular(4, 3)
 	subs := classSubs(5)
@@ -152,6 +154,28 @@ func TestClonesConvergeOnOneTrie(t *testing.T) {
 	}
 	if base.root == clones[0].root || base.Len() != 40 {
 		t.Error("the donor moved with its clones")
+	}
+	// The clones named what they folded under one mutex: the store holds one
+	// identity and one language name per distinct content of its folds.
+	st := base.store
+	ids, langs := make(map[string]uint64), make(map[string]uint64)
+	for _, table := range []map[foldKey]foldEntry{st.folds.hot, st.folds.cold} {
+		for _, e := range table {
+			of, lf := orderedForm(e.summary), languageForm(e.summary)
+			if id, ok := ids[of]; ok && id != e.summary.Identity() {
+				t.Errorf("summary %s holds identities %d and %d", e.summary, id, e.summary.Identity())
+			}
+			if name, ok := langs[lf]; ok && name != e.lang {
+				t.Errorf("the language of %s holds names %d and %d", e.summary, name, e.lang)
+			}
+			ids[of], langs[lf] = e.summary.Identity(), e.lang
+		}
+	}
+	if n := len(st.ids.hot) + len(st.ids.cold); n != len(ids) {
+		t.Errorf("the store holds %d summary identities for %d distinct contents", n, len(ids))
+	}
+	if n := len(st.langs.hot) + len(st.langs.cold); n != len(langs) {
+		t.Errorf("the store holds %d language names for %d distinct languages", n, len(langs))
 	}
 
 	// A change already digested: clone 0 toggles a member between two
@@ -322,24 +346,53 @@ func checkRootCarriesNoLine(t *testing.T, tr *Tree, evs []event.Event) {
 	}
 }
 
+// linesOf returns the summary and language name of every node below the
+// root, leaves included.
+func linesOf(tr *Tree) ([]*interest.Summary, []uint64) {
+	var sums []*interest.Summary
+	var langs []uint64
+	var walk func(n *node)
+	walk = func(n *node) {
+		for _, child := range n.children {
+			if child != nil {
+				sums, langs = append(sums, child.summary), append(langs, child.lang)
+				walk(child)
+			}
+		}
+	}
+	walk(tr.root)
+	return sums, langs
+}
+
 // FuzzApplyDeltaMatchesBuild folds arbitrary add/update/remove batches
 // through a lineage of clones — the input picks the edits, where the batches
 // split and where the tree is handed to a clone — and holds the result
 // against Build over the final member set: members, and at every prefix the
 // count, delegates, summary, compiled language, view lines and reach. After
 // every batch the root must carry no line (checkRootCarriesNoLine), for
-// events on each subscribed value and one nothing subscribes to.
+// events on each subscribed value and one nothing subscribes to, and the
+// store's number keys, summary identities and language names must each
+// stand for one content across the lineage, with equal keys exactly where
+// the old fingerprint strings were equal (keyNames.check).
 func FuzzApplyDeltaMatchesBuild(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{200, 3, 200, 3, 201, 3, 77, 255, 0, 0, 129, 64, 31, 31, 31})
 	f.Add([]byte("every process of a subgroup derives the same delegates without explicit agreement"))
 	f.Add([]byte{})
 	space := addr.MustRegular(3, 3)
-	subs := classSubs(7)
-	evs := make([]event.Event, 0, len(subs)+1)
-	for b := 0; b <= len(subs); b++ {
+	classes := classSubs(7)
+	// Beside the classes, keyPool's odd shapes: match-all, unsatisfiable,
+	// string sets past 64 values, and "b" under other kinds.
+	subs := append(classes, keyPool()[:6]...)
+	evs := make([]event.Event, 0, len(classes)+4)
+	for b := 0; b <= len(classes); b++ {
 		evs = append(evs, event.NewBuilder().Int("b", int64(b)).Build(event.ID{Origin: "fz", Seq: uint64(b)}))
 	}
+	evs = append(evs,
+		event.NewBuilder().Str("b", "v01").Build(event.ID{Origin: "fz", Seq: 100}),
+		event.NewBuilder().Str("b", "v70").Build(event.ID{Origin: "fz", Seq: 101}),
+		event.NewBuilder().Str("b", "x").Float("c", 2).Build(event.ID{Origin: "fz", Seq: 102}),
+		event.NewBuilder().Bool("b", true).Build(event.ID{Origin: "fz", Seq: 103}))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		// A small store bound: the lineage also crosses sweeps.
 		tr, err := New(Config{Space: space, R: 2, foldCacheBound: 16})
@@ -347,6 +400,7 @@ func FuzzApplyDeltaMatchesBuild(f *testing.F) {
 			t.Fatal(err)
 		}
 		model := make(map[int]interest.Subscription)
+		names := newKeyNames()
 		var d Delta
 		touched := make(map[int]bool) // one edit per address and batch
 		flush := func() {
@@ -354,6 +408,8 @@ func FuzzApplyDeltaMatchesBuild(f *testing.F) {
 				t.Fatalf("valid batch %+v refused: %v", d, err)
 			}
 			checkRootCarriesNoLine(t, tr, evs)
+			sums, langs := linesOf(tr)
+			names.check(t, tr.store, sums, langs)
 			d, touched = Delta{}, make(map[int]bool)
 		}
 		for i := 0; i+1 < len(in); i += 2 {

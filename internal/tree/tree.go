@@ -187,8 +187,8 @@ var identities atomic.Uint64
 // touched entries land in the hot generation; when hot reaches half the
 // bound, the cold generation — everything not touched since the last sweep —
 // is dropped wholesale. Lookups under a key built from bytes are spelled out
-// at the call sites, where a key converted inside the index expression does
-// not allocate; get serves the string-keyed tables.
+// where the key is converted inside the index expression, which does not
+// allocate (foldLocked, nodeLocked, nameLocked); get serves the rest.
 type gens[K comparable, V any] struct {
 	hot, cold map[K]V
 	evictions uint64
@@ -223,13 +223,14 @@ func (g *gens[K, V]) get(k K, bound int) (V, bool) {
 }
 
 // store is what a tree shares with its clones: the regrouping memo,
-// the table that gives every summary its identity (keyed by the summary's
-// OrderedFingerprint, so equal content — reached through whatever fold — is
-// named alike and keys the same folds one level up), the language names
-// (keyed by the summary's Fingerprint, which sorts: accumulation order does
-// not change what is matched), the interned trie nodes and the interned view
-// signatures. Safe for concurrent use: trees cloned across live nodes rebuild
-// on their own goroutines.
+// the table that gives every summary its identity (keyed by the numbers of
+// its disjuncts' identities in accumulation order, so equal content — reached
+// through whatever fold — is named alike and keys the same folds one level
+// up), the language names (keyed by the same numbers sorted: accumulation
+// order does not change what is matched), the numbers those two keys are
+// made of, the interned trie nodes and the interned view signatures. Safe for
+// concurrent use: trees cloned across live nodes rebuild on their own
+// goroutines.
 //
 // The store retains no matcher. A view's index is built from the summaries
 // when a process first reads the view, and lives on the node only as long as
@@ -238,18 +239,21 @@ func (g *gens[K, V]) get(k K, bound int) (V, bool) {
 // Every table is bounded by generational sweep (see gens). A dropped entry
 // only costs a recompute if its key recurs; correctness never depends on a
 // hit, and what a tree holds stays valid when the store forgets it.
-// Identities are never given to a second content, so content created again
-// after a sweep is named afresh and keys made of the old name miss — they
-// can never hit an entry of different inputs.
+// Identities and numbers are never given to a second content, so content
+// created again after a sweep is named afresh and keys made of the old name
+// miss — they can never hit an entry of different inputs.
 type store struct {
 	mu    sync.Mutex
 	id    uint64
 	bound int
 	folds gens[foldKey, foldEntry]
-	ids   gens[string, uint64]
-	langs gens[string, uint64]
-	nodes gens[nodeKey, *node]
-	views gens[string, uint64]
+	// disjuncts numbers the disjunct identities the ids and langs keys are
+	// made of; the key of the table keeps the identity's encoding alive.
+	disjuncts gens[interest.Identity, uint64]
+	ids       gens[string, uint64]
+	langs     gens[string, uint64]
+	nodes     gens[nodeKey, *node]
+	views     gens[string, uint64]
 }
 
 func newStore(bound int) *store {
@@ -257,6 +261,58 @@ func newStore(bound int) *store {
 		bound = DefaultFoldCacheBound
 	}
 	return &store{id: storeIDs.Add(1), bound: bound}
+}
+
+// matchAllKey is the ids and langs key of a match-all summary: one byte,
+// which no key made of 8-byte numbers is. An empty summary's key is empty.
+const matchAllKey = "\x01"
+
+// disjunctIDs appends the identities of the summary's disjuncts and reports
+// whether it matches all. It encodes a disjunct no one identified yet — a
+// hull the fold just built — so callers run it before they take st.mu.
+func disjunctIDs(dst []interest.Identity, s *interest.Summary) ([]interest.Identity, bool) {
+	return s.AppendIdentities(dst), s.Len() == 0 && !s.IsEmpty()
+}
+
+// summaryKeyLocked appends the key of a summary — its disjuncts' numbers, 8
+// bytes each, in the order given, sorted if asked — minting a number for an
+// identity the store does not hold.
+func (st *store) summaryKeyLocked(key []byte, ids []interest.Identity, matchAll, sorted bool) []byte {
+	if matchAll {
+		return append(key, matchAllKey...)
+	}
+	var buf [interest.DefaultMaxDisjuncts]uint64
+	nums := buf[:0]
+	for _, d := range ids {
+		n, ok := st.disjuncts.get(d, st.bound)
+		if !ok {
+			n = identities.Add(1)
+			st.disjuncts.put(d, n, st.bound)
+		}
+		nums = append(nums, n)
+	}
+	if sorted {
+		slices.Sort(nums)
+	}
+	for _, n := range nums {
+		key = binary.LittleEndian.AppendUint64(key, n)
+	}
+	return key
+}
+
+// nameLocked returns the name a string-keyed table holds for the key,
+// minting one for a key it does not hold.
+func (st *store) nameLocked(g *gens[string, uint64], key []byte) uint64 {
+	id, ok := g.hot[string(key)]
+	if !ok {
+		if id, ok = g.cold[string(key)]; ok {
+			g.promote(string(key), id, st.bound)
+		} else {
+			id = identities.Add(1)
+			g.put(string(key), id, st.bound)
+		}
+	}
+	return id
 }
 
 // fold looks a regrouping up without building its key.
@@ -281,18 +337,15 @@ func (st *store) foldLocked(leaf interest.Identity, kids []byte) (foldEntry, boo
 // every tree holds one summary per fold and the fold is counted once. A
 // summary that is inserted gets its identity here.
 func (st *store) putFold(leaf interest.Identity, kids []byte, e foldEntry) (_ foldEntry, resident bool) {
-	fp := e.summary.OrderedFingerprint()
+	var buf [interest.DefaultMaxDisjuncts]interest.Identity
+	ids, all := disjunctIDs(buf[:0], e.summary)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if prev, ok := st.foldLocked(leaf, kids); ok {
 		return prev, true
 	}
-	id, ok := st.ids.get(fp, st.bound)
-	if !ok {
-		id = identities.Add(1)
-		st.ids.put(fp, id, st.bound)
-	}
-	e.summary.SetIdentity(id)
+	var key [8 * interest.DefaultMaxDisjuncts]byte
+	e.summary.SetIdentity(st.nameLocked(&st.ids, st.summaryKeyLocked(key[:0], ids, all, false)))
 	st.folds.put(foldKey{leaf, string(kids)}, e, st.bound)
 	return e, false
 }
@@ -303,15 +356,12 @@ func (st *store) putFold(leaf interest.Identity, kids []byte, e foldEntry) (_ fo
 // matched languages; a language named again after a sweep gets a new name,
 // which only costs a spurious view generation — the safe direction.
 func (st *store) lang(s *interest.Summary) uint64 {
-	fp := s.Fingerprint()
+	var buf [interest.DefaultMaxDisjuncts]interest.Identity
+	ids, all := disjunctIDs(buf[:0], s)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	id, ok := st.langs.get(fp, st.bound)
-	if !ok {
-		id = identities.Add(1)
-		st.langs.put(fp, id, st.bound)
-	}
-	return id
+	var key [8 * interest.DefaultMaxDisjuncts]byte
+	return st.nameLocked(&st.langs, st.summaryKeyLocked(key[:0], ids, all, true))
 }
 
 // viewIndex returns the index of the view over n's children, building it
@@ -379,16 +429,7 @@ func (st *store) intern(addr string, sub interest.Identity, kids []byte, n *node
 func (st *store) viewGen(sig []byte) uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	id, ok := st.views.hot[string(sig)]
-	if !ok {
-		if id, ok = st.views.cold[string(sig)]; ok {
-			st.views.promote(string(sig), id, st.bound)
-		} else {
-			id = identities.Add(1)
-			st.views.put(string(sig), id, st.bound)
-		}
-	}
-	return id
+	return st.nameLocked(&st.views, sig)
 }
 
 // stats snapshots the store's share of FoldStats.

@@ -9,8 +9,10 @@ package wire_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"pmcast/internal/addr"
@@ -313,7 +315,16 @@ func FuzzCompiledMatchParity(f *testing.F) {
 		lines = append(lines, lines[0].Clone(), interest.Summarize(interest.NewSubscription()), interest.NewSummary())
 		langs, names := make([]uint64, len(lines)), make(map[string]uint64)
 		for i, s := range lines {
-			fp := s.Fingerprint()
+			// A language is named by its disjuncts' encodings, sorted: the
+			// order a summary accumulated them in does not change what it
+			// matches.
+			ds := s.Disjuncts()
+			fps := make([]string, len(ds))
+			for j, d := range ds {
+				fps[j] = d.Fingerprint()
+			}
+			sort.Strings(fps)
+			fp := fmt.Sprintf("%t%q", s.IsEmpty(), fps)
 			if names[fp] == 0 {
 				names[fp] = uint64(len(names) + 1)
 			}
