@@ -19,7 +19,6 @@ import (
 
 	"pmcast/internal/addr"
 	"pmcast/internal/analysis"
-	"pmcast/internal/baseline"
 	"pmcast/internal/core"
 	"pmcast/internal/event"
 	"pmcast/internal/harness"
@@ -120,7 +119,7 @@ func BenchmarkBaselines(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		var msgs float64
 		for i := 0; i < b.N; i++ {
-			res, err := baseline.RunFlood(baseline.FloodParams{N: n, F: 2, Eps: 0.01, Tau: 0.001}, pd, rng)
+			res, err := sim.RunFlood(sim.FloodParams{N: n, F: 2, Eps: 0.01, Tau: 0.001}, pd, rng)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -132,7 +131,7 @@ func BenchmarkBaselines(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		var msgs float64
 		for i := 0; i < b.N; i++ {
-			res, err := baseline.RunGenuine(baseline.GenuineParams{
+			res, err := sim.RunGenuine(sim.GenuineParams{
 				N: n, ViewSize: 66, F: 2, Eps: 0.01, Tau: 0.001}, pd, rng)
 			if err != nil {
 				b.Fatal(err)
@@ -145,7 +144,7 @@ func BenchmarkBaselines(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		var msgs float64
 		for i := 0; i < b.N; i++ {
-			res, err := baseline.RunDeterministicTree(baseline.DetTreeParams{
+			res, err := sim.RunDeterministicTree(sim.DetTreeParams{
 				A: 22, D: 3, R: 3, Eps: 0.01, Tau: 0.001}, pd, rng)
 			if err != nil {
 				b.Fatal(err)

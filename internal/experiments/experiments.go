@@ -19,7 +19,6 @@ import (
 	"math/rand"
 
 	"pmcast/internal/analysis"
-	"pmcast/internal/baseline"
 	"pmcast/internal/sim"
 )
 
@@ -115,16 +114,22 @@ func DeliverySweep(params sim.Params, pds []float64, runs int, seed int64) ([]De
 			Messages:              agg.Messages.Mean(),
 			Runs:                  runs,
 		}
-		model, err := analysis.NewTreeModel(analysis.TreeParams{
-			A: params.A, D: params.D, R: params.R, F: float64(params.F),
-			Pd: pd, Eps: params.Eps, Tau: params.Tau, C: params.C,
-		})
+		model, err := analysis.NewTreeModel(treeParams(params, pd))
 		if err == nil {
 			row.AnalyticReliability = model.Reliability()
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// treeParams is the analytical model of a simulated configuration at
+// audience rate pd.
+func treeParams(p sim.Params, pd float64) analysis.TreeParams {
+	return analysis.TreeParams{
+		A: p.A, D: p.D, R: p.R, F: float64(p.F), C: p.C,
+		Pd: pd, Eps: p.Eps, Tau: p.Tau,
+	}
 }
 
 // Figure4 regenerates the paper's Figure 4: probability of delivery for
@@ -252,10 +257,7 @@ func RoundsTable(o Options) ([]RoundsRow, error) {
 	}
 	rows := make([]RoundsRow, 0, len(o.PdSweep()))
 	for i, pd := range o.PdSweep() {
-		model, err := analysis.NewTreeModel(analysis.TreeParams{
-			A: params.A, D: params.D, R: params.R, F: float64(params.F),
-			Pd: pd, Eps: params.Eps, Tau: params.Tau,
-		})
+		model, err := analysis.NewTreeModel(treeParams(params, pd))
 		if err != nil {
 			return nil, err
 		}
@@ -309,18 +311,18 @@ func BaselineTable(o Options) ([]BaselineRow, error) {
 		rng := rand.New(rand.NewSource(o.Seed + int64(i)*59))
 		var fl, gn, dt sim.Aggregate
 		for run := 0; run < o.Runs; run++ {
-			fr, err := baseline.RunFlood(baseline.FloodParams{
+			fr, err := sim.RunFlood(sim.FloodParams{
 				N: n, F: params.F, Eps: o.Eps, Tau: o.Tau}, pd, rng)
 			if err != nil {
 				return nil, err
 			}
-			gr, err := baseline.RunGenuine(baseline.GenuineParams{
+			gr, err := sim.RunGenuine(sim.GenuineParams{
 				N: n, ViewSize: params.A * params.R, F: params.F,
 				Eps: o.Eps, Tau: o.Tau}, pd, rng)
 			if err != nil {
 				return nil, err
 			}
-			dr, err := baseline.RunDeterministicTree(baseline.DetTreeParams{
+			dr, err := sim.RunDeterministicTree(sim.DetTreeParams{
 				A: params.A, D: params.D, R: params.R,
 				Eps: o.Eps, Tau: o.Tau}, pd, rng)
 			if err != nil {

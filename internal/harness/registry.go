@@ -104,15 +104,12 @@ func Parity64() Scenario {
 			SuspectAfter:       time.Hour, // no churn here: detection off
 			Classes:            2,
 		},
-		Nodes:     64,
-		Bootstrap: BootstrapJoin,
-		MinDelay:  100 * time.Microsecond,
-		MaxDelay:  1 * time.Millisecond,
-		Horizon:   6 * time.Second,
-		SubscriptionFor: func(a addr.Address, _ int) interest.Subscription {
-			return interest.NewSubscription().
-				Where("b", interest.EqInt(int64(a.Digit(1)%2)))
-		},
+		Nodes:           64,
+		Bootstrap:       BootstrapJoin,
+		MinDelay:        100 * time.Microsecond,
+		MaxDelay:        1 * time.Millisecond,
+		Horizon:         6 * time.Second,
+		SubscriptionFor: subtreeClass(2),
 	}
 	// Seq 1..4 from node 0.0, classes alternating 0,1,0,1 — the same ground
 	// truth the cross-fabric parity test asserts.
@@ -147,9 +144,7 @@ func Lossy256() Scenario {
 		// paper's hierarchical addressing is designed around — so subtree
 		// summaries stay tight; the flux wave then measures what interest
 		// drift does to them.
-		SubscriptionFor: func(a addr.Address, _ int) interest.Subscription {
-			return interest.NewSubscription().Where("b", interest.EqInt(int64(a.Digit(1)%4)))
-		},
+		SubscriptionFor: subtreeClass(4),
 	}
 	// Publishes land outside the partition window (events gossiped against a
 	// partition exhaust their budgets and die — that failure mode is
@@ -181,14 +176,12 @@ func Soak64() Scenario {
 			SuspectAfter:       600 * time.Millisecond,
 			Classes:            4,
 		},
-		Nodes:     64,
-		Bootstrap: BootstrapOracle,
-		Loss:      0.01,
-		QueueLen:  2048,
-		Horizon:   1300 * time.Millisecond,
-		SubscriptionFor: func(a addr.Address, _ int) interest.Subscription {
-			return interest.NewSubscription().Where("b", interest.EqInt(int64(a.Digit(1)%4)))
-		},
+		Nodes:           64,
+		Bootstrap:       BootstrapOracle,
+		Loss:            0.01,
+		QueueLen:        2048,
+		Horizon:         1300 * time.Millisecond,
+		SubscriptionFor: subtreeClass(4),
 	}
 	// Four publishers, one per top-level subtree, each publishing two events
 	// every 20ms — offset by 5ms so their rounds interleave.
@@ -243,9 +236,7 @@ func Soak256() Scenario {
 		Horizon:   2600 * time.Millisecond,
 		// Interest locality by top-level subtree, as in the other fleet-scale
 		// campaigns.
-		SubscriptionFor: func(a addr.Address, _ int) interest.Subscription {
-			return interest.NewSubscription().Where("b", interest.EqInt(int64(a.Digit(1)%4)))
-		},
+		SubscriptionFor: subtreeClass(4),
 	}
 	// Eight publishers, two per top-level subtree, each publishing two
 	// events every 20ms from t=200ms to t=2.2s (~800 events), staggered by
@@ -347,17 +338,15 @@ func Soak4k() Scenario {
 			Classes:            4,
 			DeliveryBuffer:     256,
 		},
-		Nodes:     4096,
-		Bootstrap: BootstrapOracle,
-		Loss:      0.01,
-		MinDelay:  500 * time.Microsecond,
-		MaxDelay:  2 * time.Millisecond,
-		QueueLen:  256,
-		Horizon:   2000 * time.Millisecond,
-		Shards:    8,
-		SubscriptionFor: func(a addr.Address, _ int) interest.Subscription {
-			return interest.NewSubscription().Where("b", interest.EqInt(int64(a.Digit(1)%4)))
-		},
+		Nodes:           4096,
+		Bootstrap:       BootstrapOracle,
+		Loss:            0.01,
+		MinDelay:        500 * time.Microsecond,
+		MaxDelay:        2 * time.Millisecond,
+		QueueLen:        256,
+		Horizon:         2000 * time.Millisecond,
+		Shards:          8,
+		SubscriptionFor: subtreeClass(4),
 	}
 	s.PublishAt(200*time.Millisecond, -1, 4, -1).
 		CrashAt(500*time.Millisecond, 64).
@@ -391,17 +380,15 @@ func Churn16k() Scenario {
 			Classes:            4,
 			DeliveryBuffer:     256,
 		},
-		Nodes:     16384,
-		Bootstrap: BootstrapOracle,
-		Loss:      0.01,
-		MinDelay:  1 * time.Millisecond,
-		MaxDelay:  4 * time.Millisecond,
-		QueueLen:  256,
-		Horizon:   2500 * time.Millisecond,
-		Shards:    8,
-		SubscriptionFor: func(a addr.Address, _ int) interest.Subscription {
-			return interest.NewSubscription().Where("b", interest.EqInt(int64(a.Digit(1)%4)))
-		},
+		Nodes:           16384,
+		Bootstrap:       BootstrapOracle,
+		Loss:            0.01,
+		MinDelay:        1 * time.Millisecond,
+		MaxDelay:        4 * time.Millisecond,
+		QueueLen:        256,
+		Horizon:         2500 * time.Millisecond,
+		Shards:          8,
+		SubscriptionFor: subtreeClass(4),
 	}
 	// The crash wave lands at 600ms and is expelled by ~2.4s (deadline
 	// 1200ms, sweeps every 600ms); rejoins follow at 1.4s. Publishes probe
@@ -443,21 +430,28 @@ func Soak64k() Scenario {
 			Classes:            4,
 			DeliveryBuffer:     64,
 		},
-		Nodes:     65536,
-		Bootstrap: BootstrapOracle,
-		Loss:      0.005,
-		MinDelay:  2 * time.Millisecond,
-		MaxDelay:  2 * time.Millisecond,
-		QueueLen:  64,
-		Horizon:   1200 * time.Millisecond,
-		Shards:    8,
-		SubscriptionFor: func(a addr.Address, _ int) interest.Subscription {
-			return interest.NewSubscription().Where("b", interest.EqInt(int64(a.Digit(1)%4)))
-		},
+		Nodes:           65536,
+		Bootstrap:       BootstrapOracle,
+		Loss:            0.005,
+		MinDelay:        2 * time.Millisecond,
+		MaxDelay:        2 * time.Millisecond,
+		QueueLen:        64,
+		Horizon:         1200 * time.Millisecond,
+		Shards:          8,
+		SubscriptionFor: subtreeClass(4),
 	}
 	s.PublishAt(50*time.Millisecond, -1, 2, -1).
 		PublishAt(150*time.Millisecond, -1, 2, -1)
 	return s
+}
+
+// subtreeClass subscribes a node to class b = (first-level digit mod k): the
+// interest locality by top-level subtree that keeps the tree's summaries
+// tight.
+func subtreeClass(k int) func(addr.Address, int) interest.Subscription {
+	return func(a addr.Address, _ int) interest.Subscription {
+		return interest.NewSubscription().Where("b", interest.EqInt(int64(a.Digit(1)%k)))
+	}
 }
 
 // manyAttrTopics is the string-attribute vocabulary of the ManyAttr512
@@ -711,9 +705,7 @@ func Churn1024() Scenario {
 		Horizon:  3 * time.Second,
 		// Interest locality: subscriptions cluster by top-level subtree
 		// (see Lossy256); flux then scatters 64 of them.
-		SubscriptionFor: func(a addr.Address, _ int) interest.Subscription {
-			return interest.NewSubscription().Where("b", interest.EqInt(int64(a.Digit(1)%4)))
-		},
+		SubscriptionFor: subtreeClass(4),
 	}
 	// The crash wave lands at 300ms and is expelled by ~1.2–1.65s (deadline
 	// 900ms, sweeps every 450ms). Publishes probe all three regimes: a

@@ -82,8 +82,9 @@ type Scenario struct {
 	// Bootstrap is how the fleet converges initially (default oracle).
 	Bootstrap Bootstrap
 	// Loss, MinDelay, MaxDelay and QueueLen configure the fabric's ambient
-	// fault model (see transport.Config). Non-zero delays turn every message
-	// into its own virtual-time event.
+	// fault model and inboxes (see transport.Config; QueueLen 0 takes its
+	// default). Non-zero delays turn every message into its own virtual-time
+	// event.
 	Loss               float64
 	MinDelay, MaxDelay time.Duration
 	// Link configures the fabric's correlated fault model: per-link
@@ -252,16 +253,6 @@ func (s Scenario) withDefaults() (Scenario, error) {
 	}
 	if s.Bootstrap == "" {
 		s.Bootstrap = BootstrapOracle
-	}
-	if s.QueueLen <= 0 {
-		// Inbox channels are allocated eagerly per endpoint, so the queue
-		// bound is fleet-sized RAM and zeroing cost up front (n·QueueLen
-		// envelope slots — ~780MB at 1024×8192, a fifth of churn1024's wall
-		// clock in memclr alone). The engine pumps every inbox to
-		// quiescence at each virtual instant, so observed depths stay far
-		// below even this default; campaigns that want more headroom set
-		// QueueLen explicitly.
-		s.QueueLen = 1024
 	}
 	if s.Horizon <= 0 {
 		s.Horizon = 2 * time.Second

@@ -1,5 +1,14 @@
-// Package baseline implements the three dissemination alternatives the
-// paper's introduction contrasts pmcast against:
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+
+	"pmcast/internal/analysis"
+)
+
+// The three dissemination alternatives the paper's introduction contrasts
+// pmcast against:
 //
 //  1. Flood gossip — a gossip *broadcast* (pbcast/lpbcast style): events
 //     reach everybody and are filtered upon reception. Reliable but every
@@ -12,22 +21,9 @@
 //     down the delegate tree: cheap and exact in stable phases, fragile
 //     under loss and crashes (one lost edge severs a subtree).
 //
-// All three run the same single-event, Bernoulli-audience, ε/τ environment
-// as internal/sim and report a sim.Result, so results are directly
-// comparable and fold by the same rule (sim.Aggregate).
-package baseline
-
-import (
-	"errors"
-	"fmt"
-	"math/rand"
-
-	"pmcast/internal/analysis"
-	"pmcast/internal/sim"
-)
-
-// ErrBadParams reports invalid baseline parameters.
-var ErrBadParams = errors.New("baseline: invalid parameters")
+// Each draws its single-event, Bernoulli-audience, ε/τ environment with the
+// simulator's runState and reports a Result, so results are directly
+// comparable and fold by the same rule (Aggregate).
 
 // FloodParams configures the gossip-broadcast baseline.
 type FloodParams struct {
@@ -41,38 +37,28 @@ type FloodParams struct {
 	Eps, Tau float64
 }
 
-func (p FloodParams) validate() error {
-	if p.N < 1 || p.F < 1 {
-		return fmt.Errorf("%w: n=%d F=%d", ErrBadParams, p.N, p.F)
-	}
-	if p.Eps < 0 || p.Eps >= 1 || p.Tau < 0 || p.Tau >= 1 {
-		return fmt.Errorf("%w: ε=%g τ=%g", ErrBadParams, p.Eps, p.Tau)
-	}
-	return nil
-}
-
 // RunFlood simulates one gossip broadcast with filtering on reception: every
 // process relays every received event for the Pittel-bounded number of
 // rounds, regardless of anyone's interests.
-func RunFlood(p FloodParams, pd float64, rng *rand.Rand) (sim.Result, error) {
-	if err := p.validate(); err != nil {
-		return sim.Result{}, err
+func RunFlood(p FloodParams, pd float64, rng *rand.Rand) (Result, error) {
+	if p.N < 1 || p.F < 1 {
+		return Result{}, fmt.Errorf("%w: n=%d F=%d", ErrBadShape, p.N, p.F)
 	}
-	if pd < 0 || pd > 1 {
-		return sim.Result{}, fmt.Errorf("%w: pd=%g", ErrBadParams, pd)
+	rs, err := draw(p.N, 1, pd, p.Eps, p.Tau, rng)
+	if err != nil {
+		return Result{}, err
 	}
-	interested, crashed := drawPopulation(p.N, pd, p.Tau, rng)
 	budget := analysis.PittelLossAdjustedRounds(float64(p.N), float64(p.F), p.C, p.Eps, p.Tau)
 
 	infected := make([]bool, p.N)
-	origin := alivePick(rng, crashed)
+	origin := rs.pick(rng)
 	infected[origin] = true
 	frontier := []int{origin}
-	res := sim.Result{}
+	res := Result{}
 	for round := 0; round < budget && len(frontier) > 0; round++ {
 		res.Rounds++
 		var fresh []int
-		for _, src := range carriers(infected, crashed) {
+		for _, src := range carriers(infected, rs.crashed) {
 			for i := 0; i < p.F; i++ {
 				dst := rng.Intn(p.N)
 				if dst == src {
@@ -82,7 +68,7 @@ func RunFlood(p FloodParams, pd float64, rng *rand.Rand) (sim.Result, error) {
 				if p.Eps > 0 && rng.Float64() < p.Eps {
 					continue
 				}
-				if crashed[dst] || infected[dst] {
+				if rs.crashed[dst] || infected[dst] {
 					continue
 				}
 				infected[dst] = true
@@ -91,7 +77,7 @@ func RunFlood(p FloodParams, pd float64, rng *rand.Rand) (sim.Result, error) {
 		}
 		frontier = fresh
 	}
-	tally(&res, infected, interested, origin)
+	rs.tally(&res, origin, func(i int) bool { return infected[i] })
 	return res, nil
 }
 
@@ -113,28 +99,18 @@ type GenuineParams struct {
 	Eps, Tau float64
 }
 
-func (p GenuineParams) validate() error {
-	if p.N < 1 || p.F < 1 || p.ViewSize < 1 {
-		return fmt.Errorf("%w: n=%d F=%d view=%d", ErrBadParams, p.N, p.F, p.ViewSize)
-	}
-	if p.Eps < 0 || p.Eps >= 1 || p.Tau < 0 || p.Tau >= 1 {
-		return fmt.Errorf("%w: ε=%g τ=%g", ErrBadParams, p.Eps, p.Tau)
-	}
-	return nil
-}
-
 // RunGenuine simulates one genuine multicast: each infected process gossips
 // only to the interested members of its partial view. Uninterested processes
 // never receive anything — at the price of isolating audience members whose
 // interested neighbors are unreachable.
-func RunGenuine(p GenuineParams, pd float64, rng *rand.Rand) (sim.Result, error) {
-	if err := p.validate(); err != nil {
-		return sim.Result{}, err
+func RunGenuine(p GenuineParams, pd float64, rng *rand.Rand) (Result, error) {
+	if p.N < 1 || p.F < 1 || p.ViewSize < 1 {
+		return Result{}, fmt.Errorf("%w: n=%d F=%d view=%d", ErrBadShape, p.N, p.F, p.ViewSize)
 	}
-	if pd < 0 || pd > 1 {
-		return sim.Result{}, fmt.Errorf("%w: pd=%g", ErrBadParams, pd)
+	rs, err := draw(p.N, 1, pd, p.Eps, p.Tau, rng)
+	if err != nil {
+		return Result{}, err
 	}
-	interested, crashed := drawPopulation(p.N, pd, p.Tau, rng)
 
 	// Uniform partial views, drawn per process per run.
 	viewSize := min(p.ViewSize, p.N-1)
@@ -144,7 +120,7 @@ func RunGenuine(p GenuineParams, pd float64, rng *rand.Rand) (sim.Result, error)
 	}
 
 	audience := 0
-	for _, b := range interested {
+	for _, b := range rs.interested {
 		if b {
 			audience++
 		}
@@ -152,17 +128,17 @@ func RunGenuine(p GenuineParams, pd float64, rng *rand.Rand) (sim.Result, error)
 	budget := analysis.PittelLossAdjustedRounds(float64(audience), float64(p.F), p.C, p.Eps, p.Tau)
 
 	infected := make([]bool, p.N)
-	origin := alivePick(rng, crashed)
+	origin := rs.pick(rng)
 	infected[origin] = true
-	res := sim.Result{}
+	res := Result{}
 	for round := 0; round < budget; round++ {
 		res.Rounds++
 		spread := false
-		for _, src := range carriers(infected, crashed) {
+		for _, src := range carriers(infected, rs.crashed) {
 			// Candidates: interested members of src's view.
 			var cands []int
 			for _, m := range views[src] {
-				if interested[m] {
+				if rs.interested[m] {
 					cands = append(cands, m)
 				}
 			}
@@ -175,7 +151,7 @@ func RunGenuine(p GenuineParams, pd float64, rng *rand.Rand) (sim.Result, error)
 				if p.Eps > 0 && rng.Float64() < p.Eps {
 					continue
 				}
-				if crashed[dst] || infected[dst] {
+				if rs.crashed[dst] || infected[dst] {
 					continue
 				}
 				infected[dst] = true
@@ -186,7 +162,7 @@ func RunGenuine(p GenuineParams, pd float64, rng *rand.Rand) (sim.Result, error)
 			break
 		}
 	}
-	tally(&res, infected, interested, origin)
+	rs.tally(&res, origin, func(i int) bool { return infected[i] })
 	return res, nil
 }
 
@@ -200,64 +176,24 @@ type DetTreeParams struct {
 	Eps, Tau float64
 }
 
-func (p DetTreeParams) validate() error {
-	if p.D < 1 || p.R < 1 || p.A < p.R {
-		return fmt.Errorf("%w: a=%d d=%d R=%d", ErrBadParams, p.A, p.D, p.R)
-	}
-	if p.Eps < 0 || p.Eps >= 1 || p.Tau < 0 || p.Tau >= 1 {
-		return fmt.Errorf("%w: ε=%g τ=%g", ErrBadParams, p.Eps, p.Tau)
-	}
-	return nil
-}
-
 // RunDeterministicTree simulates one deterministic best-effort multicast: the
 // event descends the delegate tree, each interested subtree being handed to
 // its first responsive delegate (up to R attempts, no acknowledgements, no
 // gossip). In stable phases this is cheap and exact; a lost hand-off severs
 // the whole subtree, which is the robustness gap pmcast closes (Section 6,
 // Astrolabe comparison).
-func RunDeterministicTree(p DetTreeParams, pd float64, rng *rand.Rand) (sim.Result, error) {
-	if err := p.validate(); err != nil {
-		return sim.Result{}, err
+func RunDeterministicTree(p DetTreeParams, pd float64, rng *rand.Rand) (Result, error) {
+	if err := checkTree(p.A, p.D, p.R); err != nil {
+		return Result{}, err
 	}
-	if pd < 0 || pd > 1 {
-		return sim.Result{}, fmt.Errorf("%w: pd=%g", ErrBadParams, pd)
+	rs, err := draw(p.A, p.D, pd, p.Eps, p.Tau, rng)
+	if err != nil {
+		return Result{}, err
 	}
-	n := 1
-	for i := 0; i < p.D; i++ {
-		n *= p.A
-	}
-	interested, crashed := drawPopulation(n, pd, p.Tau, rng)
-
-	// subtreeInterest[l][s] for prefix length l.
-	levels := make([][]bool, p.D+1)
-	levels[p.D] = interested
-	for l := p.D - 1; l >= 0; l-- {
-		size := 1
-		for i := 0; i < l; i++ {
-			size *= p.A
-		}
-		levels[l] = make([]bool, size)
-		for s := range levels[l] {
-			for c := 0; c < p.A; c++ {
-				if levels[l+1][s*p.A+c] {
-					levels[l][s] = true
-					break
-				}
-			}
-		}
-	}
-	strideAt := func(l int) int {
-		out := 1
-		for i := 0; i < p.D-l; i++ {
-			out *= p.A
-		}
-		return out
-	}
-
-	res := sim.Result{Rounds: p.D}
+	n := len(rs.interested)
+	res := Result{Rounds: p.D}
 	infected := make([]bool, n)
-	origin := alivePick(rng, crashed)
+	origin := rs.pick(rng)
 	infected[origin] = true
 
 	// Recursive descent: deliver to every interested subtree of prefix s at
@@ -269,25 +205,23 @@ func RunDeterministicTree(p DetTreeParams, pd float64, rng *rand.Rand) (sim.Resu
 		}
 		for c := 0; c < p.A; c++ {
 			child := s*p.A + c
-			if !levels[l+1][child] {
+			if !rs.subInterested[l+1][child] {
 				continue
 			}
 			// Try the child's delegates in election order; a subtree has at
 			// most min(R, subtree size) delegates.
-			base := child * strideAt(l+1)
-			attempts := min(p.R, strideAt(l+1))
+			base := child * rs.strides[l+1]
+			attempts := min(p.R, rs.strides[l+1])
 			for attempt := 0; attempt < attempts; attempt++ {
 				dst := base + attempt
 				res.Messages++
 				if p.Eps > 0 && rng.Float64() < p.Eps {
 					continue
 				}
-				if crashed[dst] {
+				if rs.crashed[dst] {
 					continue
 				}
-				if !infected[dst] {
-					infected[dst] = true
-				}
+				infected[dst] = true
 				descend(child, l+1)
 				break
 			}
@@ -300,7 +234,7 @@ func RunDeterministicTree(p DetTreeParams, pd float64, rng *rand.Rand) (sim.Resu
 		// Find an infected delegate of leaf group g.
 		var carrier = -1
 		for j := 0; j < p.R; j++ {
-			if infected[g*p.A+j] && !crashed[g*p.A+j] {
+			if infected[g*p.A+j] && !rs.crashed[g*p.A+j] {
 				carrier = g*p.A + j
 				break
 			}
@@ -310,42 +244,32 @@ func RunDeterministicTree(p DetTreeParams, pd float64, rng *rand.Rand) (sim.Resu
 		}
 		for c := 0; c < p.A; c++ {
 			dst := g*p.A + c
-			if dst == carrier || !interested[dst] {
+			if dst == carrier || !rs.interested[dst] {
 				continue
 			}
 			res.Messages++
 			if p.Eps > 0 && rng.Float64() < p.Eps {
 				continue
 			}
-			if crashed[dst] || infected[dst] {
+			if rs.crashed[dst] || infected[dst] {
 				continue
 			}
 			infected[dst] = true
 		}
 	}
-	tally(&res, infected, interested, origin)
+	rs.tally(&res, origin, func(i int) bool { return infected[i] })
 	return res, nil
 }
 
-// drawPopulation samples interests and crashes.
-func drawPopulation(n int, pd, tau float64, rng *rand.Rand) (interested, crashed []bool) {
-	interested = make([]bool, n)
-	crashed = make([]bool, n)
-	for i := 0; i < n; i++ {
-		interested[i] = rng.Float64() < pd
-		crashed[i] = tau > 0 && rng.Float64() < tau
+// draw checks a baseline's rates and draws its population of a^d processes
+// the way Simulator.Run does; the caller then picks the publisher.
+func draw(a, d int, pd, eps, tau float64, rng *rand.Rand) (*runState, error) {
+	if err := checkRates(pd, eps, tau); err != nil {
+		return nil, err
 	}
-	return interested, crashed
-}
-
-// alivePick returns a uniformly random non-crashed index.
-func alivePick(rng *rand.Rand, crashed []bool) int {
-	for {
-		i := rng.Intn(len(crashed))
-		if !crashed[i] {
-			return i
-		}
-	}
+	rs := newRunState(a, d)
+	rs.redraw(pd, tau, rng)
+	return rs, nil
 }
 
 // carriers lists alive infected processes in index order (deterministic).
@@ -357,24 +281,6 @@ func carriers(infected, crashed []bool) []int {
 		}
 	}
 	return out
-}
-
-// tally fills the publisher and audience counters of a result.
-func tally(res *sim.Result, infected, interested []bool, origin int) {
-	res.Publisher = origin
-	for i := range infected {
-		if interested[i] {
-			res.Interested++
-			if infected[i] {
-				res.DeliveredInterested++
-			}
-		} else {
-			res.Uninterested++
-			if infected[i] && i != origin {
-				res.InfectedUninterested++
-			}
-		}
-	}
 }
 
 // sampleDistinct draws k distinct values from [0,n) \ {excl}.

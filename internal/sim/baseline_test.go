@@ -1,4 +1,4 @@
-package baseline
+package sim
 
 import (
 	"math/rand"
@@ -197,5 +197,52 @@ func TestSampleDistinct(t *testing.T) {
 	// Requesting more than available caps at n−1.
 	if got := sampleDistinct(rng, 4, 0, 99); len(got) != 3 {
 		t.Errorf("capped sample len = %d, want 3", len(got))
+	}
+}
+
+// TestArmsSeeOneDraw pins the fairness the baselines table rests on: fed
+// equal RNG states, the simulator and the three baselines at n = a^d draw
+// the same audience, and all but the genuine arm the same publisher. The
+// genuine arm draws its partial views between the population and the
+// publisher, so its publisher comes from a later RNG state.
+func TestArmsSeeOneDraw(t *testing.T) {
+	for _, c := range []struct {
+		a, d, r int
+		pd, tau float64
+		seed    int64
+	}{
+		{a: 4, d: 2, r: 2, pd: 0.5, tau: 0, seed: 1},
+		{a: 6, d: 3, r: 3, pd: 0.2, tau: 0.05, seed: 7},
+		{a: 10, d: 2, r: 1, pd: 0.05, tau: 0.3, seed: 42},
+		{a: 3, d: 4, r: 3, pd: 1, tau: 0.5, seed: 9},
+	} {
+		p := Params{A: c.a, D: c.d, R: c.r, F: 2, Eps: 0.01, Tau: c.tau}
+		n := p.N()
+		rng := func() *rand.Rand { return rand.New(rand.NewSource(c.seed)) }
+		want, err := newSim(t, p).Run(c.pd, rng())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dt, err := RunDeterministicTree(DetTreeParams{A: c.a, D: c.d, R: c.r, Eps: p.Eps, Tau: c.tau}, c.pd, rng())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl, err := RunFlood(FloodParams{N: n, F: 2, Eps: p.Eps, Tau: c.tau}, c.pd, rng())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gn, err := RunGenuine(GenuineParams{N: n, ViewSize: c.a * c.r, F: 2, Eps: p.Eps, Tau: c.tau}, c.pd, rng())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for arm, got := range map[string]Result{"dettree": dt, "flood": fl, "genuine": gn} {
+			if got.Interested != want.Interested || got.Uninterested != want.Uninterested {
+				t.Errorf("%+v %s: audience %d/%d, simulator %d/%d", c, arm,
+					got.Interested, got.Uninterested, want.Interested, want.Uninterested)
+			}
+			if arm != "genuine" && got.Publisher != want.Publisher {
+				t.Errorf("%+v %s: publisher %d, simulator %d", c, arm, got.Publisher, want.Publisher)
+			}
+		}
 	}
 }

@@ -9,6 +9,11 @@
 // runtime; only the views are synthetic (regular-tree index arithmetic and
 // Bernoulli interests instead of content-based subscriptions), which keeps a
 // 10 000-process run cheap enough for statistically meaningful sweeps.
+//
+// The package also runs the paper's Section 1 baselines (baseline.go) and
+// aggregates runs (stats.go). The baselines draw their audience, crashes and
+// publisher from the simulator's own population model (runState), so every
+// arm of a comparison faces the same draw.
 package sim
 
 import (
@@ -19,12 +24,11 @@ import (
 	"pmcast/internal/addr"
 	"pmcast/internal/core"
 	"pmcast/internal/event"
-	"pmcast/internal/stats"
 )
 
 // Errors reported by the simulator.
 var (
-	ErrBadShape  = errors.New("sim: tree shape requires a ≥ R ≥ 1 and d ≥ 1")
+	ErrBadShape  = errors.New("sim: group shape requires a ≥ R ≥ 1, d ≥ 1 and F ≥ 1")
 	ErrBadRate   = errors.New("sim: probability outside valid range")
 	ErrNoQuiesce = errors.New("sim: dissemination did not quiesce")
 )
@@ -72,28 +76,34 @@ func (p Params) withDefaults() Params {
 }
 
 func (p Params) validate() error {
-	if p.D < 1 || p.R < 1 || p.A < p.R {
-		return fmt.Errorf("%w: a=%d d=%d R=%d", ErrBadShape, p.A, p.D, p.R)
+	if err := checkTree(p.A, p.D, p.R); err != nil {
+		return err
 	}
 	if p.F < 1 {
 		return fmt.Errorf("%w: fanout %d", ErrBadShape, p.F)
 	}
-	for _, v := range []float64{p.Eps, p.Tau} {
-		if v < 0 || v >= 1 {
-			return fmt.Errorf("%w: ε/τ %g", ErrBadRate, v)
-		}
+	return checkRates(0, p.Eps, p.Tau)
+}
+
+// checkTree reports a regular tree shape the delegate election cannot fill.
+func checkTree(a, d, r int) error {
+	if d < 1 || r < 1 || a < r {
+		return fmt.Errorf("%w: a=%d d=%d R=%d", ErrBadShape, a, d, r)
+	}
+	return nil
+}
+
+// checkRates reports an audience rate outside [0, 1] or a loss or crash
+// probability outside [0, 1).
+func checkRates(pd, eps, tau float64) error {
+	if pd < 0 || pd > 1 || eps < 0 || eps >= 1 || tau < 0 || tau >= 1 {
+		return fmt.Errorf("%w: pd=%g ε=%g τ=%g", ErrBadRate, pd, eps, tau)
 	}
 	return nil
 }
 
 // N returns the population size a^d.
-func (p Params) N() int {
-	n := 1
-	for i := 0; i < p.D; i++ {
-		n *= p.A
-	}
-	return n
-}
+func (p Params) N() int { return pow(p.A, p.D) }
 
 // Result captures one simulated dissemination.
 type Result struct {
@@ -140,13 +150,13 @@ func (r Result) UninterestedReceptionRate() float64 {
 // Aggregate summarizes a batch of runs.
 type Aggregate struct {
 	// Delivery aggregates per-run delivery rates (Figure 4/6/7 y-axis).
-	Delivery stats.Accumulator
+	Delivery Accumulator
 	// UninterestedReception aggregates per-run uninterested reception rates
 	// (Figure 5 y-axis).
-	UninterestedReception stats.Accumulator
+	UninterestedReception Accumulator
 	// Rounds and Messages aggregate dissemination cost.
-	Rounds   stats.Accumulator
-	Messages stats.Accumulator
+	Rounds   Accumulator
+	Messages Accumulator
 }
 
 // Add folds one run into the aggregate. This is the one averaging rule for
@@ -171,9 +181,6 @@ type Simulator struct {
 	addrs  []addr.Address
 	procs  []*core.Process
 	run    *runState
-	// strides[l] = a^(d−l): leaves covered by a subtree whose prefix has
-	// length l.
-	strides []int
 }
 
 // New validates the parameters and builds the process population once;
@@ -189,16 +196,12 @@ func New(params Params) (*Simulator, error) {
 	}
 	n := params.N()
 	s := &Simulator{
-		params:  params,
-		n:       n,
-		space:   space,
-		addrs:   make([]addr.Address, n),
-		procs:   make([]*core.Process, n),
-		run:     newRunState(params.A, params.D),
-		strides: make([]int, params.D+1),
-	}
-	for l := 0; l <= params.D; l++ {
-		s.strides[l] = pow(params.A, params.D-l)
+		params: params,
+		n:      n,
+		space:  space,
+		addrs:  make([]addr.Address, n),
+		procs:  make([]*core.Process, n),
+		run:    newRunState(params.A, params.D),
 	}
 	for i := 0; i < n; i++ {
 		s.addrs[i] = space.AddressAt(i)
@@ -237,18 +240,15 @@ func (s *Simulator) Params() Params { return s.params }
 // population. rng drives every stochastic choice, so equal seeds give equal
 // runs.
 func (s *Simulator) Run(pd float64, rng *rand.Rand) (Result, error) {
-	if pd < 0 || pd > 1 {
-		return Result{}, fmt.Errorf("%w: pd=%g", ErrBadRate, pd)
+	if err := checkRates(pd, s.params.Eps, s.params.Tau); err != nil {
+		return Result{}, err
 	}
 	s.run.redraw(pd, s.params.Tau, rng)
 	for _, p := range s.procs {
 		p.Reset()
 	}
 
-	publisher := rng.Intn(s.n)
-	for s.run.crashed[publisher] {
-		publisher = rng.Intn(s.n)
-	}
+	publisher := s.run.pick(rng)
 	ev := event.NewBuilder().Int("sim", 1).Build(event.ID{Origin: "sim", Seq: 1})
 	if err := s.procs[publisher].Multicast(ev); err != nil {
 		return Result{}, err
@@ -302,26 +302,14 @@ func (s *Simulator) Run(pd float64, rng *rand.Rand) (Result, error) {
 		active = next
 	}
 
-	res := Result{Rounds: rounds, Messages: messages, Publisher: publisher}
+	res := Result{Rounds: rounds, Messages: messages}
 	for _, p := range s.procs {
 		ms := p.MatchStats()
 		res.MatchEvals += ms.Evals
 		res.MatchCacheHits += ms.Hits
 	}
 	evID := ev.ID()
-	for i := 0; i < s.n; i++ {
-		if s.run.interested[i] {
-			res.Interested++
-			if s.procs[i].HasSeen(evID) {
-				res.DeliveredInterested++
-			}
-		} else {
-			res.Uninterested++
-			if i != publisher && s.procs[i].HasSeen(evID) {
-				res.InfectedUninterested++
-			}
-		}
-	}
+	s.run.tally(&res, publisher, func(i int) bool { return s.procs[i].HasSeen(evID) })
 	return res, nil
 }
 
@@ -347,7 +335,10 @@ func pow(a, k int) int {
 	return out
 }
 
-// runState holds the per-run random draws shared by all synthetic views.
+// runState holds one run's random draws over a regular population of a^d
+// leaves. The simulator's synthetic views read it, and the baselines draw
+// their environment from it: a flat group of n is the depth-1 population of
+// arity n.
 type runState struct {
 	a, d int
 	// gen counts redraws: the synthetic views' matching behavior changes
@@ -358,32 +349,33 @@ type runState struct {
 	// interested[i] is the Bernoulli(p_d) audience bit of leaf i.
 	interested []bool
 	// subInterested[l][s]: subtree s (prefix length l) contains an
-	// interested leaf. Level d is the leaves themselves; level 0 the root.
+	// interested leaf. Level d is interested itself; level 0 the root.
 	subInterested [][]bool
 	// crashed[i]: process i crashed during this run.
 	crashed []bool
+	// strides[l] = a^(d−l): leaves covered by a subtree whose prefix has
+	// length l.
+	strides []int
 }
 
 func newRunState(a, d int) *runState {
-	rs := &runState{a: a, d: d}
-	n := pow(a, d)
-	rs.interested = make([]bool, n)
-	rs.crashed = make([]bool, n)
-	rs.subInterested = make([][]bool, d+1)
+	rs := &runState{a: a, d: d, subInterested: make([][]bool, d+1), strides: make([]int, d+1)}
 	for l := 0; l <= d; l++ {
+		rs.strides[l] = pow(a, d-l)
 		rs.subInterested[l] = make([]bool, pow(a, l))
 	}
+	rs.interested = rs.subInterested[d]
+	rs.crashed = make([]bool, rs.strides[0])
 	return rs
 }
 
-// redraw resamples interests and crashes and rebuilds subtree aggregates.
+// redraw resamples interests and crashes — interest, then crash, per index —
+// and rebuilds subtree aggregates.
 func (rs *runState) redraw(pd, tau float64, rng *rand.Rand) {
 	rs.gen++
-	n := len(rs.interested)
-	for i := 0; i < n; i++ {
+	for i := range rs.interested {
 		rs.interested[i] = rng.Float64() < pd
 		rs.crashed[i] = tau > 0 && rng.Float64() < tau
-		rs.subInterested[rs.d][i] = rs.interested[i]
 	}
 	for l := rs.d - 1; l >= 0; l-- {
 		level := rs.subInterested[l]
@@ -398,6 +390,34 @@ func (rs *runState) redraw(pd, tau float64, rng *rand.Rand) {
 				}
 			}
 			level[sIdx] = v
+		}
+	}
+}
+
+// pick draws the run's publisher: a uniformly random alive process.
+func (rs *runState) pick(rng *rand.Rand) int {
+	for {
+		if i := rng.Intn(len(rs.crashed)); !rs.crashed[i] {
+			return i
+		}
+	}
+}
+
+// tally fills a result's publisher and audience counters; reached reports
+// whether process i holds the event.
+func (rs *runState) tally(res *Result, publisher int, reached func(int) bool) {
+	res.Publisher = publisher
+	for i, in := range rs.interested {
+		if in {
+			res.Interested++
+			if reached(i) {
+				res.DeliveredInterested++
+			}
+		} else {
+			res.Uninterested++
+			if i != publisher && reached(i) {
+				res.InfectedUninterested++
+			}
 		}
 	}
 }
@@ -420,7 +440,7 @@ var _ core.DepthView = (*simView)(nil)
 // viewFor builds the depth view of process i.
 func (s *Simulator) viewFor(i, depth int) *simView {
 	p := s.params
-	group := i / s.strides[depth-1]
+	group := i / s.run.strides[depth-1]
 	perR := p.R
 	if depth == p.D {
 		perR = 1
@@ -428,7 +448,7 @@ func (s *Simulator) viewFor(i, depth int) *simView {
 	v := &simView{sim: s, depth: depth, group: group, perR: perR, self: -1, owner: i}
 	// The owner is a member iff it is among the R delegates of its child
 	// subtree (always, trivially, at depth d).
-	childStride := s.strides[depth]
+	childStride := s.run.strides[depth]
 	sub := i / childStride // child-subtree index (prefix length depth)
 	offset := i - sub*childStride
 	if offset < perR {
@@ -450,7 +470,7 @@ func (v *simView) MemberAt(k int) addr.Address {
 func (v *simView) memberIndex(k int) int {
 	c, j := k/v.perR, k%v.perR
 	sub := v.group*v.sim.params.A + c
-	return sub*v.sim.strides[v.depth] + j
+	return sub*v.sim.run.strides[v.depth] + j
 }
 
 // SelfIndex implements core.DepthView.
@@ -472,7 +492,7 @@ func (v *simView) Profile(_ event.Event, p *core.MatchProfile) {
 	p.Ensure(a * v.perR)
 	base := v.group * a
 	level := v.sim.run.subInterested[v.depth]
-	ownSub := v.owner / v.sim.strides[v.depth]
+	ownSub := v.owner / v.sim.run.strides[v.depth]
 	hits, lines, selfIn := 0, 0, false
 	for c := 0; c < a; c++ {
 		if !level[base+c] {

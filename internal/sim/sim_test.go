@@ -212,7 +212,7 @@ func TestUninterestedReceptionOnlyDelegates(t *testing.T) {
 			}
 			// Non-delegate ⇔ not among the first R of its leaf subgroup at
 			// any level ⇔ offset within parent subtree ≥ R.
-			isDelegate := i%s.strides[s.params.D-1] < s.params.R
+			isDelegate := i%s.run.strides[s.params.D-1] < s.params.R
 			if !isDelegate && s.procs[i].HasSeen(ev) {
 				t.Fatalf("run %d: uninterested non-delegate %d received", run, i)
 			}

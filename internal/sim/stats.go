@@ -1,11 +1,10 @@
-// Package stats provides the small statistical helpers the experiment
-// harness uses to aggregate Monte-Carlo runs: online mean/variance and
-// normal-approximation confidence intervals.
-package stats
+package sim
 
 import "math"
 
-// Accumulator tracks mean and variance online (Welford's algorithm).
+// Accumulator tracks the mean and variance of a metric across Monte-Carlo
+// runs online (Welford's algorithm), with a normal-approximation confidence
+// interval.
 // The zero Accumulator is ready to use.
 type Accumulator struct {
 	n    int
