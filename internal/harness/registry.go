@@ -698,9 +698,9 @@ func Churn1024() Scenario {
 		Bootstrap: BootstrapOracle,
 		Loss:      0.02,
 		// 2048 is 4× the deepest queue the campaign actually reaches (the
-		// engine drains every instant; outcomes are identical down to 512)
-		// while keeping the eager per-endpoint buffers off the allocation
-		// profile — 8192 here cost ~2s of wall clock in zeroing alone.
+		// engine drains every instant; outcomes are identical down to 512).
+		// A bound no queue reaches costs nothing: an inbox holds storage
+		// only for what it carries.
 		QueueLen: 2048,
 		Horizon:  3 * time.Second,
 		// Interest locality: subscriptions cluster by top-level subtree

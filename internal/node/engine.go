@@ -47,22 +47,19 @@ func (n *Node) run() {
 	if n.egressQ != nil {
 		// Closed when the protocol stage exits, so the workers drain the
 		// remaining jobs and quit before Stop joins them.
-		defer n.egressQ.close()
+		defer n.egressQ.Close()
 		for i := 0; i < n.cfg.EncodeWorkers; i++ {
 			n.wg.Add(1)
 			go n.egressLoop()
 		}
 	}
-	inbox := n.ep.Recv()
-	// protoReady is nil (never ready) in the serial configuration.
-	var protoReady <-chan struct{}
-	var envs []transport.Envelope
+	// The serial loop reads the endpoint's inbox; the staged one reads
+	// protoQ, and the ingress workers own the endpoint.
+	in := n.ep.Inbox()
 	if n.protoQ != nil {
-		inbox = nil // the ingress workers own the endpoint; we read protoQ
-		protoReady = n.protoQ.ready
-		envs = make([]transport.Envelope, ingressRecvBatch)
+		in = n.protoQ
 		// The ingress workers are the queue's only producers: the last one to
-		// exit — the endpoint's Recv closed underneath the node — closes it,
+		// exit — the endpoint's inbox closed underneath the node — closes it,
 		// and the protocol stage winds down once it has drained it, just as
 		// the serial loop returns on a closed inbox.
 		live := new(atomic.Int32)
@@ -79,33 +76,23 @@ func (n *Node) run() {
 	sweep := n.cfg.Clock.NewTicker(n.cfg.SuspectAfter / 2)
 	defer sweep.Stop()
 
-	// A wake-up on either input pumps it: up to ingressRecvBatch of what is
-	// queued (plus, on the inbox, the envelope the select received) — one
-	// trip through the six-way select per burst instead of one per envelope,
-	// and bounded, so the tickers and stop are never more than a batch away.
-	// A drain that leaves envelopes behind re-arms ready.
-	var h heard
-	onEnvelope := func(env transport.Envelope) { n.handle(env, &h) }
+	// A wake-up on the input pumps it: up to ingressRecvBatch of what is
+	// queued — one trip through the five-way select per burst instead of one
+	// per envelope, and bounded, so the tickers and stop are never more than
+	// a batch away. A drain that leaves envelopes behind re-arms ready.
+	envs := make([]transport.Envelope, ingressRecvBatch)
 	for {
-		h = heard{}
 		select {
 		case <-n.stop:
 			return
-		case env, ok := <-inbox: // nil (never ready) when ingress workers run
-			if !ok {
-				return
-			}
-			onEnvelope(env)
-			if _, open := pump(inbox, ingressRecvBatch, onEnvelope); !open {
-				return
-			}
-		case <-protoReady:
-			k, open := n.protoQ.drain(envs)
+		case <-in.Ready():
+			k, open := in.Drain(envs)
 			if k == 0 && !open {
 				return // transport closed underneath the node
 			}
-			for _, env := range envs[:k] {
-				onEnvelope(env)
+			var h heard
+			for i := range envs[:k] {
+				n.handle(envs[i], &h)
 			}
 			clear(envs[:k])
 		case <-gossip.C():
@@ -130,27 +117,6 @@ const (
 	ingressRecvBatch = 64
 )
 
-// pump hands handle the messages queued on ch without blocking — at most
-// limit of them, all that are there when limit is negative — and reports how
-// many it handled and whether ch is still open. It is the one way in for
-// queued input: the live protocol stage pumps a bounded batch per wake-up,
-// step mode (PumpInbox) the whole queue.
-func pump[T any](ch <-chan T, limit int, handle func(T)) (handled int, open bool) {
-	for handled != limit {
-		select {
-		case m, ok := <-ch:
-			if !ok {
-				return handled, false
-			}
-			handle(m)
-			handled++
-		default:
-			return handled, true
-		}
-	}
-	return handled, true
-}
-
 // heard is one pump's liveness bookkeeping. Every envelope is a life sign of
 // its sender, but a pump is one visit to the queue: it reads the clock once,
 // and a run of consecutive envelopes from one sender — a round envelope with
@@ -165,36 +131,30 @@ type heard struct {
 	from string // key of the sender recorded last; "" before the first
 }
 
-// ingressLoop is one ingress-stage worker: it drains the endpoint —
-// concurrently with its siblings — decodes raw frames with its own
+// ingressLoop is one ingress-stage worker: it drains the endpoint a burst
+// at a time — concurrently with its siblings, one wakeup per kernel receive
+// batch instead of one per datagram — decodes raw frames with its own
 // interning decoder, and hands typed messages to the protocol stage. A full
 // protocol queue blocks the worker (backpressure into the transport inbox),
-// never the protocol stage itself. Endpoints with a batch seam
-// (transport.BatchReceiver) are drained a burst at a time — one worker
-// wakeup per kernel receive batch instead of one per datagram. live counts
-// the workers still running; the last to exit closes the protocol queue.
+// never the protocol stage itself. It receives through the endpoint's batch
+// seam (transport.BatchReceiver), so a wrapper that offers one sees every
+// burst, and through the inbox otherwise. live counts the workers still
+// running; the last to exit closes the protocol queue.
 func (n *Node) ingressLoop(live *atomic.Int32) {
 	defer n.wg.Done()
 	defer func() {
 		if live.Add(-1) == 0 {
-			n.protoQ.close()
+			n.protoQ.Close()
 		}
 	}()
 	dec := wire.NewDecoder()
-	recv := func(batch []transport.Envelope) (int, bool) {
-		env, ok := <-n.ep.Recv()
-		if !ok {
-			return 0, false
-		}
-		batch[0] = env
-		return 1, true
-	}
+	var recv transport.BatchReceiver = n.ep.Inbox()
 	if br, ok := n.ep.(transport.BatchReceiver); ok {
-		recv = br.RecvMany
+		recv = br
 	}
 	batch := make([]transport.Envelope, ingressRecvBatch)
 	for {
-		m, alive := recv(batch)
+		m, alive := recv.RecvMany(batch)
 		// Decoded envelopes are compacted to the front of the batch.
 		k := 0
 		for i := range batch[:m] {
@@ -204,7 +164,7 @@ func (n *Node) ingressLoop(live *atomic.Int32) {
 			}
 		}
 		// One hand-off per burst: the whole batch under one lock.
-		queued := k == 0 || n.protoQ.push(batch[:k], n.stop)
+		queued := k == 0 || n.protoQ.Push(batch[:k], n.stop)
 		clear(batch[:m])
 		if !queued || !alive {
 			return
@@ -230,13 +190,9 @@ func (n *Node) egressLoop() {
 	}
 	jobs := make([]egressJob, width)
 	for {
-		k, open := n.egressQ.drain(jobs)
-		if k == 0 {
-			if !open {
-				return // closed and drained
-			}
-			<-n.egressQ.ready
-			continue
+		k, open := n.egressQ.RecvMany(jobs)
+		if !open {
+			return // closed and drained
 		}
 		if batched {
 			n.sendMany(bs, jobs[:k])
@@ -254,7 +210,7 @@ func (n *Node) egressLoop() {
 // same silent-loss semantics as an overflowing UDP socket buffer.
 func (n *Node) emit(to addr.Address, b wire.Batch) {
 	if n.egressQ != nil {
-		if !n.egressQ.tryPush(egressJob{To: to, Payload: b}) {
+		if !n.egressQ.TryPush(egressJob{To: to, Payload: b}) {
 			n.egressDrops.Add(1)
 		}
 		return

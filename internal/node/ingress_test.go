@@ -255,8 +255,8 @@ func TestDuplicateSectionsCostNothing(t *testing.T) {
 
 // TestStageQueueFootprint pins the stage-queue elements. A slot costs its
 // element's size while it is occupied, and an idle staged node keeps one
-// spare segment of stageSegLen slots per queue, so a word added to either
-// element costs a word per queued message and stageSegLen words per idle
+// spare segment of 64 slots per queue (transport.Queue), so a word added to
+// either element costs a word per queued message and 64 words per idle
 // node.
 func TestStageQueueFootprint(t *testing.T) {
 	word := unsafe.Sizeof(uintptr(0))

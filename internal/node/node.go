@@ -223,8 +223,8 @@ type Node struct {
 	// Engine plumbing (engine.go). Start creates protoQ when ingress workers
 	// run and egressQ when egress workers do, before the engine goroutines
 	// launch; a non-nil egressQ routes emit through the egress stage.
-	protoQ        *stageQueue[transport.Envelope]
-	egressQ       *stageQueue[egressJob]
+	protoQ        *transport.Queue[transport.Envelope]
+	egressQ       *transport.Queue[egressJob]
 	wg            sync.WaitGroup
 	egressDrops   atomic.Int64
 	malformed     atomic.Int64
@@ -328,10 +328,10 @@ func (n *Node) Start() {
 	}
 	n.life = lifeRunning
 	if n.cfg.DecodeWorkers > 0 {
-		n.protoQ = newStageQueue[transport.Envelope](n.cfg.StageQueue)
+		n.protoQ = transport.NewQueue[transport.Envelope](n.cfg.StageQueue)
 	}
 	if n.cfg.EncodeWorkers > 0 {
-		n.egressQ = newStageQueue[egressJob](n.cfg.StageQueue)
+		n.egressQ = transport.NewQueue[egressJob](n.cfg.StageQueue)
 	}
 	go n.run()
 }
@@ -357,7 +357,7 @@ func (n *Node) Stop() {
 	} else {
 		close(n.done) // never launched: done must still read as terminal
 	}
-	n.ep.Close() // unblocks ingress workers waiting on Recv
+	n.ep.Close() // unblocks ingress workers waiting on the inbox
 	n.wg.Wait()  // every stage worker has drained and exited
 	// Mark the channel closed under the state lock: every delivery is pushed
 	// under the same lock, so none can be mid-send, and any later step call

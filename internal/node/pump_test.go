@@ -3,6 +3,7 @@ package node
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,10 +21,11 @@ import (
 // queue the test fills — ahead of time, or from a goroutine that never lets it
 // run dry — and everything the node sends lands on sent.
 type queueTransport struct {
-	in   chan transport.Envelope
+	in   *transport.Inbox
 	sent chan any
 
 	flood     transport.Envelope // when From is set, a goroutine keeps in full of these
+	full      atomic.Bool        // the flood has found the inbox full
 	done      chan struct{}
 	flooder   sync.WaitGroup
 	closeOnce sync.Once
@@ -31,9 +33,17 @@ type queueTransport struct {
 
 func newQueueTransport(queue int) *queueTransport {
 	return &queueTransport{
-		in:   make(chan transport.Envelope, queue),
+		in:   transport.NewQueue[transport.Envelope](queue),
 		sent: make(chan any, 1024),
 		done: make(chan struct{}),
+	}
+}
+
+// queue puts env on the inbox, which must have room.
+func (q *queueTransport) queue(t *testing.T, env transport.Envelope) {
+	t.Helper()
+	if !q.in.TryPush(env) {
+		t.Fatal("the test inbox is full")
 	}
 }
 
@@ -43,9 +53,11 @@ func (q *queueTransport) Attach(a addr.Address) (transport.Endpoint, error) {
 		go func() {
 			defer q.flooder.Done()
 			for {
-				select {
-				case q.in <- q.flood:
-				case <-q.done:
+				if q.in.TryPush(q.flood) {
+					continue
+				}
+				q.full.Store(true)
+				if !q.in.Push([]transport.Envelope{q.flood}, q.done) {
 					return
 				}
 			}
@@ -71,7 +83,9 @@ func (e *queueEndpoint) Send(_ addr.Address, payload any) error {
 	return nil
 }
 
-func (e *queueEndpoint) Recv() <-chan transport.Envelope { return e.q.in }
+func (e *queueEndpoint) Inbox() *transport.Inbox { return e.q.in }
+
+func (e *queueEndpoint) Recv() <-chan transport.Envelope { return e.q.in.View() }
 
 // Close stops the flooder, waits for it, and only then closes the inbox it
 // was sending on.
@@ -79,7 +93,7 @@ func (e *queueEndpoint) Close() error {
 	e.q.closeOnce.Do(func() {
 		close(e.q.done)
 		e.q.flooder.Wait()
-		close(e.q.in)
+		e.q.in.Close()
 	})
 	return nil
 }
@@ -125,7 +139,7 @@ func TestPumpIsBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 			n.Start()
-			waitFor(t, 5*time.Second, func() bool { return len(q.in) == cap(q.in) }, "the flood to fill the inbox")
+			waitFor(t, 5*time.Second, q.full.Load, "the flood to fill the inbox")
 			published := time.Now()
 			id, err := n.Publish(map[string]event.Value{"b": event.Int(1)})
 			if err != nil {
@@ -171,7 +185,7 @@ func TestStepAndLivePumpParity(t *testing.T) {
 				ev := event.NewBuilder().Int("b", 1).Build(event.ID{Origin: from.String(), Seq: uint64(queued - i)})
 				payload = core.Gossip{Event: ev, Depth: 1, Rate: 1}
 			}
-			q.in <- transport.Envelope{From: from, To: space.AddressAt(0), Payload: payload}
+			q.queue(t, transport.Envelope{From: from, To: space.AddressAt(0), Payload: payload})
 		}
 		return q
 	}
@@ -252,7 +266,7 @@ func TestPumpRecordsLivenessPerSenderRun(t *testing.T) {
 	clk.Advance(20 * time.Second)
 	for i, from := range []int{1, 1, 2, 2, 2, 1, 2, 1, 1} {
 		ev := event.NewBuilder().Int("b", 1).Build(event.ID{Origin: "x", Seq: uint64(i + 1)})
-		q.in <- transport.Envelope{From: space.AddressAt(from), To: n.Addr(), Payload: core.Gossip{Event: ev, Depth: 1, Rate: 1}}
+		q.queue(t, transport.Envelope{From: space.AddressAt(from), To: n.Addr(), Payload: core.Gossip{Event: ev, Depth: 1, Rate: 1}})
 	}
 	before := clk.reads
 	if handled := n.PumpInbox(); handled != 9 {

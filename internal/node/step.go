@@ -31,14 +31,29 @@ import (
 // payloads are unframed with the node's own decoder).
 func (n *Node) HandleEnvelope(env transport.Envelope) { n.handle(env, new(heard)) }
 
-// PumpInbox drains and handles every envelope currently queued on the
-// node's endpoint without blocking, returning how many were processed — the
-// live engine's pump without its bound. A closed endpoint pumps zero.
+// PumpInbox drains and handles every envelope queued on the node's
+// endpoint without blocking — those queued while it runs too — and returns
+// how many were processed: the live engine's pump without its bound. A
+// closed, drained endpoint pumps zero.
 func (n *Node) PumpInbox() int {
 	var h heard
-	handled, _ := pump(n.ep.Recv(), -1, func(env transport.Envelope) { n.handle(env, &h) })
-	return handled
+	var envs [stepPumpBatch]transport.Envelope
+	handled := 0
+	for {
+		k, _ := n.ep.Inbox().Drain(envs[:])
+		if k == 0 {
+			return handled
+		}
+		for i := range envs[:k] {
+			n.handle(envs[i], &h)
+		}
+		handled += k
+	}
 }
+
+// stepPumpBatch is how many envelopes PumpInbox takes from the inbox per
+// lock, on the stack.
+const stepPumpBatch = 16
 
 // WarmViews folds any pending membership changes into the node's tree views
 // immediately instead of lazily at the next tick. The fold is a pure

@@ -51,7 +51,10 @@ func RunFlood(p FloodParams, pd float64, rng *rand.Rand) (Result, error) {
 	budget := analysis.PittelLossAdjustedRounds(float64(p.N), float64(p.F), p.C, p.Eps, p.Tau)
 
 	infected := make([]bool, p.N)
-	origin := rs.pick(rng)
+	origin, err := rs.pick(rng)
+	if err != nil {
+		return Result{}, err
+	}
 	infected[origin] = true
 	frontier := []int{origin}
 	res := Result{}
@@ -128,7 +131,10 @@ func RunGenuine(p GenuineParams, pd float64, rng *rand.Rand) (Result, error) {
 	budget := analysis.PittelLossAdjustedRounds(float64(audience), float64(p.F), p.C, p.Eps, p.Tau)
 
 	infected := make([]bool, p.N)
-	origin := rs.pick(rng)
+	origin, err := rs.pick(rng)
+	if err != nil {
+		return Result{}, err
+	}
 	infected[origin] = true
 	res := Result{}
 	for round := 0; round < budget; round++ {
@@ -193,7 +199,10 @@ func RunDeterministicTree(p DetTreeParams, pd float64, rng *rand.Rand) (Result, 
 	n := len(rs.interested)
 	res := Result{Rounds: p.D}
 	infected := make([]bool, n)
-	origin := rs.pick(rng)
+	origin, err := rs.pick(rng)
+	if err != nil {
+		return Result{}, err
+	}
 	infected[origin] = true
 
 	// Recursive descent: deliver to every interested subtree of prefix s at

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 func TestFloodValidation(t *testing.T) {
@@ -243,6 +245,54 @@ func TestArmsSeeOneDraw(t *testing.T) {
 			if arm != "genuine" && got.Publisher != want.Publisher {
 				t.Errorf("%+v %s: publisher %d, simulator %d", c, arm, got.Publisher, want.Publisher)
 			}
+		}
+	}
+}
+
+// TestAllCrashedDrawHasNoPublisher: a draw that crashes every process leaves
+// nobody to publish, and every arm — the simulator and the three baselines —
+// returns an error for it instead of searching forever for an alive
+// publisher. At τ = 0.99 over two processes most seeds crash both; the runs
+// whose draw left one alive must still succeed.
+func TestAllCrashedDrawHasNoPublisher(t *testing.T) {
+	s, err := New(Params{A: 2, D: 1, R: 1, F: 1, Tau: 0.99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arms := map[string]func(*rand.Rand) (Result, error){
+		"pmcast": func(rng *rand.Rand) (Result, error) { return s.Run(0.5, rng) },
+		"flood": func(rng *rand.Rand) (Result, error) {
+			return RunFlood(FloodParams{N: 2, F: 1, Tau: 0.99}, 0.5, rng)
+		},
+		"genuine": func(rng *rand.Rand) (Result, error) {
+			return RunGenuine(GenuineParams{N: 2, ViewSize: 1, F: 1, Tau: 0.99}, 0.5, rng)
+		},
+		"tree": func(rng *rand.Rand) (Result, error) {
+			return RunDeterministicTree(DetTreeParams{A: 2, D: 1, R: 1, Tau: 0.99}, 0.5, rng)
+		},
+	}
+	for name, run := range arms {
+		done := make(chan int, 1)
+		go func() {
+			refused := 0
+			for seed := int64(0); seed < 20; seed++ {
+				_, err := run(rand.New(rand.NewSource(seed)))
+				switch {
+				case errors.Is(err, errNoPublisher):
+					refused++
+				case err != nil:
+					t.Errorf("%s, seed %d: %v", name, seed, err)
+				}
+			}
+			done <- refused
+		}()
+		select {
+		case refused := <-done:
+			if refused == 0 {
+				t.Errorf("%s: no seed of 20 crashed both processes", name)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: a run still searches for an alive publisher after 10 s", name)
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"pmcast/internal/addr"
 	"pmcast/internal/core"
@@ -31,6 +32,9 @@ var (
 	ErrBadShape  = errors.New("sim: group shape requires a ≥ R ≥ 1, d ≥ 1 and F ≥ 1")
 	ErrBadRate   = errors.New("sim: probability outside valid range")
 	ErrNoQuiesce = errors.New("sim: dissemination did not quiesce")
+	// errNoPublisher reports a draw that crashed every process: a run
+	// needs an alive publisher.
+	errNoPublisher = errors.New("sim: every process crashed, so none can publish")
 )
 
 // Params configures a simulation campaign. The zero value is invalid; use
@@ -238,7 +242,8 @@ func (s *Simulator) Params() Params { return s.params }
 
 // Run simulates one dissemination with audience rate pd, reusing the process
 // population. rng drives every stochastic choice, so equal seeds give equal
-// runs.
+// runs. A draw that crashes every process has no publisher, and Run
+// returns an error for it, as the baselines do.
 func (s *Simulator) Run(pd float64, rng *rand.Rand) (Result, error) {
 	if err := checkRates(pd, s.params.Eps, s.params.Tau); err != nil {
 		return Result{}, err
@@ -248,7 +253,10 @@ func (s *Simulator) Run(pd float64, rng *rand.Rand) (Result, error) {
 		p.Reset()
 	}
 
-	publisher := s.run.pick(rng)
+	publisher, err := s.run.pick(rng)
+	if err != nil {
+		return Result{}, err
+	}
 	ev := event.NewBuilder().Int("sim", 1).Build(event.ID{Origin: "sim", Seq: 1})
 	if err := s.procs[publisher].Multicast(ev); err != nil {
 		return Result{}, err
@@ -394,11 +402,15 @@ func (rs *runState) redraw(pd, tau float64, rng *rand.Rand) {
 	}
 }
 
-// pick draws the run's publisher: a uniformly random alive process.
-func (rs *runState) pick(rng *rand.Rand) int {
+// pick draws the run's publisher: a uniformly random alive process. A draw
+// with none alive is an error, found without a draw from rng.
+func (rs *runState) pick(rng *rand.Rand) (int, error) {
+	if !slices.Contains(rs.crashed, false) {
+		return 0, errNoPublisher
+	}
 	for {
 		if i := rng.Intn(len(rs.crashed)); !rs.crashed[i] {
-			return i
+			return i, nil
 		}
 	}
 }

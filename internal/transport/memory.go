@@ -101,12 +101,9 @@ type Config struct {
 	Link LinkModel
 	// QueueLen is each endpoint's inbox capacity in envelopes (default 1024),
 	// as a socket buffer counts datagrams; overflow drops the envelope,
-	// charged per sub-message. Inboxes are allocated eagerly per endpoint,
-	// so the bound is fleet-sized RAM and zeroing cost up front (n·QueueLen
-	// envelope slots: ~780MB at 1024×8192, a fifth of churn1024's wall clock
-	// in memclr alone); the default keeps that small, and a harness engine
-	// that pumps every inbox to quiescence at each virtual instant sees
-	// depths far below it.
+	// charged per sub-message. The bound holds storage only while the inbox
+	// holds envelopes (a Queue: segments of 64 slots, one spare kept once
+	// drained), so an idle endpoint costs no slot whatever its bound.
 	QueueLen int
 	// Seed seeds the fault RNGs. Every directed link draws loss and delay
 	// from its own seed-derived stream — common random numbers, in
@@ -332,7 +329,7 @@ func (n *Network) Attach(a addr.Address) (Endpoint, error) {
 		addr:  a,
 		net:   n,
 		links: links,
-		in:    make(chan Envelope, n.cfg.QueueLen),
+		in:    NewQueue[Envelope](n.cfg.QueueLen),
 	}
 	n.endpoints[key] = ep
 	return ep, nil
@@ -347,7 +344,7 @@ func (n *Network) Detach(a addr.Address) {
 	}
 	n.mu.Unlock()
 	if ok {
-		ep.close()
+		ep.in.Close()
 	}
 }
 
@@ -374,7 +371,7 @@ func (n *Network) Close() error {
 		t.Stop()
 	}
 	for _, ep := range endpoints {
-		ep.close()
+		ep.in.Close()
 	}
 	return nil
 }
@@ -616,16 +613,9 @@ func (st *linkState) floor(now time.Time, delay time.Duration) time.Duration {
 // deliver queues one envelope on the destination's inbox; a full inbox or a
 // closed destination drops it, charged per sub-message like every other drop.
 func (n *Network) deliver(dst *memEndpoint, env Envelope) {
-	dst.mu.Lock()
-	defer dst.mu.Unlock()
-	if !dst.closed {
-		select {
-		case dst.in <- env:
-			return
-		default: // queue overflow
-		}
+	if !dst.in.TryPush(env) {
+		n.dropped.Add(int64(parts(env.Payload)))
 	}
-	n.dropped.Add(int64(parts(env.Payload)))
 }
 
 // memEndpoint is one attached process's interface to the in-memory fabric.
@@ -638,9 +628,7 @@ type memEndpoint struct {
 	// the network write lock, read under the read lock.
 	owned OwnedScheduler
 
-	mu     sync.Mutex
-	closed bool
-	in     chan Envelope
+	in *Inbox // closed when the endpoint is detached
 }
 
 // SetEndpointClock overrides the clock used to read now and schedule delayed
@@ -661,29 +649,24 @@ func (e *memEndpoint) Addr() addr.Address { return e.addr }
 // Send routes a payload to the destination address. Loss and partitions are
 // silent; only unknown destinations and a closed endpoint return errors.
 func (e *memEndpoint) Send(to addr.Address, payload any) error {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
+	if e.in.Closed() {
 		return ErrClosed
 	}
 	return e.net.route(e, to, payload)
 }
 
-// Recv exposes the inbox. The channel closes when the endpoint is detached.
-func (e *memEndpoint) Recv() <-chan Envelope { return e.in }
+// Inbox returns the endpoint's inbox.
+func (e *memEndpoint) Inbox() *Inbox { return e.in }
+
+// Recv returns the inbox's channel view (see Endpoint.Recv).
+func (e *memEndpoint) Recv() <-chan Envelope { return e.in.View() }
+
+// RecvMany implements BatchReceiver: it waits for the inbox to hold
+// envelopes, then takes up to len(out) of them.
+func (e *memEndpoint) RecvMany(out []Envelope) (int, bool) { return e.in.RecvMany(out) }
 
 // Close detaches the endpoint from the network.
 func (e *memEndpoint) Close() error {
 	e.net.Detach(e.addr)
 	return nil
-}
-
-func (e *memEndpoint) close() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.closed {
-		e.closed = true
-		close(e.in)
-	}
 }

@@ -80,9 +80,14 @@ type Endpoint interface {
 	// silent, as on a real network; only unknown destinations and a
 	// closed endpoint return errors.
 	Send(to addr.Address, payload any) error
-	// Recv exposes the inbox. The channel closes when the endpoint does.
-	// Multiple consumers may receive concurrently — the staged node engine
+	// Inbox is the endpoint's bounded inbox, closed when the endpoint is.
+	// Multiple consumers may drain it concurrently — the staged node engine
 	// drains one endpoint with several ingress workers.
+	Inbox() *Inbox
+	// Recv is a channel view of the inbox (Queue.View): the channel receives
+	// what the endpoint receives and closes when it does, and len of it is
+	// the inbox depth. A first call makes the inbox a channel of the full
+	// bound, so it is for bench/'s traced pass and tests alone.
 	Recv() <-chan Envelope
 	// Close detaches the endpoint from the fabric.
 	Close() error

@@ -9,8 +9,9 @@
 // once (each borrows a sendState; the syscall itself serializes on the
 // runtime's fd write lock, exactly like concurrent WriteToUDP). recv belongs
 // to the endpoint's single read loop. Both scratch kinds are lent by the
-// Transport's pools, shared by all of its endpoints, for the length of one
-// call; at most one receive vector per processor is out at once.
+// Transport, shared by all of its endpoints, for the length of one call:
+// send states from a pool, receive vectors from a fixed set of at most one
+// per processor.
 
 package udp
 
@@ -34,7 +35,7 @@ const (
 	// byte (see recvVec), so a vector is 16 × 64 KiB = 1 MiB. It is lent per
 	// wakeup, not owned per endpoint: a read loop parked on an idle socket
 	// holds none, so what a transport pins follows the wakeups in flight
-	// (about GOMAXPROCS), not the endpoints attached. Over 160 k recvmmsg
+	// (at most GOMAXPROCS), not the endpoints attached. Over 160 k recvmmsg
 	// returns of the udp_broadcast benchmark workload (16 nodes, 2 ms
 	// gossip, closed-loop bursts) at the former width of 32 the mean return
 	// was 3.5 datagrams, 97 % returned at most 16 and 0.8 % filled all 32
@@ -118,29 +119,34 @@ func newRecvVec(slot int) *recvVec {
 }
 
 // initPools sets up the scratch the transport lends its endpoints' batched
-// calls.
+// calls. recvFree starts with one empty place per processor: a place is
+// given a vector the first time it is lent, so the transport makes at most
+// GOMAXPROCS vectors in its life, and only as many as wakeups ever
+// overlapped.
 func (t *Transport) initPools() {
 	t.sendPool.New = func() any { return new(sendState) }
-	slot := t.cfg.MaxDatagram + 1
-	t.recvPool.New = func() any { return newRecvVec(slot) }
-	t.recvLent = make(chan struct{}, runtime.GOMAXPROCS(0))
+	t.recvFree = make(chan *recvVec, runtime.GOMAXPROCS(0))
+	for range cap(t.recvFree) {
+		t.recvFree <- nil
+	}
 }
 
-// borrowRecv lends a read-loop wakeup a receive vector, waiting while one
-// per processor is already out. The bound caps what a burst can cost: a loop
-// descheduled with a vector out (a GC assist, a preemption) would otherwise
-// make the next readable socket's loop take a fresh 1 MiB vector, and the
-// pool keeps every vector it was handed alive through the next collection.
+// borrowRecv lends a read-loop wakeup a receive vector, waiting while every
+// one is out. The fixed set caps what the vectors cost: a loop descheduled
+// with a vector out (a GC assist, a preemption) would otherwise make the
+// next readable socket's loop take a fresh 1 MiB vector. The vectors are
+// kept rather than pooled because a sync.Pool drops what it holds at every
+// collection, and its New then makes fresh ones all run long.
 func (t *Transport) borrowRecv() *recvVec {
-	t.recvLent <- struct{}{}
-	return t.recvPool.Get().(*recvVec)
+	v := <-t.recvFree
+	if v == nil {
+		v = newRecvVec(t.cfg.MaxDatagram + 1)
+	}
+	return v
 }
 
 // returnRecv takes back a vector borrowRecv lent.
-func (t *Transport) returnRecv(v *recvVec) {
-	t.recvPool.Put(v)
-	<-t.recvLent
-}
+func (t *Transport) returnRecv(v *recvVec) { t.recvFree <- v }
 
 // batchIO is the kernel-batched datapath of one endpoint socket. It owns no
 // scratch: every call borrows it from the transport.

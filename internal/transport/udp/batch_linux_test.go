@@ -6,10 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -138,10 +136,9 @@ func TestBatchedSyscallAmortization(t *testing.T) {
 		rounds, st.RecvSyscalls, st.RecvDatagrams)
 }
 
-// fleet attaches n loopback endpoints 0.0 … 0.(n−1) on one transport whose
-// receive-vector pool counts what it creates, pausing settle after each
-// attach.
-func fleet(t *testing.T, n int, settle time.Duration, mut func(*Config)) ([]*endpoint, *atomic.Int64) {
+// fleet attaches n loopback endpoints 0.0 … 0.(n−1) on one transport,
+// pausing settle after each attach.
+func fleet(t *testing.T, n int, settle time.Duration, mut func(*Config)) []*endpoint {
 	t.Helper()
 	peers := make(map[string]string, n)
 	for i := 0; i < n; i++ {
@@ -160,9 +157,6 @@ func fleet(t *testing.T, n int, settle time.Duration, mut func(*Config)) ([]*end
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tr.Close() })
-	made := new(atomic.Int64)
-	newVec := tr.recvPool.New
-	tr.recvPool.New = func() any { made.Add(1); return newVec() }
 	eps := make([]*endpoint, n)
 	for i := range eps {
 		ep, err := tr.Attach(addr.New(0, i))
@@ -175,59 +169,131 @@ func fleet(t *testing.T, n int, settle time.Duration, mut func(*Config)) ([]*end
 		}
 		time.Sleep(settle)
 	}
-	return eps, made
+	return eps
+}
+
+// borrowAll takes every receive vector's place from tr, waiting for the ones
+// out; a place holds nil until its first loan.
+func borrowAll(tr *Transport) []*recvVec {
+	held := make([]*recvVec, cap(tr.recvFree))
+	for i := range held {
+		held[i] = <-tr.recvFree
+	}
+	return held
+}
+
+// giveBack returns what borrowAll took.
+func giveBack(tr *Transport, held []*recvVec) {
+	for _, v := range held {
+		tr.recvFree <- v
+	}
+}
+
+// vectorsMade counts the receive vectors f makes at the default
+// MaxDatagram: the 1 MiB arenas among the allocations it records, every
+// one of them while it runs.
+func vectorsMade(f func()) int {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	arenas := func() (n int64) {
+		runtime.GC() // a profile is published a cycle late
+		runtime.GC()
+		k, _ := runtime.MemProfile(nil, true)
+		recs := make([]runtime.MemProfileRecord, k+64)
+		k, _ = runtime.MemProfile(recs, true)
+		for _, r := range recs[:k] {
+			if r.AllocObjects > 0 && r.AllocBytes/r.AllocObjects == recvVector<<16 {
+				n += r.AllocObjects
+			}
+		}
+		return n
+	}
+	before := arenas()
+	f()
+	return int(arenas() - before)
 }
 
 // TestIdleEndpointsBorrowFewVectors pins the lending claim: a read loop
 // parked on an idle socket holds no receive vector, so sixteen endpoints
-// share about one per processor instead of owning one each. Each read loop
-// gets a moment to try its socket once and park before the next starts: a
-// vector still out with one loop is not yet reusable by another, which
-// under load could otherwise push the count past the bound for reasons
-// other than ownership. The collector is off for the test: every GC cycle
-// empties a sync.Pool, and the vectors themselves (1 MiB each) can trigger
-// one, which would count as creations that no read loop kept.
+// share at most one per processor instead of owning one each.
 func TestIdleEndpointsBorrowFewVectors(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's sync.Pool drops returned items at random")
+	made := vectorsMade(func() { fleet(t, 16, 3*time.Millisecond, nil) })
+	if bound := runtime.GOMAXPROCS(0); made < 1 || made > bound {
+		t.Fatalf("16 idle endpoints made %d receive vectors, want 1..%d", made, bound)
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	_, made := fleet(t, 16, 3*time.Millisecond, nil)
-	bound := int64(runtime.GOMAXPROCS(0) + 1)
-	if got := made.Load(); got < 1 || got > bound {
-		t.Fatalf("16 idle endpoints created %d receive vectors, want 1..%d", got, bound)
+}
+
+// TestVectorsOutliveCollections pins the fixed set: after many wakeups
+// across several endpoints, with a collection after each burst, the
+// transport has made no more than one vector per processor in all. A
+// sync.Pool drops what it holds at every collection, so lending from one
+// made vectors afresh after each.
+func TestVectorsOutliveCollections(t *testing.T) {
+	const nodes, bursts, perBurst = 6, 12, 8
+	var st Stats
+	made := vectorsMade(func() {
+		eps := fleet(t, nodes, 0, func(c *Config) { c.ReadBufferBytes = 1 << 20 })
+		out := make([]transport.Envelope, perBurst)
+		for b := 0; b < bursts; b++ {
+			for i, ep := range eps {
+				msgs := make([]transport.Outgoing, perBurst)
+				for k := range msgs {
+					msgs[k] = transport.Outgoing{To: eps[(i+1)%nodes].Addr(), Payload: oneGossip(b*perBurst + k)}
+				}
+				if err := ep.SendMany(msgs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, ep := range eps {
+				deadline := time.Now().Add(5 * time.Second)
+				for got := 0; got < perBurst; {
+					k, _ := ep.in.Drain(out)
+					for _, env := range out[:k] {
+						env.Payload.(transport.Raw).Release()
+					}
+					if got += k; k == 0 {
+						if time.Now().After(deadline) {
+							t.Fatalf("burst %d: %s received %d/%d", b, ep.Addr(), got, perBurst)
+						}
+						time.Sleep(time.Millisecond)
+					}
+				}
+			}
+			runtime.GC()
+		}
+		st = eps[0].tr.Stats()
+	})
+	if st.RecvSyscalls < bursts*nodes/2 {
+		t.Fatalf("only %d receive wakeups", st.RecvSyscalls)
+	}
+	if bound := runtime.GOMAXPROCS(0); made > bound {
+		t.Fatalf("%d receive wakeups made %d vectors, want at most %d", st.RecvSyscalls, made, bound)
 	}
 }
 
 // TestReadLoopsWaitForALentVector pins the bound on receive vectors: at most
 // one per processor is out at once. With every one of them borrowed, a read
-// loop whose socket turns readable waits — it creates no vector and delivers
-// nothing — until one comes back.
+// loop whose socket turns readable waits — it delivers nothing — until one
+// comes back.
 func TestReadLoopsWaitForALentVector(t *testing.T) {
-	eps, made := fleet(t, 2, 3*time.Millisecond, nil)
+	eps := fleet(t, 2, 3*time.Millisecond, nil)
 	tr := eps[0].tr
-	held := make([]*recvVec, cap(tr.recvLent))
-	for i := range held {
-		held[i] = tr.borrowRecv()
-	}
-	before := made.Load()
+	held := borrowAll(tr)
 	ev := event.NewBuilder().Int("seq", 1).Build(event.ID{Origin: eps[0].Addr().Key(), Seq: 1})
 	if err := eps[0].Send(eps[1].Addr(), wire.Batch{Gossips: []core.Gossip{{Event: ev, Depth: 1, Rate: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case <-eps[1].Recv():
+	case <-eps[1].in.Ready():
 		t.Fatal("a datagram was received with every vector lent")
 	case <-time.After(50 * time.Millisecond):
 	}
-	if got := made.Load(); got != before {
-		t.Errorf("a waiting read loop created %d vectors", got-before)
-	}
-	for _, v := range held {
-		tr.returnRecv(v)
-	}
+	giveBack(tr, held)
+	out := make([]transport.Envelope, 1)
+	got := make(chan int, 1)
+	go func() { k, _ := eps[1].in.RecvMany(out); got <- k }()
 	select {
-	case <-eps[1].Recv():
+	case <-got:
 	case <-time.After(5 * time.Second):
 		t.Fatal("the datagram never arrived once the vectors came back")
 	}
@@ -246,7 +312,7 @@ func TestLentVectorsDeliverIntact(t *testing.T) {
 	}
 	for _, deferDecode := range []bool{false, true} {
 		t.Run(fmt.Sprintf("defer=%v", deferDecode), func(t *testing.T) {
-			eps, _ := fleet(t, nodes, 0, func(c *Config) {
+			eps := fleet(t, nodes, 0, func(c *Config) {
 				c.DeferDecode = deferDecode
 				c.ReadBufferBytes = 1 << 20
 			})
@@ -312,5 +378,73 @@ func TestLentVectorsDeliverIntact(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestIdleUDPInboxHoldsNoBound: a UDP endpoint's inbox holds storage for the
+// frames it carries, not for its bound. Endpoints attached at QueueLen
+// 4 096 grow the heap by about a KiB each with their sockets (a channel of
+// the bound was 128 KiB), and after each has received and drained a frame
+// it keeps one spare segment, 2 KiB. The transport's shared receive
+// vectors are made before the count, so it holds the endpoints' own cost;
+// the portable path has the same inbox.
+func TestIdleUDPInboxHoldsNoBound(t *testing.T) {
+	const endpoints, perEndpoint = 8, 8 << 10
+	peers := make(map[string]string, endpoints)
+	for i := 0; i < endpoints; i++ {
+		peers[addr.New(0, i).String()] = "127.0.0.1:0"
+	}
+	res, err := NewStaticResolver(peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := New(Config{Resolver: res, QueueLen: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	liveHeap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	// What every endpoint shares is made first: the transport's receive
+	// vectors, and the codec's pools, by a frame through another pair.
+	held := borrowAll(tr)
+	for i := range held {
+		if held[i] == nil {
+			held[i] = newRecvVec(tr.cfg.MaxDatagram + 1)
+		}
+	}
+	giveBack(tr, held)
+	from, warm, _ := pair(t)
+	if err := from.Send(warm.Addr(), oneGossip(0)); err != nil {
+		t.Fatal(err)
+	}
+	recvOne(t, warm).Payload.(transport.Raw).Release()
+	before := liveHeap()
+	eps := make([]transport.Endpoint, endpoints)
+	for i := range eps {
+		if eps[i], err = tr.Attach(addr.New(0, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := (liveHeap() - before) / endpoints
+	t.Logf("an idle UDP endpoint grew the heap by %d bytes", grown)
+	if grown > perEndpoint {
+		t.Errorf("an idle UDP endpoint grew the heap by %d bytes, want at most %d", grown, perEndpoint)
+	}
+	for i, ep := range eps {
+		if err := eps[(i+1)%endpoints].Send(ep.Addr(), oneGossip(i)); err != nil {
+			t.Fatal(err)
+		}
+		recvOne(t, ep).Payload.(transport.Raw).Release()
+	}
+	grown = (liveHeap() - before) / endpoints
+	t.Logf("a drained UDP endpoint grew the heap by %d bytes", grown)
+	if grown > perEndpoint {
+		t.Errorf("a drained UDP endpoint grew the heap by %d bytes, want at most %d", grown, perEndpoint)
 	}
 }

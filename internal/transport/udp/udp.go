@@ -108,7 +108,9 @@ type Config struct {
 	// Resolver maps tree addresses to sockets. Required.
 	Resolver *StaticResolver
 	// QueueLen is each endpoint's inbox capacity in frames (default 1024);
-	// overflow drops frames, like a full socket buffer.
+	// overflow drops frames, like a full socket buffer. The bound holds
+	// storage only while the inbox holds frames (a transport.Queue), so an
+	// idle endpoint costs no slot whatever its bound.
 	QueueLen int
 	// MaxDatagram bounds datagram size in bytes (default 64 KiB − 1, the
 	// UDP maximum). Sends that encode larger fail with an error; received
@@ -188,11 +190,10 @@ type Transport struct {
 
 	// Kernel-batched scratch, lent to the endpoints for one call at a time
 	// (see batch_linux.go): a flush borrows a sendState, a read-loop wakeup
-	// a recvVec. recvLent holds a token per recvVec out, at most one per
-	// processor.
+	// a recvVec. recvFree holds the vectors not out, one place per
+	// processor; an empty place (nil) is a vector not made yet.
 	sendPool sync.Pool
-	recvPool sync.Pool
-	recvLent chan struct{}
+	recvFree chan *recvVec
 }
 
 var _ transport.Transport = (*Transport)(nil)
@@ -254,7 +255,7 @@ func (t *Transport) Attach(a addr.Address) (transport.Endpoint, error) {
 		tr:        t,
 		conn:      conn,
 		prefixLen: len(addr.AppendAddress(nil, a)),
-		in:        make(chan transport.Envelope, t.cfg.QueueLen),
+		in:        transport.NewQueue[transport.Envelope](t.cfg.QueueLen),
 		done:      make(chan struct{}),
 	}
 	ep.bio = newBatchIO(conn, t)
@@ -332,9 +333,9 @@ type endpoint struct {
 	addr      addr.Address
 	tr        *Transport
 	conn      *net.UDPConn
-	prefixLen int      // encoded size of the sender-address datagram prefix
-	bio       *batchIO // kernel-batched I/O; nil on the portable path
-	in        chan transport.Envelope
+	prefixLen int              // encoded size of the sender-address datagram prefix
+	bio       *batchIO         // kernel-batched I/O; nil on the portable path
+	in        *transport.Inbox // closed by the read loop once it returns
 	done      chan struct{}
 	senders   senderTable // owned by the read loop
 
@@ -494,37 +495,17 @@ func (e *endpoint) write(to addr.Address, dst *net.UDPAddr, buf []byte) error {
 	return nil
 }
 
-// Recv exposes the inbox of undecoded frames (transport.Raw payloads). The
-// channel closes when the endpoint does.
-func (e *endpoint) Recv() <-chan transport.Envelope { return e.in }
+// Inbox returns the inbox of undecoded frames (transport.Raw payloads).
+func (e *endpoint) Inbox() *transport.Inbox { return e.in }
 
-// RecvMany implements transport.BatchReceiver: one blocking receive, then a
-// non-blocking drain of whatever the read loop already queued — a consumer
-// wakes once per kernel batch instead of once per datagram.
-func (e *endpoint) RecvMany(out []transport.Envelope) (int, bool) {
-	if len(out) == 0 {
-		return 0, true
-	}
-	env, ok := <-e.in
-	if !ok {
-		return 0, false
-	}
-	out[0] = env
-	n := 1
-	for n < len(out) {
-		select {
-		case env, ok := <-e.in:
-			if !ok {
-				return n, false
-			}
-			out[n] = env
-			n++
-		default:
-			return n, true
-		}
-	}
-	return n, true
-}
+// Recv returns the inbox's channel view (see transport.Endpoint.Recv).
+func (e *endpoint) Recv() <-chan transport.Envelope { return e.in.View() }
+
+// RecvMany implements transport.BatchReceiver: it waits for the inbox to
+// hold frames, then takes whatever the read loop already queued, up to
+// len(out) — a consumer wakes once per kernel batch instead of once per
+// datagram.
+func (e *endpoint) RecvMany(out []transport.Envelope) (int, bool) { return e.in.RecvMany(out) }
 
 // Close unbinds the socket and stops the receive loop.
 func (e *endpoint) Close() error {
@@ -548,7 +529,7 @@ func (e *endpoint) shutdown() {
 // vector of buffers — one recvmmsg per wakeup; the per-datagram handling is
 // byte-identical to the portable path below it.
 func (e *endpoint) readLoop() {
-	defer close(e.in)
+	defer e.in.Close()
 	if e.bio != nil {
 		for e.bio.recv(e.deliver) == nil {
 		}
@@ -581,9 +562,7 @@ func (e *endpoint) deliver(data []byte) {
 		return
 	}
 	raw := transport.NewRaw(data[n:])
-	select {
-	case e.in <- transport.Envelope{From: from, To: e.addr, Payload: raw}:
-	default:
+	if !e.in.TryPush(transport.Envelope{From: from, To: e.addr, Payload: raw}) {
 		raw.Release()
 		e.tr.dropped.Add(1) // inbox overflow, like a full socket buffer
 	}

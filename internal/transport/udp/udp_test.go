@@ -65,15 +65,17 @@ func TestStaticResolverRejectsAliasedKeys(t *testing.T) {
 
 func recvOne(t *testing.T, ep transport.Endpoint) transport.Envelope {
 	t.Helper()
-	select {
-	case env, ok := <-ep.Recv():
-		if !ok {
-			t.Fatal("recv channel closed early")
+	out := make([]transport.Envelope, 1)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		k, open := ep.Inbox().Drain(out)
+		if k == 1 {
+			return out[0]
 		}
-		return env
-	case <-time.After(5 * time.Second):
-		t.Fatal("no datagram arrived")
+		if !open {
+			t.Fatal("inbox closed early")
+		}
 	}
+	t.Fatal("no datagram arrived")
 	panic("unreachable")
 }
 
@@ -465,5 +467,67 @@ func TestSenderTable(t *testing.T) {
 	}
 	if len(st.m) != 0 {
 		t.Fatalf("table holds %d prefixes longer than %d bytes, want none", len(st.m), maxSenderLen)
+	}
+}
+
+// TestUDPRecvViewIsTheInbox pins Endpoint.Recv on the UDP fabric: frames
+// queued before the first call come out first, in order; the bound still
+// holds, with the overflow counted as dropped; len is the inbox depth; and
+// closing the endpoint closes the channel once it is drained.
+func TestUDPRecvViewIsTheInbox(t *testing.T) {
+	const bound = 12
+	a, b, tr := batchedPair(t, func(c *Config) { c.QueueLen = bound })
+	// arrived waits until n frames were queued or dropped.
+	arrived := func(n int64, depth func() int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); int64(depth())+tr.Stats().Dropped < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d datagrams arrived", int64(depth())+tr.Stats().Dropped, n)
+			}
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if err := a.Send(b.Addr(), oneGossip(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The read loop counts a datagram just before it queues it.
+	for deadline := time.Now().Add(5 * time.Second); tr.Stats().RecvDatagrams < 10; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 10 datagrams arrived", tr.Stats().RecvDatagrams)
+		}
+	}
+	time.Sleep(10 * time.Millisecond)
+	view := b.Recv()
+	arrived(10, func() int { return len(view) })
+	if len(view) != 10 || cap(view) != bound {
+		t.Fatalf("the view of 10 queued frames has len %d, cap %d", len(view), cap(view))
+	}
+	for i := 10; i < 15; i++ {
+		if err := a.Send(b.Addr(), oneGossip(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arrived(15, func() int { return len(view) })
+	if st := tr.Stats(); len(view) != bound || st.Dropped != 15-bound {
+		t.Fatalf("after 15 frames at bound %d: depth %d, %d dropped", bound, len(view), st.Dropped)
+	}
+	for i := 0; i < bound; i++ {
+		env := <-view
+		seq, _ := decodeFrame(t, env).Gossips[0].Event.Attr("seq").AsInt()
+		if seq != int64(i) {
+			t.Fatalf("frame %d came out of the view as %d", i, seq)
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case _, ok := <-view:
+		if ok {
+			t.Fatal("a frame came out of a closed, drained endpoint's view")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the view of a closed endpoint never closed")
 	}
 }

@@ -182,7 +182,14 @@ type (
 	Endpoint = transport.Endpoint
 	// Envelope is one delivered message.
 	Envelope = transport.Envelope
+	// Inbox is an endpoint's bounded inbox of envelopes: a custom
+	// Endpoint's Inbox method returns one, made by NewInbox.
+	Inbox = transport.Inbox
 )
+
+// NewInbox returns an empty inbox that holds at most bound envelopes. It
+// holds storage only while it holds envelopes.
+func NewInbox(bound int) *Inbox { return transport.NewQueue[Envelope](bound) }
 
 // In-memory fabric (the reference Transport, with fault injection).
 type (
