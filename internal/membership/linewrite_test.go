@@ -245,6 +245,21 @@ func checkDerived(s *Service, changedAt map[string]uint64, versions []uint64) er
 	return nil
 }
 
+// checkDigest holds the service's full digest — its memo, patched from the
+// last one or built afresh — to the logical table, line for line.
+func checkDigest(s *Service) error {
+	var table []lineState
+	s.VisitRecords(func(r Record) { table = append(table, lineState{key: r.Addr.Key(), stamp: r.Stamp, alive: r.Alive}) })
+	var listed []lineState
+	for e := range s.MakeDigest().Lines {
+		listed = append(listed, lineState{key: e.Key, stamp: e.Stamp, alive: e.Alive})
+	}
+	if !slices.Equal(listed, table) {
+		return fmt.Errorf("full digest lists %v, table holds %v", listed, table)
+	}
+	return nil
+}
+
 // maxLineWriteOps bounds the ops one FuzzMembershipLineWrites input runs.
 const maxLineWriteOps = 256
 
@@ -254,12 +269,14 @@ const maxLineWriteOps = 256
 // SweepFailures on a stepped clock; digest exchanges in all three forms — on
 // three services over one small space. After every op, each service's
 // derived state must equal a from-scratch derivation over its logical table
-// (checkDerived). Then the order check: two fresh services fed every
-// admitted record for a line neither owns — one in the order admitted, one
-// record at a time; the other reversed, in one batch — agree on every line's
-// stamp and liveness, and on their hashes. Subscriptions are left out of
-// that agreement: a tie at equal stamp and liveness keeps whichever
-// subscription arrived first.
+// (checkDerived), and after every third op its full digest must list that
+// table (checkDigest): the digest memo is then patched across a few
+// versions, and across whatever the ops' own exchanges built. Then the
+// order check: two fresh services fed every admitted record for a line
+// neither owns — one in the order admitted, one record at a time; the
+// other reversed, in one batch — agree on every line's stamp and liveness,
+// and on their hashes. Subscriptions are left out of that agreement: a tie
+// at equal stamp and liveness keeps whichever subscription arrived first.
 //
 // An input runs at most maxLineWriteOps ops. The derivation checks every
 // version seen so far after every op, so an input costs the square of its
@@ -278,6 +295,12 @@ func FuzzMembershipLineWrites(f *testing.F) {
 			for i, s := range w.svcs {
 				w.observe(i)
 				if err := checkDerived(s, w.changedAt[i], w.versions[i]); err != nil {
+					t.Fatalf("after %s, %s: %v", op, s.cfg.Self, err)
+				}
+				if n%3 != 2 {
+					continue
+				}
+				if err := checkDigest(s); err != nil {
 					t.Fatalf("after %s, %s: %v", op, s.cfg.Self, err)
 				}
 			}

@@ -526,16 +526,56 @@ func (s *Service) Apply(u Update) int {
 func (s *Service) MakeDigest() Digest {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.digestLocked()
+}
+
+// digestLocked returns the memoized full digest, building it at most once per
+// version. Callers hold s.mu for writing.
+func (s *Service) digestLocked() Digest {
 	if s.digestVersion != s.version {
+		s.digest = Digest{From: s.cfg.Self, Hash: s.hash, Count: len(s.base.Records), base: s.base, over: s.overLinesLocked()}
+		s.digestVersion = s.version
+	}
+	return s.digest
+}
+
+// overLinesLocked lists the overlay's lines sorted by base position, in a
+// fresh slice. Only writeLocked moves a line, and it logs every write, so
+// when the last memo is over the same base and the changelog reaches back to
+// it, the list is that memo's patched with the lines written since: one merge
+// of two sorted lists. Otherwise — no memo yet, a rebase, a changelog that
+// overflowed — it is the overlay map's lines, sorted.
+func (s *Service) overLinesLocked() []overLine {
+	if s.digestVersion == 0 || s.digest.base != s.base || s.digestVersion < s.changelogMin {
 		over := make([]overLine, 0, len(s.over))
 		for i, r := range s.over {
 			over = append(over, overLine{idx: i, stamp: r.Stamp, alive: r.Alive})
 		}
 		slices.SortFunc(over, func(a, b overLine) int { return cmp.Compare(a.idx, b.idx) })
-		s.digest = Digest{From: s.cfg.Self, Hash: s.hash, Count: len(s.base.Records), base: s.base, over: over}
-		s.digestVersion = s.version
+		return over
 	}
-	return s.digest
+	since := s.changelog[sort.Search(len(s.changelog), func(i int) bool { return s.changelog[i].version > s.digestVersion }):]
+	var buf [16]overLine
+	moved := buf[:0]
+	for _, c := range since {
+		moved = append(moved, overLine{idx: s.base.index[c.rec.Addr.Key()], stamp: c.rec.Stamp, alive: c.rec.Alive})
+	}
+	// A line written twice is listed twice, both times at its current state.
+	slices.SortFunc(moved, func(a, b overLine) int { return cmp.Compare(a.idx, b.idx) })
+	moved = slices.CompactFunc(moved, func(a, b overLine) bool { return a.idx == b.idx })
+	prev := s.digest.over
+	over := make([]overLine, 0, len(prev)+len(moved))
+	for len(prev) > 0 || len(moved) > 0 {
+		switch {
+		case len(moved) == 0 || len(prev) > 0 && prev[0].idx < moved[0].idx:
+			over, prev = append(over, prev[0]), prev[1:]
+		case len(prev) > 0 && prev[0].idx == moved[0].idx:
+			over, prev, moved = append(over, moved[0]), prev[1:], moved[1:]
+		default:
+			over, moved = append(over, moved[0]), moved[1:]
+		}
+	}
+	return over
 }
 
 // MakeSummaryDigest snapshots only the roster summary — the O(1) probe the
@@ -565,10 +605,11 @@ func (s *Service) MakeSummaryDigest() Digest {
 //
 // The common case — converged peers exchanging identical rosters — costs
 // two compares. An overlay-form digest over the receiver's own base costs
-// the two overlays: a line in neither is the same base record on both
-// sides, so it can yield neither a fresh record nor gossiperFresher. Any
-// other full digest is walked line by line. Like an Update's, the digest's
-// From is not a life sign (see Apply).
+// one merge walk of the two overlays: a line in neither is the same base
+// record on both sides, so it can yield neither a fresh record nor
+// gossiperFresher. Any other full digest is walked line by line. Either way
+// the Update lists its records in address order. Like an Update's, the
+// digest's From is not a life sign (see Apply).
 func (s *Service) HandleDigest(d Digest) (upd *Update, gossiperFresher bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -583,14 +624,14 @@ func (s *Service) HandleDigest(d Digest) (upd *Update, gossiperFresher bool) {
 	}
 	var diff digestDiff
 	if d.base == s.base {
-		s.diffOverlaysLocked(d, &diff)
+		s.diffOverlaysLocked(d, &diff) // emits in base order, which is address order
 	} else {
 		s.diffLinesLocked(d, &diff)
+		sort.Slice(diff.fresh, func(i, j int) bool { return diff.fresh[i].Addr.Less(diff.fresh[j].Addr) })
 	}
 	if len(diff.fresh) == 0 {
 		return nil, diff.gossiperFresher
 	}
-	sort.Slice(diff.fresh, func(i, j int) bool { return diff.fresh[i].Addr.Less(diff.fresh[j].Addr) })
 	return &Update{From: s.cfg.Self, Records: diff.fresh}, diff.gossiperFresher
 }
 
@@ -601,32 +642,58 @@ type digestDiff struct {
 	gossiperFresher bool
 }
 
-// line compares the gossiper's stamp and liveness for one line with our
-// record of it, by supersedes in both directions. Both digest walks decide
-// every line they share with the gossiper here.
-func (x *digestDiff) line(stamp uint64, alive bool, r *Record) {
-	switch {
-	case supersedes(r.Stamp, r.Alive, stamp, alive):
-		x.fresh = append(x.fresh, *r)
-	case supersedes(stamp, alive, r.Stamp, r.Alive):
+// oursFresher compares the gossiper's stamp and liveness for one line with
+// ours, by supersedes in both directions: it reports whether ours is the
+// fresher, whose record the caller then sends, and notes when the gossiper's
+// is. Both digest walks decide every line they share with the gossiper here.
+func (x *digestDiff) oursFresher(stamp uint64, alive bool, ourStamp uint64, ourAlive bool) bool {
+	if supersedes(ourStamp, ourAlive, stamp, alive) {
+		return true
+	}
+	if supersedes(stamp, alive, ourStamp, ourAlive) {
 		x.gossiperFresher = true
 	}
+	return false
 }
 
 // diffOverlaysLocked is the walk for an overlay-form digest whose base is
 // this service's own: only lines in the gossiper's overlay or in ours can
 // differ. The digest lists every base line and a service holds exactly
-// those, so neither side lacks a line.
+// those, so neither side lacks a line. Both overlays are sorted by base
+// position — ours is the memoized digest's — so one merge walk pairs them.
+// It notes the lines where ours is the fresher, in base order, and only
+// then reads their records, into a list of their exact length.
 func (s *Service) diffOverlaysLocked(d Digest, x *digestDiff) {
-	for _, l := range d.over {
-		x.line(l.stamp, l.alive, s.lineLocked(l.idx))
-	}
-	for i, r := range s.over {
-		if _, theirs := slices.BinarySearchFunc(d.over, i, func(l overLine, i int32) int { return cmp.Compare(l.idx, i) }); theirs {
-			continue // compared above
+	var buf [64]int32
+	fresh := buf[:0]
+	theirs, mine := d.over, s.digestLocked().over
+	for len(theirs) > 0 || len(mine) > 0 {
+		var i int32
+		var stamp, ourStamp uint64
+		var alive, ourAlive bool
+		switch {
+		case len(mine) == 0 || len(theirs) > 0 && theirs[0].idx < mine[0].idx:
+			l, b := theirs[0], &s.base.Records[theirs[0].idx]
+			i, stamp, alive, ourStamp, ourAlive = l.idx, l.stamp, l.alive, b.Stamp, b.Alive
+			theirs = theirs[1:]
+		case len(theirs) == 0 || mine[0].idx < theirs[0].idx:
+			m, b := mine[0], &s.base.Records[mine[0].idx]
+			i, stamp, alive, ourStamp, ourAlive = m.idx, b.Stamp, b.Alive, m.stamp, m.alive
+			mine = mine[1:]
+		default:
+			l, m := theirs[0], mine[0]
+			i, stamp, alive, ourStamp, ourAlive = l.idx, l.stamp, l.alive, m.stamp, m.alive
+			theirs, mine = theirs[1:], mine[1:]
 		}
-		b := &s.base.Records[i]
-		x.line(b.Stamp, b.Alive, r)
+		if x.oursFresher(stamp, alive, ourStamp, ourAlive) {
+			fresh = append(fresh, i)
+		}
+	}
+	if len(fresh) > 0 {
+		x.fresh = make([]Record, len(fresh))
+		for j, i := range fresh {
+			x.fresh[j] = *s.lineLocked(i)
+		}
 	}
 }
 
@@ -644,7 +711,9 @@ func (s *Service) diffLinesLocked(d Digest, x *digestDiff) {
 			continue
 		}
 		shared++
-		x.line(e.Stamp, e.Alive, r)
+		if x.oursFresher(e.Stamp, e.Alive, r.Stamp, r.Alive) {
+			x.fresh = append(x.fresh, *r)
+		}
 	}
 	if shared < len(s.base.Records) {
 		// The digest misses lines we hold; identify them.

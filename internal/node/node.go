@@ -4,9 +4,9 @@
 //
 // A Node periodically executes the gossip task (the paper's "every P
 // milliseconds"), periodically exchanges membership digests (gossip pull),
-// sweeps its failure detector, and rebuilds its tree views whenever the
-// membership version moves. Events are published with Publish and consumed
-// from the Deliveries channel.
+// sweeps its failure detector, and rebuilds its tree views when it next
+// reads them after the membership version moved. Events are published with
+// Publish and consumed from the Deliveries channel.
 //
 // The live runtime (Start) is decomposed into three stages — see engine.go:
 //
@@ -687,9 +687,14 @@ func (n *Node) tickGossip() {
 		// the gossip buffers now and rides this very round's envelopes.
 		n.handleGossipBatchLocked(n.coder.Tick(), nil)
 	}
-	if err := n.rebuildIfStaleLocked(); err != nil {
-		n.mu.Unlock()
-		return
+	// The fold waits for its reader: a round reads views only for what it
+	// has buffered, and every other reader (a received gossip, Publish,
+	// WarmViews) folds first. A round over empty buffers folds nothing.
+	if n.proc == nil || n.proc.Pending() > 0 {
+		if err := n.rebuildIfStaleLocked(); err != nil {
+			n.mu.Unlock()
+			return
+		}
 	}
 	// Every gossip this round owes one peer rides a single round envelope.
 	jobs := n.proc.TickRound(n.rng)

@@ -513,3 +513,116 @@ func recordOf(s *membership.Service, a addr.Address) (rec membership.Record, ok 
 	})
 	return rec, ok
 }
+
+// TestFoldWaitsForItsReader: a membership change costs a node nothing until
+// it reads a view. Gossip ticks over empty buffers, and a gossip it has
+// already seen, leave the fold meters where they were; the first reader — a
+// received gossip, a Publish, a tick with an entry buffered — folds every
+// change since the last fold at once, onto the views a fresh Build of the
+// node's roster gives. One peer's subscription moves twice, so the one fold
+// touches the depth nodes of that peer's path below the root, where a fold
+// per change touched twice as many.
+func TestFoldWaitsForItsReader(t *testing.T) {
+	space := addr.MustRegular(3, 3)
+	peer := space.AddressAt(4)
+	for _, reader := range []string{"gossip", "publish", "tick"} {
+		t.Run(reader, func(t *testing.T) {
+			n, err := New(transport.MustNetwork(transport.Config{}), Config{
+				Addr: space.AddressAt(0), Space: space, R: 2, F: 3, C: 2,
+				Subscription: subEq(1),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Stop()
+			stamp := uint64(1)
+			move := func(sub int64) {
+				t.Helper()
+				r := membership.Record{Addr: peer, Sub: subEq(sub), Stamp: stamp, Alive: true}
+				if n.Membership().Apply(membership.Update{Records: []membership.Record{r}}) != 1 {
+					t.Fatalf("the peer's record at stamp %d did not apply", stamp)
+				}
+				stamp++
+			}
+			seq := uint64(0)
+			gossip := func() {
+				seq++
+				ev := event.NewBuilder().Int("b", 1).Build(event.ID{Origin: peer.Key(), Seq: seq})
+				n.HandleEnvelope(transport.Envelope{From: peer, To: n.Addr(),
+					Payload: core.Gossip{Event: ev, Depth: 1, Rate: 1}})
+			}
+			touched := func() uint64 {
+				fs := n.FoldStats()
+				return fs.Recomputes + fs.Hits
+			}
+			move(1)
+			for i := 1; i < 6; i++ {
+				r := membership.Record{Addr: space.AddressAt(2 * i), Sub: subEq(int64(i)), Stamp: 1, Alive: true}
+				n.Membership().Apply(membership.Update{Records: []membership.Record{r}})
+			}
+			if err := n.WarmViews(); err != nil {
+				t.Fatal(err)
+			}
+			if reader == "tick" {
+				gossip() // buffered before the changes, folded over the old roster
+			}
+			before := touched()
+			move(2)
+			if reader != "tick" {
+				for i := 0; i < 3; i++ {
+					n.TickGossip()
+				}
+			}
+			move(3)
+			if reader != "tick" {
+				n.TickGossip()
+				if got := touched(); got != before {
+					t.Fatalf("idle ticks touched %d trie nodes; want none", got-before)
+				}
+			}
+			switch reader {
+			case "gossip":
+				gossip()
+			case "publish":
+				if _, err := n.Publish(map[string]event.Value{"b": event.Int(1)}); err != nil {
+					t.Fatal(err)
+				}
+			case "tick":
+				n.mu.Lock()
+				pending := n.proc.Pending()
+				n.mu.Unlock()
+				if pending == 0 {
+					t.Fatal("nothing buffered for the tick to read")
+				}
+				n.TickGossip()
+			}
+			if got := touched() - before; got != uint64(space.Depth()) {
+				t.Errorf("the first reader touched %d trie nodes; want %d, one fold of both changes", got, space.Depth())
+			}
+			if n.treeVersion != n.Membership().Version() {
+				t.Errorf("views at version %d after the reader, membership at %d", n.treeVersion, n.Membership().Version())
+			}
+			var members []tree.Member
+			n.Membership().VisitRecords(func(r membership.Record) {
+				if r.Alive {
+					members = append(members, tree.Member{Addr: r.Addr, Sub: r.Sub})
+				}
+			})
+			ref, err := tree.Build(tree.Config{Space: space, R: 2}, members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := renderTree(n.tree, space), renderTree(ref, space); got != want {
+				t.Errorf("folded views:\n%s\nbuilt from scratch:\n%s", got, want)
+			}
+			if reader == "gossip" {
+				before, seq = touched(), seq-1
+				move(4)
+				gossip() // the reader's gossip again: a duplicate reads no view
+				if got := touched(); got != before {
+					t.Errorf("a duplicate gossip touched %d trie nodes; want none", got-before)
+				}
+			}
+		})
+	}
+}

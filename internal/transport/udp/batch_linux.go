@@ -25,6 +25,7 @@ import (
 
 const (
 	msgDontwait = 0x40 // MSG_DONTWAIT: RawConn handles readiness, not the kernel
+	msgPeek     = 0x2  // MSG_PEEK: look at the queue without taking a datagram
 
 	// sendVector is the mmsghdr vector width per sendmmsg: UIO_MAXIOV is
 	// 1024, but past ~64 the syscall amortization is already >98% and the
@@ -33,14 +34,14 @@ const (
 	// recvVector is the recvmmsg vector width: how many datagrams one
 	// ingress syscall can drain. Each slot holds a full datagram plus one
 	// byte (see recvVec), so a vector is 16 × 64 KiB = 1 MiB. It is lent per
-	// wakeup, not owned per endpoint: a read loop parked on an idle socket
-	// holds none, so what a transport pins follows the wakeups in flight
-	// (at most GOMAXPROCS), not the endpoints attached. Over 160 k recvmmsg
-	// returns of the udp_broadcast benchmark workload (16 nodes, 2 ms
-	// gossip, closed-loop bursts) at the former width of 32 the mean return
-	// was 3.5 datagrams, 97 % returned at most 16 and 0.8 % filled all 32
-	// (no datagram exceeded 4 KiB): at 16 the rare longer burst costs one
-	// more syscall, and the socket buffer holds it meanwhile.
+	// readable wakeup, not owned per endpoint: a read loop parked on an idle
+	// socket holds none and never made one, so what a transport pins follows
+	// the wakeups in flight (at most GOMAXPROCS), not the endpoints attached.
+	// Over 160 k recvmmsg returns of the udp_broadcast benchmark workload
+	// (16 nodes, 2 ms gossip, closed-loop bursts) at the former width of 32
+	// the mean return was 3.5 datagrams, 97 % returned at most 16 and 0.8 %
+	// filled all 32 (no datagram exceeded 4 KiB): at 16 the rare longer burst
+	// costs one more syscall, and the socket buffer holds it meanwhile.
 	recvVector = 16
 )
 
@@ -138,6 +139,7 @@ func (t *Transport) initPools() {
 // kept rather than pooled because a sync.Pool drops what it holds at every
 // collection, and its New then makes fresh ones all run long.
 func (t *Transport) borrowRecv() *recvVec {
+	t.recvLoans.Add(1)
 	v := <-t.recvFree
 	if v == nil {
 		v = newRecvVec(t.cfg.MaxDatagram + 1)
@@ -265,15 +267,25 @@ func (b *batchIO) sendChunk(st *sendState, frames []outFrame) (int, error) {
 // recv drains the socket with one recvmmsg, blocking (via the runtime
 // poller) until at least one datagram is ready, and hands each datagram to
 // deliver in arrival order. The vector is borrowed inside the readiness
-// callback — only once the socket is readable — and returned when the
-// kernel has nothing (EAGAIN, EINTR), on error, and after deliver has run
-// for every datagram: deliver must copy what it keeps. The syscall and its
+// callback, only once the socket holds a datagram: the runtime runs the
+// callback once before it first waits, and that call peeks (readable), so a
+// loop with nothing to read parks holding nothing and never waits on the
+// vector set; a call after a wait — the poller saw the socket turn readable
+// — goes straight to recvmmsg. The vector goes back when the kernel has
+// nothing after all (EAGAIN, EINTR), on error, and after deliver has run for
+// every datagram: deliver must copy what it keeps. The syscall and its
 // datagrams are counted before the first delivery.
 func (b *batchIO) recv(deliver func([]byte)) error {
 	var v *recvVec
 	var n int
 	var errno syscall.Errno
+	first := true
 	err := b.rc.Read(func(fd uintptr) bool {
+		if first {
+			if first = false; !readable(fd) {
+				return false // wait for readability holding nothing
+			}
+		}
 		v = b.tr.borrowRecv()
 		r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
 			uintptr(unsafe.Pointer(&v.hdrs[0])), uintptr(len(v.hdrs)),
@@ -302,6 +314,19 @@ func (b *batchIO) recv(deliver func([]byte)) error {
 	}
 	b.tr.returnRecv(v)
 	return nil
+}
+
+// readable reports whether the socket holds a datagram, without blocking and
+// without taking it: a zero-length peek, which a zero-length datagram
+// answers too. Any error but EAGAIN counts as readable, so that the recvmmsg
+// after it reports the error.
+func readable(fd uintptr) bool {
+	for {
+		_, _, e := syscall.Syscall6(syscall.SYS_RECVFROM, fd, 0, 0, msgPeek|msgDontwait, 0, 0)
+		if e != syscall.EINTR {
+			return e != syscall.EAGAIN
+		}
+	}
 }
 
 // putSockaddr writes dst as a kernel sockaddr into buf and returns its

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pmcast/internal/addr"
 	"pmcast/internal/core"
@@ -214,12 +215,39 @@ func vectorsMade(f func()) int {
 }
 
 // TestIdleEndpointsBorrowFewVectors pins the lending claim: a read loop
-// parked on an idle socket holds no receive vector, so sixteen endpoints
-// share at most one per processor instead of owning one each.
+// parked on an idle socket holds no receive vector and never made one, so
+// sixteen idle endpoints make none at all instead of owning one each.
 func TestIdleEndpointsBorrowFewVectors(t *testing.T) {
-	made := vectorsMade(func() { fleet(t, 16, 3*time.Millisecond, nil) })
-	if bound := runtime.GOMAXPROCS(0); made < 1 || made > bound {
-		t.Fatalf("16 idle endpoints made %d receive vectors, want 1..%d", made, bound)
+	var eps []*endpoint
+	made := vectorsMade(func() { eps = fleet(t, 16, 3*time.Millisecond, nil) })
+	if loans := eps[0].tr.recvLoans.Load(); made != 0 || loans != 0 {
+		t.Fatalf("16 idle endpoints made %d receive vectors in %d loans, want none", made, loans)
+	}
+}
+
+// TestOneLoanPerDeliveredBurst pins when a read loop borrows: only once its
+// socket holds a datagram. A burst that one wakeup drains costs exactly one
+// loan, whether the datagram was queued before the loop looked (its peek
+// finds it) or arrived while it was parked (the wakeup reads at once), and
+// the idle endpoints beside it take none.
+func TestOneLoanPerDeliveredBurst(t *testing.T) {
+	const bursts = 8
+	eps := fleet(t, 4, 3*time.Millisecond, nil)
+	tr := eps[0].tr
+	for b := 1; b <= bursts; b++ {
+		if b%2 == 0 {
+			time.Sleep(5 * time.Millisecond) // the loop parks before the datagram
+		}
+		if err := eps[0].Send(eps[1].Addr(), oneGossip(b)); err != nil {
+			t.Fatal(err)
+		}
+		recvOne(t, eps[1]).Payload.(transport.Raw).Release()
+		if loans := tr.recvLoans.Load(); loans != int64(b) {
+			t.Fatalf("after %d delivered bursts the read loops took %d loans, want %d", b, loans, b)
+		}
+	}
+	if st := tr.Stats(); st.RecvSyscalls != bursts || st.RecvDatagrams != bursts {
+		t.Fatalf("%d recvmmsg calls read %d datagrams, want %d each", st.RecvSyscalls, st.RecvDatagrams, bursts)
 	}
 }
 
@@ -385,9 +413,11 @@ func TestLentVectorsDeliverIntact(t *testing.T) {
 // frames it carries, not for its bound. Endpoints attached at QueueLen
 // 4 096 grow the heap by about a KiB each with their sockets (a channel of
 // the bound was 128 KiB), and after each has received and drained a frame
-// it keeps one spare segment, 2 KiB. The transport's shared receive
-// vectors are made before the count, so it holds the endpoints' own cost;
-// the portable path has the same inbox.
+// it keeps one spare segment, 2 KiB. The count starts from a fresh
+// transport, which has made no receive vector: an idle endpoint makes none,
+// so one would show as 128 KiB an endpoint. The vectors the deliveries make
+// are shared by every endpoint, and the drained count leaves them out; the
+// portable path has the same inbox.
 func TestIdleUDPInboxHoldsNoBound(t *testing.T) {
 	const endpoints, perEndpoint = 8, 8 << 10
 	peers := make(map[string]string, endpoints)
@@ -410,15 +440,8 @@ func TestIdleUDPInboxHoldsNoBound(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	// What every endpoint shares is made first: the transport's receive
-	// vectors, and the codec's pools, by a frame through another pair.
-	held := borrowAll(tr)
-	for i := range held {
-		if held[i] == nil {
-			held[i] = newRecvVec(tr.cfg.MaxDatagram + 1)
-		}
-	}
-	giveBack(tr, held)
+	// The codec's pools are shared by every endpoint: made first, by a frame
+	// through another pair.
 	from, warm, _ := pair(t)
 	if err := from.Send(warm.Addr(), oneGossip(0)); err != nil {
 		t.Fatal(err)
@@ -442,7 +465,15 @@ func TestIdleUDPInboxHoldsNoBound(t *testing.T) {
 		}
 		recvOne(t, ep).Payload.(transport.Raw).Release()
 	}
-	grown = (liveHeap() - before) / endpoints
+	held := borrowAll(tr)
+	shared := int64(0)
+	for _, v := range held {
+		if v != nil {
+			shared += int64(unsafe.Sizeof(*v)) + int64(recvVector*cap(v.bufs[0]))
+		}
+	}
+	giveBack(tr, held)
+	grown = (liveHeap() - before - shared) / endpoints
 	t.Logf("a drained UDP endpoint grew the heap by %d bytes", grown)
 	if grown > perEndpoint {
 		t.Errorf("a drained UDP endpoint grew the heap by %d bytes, want at most %d", grown, perEndpoint)

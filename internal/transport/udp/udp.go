@@ -191,9 +191,11 @@ type Transport struct {
 	// Kernel-batched scratch, lent to the endpoints for one call at a time
 	// (see batch_linux.go): a flush borrows a sendState, a read-loop wakeup
 	// a recvVec. recvFree holds the vectors not out, one place per
-	// processor; an empty place (nil) is a vector not made yet.
-	sendPool sync.Pool
-	recvFree chan *recvVec
+	// processor; an empty place (nil) is a vector not made yet. recvLoans
+	// counts the vectors lent.
+	sendPool  sync.Pool
+	recvFree  chan *recvVec
+	recvLoans atomic.Int64
 }
 
 var _ transport.Transport = (*Transport)(nil)

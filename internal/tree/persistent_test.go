@@ -364,6 +364,73 @@ func linesOf(tr *Tree) ([]*interest.Summary, []uint64) {
 	return sums, langs
 }
 
+// lineage is one tree and the store it shares with its clones, folded by
+// FuzzApplyDeltaMatchesBuild. A store-only lineage forgets every successor
+// memo of a tree before the tree folds, so the store answers every lookup.
+type lineage struct {
+	tr        *Tree
+	storeOnly bool
+}
+
+// forgetSuccessors clears the successor memo of every node of the trie.
+func forgetSuccessors(n *node) {
+	if n == nil {
+		return
+	}
+	n.next.Store(nil)
+	for _, child := range n.children {
+		forgetSuccessors(child)
+	}
+}
+
+// foldCounts is what one fold added to a tree's meters.
+type foldCounts struct{ recomputes, hits uint64 }
+
+// apply folds d into tr and returns what it counted.
+func (l *lineage) apply(t *testing.T, tr *Tree, d Delta) foldCounts {
+	t.Helper()
+	if l.storeOnly {
+		forgetSuccessors(tr.root)
+	}
+	before := foldCounts{tr.foldRecomputes, tr.foldHits}
+	if err := tr.ApplyDelta(d); err != nil {
+		t.Fatalf("valid batch %+v refused: %v", d, err)
+	}
+	return foldCounts{tr.foldRecomputes - before.recomputes, tr.foldHits - before.hits}
+}
+
+// fold applies one batch three times: to the lineage's tree, to a sibling
+// clone taken before it (the memo path: every node it reaches was just
+// rebuilt the same way), and to another sibling after a forced sweep of the
+// node table (every memo must defer to the store). Each sibling must end up
+// with the tree's trie, on the same root while the store holds it: when no
+// sweep ran from the tree's fold to the sibling's end, beyond the one forced.
+func (l *lineage) fold(t *testing.T, d Delta, space addr.Space) [3]foldCounts {
+	t.Helper()
+	sibs := [2]*Tree{l.tr.Clone(), l.tr.Clone()}
+	nodes := &l.tr.store.nodes
+	var c [3]foldCounts
+	s0 := nodes.sweeps.Load()
+	c[0] = l.apply(t, l.tr, d)
+	s1 := nodes.sweeps.Load()
+	c[1] = l.apply(t, sibs[0], d)
+	if nodes.sweeps.Load() == s0 && sibs[0].root != l.tr.root {
+		t.Errorf("storeOnly=%v: a sibling folded the batch to another root while the store held the tree's", l.storeOnly)
+	}
+	l.tr.store.mu.Lock()
+	nodes.sweep()
+	l.tr.store.mu.Unlock()
+	s2 := nodes.sweeps.Load()
+	c[2] = l.apply(t, sibs[1], d)
+	if s1 == s0 && nodes.sweeps.Load() == s2 && sibs[1].root != l.tr.root {
+		t.Errorf("storeOnly=%v: after a sweep a sibling folded the batch to another root while the store held the tree's", l.storeOnly)
+	}
+	for _, sib := range sibs {
+		compareTries(t, sib, l.tr, addr.Prefix{}, space)
+	}
+	return c
+}
+
 // FuzzApplyDeltaMatchesBuild folds arbitrary add/update/remove batches
 // through a lineage of clones — the input picks the edits, where the batches
 // split and where the tree is handed to a clone — and holds the result
@@ -373,12 +440,21 @@ func linesOf(tr *Tree) ([]*interest.Summary, []uint64) {
 // events on each subscribed value and one nothing subscribes to, and the
 // store's number keys, summary identities and language names must each
 // stand for one content across the lineage, with equal keys exactly where
-// the old fingerprint strings were equal (keyNames.check).
+// the old fingerprint strings were equal (keyNames.check). Every batch is
+// also folded by sibling clones, through the successor memo and after a
+// forced sweep (lineage.fold), and the whole input again by a store-only
+// lineage over a store of its own: a memo answer is one the store would
+// give, counted as the store hit it replaces, so the two lineages count
+// alike, fold for fold.
 func FuzzApplyDeltaMatchesBuild(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{200, 3, 200, 3, 201, 3, 77, 255, 0, 0, 129, 64, 31, 31, 31})
 	f.Add([]byte("every process of a subgroup derives the same delegates without explicit agreement"))
 	f.Add([]byte{})
+	// Folds a sibling after a forced sweep: a memo that ignored the sweep
+	// would answer nodes the store holds cold without promoting them, and
+	// the lineages would count apart.
+	f.Add([]byte("A07X0A8B1CB0"))
 	space := addr.MustRegular(3, 3)
 	classes := classSubs(7)
 	// Beside the classes, keyPool's odd shapes: match-all, unsatisfiable,
@@ -395,18 +471,24 @@ func FuzzApplyDeltaMatchesBuild(f *testing.F) {
 		event.NewBuilder().Bool("b", true).Build(event.ID{Origin: "fz", Seq: 103}))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		// A small store bound: the lineage also crosses sweeps.
-		tr, err := New(Config{Space: space, R: 2, foldCacheBound: 16})
-		if err != nil {
-			t.Fatal(err)
+		var lines [2]lineage
+		for i := range lines {
+			tr, err := New(Config{Space: space, R: 2, foldCacheBound: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines[i] = lineage{tr: tr, storeOnly: i == 1}
 		}
 		model := make(map[int]interest.Subscription)
 		names := newKeyNames()
 		var d Delta
 		touched := make(map[int]bool) // one edit per address and batch
 		flush := func() {
-			if err := tr.ApplyDelta(d); err != nil {
-				t.Fatalf("valid batch %+v refused: %v", d, err)
+			memo, store := lines[0].fold(t, d, space), lines[1].fold(t, d, space)
+			if memo != store {
+				t.Errorf("batch %+v counted %v through the memo, %v by the store alone", d, memo, store)
 			}
+			tr := lines[0].tr
 			checkRootCarriesNoLine(t, tr, evs)
 			sums, langs := linesOf(tr)
 			names.check(t, tr.store, sums, langs)
@@ -436,7 +518,9 @@ func FuzzApplyDeltaMatchesBuild(f *testing.F) {
 			}
 			if arg&0x20 != 0 {
 				flush()
-				tr = tr.Clone()
+				for i := range lines {
+					lines[i].tr = lines[i].tr.Clone()
+				}
 			}
 		}
 		flush()
@@ -450,14 +534,17 @@ func FuzzApplyDeltaMatchesBuild(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkMembers(t, tr, model, space)
-		compareTries(t, tr, ref, addr.Prefix{}, space)
-		if got, want := renderViews(tr, false), renderViews(ref, false); got != want {
-			t.Errorf("views:\n%s\nfrom scratch:\n%s", got, want)
-		}
-		for b, ev := range evs {
-			if got, want := tr.MatchReach(ev), ref.MatchReach(ev); got != want {
-				t.Errorf("b=%d reaches %d, from scratch %d", b, got, want)
+		for _, l := range lines {
+			tr := l.tr
+			checkMembers(t, tr, model, space)
+			compareTries(t, tr, ref, addr.Prefix{}, space)
+			if got, want := renderViews(tr, false), renderViews(ref, false); got != want {
+				t.Errorf("storeOnly=%v views:\n%s\nfrom scratch:\n%s", l.storeOnly, got, want)
+			}
+			for b, ev := range evs {
+				if got, want := tr.MatchReach(ev), ref.MatchReach(ev); got != want {
+					t.Errorf("storeOnly=%v: b=%d reaches %d, from scratch %d", l.storeOnly, b, got, want)
+				}
 			}
 		}
 	})

@@ -55,9 +55,10 @@ type Config struct {
 // the store its tree shares with its clones: a leaf under (address,
 // subscription identity), an interior node under its children's ids. Trees
 // that agree on a subtree hold the same node; a tree moves by swapping in
-// the nodes of the root paths a change touched. The one field that is not
-// immutable is a cache: the index of the view over an interior node's
-// children, built on the first ViewOf and held weakly (see viewIndex).
+// the nodes of the root paths a change touched. The two fields that are not
+// immutable are caches: the index of the view over an interior node's
+// children, built on the first ViewOf and held weakly (see viewIndex), and
+// the node's last transition (see successor).
 type node struct {
 	// id names the node in its parent's store key. Minted when the node is
 	// interned and never given to another, so a node the store has swept
@@ -84,6 +85,28 @@ type node struct {
 	// under subscription flux most are stale, and a strong index on each
 	// would pin memory no process reads.
 	index weak.Pointer[interest.Index]
+	// self is the node's weak pointer, made once when it is interned into a
+	// shared store, for the memos that name it as a successor.
+	self weak.Pointer[node]
+	// next is the node this one last became in some tree (see successor).
+	next atomic.Pointer[successor]
+}
+
+// successor is a trie node's last transition: the interned node it became,
+// held weakly as view indexes are. What it was rebuilt over is read off that
+// node — an interior node's children, compared by pointer; a leaf's
+// subscription identity — which is the store's node key less the address the
+// position fixes. Every process of a subgroup derives the same tree from the
+// same membership, so a fleet co-hosted over one store applies each change
+// to the same nodes once per tree: the first tree asks the store and records
+// the answer, and the rest take it with no lock, no key and no hash. sweep is
+// the store's node-table sweep count when the answer was in its hot
+// generation; while no sweep has run the store still holds it there, so the
+// memo answers only what the store would, and the fold meters count its
+// answers as the store hits they replace.
+type successor struct {
+	node  weak.Pointer[node]
+	sweep uint64
 }
 
 // Tree is the compound spanning tree over a concrete member population.
@@ -192,16 +215,25 @@ var identities atomic.Uint64
 type gens[K comparable, V any] struct {
 	hot, cold map[K]V
 	evictions uint64
+	// sweeps counts the sweeps, written under the store's lock and read
+	// without it by the successor memo.
+	sweeps atomic.Uint64
 }
 
 // put inserts into the hot generation, sweeping first if it is full (hot and
 // cold stay disjoint; live entries never exceed bound).
 func (g *gens[K, V]) put(k K, v V, bound int) {
 	if g.hot == nil || len(g.hot) >= max(1, bound/2) {
-		g.evictions += uint64(len(g.cold))
-		g.cold, g.hot = g.hot, make(map[K]V, len(g.hot))
+		g.sweep()
 	}
 	g.hot[k] = v
+}
+
+// sweep drops the cold generation and makes the hot one cold.
+func (g *gens[K, V]) sweep() {
+	g.evictions += uint64(len(g.cold))
+	g.cold, g.hot = g.hot, make(map[K]V, len(g.hot))
+	g.sweeps.Add(1)
 }
 
 // promote moves an entry found in cold to hot: touched, it survives the next
@@ -254,6 +286,10 @@ type store struct {
 	langs     gens[string, uint64]
 	nodes     gens[nodeKey, *node]
 	views     gens[string, uint64]
+	// shared is set once a tree of the store is cloned. Only then can two
+	// trees apply one transition to one node, so only then do nodes keep
+	// successor memos: a tree alone moves past every node it folds.
+	shared atomic.Bool
 }
 
 func newStore(bound int) *store {
@@ -393,11 +429,11 @@ func (st *store) viewIndex(n *node) *interest.Index {
 }
 
 // node returns the interned node of the key (see nodeKey), nil when the
-// store holds none.
-func (st *store) node(addr string, sub interest.Identity, kids []byte) *node {
+// store holds none, and the node table's sweep count after the lookup.
+func (st *store) node(addr string, sub interest.Identity, kids []byte) (*node, uint64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.nodeLocked(addr, sub, kids)
+	return st.nodeLocked(addr, sub, kids), st.nodes.sweeps.Load()
 }
 
 func (st *store) nodeLocked(addr string, sub interest.Identity, kids []byte) *node {
@@ -412,16 +448,47 @@ func (st *store) nodeLocked(addr string, sub interest.Identity, kids []byte) *no
 
 // intern gives a node just built its id and records it, unless a racing tree
 // interned the same key first: then that node is returned, so the trees end
-// up sharing it.
-func (st *store) intern(addr string, sub interest.Identity, kids []byte, n *node) *node {
+// up sharing it. The node table's sweep count after the insert comes with it.
+func (st *store) intern(addr string, sub interest.Identity, kids []byte, n *node) (*node, uint64) {
+	if st.shared.Load() {
+		n.self = weak.Make(n)
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if prev := st.nodeLocked(addr, sub, kids); prev != nil {
-		return prev
+		return prev, st.nodes.sweeps.Load()
 	}
 	n.id = identities.Add(1)
 	st.nodes.put(nodeKey{addr, sub, string(kids)}, n, st.bound)
-	return n
+	return n, st.nodes.sweeps.Load()
+}
+
+// successor returns what prev last became, nil when prev (nil for an
+// unpopulated prefix) remembers no transition or a sweep has run since (see
+// successor). The caller checks that it is the transition it makes.
+func (st *store) successor(prev *node) *node {
+	if prev == nil || !st.shared.Load() {
+		return nil
+	}
+	m := prev.next.Load()
+	if m == nil || m.sweep != st.nodes.sweeps.Load() {
+		return nil
+	}
+	return m.node.Value()
+}
+
+// remember records that prev became n, as the store answered at the given
+// sweep count, when the store is shared. A node interned before the store
+// was shared has no weak pointer of its own, and gets one made here.
+func (st *store) remember(prev, n *node, sweep uint64) {
+	if prev == nil || !st.shared.Load() {
+		return
+	}
+	w := n.self
+	if w == (weak.Pointer[node]{}) {
+		w = weak.Make(n)
+	}
+	prev.next.Store(&successor{node: w, sweep: sweep})
 }
 
 // viewGen returns the identity of a view signature, minting one for a
@@ -540,6 +607,7 @@ func (t *Tree) Member(a addr.Address) (Member, bool) {
 // digest builds each new node once. The clone meters its own regrouping work
 // from zero.
 func (t *Tree) Clone() *Tree {
+	t.store.shared.Store(true)
 	c := *t
 	c.foldRecomputes, c.foldHits = 0, 0
 	return &c
@@ -641,7 +709,7 @@ func (t *Tree) ApplyDelta(d Delta) error {
 func (t *Tree) apply(n *node, edits []edit, length int) *node {
 	if length == t.Depth() {
 		if e := edits[0]; e.kind != editRemove {
-			return t.leaf(e.addr, e.sub)
+			return t.leaf(n, e.addr, e.sub)
 		}
 		return nil
 	}
@@ -662,7 +730,7 @@ func (t *Tree) apply(n *node, edits []edit, length int) *node {
 		kids[digit] = t.apply(kids[digit], edits[:j], length+1)
 		edits = edits[j:]
 	}
-	return t.interior(kids, length)
+	return t.interior(n, kids, length)
 }
 
 // fold returns the regrouping of one node's inputs through the shared fold
@@ -686,40 +754,45 @@ func (t *Tree) fold(leaf interest.Identity, kids []byte, merge func(*interest.Su
 	return e
 }
 
-// leaf returns the interned leaf of a member. Every summary in the trie
-// comes out of fold, so every one carries the identity its parent's fold is
-// keyed by, and a cached fold costs its inputs' identities, never their size.
-func (t *Tree) leaf(a addr.Address, sub interest.Subscription) *node {
+// leaf returns the interned leaf of a member, which the leaf prev (nil for
+// an added member) becomes. Every summary in the trie comes out of fold, so
+// every one carries the identity its parent's fold is keyed by, and a cached
+// fold costs its inputs' identities, never their size.
+func (t *Tree) leaf(prev *node, a addr.Address, sub interest.Subscription) *node {
 	ident := sub.Identity()
-	if n := t.store.node(a.Key(), ident, nil); n != nil {
+	if n := t.store.successor(prev); n != nil && n.member.Sub.Identity() == ident {
 		t.foldHits++
 		return n
 	}
-	e := t.fold(ident, nil, func(s *interest.Summary) { s.Add(sub) })
-	return t.store.intern(a.Key(), ident, nil, &node{
-		member:    &Member{Addr: a, Sub: sub},
-		delegates: []addr.Address{a},
-		count:     1,
-		summary:   e.summary,
-		lang:      e.lang,
-	})
+	n, sweep := t.store.node(a.Key(), ident, nil)
+	if n != nil {
+		t.foldHits++
+	} else {
+		e := t.fold(ident, nil, func(s *interest.Summary) { s.Add(sub) })
+		n, sweep = t.store.intern(a.Key(), ident, nil, &node{
+			member:    &Member{Addr: a, Sub: sub},
+			delegates: []addr.Address{a},
+			count:     1,
+			summary:   e.summary,
+			lang:      e.lang,
+		})
+	}
+	t.store.remember(prev, n, sweep)
+	return n
 }
 
 // interior returns the interned node over the given children (indexed by
-// digit, nil where unpopulated): served whole from the store when some tree
-// built it before — the common case in a fleet digesting one change — and
-// otherwise regrouped, elected and signed here. A prefix left without
-// children is nil, except the root.
-func (t *Tree) interior(kids []*node, length int) *node {
-	key := make([]byte, 0, 8*16) // on the stack up to arity 16
+// digit, nil where unpopulated), which prev (nil for an unpopulated prefix)
+// becomes: served whole by prev's memo or the store when some tree built it
+// before — the common case in a fleet digesting one change — and otherwise
+// regrouped, elected and signed here. A prefix left without children is nil,
+// except the root.
+func (t *Tree) interior(prev *node, kids []*node, length int) *node {
 	populated := 0
 	for _, child := range kids {
-		id := uint64(0)
 		if child != nil {
-			id = child.id
 			populated++
 		}
-		key = binary.LittleEndian.AppendUint64(key, id)
 	}
 	// The root, the depth-1 view's prefix, is a line in no table (Section 2.3,
 	// Figure 2): only signed, and counted in neither fold meter. No line has its
@@ -727,12 +800,34 @@ func (t *Tree) interior(kids []*node, length int) *node {
 	if populated == 0 && length > 0 {
 		return nil
 	}
-	if n := t.store.node("", interest.Identity{}, key); n != nil {
+	if n := t.store.successor(prev); n != nil && slices.Equal(n.children, kids) {
 		if length > 0 {
 			t.foldHits++
 		}
 		return n
 	}
+	key := make([]byte, 0, 8*16) // on the stack up to arity 16
+	for _, child := range kids {
+		id := uint64(0)
+		if child != nil {
+			id = child.id
+		}
+		key = binary.LittleEndian.AppendUint64(key, id)
+	}
+	n, sweep := t.store.node("", interest.Identity{}, key)
+	if n != nil {
+		if length > 0 {
+			t.foldHits++
+		}
+	} else {
+		n, sweep = t.store.intern("", interest.Identity{}, key, t.newInterior(kids, length, populated))
+	}
+	t.store.remember(prev, n, sweep)
+	return n
+}
+
+// newInterior regroups, elects and signs a node over the given children.
+func (t *Tree) newInterior(kids []*node, length, populated int) *node {
 	n := &node{children: slices.Clone(kids)}
 	candidates := make([]addr.Address, 0, t.cfg.R*populated)
 	inputs := make([]byte, 0, 8*16)
@@ -759,7 +854,7 @@ func (t *Tree) interior(kids []*node, length int) *node {
 		slices.SortFunc(candidates, addr.Address.Compare)
 		n.delegates = slices.Clone(candidates[:min(t.cfg.R, len(candidates))])
 	}
-	return t.store.intern("", interest.Identity{}, key, n)
+	return n
 }
 
 // appendViewLine appends one child's contribution to its parent's view
