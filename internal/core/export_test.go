@@ -6,8 +6,8 @@ import "math/bits"
 
 // Popcount returns the number of set bits.
 func (p *MatchProfile) Popcount() int {
-	n := 0
-	for _, w := range p.Bits {
+	n := bits.OnesCount64(p.word)
+	for _, w := range p.wide {
 		n += bits.OnesCount64(w)
 	}
 	return n

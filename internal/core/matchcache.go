@@ -38,9 +38,13 @@ import (
 // whether the owner's own subgroup is among them (the Section 3.2 inputs),
 // and the matching rate exactly as the uncached path would compute it.
 type MatchProfile struct {
-	// Bits is the susceptibility bitset over view members, 64 per word.
-	Bits []uint64
-	// Hits is the number of susceptible members (popcount of Bits).
+	// word is the susceptibility bitset of a view of at most 64 members;
+	// wide holds a larger view's, 64 members per word, and is empty
+	// otherwise. Most views fit the word, so most profiles allocate nothing
+	// for their bits.
+	word uint64
+	wide []uint64
+	// Hits is the number of susceptible members (popcount of the bitset).
 	Hits int
 	// Lines is the number of distinct matching subgroups (view lines).
 	Lines int
@@ -54,22 +58,35 @@ type MatchProfile struct {
 
 // Ensure sizes (and zeroes) the bitset for a view of the given member count.
 func (p *MatchProfile) Ensure(size int) {
-	words := (size + 63) / 64
-	if cap(p.Bits) < words {
-		p.Bits = make([]uint64, words)
+	p.word = 0
+	if size <= 64 {
+		p.wide = p.wide[:0]
 		return
 	}
-	p.Bits = p.Bits[:words]
-	for i := range p.Bits {
-		p.Bits[i] = 0
+	words := (size + 63) / 64
+	if cap(p.wide) < words {
+		p.wide = make([]uint64, words)
+		return
 	}
+	p.wide = p.wide[:words]
+	clear(p.wide)
 }
 
 // Set marks member i susceptible.
-func (p *MatchProfile) Set(i int) { p.Bits[i>>6] |= 1 << (uint(i) & 63) }
+func (p *MatchProfile) Set(i int) {
+	if len(p.wide) == 0 {
+		p.word |= 1 << uint(i)
+		return
+	}
+	p.wide[i>>6] |= 1 << (uint(i) & 63)
+}
 
 // SetRange marks members [lo, hi) susceptible.
 func (p *MatchProfile) SetRange(lo, hi int) {
+	if len(p.wide) == 0 && lo < hi {
+		p.word |= ^uint64(0) >> (64 - (hi - lo)) << lo
+		return
+	}
 	for i := lo; i < hi; i++ {
 		p.Set(i)
 	}
@@ -77,7 +94,10 @@ func (p *MatchProfile) SetRange(lo, hi int) {
 
 // Bit reports whether member i is susceptible.
 func (p *MatchProfile) Bit(i int) bool {
-	return p.Bits[i>>6]&(1<<(uint(i)&63)) != 0
+	if len(p.wide) == 0 {
+		return p.word>>uint(i)&1 != 0
+	}
+	return p.wide[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
 // MatchStats are the matching engine's counters: matcher evaluations and

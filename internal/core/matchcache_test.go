@@ -579,3 +579,39 @@ func TestRebuildKeepsUnmovedViews(t *testing.T) {
 		t.Errorf("b=7 matches %d depth-1 lines (self in: %v), want 1 foreign line", prof.Lines, prof.SelfIn)
 	}
 }
+
+// TestSmallProfileAllocatesNoBits: a profile of a view of at most 64 members
+// keeps its bits in a word of its own, so a fresh one allocates nothing; a
+// larger view (the simulator's reach 66) gets one slice. Both answer Bit as
+// the ranges set, after a reuse at the other size.
+func TestSmallProfileAllocatesNoBits(t *testing.T) {
+	fill := func(p *MatchProfile, size int) {
+		p.Ensure(size)
+		p.SetRange(min(1, size), min(3, size))
+		p.Set(size - 1)
+		p.SetRange(size/2, size/2+size/4)
+	}
+	for _, c := range []struct{ size, allocs int }{{1, 0}, {5, 0}, {40, 0}, {64, 0}, {65, 1}, {66, 1}, {200, 1}} {
+		if !raceEnabled {
+			if got := testing.AllocsPerRun(50, func() { var p MatchProfile; fill(&p, c.size) }); int(got) != c.allocs {
+				t.Errorf("a fresh profile of %d members allocates %.0f times, want %d", c.size, got, c.allocs)
+			}
+		}
+		var p MatchProfile
+		fill(&p, 130) // a reuse starts from the other representation
+		fill(&p, c.size)
+		want := 0
+		for i := 0; i < c.size; i++ {
+			in := i == 1 || i == 2 || i == c.size-1 || (i >= c.size/2 && i < c.size/2+c.size/4)
+			if p.Bit(i) != in {
+				t.Errorf("size %d: Bit(%d) = %v, want %v", c.size, i, p.Bit(i), in)
+			}
+			if in {
+				want++
+			}
+		}
+		if got := p.Popcount(); got != want {
+			t.Errorf("size %d: %d bits set, want %d", c.size, got, want)
+		}
+	}
+}

@@ -1,8 +1,12 @@
 package interest
 
 import (
+	"hash/maphash"
+	mbits "math/bits"
 	"slices"
 	"strings"
+	"sync/atomic"
+	"unsafe"
 
 	"pmcast/internal/event"
 )
@@ -49,6 +53,8 @@ type Index struct {
 	blocks  []indexBlock
 	lines   []indexLine
 	handles []CompiledMatcher
+	// seed keys the admitted strings of every block; see strEntry.
+	seed maphash.Seed
 	// langs is the number of distinct non-nil lines: the Evals of a probe.
 	langs uint64
 }
@@ -72,14 +78,38 @@ type indexBlock struct {
 // when the disjunct does not constrain the attribute; otherwise it is in the
 // set of the criterion's domain — anyv for the wildcard, strs under each
 // admitted string, nums beside its interval set, t or f for a boolean — or,
-// for an unsatisfiable criterion, nowhere.
+// for an unsatisfiable criterion, nowhere. setBits holds the disjuncts with
+// a nonempty string set, and sets those sets in bit order: the summaries'
+// own, which a key match is confirmed against.
 type indexAttr struct {
-	name       string
-	free, anyv uint64
-	t, f       uint64
-	strs       map[string]uint64
-	nums       []numBits
+	name          string
+	free, anyv    uint64
+	t, f, setBits uint64
+	strs          []strEntry
+	sets          [][]string
+	nums          []numBits
 }
+
+// strEntry is one admitted string of a block's attribute: its key, and the
+// disjuncts whose string set holds it. A key is 48 bits of the string's
+// hash above 16 bits that place the string in the set of the entry's lowest
+// disjunct (all ones when the place does not fit). A table is sorted by
+// key, and its hashes are unique: the build refuses two strings on one
+// hash and draws the index's seed again. So a hash match names at most one
+// admitted string, and a probe confirms it is the value — one string
+// compare at the place, or a search of the set past it — before it takes
+// the bits. Every answer stays exact whatever two strings hash alike, and
+// the table holds no string: 16 bytes per entry.
+type strEntry struct {
+	key, bits uint64
+}
+
+// placeBits is the width of the place in a key; an entry's place is
+// noPlace when the string sits past it.
+const (
+	placeBits = 16
+	noPlace   = 1<<placeBits - 1
+)
 
 // numBits is a numeric criterion and the disjuncts holding it.
 type numBits struct {
@@ -87,21 +117,64 @@ type numBits struct {
 	bits uint64
 }
 
-// satisfied returns the disjuncts whose criterion on the attribute admits v.
-func (a *indexAttr) satisfied(v event.Value) uint64 {
+// keyMask is the hash bits a key keeps: 48. The collision tests narrow it
+// to make hashes collide, and count what follows in keyClashes and
+// falseKeys.
+var keyMask uint64 = 1<<(64-placeBits) - 1
+
+// keyClashes counts seeds a build refused for two strings on one hash, and
+// falseKeys probes whose hash matched an admitted string the value is not.
+// At 48 bits neither moves in practice.
+var keyClashes, falseKeys atomic.Uint64
+
+// maxSeedDraws bounds the seeds one build draws. A 48-bit hash refuses a
+// seed for n strings of one table with odds near n²/2⁴⁹, so a build that
+// meets this bound means the hash is broken.
+const maxSeedDraws = 4096
+
+// key returns s's key under the index's seed, its place bits zero.
+func (x *Index) key(s string) uint64 {
+	return maphash.String(x.seed, s) & keyMask << placeBits
+}
+
+// valueKeys memoises, for one probe, the key of each string value it
+// hashed, by the value's position among the event's first 16 attributes:
+// blocks past the first ask again for the same values.
+type valueKeys struct {
+	have uint16
+	keys [16]uint64
+}
+
+// key returns the key of s, the event's j-th value.
+func (vk *valueKeys) key(x *Index, j int, s string) uint64 {
+	if j >= len(vk.keys) {
+		return x.key(s)
+	}
+	if vk.have&(1<<j) == 0 {
+		vk.keys[j], vk.have = x.key(s), vk.have|1<<j
+	}
+	return vk.keys[j]
+}
+
+// satisfied returns the disjuncts whose criterion on the attribute admits v,
+// the event's j-th value.
+func (x *Index) satisfied(a *indexAttr, v event.Value, j int, vk *valueKeys) uint64 {
 	switch v.Kind() {
 	case event.KindInt, event.KindFloat:
-		x, _ := v.Numeric()
+		f, _ := v.Numeric()
 		s := a.anyv
 		for i := range a.nums {
-			if a.nums[i].set.Contains(x) {
+			if a.nums[i].set.Contains(f) {
 				s |= a.nums[i].bits
 			}
 		}
 		return s
 	case event.KindString:
+		if len(a.strs) == 0 {
+			return a.anyv
+		}
 		s, _ := v.AsString()
-		return a.anyv | a.strs[s]
+		return a.anyv | a.admitting(s, vk.key(x, j, s))
 	case event.KindBool:
 		if b, _ := v.AsBool(); b {
 			return a.anyv | a.t
@@ -112,10 +185,80 @@ func (a *indexAttr) satisfied(v event.Value) uint64 {
 	}
 }
 
-// probe returns the bits of mask whose disjuncts the event satisfies. An
-// attribute that constrains none of the bits still in the running is not
-// consulted.
-func (b *indexBlock) probe(ev event.Event, mask uint64, mc *MatchCounter) uint64 {
+// admitting returns the disjuncts whose string set on the attribute holds
+// s, whose key is k.
+func (a *indexAttr) admitting(s string, k uint64) uint64 {
+	e := a.strs
+	i := search(e, k)
+	if i == len(e) || e[i].key&^noPlace != k {
+		return 0
+	}
+	low := e[i].bits & -e[i].bits
+	set := a.sets[mbits.OnesCount64(a.setBits&(low-1))]
+	ok := false
+	if place := e[i].key & noPlace; place != noPlace {
+		ok = set[place] == s
+	} else {
+		_, ok = slices.BinarySearch(set, s)
+	}
+	if !ok {
+		falseKeys.Add(1)
+		return 0
+	}
+	return e[i].bits
+}
+
+// search returns the index of the first entry of a nonempty table whose
+// key is k or more. Hashes spread evenly over the key space, so k's share
+// of it guesses its rank to within a few entries: search scans a few from
+// there, and only past them searches the rest of that side.
+func search(e []strEntry, k uint64) int {
+	i := int(k >> 32 * uint64(len(e)) >> 32)
+	if e[i].key < k {
+		for stop := min(i+8, len(e)); ; {
+			if i++; i == stop {
+				break
+			}
+			if e[i].key >= k {
+				return i
+			}
+		}
+		return i + lowerBound(e[i:], k)
+	}
+	for stop := max(i-8, 0); i > stop; i-- {
+		if e[i-1].key < k {
+			return i
+		}
+	}
+	return lowerBound(e[:i], k)
+}
+
+// lowerBound returns the index of the first entry whose key is k or more,
+// or len(e): a binary search whose step is a conditional move, not a
+// branch, as hashes leave nothing to predict.
+func lowerBound(e []strEntry, k uint64) int {
+	if len(e) == 0 {
+		return 0
+	}
+	i := 0
+	for n := len(e); n > 1; {
+		half := n >> 1
+		if e[i+half].key < k {
+			i += half
+		}
+		n -= half
+	}
+	if e[i].key < k {
+		i++
+	}
+	return i
+}
+
+// probe returns the bits of mask in block w whose disjuncts the event
+// satisfies. An attribute that constrains none of the bits still in the
+// running is not consulted.
+func (x *Index) probe(w int, ev event.Event, mask uint64, mc *MatchCounter, vk *valueKeys) uint64 {
+	b := &x.blocks[w]
 	n, j := ev.Len(), 0
 	for i := range b.attrs {
 		a := &b.attrs[i]
@@ -130,7 +273,7 @@ func (b *indexBlock) probe(ev event.Event, mask uint64, mc *MatchCounter) uint64
 			name, v := ev.AttrAt(j)
 			if name >= a.name {
 				if name == a.name {
-					keep |= a.satisfied(v)
+					keep |= x.satisfied(a, v, j, vk)
 				}
 				break
 			}
@@ -148,7 +291,7 @@ func (b *indexBlock) probe(ev event.Event, mask uint64, mc *MatchCounter) uint64
 // share bits; a nil langs gives every line its own.
 func NewIndex(sums []*Summary, langs []uint64) *Index {
 	x := &Index{lines: make([]indexLine, len(sums)), handles: make([]CompiledMatcher, len(sums))}
-	var b indexBuilder
+	n := 0
 	for i, s := range sums {
 		x.handles[i] = CompiledMatcher{x: x, line: i}
 		if s == nil {
@@ -165,30 +308,42 @@ func NewIndex(sums []*Summary, langs []uint64) *Index {
 			x.lines[i].all = true
 			continue
 		}
-		lo := b.n
-		for _, sub := range s.subs {
-			b.add(sub)
-		}
-		x.lines[i] = indexLine{lo: lo, hi: b.n}
+		x.lines[i] = indexLine{lo: int32(n), hi: int32(n + len(s.subs))}
+		n += len(s.subs)
 	}
-	x.blocks = b.finish()
+	// A line owns its bits when it starts where the lines before it ended;
+	// a line sharing a language starts earlier.
+	x.blocks = make([]indexBlock, (n+63)/64)
+	bit, sets, strs := 0, 0, 0
+	for i, s := range sums {
+		if l := x.lines[i]; l.hi > l.lo && int(l.lo) == bit {
+			for _, sub := range s.subs {
+				subSets, subStrs := x.blocks[bit>>6].add(sub, uint64(1)<<(bit&63))
+				sets, strs, bit = sets+subSets, strs+subStrs, bit+1
+			}
+		}
+	}
+	setRefs := make([][]string, 0, sets)
+	for w := range x.blocks {
+		blk := &x.blocks[w]
+		for i := range blk.attrs {
+			a := &blk.attrs[i]
+			a.free = blk.bits &^ a.free
+			if len(a.sets) > 0 {
+				// One exact-sized array holds every attribute's sets.
+				setRefs = append(setRefs, a.sets...)
+				a.sets = setRefs[len(setRefs)-len(a.sets) : len(setRefs) : len(setRefs)]
+			}
+		}
+	}
+	x.indexStrings(strs)
 	return x
 }
 
-// indexBuilder lays disjuncts out bit by bit. While it builds, an attribute's
-// free field holds the bits that constrain it; finish inverts it.
-type indexBuilder struct {
-	blocks []indexBlock
-	n      int32
-}
-
-// add gives sub the next bit.
-func (b *indexBuilder) add(sub Subscription) {
-	w, bit := int(b.n>>6), uint64(1)<<(b.n&63)
-	if w == len(b.blocks) {
-		b.blocks = append(b.blocks, indexBlock{})
-	}
-	blk := &b.blocks[w]
+// add gives sub the bit and returns how many nonempty string sets it has,
+// and how many strings they hold. While the index builds, an attribute's
+// free field holds the bits that constrain it; NewIndex inverts it.
+func (blk *indexBlock) add(sub Subscription, bit uint64) (sets, strs int) {
 	blk.bits |= bit
 	for _, ac := range sub.criteria {
 		k, found := slices.BinarySearchFunc(blk.attrs, ac.attr, func(a indexAttr, name string) int {
@@ -205,11 +360,10 @@ func (b *indexBuilder) add(sub Subscription) {
 		case kindNumeric:
 			a.addNumeric(c.nums, bit)
 		case kindString:
-			for _, s := range c.strs {
-				if a.strs == nil {
-					a.strs = make(map[string]uint64, len(c.strs))
-				}
-				a.strs[s] |= bit
+			if len(c.strs) > 0 {
+				a.setBits |= bit
+				a.sets = append(a.sets, c.strs)
+				sets, strs = sets+1, strs+len(c.strs)
 			}
 		case kindBool:
 			if c.b {
@@ -219,7 +373,7 @@ func (b *indexBuilder) add(sub Subscription) {
 			}
 		}
 	}
-	b.n++
+	return sets, strs
 }
 
 // addNumeric records a numeric criterion, beside an equal one already held.
@@ -236,15 +390,173 @@ func (a *indexAttr) addNumeric(set IntervalSet, bit uint64) {
 	a.nums = append(a.nums, numBits{set: set, bits: bit})
 }
 
-// finish turns each attribute's constraining bits into its free ones.
-func (b *indexBuilder) finish() []indexBlock {
-	for w := range b.blocks {
-		blk := &b.blocks[w]
-		for i := range blk.attrs {
-			blk.attrs[i].free = blk.bits &^ blk.attrs[i].free
+// indexStrings lays out the string tables of every block, which hold total
+// strings before the entries of one string merge, under a seed that gives
+// each table's strings distinct hashes.
+func (x *Index) indexStrings(total int) {
+	if total == 0 {
+		return
+	}
+	buf := make([]strEntry, total)
+	var tmp []strEntry
+	for draws := 1; ; draws++ {
+		x.seed = maphash.MakeSeed()
+		used, ok := x.fillStrings(buf, &tmp)
+		if ok {
+			if used < total {
+				x.moveStrings(make([]strEntry, used))
+			}
+			return
+		}
+		keyClashes.Add(1)
+		if draws == maxSeedDraws {
+			panic("interest: no seed gives an index's strings distinct keys")
 		}
 	}
-	return b.blocks
+}
+
+// fillStrings builds every block's string tables into buf under the
+// current seed and reports the entries used, or false if one table holds
+// two strings on one hash; tmp is the sort's scratch, grown as needed. Each
+// table is its strings' keys, sorted, with the entries of one string merged
+// into one. While it builds, an entry's bits name the string: its
+// disjunct's bit (the top six), the set's rank among the attribute's sets
+// (the next six) and the string's place in the set.
+func (x *Index) fillStrings(buf []strEntry, tmp *[]strEntry) (int, bool) {
+	off := 0
+	for w := range x.blocks {
+		blk := &x.blocks[w]
+		for i := range blk.attrs {
+			a := &blk.attrs[i]
+			if a.setBits == 0 {
+				continue
+			}
+			start := off
+			for m, r := a.setBits, 0; m != 0; m, r = m&(m-1), r+1 {
+				d := uint64(mbits.TrailingZeros64(m))
+				for p, s := range a.sets[r] {
+					buf[off] = strEntry{key: x.key(s), bits: d<<58 | uint64(r)<<52 | uint64(p)}
+					off++
+				}
+			}
+			t := buf[start:off]
+			if len(t) > 64 && len(*tmp) < len(t) {
+				*tmp = make([]strEntry, len(t))
+			}
+			sortByKey(t, *tmp, 56)
+			n, ok := mergeStrings(t, a.sets)
+			if !ok {
+				return 0, false
+			}
+			a.strs, off = buf[start:start+n:start+n], start+n
+		}
+	}
+	return off, true
+}
+
+// sortByKey sorts a table's entries by key, given scratch of at least its
+// length. Keys are hashes, so one radix pass on a byte from the top leaves
+// runs of a few entries each, which one insertion pass then orders in
+// place; a run longer than 64 entries takes a pass on the next byte first.
+// The run of one string's entries — at most one per disjunct of the block,
+// so at most 64 — is sorted as it stands.
+func sortByKey(t, tmp []strEntry, shift uint) {
+	for len(t) > 64 {
+		var ends [256]int
+		for i := range t {
+			ends[byte(t[i].key>>shift)]++
+		}
+		if ends[byte(t[0].key>>shift)] < len(t) {
+			for b, sum := 0, 0; b < len(ends); b++ {
+				sum += ends[b]
+				ends[b] = sum
+			}
+			for i := len(t) - 1; i >= 0; i-- {
+				b := byte(t[i].key >> shift)
+				ends[b]--
+				tmp[ends[b]] = t[i]
+			}
+			copy(t, tmp[:len(t)])
+			for b := 0; shift > 0 && b < len(ends); b++ {
+				end := len(t)
+				if b+1 < len(ends) {
+					end = ends[b+1]
+				}
+				if end-ends[b] > 64 {
+					sortByKey(t[ends[b]:end], tmp, shift-8)
+				}
+			}
+			break
+		}
+		if shift == 0 {
+			return // one key
+		}
+		shift -= 8 // a byte all the entries share moves nothing
+	}
+	for i := 1; i < len(t); i++ {
+		for j := i; j > 0 && t[j].key < t[j-1].key; j-- {
+			t[j], t[j-1] = t[j-1], t[j]
+		}
+	}
+}
+
+// moveStrings moves every table into buf, which is exactly their size:
+// merged strings left the build's buffer longer than its entries.
+func (x *Index) moveStrings(buf []strEntry) {
+	off := 0
+	for w := range x.blocks {
+		for i := range x.blocks[w].attrs {
+			a := &x.blocks[w].attrs[i]
+			if n := copy(buf[off:], a.strs); n > 0 {
+				a.strs, off = buf[off:off+n:off+n], off+n
+			}
+		}
+	}
+}
+
+// mergeStrings merges the sorted entries of one table in place, the
+// entries of one string into one holding its disjuncts' bits, and returns
+// how many are left; false if two strings share a hash. sets holds the
+// attribute's string sets by rank.
+func mergeStrings(t []strEntry, sets [][]string) (int, bool) {
+	str := func(e strEntry) string { return sets[e.bits>>52&63][e.bits&(1<<52-1)] }
+	n := 0
+	for i := 0; i < len(t); n++ {
+		low := t[i] // the entry of the lowest disjunct
+		bits := uint64(1) << (low.bits >> 58)
+		j := i + 1
+		for ; j < len(t) && t[j].key == low.key; j++ {
+			if str(t[j]) != str(low) {
+				return 0, false
+			}
+			if bits |= 1 << (t[j].bits >> 58); t[j].bits < low.bits {
+				low = t[j]
+			}
+		}
+		t[n], i = strEntry{key: low.key | min(low.bits&(1<<52-1), noPlace), bits: bits}, j
+	}
+	return n, true
+}
+
+// footprint returns the bytes the index holds of its own, from lengths and
+// capacities: the Index, its lines and handles, the blocks, their
+// attributes, and each attribute's string entries, set references and
+// numeric pairs. Strings, string sets and interval sets belong to the
+// summaries the index was built over and are not counted.
+func (x *Index) footprint() int {
+	n := int(unsafe.Sizeof(*x)) +
+		cap(x.lines)*int(unsafe.Sizeof(indexLine{})) +
+		cap(x.handles)*int(unsafe.Sizeof(CompiledMatcher{})) +
+		cap(x.blocks)*int(unsafe.Sizeof(indexBlock{}))
+	for w := range x.blocks {
+		n += cap(x.blocks[w].attrs) * int(unsafe.Sizeof(indexAttr{}))
+		for i := range x.blocks[w].attrs {
+			a := &x.blocks[w].attrs[i]
+			n += cap(a.strs)*int(unsafe.Sizeof(strEntry{})) + cap(a.sets)*int(unsafe.Sizeof([]string{})) +
+				cap(a.nums)*int(unsafe.Sizeof(numBits{}))
+		}
+	}
+	return n
 }
 
 // Blocks returns the number of words Probe fills.
@@ -258,8 +570,9 @@ func (x *Index) Probe(ev event.Event, hits []uint64, mc *MatchCounter) {
 	if mc != nil {
 		mc.Evals += x.langs
 	}
+	var vk valueKeys
 	for w := range x.blocks {
-		hits[w] = x.blocks[w].probe(ev, x.blocks[w].bits, mc)
+		hits[w] = x.probe(w, ev, x.blocks[w].bits, mc, &vk)
 	}
 }
 
@@ -304,9 +617,10 @@ func (m *CompiledMatcher) Matches(ev event.Event) bool {
 	if l.all {
 		return true
 	}
+	var vk valueKeys
 	for lo := l.lo; lo < l.hi; {
 		end := min(l.hi, (lo|63)+1)
-		if m.x.blocks[lo>>6].probe(ev, span(lo, end), nil) != 0 {
+		if m.x.probe(int(lo>>6), ev, span(lo, end), nil, &vk) != 0 {
 			return true
 		}
 		lo = end

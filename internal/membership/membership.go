@@ -790,8 +790,11 @@ func (s *Service) HandleJoinRequest(jr JoinRequest) (reply Update, forward addr.
 	// The one life sign a payload names: a relayed request comes from the
 	// relay, not the joiner, and is a rejoiner's first life sign — its
 	// lastHeard, from before it was expelled, is stale, and the next sweep
-	// would expel the process just admitted.
-	s.markHeardLocked(jr.Joiner.Addr, s.now())
+	// would expel the process just admitted. The joiner is in the space, so
+	// whether the detector watches it is its prefix.
+	if jr.Joiner.Addr.HasPrefix(s.selfPrefix) {
+		s.markHeardLocked(jr.Joiner.Addr, s.now())
+	}
 	records := make([]Record, 0, len(s.base.Records))
 	s.visitLocked(func(_ string, r *Record) { records = append(records, *r) })
 	// Choose the forward hop over the sorted alive-peer pool: ties at equal
@@ -867,10 +870,10 @@ func (s *Service) monitors(a addr.Address) bool {
 	return a.HasPrefix(s.selfPrefix) && s.cfg.Space.Validate(a) == nil
 }
 
+// markHeardLocked records a life sign from a, which the caller has found
+// the detector monitors.
 func (s *Service) markHeardLocked(a addr.Address, at time.Time) {
-	if s.monitors(a) {
-		s.lastHeard[a.Key()] = at
-	}
+	s.lastHeard[a.Key()] = at
 }
 
 // ImmediateNeighbors lists the alive processes sharing the depth-d prefix

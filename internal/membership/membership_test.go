@@ -2,6 +2,7 @@ package membership
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 	"time"
@@ -563,5 +564,42 @@ func TestDetectorStateBoundedBySubgroup(t *testing.T) {
 		if a := addr.MustParse(key); !a.HasPrefix(s.selfPrefix) {
 			t.Errorf("contact time kept for %s, outside the subgroup", key)
 		}
+	}
+}
+
+// TestMarkHeardRecordsOnlyNeighbours: a life sign from outside the subgroup
+// — a process under another prefix, or an address outside the space —
+// leaves the detector's contact times untouched, and one from a neighbour
+// moves its time to the mark's. A joiner's request marks it the same way.
+func TestMarkHeardRecordsOnlyNeighbours(t *testing.T) {
+	start := time.Unix(0, 0)
+	s, err := New(Config{Self: addr.New(3, 3), Space: addr.MustRegular(16, 2), R: 2, SuspectAfter: time.Second,
+		Now: func() time.Time { return start }}, interest.NewSubscription())
+	if err != nil {
+		t.Fatal(err)
+	}
+	heard := func() map[string]time.Time {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return maps.Clone(s.lastHeard)
+	}
+	before := heard()
+	for i, a := range []addr.Address{addr.New(4, 3), addr.New(3, 99), addr.New(3, 3, 3)} {
+		s.MarkHeardAt(a, start.Add(time.Duration(i+1)*time.Second))
+		s.HandleJoinRequest(JoinRequest{Joiner: Record{Addr: a, Stamp: 1, Alive: true}})
+	}
+	if after := heard(); !maps.Equal(before, after) {
+		t.Errorf("non-neighbours moved the contact times: %v, then %v", before, after)
+	}
+	neighbour := addr.New(3, 5)
+	at := start.Add(time.Hour)
+	s.MarkHeardAt(neighbour, at)
+	if got, ok := heard()[neighbour.Key()]; !ok || !got.Equal(at) {
+		t.Errorf("a neighbour's mark left its contact time at %v (held %v), want %v", got, ok, at)
+	}
+	joiner := addr.New(3, 6)
+	s.HandleJoinRequest(JoinRequest{Joiner: Record{Addr: joiner, Stamp: 1, Alive: true}})
+	if got, ok := heard()[joiner.Key()]; !ok || !got.Equal(start) {
+		t.Errorf("a neighbour's join left its contact time at %v (held %v), want %v", got, ok, start)
 	}
 }

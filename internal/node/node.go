@@ -797,16 +797,18 @@ func (n *Node) rebuildLocked() error {
 	// self-defense resurrection) and a tombstone for a process never folded
 	// in therefore fall through.
 	var delta tree.Delta
+	left := 0 // the records still to fold, where the changelog counted them
 	fold := func(r membership.Record) {
 		m, present := n.tree.Member(r.Addr)
 		switch {
 		case r.Alive && !present:
-			delta.Add = append(delta.Add, tree.Member{Addr: r.Addr, Sub: r.Sub})
+			delta.Add = append(sized(delta.Add, left), tree.Member{Addr: r.Addr, Sub: r.Sub})
 		case r.Alive && m.Sub.Identity() != r.Sub.Identity():
-			delta.Update = append(delta.Update, tree.Member{Addr: r.Addr, Sub: r.Sub})
+			delta.Update = append(sized(delta.Update, left), tree.Member{Addr: r.Addr, Sub: r.Sub})
 		case !r.Alive && present:
-			delta.Remove = append(delta.Remove, r.Addr)
+			delta.Remove = append(sized(delta.Remove, left), r.Addr)
 		}
+		left--
 	}
 	// The membership changelog names exactly the lines that moved since the
 	// last fold, each once with its current record — the tree does not move
@@ -815,6 +817,7 @@ func (n *Node) rebuildLocked() error {
 	// tree) and a changelog that no longer reaches back (overflow) both
 	// rescan the whole table instead.
 	if recs, ok := n.mem.ChangedSince(n.treeVersion); ok && !freshFold {
+		left = len(recs)
 		for _, r := range recs {
 			fold(r)
 		}
@@ -843,6 +846,16 @@ func (n *Node) rebuildLocked() error {
 	}
 	n.treeVersion = version
 	return nil
+}
+
+// sized returns list, or for a nil list an empty one with room for the
+// records left to fold: each moves at most one list of a delta, so a list
+// sized at its first record never grows.
+func sized[T any](list []T, left int) []T {
+	if list == nil && left > 0 {
+		return make([]T, 0, left)
+	}
+	return list
 }
 
 // drainDeliveriesLocked pushes protocol deliveries to the consumer channel.

@@ -317,14 +317,15 @@ func FuzzCompiledMatchParity(f *testing.F) {
 		for i, s := range lines {
 			// A language is named by its disjuncts' encodings, sorted: the
 			// order a summary accumulated them in does not change what it
-			// matches.
+			// matches. A match-all summary is named apart, as the tree's
+			// store keys it, whatever disjuncts it still carries.
 			ds := s.Disjuncts()
 			fps := make([]string, len(ds))
 			for j, d := range ds {
 				fps[j] = d.Fingerprint()
 			}
 			sort.Strings(fps)
-			fp := fmt.Sprintf("%t%q", s.IsEmpty(), fps)
+			fp := fmt.Sprintf("%t%t%q", s.IsEmpty(), s.String() == "*", fps)
 			if names[fp] == 0 {
 				names[fp] = uint64(len(names) + 1)
 			}
