@@ -350,19 +350,19 @@ func BenchmarkNodePublishStream(b *testing.B) {
 // (wire accounting on, so every envelope pays its encode-measure cost),
 // saturated by six concurrent publishers. Each iteration pushes a 240-event
 // burst through the fleet and waits for dissemination to quiesce; the
-// reported events/sec is total deliveries over wall time. Run it with
-// -cpu 1,4,8: gossip ticks are far shorter than a burst's processing time,
-// so tick coalescing makes throughput CPU-bound, and the staged
-// configuration's events/sec scales with GOMAXPROCS (the acceptance bar is
-// ≥2× at -cpu 4 over -cpu 1) while -cpu 1 reproduces what the old serial
-// runtime could extract from one core. The serial sub-benchmark is the A/B
-// control: the same fleet with every stage collapsed onto the protocol
-// goroutine.
+// reported events/sec is total deliveries over wall time. The staged
+// sub-benchmark runs two egress workers a node beside its protocol
+// goroutine; the serial one is the A/B control, every send inline on the
+// protocol goroutine. Run it with -cpu 1,2,4: gossip ticks are far shorter
+// than a burst's processing time, so tick coalescing makes throughput
+// CPU-bound. The benchmark once carried a bar of ≥2× staged events/sec at
+// -cpu 4 over -cpu 1; no 2-vCPU machine can check it, and nothing gates on
+// the numbers.
 func BenchmarkEnginePublishStream(b *testing.B) {
 	for _, mode := range []struct {
-		name           string
-		decode, encode int
-	}{{"staged", 2, 2}, {"serial", 0, 0}} {
+		name    string
+		workers int
+	}{{"staged", 2}, {"serial", 0}} {
 		b.Run(mode.name, func(b *testing.B) {
 			const (
 				fleetN     = 36
@@ -387,8 +387,7 @@ func BenchmarkEnginePublishStream(b *testing.B) {
 					MembershipInterval: time.Hour, // membership quiesced: gossip is the subject
 					SuspectAfter:       time.Hour,
 					DeliveryBuffer:     8192,
-					DecodeWorkers:      mode.decode,
-					EncodeWorkers:      mode.encode,
+					EncodeWorkers:      mode.workers,
 					StageQueue:         8192,
 					Seed:               int64(i + 1),
 				})

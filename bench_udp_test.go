@@ -124,7 +124,6 @@ func soakChild() int {
 		MembershipInterval: time.Hour, // membership quiesced: the datapath is the subject
 		SuspectAfter:       time.Hour,
 		DeliveryBuffer:     1 << 15,
-		DecodeWorkers:      2,
 		EncodeWorkers:      1, // one egress worker drains the whole queue per flush
 		StageQueue:         1 << 13,
 	})
@@ -208,6 +207,11 @@ func soakChild() int {
 		return fail(err)
 	}
 	fmt.Println(string(out))
+	// Stay in the fleet until the parent has every report: a member that
+	// left once it had delivered everything would take the rounds it still
+	// owed its peers with it, and a slower peer would miss the tail of the
+	// burst for want of relays, not of a datapath.
+	_, _ = io.Copy(io.Discard, os.Stdin)
 	return 0
 }
 
@@ -257,6 +261,16 @@ func runSoakFleet(b *testing.B, mode string) (totals soakStats, wall time.Durati
 		}
 		children[i] = child{cmd: cmd, stdin: stdin, out: bufio.NewScanner(stdout)}
 	}
+	// A child leaves when its stdin closes. On a failed run, let every
+	// child still waiting go, so none outlives the run.
+	defer func() {
+		for _, c := range children {
+			if c.cmd != nil && c.cmd.ProcessState == nil {
+				c.stdin.Close()
+				_ = c.cmd.Wait()
+			}
+		}
+	}()
 	// Every member up before anyone publishes.
 	for i := range children {
 		if !children[i].out.Scan() || children[i].out.Text() != "READY" {
@@ -302,6 +316,8 @@ func runSoakFleet(b *testing.B, mode string) (totals soakStats, wall time.Durati
 		if ms := time.Duration(st.ElapsedMs) * time.Millisecond; ms > wall {
 			wall = ms
 		}
+	}
+	for i := range children {
 		children[i].stdin.Close()
 		if err := children[i].cmd.Wait(); err != nil {
 			b.Fatalf("child %s: %v", addrs[i], err)

@@ -10,7 +10,7 @@ import (
 
 // quickAllSHA256 pins `pmcast-paper fig -quick -runs 2 all`. A change that
 // moves a figure on purpose re-pins it and says why.
-const quickAllSHA256 = "a9c88897e6d9e9817f9d27e64fa364fe8d693a1b2ffb5ed9438fba6d604c1beb"
+const quickAllSHA256 = "b9547c607e3d6de044d091079cbfa15568c28a71d0601631f60cddf64c5727ce"
 
 func runArgs(t *testing.T, args ...string) string {
 	t.Helper()

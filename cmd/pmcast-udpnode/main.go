@@ -58,8 +58,6 @@ func run(w io.Writer, args []string) error {
 	gossip := fs.Duration("gossip", 25*time.Millisecond, "gossip period P")
 	membership := fs.Duration("membership", 0, "membership digest period (0: 4·gossip)")
 	linger := fs.Duration("linger", 0, "exit after this long (0: run until interrupted)")
-	decodeWorkers := fs.Int("decode-workers", runtime.NumCPU(),
-		"ingress decode workers of the staged engine (0: serial single-goroutine loop)")
 	encodeWorkers := fs.Int("encode-workers", runtime.NumCPU(),
 		"egress encode/send workers of the staged engine (0: serial)")
 	portable := fs.Bool("portable", false,
@@ -115,7 +113,6 @@ func run(w io.Writer, args []string) error {
 		Subscription:       sub,
 		GossipInterval:     *gossip,
 		MembershipInterval: *membership,
-		DecodeWorkers:      *decodeWorkers,
 		EncodeWorkers:      *encodeWorkers,
 	})
 	if err != nil {

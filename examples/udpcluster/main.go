@@ -129,7 +129,8 @@ func runChild(addrStr, peerSpec string, publisher bool) error {
 	}
 	// The full production datapath: kernel-batched I/O (sendmmsg/recvmmsg
 	// where the platform has it, with explicit socket buffers) feeding the
-	// staged engine, whose ingress workers unframe every datagram.
+	// staged engine, whose protocol goroutine unframes every datagram and
+	// whose egress workers flush the sends.
 	tr, err := pmcast.NewUDPTransport(pmcast.UDPConfig{
 		Resolver:         res,
 		ReadBufferBytes:  1 << 20,
@@ -156,7 +157,6 @@ func runChild(addrStr, peerSpec string, publisher bool) error {
 		GossipInterval:     8 * time.Millisecond,
 		MembershipInterval: 12 * time.Millisecond,
 		SuspectAfter:       time.Minute,
-		DecodeWorkers:      2,
 		EncodeWorkers:      2,
 	})
 	if err != nil {

@@ -287,7 +287,8 @@ type BaselineRow struct {
 }
 
 // BaselineTable runs the Section 1 comparison: pmcast vs flood broadcast vs
-// genuine multicast vs deterministic tree, sharing the environment. Every
+// genuine multicast vs deterministic tree, each run's arms on one draw of
+// the environment (audience, crashes, publisher). Every
 // arm is folded by sim.Aggregate, so a run with an empty audience counts
 // toward no arm's delivery.
 func BaselineTable(o Options) ([]BaselineRow, error) {
@@ -302,36 +303,41 @@ func BaselineTable(o Options) ([]BaselineRow, error) {
 	rows := make([]BaselineRow, 0, len(pds))
 	for i, pd := range pds {
 		row := BaselineRow{Pd: pd}
-		agg, err := s.RunMany(pd, o.Runs, o.Seed+int64(i)*53)
-		if err != nil {
-			return nil, err
-		}
-		row.Pmcast, row.PmcastUninterested, row.PmcastMsgs = means(agg)
-
-		rng := rand.New(rand.NewSource(o.Seed + int64(i)*59))
-		var fl, gn, dt sim.Aggregate
+		// One seed per run, and every arm of the run its own stream of it:
+		// the four arms face the same audience, crashes and publisher, so a
+		// row's differences are the protocols', not the draws'.
+		seeds := rand.New(rand.NewSource(o.Seed + int64(i)*53))
+		var pm, fl, gn, dt sim.Aggregate
 		for run := 0; run < o.Runs; run++ {
+			seed := seeds.Int63()
+			rng := func() *rand.Rand { return rand.New(rand.NewSource(seed)) }
+			pr, err := s.Run(pd, rng())
+			if err != nil {
+				return nil, err
+			}
 			fr, err := sim.RunFlood(sim.FloodParams{
-				N: n, F: params.F, Eps: o.Eps, Tau: o.Tau}, pd, rng)
+				N: n, F: params.F, Eps: o.Eps, Tau: o.Tau}, pd, rng())
 			if err != nil {
 				return nil, err
 			}
 			gr, err := sim.RunGenuine(sim.GenuineParams{
 				N: n, ViewSize: params.A * params.R, F: params.F,
-				Eps: o.Eps, Tau: o.Tau}, pd, rng)
+				Eps: o.Eps, Tau: o.Tau}, pd, rng())
 			if err != nil {
 				return nil, err
 			}
 			dr, err := sim.RunDeterministicTree(sim.DetTreeParams{
 				A: params.A, D: params.D, R: params.R,
-				Eps: o.Eps, Tau: o.Tau}, pd, rng)
+				Eps: o.Eps, Tau: o.Tau}, pd, rng())
 			if err != nil {
 				return nil, err
 			}
+			pm.Add(pr)
 			fl.Add(fr)
 			gn.Add(gr)
 			dt.Add(dr)
 		}
+		row.Pmcast, row.PmcastUninterested, row.PmcastMsgs = means(pm)
 		row.Flood, row.FloodUninterested, row.FloodMsgs = means(fl)
 		row.Genuine, row.GenuineUninterested, row.GenuineMsgs = means(gn)
 		row.DetTree, row.DetTreeUninterested, row.DetTreeMsgs = means(dt)

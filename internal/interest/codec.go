@@ -117,37 +117,6 @@ func ReadSubscription(r *binenc.Reader) Subscription {
 	return out
 }
 
-// AppendSummary appends a summary: matchAll flag, bound, and disjuncts.
-func AppendSummary(b []byte, s *Summary) []byte {
-	if s == nil {
-		s = NewSummary()
-	}
-	b = binenc.AppendBool(b, s.matchAll)
-	b = binenc.AppendUvarint(b, uint64(s.maxSubs))
-	b = binenc.AppendUvarint(b, uint64(len(s.subs)))
-	for _, sub := range s.subs {
-		b = AppendSubscription(b, sub)
-	}
-	return b
-}
-
-// ReadSummary reads a summary written by AppendSummary.
-func ReadSummary(r *binenc.Reader) *Summary {
-	matchAll := r.Bool()
-	bound := int(r.Uvarint())
-	n := r.Count(1)
-	out := NewSummaryWithBound(bound)
-	out.matchAll = matchAll
-	for i := 0; i < n; i++ {
-		sub := ReadSubscription(r)
-		if r.Err() != nil {
-			return NewSummary()
-		}
-		out.subs = append(out.subs, sub)
-	}
-	return out
-}
-
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (s Subscription) MarshalBinary() ([]byte, error) {
 	return AppendSubscription(nil, s), nil
@@ -162,22 +131,5 @@ func (s *Subscription) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("interest: decoding subscription: %w", err)
 	}
 	*s = got
-	return nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s *Summary) MarshalBinary() ([]byte, error) {
-	return AppendSummary(nil, s), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. data must hold
-// exactly a summary: trailing bytes are an error.
-func (s *Summary) UnmarshalBinary(data []byte) error {
-	r := binenc.NewReader(data)
-	got := ReadSummary(r)
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("interest: decoding summary: %w", err)
-	}
-	*s = *got
 	return nil
 }

@@ -280,13 +280,11 @@ func TestSummaryIdentityDroppedOnChange(t *testing.T) {
 // bytes after it are an error, not ignored.
 func TestCodecRejectsTrailingBytes(t *testing.T) {
 	sub := paperSub()
-	sum := Summarize(sub, NewSubscription().Where("e", OneOf("Tom")))
 	for name, tc := range map[string]struct {
 		data []byte
 		into interface{ UnmarshalBinary([]byte) error }
 	}{
 		"subscription": {AppendSubscription(nil, sub), new(Subscription)},
-		"summary":      {AppendSummary(nil, sum), new(Summary)},
 	} {
 		if err := tc.into.UnmarshalBinary(tc.data); err != nil {
 			t.Fatalf("%s: %v", name, err)

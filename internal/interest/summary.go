@@ -75,9 +75,9 @@ func (s *Summary) Merge(ts ...*Summary) {
 
 // stackMemo is the number of disjuncts whose pair scores a fold keeps on the
 // stack: a summary at the default bound holds one more while it compacts.
-// maxMemo is where a fold stops keeping scores at all (a decoded summary
-// carries any bound, and any number of disjuncts, from the wire): past it
-// every compaction scores its pairs afresh, in no memory of its own.
+// maxMemo is where a fold stops keeping scores at all (NewSummaryWithBound
+// takes any bound): past it every compaction scores its pairs afresh, in no
+// memory of its own.
 const (
 	stackMemo = DefaultMaxDisjuncts + 1
 	maxMemo   = 64

@@ -1,30 +1,27 @@
-// The staged engine: Start's concurrent runtime, decomposed so a busy node
-// uses as many cores as its traffic deserves.
+// The staged engine: Start's concurrent runtime.
 //
-//	endpoint ──▶ ingress (N decode workers) ──▶ protocol (1 goroutine) ──▶ egress (M send workers) ──▶ endpoint
+//	endpoint ──▶ protocol (1 goroutine) ──▶ egress (M send workers) ──▶ endpoint
 //
 // Protocol state — membership folds, tree views, the core.Process, the RNG,
 // the seen-set, the coding layer — has one lock, the node's mu. The protocol
-// stage takes it to handle an envelope or run a tick, and Publish takes it
-// on the caller's goroutine; nothing else writes. The ingress workers own the
-// per-worker wire decoders (intern tables are goroutine-local), and the
-// egress workers own the encode/send cost (the pooled wire encoders and the
-// socket writes), so neither holds the lock. Stages are connected by bounded
-// queues: ingress backpressures into the transport's inbox (which drops on
-// overflow, like a UDP socket buffer), while the protocol stage never blocks
-// on egress — a full egress queue drops the send job and counts it
-// (EngineStats), exactly the failure semantics a kernel socket buffer would
-// impose.
+// goroutine takes it to handle an envelope or run a tick, and Publish takes
+// it on the caller's goroutine; nothing else writes. The protocol goroutine
+// reads the endpoint's inbox itself and unframes a byte fabric's frames with
+// the node's one decoder: it scans a frame and builds only the gossips its
+// seen-set lacks, so a decode stage in front of it would have little left to
+// do. The egress workers own the encode/send cost (the pooled wire encoders
+// and the socket writes), so they hold no lock. The protocol goroutine never
+// blocks on egress: a full egress queue drops the send job and counts it
+// (EngineStats), the failure semantics a kernel socket buffer imposes.
 //
-// With DecodeWorkers and EncodeWorkers both zero the stages collapse onto
-// the protocol goroutine and run() is precisely the serial event loop of
-// earlier revisions — the deterministic configuration, also reachable
-// synchronously through the step-mode API (step.go).
+// With EncodeWorkers zero the protocol goroutine sends inline, and run() is
+// precisely the serial event loop of earlier revisions — the deterministic
+// configuration, also reachable synchronously through the step-mode API
+// (step.go).
 
 package node
 
 import (
-	"sync/atomic"
 	"time"
 
 	"pmcast/internal/addr"
@@ -37,11 +34,10 @@ import (
 // them in one SendMany.
 type egressJob = transport.Outgoing
 
-// run is the protocol stage: the one goroutine that handles received
-// envelopes and runs the periodic tasks while the engine is live. It brings
-// up the ingress and egress stages around itself when the configuration asks
-// for parallelism, and returns on Stop or once its input is gone — the
-// serial inbox closed, or the protocol queue closed and drained.
+// run is the protocol stage: the one goroutine that reads the endpoint's
+// inbox, handles what arrives and runs the periodic tasks while the engine is
+// live. It brings up the egress workers when the configuration asks for them,
+// and returns on Stop or once the inbox is closed and drained.
 func (n *Node) run() {
 	defer close(n.done)
 	if n.egressQ != nil {
@@ -53,22 +49,7 @@ func (n *Node) run() {
 			go n.egressLoop()
 		}
 	}
-	// The serial loop reads the endpoint's inbox; the staged one reads
-	// protoQ, and the ingress workers own the endpoint.
 	in := n.ep.Inbox()
-	if n.protoQ != nil {
-		in = n.protoQ
-		// The ingress workers are the queue's only producers: the last one to
-		// exit — the endpoint's inbox closed underneath the node — closes it,
-		// and the protocol stage winds down once it has drained it, just as
-		// the serial loop returns on a closed inbox.
-		live := new(atomic.Int32)
-		live.Store(int32(n.cfg.DecodeWorkers))
-		for i := 0; i < n.cfg.DecodeWorkers; i++ {
-			n.wg.Add(1)
-			go n.ingressLoop(live)
-		}
-	}
 	gossip := n.cfg.Clock.NewTicker(n.cfg.GossipInterval)
 	defer gossip.Stop()
 	memTick := n.cfg.Clock.NewTicker(n.cfg.MembershipInterval)
@@ -76,7 +57,7 @@ func (n *Node) run() {
 	sweep := n.cfg.Clock.NewTicker(n.cfg.SuspectAfter / 2)
 	defer sweep.Stop()
 
-	// A wake-up on the input pumps it: up to ingressRecvBatch of what is
+	// A wake-up on the inbox pumps it: up to ingressRecvBatch of what is
 	// queued — one trip through the five-way select per burst instead of one
 	// per envelope, and bounded, so the tickers and stop are never more than
 	// a batch away. A drain that leaves envelopes behind re-arms ready.
@@ -105,13 +86,11 @@ func (n *Node) run() {
 	}
 }
 
-// Stage batch widths. egressFlushMax bounds how many queued send jobs one
-// egress worker hands the endpoint per SendMany flush — on the UDP backend
-// that is up to four sendmmsg vectors of 64 — and ingressRecvBatch is how
-// many envelopes one wake-up moves on the way in: what an ingress worker
-// pulls per RecvMany (four of the UDP backend's 16-datagram recvmmsg
-// vectors, which a burst fills back to back), and what the protocol stage
-// pumps from its queue before it looks at its tickers again.
+// Batch widths. egressFlushMax bounds how many queued send jobs one egress
+// worker hands the endpoint per SendMany flush — on the UDP backend that is
+// up to four sendmmsg vectors of 64 — and ingressRecvBatch is how many
+// envelopes the protocol stage pumps from its inbox per wake-up before it
+// looks at its tickers again.
 const (
 	egressFlushMax   = 256
 	ingressRecvBatch = 64
@@ -129,47 +108,6 @@ const (
 type heard struct {
 	at   time.Time
 	from string // key of the sender recorded last; "" before the first
-}
-
-// ingressLoop is one ingress-stage worker: it drains the endpoint a burst
-// at a time — concurrently with its siblings, one wakeup per kernel receive
-// batch instead of one per datagram — decodes raw frames with its own
-// interning decoder, and hands typed messages to the protocol stage. A full
-// protocol queue blocks the worker (backpressure into the transport inbox),
-// never the protocol stage itself. It receives through the endpoint's batch
-// seam (transport.BatchReceiver), so a wrapper that offers one sees every
-// burst, and through the inbox otherwise. live counts the workers still
-// running; the last to exit closes the protocol queue.
-func (n *Node) ingressLoop(live *atomic.Int32) {
-	defer n.wg.Done()
-	defer func() {
-		if live.Add(-1) == 0 {
-			n.protoQ.Close()
-		}
-	}()
-	dec := wire.NewDecoder()
-	var recv transport.BatchReceiver = n.ep.Inbox()
-	if br, ok := n.ep.(transport.BatchReceiver); ok {
-		recv = br
-	}
-	batch := make([]transport.Envelope, ingressRecvBatch)
-	for {
-		m, alive := recv.RecvMany(batch)
-		// Decoded envelopes are compacted to the front of the batch.
-		k := 0
-		for i := range batch[:m] {
-			if n.decodeRaw(dec, &batch[i]) {
-				batch[k] = batch[i]
-				k++
-			}
-		}
-		// One hand-off per burst: the whole batch under one lock.
-		queued := k == 0 || n.protoQ.Push(batch[:k], n.stop)
-		clear(batch[:m])
-		if !queued || !alive {
-			return
-		}
-	}
 }
 
 // egressLoop is one egress-stage worker: it consumes send jobs until the
@@ -220,9 +158,8 @@ func (n *Node) emit(to addr.Address, b wire.Batch) {
 
 // EngineStats reports staged-runtime counters: send jobs dropped because
 // the egress queue was full (always zero in serial configurations, which
-// send inline), and inbound frames that failed to decode — counted wherever
-// the decoding happened, on an ingress worker or on the serial/step path of
-// a byte-oriented fabric (UDP).
+// send inline), and inbound frames of a byte-oriented fabric (UDP) that
+// failed to decode.
 func (n *Node) EngineStats() (egressDropped, malformed int64) {
 	return n.egressDrops.Load(), n.malformed.Load()
 }

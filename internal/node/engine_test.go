@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"pmcast/internal/interest"
 	"pmcast/internal/membership"
 	"pmcast/internal/transport"
+	"pmcast/internal/wire"
 )
 
 // oracleRecords materializes a converged roster for engine tests, the same
@@ -108,14 +110,13 @@ func TestStopLifecycle(t *testing.T) {
 			n, err := New(net, Config{
 				Addr: space.AddressAt(0), Space: space, R: 1, F: 1,
 				Subscription:  subEq(1),
-				DecodeWorkers: workers,
 				EncodeWorkers: workers,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			n.Start()
-			net.Close() // the endpoint's Recv closes; the protocol stage must follow
+			net.Close() // the endpoint's inbox closes; the protocol stage must follow
 			select {
 			case <-n.done:
 			case <-time.After(5 * time.Second):
@@ -152,22 +153,88 @@ func TestStopLifecycle(t *testing.T) {
 	})
 }
 
+// TestEngineRunsProtocolAndEgressOnly: a started node runs its protocol
+// goroutine and its EncodeWorkers egress workers, and nothing else —
+// whatever DecodeWorkers says, since the protocol goroutine reads its own
+// inbox — and none of them once Stop has returned. The count is taken after
+// the node has handled a peer's gossip, so every goroutine Start leads to is
+// running by then.
+func TestEngineRunsProtocolAndEgressOnly(t *testing.T) {
+	space := addr.MustRegular(2, 1)
+	for _, decode := range []int{0, 4} {
+		for _, encode := range []int{0, 2} {
+			t.Run(fmt.Sprintf("decode=%d,encode=%d", decode, encode), func(t *testing.T) {
+				net := transport.MustNetwork(transport.Config{})
+				t.Cleanup(func() { net.Close() })
+				n, err := New(net, Config{
+					Addr: space.AddressAt(0), Space: space, R: 1, F: 1,
+					Subscription:       subEq(1),
+					GossipInterval:     time.Hour,
+					MembershipInterval: time.Hour,
+					SuspectAfter:       time.Hour,
+					DecodeWorkers:      decode,
+					EncodeWorkers:      encode,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				peer, err := net.Attach(space.AddressAt(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := nodeGoroutines()
+				n.Start()
+				ev := event.NewBuilder().Int("b", 1).Build(event.ID{Origin: "peer", Seq: 1})
+				if err := peer.Send(n.Addr(), wire.Batch{Gossips: []core.Gossip{{Event: ev, Depth: 1, Rate: 1}}}); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case <-n.Deliveries():
+				case <-time.After(5 * time.Second):
+					t.Fatal("the started node never handled the peer's gossip")
+				}
+				if got, want := nodeGoroutines()-before, 1+encode; got != want {
+					t.Errorf("a started node runs %d goroutines, want the protocol goroutine and %d egress workers", got, encode)
+				}
+				n.Stop()
+				waitFor(t, 5*time.Second, func() bool { return nodeGoroutines() == before },
+					"every engine goroutine to exit after Stop")
+			})
+		}
+	}
+}
+
+// nodeGoroutines counts the live goroutines a Node method started.
+func nodeGoroutines() int {
+	buf := make([]byte, 64<<10)
+	for {
+		if k := runtime.Stack(buf, true); k < len(buf) {
+			buf = buf[:k]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	return bytes.Count(buf, []byte("\ncreated by pmcast/internal/node.(*Node)."))
+}
+
 // TestEngineConcurrentPublishFluxStop is the race-detector workout for the
-// engine: a real-clock mini-fleet, serial and in each staged configuration,
-// under concurrent Publish from several goroutines — two of them racing on
-// the same publisher — subscription flux, and a node hard-stopped
-// mid-traffic. Assertions are loose on purpose; the test's job is to put
-// every engine stage under the race detector (the CI race job runs the whole
-// suite with -race).
+// engine: a real-clock mini-fleet, serial and staged, under concurrent
+// Publish from several goroutines — two of them racing on the same
+// publisher — subscription flux, and a node hard-stopped mid-traffic.
+// Assertions are loose on purpose; the test's job is to put every engine
+// stage under the race detector (the CI race job runs the whole suite with
+// -race).
 func TestEngineConcurrentPublishFluxStop(t *testing.T) {
-	for _, w := range []struct{ decode, encode int }{{0, 0}, {0, 2}, {2, 0}, {2, 2}} {
-		t.Run(fmt.Sprintf("decode=%d,encode=%d", w.decode, w.encode), func(t *testing.T) {
-			testConcurrentPublishFluxStop(t, w.decode, w.encode)
+	// No decode workers run in any configuration: the subtests keep the
+	// names they had when some did.
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("decode=0,encode=%d", workers), func(t *testing.T) {
+			testConcurrentPublishFluxStop(t, workers)
 		})
 	}
 }
 
-func testConcurrentPublishFluxStop(t *testing.T, decodeWorkers, encodeWorkers int) {
+func testConcurrentPublishFluxStop(t *testing.T, encodeWorkers int) {
 	net := transport.MustNetwork(transport.Config{QueueLen: 4096})
 	space := addr.MustRegular(3, 2)
 	const fleetN = 9
@@ -188,7 +255,6 @@ func testConcurrentPublishFluxStop(t *testing.T, decodeWorkers, encodeWorkers in
 			MembershipInterval: 20 * time.Millisecond,
 			SuspectAfter:       time.Hour,
 			DeliveryBuffer:     2048,
-			DecodeWorkers:      decodeWorkers,
 			EncodeWorkers:      encodeWorkers,
 			StageQueue:         512,
 		})
@@ -270,13 +336,13 @@ func testConcurrentPublishFluxStop(t *testing.T, decodeWorkers, encodeWorkers in
 	}
 }
 
-// TestIdleStageQueuesHoldNoBound is the stage queues' footprint contract: a
-// staged node whose queues — its inbox among them — are bounded at 4 096,
-// the bound bench/ gives its fleets, holds storage for what its queues
-// carry, not for the bound. After a burst has been disseminated, the
-// started fleet's heap has grown by far less per node than the 256 KB that
-// stage queues preallocated at their bound held. (That a drained queue
-// keeps at most one spare segment is transport's FuzzStageQueueAgainstSlice.)
+// TestIdleStageQueuesHoldNoBound is the queues' footprint contract: a
+// staged node whose inbox and egress queue are bounded at 4 096, the bound
+// bench/ gives its fleets, holds storage for what its queues carry, not for
+// the bound. After a burst has been disseminated, the started fleet's heap
+// has grown by far less per node than the 256 KB that stage queues
+// preallocated at their bound held. (That a drained queue keeps at most one
+// spare segment is transport's FuzzStageQueueAgainstSlice.)
 func TestIdleStageQueuesHoldNoBound(t *testing.T) {
 	net := transport.MustNetwork(transport.Config{QueueLen: 4096})
 	space := addr.MustRegular(4, 1)
@@ -294,7 +360,6 @@ func TestIdleStageQueuesHoldNoBound(t *testing.T) {
 			MembershipInterval: time.Hour,
 			SuspectAfter:       time.Hour,
 			DeliveryBuffer:     burst,
-			DecodeWorkers:      1,
 			EncodeWorkers:      1,
 			StageQueue:         4096,
 		})
@@ -355,7 +420,7 @@ func TestIdleStageQueuesHoldNoBound(t *testing.T) {
 		}
 		return true
 	}, "the burst's gossip to run out")
-	// The growth also counts the stage workers' batch buffers and the round
+	// The growth also counts the engine's batch buffers and the round
 	// scratch the burst left behind, about 35 KB per node on a 64-bit host.
 	grown := (int64(heap()) - int64(before)) / fleetN
 	t.Logf("a started, drained node grew the heap by %d bytes", grown)

@@ -253,7 +253,8 @@ func TestDuplicateSectionsCostNothing(t *testing.T) {
 	}
 }
 
-// TestStageQueueFootprint pins the stage-queue elements. A slot costs its
+// TestStageQueueFootprint pins the queue elements: the inbox's
+// transport.Envelope and the egress queue's egressJob. A slot costs its
 // element's size while it is occupied, and an idle staged node keeps one
 // spare segment of 64 slots per queue (transport.Queue), so a word added to
 // either element costs a word per queued message and 64 words per idle

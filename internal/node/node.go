@@ -8,23 +8,22 @@
 // reads them after the membership version moved. Events are published with
 // Publish and consumed from the Deliveries channel.
 //
-// The live runtime (Start) is decomposed into three stages — see engine.go:
+// The live runtime (Start) is two stages — see engine.go:
 //
-//	ingress   N decode workers draining the endpoint, each owning a wire
-//	          decoder (DecodeWorkers)
-//	protocol  ONE goroutine handling received envelopes and running the
-//	          gossip, membership and failure-detector ticks
+//	protocol  ONE goroutine reading the endpoint's inbox, handling received
+//	          envelopes and running the gossip, membership and
+//	          failure-detector ticks
 //	egress    M encode/send workers consuming per-peer send jobs from the
 //	          protocol stage (EncodeWorkers)
 //
 // Protocol state — membership folds, tree views, the core.Process — has one
 // lock, which the protocol stage and Publish both take.
 //
-// Parallelism 0 collapses every stage onto the protocol goroutine: exactly
-// the serial event loop earlier revisions ran, and the configuration the
-// deterministic harness drives synchronously through the step-mode API
-// (step.go). Determinism is a degenerate configuration of the engine, not a
-// second code path.
+// EncodeWorkers 0 sends inline on the protocol goroutine: exactly the serial
+// event loop earlier revisions ran, and the configuration the deterministic
+// harness drives synchronously through the step-mode API (step.go).
+// Determinism is a degenerate configuration of the engine, not a second code
+// path.
 package node
 
 import (
@@ -92,29 +91,21 @@ type Config struct {
 	// FECSources is the generation size k (default 8 when FECRepairs > 0).
 	// FECSources+FECRepairs must not exceed fec.MaxSymbols.
 	FECSources int
-	// DecodeWorkers is the ingress-stage parallelism of the staged engine:
-	// how many decode workers drain the transport endpoint concurrently,
-	// each owning its own interning wire.Decoder (intern tables are not
-	// shareable across goroutines). 0 — the default — runs ingress inline on
-	// the protocol goroutine: the serial loop every deterministic campaign
-	// replays. Only Start consults this; step-mode driving is always serial.
-	// A byte-oriented transport (UDP) hands every frame over undecoded, so
-	// its unframing lands on these workers; multicore deployments size both
-	// worker counts by runtime.NumCPU().
+	// DecodeWorkers is ignored: the protocol goroutine reads and unframes
+	// its own inbox, and there are no decode workers. The field remains only
+	// for the one line of bench/fleet.go that sets it.
 	DecodeWorkers int
 	// EncodeWorkers is the egress-stage parallelism: how many encode/send
 	// workers consume per-peer send jobs from the protocol stage. 0 sends
-	// inline on the protocol goroutine.
+	// inline on the protocol goroutine. Only Start consults it; step-mode
+	// driving is always serial.
 	EncodeWorkers int
-	// StageQueue bounds the queues between engine stages (default 1024),
-	// exactly: neither ever holds more. A full ingress queue applies
-	// backpressure to the transport, whose inbox overflows by dropping — UDP
-	// socket-buffer semantics. A full egress queue drops the send job and
-	// counts it in EngineStats: the protocol stage never blocks on a slow
-	// fabric. The bound is not paid up front: a queue holds storage for what
-	// it carries, in segments of 64 slots (32 bytes each on the protocol
-	// queue, 24 on the egress queue, on a 64-bit host), and keeps one spare
-	// segment when it is empty.
+	// StageQueue bounds the egress queue (default 1024), exactly: it never
+	// holds more. A full egress queue drops the send job and counts it in
+	// EngineStats: the protocol stage never blocks on a slow fabric. The
+	// bound is not paid up front: the queue holds storage for what it
+	// carries, in segments of 64 slots (24 bytes each on a 64-bit host), and
+	// keeps one spare segment when it is empty.
 	StageQueue int
 	// Seed seeds the node RNG (0 derives one from the address).
 	Seed int64
@@ -154,9 +145,6 @@ func (c Config) withDefaults() Config {
 	if c.StageQueue <= 0 {
 		c.StageQueue = 1024
 	}
-	if c.DecodeWorkers < 0 {
-		c.DecodeWorkers = 0
-	}
 	if c.EncodeWorkers < 0 {
 		c.EncodeWorkers = 0
 	}
@@ -184,9 +172,9 @@ type Node struct {
 	cfg Config
 	ep  transport.Endpoint
 	mem *membership.Service
-	// dec is the protocol stage's decoder: it unframes transport.Raw
-	// payloads on the serial and step-mode paths, and builds the unseen
-	// gossip sections of every frame, whoever unframed it.
+	// dec is the node's one decoder: the protocol stage (or whoever steps
+	// the node) unframes transport.Raw payloads with it and builds their
+	// unseen gossip sections.
 	dec *wire.Decoder
 
 	// mu is the one lock on the node's protocol state: membership folds, tree
@@ -220,10 +208,9 @@ type Node struct {
 	envelopes atomic.Int64 // outgoing envelopes (batched counts as one)
 	wireBytes atomic.Int64 // encoded bytes of outgoing envelopes
 
-	// Engine plumbing (engine.go). Start creates protoQ when ingress workers
-	// run and egressQ when egress workers do, before the engine goroutines
-	// launch; a non-nil egressQ routes emit through the egress stage.
-	protoQ        *transport.Queue[transport.Envelope]
+	// Engine plumbing (engine.go). Start creates egressQ when egress workers
+	// run, before the engine goroutines launch; a non-nil egressQ routes emit
+	// through the egress stage.
 	egressQ       *transport.Queue[egressJob]
 	wg            sync.WaitGroup
 	egressDrops   atomic.Int64
@@ -317,9 +304,9 @@ func (n *Node) Deliveries() <-chan event.Event { return n.deliveries }
 func (n *Node) DroppedDeliveries() int64 { return n.dropped.Load() }
 
 // Start launches the staged engine: the protocol goroutine plus — when the
-// configuration asks for parallelism — the ingress decode workers and egress
-// send workers. Start runs a node once: on a running or ended node it is a
-// no-op, and an ended node stays inert.
+// configuration asks for them — the egress send workers. Start runs a node
+// once: on a running or ended node it is a no-op, and an ended node stays
+// inert.
 func (n *Node) Start() {
 	n.lifeMu.Lock()
 	defer n.lifeMu.Unlock()
@@ -327,9 +314,6 @@ func (n *Node) Start() {
 		return
 	}
 	n.life = lifeRunning
-	if n.cfg.DecodeWorkers > 0 {
-		n.protoQ = transport.NewQueue[transport.Envelope](n.cfg.StageQueue)
-	}
 	if n.cfg.EncodeWorkers > 0 {
 		n.egressQ = transport.NewQueue[egressJob](n.cfg.StageQueue)
 	}
@@ -357,8 +341,8 @@ func (n *Node) Stop() {
 	} else {
 		close(n.done) // never launched: done must still read as terminal
 	}
-	n.ep.Close() // unblocks ingress workers waiting on the inbox
-	n.wg.Wait()  // every stage worker has drained and exited
+	n.ep.Close()
+	n.wg.Wait() // every egress worker has drained and exited
 	// Mark the channel closed under the state lock: every delivery is pushed
 	// under the same lock, so none can be mid-send, and any later step call
 	// discards into the dropped counter instead of panicking on a closed
@@ -508,19 +492,17 @@ func (n *Node) Publish(attrs map[string]event.Value) (event.ID, error) {
 	return id, nil
 }
 
-// decodeRaw unframes a transport.Raw payload in place with the given
+// decodeRaw unframes a transport.Raw payload in place with the node's
 // decoder, releasing the pooled frame and counting failures. It reports
-// whether the envelope is usable — shared by the ingress workers (worker
-// decoders) and the serial/step path (the node's own decoder). A round
-// envelope's gossip sections are validated here but built only on the
-// protocol stage, and only when the seen-set lacks them
+// whether the envelope is usable. A round envelope's gossip sections are
+// validated here but built only when the seen-set lacks them
 // (handleGossipBatchLocked).
-func (n *Node) decodeRaw(dec *wire.Decoder, env *transport.Envelope) bool {
+func (n *Node) decodeRaw(env *transport.Envelope) bool {
 	raw, ok := env.Payload.(transport.Raw)
 	if !ok {
 		return true
 	}
-	payload, err := dec.DecodeLazy(raw.Frame)
+	payload, err := n.dec.DecodeLazy(raw.Frame)
 	raw.Release()
 	if err != nil {
 		n.malformed.Add(1)
@@ -534,7 +516,7 @@ func (n *Node) decodeRaw(dec *wire.Decoder, env *transport.Envelope) bool {
 // It runs on the protocol stage (or a step-mode driver), and takes the state
 // lock for the protocol state it touches.
 func (n *Node) handle(env transport.Envelope, h *heard) {
-	if !n.decodeRaw(n.dec, &env) {
+	if !n.decodeRaw(&env) {
 		return
 	}
 	if from := env.From.Key(); from != h.from {

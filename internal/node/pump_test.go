@@ -57,8 +57,10 @@ func (q *queueTransport) Attach(a addr.Address) (transport.Endpoint, error) {
 					continue
 				}
 				q.full.Store(true)
-				if !q.in.Push([]transport.Envelope{q.flood}, q.done) {
+				select {
+				case <-q.done:
 					return
+				case <-time.After(time.Microsecond): // full: let the pump make room
 				}
 			}
 		}()
@@ -126,7 +128,6 @@ func TestPumpIsBounded(t *testing.T) {
 				Subscription:   interest.NewSubscription(),
 				GossipInterval: interval,
 				SuspectAfter:   time.Hour,
-				DecodeWorkers:  tc.workers,
 				EncodeWorkers:  tc.workers,
 			})
 			if err != nil {

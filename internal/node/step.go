@@ -3,10 +3,10 @@
 //
 // A node normally runs its own protocol goroutine (Start) with the periodic
 // tasks driven by its clock's tickers and, in parallel configurations, the
-// ingress and egress stages on their own workers. The methods below expose
-// the same stages as synchronous calls on the caller's goroutine — ingress
-// (HandleEnvelope / PumpInbox), protocol (TickGossip / TickMembership /
-// SweepFailures) and egress (emit falls through to a direct send when no
+// egress stage on its own workers. The methods below expose the same stages
+// as synchronous calls on the caller's goroutine — the protocol stage's inbox
+// pump (HandleEnvelope / PumpInbox) and ticks (TickGossip / TickMembership /
+// SweepFailures), and egress (emit falls through to a direct send when no
 // egress workers run) — so an external scheduler such as internal/harness's
 // virtual-time scenario engine can drive a whole fleet deterministically
 // from a single goroutine. This is not a second runtime: it is the engine's
@@ -26,9 +26,9 @@ import (
 	"pmcast/internal/transport"
 )
 
-// HandleEnvelope processes one received message synchronously — the
-// ingress-plus-protocol stages of the engine run inline (transport.Raw
-// payloads are unframed with the node's own decoder).
+// HandleEnvelope processes one received message synchronously, as the
+// protocol stage does (transport.Raw payloads are unframed with the node's
+// decoder).
 func (n *Node) HandleEnvelope(env transport.Envelope) { n.handle(env, new(heard)) }
 
 // PumpInbox drains and handles every envelope queued on the node's

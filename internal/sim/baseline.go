@@ -114,6 +114,12 @@ func RunGenuine(p GenuineParams, pd float64, rng *rand.Rand) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	// The publisher is picked right after the draw, as in every other arm,
+	// so arms fed one seed share it.
+	origin, err := rs.pick(rng)
+	if err != nil {
+		return Result{}, err
+	}
 
 	// Uniform partial views, drawn per process per run.
 	viewSize := min(p.ViewSize, p.N-1)
@@ -131,10 +137,6 @@ func RunGenuine(p GenuineParams, pd float64, rng *rand.Rand) (Result, error) {
 	budget := analysis.PittelLossAdjustedRounds(float64(audience), float64(p.F), p.C, p.Eps, p.Tau)
 
 	infected := make([]bool, p.N)
-	origin, err := rs.pick(rng)
-	if err != nil {
-		return Result{}, err
-	}
 	infected[origin] = true
 	res := Result{}
 	for round := 0; round < budget; round++ {

@@ -204,9 +204,8 @@ func TestSampleDistinct(t *testing.T) {
 
 // TestArmsSeeOneDraw pins the fairness the baselines table rests on: fed
 // equal RNG states, the simulator and the three baselines at n = a^d draw
-// the same audience, and all but the genuine arm the same publisher. The
-// genuine arm draws its partial views between the population and the
-// publisher, so its publisher comes from a later RNG state.
+// the same audience and the same publisher. The genuine arm picks its
+// publisher before it draws its partial views.
 func TestArmsSeeOneDraw(t *testing.T) {
 	for _, c := range []struct {
 		a, d, r int
@@ -242,7 +241,7 @@ func TestArmsSeeOneDraw(t *testing.T) {
 				t.Errorf("%+v %s: audience %d/%d, simulator %d/%d", c, arm,
 					got.Interested, got.Uninterested, want.Interested, want.Uninterested)
 			}
-			if arm != "genuine" && got.Publisher != want.Publisher {
+			if got.Publisher != want.Publisher {
 				t.Errorf("%+v %s: publisher %d, simulator %d", c, arm, got.Publisher, want.Publisher)
 			}
 		}

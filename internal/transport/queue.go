@@ -6,30 +6,26 @@ import "sync"
 const queueSegLen = 64
 
 // Queue is the bounded FIFO between a fabric and a node, and between the
-// node engine's stages. It holds storage only while it holds items: slots
-// live in fixed segments of queueSegLen, a segment is allocated when the
-// tail fills and released when the head drains past it, and at most one
-// drained segment is kept as a spare — so a queue that never held anything
-// costs no slot, and an idle one at most one segment, whatever its bound.
-// (A sync.Pool would keep the released segments alive until a GC, which is
-// the memory this saves.) A consumed slot is zeroed, so a delivered payload
-// is not pinned by the queue.
+// node's protocol stage and its egress workers. It holds storage only while
+// it holds items: slots live in fixed segments of queueSegLen, a segment is
+// allocated when the tail fills and released when the head drains past it,
+// and at most one drained segment is kept as a spare — so a queue that never
+// held anything costs no slot, and an idle one at most one segment, whatever
+// its bound. (A sync.Pool would keep the released segments alive until a GC,
+// which is the memory this saves.) A consumed slot is zeroed, so a delivered
+// payload is not pinned by the queue.
 //
 // The bound is exact: a queue never holds more than bound items. Producers
-// either give up on a full queue (TryPush: a fabric's delivery, which drops
-// on overflow like a socket buffer, and the protocol stage's egress
-// hand-off) or wait for room (Push, the ingress workers). Consumers wait on
-// Ready, then drain a bounded batch (Drain), or do both in one call
-// (RecvMany).
+// never wait: TryPush gives up on a full queue (a fabric's delivery, which
+// drops on overflow like a socket buffer, and the protocol stage's egress
+// hand-off). Consumers wait on Ready, then drain a bounded batch (Drain), or
+// do both in one call (RecvMany).
 type Queue[T any] struct {
 	// ready holds a token whenever the queue may hold items: a push leaves
 	// one, and a drain that leaves items behind passes one on, so one waiting
 	// consumer wakes per burst. Close closes it, so every consumer wakes to
 	// drain what is left.
 	ready chan struct{}
-	// space holds a token whenever a blocked push may find room: a drain
-	// leaves one, and a push that leaves room passes one on.
-	space chan struct{}
 
 	mu     sync.Mutex
 	head   *queueSegment[T] // oldest segment; nil when the queue is empty
@@ -57,16 +53,15 @@ type queueSegment[T any] struct {
 func NewQueue[T any](bound int) *Queue[T] {
 	return &Queue[T]{
 		ready: make(chan struct{}, 1),
-		space: make(chan struct{}, 1),
 		bound: bound,
 	}
 }
 
-// signal leaves a token on c unless one is there already. Callers hold mu and
-// have checked the queue is open: Close closes both channels under mu.
-func signal(c chan struct{}) {
+// signalLocked leaves a ready token unless one is there already. Callers
+// hold mu and have checked the queue is open: Close closes ready under mu.
+func (q *Queue[T]) signalLocked() {
 	select {
-	case c <- struct{}{}:
+	case q.ready <- struct{}{}:
 	default:
 	}
 }
@@ -79,42 +74,9 @@ func (q *Queue[T]) TryPush(v T) bool {
 	if q.closed || q.lenLocked() == q.bound {
 		return false
 	}
-	q.appendLocked([]T{v})
-	signal(q.ready)
+	q.appendLocked(v)
+	q.signalLocked()
 	return true
-}
-
-// Push queues every item of batch, in order, waiting for room as long as it
-// must. It reports false, with only a prefix of batch queued, when stop
-// closes first or the queue is closed. Room freed by a receive from View's
-// channel wakes no waiting Push: a queue with a view is an inbox, whose
-// producers only TryPush.
-func (q *Queue[T]) Push(batch []T, stop <-chan struct{}) bool {
-	for {
-		q.mu.Lock()
-		if q.closed {
-			q.mu.Unlock()
-			return false
-		}
-		if k := min(len(batch), q.bound-q.lenLocked()); k > 0 {
-			q.appendLocked(batch[:k])
-			batch = batch[k:]
-			signal(q.ready)
-		}
-		if len(batch) == 0 {
-			if q.lenLocked() < q.bound {
-				signal(q.space) // another pusher may be waiting for this room
-			}
-			q.mu.Unlock()
-			return true
-		}
-		q.mu.Unlock()
-		select {
-		case <-q.space:
-		case <-stop:
-			return false
-		}
-	}
 }
 
 // lenLocked is how many items the queue holds.
@@ -125,33 +87,28 @@ func (q *Queue[T]) lenLocked() int {
 	return q.n
 }
 
-// appendLocked copies items, which fit, to the tail.
-func (q *Queue[T]) appendLocked(items []T) {
+// appendLocked puts v, which fits, at the tail.
+func (q *Queue[T]) appendLocked(v T) {
 	if q.view != nil {
-		for _, v := range items {
-			q.view <- v // fits: receivers only ever make room
-		}
+		q.view <- v // fits: receivers only ever make room
 		return
 	}
-	for len(items) > 0 {
-		if q.tail == nil || q.w == queueSegLen {
-			seg := q.spare
-			if seg == nil {
-				seg = new(queueSegment[T])
-			}
-			q.spare = nil
-			if q.tail == nil {
-				q.head, q.r = seg, 0
-			} else {
-				q.tail.next = seg
-			}
-			q.tail, q.w = seg, 0
+	if q.tail == nil || q.w == queueSegLen {
+		seg := q.spare
+		if seg == nil {
+			seg = new(queueSegment[T])
 		}
-		c := copy(q.tail.slots[q.w:], items)
-		q.w += c
-		q.n += c
-		items = items[c:]
+		q.spare = nil
+		if q.tail == nil {
+			q.head, q.r = seg, 0
+		} else {
+			q.tail.next = seg
+		}
+		q.tail, q.w = seg, 0
 	}
+	q.tail.slots[q.w] = v
+	q.w++
+	q.n++
 }
 
 // Drain moves up to len(dst) items, oldest first, to dst. It reports how
@@ -183,13 +140,8 @@ func (q *Queue[T]) Drain(dst []T) (k int, open bool) {
 			q.release(old)
 		}
 	}
-	if !q.closed {
-		if k > 0 {
-			signal(q.space)
-		}
-		if q.lenLocked() > 0 {
-			signal(q.ready)
-		}
+	if !q.closed && q.lenLocked() > 0 {
+		q.signalLocked()
 	}
 	return k, !q.closed
 }
@@ -249,9 +201,8 @@ func (q *Queue[T]) Closed() bool {
 	return q.closed
 }
 
-// Close refuses further pushes, releases every blocked pusher, and wakes
-// every consumer to drain what is left. It closes View's channel, if any,
-// too. Safe to call twice.
+// Close refuses further pushes and wakes every consumer to drain what is
+// left. It closes View's channel, if any, too. Safe to call twice.
 func (q *Queue[T]) Close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -260,7 +211,6 @@ func (q *Queue[T]) Close() {
 	}
 	q.closed = true
 	close(q.ready)
-	close(q.space)
 	if q.view != nil {
 		close(q.view)
 	}

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -70,12 +69,12 @@ func (q *Queue[T]) audit(t *testing.T) {
 	}
 }
 
-// FuzzStageQueueAgainstSlice runs byte-chosen pushes, batch pushes, drains
-// and a close through a Queue and through a plain slice FIFO, and demands
-// the same items in the same order, the bound held exactly (a push that
-// does not fit queues the prefix that does, and gives up), a closed queue
-// drained to the end, and no segment kept beyond one spare whenever the
-// queue is empty. At a byte-chosen op the queue switches to its channel
+// FuzzStageQueueAgainstSlice runs byte-chosen pushes, bursts of pushes,
+// drains and a close through a Queue and through a plain slice FIFO, and
+// demands the same items in the same order, the bound held exactly (a burst
+// that does not fit queues the prefix that does, and every push past it
+// fails), a closed queue drained to the end, and no segment kept beyond one
+// spare whenever the queue is empty. At a byte-chosen op the queue switches to its channel
 // view, which then holds what the model holds, in order, with len the
 // depth, beside Drain; the channel closes once the closed queue drains.
 func FuzzStageQueueAgainstSlice(f *testing.F) {
@@ -84,8 +83,6 @@ func FuzzStageQueueAgainstSlice(f *testing.F) {
 	f.Add([]byte{200, 1, 129, 1, 129, 1, 129, 2, 99, 2, 99, 1, 60, 2, 99, 2, 99, 2, 99})
 	f.Add([]byte{63, 1, 63, 0, 0, 0, 0, 2, 1, 1, 64, 2, 64, 3, 1, 3, 3, 2, 5, 2, 5})
 	f.Add([]byte{40, 1, 90, 0, 0, 2, 3, 4, 0, 5, 6, 1, 20, 0, 0, 2, 9, 5, 2, 1, 129, 3, 0, 5, 40})
-	stopped := make(chan struct{})
-	close(stopped)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
 			return
@@ -116,24 +113,14 @@ func FuzzStageQueueAgainstSlice(f *testing.F) {
 					model = append(model, v)
 				}
 			case 1:
-				batch := fresh(1 + arg%130)
-				free := bound - len(model)
-				switch {
-				case closed:
-					if q.Push(batch, stopped) {
-						t.Fatal("push into a closed queue succeeded")
+				for _, v := range fresh(1 + arg%130) {
+					want := !closed && len(model) < bound
+					if got := q.TryPush(v); got != want {
+						t.Fatalf("tryPush in a burst with %d/%d queued, closed %v: %v, want %v", len(model), bound, closed, got, want)
 					}
-				case len(batch) <= free:
-					if !q.Push(batch, nil) {
-						t.Fatalf("push of %d with %d free gave up", len(batch), free)
+					if want {
+						model = append(model, v)
 					}
-					model = append(model, batch...)
-				default:
-					// Nothing drains while it waits, so only stop ends it.
-					if q.Push(batch, stopped) {
-						t.Fatalf("push of %d with %d free succeeded", len(batch), free)
-					}
-					model = append(model, batch[:free]...)
 				}
 			case 2:
 				dst := make([]int, 1+arg%100)
@@ -206,36 +193,23 @@ func FuzzStageQueueAgainstSlice(f *testing.F) {
 // TestStageQueueConcurrent puts the queue under the race detector: several
 // producers against one consumer (each producer's items arrive in its
 // order) and against several (each item exactly once), with close racing
-// the drains; blocked batch pushes released by stop, by done and by room.
+// the drains; a blocked receive released by a push and by close.
 func TestStageQueueConcurrent(t *testing.T) {
 	const producers, perProducer = 4, 3000
-	// produce runs the producers: three push random-sized batches, the
-	// fourth tries one item at a time and yields while the queue is full.
+	// produce runs the producers: each tries one item at a time and yields
+	// while the queue is full.
 	produce := func(q *Queue[int]) *sync.WaitGroup {
 		var wg sync.WaitGroup
 		for p := 0; p < producers; p++ {
 			wg.Add(1)
 			go func(p int) {
 				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(p)))
 				for seq := 0; seq < perProducer; {
-					if p == producers-1 {
-						if q.TryPush(p*perProducer + seq) {
-							seq++
-						} else {
-							time.Sleep(time.Microsecond)
-						}
-						continue
+					if q.TryPush(p*perProducer + seq) {
+						seq++
+					} else {
+						time.Sleep(time.Microsecond)
 					}
-					batch := make([]int, min(1+rng.Intn(90), perProducer-seq))
-					for i := range batch {
-						batch[i] = p*perProducer + seq + i
-					}
-					if !q.Push(batch, nil) {
-						t.Error("push gave up with nothing to stop it")
-						return
-					}
-					seq += len(batch)
 				}
 			}(p)
 		}
@@ -345,62 +319,42 @@ func TestStageQueueConcurrent(t *testing.T) {
 		}
 	})
 
-	t.Run("a blocked push", func(t *testing.T) {
-		full := func() *Queue[int] {
-			q := NewQueue[int](4)
-			if !q.Push([]int{1, 2, 3, 4}, nil) {
-				t.Fatal("fill failed")
-			}
-			return q
-		}
-		blocked := func(q *Queue[int], stop chan struct{}) chan bool {
-			res := make(chan bool, 1)
-			go func() { res <- q.Push([]int{5, 6, 7}, stop) }()
+	t.Run("a blocked receive", func(t *testing.T) {
+		// blocked starts a RecvMany on an empty queue and checks it waits.
+		blocked := func(q *Queue[int]) chan int {
+			res := make(chan int, 1)
+			go func() {
+				k, open := q.RecvMany(make([]int, 4))
+				if open != (k > 0) {
+					t.Errorf("RecvMany moved %d, open %v", k, open)
+				}
+				res <- k
+			}()
 			select {
-			case ok := <-res:
-				t.Fatalf("push into a full queue returned %v at once", ok)
+			case k := <-res:
+				t.Fatalf("RecvMany on an empty queue returned %d at once", k)
 			case <-time.After(20 * time.Millisecond):
 			}
 			return res
 		}
-		settle := func(res chan bool, want bool, what string) {
+		settle := func(res chan int, want int, what string) {
 			select {
-			case ok := <-res:
-				if ok != want {
-					t.Errorf("%s: push returned %v, want %v", what, ok, want)
+			case k := <-res:
+				if k != want {
+					t.Errorf("%s: RecvMany moved %d, want %d", what, k, want)
 				}
 			case <-time.After(5 * time.Second):
-				t.Fatalf("%s: push still blocked", what)
+				t.Fatalf("%s: RecvMany still blocked", what)
 			}
 		}
-		q := full()
-		stop := make(chan struct{})
-		res := blocked(q, stop)
-		close(stop)
-		settle(res, false, "released")
-		if k, _ := q.Drain(make([]int, 10)); k != 4 {
-			t.Errorf("a released push queued %d items past a full queue", k-4)
+		q := NewQueue[int](4)
+		res := blocked(q)
+		if !q.TryPush(1) {
+			t.Fatal("push into an empty queue failed")
 		}
-		q = full()
-		res = blocked(q, nil)
-		dst := make([]int, 10)
-		k, _ := q.Drain(dst[:2])
-		for k < 7 {
-			m, _ := q.Drain(dst[k:])
-			k += m
-			if m == 0 {
-				time.Sleep(time.Millisecond)
-			}
-		}
-		settle(res, true, "room")
-		for i, v := range dst[:7] {
-			if v != i+1 {
-				t.Fatalf("drained %v, want 1…7", dst[:7])
-			}
-		}
-		q = full()
-		res = blocked(q, nil)
+		settle(res, 1, "pushed")
+		res = blocked(q)
 		q.Close()
-		settle(res, false, "closed")
+		settle(res, 0, "closed")
 	})
 }

@@ -38,10 +38,9 @@ type Envelope struct {
 
 // Raw is an undecoded wire frame: a byte-oriented transport (the UDP
 // backend) delivers every envelope's Payload as a Raw, and the consumer
-// decodes. The node engine decodes on its ingress workers — each owning its
-// own interning decoder — when it has them, and on its protocol goroutine
-// otherwise, so hostile bytes are validated in one place. Frames ride
-// pooled buffers; call Release once decoded.
+// decodes. The node decodes on its protocol goroutine, so hostile bytes are
+// validated in one place. Frames ride pooled buffers; call Release once
+// decoded.
 type Raw struct {
 	Frame []byte
 	buf   *[]byte
@@ -80,9 +79,9 @@ type Endpoint interface {
 	// silent, as on a real network; only unknown destinations and a
 	// closed endpoint return errors.
 	Send(to addr.Address, payload any) error
-	// Inbox is the endpoint's bounded inbox, closed when the endpoint is.
-	// Multiple consumers may drain it concurrently — the staged node engine
-	// drains one endpoint with several ingress workers.
+	// Inbox is the endpoint's bounded inbox, closed when the endpoint is:
+	// the fabric TryPushes what arrives, and the node's protocol stage
+	// drains it.
 	Inbox() *Inbox
 	// Recv is a channel view of the inbox (Queue.View): the channel receives
 	// what the endpoint receives and closes when it does, and len of it is
@@ -121,7 +120,9 @@ type BatchSender interface {
 // wakes once per traffic burst rather than once per message. It returns the
 // number of envelopes written and false once the endpoint is closed and
 // drained (n may still be positive on that final call). Safe for concurrent
-// use by multiple consumers, like Recv.
+// use by multiple consumers, like Recv. The node reads its inbox directly
+// and calls no RecvMany; both fabrics' endpoints keep theirs for bench/'s
+// traced endpoint, which asserts and forwards it (ROADMAP item 4).
 type BatchReceiver interface {
 	RecvMany(out []Envelope) (int, bool)
 }

@@ -367,8 +367,8 @@ func TestResolverValidation(t *testing.T) {
 
 // TestDeferDecodeDeliversRawFrames exercises the deferred-decode seam: a
 // transport configured with DeferDecode hands the consumer transport.Raw
-// payloads whose frames decode — with a consumer-owned decoder, the way an
-// engine ingress worker holds one — to exactly the message that was sent.
+// payloads whose frames decode — with a consumer-owned decoder, the way a
+// node holds one — to exactly the message that was sent.
 func TestDeferDecodeDeliversRawFrames(t *testing.T) {
 	res, err := NewStaticResolver(map[string]string{
 		"0.0": "127.0.0.1:0",

@@ -217,11 +217,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 // event and a view (through the same codecs the wire path uses), and
 // whatever decodes must match identically through the interpretive path and
 // the index — as a bare subscription, as a regrouped summary, and, in the
-// view arm, as the lines of one view: 2–6 summaries decoded from the third
-// input as sent (any bound, any number of disjuncts, unsatisfiable ones and
-// a match-all flag beside disjuncts included), plus a duplicate of the first
-// under its language name, a match-all line and an empty one. Lines of equal
-// fingerprint share a name, as in the tree's store. Every line's answer from
+// view arm, as the lines of one view: 2–6 summaries folded from the third
+// input (each a bound and a run of subscriptions, added in order, so any
+// bound and any subscriptions the wire carries), plus a duplicate of the
+// first under its language name, a match-all line and an empty one. Lines
+// of equal fingerprint share a name, as in the tree's store. Every line's answer from
 // one probe, and from its handle, must be Summary.Matches. The seed corpus is
 // the wire fuzz corpus: every event the captured mini-fleet gossiped
 // (extracted from its frames) paired with every subscription shape the
@@ -273,10 +273,9 @@ func FuzzCompiledMatchParity(f *testing.F) {
 	for i, sb := range subSeeds {
 		var view []byte
 		for k := 0; k < 3; k++ {
-			var sub interest.Subscription
-			if err := sub.UnmarshalBinary(subSeeds[(i+k)%len(subSeeds)]); err == nil {
-				view = interest.AppendSummary(view, interest.Summarize(sub))
-			}
+			view = binenc.AppendUvarint(view, uint64(interest.DefaultMaxDisjuncts))
+			view = binenc.AppendUvarint(view, 1)
+			view = append(view, subSeeds[(i+k)%len(subSeeds)]...)
 		}
 		for _, eb := range evSeeds {
 			f.Add(sb, eb, view)
@@ -303,7 +302,10 @@ func FuzzCompiledMatchParity(f *testing.F) {
 
 		var lines []*interest.Summary
 		for r := binenc.NewReader(viewBytes); r.Len() > 0 && len(lines) < 6; {
-			s := interest.ReadSummary(r)
+			s := interest.NewSummaryWithBound(int(r.Uvarint()))
+			for k := r.Count(1); k > 0 && r.Err() == nil; k-- {
+				s.Add(interest.ReadSubscription(r))
+			}
 			if r.Err() != nil {
 				break
 			}
@@ -318,7 +320,7 @@ func FuzzCompiledMatchParity(f *testing.F) {
 			// A language is named by its disjuncts' encodings, sorted: the
 			// order a summary accumulated them in does not change what it
 			// matches. A match-all summary is named apart, as the tree's
-			// store keys it, whatever disjuncts it still carries.
+			// store keys it.
 			ds := s.Disjuncts()
 			fps := make([]string, len(ds))
 			for j, d := range ds {

@@ -276,26 +276,6 @@ func TestSubscriptionSemanticsPreserved(t *testing.T) {
 	}
 }
 
-func TestSummaryBinaryRoundTrip(t *testing.T) {
-	sum := interest.Summarize(
-		interest.NewSubscription().Where("b", interest.Gt(3)),
-		interest.NewSubscription().Where("e", interest.OneOf("Tom")),
-	)
-	data, err := sum.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got interest.Summary
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	evHit := event.NewBuilder().Float("b", 4).Build(event.ID{Origin: "p", Seq: 1})
-	evMiss := event.NewBuilder().Float("b", 1).Str("e", "Ann").Build(event.ID{Origin: "p", Seq: 2})
-	if !got.Matches(evHit) || got.Matches(evMiss) {
-		t.Errorf("summary semantics lost: %v", &got)
-	}
-}
-
 func TestAddressBinaryRoundTrip(t *testing.T) {
 	in := addr.New(128, 178, 73, 3)
 	data, err := in.MarshalBinary()

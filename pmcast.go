@@ -13,10 +13,9 @@
 //
 // Nodes run over a pluggable Transport: the in-memory simulation fabric
 // (NewNetwork) or real UDP sockets (NewUDPTransport). The live runtime is a
-// staged engine — parallel decode workers, one protocol goroutine,
-// parallel encode/send workers — sized by NodeConfig's
-// DecodeWorkers and EncodeWorkers; the default (0, 0) is the serial,
-// deterministic configuration. Quickstart:
+// staged engine — one protocol goroutine reading and handling the inbox,
+// parallel encode/send workers sized by NodeConfig's EncodeWorkers; the
+// default 0 is the serial, deterministic configuration. Quickstart:
 //
 //	net := pmcast.MustNetwork(pmcast.NetworkConfig{})
 //	space := pmcast.MustRegularSpace(4, 2) // 16 addresses: x.y, 0 ≤ x,y < 4

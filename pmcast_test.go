@@ -130,7 +130,6 @@ func TestFacadeUDPEndToEnd(t *testing.T) {
 			Subscription:       sub,
 			GossipInterval:     4 * time.Millisecond,
 			MembershipInterval: 6 * time.Millisecond,
-			DecodeWorkers:      2,
 			EncodeWorkers:      2,
 			StageQueue:         512,
 		})
